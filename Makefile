@@ -54,7 +54,7 @@ SWEEPPROCS ?= 0
 COVER_PKGS ?= ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen
 COVER_BASELINE ?= COVERAGE.json
 
-.PHONY: all build vet test race lint faultmatrix byzantine transport netsweep verify fmt fuzz serve serve-soak bench bench-json bench-json-incr verify-perf nightly soak experiments cover cover-baseline
+.PHONY: all build vet test race lint faultmatrix byzantine transport netsweep verify fmt fuzz serve serve-soak bench-build bench bench-json bench-json-incr verify-perf nightly soak experiments cover cover-baseline
 
 all: verify
 
@@ -143,7 +143,15 @@ fuzz:
 serve:
 	$(GO) test -count=1 ./internal/mpcd/... ./cmd/mpcd
 
-verify: build vet test race faultmatrix byzantine transport lint serve fuzz
+# bench-build compiles and vets mpcbench (benchmark/, a module of its
+# own that `go build ./...` at the root never sees) against the working
+# tree, so a change to an exported symbol the benchmark uses fails here
+# rather than in the benchmark run. The binary is discarded (bench.sh
+# builds its own), so nothing lands under benchmark/.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+
+verify: build vet bench-build test race faultmatrix byzantine transport lint serve fuzz
 	@echo "verify: OK"
 
 # experiments regenerates every report on the sweep scheduler.
@@ -204,9 +212,13 @@ bench:
 # benchmark run aborts the target instead of feeding benchjson an
 # empty pipe.
 # Benchmarks repeat BENCHCOUNT times; benchjson keeps each one's
-# fastest run, the noise-robust estimate on shared hardware.
+# fastest run, the noise-robust estimate on shared hardware. The two
+# benchmarks that live next to the code they measure (the compiled
+# HyperCube router, mpcd's single-pass repartition) are appended to the
+# root package's.
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE) .bench_raw.txt
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"

@@ -8,7 +8,7 @@ package hypercube
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mpclogic/internal/cq"
 	"mpclogic/internal/policy"
@@ -20,6 +20,9 @@ import (
 // dimension per query variable. A fact matching a body atom is
 // replicated to every grid point consistent with hashing the values
 // bound to the atom's variables.
+//
+// NewGrid compiles the query into per-atom routing plans, so the
+// exported fields are read-only once the grid is built.
 type Grid struct {
 	Query  *cq.CQ
 	Vars   []string // grid dimensions, sorted for determinism
@@ -29,7 +32,49 @@ type Grid struct {
 	dims   map[string]int // variable → dimension index
 	stride []int          // mixed-radix strides for server ids
 	p      int            // total servers = Π Shares
+	plans  []atomPlan     // one per body atom, in body order
 }
+
+// atomPlan is one body atom compiled for routing: the checks and hashes
+// a fact's tuple goes through to find the corner of the sub-grid the
+// atom replicates it to (ops), and that sub-grid's shape (offsets).
+type atomPlan struct {
+	rel   string
+	arity int
+	ops   []argOp
+	// offsets lists, ascending, the server ids of the free sub-grid
+	// relative to its corner: every combination of coordinates in the
+	// dimensions the atom does not bind. Lexicographic coordinates are
+	// numeric order in the mixed-radix id scheme, so corner+offsets[i]
+	// enumerates the atom's destinations in ascending order.
+	offsets []int
+	// room bounds the destinations of a fact matching this atom and any
+	// later atom of the same relation and arity, so Targets sizes its
+	// one output slice at the first matching atom.
+	room int
+}
+
+// argOp is what one argument position of an atom asks of a tuple.
+// Positions that ask nothing — the first occurrence of a variable whose
+// dimension has share 1, which always hashes to coordinate 0 — compile
+// to no op at all.
+type argOp struct {
+	kind   argKind
+	pos    int       // tuple position the op reads
+	val    rel.Value // argConst: the constant the position must hold
+	first  int       // argRepeat: earlier position holding the same variable
+	salt   uint64    // argHash: seed and dimension, folded in before the avalanche
+	share  uint64    // argHash: the dimension's share
+	stride int       // argHash: the dimension's stride
+}
+
+type argKind uint8
+
+const (
+	argConst  argKind = iota // position must equal val
+	argRepeat                // position must equal position first
+	argHash                  // position's hash picks the coordinate in one dimension
+)
 
 // NewGrid builds a grid with explicit shares, given per variable.
 // Missing variables default to share 1.
@@ -39,7 +84,7 @@ func NewGrid(q *cq.CQ, shares map[string]int, seed uint64) (*Grid, error) {
 	}
 	g := &Grid{Query: q, Seed: seed, dims: map[string]int{}}
 	vars := varsOfBody(q)
-	sort.Strings(vars)
+	slices.Sort(vars)
 	g.Vars = vars
 	g.Shares = make([]int, len(vars))
 	for i, v := range vars {
@@ -57,7 +102,94 @@ func NewGrid(q *cq.CQ, shares map[string]int, seed uint64) (*Grid, error) {
 		p *= g.Shares[i]
 	}
 	g.p = p
+	g.plans = make([]atomPlan, len(q.Body))
+	for i, a := range q.Body {
+		g.plans[i] = g.compile(a)
+	}
+	for i := range g.plans {
+		for j := i; j < len(g.plans); j++ {
+			if g.plans[j].rel == g.plans[i].rel && g.plans[j].arity == g.plans[i].arity {
+				g.plans[i].room += len(g.plans[j].offsets)
+			}
+		}
+	}
 	return g, nil
+}
+
+// compile builds atom a's routing plan. The per-dimension hash
+// functions are those of the grid's definition: the value's tuple hash
+// with the seed and the dimension index folded in before a final
+// avalanche, so they behave independently.
+func (g *Grid) compile(a cq.Atom) atomPlan {
+	pl := atomPlan{rel: a.Rel, arity: len(a.Args), offsets: []int{0}}
+	bound := make([]bool, len(g.Shares))
+	for i, t := range a.Args {
+		if !t.IsVar() {
+			pl.ops = append(pl.ops, argOp{kind: argConst, pos: i, val: t.Const})
+			continue
+		}
+		first := i
+		for j := 0; j < i; j++ {
+			if a.Args[j].IsVar() && a.Args[j].Var == t.Var {
+				first = j
+				break
+			}
+		}
+		if first < i {
+			pl.ops = append(pl.ops, argOp{kind: argRepeat, pos: i, first: first})
+			continue
+		}
+		dim := g.dims[t.Var]
+		bound[dim] = true
+		if g.Shares[dim] > 1 {
+			pl.ops = append(pl.ops, argOp{
+				kind:   argHash,
+				pos:    i,
+				salt:   g.Seed ^ (uint64(dim+1) * 0x9e3779b97f4a7c15),
+				share:  uint64(g.Shares[dim]),
+				stride: g.stride[dim],
+			})
+		}
+	}
+	// Dimensions run from most to least significant, so extending every
+	// offset by each coordinate in turn keeps the list ascending.
+	for dim, share := range g.Shares {
+		if bound[dim] || share == 1 {
+			continue
+		}
+		next := make([]int, 0, len(pl.offsets)*share)
+		for _, off := range pl.offsets {
+			for c := 0; c < share; c++ {
+				next = append(next, off+c*g.stride[dim])
+			}
+		}
+		pl.offsets = next
+	}
+	return pl
+}
+
+// corner matches t against the plan, returning the server id of the
+// sub-grid corner its bound variables hash to, or ok=false when the
+// tuple cannot instantiate the atom.
+func (pl *atomPlan) corner(t rel.Tuple) (id int, ok bool) {
+	for i := range pl.ops {
+		op := &pl.ops[i]
+		v := t[op.pos]
+		switch op.kind {
+		case argConst:
+			if v != op.val {
+				return 0, false
+			}
+		case argRepeat:
+			if v != t[op.first] {
+				return 0, false
+			}
+		case argHash:
+			h := rel.Mix64((rel.Tuple{v}).Hash() ^ op.salt)
+			id += int(h%op.share) * op.stride
+		}
+	}
+	return id, true
 }
 
 // varsOfBody returns the distinct variables of the positive body.
@@ -79,23 +211,6 @@ func varsOfBody(q *cq.CQ) []string {
 // shares).
 func (g *Grid) P() int { return g.p }
 
-// hash maps a value to a coordinate in dimension dim. The dimension
-// index and seed are folded in before a final avalanche so that the
-// per-dimension hash functions behave independently.
-func (g *Grid) hash(dim int, v rel.Value) int {
-	h := rel.Mix64((rel.Tuple{v}).Hash() ^ g.Seed ^ (uint64(dim+1) * 0x9e3779b97f4a7c15))
-	return int(h % uint64(g.Shares[dim]))
-}
-
-// server converts a full coordinate vector to a server id.
-func (g *Grid) server(coord []int) int {
-	id := 0
-	for i, c := range coord {
-		id += c * g.stride[i]
-	}
-	return id
-}
-
 // Coord converts a server id back to its grid coordinates.
 func (g *Grid) Coord(server int) []int {
 	out := make([]int, len(g.Shares))
@@ -105,113 +220,40 @@ func (g *Grid) Coord(server int) []int {
 	return out
 }
 
-// Targets returns the destination servers for a fact: the union over
-// all body atoms of the fact's relation of the grid points consistent
-// with the hashed bindings. Facts that match no atom (wrong relation,
-// constant mismatch, repeated-variable mismatch) go nowhere.
-// Targets is called concurrently by the MPC communication phase, so it
-// keeps no scratch state on the grid. enumerate emits server ids of one
-// atom in ascending order (lexicographic coordinates are numeric order
-// in the mixed-radix id scheme), so a sort and dedup pass is needed
-// only when several atoms match the fact.
+// Targets returns the destination servers for a fact, ascending: the
+// union over all body atoms of the fact's relation of the grid points
+// consistent with the hashed bindings. Facts that match no atom (wrong
+// relation or arity, constant mismatch, repeated-variable mismatch) go
+// nowhere. Targets is called concurrently by the MPC communication
+// phase, so it keeps no scratch state on the grid; the returned slice
+// is its only allocation. One atom's destinations are already ascending
+// and distinct, so a sort and dedup pass is needed only when several
+// atoms match the fact.
 func (g *Grid) Targets(f rel.Fact) []int {
 	var out []int
 	atoms := 0
-	for _, a := range g.Query.Body {
-		if a.Rel != f.Rel || len(a.Args) != len(f.Tuple) {
+	for i := range g.plans {
+		pl := &g.plans[i]
+		if pl.rel != f.Rel || pl.arity != len(f.Tuple) {
 			continue
 		}
-		fixed, ok := g.atomBinding(a, f)
+		corner, ok := pl.corner(f.Tuple)
 		if !ok {
 			continue
 		}
 		atoms++
 		if out == nil {
-			n := 1
-			for dim, c := range fixed {
-				if c < 0 {
-					n *= g.Shares[dim]
-				}
-			}
-			out = make([]int, 0, n)
+			out = make([]int, 0, pl.room)
 		}
-		g.enumerate(fixed, func(server int) {
-			out = append(out, server)
-		})
+		for _, off := range pl.offsets {
+			out = append(out, corner+off)
+		}
 	}
 	if atoms > 1 {
-		sort.Ints(out)
-		n := 0
-		for i, s := range out {
-			if i > 0 && s == out[n-1] {
-				continue
-			}
-			out[n] = s
-			n++
-		}
-		out = out[:n]
+		slices.Sort(out)
+		out = slices.Compact(out)
 	}
 	return out
-}
-
-// atomBinding matches f against atom a, returning per-dimension fixed
-// coordinates (-1 = free) or ok=false when the fact cannot instantiate
-// the atom.
-func (g *Grid) atomBinding(a cq.Atom, f rel.Fact) ([]int, bool) {
-	fixed := make([]int, len(g.Shares))
-	for i := range fixed {
-		fixed[i] = -1
-	}
-	for i, t := range a.Args {
-		v := f.Tuple[i]
-		if !t.IsVar() {
-			if t.Const != v {
-				return nil, false
-			}
-			continue
-		}
-		// Atom arities are tiny, so scanning for the variable's first
-		// occurrence beats allocating a per-fact binding map.
-		first := i
-		for j := 0; j < i; j++ {
-			if a.Args[j].IsVar() && a.Args[j].Var == t.Var {
-				first = j
-				break
-			}
-		}
-		if first < i {
-			if f.Tuple[first] != v {
-				return nil, false
-			}
-			continue
-		}
-		dim := g.dims[t.Var]
-		fixed[dim] = g.hash(dim, v)
-	}
-	return fixed, true
-}
-
-// enumerate calls fn with every server id matching the fixed
-// coordinates (free dimensions range over their full share).
-func (g *Grid) enumerate(fixed []int, fn func(int)) {
-	coord := make([]int, len(fixed))
-	var rec func(dim int)
-	rec = func(dim int) {
-		if dim == len(fixed) {
-			fn(g.server(coord))
-			return
-		}
-		if fixed[dim] >= 0 {
-			coord[dim] = fixed[dim]
-			rec(dim + 1)
-			return
-		}
-		for c := 0; c < g.Shares[dim]; c++ {
-			coord[dim] = c
-			rec(dim + 1)
-		}
-	}
-	rec(0)
 }
 
 // Route implements mpc.Router.

@@ -1,0 +1,259 @@
+package hypercube
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"mpclogic/internal/cq"
+	"mpclogic/internal/rel"
+)
+
+// The reference router: the interpreter Grid.Targets ran before NewGrid
+// compiled atoms into routing plans — match the fact against each atom
+// term by term, hash bound variables into per-dimension coordinates,
+// enumerate the free dimensions recursively. It reads only the grid's
+// definition (Query, Shares, Seed, dims, stride), never the plans, so
+// it is the oracle the compiled router must equal, destination for
+// destination and in order.
+
+// hash maps a value to a coordinate in dimension dim. The dimension
+// index and seed are folded in before a final avalanche so that the
+// per-dimension hash functions behave independently.
+func (g *Grid) hash(dim int, v rel.Value) int {
+	h := rel.Mix64((rel.Tuple{v}).Hash() ^ g.Seed ^ (uint64(dim+1) * 0x9e3779b97f4a7c15))
+	return int(h % uint64(g.Shares[dim]))
+}
+
+// server converts a full coordinate vector to a server id.
+func (g *Grid) server(coord []int) int {
+	id := 0
+	for i, c := range coord {
+		id += c * g.stride[i]
+	}
+	return id
+}
+
+func (g *Grid) targetsRef(f rel.Fact) []int {
+	var out []int
+	atoms := 0
+	for _, a := range g.Query.Body {
+		if a.Rel != f.Rel || len(a.Args) != len(f.Tuple) {
+			continue
+		}
+		fixed, ok := g.atomBinding(a, f)
+		if !ok {
+			continue
+		}
+		atoms++
+		g.enumerate(fixed, func(server int) {
+			out = append(out, server)
+		})
+	}
+	if atoms > 1 {
+		sort.Ints(out)
+		n := 0
+		for i, s := range out {
+			if i > 0 && s == out[n-1] {
+				continue
+			}
+			out[n] = s
+			n++
+		}
+		out = out[:n]
+	}
+	return out
+}
+
+// atomBinding matches f against atom a, returning per-dimension fixed
+// coordinates (-1 = free) or ok=false when the fact cannot instantiate
+// the atom.
+func (g *Grid) atomBinding(a cq.Atom, f rel.Fact) ([]int, bool) {
+	fixed := make([]int, len(g.Shares))
+	for i := range fixed {
+		fixed[i] = -1
+	}
+	for i, t := range a.Args {
+		v := f.Tuple[i]
+		if !t.IsVar() {
+			if t.Const != v {
+				return nil, false
+			}
+			continue
+		}
+		first := i
+		for j := 0; j < i; j++ {
+			if a.Args[j].IsVar() && a.Args[j].Var == t.Var {
+				first = j
+				break
+			}
+		}
+		if first < i {
+			if f.Tuple[first] != v {
+				return nil, false
+			}
+			continue
+		}
+		dim := g.dims[t.Var]
+		fixed[dim] = g.hash(dim, v)
+	}
+	return fixed, true
+}
+
+// enumerate calls fn with every server id matching the fixed
+// coordinates (free dimensions range over their full share).
+func (g *Grid) enumerate(fixed []int, fn func(int)) {
+	coord := make([]int, len(fixed))
+	var rec func(dim int)
+	rec = func(dim int) {
+		if dim == len(fixed) {
+			fn(g.server(coord))
+			return
+		}
+		if fixed[dim] >= 0 {
+			coord[dim] = fixed[dim]
+			rec(dim + 1)
+			return
+		}
+		for c := 0; c < g.Shares[dim]; c++ {
+			coord[dim] = c
+			rec(dim + 1)
+		}
+	}
+	rec(0)
+}
+
+// randomRoutingCQ draws a CQ over relations R, S, T (arities 2, 2, 3)
+// whose atoms mix variables from a small pool — so variables repeat
+// inside an atom and relations repeat across atoms (self-joins that
+// reach the multi-atom sort and dedup) — with constants from the same
+// small domain the facts come from.
+func randomRoutingCQ(r *rand.Rand) *cq.CQ {
+	rels := []struct {
+		name  string
+		arity int
+	}{{"R", 2}, {"S", 2}, {"T", 3}}
+	vars := []string{"u", "v", "w", "x", "y"}[:2+r.Intn(4)]
+	q := &cq.CQ{Head: cq.NewAtom("H")}
+	for n := 1 + r.Intn(4); n > 0; n-- {
+		rl := rels[r.Intn(len(rels))]
+		args := make([]cq.Term, rl.arity)
+		for i := range args {
+			if r.Intn(5) == 0 {
+				args[i] = cq.C(rel.Value(r.Intn(4)))
+			} else {
+				args[i] = cq.V(vars[r.Intn(len(vars))])
+			}
+		}
+		q.Body = append(q.Body, cq.NewAtom(rl.name, args...))
+	}
+	return q
+}
+
+// Property: the compiled Grid.Targets equals the interpreted reference
+// on random CQs with constants, repeated variables and self-joins,
+// under random shares that include share-1 dimensions, for matching
+// facts and for facts of the wrong arity or an unknown relation.
+func TestPropCompiledTargetsEqualReference(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	multi := 0
+	for trial := 0; trial < 300; trial++ {
+		q := randomRoutingCQ(r)
+		shares := map[string]int{}
+		for _, v := range varsOfBody(q) {
+			shares[v] = 1 + r.Intn(4)
+			if r.Intn(3) == 0 {
+				shares[v] = 1
+			}
+		}
+		g, err := NewGrid(q, shares, r.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 60; k++ {
+			name := []string{"R", "S", "T", "U"}[r.Intn(4)]
+			tuple := make(rel.Tuple, 1+r.Intn(3))
+			for i := range tuple {
+				tuple[i] = rel.Value(r.Intn(4))
+			}
+			f := rel.Fact{Rel: name, Tuple: tuple}
+			got, want := g.Targets(f), g.targetsRef(f)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v on %v seed %d: Targets(%v) = %v, reference %v", q, g, g.Seed, f, got, want)
+			}
+			matched := 0
+			for _, a := range q.Body {
+				if a.Rel == f.Rel && len(a.Args) == len(f.Tuple) {
+					if _, ok := g.atomBinding(a, f); ok {
+						matched++
+					}
+				}
+			}
+			if matched > 1 {
+				multi++
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no trial reached the multi-atom sort and dedup")
+	}
+}
+
+// routingBench is the serve_repartition shape: the two-atom join on a
+// p=8 grid, where the LP puts every share on the join variable.
+func routingBench(tb testing.TB) (*Grid, []rel.Fact) {
+	q := joinQuery(rel.NewDict())
+	shares, _, err := OptimalShares(q, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := NewGrid(q, shares, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	facts := make([]rel.Fact, 1024)
+	for i := range facts {
+		facts[i] = rel.NewFact([]string{"R", "S"}[i%2], rel.Value(i), rel.Value(7*i+1))
+	}
+	return g, facts
+}
+
+// Routing a fact allocates its destination slice and nothing else — on
+// a single-atom match, on a self-join that sorts and dedups, and on a
+// grid with free dimensions to enumerate.
+func TestTargetsAllocatesOnlyItsResult(t *testing.T) {
+	join, facts := routingBench(t)
+	d := rel.NewDict()
+	self, err := NewGrid(cq.MustParse(d, "F(x, z) :- R(x, y), R(y, z)"), map[string]int{"x": 2, "y": 2, "z": 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri, err := NewGrid(triangleQuery(d), map[string]int{"x": 2, "y": 2, "z": 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Grid{join, self, tri} {
+		routed := 0
+		for _, f := range facts[:8] {
+			routed += len(g.Targets(f))
+			if n := testing.AllocsPerRun(100, func() { sink = g.Targets(f) }); n > 1 {
+				t.Errorf("%v: Targets(%v) allocates %v times, want at most 1", g, f, n)
+			}
+		}
+		if routed == 0 {
+			t.Errorf("%v routed none of the facts", g)
+		}
+	}
+}
+
+var sink []int
+
+func BenchmarkGridTargets(b *testing.B) {
+	g, facts := routingBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = g.Targets(facts[i%len(facts)])
+	}
+}

@@ -12,6 +12,17 @@
 // on skew-free data. Local computation is unbounded in the model, so
 // the simulator runs it natively (and concurrently).
 //
+// A round runs in two steps that a caller may take apart. RouteRound
+// is the communication phase up to the network: every fact is routed
+// into a round-private outbox, the exact per-server loads are known,
+// and the cluster is untouched. Deliver is everything after — fault
+// charging, the transport's Exchange, the computation phase, commit.
+// RunRound is RouteRound then Deliver and nothing else, so there is one
+// round implementation. The seam exists for callers that price a round
+// before paying for it: the loads of a RoutedRound are the loads the
+// round will record, and a plan that is dropped instead of delivered
+// never happened.
+//
 // The model assumes servers that never fail; real MPP engines do not
 // get that luxury. A cluster can therefore be configured with a
 // fault-tolerance layer (see faults.go and recovery.go): a seeded
@@ -289,11 +300,24 @@ func (c *Cluster) LogicalTrace() string {
 // Initial placement is not counted as communication.
 func (c *Cluster) LoadRoundRobin(i *rel.Instance) {
 	k := 0
-	i.Each(func(f rel.Fact) bool {
-		c.servers[k%c.p].Add(f)
-		k++
-		return true
-	})
+	dst := make([]*rel.Relation, c.p)
+	for _, name := range i.RelationNames() {
+		r := i.Relation(name)
+		// The k-th fact in (relation, tuple) order goes to server k mod p.
+		// Each server's copy of the relation is resolved on the first
+		// tuple it gets, sized for its ⌈n/p⌉ share, so a server the
+		// relation never reaches gets no empty relation either.
+		clear(dst)
+		share := (r.Len() + c.p - 1) / c.p
+		for _, t := range r.Tuples() {
+			s := k % c.p
+			if dst[s] == nil {
+				dst[s] = c.servers[s].EnsureRelationSize(name, r.Arity, share)
+			}
+			dst[s].Add(t)
+			k++
+		}
+	}
 }
 
 // LoadAt places facts at an explicit server (for adversarial initial
@@ -581,28 +605,144 @@ func (c *Cluster) commit(next []*rel.Instance, stats RoundStats) {
 	}
 }
 
-// RunRound executes one communication + computation round and records
-// its statistics.
+// RoutedRound is a round whose communication phase has been routed and
+// nothing more: every fact sits in a round-private outbox, and the
+// loads the round will record are known exactly, but no transport has
+// moved anything and the cluster is unchanged. Received, MaxLoad and
+// TotalComm are summed from the shards' Sent counts — the same numbers
+// every Transport must report back — so they equal the RoundStats that
+// Deliver returns. A caller that prices a round before paying for it
+// (mpcd's admission control) reads them and either delivers the plan or
+// drops it; dropping costs nothing further and leaves no trace.
 //
-// RunRound is atomic on failure: if it returns a non-nil error — a
-// routing error, a panicking Router/Keep/Compute, or an exhausted
-// recovery retry budget — every server's instance and the stats slice
-// are exactly as they were before the call. Callers may therefore
-// retry a failed round (or resume a failed multi-round program, see
-// RunResumable) without repairing cluster state first.
-func (c *Cluster) RunRound(r Round) (RoundStats, error) {
-	if c.ft != nil {
-		return c.runRoundFT(r)
+// A RoutedRound is single-use and bound to the cluster state it was
+// routed from; see Deliver.
+type RoutedRound struct {
+	Received  []int // facts each server will receive
+	MaxLoad   int   // max over Received
+	TotalComm int   // Σ Received
+
+	cluster   *Cluster
+	round     Round
+	shards    []Shard
+	chunk     int // sources per shard; 1 on the fault-tolerant path
+	at        int // rounds the cluster had committed when this was routed
+	delivered bool
+}
+
+// StaleRouteReason says why Deliver refused a RoutedRound.
+type StaleRouteReason int
+
+const (
+	// RoutedElsewhere: the plan was routed on a different cluster.
+	RoutedElsewhere StaleRouteReason = iota
+	// RoutedDelivered: the plan was already handed to Deliver. Delivery
+	// consumes the outboxes (inboxes adopt them), so a plan cannot run
+	// twice even if its first delivery failed.
+	RoutedDelivered
+	// RoutedBehind: after the plan was routed the cluster committed a
+	// round, or turned fault-tolerant (SetFaultPlan) and now needs
+	// per-source shards. The plan's outboxes describe server data that
+	// no longer exists, and fault plans are indexed by absolute round,
+	// so it must not fire against the new index.
+	RoutedBehind
+)
+
+func (k StaleRouteReason) String() string {
+	switch k {
+	case RoutedElsewhere:
+		return "it was routed on another cluster"
+	case RoutedDelivered:
+		return "it was already delivered"
+	default:
+		return "the cluster has moved on since it was routed"
 	}
+}
+
+// StaleRouteError is Deliver's refusal of a RoutedRound it must not
+// run. The cluster and the plan are exactly as they were.
+type StaleRouteError struct {
+	RoundName string
+	Reason    StaleRouteReason
+}
+
+// Error implements error.
+func (e *StaleRouteError) Error() string {
+	return fmt.Sprintf("mpc: cannot deliver routed round %q: %v", e.RoundName, e.Reason)
+}
+
+// RouteRound runs r's communication phase up to the network: every
+// source routes its facts into outboxes (one shard per worker on the
+// fault-free path, one per source on the fault-tolerant path, whose
+// fault plans address individual links). It reads the servers and
+// writes nothing, so a routing error, or a plan that is never
+// delivered, leaves the cluster exactly as it was.
+//
+// Facts loaded into the cluster between RouteRound and Deliver are not
+// in the plan; like facts a Router sends nowhere, the round drops them.
+func (c *Cluster) RouteRound(r Round) (*RoutedRound, error) {
 	chunk := c.defaultChunk()
+	if c.ft != nil {
+		chunk = 1
+	}
 	shards, err := c.routePhase(r, chunk)
 	if err != nil {
-		return RoundStats{}, err
+		return nil, err
+	}
+	rr := &RoutedRound{
+		Received: make([]int, c.p),
+		cluster:  c, round: r, shards: shards, chunk: chunk, at: len(c.stats),
+	}
+	for w := range shards {
+		for dst, n := range shards[w].Sent {
+			rr.Received[dst] += n
+		}
+	}
+	rr.MaxLoad, rr.TotalComm = loadOf(rr.Received)
+	return rr, nil
+}
+
+// loadOf returns the maximum and the sum of the per-server loads.
+func loadOf(received []int) (maxLoad, total int) {
+	for _, n := range received {
+		total += n
+		if n > maxLoad {
+			maxLoad = n
+		}
+	}
+	return maxLoad, total
+}
+
+// Deliver executes the rest of a routed round — verification and fault
+// charging, the transport's Exchange, the computation phase — and
+// commits it, recording its statistics.
+//
+// Deliver refuses, with a *StaleRouteError and no state change, a plan
+// routed on another cluster, a plan already delivered, and a plan the
+// cluster has moved past (it committed a round or turned fault-tolerant
+// since). Any other error is RunRound's: the cluster is unchanged, but
+// the plan is spent and the round must be routed again.
+func (c *Cluster) Deliver(rr *RoutedRound) (RoundStats, error) {
+	stale := func(why StaleRouteReason) (RoundStats, error) {
+		return RoundStats{}, &StaleRouteError{RoundName: rr.round.Name, Reason: why}
+	}
+	switch {
+	case rr.cluster != c:
+		return stale(RoutedElsewhere)
+	case rr.delivered:
+		return stale(RoutedDelivered)
+	case rr.at != len(c.stats) || (c.ft != nil && rr.chunk != 1):
+		return stale(RoutedBehind)
+	}
+	rr.delivered = true
+	r, shards := rr.round, rr.shards
+	if c.ft != nil {
+		return c.deliverFT(r, shards)
 	}
 	if c.verifyEvery > 0 {
 		// Sampled receiver-side routing verification (see byzantine.go).
 		// Off by default, so the hot path stays zero-overhead.
-		if err := c.verifyShards(r, shards, chunk); err != nil {
+		if err := c.verifyShards(r, shards, rr.chunk); err != nil {
 			return RoundStats{}, err
 		}
 	}
@@ -618,14 +758,30 @@ func (c *Cluster) RunRound(r Round) (RoundStats, error) {
 		return RoundStats{}, err
 	}
 	stats := RoundStats{Name: r.Name, Received: received, DeltaComm: deltaSent(shards)}
-	for _, n := range received {
-		stats.TotalComm += n
-		if n > stats.MaxLoad {
-			stats.MaxLoad = n
-		}
-	}
+	stats.MaxLoad, stats.TotalComm = loadOf(received)
 	c.commit(next, stats)
 	return stats, nil
+}
+
+// RunRound executes one communication + computation round and records
+// its statistics: RouteRound, then Deliver, on every execution path.
+//
+// RunRound is atomic on failure: if it returns a non-nil error — a
+// routing error, a panicking Router/Keep/Compute, or an exhausted
+// recovery retry budget — every server's instance and the stats slice
+// are exactly as they were before the call. Callers may therefore
+// retry a failed round (or resume a failed multi-round program, see
+// RunResumable) without repairing cluster state first. The guarantee
+// holds at the seam too: nothing is committed before Deliver's last
+// step, so a round that is routed and then dropped, or whose delivery
+// fails, never happened as far as the cluster, its stats and its
+// checkpoint can tell.
+func (c *Cluster) RunRound(r Round) (RoundStats, error) {
+	rr, err := c.RouteRound(r)
+	if err != nil {
+		return RoundStats{}, err
+	}
+	return c.Deliver(rr)
 }
 
 // Run executes a sequence of rounds, stopping at the first error.

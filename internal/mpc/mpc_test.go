@@ -31,6 +31,40 @@ func TestClusterLoadRoundRobin(t *testing.T) {
 	}
 }
 
+// TestLoadRoundRobinPlacement pins the placement rule through the
+// relation-by-relation loader: the k-th fact in (relation, tuple) order
+// lands on server k mod p, the rank running on across relations, onto
+// servers that already hold data, and a server a small relation never
+// reaches gets no empty relation.
+func TestLoadRoundRobinPlacement(t *testing.T) {
+	const p = 4
+	in := chainInstance(10)
+	in.Add(rel.NewFact("S", 7))
+	in.Add(rel.NewFact("T", 1, 2, 3))
+	in.Add(rel.NewFact("T", 0, 2, 3))
+	c := NewCluster(p)
+	c.LoadAt(1, rel.FromFacts(rel.NewFact("R", 100, 101)))
+	c.LoadRoundRobin(in)
+	want := NewCluster(p)
+	want.LoadAt(1, rel.FromFacts(rel.NewFact("R", 100, 101)))
+	k := 0
+	in.Each(func(f rel.Fact) bool {
+		want.servers[k%p].Add(f)
+		k++
+		return true
+	})
+	for s := 0; s < p; s++ {
+		if !c.Server(s).Equal(want.Server(s)) {
+			t.Errorf("server %d holds %v, want %v", s, c.Server(s), want.Server(s))
+		}
+		for _, name := range []string{"S", "T"} {
+			if r := c.Server(s).Relation(name); r != nil && r.Len() == 0 {
+				t.Errorf("server %d got an empty %s", s, name)
+			}
+		}
+	}
+}
+
 func TestRunRoundAccounting(t *testing.T) {
 	c := NewCluster(2)
 	i := rel.MustInstance(rel.NewDict(), "R(1,2)", "R(3,4)", "R(5,6)")

@@ -162,22 +162,17 @@ func (c *Cluster) RecoveryTotals() RecoveryStats {
 	return t
 }
 
-// runRoundFT is RunRound on the fault-tolerant path. It differs from
-// the fault-free path in three ways: the communication phase routes
-// one shard per source (chunk 1), because fault plans address
+// deliverFT is Deliver on the fault-tolerant path. It differs from the
+// fault-free path in three ways: it takes one shard per source
+// (RouteRound routes at chunk 1 here), because fault plans address
 // individual src→dst links and per-source shards make the transfer
 // sizes exact; the merged round inputs are checkpointed before
 // computation; and the fault plan's crashes/drops/dups/stragglers are
 // charged to the recovery metrics on a virtual clock. It shares
 // RunRound's atomicity guarantee: every error return precedes commit.
-func (c *Cluster) runRoundFT(r Round) (RoundStats, error) {
+func (c *Cluster) deliverFT(r Round, shards []Shard) (RoundStats, error) {
 	ft := c.ft
 	round := len(c.stats) // absolute round index, matches plan indexing
-
-	shards, err := c.routePhase(r, 1)
-	if err != nil {
-		return RoundStats{}, err
-	}
 
 	stats := RoundStats{Name: r.Name}
 
@@ -261,12 +256,7 @@ func (c *Cluster) runRoundFT(r Round) (RoundStats, error) {
 	}
 	stats.Received = received
 	stats.DeltaComm = deltaSent(shards)
-	for _, n := range received {
-		stats.TotalComm += n
-		if n > stats.MaxLoad {
-			stats.MaxLoad = n
-		}
-	}
+	stats.MaxLoad, stats.TotalComm = loadOf(received)
 
 	// Residents join the round input before the checkpoint is cut, so
 	// a recovered or speculative re-execution reloads the same (full,

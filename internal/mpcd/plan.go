@@ -17,11 +17,12 @@ const (
 
 // queryPlan is the server-wide, dict-independent part of a parsed
 // query: its canonical key, the dimensions the cover gate inspects,
-// and the integer share assignment per cluster width. Sessions keep
+// and the compiled HyperCube grid per cluster width. Sessions keep
 // their own ASTs (interning is session-scoped, see Server.sessions),
-// but the share-exponent LP and the Πᵖ₃ cover search depend only on
-// the canonical text, so their results are computed once here and
-// serve every session.
+// but the share-exponent LP, the routing plans compiled from it and the
+// Πᵖ₃ cover search depend only on the canonical text — which spells
+// constants as their interned values — so their results are computed
+// once here and serve every session.
 type queryPlan struct {
 	key      string // lang + output relation + canonical text
 	lang     string
@@ -29,13 +30,20 @@ type queryPlan struct {
 	vars     int  // |vars(Q)|, cover-gate dimension
 	atoms    int  // positive body atoms, cover-gate dimension
 
-	mu     sync.Mutex
-	shares map[int]sharesResult // cluster width → share assignment
+	mu    sync.Mutex
+	grids map[gridKey]gridResult
 }
 
-type sharesResult struct {
-	shares map[string]int
-	err    error
+// gridKey is what a grid depends on besides the query: the cluster
+// width the shares multiply out to and the seed of its hash functions.
+type gridKey struct {
+	p    int
+	seed uint64
+}
+
+type gridResult struct {
+	grid *hypercube.Grid
+	err  error // no share assignment exists for this width
 }
 
 // sessionQuery is one session's parsed view of a plan: ASTs whose
@@ -98,7 +106,7 @@ func (s *Server) planFor(lang, canon, out string, q *cq.CQ) *queryPlan {
 		s.bump(func(st *serverStats) { st.planHits++ })
 		return pl
 	}
-	pl := &queryPlan{key: key, lang: lang, shares: make(map[int]sharesResult)}
+	pl := &queryPlan{key: key, lang: lang, grids: make(map[gridKey]gridResult)}
 	if q != nil {
 		pl.gridable = !q.HasNegation()
 		pl.vars = len(q.Vars())
@@ -109,19 +117,34 @@ func (s *Server) planFor(lang, canon, out string, q *cq.CQ) *queryPlan {
 	return pl
 }
 
-// sharesFor returns the plan's integer share assignment on p servers,
-// solving the share-exponent LP once per width. q is the caller's AST
-// for the same canonical text; the LP sees only variables and atom
-// structure, so any session's parse yields the same assignment.
-func (pl *queryPlan) sharesFor(q *cq.CQ, p int) (map[string]int, error) {
+// gridFor returns the plan's HyperCube grid on p servers under seed:
+// the share-exponent LP is solved and the atoms are compiled into
+// routing plans once per width, so anchors that alternate — in one
+// session or across sessions — do not recompile per request. q is the
+// caller's AST for the same canonical text; the LP and the compiler see
+// only variables, atom structure and constant values, so any session's
+// parse yields the same grid. A grid is immutable once built and safe
+// to route through from every session at once.
+func (pl *queryPlan) gridFor(q *cq.CQ, p int, seed uint64) (*hypercube.Grid, *apiError) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if r, ok := pl.shares[p]; ok {
-		return r.shares, r.err
+	key := gridKey{p: p, seed: seed}
+	r, ok := pl.grids[key]
+	if !ok {
+		var shares map[string]int
+		if shares, _, r.err = hypercube.OptimalShares(q, p); r.err == nil {
+			grid, err := hypercube.NewGrid(q, shares, seed)
+			if err != nil {
+				return nil, errInternal(err) // unreachable: gridable excludes negation
+			}
+			r.grid = grid
+		}
+		pl.grids[key] = r
 	}
-	shares, _, err := hypercube.OptimalShares(q, p)
-	pl.shares[p] = sharesResult{shares: shares, err: err}
-	return shares, err
+	if r.err != nil {
+		return nil, errBadRequest("no share assignment for %s on p=%d: %v", q, p, r.err)
+	}
+	return r.grid, nil
 }
 
 // covers decides whether the anchor's distribution can be reused for

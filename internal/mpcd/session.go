@@ -183,7 +183,7 @@ func (s *Server) deleteSession(id string) *apiError {
 //   - reuse: the anchor's distribution covers the query (pc transfer),
 //     so it evaluates on the warm fragments with zero communication;
 //   - repartition: redistribute the data by the query's own HyperCube
-//     grid — the exact per-server load is counted before anything
+//     grid — routing fixes the exact per-server load before anything
 //     ships, and the query is rejected typed instead of run if the
 //     load exceeds its budget or the shipment overdraws the session;
 //   - gather: queries outside the single-round fragment (Datalog
@@ -270,38 +270,38 @@ func (sess *Session) gridRouter(grid *hypercube.Grid) mpc.Router {
 	})
 }
 
-// repartition is the admission-controlled redistribution: it counts
-// the exact per-server load of shipping the session's data through the
-// query's grid (routing is deterministic, so the count IS the measured
-// load — the defensive check at the bottom pins that equality), admits
-// or rejects against the query and session budgets, and only then
-// builds the new cluster. The data is re-shipped from a fresh
-// round-robin layout rather than the live fragments so the measured
-// load is independent of how replicated the previous anchor left them.
+// repartition is the admission-controlled redistribution, in a single
+// routing pass. The session's data is loaded round-robin into a fresh
+// cluster and routed through the query's grid (mpc.RouteRound): every
+// fact now sits in an outbox and the per-server loads are exact, but
+// nothing has shipped. The query is admitted or rejected on those loads
+// against the query and session budgets; only an admitted plan is
+// delivered (mpc.Deliver), and the loads it was admitted on are, by
+// construction, the loads the round records — the check after Deliver
+// asserts it. A rejection drops the fresh cluster: it costs one routing
+// pass into outboxes, and the session — cluster, anchor, ledger — is
+// untouched. The data is re-shipped from a fresh round-robin layout
+// rather than the live fragments so the measured load is independent of
+// how replicated the previous anchor left them.
 func (sess *Session) repartition(sq *sessionQuery, qBudget int) (maxLoad, total int, aerr *apiError) {
-	shares, err := sq.plan.sharesFor(sq.cq, sess.p)
-	if err != nil {
-		return 0, 0, errBadRequest("no share assignment for %s on p=%d: %v", sq.text, sess.p, err)
+	grid, aerr := sq.plan.gridFor(sq.cq, sess.p, sess.seed)
+	if aerr != nil {
+		return 0, 0, aerr
 	}
-	grid, err := hypercube.NewGrid(sq.cq, shares, sess.seed)
-	if err != nil {
-		return 0, 0, errInternal(err) // unreachable: gridable excludes negation
-	}
-	router := sess.gridRouter(grid)
+	return sess.reship(sq, sess.gridRouter(grid), qBudget)
+}
+
+// reship is repartition below the choice of router: route once, admit
+// on the routed loads, deliver.
+func (sess *Session) reship(sq *sessionQuery, router mpc.Router, qBudget int) (maxLoad, total int, aerr *apiError) {
 	union := sess.cluster.Output()
-	counts := make([]int, sess.p)
-	union.Each(func(f rel.Fact) bool {
-		for _, d := range router.Route(f) {
-			counts[d]++
-			total++
-		}
-		return true
-	})
-	for _, n := range counts {
-		if n > maxLoad {
-			maxLoad = n
-		}
+	fresh := mpc.NewCluster(sess.p, mpc.WithCheckpoints())
+	fresh.LoadRoundRobin(union)
+	routed, err := fresh.RouteRound(mpc.Round{Name: "repartition " + sq.text, Route: router})
+	if err != nil {
+		return 0, 0, errInternal(err)
 	}
+	maxLoad, total = routed.MaxLoad, routed.TotalComm
 	if maxLoad > qBudget {
 		sess.srv.bump(func(st *serverStats) { st.rejBudget++ })
 		return 0, 0, errBudgetExceeded(maxLoad, qBudget)
@@ -310,15 +310,13 @@ func (sess *Session) repartition(sq *sessionQuery, qBudget int) (maxLoad, total 
 		sess.srv.bump(func(st *serverStats) { st.rejSessionBudget++ })
 		return 0, 0, errSessionBudget(total, remaining)
 	}
-	fresh := mpc.NewCluster(sess.p, mpc.WithCheckpoints())
-	fresh.LoadRoundRobin(union)
-	stats, err := fresh.RunRound(mpc.Round{Name: "repartition " + sq.text, Route: router})
+	stats, err := fresh.Deliver(routed)
 	if err != nil {
 		return 0, 0, errInternal(err)
 	}
 	if stats.MaxLoad != maxLoad || stats.TotalComm != total {
 		return 0, 0, errInternal(fmt.Errorf(
-			"mpcd: admission counted max load %d / comm %d but the round measured %d / %d",
+			"mpcd: admitted on max load %d / comm %d but the round recorded %d / %d",
 			maxLoad, total, stats.MaxLoad, stats.TotalComm))
 	}
 	sess.cluster = fresh

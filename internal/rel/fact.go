@@ -1,5 +1,10 @@
 package rel
 
+import (
+	"slices"
+	"strings"
+)
+
 // Fact is a relation name applied to a tuple of domain values, e.g.
 // R(a, b). Facts are the unit of distribution in the whole library:
 // distribution policies map facts to servers, transducer networks
@@ -48,16 +53,20 @@ func (f Fact) String() string { return f.Rel + f.Tuple.String() }
 // StringWith renders the fact with symbolic names from d.
 func (f Fact) StringWith(d *Dict) string { return f.Rel + f.Tuple.StringWith(d) }
 
+// Compare is the three-way form of the order on facts: relation name
+// first, then Tuple.Compare.
+func (f Fact) Compare(g Fact) int {
+	if c := strings.Compare(f.Rel, g.Rel); c != 0 {
+		return c
+	}
+	return f.Tuple.Compare(g.Tuple)
+}
+
 // Less orders facts by relation name, then tuple, for deterministic
 // output in reports and tests.
-func (f Fact) Less(g Fact) bool {
-	if f.Rel != g.Rel {
-		return f.Rel < g.Rel
-	}
-	return f.Tuple.Less(g.Tuple)
-}
+func (f Fact) Less(g Fact) bool { return f.Compare(g) < 0 }
 
 // SortFacts sorts fs in place by (relation, tuple).
 func SortFacts(fs []Fact) {
-	sortFactsSlice(fs)
+	slices.SortFunc(fs, Fact.Compare)
 }

@@ -302,7 +302,3 @@ func (i *Instance) StringWith(d *Dict) string {
 	b.WriteByte('}')
 	return b.String()
 }
-
-func sortFactsSlice(fs []Fact) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Less(fs[j]) })
-}

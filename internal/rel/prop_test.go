@@ -168,3 +168,64 @@ func TestPropDiffUnionRestores(t *testing.T) {
 		}
 	}
 }
+
+// lessRef is the two-way order Tuple.Less had before it was defined
+// through Compare: lexicographic, a proper prefix first.
+func lessRef(t, u Tuple) bool {
+	n := len(t)
+	if len(u) < n {
+		n = len(u)
+	}
+	for i := 0; i < n; i++ {
+		if t[i] != u[i] {
+			return t[i] < u[i]
+		}
+	}
+	return len(t) < len(u)
+}
+
+// Property: Compare is the three-way form of the same total order —
+// on tuples of differing arity, with negative and extreme values — and
+// Fact.Compare orders by relation name first.
+func TestPropCompareIsTheLessOrder(t *testing.T) {
+	sign := func(c int) int {
+		switch {
+		case c < 0:
+			return -1
+		case c > 0:
+			return 1
+		}
+		return 0
+	}
+	mk := func(vs []int64) Tuple {
+		out := make(Tuple, len(vs)%4)
+		for i := range out {
+			out[i] = Value(vs[i] % 3) // small domain: equal prefixes are common
+			if vs[i]%7 == 0 {
+				out[i] = Value(vs[i]) // and so are extremes
+			}
+		}
+		return out
+	}
+	f := func(a, b []int64, ra, rb bool) bool {
+		t1, t2 := mk(a), mk(b)
+		want := 0
+		if lessRef(t1, t2) {
+			want = -1
+		} else if lessRef(t2, t1) {
+			want = 1
+		}
+		if sign(t1.Compare(t2)) != want || sign(t2.Compare(t1)) != -want || t1.Less(t2) != (want < 0) {
+			return false
+		}
+		name := map[bool]string{false: "R", true: "S"}
+		f1, f2 := Fact{Rel: name[ra], Tuple: t1}, Fact{Rel: name[rb], Tuple: t2}
+		if ra != rb {
+			want = map[bool]int{false: -1, true: 1}[ra]
+		}
+		return sign(f1.Compare(f2)) == want && f1.Less(f2) == (want < 0)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}

@@ -1,6 +1,6 @@
 package rel
 
-import "sort"
+import "slices"
 
 // Relation is a named, fixed-arity set of tuples.
 //
@@ -311,7 +311,7 @@ func (r *Relation) Tuples() []Tuple {
 			out = append(out, t)
 			return true
 		})
-		sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+		slices.SortFunc(out, Tuple.Compare)
 		r.sorted = out
 	}
 	return r.sorted[:len(r.sorted):len(r.sorted)]

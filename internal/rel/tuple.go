@@ -108,20 +108,29 @@ func (t Tuple) ADom() ValueSet {
 	return s
 }
 
-// Less imposes a total lexicographic order on same-arity tuples;
-// shorter tuples sort first.
-func (t Tuple) Less(u Tuple) bool {
+// Compare is the three-way form of the total order on tuples:
+// lexicographic on values, a proper prefix before its extensions. It
+// returns a negative number, zero or a positive number as t sorts
+// before, equal to or after u.
+func (t Tuple) Compare(u Tuple) int {
 	n := len(t)
 	if len(u) < n {
 		n = len(u)
 	}
 	for i := 0; i < n; i++ {
 		if t[i] != u[i] {
-			return t[i] < u[i]
+			if t[i] < u[i] {
+				return -1
+			}
+			return 1
 		}
 	}
-	return len(t) < len(u)
+	return len(t) - len(u)
 }
+
+// Less imposes a total lexicographic order on same-arity tuples;
+// shorter tuples sort first.
+func (t Tuple) Less(u Tuple) bool { return t.Compare(u) < 0 }
 
 // String renders the tuple using raw numeric values.
 func (t Tuple) String() string {
