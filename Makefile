@@ -93,20 +93,25 @@ byzantine:
 	$(GO) run ./cmd/experiments -parallel $(SWEEPPROCS) -run BYZ-matrix
 
 # transport pins the PR-8 transport-equivalence gate by name: the
-# conformance suite on both the Local and TCP transports, the program
-# matrix over real sockets (byte-identical output, state, and logical
-# trace), the chaos-over-TCP fault matrix, the multi-process runtime
-# against the simulator, and the kill-recovery e2e on the real binary.
+# direct tests of the publish-and-pull data plane (what armed havoc
+# puts on the wire, pulls through it, blocking, retirement, wrong
+# answers, a respawned source), the conformance suite on both the Local
+# and TCP transports, the program matrix over real sockets
+# (byte-identical output, state, and logical trace), the chaos-over-TCP
+# fault matrix, the multi-process runtime against the simulator, and
+# the kill-at-every-round recovery e2e on the real binary.
 transport:
+	$(GO) test -run 'TestArmedHavocIsOnTheWire|TestPull|TestRetireBelow|TestMergeInboxRejectsUndecodableFragment' ./internal/mpc
 	$(GO) test -run 'TestLocalConformance|TestTCPConformance' ./internal/mpc/transportconf
 	$(GO) test -run 'TestTransportEquivalence|TestChaosOverTCP' ./internal/gym
 	$(GO) test -run 'TestDistributedMatchesLocal' ./internal/mpcnet
 	$(GO) test -run 'TestE2E' ./cmd/mpcrun
 
-# netsweep drives the installed binary end to end, wider than the push
-# gate: every distributed program at p ∈ {2,4,8} must print the same
-# report bytes over local and tcp, and a SIGKILL-recovery run must be
-# indistinguishable from the undisturbed reference.
+# netsweep drives the installed binary end to end, wider than the
+# transport gate: every distributed program at p ∈ {2,4,8} must print
+# the same report bytes over local and tcp, and a SIGKILL-recovery run
+# at each of the tc program's four rounds must be indistinguishable
+# from the undisturbed reference.
 netsweep:
 	$(GO) build -o .mpcrun_sweep ./cmd/mpcrun
 	set -e; for prog in tc cascade hypercube yannakakis gym; do \
@@ -117,8 +122,10 @@ netsweep:
 	  done; \
 	done
 	./.mpcrun_sweep -transport local -program tc -p 4 -m 24 -seed 7 > .net_local.txt
-	./.mpcrun_sweep -transport tcp -program tc -p 4 -m 24 -seed 7 -fail-worker 1 -fail-round 1 > .net_kill.txt
-	diff .net_local.txt .net_kill.txt || { echo "netsweep: kill-recovery run diverged"; exit 1; }
+	set -e; for r in 0 1 2 3; do \
+	  ./.mpcrun_sweep -transport tcp -program tc -p 4 -m 24 -seed 7 -fail-worker 1 -fail-round $$r > .net_kill.txt; \
+	  diff .net_local.txt .net_kill.txt || { echo "netsweep: kill-recovery run at round $$r diverged"; exit 1; }; \
+	done
 	@rm -f .mpcrun_sweep .net_local.txt .net_tcp.txt .net_kill.txt
 	@echo "netsweep: OK"
 

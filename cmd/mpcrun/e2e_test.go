@@ -69,37 +69,50 @@ func TestE2ETransportEquivalence(t *testing.T) {
 	}
 }
 
-// TestE2EKillRecovery is the crash test: worker 1 SIGKILLs itself
-// right after writing its round-1 checkpoint, the coordinator
-// respawns it, and the respawn recovers from the checkpoint by
-// deterministic re-execution. The report must still be byte-identical
-// to the in-process reference — a lost machine is invisible in every
-// logical observable.
+// TestE2EKillRecovery is the crash test, at every round of the program:
+// worker 1 SIGKILLs itself right after writing its round-r checkpoint,
+// the coordinator respawns it, and the respawn recovers from the
+// checkpoint by deterministic re-execution — rewinding one round, so
+// its peers must still hold the round before the crash (the first
+// round exercises the retention bound's lower end, the last its upper).
+// The report must still be byte-identical to the in-process reference —
+// a lost machine is invisible in every logical observable.
 func TestE2EKillRecovery(t *testing.T) {
 	args := []string{"-program", "tc", "-p", "4", "-m", "24", "-seed", "7"}
 	want, _ := runBin(t, append([]string{"-transport", "local"}, args...)...)
-
-	ckpt := t.TempDir()
-	got, stderr := runBin(t, append([]string{
-		"-transport", "tcp", "-ckpt", ckpt, "-fail-worker", "1", "-fail-round", "1",
-	}, args...)...)
-	if got != want {
-		t.Errorf("post-recovery report diverged from local:\n got:\n%s\nwant:\n%s", got, want)
+	rounds := strings.Count(want, "\nround ")
+	if rounds < 3 {
+		t.Fatalf("program has %d rounds, too few to kill at a first, a middle and a last one:\n%s", rounds, want)
 	}
-	// The crash must not have been vacuous: the coordinator really
-	// respawned an incarnation.
-	if !strings.Contains(stderr, "recovered 1 worker incarnation") {
-		t.Errorf("no recovery happened (stderr: %q)", stderr)
-	}
-	// Checkpoints really were written and the GC really ran: the
-	// respawned worker keeps exactly the newest two rounds (resume
-	// never rewinds past latest−1), so the round-1 file the failpoint
-	// armed on must be gone and two later ones must remain.
-	left, err := filepath.Glob(filepath.Join(ckpt, "worker-1-round-*.ckpt"))
-	if err != nil || len(left) != 2 {
-		t.Errorf("worker 1 retains %v (err %v), want exactly its newest two checkpoints", left, err)
-	}
-	if _, err := os.Stat(filepath.Join(ckpt, "worker-1-round-1.ckpt")); !os.IsNotExist(err) {
-		t.Errorf("round-1 checkpoint outlived the GC (stat err: %v)", err)
+	for r := 0; r < rounds; r++ {
+		r := r
+		t.Run(fmt.Sprintf("round=%d", r), func(t *testing.T) {
+			t.Parallel()
+			ckpt := t.TempDir()
+			got, stderr := runBin(t, append([]string{
+				"-transport", "tcp", "-ckpt", ckpt, "-fail-worker", "1", "-fail-round", fmt.Sprint(r),
+			}, args...)...)
+			if got != want {
+				t.Errorf("post-recovery report diverged from local:\n got:\n%s\nwant:\n%s", got, want)
+			}
+			// The crash must not have been vacuous: the coordinator really
+			// respawned an incarnation.
+			if !strings.Contains(stderr, "recovered 1 worker incarnation") {
+				t.Errorf("no recovery happened (stderr: %q)", stderr)
+			}
+			// Checkpoints really were written and the GC really ran: the
+			// respawned worker keeps exactly the newest two rounds (resume
+			// never rewinds past latest−1), so a file the failpoint armed on
+			// before those must be gone.
+			left, err := filepath.Glob(filepath.Join(ckpt, "worker-1-round-*.ckpt"))
+			if err != nil || len(left) != 2 {
+				t.Errorf("worker 1 retains %v (err %v), want exactly its newest two checkpoints", left, err)
+			}
+			if r < rounds-2 {
+				if _, err := os.Stat(filepath.Join(ckpt, fmt.Sprintf("worker-1-round-%d.ckpt", r))); !os.IsNotExist(err) {
+					t.Errorf("round-%d checkpoint outlived the GC (stat err: %v)", r, err)
+				}
+			}
+		})
 	}
 }

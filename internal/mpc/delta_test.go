@@ -170,14 +170,14 @@ func TestAdoptResidentsRejectsRoutedConflicts(t *testing.T) {
 
 	inboxes := []*rel.Instance{rel.NewInstance(), rel.NewInstance()}
 	inboxes[1].Add(rel.NewFact("R", 9))
-	if err := c.adoptResidents(r, r.sets(), inboxes); err == nil || !strings.Contains(err.Error(), "resident relation") {
+	if err := c.adoptResidents(r, inboxes); err == nil || !strings.Contains(err.Error(), "resident relation") {
 		t.Fatalf("routed conflict not detected: %v", err)
 	}
 
 	// Clean inboxes adopt the resident by reference, and only on the
 	// servers that actually hold it.
 	inboxes = []*rel.Instance{rel.NewInstance(), rel.NewInstance()}
-	if err := c.adoptResidents(r, r.sets(), inboxes); err != nil {
+	if err := c.adoptResidents(r, inboxes); err != nil {
 		t.Fatal(err)
 	}
 	if inboxes[0].Relation("R") != c.Server(0).Relation("R") {

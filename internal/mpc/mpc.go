@@ -533,20 +533,12 @@ func (c *Cluster) defaultChunk() int {
 // server relations is safe: the round's Compute either returns them in
 // its output (state carried forward) or drops them. Routing facts into
 // a resident relation would silently entangle shipped and resident
-// copies, so it is a deterministic error, detected before any Compute
-// runs (which keeps the failure atomic).
-func (c *Cluster) adoptResidents(r Round, sets roundSets, inboxes []*rel.Instance) error {
-	if sets.resident == nil {
-		return nil
-	}
-	for _, name := range r.Resident {
-		for i, srv := range c.servers {
-			if in := inboxes[i].Relation(name); in != nil && in.Len() > 0 {
-				return fmt.Errorf("mpc: round %q routed facts into resident relation %q on server %d", r.Name, name, i)
-			}
-			if rl := srv.Relation(name); rl != nil {
-				inboxes[i].SetRelation(rl)
-			}
+// copies, so it is a deterministic error (the lowest offending server's),
+// detected before any Compute runs (which keeps the failure atomic).
+func (c *Cluster) adoptResidents(r Round, inboxes []*rel.Instance) error {
+	for i, srv := range c.servers {
+		if err := AdoptResident(r, i, srv, inboxes[i]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -554,16 +546,10 @@ func (c *Cluster) adoptResidents(r Round, sets roundSets, inboxes []*rel.Instanc
 
 // computePhase runs the computation phase: local and embarrassingly
 // parallel. Each worker writes only its own index of next/workerErrs,
-// so the fan-out is race-free by index-disjointness, and a panicking
-// Compute surfaces as this round's error instead of killing the
-// process (or worse, being silently lost). The error of the lowest
-// panicking server is reported, so repeated failing runs surface the
-// same error.
+// so the fan-out is race-free by index-disjointness. The error of the
+// lowest panicking server is reported, so repeated failing runs surface
+// the same error.
 func (c *Cluster) computePhase(r Round, inputs []*rel.Instance) ([]*rel.Instance, error) {
-	compute := r.Compute
-	if compute == nil {
-		compute = func(_ int, local *rel.Instance) *rel.Instance { return local }
-	}
 	next := make([]*rel.Instance, c.p)
 	workerErrs := make([]error, c.p)
 	var wg sync.WaitGroup
@@ -571,23 +557,13 @@ func (c *Cluster) computePhase(r Round, inputs []*rel.Instance) ([]*rel.Instance
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					workerErrs[i] = fmt.Errorf("mpc: server %d compute phase panicked in round %q: %v", i, r.Name, rec)
-				}
-			}()
-			next[i] = compute(i, inputs[i])
+			next[i], workerErrs[i] = ComputeServer(r, i, inputs[i])
 		}(i)
 	}
 	wg.Wait()
 	for _, err := range workerErrs {
 		if err != nil {
 			return nil, err
-		}
-	}
-	for i, inst := range next {
-		if inst == nil {
-			next[i] = rel.NewInstance()
 		}
 	}
 	return next, nil
@@ -750,7 +726,7 @@ func (c *Cluster) Deliver(rr *RoutedRound) (RoundStats, error) {
 	if err != nil {
 		return RoundStats{}, err
 	}
-	if err := c.adoptResidents(r, r.sets(), inboxes); err != nil {
+	if err := c.adoptResidents(r, inboxes); err != nil {
 		return RoundStats{}, err
 	}
 	next, err := c.computePhase(r, inboxes)

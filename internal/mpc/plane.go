@@ -1,0 +1,432 @@
+package mpc
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"time"
+
+	"mpclogic/internal/rel"
+)
+
+// The data plane: publish-and-pull, the one way a frame crosses a
+// socket. A source publishes its frames on a fragment server; a
+// destination pulls the frame it wants, naming it (seq, shard, dst),
+// and re-pulls until it has a clean answer. A published frame is
+// retained and served idempotently, so delay, duplication and
+// re-delivery cannot change what a round computes — the re-pull IS the
+// retransmission — and a peer that died and came back under a new
+// address is just a slow pull. Two drivers run this loop and nothing
+// else: TCPTransport.Exchange (tcp.go), which publishes and pulls every
+// shard of one exchange inside one process, and an mpcnet worker,
+// which publishes its own shard and pulls its peers'.
+//
+// A pull is one connection: the request is sixteen bytes (seq u64 |
+// shard u32 | dst u32, little-endian), the response one frame. Serving
+// blocks until the requested frame is published.
+//
+// Retention invariant, stated once for everything that relies on it:
+// when a destination's pulls of seq r complete, every source has
+// published r, so every source has finished its own pulls of r−1 and no
+// live source will ask for anything below r. A source that crashes and
+// resumes rewinds at most one seq (mpcnet resumes from its newest
+// checkpoint minus one), so nothing below r−1 can ever be asked for
+// again: frames and checkpoints below r−1 are unreachable.
+//
+// Deadlines on sockets are liveness bounds only — they decide when a
+// broken exchange FAILS, never what a successful exchange computes —
+// which is the one sanctioned use of wall time in engine code (see the
+// wallclock-free analyzer's deadline allowance).
+
+const (
+	// IOTimeout bounds every socket operation of the data plane and of
+	// mpcnet's control plane (dial, request, response). Generous: it
+	// only fires when the exchange is already broken.
+	IOTimeout = 10 * time.Second
+	// dialAttempts bounds one Dial's retries.
+	dialAttempts = 5
+	// pullAttempts bounds one Pull's retries: with pullBackoff that is
+	// ~30s in total, like the socket deadline, and covers the window
+	// where a crashed peer has not re-registered yet.
+	pullAttempts = 128
+	// pullRequestLen is seq+shard+dst.
+	pullRequestLen = 8 + 4 + 4
+)
+
+// dialJitter derives a deterministic 0–4ms jitter from (salt, attempt)
+// for the dial and re-pull backoffs — a hash, not a shared rand.Rand,
+// because pulls from different exchanges and goroutines back off
+// concurrently and must not race on generator state. The spread keeps
+// pullers retrying against the same swamped or re-registering peer from
+// stampeding back in lockstep.
+func dialJitter(salt, attempt int) time.Duration {
+	h := uint64(salt)*0x9e3779b97f4a7c15 + uint64(attempt)*0xbf58476d1ce4e5b9
+	h ^= h >> 29
+	return time.Duration(h%5) * time.Millisecond
+}
+
+// Dial connects to a data- or control-plane address with a bounded
+// retry — a listener briefly swamped by concurrent one-shot connections
+// (or resetting as a crashed peer dies) refuses a dial that succeeds a
+// moment later. Backoff grows linearly with a deterministic
+// per-(salt, attempt) jitter; salt decorrelates concurrent dialers.
+func Dial(addr string, salt int) (net.Conn, error) {
+	var lastErr error
+	for attempt := 0; attempt < dialAttempts; attempt++ {
+		if attempt > 0 {
+			time.Sleep(time.Duration(attempt)*10*time.Millisecond + dialJitter(salt, attempt)) //lint:allow wallclock-free bounded jittered dial backoff on connection I/O, never logical time
+		}
+		conn, err := net.DialTimeout("tcp", addr, IOTimeout)
+		if err == nil {
+			return conn, nil
+		}
+		lastErr = err
+	}
+	return nil, lastErr
+}
+
+// ShardFrames renders shard's outboxes as the frames a fragment server
+// publishes for exchange seq: one per destination, always — an empty
+// outbox is an empty-instance frame, so a destination learns the shard
+// has nothing for it instead of waiting forever.
+func ShardFrames(seq uint64, shard int, sh Shard) []Frame {
+	frames := make([]Frame, len(sh.Outs))
+	for dst, out := range sh.Outs {
+		if out == nil {
+			out = rel.NewInstance()
+		}
+		frames[dst] = Frame{
+			Seq:     seq,
+			Shard:   uint32(shard),
+			Dst:     uint32(dst),
+			Sent:    uint32(sh.Sent[dst]),
+			Payload: rel.EncodeInstance(out),
+		}
+	}
+	return frames
+}
+
+// MergeInbox assembles destination dst's inbox from one frame per
+// shard: fetch is asked for the shards in ascending order and their
+// fragments are merged in that order — position, never arrival — which
+// is what makes the plane bit-compatible with mergeShards no matter how
+// the network interleaves. The received count sums the frames' Sent
+// fields, so the accounting really crossed the wire. A well-formed
+// frame with an undecodable payload is a hard error: the peer speaks
+// the frame format but not the fragment format.
+func MergeInbox(dst, nshards int, fetch func(shard int) (Frame, error)) (*rel.Instance, int, error) {
+	inbox := rel.NewInstance()
+	n := 0
+	for w := 0; w < nshards; w++ {
+		f, err := fetch(w)
+		if err != nil {
+			return nil, 0, err
+		}
+		frag, err := rel.DecodeInstance(f.Payload)
+		if err != nil {
+			return nil, 0, fmt.Errorf("mpc: server %d decoding shard %d fragment of exchange %d: %w", dst, w, f.Seq, err)
+		}
+		n += int(f.Sent)
+		for _, name := range frag.RelationNames() {
+			o := frag.Relation(name)
+			inbox.EnsureRelationSize(name, o.Arity, o.Len()).UnionWith(o)
+		}
+	}
+	return inbox, n, nil
+}
+
+// fragKey names one published frame.
+type fragKey struct {
+	seq        uint64
+	shard, dst uint32
+}
+
+func keyOf(f Frame) fragKey { return fragKey{f.Seq, f.Shard, f.Dst} }
+
+// FragServer is a source's side of the plane: published frames, served
+// to pulling destinations until they are retired. It owns no goroutine:
+// the driver runs Serve on one of its own and joins it after Close, so
+// a finished driver provably leaves nothing running.
+type FragServer struct {
+	ln *net.TCPListener
+
+	mu    sync.Mutex
+	cond  *sync.Cond
+	frags map[fragKey]Frame
+	havoc map[fragKey]*frameHavoc // armed wire faults (see arm)
+	floor uint64                  // seqs below are retired
+	done  bool
+}
+
+// NewFragServer opens a fragment server on a loopback port. Callers own
+// it: they run Serve, and Close it when done.
+func NewFragServer() (*FragServer, error) {
+	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		return nil, fmt.Errorf("mpc: opening fragment server: %w", err)
+	}
+	s := &FragServer{ln: ln, frags: make(map[fragKey]Frame), havoc: make(map[fragKey]*frameHavoc)}
+	s.cond = sync.NewCond(&s.mu)
+	return s, nil
+}
+
+// Addr is the address destinations pull from.
+func (s *FragServer) Addr() string { return s.ln.Addr().String() }
+
+// Publish makes frames pullable. Re-publishing after a recovery
+// overwrites with byte-identical frames (deterministic re-execution),
+// so pulls before and after a crash see the same bytes.
+func (s *FragServer) Publish(frames []Frame) {
+	s.mu.Lock()
+	for _, f := range frames {
+		s.frags[keyOf(f)] = f
+	}
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
+// RetireBelow drops every frame of a seq below seq and refuses later
+// pulls for them; see the retention invariant above for when that is
+// safe.
+func (s *FragServer) RetireBelow(seq uint64) {
+	s.mu.Lock()
+	if seq > s.floor {
+		s.floor = seq
+	}
+	for k := range s.frags {
+		if k.seq < seq {
+			delete(s.frags, k)
+		}
+	}
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
+// Close stops Serve and releases every pull blocked on a frame that
+// was never published. Closing twice is harmless: the second call only
+// reports the listener already closed.
+func (s *FragServer) Close() error {
+	s.mu.Lock()
+	s.done = true
+	s.mu.Unlock()
+	s.cond.Broadcast()
+	return s.ln.Close()
+}
+
+// wait blocks until k is published, then returns its frame and what
+// armed havoc does to this pull; false when k is retired or the server
+// closed first.
+func (s *FragServer) wait(k fragKey) (Frame, pullFault, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		if s.done || k.seq < s.floor {
+			return Frame{}, pullFault{}, false
+		}
+		if f, ok := s.frags[k]; ok {
+			return f, s.havoc[k].next(), true
+		}
+		s.cond.Wait()
+	}
+}
+
+// Serve answers pulls, one connection and one goroutine per pull, until
+// Close; it returns once every pull in flight has been answered or
+// dropped — each is bounded by the connection deadline plus the publish
+// wait, which Close's broadcast releases.
+func (s *FragServer) Serve() {
+	var pulls sync.WaitGroup
+	for {
+		conn, err := s.ln.AcceptTCP()
+		if err != nil {
+			break // listener closed
+		}
+		pulls.Add(1)
+		go func() {
+			defer pulls.Done()
+			s.serve(conn)
+		}()
+	}
+	pulls.Wait()
+}
+
+func (s *FragServer) serve(conn *net.TCPConn) {
+	defer conn.Close() // one pull per connection; close is best-effort
+	if err := conn.SetDeadline(time.Now().Add(IOTimeout)); err != nil {
+		return
+	}
+	var req [pullRequestLen]byte
+	if _, err := io.ReadFull(conn, req[:]); err != nil {
+		return // malformed pull: drop the connection, the peer retries
+	}
+	f, fault, ok := s.wait(fragKey{
+		seq:   binary.LittleEndian.Uint64(req[0:]),
+		shard: binary.LittleEndian.Uint32(req[8:]),
+		dst:   binary.LittleEndian.Uint32(req[12:]),
+	})
+	if !ok {
+		return
+	}
+	// Re-arm the deadline: the publish wait may have consumed the
+	// original one while the peer was ahead of us.
+	if err := conn.SetDeadline(time.Now().Add(IOTimeout)); err != nil {
+		return
+	}
+	img, reset := fault.image(f)
+	if reset {
+		_ = conn.SetLinger(0) //lint:allow error-discard arming the RST is the fault being injected; failure degrades to a FIN abort
+	}
+	_, _ = conn.Write(img) //lint:allow error-discard failed send: the peer's read errors and it re-pulls
+}
+
+// frameHavoc is one frame's armed wire faults: its first drops pulls
+// are answered with a stump, the next corrupts with a bit-flipped
+// image, and the first clean answer is followed by dups extra copies.
+type frameHavoc struct{ drops, corrupts, dups, served int }
+
+// pullFault is what armed havoc does to one pull.
+type pullFault struct {
+	stump, corrupt bool
+	attempt        int // index among the faults of its kind; picks the shape
+	dups           int // clean answers only: extra identical frames after the good one
+}
+
+// arm schedules wire faults for frame k (unexported: only the
+// fault-tolerance layer's FrameFaultInjector arms havoc).
+func (s *FragServer) arm(k fragKey, drops, corrupts, dups int) {
+	if drops+corrupts+dups == 0 {
+		return
+	}
+	s.mu.Lock()
+	s.havoc[k] = &frameHavoc{drops: drops, corrupts: corrupts, dups: dups}
+	s.mu.Unlock()
+}
+
+// next consumes one pull's share of the havoc. A nil receiver is an
+// unarmed frame.
+func (h *frameHavoc) next() pullFault {
+	if h == nil {
+		return pullFault{}
+	}
+	i := h.served
+	h.served++
+	switch {
+	case i < h.drops:
+		return pullFault{stump: true, attempt: i}
+	case i < h.drops+h.corrupts:
+		return pullFault{corrupt: true, attempt: i - h.drops}
+	}
+	dups := h.dups
+	h.dups = 0
+	return pullFault{dups: dups}
+}
+
+// image is what the wire carries for f under the fault, and whether the
+// connection is then aborted with an RST instead of a FIN.
+//
+// A stump realizes one dropped transfer, alternating two shapes by
+// attempt: even attempts die mid-header (a FIN after half a header),
+// odd attempts ship the full header plus half the payload and then
+// reset. A corrupt image is the complete frame with a single payload
+// bit flipped after the checksum was computed, at a position that is a
+// deterministic function of the attempt so repeated corruptions hit
+// different bytes; with no payload there is nothing to flip, and a
+// stump is the nearest fault. Either way the puller's ReadFrame fails
+// and it pulls again. Duplicates trail the good frame on the same
+// connection, where the puller, which reads exactly one frame, never
+// looks.
+func (pf pullFault) image(f Frame) (img []byte, reset bool) {
+	img = encodeFrame(f)
+	switch {
+	case pf.corrupt && len(f.Payload) > 0:
+		img[frameHeaderLen+(pf.attempt*131+7)%len(f.Payload)] ^= 1 << (pf.attempt % 8)
+	case pf.corrupt || pf.stump:
+		if pf.attempt%2 == 0 {
+			return img[:frameHeaderLen/2], false
+		}
+		cut := frameHeaderLen + len(f.Payload)/2
+		if cut >= len(img) {
+			cut = len(img) - 1 // an empty payload still must not complete the frame
+		}
+		return img[:cut], true
+	}
+	for n := len(img); pf.dups > 0; pf.dups-- {
+		img = append(img, img[:n]...)
+	}
+	return img, false
+}
+
+// pullFrame is one pull attempt: dial addr, ask for frame (seq, shard, dst),
+// read one frame — with every codec check ReadFrame makes — and refuse
+// an answer to a different question.
+func pullFrame(addr string, seq uint64, shard, dst int) (Frame, error) {
+	conn, err := Dial(addr, shard)
+	if err != nil {
+		return Frame{}, err
+	}
+	defer conn.Close() // one pull per connection; close is best-effort
+	if err := conn.SetDeadline(time.Now().Add(IOTimeout)); err != nil {
+		return Frame{}, err
+	}
+	var req [pullRequestLen]byte
+	binary.LittleEndian.PutUint64(req[0:], seq)
+	binary.LittleEndian.PutUint32(req[8:], uint32(shard))
+	binary.LittleEndian.PutUint32(req[12:], uint32(dst))
+	if _, err := conn.Write(req[:]); err != nil {
+		return Frame{}, err
+	}
+	f, err := ReadFrame(conn)
+	if err != nil {
+		return Frame{}, err
+	}
+	if f.Seq != seq || int(f.Shard) != shard || int(f.Dst) != dst {
+		return Frame{}, fmt.Errorf("mpc: pull (seq %d, shard %d, dst %d) answered with frame (seq %d, shard %d, dst %d)",
+			seq, shard, dst, f.Seq, f.Shard, f.Dst)
+	}
+	return f, nil
+}
+
+// pullBackoff is the pause before pull retry attempt (≥1): exponential
+// from 5ms capped at 250ms, plus the deterministic per-(link, attempt)
+// jitter. The first retries come fast — most pull failures
+// are line noise or a peer that published a beat later — while a
+// genuinely crashed peer is re-polled at the capped rate until it
+// re-registers.
+func pullBackoff(shard, dst, attempt int) time.Duration {
+	d := 5 * time.Millisecond
+	for i := 1; i < attempt && d < 250*time.Millisecond; i++ {
+		d *= 2
+	}
+	if d > 250*time.Millisecond {
+		d = 250 * time.Millisecond
+	}
+	return d + dialJitter(shard<<16^dst, attempt)
+}
+
+// Pull fetches frame (seq, shard, dst) from the source serving shard,
+// re-pulling through line noise — aborted connections, malformed or
+// bit-flipped frames, wrong answers — with bounded jittered exponential
+// backoff. resolve is asked for the source's address before every
+// attempt, because it changes when the source is respawned.
+func Pull(resolve func() (string, error), seq uint64, shard, dst int) (Frame, error) {
+	var lastErr error
+	for attempt := 0; attempt < pullAttempts; attempt++ {
+		if attempt > 0 {
+			time.Sleep(pullBackoff(shard, dst, attempt)) //lint:allow wallclock-free re-pull backoff through line noise or while a crashed peer re-registers; connection liveness only, never logical time
+		}
+		addr, err := resolve()
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		f, err := pullFrame(addr, seq, shard, dst)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		return f, nil
+	}
+	return Frame{}, fmt.Errorf("mpc: pulling exchange %d fragment %d→%d: %w", seq, shard, dst, lastErr)
+}

@@ -97,8 +97,8 @@ func WithFaultPlan(p *FaultPlan) Option {
 }
 
 // WithCheckpoints enables the fault-tolerant path (round-input
-// checkpointing, post-round cluster checkpoints for Checkpoint/
-// Restore) without injecting any faults.
+// checkpointing, a rolling post-round cluster checkpoint) without
+// injecting any faults.
 func WithCheckpoints() Option {
 	return func(c *Cluster) { c.ensureFT() }
 }
@@ -262,7 +262,7 @@ func (c *Cluster) deliverFT(r Round, shards []Shard) (RoundStats, error) {
 	// a recovered or speculative re-execution reloads the same (full,
 	// Δ) view the primary computed on. The reload is a StableStore
 	// clone, so repairs never alias the live resident state.
-	if err := c.adoptResidents(r, r.sets(), inboxes); err != nil {
+	if err := c.adoptResidents(r, inboxes); err != nil {
 		return RoundStats{}, err
 	}
 
@@ -351,28 +351,22 @@ type Checkpoint struct {
 func (ck *Checkpoint) Rounds() int { return len(ck.stats) }
 
 // Checkpoint returns the cluster's snapshot after its last completed
-// round, or a snapshot of the initial load if no round has run yet.
-// It returns nil when the fault-tolerant path is disabled — the
-// zero-overhead path takes no checkpoints.
+// round (or of the initial load if no round has run yet). A
+// fault-tolerant cluster hands out its rolling post-round checkpoint; a
+// plain cluster takes no checkpoints as it runs, so it snapshots its
+// servers on demand — the same image, paid for only when asked.
 func (c *Cluster) Checkpoint() *Checkpoint {
-	if c.ft == nil {
-		return nil
-	}
 	ck := &Checkpoint{}
 	if c.delta != nil {
 		ck.batches, ck.steps = c.delta.batches, c.delta.steps
 	}
-	if c.ft.ckpt == nil {
-		// No round committed yet: snapshot the initial placement on
-		// demand so a program can resume from round 0.
+	if c.ft == nil || c.ft.ckpt == nil {
 		ck.store, ck.stats = policy.NewStableStore(c.servers), cloneStats(c.stats)
 		return ck
 	}
-	ck.store, ck.stats = c.ft.ckpt, cloneStats(c.ftStatsRef())
+	ck.store, ck.stats = c.ft.ckpt, cloneStats(c.ft.ckptStats)
 	return ck
 }
-
-func (c *Cluster) ftStatsRef() []RoundStats { return c.ft.ckptStats }
 
 // Restore builds a fresh cluster from a checkpoint: same server
 // count, each server holding its checkpointed instance, stats history
@@ -398,18 +392,18 @@ func Restore(ck *Checkpoint, opts ...Option) *Cluster {
 // cluster mutation (see Checkpoint), so handing it out is safe.
 func (ck *Checkpoint) Store() *policy.StableStore { return ck.store }
 
-// RestoreStore builds a fresh fault-tolerant cluster from a bare
-// fragment store — the re-entry point for checkpoint images reloaded
-// from disk (policy.DecodeStore), where the round-stats history lives
-// with the caller rather than inside the image. The restored cluster
-// starts with an empty stats history; like Restore, it keeps
-// checkpointing so it stays restorable.
+// RestoreStore builds a fresh cluster from a bare fragment store — the
+// re-entry point for checkpoint images reloaded from disk
+// (policy.DecodeStore), where the round-stats history lives with the
+// caller rather than inside the image. Options apply as in NewCluster;
+// the restored cluster starts with an empty stats history.
 func RestoreStore(store *policy.StableStore, opts ...Option) *Cluster {
 	c := NewCluster(store.NumNodes(), opts...)
-	c.ensureFT()
 	for i := range c.servers {
 		c.servers[i] = store.Reload(policy.Node(i))
 	}
-	c.ft.refreshCheckpoint(c)
+	if c.ft != nil {
+		c.ft.refreshCheckpoint(c)
+	}
 	return c
 }

@@ -12,8 +12,8 @@ import (
 // It is the seam between the simulator and a real network: the routing
 // phase (which facts go where, and what they cost) and the computation
 // phase are transport-independent, while HOW the per-destination
-// outboxes travel — an in-process slice adoption, length-prefixed
-// frames over TCP sockets, or anything future — is the transport's
+// outboxes travel — an in-process slice adoption, frames published and
+// pulled over TCP sockets, or anything future — is the transport's
 // whole concern.
 //
 // The contract every implementation must honor, and the conformance
@@ -47,13 +47,15 @@ type Transport interface {
 
 // FrameFaultInjector is the optional transport extension the
 // fault-tolerance layer uses to realize a FaultPlan's drop,
-// duplication, and corruption schedule PHYSICALLY at the frame layer:
-// a drop becomes an aborted connection (a truncated frame or an RST)
-// followed by a retransmission, a dup an extra identical frame the
-// receiver's idempotent merge discards, a corruption a bit-flipped
-// frame the receiver's checksum rejects before a clean retransmission.
-// The fault-tolerant path routes one shard per source (chunk 1), so
-// the (shard, dst) frame coordinates coincide with the plan's
+// duplication, and corruption schedule PHYSICALLY at the frame layer,
+// on the serving side of the data plane (plane.go): the first pulls of
+// an affected frame are answered with an aborted connection (a
+// truncated frame or an RST) per drop and a bit-flipped frame per
+// corruption, each of which the puller's codec checks reject and its
+// re-pull repairs, and the first clean answer is trailed by an extra
+// identical frame per dup, which a puller that reads one frame never
+// sees. The fault-tolerant path routes one shard per source (chunk 1),
+// so the (shard, dst) frame coordinates coincide with the plan's
 // (src, dst) links. Logical accounting of the same faults stays in
 // recovery.go on the virtual clock; the injection only proves the
 // wire path really absorbs the havoc.
@@ -179,4 +181,39 @@ func RouteSource(r Round, p, src int, local *rel.Instance) (sh Shard, err error)
 		return Shard{}, rerr
 	}
 	return sh, nil
+}
+
+// AdoptResident is one server's step between the exchange and the
+// computation phase, standalone like RouteSource: local's Resident
+// relations ride into the round input inbox by reference, and facts
+// routed into one are a deterministic error.
+func AdoptResident(r Round, server int, local, inbox *rel.Instance) error {
+	for _, name := range r.Resident {
+		if in := inbox.Relation(name); in != nil && in.Len() > 0 {
+			return fmt.Errorf("mpc: round %q routed facts into resident relation %q on server %d", r.Name, name, server)
+		}
+		if rl := local.Relation(name); rl != nil {
+			inbox.SetRelation(rl)
+		}
+	}
+	return nil
+}
+
+// ComputeServer runs one server's computation phase, standalone like
+// RouteSource: a nil Compute is the identity, a nil result an empty
+// instance, and a panicking Compute surfaces as the round's error
+// instead of killing the process (or worse, being silently lost).
+func ComputeServer(r Round, server int, input *rel.Instance) (out *rel.Instance, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("mpc: server %d compute phase panicked in round %q: %v", server, r.Name, rec)
+		}
+	}()
+	if r.Compute == nil {
+		return input, nil
+	}
+	if out = r.Compute(server, input); out == nil {
+		out = rel.NewInstance()
+	}
+	return out, nil
 }

@@ -97,13 +97,8 @@ func (s *Server) SaveSnapshot(dir string) error {
 func (sess *Session) snapshot(dir string) (sessionManifest, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	ck := sess.cluster.Checkpoint()
-	if ck == nil {
-		// Unreachable: every session cluster is built WithCheckpoints.
-		return sessionManifest{}, fmt.Errorf("mpcd: session %s has no checkpoint", sess.ID)
-	}
 	var buf bytes.Buffer
-	if err := policy.EncodeStore(&buf, ck.Store()); err != nil {
+	if err := policy.EncodeStore(&buf, sess.cluster.Checkpoint().Store()); err != nil {
 		return sessionManifest{}, fmt.Errorf("mpcd: encoding session %s: %w", sess.ID, err)
 	}
 	name := "session-" + sess.ID + ".store"
@@ -144,7 +139,7 @@ func writeFileAtomic(path string, data []byte) error {
 
 // LoadSnapshot builds a server from a snapshot directory written by
 // SaveSnapshot, with every session warm: fragments restored into
-// fault-tolerant clusters via mpc.RestoreStore, dicts re-interned in
+// clusters via mpc.RestoreStore, dicts re-interned in
 // recorded order, anchors re-parsed so the next covered query reuses
 // the restored distribution immediately. The manifest's seed overrides
 // cfg's — routing hashes must match the process that wrote the

@@ -16,15 +16,19 @@
 //     covers it, the query runs locally on the warm fragments with
 //     zero communication; otherwise the session repartitions and the
 //     cost is charged against its budget.
-//   - Admission control is MaxLoad accounting: a repartition's exact
-//     per-server load is counted before anything runs (routing is
-//     deterministic, so the counted load IS the measured load), and a
-//     query whose load would exceed its declared budget is rejected
-//     with a typed error instead of executed.
+//   - Admission control is MaxLoad accounting: a repartition is routed
+//     once into outboxes (mpc.RouteRound), which fixes its exact
+//     per-server load before anything ships; a query whose load would
+//     exceed its declared budget is rejected with a typed error and the
+//     routed plan dropped, and an admitted plan is delivered as routed
+//     (mpc.Deliver), so the load it was admitted on IS the load the
+//     round records.
 //
-// Sessions are checkpointable: the cluster's PR-4 Checkpoint/Restore
-// machinery plus the PR-8 policy.EncodeStore image make a drained
-// server restartable with every session warm (see checkpoint.go).
+// Sessions are checkpointable: a session's cluster runs the plain,
+// zero-overhead round path and is snapshotted only on demand
+// (Cluster.Checkpoint), and that image, encoded with
+// policy.EncodeStore, makes a drained server restartable with every
+// session warm (see checkpoint.go).
 //
 // Determinism is the serving invariant: for a fixed session and query
 // sequence, every response body is byte-identical regardless of how

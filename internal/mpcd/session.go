@@ -94,7 +94,7 @@ func (s *Server) createSession(req *createRequest) (createResponse, *apiError) {
 		facts:       inst.Len(),
 		budgetTotal: budget,
 	}
-	sess.cluster = mpc.NewCluster(p, mpc.WithCheckpoints())
+	sess.cluster = mpc.NewCluster(p)
 	sess.cluster.LoadRoundRobin(inst)
 
 	s.sessMu.Lock()
@@ -295,7 +295,7 @@ func (sess *Session) repartition(sq *sessionQuery, qBudget int) (maxLoad, total 
 // on the routed loads, deliver.
 func (sess *Session) reship(sq *sessionQuery, router mpc.Router, qBudget int) (maxLoad, total int, aerr *apiError) {
 	union := sess.cluster.Output()
-	fresh := mpc.NewCluster(sess.p, mpc.WithCheckpoints())
+	fresh := mpc.NewCluster(sess.p)
 	fresh.LoadRoundRobin(union)
 	routed, err := fresh.RouteRound(mpc.Round{Name: "repartition " + sq.text, Route: router})
 	if err != nil {

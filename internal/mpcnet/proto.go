@@ -2,12 +2,8 @@ package mpcnet
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
-	"sync"
 	"time"
 
 	"mpclogic/internal/mpc"
@@ -20,13 +16,10 @@ import (
 // changes when a peer is respawned), and result (deliver the worker's
 // final fragment and per-round accounting).
 //
-// Data plane: each worker runs a fragment server. A pull request is
-// eight bytes (round u32 | dst u32, little-endian); the response is
-// one transport frame (mpc.WriteFrame) whose Seq is the round index.
-// The server retains every published round for the whole run, so a
-// peer that fell behind — or a worker re-executing after a crash —
-// can always re-pull. Serving blocks until the requested fragment is
-// published; liveness comes from connection deadlines on both sides.
+// The data plane is mpc's (internal/mpc/plane.go): each worker runs an
+// mpc.FragServer, publishes its shard's frames under the round index
+// as sequence number, and pulls its peers' with mpc.Pull, resolving a
+// peer through lookup before every attempt.
 
 // ctrlRequest is one control-plane request.
 type ctrlRequest struct {
@@ -49,47 +42,14 @@ type ctrlResponse struct {
 	Err  string `json:"err,omitempty"`
 }
 
-// ctrlIOTimeout bounds every control- and data-plane socket operation.
-const ctrlIOTimeout = 10 * time.Second
-
-// netJitter derives a deterministic 0–9ms jitter from its inputs — a
-// hash, not a shared rand.Rand, because pulls from different rounds
-// and goroutines back off concurrently and must not race on generator
-// state. The spread keeps workers retrying against the same swamped
-// or re-registering peer from stampeding back in lockstep.
-func netJitter(a, b, c int) time.Duration {
-	h := uint64(a)*0x9e3779b97f4a7c15 + uint64(b)*0xbf58476d1ce4e5b9 + uint64(c)*0x94d049bb133111eb
-	h ^= h >> 29
-	return time.Duration(h%10) * time.Millisecond
-}
-
-// dialNet dials a control- or data-plane address with a bounded
-// jittered retry: a listener briefly swamped by concurrent one-shot
-// connections (or resetting as a crashed peer dies) refuses a dial
-// that succeeds a moment later.
-func dialNet(addr string, salt int) (net.Conn, error) {
-	var lastErr error
-	for attempt := 0; attempt < 4; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt)*5*time.Millisecond + netJitter(salt, attempt, 0)) //lint:allow wallclock-free bounded jittered dial backoff on connection I/O, never logical time
-		}
-		conn, err := net.DialTimeout("tcp", addr, ctrlIOTimeout)
-		if err == nil {
-			return conn, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
 // roundtrip dials addr, sends req, and reads the response.
 func roundtrip(addr string, req ctrlRequest) (ctrlResponse, error) {
-	conn, err := dialNet(addr, req.Index)
+	conn, err := mpc.Dial(addr, req.Index)
 	if err != nil {
 		return ctrlResponse{}, fmt.Errorf("mpcnet: dialing coordinator: %w", err)
 	}
 	defer conn.Close() // one request per connection; close is best-effort
-	if err := conn.SetDeadline(time.Now().Add(ctrlIOTimeout)); err != nil {
+	if err := conn.SetDeadline(time.Now().Add(mpc.IOTimeout)); err != nil {
 		return ctrlResponse{}, err
 	}
 	enc, err := json.Marshal(req)
@@ -113,177 +73,17 @@ func roundtrip(addr string, req ctrlRequest) (ctrlResponse, error) {
 	return resp, nil
 }
 
-// fragServer is a worker's data-plane server: published fragments by
-// (round, dst), retained for the whole run, served to pulling peers.
-type fragServer struct {
-	ln *net.TCPListener
-
-	mu    sync.Mutex
-	cond  *sync.Cond
-	frags map[uint64]mpc.Frame // key: round<<32 | dst
-	done  bool
-}
-
-func fragKey(round, dst int) uint64 { return uint64(round)<<32 | uint64(uint32(dst)) }
-
-func newFragServer() (*fragServer, error) {
-	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return nil, fmt.Errorf("mpcnet: opening fragment server: %w", err)
-	}
-	s := &fragServer{ln: ln, frags: make(map[uint64]mpc.Frame)}
-	s.cond = sync.NewCond(&s.mu)
-	// The accept loop lives as long as the worker, not one round; its
-	// join is the listener close in fragServer.close.
-	go s.acceptLoop() //lint:allow goroutine-hygiene worker-scoped accept loop, joined by closing the listener
-	return s, nil
-}
-
-func (s *fragServer) addr() string { return s.ln.Addr().String() }
-
-// publish makes round's fragments for every destination pullable.
-// Re-publishing after a recovery overwrites with byte-identical frames
-// (deterministic re-execution), so pulls before and after a crash see
-// the same bytes.
-func (s *fragServer) publish(round int, frames []mpc.Frame) {
-	s.mu.Lock()
-	for _, f := range frames {
-		s.frags[fragKey(round, int(f.Dst))] = f
-	}
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// wait blocks until (round, dst) is published or the server closes.
-func (s *fragServer) wait(round, dst int) (mpc.Frame, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if f, ok := s.frags[fragKey(round, dst)]; ok {
-			return f, true
-		}
-		if s.done {
-			return mpc.Frame{}, false
-		}
-		s.cond.Wait()
-	}
-}
-
-func (s *fragServer) close() {
-	s.mu.Lock()
-	s.done = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
-	s.ln.Close() //lint:allow error-discard shutdown path; the accept loop exits on the close error
-}
-
-// acceptLoop serves pull requests until the listener closes. Each
-// connection carries one request and one frame. The per-connection
-// goroutine is bounded by the connection deadline plus the publish
-// wait, which the close broadcast releases at shutdown.
-func (s *fragServer) acceptLoop() {
-	for {
-		conn, err := s.ln.AcceptTCP()
+// peerAddr resolves peer's current data address for worker index: the
+// resolver a pull consults before every attempt.
+func peerAddr(coordAddr string, index, peer int) func() (string, error) {
+	return func() (string, error) {
+		resp, err := roundtrip(coordAddr, ctrlRequest{Op: "lookup", Index: index, Peer: peer})
 		if err != nil {
-			return // listener closed: worker is done
-		}
-		// One goroutine per pull; bounded by the connection deadline plus
-		// the publish wait, which close's broadcast always releases.
-		go s.serve(conn) //lint:allow goroutine-hygiene pull handler bounded by connection deadline and close broadcast
-	}
-}
-
-func (s *fragServer) serve(conn *net.TCPConn) {
-	defer conn.Close() // one request per connection; close is best-effort
-	if err := conn.SetDeadline(time.Now().Add(ctrlIOTimeout)); err != nil {
-		return
-	}
-	var req [8]byte
-	if _, err := io.ReadFull(conn, req[:]); err != nil {
-		return // malformed pull: drop the connection, the peer retries
-	}
-	round := int(binary.LittleEndian.Uint32(req[0:]))
-	dst := int(binary.LittleEndian.Uint32(req[4:]))
-	f, ok := s.wait(round, dst)
-	if !ok {
-		return
-	}
-	// Re-arm the deadline: the publish wait may have consumed the
-	// original one while the peer was ahead of us.
-	if err := conn.SetDeadline(time.Now().Add(ctrlIOTimeout)); err != nil {
-		return
-	}
-	_ = mpc.WriteFrame(conn, f) //lint:allow error-discard failed send: the peer's read errors and it retries
-}
-
-// pullBackoff is the pause before pull retry attempt (≥1): exponential
-// from 5ms capped at 250ms, plus the deterministic per-(peer, dst,
-// attempt) jitter. The first retries come fast — most pull failures
-// are a peer that published a beat later — while a genuinely crashed
-// peer is re-polled at the capped rate until it re-registers.
-func pullBackoff(peer, dst, attempt int) time.Duration {
-	d := 5 * time.Millisecond
-	for i := 1; i < attempt && d < 250*time.Millisecond; i++ {
-		d *= 2
-	}
-	if d > 250*time.Millisecond {
-		d = 250 * time.Millisecond
-	}
-	return d + netJitter(peer, dst, attempt)
-}
-
-// pullFrag fetches peer's fragment for (round, dst): resolve the
-// peer's current address through the coordinator (it changes when the
-// peer is respawned), dial, request, read one frame. Bounded jittered
-// exponential retries (~30s in total, like the socket deadline) cover
-// the window where a crashed peer has not re-registered yet.
-func pullFrag(coordAddr string, peer, round, dst int) (mpc.Frame, error) {
-	var lastErr error
-	for attempt := 0; attempt < 128; attempt++ {
-		if attempt > 0 {
-			time.Sleep(pullBackoff(peer, dst, attempt)) //lint:allow wallclock-free recovery backoff while a crashed peer re-registers; connection liveness only, never logical time
-		}
-		resp, err := roundtrip(coordAddr, ctrlRequest{Op: "lookup", Index: dst, Peer: peer})
-		if err != nil {
-			lastErr = err
-			continue
+			return "", err
 		}
 		if resp.Addr == "" {
-			lastErr = fmt.Errorf("mpcnet: peer %d not registered yet", peer)
-			continue
+			return "", fmt.Errorf("mpcnet: peer %d not registered yet", peer)
 		}
-		f, err := pullOnce(resp.Addr, peer, round, dst)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return f, nil
+		return resp.Addr, nil
 	}
-	return mpc.Frame{}, fmt.Errorf("mpcnet: pulling round %d fragment %d→%d: %w", round, peer, dst, lastErr)
-}
-
-func pullOnce(addr string, peer, round, dst int) (mpc.Frame, error) {
-	conn, err := dialNet(addr, peer)
-	if err != nil {
-		return mpc.Frame{}, err
-	}
-	defer conn.Close() // one request per connection; close is best-effort
-	if err := conn.SetDeadline(time.Now().Add(ctrlIOTimeout)); err != nil {
-		return mpc.Frame{}, err
-	}
-	var req [8]byte
-	binary.LittleEndian.PutUint32(req[0:], uint32(round))
-	binary.LittleEndian.PutUint32(req[4:], uint32(dst))
-	if _, err := conn.Write(req[:]); err != nil {
-		return mpc.Frame{}, err
-	}
-	f, err := mpc.ReadFrame(conn)
-	if err != nil {
-		return mpc.Frame{}, err
-	}
-	if f.Seq != uint64(round) || int(f.Shard) != peer || int(f.Dst) != dst {
-		return mpc.Frame{}, fmt.Errorf("mpcnet: peer %d answered pull (%d,%d) with frame (seq %d, shard %d, dst %d)",
-			peer, round, dst, f.Seq, f.Shard, f.Dst)
-	}
-	return f, nil
 }

@@ -1,8 +1,8 @@
 // Package mpcnet executes MPC programs as real operating-system
 // processes: one coordinator and p workers, each worker playing one
-// simulated server, exchanging round fragments over loopback TCP in
-// the same canonical wire encoding the in-process TCP transport uses.
-// The design goal is the repo's headline invariant extended across the
+// simulated server, exchanging round fragments over loopback TCP on
+// the same data plane the in-process TCP transport drives
+// (internal/mpc/plane.go). The design goal is the repo's headline invariant extended across the
 // process boundary — a program run by p workers produces the same
 // output and the same logical trace, byte for byte, as the simulator.
 //

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 
 	"mpclogic/internal/mpc"
@@ -97,61 +98,64 @@ func readCheckpoint(dir string, index, round int) (*checkpoint, *rel.Instance, e
 	return &ck, store.Reload(0), nil
 }
 
+// checkpointRounds lists the rounds this worker has a checkpoint for in
+// dir (none when the directory is unreadable). Other workers' files are
+// skipped — the name embeds the index — so a shared checkpoint directory
+// stays safe.
+func checkpointRounds(dir string, index int) []int {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil
+	}
+	var rounds []int
+	for _, e := range entries {
+		var idx, round int
+		if _, err := fmt.Sscanf(e.Name(), "worker-%d-round-%d.ckpt", &idx, &round); err == nil && idx == index {
+			rounds = append(rounds, round)
+		}
+	}
+	return rounds
+}
+
 // gcCheckpoints removes this worker's checkpoints for rounds below
 // keepFrom. Best-effort by design: recovery only ever reads the two
 // newest checkpoints (resume is latest−1), which the caller retains,
 // and a failed unlink merely leaves a little extra disk for the next
-// GC pass to retry. Other workers' files are never touched — the name
-// embeds the index — so a shared checkpoint directory stays safe.
+// GC pass to retry.
 func gcCheckpoints(dir string, index, keepFrom int) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		var idx, round int
-		if _, err := fmt.Sscanf(e.Name(), "worker-%d-round-%d.ckpt", &idx, &round); err != nil {
-			continue
-		}
-		if idx == index && round < keepFrom {
-			_ = os.Remove(filepath.Join(dir, e.Name())) //lint:allow error-discard best-effort space reclamation; recovery needs only the retained newest two checkpoints
+	for _, round := range checkpointRounds(dir, index) {
+		if round < keepFrom {
+			_ = os.Remove(ckptPath(dir, index, round)) //lint:allow error-discard best-effort space reclamation; recovery needs only the retained newest two checkpoints
 		}
 	}
 }
 
-// latestCheckpoint scans dir for this worker's highest checkpoint
-// round, or -1 when none exists (fresh start).
+// latestCheckpoint is this worker's highest checkpoint round in dir, or
+// -1 when none exists (fresh start).
 func latestCheckpoint(dir string, index int) int {
 	latest := -1
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return -1
-	}
-	for _, e := range entries {
-		var idx, round int
-		if _, err := fmt.Sscanf(e.Name(), "worker-%d-round-%d.ckpt", &idx, &round); err != nil {
-			continue
-		}
-		if idx == index && round > latest {
+	for _, round := range checkpointRounds(dir, index) {
+		if round > latest {
 			latest = round
 		}
 	}
 	return latest
 }
 
-// RunWorker executes one worker's share of the program: publish this
-// server's routed fragments for each round, pull every peer's, merge
-// deterministically, compute, repeat; then deliver the final fragment
-// and per-round accounting to the coordinator.
+// RunWorker executes one worker's share of the program, every step of
+// a round being mpc's own, for one server: route this server's facts
+// (mpc.RouteSource), publish the shard's frames, pull every peer's and
+// merge in shard order (mpc.MergeInbox over mpc.Pull), adopt residents,
+// compute; then deliver the final fragment and per-round accounting to
+// the coordinator.
 //
 // Recovery: a fresh incarnation resumes from max(0, latest-1) where
-// latest is the highest checkpoint on disk. The minus one is the lag
-// bound: checkpointing the start of round r means round r-1 completed,
-// which means this worker pulled every peer's round r-1 fragment,
-// which means every peer has STARTED r-1 — so no peer can ever need a
-// round earlier than r-1 from us. Re-executing from r-1 re-publishes
-// (byte-identical, by determinism) everything any peer could still ask
-// for, and re-pulls succeed because peers retain all published rounds.
+// latest is the highest checkpoint on disk — the one-round rewind of
+// the data plane's retention invariant (internal/mpc/plane.go), which
+// is also what bounds how many checkpoints and published rounds a
+// worker keeps. Re-executing from latest-1 re-publishes (byte-identical,
+// by determinism) everything any peer could still ask for, and the
+// re-pulls succeed because peers retain the same two rounds.
 func RunWorker(cfg WorkerConfig) error {
 	built, err := Build(cfg.Spec)
 	if err != nil {
@@ -162,12 +166,19 @@ func RunWorker(cfg WorkerConfig) error {
 		return fmt.Errorf("mpcnet: worker index %d outside the %d-server program", cfg.Index, p)
 	}
 
-	srv, err := newFragServer()
+	srv, err := mpc.NewFragServer()
 	if err != nil {
 		return err
 	}
-	defer srv.close()
-	if _, err := roundtrip(cfg.CoordAddr, ctrlRequest{Op: "hello", Index: cfg.Index, Addr: srv.addr()}); err != nil {
+	var serving sync.WaitGroup
+	serving.Add(1)
+	go func() {
+		defer serving.Done()
+		srv.Serve()
+	}()
+	defer serving.Wait()
+	defer srv.Close() // the run is over either way; close is best-effort
+	if _, err := roundtrip(cfg.CoordAddr, ctrlRequest{Op: "hello", Index: cfg.Index, Addr: srv.Addr()}); err != nil {
 		return err
 	}
 
@@ -204,41 +215,32 @@ func RunWorker(cfg WorkerConfig) error {
 		if err != nil {
 			return err
 		}
-		frames := make([]mpc.Frame, p)
-		for dst := 0; dst < p; dst++ {
-			out := shard.Outs[dst]
-			if out == nil {
-				out = rel.NewInstance()
+		frames := mpc.ShardFrames(uint64(r), cfg.Index, shard)
+		srv.Publish(frames)
+		inbox, myRecv, err := mpc.MergeInbox(cfg.Index, p, func(w int) (mpc.Frame, error) {
+			if w == cfg.Index {
+				return frames[w], nil // own fragment: no socket
 			}
-			frames[dst] = mpc.Frame{
-				Seq:     uint64(r),
-				Shard:   uint32(cfg.Index),
-				Dst:     uint32(dst),
-				Sent:    uint32(shard.Sent[dst]),
-				Payload: rel.EncodeInstance(out),
-			}
-		}
-		srv.publish(r, frames)
-
-		inbox, myRecv, err := pullRound(cfg.CoordAddr, p, cfg.Index, r, frames[cfg.Index])
+			return mpc.Pull(peerAddr(cfg.CoordAddr, cfg.Index, w), uint64(r), w, cfg.Index)
+		})
 		if err != nil {
 			return err
 		}
-		if err := adoptResident(round, cfg.Index, local, inbox); err != nil {
+		if err := mpc.AdoptResident(round, cfg.Index, local, inbox); err != nil {
 			return err
 		}
-		next, err := computeOne(round, cfg.Index, inbox)
-		if err != nil {
+		if local, err = mpc.ComputeServer(round, cfg.Index, inbox); err != nil {
 			return err
 		}
-		local = next
 		received = append(received, myRecv)
 		deltaSent = append(deltaSent, shard.DeltaSent)
-		if cfg.CkptDir != "" {
-			// Round r is complete: every peer's round-r fragment arrived,
-			// so a resume can never rewind past r−1 (the lag bound above).
-			// Checkpoints below r−1 are unreachable — reclaim them.
+		if cfg.CkptDir != "" && r > 0 {
+			// Round r's pulls are complete, so by the retention invariant
+			// nothing below r−1 is reachable: reclaim those checkpoints and
+			// published rounds. (Without checkpoints a respawn rewinds to
+			// round 0, so everything stays.)
 			gcCheckpoints(cfg.CkptDir, cfg.Index, r-1)
+			srv.RetireBelow(uint64(r - 1))
 		}
 	}
 
@@ -253,68 +255,4 @@ func RunWorker(cfg WorkerConfig) error {
 		Fragment:  rel.EncodeInstance(local),
 	})
 	return err
-}
-
-// pullRound assembles this worker's round-r inbox: one fragment per
-// peer, own fragment taken from the local publication, merged in
-// ascending shard order exactly like the in-process transports. The
-// received count sums the frames' Sent fields — logical accounting,
-// identical to the simulator's.
-func pullRound(coordAddr string, p, index, r int, own mpc.Frame) (*rel.Instance, int, error) {
-	inbox := rel.NewInstance()
-	n := 0
-	for w := 0; w < p; w++ {
-		f := own
-		if w != index {
-			var err error
-			f, err = pullFrag(coordAddr, w, r, index)
-			if err != nil {
-				return nil, 0, err
-			}
-		}
-		inst, err := rel.DecodeInstance(f.Payload)
-		if err != nil {
-			return nil, 0, fmt.Errorf("mpcnet: worker %d decoding round %d fragment from %d: %w", index, r, w, err)
-		}
-		n += int(f.Sent)
-		for _, name := range inst.RelationNames() {
-			o := inst.Relation(name)
-			inbox.EnsureRelationSize(name, o.Arity, o.Len()).UnionWith(o)
-		}
-	}
-	return inbox, n, nil
-}
-
-// adoptResident is the per-server projection of the simulator's
-// resident adoption: resident relations ride into the round input by
-// reference, and routing facts into one is a deterministic error.
-func adoptResident(round mpc.Round, index int, local, inbox *rel.Instance) error {
-	for _, name := range round.Resident {
-		if in := inbox.Relation(name); in != nil && in.Len() > 0 {
-			return fmt.Errorf("mpc: round %q routed facts into resident relation %q on server %d", round.Name, name, index)
-		}
-		if rl := local.Relation(name); rl != nil {
-			inbox.SetRelation(rl)
-		}
-	}
-	return nil
-}
-
-// computeOne runs one server's computation phase with the simulator's
-// exact semantics: nil Compute is identity, a nil result is an empty
-// instance, and a panic surfaces as the simulator's error string.
-func computeOne(round mpc.Round, index int, input *rel.Instance) (out *rel.Instance, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("mpc: server %d compute phase panicked in round %q: %v", index, round.Name, rec)
-		}
-	}()
-	if round.Compute == nil {
-		return input, nil
-	}
-	out = round.Compute(index, input)
-	if out == nil {
-		out = rel.NewInstance()
-	}
-	return out, nil
 }
