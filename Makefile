@@ -95,16 +95,20 @@ byzantine:
 # transport pins the PR-8 transport-equivalence gate by name: the
 # direct tests of the publish-and-pull data plane (what armed havoc
 # puts on the wire, pulls through it, blocking, retirement, wrong
-# answers, a respawned source), the conformance suite on both the Local
-# and TCP transports, the program matrix over real sockets
+# answers, a respawned source) and of its persistent streams (one
+# connection for N pulls, one redial per broken answer, a trailing
+# duplicate refused, post-then-pull, a failed post, idle past the I/O
+# bound, Close with idle streams), the conformance suite on both the
+# Local and TCP transports, the program matrix over real sockets
 # (byte-identical output, state, and logical trace), the chaos-over-TCP
-# fault matrix, the multi-process runtime against the simulator, and
-# the kill-at-every-round recovery e2e on the real binary.
+# fault matrix, the multi-process runtime against the simulator (one
+# dial per peer per run, a result barrier that outlasts the I/O bound),
+# and the kill-at-every-round recovery e2e on the real binary.
 transport:
-	$(GO) test -run 'TestArmedHavocIsOnTheWire|TestPull|TestRetireBelow|TestMergeInboxRejectsUndecodableFragment' ./internal/mpc
+	$(GO) test -run 'TestArmedHavocIsOnTheWire|TestPull|TestRetireBelow|TestMergeInboxRejectsUndecodableFragment|TestStream|TestPostThenPull|TestFailedPostRecoversInPull|TestIdleStreamOutlivesIOBound|TestCloseEndsIdleStreams' ./internal/mpc
 	$(GO) test -run 'TestLocalConformance|TestTCPConformance' ./internal/mpc/transportconf
 	$(GO) test -run 'TestTransportEquivalence|TestChaosOverTCP' ./internal/gym
-	$(GO) test -run 'TestDistributedMatchesLocal' ./internal/mpcnet
+	$(GO) test -run 'TestDistributedMatchesLocal|TestRunDialsEachPeerOnce|TestResultBarrierOutlastsIOBound' ./internal/mpcnet
 	$(GO) test -run 'TestE2E' ./cmd/mpcrun
 
 # netsweep drives the installed binary end to end, wider than the
@@ -219,13 +223,14 @@ bench:
 # benchmark run aborts the target instead of feeding benchjson an
 # empty pipe.
 # Benchmarks repeat BENCHCOUNT times; benchjson keeps each one's
-# fastest run, the noise-robust estimate on shared hardware. The two
+# fastest run, the noise-robust estimate on shared hardware. The
 # benchmarks that live next to the code they measure (the compiled
-# HyperCube router, mpcd's single-pass repartition) are appended to the
+# HyperCube router, mpcd's single-pass repartition, one exchange over
+# the TCP transport, the 12-round distributed run) are appended to the
 # root package's.
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
-	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd >> .bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkExchangeTCP|BenchmarkRunRounds)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE) .bench_raw.txt
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -23,9 +24,32 @@ import (
 // shard of one exchange inside one process, and an mpcnet worker,
 // which publishes its own shard and pulls its peers'.
 //
-// A pull is one connection: the request is sixteen bytes (seq u64 |
-// shard u32 | dst u32, little-endian), the response one frame. Serving
-// blocks until the requested frame is published.
+// A stream, not a pull, is the unit of connection. A destination keeps
+// one Stream per source for as long as it has frames to pull from it and
+// sends request after request down it: sixteen bytes (seq u64 |
+// shard u32 | dst u32, little-endian), answered by one frame. Serving
+// blocks until the requested frame is published. The contract:
+//
+//   - Who closes. The puller closes a healthy stream, when its driver is
+//     done with the source. The server ends a stream only when it cannot
+//     answer cleanly — the request is malformed or names a retired seq,
+//     the answer is an armed stump or bit-flipped image, a write fails —
+//     and when it is itself closed. The puller drops the connection on
+//     ANY error and re-enters the retry loop: back off, ask the resolver,
+//     redial, re-request. A stream never survives an error, so nothing
+//     half-read is ever left in front of the next answer.
+//   - When deadlines are armed. Never while a stream idles between
+//     requests: idle is not failure. The server arms one from the first
+//     byte of a request to its last, and again for the answer's write;
+//     the puller arms one for the request's write and one for the
+//     answer's read. The publish wait in between is bounded by the
+//     puller's read deadline alone.
+//   - Why a duplicate cannot be mis-read. Every answer is checked
+//     against the question: a frame for another (seq, shard, dst) is
+//     refused and the stream dropped. A duplicate trailing a good answer
+//     therefore sits on the wire until the next request, fails that
+//     request's check — it names the previous key — and dies with the
+//     connection; it is never consumed as the next frame.
 //
 // Retention invariant, stated once for everything that relies on it:
 // when a destination's pulls of seq r complete, every source has
@@ -47,7 +71,7 @@ const (
 	IOTimeout = 10 * time.Second
 	// dialAttempts bounds one Dial's retries.
 	dialAttempts = 5
-	// pullAttempts bounds one Pull's retries: with pullBackoff that is
+	// pullAttempts bounds one Stream.Pull's retries: with pullBackoff that is
 	// ~30s in total, like the socket deadline, and covers the window
 	// where a crashed peer has not re-registered yet.
 	pullAttempts = 128
@@ -68,8 +92,8 @@ func dialJitter(salt, attempt int) time.Duration {
 }
 
 // Dial connects to a data- or control-plane address with a bounded
-// retry — a listener briefly swamped by concurrent one-shot connections
-// (or resetting as a crashed peer dies) refuses a dial that succeeds a
+// retry — a listener briefly swamped by concurrent connections (or
+// resetting as a crashed peer dies) refuses a dial that succeeds a
 // moment later. Backoff grows linearly with a deterministic
 // per-(salt, attempt) jitter; salt decorrelates concurrent dialers.
 func Dial(addr string, salt int) (net.Conn, error) {
@@ -150,14 +174,16 @@ func keyOf(f Frame) fragKey { return fragKey{f.Seq, f.Shard, f.Dst} }
 // the driver runs Serve on one of its own and joins it after Close, so
 // a finished driver provably leaves nothing running.
 type FragServer struct {
-	ln *net.TCPListener
+	ln        *net.TCPListener
+	ioTimeout time.Duration // IOTimeout; a field so tests can shorten it
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	frags map[fragKey]Frame
-	havoc map[fragKey]*frameHavoc // armed wire faults (see arm)
-	floor uint64                  // seqs below are retired
-	done  bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	frags   map[fragKey]Frame
+	havoc   map[fragKey]*frameHavoc // armed wire faults (see arm)
+	floor   uint64                  // seqs below are retired
+	streams []*net.TCPConn          // open streams, each owned by a handler inside Serve
+	done    bool
 }
 
 // NewFragServer opens a fragment server on a loopback port. Callers own
@@ -167,7 +193,7 @@ func NewFragServer() (*FragServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mpc: opening fragment server: %w", err)
 	}
-	s := &FragServer{ln: ln, frags: make(map[fragKey]Frame), havoc: make(map[fragKey]*frameHavoc)}
+	s := &FragServer{ln: ln, ioTimeout: IOTimeout, frags: make(map[fragKey]Frame), havoc: make(map[fragKey]*frameHavoc)}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
@@ -204,15 +230,47 @@ func (s *FragServer) RetireBelow(seq uint64) {
 	s.cond.Broadcast()
 }
 
-// Close stops Serve and releases every pull blocked on a frame that
+// Close stops Serve: it closes the listener and every open stream —
+// an idle stream's handler is blocked reading the next request, which
+// only the close ends — and releases every pull blocked on a frame that
 // was never published. Closing twice is harmless: the second call only
 // reports the listener already closed.
 func (s *FragServer) Close() error {
 	s.mu.Lock()
 	s.done = true
+	errs := []error{s.ln.Close()}
+	// Under the lock a tracked stream is still open: its handler untracks
+	// (which takes the lock) before it closes.
+	for _, conn := range s.streams {
+		errs = append(errs, conn.Close())
+	}
+	s.streams = nil
 	s.mu.Unlock()
 	s.cond.Broadcast()
-	return s.ln.Close()
+	return errors.Join(errs...)
+}
+
+// track registers an accepted stream for Close to end; false when the
+// server closed first.
+func (s *FragServer) track(conn *net.TCPConn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.done {
+		return false
+	}
+	s.streams = append(s.streams, conn)
+	return true
+}
+
+func (s *FragServer) untrack(conn *net.TCPConn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, c := range s.streams {
+		if c == conn {
+			s.streams = append(s.streams[:i], s.streams[i+1:]...)
+			return
+		}
+	}
 }
 
 // wait blocks until k is published, then returns its frame and what
@@ -232,53 +290,74 @@ func (s *FragServer) wait(k fragKey) (Frame, pullFault, bool) {
 	}
 }
 
-// Serve answers pulls, one connection and one goroutine per pull, until
-// Close; it returns once every pull in flight has been answered or
-// dropped — each is bounded by the connection deadline plus the publish
-// wait, which Close's broadcast releases.
+// Serve answers pulls, one goroutine per stream, until Close; it returns
+// once every handler has — each is ended by its peer closing the stream,
+// by an I/O deadline, or by Close, which closes the streams and releases
+// the publish wait.
 func (s *FragServer) Serve() {
-	var pulls sync.WaitGroup
+	var handlers sync.WaitGroup
 	for {
 		conn, err := s.ln.AcceptTCP()
 		if err != nil {
 			break // listener closed
 		}
-		pulls.Add(1)
+		handlers.Add(1)
 		go func() {
-			defer pulls.Done()
+			defer handlers.Done()
 			s.serve(conn)
 		}()
 	}
-	pulls.Wait()
+	handlers.Wait()
 }
 
+// serve answers request after request on one stream until the peer
+// closes it, the server closes, or an answer cannot be clean.
 func (s *FragServer) serve(conn *net.TCPConn) {
-	defer conn.Close() // one pull per connection; close is best-effort
-	if err := conn.SetDeadline(time.Now().Add(IOTimeout)); err != nil {
+	defer conn.Close() // after untrack; best-effort, Close may have closed it already
+	if !s.track(conn) {
 		return
 	}
-	var req [pullRequestLen]byte
-	if _, err := io.ReadFull(conn, req[:]); err != nil {
-		return // malformed pull: drop the connection, the peer retries
+	defer s.untrack(conn)
+	for {
+		// Idle is not failure: the wait for a request's first byte carries
+		// no deadline; the rest of it, and the answer, do.
+		if err := conn.SetDeadline(time.Time{}); err != nil {
+			return
+		}
+		var req [pullRequestLen]byte
+		if _, err := io.ReadFull(conn, req[:1]); err != nil {
+			return // the peer is done with the stream, or Close ended it
+		}
+		if err := conn.SetDeadline(time.Now().Add(s.ioTimeout)); err != nil {
+			return
+		}
+		if _, err := io.ReadFull(conn, req[1:]); err != nil {
+			return // malformed pull: drop the stream, the peer retries
+		}
+		f, fault, ok := s.wait(fragKey{
+			seq:   binary.LittleEndian.Uint64(req[0:]),
+			shard: binary.LittleEndian.Uint32(req[8:]),
+			dst:   binary.LittleEndian.Uint32(req[12:]),
+		})
+		if !ok {
+			return
+		}
+		// Re-arm the deadline: the publish wait may have consumed the
+		// original one while the peer was ahead of us.
+		if err := conn.SetDeadline(time.Now().Add(s.ioTimeout)); err != nil {
+			return
+		}
+		img, reset := fault.image(f)
+		if reset {
+			_ = conn.SetLinger(0) //lint:allow error-discard arming the RST is the fault being injected; failure degrades to a FIN abort
+		}
+		if _, err := conn.Write(img); err != nil {
+			return // failed send: the peer's read errors and it re-pulls
+		}
+		if fault.stump || fault.corrupt {
+			return // a broken answer ends the stream, as a real broken transfer would
+		}
 	}
-	f, fault, ok := s.wait(fragKey{
-		seq:   binary.LittleEndian.Uint64(req[0:]),
-		shard: binary.LittleEndian.Uint32(req[8:]),
-		dst:   binary.LittleEndian.Uint32(req[12:]),
-	})
-	if !ok {
-		return
-	}
-	// Re-arm the deadline: the publish wait may have consumed the
-	// original one while the peer was ahead of us.
-	if err := conn.SetDeadline(time.Now().Add(IOTimeout)); err != nil {
-		return
-	}
-	img, reset := fault.image(f)
-	if reset {
-		_ = conn.SetLinger(0) //lint:allow error-discard arming the RST is the fault being injected; failure degrades to a FIN abort
-	}
-	_, _ = conn.Write(img) //lint:allow error-discard failed send: the peer's read errors and it re-pulls
 }
 
 // frameHavoc is one frame's armed wire faults: its first drops pulls
@@ -333,10 +412,11 @@ func (h *frameHavoc) next() pullFault {
 // bit flipped after the checksum was computed, at a position that is a
 // deterministic function of the attempt so repeated corruptions hit
 // different bytes; with no payload there is nothing to flip, and a
-// stump is the nearest fault. Either way the puller's ReadFrame fails
-// and it pulls again. Duplicates trail the good frame on the same
-// connection, where the puller, which reads exactly one frame, never
-// looks.
+// stump is the nearest fault. Either way the puller's ReadFrame fails,
+// the stream ends on both sides and the puller pulls again. Duplicates
+// trail the good frame on the stream, which stays open: the puller's
+// next request finds them in front of its answer and refuses them (see
+// the stream contract above).
 func (pf pullFault) image(f Frame) (img []byte, reset bool) {
 	img = encodeFrame(f)
 	switch {
@@ -358,36 +438,6 @@ func (pf pullFault) image(f Frame) (img []byte, reset bool) {
 	return img, false
 }
 
-// pullFrame is one pull attempt: dial addr, ask for frame (seq, shard, dst),
-// read one frame — with every codec check ReadFrame makes — and refuse
-// an answer to a different question.
-func pullFrame(addr string, seq uint64, shard, dst int) (Frame, error) {
-	conn, err := Dial(addr, shard)
-	if err != nil {
-		return Frame{}, err
-	}
-	defer conn.Close() // one pull per connection; close is best-effort
-	if err := conn.SetDeadline(time.Now().Add(IOTimeout)); err != nil {
-		return Frame{}, err
-	}
-	var req [pullRequestLen]byte
-	binary.LittleEndian.PutUint64(req[0:], seq)
-	binary.LittleEndian.PutUint32(req[8:], uint32(shard))
-	binary.LittleEndian.PutUint32(req[12:], uint32(dst))
-	if _, err := conn.Write(req[:]); err != nil {
-		return Frame{}, err
-	}
-	f, err := ReadFrame(conn)
-	if err != nil {
-		return Frame{}, err
-	}
-	if f.Seq != seq || int(f.Shard) != shard || int(f.Dst) != dst {
-		return Frame{}, fmt.Errorf("mpc: pull (seq %d, shard %d, dst %d) answered with frame (seq %d, shard %d, dst %d)",
-			seq, shard, dst, f.Seq, f.Shard, f.Dst)
-	}
-	return f, nil
-}
-
 // pullBackoff is the pause before pull retry attempt (≥1): exponential
 // from 5ms capped at 250ms, plus the deterministic per-(link, attempt)
 // jitter. The first retries come fast — most pull failures
@@ -405,28 +455,130 @@ func pullBackoff(shard, dst, attempt int) time.Duration {
 	return d + dialJitter(shard<<16^dst, attempt)
 }
 
-// Pull fetches frame (seq, shard, dst) from the source serving shard,
-// re-pulling through line noise — aborted connections, malformed or
-// bit-flipped frames, wrong answers — with bounded jittered exponential
-// backoff. resolve is asked for the source's address before every
-// attempt, because it changes when the source is respawned.
-func Pull(resolve func() (string, error), seq uint64, shard, dst int) (Frame, error) {
+// Stream is a destination's side of the plane: its connection to one
+// fragment server, kept across pulls, and the only code that writes a
+// request to a socket or reads a frame off one. It dials lazily — at the
+// first request, and again after any error — asking resolve for the
+// server's address before every dial, because the address changes when
+// the source is respawned. One request may be in flight at a time. Not
+// safe for concurrent use.
+type Stream struct {
+	resolve   func() (string, error)
+	dst       int
+	ioTimeout time.Duration // IOTimeout; a field so tests can shorten it
+
+	conn   net.Conn // nil until the first request and after a drop
+	posted bool     // a request is on the wire, its answer unread
+}
+
+// OpenStream returns destination dst's stream to the fragment server
+// resolve names. No connection is made yet. Callers own the stream and
+// must Close it.
+func OpenStream(resolve func() (string, error), dst int) *Stream {
+	return &Stream{resolve: resolve, dst: dst, ioTimeout: IOTimeout}
+}
+
+// Close drops the connection, if any. The stream stays usable: the next
+// request redials.
+func (st *Stream) Close() error {
+	if st.conn == nil {
+		return nil
+	}
+	conn := st.conn
+	st.conn, st.posted = nil, false
+	return conn.Close()
+}
+
+// request puts the pull request for (seq, shard) on the wire, dialing
+// first when no connection is live.
+func (st *Stream) request(seq uint64, shard int) error {
+	if st.conn == nil {
+		addr, err := st.resolve()
+		if err != nil {
+			return err
+		}
+		conn, err := Dial(addr, shard)
+		if err != nil {
+			return err
+		}
+		st.conn = conn
+	}
+	if err := st.conn.SetWriteDeadline(time.Now().Add(st.ioTimeout)); err != nil {
+		return err
+	}
+	var req [pullRequestLen]byte
+	binary.LittleEndian.PutUint64(req[0:], seq)
+	binary.LittleEndian.PutUint32(req[8:], uint32(shard))
+	binary.LittleEndian.PutUint32(req[12:], uint32(st.dst))
+	if _, err := st.conn.Write(req[:]); err != nil {
+		return err
+	}
+	st.posted = true
+	return nil
+}
+
+// answer reads the frame answering the request in flight (sending it
+// first if none was posted) — with every codec check ReadFrame makes —
+// and refuses an answer to a different question.
+func (st *Stream) answer(seq uint64, shard int) (Frame, error) {
+	if !st.posted {
+		if err := st.request(seq, shard); err != nil {
+			return Frame{}, err
+		}
+	}
+	st.posted = false
+	if err := st.conn.SetReadDeadline(time.Now().Add(st.ioTimeout)); err != nil {
+		return Frame{}, err
+	}
+	f, err := ReadFrame(st.conn)
+	if err != nil {
+		return Frame{}, err
+	}
+	if f.Seq != seq || int(f.Shard) != shard || int(f.Dst) != st.dst {
+		return Frame{}, fmt.Errorf("mpc: pull (seq %d, shard %d, dst %d) answered with frame (seq %d, shard %d, dst %d)",
+			seq, shard, st.dst, f.Seq, f.Shard, f.Dst)
+	}
+	return f, nil
+}
+
+// try is one pull attempt. Any error — dial, write, short read, a frame
+// the codec rejects, an answer to a different question — costs the
+// connection, so a retry starts from a clean one.
+func (st *Stream) try(seq uint64, shard int) (Frame, error) {
+	f, err := st.answer(seq, shard)
+	if err != nil {
+		defer st.Close() // broken stream: close is best-effort
+	}
+	return f, err
+}
+
+// Post sends the request for frame (seq, shard, dst) without waiting for
+// the answer, so the source's answer is in flight while the caller does
+// something else; the matching Pull reads it. A post that fails (the
+// peer is gone, or not registered yet) is not an error: it leaves the
+// stream without a connection and Pull starts its retry loop from there.
+func (st *Stream) Post(seq uint64, shard int) {
+	if err := st.request(seq, shard); err != nil {
+		defer st.Close() // broken stream: close is best-effort
+	}
+}
+
+// Pull fetches frame (seq, shard, dst) over the stream — reading the
+// posted answer, or requesting and reading — and re-pulls through line
+// noise (aborted connections, malformed or bit-flipped frames, wrong
+// answers) and a respawned source, each retry on a fresh connection
+// after a bounded jittered exponential backoff.
+func (st *Stream) Pull(seq uint64, shard int) (Frame, error) {
 	var lastErr error
 	for attempt := 0; attempt < pullAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(pullBackoff(shard, dst, attempt)) //lint:allow wallclock-free re-pull backoff through line noise or while a crashed peer re-registers; connection liveness only, never logical time
+			time.Sleep(pullBackoff(shard, st.dst, attempt)) //lint:allow wallclock-free re-pull backoff through line noise or while a crashed peer re-registers; connection liveness only, never logical time
 		}
-		addr, err := resolve()
-		if err != nil {
-			lastErr = err
-			continue
+		f, err := st.try(seq, shard)
+		if err == nil {
+			return f, nil
 		}
-		f, err := pullFrame(addr, seq, shard, dst)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return f, nil
+		lastErr = err
 	}
-	return Frame{}, fmt.Errorf("mpc: pulling exchange %d fragment %d→%d: %w", seq, shard, dst, lastErr)
+	return Frame{}, fmt.Errorf("mpc: pulling exchange %d fragment %d→%d: %w", seq, shard, st.dst, lastErr)
 }

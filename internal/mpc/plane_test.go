@@ -13,10 +13,18 @@ import (
 
 func openFragServer(t *testing.T) *FragServer {
 	t.Helper()
+	return openFragServerTimeout(t, IOTimeout)
+}
+
+// openFragServerTimeout is openFragServer with the I/O bound shortened
+// (set before Serve starts, so no handler races the write).
+func openFragServerTimeout(t *testing.T, ioTimeout time.Duration) *FragServer {
+	t.Helper()
 	s, err := NewFragServer()
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.ioTimeout = ioTimeout
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
@@ -31,6 +39,39 @@ func openFragServer(t *testing.T) *FragServer {
 
 func fixedAddr(addr string) func() (string, error) {
 	return func() (string, error) { return addr, nil }
+}
+
+// countingAddr is fixedAddr that counts how often it is asked — once per
+// dial, so the count is the stream's connections so far.
+func countingAddr(addr string) (func() (string, error), *int) {
+	dials := new(int)
+	return func() (string, error) {
+		*dials++
+		return addr, nil
+	}, dials
+}
+
+// openStreams is how many streams s's handlers hold open right now.
+func openStreams(s *FragServer) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.streams)
+}
+
+func sameFrame(a, b Frame) bool {
+	return keyOf(a) == keyOf(b) && a.Sent == b.Sent && bytes.Equal(a.Payload, b.Payload)
+}
+
+// seqFrames are n distinguishable frames shard 2 → dst 1 with seqs
+// 1..n (index i holds seq i+1).
+func seqFrames(n int) []Frame {
+	frames := make([]Frame, n)
+	for i := range frames {
+		frames[i] = testFrame()
+		frames[i].Seq = uint64(i + 1)
+		frames[i].Payload = append(frames[i].Payload, byte(i)) // never decoded here
+	}
+	return frames
 }
 
 // sendPull opens a connection and sends a raw pull request, leaving the
@@ -52,14 +93,17 @@ func sendPull(t *testing.T, addr string, k fragKey) net.Conn {
 	return conn
 }
 
-// wireBytes is everything the server puts on the wire for one pull.
+// wireBytes is everything the server puts on the wire for one pull: the
+// request is followed by a FIN, so the server ends the stream after the
+// answer instead of waiting for a next request.
 func wireBytes(t *testing.T, addr string, k fragKey) []byte {
 	t.Helper()
 	conn := sendPull(t, addr, k)
 	if err := conn.SetDeadline(time.Now().Add(IOTimeout)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := io.ReadAll(conn) // an RST stump ends the read with an error by design
+	conn.(*net.TCPConn).CloseWrite() // fails, harmlessly, when an RST stump has already torn the connection down
+	got, _ := io.ReadAll(conn)       // an RST stump ends the read with an error by design
 	return got
 }
 
@@ -120,12 +164,18 @@ func TestPullThroughHavoc(t *testing.T) {
 	s.Publish([]Frame{f, empty})
 
 	for _, want := range []Frame{f, empty} {
-		got, err := Pull(fixedAddr(s.Addr()), want.Seq, int(want.Shard), int(want.Dst))
+		resolve, dials := countingAddr(s.Addr())
+		st := OpenStream(resolve, int(want.Dst))
+		defer st.Close()
+		got, err := st.Pull(want.Seq, int(want.Shard))
 		if err != nil {
 			t.Fatalf("pull through havoc: %v", err)
 		}
-		if keyOf(got) != keyOf(want) || got.Sent != want.Sent || !bytes.Equal(got.Payload, want.Payload) {
+		if !sameFrame(got, want) {
 			t.Errorf("pull through havoc returned %+v, want the published frame %+v", got, want)
+		}
+		if *dials != 3 {
+			t.Errorf("pull through two faults dialed %d times, want 3 (one redial per fault)", *dials)
 		}
 	}
 	s.mu.Lock()
@@ -178,14 +228,16 @@ func TestRetireBelow(t *testing.T) {
 		s.Publish([]Frame{{Seq: seq, Shard: 2, Dst: 1}})
 	}
 	s.RetireBelow(3)
+	st := OpenStream(fixedAddr(s.Addr()), 1)
+	defer st.Close()
 	for seq := uint64(1); seq <= 2; seq++ {
-		if _, err := pullFrame(s.Addr(), seq, 2, 1); err == nil {
+		if _, err := st.try(seq, 2); err == nil {
 			t.Errorf("retired seq %d still served", seq)
 		}
 	}
 	s.Publish([]Frame{{Seq: 4, Shard: 2, Dst: 1}})
 	for seq := uint64(3); seq <= 4; seq++ {
-		if _, err := pullFrame(s.Addr(), seq, 2, 1); err != nil {
+		if _, err := st.try(seq, 2); err != nil {
 			t.Errorf("seq %d after retiring below 3: %v", seq, err)
 		}
 	}
@@ -211,8 +263,12 @@ func TestPullRefusesWrongAnswer(t *testing.T) {
 			if err != nil {
 				return
 			}
+			// One stream at a time is all this test opens.
 			var req [pullRequestLen]byte
-			if _, err := io.ReadFull(conn, req[:]); err == nil {
+			for {
+				if _, err := io.ReadFull(conn, req[:]); err != nil {
+					break
+				}
 				WriteFrame(conn, answer) // whatever was asked
 			}
 			conn.Close()
@@ -220,16 +276,27 @@ func TestPullRefusesWrongAnswer(t *testing.T) {
 	}()
 	addr := ln.Addr().String()
 	seq, shard, dst := answer.Seq, int(answer.Shard), int(answer.Dst)
-	if _, err := pullFrame(addr, seq, shard, dst); err != nil {
-		t.Fatalf("matching answer refused: %v", err)
-	}
 	for _, ask := range []struct {
 		seq        uint64
 		shard, dst int
 	}{{seq + 1, shard, dst}, {seq, shard + 1, dst}, {seq, shard, dst + 1}} {
-		if _, err := pullFrame(addr, ask.seq, ask.shard, ask.dst); err == nil || !strings.Contains(err.Error(), "answered with") {
+		resolve, dials := countingAddr(addr)
+		st := OpenStream(resolve, ask.dst)
+		if ask.dst == dst {
+			if _, err := st.try(seq, shard); err != nil {
+				t.Fatalf("matching answer refused: %v", err)
+			}
+		}
+		if _, err := st.try(ask.seq, ask.shard); err == nil || !strings.Contains(err.Error(), "answered with") {
 			t.Errorf("pull %+v accepted frame %+v (err %v)", ask, keyOf(answer), err)
 		}
+		// The wrong answer cost the connection: the next request redials.
+		before := *dials
+		st.Post(ask.seq, ask.shard)
+		if *dials != before+1 {
+			t.Errorf("after a wrong answer the stream dialed %d times for the next request, want 1", *dials-before)
+		}
+		st.Close() // the fake server takes the next stream only after this one ends
 	}
 }
 
@@ -245,10 +312,12 @@ func TestPullFollowsResolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	respawn := openFragServer(t)
-	respawn.Publish([]Frame{f})
+	next := f
+	next.Seq++
+	respawn.Publish([]Frame{f, next})
 
 	calls := 0
-	got, err := Pull(func() (string, error) {
+	st := OpenStream(func() (string, error) {
 		calls++
 		switch calls {
 		case 1:
@@ -257,12 +326,262 @@ func TestPullFollowsResolver(t *testing.T) {
 			return deadAddr, nil
 		}
 		return respawn.Addr(), nil
-	}, f.Seq, int(f.Shard), int(f.Dst))
+	}, int(f.Dst))
+	defer st.Close()
+	got, err := st.Pull(f.Seq, int(f.Shard))
 	if err != nil {
 		t.Fatalf("pull across a respawn: %v", err)
 	}
 	if calls != 3 || !bytes.Equal(got.Payload, f.Payload) {
-		t.Errorf("resolver asked %d times (want 3: once per attempt), payload match %v", calls, bytes.Equal(got.Payload, f.Payload))
+		t.Errorf("resolver asked %d times (want 3: once per dial), payload match %v", calls, bytes.Equal(got.Payload, f.Payload))
+	}
+	// The stream is live now: further pulls ask nobody.
+	if _, err := st.Pull(next.Seq, int(next.Shard)); err != nil {
+		t.Fatalf("second pull on the live stream: %v", err)
+	}
+	if calls != 3 {
+		t.Errorf("resolver asked %d times after a pull on a live stream, want still 3", calls)
+	}
+}
+
+// TestStreamIsOneConnection: N pulls over one stream are one dial and
+// one accepted stream at the server.
+func TestStreamIsOneConnection(t *testing.T) {
+	s := openFragServer(t)
+	frames := seqFrames(8)
+	s.Publish(frames)
+	resolve, dials := countingAddr(s.Addr())
+	st := OpenStream(resolve, 1)
+	defer st.Close()
+	for _, want := range frames {
+		got, err := st.Pull(want.Seq, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameFrame(got, want) {
+			t.Errorf("pull of seq %d returned %+v", want.Seq, keyOf(got))
+		}
+	}
+	if *dials != 1 || openStreams(s) != 1 {
+		t.Errorf("%d pulls made %d dials and left %d streams open at the server, want 1 and 1", len(frames), *dials, openStreams(s))
+	}
+}
+
+// TestStreamFaultCostsOneRedial: on a live stream, each kind of broken
+// answer — a FIN stump, an RST stump, a bit-flipped frame — costs exactly
+// one redial, the retried pull returns the clean frame, and the new
+// connection then serves on. (The fourth kind, a wrong answer, is
+// TestPullRefusesWrongAnswer and TestStreamRefusesTrailingDuplicate.)
+func TestStreamFaultCostsOneRedial(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		drops, corrupts int
+		burn            int // armed faults consumed by a raw pull first, to reach the shape under test
+	}{
+		{"fin-stump", 1, 0, 0},
+		{"rst-stump", 2, 0, 1},
+		{"bit-flip", 0, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openFragServer(t)
+			frames := seqFrames(3)
+			s.arm(keyOf(frames[1]), tc.drops, tc.corrupts, 0)
+			s.Publish(frames)
+			for i := 0; i < tc.burn; i++ {
+				wireBytes(t, s.Addr(), keyOf(frames[1]))
+			}
+			resolve, dials := countingAddr(s.Addr())
+			st := OpenStream(resolve, 1)
+			defer st.Close()
+			for i, want := range frames {
+				got, err := st.Pull(want.Seq, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameFrame(got, want) {
+					t.Errorf("pull of seq %d returned %+v", want.Seq, keyOf(got))
+				}
+				if wantDials := 1 + min(i, 1); *dials != wantDials {
+					t.Errorf("after pulling seq %d: %d dials, want %d", want.Seq, *dials, wantDials)
+				}
+			}
+		})
+	}
+}
+
+// TestStreamRefusesTrailingDuplicate: a duplicate left on the stream
+// behind a good answer is what the next request reads first. The answer
+// check refuses it — it is never taken for the next seq's frame — and
+// the pull heals by redial.
+func TestStreamRefusesTrailingDuplicate(t *testing.T) {
+	s := openFragServer(t)
+	frames := seqFrames(2)
+	s.arm(keyOf(frames[0]), 0, 0, 1)
+	s.Publish(frames)
+	resolve, dials := countingAddr(s.Addr())
+	st := OpenStream(resolve, 1)
+	defer st.Close()
+	if got, err := st.Pull(1, 2); err != nil || !sameFrame(got, frames[0]) {
+		t.Fatalf("pull of the duplicated frame: %+v, %v", keyOf(got), err)
+	}
+	if _, err := st.try(2, 2); err == nil || !strings.Contains(err.Error(), "answered with frame (seq 1,") {
+		t.Fatalf("request behind a trailing duplicate: err %v, want the duplicate refused as a wrong answer", err)
+	}
+	got, err := st.Pull(2, 2)
+	if err != nil || !sameFrame(got, frames[1]) {
+		t.Fatalf("pull after the duplicate: %+v, %v", keyOf(got), err)
+	}
+	if *dials != 2 {
+		t.Errorf("%d dials, want 2: the duplicate costs exactly one redial", *dials)
+	}
+}
+
+// TestPostThenPull: posting a request and pulling it later returns what
+// a plain pull returns, over the same single connection — whether the
+// frame was published before the post or after it.
+func TestPostThenPull(t *testing.T) {
+	s := openFragServer(t)
+	frames := seqFrames(2)
+	s.Publish(frames[:1])
+
+	plain := OpenStream(fixedAddr(s.Addr()), 1)
+	defer plain.Close()
+	want, err := plain.Pull(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve, dials := countingAddr(s.Addr())
+	st := OpenStream(resolve, 1)
+	defer st.Close()
+	st.Post(1, 2)
+	if got, err := st.Pull(1, 2); err != nil || !sameFrame(got, want) {
+		t.Fatalf("post then pull: %+v, %v; want %+v", keyOf(got), err, keyOf(want))
+	}
+	st.Post(2, 2) // not published yet: the server holds the answer
+	s.Publish(frames[1:])
+	if got, err := st.Pull(2, 2); err != nil || !sameFrame(got, frames[1]) {
+		t.Fatalf("post before publish, then pull: %+v, %v", keyOf(got), err)
+	}
+	if *dials != 1 {
+		t.Errorf("%d dials, want 1", *dials)
+	}
+}
+
+// TestFailedPostRecoversInPull: a post that cannot be sent (the address
+// is dead) or whose answer never comes (the source died holding it) is
+// not an error; the pull that follows redials, through the resolver, and
+// returns the frame.
+func TestFailedPostRecoversInPull(t *testing.T) {
+	frames := seqFrames(2)
+	first := openFragServer(t)
+	first.Publish(frames[:1])
+	respawn := openFragServer(t)
+	respawn.Publish(frames)
+
+	addr, calls := first.Addr(), 0
+	st := OpenStream(func() (string, error) {
+		calls++
+		return addr, nil
+	}, 1)
+	defer st.Close()
+	if _, err := st.Pull(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	st.Post(2, 2) // sent; the first incarnation never publishes seq 2
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	addr = respawn.Addr()
+	if got, err := st.Pull(2, 2); err != nil || !sameFrame(got, frames[1]) {
+		t.Fatalf("pull after the source died holding the posted request: %+v, %v", keyOf(got), err)
+	}
+	if calls != 2 {
+		t.Errorf("resolver asked %d times, want 2 (first dial, redial)", calls)
+	}
+
+	// Now the post itself fails: respawn's address goes dead before it.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	addr = first.Addr()
+	st.Post(1, 2)
+	addr = respawn.Addr()
+	if got, err := st.Pull(1, 2); err != nil || !sameFrame(got, frames[0]) {
+		t.Fatalf("pull after a post to a dead address: %+v, %v", keyOf(got), err)
+	}
+	if calls != 4 {
+		t.Errorf("resolver asked %d times, want 4 (one more per dial)", calls)
+	}
+}
+
+// TestIdleStreamOutlivesIOBound: with the I/O bound shortened on both
+// sides (not so far that a loaded host's stall could exceed it), a
+// stream idle for several bounds — and a posted request whose frame is
+// published several bounds later — still serves, on the same connection:
+// idle is not failure.
+func TestIdleStreamOutlivesIOBound(t *testing.T) {
+	const bound = 100 * time.Millisecond
+	s := openFragServerTimeout(t, bound)
+	frames := seqFrames(3)
+	s.Publish(frames[:1])
+	resolve, dials := countingAddr(s.Addr())
+	st := OpenStream(resolve, 1)
+	st.ioTimeout = bound
+	defer st.Close()
+	if _, err := st.Pull(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * bound)
+	s.Publish(frames[1:2])
+	if got, err := st.Pull(2, 2); err != nil || !sameFrame(got, frames[1]) {
+		t.Fatalf("pull on a stream idle for 3 bounds: %+v, %v", keyOf(got), err)
+	}
+	st.Post(3, 2)
+	time.Sleep(3 * bound)
+	s.Publish(frames[2:])
+	if got, err := st.Pull(3, 2); err != nil || !sameFrame(got, frames[2]) {
+		t.Fatalf("pull of a request posted 3 bounds before its publish: %+v, %v", keyOf(got), err)
+	}
+	if *dials != 1 {
+		t.Errorf("%d dials, want 1: nothing timed out", *dials)
+	}
+}
+
+// TestCloseEndsIdleStreams: Close with idle streams open — handlers
+// blocked, deadline-free, on the next request — returns Serve at once,
+// every handler joined.
+func TestCloseEndsIdleStreams(t *testing.T) {
+	s, err := NewFragServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Serve()
+	}()
+	f := testFrame()
+	s.Publish([]Frame{f})
+	for i := 0; i < 3; i++ {
+		st := OpenStream(fixedAddr(s.Addr()), int(f.Dst))
+		defer st.Close()
+		if _, err := st.Pull(f.Seq, int(f.Shard)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := openStreams(s); n != 3 {
+		t.Fatalf("%d streams open, want 3", n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-served:
+	case <-time.After(IOTimeout / 2):
+		t.Fatal("Serve still running long after Close: an idle stream's handler was not ended")
+	}
+	if n := openStreams(s); n != 0 {
+		t.Errorf("%d streams still tracked after Serve returned", n)
 	}
 }
 

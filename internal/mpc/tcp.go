@@ -19,11 +19,11 @@ import (
 //
 // Every frame carries a CRC-32C checksum over its header fields and
 // payload, so a bit-flipped frame is rejected at the codec layer
-// before any fragment decoding runs — the puller drops it as line
-// noise and pulls again. This is what makes the data plane self-healing
-// under corruption havoc: a corrupted transfer costs retries in the
-// virtual clock (faults.go Corrupt events) but can never change what
-// the round computes.
+// before any fragment decoding runs — the puller drops it, and the
+// stream it came down, as line noise and pulls again. This is what
+// makes the data plane self-healing under corruption havoc: a corrupted
+// transfer costs retries in the virtual clock (faults.go Corrupt
+// events) but can never change what the round computes.
 
 // Frame is one transport message: shard w's outbox for destination
 // dst in exchange Seq, carrying the logical Sent count and the
@@ -88,8 +88,8 @@ func WriteFrame(w io.Writer, f Frame) error {
 
 // ReadFrame reads one frame from r. Truncation, bad magic or version,
 // oversized payload prefixes, and checksum mismatches are errors,
-// never panics — a puller treats them as line noise, drops the
-// connection and pulls again.
+// never panics — a puller (Stream, the one caller that reads a socket)
+// treats them as line noise, drops the connection and pulls again.
 func ReadFrame(r io.Reader) (Frame, error) {
 	hdr := make([]byte, frameHeaderLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -125,8 +125,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 }
 
 // TCPTransport runs the communication phase over loopback TCP as a
-// driver of the data plane: every shard published on a fragment server
-// of its own, every destination pulling. The servers live exactly as
+// driver of the data plane: every shard published on one fragment
+// server, every destination pulling its frames over one stream — one
+// listener and p connections per exchange. The server lives exactly as
 // long as one Exchange — opened, served, closed and joined inside it —
 // so the transport holds no socket and no goroutine between rounds. It
 // implements Transport and FrameFaultInjector. Not safe for concurrent
@@ -167,11 +168,12 @@ func (t *TCPTransport) InjectFrameFaults(round int, plan *FaultPlan) {
 	t.havocRound, t.havocPlan = round, plan
 }
 
-// Exchange implements Transport: shard w's frames are published under
-// this exchange's sequence number on a fragment server of its own, and
-// each destination pulls them shard by shard and merges in ascending
-// shard order (MergeInbox). Every server is closed and joined on
-// return, success or failure, so nothing of an exchange outlives it.
+// Exchange implements Transport: every shard's frames are published
+// under this exchange's sequence number on one fragment server (the
+// frame key carries the shard), and each destination pulls them shard by
+// shard over one stream and merges in ascending shard order
+// (MergeInbox). The server is closed and joined on return, success or
+// failure, so nothing of an exchange outlives it.
 func (t *TCPTransport) Exchange(round string, p int, shards []Shard) ([]*rel.Instance, []int, error) {
 	if t.closed {
 		return nil, nil, fmt.Errorf("mpc: exchange %q on a closed TCP transport", round)
@@ -184,21 +186,20 @@ func (t *TCPTransport) Exchange(round string, p int, shards []Shard) ([]*rel.Ins
 	t.seq++
 	seq := t.seq
 
-	addrs := make([]string, len(shards))
+	srv, err := NewFragServer()
+	if err != nil {
+		return nil, nil, fmt.Errorf("mpc: exchange %q: %w", round, err)
+	}
 	var serving sync.WaitGroup
+	serving.Add(1)
+	go func() {
+		defer serving.Done()
+		srv.Serve()
+	}()
+	// Deferred in this order so Close runs before the join it releases.
 	defer serving.Wait()
+	defer srv.Close() // the exchange is over either way; close is best-effort
 	for w, sh := range shards {
-		srv, err := NewFragServer()
-		if err != nil {
-			return nil, nil, fmt.Errorf("mpc: exchange %q: shard %d: %w", round, w, err)
-		}
-		defer srv.Close() // the exchange is over either way; close is best-effort
-		addrs[w] = srv.Addr()
-		serving.Add(1)
-		go func() {
-			defer serving.Done()
-			srv.Serve()
-		}()
 		frames := ShardFrames(seq, w, sh)
 		if havocPlan != nil {
 			for dst, f := range frames {
@@ -218,13 +219,16 @@ func (t *TCPTransport) Exchange(round string, p int, shards []Shard) ([]*rel.Ins
 	inboxes := make([]*rel.Instance, p)
 	received := make([]int, p)
 	errs := make([]error, p)
+	resolve := func() (string, error) { return srv.Addr(), nil }
 	var pulling sync.WaitGroup
 	for dst := 0; dst < p; dst++ {
 		pulling.Add(1)
 		go func(dst int) {
 			defer pulling.Done()
+			st := OpenStream(resolve, dst)
+			defer st.Close() // the pulls are over either way; close is best-effort
 			inboxes[dst], received[dst], errs[dst] = MergeInbox(dst, len(shards), func(w int) (Frame, error) {
-				return Pull(func() (string, error) { return addrs[w], nil }, seq, w, dst)
+				return st.Pull(seq, w)
 			})
 		}(dst)
 	}

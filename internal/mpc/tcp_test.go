@@ -101,3 +101,39 @@ func TestTCPExchangeAbsorbsCorruptFrames(t *testing.T) {
 		t.Errorf("server 0 received phantom facts: %s", inboxes[0])
 	}
 }
+
+// BenchmarkExchangeTCP is one 1000-fact exchange among p = 4 servers
+// over loopback: one fragment server and p streams opened, p² frames
+// published, pulled and merged, everything closed and joined.
+func BenchmarkExchangeTCP(b *testing.B) {
+	const p = 4
+	round := Round{Name: "bench", Route: HashOn(p, []int{1}, 7)}
+	shards := make([]Shard, p)
+	for src := range shards {
+		local := rel.NewInstance()
+		for k := src; k < 1000; k += p {
+			local.Add(rel.NewFact("R", rel.Value(k), rel.Value(k*31+src)))
+		}
+		sh, err := RouteSource(round, p, src, local)
+		if err != nil {
+			b.Fatal(err)
+		}
+		shards[src] = sh
+	}
+	tr, err := NewTCPTransport(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, received, err := tr.Exchange(round.Name, p, shards)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := received[0] + received[1] + received[2] + received[3]; n != 1000 {
+			b.Fatalf("exchange delivered %d facts, want 1000", n)
+		}
+	}
+}

@@ -128,7 +128,7 @@ func (c *coordinator) acceptLoop() {
 
 func (c *coordinator) serve(conn *net.TCPConn) {
 	defer conn.Close() // one request per connection; close is best-effort
-	if err := conn.SetDeadline(time.Now().Add(mpc.IOTimeout)); err != nil {
+	if err := conn.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
 		return
 	}
 	line, err := bufio.NewReader(conn).ReadBytes('\n')
@@ -143,7 +143,7 @@ func (c *coordinator) serve(conn *net.TCPConn) {
 	if enc, err := json.Marshal(resp); err == nil {
 		// The result barrier may have held this connection past the read
 		// deadline; re-arm before responding.
-		if err := conn.SetDeadline(time.Now().Add(mpc.IOTimeout)); err != nil {
+		if err := conn.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
 			return
 		}
 		_, _ = conn.Write(append(enc, '\n')) //lint:allow error-discard failed response: the worker's read errors and it retries

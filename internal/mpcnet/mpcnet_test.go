@@ -1,12 +1,19 @@
 package mpcnet
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
+	"net"
 	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/rel"
+	"mpclogic/internal/workload"
 )
 
 // goProc runs one worker as a goroutine in this process — the
@@ -290,8 +297,25 @@ func TestDistributedRunGCsCheckpoints(t *testing.T) {
 	}
 }
 
+// tcStepsNaive is the oracle tcSteps is held to: run the round's own
+// step function globally until an application changes nothing.
+func tcStepsNaive(graph *rel.Instance) int {
+	state := rel.NewInstance()
+	state.AddAll(graph)
+	for steps := 1; ; steps++ {
+		next := tcCompute(0, state)
+		if next.Len() == state.Len() {
+			return steps
+		}
+		state = next
+	}
+}
+
 // TestTCStepsUnrollsToFixpoint: the unrolled program must actually
-// reach the transitive closure — no round short of the fixpoint.
+// reach the transitive closure — no round short of the fixpoint — and
+// the semi-naive step count must equal the naive one on every graph
+// shape: empty, no E at all, self-loops, cycles, paths, disconnected
+// pieces, random.
 func TestTCStepsUnrollsToFixpoint(t *testing.T) {
 	spec := ProgramSpec{Program: "tc", P: 3, M: 10, Seed: 7}
 	built, err := Build(spec)
@@ -309,5 +333,226 @@ func TestTCStepsUnrollsToFixpoint(t *testing.T) {
 	}
 	if tc := res.Output.Relation("TC"); tc == nil || tc.Len() == 0 {
 		t.Errorf("transitive closure is empty")
+	}
+
+	edges := func(pairs ...[2]int) *rel.Instance {
+		g := rel.NewInstance()
+		for _, e := range pairs {
+			g.Add(rel.NewFact("E", rel.Value(e[0]), rel.Value(e[1])))
+		}
+		return g
+	}
+	emptyE := rel.NewInstance()
+	emptyE.EnsureRelation("E", 2)
+	disconnected := workload.PathGraph(5)
+	disconnected.AddAll(edges([2]int{100, 101}, [2]int{101, 100}, [2]int{200, 200}))
+	graphs := map[string]*rel.Instance{
+		"no-E":         rel.NewInstance(),
+		"empty-E":      emptyE,
+		"one-edge":     edges([2]int{1, 2}),
+		"self-loop":    edges([2]int{1, 1}),
+		"loops+edge":   edges([2]int{1, 1}, [2]int{1, 2}, [2]int{2, 2}),
+		"two-cycle":    edges([2]int{1, 2}, [2]int{2, 1}),
+		"cycle-7":      workload.CycleGraph(7),
+		"path-9":       workload.PathGraph(9),
+		"disconnected": disconnected,
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		n := 3 + int(seed%11)
+		m := 1 + int(seed*7%int64(n*(n-1)/2))
+		graphs[fmt.Sprintf("random-n%d-m%d-seed%d", n, m, seed)] = workload.RandomGraph(n, m, seed)
+	}
+	for name, g := range graphs {
+		if got, want := tcSteps(g), tcStepsNaive(g); got != want {
+			t.Errorf("%s: tcSteps = %d, the naive iteration takes %d", name, got, want)
+		}
+	}
+}
+
+// twelveRoundTC is a tc spec at p = 4 that unrolls to exactly 12 rounds
+// of real communication — the multi-round shape where the per-round
+// fixed cost, not the facts, decides the run time.
+func twelveRoundTC(tb testing.TB) ProgramSpec {
+	tb.Helper()
+	spec := ProgramSpec{Program: "tc", P: 4, M: 64}
+	for spec.Seed = 1; spec.Seed < 1024; spec.Seed++ {
+		built, err := Build(spec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(built.Rounds) == 12 {
+			return spec
+		}
+	}
+	tb.Fatal("no tc graph of depth 12 among the first 1024 seeds")
+	return spec
+}
+
+// lookupCounter stands in front of a run's coordinator and counts the
+// lookups it answers with an address. A stream asks once per dial, and
+// dials on an answer, so the count is the run's data-plane dials. (A
+// lookup answered "not registered yet" — a worker racing ahead of a
+// peer's hello at start-up — is a poll, not a dial, and is not counted.)
+type lookupCounter struct {
+	coord    atomic.Value // string: the current run's real coordinator, learned at each spawn
+	answered atomic.Int64
+}
+
+// countLookups wraps spawn so every worker talks to its coordinator
+// through a counting relay; stop closes the relay and joins it. Runs
+// through one counter must not overlap.
+func countLookups(tb testing.TB, spawn Spawner) (counted Spawner, lc *lookupCounter, stop func()) {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lc = &lookupCounter{}
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		var relays sync.WaitGroup
+		defer relays.Wait()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			relays.Add(1)
+			go func() {
+				defer relays.Done()
+				lc.relay(conn)
+			}()
+		}
+	}()
+	counted = func(cfg WorkerConfig) (Process, error) {
+		lc.coord.Store(cfg.CoordAddr)
+		cfg.CoordAddr = ln.Addr().String()
+		return spawn(cfg)
+	}
+	return counted, lc, func() {
+		ln.Close()
+		<-accepting
+	}
+}
+
+// relay forwards one request line to the coordinator and its response
+// line back, counting an answered lookup on the way.
+func (lc *lookupCounter) relay(conn net.Conn) {
+	defer conn.Close()
+	line, err := bufio.NewReader(conn).ReadBytes('\n')
+	if err != nil {
+		return
+	}
+	up, err := net.Dial("tcp", lc.coord.Load().(string))
+	if err != nil {
+		return
+	}
+	defer up.Close()
+	if _, err := up.Write(line); err != nil {
+		return
+	}
+	answer, err := bufio.NewReader(up).ReadBytes('\n')
+	if err != nil {
+		return
+	}
+	var req ctrlRequest
+	var resp ctrlResponse
+	if json.Unmarshal(line, &req) == nil && json.Unmarshal(answer, &resp) == nil && req.Op == "lookup" && resp.Addr != "" {
+		lc.answered.Add(1)
+	}
+	conn.Write(answer)
+}
+
+// TestRunDialsEachPeerOnce: a fault-free 12-round run at p = 4 costs
+// p(p−1) = 12 answered lookups — one per stream, for the whole run, not
+// one per pull (which would be 144) — and still matches the simulator.
+func TestRunDialsEachPeerOnce(t *testing.T) {
+	spec := twelveRoundTC(t)
+	want, err := RunLocal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawn, lookups, stop := countLookups(t, goSpawner)
+	got, err := Run(RunConfig{Spec: spec, CkptDir: t.TempDir(), FailWorker: -1, FailRound: -1, Spawn: spawn})
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rounds != 12 || got.Trace != want.Trace || got.Output.String() != want.Output.String() {
+		t.Errorf("run through the counting relay diverged from the simulator (%d rounds)", got.Rounds)
+	}
+	if n := lookups.answered.Load(); n != 12 {
+		t.Errorf("coordinator answered %d lookups over %d rounds, want 12: one dial per peer per run", n, got.Rounds)
+	}
+}
+
+// TestResultBarrierOutlastsIOBound: a worker whose slowest peer reports
+// several I/O bounds after it did is still waiting at the barrier, and
+// both are released together — being slow is not being broken.
+func TestResultBarrierOutlastsIOBound(t *testing.T) {
+	const bound = 100 * time.Millisecond // short, yet above a loaded host's stalls
+	defer func(d time.Duration) { ioTimeout = d }(ioTimeout)
+	ioTimeout = bound
+
+	coord, err := newCoordinator(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.close()
+	report := func(index int) error {
+		_, err := roundtrip(coord.addr(), ctrlRequest{Op: "result", Index: index, Fragment: rel.EncodeInstance(rel.NewInstance())})
+		return err
+	}
+	early := make(chan error, 1)
+	go func() { early <- report(0) }()
+	time.Sleep(3 * bound)
+	select {
+	case err := <-early:
+		t.Fatalf("first reporter left the barrier before the last one arrived (err %v)", err)
+	default:
+	}
+	if err := report(1); err != nil {
+		t.Errorf("last reporter: %v", err)
+	}
+	if err := <-early; err != nil {
+		t.Errorf("first reporter, held 3 I/O bounds at the barrier: %v", err)
+	}
+}
+
+// BenchmarkRunRounds is the 12-round tc run over goroutine workers, with
+// and without checkpoints: the multi-round shape whose cost is per-round
+// set-up. dials/op is the coordinator's answered lookups in one untimed
+// run through the counting relay (the timed runs skip the relay).
+func BenchmarkRunRounds(b *testing.B) {
+	spec := twelveRoundTC(b)
+	for _, ckpt := range []bool{true, false} {
+		name := "ckpt"
+		if !ckpt {
+			name = "nockpt"
+		}
+		b.Run(name, func(b *testing.B) {
+			run := func(spawn Spawner) {
+				cfg := RunConfig{Spec: spec, FailWorker: -1, FailRound: -1, Spawn: spawn}
+				if ckpt {
+					cfg.CkptDir = b.TempDir()
+				}
+				res, err := Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Rounds != 12 {
+					b.Fatalf("%d rounds, want 12", res.Rounds)
+				}
+			}
+			spawn, lookups, stop := countLookups(b, goSpawner)
+			run(spawn)
+			stop()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(goSpawner)
+			}
+			b.ReportMetric(float64(lookups.answered.Load()), "dials/op")
+		})
 	}
 }

@@ -146,9 +146,9 @@ func tcCompute(_ int, local *rel.Instance) *rel.Instance {
 
 // tcProgram unrolls naive transitive closure to its fixpoint depth on
 // the given graph: each round routes E by source and TC by target to
-// colocate one join step. The depth is computed by running the same
-// step function globally, so the static program is a pure function of
-// (p, seed, graph) and every process derives the identical round list.
+// colocate one join step. The depth is a pure function of the graph
+// (tcSteps), so the static program is a pure function of (p, seed,
+// graph) and every process derives the identical round list.
 func tcProgram(p int, seed uint64, graph *rel.Instance) []mpc.Round {
 	steps := tcSteps(graph)
 	rounds := make([]mpc.Round, steps)
@@ -165,17 +165,39 @@ func tcProgram(p int, seed uint64, graph *rel.Instance) []mpc.Round {
 	return rounds
 }
 
-// tcSteps counts the rounds the unrolled program needs: global
-// applications of the same step until nothing changes (the final
-// confirming step included, mirroring a fixpoint engine's last pass).
+// tcSteps counts the rounds the unrolled program needs on a graph of E
+// edges: global applications of tcCompute until one adds nothing (that
+// final confirming step included, mirroring a fixpoint engine's last
+// pass). Build runs on the coordinator and on every worker, so the
+// count is taken semi-naively rather than by running tcCompute: step 1
+// adds Δ₁ = E, step s > 1 adds Δₛ = (Δₛ₋₁ ⋈ E) ∖ TC — everything else
+// tcCompute would derive at step s it derived before — and the answer
+// is the first s with Δₛ = ∅.
 func tcSteps(graph *rel.Instance) int {
-	state := rel.NewInstance()
-	state.AddAll(graph)
-	for steps := 1; ; steps++ {
-		next := tcCompute(0, state)
-		if next.Len() == state.Len() {
-			return steps
-		}
-		state = next
+	type pair [2]rel.Value
+	succ := make(map[rel.Value][]rel.Value)
+	tc := make(map[pair]struct{})
+	var delta []pair
+	if e := graph.Relation("E"); e != nil {
+		e.Each(func(t rel.Tuple) bool {
+			succ[t[0]] = append(succ[t[0]], t[1])
+			tc[pair{t[0], t[1]}] = struct{}{}
+			delta = append(delta, pair{t[0], t[1]})
+			return true
+		})
 	}
+	steps := 1
+	for ; len(delta) > 0; steps++ {
+		var next []pair
+		for _, d := range delta {
+			for _, c := range succ[d[1]] {
+				if _, old := tc[pair{d[0], c}]; !old {
+					tc[pair{d[0], c}] = struct{}{}
+					next = append(next, pair{d[0], c})
+				}
+			}
+		}
+		delta = next
+	}
+	return steps
 }

@@ -145,9 +145,12 @@ func latestCheckpoint(dir string, index int) int {
 // RunWorker executes one worker's share of the program, every step of
 // a round being mpc's own, for one server: route this server's facts
 // (mpc.RouteSource), publish the shard's frames, pull every peer's and
-// merge in shard order (mpc.MergeInbox over mpc.Pull), adopt residents,
-// compute; then deliver the final fragment and per-round accounting to
-// the coordinator.
+// merge in shard order (mpc.MergeInbox over one mpc.Stream per peer),
+// adopt residents, compute; then deliver the final fragment and
+// per-round accounting to the coordinator. The p−1 streams are opened
+// for the run, not the round: a fault-free run dials each peer once. Each
+// round's requests are posted on every stream before the first answer
+// is read, so peers' answers are in flight while earlier ones decode.
 //
 // Recovery: a fresh incarnation resumes from max(0, latest-1) where
 // latest is the highest checkpoint on disk — the one-round rewind of
@@ -180,6 +183,16 @@ func RunWorker(cfg WorkerConfig) error {
 	defer srv.Close() // the run is over either way; close is best-effort
 	if _, err := roundtrip(cfg.CoordAddr, ctrlRequest{Op: "hello", Index: cfg.Index, Addr: srv.Addr()}); err != nil {
 		return err
+	}
+
+	// Closed before the fragment server (defers run last-in first-out):
+	// nothing of the run's data plane outlives RunWorker.
+	streams := make([]*mpc.Stream, p)
+	for w := range streams {
+		if w != cfg.Index {
+			streams[w] = mpc.OpenStream(peerAddr(cfg.CoordAddr, cfg.Index, w), cfg.Index)
+			defer streams[w].Close() // the run is over either way; close is best-effort
+		}
 	}
 
 	local := WorkerSlice(built.Input, p, cfg.Index)
@@ -217,11 +230,16 @@ func RunWorker(cfg WorkerConfig) error {
 		}
 		frames := mpc.ShardFrames(uint64(r), cfg.Index, shard)
 		srv.Publish(frames)
+		for w, st := range streams {
+			if st != nil {
+				st.Post(uint64(r), w)
+			}
+		}
 		inbox, myRecv, err := mpc.MergeInbox(cfg.Index, p, func(w int) (mpc.Frame, error) {
 			if w == cfg.Index {
 				return frames[w], nil // own fragment: no socket
 			}
-			return mpc.Pull(peerAddr(cfg.CoordAddr, cfg.Index, w), uint64(r), w, cfg.Index)
+			return streams[w].Pull(uint64(r), w)
 		})
 		if err != nil {
 			return err
@@ -245,8 +263,9 @@ func RunWorker(cfg WorkerConfig) error {
 	}
 
 	// The result barrier: the coordinator holds this response until
-	// every worker has reported, so no worker tears down its fragment
-	// server while a recovering peer might still need to re-pull.
+	// every worker has reported — however long that takes (roundtrip
+	// waits for it without a deadline) — so no worker tears down its
+	// fragment server while a recovering peer might still need to re-pull.
 	_, err = roundtrip(cfg.CoordAddr, ctrlRequest{
 		Op:        "result",
 		Index:     cfg.Index,
