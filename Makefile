@@ -51,7 +51,7 @@ SWEEPPROCS ?= 0
 # `make cover` fails when a guarded package drops more than the slack
 # below its recorded floor; `make cover-baseline` locks in the current
 # measurement.
-COVER_PKGS ?= ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen
+COVER_PKGS ?= ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen ./internal/policy ./internal/mpcnet
 COVER_BASELINE ?= COVERAGE.json
 
 .PHONY: all build vet test race lint faultmatrix byzantine transport netsweep verify fmt fuzz serve serve-soak bench-build bench bench-json bench-json-incr verify-perf nightly soak experiments cover cover-baseline
@@ -102,13 +102,15 @@ byzantine:
 # Local and TCP transports, the program matrix over real sockets
 # (byte-identical output, state, and logical trace), the chaos-over-TCP
 # fault matrix, the multi-process runtime against the simulator (one
-# dial per peer per run, a result barrier that outlasts the I/O bound),
+# dial per peer per run, a result barrier that outlasts the I/O bound,
+# two checkpoint slots per worker whatever the round, a torn first
+# checkpoint that costs nothing, every flipped bit of a slot refused),
 # and the kill-at-every-round recovery e2e on the real binary.
 transport:
 	$(GO) test -run 'TestArmedHavocIsOnTheWire|TestPull|TestRetireBelow|TestMergeInboxRejectsUndecodableFragment|TestStream|TestPostThenPull|TestFailedPostRecoversInPull|TestIdleStreamOutlivesIOBound|TestCloseEndsIdleStreams' ./internal/mpc
 	$(GO) test -run 'TestLocalConformance|TestTCPConformance' ./internal/mpc/transportconf
 	$(GO) test -run 'TestTransportEquivalence|TestChaosOverTCP' ./internal/gym
-	$(GO) test -run 'TestDistributedMatchesLocal|TestRunDialsEachPeerOnce|TestResultBarrierOutlastsIOBound' ./internal/mpcnet
+	$(GO) test -run 'TestDistributedMatchesLocal|TestRunDialsEachPeerOnce|TestResultBarrierOutlastsIOBound|TestCheckpointSlots|TestDistributedRunKeepsTwoSlots|TestTornFirstCheckpointRecovers|TestCheckpointBitFlipLaw' ./internal/mpcnet
 	$(GO) test -run 'TestE2E' ./cmd/mpcrun
 
 # netsweep drives the installed binary end to end, wider than the

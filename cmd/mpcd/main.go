@@ -14,21 +14,22 @@
 // which is how the e2e harness (and scripts) learn the bound address
 // when -addr ends in :0.
 //
-// With -checkpoint-dir, a snapshot manifest already in the directory
-// is restored at startup — every session warm, byte-identical resume —
-// and SIGINT/SIGTERM drains the server (in-flight queries finish, new
-// ones get typed 503s), writes a fresh snapshot, and exits 0. Without
-// it, signals just drain and exit.
+// With -checkpoint-dir, a snapshot already in the directory is restored
+// at startup — every session warm, byte-identical resume; no snapshot
+// there (mpcd.ErrNoSnapshot) is a fresh start, one that does not load
+// is fatal — and SIGINT/SIGTERM drains the server (in-flight queries
+// finish, new ones get typed 503s), writes a fresh snapshot, and exits
+// 0. Without it, signals just drain and exit.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 
 	"mpclogic/internal/mpcd"
@@ -61,14 +62,13 @@ func main() {
 
 	srv := mpcd.New(cfg)
 	if *ckptDir != "" {
-		if _, err := os.Stat(filepath.Join(*ckptDir, "manifest.json")); err == nil {
-			restored, err := mpcd.LoadSnapshot(*ckptDir, cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mpcd: restoring %s: %v\n", *ckptDir, err)
-				os.Exit(1)
-			}
+		switch restored, err := mpcd.LoadSnapshot(*ckptDir, cfg); {
+		case err == nil:
 			srv = restored
 			fmt.Fprintf(os.Stderr, "mpcd: restored %d sessions from %s\n", srv.Sessions(), *ckptDir)
+		case !errors.Is(err, mpcd.ErrNoSnapshot):
+			fmt.Fprintf(os.Stderr, "mpcd: restoring %s: %v\n", *ckptDir, err)
+			os.Exit(1)
 		}
 	}
 

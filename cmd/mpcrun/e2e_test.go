@@ -1,12 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"mpclogic/internal/policy"
 )
 
 // mpcrunBin is the binary under test, built once in TestMain — the
@@ -100,18 +104,29 @@ func TestE2EKillRecovery(t *testing.T) {
 			if !strings.Contains(stderr, "recovered 1 worker incarnation") {
 				t.Errorf("no recovery happened (stderr: %q)", stderr)
 			}
-			// Checkpoints really were written and the GC really ran: the
-			// respawned worker keeps exactly the newest two rounds (resume
-			// never rewinds past latest−1), so a file the failpoint armed on
-			// before those must be gone.
-			left, err := filepath.Glob(filepath.Join(ckpt, "worker-1-round-*.ckpt"))
+			// Checkpoints really were written and never pile up: whichever
+			// round the failpoint armed on, the respawned worker ends with
+			// exactly its two slots, holding the last two rounds (resume
+			// never rewinds past latest−1) — read from each image's cursor.
+			left, err := filepath.Glob(filepath.Join(ckpt, "worker-1.*"))
 			if err != nil || len(left) != 2 {
-				t.Errorf("worker 1 retains %v (err %v), want exactly its newest two checkpoints", left, err)
+				t.Fatalf("worker 1 retains %v (err %v), want exactly its two checkpoint slots", left, err)
 			}
-			if r < rounds-2 {
-				if _, err := os.Stat(filepath.Join(ckpt, fmt.Sprintf("worker-1-round-%d.ckpt", r))); !os.IsNotExist(err) {
-					t.Errorf("round-%d checkpoint outlived the GC (stat err: %v)", r, err)
+			var held []int
+			for _, f := range left {
+				store, err := policy.LoadStore(f)
+				if err != nil {
+					t.Fatalf("checkpoint slot does not load: %v", err)
 				}
+				var cur struct{ Round int }
+				if err := json.Unmarshal(store.Meta(), &cur); err != nil {
+					t.Fatalf("checkpoint cursor: %v", err)
+				}
+				held = append(held, cur.Round)
+			}
+			sort.Ints(held)
+			if want := []int{rounds - 2, rounds - 1}; fmt.Sprint(held) != fmt.Sprint(want) {
+				t.Errorf("worker 1's slots hold rounds %v, want %v", held, want)
 			}
 		})
 	}

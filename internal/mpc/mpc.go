@@ -577,7 +577,7 @@ func (c *Cluster) commit(next []*rel.Instance, stats RoundStats) {
 	copy(c.servers, next)
 	c.stats = append(c.stats, stats)
 	if c.ft != nil {
-		c.ft.refreshCheckpoint(c)
+		c.ft.ckpt = c.snapshot()
 	}
 }
 

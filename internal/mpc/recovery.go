@@ -54,11 +54,10 @@ type ftState struct {
 	replicas       int // peers each round checkpoint is replicated to
 
 	// Rolling checkpoint of the last committed round: the servers'
-	// instances and the stats recorded so far, snapshotted into a
-	// StableStore so later mutation can't corrupt what recovery
-	// reloads. Nil until the first round commits.
-	ckpt      *policy.StableStore
-	ckptStats []RoundStats
+	// instances and the stats recorded so far, snapshotted so later
+	// mutation can't corrupt what recovery reloads. Nil until the first
+	// round commits.
+	ckpt *Checkpoint
 }
 
 func newFTState() *ftState {
@@ -72,12 +71,11 @@ func (c *Cluster) ensureFT() *ftState {
 	return c.ft
 }
 
-// refreshCheckpoint snapshots the cluster's committed state. Called
-// from commit, so the checkpoint always equals the state after the
-// last completed round.
-func (ft *ftState) refreshCheckpoint(c *Cluster) {
-	ft.ckpt = policy.NewStableStore(c.servers)
-	ft.ckptStats = cloneStats(c.stats)
+// snapshot cuts a checkpoint of the cluster's committed state. commit
+// refreshes a fault-tolerant cluster's rolling checkpoint with it, so
+// that one always equals the state after the last completed round.
+func (c *Cluster) snapshot() *Checkpoint {
+	return &Checkpoint{store: policy.NewStableStore(c.servers), stats: cloneStats(c.stats)}
 }
 
 func cloneStats(stats []RoundStats) []RoundStats {
@@ -356,15 +354,15 @@ func (ck *Checkpoint) Rounds() int { return len(ck.stats) }
 // plain cluster takes no checkpoints as it runs, so it snapshots its
 // servers on demand — the same image, paid for only when asked.
 func (c *Cluster) Checkpoint() *Checkpoint {
-	ck := &Checkpoint{}
+	var ck *Checkpoint
+	if c.ft != nil && c.ft.ckpt != nil {
+		ck = &Checkpoint{store: c.ft.ckpt.store, stats: cloneStats(c.ft.ckpt.stats)}
+	} else {
+		ck = c.snapshot()
+	}
 	if c.delta != nil {
 		ck.batches, ck.steps = c.delta.batches, c.delta.steps
 	}
-	if c.ft == nil || c.ft.ckpt == nil {
-		ck.store, ck.stats = policy.NewStableStore(c.servers), cloneStats(c.stats)
-		return ck
-	}
-	ck.store, ck.stats = c.ft.ckpt, cloneStats(c.ft.ckptStats)
 	return ck
 }
 
@@ -376,13 +374,9 @@ func (c *Cluster) Checkpoint() *Checkpoint {
 // configuration unless options say otherwise — in particular the old
 // fault plan is NOT carried over.
 func Restore(ck *Checkpoint, opts ...Option) *Cluster {
-	c := NewCluster(ck.store.NumNodes(), opts...)
-	c.ensureFT()
-	for i := range c.servers {
-		c.servers[i] = ck.store.Reload(policy.Node(i))
-	}
+	c := RestoreStore(ck.store, append(opts[:len(opts):len(opts)], WithCheckpoints())...)
 	c.stats = cloneStats(ck.stats)
-	c.ft.refreshCheckpoint(c)
+	c.ft.ckpt.stats = cloneStats(ck.stats)
 	return c
 }
 
@@ -403,7 +397,7 @@ func RestoreStore(store *policy.StableStore, opts ...Option) *Cluster {
 		c.servers[i] = store.Reload(policy.Node(i))
 	}
 	if c.ft != nil {
-		c.ft.refreshCheckpoint(c)
+		c.ft.ckpt = c.snapshot()
 	}
 	return c
 }

@@ -1,34 +1,46 @@
 package mpcd
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 )
 
-// A snapshot is a drained server spilled to disk: one CRC-checked
-// policy.EncodeStore fragment image per session plus a JSON manifest
-// carrying everything the image does not — the session's dict in
-// intern order (value interning is order-dependent, and byte-identical
-// resumption needs identical values), the anchor query's canonical
-// text, the budget ledger, and the path counters. LoadSnapshot is the
-// inverse: a restarted server answers the next query of every restored
-// session byte-identically to a server that never went down, which the
-// e2e kill-and-resume test pins.
+// A snapshot is a drained server spilled to disk, every file of it a
+// CRC-checked policy store image (policy.SaveStore/LoadStore): one
+// fragment image per session plus the manifest, an image of no
+// fragments whose meta section is JSON carrying everything the session
+// images do not — the session's dict in intern order (value interning
+// is order-dependent, and byte-identical resumption needs identical
+// values), the anchor query's canonical text, the budget ledger, and
+// the path counters. LoadSnapshot is the inverse: a restarted server
+// answers the next query of every restored session byte-identically to
+// a server that never went down, which the e2e kill-and-resume test pins.
 
 // snapshotVersion guards the manifest layout; bump on incompatible
-// change.
-const snapshotVersion = 1
+// change. Version 2 moved the manifest into a store image.
+const snapshotVersion = 2
 
-// manifestName is the snapshot's index file.
+// manifestName is the snapshot's index file. It kept the name it had as
+// plain JSON so that a version-1 directory fails loudly (bad magic)
+// instead of looking empty.
 const manifestName = "manifest.json"
+
+// A session's fragment image is session-<id>.store in the snapshot dir.
+const sessionFilePrefix, sessionFileSuffix = "session-", ".store"
+
+// ErrNoSnapshot is what LoadSnapshot's error matches when the directory
+// holds no manifest: nothing to restore, not a snapshot that fails to.
+var ErrNoSnapshot = errors.New("mpcd: no snapshot")
 
 type manifest struct {
 	Version  int               `json:"version"`
@@ -37,28 +49,24 @@ type manifest struct {
 	Sessions []sessionManifest `json:"sessions"`
 }
 
+// sessionManifest is a session's status — what GET /v1/sessions/{id}
+// must answer byte-identically after a restart — plus what the status
+// does not show and the fragment image does not hold.
 type sessionManifest struct {
-	ID            string   `json:"id"`
-	P             int      `json:"p"`
-	Seed          uint64   `json:"seed"`
-	Dict          []string `json:"dict"`             // names in intern order
-	Anchor        string   `json:"anchor,omitempty"` // canonical CQ text
-	Facts         int      `json:"facts"`
-	BudgetTotal   int      `json:"budget_total"`
-	BudgetSpent   int      `json:"budget_spent"`
-	Queries       int      `json:"queries"`
-	Reused        int      `json:"reused"`
-	Repartitioned int      `json:"repartitioned"`
-	Gathered      int      `json:"gathered"`
-	Store         string   `json:"store"` // fragment image, relative to the snapshot dir
+	SessionStatus
+	Seed  uint64   `json:"seed"`
+	Dict  []string `json:"dict"`  // names in intern order
+	Store string   `json:"store"` // fragment image, relative to the snapshot dir
 }
 
 // SaveSnapshot drains the server (idempotent; every in-flight query
 // finishes first, so the snapshot is quiescent) and writes it to dir.
-// Sessions are written in sorted-id order and every file lands via
-// tmp+rename, so a crash mid-snapshot never leaves a plausible but
-// half-written manifest: the manifest is renamed into place last, and
-// only after every fragment image it names.
+// Sessions are written in sorted-id order and every file lands
+// atomically, so a crash mid-snapshot never leaves a plausible but
+// half-written manifest: the manifest lands last, and only after every
+// fragment image it names. Once it has, the session images it does not
+// name — sessions deleted since the directory's previous snapshot — and
+// any temporary a crashed writer left are removed.
 func (s *Server) SaveSnapshot(dir string) error {
 	s.Drain()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -74,19 +82,24 @@ func (s *Server) SaveSnapshot(dir string) error {
 	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
 
 	m := manifest{Version: snapshotVersion, Seed: s.cfg.Seed, NextID: nextID}
+	keep := make(map[string]bool, len(sessions))
 	for _, sess := range sessions {
 		sm, err := sess.snapshot(dir)
 		if err != nil {
 			return err
 		}
 		m.Sessions = append(m.Sessions, sm)
+		keep[sm.Store] = true
 	}
-	raw, err := json.MarshalIndent(&m, "", "  ")
+	raw, err := json.Marshal(&m)
 	if err != nil {
 		return fmt.Errorf("mpcd: encoding manifest: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestName), append(raw, '\n')); err != nil {
+	if err := policy.SaveStore(filepath.Join(dir, manifestName), policy.NewStableStore(nil).WithMeta(raw)); err != nil {
 		return fmt.Errorf("mpcd: writing manifest: %w", err)
+	}
+	if err := sweepSnapshot(dir, keep); err != nil {
+		return err
 	}
 	s.bump(func(st *serverStats) { st.checkpointedSess += len(sessions) })
 	return nil
@@ -97,44 +110,38 @@ func (s *Server) SaveSnapshot(dir string) error {
 func (sess *Session) snapshot(dir string) (sessionManifest, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	var buf bytes.Buffer
-	if err := policy.EncodeStore(&buf, sess.cluster.Checkpoint().Store()); err != nil {
-		return sessionManifest{}, fmt.Errorf("mpcd: encoding session %s: %w", sess.ID, err)
-	}
-	name := "session-" + sess.ID + ".store"
-	if err := writeFileAtomic(filepath.Join(dir, name), buf.Bytes()); err != nil {
+	name := sessionFilePrefix + sess.ID + sessionFileSuffix
+	if err := policy.SaveStore(filepath.Join(dir, name), sess.cluster.Checkpoint().Store()); err != nil {
 		return sessionManifest{}, fmt.Errorf("mpcd: writing session %s: %w", sess.ID, err)
 	}
 	dictNames := make([]string, sess.dict.Len())
 	for i := range dictNames {
 		dictNames[i] = sess.dict.Name(rel.Value(i))
 	}
-	sm := sessionManifest{
-		ID:            sess.ID,
-		P:             sess.p,
-		Seed:          sess.seed,
-		Dict:          dictNames,
-		Facts:         sess.facts,
-		BudgetTotal:   sess.budgetTotal,
-		BudgetSpent:   sess.budgetSpent,
-		Queries:       sess.queries,
-		Reused:        sess.reused,
-		Repartitioned: sess.repartitioned,
-		Gathered:      sess.gathered,
-		Store:         name,
-	}
-	if sess.anchor != nil {
-		sm.Anchor = sess.anchor.text
-	}
-	return sm, nil
+	return sessionManifest{SessionStatus: sess.statusLocked(), Seed: sess.seed, Dict: dictNames, Store: name}, nil
 }
 
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+// sweepSnapshot removes from dir the files of the snapshot writer's own
+// two patterns — session images and writer temporaries — that keep, the
+// images the manifest just landed names, does not hold. Anything else
+// in the directory is not ours to touch.
+func sweepSnapshot(dir string, keep map[string]bool) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("mpcd: sweeping snapshot dir: %w", err)
 	}
-	return os.Rename(tmp, path)
+	for _, e := range entries {
+		name := e.Name()
+		stale := strings.HasSuffix(name, policy.TempSuffix) ||
+			strings.HasPrefix(name, sessionFilePrefix) && strings.HasSuffix(name, sessionFileSuffix) && !keep[name]
+		if !stale {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			return fmt.Errorf("mpcd: sweeping snapshot dir: %w", err)
+		}
+	}
+	return nil
 }
 
 // LoadSnapshot builds a server from a snapshot directory written by
@@ -146,12 +153,15 @@ func writeFileAtomic(path string, data []byte) error {
 // snapshot, or the restored layout would not be the one the anchor's
 // grid describes.
 func LoadSnapshot(dir string, cfg Config) (*Server, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	img, err := policy.LoadStore(filepath.Join(dir, manifestName))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%w in %s", ErrNoSnapshot, dir)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("mpcd: reading manifest: %w", err)
 	}
 	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
+	if err := json.Unmarshal(img.Meta(), &m); err != nil {
 		return nil, fmt.Errorf("mpcd: decoding manifest: %w", err)
 	}
 	if m.Version != snapshotVersion {
@@ -177,27 +187,23 @@ func LoadSnapshot(dir string, cfg Config) (*Server, error) {
 // restoreSession rebuilds one session from its manifest entry. The
 // session is not yet published, so no locking is needed.
 func (s *Server) restoreSession(dir string, sm sessionManifest) (*Session, error) {
-	if !sessionIDPat.MatchString(sm.ID) {
-		return nil, fmt.Errorf("mpcd: snapshot session id %q is invalid", sm.ID)
+	if !sessionIDPat.MatchString(sm.Session) {
+		return nil, fmt.Errorf("mpcd: snapshot session id %q is invalid", sm.Session)
 	}
 	// filepath.Base forecloses traversal via a hand-edited manifest.
-	raw, err := os.ReadFile(filepath.Join(dir, filepath.Base(sm.Store)))
+	store, err := policy.LoadStore(filepath.Join(dir, filepath.Base(sm.Store)))
 	if err != nil {
-		return nil, fmt.Errorf("mpcd: reading session %s store: %w", sm.ID, err)
-	}
-	store, err := policy.DecodeStore(bytes.NewReader(raw))
-	if err != nil {
-		return nil, fmt.Errorf("mpcd: decoding session %s store: %w", sm.ID, err)
+		return nil, fmt.Errorf("mpcd: reading session %s store: %w", sm.Session, err)
 	}
 	if store.NumNodes() != sm.P {
-		return nil, fmt.Errorf("mpcd: session %s store has %d nodes, manifest says %d", sm.ID, store.NumNodes(), sm.P)
+		return nil, fmt.Errorf("mpcd: session %s store has %d nodes, manifest says %d", sm.Session, store.NumNodes(), sm.P)
 	}
 	dict := rel.NewDict()
 	for _, n := range sm.Dict {
 		dict.Value(n)
 	}
 	sess := &Session{
-		ID:            sm.ID,
+		ID:            sm.Session,
 		srv:           s,
 		p:             sm.P,
 		seed:          sm.Seed,
@@ -215,7 +221,7 @@ func (s *Server) restoreSession(dir string, sm sessionManifest) (*Session, error
 	if sm.Anchor != "" {
 		sq, aerr := sess.parseQuery(LangCQ, sm.Anchor, "")
 		if aerr != nil {
-			return nil, fmt.Errorf("mpcd: session %s anchor %q: %s", sm.ID, sm.Anchor, aerr.Message)
+			return nil, fmt.Errorf("mpcd: session %s anchor %q: %s", sm.Session, sm.Anchor, aerr.Message)
 		}
 		sess.anchor = sq
 	}

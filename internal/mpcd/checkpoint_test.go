@@ -2,11 +2,16 @@ package mpcd
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mpclogic/internal/mpc"
+	"mpclogic/internal/policy"
 )
 
 // seedSessions primes a server with two sessions and a warm anchor in
@@ -133,6 +138,19 @@ func TestCheckpointEndpoint(t *testing.T) {
 	}
 }
 
+// writeManifest lands m in dir through the snapshot writer's own path,
+// so a hand-built manifest differs from a real one only in what it says.
+func writeManifest(t *testing.T, dir string, m manifest) {
+	t.Helper()
+	raw, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := policy.SaveStore(filepath.Join(dir, manifestName), policy.NewStableStore(nil).WithMeta(raw)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{})
@@ -155,27 +173,185 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 		t.Fatal("LoadSnapshot accepted a corrupted fragment image")
 	}
 
-	// Missing manifest.
-	if _, err := LoadSnapshot(t.TempDir(), Config{}); err == nil {
-		t.Fatal("LoadSnapshot accepted an empty directory")
+	// A session image the manifest names is missing: the snapshot is
+	// there and broken, which is not "no snapshot".
+	if err := os.Remove(storePath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshot(dir, Config{}); err == nil || errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("LoadSnapshot with a session image missing: %v, want a hard error", err)
+	}
+
+	// Missing manifest: the one case that is ErrNoSnapshot.
+	if _, err := LoadSnapshot(t.TempDir(), Config{}); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("LoadSnapshot of an empty directory: %v, want ErrNoSnapshot", err)
+	}
+
+	// A manifest from before the manifest was an image (plain JSON under
+	// the same name) fails loudly; it does not look like an empty dir.
+	dir1 := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir1, manifestName), []byte(`{"version": 1, "seed": 1}`), 0o644); err != nil {
+		t.Fatalf("write manifest: %v", err)
+	}
+	if _, err := LoadSnapshot(dir1, Config{}); err == nil || errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("LoadSnapshot of a version-1 JSON manifest: %v, want a hard error", err)
 	}
 
 	// Future manifest version.
 	dir2 := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir2, manifestName), []byte(`{"version": 99}`), 0o644); err != nil {
-		t.Fatalf("write manifest: %v", err)
-	}
+	writeManifest(t, dir2, manifest{Version: 99})
 	if _, err := LoadSnapshot(dir2, Config{}); err == nil {
 		t.Fatal("LoadSnapshot accepted a future manifest version")
 	}
 
-	// Traversal in the manifest's store path stays inside the dir.
-	dir3 := t.TempDir()
-	m := `{"version": 1, "seed": 1, "sessions": [{"id": "x", "p": 8, "store": "../../etc/passwd"}]}`
-	if err := os.WriteFile(filepath.Join(dir3, manifestName), []byte(m), 0o644); err != nil {
-		t.Fatalf("write manifest: %v", err)
+	// Traversal in the manifest's store path stays inside the dir: a
+	// perfectly good image one level up is not what the entry names.
+	outer := t.TempDir()
+	dir3 := filepath.Join(outer, "snap")
+	if err := os.Mkdir(dir3, 0o755); err != nil {
+		t.Fatal(err)
 	}
+	if err := policy.SaveStore(filepath.Join(outer, "outside.store"), mpc.NewCluster(8).Checkpoint().Store()); err != nil {
+		t.Fatal(err)
+	}
+	writeManifest(t, dir3, manifest{Version: snapshotVersion, Seed: 1, Sessions: []sessionManifest{{SessionStatus: SessionStatus{Session: "x", P: 8}, Store: "../outside.store"}}})
 	if _, err := LoadSnapshot(dir3, Config{}); err == nil {
 		t.Fatal("LoadSnapshot followed a traversal store path")
+	}
+
+	// The same session named twice.
+	dir4 := t.TempDir()
+	if err := policy.SaveStore(filepath.Join(dir4, "session-x.store"), mpc.NewCluster(8).Checkpoint().Store()); err != nil {
+		t.Fatal(err)
+	}
+	twice := sessionManifest{SessionStatus: SessionStatus{Session: "x", P: 8}, Store: "session-x.store"}
+	writeManifest(t, dir4, manifest{Version: snapshotVersion, Seed: 1, Sessions: []sessionManifest{twice}})
+	if _, err := LoadSnapshot(dir4, Config{}); err != nil {
+		t.Fatalf("a hand-built manifest naming one good image does not load: %v", err)
+	}
+	writeManifest(t, dir4, manifest{Version: snapshotVersion, Seed: 1, Sessions: []sessionManifest{twice, twice}})
+	if _, err := LoadSnapshot(dir4, Config{}); err == nil {
+		t.Fatal("LoadSnapshot accepted a manifest naming a session twice")
+	}
+}
+
+// TestSnapshotDirForgetsDeletedSessions: a snapshot directory holds the
+// last snapshot and nothing of the ones before it — the image of a
+// session deleted since, and a temporary a crashed writer left, are
+// gone once the new manifest has landed; a file that is not the
+// writer's stays; and what is left restores byte-identically.
+func TestSnapshotDirForgetsDeletedSessions(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{})
+	do(t, "POST", ts1.URL+"/v1/sessions", createRequest{ID: "a", Generator: "cycle", N: 16})
+	do(t, "POST", ts1.URL+"/v1/sessions", createRequest{ID: "b", Facts: transferFacts()})
+	query(t, ts1.URL, "b", anchorQ)
+	if err := s1.SaveSnapshot(dir); err != nil {
+		t.Fatalf("first save: %v", err)
+	}
+
+	s2, err := LoadSnapshot(dir, Config{})
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	if status, raw := do(t, "DELETE", ts2.URL+"/v1/sessions/a", nil); status != http.StatusOK {
+		t.Fatalf("delete: %d %s", status, raw)
+	}
+	_, want := do(t, "POST", ts2.URL+"/v1/query", queryRequest{Session: "b", Query: coveredQ3})
+	for _, stray := range []string{"session-b.store" + policy.TempSuffix, manifestName + policy.TempSuffix, "notes.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, stray), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s2.SaveSnapshot(dir); err != nil {
+		t.Fatalf("second save: %v", err)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got, want := fmt.Sprint(names), fmt.Sprint([]string{manifestName, "notes.txt", "session-b.store"}); got != want {
+		t.Fatalf("snapshot directory holds %s, want %s", got, want)
+	}
+
+	// Reference: the same history on a server that never went down.
+	_, tsRef := newTestServer(t, Config{})
+	do(t, "POST", tsRef.URL+"/v1/sessions", createRequest{ID: "b", Facts: transferFacts()})
+	query(t, tsRef.URL, "b", anchorQ)
+	_, wantRef := do(t, "POST", tsRef.URL+"/v1/query", queryRequest{Session: "b", Query: coveredQ3})
+	if string(want) != string(wantRef) {
+		t.Fatalf("restored reply differs from the never-restarted server's:\n  got  %s\n  want %s", want, wantRef)
+	}
+	s3, err := LoadSnapshot(dir, Config{})
+	if err != nil {
+		t.Fatalf("load after the sweep: %v", err)
+	}
+	ts3 := httptest.NewServer(s3.Handler())
+	defer ts3.Close()
+	if s3.Sessions() != 1 {
+		t.Fatalf("%d sessions restored, want b alone", s3.Sessions())
+	}
+	_, got := do(t, "POST", ts3.URL+"/v1/query", queryRequest{Session: "b", Query: coveredQ3})
+	_, wantNext := do(t, "POST", tsRef.URL+"/v1/query", queryRequest{Session: "b", Query: coveredQ3})
+	if string(got) != string(wantNext) {
+		t.Fatalf("b's reply after the second restart diverged:\n  got  %s\n  want %s", got, wantNext)
+	}
+}
+
+// TestSnapshotBitFlipLaw: every single-bit mutation (fixed stride on
+// large files, as policy's FuzzStoreImage samples) of every file of a
+// saved snapshot — the manifest with a non-empty dict, an anchor and a
+// partly spent budget, and both session images — makes LoadSnapshot
+// return an error, never a server: no byte a restart trusts is outside
+// a checksum.
+func TestSnapshotBitFlipLaw(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{})
+	seedSessions(t, ts.URL)
+	if err := s.SaveSnapshot(dir); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	restored, err := LoadSnapshot(dir, Config{})
+	if err != nil {
+		t.Fatalf("the undamaged snapshot does not load: %v", err)
+	}
+	ck1, aerr := restored.session("ck1")
+	if aerr != nil || ck1.dict.Len() == 0 || ck1.anchor == nil || ck1.budgetSpent == 0 || ck1.budgetSpent >= ck1.budgetTotal {
+		t.Fatalf("the snapshot under test lacks a dict, an anchor or a partly spent budget: %+v (err %v)", ck1, aerr)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 3 {
+		t.Fatalf("snapshot directory has %d entries (err %v), want a manifest and two session images", len(entries), err)
+	}
+	for _, e := range entries {
+		path := filepath.Join(dir, e.Name())
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stride := 1
+		if nbits := len(img) * 8; nbits > 2048 {
+			stride = nbits / 2048
+		}
+		for bitpos := 0; bitpos < len(img)*8; bitpos += stride {
+			mut := append([]byte(nil), img...)
+			mut[bitpos/8] ^= 1 << (bitpos % 8)
+			if err := os.WriteFile(path, mut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadSnapshot(dir, Config{}); err == nil {
+				t.Fatalf("LoadSnapshot built a server from %s with bit %d flipped", e.Name(), bitpos)
+			}
+		}
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -26,9 +26,10 @@
 //
 // Sessions are checkpointable: a session's cluster runs the plain,
 // zero-overhead round path and is snapshotted only on demand
-// (Cluster.Checkpoint), and that image, encoded with
-// policy.EncodeStore, makes a drained server restartable with every
-// session warm (see checkpoint.go).
+// (Cluster.Checkpoint), and that image, landed by policy.SaveStore
+// beside a manifest that is itself a policy store image, makes a
+// drained server restartable with every session warm (see
+// checkpoint.go).
 //
 // Determinism is the serving invariant: for a fixed session and query
 // sequence, every response body is byte-identical regardless of how

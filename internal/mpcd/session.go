@@ -370,6 +370,10 @@ func renderFacts(out *rel.Instance, d *rel.Dict) []string {
 func (sess *Session) status() SessionStatus {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	return sess.statusLocked()
+}
+
+func (sess *Session) statusLocked() SessionStatus {
 	st := SessionStatus{
 		Session:         sess.ID,
 		P:               sess.p,

@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mpclogic/internal/mpc"
+	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 	"mpclogic/internal/workload"
 )
@@ -61,6 +64,32 @@ func specMatrix() []ProgramSpec {
 	}
 }
 
+// assertMatchesLocal holds a distributed run to the simulator's: output,
+// per-server fragments, logical trace and cost metrics, byte for byte.
+func assertMatchesLocal(t *testing.T, got, want *RunResult) {
+	t.Helper()
+	if g, w := got.Output.String(), want.Output.String(); g != w {
+		t.Errorf("distributed output diverged:\n got %s\nwant %s", g, w)
+	}
+	if len(got.Fragments) != len(want.Fragments) {
+		t.Fatalf("fragment count %d, want %d", len(got.Fragments), len(want.Fragments))
+	}
+	for i := range want.Fragments {
+		if !got.Fragments[i].Equal(want.Fragments[i]) {
+			t.Errorf("worker %d final fragment diverged from server %d", i, i)
+		}
+	}
+	if got.Trace != want.Trace {
+		t.Errorf("distributed logical trace diverged:\n got %q\nwant %q", got.Trace, want.Trace)
+	}
+	if got.MaxLoad != want.MaxLoad || got.TotalComm != want.TotalComm ||
+		got.DeltaComm != want.DeltaComm || got.Rounds != want.Rounds {
+		t.Errorf("distributed cost metrics diverged: maxload %d/%d, total %d/%d, delta %d/%d, rounds %d/%d",
+			got.MaxLoad, want.MaxLoad, got.TotalComm, want.TotalComm,
+			got.DeltaComm, want.DeltaComm, got.Rounds, want.Rounds)
+	}
+}
+
 // TestDistributedMatchesLocal is the process-level half of the
 // tentpole invariant: a program executed by one worker per server —
 // real fragment servers, real pulls over loopback sockets, per-round
@@ -85,26 +114,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("distributed run: %v", err)
 			}
-			if g, w := got.Output.String(), want.Output.String(); g != w {
-				t.Errorf("distributed output diverged:\n got %s\nwant %s", g, w)
-			}
-			if len(got.Fragments) != len(want.Fragments) {
-				t.Fatalf("fragment count %d, want %d", len(got.Fragments), len(want.Fragments))
-			}
-			for i := range want.Fragments {
-				if !got.Fragments[i].Equal(want.Fragments[i]) {
-					t.Errorf("worker %d final fragment diverged from server %d", i, i)
-				}
-			}
-			if got.Trace != want.Trace {
-				t.Errorf("distributed logical trace diverged:\n got %q\nwant %q", got.Trace, want.Trace)
-			}
-			if got.MaxLoad != want.MaxLoad || got.TotalComm != want.TotalComm ||
-				got.DeltaComm != want.DeltaComm || got.Rounds != want.Rounds {
-				t.Errorf("distributed cost metrics diverged: maxload %d/%d, total %d/%d, delta %d/%d, rounds %d/%d",
-					got.MaxLoad, want.MaxLoad, got.TotalComm, want.TotalComm,
-					got.DeltaComm, want.DeltaComm, got.Rounds, want.Rounds)
-			}
+			assertMatchesLocal(t, got, want)
 			if got.Respawns != 0 {
 				t.Errorf("fault-free run recorded %d respawns", got.Respawns)
 			}
@@ -172,9 +182,34 @@ func TestBuildRejects(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundtrip pins the durable format: write, read back,
-// and recover the exact state and accounting; latestCheckpoint finds
-// the newest round and ignores other workers' files.
+// slotRounds lists the rounds worker index's checkpoint files in dir
+// hold, ascending, read from each image's cursor; more than the two
+// slots' files is a failure.
+func slotRounds(t *testing.T, dir string, index int) []int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("worker-%d.*", index)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) > 2 {
+		t.Errorf("worker %d has %d checkpoint files %v, want at most its two slots", index, len(files), files)
+	}
+	var rounds []int
+	for _, f := range files {
+		cur, _, err := readCheckpoint(f)
+		if err != nil {
+			t.Fatalf("checkpoint file does not load: %v", err)
+		}
+		rounds = append(rounds, cur.Round)
+	}
+	sort.Ints(rounds)
+	return rounds
+}
+
+// TestCheckpointRoundtrip pins the durable state: write, read back, and
+// recover the exact state and accounting from the slot resume rewinds
+// to (latest−1); another worker's files are not this worker's, and a
+// worker with no files starts fresh.
 func TestCheckpointRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	state := rel.NewInstance()
@@ -183,83 +218,73 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	received := []int{4, 0, 7}
 	deltaSent := []int{1, 0, 2}
 	for r := 0; r <= 3; r++ {
-		if err := writeCheckpoint(dir, 2, r, received, deltaSent, state); err != nil {
+		if err := writeCheckpoint(dir, 2, cursor{Round: r, Received: received[:r], DeltaSent: deltaSent[:r]}, state); err != nil {
 			t.Fatalf("write round %d: %v", r, err)
 		}
 	}
-	if err := writeCheckpoint(dir, 1, 9, nil, nil, rel.NewInstance()); err != nil {
+	if err := writeCheckpoint(dir, 1, cursor{Round: 9}, rel.NewInstance()); err != nil {
 		t.Fatal(err)
 	}
 
-	if got := latestCheckpoint(dir, 2); got != 3 {
-		t.Errorf("latestCheckpoint = %d, want 3", got)
-	}
-	if got := latestCheckpoint(dir, 0); got != -1 {
-		t.Errorf("latestCheckpoint for a fresh worker = %d, want -1", got)
-	}
-
-	ck, recovered, err := readCheckpoint(dir, 2, 3)
+	cur, recovered, err := resumeCheckpoint(dir, 2)
 	if err != nil {
-		t.Fatalf("read: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
-	if ck.Round != 3 {
-		t.Errorf("recovered round %d, want 3", ck.Round)
+	if cur.Round != 2 {
+		t.Errorf("resuming at round %d, want 2 (latest−1)", cur.Round)
 	}
 	if !recovered.Equal(state) {
 		t.Errorf("recovered state %v, want %v", recovered, state)
 	}
-	for i := range received {
-		if ck.Received[i] != received[i] || ck.DeltaSent[i] != deltaSent[i] {
-			t.Fatalf("recovered accounting %v/%v, want %v/%v", ck.Received, ck.DeltaSent, received, deltaSent)
-		}
+	if fmt.Sprint(cur.Received, cur.DeltaSent) != fmt.Sprint(received[:2], deltaSent[:2]) {
+		t.Errorf("recovered accounting %v/%v, want %v/%v", cur.Received, cur.DeltaSent, received[:2], deltaSent[:2])
+	}
+	if cur, _, err := resumeCheckpoint(dir, 0); cur != nil || err != nil {
+		t.Errorf("a worker without checkpoints resumes at %+v (err %v), want a fresh start", cur, err)
 	}
 }
 
-// TestCheckpointGC: GC removes exactly this worker's rounds below the
-// keep bound, recovery still works from the retained set, and other
-// workers' checkpoints are untouched.
-func TestCheckpointGC(t *testing.T) {
+// TestCheckpointSlots is retention by construction: after the write of
+// every round r the worker holds exactly rounds {r−1, r} in at most two
+// files — nothing collects the older ones, the rename replaced them —
+// resume rewinds to r−1, and another worker's slots are untouched.
+func TestCheckpointSlots(t *testing.T) {
 	dir := t.TempDir()
 	state := rel.NewInstance()
 	state.Add(rel.NewFact("E", 1, 2))
-	for r := 0; r <= 3; r++ {
-		if err := writeCheckpoint(dir, 0, r, []int{1}, []int{0}, state); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := writeCheckpoint(dir, 1, 0, nil, nil, rel.NewInstance()); err != nil {
+	if err := writeCheckpoint(dir, 1, cursor{Round: 0}, rel.NewInstance()); err != nil {
 		t.Fatal(err)
 	}
-
-	gcCheckpoints(dir, 0, 2)
-
-	if got := latestCheckpoint(dir, 0); got != 3 {
-		t.Errorf("latestCheckpoint after GC = %d, want 3", got)
-	}
-	// The resume path (latest−1 = 2) must still recover.
-	ck, recovered, err := readCheckpoint(dir, 0, 2)
-	if err != nil {
-		t.Fatalf("retained checkpoint unreadable after GC: %v", err)
-	}
-	if ck.Round != 2 || !recovered.Equal(state) {
-		t.Errorf("recovery after GC diverged: round %d, state %v", ck.Round, recovered)
-	}
-	for _, r := range []int{0, 1} {
-		if _, _, err := readCheckpoint(dir, 0, r); err == nil {
-			t.Errorf("round %d checkpoint survived GC", r)
+	for r := 0; r <= 5; r++ {
+		if err := writeCheckpoint(dir, 0, cursor{Round: r, Received: make([]int, r), DeltaSent: make([]int, r)}, state); err != nil {
+			t.Fatal(err)
+		}
+		want := []int{r - 1, r}
+		if r == 0 {
+			want = []int{0}
+		}
+		if got := slotRounds(t, dir, 0); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("after round %d's write the slots hold rounds %v, want %v", r, got, want)
+		}
+		cur, recovered, err := resumeCheckpoint(dir, 0)
+		if err != nil {
+			t.Fatalf("resume after round %d's write: %v", r, err)
+		}
+		if cur.Round != want[0] || !recovered.Equal(state) {
+			t.Errorf("resume after round %d's write: round %d, state %v", r, cur.Round, recovered)
 		}
 	}
-	if got := latestCheckpoint(dir, 1); got != 0 {
-		t.Errorf("GC touched another worker's checkpoints (latest now %d)", got)
+	if got := slotRounds(t, dir, 1); fmt.Sprint(got) != "[0]" {
+		t.Errorf("another worker's slots now hold rounds %v, want [0]", got)
 	}
 }
 
-// TestDistributedRunGCsCheckpoints: a completed run leaves each worker
-// with at most the two newest checkpoints on disk — the bounded
-// footprint the GC promises — while the run's output still matches
-// the simulator (checked by TestDistributedMatchesLocal; here we only
-// pin the disk state).
-func TestDistributedRunGCsCheckpoints(t *testing.T) {
+// TestDistributedRunKeepsTwoSlots: a completed run of R rounds leaves
+// each worker with exactly its two slots on disk, holding rounds
+// {R−2, R−1} — the bounded footprint the slots promise — while the
+// run's output still matches the simulator (checked by
+// TestDistributedMatchesLocal; here we only pin the disk state).
+func TestDistributedRunKeepsTwoSlots(t *testing.T) {
 	spec := ProgramSpec{Program: "cascade", P: 4, M: 24, Seed: 11}
 	dir := t.TempDir()
 	if _, err := Run(RunConfig{Spec: spec, CkptDir: dir, FailWorker: -1, FailRound: -1, Spawn: goSpawner}); err != nil {
@@ -270,28 +295,84 @@ func TestDistributedRunGCsCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := len(built.Rounds) - 1
-	entries, err := os.ReadDir(dir)
+	for idx := 0; idx < built.P; idx++ {
+		if got, want := slotRounds(t, dir, idx), []int{last - 1, last}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("worker %d retains rounds %v, want %v", idx, got, want)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2*built.P {
+		t.Errorf("checkpoint directory holds %d entries (err %v), want %d", len(entries), err, 2*built.P)
+	}
+}
+
+// TestTornFirstCheckpointRecovers: a crash between a checkpoint's write
+// and its rename leaves the writer's temporary behind, under the name
+// the parent format gave it or this one's. Neither is a checkpoint: the
+// worker starts fresh and the run equals the simulator's. (Start-up
+// used to count the first as round 0 and die on every respawn.)
+func TestTornFirstCheckpointRecovers(t *testing.T) {
+	spec := ProgramSpec{Program: "tc", P: 3, M: 10, Seed: 7}
+	dir := t.TempDir()
+	for _, torn := range []string{"worker-1-round-0.ckpt.tmp", filepath.Base(ckptPath(dir, 1, 0)) + policy.TempSuffix} {
+		if err := os.WriteFile(filepath.Join(dir, torn), []byte(`{"round":0,"sta`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := RunLocal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perWorker := map[int][]int{}
-	for _, e := range entries {
-		var idx, round int
-		if _, err := fmt.Sscanf(e.Name(), "worker-%d-round-%d.ckpt", &idx, &round); err != nil {
-			continue
-		}
-		perWorker[idx] = append(perWorker[idx], round)
+	got, err := Run(RunConfig{Spec: spec, CkptDir: dir, FailWorker: -1, FailRound: -1, Spawn: goSpawner})
+	if err != nil {
+		t.Fatalf("distributed run over a torn temporary: %v", err)
 	}
-	if len(perWorker) != built.P {
-		t.Fatalf("checkpoints for %d workers, want %d", len(perWorker), built.P)
+	assertMatchesLocal(t, got, want)
+	if got.Respawns != 0 {
+		t.Errorf("%d respawns: the torn temporary cost an incarnation", got.Respawns)
 	}
-	for idx, rounds := range perWorker {
-		if len(rounds) > 2 {
-			t.Errorf("worker %d retains %d checkpoints %v, want at most 2", idx, len(rounds), rounds)
+}
+
+// TestCheckpointBitFlipLaw: after a multi-round run, every single-bit
+// mutation (fixed stride on large files, as FuzzStoreImage samples) of
+// either slot of any worker makes that worker's resume an error — never
+// a state — because cursor and fragment alike sit under the image's
+// checksum. Undamaged, every worker resumes at the round before last.
+func TestCheckpointBitFlipLaw(t *testing.T) {
+	spec := ProgramSpec{Program: "tc", P: 3, M: 10, Seed: 7}
+	dir := t.TempDir()
+	res, err := Run(RunConfig{Spec: spec, CkptDir: dir, FailWorker: -1, FailRound: -1, Spawn: goSpawner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds < 3 {
+		t.Fatalf("%d rounds, want a multi-round run", res.Rounds)
+	}
+	for idx := 0; idx < spec.P; idx++ {
+		if cur, _, err := resumeCheckpoint(dir, idx); err != nil || cur == nil || cur.Round != res.Rounds-2 {
+			t.Fatalf("worker %d resumes at %+v (err %v), want round %d", idx, cur, err, res.Rounds-2)
 		}
-		for _, r := range rounds {
-			if r < last-1 {
-				t.Errorf("worker %d retains unreachable round %d (last round is %d)", idx, r, last)
+		for slot := 0; slot < 2; slot++ {
+			path := ckptPath(dir, idx, slot)
+			img, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stride := 1
+			if nbits := len(img) * 8; nbits > 2048 {
+				stride = nbits / 2048
+			}
+			for bitpos := 0; bitpos < len(img)*8; bitpos += stride {
+				mut := append([]byte(nil), img...)
+				mut[bitpos/8] ^= 1 << (bitpos % 8)
+				if err := os.WriteFile(path, mut, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if cur, _, err := resumeCheckpoint(dir, idx); err == nil {
+					t.Fatalf("worker %d resumed at %+v from a slot %d with bit %d flipped", idx, cur, slot, bitpos)
+				}
+			}
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -11,10 +11,11 @@
 // deterministically, and the worker's slice of the initial placement
 // is the same k%p round-robin the simulator's LoadRoundRobin performs.
 // That purity is what makes recovery trivial to reason about: a killed
-// worker reloads its latest checkpoint (written through the policy
-// store encoding) and re-executes; determinism guarantees the re-run
-// publishes byte-identical fragments, so the rest of the cluster
-// cannot tell a recovery from a slow network.
+// worker reloads the older of its two checkpoint slots — each a policy
+// store image (policy.SaveStore/LoadStore, the module's one durable
+// format) whose meta section is the round cursor — and re-executes;
+// determinism guarantees the re-run publishes byte-identical fragments,
+// so the rest of the cluster cannot tell a recovery from a slow network.
 package mpcnet
 
 import (

@@ -1,10 +1,10 @@
 package mpcnet
 
 import (
-	"bytes"
-	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -24,8 +24,8 @@ type WorkerConfig struct {
 	Spec ProgramSpec
 	// CoordAddr is the coordinator's control-plane address.
 	CoordAddr string
-	// CkptDir is where per-round checkpoints live. Shared by all
-	// incarnations of this worker; distinct workers may share it
+	// CkptDir is where the worker's two checkpoint slots live. Shared
+	// by all incarnations of this worker; distinct workers may share it
 	// because file names embed the index.
 	CkptDir string
 	// FailRound, when ≥ 0, kills the process with SIGKILL right after
@@ -35,111 +35,73 @@ type WorkerConfig struct {
 	FailRound int
 }
 
-// checkpoint is the durable state written at the START of each round:
-// everything needed to re-execute from that round. State goes through
-// the policy store encoding — the same bytes a checkpoint replica
-// would hold — wrapped in JSON with the round cursor and the logical
-// accounting accumulated so far.
-type checkpoint struct {
-	Round     int    `json:"round"`
-	Received  []int  `json:"received"`
-	DeltaSent []int  `json:"deltaSent"`
-	State     string `json:"state"` // base64(policy.EncodeStore of a 1-node store)
+// cursor is the meta section of a worker's checkpoint image, written at
+// the START of each round: the round about to run and the logical
+// accounting accumulated before it. The image's one fragment is the
+// worker's local instance at that point — together, everything needed
+// to re-execute from that round.
+type cursor struct {
+	Round     int   `json:"round"`
+	Received  []int `json:"received"`
+	DeltaSent []int `json:"deltaSent"`
 }
 
+// ckptPath is the slot worker index's round-r checkpoint lives in:
+// r mod 2. Landing round r therefore replaces round r−2, and a worker
+// holds exactly its two newest checkpoints with nothing to collect.
+// Distinct workers may share dir because the name embeds the index.
 func ckptPath(dir string, index, round int) string {
-	return filepath.Join(dir, fmt.Sprintf("worker-%d-round-%d.ckpt", index, round))
+	return filepath.Join(dir, fmt.Sprintf("worker-%d.ckpt%d", index, round%2))
 }
 
-// writeCheckpoint persists atomically (tmp + rename), so a crash
-// mid-write leaves the previous checkpoint set intact.
-func writeCheckpoint(dir string, index, round int, received, deltaSent []int, local *rel.Instance) error {
-	var buf bytes.Buffer
-	if err := policy.EncodeStore(&buf, policy.NewStableStore([]*rel.Instance{local})); err != nil {
-		return fmt.Errorf("mpcnet: encoding checkpoint state: %w", err)
-	}
-	ck := checkpoint{
-		Round:     round,
-		Received:  append([]int(nil), received...),
-		DeltaSent: append([]int(nil), deltaSent...),
-		State:     base64.StdEncoding.EncodeToString(buf.Bytes()),
-	}
-	enc, err := json.Marshal(ck)
+// writeCheckpoint lands the round's image in its slot atomically
+// (policy.SaveStore), so a crash mid-write leaves both slots intact.
+func writeCheckpoint(dir string, index int, cur cursor, local *rel.Instance) error {
+	meta, err := json.Marshal(cur)
 	if err != nil {
 		return err
 	}
-	tmp := ckptPath(dir, index, round) + ".tmp"
-	if err := os.WriteFile(tmp, enc, 0o644); err != nil {
-		return fmt.Errorf("mpcnet: writing checkpoint: %w", err)
+	store := policy.NewStableStore([]*rel.Instance{local}).WithMeta(meta)
+	if err := policy.SaveStore(ckptPath(dir, index, cur.Round), store); err != nil {
+		return fmt.Errorf("mpcnet: writing checkpoint %d: %w", cur.Round, err)
 	}
-	return os.Rename(tmp, ckptPath(dir, index, round))
+	return nil
 }
 
-func readCheckpoint(dir string, index, round int) (*checkpoint, *rel.Instance, error) {
-	enc, err := os.ReadFile(ckptPath(dir, index, round))
+func readCheckpoint(path string) (*cursor, *rel.Instance, error) {
+	store, err := policy.LoadStore(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	var ck checkpoint
-	if err := json.Unmarshal(enc, &ck); err != nil {
-		return nil, nil, fmt.Errorf("mpcnet: decoding checkpoint %d: %w", round, err)
-	}
-	raw, err := base64.StdEncoding.DecodeString(ck.State)
-	if err != nil {
-		return nil, nil, fmt.Errorf("mpcnet: decoding checkpoint %d state: %w", round, err)
-	}
-	store, err := policy.DecodeStore(bytes.NewReader(raw))
-	if err != nil {
-		return nil, nil, fmt.Errorf("mpcnet: decoding checkpoint %d store: %w", round, err)
-	}
 	if store.NumNodes() != 1 {
-		return nil, nil, fmt.Errorf("mpcnet: checkpoint %d holds %d fragments, want 1", round, store.NumNodes())
+		return nil, nil, fmt.Errorf("mpcnet: checkpoint %s holds %d fragments, want 1", path, store.NumNodes())
 	}
-	return &ck, store.Reload(0), nil
+	var cur cursor
+	if err := json.Unmarshal(store.Meta(), &cur); err != nil {
+		return nil, nil, fmt.Errorf("mpcnet: decoding checkpoint %s cursor: %w", path, err)
+	}
+	return &cur, store.Reload(0), nil
 }
 
-// checkpointRounds lists the rounds this worker has a checkpoint for in
-// dir (none when the directory is unreadable). Other workers' files are
-// skipped — the name embeds the index — so a shared checkpoint directory
-// stays safe.
-func checkpointRounds(dir string, index int) []int {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var rounds []int
-	for _, e := range entries {
-		var idx, round int
-		if _, err := fmt.Sscanf(e.Name(), "worker-%d-round-%d.ckpt", &idx, &round); err == nil && idx == index {
-			rounds = append(rounds, round)
+// resumeCheckpoint returns the checkpoint a fresh incarnation of worker
+// index re-executes from: the older of its slots, which hold rounds
+// latest−1 and latest (round 0 alone before round 1 has landed) — or a
+// nil cursor when neither slot exists (fresh start). A slot that exists
+// and does not load is an error, never a reason to start elsewhere.
+func resumeCheckpoint(dir string, index int) (cur *cursor, state *rel.Instance, _ error) {
+	for slot := 0; slot < 2; slot++ {
+		c, st, err := readCheckpoint(ckptPath(dir, index, slot))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		if cur == nil || c.Round < cur.Round {
+			cur, state = c, st
 		}
 	}
-	return rounds
-}
-
-// gcCheckpoints removes this worker's checkpoints for rounds below
-// keepFrom. Best-effort by design: recovery only ever reads the two
-// newest checkpoints (resume is latest−1), which the caller retains,
-// and a failed unlink merely leaves a little extra disk for the next
-// GC pass to retry.
-func gcCheckpoints(dir string, index, keepFrom int) {
-	for _, round := range checkpointRounds(dir, index) {
-		if round < keepFrom {
-			_ = os.Remove(ckptPath(dir, index, round)) //lint:allow error-discard best-effort space reclamation; recovery needs only the retained newest two checkpoints
-		}
-	}
-}
-
-// latestCheckpoint is this worker's highest checkpoint round in dir, or
-// -1 when none exists (fresh start).
-func latestCheckpoint(dir string, index int) int {
-	latest := -1
-	for _, round := range checkpointRounds(dir, index) {
-		if round > latest {
-			latest = round
-		}
-	}
-	return latest
+	return cur, state, nil
 }
 
 // RunWorker executes one worker's share of the program, every step of
@@ -155,7 +117,7 @@ func latestCheckpoint(dir string, index int) int {
 // Recovery: a fresh incarnation resumes from max(0, latest-1) where
 // latest is the highest checkpoint on disk — the one-round rewind of
 // the data plane's retention invariant (internal/mpc/plane.go), which
-// is also what bounds how many checkpoints and published rounds a
+// is also why two checkpoint slots and two published rounds are all a
 // worker keeps. Re-executing from latest-1 re-publishes (byte-identical,
 // by determinism) everything any peer could still ask for, and the
 // re-pulls succeed because peers retain the same two rounds.
@@ -198,22 +160,20 @@ func RunWorker(cfg WorkerConfig) error {
 	local := WorkerSlice(built.Input, p, cfg.Index)
 	var received, deltaSent []int
 	start := 0
-	if latest := latestCheckpoint(cfg.CkptDir, cfg.Index); latest >= 0 {
-		resume := latest - 1
-		if resume < 0 {
-			resume = 0
-		}
-		ck, state, err := readCheckpoint(cfg.CkptDir, cfg.Index, resume)
+	if cfg.CkptDir != "" {
+		cur, state, err := resumeCheckpoint(cfg.CkptDir, cfg.Index)
 		if err != nil {
-			return fmt.Errorf("mpcnet: worker %d resuming at round %d: %w", cfg.Index, resume, err)
+			return fmt.Errorf("mpcnet: worker %d resuming: %w", cfg.Index, err)
 		}
-		local, received, deltaSent, start = state, ck.Received, ck.DeltaSent, ck.Round
+		if cur != nil {
+			local, received, deltaSent, start = state, cur.Received, cur.DeltaSent, cur.Round
+		}
 	}
 
 	for r := start; r < len(built.Rounds); r++ {
 		round := built.Rounds[r]
 		if cfg.CkptDir != "" {
-			if err := writeCheckpoint(cfg.CkptDir, cfg.Index, r, received, deltaSent, local); err != nil {
+			if err := writeCheckpoint(cfg.CkptDir, cfg.Index, cursor{Round: r, Received: received, DeltaSent: deltaSent}, local); err != nil {
 				return err
 			}
 		}
@@ -254,10 +214,10 @@ func RunWorker(cfg WorkerConfig) error {
 		deltaSent = append(deltaSent, shard.DeltaSent)
 		if cfg.CkptDir != "" && r > 0 {
 			// Round r's pulls are complete, so by the retention invariant
-			// nothing below r−1 is reachable: reclaim those checkpoints and
-			// published rounds. (Without checkpoints a respawn rewinds to
-			// round 0, so everything stays.)
-			gcCheckpoints(cfg.CkptDir, cfg.Index, r-1)
+			// nothing below r−1 is reachable: reclaim those published
+			// rounds (their checkpoints' slots are already overwritten).
+			// Without checkpoints a respawn rewinds to round 0, so
+			// everything stays.
 			srv.RetireBelow(uint64(r - 1))
 		}
 	}

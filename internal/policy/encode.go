@@ -1,31 +1,33 @@
 package policy
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 
 	"mpclogic/internal/rel"
 )
 
 // Durable encoding for StableStore: the same canonical fragment format
 // the MPC transports ship (rel.EncodeInstance), framed per node with a
-// length prefix. One encoding serves both spill (a store written to
-// disk survives the process, which is what lets a killed worker
-// process recover its partition) and the wire (a store streamed to a
-// peer is byte-identical to the file).
+// length prefix, behind an opaque meta section for what the owner must
+// restore beside the fragments. This is the module's only durable
+// format: every checkpoint and snapshot file is one such image, landed
+// by SaveStore and parsed by LoadStore, and by nothing else.
 //
 // Format (integers little-endian):
 //
-//	store := magic u32 | version u16 | nodes u32
-//	       | nodes × (fragLen u32 | fragment bytes)
+//	store := magic u32 | version u16 | metaLen u32 | meta bytes
+//	       | nodes u32 | nodes × (fragLen u32 | fragment bytes)
 //	       | crc u32
 //
 // where each fragment is a canonical rel instance encoding and the
-// trailing crc is CRC-32C over every preceding byte, computed
-// incrementally as the store streams — neither encoder nor decoder
-// buffers the image. Decoding is strict — bad magic/version,
+// trailing crc is CRC-32C over every preceding byte, meta included,
+// computed incrementally as the store streams — neither encoder nor
+// decoder buffers the image. Decoding is strict — bad magic/version,
 // truncation, oversized prefixes, trailing bytes, and checksum
 // mismatches are errors, never panics — because checkpoint files
 // outlive the process that wrote them and may arrive damaged.
@@ -34,24 +36,28 @@ const (
 	storeMagic uint32 = 0x53504d43 // "CMPS" little-endian
 	// StoreVersion is the checkpoint format version; bump on layout
 	// changes so stale files fail loudly instead of misparsing.
-	// Version 2 added the trailing CRC-32C checksum.
-	StoreVersion uint16 = 2
+	// Version 2 added the trailing CRC-32C checksum, 3 the meta section.
+	StoreVersion uint16 = 3
+	// TempSuffix is what SaveStore appends to the target's name while
+	// the image streams; no durable file's own name ends in it.
+	TempSuffix = ".tmp"
 )
 
 // storeCRCTable is the Castagnoli polynomial table shared by encoder
 // and decoder.
 var storeCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// EncodeStore writes the store's durable fragments to w, followed by a
-// CRC-32C of everything written.
+// EncodeStore writes the store's meta and durable fragments to w,
+// followed by a CRC-32C of everything written.
 func EncodeStore(w io.Writer, s *StableStore) error {
 	digest := crc32.New(storeCRCTable)
 	mw := io.MultiWriter(w, digest)
-	var hdr [10]byte
-	binary.LittleEndian.PutUint32(hdr[0:], storeMagic)
-	binary.LittleEndian.PutUint16(hdr[4:], StoreVersion)
-	binary.LittleEndian.PutUint32(hdr[6:], uint32(len(s.parts)))
-	if _, err := mw.Write(hdr[:]); err != nil {
+	hdr := binary.LittleEndian.AppendUint32(nil, storeMagic)
+	hdr = binary.LittleEndian.AppendUint16(hdr, StoreVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(s.meta)))
+	hdr = append(hdr, s.meta...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(s.parts)))
+	if _, err := mw.Write(hdr); err != nil {
 		return fmt.Errorf("policy: encoding store header: %w", err)
 	}
 	for κ, part := range s.parts {
@@ -73,6 +79,18 @@ func EncodeStore(w io.Writer, s *StableStore) error {
 	return nil
 }
 
+// readCapped reads a meta or fragment section of declared length n,
+// refusing a length above the cap before allocating for it.
+func readCapped(r io.Reader, n uint32) ([]byte, error) {
+	const maxSection = 1 << 30
+	if n > maxSection {
+		return nil, fmt.Errorf("%d bytes declared (cap %d)", n, maxSection)
+	}
+	b := make([]byte, n)
+	_, err := io.ReadFull(r, b)
+	return b, err
+}
+
 // DecodeStore reads a store written by EncodeStore. It consumes
 // exactly the encoded bytes, verifies the trailing checksum over
 // everything before it, and verifies r is exhausted, so a truncated,
@@ -90,24 +108,26 @@ func DecodeStore(r io.Reader) (*StableStore, error) {
 	if v := binary.LittleEndian.Uint16(hdr[4:]); v != StoreVersion {
 		return nil, fmt.Errorf("policy: unsupported store version %d (this decoder speaks %d)", v, StoreVersion)
 	}
-	nodes := binary.LittleEndian.Uint32(hdr[6:])
+	meta, err := readCapped(tr, binary.LittleEndian.Uint32(hdr[6:]))
+	if err != nil {
+		return nil, fmt.Errorf("policy: reading store meta: %w", err)
+	}
+	var pre [4]byte
+	if _, err := io.ReadFull(tr, pre[:]); err != nil {
+		return nil, fmt.Errorf("policy: reading store node count: %w", err)
+	}
+	nodes := binary.LittleEndian.Uint32(pre[:])
 	const maxNodes = 1 << 20 // sanity cap far above any real cluster
 	if nodes > maxNodes {
 		return nil, fmt.Errorf("policy: store declares %d nodes (cap %d)", nodes, maxNodes)
 	}
-	s := &StableStore{parts: make([]*rel.Instance, 0, nodes)}
+	s := &StableStore{meta: meta, parts: make([]*rel.Instance, 0, nodes)}
 	for κ := uint32(0); κ < nodes; κ++ {
-		var pre [4]byte
 		if _, err := io.ReadFull(tr, pre[:]); err != nil {
 			return nil, fmt.Errorf("policy: reading node %d length: %w", κ, err)
 		}
-		fragLen := binary.LittleEndian.Uint32(pre[:])
-		const maxFrag = 1 << 30
-		if fragLen > maxFrag {
-			return nil, fmt.Errorf("policy: node %d fragment declares %d bytes (cap %d)", κ, fragLen, maxFrag)
-		}
-		frag := make([]byte, fragLen)
-		if _, err := io.ReadFull(tr, frag); err != nil {
+		frag, err := readCapped(tr, binary.LittleEndian.Uint32(pre[:]))
+		if err != nil {
 			return nil, fmt.Errorf("policy: reading node %d fragment: %w", κ, err)
 		}
 		inst, err := rel.DecodeInstance(frag)
@@ -131,6 +151,41 @@ func DecodeStore(r io.Reader) (*StableStore, error) {
 		return nil, fmt.Errorf("policy: trailing bytes after a complete store")
 	case err != io.EOF:
 		return nil, fmt.Errorf("policy: checking for trailing bytes: %w", err)
+	}
+	return s, nil
+}
+
+// SaveStore lands s's image at path atomically: it streams into
+// path+TempSuffix beside the target and is renamed over it, so a reader
+// finds the previous image or this one, never part of either. Nothing
+// is fsynced: the fault model is process death (SIGKILL), which the
+// page cache survives.
+func SaveStore(path string, s *StableStore) error {
+	f, err := os.Create(path + TempSuffix)
+	if err != nil {
+		return err
+	}
+	err = EncodeStore(f, s)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(path+TempSuffix, path)
+}
+
+// LoadStore reads the image at path, every DecodeStore check applied. A
+// missing file is reported as fs.ErrNotExist (errors.Is).
+func LoadStore(path string) (*StableStore, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close() // read-only; close is best-effort
+	s, err := DecodeStore(bufio.NewReader(f))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
 }

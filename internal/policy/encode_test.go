@@ -2,6 +2,10 @@ package policy
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,7 +19,7 @@ func storeSample() *StableStore {
 	b := rel.NewInstance() // one empty fragment, a real shape after skewed placement
 	c := rel.NewInstance()
 	c.Add(rel.NewFact("R", -5, 9))
-	return NewStableStore([]*rel.Instance{a, b, c})
+	return NewStableStore([]*rel.Instance{a, b, c}).WithMeta([]byte("cursor"))
 }
 
 // TestStoreEncodeRoundTrip: a decoded store must reload fragment-equal
@@ -40,6 +44,9 @@ func TestStoreEncodeRoundTrip(t *testing.T) {
 		if !got.Reload(Node(κ)).Equal(s.Reload(Node(κ))) {
 			t.Errorf("node %d fragment changed across the round-trip", κ)
 		}
+	}
+	if string(got.Meta()) != "cursor" {
+		t.Errorf("meta %q across the round-trip, want %q", got.Meta(), "cursor")
 	}
 	var again bytes.Buffer
 	if err := EncodeStore(&again, got); err != nil {
@@ -84,6 +91,9 @@ func TestStoreDecodeRejects(t *testing.T) {
 		{"empty", nil, "header"},
 		{"bad magic", append([]byte{9, 9, 9, 9}, good[4:]...), "magic"},
 		{"bad version", append(append(append([]byte(nil), good[:4]...), 0xff, 0xff), good[6:]...), "version"},
+		{"version 2 image", append(append(append([]byte(nil), good[:4]...), 2, 0), good[6:]...), "version"},
+		{"truncated mid-meta", good[:12], "meta"},
+		{"oversized meta", append(append(append([]byte(nil), good[:6]...), 0xff, 0xff, 0xff, 0xff), good[10:]...), "bytes declared"},
 		{"truncated mid-fragment", good[:len(good)-6], "fragment"},
 		{"truncated mid-checksum", good[:len(good)-2], "checksum"},
 		{"checksum mismatch", append(append([]byte(nil), good[:len(good)-1]...), good[len(good)-1]^1), "checksum mismatch"},
@@ -99,5 +109,92 @@ func TestStoreDecodeRejects(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestStoreMetaIsolation: WithMeta is a new header over the same
+// fragments — the receiver keeps its own meta, and neither the slice
+// passed in nor the one Meta hands out aliases the store's.
+func TestStoreMetaIsolation(t *testing.T) {
+	base := storeSample()
+	meta := []byte("round 3")
+	s := base.WithMeta(meta)
+	meta[0] = 'X'
+	s.Meta()[1] = 'X'
+	if got := string(s.Meta()); got != "round 3" {
+		t.Errorf("meta %q after mutating the caller's slices, want %q", got, "round 3")
+	}
+	if got := string(base.Meta()); got != "cursor" {
+		t.Errorf("WithMeta changed its receiver's meta to %q", got)
+	}
+	if s.NumNodes() != base.NumNodes() || !s.Reload(0).Equal(base.Reload(0)) {
+		t.Error("WithMeta changed the fragments")
+	}
+	if NewStableStore(nil).Meta() != nil {
+		t.Error("a store built without meta reports some")
+	}
+}
+
+// TestSaveLoadStore: the file writer lands exactly EncodeStore's bytes
+// under the target name and leaves no temporary behind; a torn
+// temporary from a crashed writer is neither read nor in the way; the
+// reader applies every decoder check and reports absence as
+// fs.ErrNotExist.
+func TestSaveLoadStore(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "image")
+	if _, err := LoadStore(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("loading a missing image: %v, want fs.ErrNotExist", err)
+	}
+	if err := os.WriteFile(path+TempSuffix, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadStore(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a torn temporary was taken for the image: %v", err)
+	}
+
+	for _, s := range []*StableStore{NewStableStore(nil), storeSample()} { // the second save replaces the first
+		if err := SaveStore(path, s); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		var want bytes.Buffer
+		if err := EncodeStore(&want, s); err != nil {
+			t.Fatal(err)
+		}
+		onDisk, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(onDisk, want.Bytes()) {
+			t.Fatal("the file is not the store's image")
+		}
+		got, err := LoadStore(path)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		var again bytes.Buffer
+		if err := EncodeStore(&again, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), want.Bytes()) {
+			t.Fatal("save→load→encode is not the image saved")
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+			t.Fatalf("directory holds %d entries (err %v), want the image alone", len(entries), err)
+		}
+	}
+
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, onDisk[:len(onDisk)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadStore(path); err == nil || errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("loading a truncated image: %v, want a decoding error", err)
+	}
+	if err := SaveStore(filepath.Join(dir, "no-such-dir", "image"), storeSample()); err == nil {
+		t.Fatal("saving into a missing directory succeeded")
 	}
 }

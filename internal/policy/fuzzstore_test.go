@@ -9,7 +9,8 @@ import (
 
 // buildFuzzStore interprets script as a construction program over a
 // small store: each 3-byte step adds a fact to one of up to four node
-// partitions, so images regularly mix empty and populated fragments.
+// partitions, so images regularly mix empty and populated fragments,
+// and a prefix of the script rides along as the meta section.
 func buildFuzzStore(script []byte) *StableStore {
 	parts := make([]*rel.Instance, 4)
 	for i := range parts {
@@ -21,7 +22,7 @@ func buildFuzzStore(script []byte) *StableStore {
 		name := names[int(op>>2)%len(names)]
 		parts[int(op)%len(parts)].Add(rel.NewFact(name, rel.Value(a%13), rel.Value(b%13)))
 	}
-	return NewStableStore(parts)
+	return NewStableStore(parts).WithMeta(script[:len(script)/3])
 }
 
 // FuzzStoreImage drives the checkpoint codec from both directions:

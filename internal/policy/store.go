@@ -17,7 +17,11 @@ import (
 // mutation of a node's working state never leaks into what a restart
 // recovers: reloads always reproduce the original distribution
 // loc-inst(κ).
+//
+// Beside the fragments a store carries an opaque meta section for its
+// owner, which EncodeStore/DecodeStore keep under the image's checksum.
 type StableStore struct {
+	meta  []byte
 	parts []*rel.Instance
 }
 
@@ -35,6 +39,15 @@ func NewStableStore(parts []*rel.Instance) *StableStore {
 // recover after a crash.
 func StoreFromPolicy(p Policy, i *rel.Instance) *StableStore {
 	return NewStableStore(Distribute(p, i))
+}
+
+// Meta returns a copy of the store's meta section (nil when empty).
+func (s *StableStore) Meta() []byte { return append([]byte(nil), s.meta...) }
+
+// WithMeta returns a store with a copy of meta as its meta section over
+// the same fragments, which are immutable and so safely shared.
+func (s *StableStore) WithMeta(meta []byte) *StableStore {
+	return &StableStore{meta: append([]byte(nil), meta...), parts: s.parts}
 }
 
 // NumNodes returns the number of fragments held.
