@@ -101,35 +101,42 @@ byzantine:
 # bound, Close with idle streams), the conformance suite on both the
 # Local and TCP transports, the program matrix over real sockets
 # (byte-identical output, state, and logical trace), the chaos-over-TCP
-# fault matrix, the multi-process runtime against the simulator (one
-# dial per peer per run, a result barrier that outlasts the I/O bound,
-# two checkpoint slots per worker whatever the round, a torn first
-# checkpoint that costs nothing, every flipped bit of a slot refused),
-# and the kill-at-every-round recovery e2e on the real binary.
+# fault matrix, the multi-process runtime against the simulator (the
+# plan matrix on all three executors, the spec's wire form, one dial per
+# peer per run, a result barrier that outlasts the I/O bound, two
+# checkpoint slots per worker whatever the round, a torn first checkpoint
+# that costs nothing, every flipped bit of a slot refused),
+# and the e2e suite on the real binary: local against tcp on tc and on
+# the merged menu, rejected flags, kill-at-every-round recovery.
 transport:
 	$(GO) test -run 'TestArmedHavocIsOnTheWire|TestPull|TestRetireBelow|TestMergeInboxRejectsUndecodableFragment|TestStream|TestPostThenPull|TestFailedPostRecoversInPull|TestIdleStreamOutlivesIOBound|TestCloseEndsIdleStreams' ./internal/mpc
 	$(GO) test -run 'TestLocalConformance|TestTCPConformance' ./internal/mpc/transportconf
 	$(GO) test -run 'TestTransportEquivalence|TestChaosOverTCP' ./internal/gym
-	$(GO) test -run 'TestDistributedMatchesLocal|TestRunDialsEachPeerOnce|TestResultBarrierOutlastsIOBound|TestCheckpointSlots|TestDistributedRunKeepsTwoSlots|TestTornFirstCheckpointRecovers|TestCheckpointBitFlipLaw' ./internal/mpcnet
+	$(GO) test -run 'TestPlanMatrixAcrossExecutors|TestSpecJSONRoundTrip|TestDistributedMatchesLocal|TestRunDialsEachPeerOnce|TestResultBarrierOutlastsIOBound|TestCheckpointSlots|TestDistributedRunKeepsTwoSlots|TestTornFirstCheckpointRecovers|TestCheckpointBitFlipLaw' ./internal/mpcnet
 	$(GO) test -run 'TestE2E' ./cmd/mpcrun
 
 # netsweep drives the installed binary end to end, wider than the
-# transport gate: every distributed program at p ∈ {2,4,8} must print
-# the same report bytes over local and tcp, and a SIGKILL-recovery run
-# at each of the tc program's four rounds must be indistinguishable
+# transport gate: the five programs on their home workloads, the
+# (workload, algorithm) pairs only the simulator could run before the
+# menus merged, and a planner-chosen plan, each at p ∈ {2,4,8}, must
+# print the same report bytes over local and tcp; and a SIGKILL-recovery
+# run at each of the tc program's four rounds must be indistinguishable
 # from the undisturbed reference.
 netsweep:
 	$(GO) build -o .mpcrun_sweep ./cmd/mpcrun
-	set -e; for prog in tc cascade hypercube yannakakis gym; do \
+	set -e; for flags in "-algo tc" "-algo cascade" "-algo hypercube" "-algo yannakakis" "-algo gym" \
+	    "-workload join -algo repartition" "-workload join -algo grouping -skew 0.5" \
+	    "-workload chain -algo yannakakis" "-workload triangle -algo hypercube -wcoj" \
+	    "-workload triangle -algo gym" "-workload join -skew 0.5"; do \
 	  for p in 2 4 8; do \
-	    ./.mpcrun_sweep -transport local -program $$prog -p $$p -m 24 -seed 7 > .net_local.txt; \
-	    ./.mpcrun_sweep -transport tcp   -program $$prog -p $$p -m 24 -seed 7 > .net_tcp.txt; \
-	    diff .net_local.txt .net_tcp.txt || { echo "netsweep: $$prog p=$$p diverged"; exit 1; }; \
+	    ./.mpcrun_sweep -transport local $$flags -p $$p -m 24 -seed 7 > .net_local.txt; \
+	    ./.mpcrun_sweep -transport tcp   $$flags -p $$p -m 24 -seed 7 > .net_tcp.txt; \
+	    diff .net_local.txt .net_tcp.txt || { echo "netsweep: $$flags p=$$p diverged"; exit 1; }; \
 	  done; \
 	done
-	./.mpcrun_sweep -transport local -program tc -p 4 -m 24 -seed 7 > .net_local.txt
+	./.mpcrun_sweep -transport local -algo tc -p 4 -m 24 -seed 7 > .net_local.txt
 	set -e; for r in 0 1 2 3; do \
-	  ./.mpcrun_sweep -transport tcp -program tc -p 4 -m 24 -seed 7 -fail-worker 1 -fail-round $$r > .net_kill.txt; \
+	  ./.mpcrun_sweep -transport tcp -algo tc -p 4 -m 24 -seed 7 -fail-worker 1 -fail-round $$r > .net_kill.txt; \
 	  diff .net_local.txt .net_kill.txt || { echo "netsweep: kill-recovery run at round $$r diverged"; exit 1; }; \
 	done
 	@rm -f .mpcrun_sweep .net_local.txt .net_tcp.txt .net_kill.txt

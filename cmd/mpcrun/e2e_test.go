@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -60,7 +61,7 @@ func TestE2ETransportEquivalence(t *testing.T) {
 		p := p
 		t.Run(fmt.Sprintf("tc/p=%d", p), func(t *testing.T) {
 			t.Parallel()
-			args := []string{"-program", "tc", "-p", fmt.Sprint(p), "-m", "24", "-seed", "7"}
+			args := []string{"-algo", "tc", "-p", fmt.Sprint(p), "-m", "24", "-seed", "7"}
 			want, _ := runBin(t, append([]string{"-transport", "local"}, args...)...)
 			got, _ := runBin(t, append([]string{"-transport", "tcp"}, args...)...)
 			if got != want {
@@ -73,6 +74,76 @@ func TestE2ETransportEquivalence(t *testing.T) {
 	}
 }
 
+// TestE2EMergedMenuOverTCP: pairs only the simulator could run before
+// the menus merged — a binary join under skew, the generic join inside
+// the HyperCube round, an algorithm left to its home workload — cross
+// the process boundary with the report intact.
+func TestE2EMergedMenuOverTCP(t *testing.T) {
+	for _, flags := range []string{
+		"-workload join -skew 0.5 -algo grouping -p 4",
+		"-workload triangle -algo hypercube -wcoj -p 8",
+		"-algo yannakakis -p 3",
+		"-workload join -skew 0.5 -p 9",
+	} {
+		flags := flags
+		t.Run(flags, func(t *testing.T) {
+			t.Parallel()
+			args := append(strings.Fields(flags), "-m", "24")
+			want, _ := runBin(t, args...)
+			got, _ := runBin(t, append([]string{"-transport", "tcp"}, args...)...)
+			if got != want {
+				t.Errorf("tcp report diverged from local:\n got:\n%s\nwant:\n%s", got, want)
+			}
+			if !strings.Contains(want, "result:   ") || strings.Contains(want, "result:   0 output") {
+				t.Errorf("the run answered nothing:\n%s", want)
+			}
+		})
+	}
+}
+
+// TestE2EReportNamesTheClusterThatRan: HyperCube rounds p = 5 down to a
+// 2·2·1 grid, and the plan line must say so rather than echo the flag.
+func TestE2EReportNamesTheClusterThatRan(t *testing.T) {
+	out, _ := runBin(t, "-algo", "hypercube", "-p", "5", "-m", "12")
+	if !strings.Contains(out, "plan:     hypercube p=4 (of 5 requested)") || !strings.Contains(out, "received [") {
+		t.Errorf("report does not name the four servers that ran:\n%s", out)
+	}
+	if out, _ := runBin(t, "-algo", "hypercube", "-p", "8", "-m", "12"); !strings.Contains(out, "plan:     hypercube p=8 —") {
+		t.Errorf("a width HyperCube uses in full is reported with a qualifier:\n%s", out)
+	}
+}
+
+// TestE2ERejectsBeforeAnythingRuns: a flag combination the plan cannot
+// elaborate exits 2 with one line on stderr and nothing on stdout — no
+// header for a run that never starts — under either transport.
+func TestE2ERejectsBeforeAnythingRuns(t *testing.T) {
+	cases := []string{"-algo tc -transport udp"}
+	for _, flags := range []string{
+		"-algo bogus",
+		"-algo repartition -workload triangle",
+		"-algo gym -wcoj",
+		"-algo yannakakis -workload triangle",
+		"-algo tc -workload join",
+		"-workload nope",
+	} {
+		cases = append(cases, flags+" -transport local", flags+" -transport tcp")
+	}
+	for _, flags := range cases {
+		args := strings.Fields(flags)
+		cmd := exec.Command(mpcrunBin, append(args, "-m", "12", "-p", "4")...)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("mpcrun %v: %v, want exit status 2", args, err)
+		}
+		if stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("mpcrun %v: stdout %q, stderr %q; want no stdout and one line of stderr", args, stdout.String(), stderr.String())
+		}
+	}
+}
+
 // TestE2EKillRecovery is the crash test, at every round of the program:
 // worker 1 SIGKILLs itself right after writing its round-r checkpoint,
 // the coordinator respawns it, and the respawn recovers from the
@@ -82,7 +153,7 @@ func TestE2ETransportEquivalence(t *testing.T) {
 // The report must still be byte-identical to the in-process reference —
 // a lost machine is invisible in every logical observable.
 func TestE2EKillRecovery(t *testing.T) {
-	args := []string{"-program", "tc", "-p", "4", "-m", "24", "-seed", "7"}
+	args := []string{"-algo", "tc", "-p", "4", "-m", "24", "-seed", "7"}
 	want, _ := runBin(t, append([]string{"-transport", "local"}, args...)...)
 	rounds := strings.Count(want, "\nround ")
 	if rounds < 3 {

@@ -1,23 +1,21 @@
-// Command mpcrun generates a synthetic workload, evaluates a
-// conjunctive query on the simulated MPC cluster with a chosen (or
-// planner-chosen) algorithm, and prints the cost profile the model
-// cares about: rounds, maximum load, total communication.
+// Command mpcrun generates a synthetic workload, evaluates a query on
+// an MPC cluster with a chosen (or planner-chosen) algorithm, and
+// prints the result and the cost profile the model cares about: the
+// per-round loads, rounds, maximum load, total communication.
 //
 // Usage:
 //
-//	mpcrun -workload triangle -m 10000 -p 64
+//	mpcrun -workload triangle -m 1000 -p 64
 //	mpcrun -workload join -skew 0.5 -algo grouping -p 16
-//	mpcrun -workload chain -algo yannakakis -p 8
+//	mpcrun -algo yannakakis -p 8
+//	mpcrun -algo tc -p 4 -m 32 -seed 7 -transport tcp
 //
-// With -transport the command leaves the single-process simulator and
-// executes a ProgramSpec on the distributed runtime:
-//
-//	mpcrun -transport local -program tc -p 4 -m 32 -seed 7
-//	mpcrun -transport tcp   -program tc -p 4 -m 32 -seed 7
-//
-// -transport local runs the in-process reference; -transport tcp
-// forks one worker process per simulated server (this same binary in
-// -worker mode) exchanging fragments over loopback TCP. Both print the
+// The flags make one mpcnet.ProgramSpec — -algo is its program (the
+// planner, core.ChoosePlan, picks one when it is empty), -workload its
+// input (default: the algorithm's home workload) — and -transport
+// picks the executor: local (the default) is the in-process simulator,
+// tcp forks one worker process per server (this same binary in -worker
+// mode) exchanging fragments over loopback TCP. Both print the
 // identical byte-for-byte report — that equality is the point, and the
 // e2e tests diff it verbatim. Worker processes checkpoint each round
 // under -ckpt, so a killed worker is respawned and recovers.
@@ -32,24 +30,20 @@ import (
 	"strconv"
 
 	"mpclogic/internal/core"
-	"mpclogic/internal/cq"
 	"mpclogic/internal/mpcnet"
-	"mpclogic/internal/rel"
-	"mpclogic/internal/workload"
 )
 
 func main() {
-	wl := flag.String("workload", "triangle", "workload: triangle | join | chain (simulator mode)")
+	wl := flag.String("workload", "", "workload: triangle | chain | join | graph (default: the algorithm's home workload)")
 	m := flag.Int("m", 10000, "tuples per relation")
 	p := flag.Int("p", 64, "number of servers")
-	skew := flag.Float64("skew", 0, "fraction of tuples sharing one heavy join value")
-	algo := flag.String("algo", "", "algorithm: hypercube | repartition | grouping | yannakakis | gym (default: planner decides)")
+	skew := flag.Float64("skew", 0, "fraction of tuples sharing one heavy join value (triangle, join)")
+	algo := flag.String("algo", "", "algorithm: hypercube | repartition | grouping | yannakakis | gym | cascade | tc (default: planner decides)")
 	oneRound := flag.Bool("one-round", true, "restrict the planner to one round")
 	wcoj := flag.Bool("wcoj", false, "use the worst-case-optimal generic join as the local engine (hypercube only)")
+	seed := flag.Uint64("seed", 7, "workload and routing seed")
 
-	transport := flag.String("transport", "", "distributed mode: local | tcp (default: single-process simulator)")
-	program := flag.String("program", "tc", "distributed program: tc | cascade | hypercube | yannakakis | gym")
-	seed := flag.Uint64("seed", 7, "workload and routing seed (distributed mode)")
+	transport := flag.String("transport", "local", "executor: local (in-process simulator) | tcp (one worker process per server)")
 	ckpt := flag.String("ckpt", "", "checkpoint directory (default: a temporary directory)")
 	failWorker := flag.Int("fail-worker", -1, "kill this worker once mid-program to exercise recovery (tcp mode)")
 	failRound := flag.Int("fail-round", 1, "round at which -fail-worker dies")
@@ -57,20 +51,74 @@ func main() {
 	worker := flag.Bool("worker", false, "internal: run as a worker process")
 	workerIndex := flag.Int("worker-index", -1, "internal: worker server index")
 	coord := flag.String("coord", "", "internal: coordinator control address")
-	spec := flag.String("spec", "", "internal: ProgramSpec as JSON")
+	specJSON := flag.String("spec", "", "internal: ProgramSpec as JSON")
 	failpoint := flag.Int("failpoint", -1, "internal: self-kill after checkpointing this round")
 	flag.Parse()
 
 	if *worker {
-		runWorker(*spec, *workerIndex, *coord, *ckpt, *failpoint)
+		runWorker(*specJSON, *workerIndex, *coord, *ckpt, *failpoint)
 		return
 	}
-	if *transport != "" {
-		runDistributed(*transport, mpcnet.ProgramSpec{Program: *program, P: *p, M: *m, Seed: *seed},
-			*ckpt, *failWorker, *failRound)
-		return
+	if *transport != "local" && *transport != "tcp" {
+		fail(2, fmt.Errorf("unknown transport %q (want local | tcp)", *transport))
 	}
-	runSimulator(*wl, *m, *p, *skew, *algo, *oneRound, *wcoj)
+
+	// Everything a flag can get wrong is rejected here, before a header
+	// line is printed or a process forked.
+	w, err := mpcnet.WorkloadFor(*wl, *algo)
+	if err != nil {
+		fail(2, err)
+	}
+	spec := mpcnet.ProgramSpec{Program: *algo, P: *p, M: *m, Seed: *seed, Workload: w.Name, Skew: *skew, WCOJ: *wcoj}
+	rationale := "algorithm forced on the command line"
+	if spec.Program == "" {
+		q, err := w.CQ()
+		if err != nil {
+			fail(2, err)
+		}
+		plan, err := core.ChoosePlan(q, spec.P, *oneRound, spec.Skew > 0)
+		if err != nil {
+			fail(2, err)
+		}
+		spec.Program, spec.WCOJ, rationale = string(plan.Algorithm), spec.WCOJ || plan.WCOJ, plan.Rationale
+	}
+	built, err := mpcnet.Build(spec)
+	if err != nil {
+		fail(2, err)
+	}
+
+	// The header names what will run: HyperCube rounds p down to a
+	// product of integer shares, so the width is the effective one, with
+	// the requested one beside it only where they differ.
+	fmt.Printf("workload: %s, m=%d per relation (%d facts), skew=%.2f, seed=%d\n",
+		w.Name, spec.M, built.Input.Len(), spec.Skew, spec.Seed)
+	if w.Query != "" {
+		fmt.Printf("query:    %s\n", w.Query)
+	}
+	width := fmt.Sprintf("p=%d", built.P)
+	if built.P != spec.P {
+		width += fmt.Sprintf(" (of %d requested)", spec.P)
+	}
+	fmt.Printf("plan:     %s %s — %s\n", spec.Program, width, rationale)
+	if skewed := core.DetectSkew(built.Input, built.Input.Len()/built.P); len(skewed) > 0 {
+		fmt.Printf("skew:     heavy hitters detected in %d relation column(s)\n", len(skewed))
+	}
+
+	// The byte-compared half: every field is a logical observable —
+	// nothing here may depend on which transport moved the bytes or on
+	// how many times a worker died (that goes to stderr).
+	res, err := run(*transport, spec, *ckpt, *failWorker, *failRound)
+	if err != nil {
+		fail(1, err)
+	}
+	fmt.Printf("result:   %d output facts\n", res.Output.Len())
+	fmt.Printf("output:   %s\n", res.Output)
+	fmt.Printf("trace:\n%s", res.Trace)
+	fmt.Printf("cost:     rounds=%d maxLoad=%d totalComm=%d deltaComm=%d\n",
+		res.Rounds, res.MaxLoad, res.TotalComm, res.DeltaComm)
+	if res.Respawns > 0 {
+		fmt.Fprintf(os.Stderr, "mpcrun: recovered %d worker incarnation(s)\n", res.Respawns)
+	}
 }
 
 // runWorker is the -worker entry point: one server of a distributed
@@ -78,7 +126,7 @@ func main() {
 func runWorker(specJSON string, index int, coord, ckpt string, failpoint int) {
 	var spec mpcnet.ProgramSpec
 	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
-		fatal(fmt.Errorf("worker spec: %w", err))
+		fail(1, fmt.Errorf("worker spec: %w", err))
 	}
 	err := mpcnet.RunWorker(mpcnet.WorkerConfig{
 		Index:     index,
@@ -88,7 +136,7 @@ func runWorker(specJSON string, index int, coord, ckpt string, failpoint int) {
 		FailRound: failpoint,
 	})
 	if err != nil {
-		fatal(fmt.Errorf("worker %d: %w", index, err))
+		fail(1, fmt.Errorf("worker %d: %w", index, err))
 	}
 }
 
@@ -129,126 +177,44 @@ func (p *execProc) Kill() {
 	}
 }
 
-// runDistributed executes spec on the chosen transport and prints the
-// canonical report. local and tcp must produce identical bytes on
-// stdout; anything run-dependent (respawn counts) goes to stderr.
-func runDistributed(transport string, spec mpcnet.ProgramSpec, ckpt string, failWorker, failRound int) {
-	var res *mpcnet.RunResult
-	var err error
-	switch transport {
-	case "local":
-		res, err = mpcnet.RunLocal(spec)
-	case "tcp":
-		dir := ckpt
-		if dir == "" {
-			dir, err = os.MkdirTemp("", "mpcrun-ckpt-*")
-			if err != nil {
-				fatal(err)
+// run executes spec on the chosen transport. local and tcp must
+// produce identical results; only the respawn count may differ.
+func run(transport string, spec mpcnet.ProgramSpec, ckpt string, failWorker, failRound int) (*mpcnet.RunResult, error) {
+	if transport == "local" {
+		return mpcnet.RunLocal(spec)
+	}
+	dir := ckpt
+	if dir == "" {
+		var err error
+		if dir, err = os.MkdirTemp("", "mpcrun-ckpt-*"); err != nil {
+			return nil, err
+		}
+		// Scratch checkpoints are junk once the run ends, but a failed
+		// cleanup should not pass silently — leaked directories add up
+		// across CI runs. Surface it on stderr, which is not byte-compared.
+		defer func() {
+			if rmErr := os.RemoveAll(dir); rmErr != nil {
+				fmt.Fprintf(os.Stderr, "mpcrun: leaking scratch checkpoint dir: %v\n", rmErr)
 			}
-			// Scratch checkpoints are junk once the run ends, but a failed
-			// cleanup should not pass silently — leaked directories add up
-			// across CI runs. Surface it on stderr; the report already went
-			// to stdout, so the byte-compared output stays clean.
-			defer func() {
-				if rmErr := os.RemoveAll(dir); rmErr != nil {
-					fmt.Fprintf(os.Stderr, "mpcrun: leaking scratch checkpoint dir: %v\n", rmErr)
-				}
-			}()
-		}
-		bin, berr := os.Executable()
-		if berr != nil {
-			fatal(berr)
-		}
-		res, err = mpcnet.Run(mpcnet.RunConfig{
-			Spec:       spec,
-			CkptDir:    dir,
-			FailWorker: failWorker,
-			FailRound:  failRound,
-			Spawn:      execSpawner(bin),
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "mpcrun: unknown transport %q (want local | tcp)\n", transport)
-		os.Exit(2)
+		}()
 	}
+	bin, err := os.Executable()
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	printDistributed(spec, res)
-	if res.Respawns > 0 {
-		fmt.Fprintf(os.Stderr, "mpcrun: recovered %d worker incarnation(s)\n", res.Respawns)
-	}
+	return mpcnet.Run(mpcnet.RunConfig{
+		Spec:       spec,
+		CkptDir:    dir,
+		FailWorker: failWorker,
+		FailRound:  failRound,
+		Spawn:      execSpawner(bin),
+	})
 }
 
-// printDistributed renders the byte-compared report: the spec line,
-// the sorted output, the full logical trace, and the cost line. Every
-// field is a logical observable — nothing here may depend on which
-// transport moved the bytes or on how many times a worker died.
-func printDistributed(spec mpcnet.ProgramSpec, res *mpcnet.RunResult) {
-	fmt.Printf("program: %s p=%d m=%d seed=%d\n", spec.Program, spec.P, spec.M, spec.Seed)
-	fmt.Printf("output:  %s\n", res.Output)
-	fmt.Printf("trace:\n%s", res.Trace)
-	fmt.Printf("cost:    rounds=%d maxLoad=%d totalComm=%d deltaComm=%d\n",
-		res.Rounds, res.MaxLoad, res.TotalComm, res.DeltaComm)
-}
-
-// runSimulator is the original single-process planner path.
-func runSimulator(wl string, m, p int, skew float64, algo string, oneRound, wcoj bool) {
-	d := rel.NewDict()
-	var q *cq.CQ
-	var inst *rel.Instance
-	switch wl {
-	case "triangle":
-		q = cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
-		if skew > 0 {
-			inst = workload.TriangleSkewed(m, skew)
-		} else {
-			inst = workload.TriangleSkewFree(m)
-		}
-	case "join":
-		q = cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z)")
-		if skew > 0 {
-			inst = workload.JoinSkewed(m, skew)
-		} else {
-			inst = workload.JoinSkewFree(m)
-		}
-	case "chain":
-		q = cq.MustParse(d, "H(a, dd) :- R0(a, b), R1(b, c), R2(c, dd)")
-		inst, _ = workload.AcyclicChain(3, m, 0.3, 1)
-	default:
-		fmt.Fprintf(os.Stderr, "mpcrun: unknown workload %q\n", wl)
-		os.Exit(2)
-	}
-
-	var plan *core.Plan
-	var err error
-	if algo != "" {
-		plan = &core.Plan{Algorithm: core.Algorithm(algo), Query: q, Servers: p, Seed: 42, WCOJ: wcoj}
-		plan.Rationale = "algorithm forced on the command line"
-	} else {
-		plan, err = core.ChoosePlan(q, p, oneRound, skew > 0)
-		if err != nil {
-			fatal(err)
-		}
-		plan.WCOJ = plan.WCOJ || wcoj
-	}
-	fmt.Printf("workload: %s, m=%d per relation (%d facts), p=%d, skew=%.2f\n",
-		wl, m, inst.Len(), p, skew)
-	fmt.Printf("query:    %s\n", q)
-	fmt.Printf("plan:     %s — %s\n", plan.Algorithm, plan.Rationale)
-	if skewed := core.DetectSkew(inst, inst.Len()/p); len(skewed) > 0 {
-		fmt.Printf("skew:     heavy hitters detected in %d relation column(s)\n", len(skewed))
-	}
-
-	res, err := core.Execute(plan, inst)
-	if err != nil {
-		fatal(err)
-	}
-	outCount := res.Output.Filter(func(f rel.Fact) bool { return f.Rel == q.Head.Rel }).Len()
-	fmt.Printf("result:   %d output facts\n", outCount)
-	fmt.Printf("cost:     rounds=%d maxLoad=%d totalComm=%d\n", res.Rounds, res.MaxLoad, res.TotalComm)
-}
-
-func fatal(err error) {
+// fail reports err and exits: status 2 for a command line that cannot
+// run — a bad flag value, a (workload, algorithm) pair the plan
+// rejects — and 1 for a run that broke.
+func fail(status int, err error) {
 	fmt.Fprintf(os.Stderr, "mpcrun: %v\n", err)
-	os.Exit(1)
+	os.Exit(status)
 }

@@ -16,8 +16,6 @@
 package core
 
 import (
-	"fmt"
-
 	"mpclogic/internal/cq"
 	"mpclogic/internal/datalog"
 	"mpclogic/internal/mono"
@@ -193,9 +191,4 @@ func StrategyFor(c CALMClass) string {
 // EvalDatalog runs a stratified Datalog program centrally.
 func EvalDatalog(p *datalog.Program, edb *rel.Instance, outRel string) (*rel.Instance, error) {
 	return datalog.EvalQuery(p, edb, outRel)
-}
-
-// fmtErr helps commands render consistent errors.
-func fmtErr(context string, err error) error {
-	return fmt.Errorf("core: %s: %w", context, err)
 }

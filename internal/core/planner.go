@@ -65,9 +65,69 @@ func ChoosePlan(q *cq.CQ, p int, oneRound, skewed bool) (*Plan, error) {
 	return plan, nil
 }
 
+// PlanError is the one error elaborating a plan returns: the plan names
+// no known algorithm, or one that does not fit its query or options.
+type PlanError struct {
+	Algorithm Algorithm
+	Err       error
+}
+
+func (e *PlanError) Error() string { return fmt.Sprintf("core: plan %q: %v", e.Algorithm, e.Err) }
+
+func (e *PlanError) Unwrap() error { return e.Err }
+
+// Program elaborates the plan into its round list and the number of
+// servers those rounds address (HyperCube may use fewer than
+// plan.Servers: its shares are integers). It is the one place an
+// algorithm name becomes rounds, and a pure function of the plan, so
+// every process of a distributed run derives the identical program.
+func (plan *Plan) Program() ([]mpc.Round, int, error) {
+	q, p, seed := plan.Query, plan.Servers, plan.Seed
+	rounds := make([]mpc.Round, 1)
+	var err error
+	switch plan.Algorithm {
+	case AlgoHyperCube:
+		var g *hypercube.Grid
+		if g, err = hypercube.NewOptimalGrid(q, p, seed); err != nil {
+			break
+		}
+		rounds[0], p = hypercube.HyperCubeRound(g), g.P()
+		if plan.WCOJ {
+			rounds[0].Compute = hypercube.GenericJoinCompute(q)
+		}
+	case AlgoRepartition:
+		rounds[0], err = hypercube.RepartitionJoin(q, p, seed)
+	case AlgoGrouping:
+		rounds[0], err = hypercube.GroupingJoin(q, p, seed)
+	case AlgoYannakakis:
+		rounds, err = gym.YannakakisProgram(q, p, seed)
+	case AlgoGYM:
+		rounds, _, err = gym.GYMProgram(q, p, seed)
+	default:
+		err = fmt.Errorf("unknown algorithm (want hypercube | repartition | grouping | yannakakis | gym)")
+	}
+	if err == nil && plan.WCOJ && plan.Algorithm != AlgoHyperCube {
+		err = fmt.Errorf("the generic join is the local engine of the HyperCube round only")
+	}
+	if err != nil {
+		return nil, 0, &PlanError{Algorithm: plan.Algorithm, Err: err}
+	}
+	return rounds, p, nil
+}
+
+// Simulate is the in-process executor: it loads inst round-robin onto a
+// fresh p-server cluster and runs the rounds. On error the partially
+// executed cluster is still returned.
+func Simulate(rounds []mpc.Round, p int, inst *rel.Instance) (*mpc.Cluster, error) {
+	c := mpc.NewCluster(p)
+	c.LoadRoundRobin(inst)
+	return c, c.Run(rounds...)
+}
+
 // Result of an executed plan.
 type Result struct {
 	Output    *rel.Instance
+	Trace     string // the cluster's logical trace, one line per round
 	Rounds    int
 	MaxLoad   int
 	TotalComm int
@@ -76,73 +136,15 @@ type Result struct {
 // Execute runs the plan on the instance and reports the MPC cost
 // profile.
 func Execute(plan *Plan, inst *rel.Instance) (*Result, error) {
-	switch plan.Algorithm {
-	case AlgoHyperCube:
-		g, err := hypercube.NewOptimalGrid(plan.Query, plan.Servers, plan.Seed)
-		if err != nil {
-			return nil, fmtErr("hypercube", err)
-		}
-		c := mpc.NewCluster(g.P())
-		c.LoadRoundRobin(inst)
-		round := hypercube.HyperCubeRound(g)
-		if plan.WCOJ {
-			q := plan.Query
-			round.Compute = func(_ int, local *rel.Instance) *rel.Instance {
-				out := rel.NewInstance()
-				res, err := cq.GenericJoin(q, local)
-				if err != nil {
-					out.EnsureRelation(q.Head.Rel, len(q.Head.Args))
-					return out
-				}
-				out.SetRelation(res)
-				return out
-			}
-		}
-		if err := c.Run(round); err != nil {
-			return nil, fmtErr("hypercube", err)
-		}
-		return resultOf(c), nil
-	case AlgoRepartition:
-		r, err := hypercube.RepartitionJoin(plan.Query, plan.Servers, plan.Seed)
-		if err != nil {
-			return nil, fmtErr("repartition", err)
-		}
-		c := mpc.NewCluster(plan.Servers)
-		c.LoadRoundRobin(inst)
-		if err := c.Run(r); err != nil {
-			return nil, fmtErr("repartition", err)
-		}
-		return resultOf(c), nil
-	case AlgoGrouping:
-		r, err := hypercube.GroupingJoin(plan.Query, plan.Servers, plan.Seed)
-		if err != nil {
-			return nil, fmtErr("grouping", err)
-		}
-		c := mpc.NewCluster(plan.Servers)
-		c.LoadRoundRobin(inst)
-		if err := c.Run(r); err != nil {
-			return nil, fmtErr("grouping", err)
-		}
-		return resultOf(c), nil
-	case AlgoYannakakis:
-		c, out, err := gym.DistributedYannakakis(plan.Query, plan.Servers, inst, plan.Seed)
-		if err != nil {
-			return nil, fmtErr("yannakakis", err)
-		}
-		return &Result{Output: out, Rounds: c.Rounds(), MaxLoad: c.MaxLoad(), TotalComm: c.TotalComm()}, nil
-	case AlgoGYM:
-		c, out, _, err := gym.GYM(plan.Query, plan.Servers, inst, plan.Seed)
-		if err != nil {
-			return nil, fmtErr("gym", err)
-		}
-		return &Result{Output: out, Rounds: c.Rounds(), MaxLoad: c.MaxLoad(), TotalComm: c.TotalComm()}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %q", plan.Algorithm)
+	rounds, p, err := plan.Program()
+	if err != nil {
+		return nil, err
 	}
-}
-
-func resultOf(c *mpc.Cluster) *Result {
-	return &Result{Output: c.Output(), Rounds: c.Rounds(), MaxLoad: c.MaxLoad(), TotalComm: c.TotalComm()}
+	c, err := Simulate(rounds, p, inst)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", plan.Algorithm, err)
+	}
+	return &Result{Output: c.Output(), Trace: c.LogicalTrace(), Rounds: c.Rounds(), MaxLoad: c.MaxLoad(), TotalComm: c.TotalComm()}, nil
 }
 
 // DetectSkew reports whether any relation of the instance has a value

@@ -58,15 +58,7 @@ func cellCBSFanTriangle() (*Result, error) {
 	hc.LoadRoundRobin(fan)
 	round := hypercube.HyperCubeRound(g)
 	// Pair the shuffle with the worst-case-optimal local engine.
-	round.Compute = func(_ int, local *rel.Instance) *rel.Instance {
-		out := rel.NewInstance()
-		r, err := cq.GenericJoin(tri, local)
-		if err != nil {
-			return out
-		}
-		out.SetRelation(r)
-		return out
-	}
+	round.Compute = hypercube.GenericJoinCompute(tri)
 	if err := hc.Run(round); err != nil {
 		return nil, err
 	}

@@ -184,43 +184,6 @@ func YannakakisProgram(q *cq.CQ, p int, seed uint64) ([]mpc.Round, error) {
 	return prog, nil
 }
 
-// RunYannakakisRounds executes the distributed Yannakakis program for
-// q over the cluster's current contents (raw input facts). It leaves
-// the result in relation head_Q across the cluster.
-//
-// If the cluster's executed history is already a prefix of the
-// program (a checkpoint-restored cluster, or a re-invocation after a
-// mid-program failure), execution resumes with the first outstanding
-// round instead of restarting.
-func RunYannakakisRounds(c *mpc.Cluster, q *cq.CQ, seed uint64) error {
-	prog, err := YannakakisProgram(q, c.P(), seed)
-	if err != nil {
-		return err
-	}
-	return runOrResume(c, prog)
-}
-
-// runOrResume resumes prog when the cluster's history is a prefix of
-// it (matching round names), and otherwise appends the whole program
-// to whatever the cluster ran before — the historical behavior for
-// callers composing programs by hand.
-func runOrResume(c *mpc.Cluster, prog []mpc.Round) error {
-	done := c.Rounds()
-	if done <= len(prog) {
-		match := true
-		for i, s := range c.Stats() {
-			if s.Name != prog[i].Name {
-				match = false
-				break
-			}
-		}
-		if match {
-			return c.RunResumable(prog...)
-		}
-	}
-	return c.Run(prog...)
-}
-
 // semijoinCombine returns a compute phase replacing relation a with
 // a ⋉ b on the given columns, leaving all other relations intact.
 func semijoinCombine(aName, bName string, aCols, bCols []int, aArity, bArity int) func(*rel.Instance) *rel.Instance {

@@ -100,18 +100,23 @@ func TestFaultTransparencyMatrix(t *testing.T) {
 // A run that exhausts its retry budget mid-program fails atomically at
 // round granularity; re-running the same program on the same cluster
 // after removing the fault plan resumes with the failed round instead
-// of restarting — via the public RunYannakakisRounds entry point.
+// of restarting — the program is data, so RunResumable skips the prefix
+// the cluster's history already holds.
 func TestRunYannakakisRoundsResumesAfterFailure(t *testing.T) {
 	d := rel.NewDict()
 	q := cq.MustParse(d, "H(a, dd) :- R0(a, b), R1(b, c), R2(c, dd)")
 	inst, _ := workload.AcyclicChain(3, 100, 0.4, 2)
 	want := cq.Output(q, inst)
+	prog, err := YannakakisProgram(q, 8, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Kill round 5 (a top-down semijoin) beyond the retry budget.
 	plan := mpc.NewFaultPlan().AddCrash(5, 1, mpc.DefaultRetryBudget+1)
 	c := mpc.NewCluster(8, mpc.WithFaultPlan(plan))
 	c.LoadRoundRobin(inst)
-	if err := RunYannakakisRounds(c, q, 42); err == nil {
+	if err := c.RunResumable(prog...); err == nil {
 		t.Fatal("budget-exceeding crash did not fail the run")
 	}
 	if c.Rounds() != 5 {
@@ -119,7 +124,7 @@ func TestRunYannakakisRoundsResumesAfterFailure(t *testing.T) {
 	}
 
 	c.SetFaultPlan(nil)
-	if err := RunYannakakisRounds(c, q, 42); err != nil {
+	if err := c.RunResumable(prog...); err != nil {
 		t.Fatal(err)
 	}
 	if c.Rounds() != 8 {

@@ -60,6 +60,20 @@ func evalCompute(q *cq.CQ) mpc.Compute {
 	}
 }
 
+// GenericJoinCompute evaluates q at each server with the worst-case-
+// optimal generic join instead of the binary-join plan — the local
+// engine Chu-Balazinska-Suciu pair with the HyperCube shuffle.
+func GenericJoinCompute(q *cq.CQ) mpc.Compute {
+	return func(_ int, local *rel.Instance) *rel.Instance {
+		out := rel.NewInstance()
+		out.EnsureRelation(q.Head.Rel, len(q.Head.Args))
+		if res, err := cq.GenericJoin(q, local); err == nil {
+			out.SetRelation(res)
+		}
+		return out
+	}
+}
+
 // RepartitionJoin is Example 3.1(1a): hash both relations on the
 // shared variables to one of p servers and join locally. Load is
 // O(m/p) without skew but degrades to Θ(m) when a join value is heavy.

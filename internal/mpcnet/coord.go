@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"mpclogic/internal/core"
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/rel"
 )
@@ -362,16 +363,16 @@ func assemble(built *Built, results map[int]workerResult) (*RunResult, error) {
 	return res, nil
 }
 
-// RunLocal executes the spec on the in-process simulator — the
-// reference the distributed run must match byte for byte.
+// RunLocal executes the spec on the in-process simulator (core.Simulate,
+// what core.Execute runs a plan on) — the reference the distributed run
+// must match byte for byte.
 func RunLocal(spec ProgramSpec) (*RunResult, error) {
 	built, err := Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	c := mpc.NewCluster(built.P)
-	c.LoadRoundRobin(built.Input)
-	if err := c.Run(built.Rounds...); err != nil {
+	c, err := core.Simulate(built.Rounds, built.P, built.Input)
+	if err != nil {
 		return nil, err
 	}
 	res := &RunResult{

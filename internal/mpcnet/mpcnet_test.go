@@ -3,6 +3,7 @@ package mpcnet
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"mpclogic/internal/core"
+	"mpclogic/internal/cq"
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
@@ -122,6 +125,122 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestPlanMatrixAcrossExecutors is the one matrix behind "one plan,
+// three executors": every (workload, algorithm, wcoj) triple, at three
+// widths, either runs identically — output, logical trace and cost — on
+// core.Execute, RunLocal and Run over goroutine workers, with the
+// answer the central evaluation gives, or is rejected by all three with
+// core's one typed error.
+func TestPlanMatrixAcrossExecutors(t *testing.T) {
+	algos := []core.Algorithm{core.AlgoHyperCube, core.AlgoRepartition, core.AlgoGrouping, core.AlgoYannakakis, core.AlgoGYM, "bogus"}
+	accepted := 0
+	for _, wl := range []string{"triangle", "chain", "join"} {
+		w, err := WorkloadFor(wl, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := w.CQ()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range algos {
+			for _, wcoj := range []bool{false, true} {
+				for _, p := range []int{3, 4, 8} {
+					spec := ProgramSpec{Program: string(algo), P: p, M: 18, Seed: 5, Workload: wl, Skew: 0.25, WCOJ: wcoj}
+					name := fmt.Sprintf("%s/%s/wcoj=%v/p=%d", wl, algo, wcoj, p)
+					input := w.gen(spec)
+					plan := &core.Plan{Algorithm: algo, Query: q, Servers: p, Seed: spec.Seed, WCOJ: wcoj}
+					sim, simErr := core.Execute(plan, input)
+					if simErr != nil {
+						_, localErr := RunLocal(spec)
+						_, netErr := Run(RunConfig{Spec: spec, FailWorker: -1, FailRound: -1, Spawn: goSpawner})
+						for executor, err := range map[string]error{"Execute": simErr, "RunLocal": localErr, "Run": netErr} {
+							var pe *core.PlanError
+							if !errors.As(err, &pe) || pe.Algorithm != algo {
+								t.Errorf("%s: %s rejected with %v, want a core.PlanError for %s", name, executor, err, algo)
+							}
+						}
+						continue
+					}
+					accepted++
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						local, err := RunLocal(spec)
+						if err != nil {
+							t.Fatalf("RunLocal: %v", err)
+						}
+						got, err := Run(RunConfig{Spec: spec, CkptDir: t.TempDir(), FailWorker: -1, FailRound: -1, Spawn: goSpawner})
+						if err != nil {
+							t.Fatalf("Run: %v", err)
+						}
+						assertMatchesLocal(t, got, local)
+						if !sim.Output.Equal(local.Output) || sim.Trace != local.Trace || sim.Rounds != local.Rounds ||
+							sim.MaxLoad != local.MaxLoad || sim.TotalComm != local.TotalComm {
+							t.Errorf("core.Execute diverged from RunLocal:\n got %s\n%s\nwant %s\n%s", sim.Output, sim.Trace, local.Output, local.Trace)
+						}
+						answers := local.Output.Filter(func(f rel.Fact) bool { return f.Rel == q.Head.Rel })
+						if want := cq.Output(q, input); !answers.Equal(want) {
+							t.Errorf("distributed answer has %d facts, central evaluation %d", answers.Len(), want.Len())
+						}
+					})
+				}
+			}
+		}
+	}
+	// 13 triples: hypercube everywhere with either engine, gym
+	// everywhere, yannakakis on the two acyclic queries, repartition
+	// and grouping on the binary join.
+	if want := 13 * 3; accepted != want {
+		t.Errorf("the plan accepted %d (triple, p) cells, want %d", accepted, want)
+	}
+}
+
+// TestSpecJSONRoundTrip: the spec is the plan's wire form — what a
+// worker decodes from its command line must elaborate to what the
+// coordinator built, and the fields a PR-15 spec did not have stay off
+// the wire when unset.
+func TestSpecJSONRoundTrip(t *testing.T) {
+	specs := append(specMatrix(),
+		ProgramSpec{Program: "grouping", P: 9, M: 20, Seed: 2, Workload: "join", Skew: 0.5},
+		ProgramSpec{Program: "hypercube", P: 8, M: 20, Seed: 2, Workload: "chain", WCOJ: true})
+	for _, spec := range specs {
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Workload == "" && string(enc) != fmt.Sprintf(`{"program":%q,"p":%d,"m":%d,"seed":%d}`, spec.Program, spec.P, spec.M, spec.Seed) {
+			t.Errorf("zero-valued fields on the wire: %s", enc)
+		}
+		var back ProgramSpec
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back != spec {
+			t.Fatalf("spec %+v came back as %+v", spec, back)
+		}
+		a, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Build(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra, err := core.Simulate(a.Rounds, a.P, a.Input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := core.Simulate(b.Rounds, b.P, b.Input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.P != b.P || !a.Input.Equal(b.Input) ||
+			ra.LogicalTrace() != rb.LogicalTrace() || !ra.Output().Equal(rb.Output()) {
+			t.Errorf("%+v: the decoded spec built a different program", spec)
+		}
+	}
+}
+
 // TestWorkerSliceMatchesRoundRobin pins the initial-placement
 // agreement: worker i's slice must be exactly what LoadRoundRobin
 // puts on server i, or the distributed run starts from a different
@@ -174,6 +293,11 @@ func TestBuildRejects(t *testing.T) {
 		{Program: "nope", P: 2, M: 10, Seed: 1},
 		{Program: "tc", P: 0, M: 10, Seed: 1},
 		{Program: "tc", P: 2, M: 0, Seed: 1},
+		{Program: "tc", P: 2, M: 10, Seed: 1, Workload: "triangle"},
+		{Program: "tc", P: 2, M: 10, Seed: 1, WCOJ: true},
+		{Program: "cascade", P: 4, M: 10, Seed: 1, Workload: "join"},
+		{Program: "hypercube", P: 4, M: 10, Seed: 1, Workload: "graph"},
+		{Program: "gym", P: 4, M: 10, Seed: 1, Workload: "nope"},
 	}
 	for _, spec := range cases {
 		if _, err := Build(spec); err == nil {
