@@ -16,12 +16,10 @@ GO ?= go
 # to exact equality, which noise cannot excuse.
 BENCHTIME ?= 0.5s
 BENCHCOUNT ?= 3
-BENCH_BASELINE ?= BENCH_2.json
-# The incremental-maintenance benchmarks (Bench*Maintain) landed after
-# BENCH_2 froze, so they diff against their own baseline. Their
-# facts/sec series is higher-is-better: benchdiff fails when throughput
-# drops below baseline/MAX_REGRESS.
-BENCH_INCR_BASELINE ?= BENCH_7.json
+BENCH_BASELINE ?= BENCH.json
+# MAX_REGRESS also bounds the incremental-maintenance benchmarks'
+# (Bench*Maintain) facts/sec series, which is higher-is-better:
+# benchdiff fails when throughput drops below baseline/MAX_REGRESS.
 MAX_REGRESS ?= 1.6
 # Receiver-side routing verification is sampled (stride 16 in the
 # *Verified benchmarks), so its true cost is a few percent (measured
@@ -54,15 +52,18 @@ SWEEPPROCS ?= 0
 COVER_PKGS ?= ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen ./internal/policy ./internal/mpcnet
 COVER_BASELINE ?= COVERAGE.json
 
-.PHONY: all build vet test race lint faultmatrix byzantine transport netsweep verify fmt fuzz serve serve-soak bench-build bench bench-json bench-json-incr verify-perf nightly soak experiments cover cover-baseline
+.PHONY: all build vet test race lint faultmatrix byzantine transport netsweep verify fmt fuzz serve serve-soak bench-build bench bench-json verify-perf nightly soak experiments cover cover-baseline
 
 all: verify
 
 build:
 	$(GO) build ./...
 
+# vet is the static pass: go vet, and gofmt as a gate — any file
+# `make fmt` would rewrite is named and fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt: these files need make fmt:"; echo "$$unformatted"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -227,16 +228,18 @@ serve-soak:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) .
 
-# bench-json regenerates the checked-in baseline report. The raw
-# benchmark output goes through an intermediate file so a failing
-# benchmark run aborts the target instead of feeding benchjson an
-# empty pipe.
+# bench-json regenerates the checked-in baseline report, the one
+# baseline there is. The raw benchmark output goes through an
+# intermediate file so a failing benchmark run aborts the target
+# instead of feeding benchjson an empty pipe.
 # Benchmarks repeat BENCHCOUNT times; benchjson keeps each one's
 # fastest run, the noise-robust estimate on shared hardware. The
 # benchmarks that live next to the code they measure (the compiled
 # HyperCube router, mpcd's single-pass repartition, one exchange over
 # the TCP transport, the 12-round distributed run) are appended to the
-# root package's.
+# root package's (the incremental-maintenance series, facts/sec and
+# per-batch deltacomm/rounds, and what a fault-tolerance Option costs
+# a fault-free run among them).
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
 	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkExchangeTCP|BenchmarkRunRounds)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet >> .bench_raw.txt
@@ -244,26 +247,12 @@ bench-json:
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"
 
-# bench-json-incr regenerates the incremental-maintenance baseline
-# (facts/sec, per-batch deltacomm/rounds) from the Bench*Maintain
-# benchmarks alone.
-bench-json-incr:
-	$(GO) test -run='^$$' -bench='Maintain' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
-	$(GO) run ./cmd/benchjson -out $(BENCH_INCR_BASELINE) .bench_raw.txt
-	@rm -f .bench_raw.txt
-	@echo "bench-json-incr: wrote $(BENCH_INCR_BASELINE)"
-
-# verify-perf runs the benchmarks fresh and fails when any ns/op
-# regressed more than MAX_REGRESS times the checked-in baseline.
-# The fresh report diffs against both baselines: BENCH_BASELINE pins
-# the pre-incremental benchmarks (Maintain and *Verified benchmarks
-# show as only-in-new there), BENCH_INCR_BASELINE pins the maintenance
-# throughput and its exact per-batch domain metrics. The first diff
-# also pairs each *Verified benchmark with its unverified twin inside
-# the fresh report and bounds the routing-verification overhead.
+# verify-perf runs the benchmarks fresh — bench-json's own list, written
+# to the throwaway BENCH_head.json — and fails when any ns/op regressed
+# more than MAX_REGRESS times the checked-in baseline, any allocs/op
+# more than benchdiff's tight factor, or any domain metric at all. The
+# diff also pairs each *Verified benchmark with its unverified twin
+# inside the fresh report and bounds the routing-verification overhead.
 verify-perf:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_head_raw.txt
-	$(GO) run ./cmd/benchjson -out BENCH_head.json .bench_head_raw.txt
-	@rm -f .bench_head_raw.txt
+	$(MAKE) bench-json BENCH_BASELINE=BENCH_head.json
 	$(GO) run ./cmd/benchdiff -max-regress $(MAX_REGRESS) -overhead-suffix Verified -max-overhead $(MAX_OVERHEAD) $(BENCH_BASELINE) BENCH_head.json
-	$(GO) run ./cmd/benchdiff -max-regress $(MAX_REGRESS) $(BENCH_INCR_BASELINE) BENCH_head.json

@@ -172,6 +172,39 @@ func BenchmarkCascadeTriangle(b *testing.B) {
 	b.ReportMetric(float64(last.Rounds()), "rounds")
 }
 
+// What a fault-tolerance Option costs a fault-free run: the same
+// two-round cascade on a cluster built with no Option and on one built
+// WithCheckpoints. Both run the one round body; the difference is what
+// the Option is keyed to — one shard per source instead of one per
+// worker, and the rolling post-round snapshot (see mpc.WithCheckpoints)
+// — so B/op and allocs/op price exactly that.
+func BenchmarkRoundOptions(b *testing.B) {
+	inst := workload.TriangleSkewFree(20000)
+	for _, bc := range []struct {
+		name string
+		opts []mpc.Option
+	}{
+		{"plain", nil},
+		{"checkpoints", []mpc.Option{mpc.WithCheckpoints()}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var last *mpc.Cluster
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, _, err := gym.CascadeTriangle(8, inst, 3, bc.opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = c
+			}
+			b.ReportMetric(float64(last.MaxLoad()), "maxload")
+			b.ReportMetric(float64(last.TotalComm()), "totalcomm")
+			b.ReportMetric(float64(last.Rounds()), "rounds")
+		})
+	}
+}
+
 // EXP-3.2: HyperCube triangle load across p (the paper's headline
 // one-round bound m/p^{2/3}).
 func BenchmarkHyperCubeTriangle(b *testing.B) {

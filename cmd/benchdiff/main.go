@@ -1,7 +1,7 @@
 // Command benchdiff compares two benchjson reports and exits nonzero
 // when any benchmark regressed. It is the gate behind
 // `make verify-perf`: the old report is the checked-in baseline
-// (BENCH_<n>.json), the new one is a fresh run.
+// (BENCH.json), the new one is a fresh run.
 //
 //	benchdiff [-max-regress 1.6] [-max-alloc-regress 1.02] \
 //	          [-overhead-suffix Verified -max-overhead 1.4] old.json new.json

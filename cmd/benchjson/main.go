@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench -benchmem` output into a
 // stable JSON report. The report is the interchange format of the
 // benchmark-regression harness: `make bench-json` checks one in as
-// BENCH_<n>.json, and cmd/benchdiff compares two of them.
+// BENCH.json, and cmd/benchdiff compares two of them.
 //
 // Output is deterministic for a given input: benchmarks are sorted by
 // name and metric keys are emitted in sorted order, so reports diff

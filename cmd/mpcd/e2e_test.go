@@ -179,9 +179,9 @@ func TestE2EKillAndResume(t *testing.T) {
 		{"session": "k2", "query": "L(x, z) :- E(x, y), E(y, z)"},
 	}
 	secondHalf := []jmap{
-		{"session": "k1", "query": e2eCovered},                       // must reuse the restored distribution
-		{"session": "k1", "query": "D(x, z) :- R(x, y), R(y, z)"},    // must repartition
-		{"session": "k1", "query": e2eAnchor},                        // budget ledger must have survived
+		{"session": "k1", "query": e2eCovered},                    // must reuse the restored distribution
+		{"session": "k1", "query": "D(x, z) :- R(x, y), R(y, z)"}, // must repartition
+		{"session": "k1", "query": e2eAnchor},                     // budget ledger must have survived
 		{"session": "k2", "query": "T(x, y) :- E(x, y)", "lang": "datalog", "out": "T"},
 	}
 

@@ -71,12 +71,6 @@ func Stratify(p *Program) (*Stratification, error) {
 	return st, nil
 }
 
-// IsStratifiable reports whether the program admits a stratification.
-func IsStratifiable(p *Program) bool {
-	_, err := Stratify(p)
-	return err == nil
-}
-
 // StrataOrder returns the IDB predicates sorted by (stratum, name) —
 // useful for deterministic reporting.
 func (s *Stratification) StrataOrder() []string {

@@ -118,8 +118,8 @@ func ByID(id string) (Def, bool) {
 type SweepStats struct {
 	Experiments  int
 	Cells        int
-	ErroredCells int // cells whose closure returned an error or panicked
-	Retried      int // extra attempts used across all cells
+	ErroredCells int           // cells whose closure returned an error or panicked
+	Retried      int           // extra attempts used across all cells
 	Wall         time.Duration // summed per-cell wall clock
 }
 
@@ -198,13 +198,6 @@ func RunSweep(workers int, defs []Def) ([]*Report, SweepStats) {
 		reports = append(reports, rep)
 	}
 	return reports, stats
-}
-
-// RunAll executes every experiment sequentially — the reference
-// execution parallel sweeps must match byte for byte.
-func RunAll() []*Report {
-	reports, _ := RunSweep(1, All())
-	return reports
 }
 
 func maxInt(a, b int) int {

@@ -33,6 +33,65 @@ func tcpOpts(t *testing.T, p int) []mpc.Option {
 	return []mpc.Option{mpc.WithTransport(tr)}
 }
 
+// program is one row of the matrix the equivalence gates run: a named
+// algorithm that builds its own cluster with the options mk selects and
+// runs to completion.
+type program struct {
+	name string
+	run  func(t *testing.T, mk optsFor) *mpc.Cluster
+}
+
+// programMatrix is the matrix at p servers: one-round HyperCube
+// triangle, cascade triangle, distributed Yannakakis, GYM, and the
+// incremental ΔTC program.
+func programMatrix(p int) []program {
+	d := rel.NewDict()
+	triQ := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
+	chainQ := cq.MustParse(d, "H(a, dd) :- R0(a, b), R1(b, c), R2(c, dd)")
+	triInst := workload.TriangleSkewFree(30)
+	chainInst, _ := workload.AcyclicChain(3, 80, 0.4, 2)
+	graph := workload.RandomGraph(20, 32, 9)
+	return []program{
+		{"hypercube-triangle", func(t *testing.T, mk optsFor) *mpc.Cluster {
+			g, err := hypercube.NewOptimalGrid(triQ, p, 17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := mpc.NewCluster(g.P(), mk(t, g.P())...)
+			c.LoadRoundRobin(triInst)
+			if err := c.Run(hypercube.HyperCubeRound(g)); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"cascade-triangle", func(t *testing.T, mk optsFor) *mpc.Cluster {
+			c, _, err := CascadeTriangle(p, triInst, 11, mk(t, p)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"yannakakis-chain", func(t *testing.T, mk optsFor) *mpc.Cluster {
+			c, _, err := DistributedYannakakis(chainQ, p, chainInst, 42, mk(t, p)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"gym-triangle", func(t *testing.T, mk optsFor) *mpc.Cluster {
+			c, _, _, err := GYM(triQ, p, triInst, 3, mk(t, p)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"delta-tc", func(t *testing.T, mk optsFor) *mpc.Cluster {
+			return runSchedule(t, DeltaTCProgram(p, 11), p,
+				schedule{"three-chunks", chunkFacts(graph.Facts(), 3)}, mk(t, p)...)
+		}},
+	}
+}
+
 // TestTransportEquivalence is the tentpole acceptance gate: every
 // program in the matrix — one-round HyperCube triangle, cascade
 // triangle, distributed Yannakakis, GYM, and the incremental ΔTC
@@ -42,58 +101,9 @@ func tcpOpts(t *testing.T, p int) []mpc.Option {
 // unchanged. The transport is allowed to change HOW bytes move, never
 // WHAT the model computes or charges.
 func TestTransportEquivalence(t *testing.T) {
-	d := rel.NewDict()
-	triQ := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
-	chainQ := cq.MustParse(d, "H(a, dd) :- R0(a, b), R1(b, c), R2(c, dd)")
-	triInst := workload.TriangleSkewFree(30)
-	chainInst, _ := workload.AcyclicChain(3, 80, 0.4, 2)
-	graph := workload.RandomGraph(20, 32, 9)
-
 	for _, p := range []int{2, 4, 8} {
 		p := p
-		programs := []struct {
-			name string
-			run  func(t *testing.T, mk optsFor) *mpc.Cluster
-		}{
-			{"hypercube-triangle", func(t *testing.T, mk optsFor) *mpc.Cluster {
-				g, err := hypercube.NewOptimalGrid(triQ, p, 17)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := mpc.NewCluster(g.P(), mk(t, g.P())...)
-				c.LoadRoundRobin(triInst)
-				if err := c.Run(hypercube.HyperCubeRound(g)); err != nil {
-					t.Fatal(err)
-				}
-				return c
-			}},
-			{"cascade-triangle", func(t *testing.T, mk optsFor) *mpc.Cluster {
-				c, _, err := CascadeTriangle(p, triInst, 11, mk(t, p)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
-			}},
-			{"yannakakis-chain", func(t *testing.T, mk optsFor) *mpc.Cluster {
-				c, _, err := DistributedYannakakis(chainQ, p, chainInst, 42, mk(t, p)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
-			}},
-			{"gym-triangle", func(t *testing.T, mk optsFor) *mpc.Cluster {
-				c, _, _, err := GYM(triQ, p, triInst, 3, mk(t, p)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
-			}},
-			{"delta-tc", func(t *testing.T, mk optsFor) *mpc.Cluster {
-				return runSchedule(t, DeltaTCProgram(p, 11), p,
-					schedule{"three-chunks", chunkFacts(graph.Facts(), 3)}, mk(t, p)...)
-			}},
-		}
-		for _, prog := range programs {
+		for _, prog := range programMatrix(p) {
 			prog := prog
 			t.Run(fmt.Sprintf("%s/p=%d", prog.name, p), func(t *testing.T) {
 				ref := prog.run(t, localOpts)

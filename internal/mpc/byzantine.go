@@ -169,24 +169,25 @@ func (e *RoutingIntegrityError) Error() string {
 		e.RoundName, e.Round, e.Accused, e.Kind.verb(), e.Witness, e.Dst)
 }
 
-// WithByzantinePlan installs a Byzantine routing-fault plan and enables
-// the fault-tolerant execution path (detection needs the per-source
-// shards and checkpointed state that path maintains). Plan round
-// indices are absolute, as with WithFaultPlan.
+// WithByzantinePlan installs a Byzantine routing-fault plan; it implies
+// WithCheckpoints (the audit needs the per-source shards that Option
+// makes RouteRound cut). Plan round indices are absolute, as with
+// WithFaultPlan.
 func WithByzantinePlan(p *ByzantinePlan) Option {
 	return func(c *Cluster) { c.ensureFT().byz = p }
 }
 
 // WithRoutingVerification enables sampled receiver-side routing checks
-// on every execution path: each destination re-asks the round's
-// Keep/Route decision whether a sampled delivery belongs to it, and a
-// violation fails the round with a RoutingIntegrityError carrying the
-// Fact.Less-minimal witness (found by an exhaustive rescan, so the
-// sampling stride never changes which witness is reported).
+// at whatever granularity the shards are cut: each destination re-asks
+// the round's Keep/Route decision whether a sampled delivery belongs to
+// it, and a violation fails the round with a RoutingIntegrityError
+// carrying the Fact.Less-minimal witness (found by an exhaustive
+// rescan, so the sampling stride never changes which witness is
+// reported).
 // sampleEvery = 1 checks every delivered fact; k > 1 checks one in k
 // (the production setting: bounded overhead, eventual detection of a
-// repeat offender); 0 — the default — disables verification and keeps
-// the fault-free hot path byte-identical and zero-overhead.
+// repeat offender); 0 — the default — disables verification, and the
+// round pays nothing for it.
 func WithRoutingVerification(sampleEvery int) Option {
 	if sampleEvery < 0 {
 		panic(fmt.Sprintf("mpc: negative routing-verification stride %d", sampleEvery))
@@ -225,8 +226,8 @@ func legalShardDst(r Round, p, lo, hi, dst int, f rel.Fact) (legal bool) {
 	return false
 }
 
-// legalDst is legalShardDst for the fault-tolerant path's one-source
-// shards, where the source of every delivery is known exactly.
+// legalDst is legalShardDst for one-source shards (see
+// WithCheckpoints), where the source of every delivery is known exactly.
 func legalDst(r Round, p, src, dst int, f rel.Fact) bool {
 	return legalShardDst(r, p, src, src+1, dst, f)
 }
@@ -400,7 +401,7 @@ func applyByzEvent(r Round, p, src int, sh *Shard, ev ByzantineEvent, local *rel
 }
 
 // applyByzantine realizes the Byzantine plan's events for this round on
-// the per-source shards (the fault-tolerant path routes one shard per
+// the per-source shards (a Byzantine plan implies one shard per
 // source, so shard index = source) and runs the detection pipeline per
 // accused source, ascending: corrupt, audit by re-execution, quarantine
 // on audit mismatch, receiver-side legality check of whatever finally

@@ -216,7 +216,7 @@ func TestRoutingVerificationCatchesTwoFacedRouter(t *testing.T) {
 
 // TestRoutingVerificationFaultFreeIdentical: with verification enabled
 // on an honest cluster, outputs and traces are byte-identical to the
-// unverified run on both execution paths.
+// unverified run at both shard granularities.
 func TestRoutingVerificationFaultFreeIdentical(t *testing.T) {
 	for _, every := range []int{1, 3} {
 		load, rounds := byzProgram(5)

@@ -113,22 +113,12 @@ func (c *Cluster) ApplyUpdate(adds *rel.Instance) error {
 }
 
 // DeltaBatches returns how many update batches (including the base
-// load) have been fully injected, and DeltaSteps how many fixpoint
-// rounds have run; both are 0 when no delta program is installed.
+// load) have been fully injected; 0 when no delta program is installed.
 func (c *Cluster) DeltaBatches() int {
 	if c.delta == nil {
 		return 0
 	}
 	return c.delta.batches
-}
-
-// DeltaSteps returns the global fixpoint-step counter of the installed
-// delta program.
-func (c *Cluster) DeltaSteps() int {
-	if c.delta == nil {
-		return 0
-	}
-	return c.delta.steps
 }
 
 // loadDelta spreads adds round-robin across servers under Δ names.

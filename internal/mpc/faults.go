@@ -409,11 +409,16 @@ func StandardFaultMatrix(seed int64, rounds, p int) []NamedFaultPlan {
 }
 
 // carryingLinks lists the src ≠ dst links of a routed round that carry
-// at least one fact, in ascending (src, dst) order — the sites drop
-// and duplication faults can hit. With one shard per source (the
-// fault-tolerant path routes at chunk 1), shards[src].Sent[dst] is
+// at least one fact, in ascending (src, dst) order — the sites the
+// plan's drop, duplication and corruption faults can hit. A nil or
+// empty plan has no fault sites however the shards were cut, so its
+// list is empty. Any other plan sits on a cluster that routes one shard
+// per source (see WithCheckpoints), where shards[src].Sent[dst] is
 // exactly the src→dst transfer size.
-func carryingLinks(shards []Shard) []linkKey {
+func (p *FaultPlan) carryingLinks(shards []Shard) []linkKey {
+	if p.Empty() {
+		return nil
+	}
 	var links []linkKey
 	for src := range shards {
 		for dst, n := range shards[src].Sent {

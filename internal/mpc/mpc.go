@@ -17,11 +17,12 @@
 // into a round-private outbox, the exact per-server loads are known,
 // and the cluster is untouched. Deliver is everything after — fault
 // charging, the transport's Exchange, the computation phase, commit.
-// RunRound is RouteRound then Deliver and nothing else, so there is one
-// round implementation. The seam exists for callers that price a round
-// before paying for it: the loads of a RoutedRound are the loads the
-// round will record, and a plan that is dropped instead of delivered
-// never happened.
+// RunRound is RouteRound then Deliver and nothing else, and Deliver has
+// one body (deliver, in recovery.go) that every cluster runs, so there
+// is one round implementation. The seam exists for callers that price a
+// round before paying for it: the loads of a RoutedRound are the loads
+// the round will record, and a plan that is dropped instead of
+// delivered never happened.
 //
 // The model assumes servers that never fail; real MPP engines do not
 // get that luxury. A cluster can therefore be configured with a
@@ -38,8 +39,13 @@
 // facts — by receiver-side verification against the round's placement
 // policy plus a deterministic re-execution audit, quarantining
 // transient liars and failing persistent ones with a typed
-// RoutingIntegrityError (see byzantine.go). With no fault-tolerance
-// Option installed, rounds execute on the original zero-overhead path.
+// RoutingIntegrityError (see byzantine.go). All of it runs in the one
+// round body: options change what a round survives and how its shards
+// are cut, never which steps it takes. A cluster built with no Option
+// runs the same steps under a configuration that schedules nothing, so
+// a fault-free round records the same RoundStats, field for field,
+// under every option set (WithReplication's checkpoint traffic, which
+// is charged per round by definition, aside).
 package mpc
 
 import (
@@ -141,8 +147,13 @@ func (r Round) sets() roundSets {
 // the round the algorithm asked for and are invariant under any
 // recovered fault plan — they are the quantities the MPC load bounds
 // constrain. The recovery metrics (Retries, RecoveredServers,
-// ReplicaComm, SpeculativeWins, VirtualMakespan) describe what fault
-// tolerance cost on top; they are all zero on the fault-free path.
+// ReplicaComm, SpeculativeWins, Quarantined) describe what fault
+// tolerance cost on top; they are zero in a round no fault fired in,
+// whatever Options the cluster was built with (ReplicaComm also carries
+// WithReplication's checkpoint traffic, if that was asked for).
+// VirtualMakespan is when the round ended on the virtual clock: 2 in a
+// fault-free round (one communication tick, one computation tick),
+// later when repairs ran.
 type RoundStats struct {
 	Name      string
 	Received  []int // facts received per server (load)
@@ -150,8 +161,7 @@ type RoundStats struct {
 	TotalComm int   // total facts sent = Σ Received
 	DeltaComm int   // the subset of TotalComm carried by DeltaRels relations
 
-	// Recovery accounting (zero unless a fault-tolerance Option is
-	// installed and faults actually fired; see recovery.go).
+	// Recovery accounting (see recovery.go).
 	Retries          int // re-sent transfers + re-executed computations
 	RecoveredServers int // servers whose partition was re-executed after a crash
 	ReplicaComm      int // non-logical facts on the wire: retransmissions, duplicates, checkpoint traffic
@@ -187,10 +197,9 @@ func (s RoundStats) LogicalString() string {
 	base := fmt.Sprintf("round %s: received %v, max load %d, total communication %d",
 		s.Name, s.Received, s.MaxLoad, s.TotalComm)
 	if s.DeltaComm != 0 {
-		// DeltaComm is computed from the same shards as TotalComm on
-		// both execution paths, so it is logical and fault-invariant;
-		// rendering it only when nonzero keeps pre-delta traces
-		// byte-identical.
+		// DeltaComm is computed from the same shards as TotalComm, so
+		// it is logical and fault-invariant; rendering it only when
+		// nonzero keeps pre-delta traces byte-identical.
 		base += fmt.Sprintf(", delta communication %d", s.DeltaComm)
 	}
 	return base
@@ -202,7 +211,7 @@ type Cluster struct {
 	servers     []*rel.Instance
 	stats       []RoundStats
 	tr          Transport   // nil: in-process Local transport (see transport.go)
-	ft          *ftState    // nil: fault tolerance off, zero-overhead path
+	ft          ftState     // zero: no fault-tolerance Option was given (see recovery.go)
 	delta       *deltaState // nil: no incremental program installed (see delta.go)
 	verifyEvery int         // sampled routing verification stride; 0: off (see byzantine.go)
 }
@@ -337,9 +346,9 @@ func (c *Cluster) LoadAt(server int, i *rel.Instance) {
 // outboxes wholesale. Bounding the number of shards by the worker
 // count (not p) keeps the outbox count at workers×p instead of p²,
 // which matters at large p where most (source, destination) pairs
-// carry only a few facts. (The fault-tolerant path deliberately routes
-// one shard per source — p shards — because fault plans address
-// individual network links; see recovery.go.)
+// carry only a few facts. (A cluster built with a fault-tolerance
+// Option deliberately routes one shard per source — p shards — because
+// fault plans address individual network links; see WithCheckpoints.)
 //
 // Shards are what a Transport ships: Outs[dst] is the payload bound
 // for destination dst (nil when empty), Sent[dst] its logical fact
@@ -353,8 +362,8 @@ type Shard struct {
 }
 
 // deltaSent sums the shards' Δ deliveries — the DeltaComm of the
-// round. Like the merge, it is a pure function of the shards, so the
-// fault-free and fault-tolerant paths compute identical values.
+// round. Like the merge, it is a pure function of the shards, so it
+// does not depend on how they were cut.
 func deltaSent(shards []Shard) int {
 	n := 0
 	for i := range shards {
@@ -516,8 +525,8 @@ func (c *Cluster) routePhase(r Round, chunk int) ([]Shard, error) {
 	return shards, nil
 }
 
-// defaultChunk sizes the source ranges of the fault-free path so the
-// shard count is bounded by GOMAXPROCS.
+// defaultChunk sizes the source ranges of a cluster built with no
+// fault-tolerance Option so the shard count is bounded by GOMAXPROCS.
 func (c *Cluster) defaultChunk() int {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > c.p {
@@ -571,12 +580,12 @@ func (c *Cluster) computePhase(r Round, inputs []*rel.Instance) ([]*rel.Instance
 
 // commit atomically installs a completed round: the servers' new
 // instances and the round's stats become visible together, and the
-// post-round checkpoint (fault-tolerant clusters only) is refreshed.
+// rolling post-round checkpoint (see WithCheckpoints) is refreshed.
 // No failure path reaches commit, which is what makes RunRound atomic.
 func (c *Cluster) commit(next []*rel.Instance, stats RoundStats) {
 	copy(c.servers, next)
 	c.stats = append(c.stats, stats)
-	if c.ft != nil {
+	if c.ft.on {
 		c.ft.ckpt = c.snapshot()
 	}
 }
@@ -601,7 +610,7 @@ type RoutedRound struct {
 	cluster   *Cluster
 	round     Round
 	shards    []Shard
-	chunk     int // sources per shard; 1 on the fault-tolerant path
+	chunk     int // sources per shard; 1 under a fault-tolerance Option
 	at        int // rounds the cluster had committed when this was routed
 	delivered bool
 }
@@ -648,8 +657,8 @@ func (e *StaleRouteError) Error() string {
 }
 
 // RouteRound runs r's communication phase up to the network: every
-// source routes its facts into outboxes (one shard per worker on the
-// fault-free path, one per source on the fault-tolerant path, whose
+// source routes its facts into outboxes (one shard per worker, or one
+// per source on a cluster built with a fault-tolerance Option, whose
 // fault plans address individual links). It reads the servers and
 // writes nothing, so a routing error, or a plan that is never
 // delivered, leaves the cluster exactly as it was.
@@ -658,7 +667,7 @@ func (e *StaleRouteError) Error() string {
 // in the plan; like facts a Router sends nowhere, the round drops them.
 func (c *Cluster) RouteRound(r Round) (*RoutedRound, error) {
 	chunk := c.defaultChunk()
-	if c.ft != nil {
+	if c.ft.on {
 		chunk = 1
 	}
 	shards, err := c.routePhase(r, chunk)
@@ -707,40 +716,15 @@ func (c *Cluster) Deliver(rr *RoutedRound) (RoundStats, error) {
 		return stale(RoutedElsewhere)
 	case rr.delivered:
 		return stale(RoutedDelivered)
-	case rr.at != len(c.stats) || (c.ft != nil && rr.chunk != 1):
+	case rr.at != len(c.stats) || (c.ft.on && rr.chunk != 1):
 		return stale(RoutedBehind)
 	}
 	rr.delivered = true
-	r, shards := rr.round, rr.shards
-	if c.ft != nil {
-		return c.deliverFT(r, shards)
-	}
-	if c.verifyEvery > 0 {
-		// Sampled receiver-side routing verification (see byzantine.go).
-		// Off by default, so the hot path stays zero-overhead.
-		if err := c.verifyShards(r, shards, rr.chunk); err != nil {
-			return RoundStats{}, err
-		}
-	}
-	inboxes, received, err := c.Transport().Exchange(r.Name, c.p, shards)
-	if err != nil {
-		return RoundStats{}, err
-	}
-	if err := c.adoptResidents(r, inboxes); err != nil {
-		return RoundStats{}, err
-	}
-	next, err := c.computePhase(r, inboxes)
-	if err != nil {
-		return RoundStats{}, err
-	}
-	stats := RoundStats{Name: r.Name, Received: received, DeltaComm: deltaSent(shards)}
-	stats.MaxLoad, stats.TotalComm = loadOf(received)
-	c.commit(next, stats)
-	return stats, nil
+	return c.deliver(rr.round, rr.shards, rr.chunk)
 }
 
 // RunRound executes one communication + computation round and records
-// its statistics: RouteRound, then Deliver, on every execution path.
+// its statistics: RouteRound, then Deliver, on every cluster.
 //
 // RunRound is atomic on failure: if it returns a non-nil error — a
 // routing error, a panicking Router/Keep/Compute, or an exhausted

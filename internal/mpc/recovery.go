@@ -4,28 +4,27 @@ import (
 	"fmt"
 
 	"mpclogic/internal/policy"
-	"mpclogic/internal/rel"
 )
 
 // Checkpointed recovery for the synchronous engine.
 //
-// The execution model: a fault-tolerant round routes exactly the
+// The execution model: a round that meets faults routes exactly the
 // facts a fault-free round would (drops delay transfers, they do not
 // change what is eventually delivered; duplicates are absorbed by the
-// idempotent inbox union), then checkpoints every server's merged
-// round input before any computation starts. The computation phase is
-// a pure function of (server, input) — Compute's documented contract
-// — so a crashed server's partition is recovered by re-executing it
-// from the checkpoint on a recovery worker, and a straggling
+// idempotent inbox union), and every server's merged round input is
+// complete before any computation starts. The computation phase is a
+// pure function of (server, input) — Compute's documented contract —
+// so a crashed server's partition is recovered by re-executing it from
+// a private copy of that input on a recovery worker, and a straggling
 // partition can be raced by a speculative copy of the same
 // re-execution. Both repairs reproduce the primary's output exactly,
 // which is the whole determinism argument: recovery changes WHEN a
 // round finishes (virtual ticks, tracked in VirtualMakespan) and HOW
 // MUCH extra traffic it costs (ReplicaComm), but never WHAT the round
 // computes. The logical metrics — Received, MaxLoad, TotalComm — are
-// computed from the same merged inboxes on both paths, so they are
-// fault-invariant by construction, and the fault-transparency tests
-// pin that byte-for-byte.
+// computed from the merged inboxes before any fault is repaired, so
+// they are fault-invariant by construction, and the fault-transparency
+// tests pin that byte-for-byte.
 //
 // All delays live on a virtual clock measured in abstract ticks
 // (retryCompletion in faults.go); nothing in this file touches wall
@@ -45,8 +44,11 @@ const (
 )
 
 // ftState is a cluster's fault-tolerance configuration and its
-// rolling post-round checkpoint.
+// rolling post-round checkpoint. The zero value is the configuration of
+// a cluster built with no fault-tolerance Option: nothing is scheduled,
+// speculated or replicated, so no round ever consults the retry budget.
 type ftState struct {
+	on             bool           // a fault-tolerance Option was given (see WithCheckpoints)
 	plan           *FaultPlan     // nil: recover-capable but no injected faults
 	byz            *ByzantinePlan // nil: no Byzantine routing events scheduled
 	retryBudget    int
@@ -60,19 +62,15 @@ type ftState struct {
 	ckpt *Checkpoint
 }
 
-func newFTState() *ftState {
-	return &ftState{retryBudget: DefaultRetryBudget, speculateAfter: DefaultSpeculateAfter}
-}
-
 func (c *Cluster) ensureFT() *ftState {
-	if c.ft == nil {
-		c.ft = newFTState()
+	if !c.ft.on {
+		c.ft = ftState{on: true, retryBudget: DefaultRetryBudget, speculateAfter: DefaultSpeculateAfter}
 	}
-	return c.ft
+	return &c.ft
 }
 
 // snapshot cuts a checkpoint of the cluster's committed state. commit
-// refreshes a fault-tolerant cluster's rolling checkpoint with it, so
+// refreshes the rolling checkpoint (see WithCheckpoints) with it, so
 // that one always equals the state after the last completed round.
 func (c *Cluster) snapshot() *Checkpoint {
 	return &Checkpoint{store: policy.NewStableStore(c.servers), stats: cloneStats(c.stats)}
@@ -87,16 +85,30 @@ func cloneStats(stats []RoundStats) []RoundStats {
 	return out
 }
 
-// WithFaultPlan installs a fault plan and enables the fault-tolerant
-// execution path. Plan round indices are absolute: round r of the
-// plan fires on the cluster's r-th executed round.
+// WithFaultPlan installs a fault plan; like every fault-tolerance
+// Option it implies WithCheckpoints. Plan round indices are absolute:
+// round r of the plan fires on the cluster's r-th executed round.
 func WithFaultPlan(p *FaultPlan) Option {
 	return func(c *Cluster) { c.ensureFT().plan = p }
 }
 
-// WithCheckpoints enables the fault-tolerant path (round-input
-// checkpointing, a rolling post-round cluster checkpoint) without
-// injecting any faults.
+// WithCheckpoints makes the cluster recoverable without injecting any
+// faults, and every other fault-tolerance Option (WithFaultPlan,
+// WithByzantinePlan, WithRetryBudget, WithSpeculation, WithReplication,
+// SetFaultPlan) implies it. It does not select a different round: every
+// cluster runs the one body, deliver, and a fault-free round records
+// the same RoundStats with or without it. Exactly two things are keyed
+// on "a fault-tolerance Option was given":
+//
+//   - RouteRound cuts one shard per source instead of one per worker,
+//     because fault and Byzantine plans address individual src→dst
+//     links; Deliver refuses, as RoutedBehind, a plan that was routed
+//     coarser before the cluster turned recoverable (SetFaultPlan).
+//   - commit keeps a rolling post-round checkpoint, which Checkpoint()
+//     hands out and RestoreStore primes. It is a value kept to recover
+//     from a fault: after a Compute panicked behind another server's
+//     resident fold (see Round) it is the only clean image left. A
+//     cluster without the Option snapshots on demand instead.
 func WithCheckpoints() Option {
 	return func(c *Cluster) { c.ensureFT() }
 }
@@ -119,9 +131,8 @@ func WithSpeculation(afterTicks int) Option {
 	return func(c *Cluster) { c.ensureFT().speculateAfter = afterTicks }
 }
 
-// WithReplication replicates each round's input checkpoint to k peer
-// servers (accounted in ReplicaComm). The checkpoint itself is always
-// persisted via policy.StableStore regardless of k.
+// WithReplication replicates each round's inputs to k peer servers
+// (accounted in ReplicaComm, k times the inputs' size, every round).
 func WithReplication(k int) Option {
 	if k < 0 {
 		panic(fmt.Sprintf("mpc: negative replication factor %d", k))
@@ -130,13 +141,9 @@ func WithReplication(k int) Option {
 }
 
 // SetFaultPlan installs (or replaces, or with nil removes) the fault
-// plan on an already-constructed cluster, enabling the fault-tolerant
-// path if it wasn't already.
+// plan on an already-constructed cluster, which from then on behaves as
+// if built WithCheckpoints.
 func (c *Cluster) SetFaultPlan(p *FaultPlan) { c.ensureFT().plan = p }
-
-// FaultTolerant reports whether the fault-tolerant execution path is
-// enabled.
-func (c *Cluster) FaultTolerant() bool { return c.ft != nil }
 
 // RecoveryStats aggregates the recovery metrics over rounds.
 type RecoveryStats struct {
@@ -160,16 +167,20 @@ func (c *Cluster) RecoveryTotals() RecoveryStats {
 	return t
 }
 
-// deliverFT is Deliver on the fault-tolerant path. It differs from the
-// fault-free path in three ways: it takes one shard per source
-// (RouteRound routes at chunk 1 here), because fault plans address
-// individual src→dst links and per-source shards make the transfer
-// sizes exact; the merged round inputs are checkpointed before
-// computation; and the fault plan's crashes/drops/dups/stragglers are
-// charged to the recovery metrics on a virtual clock. It shares
-// RunRound's atomicity guarantee: every error return precedes commit.
-func (c *Cluster) deliverFT(r Round, shards []Shard) (RoundStats, error) {
-	ft := c.ft
+// deliver is the one body of Deliver, the rest of a routed round on
+// every cluster: Byzantine events and sampled verification on the
+// shards as routed, the fault plan's drops/dups/corruptions charged to
+// the recovery metrics on a virtual clock, the transport's Exchange,
+// the logical stats, residents, the plan's crashes and stragglers
+// repaired before any Compute runs, the computation phase, commit.
+// A cluster built with no Option runs it under the zero ftState, whose
+// plans are nil and so have no fault sites and no events; chunk, the
+// number of sources per shard, is 1 whenever a plan can be installed
+// (see WithCheckpoints), which is what lets plans address src→dst links
+// by shard index. Every error return precedes commit, which is
+// RunRound's atomicity guarantee.
+func (c *Cluster) deliver(r Round, shards []Shard, chunk int) (RoundStats, error) {
+	ft := &c.ft
 	round := len(c.stats) // absolute round index, matches plan indexing
 
 	stats := RoundStats{Name: r.Name}
@@ -192,9 +203,9 @@ func (c *Cluster) deliverFT(r Round, shards []Shard) (RoundStats, error) {
 		}
 	}
 	if c.verifyEvery > 0 {
-		// Sampled receiver-side verification also guards this path (at
-		// chunk 1 every shard covers exactly one source).
-		if err := c.verifyShards(r, shards, 1); err != nil {
+		// Sampled receiver-side routing verification (see byzantine.go),
+		// at the granularity the shards were routed at.
+		if err := c.verifyShards(r, shards, chunk); err != nil {
 			return RoundStats{}, err
 		}
 	}
@@ -207,7 +218,7 @@ func (c *Cluster) deliverFT(r Round, shards []Shard) (RoundStats, error) {
 	// carry facts are fault sites — self-delivery, including Keep
 	// facts, never traverses the network. The communication phase
 	// ends when the slowest transfer lands.
-	for _, lk := range carryingLinks(shards) {
+	for _, lk := range ft.plan.carryingLinks(shards) {
 		n := shards[lk.src].Sent[lk.dst]
 		if d := ft.plan.drops(round, lk.src, lk.dst); d > 0 {
 			if d > ft.retryBudget {
@@ -238,12 +249,12 @@ func (c *Cluster) deliverFT(r Round, shards []Shard) (RoundStats, error) {
 		}
 	}
 
-	// The merge is identical to the fault-free path — same shards,
-	// same (dst, src) order — so the logical inboxes and load
+	// The merge does not depend on which faults were charged — same
+	// shards, same (dst, src) order — so the logical inboxes and load
 	// accounting are byte-identical by construction. A transport that
 	// can realize the plan's drops/dups physically at the frame layer
-	// is armed first, so the wire absorbs the same havoc the virtual
-	// clock just charged.
+	// is armed first (a nil plan disarms it), so the wire absorbs the
+	// same havoc the virtual clock just charged.
 	tr := c.Transport()
 	if fi, ok := tr.(FrameFaultInjector); ok {
 		fi.InjectFrameFaults(round, ft.plan)
@@ -256,40 +267,38 @@ func (c *Cluster) deliverFT(r Round, shards []Shard) (RoundStats, error) {
 	stats.DeltaComm = deltaSent(shards)
 	stats.MaxLoad, stats.TotalComm = loadOf(received)
 
-	// Residents join the round input before the checkpoint is cut, so
-	// a recovered or speculative re-execution reloads the same (full,
-	// Δ) view the primary computed on. The reload is a StableStore
-	// clone, so repairs never alias the live resident state.
+	// Residents join the round input before any repair is planned, so
+	// a recovered or speculative re-execution sees the same (full, Δ)
+	// view the primary computed on.
 	if err := c.adoptResidents(r, inboxes); err != nil {
 		return RoundStats{}, err
 	}
 
-	// Checkpoint every server's merged round input before any
-	// computation runs: this is what recovery re-executes from.
-	// StableStore snapshots at construction, so a Compute that
-	// mutates its input cannot corrupt recovery. Optional peer
-	// replication is charged per replica at the checkpoint's deduped
-	// size.
-	ckpt := policy.NewStableStore(inboxes)
-	stats.ReplicaComm += ft.replicas * ckpt.TotalFacts()
-
 	// Plan the computation phase per server on the virtual clock. A
 	// fault-free computation costs 1 tick; a straggler costs 1+δ. A
-	// crash discards the attempt and re-executes from the checkpoint
-	// with exponential backoff (retryCompletion); past the budget the
-	// round fails deterministically. A straggler past the speculation
-	// threshold gets a backup copy launched at the threshold, which
-	// wins iff it strictly beats the primary — ties keep the primary,
-	// the "first deterministic winner". Either repair recomputes the
-	// same pure function on the same checkpointed input, so which copy
-	// wins is unobservable in the output.
-	inputs := make([]*rel.Instance, c.p)
+	// crash discards the attempt and re-executes from the server's
+	// round input with exponential backoff (retryCompletion); past the
+	// budget the round fails deterministically. A straggler past the
+	// speculation threshold gets a backup copy launched at the
+	// threshold, which wins iff it strictly beats the primary — ties
+	// keep the primary, the "first deterministic winner". Either repair
+	// recomputes the same pure function on the same input, so which
+	// copy wins is unobservable in the output.
+	//
+	// Every repair is decided here, before any Compute runs, so the
+	// repaired server's input is still exactly what the exchange
+	// delivered: it computes on a private clone taken now — which is
+	// what keeps a repair from aliasing live resident state — and a
+	// server that needs no repair is not copied at all. Optional peer
+	// replication of the round inputs is charged per replica at their
+	// own size.
 	computeEnd := 0
 	for s := 0; s < c.p; s++ {
+		size := inboxes[s].Len()
+		stats.ReplicaComm += ft.replicas * size
 		cost := 1 + ft.plan.straggles(round, s)
 		crashes := ft.plan.crashes(round, s)
 		end := cost
-		input := inboxes[s]
 		switch {
 		case crashes > ft.retryBudget:
 			return RoundStats{}, fmt.Errorf(
@@ -299,31 +308,27 @@ func (c *Cluster) deliverFT(r Round, shards []Shard) (RoundStats, error) {
 			end = retryCompletion(crashes, cost)
 			stats.Retries += crashes
 			stats.RecoveredServers++
-			// Each re-execution refetches the server's checkpointed
-			// input from the store.
-			stats.ReplicaComm += crashes * inboxes[s].Len()
-			input = ckpt.Reload(policy.Node(s))
-		default:
-			if ft.speculateAfter > 0 && end > ft.speculateAfter {
-				// Speculative copy: launched at the threshold, costs
-				// one fault-free tick, and refetches the checkpoint.
-				spec := ft.speculateAfter + 1
-				stats.ReplicaComm += inboxes[s].Len()
-				if spec < end {
-					stats.SpeculativeWins++
-					end = spec
-					input = ckpt.Reload(policy.Node(s))
-				}
+			// Each re-execution refetches the server's round input.
+			stats.ReplicaComm += crashes * size
+			inboxes[s] = inboxes[s].Clone()
+		case ft.speculateAfter > 0 && end > ft.speculateAfter:
+			// Speculative copy: launched at the threshold, costs one
+			// fault-free tick, and refetches the round input.
+			spec := ft.speculateAfter + 1
+			stats.ReplicaComm += size
+			if spec < end {
+				stats.SpeculativeWins++
+				end = spec
+				inboxes[s] = inboxes[s].Clone()
 			}
 		}
 		if end > computeEnd {
 			computeEnd = end
 		}
-		inputs[s] = input
 	}
 	stats.VirtualMakespan = commEnd + computeEnd
 
-	next, err := c.computePhase(r, inputs)
+	next, err := c.computePhase(r, inboxes)
 	if err != nil {
 		return RoundStats{}, err
 	}
@@ -349,13 +354,13 @@ type Checkpoint struct {
 func (ck *Checkpoint) Rounds() int { return len(ck.stats) }
 
 // Checkpoint returns the cluster's snapshot after its last completed
-// round (or of the initial load if no round has run yet). A
-// fault-tolerant cluster hands out its rolling post-round checkpoint; a
-// plain cluster takes no checkpoints as it runs, so it snapshots its
-// servers on demand — the same image, paid for only when asked.
+// round (or of the initial load if no round has run yet). A cluster
+// built WithCheckpoints hands out its rolling post-round checkpoint; any
+// other takes no checkpoints as it runs, so it snapshots its servers on
+// demand — the same image, paid for only when asked.
 func (c *Cluster) Checkpoint() *Checkpoint {
 	var ck *Checkpoint
-	if c.ft != nil && c.ft.ckpt != nil {
+	if c.ft.ckpt != nil {
 		ck = &Checkpoint{store: c.ft.ckpt.store, stats: cloneStats(c.ft.ckpt.stats)}
 	} else {
 		ck = c.snapshot()
@@ -369,8 +374,8 @@ func (c *Cluster) Checkpoint() *Checkpoint {
 // Restore builds a fresh cluster from a checkpoint: same server
 // count, each server holding its checkpointed instance, stats history
 // intact so RunResumable skips the completed prefix. Options apply as
-// in NewCluster; the restored cluster is always fault-tolerant (it
-// must keep checkpointing to stay restorable), with a fresh default
+// in NewCluster; the restored cluster is always built WithCheckpoints
+// (it must keep checkpointing to stay restorable), with a fresh default
 // configuration unless options say otherwise — in particular the old
 // fault plan is NOT carried over.
 func Restore(ck *Checkpoint, opts ...Option) *Cluster {
@@ -396,7 +401,7 @@ func RestoreStore(store *policy.StableStore, opts ...Option) *Cluster {
 	for i := range c.servers {
 		c.servers[i] = store.Reload(policy.Node(i))
 	}
-	if c.ft != nil {
+	if c.ft.on {
 		c.ft.ckpt = c.snapshot()
 	}
 	return c

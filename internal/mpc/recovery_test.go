@@ -13,8 +13,8 @@ import (
 // f + (2^f - 1) + cost.
 func TestRetryCompletionSchedule(t *testing.T) {
 	cases := []struct{ failures, cost, want int }{
-		{0, 1, 1},  // fault-free round: one tick
-		{1, 1, 3},  // fail@1, detect+backoff 1, run 1
+		{0, 1, 1}, // fault-free round: one tick
+		{1, 1, 3}, // fail@1, detect+backoff 1, run 1
 		{2, 1, 6},
 		{3, 1, 11},
 		{0, 5, 5},
@@ -132,5 +132,64 @@ func TestCrashSuppressesSpeculation(t *testing.T) {
 	}
 	if out != wantOut {
 		t.Errorf("recovered output diverged from fault-free run")
+	}
+}
+
+// A repair computes on a private copy of exactly the input it repairs.
+// In a resident round every server's resident relation rides into its
+// round input by reference; a crashed server and a straggler beaten by
+// its speculative copy must each see a relation that is NOT the live
+// one (a re-execution may not fold into committed state twice), every
+// server that needed no repair must see the live one itself (nothing
+// is copied for it), and the committed result must be the fault-free
+// run's.
+func TestRepairTakesAPrivateCopy(t *testing.T) {
+	const p, crashed, speculated = 4, 1, 2
+	prog := countdownProgram(p)
+	run := func(opts ...Option) (c *Cluster, seen, live []*rel.Relation) {
+		c = NewCluster(p, opts...)
+		for s := 0; s < p; s++ {
+			c.LoadAt(s, naturals(100+s))
+		}
+		c.loadDelta(naturals(7, 8, 9, 10, 11, 12))
+		live = make([]*rel.Relation, p)
+		for s := range live {
+			live[s] = c.Server(s).Relation("N")
+		}
+		seen = make([]*rel.Relation, p)
+		r := prog.Step(0)
+		fold := r.Compute
+		r.Compute = func(s int, local *rel.Instance) *rel.Instance {
+			seen[s] = local.Relation("N")
+			return fold(s, local)
+		}
+		if _, err := c.RunRound(r); err != nil {
+			t.Fatal(err)
+		}
+		return c, seen, live
+	}
+
+	ref, _, _ := run()
+	plan := NewFaultPlan().AddCrash(0, crashed, 1).AddStraggle(0, speculated, 3)
+	got, seen, live := run(WithFaultPlan(plan))
+
+	st := got.LastStats()
+	if st.RecoveredServers != 1 || st.SpeculativeWins != 1 {
+		t.Fatalf("plan did not fire as intended: %+v", st)
+	}
+	for s := 0; s < p; s++ {
+		repaired := s == crashed || s == speculated
+		if seen[s] == nil {
+			t.Fatalf("server %d computed without its resident relation", s)
+		}
+		if private := seen[s] != live[s]; private != repaired {
+			t.Errorf("server %d (repaired: %v) computed on a private copy of its resident relation: %v", s, repaired, private)
+		}
+		if !got.Server(s).Equal(ref.Server(s)) {
+			t.Errorf("server %d committed state diverged from the fault-free run", s)
+		}
+	}
+	if g, w := st.LogicalString(), ref.LastStats().LogicalString(); g != w {
+		t.Errorf("logical stats diverged:\n got %s\nwant %s", g, w)
 	}
 }

@@ -31,7 +31,7 @@ func clusterImage(t *testing.T, c *Cluster) string {
 	return b.String()
 }
 
-// TestRunRoundIsRouteThenDeliver: on every execution path a program
+// TestRunRoundIsRouteThenDeliver: under every option set a program
 // run round by round through RunRound and the same program run through
 // RouteRound + Deliver agree on each round's full RoundStats, the
 // logical trace, the servers' state and the checkpoint image, and the

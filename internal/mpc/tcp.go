@@ -205,7 +205,7 @@ func (t *TCPTransport) Exchange(round string, p int, shards []Shard) ([]*rel.Ins
 			for dst, f := range frames {
 				// Physical faults hit only real network links that carry
 				// facts, mirroring the virtual clock's accounting in
-				// recovery.go (the FT path routes one shard per source, so w
+				// recovery.go (a plan implies one shard per source, so w
 				// is the source).
 				if w != dst && sh.Sent[dst] > 0 {
 					srv.arm(keyOf(f), havocPlan.drops(havocRound, w, dst),

@@ -54,10 +54,10 @@ type Transport interface {
 // corruption, each of which the puller's codec checks reject and its
 // re-pull repairs, and the first clean answer is trailed by an extra
 // identical frame per dup, which a puller that reads one frame never
-// sees. The fault-tolerant path routes one shard per source (chunk 1),
-// so the (shard, dst) frame coordinates coincide with the plan's
-// (src, dst) links. Logical accounting of the same faults stays in
-// recovery.go on the virtual clock; the injection only proves the
+// sees. A cluster that can hold a plan routes one shard per source
+// (chunk 1), so the (shard, dst) frame coordinates coincide with the
+// plan's (src, dst) links. Logical accounting of the same faults stays
+// in recovery.go on the virtual clock; the injection only proves the
 // wire path really absorbs the havoc.
 type FrameFaultInjector interface {
 	// InjectFrameFaults arms the transport's next Exchange with the

@@ -101,7 +101,7 @@ func (s *Server) SaveSnapshot(dir string) error {
 	if err := sweepSnapshot(dir, keep); err != nil {
 		return err
 	}
-	s.bump(func(st *serverStats) { st.checkpointedSess += len(sessions) })
+	s.bump(func(st *StatzResponse) { st.CheckpointedSessions += len(sessions) })
 	return nil
 }
 
@@ -180,7 +180,7 @@ func LoadSnapshot(dir string, cfg Config) (*Server, error) {
 		}
 		s.sessions[sess.ID] = sess
 	}
-	s.bump(func(st *serverStats) { st.restoredSessions += len(m.Sessions) })
+	s.bump(func(st *StatzResponse) { st.RestoredSessions += len(m.Sessions) })
 	return s, nil
 }
 

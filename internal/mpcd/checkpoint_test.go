@@ -355,3 +355,60 @@ func TestSnapshotBitFlipLaw(t *testing.T) {
 		}
 	}
 }
+
+// TestStatzReportsWhatTheScriptDrives: /v1/statz is the daemon's only
+// observability surface, so a counter the server bumps must come out of
+// it. A script that creates, repartitions, reuses, gathers, is refused
+// on budget, deletes, checkpoints and restores must leave every counter
+// it drives non-zero in the served JSON, checkpointed_sessions among
+// them.
+func TestStatzReportsWhatTheScriptDrives(t *testing.T) {
+	statz := func(url string) map[string]any {
+		_, raw := do(t, "GET", url+"/v1/statz", nil)
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatalf("decode statz %s: %v", raw, err)
+		}
+		return m
+	}
+	nonZero := func(who string, m map[string]any, keys ...string) {
+		t.Helper()
+		for _, k := range keys {
+			if v, ok := m[k]; !ok || v == float64(0) || v == false {
+				t.Errorf("%s: statz[%q] = %v (present: %v), want non-zero", who, k, v, ok)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{})
+	seedSessions(t, ts1.URL) // two creates, two repartitions, plan and cover misses
+	for i := 0; i < 2; i++ { // reused; the second time on a cached plan and cover verdict
+		query(t, ts1.URL, "ck1", coveredQ1)
+	}
+	do(t, "POST", ts1.URL+"/v1/query", queryRequest{ // gathered
+		Session: "ck2", Lang: LangDatalog, Query: "T(x, y) :- E(x, y)", Out: "T"})
+	do(t, "POST", ts1.URL+"/v1/query", queryRequest{ // refused on budget
+		Session: "ck1", Query: uncoveredQ, Budget: 1})
+	do(t, "POST", ts1.URL+"/v1/sessions", createRequest{ID: "gone", Facts: []string{"R(a, b)"}})
+	do(t, "DELETE", ts1.URL+"/v1/sessions/gone", nil)
+	if err := s1.SaveSnapshot(dir); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	do(t, "POST", ts1.URL+"/v1/query", queryRequest{ // refused: draining
+		Session: "ck1", Query: anchorQ})
+	nonZero("checkpointed server", statz(ts1.URL),
+		"sessions", "draining", "admitted", "reused", "repartitioned", "gathered",
+		"rejected_budget", "rejected_draining", "plan_hits", "plan_misses",
+		"cover_hits", "cover_misses", "comm_total", "sessions_created",
+		"sessions_destroyed", "checkpointed_sessions")
+
+	s2, err := LoadSnapshot(dir, Config{})
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	query(t, ts2.URL, "ck1", coveredQ2)
+	nonZero("restored server", statz(ts2.URL), "sessions", "restored_sessions", "admitted", "reused")
+}

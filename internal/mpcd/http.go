@@ -86,10 +86,12 @@ type healthResponse struct {
 	Sessions int  `json:"sessions"`
 }
 
-// StatzResponse reports the server-wide counters. These are
-// interleaving-dependent snapshots (cache hits depend on which session
-// parsed a query first), so they are deliberately OUTSIDE the
-// deterministic response surface — no session response embeds them.
+// StatzResponse is the server-wide counter table: the one declaration
+// of what the server counts, mutated in place by Server.bump and served
+// by /v1/statz. The counters are interleaving-dependent snapshots
+// (cache hits depend on which session parsed a query first), so they
+// are deliberately OUTSIDE the deterministic response surface — no
+// session response embeds them.
 type StatzResponse struct {
 	Sessions              int  `json:"sessions"`
 	Draining              bool `json:"draining"`
@@ -110,6 +112,7 @@ type StatzResponse struct {
 	CommTotal             int  `json:"comm_total"`
 	SessionsCreated       int  `json:"sessions_created"`
 	SessionsDestroyed     int  `json:"sessions_destroyed"`
+	CheckpointedSessions  int  `json:"checkpointed_sessions"`
 	RestoredSessions      int  `json:"restored_sessions"`
 }
 
@@ -119,29 +122,10 @@ type StatzResponse struct {
 func (s *Server) Statz() StatzResponse {
 	sessions, draining := s.Sessions(), s.Draining()
 	s.stats.mu.Lock()
-	defer s.stats.mu.Unlock()
-	return StatzResponse{
-		Sessions:              sessions,
-		Draining:              draining,
-		InFlight:              s.stats.inFlight,
-		Admitted:              s.stats.admitted,
-		Reused:                s.stats.reused,
-		Repartitioned:         s.stats.repartitioned,
-		Gathered:              s.stats.gathered,
-		RejectedBudget:        s.stats.rejBudget,
-		RejectedSessionBudget: s.stats.rejSessionBudget,
-		RejectedOverloaded:    s.stats.rejOverloaded,
-		RejectedDraining:      s.stats.rejDraining,
-		PlanHits:              s.stats.planHits,
-		PlanMisses:            s.stats.planMisses,
-		CoverHits:             s.stats.coverHits,
-		CoverMisses:           s.stats.coverMisses,
-		CoverSkips:            s.stats.coverSkips,
-		CommTotal:             s.stats.commTotal,
-		SessionsCreated:       s.stats.sessionsCreated,
-		SessionsDestroyed:     s.stats.sessionsDestroyed,
-		RestoredSessions:      s.stats.restoredSessions,
-	}
+	sz := s.stats.StatzResponse
+	s.stats.mu.Unlock()
+	sz.Sessions, sz.Draining = sessions, draining
+	return sz
 }
 
 // Handler returns the daemon's HTTP API:
@@ -202,7 +186,7 @@ func writeErr(w http.ResponseWriter, e *apiError) { writeJSON(w, e.status, e) }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if aerr := s.beginOp(); aerr != nil {
-		s.bump(func(st *serverStats) { st.rejDraining++ })
+		s.bump(func(st *StatzResponse) { st.RejectedDraining++ })
 		writeErr(w, aerr)
 		return
 	}
@@ -222,7 +206,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if aerr := s.beginOp(); aerr != nil {
-		s.bump(func(st *serverStats) { st.rejDraining++ })
+		s.bump(func(st *StatzResponse) { st.RejectedDraining++ })
 		writeErr(w, aerr)
 		return
 	}
@@ -237,7 +221,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if aerr := s.beginOp(); aerr != nil {
-		s.bump(func(st *serverStats) { st.rejDraining++ })
+		s.bump(func(st *StatzResponse) { st.RejectedDraining++ })
 		writeErr(w, aerr)
 		return
 	}
@@ -252,7 +236,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if aerr := s.beginOp(); aerr != nil {
-		s.bump(func(st *serverStats) { st.rejDraining++ })
+		s.bump(func(st *StatzResponse) { st.RejectedDraining++ })
 		writeErr(w, aerr)
 		return
 	}
@@ -272,14 +256,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if aerr := s.acquireSlot(); aerr != nil {
-		s.bump(func(st *serverStats) { st.rejOverloaded++ })
+		s.bump(func(st *StatzResponse) { st.RejectedOverloaded++ })
 		writeErr(w, aerr)
 		return
 	}
 	defer s.releaseSlot()
-	s.bump(func(st *serverStats) { st.inFlight++ })
+	s.bump(func(st *StatzResponse) { st.InFlight++ })
 	resp, aerr := sess.run(&req)
-	s.bump(func(st *serverStats) { st.inFlight-- })
+	s.bump(func(st *StatzResponse) { st.InFlight-- })
 	if aerr != nil {
 		writeErr(w, aerr)
 		return

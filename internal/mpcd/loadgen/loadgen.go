@@ -61,10 +61,10 @@ type Report struct {
 
 	Rejected map[string]int `json:"rejected"` // typed code → count
 
-	Comm          int `json:"comm"`           // total facts shipped
-	VirtualTicks  int `json:"virtual_ticks"`  // sum of per-query costs
-	VirtualSpan   int `json:"virtual_span"`   // busiest worker's ticks (makespan)
-	MaxSessTicks  int `json:"max_sess_ticks"` // slowest single session
+	Comm         int `json:"comm"`           // total facts shipped
+	VirtualTicks int `json:"virtual_ticks"`  // sum of per-query costs
+	VirtualSpan  int `json:"virtual_span"`   // busiest worker's ticks (makespan)
+	MaxSessTicks int `json:"max_sess_ticks"` // slowest single session
 
 	SessionDigests []string `json:"session_digests"` // per-session response-stream sha256, session order
 	Digest         string   `json:"digest"`          // digest of the digests: the run's identity
@@ -146,7 +146,7 @@ func sessionScript(cfg Config, i int) (createRequest, []queryRequest) {
 	if r.Intn(2) == 0 {
 		create.Generator, create.N = "join", 16+r.Intn(112)
 	} else {
-		create.Generator, create.N, create.M = "random-graph", 16, 32 + r.Intn(96)
+		create.Generator, create.N, create.M = "random-graph", 16, 32+r.Intn(96)
 		create.Seed = int64(i)
 	}
 	qs := make([]queryRequest, cfg.Queries)

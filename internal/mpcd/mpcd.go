@@ -24,12 +24,12 @@
 //     (mpc.Deliver), so the load it was admitted on IS the load the
 //     round records.
 //
-// Sessions are checkpointable: a session's cluster runs the plain,
-// zero-overhead round path and is snapshotted only on demand
-// (Cluster.Checkpoint), and that image, landed by policy.SaveStore
-// beside a manifest that is itself a policy store image, makes a
-// drained server restartable with every session warm (see
-// checkpoint.go).
+// Sessions are checkpointable: a session's cluster is built with no
+// mpc.Option, so it keeps no rolling checkpoint and is snapshotted only
+// on demand (Cluster.Checkpoint), and that image, landed by
+// policy.SaveStore beside a manifest that is itself a policy store
+// image, makes a drained server restartable with every session warm
+// (see checkpoint.go).
 //
 // Determinism is the serving invariant: for a fixed session and query
 // sequence, every response body is byte-identical regardless of how
@@ -174,34 +174,14 @@ type Server struct {
 	draining bool
 	inflight sync.WaitGroup
 
-	stats serverStats
-}
-
-// serverStats are the server-wide observability counters reported by
-// /v1/statz. They are interleaving-dependent snapshots (cache hits
-// depend on which session parsed a query first), so they are NOT part
-// of the deterministic response surface.
-type serverStats struct {
-	mu                sync.Mutex
-	inFlight          int
-	admitted          int
-	reused            int
-	repartitioned     int
-	gathered          int
-	rejBudget         int
-	rejSessionBudget  int
-	rejOverloaded     int
-	rejDraining       int
-	planHits          int
-	planMisses        int
-	coverHits         int
-	coverMisses       int
-	coverSkips        int
-	commTotal         int
-	checkpointedSess  int
-	restoredSessions  int
-	sessionsCreated   int
-	sessionsDestroyed int
+	// stats are the server-wide counters, declared once: the struct
+	// that bump mutates is the struct /v1/statz serves (see
+	// StatzResponse). Its Sessions and Draining stay zero here; Statz
+	// fills them in the copy it hands out.
+	stats struct {
+		mu sync.Mutex
+		StatzResponse
+	}
 }
 
 // New builds a server with no sessions.
@@ -310,8 +290,8 @@ func (s *Server) freshID() string {
 
 // bump applies one mutation to the server-wide counters under their
 // lock.
-func (s *Server) bump(f func(*serverStats)) {
+func (s *Server) bump(f func(*StatzResponse)) {
 	s.stats.mu.Lock()
-	f(&s.stats)
+	f(&s.stats.StatzResponse)
 	s.stats.mu.Unlock()
 }

@@ -65,7 +65,7 @@ func (sess *Session) parseQuery(lang, src, out string) (*sessionQuery, *apiError
 	}
 	rawKey := lang + "\x00" + out + "\x00" + src
 	if sq, ok := sess.parsed[rawKey]; ok {
-		sess.srv.bump(func(st *serverStats) { st.planHits++ })
+		sess.srv.bump(func(st *StatzResponse) { st.PlanHits++ })
 		return sq, nil
 	}
 	sq := &sessionQuery{}
@@ -103,7 +103,7 @@ func (s *Server) planFor(lang, canon, out string, q *cq.CQ) *queryPlan {
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
 	if pl, ok := s.plans[key]; ok {
-		s.bump(func(st *serverStats) { st.planHits++ })
+		s.bump(func(st *StatzResponse) { st.PlanHits++ })
 		return pl
 	}
 	pl := &queryPlan{key: key, lang: lang, grids: make(map[gridKey]gridResult)}
@@ -113,7 +113,7 @@ func (s *Server) planFor(lang, canon, out string, q *cq.CQ) *queryPlan {
 		pl.atoms = len(q.Body)
 	}
 	s.plans[key] = pl
-	s.bump(func(st *serverStats) { st.planMisses++ })
+	s.bump(func(st *StatzResponse) { st.PlanMisses++ })
 	return pl
 }
 
@@ -163,12 +163,12 @@ func (s *Server) coversFor(anchor, cand *sessionQuery) bool {
 		return false
 	}
 	if a.key == c.key {
-		s.bump(func(st *serverStats) { st.coverHits++ })
+		s.bump(func(st *StatzResponse) { st.CoverHits++ })
 		return true
 	}
 	if a.vars > s.cfg.MaxCoverVars || c.vars > s.cfg.MaxCoverVars ||
 		a.atoms > s.cfg.MaxCoverAtoms || c.atoms > s.cfg.MaxCoverAtoms {
-		s.bump(func(st *serverStats) { st.coverSkips++ })
+		s.bump(func(st *StatzResponse) { st.CoverSkips++ })
 		return false
 	}
 	key := a.key + "\x01" + c.key
@@ -176,7 +176,7 @@ func (s *Server) coversFor(anchor, cand *sessionQuery) bool {
 	v, ok := s.covers[key]
 	s.planMu.Unlock()
 	if ok {
-		s.bump(func(st *serverStats) { st.coverHits++ })
+		s.bump(func(st *StatzResponse) { st.CoverHits++ })
 		return v
 	}
 	v, _, err := pc.Covers(anchor.cq, cand.cq)
@@ -189,6 +189,6 @@ func (s *Server) coversFor(anchor, cand *sessionQuery) bool {
 	s.planMu.Lock()
 	s.covers[key] = v
 	s.planMu.Unlock()
-	s.bump(func(st *serverStats) { st.coverMisses++ })
+	s.bump(func(st *StatzResponse) { st.CoverMisses++ })
 	return v
 }

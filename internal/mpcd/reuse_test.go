@@ -27,10 +27,10 @@ func query(t *testing.T, url, session, q string) QueryResponse {
 // self-join over R needs R replicated by both columns).
 const (
 	anchorQ    = "A(x, z) :- R(x, y), S(y, z)"
-	coveredQ1  = "B(x) :- R(x, y), S(y, z)"      // projection of the anchor
-	coveredQ2  = "C(z, x) :- S(y, z), R(x, y)"   // reordered body, swapped head
-	coveredQ3  = "D(x, y) :- R(x, y)"            // body subset
-	uncoveredQ = "D(x, z) :- R(x, y), R(y, z)"   // self-join: not covered
+	coveredQ1  = "B(x) :- R(x, y), S(y, z)"    // projection of the anchor
+	coveredQ2  = "C(z, x) :- S(y, z), R(x, y)" // reordered body, swapped head
+	coveredQ3  = "D(x, y) :- R(x, y)"          // body subset
+	uncoveredQ = "D(x, z) :- R(x, y), R(y, z)" // self-join: not covered
 )
 
 func transferFacts() []string {

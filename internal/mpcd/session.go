@@ -116,7 +116,7 @@ func (s *Server) createSession(req *createRequest) (createResponse, *apiError) {
 	}
 	sess.ID = id
 	s.sessions[id] = sess
-	s.bump(func(st *serverStats) { st.sessionsCreated++ })
+	s.bump(func(st *StatzResponse) { st.SessionsCreated++ })
 	return createResponse{Session: id, P: p, Facts: sess.facts, Budget: budget}, nil
 }
 
@@ -173,7 +173,7 @@ func (s *Server) deleteSession(id string) *apiError {
 		return errNotFound(id)
 	}
 	delete(s.sessions, id)
-	s.bump(func(st *serverStats) { st.sessionsDestroyed++ })
+	s.bump(func(st *StatzResponse) { st.SessionsDestroyed++ })
 	return nil
 }
 
@@ -211,7 +211,7 @@ func (sess *Session) run(req *queryRequest) (*QueryResponse, *apiError) {
 		out = sess.evalLocal(sq.cq)
 		resp.Path = PathReused
 		sess.reused++
-		sess.srv.bump(func(st *serverStats) { st.reused++ })
+		sess.srv.bump(func(st *StatzResponse) { st.Reused++ })
 	case sq.plan.gridable:
 		maxLoad, total, aerr := sess.repartition(sq, qBudget)
 		if aerr != nil {
@@ -220,7 +220,7 @@ func (sess *Session) run(req *queryRequest) (*QueryResponse, *apiError) {
 		out = sess.evalLocal(sq.cq)
 		resp.Path, resp.MaxLoad, resp.Comm = PathRepartitioned, maxLoad, total
 		sess.repartitioned++
-		sess.srv.bump(func(st *serverStats) { st.repartitioned++ })
+		sess.srv.bump(func(st *StatzResponse) { st.Repartitioned++ })
 	default:
 		gathered, cost, aerr := sess.gather(sq, qBudget)
 		if aerr != nil {
@@ -229,14 +229,14 @@ func (sess *Session) run(req *queryRequest) (*QueryResponse, *apiError) {
 		out = gathered
 		resp.Path, resp.MaxLoad, resp.Comm = PathGathered, cost, cost
 		sess.gathered++
-		sess.srv.bump(func(st *serverStats) { st.gathered++ })
+		sess.srv.bump(func(st *StatzResponse) { st.Gathered++ })
 	}
 	sess.queries++
 	resp.BudgetSpent = sess.budgetSpent
 	resp.BudgetRemaining = sess.budgetTotal - sess.budgetSpent
 	resp.Output = renderFacts(out, sess.dict)
 	resp.Count = len(resp.Output)
-	sess.srv.bump(func(st *serverStats) { st.admitted++; st.commTotal += resp.Comm })
+	sess.srv.bump(func(st *StatzResponse) { st.Admitted++; st.CommTotal += resp.Comm })
 	return resp, nil
 }
 
@@ -303,11 +303,11 @@ func (sess *Session) reship(sq *sessionQuery, router mpc.Router, qBudget int) (m
 	}
 	maxLoad, total = routed.MaxLoad, routed.TotalComm
 	if maxLoad > qBudget {
-		sess.srv.bump(func(st *serverStats) { st.rejBudget++ })
+		sess.srv.bump(func(st *StatzResponse) { st.RejectedBudget++ })
 		return 0, 0, errBudgetExceeded(maxLoad, qBudget)
 	}
 	if remaining := sess.budgetTotal - sess.budgetSpent; total > remaining {
-		sess.srv.bump(func(st *serverStats) { st.rejSessionBudget++ })
+		sess.srv.bump(func(st *StatzResponse) { st.RejectedSessionBudget++ })
 		return 0, 0, errSessionBudget(total, remaining)
 	}
 	stats, err := fresh.Deliver(routed)
@@ -335,11 +335,11 @@ func (sess *Session) gather(sq *sessionQuery, qBudget int) (*rel.Instance, int, 
 	union := sess.cluster.Output()
 	cost := union.Len()
 	if cost > qBudget {
-		sess.srv.bump(func(st *serverStats) { st.rejBudget++ })
+		sess.srv.bump(func(st *StatzResponse) { st.RejectedBudget++ })
 		return nil, 0, errBudgetExceeded(cost, qBudget)
 	}
 	if remaining := sess.budgetTotal - sess.budgetSpent; cost > remaining {
-		sess.srv.bump(func(st *serverStats) { st.rejSessionBudget++ })
+		sess.srv.bump(func(st *StatzResponse) { st.RejectedSessionBudget++ })
 		return nil, 0, errSessionBudget(cost, remaining)
 	}
 	var out *rel.Instance

@@ -130,14 +130,6 @@ func (p *Finite) Assign(κ Node, f rel.Fact) *Finite {
 	return p
 }
 
-// AssignAll makes κ responsible for every fact in facts.
-func (p *Finite) AssignAll(κ Node, facts ...rel.Fact) *Finite {
-	for _, f := range facts {
-		p.Assign(κ, f)
-	}
-	return p
-}
-
 // NumNodes implements Policy.
 func (p *Finite) NumNodes() int { return p.nodes }
 

@@ -77,10 +77,6 @@ func (c *Context) Send(to policy.Node, f rel.Fact) {
 	c.net.enqueue(c.Self, to, f)
 }
 
-// PolicyAware reports whether the network carries a queryable
-// distribution policy.
-func (c *Context) PolicyAware() bool { return c.net.pol != nil }
-
 // ResponsibleFor asks the distribution policy whether this node is
 // responsible for f. Faithful to the model, the query is only
 // permitted for facts over the node's local active domain; violating
