@@ -3,7 +3,8 @@
 // the raw output of `go test -cover` over the guarded packages, the
 // baseline is COVERAGE.json, and the build fails when any guarded
 // package's coverage drops more than the slack below its floor — new
-// code in the recovery stack has to bring tests with it.
+// code in a guarded package has to bring tests with it, and a deletion
+// there cannot take the only covered path with it unseen.
 //
 //	coverfloor [-baseline COVERAGE.json] [-slack 2.0] [-write] cover.txt
 //

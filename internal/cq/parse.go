@@ -16,15 +16,28 @@ import (
 // Variables are identifiers; constants are single-quoted names
 // (interned in d) or bare integer literals. Both ":-" and "<-" are
 // accepted as the rule arrow, the trailing period is optional, and
-// "not "/"!" prefixes mark negated atoms.
+// "not "/"!" prefixes mark negated atoms. The result is validated:
+// Parse is ParseRule followed by Validate.
 func Parse(d *rel.Dict, src string) (*CQ, error) {
+	q, err := ParseRule(d, src)
+	if err != nil {
+		return nil, err
+	}
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// ParseRule is the parse-only entry: the syntax of Parse with no
+// safety check at all, for dialects that relax one — a caller picks
+// the checks it wants (Validate, or ValidateBody alone when unsafe
+// head variables mean value invention).
+func ParseRule(d *rel.Dict, src string) (*CQ, error) {
 	p := &parser{d: d, src: src}
 	q, err := p.parseRule()
 	if err != nil {
 		return nil, fmt.Errorf("cq: parse %q: %w", src, err)
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
 	}
 	return q, nil
 }

@@ -167,3 +167,45 @@ func TestParseNoPanicOnGarbage(t *testing.T) {
 		}()
 	}
 }
+
+// ParseRule is Parse minus Validate: it accepts exactly the rules Parse
+// refuses for safety, and the caller picks the checks. ValidateBody is
+// Validate minus the head, so a rule with an unsafe head variable
+// passes it while unsafe negation, an unsafe inequality, and an empty
+// positive body do not.
+func TestParseRuleLeavesSafetyToTheCaller(t *testing.T) {
+	d := rel.NewDict()
+	cases := []struct {
+		src             string
+		bodyOK, validOK bool
+	}{
+		{"H(x, y) :- R(x, y)", true, true},
+		{"H(x, n) :- R(x)", true, false}, // unsafe head only
+		{"H(x, 'a', n) :- R(x), not S(x), x != 3", true, false},
+		{"H(x, n) :- R(x), not S(n)", false, false}, // unsafe negation
+		{"H(x, n) :- R(x), n != x", false, false},   // unsafe inequality
+		{"H(x) :- R(x), not S(y)", false, false},
+		{"H(x) :- not R(x)", false, false}, // empty positive body
+	}
+	for _, tc := range cases {
+		q, err := ParseRule(d, tc.src)
+		if err != nil {
+			t.Errorf("ParseRule(%q): %v", tc.src, err)
+			continue
+		}
+		if got := q.ValidateBody() == nil; got != tc.bodyOK {
+			t.Errorf("%q: ValidateBody ok = %v, want %v", tc.src, got, tc.bodyOK)
+		}
+		if got := q.Validate() == nil; got != tc.validOK {
+			t.Errorf("%q: Validate ok = %v, want %v", tc.src, got, tc.validOK)
+		}
+		if _, err := Parse(d, tc.src); (err == nil) != tc.validOK {
+			t.Errorf("Parse(%q) error = %v, want ok = %v", tc.src, err, tc.validOK)
+		}
+	}
+	for _, src := range []string{"", "H(x)", "H(x) :- ", "H(x :- R(x)", "H(x) :- R(x"} {
+		if _, err := ParseRule(d, src); err == nil {
+			t.Errorf("ParseRule(%q) succeeded, want a syntax error", src)
+		}
+	}
+}

@@ -87,11 +87,11 @@ func (q *CQ) Constants() rel.ValueSet {
 	return out
 }
 
-// Validate checks well-formedness: nonempty body, safety of head,
-// negated atoms, and inequalities.
+// Validate checks well-formedness: ValidateBody, then safety of the
+// head (every head variable occurs in some positive body atom).
 func (q *CQ) Validate() error {
-	if len(q.Body) == 0 {
-		return fmt.Errorf("cq: query %s has empty body", q.Head.Rel)
+	if err := q.ValidateBody(); err != nil {
+		return err
 	}
 	bv := q.BodyVars()
 	for _, t := range q.Head.Args {
@@ -99,6 +99,18 @@ func (q *CQ) Validate() error {
 			return fmt.Errorf("cq: head variable %s not in body", t.Var)
 		}
 	}
+	return nil
+}
+
+// ValidateBody is Validate without the head: nonempty body, and every
+// variable of a negated atom or inequality occurs in some positive
+// body atom. It is the whole check for rules whose unsafe head
+// variables are meaningful (value invention).
+func (q *CQ) ValidateBody() error {
+	if len(q.Body) == 0 {
+		return fmt.Errorf("cq: query %s has empty body", q.Head.Rel)
+	}
+	bv := q.BodyVars()
 	for _, a := range q.Neg {
 		for _, t := range a.Args {
 			if t.IsVar() && !bv[t.Var] {

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"reflect"
 	"testing"
 
 	"mpclogic/internal/rel"
@@ -121,5 +122,31 @@ func TestQueryStructurePredicates(t *testing.T) {
 	sj := MustParse(d, "H(x, z) :- R(x, y), R(y, z)")
 	if sj.SelfJoinFree() {
 		t.Errorf("self-join not recognized")
+	}
+}
+
+func TestJoinColumns(t *testing.T) {
+	d := rel.NewDict()
+	cases := []struct {
+		name         string
+		body         string
+		lCols, rCols []int
+	}{
+		{"one shared variable", "R(x, y), S(y, z)", []int{1}, []int{0}},
+		{"order follows the right atom", "R(x, y), S(y, x)", []int{1, 0}, []int{0, 1}},
+		{"repeated on the left: first occurrence", "R(y, x, y), S(y, z)", []int{0}, []int{0}},
+		{"repeated on the right: listed once", "R(x, y), S(y, z, y)", []int{1}, []int{0}},
+		{"repeated on both sides", "R(x, x, y), S(y, y, x)", []int{2, 0}, []int{0, 2}},
+		{"constants are not join columns", "R(1, y, 2), S(2, 1, y)", []int{1}, []int{2}},
+		{"equal constants do not join", "R(x, 1), S(1, z)", nil, nil},
+		{"no shared variable", "R(x, y), S(z, w)", nil, nil},
+		{"nullary right atom", "R(x), S()", nil, nil},
+	}
+	for _, tc := range cases {
+		q := MustParse(d, "H() :- "+tc.body)
+		lCols, rCols := JoinColumns(q.Body[0], q.Body[1])
+		if !reflect.DeepEqual(lCols, tc.lCols) || !reflect.DeepEqual(rCols, tc.rCols) {
+			t.Errorf("%s: JoinColumns(%s) = %v, %v, want %v, %v", tc.name, tc.body, lCols, rCols, tc.lCols, tc.rCols)
+		}
 	}
 }

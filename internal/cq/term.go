@@ -62,6 +62,34 @@ func (a Atom) Vars() []string {
 	return out
 }
 
+// JoinColumns is the column analysis of the binary join l ⋈ r: for each
+// variable the two atoms share, in the order r first mentions it, the
+// tuple position of its first occurrence in l and in r. Hashing an
+// l-tuple on lCols and an r-tuple on rCols sends joining tuples to the
+// same place; both lists are empty for a cross product.
+func JoinColumns(l, r Atom) (lCols, rCols []int) {
+	lPos := map[string]int{}
+	for i, t := range l.Args {
+		if t.IsVar() {
+			if _, ok := lPos[t.Var]; !ok {
+				lPos[t.Var] = i
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for i, t := range r.Args {
+		if !t.IsVar() || seen[t.Var] {
+			continue
+		}
+		if li, ok := lPos[t.Var]; ok {
+			seen[t.Var] = true
+			lCols = append(lCols, li)
+			rCols = append(rCols, i)
+		}
+	}
+	return lCols, rCols
+}
+
 // Equal reports structural equality of atoms.
 func (a Atom) Equal(b Atom) bool {
 	if a.Rel != b.Rel || len(a.Args) != len(b.Args) {

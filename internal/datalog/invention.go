@@ -13,7 +13,11 @@ import (
 // satisfying binding of the body invents a fresh domain value per such
 // variable, deterministically (skolemized on the rule and binding), so
 // evaluation is repeatable. Because invention can cascade, evaluation
-// is bounded by a configurable number of rounds.
+// is bounded by a configurable number of rounds. The dialect relaxes
+// exactly one check of the rule language, head safety; everything else
+// — the parser, the line syntax, the safety of negated atoms and
+// inequalities — is the shared one (cq.ParseRule, cq.ValidateBody,
+// parseRules).
 
 // InventionProgram is a Datalog program whose rules may invent values.
 type InventionProgram struct {
@@ -29,158 +33,25 @@ const DefaultInventionRounds = 64
 // inventionBase is where skolem values start; keep far away from data.
 const inventionBase = rel.Value(1) << 40
 
-// ParseInvention parses a program allowing invented head variables.
+// ParseInvention parses a program allowing invented head variables:
+// Parse's line syntax, with each rule held to cq.ValidateBody only —
+// head safety is the one check dropped, since the unsafe head
+// variables are exactly the invented ones. A variable of a negated
+// atom or inequality that no positive atom binds is still an error:
+// an invented value exists only once the head fact does, so a body
+// cannot test it.
 func ParseInvention(d *rel.Dict, src string) (*InventionProgram, error) {
-	p := &InventionProgram{}
-	base, err := parseLoose(d, src)
+	rules, err := parseRules(src, func(line string) (*Rule, error) {
+		r, err := cq.ParseRule(d, line)
+		if err != nil {
+			return nil, err
+		}
+		return r, r.ValidateBody()
+	})
 	if err != nil {
 		return nil, err
 	}
-	p.Rules = base
-	return p, nil
-}
-
-// parseLoose parses rules but skips the head-safety check (invented
-// variables are exactly the unsafe head variables).
-func parseLoose(d *rel.Dict, src string) ([]*Rule, error) {
-	var rules []*Rule
-	for _, line := range splitRules(src) {
-		r, err := cq.Parse(d, line)
-		if err == nil {
-			rules = append(rules, r)
-			continue
-		}
-		// Retry with a safety escape: add a dummy guard binding the
-		// unsafe head variables is wrong; instead parse manually by
-		// relaxing validation: reconstruct via cq parse of a safened
-		// variant and mark invented vars.
-		r2, err2 := parseUnsafe(d, line)
-		if err2 != nil {
-			return nil, fmt.Errorf("datalog: %v", err)
-		}
-		rules = append(rules, r2)
-	}
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("datalog: empty program")
-	}
-	return rules, nil
-}
-
-func splitRules(src string) []string {
-	var out []string
-	for _, line := range splitLines(src) {
-		if line == "" || line[0] == '%' {
-			continue
-		}
-		out = append(out, line)
-	}
-	return out
-}
-
-func splitLines(src string) []string {
-	var out []string
-	cur := ""
-	for _, r := range src {
-		if r == '\n' {
-			out = append(out, trim(cur))
-			cur = ""
-			continue
-		}
-		cur += string(r)
-	}
-	out = append(out, trim(cur))
-	return out
-}
-
-func trim(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t' || s[0] == '\r') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t' || s[len(s)-1] == '\r') {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-// parseUnsafe parses a rule whose head may contain invented variables
-// by temporarily guarding them with a dummy atom, then removing it.
-func parseUnsafe(d *rel.Dict, line string) (*Rule, error) {
-	const guard = "XXinvguardXX"
-	// Parse leniently: append a guard atom binding every identifier in
-	// the head; over-binding is harmless since we drop the guard.
-	head, rest, ok := splitArrow(line)
-	if !ok {
-		return nil, fmt.Errorf("malformed rule %q", line)
-	}
-	hAtomSrc := trim(head)
-	vars := identifierList(hAtomSrc)
-	if len(vars) == 0 {
-		return nil, fmt.Errorf("malformed rule %q", line)
-	}
-	guarded := hAtomSrc + " :- " + trim(rest) + ", " + guard + "(" + join(vars, ", ") + ")"
-	r, err := cq.Parse(d, guarded)
-	if err != nil {
-		return nil, err
-	}
-	// Drop the guard atom.
-	var body []cq.Atom
-	for _, a := range r.Body {
-		if a.Rel != guard {
-			body = append(body, a)
-		}
-	}
-	r.Body = body
-	return r, nil
-}
-
-func splitArrow(s string) (string, string, bool) {
-	for i := 0; i+1 < len(s); i++ {
-		if (s[i] == ':' && s[i+1] == '-') || (s[i] == '<' && s[i+1] == '-') {
-			return s[:i], s[i+2:], true
-		}
-	}
-	return "", "", false
-}
-
-// identifierList extracts the identifiers inside the head atom's
-// parentheses.
-func identifierList(atom string) []string {
-	open := -1
-	for i := 0; i < len(atom); i++ {
-		if atom[i] == '(' {
-			open = i
-			break
-		}
-	}
-	if open < 0 || atom[len(atom)-1] != ')' {
-		return nil
-	}
-	inner := atom[open+1 : len(atom)-1]
-	var out []string
-	cur := ""
-	for i := 0; i <= len(inner); i++ {
-		if i == len(inner) || inner[i] == ',' {
-			t := trim(cur)
-			if t != "" {
-				out = append(out, t)
-			}
-			cur = ""
-			continue
-		}
-		cur += string(inner[i])
-	}
-	return out
-}
-
-func join(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
+	return &InventionProgram{Rules: rules}, nil
 }
 
 // InventedVars returns the head variables of r that do not occur in

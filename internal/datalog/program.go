@@ -34,25 +34,38 @@ type Program struct {
 // Parse parses a program: one rule per line; blank lines and lines
 // starting with '%' are ignored.
 func Parse(d *rel.Dict, src string) (*Program, error) {
-	p := &Program{}
+	rules, err := parseRules(src, func(line string) (*Rule, error) { return cq.Parse(d, line) })
+	if err != nil {
+		return nil, err
+	}
+	p := &Program{Rules: rules}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// parseRules is the line splitter every dialect shares: it hands each
+// rule line of src to parse — skipping blank lines and lines starting
+// with '%' — and names the 1-based line of the first error. A source
+// with no rule is an error.
+func parseRules(src string, parse func(line string) (*Rule, error)) ([]*Rule, error) {
+	var rules []*Rule
 	for ln, line := range strings.Split(src, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
 		}
-		r, err := cq.Parse(d, line)
+		r, err := parse(line)
 		if err != nil {
 			return nil, fmt.Errorf("datalog: line %d: %w", ln+1, err)
 		}
-		p.Rules = append(p.Rules, r)
+		rules = append(rules, r)
 	}
-	if len(p.Rules) == 0 {
+	if len(rules) == 0 {
 		return nil, fmt.Errorf("datalog: empty program")
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return rules, nil
 }
 
 // MustParse is Parse that panics on error.

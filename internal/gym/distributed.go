@@ -23,14 +23,14 @@ import (
 // Every algorithm is exposed in two layers: a *Program builder that
 // returns the complete round list as pure data (a function of the
 // query, p, and the seed only — never of execution results), and a
-// driver that executes it. Because the program is data, a failed or
-// checkpointed execution can resume: rebuild the identical program,
-// restore the cluster (mpc.Restore), and mpc.Cluster.RunResumable
-// skips the completed prefix and continues with the first outstanding
-// round.
-
-// yname names the node relation of atom/bag i.
-func yname(i int) string { return fmt.Sprintf("Y%d", i) }
+// driver that executes it. For Yannakakis the builder is the MPC
+// interpreter of planYannakakis' schedule (plan.go), the twin of the
+// in-memory interpreter YannakakisWith: one stepRound per step, named
+// by the step, computing the step's own apply. Because the program is
+// data, a failed or checkpointed execution can resume: rebuild the
+// identical program, restore the cluster (mpc.Restore), and
+// mpc.Cluster.RunResumable skips the completed prefix and continues
+// with the first outstanding round.
 
 // materializeRound converts raw input facts into node relations Y<i>
 // for the atoms of q, dropping the raw facts. Zero communication.
@@ -49,125 +49,28 @@ func materializeRound(q *cq.CQ) mpc.Round {
 	}
 }
 
-// edgeRound builds one round that repartitions relations aName and
-// bName on the given column lists (hashed consistently) and applies
-// combine to the co-located pieces. Facts of other relations stay put.
-func edgeRound(name string, p int, aName, bName string, aCols, bCols []int, seed uint64,
-	combine func(local *rel.Instance) *rel.Instance) mpc.Round {
-	return mpc.Round{
-		Name: name,
-		Keep: func(f rel.Fact) bool { return f.Rel != aName && f.Rel != bName },
-		Route: mpc.ByRelation(map[string]mpc.Router{
-			aName: mpc.HashOn(p, aCols, seed),
-			bName: mpc.HashOn(p, bCols, seed),
-		}),
-		Compute: func(_ int, local *rel.Instance) *rel.Instance {
-			return combine(local)
-		},
-	}
-}
-
 // YannakakisProgram builds the complete distributed Yannakakis round
-// list for an acyclic pure CQ on p servers: materialize, bottom-up
-// semijoins, top-down semijoins, bottom-up joins with projection, and
-// the final head projection. The program is pure data — its rounds
-// depend only on (q, p, seed) — so rebuilding it yields an identical
-// program, which is what makes executions resumable.
+// list for an acyclic pure CQ on p servers: materialize, then one round
+// per step of the schedule (bottom-up semijoins, top-down semijoins,
+// bottom-up joins with projection), and the final head projection. The
+// program is pure data — its rounds depend only on (q, p, seed) — so
+// rebuilding it yields an identical program, which is what makes
+// executions resumable.
 func YannakakisProgram(q *cq.CQ, p int, seed uint64) ([]mpc.Round, error) {
 	if q.HasNegation() || q.HasDiseq() {
 		return nil, fmt.Errorf("gym: distributed Yannakakis for pure CQs")
 	}
-	jt, ok := cq.GYO(q)
+	plan, ok := planYannakakis(q, true)
 	if !ok {
 		return nil, fmt.Errorf("gym: %v is cyclic; use GYM", q)
 	}
 	prog := []mpc.Round{materializeRound(q)}
-	n := len(jt.Atoms)
-	vars := make([][]string, n)
-	for i, a := range jt.Atoms {
-		vars[i] = a.Vars()
-	}
-
-	// Phase 1: bottom-up semijoin rounds (parent ⋉ child).
-	for _, i := range jt.Order {
-		par := jt.Parent[i]
-		if par < 0 {
-			continue
-		}
-		pc, cc := sharedCols(vars[par], vars[i])
-		pn, cn := yname(par), yname(i)
-		prog = append(prog, edgeRound(fmt.Sprintf("semijoin↑ %s⋉%s", pn, cn), p, pn, cn, pc, cc, seed,
-			semijoinCombine(pn, cn, pc, cc, len(vars[par]), len(vars[i]))))
-	}
-	// Phase 2: top-down semijoin rounds (child ⋉ parent).
-	for k := n - 1; k >= 0; k-- {
-		i := jt.Order[k]
-		par := jt.Parent[i]
-		if par < 0 {
-			continue
-		}
-		cc, pc := sharedCols(vars[i], vars[par])
-		cn, pn := yname(i), yname(par)
-		prog = append(prog, edgeRound(fmt.Sprintf("semijoin↓ %s⋉%s", cn, pn), p, cn, pn, cc, pc, seed,
-			semijoinCombine(cn, pn, cc, pc, len(vars[i]), len(vars[par]))))
-	}
-
-	headVars := map[string]bool{}
-	for _, t := range q.Head.Args {
-		if t.IsVar() {
-			headVars[t.Var] = true
-		}
-	}
-
-	// Phase 3: bottom-up join rounds with projection.
-	for _, i := range jt.Order {
-		par := jt.Parent[i]
-		if par < 0 {
-			continue
-		}
-		pc, cc := sharedCols(vars[par], vars[i])
-		pn, cn := yname(par), yname(i)
-
-		// Keep parent vars plus child head vars not already present.
-		inParent := map[string]bool{}
-		for _, v := range vars[par] {
-			inParent[v] = true
-		}
-		newVars := append([]string(nil), vars[par]...)
-		keepCols := make([]int, 0, len(vars[par])+len(vars[i]))
-		for k := range vars[par] {
-			keepCols = append(keepCols, k)
-		}
-		for k, v := range vars[i] {
-			if !inParent[v] && headVars[v] {
-				newVars = append(newVars, v)
-				keepCols = append(keepCols, len(vars[par])+k)
-			}
-		}
-		pArity, cArity := len(vars[par]), len(vars[i])
-		keep := keepCols
-		prog = append(prog, edgeRound(fmt.Sprintf("join %s⋈%s", pn, cn), p, pn, cn, pc, cc, seed,
-			func(local *rel.Instance) *rel.Instance {
-				out := stripRelations(local, pn, cn)
-				l := local.Relation(pn)
-				r := local.Relation(cn)
-				if l == nil {
-					l = rel.NewRelation(pn, pArity)
-				}
-				if r == nil {
-					r = rel.NewRelation(cn, cArity)
-				}
-				joined := rel.HashJoin("⋈", l, r, pc, cc)
-				out.SetRelation(rel.Project(joined, pn, keep))
-				return out
-			}))
-		vars[par] = newVars
+	for _, s := range plan.steps {
+		prog = append(prog, stepRound(s, p, seed))
 	}
 
 	// Final projection to the head, locally.
-	root := jt.Order[n-1]
-	rootName := yname(root)
-	rootVars := vars[root]
+	rootName, rootVars := yname(plan.root), plan.rootVars
 	prog = append(prog, mpc.Round{
 		Name: "project-head",
 		Keep: func(rel.Fact) bool { return true },
@@ -184,21 +87,40 @@ func YannakakisProgram(q *cq.CQ, p int, seed uint64) ([]mpc.Round, error) {
 	return prog, nil
 }
 
-// semijoinCombine returns a compute phase replacing relation a with
-// a ⋉ b on the given columns, leaving all other relations intact.
-func semijoinCombine(aName, bName string, aCols, bCols []int, aArity, bArity int) func(*rel.Instance) *rel.Instance {
-	return func(local *rel.Instance) *rel.Instance {
-		out := stripRelations(local, aName)
-		a := local.Relation(aName)
-		b := local.Relation(bName)
-		if a == nil {
+// stepRound is one step of the schedule as an MPC round: it
+// repartitions Y<dst> and Y<src> on their shared columns (hashed
+// consistently; facts of other relations stay put) and puts the
+// co-located pieces through the step's apply. A semijoin replaces
+// Y<dst> and leaves Y<src> in place (a server holding no piece of
+// Y<dst> has nothing to reduce); a join consumes both.
+func stepRound(s step, p int, seed uint64) mpc.Round {
+	dn, sn := yname(s.dst), yname(s.src)
+	return mpc.Round{
+		Name: s.name,
+		Keep: func(f rel.Fact) bool { return f.Rel != dn && f.Rel != sn },
+		Route: mpc.ByRelation(map[string]mpc.Router{
+			dn: mpc.HashOn(p, s.dstCols, seed),
+			sn: mpc.HashOn(p, s.srcCols, seed),
+		}),
+		Compute: func(_ int, local *rel.Instance) *rel.Instance {
+			dst, src := local.Relation(dn), local.Relation(sn)
+			if src == nil {
+				src = rel.NewRelation(sn, s.srcArity)
+			}
+			if !s.join {
+				out := stripRelations(local, dn)
+				if dst != nil {
+					out.SetRelation(s.apply(dst, src))
+				}
+				return out
+			}
+			if dst == nil {
+				dst = rel.NewRelation(dn, s.dstArity)
+			}
+			out := stripRelations(local, dn, sn)
+			out.SetRelation(s.apply(dst, src))
 			return out
-		}
-		if b == nil {
-			b = rel.NewRelation(bName, bArity)
-		}
-		out.SetRelation(rel.SemiJoin(a, b, aCols, bCols))
-		return out
+		},
 	}
 }
 

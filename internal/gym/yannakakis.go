@@ -6,6 +6,12 @@
 // decomposition of a cyclic query — each bag via the Shares/HyperCube
 // algorithm, the bag tree via Yannakakis — and the cascaded binary
 // join baseline of Example 3.1(2).
+//
+// Yannakakis' schedule is planned once (planYannakakis, plan.go: the
+// join tree, the semijoin and join steps in execution order, the
+// columns each join keeps) and interpreted twice: YannakakisWith folds
+// the steps over in-memory relations, YannakakisProgram (and through it
+// GYMProgram, over the bag tree) emits one MPC round per step.
 package gym
 
 import (
@@ -62,22 +68,6 @@ func nodeRelation(a cq.Atom, i *rel.Instance, name string) (*rel.Relation, []str
 	return out, vars
 }
 
-// sharedCols returns the column lists of the variables shared between
-// two var lists.
-func sharedCols(aVars, bVars []string) (aCols, bCols []int) {
-	bPos := map[string]int{}
-	for i, v := range bVars {
-		bPos[v] = i
-	}
-	for i, v := range aVars {
-		if j, ok := bPos[v]; ok {
-			aCols = append(aCols, i)
-			bCols = append(bCols, j)
-		}
-	}
-	return
-}
-
 // Yannakakis evaluates an acyclic pure CQ: full reduction by
 // semijoins (bottom-up then top-down over the GYO join tree), then a
 // bottom-up join phase that projects away variables as soon as they
@@ -90,93 +80,34 @@ func Yannakakis(q *cq.CQ, inst *rel.Instance) (*rel.Relation, *Stats, error) {
 // YannakakisWith optionally skips the semijoin full-reduction phases —
 // the ablation showing what the reduction buys: without it, dangling
 // tuples survive into the join phase and intermediates grow even
-// though the early projection discipline is unchanged.
+// though the early projection discipline is unchanged. It is the
+// in-memory interpreter of planYannakakis' schedule: the steps fold
+// over one relation per join-tree node.
 func YannakakisWith(q *cq.CQ, inst *rel.Instance, fullReduction bool) (*rel.Relation, *Stats, error) {
 	if q.HasNegation() || q.HasDiseq() {
 		return nil, nil, fmt.Errorf("gym: Yannakakis implemented for pure CQs")
 	}
-	jt, ok := cq.GYO(q)
+	plan, ok := planYannakakis(q, fullReduction)
 	if !ok {
 		return nil, nil, fmt.Errorf("gym: query %v is cyclic; use a tree decomposition (GYM)", q)
 	}
+	rels := make([]*rel.Relation, len(q.Body))
+	for i, a := range q.Body {
+		rels[i], _ = nodeRelation(a, inst, yname(i))
+	}
 	st := &Stats{}
-
-	n := len(jt.Atoms)
-	rels := make([]*rel.Relation, n)
-	vars := make([][]string, n)
-	for i, a := range jt.Atoms {
-		rels[i], vars[i] = nodeRelation(a, inst, fmt.Sprintf("Y%d", i))
-	}
-
-	if fullReduction {
-		// Phase 1: bottom-up semijoins (elimination order visits
-		// children before parents; the last entry is the root).
-		for _, i := range jt.Order {
-			p := jt.Parent[i]
-			if p < 0 {
-				continue
-			}
-			pc, cc := sharedCols(vars[p], vars[i])
-			rels[p] = rel.SemiJoin(rels[p], rels[i], pc, cc)
+	for _, s := range plan.steps {
+		rels[s.dst] = s.apply(rels[s.dst], rels[s.src])
+		if !s.join {
 			st.Semijoins++
-		}
-		// Phase 2: top-down semijoins.
-		for k := n - 1; k >= 0; k-- {
-			i := jt.Order[k]
-			p := jt.Parent[i]
-			if p < 0 {
-				continue
-			}
-			cc, pc := sharedCols(vars[i], vars[p])
-			rels[i] = rel.SemiJoin(rels[i], rels[p], cc, pc)
-			st.Semijoins++
-		}
-	}
-
-	headVars := map[string]bool{}
-	for _, t := range q.Head.Args {
-		if t.IsVar() {
-			headVars[t.Var] = true
-		}
-	}
-
-	// Phase 3: bottom-up joins, projecting away child variables that
-	// are neither head variables nor present in the parent (safe by
-	// the running-intersection property of join trees).
-	for _, i := range jt.Order {
-		p := jt.Parent[i]
-		if p < 0 {
 			continue
 		}
-		pc, cc := sharedCols(vars[p], vars[i])
-		joined := rel.HashJoin("⋈", rels[p], rels[i], pc, cc)
 		st.Joins++
-		// Result columns: all of parent, then child vars to keep.
-		newVars := append([]string(nil), vars[p]...)
-		keepCols := make([]int, 0, len(vars[p])+len(vars[i]))
-		for k := range vars[p] {
-			keepCols = append(keepCols, k)
-		}
-		inParent := map[string]bool{}
-		for _, v := range vars[p] {
-			inParent[v] = true
-		}
-		for k, v := range vars[i] {
-			if !inParent[v] && headVars[v] {
-				newVars = append(newVars, v)
-				keepCols = append(keepCols, len(vars[p])+k)
-			}
-		}
-		rels[p] = rel.Project(joined, fmt.Sprintf("Y%d", p), keepCols)
-		vars[p] = newVars
-		if rels[p].Len() > st.MaxIntermediate {
-			st.MaxIntermediate = rels[p].Len()
+		if n := rels[s.dst].Len(); n > st.MaxIntermediate {
+			st.MaxIntermediate = n
 		}
 	}
-
-	root := jt.Order[n-1]
-	out := projectHead(q, rels[root], vars[root])
-	return out, st, nil
+	return projectHead(q, rels[plan.root], plan.rootVars), st, nil
 }
 
 // CascadeJoin is the baseline of Example 3.1(2): evaluate the body as
@@ -195,21 +126,7 @@ func CascadeJoin(q *cq.CQ, inst *rel.Instance) (*rel.Relation, *Stats, error) {
 		st.Joins++
 		// Keep every variable (no projection): columns of acc then the
 		// fresh columns of the new atom.
-		inAcc := map[string]bool{}
-		for _, v := range accVars {
-			inAcc[v] = true
-		}
-		keep := make([]int, 0, acc.Arity+nr.Arity)
-		for i := range accVars {
-			keep = append(keep, i)
-		}
-		newVars := append([]string(nil), accVars...)
-		for i, v := range nv {
-			if !inAcc[v] {
-				keep = append(keep, acc.Arity+i)
-				newVars = append(newVars, v)
-			}
-		}
+		newVars, keep := keepColumns(accVars, nv, func(string) bool { return true })
 		acc = rel.Project(joined, fmt.Sprintf("C%d", k), keep)
 		accVars = newVars
 		if acc.Len() > st.MaxIntermediate {

@@ -14,7 +14,6 @@ import (
 // binaryJoin captures the routing geometry of a two-atom join query:
 // which tuple positions of each relation carry the shared variables.
 type binaryJoin struct {
-	q            *cq.CQ
 	left, right  cq.Atom
 	lCols, rCols []int // positions of the shared variables
 }
@@ -27,26 +26,8 @@ func analyzeBinaryJoin(q *cq.CQ) (*binaryJoin, error) {
 	if l.Rel == r.Rel {
 		return nil, fmt.Errorf("hypercube: self-join %s cannot be routed by relation name", l.Rel)
 	}
-	lPos := map[string]int{}
-	for i, t := range l.Args {
-		if t.IsVar() {
-			if _, ok := lPos[t.Var]; !ok {
-				lPos[t.Var] = i
-			}
-		}
-	}
-	b := &binaryJoin{q: q, left: l, right: r}
-	seen := map[string]bool{}
-	for i, t := range r.Args {
-		if !t.IsVar() || seen[t.Var] {
-			continue
-		}
-		if li, ok := lPos[t.Var]; ok {
-			seen[t.Var] = true
-			b.lCols = append(b.lCols, li)
-			b.rCols = append(b.rCols, i)
-		}
-	}
+	b := &binaryJoin{left: l, right: r}
+	b.lCols, b.rCols = cq.JoinColumns(l, r)
 	if len(b.lCols) == 0 {
 		return nil, fmt.Errorf("hypercube: atoms of %v share no variables (cross product)", q)
 	}
@@ -89,6 +70,34 @@ func RepartitionJoin(q *cq.CQ, p int, seed uint64) (mpc.Round, error) {
 	return mpc.Round{Name: "repartition-join", Route: route, Compute: evalCompute(q)}, nil
 }
 
+// groupSide is the side g = ⌊√p⌋ (at least 1) of the grouping grid,
+// which is laid row by row over the first g² of the p servers.
+func groupSide(p int) int {
+	g := int(math.Sqrt(float64(p)))
+	if g < 1 {
+		g = 1
+	}
+	return g
+}
+
+// groupCells lists the servers one tuple of the grouping strategy goes
+// to: a left tuple hashing to h fills row h mod g of the grid, a right
+// tuple column h mod g, so every (left, right) pair of tuples meets in
+// exactly one server. It is the grid's only enumeration; GroupingJoin
+// and SkewAwareJoin's heavy path both route through it.
+func groupCells(g int, left bool, h uint64) []int {
+	k := int(h % uint64(g))
+	out := make([]int, g)
+	for o := range out {
+		if left {
+			out[o] = k*g + o
+		} else {
+			out[o] = o*g + k
+		}
+	}
+	return out
+}
+
 // GroupingJoin is Example 3.1(1b) (Ullman's drug-interaction
 // strategy): split R and S into g = ⌊√p⌋ groups by tuple hash and send
 // each (R-group, S-group) pair to its own server. The load per server
@@ -99,29 +108,13 @@ func GroupingJoin(q *cq.CQ, p int, seed uint64) (mpc.Round, error) {
 	if err != nil {
 		return mpc.Round{}, err
 	}
-	g := int(math.Sqrt(float64(p)))
-	if g < 1 {
-		g = 1
-	}
+	g := groupSide(p)
 	lRel, rRel := b.left.Rel, b.right.Rel
 	route := mpc.RouterFunc(func(f rel.Fact) []int {
-		switch f.Rel {
-		case lRel:
-			i := int((f.Tuple.Hash() ^ seed) % uint64(g))
-			out := make([]int, g)
-			for j := 0; j < g; j++ {
-				out[j] = i*g + j
-			}
-			return out
-		case rRel:
-			j := int((f.Tuple.Hash() ^ seed) % uint64(g))
-			out := make([]int, g)
-			for i := 0; i < g; i++ {
-				out[i] = i*g + j
-			}
-			return out
+		if f.Rel != lRel && f.Rel != rRel {
+			return nil
 		}
-		return nil
+		return groupCells(g, f.Rel == lRel, f.Tuple.Hash()^seed)
 	})
 	return mpc.Round{Name: "grouping-join", Route: route, Compute: evalCompute(q)}, nil
 }
@@ -142,48 +135,25 @@ func SkewAwareJoin(q *cq.CQ, p int, heavy rel.ValueSet, seed uint64) (mpc.Round,
 	if err != nil {
 		return mpc.Round{}, err
 	}
-	g := int(math.Sqrt(float64(p)))
-	if g < 1 {
-		g = 1
-	}
+	g := groupSide(p)
 	lRel, rRel := b.left.Rel, b.right.Rel
 	lCols, rCols := b.lCols, b.rCols
 	route := mpc.RouterFunc(func(f rel.Fact) []int {
 		var key rel.Tuple
-		isLeft := false
 		switch f.Rel {
 		case lRel:
 			key = f.Tuple.Project(lCols)
-			isLeft = true
 		case rRel:
 			key = f.Tuple.Project(rCols)
 		default:
 			return nil
 		}
-		isHeavy := false
 		for _, v := range key {
 			if heavy.Contains(v) {
-				isHeavy = true
-				break
+				return groupCells(g, f.Rel == lRel, f.Tuple.Hash()^seed)
 			}
 		}
-		if !isHeavy {
-			return []int{int((key.Hash() ^ seed) % uint64(p))}
-		}
-		if isLeft {
-			i := int((f.Tuple.Hash() ^ seed) % uint64(g))
-			out := make([]int, g)
-			for j := 0; j < g; j++ {
-				out[j] = i*g + j
-			}
-			return out
-		}
-		j := int((f.Tuple.Hash() ^ seed) % uint64(g))
-		out := make([]int, g)
-		for i := 0; i < g; i++ {
-			out[i] = i*g + j
-		}
-		return out
+		return []int{int((key.Hash() ^ seed) % uint64(p))}
 	})
 	return mpc.Round{Name: "skew-aware-join", Route: route, Compute: evalCompute(q)}, nil
 }

@@ -6,7 +6,13 @@
 // model — the map/shuffle stage is a communication phase and the
 // reduce stage a computation phase — so the executor here performs the
 // same load accounting as the MPC simulator: the load of a reducer is
-// the number of values it receives.
+// the number of values it receives. It is an executor of its own, not
+// a compilation onto mpc rounds (this package does not import mpc: a
+// transitive-closure program is dozens of tiny jobs, and a cluster per
+// job would cost more than the jobs); the containment is held as a law
+// instead — TestJoinJobIsARepartitionRound runs the join job and the
+// corresponding mpc round side by side and demands equal outputs and
+// equal per-server loads.
 package mapreduce
 
 import (
@@ -126,26 +132,7 @@ func JoinJob(q *cq.CQ) (Job, error) {
 	if l.Rel == r.Rel {
 		return Job{}, fmt.Errorf("mapreduce: self-join %s not supported by JoinJob", l.Rel)
 	}
-	lPos := map[string]int{}
-	for i, t := range l.Args {
-		if t.IsVar() {
-			if _, ok := lPos[t.Var]; !ok {
-				lPos[t.Var] = i
-			}
-		}
-	}
-	var lCols, rCols []int
-	seen := map[string]bool{}
-	for i, t := range r.Args {
-		if !t.IsVar() || seen[t.Var] {
-			continue
-		}
-		if li, ok := lPos[t.Var]; ok {
-			seen[t.Var] = true
-			lCols = append(lCols, li)
-			rCols = append(rCols, i)
-		}
-	}
+	lCols, rCols := cq.JoinColumns(l, r)
 	if len(lCols) == 0 {
 		return Job{}, fmt.Errorf("mapreduce: atoms share no variables")
 	}

@@ -220,27 +220,24 @@ func (c *Cluster) deliver(r Round, shards []Shard, chunk int) (RoundStats, error
 	// ends when the slowest transfer lands.
 	for _, lk := range ft.plan.carryingLinks(shards) {
 		n := shards[lk.src].Sent[lk.dst]
-		if d := ft.plan.drops(round, lk.src, lk.dst); d > 0 {
-			if d > ft.retryBudget {
+		for _, lost := range []struct {
+			how   string
+			times int
+		}{
+			{"dropped", ft.plan.drops(round, lk.src, lk.dst)},
+			{"corrupted", ft.plan.corrupts(round, lk.src, lk.dst)},
+		} {
+			if lost.times <= 0 {
+				continue
+			}
+			if lost.times > ft.retryBudget {
 				return RoundStats{}, fmt.Errorf(
-					"mpc: transfer %d→%d in round %q (round %d) dropped %d times, exceeding the retry budget %d",
-					lk.src, lk.dst, r.Name, round, d, ft.retryBudget)
+					"mpc: transfer %d→%d in round %q (round %d) %s %d times, exceeding the retry budget %d",
+					lk.src, lk.dst, r.Name, round, lost.how, lost.times, ft.retryBudget)
 			}
-			stats.Retries += d
-			stats.ReplicaComm += d * n
-			if t := retryCompletion(d, 1); t > commEnd {
-				commEnd = t
-			}
-		}
-		if k := ft.plan.corrupts(round, lk.src, lk.dst); k > 0 {
-			if k > ft.retryBudget {
-				return RoundStats{}, fmt.Errorf(
-					"mpc: transfer %d→%d in round %q (round %d) corrupted %d times, exceeding the retry budget %d",
-					lk.src, lk.dst, r.Name, round, k, ft.retryBudget)
-			}
-			stats.Retries += k
-			stats.ReplicaComm += k * n
-			if t := retryCompletion(k, 1); t > commEnd {
+			stats.Retries += lost.times
+			stats.ReplicaComm += lost.times * n
+			if t := retryCompletion(lost.times, 1); t > commEnd {
 				commEnd = t
 			}
 		}

@@ -75,9 +75,6 @@ func (sess *Session) parseQuery(lang, src, out string) (*sessionQuery, *apiError
 		if err != nil {
 			return nil, errParse(err)
 		}
-		if err := q.Validate(); err != nil {
-			return nil, errParse(err)
-		}
 		sq.cq, sq.outRel, sq.text = q, q.Head.Rel, q.String()
 	case LangDatalog:
 		if out == "" {
