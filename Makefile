@@ -49,9 +49,9 @@ SWEEPPROCS ?= 0
 # `make cover` fails when a guarded package drops more than the slack
 # below its recorded floor; `make cover-baseline` locks in the current
 # measurement. The recovery stack is guarded, and so is the algorithm
-# layer (gym, hypercube, datalog, mapreduce, cq): a PR that deletes a
-# duplicate there must not take the only covered path with it.
-COVER_PKGS ?= ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen ./internal/policy ./internal/mpcnet ./internal/gym ./internal/hypercube ./internal/datalog ./internal/mapreduce ./internal/cq
+# layer (gym, hypercube, datalog, mapreduce, cq, pc): a PR that deletes
+# a duplicate there must not take the only covered path with it.
+COVER_PKGS ?= ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen ./internal/policy ./internal/mpcnet ./internal/gym ./internal/hypercube ./internal/datalog ./internal/mapreduce ./internal/cq ./internal/pc
 COVER_BASELINE ?= COVERAGE.json
 
 .PHONY: all build vet test race lint faultmatrix byzantine transport netsweep verify fmt fuzz serve serve-soak bench-build bench bench-json verify-perf nightly soak experiments cover cover-baseline
@@ -238,13 +238,14 @@ bench:
 # fastest run, the noise-robust estimate on shared hardware. The
 # benchmarks that live next to the code they measure (the compiled
 # HyperCube router, mpcd's single-pass repartition, one exchange over
-# the TCP transport, the 12-round distributed run) are appended to the
-# root package's (the incremental-maintenance series, facts/sec and
-# per-batch deltacomm/rounds, and what a fault-tolerance Option costs
-# a fault-free run among them).
+# the TCP transport, the 12-round distributed run, the covers decision
+# of a cold serving query) are appended to the root package's (the
+# incremental-maintenance series, facts/sec and per-batch
+# deltacomm/rounds, and what a fault-tolerance Option costs a
+# fault-free run among them).
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
-	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkExchangeTCP|BenchmarkRunRounds)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet >> .bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE) .bench_raw.txt
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"

@@ -39,11 +39,19 @@ func Output(q *CQ, i *rel.Instance) *rel.Instance {
 	return out
 }
 
-// OutputUCQ computes the union query's result as an instance.
+// OutputUCQ computes the union query's result as an instance. The
+// first disjunct's fresh result is adopted, not copied, so a union of
+// one costs what Output does — which nevertheless stays its own two
+// lines above rather than this function's one-disjunct call: with
+// Evaluate it is the local engine of every server.
 func OutputUCQ(u *UCQ, i *rel.Instance) *rel.Instance {
 	out := rel.NewInstance()
-	for _, q := range u.Disjuncts {
+	for k, q := range u.Disjuncts {
 		r := Evaluate(q, i)
+		if k == 0 {
+			out.SetRelation(r)
+			continue
+		}
 		out.EnsureRelation(r.Name, r.Arity).UnionWith(r)
 	}
 	return out

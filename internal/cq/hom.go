@@ -14,8 +14,8 @@ import (
 
 // frozen maps the variables of q to fresh values not colliding with the
 // query's constants and returns the canonical instance plus the frozen
-// head fact and the freezing valuation.
-func frozen(q *CQ) (*rel.Instance, rel.Fact, Valuation) {
+// head fact.
+func frozen(q *CQ) (*rel.Instance, rel.Fact) {
 	maxc := rel.Value(0)
 	for c := range q.Constants() {
 		if c >= maxc {
@@ -32,11 +32,12 @@ func frozen(q *CQ) (*rel.Instance, rel.Fact, Valuation) {
 	for _, a := range q.Body {
 		inst.Add(v.Apply(a))
 	}
-	return inst, v.Derives(q), v
+	return inst, v.Derives(q)
 }
 
 // Contained decides Q ⊆ Q′ for pure conjunctive queries (no negation,
-// no inequalities on either side). Head relations must agree in arity.
+// no inequalities on either side): UCQContained of two unions of one.
+// Queries whose heads disagree in relation or arity are not contained.
 func Contained(q, qp *CQ) (bool, error) {
 	if q.HasNegation() || qp.HasNegation() {
 		return false, fmt.Errorf("cq: Contained does not handle negation; use ContainedNegBounded")
@@ -44,12 +45,7 @@ func Contained(q, qp *CQ) (bool, error) {
 	if q.HasDiseq() || qp.HasDiseq() {
 		return false, fmt.Errorf("cq: Contained does not handle inequalities")
 	}
-	if len(q.Head.Args) != len(qp.Head.Args) {
-		return false, nil
-	}
-	canon, head, _ := frozen(q)
-	res := Evaluate(qp, canon)
-	return res.Contains(head.Tuple) && qp.Head.Rel == head.Rel, nil
+	return UCQContained(single(q), single(qp))
 }
 
 // Equivalent decides Q ≡ Q′ for pure conjunctive queries.
@@ -85,7 +81,7 @@ func UCQContained(u, up *UCQ) (bool, error) {
 		}
 	}
 	for _, q := range u.Disjuncts {
-		canon, head, _ := frozen(q)
+		canon, head := frozen(q)
 		ok := false
 		for _, qp := range up.Disjuncts {
 			if qp.Head.Rel != head.Rel || len(qp.Head.Args) != len(head.Tuple) {

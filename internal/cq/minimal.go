@@ -6,23 +6,72 @@ import (
 	"mpclogic/internal/rel"
 )
 
-// This file implements minimal valuations (Definition 4.4): a valuation
-// V for Q is minimal if no valuation V′ derives the same head fact from
-// a strict subset of V's required facts. Minimal valuations are the
-// key to the semantic characterization of parallel-correctness
-// (Proposition 4.6) and of parallel-correctness transfer via "covers"
-// (Definition 4.12, Proposition 4.13).
+// This file implements minimal valuations (Definition 4.4) in their
+// union form: a valuation V for disjunct Qi of a union is union-minimal
+// if no valuation W for any disjunct Qj derives the same head fact from
+// a strict subset of V's required facts ([Geck et al., ICDT 2016]). A
+// conjunctive query is a union of one, so Definition 4.4 is the
+// one-disjunct case and the CQ entry points below are one-disjunct
+// calls. Minimal valuations are the key to the semantic
+// characterization of parallel-correctness (Proposition 4.6) and of
+// parallel-correctness transfer via "covers" (Definition 4.12,
+// Proposition 4.13); package pc runs both on the one enumerator here.
 //
 // For queries with inequalities, valuations must satisfy the
-// inequalities to count (the "suitable definition" of [Geck et al.,
-// ICDT 2016] the paper refers to). Queries with negated atoms have no
-// meaningful notion of minimal valuation here; the functions reject
-// them.
+// inequalities to count (the "suitable definition" of [Geck et al.] the
+// paper refers to). Queries with negated atoms have no meaningful
+// notion of minimal valuation; the searches ignore negated atoms, and
+// every entry point — IsMinimal, EachMinimalValuation, MinimalValuations
+// and pc's saturation and covers procedures — refuses CQ¬ before it
+// searches.
+
+// IsMinimal reports whether v, a valuation for disjunct q of u that
+// satisfies q's inequalities, is union-minimal. A dominating valuation
+// W only needs values from adom(V(body_q)): every variable of a safe
+// disjunct occurs in a positive atom, and W's facts lie in V(body_q).
+// (The disjuncts' constants need not join the universe — valuations map
+// variables only.) The check is therefore instance- and
+// universe-independent.
+func (u *UCQ) IsMinimal(q *CQ, v Valuation) bool {
+	required := v.RequiredInstance(q)
+	head := v.Derives(q)
+	universe := required.ADom().Sorted()
+	for _, qj := range u.Disjuncts {
+		if !u.EachValuation(qj, universe, false, func(w Valuation) bool {
+			if !w.Derives(qj).Equal(head) {
+				return true
+			}
+			wReq := w.RequiredInstance(qj)
+			return !(wReq.SubsetOf(required) && wReq.Len() < required.Len())
+		}) {
+			return false
+		}
+	}
+	return true
+}
+
+// EachValuation is the valuation search: it streams the valuations of
+// disjunct q over universe that satisfy q's inequalities — only the
+// union-minimal ones when minimalOnly — in q.Vars() order over the
+// universe as given, and stops early when fn returns false. It reports
+// whether the enumeration ran to the end. The valuation passed to fn is
+// reused across calls; clone it to keep. The cost is
+// |universe|^|vars(q)| valuation checks; this exponential behaviour is
+// inherent (Theorem 4.8: the related decision problems are
+// Πᵖ₂-complete).
+func (u *UCQ) EachValuation(q *CQ, universe []rel.Value, minimalOnly bool, fn func(Valuation) bool) bool {
+	done := true
+	AllValuations(q.Vars(), universe, func(v Valuation) bool {
+		if v.SatisfiesDiseq(q) && (!minimalOnly || u.IsMinimal(q, v)) {
+			done = fn(v)
+		}
+		return done
+	})
+	return done
+}
 
 // IsMinimal reports whether the valuation v (total on vars(Q), and
-// satisfying the inequalities of Q) is minimal for Q. The strictly
-// smaller witness V′, if any, only needs values from adom(V(body_Q)),
-// so the check is instance- and universe-independent.
+// satisfying the inequalities of Q) is minimal for Q.
 func IsMinimal(q *CQ, v Valuation) (bool, error) {
 	if q.HasNegation() {
 		return false, fmt.Errorf("cq: minimal valuations undefined for CQ¬")
@@ -30,61 +79,18 @@ func IsMinimal(q *CQ, v Valuation) (bool, error) {
 	if !v.SatisfiesDiseq(q) {
 		return false, fmt.Errorf("cq: valuation violates inequalities of the query")
 	}
-	required := v.RequiredInstance(q)
-	head := v.Derives(q)
-	vars := q.Vars()
-
-	// Candidate values for V′: adom of the required facts. (Head values
-	// occur in the body by safety.)
-	universe := required.ADom().Sorted()
-
-	found := false
-	AllValuations(vars, universe, func(w Valuation) bool {
-		if !w.SatisfiesDiseq(q) {
-			return true
-		}
-		if !w.Derives(q).Equal(head) {
-			return true
-		}
-		wReq := w.RequiredInstance(q)
-		if wReq.SubsetOf(required) && wReq.Len() < required.Len() {
-			found = true
-			return false
-		}
-		return true
-	})
-	return !found, nil
+	return single(q).IsMinimal(q, v), nil
 }
 
-// MinimalValuations enumerates all minimal valuations for Q over the
-// given universe. The cost is |universe|^|vars(Q)| valuation checks;
-// this exponential behaviour is inherent (Theorem 4.8: the related
-// decision problems are Πᵖ₂-complete).
+// MinimalValuations collects all minimal valuations for Q over the
+// given universe.
 func MinimalValuations(q *CQ, universe []rel.Value) ([]Valuation, error) {
-	if q.HasNegation() {
-		return nil, fmt.Errorf("cq: minimal valuations undefined for CQ¬")
-	}
-	vars := q.Vars()
 	var out []Valuation
-	var err error
-	AllValuations(vars, universe, func(v Valuation) bool {
-		if !v.SatisfiesDiseq(q) {
-			return true
-		}
-		min, e := IsMinimal(q, v)
-		if e != nil {
-			err = e
-			return false
-		}
-		if min {
-			out = append(out, v.Clone())
-		}
+	err := EachMinimalValuation(q, universe, func(v Valuation) bool {
+		out = append(out, v.Clone())
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
 // EachMinimalValuation streams minimal valuations for Q over universe;
@@ -94,21 +100,6 @@ func EachMinimalValuation(q *CQ, universe []rel.Value, fn func(Valuation) bool) 
 	if q.HasNegation() {
 		return fmt.Errorf("cq: minimal valuations undefined for CQ¬")
 	}
-	vars := q.Vars()
-	var err error
-	AllValuations(vars, universe, func(v Valuation) bool {
-		if !v.SatisfiesDiseq(q) {
-			return true
-		}
-		min, e := IsMinimal(q, v)
-		if e != nil {
-			err = e
-			return false
-		}
-		if min {
-			return fn(v)
-		}
-		return true
-	})
-	return err
+	single(q).EachValuation(q, universe, true, fn)
+	return nil
 }

@@ -44,6 +44,23 @@ func EachInstance(schema rel.Schema, universe []rel.Value, fn func(*rel.Instance
 	return nil
 }
 
+// EachBoundedInstance is the instance search every bounded checker
+// runs on: it enumerates each instance over the merged input schema of
+// the queries with values from one universe — their constants in
+// ascending order, then universeSize fresh values in ascending order —
+// by ascending fact mask. A checker that merges the schemas of the
+// queries it compares must search with the constants of all of them: a
+// constant left out of the universe is in no enumerated instance, and a
+// counterexample that needs it is missed. Every call of fn gets a fresh
+// instance it may keep.
+func EachBoundedInstance(qs []*CQ, universeSize int, fn func(*rel.Instance) bool) error {
+	schema, err := unionSchema(qs)
+	if err != nil {
+		return err
+	}
+	return EachInstance(schema, buildUniverse(universeSize, qs), fn)
+}
+
 // ContainedNegBounded searches for a counterexample to Q ⊆ Q′ over all
 // instances whose values are drawn from a universe of the given size.
 // It returns (true, nil) when no counterexample exists within the
@@ -51,20 +68,12 @@ func EachInstance(schema rel.Schema, universe []rel.Value, fn func(*rel.Instance
 // freely use negation and inequalities; constants in the queries are
 // automatically included in the universe.
 func ContainedNegBounded(q, qp *CQ, universeSize int) (bool, *rel.Instance, error) {
-	schema, err := unionSchema(q, qp)
-	if err != nil {
-		return false, nil, err
-	}
-	universe := buildUniverse(universeSize, q, qp)
 	var witness *rel.Instance
-	err = EachInstance(schema, universe, func(i *rel.Instance) bool {
-		qi := Output(q, i)
-		qpi := Output(qp, i)
-		if !qi.SubsetOf(qpi) {
+	err := EachBoundedInstance([]*CQ{q, qp}, universeSize, func(i *rel.Instance) bool {
+		if !Output(q, i).SubsetOf(Output(qp, i)) {
 			witness = i
-			return false
 		}
-		return true
+		return witness == nil
 	})
 	if err != nil {
 		return false, nil, err
@@ -73,7 +82,7 @@ func ContainedNegBounded(q, qp *CQ, universeSize int) (bool, *rel.Instance, erro
 }
 
 // unionSchema merges the input schemas of the queries.
-func unionSchema(qs ...*CQ) (rel.Schema, error) {
+func unionSchema(qs []*CQ) (rel.Schema, error) {
 	s := rel.Schema{}
 	for _, q := range qs {
 		sub, err := q.Schema()
@@ -89,9 +98,10 @@ func unionSchema(qs ...*CQ) (rel.Schema, error) {
 	return s, nil
 }
 
-// buildUniverse returns a universe of at least `size` fresh values plus
-// every constant mentioned by the queries.
-func buildUniverse(size int, qs ...*CQ) []rel.Value {
+// buildUniverse returns the universe of the bounded searches: every
+// constant mentioned by the queries, ascending, then `size` fresh
+// values, ascending.
+func buildUniverse(size int, qs []*CQ) []rel.Value {
 	consts := make(rel.ValueSet)
 	for _, q := range qs {
 		consts.AddAll(q.Constants())

@@ -241,6 +241,10 @@ type UCQ struct {
 	Disjuncts []*CQ
 }
 
+// single is q as a union of one: a CQ entry point of a union procedure
+// is that procedure's one-disjunct call.
+func single(q *CQ) *UCQ { return &UCQ{Disjuncts: []*CQ{q}} }
+
 // Validate checks each disjunct and that head relations/arities agree.
 func (u *UCQ) Validate() error {
 	if len(u.Disjuncts) == 0 {

@@ -69,6 +69,10 @@ func DistributesOverComponents(q Query, schema rel.Schema, universe []rel.Value)
 	return bad == nil, bad
 }
 
+// forEachInstance is deliberately not cq.EachInstance: mono is about
+// arbitrary queries over instances and imports only rel, its bound is a
+// bug-only panic rather than a refusal, and the hierarchy checker in
+// mono.go enumerates pairs of instances with a memo, not single ones.
 func forEachInstance(schema rel.Schema, universe []rel.Value, fn func(*rel.Instance) bool) {
 	facts := schema.AllFacts(universe)
 	n := uint(len(facts))

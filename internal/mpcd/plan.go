@@ -128,14 +128,7 @@ func (pl *queryPlan) gridFor(q *cq.CQ, p int, seed uint64) (*hypercube.Grid, *ap
 	key := gridKey{p: p, seed: seed}
 	r, ok := pl.grids[key]
 	if !ok {
-		var shares map[string]int
-		if shares, _, r.err = hypercube.OptimalShares(q, p); r.err == nil {
-			grid, err := hypercube.NewGrid(q, shares, seed)
-			if err != nil {
-				return nil, errInternal(err) // unreachable: gridable excludes negation
-			}
-			r.grid = grid
-		}
+		r.grid, r.err = hypercube.NewOptimalGrid(q, p, seed)
 		pl.grids[key] = r
 	}
 	if r.err != nil {

@@ -3,6 +3,7 @@ package mpcd
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"testing"
 )
@@ -178,5 +179,73 @@ func TestCoverSizeGate(t *testing.T) {
 	}
 	if s.Statz().CoverSkips == 0 {
 		t.Fatal("cover gate never fired")
+	}
+}
+
+// TestTransferLawAtServingSeam holds Proposition 4.13 as a law where
+// the daemon spends it: whenever pc.Covers lets a query ride the
+// anchor's warm fragments, the answer must be the one a server that
+// always repartitions gives. Two servers with one seed run the same
+// seeded script over the same session; path, comm and the ledgers
+// legitimately differ, output and count may not. A wrong "covers"
+// verdict on any pair the script reaches evaluates on fragments that
+// are not parallel-correct for the query and loses answers.
+func TestTransferLawAtServingSeam(t *testing.T) {
+	queries := []string{
+		anchorQ, coveredQ1, coveredQ2, coveredQ3, // A–D of the serving set
+		"E() :- R(x, y), S(y, z)",
+		"F(x, z) :- R(x, y), R(y, z)",
+		"E() :- R(x1, y1), S(y1, z1)",         // alpha variant of E
+		"A(u, w) :- R(u, v), S(v, w)",         // alpha variant of A
+		"G(x) :- R(x, 16777217)",              // a generated value as constant
+		"K(z) :- R('a', y), S(y, z)",          // an interned one
+		"L(x) :- R(x, x)",                     // repeated variable
+		"N() :- R(x, x)",                      // …under a Boolean head
+		"M(x, y) :- R(x, y), x != y",          // inequality
+		"P(x, z) :- R(x, y), S(y, z), x != z", // …across a join
+		"Q() :- S(x, y)",
+		"T(y) :- S(y, z), R(x, y)",
+	}
+	create := createRequest{
+		ID: "law", Generator: "join", N: 96,
+		Facts: []string{
+			"R(a, a)", "R(a, b)", "R(b, c)", "S(b, b)", "S(c, a)", // diagonals, a two-step R path
+			"Z(q, r)", "Z(r, s)", "W(a)", // outside R and S: parked by every anchor
+		},
+	}
+	_, reuse := newTestServer(t, Config{})
+	_, always := newTestServer(t, Config{DisableReuse: true})
+	for _, ts := range []string{reuse.URL, always.URL} {
+		if status, raw := do(t, "POST", ts+"/v1/sessions", create); status != http.StatusOK {
+			t.Fatalf("create: %d %s", status, raw)
+		}
+	}
+
+	r := rand.New(rand.NewSource(41))
+	crossReused, uncovered := 0, 0
+	for n := 0; n < 72; n++ {
+		q := queries[r.Intn(len(queries))]
+		_, raw := do(t, "GET", reuse.URL+"/v1/sessions/law", nil)
+		var st SessionStatus
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatalf("decode status: %v", err)
+		}
+		got, want := query(t, reuse.URL, "law", q), query(t, always.URL, "law", q)
+		if got.Count != want.Count || fmt.Sprint(got.Output) != fmt.Sprint(want.Output) {
+			t.Fatalf("query %d %q on anchor %q: %s reply has %d facts, always-repartition has %d\n  %v\n  %v",
+				n, q, st.Anchor, got.Path, got.Count, want.Count, got.Output, want.Output)
+		}
+		if want.Path != PathRepartitioned {
+			t.Fatalf("query %d %q: baseline path %q", n, q, want.Path)
+		}
+		switch {
+		case got.Path == PathReused && st.Anchor != got.Query:
+			crossReused++
+		case got.Path == PathRepartitioned && st.Anchor != "":
+			uncovered++
+		}
+	}
+	if crossReused == 0 || uncovered == 0 {
+		t.Fatalf("script reused across queries %d times and met %d uncovered queries: the law was not exercised in both directions", crossReused, uncovered)
 	}
 }

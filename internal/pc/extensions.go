@@ -23,8 +23,9 @@ import (
 // CoversFull decides covers (hence transfer) for two FULL conjunctive
 // queries without the minimality machinery: a full query's head binds
 // every variable, so two valuations derive the same head fact only if
-// they are equal — every valuation is minimal. This is the tractable
-// fragment the paper mentions after Theorem 4.14.
+// they are equal — every valuation is minimal, and the covers search
+// runs over all of them. This is the tractable fragment the paper
+// mentions after Theorem 4.14.
 func CoversFull(q, qp *cq.CQ) (bool, *CoverWitness, error) {
 	if !q.IsFull() || !qp.IsFull() {
 		return false, nil, fmt.Errorf("pc: CoversFull requires full queries")
@@ -32,34 +33,7 @@ func CoversFull(q, qp *cq.CQ) (bool, *CoverWitness, error) {
 	if q.HasNegation() || qp.HasNegation() {
 		return false, nil, fmt.Errorf("pc: covers is defined for CQs without negation")
 	}
-	consts := q.Constants().Union(qp.Constants())
-	uPrime := freshUniverse(consts, len(qp.Vars()))
-
-	var w *CoverWitness
-	cq.AllValuations(qp.Vars(), uPrime, func(vp cq.Valuation) bool {
-		if !vp.SatisfiesDiseq(qp) {
-			return true
-		}
-		target := vp.RequiredInstance(qp)
-		base := target.ADom().Union(consts)
-		uQ := freshUniverse(base, len(q.Vars()))
-		covered := false
-		cq.AllValuations(q.Vars(), uQ, func(v cq.Valuation) bool {
-			if !v.SatisfiesDiseq(q) {
-				return true
-			}
-			if target.SubsetOf(v.RequiredInstance(q)) {
-				covered = true
-				return false
-			}
-			return true
-		})
-		if !covered {
-			w = &CoverWitness{Valuation: vp.Clone(), Facts: vp.RequiredFacts(qp)}
-			return false
-		}
-		return true
-	})
+	w := covers(single(q), single(qp), false)
 	return w == nil, w, nil
 }
 
@@ -121,42 +95,34 @@ func GeneralizedCorrectOn(ref *cq.CQ, queries []*cq.CQ, agg Aggregator, p policy
 }
 
 // GeneralizedCorrectBounded checks the generalized evaluation against
-// the reference query on every instance over a bounded universe.
+// the reference query on every instance over a bounded universe (plus
+// the constants of the reference and of every node's query).
 func GeneralizedCorrectBounded(ref *cq.CQ, queries []*cq.CQ, agg Aggregator, p policy.Policy, universeSize int) (bool, *rel.Instance, error) {
-	schema, err := ref.Schema()
+	return boundedCounterexample(append([]*cq.CQ{ref}, queries...), universeSize, func(i *rel.Instance) (bool, error) {
+		return GeneralizedCorrectOn(ref, queries, agg, p, i)
+	})
+}
+
+// boundedCounterexample runs cq's instance search over the queries and
+// returns the first instance on which holds fails, or holds' error.
+func boundedCounterexample(qs []*cq.CQ, universeSize int, holds func(*rel.Instance) (bool, error)) (bool, *rel.Instance, error) {
+	var cex *rel.Instance
+	var holdsErr error
+	err := cq.EachBoundedInstance(qs, universeSize, func(i *rel.Instance) bool {
+		ok, err := holds(i)
+		switch {
+		case err != nil:
+			holdsErr = err
+		case !ok:
+			cex = i
+		}
+		return holdsErr == nil && cex == nil
+	})
+	if err == nil {
+		err = holdsErr
+	}
 	if err != nil {
 		return false, nil, err
-	}
-	for _, q := range queries {
-		s, err := q.Schema()
-		if err != nil {
-			return false, nil, err
-		}
-		for r, a := range s {
-			if err := schema.Declare(r, a); err != nil {
-				return false, nil, err
-			}
-		}
-	}
-	universe := boundedUniverse(universeSize, ref.Constants())
-	var cex *rel.Instance
-	var innerErr error
-	if err := cq.EachInstance(schema, universe, func(i *rel.Instance) bool {
-		ok, err2 := GeneralizedCorrectOn(ref, queries, agg, p, i)
-		if err2 != nil {
-			innerErr = err2
-			return false
-		}
-		if !ok {
-			cex = i.Clone()
-			return false
-		}
-		return true
-	}); err != nil {
-		return false, nil, err
-	}
-	if innerErr != nil {
-		return false, nil, innerErr
 	}
 	return cex == nil, cex, nil
 }

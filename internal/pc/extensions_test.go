@@ -133,6 +133,18 @@ func TestGeneralizedCorrectBounded(t *testing.T) {
 	if ok || cex == nil {
 		t.Errorf("dropping policy accepted")
 	}
+	// A constant that occurs only in a node's query belongs to the
+	// search universe: the nodes lose exactly x = 7, which only an
+	// instance holding R(7) shows.
+	ref := cq.MustParse(d, "H(x) :- R(x)")
+	not7 := cq.MustParse(d, "H(x) :- R(x), x != 7")
+	ok, cex, err = GeneralizedCorrectBounded(ref, []*cq.CQ{not7}, UnionAgg, repl, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok || cex == nil || !cex.Contains(rel.NewFact("R", 7)) {
+		t.Errorf("per-node query dropping x = 7 accepted: ok %v, cex %v", ok, cex)
+	}
 }
 
 // Multi-round correctness: the cascaded two-round join plan computes
@@ -206,5 +218,35 @@ func TestMultiRoundCorrectOn(t *testing.T) {
 	}
 	if !ok {
 		t.Errorf("broadcast plan incorrect")
+	}
+}
+
+// The bounded checkers share one instance search and keep every
+// refusal: relations used at two arities across the compared queries,
+// an instance space past cq.MaxInstanceSpace, and an error of the
+// per-instance check all surface as errors, never as verdicts.
+func TestBoundedCheckersRefuse(t *testing.T) {
+	d := rel.NewDict()
+	unary := cq.MustParse(d, "H(x) :- R(x)")
+	binary := cq.MustParse(d, "H(x) :- R(x, x)")
+	repl := &policy.Replicate{Nodes: 2}
+	if _, _, err := GeneralizedCorrectBounded(unary, []*cq.CQ{binary}, UnionAgg, repl, 2); err == nil {
+		t.Errorf("R/1 against R/2 accepted")
+	}
+	if _, _, err := GeneralizedCorrectBounded(unary, []*cq.CQ{unary, unary, unary}, UnionAgg, repl, 2); err == nil {
+		t.Errorf("three queries for two nodes accepted")
+	}
+	if _, err := ParallelCorrectNegBounded(binary, repl, 6); err == nil {
+		t.Errorf("2^36 instances accepted")
+	}
+	failing := func(p int) []mpc.Round {
+		return []mpc.Round{{Route: mpc.RouterFunc(func(rel.Fact) []int { return []int{p} })}}
+	}
+	if _, _, err := MultiRoundCorrectBounded(unary, failing, 2, 1); err == nil {
+		t.Errorf("a round routing outside the cluster accepted")
+	}
+	neg := cq.MustParseUCQ(d, "H(x) :- R(x), not S(x)")
+	if _, _, err := SaturatesUCQ(neg, repl, d.Values("a")); err == nil {
+		t.Errorf("UCQ¬ accepted by SaturatesUCQ")
 	}
 }

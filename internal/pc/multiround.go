@@ -25,8 +25,14 @@ type MultiRoundAlgorithm func(p int) []mpc.Round
 // servers (loaded round-robin) and compares the facts of the reference
 // query's head relation against the centralized result.
 func MultiRoundCorrectOn(ref *cq.CQ, algo MultiRoundAlgorithm, p int, i *rel.Instance) (bool, error) {
+	return multiRoundCorrectFrom(ref, algo, p, i, 0)
+}
+
+// multiRoundCorrectFrom is MultiRoundCorrectOn with the round-robin
+// placement starting at server rot.
+func multiRoundCorrectFrom(ref *cq.CQ, algo MultiRoundAlgorithm, p int, i *rel.Instance, rot int) (bool, error) {
 	c := mpc.NewCluster(p)
-	c.LoadRoundRobin(i)
+	loadRotated(c, i, rot)
 	if err := c.Run(algo(p)...); err != nil {
 		return false, err
 	}
@@ -39,39 +45,19 @@ func MultiRoundCorrectOn(ref *cq.CQ, algo MultiRoundAlgorithm, p int, i *rel.Ins
 // Initial placement matters for multi-round algorithms, so every
 // rotation of the round-robin placement is tried as well.
 func MultiRoundCorrectBounded(ref *cq.CQ, algo MultiRoundAlgorithm, p int, universeSize int) (bool, *rel.Instance, error) {
-	schema, err := ref.Schema()
-	if err != nil {
-		return false, nil, err
-	}
-	universe := boundedUniverse(universeSize, ref.Constants())
-	var cex *rel.Instance
-	var innerErr error
-	if err := cq.EachInstance(schema, universe, func(i *rel.Instance) bool {
+	return boundedCounterexample([]*cq.CQ{ref}, universeSize, func(i *rel.Instance) (bool, error) {
 		for rot := 0; rot < p; rot++ {
-			c := mpc.NewCluster(p)
-			loadRotated(c, i, rot)
-			if err2 := c.Run(algo(p)...); err2 != nil {
-				innerErr = err2
-				return false
-			}
-			got := c.Output().Filter(func(f rel.Fact) bool { return f.Rel == ref.Head.Rel })
-			if !got.Equal(cq.Output(ref, i)) {
-				cex = i.Clone()
-				return false
+			if ok, err := multiRoundCorrectFrom(ref, algo, p, i, rot); err != nil || !ok {
+				return false, err
 			}
 		}
-		return true
-	}); err != nil {
-		return false, nil, err
-	}
-	if innerErr != nil {
-		return false, nil, innerErr
-	}
-	return cex == nil, cex, nil
+		return true, nil
+	})
 }
 
-// loadRotated is LoadRoundRobin with a starting offset, exercising
-// different initial placements.
+// loadRotated is Cluster.LoadRoundRobin — the k-th fact in (relation,
+// tuple) order goes to server k mod p — with a starting offset,
+// exercising different initial placements.
 func loadRotated(c *mpc.Cluster, i *rel.Instance, rot int) {
 	k := rot
 	p := c.P()

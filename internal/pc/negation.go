@@ -14,9 +14,11 @@ import (
 // parallel-soundness ([Q,P](I) ⊆ Q(I)) and parallel-completeness
 // (Q(I) ⊆ [Q,P](I)) — see Theorem 4.9, where the combined problem is
 // coNEXPTIME-complete and counterexamples can be exponentially large.
-// The procedures below search all instances over a bounded universe;
-// they are exact relative to that bound, which is the inherent shape
-// of any exact algorithm for a coNEXPTIME-complete problem.
+// The procedure below searches all instances over a bounded universe
+// (cq.EachBoundedInstance, the search GeneralizedCorrectBounded,
+// MultiRoundCorrectBounded and cq.ContainedNegBounded run on too); it
+// is exact relative to that bound, which is the inherent shape of any
+// exact algorithm for a coNEXPTIME-complete problem.
 
 // NegReport is the outcome of a bounded CQ¬ correctness check.
 type NegReport struct {
@@ -37,59 +39,24 @@ func (r *NegReport) String() string {
 // -completeness of a CQ¬ under p for every instance over a universe
 // of the given size (plus the query's constants).
 func ParallelCorrectNegBounded(q *cq.CQ, p policy.Policy, universeSize int) (*NegReport, error) {
-	schema, err := q.Schema()
-	if err != nil {
-		return nil, err
-	}
-	universe := boundedUniverse(universeSize, q.Constants())
-	rep := &NegReport{Sound: true, Complete: true}
-	err = cq.EachInstance(schema, universe, func(i *rel.Instance) bool {
-		want := cq.Output(q, i)
-		got := DistributedEval(q, p, i)
-		if rep.Sound && !got.SubsetOf(want) {
-			rep.Sound = false
-			rep.SoundCex = i.Clone()
-		}
-		if rep.Complete && !want.SubsetOf(got) {
-			rep.Complete = false
-			rep.CompleteCex = i.Clone()
-		}
-		return rep.Sound || rep.Complete
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return ParallelCorrectUCQNegBounded(single(q), p, universeSize)
 }
 
-// ParallelCorrectUCQNegBounded is the UCQ¬ variant.
+// ParallelCorrectUCQNegBounded is the UCQ¬ form: cq's instance search
+// over the disjuncts, comparing Q(I) with [Q,P](I) in both directions
+// until each has failed once.
 func ParallelCorrectUCQNegBounded(u *cq.UCQ, p policy.Policy, universeSize int) (*NegReport, error) {
-	schema := rel.Schema{}
-	consts := make(rel.ValueSet)
-	for _, q := range u.Disjuncts {
-		s, err := q.Schema()
-		if err != nil {
-			return nil, err
-		}
-		for r, a := range s {
-			if err := schema.Declare(r, a); err != nil {
-				return nil, err
-			}
-		}
-		consts.AddAll(q.Constants())
-	}
-	universe := boundedUniverse(universeSize, consts)
 	rep := &NegReport{Sound: true, Complete: true}
-	err := cq.EachInstance(schema, universe, func(i *rel.Instance) bool {
+	err := cq.EachBoundedInstance(u.Disjuncts, universeSize, func(i *rel.Instance) bool {
 		want := cq.OutputUCQ(u, i)
 		got := DistributedEvalUCQ(u, p, i)
 		if rep.Sound && !got.SubsetOf(want) {
 			rep.Sound = false
-			rep.SoundCex = i.Clone()
+			rep.SoundCex = i
 		}
 		if rep.Complete && !want.SubsetOf(got) {
 			rep.Complete = false
-			rep.CompleteCex = i.Clone()
+			rep.CompleteCex = i
 		}
 		return rep.Sound || rep.Complete
 	})
@@ -97,17 +64,4 @@ func ParallelCorrectUCQNegBounded(u *cq.UCQ, p policy.Policy, universeSize int) 
 		return nil, err
 	}
 	return rep, nil
-}
-
-func boundedUniverse(size int, consts rel.ValueSet) []rel.Value {
-	out := make(rel.ValueSet, size+len(consts))
-	out.AddAll(consts)
-	next := rel.Value(0)
-	for added := 0; added < size; next++ {
-		if !out.Contains(next) {
-			out.Add(next)
-			added++
-		}
-	}
-	return out.Sorted()
 }

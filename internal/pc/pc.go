@@ -15,6 +15,16 @@
 // The decision procedures are exponential-time searches; Theorems 4.8,
 // 4.9 and 4.14 place the problems at Πᵖ₂, coNEXPTIME and Πᵖ₃, so this
 // is the canonical shape of an exact implementation.
+//
+// Each notion has one body, in its union form — the extension to unions
+// changes one word, "minimal" to "union-minimal" — and a conjunctive
+// query is a union of one. Two searches from package cq lie underneath:
+// the valuation search ((*cq.UCQ).EachValuation) under saturates (PC0,
+// PC1) and covers (transfer), and the instance search
+// (cq.EachBoundedInstance) under every bounded checker. The CQ entry
+// points (DistributedEval, Saturates, StronglySaturates, Covers,
+// CoversFull, ParallelCorrectNegBounded) keep their own refusals and
+// error texts and hold no loop.
 package pc
 
 import (
@@ -25,26 +35,24 @@ import (
 	"mpclogic/internal/rel"
 )
 
+// single is q as a union of one.
+func single(q *cq.CQ) *cq.UCQ { return &cq.UCQ{Disjuncts: []*cq.CQ{q}} }
+
 // DistributedEval computes [Q,P](I): the union over all nodes κ of
 // Q(loc-inst_{P,I}(κ)) — Section 4.1.
 func DistributedEval(q *cq.CQ, p policy.Policy, i *rel.Instance) *rel.Instance {
-	out := rel.NewInstance()
-	out.EnsureRelation(q.Head.Rel, len(q.Head.Args))
-	for κ := policy.Node(0); int(κ) < p.NumNodes(); κ++ {
-		local := policy.LocalInstance(p, i, κ)
-		out.AddAll(cq.Output(q, local))
-	}
-	return out
+	return DistributedEvalUCQ(single(q), p, i)
 }
 
-// DistributedEvalUCQ computes [Q,P](I) for a union of CQs.
+// DistributedEvalUCQ computes [Q,P](I) for a union of CQs. It is not
+// shared with GeneralizedEval, which runs a query per node under an
+// aggregator: one loop serving both would branch on its caller.
 func DistributedEvalUCQ(u *cq.UCQ, p policy.Policy, i *rel.Instance) *rel.Instance {
 	out := rel.NewInstance()
 	h := u.Disjuncts[0].Head
 	out.EnsureRelation(h.Rel, len(h.Args))
 	for κ := policy.Node(0); int(κ) < p.NumNodes(); κ++ {
-		local := policy.LocalInstance(p, i, κ)
-		out.AddAll(cq.OutputUCQ(u, local))
+		out.AddAll(cq.OutputUCQ(u, policy.LocalInstance(p, i, κ)))
 	}
 	return out
 }
@@ -79,6 +87,32 @@ func universeOf(p policy.Policy, explicit []rel.Value) ([]rel.Value, error) {
 	return nil, fmt.Errorf("pc: policy carries no universe; pass one explicitly")
 }
 
+// saturates is conditions (PC0) and (PC1) in their one body: every
+// valuation of every disjunct over the universe — every union-minimal
+// one when minimalOnly — must have its required facts meet at some
+// node. It returns the first valuation, in disjunct then enumeration
+// order, whose facts meet nowhere. A nil universe defers to the
+// policy's.
+func saturates(u *cq.UCQ, p policy.Policy, universe []rel.Value, minimalOnly bool) (bool, *Witness, error) {
+	universe, err := universeOf(p, universe)
+	if err != nil {
+		return false, nil, err
+	}
+	var w *Witness
+	for _, q := range u.Disjuncts {
+		if !u.EachValuation(q, universe, minimalOnly, func(v cq.Valuation) bool {
+			facts := v.RequiredFacts(q)
+			if !policy.MeetsAtSomeNode(p, facts) {
+				w = &Witness{Valuation: v.Clone(), Facts: facts}
+			}
+			return w == nil
+		}) {
+			break
+		}
+	}
+	return w == nil, w, nil
+}
+
 // StronglySaturates decides condition (PC0): every valuation for Q over
 // the universe has its required facts meet at some node. PC0 is
 // sufficient but not necessary for parallel-correctness (Example 4.3).
@@ -87,23 +121,7 @@ func StronglySaturates(q *cq.CQ, p policy.Policy, universe []rel.Value) (bool, *
 	if q.HasNegation() {
 		return false, nil, fmt.Errorf("pc: (PC0) is defined for CQs without negation")
 	}
-	u, err := universeOf(p, universe)
-	if err != nil {
-		return false, nil, err
-	}
-	var w *Witness
-	cq.AllValuations(q.Vars(), u, func(v cq.Valuation) bool {
-		if !v.SatisfiesDiseq(q) {
-			return true
-		}
-		facts := v.RequiredFacts(q)
-		if !policy.MeetsAtSomeNode(p, facts) {
-			w = &Witness{Valuation: v.Clone(), Facts: facts}
-			return false
-		}
-		return true
-	})
-	return w == nil, w, nil
+	return saturates(single(q), p, universe, false)
 }
 
 // Saturates decides condition (PC1): every minimal valuation for Q over
@@ -114,23 +132,7 @@ func Saturates(q *cq.CQ, p policy.Policy, universe []rel.Value) (bool, *Witness,
 	if q.HasNegation() {
 		return false, nil, fmt.Errorf("pc: (PC1) is defined for CQs without negation; use the bounded CQ¬ procedures")
 	}
-	u, err := universeOf(p, universe)
-	if err != nil {
-		return false, nil, err
-	}
-	var w *Witness
-	err = cq.EachMinimalValuation(q, u, func(v cq.Valuation) bool {
-		facts := v.RequiredFacts(q)
-		if !policy.MeetsAtSomeNode(p, facts) {
-			w = &Witness{Valuation: v.Clone(), Facts: facts}
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return false, nil, err
-	}
-	return w == nil, w, nil
+	return saturates(single(q), p, universe, true)
 }
 
 // ParallelCorrect decides problem PC for a CQ (optionally with
@@ -143,70 +145,10 @@ func ParallelCorrect(q *cq.CQ, p policy.Policy, universe []rel.Value) (bool, *Wi
 // suitable notion of minimal valuation for unions ([Geck et al.]):
 // a valuation V for disjunct Qi is union-minimal if no valuation W for
 // any disjunct Qj derives the same head fact from a strict subset of
-// V's required facts.
+// V's required facts (cq's (*UCQ).IsMinimal).
 func SaturatesUCQ(u *cq.UCQ, p policy.Policy, universe []rel.Value) (bool, *Witness, error) {
 	if u.HasNegation() {
 		return false, nil, fmt.Errorf("pc: use bounded procedures for UCQ¬")
 	}
-	uni, err := universeOf(p, universe)
-	if err != nil {
-		return false, nil, err
-	}
-	var w *Witness
-	for _, q := range u.Disjuncts {
-		q := q
-		cq.AllValuations(q.Vars(), uni, func(v cq.Valuation) bool {
-			if !v.SatisfiesDiseq(q) {
-				return true
-			}
-			if !unionMinimal(u, q, v) {
-				return true
-			}
-			facts := v.RequiredFacts(q)
-			if !policy.MeetsAtSomeNode(p, facts) {
-				w = &Witness{Valuation: v.Clone(), Facts: facts}
-				return false
-			}
-			return true
-		})
-		if w != nil {
-			break
-		}
-	}
-	return w == nil, w, nil
-}
-
-// unionMinimal reports whether v (a valuation for disjunct q of u) is
-// minimal in the union sense. The dominating valuation only needs
-// values from adom(v(body_q)) plus the constants of the disjuncts.
-func unionMinimal(u *cq.UCQ, q *cq.CQ, v cq.Valuation) bool {
-	required := v.RequiredInstance(q)
-	head := v.Derives(q)
-	candidates := required.ADom()
-	for _, qj := range u.Disjuncts {
-		candidates = candidates.Union(qj.Constants())
-	}
-	universe := candidates.Sorted()
-	for _, qj := range u.Disjuncts {
-		qj := qj
-		dominated := false
-		cq.AllValuations(qj.Vars(), universe, func(w cq.Valuation) bool {
-			if !w.SatisfiesDiseq(qj) {
-				return true
-			}
-			if !w.Derives(qj).Equal(head) {
-				return true
-			}
-			wi := w.RequiredInstance(qj)
-			if wi.SubsetOf(required) && wi.Len() < required.Len() {
-				dominated = true
-				return false
-			}
-			return true
-		})
-		if dominated {
-			return false
-		}
-	}
-	return true
+	return saturates(u, p, universe, true)
 }
