@@ -1,34 +1,61 @@
 package cq
 
 import (
+	"slices"
+
 	"mpclogic/internal/rel"
 )
 
 // This file implements CQ evaluation by a left-deep hash-join plan with
 // greedy atom ordering. It is the local computation engine used at each
-// simulated MPC server, so it must handle instances with hundreds of
-// thousands of facts.
+// simulated MPC server — and, on mpcd's reuse path, the whole cost of a
+// query — so it must handle instances with hundreds of thousands of
+// facts. There is one evaluator body, evalBindings, which keeps its
+// intermediate result as rows in a flat arena (type bindings), and one
+// head projection, EvaluateInto; every other entry point calls those.
+
+// EvaluateInto adds Q(I) to out, which must have the head's arity.
+// Rows already in out stay, so one relation can collect the answers of
+// several instances (the fragments of a distributed evaluation) or of
+// several queries with one head (the disjuncts of a union), and
+// duplicates — from projection or from across calls — are removed once,
+// by out itself.
+func EvaluateInto(out *rel.Relation, q *CQ, i *rel.Instance) {
+	vars, b := evalBindings(q, i)
+	if b.n == 0 {
+		return
+	}
+	args := q.Head.Args
+	if len(args) == 0 {
+		// A Boolean head holds one row whatever the binding count:
+		// nothing to reserve, nothing to project.
+		out.Add(rel.Tuple{})
+		return
+	}
+	cols := make([]int, len(args)) // binding column of a variable; -1 for a constant
+	h := make(rel.Tuple, len(args))
+	for k, arg := range args {
+		cols[k], h[k] = -1, arg.Const
+		if arg.IsVar() {
+			cols[k] = slices.Index(vars, arg.Var)
+		}
+	}
+	out.Reserve(b.n)
+	b.each(func(t rel.Tuple) bool {
+		for k, c := range cols {
+			if c >= 0 {
+				h[k] = t[c]
+			}
+		}
+		out.Add(h) // Add copies h into out
+		return true
+	})
+}
 
 // Evaluate computes Q(I) as a relation named after the head.
 func Evaluate(q *CQ, i *rel.Instance) *rel.Relation {
-	vars, tuples := evalBindings(q, i)
 	out := rel.NewRelation(q.Head.Rel, len(q.Head.Args))
-	if tuples == nil {
-		return out
-	}
-	pos := varPositions(vars)
-	h := make(rel.Tuple, len(q.Head.Args)) // reused: Add copies into out
-	tuples.Each(func(t rel.Tuple) bool {
-		for k, arg := range q.Head.Args {
-			if arg.IsVar() {
-				h[k] = t[pos[arg.Var]]
-			} else {
-				h[k] = arg.Const
-			}
-		}
-		out.Add(h)
-		return true
-	})
+	EvaluateInto(out, q, i)
 	return out
 }
 
@@ -39,20 +66,14 @@ func Output(q *CQ, i *rel.Instance) *rel.Instance {
 	return out
 }
 
-// OutputUCQ computes the union query's result as an instance. The
-// first disjunct's fresh result is adopted, not copied, so a union of
-// one costs what Output does — which nevertheless stays its own two
-// lines above rather than this function's one-disjunct call: with
-// Evaluate it is the local engine of every server.
+// OutputUCQ computes the union query's result as an instance: every
+// disjunct projects into the relation of its head, so a union of one
+// costs what Output does and a tuple two disjuncts derive is stored
+// once.
 func OutputUCQ(u *UCQ, i *rel.Instance) *rel.Instance {
 	out := rel.NewInstance()
-	for k, q := range u.Disjuncts {
-		r := Evaluate(q, i)
-		if k == 0 {
-			out.SetRelation(r)
-			continue
-		}
-		out.EnsureRelation(r.Name, r.Arity).UnionWith(r)
+	for _, q := range u.Disjuncts {
+		EvaluateInto(out.EnsureRelation(q.Head.Rel, len(q.Head.Args)), q, i)
 	}
 	return out
 }
@@ -61,12 +82,12 @@ func OutputUCQ(u *UCQ, i *rel.Instance) *rel.Instance {
 // satisfies Q on I. Variables occurring only in the head do not exist
 // by safety, so the returned valuations are total on vars(Q).
 func SatisfyingValuations(q *CQ, i *rel.Instance) []Valuation {
-	vars, tuples := evalBindings(q, i)
-	if tuples == nil {
+	vars, b := evalBindings(q, i)
+	if b.n == 0 {
 		return nil
 	}
-	out := make([]Valuation, 0, tuples.Len())
-	tuples.Each(func(t rel.Tuple) bool {
+	out := make([]Valuation, 0, b.n)
+	b.each(func(t rel.Tuple) bool {
 		v := make(Valuation, len(vars))
 		for k, name := range vars {
 			v[name] = t[k]
@@ -77,17 +98,79 @@ func SatisfyingValuations(q *CQ, i *rel.Instance) []Valuation {
 	return out
 }
 
+// bindings is the evaluator's intermediate result: n rows over the
+// variables bound so far, row i at vals[i*width : (i+1)*width]. With no
+// variable bound yet the width is 0 and only the count means anything.
+//
+// It is a list, not a set, because its rows are pairwise distinct by
+// construction and a hash set would spend a hash, a probe and an insert
+// per row to find that out. Induction over the join steps: the start
+// is one empty row. A step extends a row t by the fresh variables of an
+// admitted tuple s of the atom's relation that agrees with t on the
+// shared variables. If (t, s|fresh) = (t', s'|fresh) then t = t', the
+// same row by hypothesis, and s and s' agree at every position: a
+// constant or a repeat of an earlier position is fixed by admission, a
+// shared variable by t, a fresh one by the equation. The relation is a
+// set, so s and s' are one tuple, which each row meets once. Filters
+// (inequalities, negated atoms) only remove rows.
+type bindings struct {
+	width int
+	n     int
+	vals  []rel.Value
+}
+
+// row returns a view of row i, valid until the next add.
+func (b *bindings) row(i int) rel.Tuple {
+	return rel.Tuple(b.vals[i*b.width : (i+1)*b.width : (i+1)*b.width])
+}
+
+// add appends the row t extended by s's values at cols.
+func (b *bindings) add(t, s rel.Tuple, cols []int) {
+	b.vals = append(b.vals, t...)
+	for _, c := range cols {
+		b.vals = append(b.vals, s[c])
+	}
+	b.n++
+}
+
+// each calls fn for every row in order, stopping early if fn returns
+// false.
+func (b *bindings) each(fn func(rel.Tuple) bool) {
+	for i := 0; i < b.n; i++ {
+		if !fn(b.row(i)) {
+			return
+		}
+	}
+}
+
+// filter keeps the rows satisfying keep, in place and in order.
+func (b *bindings) filter(keep func(rel.Tuple) bool) {
+	n := 0
+	for i := 0; i < b.n; i++ {
+		if t := b.row(i); keep(t) {
+			copy(b.vals[n*b.width:], t)
+			n++
+		}
+	}
+	b.n, b.vals = n, b.vals[:n*b.width]
+}
+
 // evalBindings evaluates the positive body, inequalities, and negated
-// atoms, returning the variable order and a relation of bindings over
-// it. A nil relation means the result is empty.
-func evalBindings(q *CQ, inst *rel.Instance) ([]string, *rel.Relation) {
+// atoms, returning the variable order and the bindings over it; no rows
+// means the result is empty.
+//
+// Row order is part of the contract: an atom's matches for one row are
+// appended in the enumeration order (Each) of the atom's relation, rows
+// in the order of the step before — so the Each order of every
+// relation projected from the result, and with it every golden output
+// downstream, is a function of the instance's own enumeration orders.
+func evalBindings(q *CQ, inst *rel.Instance) ([]string, bindings) {
 	remaining := make([]Atom, len(q.Body))
 	copy(remaining, q.Body)
 
 	var vars []string
 	bound := map[string]int{} // var → column in current
-	current := rel.NewRelation("⋈", 0)
-	current.Add(rel.Tuple{})
+	current := bindings{n: 1} // the one empty row
 
 	diseqApplied := make([]bool, len(q.Diseq))
 
@@ -102,7 +185,7 @@ func evalBindings(q *CQ, inst *rel.Instance) ([]string, *rel.Relation) {
 				continue
 			}
 			diseqApplied[di] = true
-			current = rel.Select(current, func(t rel.Tuple) bool {
+			current.filter(func(t rel.Tuple) bool {
 				return termVal(d[0], t, c0) != termVal(d[1], t, c1)
 			})
 		}
@@ -137,91 +220,116 @@ func evalBindings(q *CQ, inst *rel.Instance) ([]string, *rel.Relation) {
 
 		src := inst.Relation(a.Rel)
 		if src == nil || src.Len() == 0 {
-			return nil, nil
+			return nil, bindings{}
 		}
 
-		// Distinct variables of the atom in first-occurrence order, and
-		// per-tuple admission check (constants, repeated variables).
-		atomVars := a.Vars()
-		varFirstPos := map[string]int{}
+		// One pass over the atom's positions: the first occurrence of a
+		// variable either joins a bound column (shared) or opens a new
+		// one (fresh); a repeat or a constant is a per-tuple admission
+		// check, and an atom of distinct variables has none.
+		type check struct {
+			pos, first int       // t[pos] must equal t[first] …
+			c          rel.Value // … or, with first < 0, this constant
+		}
+		var checks []check
+		var fresh []string
+		var sharedAtomCols, sharedCurCols, freshCols []int
 		for p, t := range a.Args {
-			if t.IsVar() {
-				if _, ok := varFirstPos[t.Var]; !ok {
-					varFirstPos[t.Var] = p
-				}
+			if !t.IsVar() {
+				checks = append(checks, check{pos: p, first: -1, c: t.Const})
+			} else if f := slices.IndexFunc(a.Args[:p], func(u Term) bool { return u.Var == t.Var }); f >= 0 {
+				checks = append(checks, check{pos: p, first: f})
+			} else if c, ok := bound[t.Var]; ok {
+				sharedAtomCols = append(sharedAtomCols, p)
+				sharedCurCols = append(sharedCurCols, c)
+			} else {
+				fresh = append(fresh, t.Var)
+				freshCols = append(freshCols, p)
 			}
 		}
 		admits := func(t rel.Tuple) bool {
-			for p, arg := range a.Args {
-				if arg.IsVar() {
-					if t[varFirstPos[arg.Var]] != t[p] {
+			for _, k := range checks {
+				if k.first < 0 {
+					if t[k.pos] != k.c {
 						return false
 					}
-				} else if t[p] != arg.Const {
+				} else if t[k.pos] != t[k.first] {
 					return false
 				}
 			}
 			return true
 		}
 
-		var shared, fresh []string
-		for _, v := range atomVars {
-			if _, ok := bound[v]; ok {
-				shared = append(shared, v)
-			} else {
-				fresh = append(fresh, v)
+		next := bindings{width: current.width + len(fresh)}
+		if len(sharedCurCols) == 0 {
+			// Nothing to join on — the first atom, or a Cartesian
+			// factor: every row meets every admitted tuple, so there is
+			// nothing to index. Under a single row (the first atom's
+			// case) |src| bounds the result; a real product's size is
+			// not known and not guessed.
+			if current.n == 1 {
+				next.vals = make([]rel.Value, 0, src.Len()*next.width)
 			}
-		}
-		sharedAtomCols := make([]int, len(shared))
-		sharedCurCols := make([]int, len(shared))
-		for k, v := range shared {
-			sharedAtomCols[k] = varFirstPos[v]
-			sharedCurCols[k] = bound[v]
-		}
-		freshCols := make([]int, len(fresh))
-		for k, v := range fresh {
-			freshCols[k] = varFirstPos[v]
-		}
-
-		// Index the atom's admitted tuples by shared-variable hash.
-		// Buckets hold the source tuples themselves: candidates are
-		// verified column-by-column at probe time, so no projected
-		// tuple or string key is allocated per entry.
-		idx := make(map[uint64][]rel.Tuple, src.Len())
-		src.Each(func(t rel.Tuple) bool {
-			if !admits(t) {
+			current.each(func(t rel.Tuple) bool {
+				src.Each(func(s rel.Tuple) bool {
+					if admits(s) {
+						next.add(t, s, freshCols)
+					}
+					return true
+				})
 				return true
-			}
-			h := rel.HashCols(t, sharedAtomCols)
-			idx[h] = append(idx[h], t)
-			return true
-		})
-
-		next := rel.NewRelationSize("⋈", current.Arity+len(fresh), current.Len())
-		scratch := make(rel.Tuple, current.Arity+len(fresh)) // reused: Add copies
-		curArity := current.Arity
-		current.Each(func(t rel.Tuple) bool {
-			h := rel.HashCols(t, sharedCurCols)
-			for _, s := range idx[h] {
-				if !rel.EqualOn(t, sharedCurCols, s, sharedAtomCols) {
-					continue
+			})
+		} else {
+			// Index the admitted tuples by shared-variable hash in a
+			// chained table that lives for this step only: heads[h&mask]
+			// is the first tuple of a bucket, chain[i] the one after
+			// tuple i, -1 ends a chain. Tuples enter last to first, each
+			// at the head of its bucket, so a bucket lists them in the
+			// relation's enumeration order. A bucket mixes keys; probes
+			// verify column by column. The admitted tuples are copied
+			// into rows of their own so that chain can name them by
+			// number (a Relation has no positional access to offer).
+			admitted := bindings{width: src.Arity, vals: make([]rel.Value, 0, src.Len()*src.Arity)}
+			src.Each(func(s rel.Tuple) bool {
+				if admits(s) {
+					admitted.add(s, nil, nil)
 				}
-				copy(scratch, t)
-				for k, c := range freshCols {
-					scratch[curArity+k] = s[c]
-				}
-				next.Add(scratch)
+				return true
+			})
+			size := 8
+			for size < 2*admitted.n {
+				size *= 2
 			}
-			return true
-		})
+			mask := uint64(size - 1)
+			heads := make([]int32, size)
+			for i := range heads {
+				heads[i] = -1
+			}
+			chain := make([]int32, admitted.n)
+			for i := admitted.n - 1; i >= 0; i-- {
+				h := rel.HashCols(admitted.row(i), sharedAtomCols) & mask
+				chain[i] = heads[h]
+				heads[h] = int32(i)
+			}
+			next.vals = make([]rel.Value, 0, current.n*next.width)
+			current.each(func(t rel.Tuple) bool {
+				h := rel.HashCols(t, sharedCurCols) & mask
+				for i := heads[h]; i >= 0; i = chain[i] {
+					if s := admitted.row(int(i)); rel.EqualOn(t, sharedCurCols, s, sharedAtomCols) {
+						next.add(t, s, freshCols)
+					}
+				}
+				return true
+			})
+		}
 		current = next
 		for _, v := range fresh {
 			bound[v] = len(vars)
 			vars = append(vars, v)
 		}
 		applyDiseqs()
-		if current.Len() == 0 {
-			return nil, nil
+		if current.n == 0 {
+			return nil, bindings{}
 		}
 	}
 
@@ -233,27 +341,25 @@ func evalBindings(q *CQ, inst *rel.Instance) ([]string, *rel.Relation) {
 	// Negated atoms: drop bindings whose instantiation is present.
 	for _, a := range q.Neg {
 		cols := make([]int, len(a.Args))
+		ft := make(rel.Tuple, len(a.Args)) // reused: Contains keeps nothing
 		for p, t := range a.Args {
+			cols[p] = -1
+			ft[p] = t.Const
 			if t.IsVar() {
 				cols[p] = bound[t.Var]
-			} else {
-				cols[p] = -1
 			}
 		}
-		current = rel.Select(current, func(t rel.Tuple) bool {
-			ft := make(rel.Tuple, len(a.Args))
-			for p := range a.Args {
-				if cols[p] >= 0 {
-					ft[p] = t[cols[p]]
-				} else {
-					ft[p] = a.Args[p].Const
+		current.filter(func(t rel.Tuple) bool {
+			for p, c := range cols {
+				if c >= 0 {
+					ft[p] = t[c]
 				}
 			}
 			return !inst.Contains(rel.Fact{Rel: a.Rel, Tuple: ft})
 		})
 	}
-	if current.Len() == 0 {
-		return nil, nil
+	if current.n == 0 {
+		return nil, bindings{}
 	}
 	return vars, current
 }
@@ -271,12 +377,4 @@ func termVal(t Term, tup rel.Tuple, col int) rel.Value {
 		return t.Const
 	}
 	return tup[col]
-}
-
-func varPositions(vars []string) map[string]int {
-	out := make(map[string]int, len(vars))
-	for i, v := range vars {
-		out[v] = i
-	}
-	return out
 }

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mpclogic/internal/rel"
 )
 
 // FuzzQueryRequest drives the full HTTP surface — decode, parse, plan,
@@ -100,5 +102,46 @@ func FuzzQueryRequest(f *testing.F) {
 		if hr.StatusCode != http.StatusOK {
 			t.Fatalf("unhealthy after input %q: %d", body, hr.StatusCode)
 		}
+	})
+}
+
+// FuzzReplyEncoding holds the reply encoder to encoding/json on names
+// the fuzzer draws: a session whose relation and value names are the
+// fuzzed strings is asked one query per serving path, and each reply
+// must be json.Marshal's bytes (checkReply). The seeds are the awkward
+// names of TestReplyIsEncodingJSONByteForByte.
+func FuzzReplyEncoding(f *testing.F) {
+	for k, name := range awkwardNames {
+		f.Add(name, awkwardNames[(k+1)%len(awkwardNames)], awkwardNames[(k+2)%len(awkwardNames)])
+	}
+	f.Add("X", "", "")
+	f.Add("R", "S", "A")
+	srv := New(Config{})
+	f.Fuzz(func(t *testing.T, relName, a, b string) {
+		if relName == "" || relName == "Idb" {
+			// A Datalog query needs an output relation with a name, and
+			// the program below must not redefine it at another arity.
+			t.Skip()
+		}
+		d := rel.NewDict()
+		va, vb := d.Value(a), d.Value(b)
+		inst := rel.FromFacts(
+			rel.NewFact("R", va, vb), rel.NewFact("R", vb, va), rel.NewFact("R", -1, vb),
+			rel.NewFact("S", vb, va), rel.NewFact("S", va, 1<<60),
+		)
+		if r := inst.Relation(relName); r == nil || r.Arity == 2 {
+			inst.Add(rel.NewFact(relName, va, vb))
+		}
+		sess := sessionOf(t, srv, "fz", d, inst)
+		defer func() {
+			if aerr := srv.deleteSession(sess.ID); aerr != nil {
+				t.Fatal(aerr)
+			}
+		}()
+		checkReply(t, sess, &queryRequest{Session: sess.ID, Query: anchorQ}, PathRepartitioned)
+		checkReply(t, sess, &queryRequest{Session: sess.ID, Query: anchorQ}, PathReused)
+		checkReply(t, sess, &queryRequest{
+			Session: sess.ID, Lang: LangDatalog, Out: relName, Query: "Idb(x) :- R(x, y)",
+		}, PathGathered)
 	})
 }

@@ -176,10 +176,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, `{"code":"internal","message":"encoding response"}`, http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, status, append(b, '\n'))
+}
+
+// writeBody sends one encoded JSON document, newline included.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	b = append(b, '\n')
-	_, _ = w.Write(b) //lint:allow error-discard a client that hung up forfeits its response
+	_, _ = w.Write(body) //lint:allow error-discard a client that hung up forfeits its response
 }
 
 func writeErr(w http.ResponseWriter, e *apiError) { writeJSON(w, e.status, e) }
@@ -268,7 +272,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, aerr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, resp.body)
 }
 
 // handleDrain deliberately skips beginOp: the drain request itself

@@ -31,6 +31,14 @@
 // image, makes a drained server restartable with every session warm
 // (see checkpoint.go).
 //
+// A query's reply is written once: local evaluation projects every
+// fragment into one answer relation (cq.EvaluateInto), and the reply is
+// encoded into one buffer under the session lock — the header through
+// encoding/json, the sorted facts rendered straight into the array —
+// byte-identical to json.Marshal of the QueryResponse clients decode
+// (reply.encode in session.go). On the reuse path, where communication
+// is zero, that evaluation and that encoding are the whole cost.
+//
 // Determinism is the serving invariant: for a fixed session and query
 // sequence, every response body is byte-identical regardless of how
 // many other sessions are in flight. Responses therefore carry only

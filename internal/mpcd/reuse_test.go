@@ -1,10 +1,12 @@
 package mpcd
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -247,5 +249,44 @@ func TestTransferLawAtServingSeam(t *testing.T) {
 	}
 	if crossReused == 0 || uncovered == 0 {
 		t.Fatalf("script reused across queries %d times and met %d uncovered queries: the law was not exercised in both directions", crossReused, uncovered)
+	}
+}
+
+// BenchmarkReuse is serve_reuse's warm op in process: one query the
+// anchor covers, through Handler() with no socket — decode, the cached
+// parse and cover verdict, evaluation on the 8 warm fragments of a
+// 40 000-fact session, the encoded reply. A is the anchor's own
+// 20 000-tuple answer (419 KB of reply); E is Boolean, so evaluation is
+// all of it.
+func BenchmarkReuse(b *testing.B) {
+	for _, c := range []struct{ name, query string }{
+		{"A", anchorQ},
+		{"E", "E() :- R(x, y), S(y, z)"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sess := joinSession(b, 20000, 1<<40)
+			h := sess.srv.Handler()
+			post := func(q string) *httptest.ResponseRecorder {
+				body, err := json.Marshal(queryRequest{Session: sess.ID, Query: q})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/query", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s: %d %s", q, rec.Code, rec.Body)
+				}
+				return rec
+			}
+			post(anchorQ) // repartitions: the fragments are warm from here on
+			if rec := post(c.query); !bytes.Contains(rec.Body.Bytes(), []byte(`"path":"reused","max_load":0,"comm":0`)) {
+				b.Fatalf("%s was not served reused: %.200s", c.query, rec.Body)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post(c.query)
+			}
+		})
 	}
 }

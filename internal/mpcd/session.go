@@ -1,6 +1,8 @@
 package mpcd
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"regexp"
 	"sync"
@@ -191,7 +193,7 @@ func (s *Server) deleteSession(id string) *apiError {
 //     charged |I| against both budgets; the distribution stays warm.
 //
 // A rejected query leaves the session byte-for-byte unchanged.
-func (sess *Session) run(req *queryRequest) (*QueryResponse, *apiError) {
+func (sess *Session) run(req *queryRequest) (*reply, *apiError) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sq, aerr := sess.parseQuery(req.Lang, req.Query, req.Out)
@@ -203,7 +205,7 @@ func (sess *Session) run(req *queryRequest) (*QueryResponse, *apiError) {
 		qBudget = sess.srv.cfg.QueryBudget
 	}
 
-	resp := &QueryResponse{Session: sess.ID, Query: sq.text}
+	resp := &reply{QueryResponse: QueryResponse{Session: sess.ID, Query: sq.text}}
 	var out *rel.Instance
 	switch {
 	case sq.plan.gridable && sess.anchor != nil &&
@@ -234,8 +236,10 @@ func (sess *Session) run(req *queryRequest) (*QueryResponse, *apiError) {
 	sess.queries++
 	resp.BudgetSpent = sess.budgetSpent
 	resp.BudgetRemaining = sess.budgetTotal - sess.budgetSpent
-	resp.Output = renderFacts(out, sess.dict)
-	resp.Count = len(resp.Output)
+	resp.Count = out.Len()
+	if aerr := resp.encode(out, sess.dict); aerr != nil {
+		return nil, aerr
+	}
 	sess.srv.bump(func(st *StatzResponse) { st.Admitted++; st.CommTotal += resp.Comm })
 	return resp, nil
 }
@@ -245,10 +249,14 @@ func (sess *Session) run(req *queryRequest) (*QueryResponse, *apiError) {
 // is parallel-correct for q, which both callers guarantee: the anchor
 // grid is parallel-correct for the anchor by construction, and the
 // reuse path only runs when transfer says the anchor covers q.
+//
+// Every fragment projects into the one answer relation, which is where
+// a tuple two servers both derive is found to be one tuple.
 func (sess *Session) evalLocal(q *cq.CQ) *rel.Instance {
 	out := rel.NewInstance()
+	answer := out.EnsureRelation(q.Head.Rel, len(q.Head.Args))
 	for i := 0; i < sess.cluster.P(); i++ {
-		out.AddAll(cq.Output(q, sess.cluster.Server(i)))
+		cq.EvaluateInto(answer, q, sess.cluster.Server(i))
 	}
 	return out
 }
@@ -356,14 +364,69 @@ func (sess *Session) gather(sq *sessionQuery, qBudget int) (*rel.Instance, int, 
 	return out, cost, nil
 }
 
-// renderFacts renders an instance as sorted symbolic facts.
-func renderFacts(out *rel.Instance, d *rel.Dict) []string {
-	fs := out.SortedFacts()
-	strs := make([]string, len(fs))
-	for i, f := range fs {
-		strs[i] = f.StringWith(d)
+// reply is one query's response as run leaves it: the header fields,
+// for the callers that look at them, and the encoded body handleQuery
+// writes. Output stays nil — the answer is rendered once, into body.
+type reply struct {
+	QueryResponse
+	body []byte
+}
+
+// encode renders the reply into r.body: json.Marshal(QueryResponse{…,
+// Output: the sorted facts of out spelled through d}) plus "\n", byte
+// for byte, without building the []string or walking the answer a
+// second time. The header goes through json.Marshal itself; each fact
+// is rendered straight into the buffer and kept if every byte of it is
+// one encoding/json copies through verbatim, and handed to
+// encoding/json otherwise. The caller holds the session lock: d is the
+// session's dict.
+func (r *reply) encode(out *rel.Instance, d *rel.Dict) *apiError {
+	// Output is the last field and the only one that can be null, so
+	// the header ends `"output":null}`; the array goes where null is.
+	hdr, err := json.Marshal(&r.QueryResponse)
+	hdr, ok := bytes.CutSuffix(hdr, []byte("null}"))
+	if err != nil || !ok {
+		return errInternal(fmt.Errorf("mpcd: encoding a reply header: %q, %v", hdr, err))
 	}
-	return strs
+	// 24 bytes a fact — a binary fact over eight-digit values, quotes and
+	// comma included — is a starting size, not a bound: append grows it.
+	buf := make([]byte, 0, len(hdr)+24*r.Count+2)
+	buf = append(append(buf, hdr...), '[')
+	facts := 0
+	out.Each(func(f rel.Fact) bool {
+		if facts++; facts > 1 {
+			buf = append(buf, ',')
+		}
+		start := len(buf)
+		buf = f.AppendWith(append(buf, '"'), d)
+		if jsonVerbatim(buf[start+1:]) {
+			buf = append(buf, '"')
+			return true
+		}
+		var quoted []byte
+		quoted, err = json.Marshal(string(buf[start+1:]))
+		buf = append(buf[:start], quoted...)
+		return err == nil
+	})
+	if err != nil {
+		return errInternal(fmt.Errorf("mpcd: encoding a reply: %v", err))
+	}
+	r.body = append(buf, ']', '}', '\n')
+	return nil
+}
+
+// jsonVerbatim reports whether json.Marshal would copy every byte of s
+// into a string literal unchanged: printable ASCII other than the
+// quote, the backslash and the three characters it escapes for HTML.
+// Anything else — control bytes, and every byte of a multi-byte or
+// invalid UTF-8 sequence — is encoding/json's to spell.
+func jsonVerbatim(s []byte) bool {
+	for _, c := range s {
+		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
 }
 
 // status snapshots the session for GET /v1/sessions/{id}.

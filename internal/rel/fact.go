@@ -47,11 +47,18 @@ func (f Fact) Clone() Fact {
 // ADom returns adom(f), the set of domain values occurring in f.
 func (f Fact) ADom() ValueSet { return f.Tuple.ADom() }
 
+// AppendWith appends the fact's rendering to dst and returns the
+// extended buffer: the relation name, then Tuple.AppendWith (symbolic
+// names from d, raw numbers when d is nil).
+func (f Fact) AppendWith(dst []byte, d *Dict) []byte {
+	return f.Tuple.AppendWith(append(dst, f.Rel...), d)
+}
+
 // String renders the fact with raw numeric values.
-func (f Fact) String() string { return f.Rel + f.Tuple.String() }
+func (f Fact) String() string { return string(f.AppendWith(make([]byte, 0, 64), nil)) }
 
 // StringWith renders the fact with symbolic names from d.
-func (f Fact) StringWith(d *Dict) string { return f.Rel + f.Tuple.StringWith(d) }
+func (f Fact) StringWith(d *Dict) string { return string(f.AppendWith(make([]byte, 0, 64), d)) }
 
 // Compare is the three-way form of the order on facts: relation name
 // first, then Tuple.Compare.

@@ -95,7 +95,7 @@ func (i *Instance) EnsureRelationSize(name string, arity, size int) *Relation {
 		i.rels[name] = r
 		return r
 	}
-	r.grow(r.live + size)
+	r.Reserve(size)
 	return r
 }
 

@@ -1,7 +1,9 @@
 package rel
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -227,5 +229,77 @@ func TestPropCompareIsTheLessOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The append renderers against the renderings they replaced, written
+// out the slow way (fmt and strings): Name/String/StringWith are now
+// calls of AppendName/AppendWith, so the spec has to live here. Values
+// are drawn interned and not, negative, and beyond 2^53; names hold
+// bytes no renderer may touch. Appending must extend dst, prefix
+// intact, and a nil dict is the raw numeric form String prints.
+func TestPropAppendRenderersMatchFmt(t *testing.T) {
+	d := NewDict()
+	names := []string{"a", "", "b c", `q"uo\te`, "<&>", "é ", "\xff\x00", "#7"}
+	d.Values(names...)
+	name := func(v Value) string {
+		if v >= 0 && int(v) < len(names) {
+			return names[v]
+		}
+		return fmt.Sprintf("#%d", int64(v))
+	}
+	tuple := func(t Tuple, spell func(Value) string) string {
+		parts := make([]string, len(t))
+		for i, v := range t {
+			parts[i] = spell(v)
+		}
+		return "(" + strings.Join(parts, ",") + ")"
+	}
+	raw := func(v Value) string { return fmt.Sprintf("%d", int64(v)) }
+
+	r := rand.New(rand.NewSource(17))
+	draw := func() Value {
+		switch r.Intn(4) {
+		case 0:
+			return Value(r.Intn(len(names)))
+		case 1:
+			return -Value(r.Int63())
+		case 2:
+			return Value(1<<53 + r.Int63n(1<<62))
+		}
+		return Value(r.Intn(100000))
+	}
+	for trial := 0; trial < 2000; trial++ {
+		tup := make(Tuple, r.Intn(5))
+		for i := range tup {
+			tup[i] = draw()
+		}
+		f := Fact{Rel: names[r.Intn(len(names))], Tuple: tup}
+		prefix := names[r.Intn(len(names))]
+
+		v := draw()
+		if got, want := d.Name(v), name(v); got != want {
+			t.Fatalf("Name(%d) = %q, want %q", v, got, want)
+		}
+		if got, want := string(d.AppendName([]byte(prefix), v)), prefix+name(v); got != want {
+			t.Fatalf("AppendName(%q, %d) = %q, want %q", prefix, v, got, want)
+		}
+		for _, c := range []struct {
+			what      string
+			got, want string
+		}{
+			{"Tuple.StringWith", tup.StringWith(d), tuple(tup, name)},
+			{"Tuple.String", tup.String(), tuple(tup, raw)},
+			{"Tuple.AppendWith", string(tup.AppendWith([]byte(prefix), d)), prefix + tuple(tup, name)},
+			{"Tuple.AppendWith(nil dict)", string(tup.AppendWith([]byte(prefix), nil)), prefix + tuple(tup, raw)},
+			{"Fact.StringWith", f.StringWith(d), f.Rel + tuple(tup, name)},
+			{"Fact.String", f.String(), f.Rel + tuple(tup, raw)},
+			{"Fact.AppendWith", string(f.AppendWith([]byte(prefix), d)), prefix + f.Rel + tuple(tup, name)},
+			{"Fact.AppendWith(nil dict)", string(f.AppendWith([]byte(prefix), nil)), prefix + f.Rel + tuple(tup, raw)},
+		} {
+			if c.got != c.want {
+				t.Fatalf("%s of %v = %q, want %q", c.what, f, c.got, c.want)
+			}
+		}
 	}
 }

@@ -96,6 +96,9 @@ func (r *Relation) mutated() {
 // (mutated / rehash), so buckets never hold dead entries.
 func (r *Relation) inserted(i int32) {
 	r.sorted = nil
+	if len(r.idx) == 0 {
+		return // ranging a nil map still costs an iterator set-up per insert
+	}
 	for _, ji := range r.idx {
 		h := HashCols(r.tupleAt(i), ji.cols)
 		ji.buckets[h] = append(ji.buckets[h], i)
@@ -262,6 +265,10 @@ func geomCap(n, cur int) int {
 	}
 	return n
 }
+
+// Reserve pre-grows r to hold n more tuples without rehashing: what
+// NewRelationSize does for a new relation, for one that already exists.
+func (r *Relation) Reserve(n int) { r.grow(r.live + n) }
 
 // Add inserts t, reporting whether it was new. Add panics if the arity
 // is wrong: arity errors are programming errors, not data errors.

@@ -1,9 +1,6 @@
 package rel
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Tuple is an ordered list of domain values.
 type Tuple []Value
@@ -132,30 +129,27 @@ func (t Tuple) Compare(u Tuple) int {
 // shorter tuples sort first.
 func (t Tuple) Less(u Tuple) bool { return t.Compare(u) < 0 }
 
-// String renders the tuple using raw numeric values.
-func (t Tuple) String() string {
-	var b strings.Builder
-	b.WriteByte('(')
+// AppendWith appends the tuple's rendering to dst and returns the
+// extended buffer: each value by its symbolic name in d, or as a raw
+// number when d is nil. It is the one rendering body; String and
+// StringWith are calls of it.
+func (t Tuple) AppendWith(dst []byte, d *Dict) []byte {
+	dst = append(dst, '(')
 	for i, v := range t {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(strconv.FormatInt(int64(v), 10))
+		if d == nil {
+			dst = strconv.AppendInt(dst, int64(v), 10)
+		} else {
+			dst = d.AppendName(dst, v)
+		}
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
 }
 
+// String renders the tuple using raw numeric values.
+func (t Tuple) String() string { return string(t.AppendWith(make([]byte, 0, 64), nil)) }
+
 // StringWith renders the tuple using symbolic names from d.
-func (t Tuple) StringWith(d *Dict) string {
-	var b strings.Builder
-	b.WriteByte('(')
-	for i, v := range t {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(d.Name(v))
-	}
-	b.WriteByte(')')
-	return b.String()
-}
+func (t Tuple) StringWith(d *Dict) string { return string(t.AppendWith(make([]byte, 0, 64), d)) }

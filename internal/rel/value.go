@@ -10,8 +10,8 @@
 package rel
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Value is an element of the (conceptually infinite) domain dom.
@@ -129,14 +129,19 @@ func (d *Dict) Lookup(name string) (Value, bool) {
 	return v, ok
 }
 
+// AppendName appends the symbolic name of v to dst, or the numeric
+// rendering #v if v was never interned through this Dict, and returns
+// the extended buffer.
+func (d *Dict) AppendName(dst []byte, v Value) []byte {
+	if v >= 0 && int(v) < len(d.names) {
+		return append(dst, d.names[v]...)
+	}
+	return strconv.AppendInt(append(dst, '#'), int64(v), 10)
+}
+
 // Name returns the symbolic name of v, or a numeric rendering if v was
 // never interned through this Dict.
-func (d *Dict) Name(v Value) string {
-	if v >= 0 && int(v) < len(d.names) {
-		return d.names[v]
-	}
-	return fmt.Sprintf("#%d", int64(v))
-}
+func (d *Dict) Name(v Value) string { return string(d.AppendName(make([]byte, 0, 24), v)) }
 
 // Len reports how many names have been interned.
 func (d *Dict) Len() int { return len(d.names) }
