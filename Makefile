@@ -238,15 +238,16 @@ bench:
 # Benchmarks repeat BENCHCOUNT times; benchjson keeps each one's
 # fastest run, the noise-robust estimate on shared hardware. The
 # benchmarks that live next to the code they measure (the compiled
-# HyperCube router, mpcd's single-pass repartition and its warm reused
-# query, one exchange over the TCP transport, the 12-round distributed
-# run, the covers decision of a cold serving query) are appended to the
+# HyperCube router, mpcd's single-pass repartition, its whole
+# repartitioning op and its warm reused query, one exchange over the TCP
+# transport, the 12-round distributed run, the covers decision of a
+# cold serving query) are appended to the
 # root package's (the incremental-maintenance series, facts/sec and
 # per-batch deltacomm/rounds, and what a fault-tolerance Option costs a
 # fault-free run among them).
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
-	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkReuse|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc >> .bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE) .bench_raw.txt
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"

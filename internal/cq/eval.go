@@ -218,8 +218,10 @@ func evalBindings(q *CQ, inst *rel.Instance) ([]string, bindings) {
 		a := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
 
+		// An atom over a relation the instance lacks, or holds at another
+		// arity, matches nothing.
 		src := inst.Relation(a.Rel)
-		if src == nil || src.Len() == 0 {
+		if src == nil || src.Len() == 0 || src.Arity != len(a.Args) {
 			return nil, bindings{}
 		}
 

@@ -104,6 +104,30 @@ func TestEvaluateEmptyRelation(t *testing.T) {
 	}
 }
 
+// An atom over a relation the instance holds at another arity matches
+// nothing — wider or narrower than the data, first in the body or joined
+// on a bound variable, positive or negated — and does not index past a
+// tuple's end.
+func TestEvaluateAtomAtAnotherArity(t *testing.T) {
+	d := rel.NewDict()
+	i := rel.MustInstance(d, "R(a,b)", "R(b,c)", "S(b)")
+	for _, c := range []struct {
+		query string
+		want  int
+	}{
+		{"H(x) :- R(x, y, z)", 0},
+		{"H(x) :- R(x)", 0},
+		{"H(x) :- S(x), R(x, y, z)", 0},
+		{"H(x) :- S(x), R(x)", 0},
+		{"H(x) :- S(x), not R(x)", 1},
+		{"H(x) :- S(x), not R(x, x, x)", 1},
+	} {
+		if got := Evaluate(MustParse(d, c.query), i).Len(); got != c.want {
+			t.Errorf("%s: %d answers, want %d", c.query, got, c.want)
+		}
+	}
+}
+
 func TestSatisfyingValuations(t *testing.T) {
 	d := rel.NewDict()
 	q := MustParse(d, "H(x) :- R(x, y)")

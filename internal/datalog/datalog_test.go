@@ -144,6 +144,37 @@ func TestUnstratifiableRejected(t *testing.T) {
 	}
 }
 
+// A relation the program derives and the EDB holds at another arity —
+// a rule head, or the ADom the evaluator populates — is an error of the
+// pair, named after the first rule that clashes, not a panic in the
+// union; the EDB is left as it was, and the same program over an EDB
+// holding the relation at the head's arity evaluates.
+func TestEvalRefusesDerivedRelationAtAnotherArity(t *testing.T) {
+	d := rel.NewDict()
+	edb := rel.MustInstance(d, "E(a,b)")
+	edb.AddAll(rel.MustInstance(d, "T(a,b)"))
+	edb.AddAll(rel.MustInstance(d, "ADom(a,b)"))
+	edb.EnsureRelation("Empty", 3)
+	before := edb.Clone()
+	for _, c := range []struct{ program, want string }{
+		{"T(x) :- E(x, y)", "datalog: the program derives T at arity 1 but the instance holds it at arity 2"},
+		{"U(x) :- E(x, y)\nT(x) :- E(x, y), not U(y)", "datalog: the program derives T at arity 1 but the instance holds it at arity 2"},
+		{"Empty(x) :- E(x, y)", "datalog: the program derives Empty at arity 1 but the instance holds it at arity 3"},
+		{"V(x) :- ADom(x), not E(x, x)", "datalog: the program derives ADom at arity 1 but the instance holds it at arity 2"},
+	} {
+		if _, err := Eval(MustParse(d, c.program), edb); err == nil || err.Error() != c.want {
+			t.Errorf("%q: got %v, want %s", c.program, err, c.want)
+		}
+	}
+	if !edb.Equal(before) {
+		t.Errorf("a refused evaluation changed the EDB")
+	}
+	out, err := EvalQuery(MustParse(d, "T(x, y) :- E(y, x)"), edb, "T")
+	if err != nil || out.Len() != 2 {
+		t.Errorf("a head at the EDB's arity: %v, %v", out, err)
+	}
+}
+
 func TestClassify(t *testing.T) {
 	d := rel.NewDict()
 	cases := []struct {

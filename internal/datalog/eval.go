@@ -1,6 +1,8 @@
 package datalog
 
 import (
+	"fmt"
+
 	"mpclogic/internal/cq"
 	"mpclogic/internal/rel"
 )
@@ -9,13 +11,35 @@ import (
 // EDB: strata are evaluated bottom-up, each to its least fixpoint with
 // semi-naive iteration. The result contains the EDB plus all derived
 // facts (including ADom when the program uses it).
+//
+// Derived facts are unioned into the EDB's relations, so a relation the
+// program derives — a rule head, or ADom when it is populated — that
+// the EDB already holds at another arity is an error of the input pair,
+// reported before anything is evaluated.
 func Eval(p *Program, edb *rel.Instance) (*rel.Instance, error) {
 	st, err := Stratify(p)
 	if err != nil {
 		return nil, err
 	}
+	clash := func(name string, arity int) error {
+		if have := edb.Relation(name); have != nil && have.Arity != arity {
+			return fmt.Errorf("datalog: the program derives %s at arity %d but the instance holds it at arity %d", name, arity, have.Arity)
+		}
+		return nil
+	}
+	for _, r := range p.Rules {
+		if err := clash(r.Head.Rel, len(r.Head.Args)); err != nil {
+			return nil, err
+		}
+	}
+	usesADom := p.UsesADom()
+	if usesADom {
+		if err := clash(ADomRel, 1); err != nil {
+			return nil, err
+		}
+	}
 	db := edb.Clone()
-	if p.UsesADom() {
+	if usesADom {
 		populateADom(db)
 	}
 	for s := 0; s < st.Count; s++ {

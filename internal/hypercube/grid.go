@@ -46,7 +46,8 @@ type atomPlan struct {
 	// relative to its corner: every combination of coordinates in the
 	// dimensions the atom does not bind. Lexicographic coordinates are
 	// numeric order in the mixed-radix id scheme, so corner+offsets[i]
-	// enumerates the atom's destinations in ascending order.
+	// enumerates the atom's destinations in ascending order, and
+	// offsets[0] is 0: the corner is the least of them.
 	offsets []int
 	// room bounds the destinations of a fact matching this atom and any
 	// later atom of the same relation and arity, so Targets sizes its
@@ -168,10 +169,16 @@ func (g *Grid) compile(a cq.Atom) atomPlan {
 	return pl
 }
 
-// corner matches t against the plan, returning the server id of the
+// corner matches f against the plan, returning the server id of the
 // sub-grid corner its bound variables hash to, or ok=false when the
-// tuple cannot instantiate the atom.
-func (pl *atomPlan) corner(t rel.Tuple) (id int, ok bool) {
+// fact cannot instantiate the atom (wrong relation or arity, constant
+// or repeated-variable mismatch). It is the one matcher: Targets and
+// First differ only in what they do with the corners.
+func (pl *atomPlan) corner(f rel.Fact) (id int, ok bool) {
+	if pl.rel != f.Rel || pl.arity != len(f.Tuple) {
+		return 0, false
+	}
+	t := f.Tuple
 	for i := range pl.ops {
 		op := &pl.ops[i]
 		v := t[op.pos]
@@ -234,10 +241,7 @@ func (g *Grid) Targets(f rel.Fact) []int {
 	atoms := 0
 	for i := range g.plans {
 		pl := &g.plans[i]
-		if pl.rel != f.Rel || pl.arity != len(f.Tuple) {
-			continue
-		}
-		corner, ok := pl.corner(f.Tuple)
+		corner, ok := pl.corner(f)
 		if !ok {
 			continue
 		}
@@ -254,6 +258,22 @@ func (g *Grid) Targets(f rel.Fact) []int {
 		out = slices.Compact(out)
 	}
 	return out
+}
+
+// First returns Targets(f)[0], the least destination of f, and
+// ok=false when f goes nowhere — without allocating: an atom's offsets
+// ascend from 0, so its least destination is its corner, and the least
+// over all matching atoms is the least corner. It is what makes "the
+// smallest server holding a copy" cheap to ask of every copy, which is
+// how a layout that is this grid's image elects one owner per fact
+// (mpc.Round.Owner).
+func (g *Grid) First(f rel.Fact) (server int, ok bool) {
+	for i := range g.plans {
+		if corner, matched := g.plans[i].corner(f); matched && (!ok || corner < server) {
+			server, ok = corner, true
+		}
+	}
+	return server, ok
 }
 
 // Route implements mpc.Router.

@@ -151,13 +151,12 @@ func randomRoutingCQ(r *rand.Rand) *cq.CQ {
 	return q
 }
 
-// Property: the compiled Grid.Targets equals the interpreted reference
-// on random CQs with constants, repeated variables and self-joins,
-// under random shares that include share-1 dimensions, for matching
-// facts and for facts of the wrong arity or an unknown relation.
-func TestPropCompiledTargetsEqualReference(t *testing.T) {
+// eachRoutingTrial draws 300 random CQs (randomRoutingCQ) under random
+// shares that include share-1 dimensions and, for each, 60 facts over
+// the same small domain — matching facts, and facts of the wrong arity
+// or an unknown relation — calling fn with every (grid, fact) pair.
+func eachRoutingTrial(t *testing.T, fn func(g *Grid, f rel.Fact)) {
 	r := rand.New(rand.NewSource(12))
-	multi := 0
 	for trial := 0; trial < 300; trial++ {
 		q := randomRoutingCQ(r)
 		shares := map[string]int{}
@@ -177,26 +176,60 @@ func TestPropCompiledTargetsEqualReference(t *testing.T) {
 			for i := range tuple {
 				tuple[i] = rel.Value(r.Intn(4))
 			}
-			f := rel.Fact{Rel: name, Tuple: tuple}
-			got, want := g.Targets(f), g.targetsRef(f)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%v on %v seed %d: Targets(%v) = %v, reference %v", q, g, g.Seed, f, got, want)
-			}
-			matched := 0
-			for _, a := range q.Body {
-				if a.Rel == f.Rel && len(a.Args) == len(f.Tuple) {
-					if _, ok := g.atomBinding(a, f); ok {
-						matched++
-					}
-				}
-			}
-			if matched > 1 {
-				multi++
-			}
+			fn(g, rel.Fact{Rel: name, Tuple: tuple})
 		}
 	}
+}
+
+// Property: the compiled Grid.Targets equals the interpreted reference
+// on random CQs with constants, repeated variables and self-joins,
+// under random shares that include share-1 dimensions, for matching
+// facts and for facts of the wrong arity or an unknown relation.
+func TestPropCompiledTargetsEqualReference(t *testing.T) {
+	multi := 0
+	eachRoutingTrial(t, func(g *Grid, f rel.Fact) {
+		q := g.Query
+		got, want := g.Targets(f), g.targetsRef(f)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v on %v seed %d: Targets(%v) = %v, reference %v", q, g, g.Seed, f, got, want)
+		}
+		matched := 0
+		for _, a := range q.Body {
+			if a.Rel == f.Rel && len(a.Args) == len(f.Tuple) {
+				if _, ok := g.atomBinding(a, f); ok {
+					matched++
+				}
+			}
+		}
+		if matched > 1 {
+			multi++
+		}
+	})
 	if multi == 0 {
 		t.Fatal("no trial reached the multi-atom sort and dedup")
+	}
+}
+
+// Property: First is Targets' least element and says ok exactly when
+// there is one, on the same trials — several matching atoms, whose
+// corners First must compare, and facts that go nowhere included.
+func TestPropFirstIsLeastTarget(t *testing.T) {
+	nowhere, several := 0, 0
+	eachRoutingTrial(t, func(g *Grid, f rel.Fact) {
+		ts := g.Targets(f)
+		first, ok := g.First(f)
+		if ok != (len(ts) > 0) || ok && first != ts[0] {
+			t.Fatalf("%v on %v seed %d: First(%v) = %d, %v but Targets = %v", g.Query, g, g.Seed, f, first, ok, ts)
+		}
+		if !ok {
+			nowhere++
+		}
+		if len(ts) > 1 {
+			several++
+		}
+	})
+	if nowhere == 0 || several == 0 {
+		t.Fatalf("%d facts went nowhere and %d to several servers: First was not exercised both ways", nowhere, several)
 	}
 }
 
@@ -219,10 +252,10 @@ func routingBench(tb testing.TB) (*Grid, []rel.Fact) {
 	return g, facts
 }
 
-// Routing a fact allocates its destination slice and nothing else — on
-// a single-atom match, on a self-join that sorts and dedups, and on a
-// grid with free dimensions to enumerate.
-func TestTargetsAllocatesOnlyItsResult(t *testing.T) {
+// allocGrids is the three shapes the allocation tests route through: a
+// single-atom match, a self-join that sorts and dedups, and a grid with
+// free dimensions to enumerate.
+func allocGrids(t *testing.T) ([]*Grid, []rel.Fact) {
 	join, facts := routingBench(t)
 	d := rel.NewDict()
 	self, err := NewGrid(cq.MustParse(d, "F(x, z) :- R(x, y), R(y, z)"), map[string]int{"x": 2, "y": 2, "z": 2}, 3)
@@ -233,9 +266,17 @@ func TestTargetsAllocatesOnlyItsResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []*Grid{join, self, tri} {
+	return []*Grid{join, self, tri}, facts[:8]
+}
+
+// Routing a fact allocates its destination slice and nothing else — on
+// a single-atom match, on a self-join that sorts and dedups, and on a
+// grid with free dimensions to enumerate.
+func TestTargetsAllocatesOnlyItsResult(t *testing.T) {
+	grids, facts := allocGrids(t)
+	for _, g := range grids {
 		routed := 0
-		for _, f := range facts[:8] {
+		for _, f := range facts {
 			routed += len(g.Targets(f))
 			if n := testing.AllocsPerRun(100, func() { sink = g.Targets(f) }); n > 1 {
 				t.Errorf("%v: Targets(%v) allocates %v times, want at most 1", g, f, n)
@@ -246,6 +287,21 @@ func TestTargetsAllocatesOnlyItsResult(t *testing.T) {
 		}
 	}
 }
+
+// First elects an owner for every copy a source holds, so it may not
+// allocate at all — on the same three grids.
+func TestFirstDoesNotAllocate(t *testing.T) {
+	grids, facts := allocGrids(t)
+	for _, g := range grids {
+		for _, f := range facts {
+			if n := testing.AllocsPerRun(100, func() { sinkFirst, _ = g.First(f) }); n != 0 {
+				t.Errorf("%v: First(%v) allocates %v times, want 0", g, f, n)
+			}
+		}
+	}
+}
+
+var sinkFirst int
 
 var sink []int
 

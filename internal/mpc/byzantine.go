@@ -200,7 +200,10 @@ func WithRoutingVerification(sampleEvery int) Option {
 // It recomputes the same Keep/Route decision the communication phase
 // made — the Router is the placement policy, so receivers can re-ask
 // it. Keep facts are legal only at their own source, which for a
-// multi-source shard means any source in range. A Router or Keep that
+// multi-source shard means any source in range. Round.Owner is not
+// consulted: it says which holder ships a fact, not where the fact may
+// land, so an owned delivery is a legal one (a holder shipping a copy it
+// does not own is the audit's to catch). A Router or Keep that
 // panics on f (forged facts need not even satisfy the relation's
 // arity) makes every destination illegal.
 func legalShardDst(r Round, p, lo, hi, dst int, f rel.Fact) (legal bool) {

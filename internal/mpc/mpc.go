@@ -109,11 +109,31 @@ type Compute func(server int, local *rel.Instance) *rel.Instance
 // on the wire). MaxLoad/TotalComm remain the logical metrics over all
 // shipped facts; DeltaComm is the sub-series the incremental engine
 // optimizes.
+//
+// Owner is for rounds that start from a replicated layout — the
+// fragments a HyperCube round left behind — where a fact sits on
+// several servers and must still be shipped once. When non-nil, a source
+// asks Route only about the copies it owns: those with Owner(f) equal to
+// its own index, or negative, which says f has a single holder and that
+// holder owns it (so a layout's singly placed relations cost no hash).
+// Its other copies are not routed by that source at all; Keep is
+// consulted first and is unaffected. The law: on a layout that is the
+// image of a placement ρ (server s holds f iff s ∈ ρ(f)), a round whose
+// Owner picks one server of ρ(f) — min ρ(f), say — routes every
+// distinct fact exactly once, so it records the same Received, MaxLoad
+// and TotalComm, and delivers the same inboxes as sets, as the same
+// round run from any duplicate-free layout of the same facts: loads are
+// sums over destinations, a function of the fact set and Route alone,
+// whatever server a fact is read from. An Owner naming a server that
+// does not hold the fact loses it — nobody routes it — which a caller
+// that knows its fact count sees in RoutedRound.Routed. Like Route,
+// Owner is called concurrently and must be safe for concurrent use.
 type Round struct {
 	Name      string
 	Route     Router
 	Compute   Compute
 	Keep      func(rel.Fact) bool
+	Owner     func(rel.Fact) int
 	Resident  []string
 	DeltaRels []string
 }
@@ -233,6 +253,24 @@ func NewCluster(p int, opts ...Option) *Cluster {
 		opt(c)
 	}
 	return c
+}
+
+// Successor returns a cluster that starts where c stands — the same
+// width, transport and options, server i holding c's fragment i by
+// reference, nothing copied — with an empty round history (so a fault
+// plan, indexed by absolute round, starts over) and no delta program.
+// A round never mutates the instances it reads (Resident relations
+// aside, see Round): it replaces them in the cluster that ran it. So
+// rounds on the successor leave c as it was, a plan routed there and
+// dropped has done nothing anywhere, and an owner that swaps in the
+// successor once a round commits holds one round of history however
+// long it lives.
+func (c *Cluster) Successor() *Cluster {
+	n := &Cluster{p: c.p, servers: append([]*rel.Instance(nil), c.servers...), tr: c.tr, ft: c.ft, verifyEvery: c.verifyEvery}
+	if n.ft.on {
+		n.ft.ckpt = n.snapshot()
+	}
+	return n
 }
 
 // P returns the number of servers.
@@ -358,6 +396,7 @@ type Shard struct {
 	Outs      []*rel.Instance // Outs[dst]: facts bound for dst; nil if none
 	Sent      []int           // routed deliveries per destination (Keep facts uncounted)
 	DeltaSent int             // routed deliveries of DeltaRels relations
+	Routed    int             // facts Route was asked about: not kept, and owned (see Round.Owner)
 	err       error
 }
 
@@ -393,7 +432,7 @@ func (c *Cluster) routeRange(lo, hi int, r Round, sets roundSets) (sh Shard) {
 	}()
 	for src := lo; src < hi; src++ {
 		cur = src
-		if err := routeServer(r, sets, c.p, src, c.servers[src], &sh); err != nil {
+		if err := routeServer(r, sets, c.p, src, c.servers[src], &sh, hi-lo); err != nil {
 			// The round is abandoned on error, so the remaining
 			// sources of the range need not be routed.
 			sh.err = err
@@ -406,17 +445,37 @@ func (c *Cluster) routeRange(lo, hi int, r Round, sets roundSets) (sh Shard) {
 // routeServer routes one source server's relations into sh — the body
 // of the communication phase for a single source, shared by the
 // in-cluster routing fan-out and the standalone RouteSource entry
-// point of remote worker processes. Panics from Router/Keep propagate
-// to the caller, which owns the recover.
-func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Shard) error {
-	deliver := func(dst int, f rel.Fact) {
-		if sh.Outs[dst] == nil {
-			sh.Outs[dst] = rel.NewInstance()
+// point of remote worker processes. Panics from Router/Keep/Owner
+// propagate to the caller, which owns the recover.
+//
+// A source relation's outbox at a destination is resolved on its first
+// delivery there and kept for the rest of the relation — no lookup by
+// name per delivery. It is sized the way LoadRoundRobin sizes its
+// destinations, from the ⌈n/p⌉ share a hash partition sends each of
+// them: a new outbox for that share from every one of the sources
+// sharing sh, an existing one for this source's share more — a guess
+// that costs transient capacity when wrong, never a fact.
+func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Shard, sources int) error {
+	// targets is the round's decision on one fact at this source: kept
+	// here, or shipped to the servers Route names — which only the copy
+	// the source owns is asked about.
+	targets := func(f rel.Fact) (dsts []int, kept, asked bool) {
+		switch {
+		case r.Keep != nil && r.Keep(f):
+			return nil, true, false
+		case r.Route == nil:
+			return nil, false, false
 		}
-		sh.Outs[dst].Add(f)
+		if r.Owner != nil {
+			if owner := r.Owner(f); owner >= 0 && owner != src {
+				return nil, false, false
+			}
+		}
+		return r.Route.Route(f), false, true
 	}
 	var badFact rel.Fact
 	badDst := -1
+	var outs []*rel.Relation
 	for _, name := range srv.RelationNames() {
 		if sets.resident[name] {
 			// Resident relations never enter the communication
@@ -427,6 +486,24 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 		}
 		isDelta := sets.delta[name]
 		rl := srv.Relation(name)
+		if outs == nil {
+			outs = make([]*rel.Relation, p)
+		}
+		clear(outs)
+		share := (rl.Len() + p - 1) / p
+		deliver := func(dst int, t rel.Tuple) {
+			if outs[dst] == nil {
+				if sh.Outs[dst] == nil {
+					sh.Outs[dst] = rel.NewInstance()
+				}
+				hint := share
+				if sh.Outs[dst].Relation(name) == nil {
+					hint *= sources
+				}
+				outs[dst] = sh.Outs[dst].EnsureRelationSize(name, rl.Arity, hint)
+			}
+			outs[dst].Add(t)
+		}
 		rl.Each(func(t rel.Tuple) bool {
 			f := rel.Fact{Rel: name, Tuple: t}
 			if badDst >= 0 {
@@ -434,20 +511,22 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 				// delivering, and re-route only facts that could
 				// replace the reported (Less-minimal) offender.
 				if f.Less(badFact) {
-					if dst, bad := probeBadRoute(r, f, p); bad {
+					if dst, bad := probeBadRoute(targets, f, p); bad {
 						badFact, badDst = f, dst
 					}
 				}
 				return true
 			}
-			if r.Keep != nil && r.Keep(f) {
-				deliver(src, f)
+			dsts, kept, asked := targets(f)
+			if kept {
+				deliver(src, t)
 				return true
 			}
-			if r.Route == nil {
+			if !asked {
 				return true
 			}
-			for _, dst := range r.Route.Route(f) {
+			sh.Routed++
+			for _, dst := range dsts {
 				if dst < 0 || dst >= p {
 					badFact, badDst = f, dst
 					return true
@@ -456,7 +535,7 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 				if isDelta {
 					sh.DeltaSent++
 				}
-				deliver(dst, f)
+				deliver(dst, t)
 			}
 			return true
 		})
@@ -467,21 +546,20 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 	return nil
 }
 
-// probeBadRoute reports whether routing f targets a destination outside
-// [0,p). It refines an already-confirmed range error to the
-// Less-minimal offending fact, so it recovers from Router and Keep
-// panics and treats the fact as non-offending: a later panicking fact
-// must not convert a clean range error into a panic error.
-func probeBadRoute(r Round, f rel.Fact, p int) (dst int, bad bool) {
+// probeBadRoute reports whether a source's decision on f (routeServer's
+// targets) names a destination outside [0,p). It refines an
+// already-confirmed range error to the Less-minimal offending fact, so
+// it recovers from Router, Keep and Owner panics and treats the fact as
+// non-offending: a later panicking fact must not convert a clean range
+// error into a panic error.
+func probeBadRoute(targets func(rel.Fact) ([]int, bool, bool), f rel.Fact, p int) (dst int, bad bool) {
 	defer func() {
 		if recover() != nil {
 			dst, bad = 0, false
 		}
 	}()
-	if r.Keep != nil && r.Keep(f) {
-		return 0, false
-	}
-	for _, d := range r.Route.Route(f) {
+	dsts, _, _ := targets(f)
+	for _, d := range dsts {
 		if d < 0 || d >= p {
 			return d, true
 		}
@@ -606,6 +684,7 @@ type RoutedRound struct {
 	Received  []int // facts each server will receive
 	MaxLoad   int   // max over Received
 	TotalComm int   // Σ Received
+	Routed    int   // facts Route was asked about, summed over the shards (see Shard.Routed)
 
 	cluster   *Cluster
 	round     Round
@@ -679,6 +758,7 @@ func (c *Cluster) RouteRound(r Round) (*RoutedRound, error) {
 		cluster:  c, round: r, shards: shards, chunk: chunk, at: len(c.stats),
 	}
 	for w := range shards {
+		rr.Routed += shards[w].Routed
 		for dst, n := range shards[w].Sent {
 			rr.Received[dst] += n
 		}

@@ -121,30 +121,10 @@ func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, e
 					mergeErrs[dst] = fmt.Errorf("mpc: server %d inbox merge panicked in round %q: %v", dst, round, rec)
 				}
 			}()
-			var inbox *rel.Instance
-			n := 0
 			for w := range shards {
-				n += shards[w].Sent[dst]
-				out := shards[w].Outs[dst]
-				if out == nil {
-					continue
-				}
-				if inbox == nil {
-					// Shards are round-private: adopt the first outbox
-					// instead of copying it.
-					inbox = out
-					continue
-				}
-				for _, name := range out.RelationNames() {
-					o := out.Relation(name)
-					inbox.EnsureRelationSize(name, o.Arity, o.Len()).UnionWith(o)
-				}
+				received[dst] += shards[w].Sent[dst]
 			}
-			if inbox == nil {
-				inbox = rel.NewInstance()
-			}
-			inboxes[dst] = inbox
-			received[dst] = n
+			inboxes[dst] = mergeOutboxes(shards, dst)
 		}(dst)
 	}
 	mergeWG.Wait()
@@ -154,6 +134,59 @@ func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, e
 		}
 	}
 	return inboxes, received, nil
+}
+
+// mergeOutboxes unions the shards' outboxes for dst, in shard order.
+// Shards are round-private, so what only one of them ships — the whole
+// outbox, or one relation of it — is adopted instead of copied. A
+// relation several ship is built once, at the size of their copies
+// together: an inbox becomes the server's fragment, which may live as
+// long as its owner does, so it must not carry the slack that growing
+// the first outbox to fit the others leaves (at least a doubling).
+func mergeOutboxes(shards []Shard, dst int) *rel.Instance {
+	var only *rel.Instance
+	shipping := 0
+	for w := range shards {
+		if out := shards[w].Outs[dst]; out != nil {
+			only = out
+			shipping++
+		}
+	}
+	switch shipping {
+	case 0:
+		return rel.NewInstance()
+	case 1:
+		return only
+	}
+	sizes := make(map[string]int)
+	for w := range shards {
+		if out := shards[w].Outs[dst]; out != nil {
+			for _, name := range out.RelationNames() {
+				sizes[name] += out.Relation(name).Len()
+			}
+		}
+	}
+	inbox := rel.NewInstanceSize(len(sizes))
+	for w := range shards {
+		out := shards[w].Outs[dst]
+		if out == nil {
+			continue
+		}
+		for _, name := range out.RelationNames() {
+			o := out.Relation(name)
+			if o.Len() == sizes[name] {
+				inbox.SetRelationAs(name, o) // its only shipper
+				continue
+			}
+			in := inbox.Relation(name)
+			if in == nil {
+				in = rel.NewRelationSize(name, o.Arity, sizes[name])
+				inbox.SetRelationAs(name, in)
+			}
+			in.UnionWith(o)
+		}
+	}
+	return inbox
 }
 
 // RouteSource runs one source server's communication phase standalone:
@@ -177,7 +210,7 @@ func RouteSource(r Round, p, src int, local *rel.Instance) (sh Shard, err error)
 			err = fmt.Errorf("mpc: server %d communication phase panicked in round %q: %v", src, r.Name, rec)
 		}
 	}()
-	if rerr := routeServer(r, r.sets(), p, src, local, &sh); rerr != nil {
+	if rerr := routeServer(r, r.sets(), p, src, local, &sh, 1); rerr != nil {
 		return Shard{}, rerr
 	}
 	return sh, nil

@@ -23,6 +23,16 @@
 //     routed plan dropped, and an admitted plan is delivered as routed
 //     (mpc.Deliver), so the load it was admitted on IS the load the
 //     round records.
+//   - A repartition routes the session's own fragments. They are the
+//     image of the anchor's placement, so a fact may sit on several
+//     servers; the placement elects the least of them its owner
+//     (mpc.Round.Owner) and each distinct fact is routed exactly once.
+//     The loads are therefore a function of the session's fact set and
+//     the new grid alone — what the anchor left behind does not show in
+//     any reply — and nothing is unioned, sorted or re-loaded to get
+//     them. The round runs on a successor of the session's cluster
+//     (mpc.Cluster.Successor), swapped in on admission, so a session
+//     holds one round of history however long it lives.
 //
 // Sessions are checkpointable: a session's cluster is built with no
 // mpc.Option, so it keeps no rolling checkpoint and is snapshotted only

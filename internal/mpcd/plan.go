@@ -1,12 +1,14 @@
 package mpcd
 
 import (
+	"slices"
 	"sync"
 
 	"mpclogic/internal/cq"
 	"mpclogic/internal/datalog"
 	"mpclogic/internal/hypercube"
 	"mpclogic/internal/pc"
+	"mpclogic/internal/rel"
 )
 
 // Query languages accepted by the query endpoint.
@@ -72,6 +74,11 @@ func (sess *Session) parseQuery(lang, src, out string) (*sessionQuery, *apiError
 	switch lang {
 	case LangCQ:
 		q, err := cq.Parse(sess.dict, src)
+		if err == nil {
+			// A body that reads one relation at two arities parses, but
+			// no instance holds the facts it requires.
+			_, err = q.Schema()
+		}
 		if err != nil {
 			return nil, errParse(err)
 		}
@@ -135,6 +142,62 @@ func (pl *queryPlan) gridFor(q *cq.CQ, p int, seed uint64) (*hypercube.Grid, *ap
 		return nil, errBadRequest("no share assignment for %s on p=%d: %v", q, p, r.err)
 	}
 	return r.grid, nil
+}
+
+// parkSalt decorrelates the parking hash (facts outside the anchor's
+// atoms, see placement) from the grid's per-dimension hashes.
+const parkSalt = 0x7061726b6d706364 // "parkmpcd"
+
+// placement is where an anchor puts a session's facts: the query's grid
+// with a parking fallback. Facts matching no atom of the query are
+// irrelevant to it but still belong to the session, so they park on a
+// hashed server instead of being dropped (Grid.Targets routes
+// non-matching facts nowhere). A parked fact can never occur in a
+// minimal valuation of the anchor — or of any query the anchor covers,
+// whose required facts are subsets of the anchor's — so parking
+// preserves parallel correctness for both. The fragments a repartition
+// leaves are exactly this placement's image (server s holds f iff s is
+// in Route(f)), which is what lets the next repartition elect one owner
+// per fact from the placement alone.
+type placement struct {
+	grid       *hypercube.Grid
+	p, seed    uint64
+	replicated []string // relations the grid may put on several servers per fact
+}
+
+// newPlacement returns grid's placement on a p-server session. A
+// relation is placed once per fact unless an atom over it leaves a
+// dimension with a share free, or two atoms are over it.
+func newPlacement(grid *hypercube.Grid, p int, seed uint64) *placement {
+	pl := &placement{grid: grid, p: uint64(p), seed: seed}
+	for i, a := range grid.Query.Body {
+		again := slices.ContainsFunc(grid.Query.Body[:i], func(b cq.Atom) bool { return b.Rel == a.Rel })
+		if (again || grid.ReplicationOf(a) > 1) && !slices.Contains(pl.replicated, a.Rel) {
+			pl.replicated = append(pl.replicated, a.Rel)
+		}
+	}
+	return pl
+}
+
+// Route implements mpc.Router.
+func (pl *placement) Route(f rel.Fact) []int {
+	if ts := pl.grid.Targets(f); len(ts) > 0 {
+		return ts
+	}
+	return []int{int(rel.Mix64(f.Hash()^pl.seed^parkSalt) % pl.p)}
+}
+
+// owner is the placement as the mpc.Round.Owner of the repartition that
+// replaces it: of the servers Route put f on, the least ships it. A fact
+// placed once — parked, or of a relation the grid does not replicate —
+// is owned wherever it sits (negative), at the cost of no hash.
+func (pl *placement) owner(f rel.Fact) int {
+	if slices.Contains(pl.replicated, f.Rel) {
+		if least, ok := pl.grid.First(f); ok {
+			return least
+		}
+	}
+	return -1
 }
 
 // covers decides whether the anchor's distribution can be reused for

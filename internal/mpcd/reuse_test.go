@@ -184,16 +184,11 @@ func TestCoverSizeGate(t *testing.T) {
 	}
 }
 
-// TestTransferLawAtServingSeam holds Proposition 4.13 as a law where
-// the daemon spends it: whenever pc.Covers lets a query ride the
-// anchor's warm fragments, the answer must be the one a server that
-// always repartitions gives. Two servers with one seed run the same
-// seeded script over the same session; path, comm and the ledgers
-// legitimately differ, output and count may not. A wrong "covers"
-// verdict on any pair the script reaches evaluates on fragments that
-// are not parallel-correct for the query and loses answers.
-func TestTransferLawAtServingSeam(t *testing.T) {
-	queries := []string{
+// The law's script (TestTransferLawAtServingSeam): the serving set and
+// its variants over a generated join plus hand-placed facts. The
+// repartition oracle walks it too (TestRepartitionMatchesReference).
+var (
+	lawQueries = []string{
 		anchorQ, coveredQ1, coveredQ2, coveredQ3, // A–D of the serving set
 		"E() :- R(x, y), S(y, z)",
 		"F(x, z) :- R(x, y), R(y, z)",
@@ -208,13 +203,25 @@ func TestTransferLawAtServingSeam(t *testing.T) {
 		"Q() :- S(x, y)",
 		"T(y) :- S(y, z), R(x, y)",
 	}
-	create := createRequest{
+	lawCreate = createRequest{
 		ID: "law", Generator: "join", N: 96,
 		Facts: []string{
 			"R(a, a)", "R(a, b)", "R(b, c)", "S(b, b)", "S(c, a)", // diagonals, a two-step R path
 			"Z(q, r)", "Z(r, s)", "W(a)", // outside R and S: parked by every anchor
 		},
 	}
+)
+
+// TestTransferLawAtServingSeam holds Proposition 4.13 as a law where
+// the daemon spends it: whenever pc.Covers lets a query ride the
+// anchor's warm fragments, the answer must be the one a server that
+// always repartitions gives. Two servers with one seed run the same
+// seeded script over the same session; path, comm and the ledgers
+// legitimately differ, output and count may not. A wrong "covers"
+// verdict on any pair the script reaches evaluates on fragments that
+// are not parallel-correct for the query and loses answers.
+func TestTransferLawAtServingSeam(t *testing.T) {
+	queries, create := lawQueries, lawCreate
 	_, reuse := newTestServer(t, Config{})
 	_, always := newTestServer(t, Config{DisableReuse: true})
 	for _, ts := range []string{reuse.URL, always.URL} {

@@ -153,6 +153,46 @@ func TestDatalogQuery(t *testing.T) {
 	}
 }
 
+// TestDatalogHeadArityClashIsTyped: a program that derives a relation
+// the session holds at another arity — in its only rule, in a recursive
+// rule, in the upper of two strata, or as the ADom it asks the evaluator
+// to populate — cannot be unioned with the data. That is the request's
+// fault: a 400 over the wire, not a dropped connection, with nothing
+// charged and the session byte for byte as it was.
+func TestDatalogHeadArityClashIsTyped(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	do(t, "POST", ts.URL+"/v1/sessions", createRequest{
+		ID:    "clash",
+		Facts: []string{"R(a, b)", "R(b, c)", "T(a, b)", "ADom(a, b)"},
+	})
+	query(t, ts.URL, "clash", "A(x, z) :- R(x, y), R(y, z)") // an anchor: the ledger is not at zero
+	sess := s.sessions["clash"]
+	before := sessionImage(t, sess)
+	_, status := do(t, "GET", ts.URL+"/v1/sessions/clash", nil)
+	for _, c := range []struct{ name, program, out string }{
+		{"one rule", "T(x) :- R(x, y)", "T"},
+		{"recursive", "T(x) :- R(x, y)\nT(x) :- T(y), R(x, y)", "T"},
+		{"two strata", "U(x) :- R(x, y)\nT(x) :- R(x, y), not U(y)", "T"},
+		{"populated ADom", "V(x) :- ADom(x), not R(x, x)", "V"},
+	} {
+		code, raw := do(t, "POST", ts.URL+"/v1/query", queryRequest{Session: "clash", Lang: LangDatalog, Query: c.program, Out: c.out})
+		if code != http.StatusBadRequest || errCode(t, raw) != CodeBadRequest {
+			t.Errorf("%s: %d %s, want a 400 bad_request", c.name, code, raw)
+		}
+		if _, after := do(t, "GET", ts.URL+"/v1/sessions/clash", nil); string(after) != string(status) {
+			t.Errorf("%s: the ledger moved:\n  before %s\n  after  %s", c.name, status, after)
+		}
+		if after := sessionImage(t, sess); after != before {
+			t.Errorf("%s: the session changed", c.name)
+		}
+	}
+	// The same programs over data that does not clash still run.
+	code, raw := do(t, "POST", ts.URL+"/v1/query", queryRequest{Session: "clash", Lang: LangDatalog, Query: "T(x, y) :- R(x, y)\nT(x, z) :- T(x, y), R(y, z)", Out: "T"})
+	if code != http.StatusOK {
+		t.Fatalf("a program deriving T at the data's arity: %d %s", code, raw)
+	}
+}
+
 func TestNegatedCQGathers(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	do(t, "POST", ts.URL+"/v1/sessions", createRequest{
@@ -226,6 +266,15 @@ func TestTypedRejections(t *testing.T) {
 	if status != http.StatusBadRequest || errCode(t, raw) != CodeParse {
 		t.Fatalf("unsafe query: %d %s", status, raw)
 	}
+	// A body that reads one relation at two arities.
+	status, raw = do(t, "POST", ts.URL+"/v1/query", queryRequest{Session: "rj", Query: "A(x) :- R(x), R(x, y)"})
+	if status != http.StatusBadRequest || errCode(t, raw) != CodeParse {
+		t.Fatalf("two arities in one body: %d %s", status, raw)
+	}
+	// An atom at another arity than the data's is no error: it matches nothing.
+	if qr := query(t, ts.URL, "rj", "A(x) :- R(x, y, z)"); qr.Count != 0 {
+		t.Fatalf("an atom wider than the data: %+v", qr)
+	}
 	// Unknown language.
 	status, raw = do(t, "POST", ts.URL+"/v1/query", queryRequest{Session: "rj", Query: "A(x) :- R(x, y)", Lang: "sql"})
 	if status != http.StatusBadRequest || errCode(t, raw) != CodeBadRequest {
@@ -255,6 +304,17 @@ func TestTypedRejections(t *testing.T) {
 	status, raw = do(t, "POST", ts.URL+"/v1/sessions", createRequest{ID: "../etc"})
 	if status != http.StatusBadRequest {
 		t.Fatalf("invalid id: %d %s", status, raw)
+	}
+	// One relation at two arities: within the listed facts, and against
+	// the generator's.
+	for _, create := range []createRequest{
+		{ID: "ar", Facts: []string{"R(a, b)", "R(c)"}},
+		{ID: "ar", Generator: "join", N: 4, Facts: []string{"S(a)"}},
+	} {
+		status, raw = do(t, "POST", ts.URL+"/v1/sessions", create)
+		if status != http.StatusBadRequest || errCode(t, raw) != CodeBadRequest {
+			t.Fatalf("mixed arities: %d %s", status, raw)
+		}
 	}
 	// Session limit.
 	do(t, "POST", ts.URL+"/v1/sessions", createRequest{ID: "rj2"})

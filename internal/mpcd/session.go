@@ -58,10 +58,6 @@ var sessionIDPat = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
 // generated instance is the one thing a tiny request can make huge.
 const maxGenSize = 1 << 22
 
-// parkSalt decorrelates the parking hash (facts outside the anchor's
-// atoms, see gridRouter) from the grid's per-dimension hashes.
-const parkSalt = 0x7061726b6d706364 // "parkmpcd"
-
 // createSession validates the request, materializes the data, and
 // installs the session round-robin across p servers — the model's
 // "evenly spread, no particular scheme" starting state. The response
@@ -154,6 +150,9 @@ func buildData(req *createRequest, dict *rel.Dict) (*rel.Instance, *apiError) {
 		f, err := rel.ParseFact(dict, fs)
 		if err != nil {
 			return nil, errParse(err)
+		}
+		if r := inst.Relation(f.Rel); r != nil && r.Arity != len(f.Tuple) {
+			return nil, errBadRequest("fact %s: the data holds %s at arity %d", fs, f.Rel, r.Arity)
 		}
 		inst.Add(f)
 	}
@@ -261,36 +260,28 @@ func (sess *Session) evalLocal(q *cq.CQ) *rel.Instance {
 	return out
 }
 
-// gridRouter wraps the query's grid with a parking fallback: facts
-// matching no atom of the query are irrelevant to it but still belong
-// to the session, so they park on a hashed server instead of being
-// dropped (Grid.Targets routes non-matching facts nowhere). A parked
-// fact can never occur in a minimal valuation of the anchor — or of
-// any query the anchor covers, whose required facts are subsets of the
-// anchor's — so parking preserves parallel correctness for both.
-func (sess *Session) gridRouter(grid *hypercube.Grid) mpc.Router {
-	p, seed := uint64(sess.p), sess.seed
-	return mpc.RouterFunc(func(f rel.Fact) []int {
-		if ts := grid.Targets(f); len(ts) > 0 {
-			return ts
-		}
-		return []int{int(rel.Mix64(f.Hash()^seed^parkSalt) % p)}
-	})
+// gridRouter returns grid's placement on this session's cluster: the
+// router of one repartition, the owner rule of the one that replaces it.
+func (sess *Session) gridRouter(grid *hypercube.Grid) *placement {
+	return newPlacement(grid, sess.p, sess.seed)
 }
 
 // repartition is the admission-controlled redistribution, in a single
-// routing pass. The session's data is loaded round-robin into a fresh
-// cluster and routed through the query's grid (mpc.RouteRound): every
-// fact now sits in an outbox and the per-server loads are exact, but
-// nothing has shipped. The query is admitted or rejected on those loads
-// against the query and session budgets; only an admitted plan is
-// delivered (mpc.Deliver), and the loads it was admitted on are, by
-// construction, the loads the round records — the check after Deliver
-// asserts it. A rejection drops the fresh cluster: it costs one routing
-// pass into outboxes, and the session — cluster, anchor, ledger — is
-// untouched. The data is re-shipped from a fresh round-robin layout
-// rather than the live fragments so the measured load is independent of
-// how replicated the previous anchor left them.
+// routing pass over the session's own fragments. They are the image of
+// the previous anchor's placement, so a fact may sit on several servers:
+// the placement elects the one that routes it (mpc.Round.Owner; the
+// round-robin layout before the first anchor holds every fact once), so
+// each distinct fact goes through the query's grid once and the loads —
+// sums over destinations, a function of the fact set and the grid — are
+// what a duplicate-free layout would record, whatever that anchor left
+// behind. Routed (mpc.RouteRound), every fact sits in an outbox and the
+// loads are exact, but nothing has shipped: the query is admitted or
+// rejected on them against the query and session budgets, and only an
+// admitted plan is delivered (mpc.Deliver), recording the loads it was
+// admitted on — the check after Deliver asserts it. The round runs on a
+// successor of the session's cluster, which shares the fragments: a
+// rejection drops it, the session — cluster, anchor, ledger — untouched,
+// and an admission swaps it in, so a session holds one round of history.
 func (sess *Session) repartition(sq *sessionQuery, qBudget int) (maxLoad, total int, aerr *apiError) {
 	grid, aerr := sq.plan.gridFor(sq.cq, sess.p, sess.seed)
 	if aerr != nil {
@@ -302,12 +293,23 @@ func (sess *Session) repartition(sq *sessionQuery, qBudget int) (maxLoad, total 
 // reship is repartition below the choice of router: route once, admit
 // on the routed loads, deliver.
 func (sess *Session) reship(sq *sessionQuery, router mpc.Router, qBudget int) (maxLoad, total int, aerr *apiError) {
-	union := sess.cluster.Output()
-	fresh := mpc.NewCluster(sess.p)
-	fresh.LoadRoundRobin(union)
-	routed, err := fresh.RouteRound(mpc.Round{Name: "repartition " + sq.text, Route: router})
+	round := mpc.Round{Name: "repartition " + sq.text, Route: router}
+	if prev := sess.anchor; prev != nil {
+		grid, aerr := prev.plan.gridFor(prev.cq, sess.p, sess.seed)
+		if aerr != nil {
+			return 0, 0, errInternal(fmt.Errorf("mpcd: the grid of anchor %s is gone: %s", prev.text, aerr.Message))
+		}
+		round.Owner = sess.gridRouter(grid).owner
+	}
+	next := sess.cluster.Successor()
+	routed, err := next.RouteRound(round)
 	if err != nil {
 		return 0, 0, errInternal(err)
+	}
+	if routed.Routed != sess.facts {
+		// Some fact had no owner among its holders, or two: the
+		// fragments are not the image of the anchor's placement.
+		return 0, 0, errInternal(fmt.Errorf("mpcd: routed %d facts of a session holding %d", routed.Routed, sess.facts))
 	}
 	maxLoad, total = routed.MaxLoad, routed.TotalComm
 	if maxLoad > qBudget {
@@ -318,7 +320,7 @@ func (sess *Session) reship(sq *sessionQuery, router mpc.Router, qBudget int) (m
 		sess.srv.bump(func(st *StatzResponse) { st.RejectedSessionBudget++ })
 		return 0, 0, errSessionBudget(total, remaining)
 	}
-	stats, err := fresh.Deliver(routed)
+	stats, err := next.Deliver(routed)
 	if err != nil {
 		return 0, 0, errInternal(err)
 	}
@@ -327,9 +329,7 @@ func (sess *Session) reship(sq *sessionQuery, router mpc.Router, qBudget int) (m
 			"mpcd: admitted on max load %d / comm %d but the round recorded %d / %d",
 			maxLoad, total, stats.MaxLoad, stats.TotalComm))
 	}
-	sess.cluster = fresh
-	sess.anchor = sq
-	sess.facts = union.Len()
+	sess.cluster, sess.anchor = next, sq
 	sess.budgetSpent += total
 	return maxLoad, total, nil
 }
