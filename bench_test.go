@@ -458,11 +458,11 @@ func BenchmarkBroadcast(b *testing.B) {
 		b.ReportMetric(float64(st.Sent), "msgs")
 	}
 	b.Run("naive", func(b *testing.B) {
-		run(b, func() transducer.Program { return &transducer.MonotoneBroadcast{Q: tri} })
+		run(b, func() transducer.Program { return transducer.MonotoneBroadcast(tri) })
 	})
 	b.Run("economical", func(b *testing.B) {
 		run(b, func() transducer.Program {
-			return &transducer.EconomicalBroadcast{Q: tri, Matches: func(f rel.Fact) bool { return f.Rel == "E" }}
+			return transducer.EconomicalBroadcast(tri, func(f rel.Fact) bool { return f.Rel == "E" })
 		})
 	})
 }

@@ -1,11 +1,14 @@
 // Command calm classifies a Datalog program in the Figure 2 hierarchy
 // (M / Mdistinct / Mdisjoint via its effective syntax), explains the
-// coordination-free evaluation strategy CALM prescribes, and runs the
-// program on a simulated asynchronous transducer network.
+// coordination-free evaluation strategy CALM prescribes, and runs that
+// strategy — the row of transducer.Strategies it printed — on a
+// simulated asynchronous transducer network under the row's working
+// policy. Only a program outside the hierarchy reaches the coordinated
+// fallback; control= in the run line counts its protocol messages.
 //
 // Usage:
 //
-//	calm -program prog.dl -out TC -edges edges.txt -nodes 4
+//	calm -program prog.dl -out TC -facts edges.txt -nodes 4
 //
 // where prog.dl holds one rule per line and edges.txt holds one fact
 // per line (e.g. "E(a,b)").
@@ -15,81 +18,77 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"mpclogic/internal/core"
+	"mpclogic/internal/cq"
 	"mpclogic/internal/datalog"
-	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 	"mpclogic/internal/transducer"
 )
 
 func main() {
-	progFile := flag.String("program", "", "Datalog program file (required)")
-	outRel := flag.String("out", "", "output relation (required)")
-	factsFile := flag.String("facts", "", "EDB facts file, one fact per line")
-	nodes := flag.Int("nodes", 4, "network size")
-	seed := flag.Int64("seed", 1, "scheduler seed (message delay nondeterminism)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("calm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	progFile := fs.String("program", "", "Datalog program file (required)")
+	outRel := fs.String("out", "", "output relation (required)")
+	factsFile := fs.String("facts", "", "EDB facts file, one fact per line")
+	nodes := fs.Int("nodes", 4, "network size")
+	seed := fs.Int64("seed", 1, "scheduler seed (message delay nondeterminism)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *progFile == "" || *outRel == "" {
-		fmt.Fprintln(os.Stderr, "calm: -program and -out are required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "calm: -program and -out are required")
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "calm: %v\n", err)
+		return 1
 	}
 	d := rel.NewDict()
 	src, err := os.ReadFile(*progFile)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	prog, err := datalog.Parse(d, string(src))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	cls := datalog.Classify(prog)
-	class := core.ClassifyProgram(prog)
-	fmt.Printf("program (%d rules), strata=%d\n", len(prog.Rules), cls.Strata)
-	fmt.Printf("  positive=%v semi-positive=%v connected=%v semi-connected=%v\n",
+	row := core.StrategyFor(cls.MonotonicityClass())
+	fmt.Fprintf(stdout, "program (%d rules), strata=%d\n", len(prog.Rules), cls.Strata)
+	fmt.Fprintf(stdout, "  positive=%v semi-positive=%v connected=%v semi-connected=%v\n",
 		cls.Positive, cls.SemiPositive, cls.Connected, cls.SemiConnected)
-	fmt.Printf("  hierarchy class: %s\n", class)
-	fmt.Printf("  strategy: %s\n", core.StrategyFor(class))
+	fmt.Fprintf(stdout, "  hierarchy class: %s\n", row.Class)
+	fmt.Fprintf(stdout, "  strategy: %s\n", row)
 
 	edb := rel.NewInstance()
 	if *factsFile != "" {
-		f, err := os.Open(*factsFile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			fact, err := rel.ParseFact(d, line)
-			if err != nil {
-				fatal(err)
-			}
-			edb.Add(fact)
-		}
-		if err := sc.Err(); err != nil {
-			fatal(err)
+		if err := readFacts(d, *factsFile, edb); err != nil {
+			return fail(err)
 		}
 	}
 	if edb.IsEmpty() {
-		fmt.Println("no facts given; classification only")
-		return
+		fmt.Fprintln(stdout, "no facts given; classification only")
+		return 0
 	}
 
 	want, err := datalog.EvalQuery(prog, edb, *outRel)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("centralized %s: %d facts\n", *outRel, want.Len())
+	fmt.Fprintf(stdout, "centralized %s: %d facts\n", *outRel, want.Len())
 
-	// Run the prescribed strategy on an asynchronous network.
+	// Run the row's strategy under its working policy on an
+	// asynchronous network.
 	q := func(i *rel.Instance) *rel.Instance {
 		out, err := datalog.EvalQuery(prog, i, *outRel)
 		if err != nil {
@@ -97,50 +96,65 @@ func main() {
 		}
 		return out
 	}
-	var n *transducer.Network
-	switch class {
-	case core.ClassM:
-		n = transducer.New(*nodes, func() transducer.Program {
-			return &transducer.MonotoneBroadcast{Q: q}
-		}, transducer.WithSeed(*seed))
-		if err := n.LoadParts(policy.Distribute(&policy.Hash{Nodes: *nodes}, edb)); err != nil {
-			fatal(err)
-		}
-	case core.ClassMdisjoint:
-		pol := &policy.DomainGuided{Nodes: *nodes, DefaultWidth: 1}
-		n = transducer.New(*nodes, func() transducer.Program {
-			return &transducer.DisjointComplete{Q: q}
-		}, transducer.WithSeed(*seed), transducer.WithPolicy(pol))
-		if err := n.LoadPolicy(edb, pol); err != nil {
-			fatal(err)
-		}
-	default:
-		// Mdistinct programs would need a schema-aware policy setup;
-		// fall back to the coordinated protocol, which handles any
-		// query at the price of coordination.
-		n = transducer.New(*nodes, func() transducer.Program {
-			return &transducer.Coordinated{Q: q}
-		}, transducer.WithSeed(*seed))
-		if err := n.LoadParts(policy.Distribute(&policy.Hash{Nodes: *nodes}, edb)); err != nil {
-			fatal(err)
-		}
+	n, err := transducer.Load(row.Program(q, inputSchema(prog, edb)), row.Policy(*nodes), edb, transducer.WithSeed(*seed))
+	if err != nil {
+		return fail(err)
 	}
 	stats, err := n.Run()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	got := n.Output()
-	fmt.Printf("distributed run: %d facts, sent=%d delivered=%d steps=%d\n",
-		got.Len(), stats.Sent, stats.Delivered, stats.Steps)
-	if got.Equal(want) {
-		fmt.Println("distributed output MATCHES the centralized result")
-	} else {
-		fmt.Println("distributed output DIFFERS from the centralized result")
-		os.Exit(1)
+	fmt.Fprintf(stdout, "distributed run: %d facts, sent=%d control=%d delivered=%d steps=%d\n",
+		got.Len(), stats.Sent, stats.ControlSent, stats.Delivered, stats.Steps)
+	if !got.Equal(want) {
+		fmt.Fprintln(stdout, "distributed output DIFFERS from the centralized result")
+		return 1
 	}
+	fmt.Fprintln(stdout, "distributed output MATCHES the centralized result")
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "calm: %v\n", err)
-	os.Exit(1)
+// readFacts adds the facts of file, one per line ('#' comments), to edb.
+func readFacts(d *rel.Dict, file string, edb *rel.Instance) error {
+	f, err := os.Open(file)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fact, err := rel.ParseFact(d, line)
+		if err != nil {
+			return err
+		}
+		edb.Add(fact)
+	}
+	return sc.Err()
+}
+
+// inputSchema is the schema the policy-aware strategy vouches absences
+// over: every relation the input holds or the program reads without
+// defining it.
+func inputSchema(prog *datalog.Program, edb *rel.Instance) rel.Schema {
+	schema := rel.Schema{}
+	edb.Each(func(f rel.Fact) bool {
+		schema[f.Rel] = len(f.Tuple)
+		return true
+	})
+	idb := prog.IDB()
+	for _, r := range prog.Rules {
+		for _, atoms := range [][]cq.Atom{r.Body, r.Neg} {
+			for _, a := range atoms {
+				if !idb[a.Rel] && a.Rel != datalog.ADomRel {
+					schema[a.Rel] = len(a.Args)
+				}
+			}
+		}
+	}
+	return schema
 }

@@ -15,112 +15,51 @@ import (
 	"fmt"
 	"log"
 
-	"mpclogic/internal/cq"
-	"mpclogic/internal/policy"
+	"mpclogic/internal/mono"
 	"mpclogic/internal/rel"
 	"mpclogic/internal/transducer"
 	"mpclogic/internal/workload"
 )
 
 func main() {
-	d := rel.NewDict()
 	g := workload.ComponentsGraph(2, 4) // two disjoint 4-cycles
 	g.Add(rel.NewFact("E", 0, 2))       // one chord: creates open triangles
 	const p = 4
 
-	// 1. Monotone: triangles by naive broadcast.
-	triQ := cq.MustParse(d, "H(x, y, z) :- E(x, y), E(y, z), E(z, x), x != y, y != z, z != x")
-	tri := func(i *rel.Instance) *rel.Instance { return cq.Output(triQ, i) }
-	n1 := transducer.New(p, func() transducer.Program { return &transducer.MonotoneBroadcast{Q: tri} },
-		transducer.WithSeed(7))
-	if err := n1.LoadParts(policy.Distribute(&policy.Hash{Nodes: p}, g)); err != nil {
-		log.Fatal(err)
+	// One case per coordination-free row of the CALM table, each on
+	// the row's own witness query; Mdistinct runs Example 5.4's
+	// verbatim program for it instead of the generic rule.
+	m, md, mj := transducer.StrategyFor(mono.M), transducer.StrategyFor(mono.Mdistinct), transducer.StrategyFor(mono.Mdisjoint)
+	cases := []struct {
+		label, probe string
+		row          *transducer.Strategy
+		mk           func() transducer.Program
+	}{
+		{"triangles (M, naive broadcast):      ", "triangles:     ", m, m.Program(m.Witness, nil)},
+		{"open triangles (Mdistinct, policy):  ", "open triangles:", md, transducer.OpenTriangle().Factory()},
+		{"¬TC (Mdisjoint, domain-guided):      ", "¬TC:           ", mj, mj.Program(mj.Witness, nil)},
 	}
-	st1, err := n1.Run()
-	if err != nil {
-		log.Fatal(err)
+	for _, c := range cases {
+		n, err := transducer.Load(c.mk, c.row.Policy(p), g, transducer.WithSeed(7))
+		if err != nil {
+			log.Fatal(err)
+		}
+		st, err := n.Run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%s %d facts, %d msgs, matches centralized: %v\n",
+			c.label, n.Output().Len(), st.Sent, n.Output().Equal(c.row.Witness(g)))
 	}
-	fmt.Printf("triangles (M, naive broadcast):       %d facts, %d msgs, matches centralized: %v\n",
-		n1.Output().Len(), st1.Sent, n1.Output().Equal(tri(g)))
-
-	// 2. Mdistinct: open triangles, policy-aware (Example 5.4).
-	openQ := cq.MustParse(d, "H(x, y, z) :- E(x, y), E(y, z), not E(z, x)")
-	open := func(i *rel.Instance) *rel.Instance { return cq.Output(openQ, i) }
-	pol := &policy.Hash{Nodes: p}
-	n2 := transducer.New(p, func() transducer.Program { return &transducer.OpenTriangle{} },
-		transducer.WithSeed(7), transducer.WithPolicy(pol))
-	if err := n2.LoadPolicy(g, pol); err != nil {
-		log.Fatal(err)
-	}
-	st2, err := n2.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("open triangles (Mdistinct, policy):   %d facts, %d msgs, matches centralized: %v\n",
-		n2.Output().Len(), st2.Sent, n2.Output().Equal(open(g)))
-
-	// 3. Mdisjoint: ¬TC on a domain-guided network.
-	dg := &policy.DomainGuided{Nodes: p, DefaultWidth: 1}
-	n3 := transducer.New(p, func() transducer.Program { return &transducer.DisjointComplete{Q: notTC} },
-		transducer.WithSeed(7), transducer.WithPolicy(dg))
-	if err := n3.LoadPolicy(g, dg); err != nil {
-		log.Fatal(err)
-	}
-	st3, err := n3.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("¬TC (Mdisjoint, domain-guided):       %d facts, %d msgs, matches centralized: %v\n",
-		n3.Output().Len(), st3.Sent, n3.Output().Equal(notTC(g)))
 
 	// Coordination-freeness: silent runs on the ideal distribution.
 	fmt.Println("\ncoordination-freeness probes (ideal distribution, zero messages read):")
-	s1 := transducer.New(p, func() transducer.Program { return &transducer.MonotoneBroadcast{Q: tri} })
-	s1.LoadReplicated(g)
-	s1.RunSilent()
-	fmt.Printf("  triangles:      %v\n", s1.Output().Equal(tri(g)))
-
-	s2 := transducer.New(p, func() transducer.Program { return &transducer.OpenTriangle{} },
-		transducer.WithPolicy(&policy.Replicate{Nodes: p}))
-	s2.LoadReplicated(g)
-	s2.RunSilent()
-	fmt.Printf("  open triangles: %v\n", s2.Output().Equal(open(g)))
-
-	s3 := transducer.New(p, func() transducer.Program { return &transducer.DisjointComplete{Q: notTC} },
-		transducer.WithPolicy(&policy.DomainGuided{Nodes: p, DefaultWidth: p}))
-	s3.LoadReplicated(g)
-	s3.RunSilent()
-	fmt.Printf("  ¬TC:            %v\n", s3.Output().Equal(notTC(g)))
-}
-
-// notTC is the complement of the transitive closure of E over adom(I).
-func notTC(i *rel.Instance) *rel.Instance {
-	reach := map[[2]rel.Value]bool{}
-	adom := i.ADom().Sorted()
-	if e := i.Relation("E"); e != nil {
-		e.Each(func(t rel.Tuple) bool {
-			reach[[2]rel.Value{t[0], t[1]}] = true
-			return true
-		})
-	}
-	for changed := true; changed; {
-		changed = false
-		for ab := range reach {
-			for _, c := range adom {
-				if reach[[2]rel.Value{ab[1], c}] && !reach[[2]rel.Value{ab[0], c}] {
-					reach[[2]rel.Value{ab[0], c}] = true
-					changed = true
-				}
-			}
+	for _, c := range cases {
+		n, err := transducer.Load(c.mk, c.row.Ideal(p), g)
+		if err != nil {
+			log.Fatal(err)
 		}
+		n.RunSilent()
+		fmt.Printf("  %s %v\n", c.probe, n.Output().Equal(c.row.Witness(g)))
 	}
-	out := rel.NewInstance()
-	for _, a := range adom {
-		for _, b := range adom {
-			if !reach[[2]rel.Value{a, b}] {
-				out.Add(rel.NewFact("NTC", a, b))
-			}
-		}
-	}
-	return out
 }

@@ -17,6 +17,7 @@ import (
 	"mpclogic/internal/gym"
 	"mpclogic/internal/hypercube"
 	"mpclogic/internal/mapreduce"
+	"mpclogic/internal/mono"
 	"mpclogic/internal/pc"
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
@@ -126,7 +127,7 @@ func TestIntegrationTransitiveClosureAgree(t *testing.T) {
 func TestIntegrationCALMPipeline(t *testing.T) {
 	d := rel.NewDict()
 	prog := datalog.MustParse(d, "TC(x, y) :- E(x, y)\nTC(x, y) :- TC(x, z), E(z, y)")
-	if core.ClassifyProgram(prog) != core.ClassM {
+	if core.ClassifyProgram(prog) != mono.M {
 		t.Fatalf("TC program not in M")
 	}
 	q := func(i *rel.Instance) *rel.Instance {
@@ -139,7 +140,7 @@ func TestIntegrationCALMPipeline(t *testing.T) {
 	g := workload.RandomGraph(10, 18, 2)
 	want := q(g)
 	for seed := int64(0); seed < 4; seed++ {
-		n := transducer.New(3, func() transducer.Program { return &transducer.MonotoneBroadcast{Q: q} },
+		n := transducer.New(3, func() transducer.Program { return transducer.MonotoneBroadcast(q) },
 			transducer.WithSeed(seed))
 		if err := n.LoadParts(policy.Distribute(&policy.Hash{Nodes: 3}, g)); err != nil {
 			t.Fatal(err)
@@ -162,7 +163,7 @@ func TestIntegrationSemiConnectedPipeline(t *testing.T) {
 TC(x, y) :- E(x, y)
 TC(x, y) :- TC(x, z), TC(z, y)
 OUT(x, y) :- ADom(x), ADom(y), not TC(x, y)`)
-	if core.ClassifyProgram(prog) != core.ClassMdisjoint {
+	if core.ClassifyProgram(prog) != mono.Mdisjoint {
 		t.Fatalf("¬TC program not classified Mdisjoint")
 	}
 	q := func(i *rel.Instance) *rel.Instance {

@@ -11,8 +11,10 @@
 //     conjunctive query (HyperCube, repartition/grouping join,
 //     Yannakakis, GYM), per Section 3.
 //   - CALM: classifying queries/programs in the monotonicity hierarchy
-//     of Figure 2 and running the matching coordination-free strategy
-//     on an asynchronous transducer network, per Section 5.
+//     of Figure 2 (a mono.Class) and running the matching
+//     coordination-free strategy on an asynchronous transducer network,
+//     per Section 5: StrategyFor returns the class's row of the CALM
+//     table, whose program and policy go to transducer.Load.
 package core
 
 import (
@@ -22,6 +24,7 @@ import (
 	"mpclogic/internal/pc"
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
+	"mpclogic/internal/transducer"
 )
 
 // Analyzer bundles the static-analysis entry points. A single Dict
@@ -123,69 +126,42 @@ func (a *Analyzer) Structure(q *cq.CQ) (Structure, error) {
 	return s, nil
 }
 
-// CALMClass is a position in the Figure 2 hierarchy.
-type CALMClass string
-
-// The monotonicity classes of Section 5.2, plus NotCoordinationFree
-// for queries outside Mdisjoint.
-const (
-	ClassM                   CALMClass = "M"
-	ClassMdistinct           CALMClass = "Mdistinct"
-	ClassMdisjoint           CALMClass = "Mdisjoint"
-	ClassNotCoordinationFree CALMClass = "coordination-required"
-)
-
 // ClassifyQuery places a black-box query in the hierarchy by bounded
 // model checking over the given schema and universe (exact relative to
 // the bound). It returns the strongest class that holds.
-func ClassifyQuery(q mono.Query, schema rel.Schema, universe []rel.Value) (CALMClass, error) {
+func ClassifyQuery(q mono.Query, schema rel.Schema, universe []rel.Value) (mono.Class, error) {
 	if rep, err := mono.IsMonotone(q, schema, universe); err != nil {
-		return "", err
+		return mono.None, err
 	} else if rep.Holds {
-		return ClassM, nil
+		return mono.M, nil
 	}
 	if rep, err := mono.IsDomainDistinctMonotone(q, schema, universe); err != nil {
-		return "", err
+		return mono.None, err
 	} else if rep.Holds {
-		return ClassMdistinct, nil
+		return mono.Mdistinct, nil
 	}
 	if rep, err := mono.IsDomainDisjointMonotone(q, schema, universe); err != nil {
-		return "", err
+		return mono.None, err
 	} else if rep.Holds {
-		return ClassMdisjoint, nil
+		return mono.Mdisjoint, nil
 	}
-	return ClassNotCoordinationFree, nil
+	return mono.None, nil
 }
 
 // ClassifyProgram places a Datalog program syntactically (effective
 // syntax, Section 5.3): positive → M, semi-positive → Mdistinct,
 // semi-connected stratified → Mdisjoint.
-func ClassifyProgram(p *datalog.Program) CALMClass {
-	switch p2 := datalog.Classify(p); p2.MonotonicityClass() {
-	case "M":
-		return ClassM
-	case "Mdistinct":
-		return ClassMdistinct
-	case "Mdisjoint":
-		return ClassMdisjoint
-	default:
-		return ClassNotCoordinationFree
-	}
+func ClassifyProgram(p *datalog.Program) mono.Class {
+	return datalog.Classify(p).MonotonicityClass()
 }
 
-// StrategyFor describes the coordination-free evaluation strategy the
-// hierarchy prescribes for a class (Theorems 5.3, 5.8, 5.12).
-func StrategyFor(c CALMClass) string {
-	switch c {
-	case ClassM:
-		return "naive broadcast: output Q(state) as data arrives (Theorem 5.3; F0 = M)"
-	case ClassMdistinct:
-		return "policy-aware broadcast: output Q(state|C) for distinct-complete C (Theorem 5.8; F1 = Mdistinct)"
-	case ClassMdisjoint:
-		return "domain-guided pulls: output Q on unions of complete components (Theorem 5.12; F2 = Mdisjoint)"
-	default:
-		return "no coordination-free strategy exists; use an explicit coordination protocol"
-	}
+// StrategyFor returns the row of the CALM table (transducer.Strategies)
+// for a class: the coordination-free strategy the hierarchy prescribes
+// (Theorems 5.3, 5.8, 5.12) with the policies it runs under, or the
+// coordinated fallback for mono.None. Printed, the row describes the
+// strategy.
+func StrategyFor(c mono.Class) *transducer.Strategy {
+	return transducer.StrategyFor(c)
 }
 
 // EvalDatalog runs a stratified Datalog program centrally.

@@ -163,7 +163,7 @@ func TestClassifyQueryHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != ClassM {
+	if got != mono.M {
 		t.Errorf("triangle class = %s, want M", got)
 	}
 
@@ -172,10 +172,10 @@ func TestClassifyQueryHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != ClassMdistinct {
+	if got != mono.Mdistinct {
 		t.Errorf("open triangle class = %s, want Mdistinct", got)
 	}
-	if StrategyFor(got) == "" || StrategyFor(ClassNotCoordinationFree) == "" {
+	if StrategyFor(got).String() == "" || StrategyFor(mono.None).String() == "" {
 		t.Errorf("empty strategy text")
 	}
 	_ = mono.Query(nil)
@@ -184,18 +184,18 @@ func TestClassifyQueryHierarchy(t *testing.T) {
 func TestClassifyProgram(t *testing.T) {
 	d := rel.NewDict()
 	pos := datalog.MustParse(d, "TC(x, y) :- E(x, y)\nTC(x, y) :- TC(x, z), E(z, y)")
-	if ClassifyProgram(pos) != ClassM {
+	if ClassifyProgram(pos) != mono.M {
 		t.Errorf("positive program not in M")
 	}
 	sp := datalog.MustParse(d, "Open(x, y, z) :- E(x, y), E(y, z), not E(z, x)")
-	if ClassifyProgram(sp) != ClassMdistinct {
+	if ClassifyProgram(sp) != mono.Mdistinct {
 		t.Errorf("semi-positive program not in Mdistinct")
 	}
 	sc := datalog.MustParse(d, `
 TC(x, y) :- E(x, y)
 TC(x, y) :- TC(x, z), TC(z, y)
 OUT(x, y) :- ADom(x), ADom(y), not TC(x, y)`)
-	if ClassifyProgram(sc) != ClassMdisjoint {
+	if ClassifyProgram(sc) != mono.Mdisjoint {
 		t.Errorf("semi-connected program not in Mdisjoint")
 	}
 	out, err := EvalDatalog(sc, workload.PathGraph(2), "OUT")

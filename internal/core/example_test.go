@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mpclogic/internal/core"
+	"mpclogic/internal/mono"
 	"mpclogic/internal/workload"
 )
 
@@ -23,6 +24,6 @@ func ExampleChoosePlan() {
 // Classify a query in the CALM hierarchy and get the prescribed
 // coordination-free strategy.
 func ExampleStrategyFor() {
-	fmt.Println(core.StrategyFor(core.ClassM))
+	fmt.Println(core.StrategyFor(mono.M))
 	// Output: naive broadcast: output Q(state) as data arrives (Theorem 5.3; F0 = M)
 }

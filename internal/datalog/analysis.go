@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"mpclogic/internal/cq"
+	"mpclogic/internal/mono"
 )
 
 // This file implements the syntactic classifications of Section 5.3
@@ -101,18 +102,18 @@ func Classify(p *Program) Classification {
 }
 
 // MonotonicityClass returns the strongest Figure 2 membership the
-// syntax guarantees: "M" for positive programs, "Mdistinct" for
-// semi-positive ones, "Mdisjoint" for semi-connected stratified ones,
-// and "" when no guarantee applies.
-func (c Classification) MonotonicityClass() string {
+// syntax guarantees: M for positive programs, Mdistinct for
+// semi-positive ones, Mdisjoint for semi-connected stratified ones,
+// and None when no guarantee applies.
+func (c Classification) MonotonicityClass() mono.Class {
 	switch {
 	case c.Positive:
-		return "M"
+		return mono.M
 	case c.SemiPositive:
-		return "Mdistinct"
+		return mono.Mdistinct
 	case c.SemiConnected:
-		return "Mdisjoint"
+		return mono.Mdisjoint
 	default:
-		return ""
+		return mono.None
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mpclogic/internal/cq"
+	"mpclogic/internal/mono"
 	"mpclogic/internal/rel"
 	"mpclogic/internal/workload"
 )
@@ -179,7 +180,7 @@ func TestClassify(t *testing.T) {
 	d := rel.NewDict()
 	cases := []struct {
 		src  string
-		want string // MonotonicityClass
+		want mono.Class // MonotonicityClass
 	}{
 		{
 			// Positive Datalog with inequality: in M.

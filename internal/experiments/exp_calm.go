@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"mpclogic/internal/cq"
 	"mpclogic/internal/datalog"
 	"mpclogic/internal/mono"
 	"mpclogic/internal/policy"
@@ -70,18 +69,15 @@ func universe3() []rel.Value { return []rel.Value{0, 1, 2} }
 // with verified witnesses.
 func cellFigure2Classes() (*Result, error) {
 	res := newResult()
-	d := rel.NewDict()
-	tri := cq.MustParse(d, "H(x, y, z) :- E(x, y), E(y, z), E(z, x)")
-	open := cq.MustParse(d, "H(x, y, z) :- E(x, y), E(y, z), not E(z, x)")
 	queries := []struct {
 		name string
 		q    mono.Query
 		uni  []rel.Value
 		want [3]bool // M, Mdistinct, Mdisjoint
 	}{
-		{"triangles", func(i *rel.Instance) *rel.Instance { return cq.Output(tri, i) }, universe3(), [3]bool{true, true, true}},
-		{"open-triangle", func(i *rel.Instance) *rel.Instance { return cq.Output(open, i) }, universe3(), [3]bool{false, true, true}},
-		{"¬TC", notTCQuery, universe3(), [3]bool{false, false, true}},
+		{"triangles", witness(mono.M), universe3(), [3]bool{true, true, true}},
+		{"open-triangle", witness(mono.Mdistinct), universe3(), [3]bool{false, true, true}},
+		{"¬TC", witness(mono.Mdisjoint), universe3(), [3]bool{false, false, true}},
 		{"QNT", qntQuery, []rel.Value{0, 1, 2, 3}, [3]bool{false, false, false}},
 	}
 	res.rowf("%-14s %-6s %-11s %-11s", "query", "M", "Mdistinct", "Mdisjoint")
@@ -111,7 +107,8 @@ func cellFigure2Datalog() (*Result, error) {
 	res := newResult()
 	d := rel.NewDict()
 	progs := []struct {
-		name, src, want string
+		name, src string
+		want      mono.Class
 	}{
 		{"Datalog(≠) TC", "TC(x, y) :- E(x, y)\nTC(x, y) :- TC(x, z), E(z, y)", "M"},
 		{"SP open-triangle", "H(x, y, z) :- E(x, y), E(y, z), not E(z, x)", "Mdistinct"},
@@ -121,7 +118,7 @@ func cellFigure2Datalog() (*Result, error) {
 	for _, c := range progs {
 		p := datalog.MustParse(d, c.src)
 		got := datalog.Classify(p).MonotonicityClass()
-		res.rowf("program %-18s → %q", c.name, got)
+		res.rowf("program %-18s → %q", c.name, string(got))
 		if got != c.want {
 			res.Pass = false
 		}
@@ -136,26 +133,27 @@ func cellFigure2Datalog() (*Result, error) {
 func cellCALM() (*Result, error) {
 	res := newResult()
 	d := rel.NewDict()
-	triQ := cq.MustParse(d, "H(x, y, z) :- E(x, y), E(y, z), E(z, x), x != y, y != z, z != x")
-	tri := func(i *rel.Instance) *rel.Instance { return cq.Output(triQ, i) }
-	openQ := cq.MustParse(d, "H(x, y, z) :- E(x, y), E(y, z), not E(z, x)")
-	open := func(i *rel.Instance) *rel.Instance { return cq.Output(openQ, i) }
+	rowM, fallback := transducer.StrategyFor(mono.M), transducer.StrategyFor(mono.None)
+	tri, open := rowM.Witness, witness(mono.Mdistinct)
 
 	g := workload.RandomGraph(10, 25, 5)
 	// Monotone: silent run on ideal distribution computes Q.
-	n := transducer.New(4, func() transducer.Program { return &transducer.MonotoneBroadcast{Q: tri} }, transducer.WithSeed(1))
-	n.LoadReplicated(g)
+	n, err := transducer.Load(rowM.Program(tri, nil), rowM.Ideal(4), g, transducer.WithSeed(1))
+	if err != nil {
+		return nil, err
+	}
 	st := n.RunSilent()
 	okSilent := n.Output().Equal(tri(g)) && st.Delivered == 0
 	res.rowf("monotone broadcast, silent ideal run: correct=%v delivered=%d", okSilent, st.Delivered)
 	if !okSilent {
 		res.Pass = false
 	}
-	// Non-monotone with naive broadcast: some schedule is unsound.
+	// Non-monotone with naive broadcast — row M's program on the query
+	// of the row below, a deliberate mismatch: some schedule is unsound.
 	closed := rel.MustInstance(d, "E(0,1)", "E(1,2)", "E(2,0)")
 	unsound := false
 	for seed := int64(0); seed < 20 && !unsound; seed++ {
-		nn := transducer.New(3, func() transducer.Program { return &transducer.MonotoneBroadcast{Q: open} }, transducer.WithSeed(seed))
+		nn := transducer.New(3, rowM.Program(open, nil), transducer.WithSeed(seed))
 		parts := []*rel.Instance{
 			rel.MustInstance(d, "E(0,1)"),
 			rel.MustInstance(d, "E(1,2)"),
@@ -179,8 +177,10 @@ func cellCALM() (*Result, error) {
 	// Use a graph with a nonempty open-triangle answer so "no output"
 	// is distinguishable from "done".
 	openGraph := rel.MustInstance(d, "E(5,6)", "E(6,7)")
-	nc := transducer.New(3, func() transducer.Program { return &transducer.Coordinated{Q: open} }, transducer.WithSeed(2))
-	nc.LoadReplicated(openGraph)
+	nc, err := transducer.Load(fallback.Program(open, nil), fallback.Ideal(3), openGraph, transducer.WithSeed(2))
+	if err != nil {
+		return nil, err
+	}
 	nc.RunSilent()
 	blocked := !nc.Output().Equal(open(openGraph))
 	res.rowf("coordinated protocol, silent ideal run blocked=%v (needs message reads)", blocked)
@@ -190,38 +190,57 @@ func cellCALM() (*Result, error) {
 	return res, nil
 }
 
-// Theorem 5.8: policy-aware networks compute Mdistinct queries
-// coordination-free (Example 5.4's open-triangle program).
-func cellTheorem58() (*Result, error) {
-	res := newResult()
-	d := rel.NewDict()
-	openQ := cq.MustParse(d, "H(x, y, z) :- E(x, y), E(y, z), not E(z, x)")
-	open := func(i *rel.Instance) *rel.Instance { return cq.Output(openQ, i) }
-	g := workload.RandomGraph(9, 20, 11)
-	want := open(g)
-	p := 4
-	pol := &policy.Hash{Nodes: p}
-	allOK := true
+// fiveSchedules runs mk on g under pol with scheduler seeds 0–4 and
+// reports whether every run output want, and the last run's Sent.
+func fiveSchedules(mk func() transducer.Program, pol policy.Policy, g, want *rel.Instance) (allOK bool, sent int, err error) {
+	allOK = true
 	for seed := int64(0); seed < 5; seed++ {
-		n := transducer.New(p, func() transducer.Program { return &transducer.OpenTriangle{} },
-			transducer.WithSeed(seed), transducer.WithPolicy(pol))
-		if err := n.LoadPolicy(g, pol); err != nil {
-			return nil, err
+		n, err := transducer.Load(mk, pol, g, transducer.WithSeed(seed))
+		if err != nil {
+			return false, 0, err
 		}
-		if _, err := n.Run(); err != nil {
-			return nil, err
+		st, err := n.Run()
+		if err != nil {
+			return false, 0, err
 		}
+		sent = st.Sent
 		if !n.Output().Equal(want) {
 			allOK = false
 		}
 	}
-	res.rowf("open-triangle over hash policy, 5 schedules: all correct=%v (|Q(I)|=%d)", allOK, want.Len())
-	repl := &policy.Replicate{Nodes: p}
-	n := transducer.New(p, func() transducer.Program { return &transducer.OpenTriangle{} },
-		transducer.WithSeed(1), transducer.WithPolicy(repl))
-	n.LoadReplicated(g)
+	return allOK, sent, nil
+}
+
+// silentIdeal is the coordination-freeness probe: on the ideal
+// distribution mk outputs want without reading a message.
+func silentIdeal(mk func() transducer.Program, ideal policy.Policy, g, want *rel.Instance, seed int64) (bool, error) {
+	n, err := transducer.Load(mk, ideal, g, transducer.WithSeed(seed))
+	if err != nil {
+		return false, err
+	}
 	st := n.RunSilent()
-	silentOK := n.Output().Equal(want) && st.Delivered == 0
+	return n.Output().Equal(want) && st.Delivered == 0, nil
+}
+
+// Theorem 5.8: policy-aware networks compute Mdistinct queries
+// coordination-free (Example 5.4's open-triangle program, the paper's
+// verbatim one for the row's witness).
+func cellTheorem58() (*Result, error) {
+	res := newResult()
+	row := transducer.StrategyFor(mono.Mdistinct)
+	mk := transducer.OpenTriangle().Factory()
+	g := workload.RandomGraph(9, 20, 11)
+	want := row.Witness(g)
+	const p = 4
+	allOK, _, err := fiveSchedules(mk, row.Policy(p), g, want)
+	if err != nil {
+		return nil, err
+	}
+	res.rowf("open-triangle over hash policy, 5 schedules: all correct=%v (|Q(I)|=%d)", allOK, want.Len())
+	silentOK, err := silentIdeal(mk, row.Ideal(p), g, want, 1)
+	if err != nil {
+		return nil, err
+	}
 	res.rowf("silent ideal run: correct=%v", silentOK)
 	res.Pass = allOK && silentOK
 	return res, nil
@@ -231,34 +250,20 @@ func cellTheorem58() (*Result, error) {
 // (¬TC) coordination-free.
 func cellTheorem512() (*Result, error) {
 	res := newResult()
+	row := transducer.StrategyFor(mono.Mdisjoint)
+	mk := row.Program(row.Witness, nil)
 	g := workload.ComponentsGraph(3, 3)
-	want := notTCQuery(g)
-	p := 4
-	pol := &policy.DomainGuided{Nodes: p, DefaultWidth: 1}
-	allOK := true
-	var totalMsgs int
-	for seed := int64(0); seed < 5; seed++ {
-		n := transducer.New(p, func() transducer.Program { return &transducer.DisjointComplete{Q: notTCQuery} },
-			transducer.WithSeed(seed), transducer.WithPolicy(pol))
-		if err := n.LoadPolicy(g, pol); err != nil {
-			return nil, err
-		}
-		st, err := n.Run()
-		if err != nil {
-			return nil, err
-		}
-		totalMsgs = st.Sent
-		if !n.Output().Equal(want) {
-			allOK = false
-		}
+	want := row.Witness(g)
+	const p = 4
+	allOK, sent, err := fiveSchedules(mk, row.Policy(p), g, want)
+	if err != nil {
+		return nil, err
 	}
-	res.rowf("¬TC over domain-guided policy, 5 schedules: all correct=%v (|Q(I)|=%d, ~%d msgs/run)", allOK, want.Len(), totalMsgs)
-	repl := &policy.DomainGuided{Nodes: p, DefaultWidth: p}
-	n := transducer.New(p, func() transducer.Program { return &transducer.DisjointComplete{Q: notTCQuery} },
-		transducer.WithSeed(2), transducer.WithPolicy(repl))
-	n.LoadReplicated(g)
-	st := n.RunSilent()
-	silentOK := n.Output().Equal(want) && st.Delivered == 0
+	res.rowf("¬TC over domain-guided policy, 5 schedules: all correct=%v (|Q(I)|=%d, ~%d msgs/run)", allOK, want.Len(), sent)
+	silentOK, err := silentIdeal(mk, row.Ideal(p), g, want, 2)
+	if err != nil {
+		return nil, err
+	}
 	res.rowf("silent ideal run: correct=%v", silentOK)
 	res.Pass = allOK && silentOK
 	return res, nil
@@ -284,21 +289,10 @@ func cellWinMove() (*Result, error) {
 		"Move(10,11)", "Move(11,12)", "Move(12,13)", // longer chain
 	)
 	want := winQ(moves)
-	p := 3
-	pol := &policy.DomainGuided{Nodes: p, DefaultWidth: 1}
-	allOK := true
-	for seed := int64(0); seed < 5; seed++ {
-		n := transducer.New(p, func() transducer.Program { return &transducer.DisjointComplete{Q: winQ} },
-			transducer.WithSeed(seed), transducer.WithPolicy(pol))
-		if err := n.LoadPolicy(moves, pol); err != nil {
-			return nil, err
-		}
-		if _, err := n.Run(); err != nil {
-			return nil, err
-		}
-		if !n.Output().Equal(want) {
-			allOK = false
-		}
+	row := transducer.StrategyFor(mono.Mdisjoint)
+	allOK, _, err := fiveSchedules(row.Program(winQ, nil), row.Policy(3), moves, want)
+	if err != nil {
+		return nil, err
 	}
 	res.rowf("win-move over domain-guided network, 5 schedules: all correct=%v (|Win|=%d)", allOK, want.Len())
 	// Win-move distributes over components (bounded check).
@@ -312,17 +306,15 @@ func cellWinMove() (*Result, error) {
 // facts.
 func cellBroadcast() (*Result, error) {
 	res := newResult()
-	d := rel.NewDict()
-	triQ := cq.MustParse(d, "H(x, y, z) :- E(x, y), E(y, z), E(z, x), x != y, y != z, z != x")
-	tri := func(i *rel.Instance) *rel.Instance { return cq.Output(triQ, i) }
+	row := transducer.StrategyFor(mono.M)
+	tri := row.Witness
 	g := workload.RandomGraph(10, 24, 13)
 	ballast := workload.Zipf("Noise", 300, 50, 1.2, 1)
 	full := g.Union(ballast)
 	want := tri(full)
-	pol := &policy.Hash{Nodes: 3}
 	run := func(mk func() transducer.Program) (transducer.Stats, bool, error) {
-		n := transducer.New(3, mk, transducer.WithSeed(4))
-		if err := n.LoadParts(policy.Distribute(pol, full)); err != nil {
+		n, err := transducer.Load(mk, row.Policy(3), full, transducer.WithSeed(4))
+		if err != nil {
 			return transducer.Stats{}, false, err
 		}
 		st, err := n.Run()
@@ -331,13 +323,11 @@ func cellBroadcast() (*Result, error) {
 		}
 		return st, n.Output().Equal(want), nil
 	}
-	stN, okN, err := run(func() transducer.Program { return &transducer.MonotoneBroadcast{Q: tri} })
+	stN, okN, err := run(row.Program(tri, nil))
 	if err != nil {
 		return nil, err
 	}
-	stE, okE, err := run(func() transducer.Program {
-		return &transducer.EconomicalBroadcast{Q: tri, Matches: func(f rel.Fact) bool { return f.Rel == "E" }}
-	})
+	stE, okE, err := run(transducer.EconomicalBroadcast(tri, func(f rel.Fact) bool { return f.Rel == "E" }).Factory())
 	if err != nil {
 		return nil, err
 	}
@@ -347,37 +337,8 @@ func cellBroadcast() (*Result, error) {
 	return res, nil
 }
 
-// notTCQuery is Q¬TC over adom(I).
-func notTCQuery(i *rel.Instance) *rel.Instance {
-	reach := map[[2]rel.Value]bool{}
-	adom := i.ADom().Sorted()
-	if e := i.Relation("E"); e != nil {
-		e.Each(func(t rel.Tuple) bool {
-			reach[[2]rel.Value{t[0], t[1]}] = true
-			return true
-		})
-	}
-	for changed := true; changed; {
-		changed = false
-		for ab := range reach {
-			for _, c := range adom {
-				if reach[[2]rel.Value{ab[1], c}] && !reach[[2]rel.Value{ab[0], c}] {
-					reach[[2]rel.Value{ab[0], c}] = true
-					changed = true
-				}
-			}
-		}
-	}
-	out := rel.NewInstance()
-	for _, a := range adom {
-		for _, b := range adom {
-			if !reach[[2]rel.Value{a, b}] {
-				out.Add(rel.NewFact("NTC", a, b))
-			}
-		}
-	}
-	return out
-}
+// witness is the separating query of a class's row in the CALM table.
+func witness(c mono.Class) transducer.Query { return transducer.StrategyFor(c).Witness }
 
 // qntQuery returns E when the graph has no 3-node triangle, else ∅.
 func qntQuery(i *rel.Instance) *rel.Instance {

@@ -22,6 +22,30 @@ import (
 // Wrappers for CQs and Datalog programs live next to their packages.
 type Query func(*rel.Instance) *rel.Instance
 
+// Class is a position in the Figure 2 hierarchy: the strongest of the
+// three monotonicity classes known to hold, or None. It is declared
+// here because every layer that names a class — the syntactic
+// classifier (datalog), the bounded one (core) and the strategy table
+// (transducer) — can import mono, and none of them each other.
+type Class string
+
+// The classes of Section 5.2, weakest guarantee last. None is the zero
+// value: no coordination-free strategy is known.
+const (
+	None      Class = ""
+	M         Class = "M"
+	Mdistinct Class = "Mdistinct"
+	Mdisjoint Class = "Mdisjoint"
+)
+
+// String names the class; None reads "coordination-required".
+func (c Class) String() string {
+	if c == None {
+		return "coordination-required"
+	}
+	return string(c)
+}
+
 // Report is the outcome of a bounded monotonicity check.
 type Report struct {
 	Holds bool

@@ -2,7 +2,8 @@ package transducer
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
@@ -63,12 +64,7 @@ func (dj *DisjointComplete) Start(ctx *Context) {
 }
 
 func (dj *DisjointComplete) ownedBy(ctx *Context, v rel.Value) bool {
-	for _, κ := range ctx.DomainNodes(v) {
-		if κ == ctx.Self {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(ctx.DomainNodes(v), ctx.Self)
 }
 
 // OnMessage implements Program.
@@ -123,53 +119,14 @@ func (dj *DisjointComplete) OnPeerRestart(ctx *Context, κ policy.Node) {
 
 // Snapshot implements Forkable.
 func (dj *DisjointComplete) Snapshot() Program {
-	cp := &DisjointComplete{
-		Q:         dj.Q,
-		requested: map[rel.Value]bool{},
-		complete:  map[rel.Value]bool{},
-		expected:  map[rel.Value]int{},
-		emitted:   dj.emitted,
-	}
-	for k, v := range dj.requested {
-		cp.requested[k] = v
-	}
-	for k, v := range dj.complete {
-		cp.complete[k] = v
-	}
-	for k, v := range dj.expected {
-		cp.expected[k] = v
-	}
-	return cp
+	cp := *dj
+	cp.requested, cp.complete, cp.expected = maps.Clone(dj.requested), maps.Clone(dj.complete), maps.Clone(dj.expected)
+	return &cp
 }
 
-// Fingerprint implements Forkable: canonical rendering of the
-// volatile protocol maps (sorted enumeration).
+// Fingerprint implements Forkable (fmt prints maps in key order).
 func (dj *DisjointComplete) Fingerprint() string {
-	render := func(label string, m map[rel.Value]bool) string {
-		var vs []int
-		for v, ok := range m {
-			if ok {
-				vs = append(vs, int(v))
-			}
-		}
-		sort.Ints(vs)
-		s := label + "="
-		for _, v := range vs {
-			s += fmt.Sprintf("%d,", v)
-		}
-		return s
-	}
-	s := render("req", dj.requested) + ";" + render("cmp", dj.complete)
-	var vs []int
-	for v := range dj.expected {
-		vs = append(vs, int(v))
-	}
-	sort.Ints(vs)
-	s += ";exp="
-	for _, v := range vs {
-		s += fmt.Sprintf("%d:%d,", v, dj.expected[rel.Value(v)])
-	}
-	return s + fmt.Sprintf(";emitted=%d", dj.emitted)
+	return fmt.Sprint(dj.requested, dj.complete, dj.expected, dj.emitted)
 }
 
 // settle promotes values to complete once all announced facts have
@@ -211,8 +168,5 @@ func (dj *DisjointComplete) emit(ctx *Context) {
 		return
 	}
 	dj.emitted = union.Len()
-	dj.Q(union).Each(func(f rel.Fact) bool {
-		ctx.Output(f)
-		return true
-	})
+	outputAll(ctx, dj.Q(union))
 }

@@ -1,56 +1,26 @@
 package transducer
 
 import (
-	"mpclogic/internal/policy"
+	"strings"
+
 	"mpclogic/internal/rel"
 )
 
-// This file implements the policy-aware strategies of Section 5.2.2:
-// nodes can query the distribution policy P^H on facts over their
-// local active domain, which lets them convert local absence into
-// global absence and thereby evaluate Mdistinct queries without
-// coordination (Theorem 5.8).
+// This file holds the two output rules of Section 5.2.2's policy-aware
+// strategies: nodes can query the distribution policy P^H on facts
+// over their local active domain, which lets them convert local
+// absence into global absence and thereby evaluate Mdistinct queries
+// without coordination (Theorem 5.8). Both run on the Broadcast body.
 
 // OpenTriangle is Example 5.4's program, verbatim: broadcast local
 // edges; when edges E(a,b), E(b,c) are known, E(c,a) is not, and this
 // node is responsible for E(c,a), output the open triangle (a,b,c).
 // Output facts are H(a,b,c).
-type OpenTriangle struct{}
-
-// Start implements Program.
-func (o *OpenTriangle) Start(ctx *Context) {
-	ctx.State().Each(func(f rel.Fact) bool {
-		ctx.Broadcast(f)
-		return true
-	})
-	o.emit(ctx)
+func OpenTriangle() *Broadcast {
+	return &Broadcast{Output: openTriangleRule}
 }
 
-// OnMessage implements Program.
-func (o *OpenTriangle) OnMessage(ctx *Context, _ policy.Node, f rel.Fact) {
-	if ctx.State().Add(f) {
-		o.emit(ctx)
-	}
-}
-
-// OnPeerRestart implements Recoverer: re-send all known edges. The
-// program is monotone in its message handling (state only grows), so
-// shipping the full data state is sound and restores the peer in one
-// assist transition.
-func (o *OpenTriangle) OnPeerRestart(ctx *Context, κ policy.Node) {
-	dataFacts(ctx.State()).Each(func(f rel.Fact) bool {
-		ctx.Send(κ, f)
-		return true
-	})
-}
-
-// Snapshot implements Forkable.
-func (o *OpenTriangle) Snapshot() Program { return &OpenTriangle{} }
-
-// Fingerprint implements Forkable.
-func (o *OpenTriangle) Fingerprint() string { return "" }
-
-func (o *OpenTriangle) emit(ctx *Context) {
+func openTriangleRule(ctx *Context) {
 	e := ctx.State().Relation("E")
 	if e == nil {
 		return
@@ -73,130 +43,87 @@ func (o *OpenTriangle) emit(ctx *Context) {
 	})
 }
 
-// DistinctComplete is the generic strategy for Q ∈ Mdistinct from
-// Section 5.2.2: broadcast everything; whenever a value set C is
-// distinct-complete for this node (every candidate fact over C is
-// either present or this node is responsible for it and can vouch for
-// its absence), output Q(state|C). Soundness needs only Q ∈ Mdistinct
-// (Lemma 5.7); completeness of the union additionally needs the
-// policy to let some node vouch for each relevant absent fact.
-type DistinctComplete struct {
-	Q      Query
-	Schema rel.Schema
-	// MaxADom caps the exhaustive subset enumeration; larger active
-	// domains fall back to the single maximal greedy C.
-	MaxADom int
+// DistinctComplete is the generic strategy for Q ∈ Mdistinct over the
+// given input schema (Section 5.2.2): broadcast every fact and every
+// absence this node can vouch for — a candidate fact over the local
+// active domain that this node is responsible for and does not hold
+// is nowhere — and output Q(state|C) for every value set C that is
+// distinct-complete: each candidate fact over C is known present or
+// known absent. Sound for Q ∈ Mdistinct (Lemma 5.7); complete when
+// every absent fact has a responsible node to publish it. On the
+// ideal distribution a node vouches for everything itself.
+func DistinctComplete(q Query, schema rel.Schema) *Broadcast {
+	return &Broadcast{Output: func(ctx *Context) { distinctCompleteRule(ctx, q, schema) }}
 }
 
-// Start implements Program.
-func (dc *DistinctComplete) Start(ctx *Context) {
-	ctx.State().Each(func(f rel.Fact) bool {
-		ctx.Broadcast(f)
-		return true
-	})
-	dc.emit(ctx)
-}
+// absentPrefix marks absences: ¬R(ā) says R(ā) is not in the global
+// instance. They are statements about the input that nothing counts
+// or waits on, so they travel as data, not control.
+const absentPrefix = "¬"
 
-// OnMessage implements Program.
-func (dc *DistinctComplete) OnMessage(ctx *Context, _ policy.Node, f rel.Fact) {
-	if ctx.State().Add(f) {
-		dc.emit(ctx)
+func absence(f rel.Fact) rel.Fact { return rel.Fact{Rel: absentPrefix + f.Rel, Tuple: f.Tuple} }
+
+// maxExhaustiveADom caps the exhaustive enumeration of value sets;
+// larger active domains fall back to one greedy maximal C.
+const maxExhaustiveADom = 12
+
+func distinctCompleteRule(ctx *Context, q Query, schema rel.Schema) {
+	state, data := ctx.State(), dataFacts(ctx.State())
+	adom := data.ADom().Sorted()
+	for _, f := range schema.AllFacts(adom) {
+		if a := absence(f); !state.Contains(f) && !state.Contains(a) && ctx.ResponsibleFor(f) && state.Add(a) {
+			ctx.Broadcast(a)
+		}
 	}
-}
-
-// OnPeerRestart implements Recoverer: re-send the full data state
-// (the strategy already broadcasts everything, so this only
-// accelerates what normal flow would eventually re-deliver).
-func (dc *DistinctComplete) OnPeerRestart(ctx *Context, κ policy.Node) {
-	dataFacts(ctx.State()).Each(func(f rel.Fact) bool {
-		ctx.Send(κ, f)
-		return true
-	})
-}
-
-// Snapshot implements Forkable.
-func (dc *DistinctComplete) Snapshot() Program {
-	return &DistinctComplete{Q: dc.Q, Schema: dc.Schema, MaxADom: dc.MaxADom}
-}
-
-// Fingerprint implements Forkable.
-func (dc *DistinctComplete) Fingerprint() string { return "" }
-
-// known reports whether this node can determine the status of f:
-// present, or absent-but-vouchable.
-func (dc *DistinctComplete) known(ctx *Context, f rel.Fact) bool {
-	return ctx.State().Contains(f) || ctx.ResponsibleFor(f)
-}
-
-func (dc *DistinctComplete) emit(ctx *Context) {
-	state := dataFacts(ctx.State())
-	adom := state.ADom().Sorted()
-	max := dc.MaxADom
-	if max <= 0 {
-		max = 12
-	}
-	if len(adom) > max {
-		dc.emitGreedy(ctx, state, adom)
-		return
-	}
-	n := uint(len(adom))
-	for mask := uint64(1); mask < 1<<n; mask++ {
-		c := make(rel.ValueSet)
-		for b := uint(0); b < n; b++ {
-			if mask&(1<<b) != 0 {
-				c.Add(adom[b])
+	input := data.Filter(func(f rel.Fact) bool { return !strings.HasPrefix(f.Rel, absentPrefix) })
+	// unknown lists the candidate facts over C whose status this node
+	// cannot determine; C is distinct-complete when there are none.
+	unknown := func(c rel.ValueSet) []rel.Fact {
+		var out []rel.Fact
+		for _, f := range schema.AllFacts(c.Sorted()) {
+			if !state.Contains(f) && !state.Contains(absence(f)) {
+				out = append(out, f)
 			}
 		}
-		if dc.complete(ctx, c) {
-			dc.Q(state.Induced(c)).Each(func(f rel.Fact) bool {
-				ctx.Output(f)
-				return true
-			})
-		}
+		return out
 	}
-}
-
-// complete reports whether C is distinct-complete for this node.
-func (dc *DistinctComplete) complete(ctx *Context, c rel.ValueSet) bool {
-	for _, f := range dc.Schema.AllFacts(c.Sorted()) {
-		if !dc.known(ctx, f) {
-			return false
-		}
-	}
-	return true
-}
-
-// emitGreedy finds one large distinct-complete C by dropping the most
-// conflicted values.
-func (dc *DistinctComplete) emitGreedy(ctx *Context, state *rel.Instance, adom []rel.Value) {
-	c := rel.NewValueSet(adom...)
-	for {
-		conflicts := map[rel.Value]int{}
-		ok := true
-		for _, f := range dc.Schema.AllFacts(c.Sorted()) {
-			if !dc.known(ctx, f) {
-				ok = false
+	if len(adom) > maxExhaustiveADom {
+		// Greedy: drop the most conflicted value until C is complete.
+		c := rel.NewValueSet(adom...)
+		for len(c) > 0 {
+			open := unknown(c)
+			if len(open) == 0 {
+				outputAll(ctx, q(input.Induced(c)))
+				return
+			}
+			conflicts := map[rel.Value]int{}
+			for _, f := range open {
 				for v := range f.ADom() {
 					conflicts[v]++
 				}
 			}
+			worst, worstN := rel.Value(0), -1
+			for v, n := range conflicts {
+				if n > worstN || (n == worstN && v < worst) {
+					worst, worstN = v, n
+				}
+			}
+			if worstN < 0 {
+				return // only nullary facts are open: no value to drop
+			}
+			delete(c, worst)
 		}
-		if ok {
-			break
-		}
-		worst, worstN := rel.Value(0), -1
-		for v, n := range conflicts {
-			if n > worstN || (n == worstN && v < worst) {
-				worst, worstN = v, n
+		return
+	}
+	for mask := 1; mask < 1<<len(adom); mask++ {
+		c := rel.ValueSet{}
+		for b, v := range adom {
+			if mask>>b&1 != 0 {
+				c.Add(v)
 			}
 		}
-		delete(c, worst)
-		if len(c) == 0 {
-			return
+		if len(unknown(c)) == 0 {
+			outputAll(ctx, q(input.Induced(c)))
 		}
 	}
-	dc.Q(state.Induced(c)).Each(func(f rel.Fact) bool {
-		ctx.Output(f)
-		return true
-	})
 }

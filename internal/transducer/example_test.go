@@ -19,7 +19,7 @@ func ExampleNetwork_RunSilent() {
 	g := rel.MustInstance(d, "E(a,b)", "E(b,c)", "E(c,a)")
 
 	n := transducer.New(3, func() transducer.Program {
-		return &transducer.MonotoneBroadcast{Q: query}
+		return transducer.MonotoneBroadcast(query)
 	})
 	n.LoadReplicated(g)
 	stats := n.RunSilent()
@@ -34,7 +34,7 @@ func ExampleOpenTriangle() {
 	d := rel.NewDict()
 	g := rel.MustInstance(d, "E(a,b)", "E(b,c)")
 	pol := &policy.Hash{Nodes: 2}
-	n := transducer.New(2, func() transducer.Program { return &transducer.OpenTriangle{} },
+	n := transducer.New(2, func() transducer.Program { return transducer.OpenTriangle() },
 		transducer.WithPolicy(pol), transducer.WithSeed(1))
 	if err := n.LoadPolicy(g, pol); err != nil {
 		fmt.Println(err)

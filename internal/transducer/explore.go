@@ -3,11 +3,9 @@ package transducer
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-
-	"mpclogic/internal/policy"
-	"mpclogic/internal/rel"
 )
 
 // This file turns the paper's "on every schedule" quantifier into a
@@ -262,32 +260,19 @@ func (e *explorer) dfs(n *Network, nodes []string, sleep map[string]int) error {
 // `to` append to them); Message facts are cloned on enqueue and never
 // mutated afterwards, so the copies share them.
 func (n *Network) forkFor(to int) *Network {
-	cp := &Network{
-		p:        n.p,
-		mk:       n.mk,
-		programs: make([]Program, n.p),
-		ctxs:     make([]*Context, n.p),
-		outputs:  make([]*rel.Instance, n.p),
-		buffers:  make([][]Message, n.p),
-		sched:    n.sched,
-		store:    n.store,
-		pol:      n.pol,
-		aware:    n.aware,
-		stats:    n.stats,
+	cp := *n
+	cp.programs, cp.outputs = slices.Clone(n.programs), slices.Clone(n.outputs)
+	cp.ctxs, cp.buffers = make([]*Context, n.p), make([][]Message, n.p)
+	for i, c := range n.ctxs {
+		ctx := *c
+		ctx.net = &cp
+		cp.ctxs[i] = &ctx
+		cp.buffers[i] = slices.Clone(n.buffers[i])
 	}
-	for i := 0; i < n.p; i++ {
-		if i == to {
-			cp.programs[i] = n.programs[i].(Forkable).Snapshot()
-			cp.outputs[i] = n.outputs[i].Clone()
-			cp.ctxs[i] = &Context{Self: policy.Node(i), All: n.ctxs[i].All, net: cp, state: n.ctxs[i].state.Clone()}
-		} else {
-			cp.programs[i] = n.programs[i]
-			cp.outputs[i] = n.outputs[i]
-			cp.ctxs[i] = &Context{Self: policy.Node(i), All: n.ctxs[i].All, net: cp, state: n.ctxs[i].state}
-		}
-		cp.buffers[i] = append([]Message(nil), n.buffers[i]...)
-	}
-	return cp
+	cp.programs[to] = n.programs[to].(Forkable).Snapshot()
+	cp.outputs[to] = n.outputs[to].Clone()
+	cp.ctxs[to].state = n.ctxs[to].state.Clone()
+	return &cp
 }
 
 // deliverAt delivers the message at position pos of node to's buffer

@@ -22,7 +22,7 @@ func TestExploreOpenTriangleAllSchedules(t *testing.T) {
 	}
 	for _, p := range []int{2, 3} {
 		pol := &policy.Hash{Nodes: p}
-		n := New(p, func() Program { return &OpenTriangle{} }, WithPolicy(pol))
+		n := New(p, func() Program { return OpenTriangle() }, WithPolicy(pol))
 		if err := n.LoadPolicy(g, pol); err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestExploreNaiveBroadcastUnsoundnessWitness(t *testing.T) {
 	if want.Len() != 0 {
 		t.Fatal("bad setup: expected no open triangles")
 	}
-	n := New(3, func() Program { return &MonotoneBroadcast{Q: q} })
+	n := New(3, func() Program { return MonotoneBroadcast(q) })
 	parts := []*rel.Instance{
 		rel.MustInstance(d, "E(0,1)"),
 		rel.MustInstance(d, "E(1,2)"),
@@ -135,7 +135,7 @@ func TestExploreRejections(t *testing.T) {
 	g := rel.MustInstance(d, "E(a,b)", "E(b,c)", "E(c,a)")
 
 	// Fault injectors own part of the schedule: rejected.
-	n := New(2, func() Program { return &MonotoneBroadcast{Q: q} }, WithDuplication(1, 9))
+	n := New(2, func() Program { return MonotoneBroadcast(q) }, WithDuplication(1, 9))
 	if err := n.LoadParts(hashParts(g, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestExploreRejections(t *testing.T) {
 	}
 
 	// The state bound must trip rather than hang.
-	n3 := New(3, func() Program { return &MonotoneBroadcast{Q: q} })
+	n3 := New(3, func() Program { return MonotoneBroadcast(q) })
 	if err := n3.LoadParts(hashParts(g, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestExploreCoversSchedulerMatrix(t *testing.T) {
 		rel.MustInstance(d, "E(1,2)"),
 		rel.MustInstance(d, "E(2,0)"),
 	}
-	n := New(3, func() Program { return &MonotoneBroadcast{Q: q} })
+	n := New(3, func() Program { return MonotoneBroadcast(q) })
 	if err := n.LoadParts(parts); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestExploreCoversSchedulerMatrix(t *testing.T) {
 		all[out] = true
 	}
 	for name, sched := range SchedulerMatrix(3, 4) {
-		m := New(3, func() Program { return &MonotoneBroadcast{Q: q} }, WithScheduler(sched))
+		m := New(3, func() Program { return MonotoneBroadcast(q) }, WithScheduler(sched))
 		if err := m.LoadParts(parts); err != nil {
 			t.Fatal(err)
 		}

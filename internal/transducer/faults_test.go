@@ -25,7 +25,7 @@ func TestStrategiesCorrectUnderDuplication(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		dup := WithDuplication(2, seed*31+7)
 
-		n := New(3, func() Program { return &MonotoneBroadcast{Q: tri} }, WithSeed(seed), dup)
+		n := New(3, func() Program { return MonotoneBroadcast(tri) }, WithSeed(seed), dup)
 		if err := n.LoadParts(hashParts(g, 3)); err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestStrategiesCorrectUnderDuplication(t *testing.T) {
 		}
 
 		pol := &policy.Hash{Nodes: 4}
-		n3 := New(4, func() Program { return &OpenTriangle{} }, WithSeed(seed), WithDuplication(2, seed*31+7), WithPolicy(pol))
+		n3 := New(4, func() Program { return OpenTriangle() }, WithSeed(seed), WithDuplication(2, seed*31+7), WithPolicy(pol))
 		if err := n3.LoadPolicy(g, pol); err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestStrategiesCorrectUnderCrashRestart(t *testing.T) {
 		for _, after := range []int{0, 5, 1 << 20} { // immediately, mid-run, at quiescence
 			crash := func() Option { return WithCrashRestart(policy.Node(victim), after) }
 
-			n := New(3, func() Program { return &MonotoneBroadcast{Q: tri} }, WithSeed(9), crash())
+			n := New(3, func() Program { return MonotoneBroadcast(tri) }, WithSeed(9), crash())
 			if err := n.LoadParts(hashParts(g, 3)); err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestStrategiesCorrectUnderCrashRestart(t *testing.T) {
 			}
 
 			pol := &policy.Hash{Nodes: 3}
-			n3 := New(3, func() Program { return &OpenTriangle{} }, WithSeed(9), crash(), WithPolicy(pol))
+			n3 := New(3, func() Program { return OpenTriangle() }, WithSeed(9), crash(), WithPolicy(pol))
 			if err := n3.LoadPolicy(g, pol); err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestStrategiesCorrectUnderGroupCrashRestart(t *testing.T) {
 	for _, after := range []int{0, 5, 1 << 20} { // immediately, mid-run, at quiescence
 		crash := func() Option { return WithGroupCrashRestart(rack, after) }
 
-		n := New(4, func() Program { return &MonotoneBroadcast{Q: tri} }, WithSeed(9), crash())
+		n := New(4, func() Program { return MonotoneBroadcast(tri) }, WithSeed(9), crash())
 		if err := n.LoadParts(hashParts(g, 4)); err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestStrategiesCorrectUnderGroupCrashRestart(t *testing.T) {
 		}
 
 		pol := &policy.Hash{Nodes: 4}
-		n3 := New(4, func() Program { return &OpenTriangle{} }, WithSeed(9), crash(), WithPolicy(pol))
+		n3 := New(4, func() Program { return OpenTriangle() }, WithSeed(9), crash(), WithPolicy(pol))
 		if err := n3.LoadPolicy(g, pol); err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestStrategiesCorrectUnderChaos(t *testing.T) {
 				WithCrashRestart(2, 9),
 			}
 		}
-		n := New(3, func() Program { return &MonotoneBroadcast{Q: tri} }, opts(mk())...)
+		n := New(3, func() Program { return MonotoneBroadcast(tri) }, opts(mk())...)
 		if err := n.LoadParts(hashParts(g, 3)); err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestCrashRestartReloadsDurableState(t *testing.T) {
 	d := rel.NewDict()
 	tri := triangles(d)
 	g := rel.MustInstance(d, "E(0,1)", "E(1,2)", "E(2,0)")
-	n := New(1, func() Program { return &MonotoneBroadcast{Q: tri} }, WithCrashRestart(0, 1<<20))
+	n := New(1, func() Program { return MonotoneBroadcast(tri) }, WithCrashRestart(0, 1<<20))
 	if err := n.LoadParts([]*rel.Instance{g}); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestDelayBurstsPreserveOutputAndLiveness(t *testing.T) {
 	g := workload.RandomGraph(9, 20, 7)
 	want := tri(g)
 	for _, every := range []int{1, 3, 7} {
-		n := New(3, func() Program { return &MonotoneBroadcast{Q: tri} }, WithSeed(4), WithDelayBursts(every, 5, 17))
+		n := New(3, func() Program { return MonotoneBroadcast(tri) }, WithSeed(4), WithDelayBursts(every, 5, 17))
 		if err := n.LoadParts(hashParts(g, 3)); err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestDelayBurstEarlyThaw(t *testing.T) {
 	d := rel.NewDict()
 	tri := triangles(d)
 	g := rel.MustInstance(d, "E(0,1)", "E(1,2)", "E(2,0)")
-	n := New(2, func() Program { return &MonotoneBroadcast{Q: tri} }, WithSeed(1), WithDelayBursts(1, 1000, 3))
+	n := New(2, func() Program { return MonotoneBroadcast(tri) }, WithSeed(1), WithDelayBursts(1, 1000, 3))
 	if err := n.LoadParts(hashParts(g, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestFaultAccounting(t *testing.T) {
 	tri := triangles(d)
 	g := workload.RandomGraph(9, 20, 7)
 	p := 3
-	n := New(p, func() Program { return &MonotoneBroadcast{Q: tri} },
+	n := New(p, func() Program { return MonotoneBroadcast(tri) },
 		WithSeed(2), WithDuplication(2, 8), WithCrashRestart(1, 4))
 	if err := n.LoadParts(hashParts(g, p)); err != nil {
 		t.Fatal(err)

@@ -16,17 +16,18 @@
 // are write-only: once emitted, a fact cannot be retracted, which is
 // exactly the eventual-consistency discipline of the model.
 //
-// The package also implements the paper's evaluation strategies:
-// naive broadcast for monotone queries (Example 5.1(1)), an explicit
-// coordination protocol for arbitrary queries (Example 5.1(2)), the
-// policy-aware distinct-complete strategy for Mdistinct (Theorem 5.8,
-// Example 5.4), and the domain-guided disjoint-complete strategy for
-// Mdisjoint (Theorem 5.12).
+// The package also implements the paper's evaluation strategies, and
+// Strategies (strategy.go) is the table saying which one Figure 2
+// prescribes for which class. Those for M and Mdistinct are one
+// program, Broadcast, under three output rules (Example 5.1(1),
+// Example 5.4, Theorem 5.8); the domain-guided strategy for Mdisjoint
+// (Theorem 5.12) and the explicit coordination protocol for arbitrary
+// queries (Example 5.1(2)) keep volatile state of their own.
 package transducer
 
 import (
 	"fmt"
-	"sort"
+	"reflect"
 
 	"mpclogic/internal/pc"
 	"mpclogic/internal/policy"
@@ -243,12 +244,38 @@ func (n *Network) LoadParts(parts []*rel.Instance) error {
 }
 
 // LoadPolicy distributes the global instance according to a
-// distribution policy P^H (every node gets loc-inst(κ)).
+// distribution policy P^H (every node gets loc-inst(κ)). A network
+// that declares a policy (WithPolicy) answers its nodes' queries from
+// it, so loading by any other is refused with a *PolicyMismatchError
+// — the placement check alone could pass by luck.
 func (n *Network) LoadPolicy(i *rel.Instance, p policy.Policy) error {
 	if p.NumNodes() != n.p {
 		return fmt.Errorf("transducer: policy has %d nodes, network %d", p.NumNodes(), n.p)
 	}
+	if n.pol != nil && !reflect.DeepEqual(n.pol, p) {
+		return &PolicyMismatchError{Declared: n.pol, Loaded: p}
+	}
 	return n.LoadParts(policy.Distribute(p, i))
+}
+
+// PolicyMismatchError reports a LoadPolicy by a policy other than the
+// one the network declares to its nodes.
+type PolicyMismatchError struct {
+	Declared, Loaded policy.Policy
+}
+
+func (e *PolicyMismatchError) Error() string {
+	return fmt.Sprintf("transducer: network declares policy %T %+v but is loaded by %T %+v", e.Declared, e.Declared, e.Loaded, e.Loaded)
+}
+
+// Load builds a network of pol.NumNodes() nodes running mk, declares
+// pol to them and distributes g by it — the one call in which a
+// policy is named, so what nodes are told and what they hold cannot
+// disagree. A Strategy row supplies mk and pol.
+func Load(mk func() Program, pol policy.Policy, g *rel.Instance, opts ...Option) (*Network, error) {
+	n := New(pol.NumNodes(), mk, opts...)
+	n.pol = pol
+	return n, n.LoadPolicy(g, pol)
 }
 
 // LoadReplicated gives every node the full instance — the ideal
@@ -377,11 +404,4 @@ func ControlFact(f rel.Fact) bool {
 // dataFacts filters control facts out of an instance.
 func dataFacts(i *rel.Instance) *rel.Instance {
 	return i.Filter(func(f rel.Fact) bool { return !ControlFact(f) })
-}
-
-// sortedNodes renders node lists deterministically (for tests).
-func sortedNodes(ns []policy.Node) []policy.Node {
-	out := append([]policy.Node(nil), ns...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -2,65 +2,105 @@ package transducer
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
+	"mpclogic/internal/mono"
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 )
 
 // Query is a generic query over instances, the object transducer
 // networks compute.
-type Query func(*rel.Instance) *rel.Instance
+type Query = mono.Query
 
-// MonotoneBroadcast is the naive strategy of Example 5.1(1): output
-// Q(state) immediately and whenever state grows, and broadcast the
-// local database once. For monotone Q every run of this program
-// computes Q on every network and distribution, and the program is
-// coordination-free (ideal distribution: full replication).
-type MonotoneBroadcast struct {
-	Q Query
+// Broadcast is the one program behind Section 5's coordination-free
+// strategies for M and Mdistinct (Theorems 5.3 and 5.8): broadcast
+// what you hold, and output as soon as you know enough. The strategies
+// differ only in Output, the rule that says what "enough" is; the
+// constructors below name them. The program keeps no volatile state —
+// everything it knows is in the node's relational state — so one value
+// serves every node, every restart and every explorer branch.
+type Broadcast struct {
+	// Sends selects the facts transmitted; nil sends all.
+	Sends func(rel.Fact) bool
+	// Output is the output rule, run after Start and after every
+	// delivery that grows the state.
+	Output func(ctx *Context)
+}
+
+// Factory returns the per-node constructor New expects: b itself.
+func (b *Broadcast) Factory() func() Program {
+	return func() Program { return b }
+}
+
+// ship hands send every data fact of the state that Sends lets out.
+func (b *Broadcast) ship(ctx *Context, send func(rel.Fact)) {
+	ctx.State().Each(func(f rel.Fact) bool {
+		if !ControlFact(f) && (b.Sends == nil || b.Sends(f)) {
+			send(f)
+		}
+		return true
+	})
 }
 
 // Start implements Program.
-func (m *MonotoneBroadcast) Start(ctx *Context) {
-	ctx.State().Each(func(f rel.Fact) bool {
-		ctx.Broadcast(f)
-		return true
-	})
-	m.emit(ctx)
+func (b *Broadcast) Start(ctx *Context) {
+	b.ship(ctx, ctx.Broadcast)
+	b.Output(ctx)
 }
 
 // OnMessage implements Program.
-func (m *MonotoneBroadcast) OnMessage(ctx *Context, _ policy.Node, f rel.Fact) {
+func (b *Broadcast) OnMessage(ctx *Context, _ policy.Node, f rel.Fact) {
 	if ctx.State().Add(f) {
-		m.emit(ctx)
+		b.Output(ctx)
 	}
 }
 
-func (m *MonotoneBroadcast) emit(ctx *Context) {
-	m.Q(dataFacts(ctx.State())).Each(func(f rel.Fact) bool {
+// OnPeerRestart implements Recoverer: ship the state to the restarted
+// node exactly as Start shipped the fragment. Every rule is monotone
+// in what it has received (state only grows), so sending everything
+// known — not just this node's fragment — is sound and restores the
+// peer in one assist transition.
+func (b *Broadcast) OnPeerRestart(ctx *Context, κ policy.Node) {
+	b.ship(ctx, func(f rel.Fact) { ctx.Send(κ, f) })
+}
+
+// Snapshot implements Forkable: stateless, b is its own copy.
+func (b *Broadcast) Snapshot() Program { return b }
+
+// Fingerprint implements Forkable: nothing beyond the node's
+// relational state, which the explorer hashes separately.
+func (b *Broadcast) Fingerprint() string { return "" }
+
+// outputAll emits every fact of answer.
+func outputAll(ctx *Context, answer *rel.Instance) {
+	answer.Each(func(f rel.Fact) bool {
 		ctx.Output(f)
 		return true
 	})
 }
 
-// OnPeerRestart implements Recoverer: re-send the full data state to
-// the restarted node. For a monotone query more facts never hurt, so
-// shipping everything (not just this node's fragment) restores the
-// peer fastest.
-func (m *MonotoneBroadcast) OnPeerRestart(ctx *Context, κ policy.Node) {
-	dataFacts(ctx.State()).Each(func(f rel.Fact) bool {
-		ctx.Send(κ, f)
-		return true
-	})
+// MonotoneBroadcast is the naive strategy of Example 5.1(1): output
+// Q(state) immediately and whenever state grows. For monotone Q every
+// run computes Q on every network and distribution, and the program
+// is coordination-free (ideal distribution: full replication).
+func MonotoneBroadcast(q Query) *Broadcast {
+	return EconomicalBroadcast(q, nil)
 }
 
-// Snapshot implements Forkable.
-func (m *MonotoneBroadcast) Snapshot() Program { return &MonotoneBroadcast{Q: m.Q} }
-
-// Fingerprint implements Forkable: no volatile state beyond the
-// node's relational state, which the explorer hashes separately.
-func (m *MonotoneBroadcast) Fingerprint() string { return "" }
+// EconomicalBroadcast refines MonotoneBroadcast in the spirit of
+// Ketsman-Neven's optimal broadcasting strategies (Section 6): for a
+// full conjunctive query without self-joins, only facts that can
+// actually participate in the query — facts unifying with some body
+// atom, as matches reports — are transmitted; everything else stays
+// local. The query's output is unchanged, the communication drops by
+// the selectivity of the atoms.
+func EconomicalBroadcast(q Query, matches func(rel.Fact) bool) *Broadcast {
+	return &Broadcast{Sends: matches, Output: func(ctx *Context) {
+		outputAll(ctx, q(dataFacts(ctx.State())))
+	}}
+}
 
 // Coordinated evaluates an arbitrary query with an explicit
 // coordination protocol in the spirit of Example 5.1(2): every node
@@ -87,13 +127,12 @@ func (c *Coordinated) Start(ctx *Context) {
 	c.received = map[policy.Node]int{}
 	c.seen = map[string]bool{}
 	c.local = nil
-	n := 0
 	ctx.State().Each(func(f rel.Fact) bool {
 		ctx.Broadcast(f)
 		c.local = append(c.local, f.Clone())
-		n++
 		return true
 	})
+	n := len(c.local)
 	c.counts[ctx.Self] = n
 	c.received[ctx.Self] = n
 	ctx.Broadcast(rel.NewFact(countRel, rel.Value(n)))
@@ -132,57 +171,16 @@ func (c *Coordinated) OnPeerRestart(ctx *Context, κ policy.Node) {
 
 // Snapshot implements Forkable.
 func (c *Coordinated) Snapshot() Program {
-	cp := &Coordinated{
-		Q:        c.Q,
-		counts:   map[policy.Node]int{},
-		received: map[policy.Node]int{},
-		seen:     map[string]bool{},
-		local:    append([]rel.Fact(nil), c.local...),
-		done:     c.done,
-	}
-	for k, v := range c.counts {
-		cp.counts[k] = v
-	}
-	for k, v := range c.received {
-		cp.received[k] = v
-	}
-	for k, v := range c.seen {
-		cp.seen[k] = v
-	}
-	return cp
+	cp := *c
+	cp.counts, cp.received, cp.seen = maps.Clone(c.counts), maps.Clone(c.received), maps.Clone(c.seen)
+	cp.local = slices.Clone(c.local)
+	return &cp
 }
 
-// Fingerprint implements Forkable: a canonical rendering of the
-// volatile protocol state (the maps are enumerated in sorted order).
+// Fingerprint implements Forkable: fmt prints maps in key order, so
+// the rendering of the volatile protocol state is canonical.
 func (c *Coordinated) Fingerprint() string {
-	var nodes []int
-	for κ := range c.counts {
-		nodes = append(nodes, int(κ))
-	}
-	sort.Ints(nodes)
-	s := fmt.Sprintf("done=%v;counts=", c.done)
-	for _, κ := range nodes {
-		s += fmt.Sprintf("%d:%d,", κ, c.counts[policy.Node(κ)])
-	}
-	nodes = nodes[:0]
-	for κ := range c.received {
-		nodes = append(nodes, int(κ))
-	}
-	sort.Ints(nodes)
-	s += ";received="
-	for _, κ := range nodes {
-		s += fmt.Sprintf("%d:%d,", κ, c.received[policy.Node(κ)])
-	}
-	var keys []string
-	for k := range c.seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s += ";seen="
-	for _, k := range keys {
-		s += k + ","
-	}
-	return s
+	return fmt.Sprint(c.done, c.counts, c.received, c.seen)
 }
 
 func (c *Coordinated) maybeOutput(ctx *Context) {
@@ -203,10 +201,7 @@ func (c *Coordinated) maybeOutput(ctx *Context) {
 		}
 	}
 	c.done = true
-	c.Q(dataFacts(ctx.State())).Each(func(f rel.Fact) bool {
-		ctx.Output(f)
-		return true
-	})
+	outputAll(ctx, c.Q(dataFacts(ctx.State())))
 }
 
 // CoordinationMessages counts the control-plane messages a run sent
@@ -214,59 +209,3 @@ func (c *Coordinated) maybeOutput(ctx *Context) {
 func CoordinationMessages(n *Network) int {
 	return n.stats.ControlSent
 }
-
-// EconomicalBroadcast refines MonotoneBroadcast in the spirit of
-// Ketsman-Neven's optimal broadcasting strategies (Section 6): for a
-// full conjunctive query without self-joins, only facts that can
-// actually participate in the query — facts unifying with some body
-// atom — are transmitted; everything else stays local. The query's
-// output is unchanged, the communication drops by the selectivity of
-// the atoms.
-type EconomicalBroadcast struct {
-	Q       Query
-	Matches func(rel.Fact) bool
-}
-
-// Start implements Program.
-func (e *EconomicalBroadcast) Start(ctx *Context) {
-	ctx.State().Each(func(f rel.Fact) bool {
-		if e.Matches(f) {
-			ctx.Broadcast(f)
-		}
-		return true
-	})
-	e.emit(ctx)
-}
-
-// OnMessage implements Program.
-func (e *EconomicalBroadcast) OnMessage(ctx *Context, _ policy.Node, f rel.Fact) {
-	if ctx.State().Add(f) {
-		e.emit(ctx)
-	}
-}
-
-func (e *EconomicalBroadcast) emit(ctx *Context) {
-	e.Q(dataFacts(ctx.State())).Each(func(f rel.Fact) bool {
-		ctx.Output(f)
-		return true
-	})
-}
-
-// OnPeerRestart implements Recoverer: re-send the query-relevant
-// slice of the data state — the same economy discipline Start uses.
-func (e *EconomicalBroadcast) OnPeerRestart(ctx *Context, κ policy.Node) {
-	dataFacts(ctx.State()).Each(func(f rel.Fact) bool {
-		if e.Matches(f) {
-			ctx.Send(κ, f)
-		}
-		return true
-	})
-}
-
-// Snapshot implements Forkable.
-func (e *EconomicalBroadcast) Snapshot() Program {
-	return &EconomicalBroadcast{Q: e.Q, Matches: e.Matches}
-}
-
-// Fingerprint implements Forkable.
-func (e *EconomicalBroadcast) Fingerprint() string { return "" }

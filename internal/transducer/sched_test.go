@@ -37,7 +37,7 @@ func TestRandomSchedulerBitCompatible(t *testing.T) {
 		{7, "{H(2,0,1)}", "{H(1,2,0)}", "{H(2,0,1)}"},
 	}
 	for _, g := range golden {
-		n := New(3, func() Program { return &MonotoneBroadcast{Q: q} }, WithSeed(g.seed))
+		n := New(3, func() Program { return MonotoneBroadcast(q) }, WithSeed(g.seed))
 		parts := []*rel.Instance{
 			rel.MustInstance(d, "E(0,1)"),
 			rel.MustInstance(d, "E(1,2)"),
@@ -78,7 +78,7 @@ func TestGoldenStrategiesBitCompatible(t *testing.T) {
 	wantMono := "{H(0,4,3), H(0,5,3), H(0,5,8), H(2,5,8), H(3,0,4), H(3,0,5), H(4,3,0), H(5,3,0), H(5,8,0), H(5,8,2), H(8,0,5), H(8,2,5)}"
 	tri := triangles(d)
 	for _, seed := range []int64{1, 42} {
-		n := New(3, func() Program { return &MonotoneBroadcast{Q: tri} }, WithSeed(seed))
+		n := New(3, func() Program { return MonotoneBroadcast(tri) }, WithSeed(seed))
 		pol := &policy.Hash{Nodes: 3}
 		if err := n.LoadParts(policy.Distribute(pol, g)); err != nil {
 			t.Fatal(err)
@@ -154,7 +154,7 @@ func TestSchedulerMatrixCorrectness(t *testing.T) {
 	for name, mkSched := range schedulerFactories(4, 13) {
 		t.Run(name, func(t *testing.T) {
 			// Monotone broadcast.
-			n := New(4, func() Program { return &MonotoneBroadcast{Q: tri} }, WithScheduler(mkSched()))
+			n := New(4, func() Program { return MonotoneBroadcast(tri) }, WithScheduler(mkSched()))
 			if err := n.LoadParts(hashParts(g, 4)); err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func TestSchedulerMatrixCorrectness(t *testing.T) {
 
 			// Policy-aware open triangle.
 			pol := &policy.Hash{Nodes: 4}
-			n3 := New(4, func() Program { return &OpenTriangle{} }, WithScheduler(mkSched()), WithPolicy(pol))
+			n3 := New(4, func() Program { return OpenTriangle() }, WithScheduler(mkSched()), WithPolicy(pol))
 			if err := n3.LoadPolicy(g, pol); err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +230,7 @@ func TestSchedulersDeterministic(t *testing.T) {
 	d := rel.NewDict()
 	q := openTriangles(d)
 	run := func(mk func() Scheduler) string {
-		n := New(3, func() Program { return &MonotoneBroadcast{Q: q} }, WithScheduler(mk()))
+		n := New(3, func() Program { return MonotoneBroadcast(q) }, WithScheduler(mk()))
 		parts := []*rel.Instance{
 			rel.MustInstance(d, "E(0,1)"),
 			rel.MustInstance(d, "E(1,2)"),

@@ -18,7 +18,7 @@ func TestStatsInvariants(t *testing.T) {
 
 	// Fault-free: every message is eventually read, so the step count
 	// is exactly the p Starts plus one step per delivery.
-	n := New(p, func() Program { return &MonotoneBroadcast{Q: tri} }, WithSeed(3))
+	n := New(p, func() Program { return MonotoneBroadcast(tri) }, WithSeed(3))
 	if err := n.LoadParts(hashParts(g, p)); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestStatsInvariants(t *testing.T) {
 
 	// Silent: messages are sent but never read — the strict case of
 	// Delivered ≤ Sent.
-	n2 := New(p, func() Program { return &MonotoneBroadcast{Q: tri} })
+	n2 := New(p, func() Program { return MonotoneBroadcast(tri) })
 	if err := n2.LoadParts(hashParts(g, p)); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestStatsInvariants(t *testing.T) {
 	// Duplication: injected copies inflate Sent, never Delivered past
 	// it, and the step identity picks up the crash/assist terms (zero
 	// here).
-	n3 := New(p, func() Program { return &MonotoneBroadcast{Q: tri} }, WithSeed(3), WithDuplication(3, 17))
+	n3 := New(p, func() Program { return MonotoneBroadcast(tri) }, WithSeed(3), WithDuplication(3, 17))
 	if err := n3.LoadParts(hashParts(g, p)); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestControlSentAccounting(t *testing.T) {
 
 	// Pure data-shipping never pays coordination.
 	tri := triangles(d)
-	n2 := New(p, func() Program { return &MonotoneBroadcast{Q: tri} }, WithSeed(6))
+	n2 := New(p, func() Program { return MonotoneBroadcast(tri) }, WithSeed(6))
 	if err := n2.LoadParts(hashParts(g, p)); err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestSeedSweepMatrix(t *testing.T) {
 			name: "monotone-broadcast",
 			want: tri(g).String(),
 			mk: func(opts ...Option) *Network {
-				n := New(p, func() Program { return &MonotoneBroadcast{Q: tri} }, opts...)
+				n := New(p, func() Program { return MonotoneBroadcast(tri) }, opts...)
 				if err := n.LoadParts(hashParts(g, p)); err != nil {
 					t.Fatal(err)
 				}
@@ -64,7 +64,7 @@ func TestSeedSweepMatrix(t *testing.T) {
 			want: open(g).String(),
 			mk: func(opts ...Option) *Network {
 				pol := &policy.Hash{Nodes: p}
-				n := New(p, func() Program { return &OpenTriangle{} }, append(opts, WithPolicy(pol))...)
+				n := New(p, func() Program { return OpenTriangle() }, append(opts, WithPolicy(pol))...)
 				if err := n.LoadPolicy(g, pol); err != nil {
 					t.Fatal(err)
 				}

@@ -38,7 +38,7 @@ func TestExample51MonotoneBroadcast(t *testing.T) {
 	want := q(g)
 	for _, p := range []int{1, 2, 5} {
 		for seed := int64(0); seed < 5; seed++ {
-			n := New(p, func() Program { return &MonotoneBroadcast{Q: q} }, WithSeed(seed))
+			n := New(p, func() Program { return MonotoneBroadcast(q) }, WithSeed(seed))
 			if err := n.LoadParts(hashParts(g, p)); err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestExample51NaiveBroadcastUnsoundForNonMonotone(t *testing.T) {
 	want := q(g)
 	unsound := false
 	for seed := int64(0); seed < 20 && !unsound; seed++ {
-		n := New(3, func() Program { return &MonotoneBroadcast{Q: q} }, WithSeed(seed))
+		n := New(3, func() Program { return MonotoneBroadcast(q) }, WithSeed(seed))
 		parts := []*rel.Instance{
 			rel.MustInstance(d, "E(a,b)"),
 			rel.MustInstance(d, "E(b,c)"),
@@ -114,7 +114,7 @@ func TestCALMMonotoneCoordinationFree(t *testing.T) {
 	d := rel.NewDict()
 	q := triangles(d)
 	g := workload.RandomGraph(10, 25, 5)
-	n := New(4, func() Program { return &MonotoneBroadcast{Q: q} }, WithSeed(1))
+	n := New(4, func() Program { return MonotoneBroadcast(q) }, WithSeed(1))
 	n.LoadReplicated(g)
 	stats := n.RunSilent()
 	if stats.Delivered != 0 {
@@ -152,7 +152,7 @@ func TestTheorem58OpenTriangle(t *testing.T) {
 	p := 4
 	pol := &policy.Hash{Nodes: p} // total single-node responsibility
 	for seed := int64(0); seed < 6; seed++ {
-		n := New(p, func() Program { return &OpenTriangle{} }, WithSeed(seed), WithPolicy(pol))
+		n := New(p, func() Program { return OpenTriangle() }, WithSeed(seed), WithPolicy(pol))
 		if err := n.LoadPolicy(g, pol); err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestTheorem58OpenTriangle(t *testing.T) {
 	// Coordination-freeness: ideal distribution (replication, with the
 	// replicating policy) needs no reads.
 	repl := &policy.Replicate{Nodes: p}
-	n := New(p, func() Program { return &OpenTriangle{} }, WithSeed(1), WithPolicy(repl))
+	n := New(p, func() Program { return OpenTriangle() }, WithSeed(1), WithPolicy(repl))
 	n.LoadReplicated(g)
 	n.RunSilent()
 	if !n.Output().Equal(want) {
@@ -191,7 +191,7 @@ func TestDistinctCompleteGeneric(t *testing.T) {
 	pol := &policy.Func{Nodes: p, Resp: func(κ policy.Node, _ rel.Fact) bool { return κ == 0 }}
 	for seed := int64(0); seed < 5; seed++ {
 		n := New(p, func() Program {
-			return &DistinctComplete{Q: q, Schema: schema}
+			return DistinctComplete(q, schema)
 		}, WithSeed(seed), WithPolicy(pol))
 		// The distribution must be consistent with the policy a node
 		// vouches absence against: loc-inst of the same policy.
@@ -289,7 +289,7 @@ func TestSchedulerIndependence(t *testing.T) {
 	g := workload.RandomGraph(11, 28, 7)
 	var first *rel.Instance
 	for seed := int64(0); seed < 8; seed++ {
-		n := New(3, func() Program { return &MonotoneBroadcast{Q: q} }, WithSeed(seed))
+		n := New(3, func() Program { return MonotoneBroadcast(q) }, WithSeed(seed))
 		if err := n.LoadParts(hashParts(g, 3)); err != nil {
 			t.Fatal(err)
 		}
@@ -315,9 +315,9 @@ func TestEconomicalBroadcast(t *testing.T) {
 	full := g.Union(ballast)
 	want := q(full)
 
-	mkNaive := func() Program { return &MonotoneBroadcast{Q: q} }
+	mkNaive := func() Program { return MonotoneBroadcast(q) }
 	mkEco := func() Program {
-		return &EconomicalBroadcast{Q: q, Matches: func(f rel.Fact) bool { return f.Rel == "E" }}
+		return EconomicalBroadcast(q, func(f rel.Fact) bool { return f.Rel == "E" })
 	}
 	run := func(mk func() Program) (Stats, *rel.Instance) {
 		n := New(3, mk, WithSeed(4))
@@ -343,7 +343,7 @@ func TestEconomicalBroadcast(t *testing.T) {
 func TestNetworkGuards(t *testing.T) {
 	d := rel.NewDict()
 	n := New(2, func() Program {
-		return &MonotoneBroadcast{Q: func(i *rel.Instance) *rel.Instance { return rel.NewInstance() }}
+		return MonotoneBroadcast(func(i *rel.Instance) *rel.Instance { return rel.NewInstance() })
 	})
 	if err := n.LoadParts([]*rel.Instance{rel.NewInstance()}); err == nil {
 		t.Errorf("wrong part count accepted")
@@ -364,7 +364,7 @@ func TestNetworkGuards(t *testing.T) {
 func TestPolicyQueryOutsideADomPanics(t *testing.T) {
 	d := rel.NewDict()
 	pol := &policy.Replicate{Nodes: 2}
-	n := New(2, func() Program { return &OpenTriangle{} }, WithPolicy(pol))
+	n := New(2, func() Program { return OpenTriangle() }, WithPolicy(pol))
 	defer func() {
 		if recover() == nil {
 			t.Errorf("out-of-adom policy query did not panic")
@@ -389,7 +389,7 @@ func TestObliviousNetworks(t *testing.T) {
 	d := rel.NewDict()
 	q := triangles(d)
 	g := workload.RandomGraph(10, 24, 3)
-	n := New(3, func() Program { return &MonotoneBroadcast{Q: q} }, WithSeed(1), Oblivious())
+	n := New(3, func() Program { return MonotoneBroadcast(q) }, WithSeed(1), Oblivious())
 	if err := n.LoadParts(hashParts(g, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestCoordinationRatio(t *testing.T) {
 	g := workload.RandomGraph(8, 18, 5)
 	parts := hashParts(g, 3)
 
-	n1 := New(3, func() Program { return &MonotoneBroadcast{Q: q} }, WithSeed(2))
+	n1 := New(3, func() Program { return MonotoneBroadcast(q) }, WithSeed(2))
 	if err := n1.LoadParts(parts); err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestOutputsDeterministicPerSeed(t *testing.T) {
 	q := triangles(d)
 	g := workload.RandomGraph(9, 20, 1)
 	run := func() []string {
-		n := New(3, func() Program { return &MonotoneBroadcast{Q: q} }, WithSeed(77))
+		n := New(3, func() Program { return MonotoneBroadcast(q) }, WithSeed(77))
 		if err := n.LoadParts(hashParts(g, 3)); err != nil {
 			t.Fatal(err)
 		}
@@ -527,7 +527,7 @@ func TestSingleNodeNetwork(t *testing.T) {
 	d := rel.NewDict()
 	q := triangles(d)
 	g := workload.CycleGraph(3)
-	n := New(1, func() Program { return &MonotoneBroadcast{Q: q} }, WithSeed(1))
+	n := New(1, func() Program { return MonotoneBroadcast(q) }, WithSeed(1))
 	if err := n.LoadParts([]*rel.Instance{g}); err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestOverlappingDistribution(t *testing.T) {
 		rel.MustInstance(d, "E(0,1)", "E(1,2)"),
 		rel.MustInstance(d, "E(1,2)", "E(2,0)"), // E(1,2) duplicated
 	}
-	n := New(2, func() Program { return &MonotoneBroadcast{Q: q} }, WithSeed(3))
+	n := New(2, func() Program { return MonotoneBroadcast(q) }, WithSeed(3))
 	if err := n.LoadParts(parts); err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestObliviousPolicyAwareStrategies(t *testing.T) {
 	open := openTriangles(d)
 	g := workload.RandomGraph(8, 16, 21)
 	pol := &policy.Hash{Nodes: 3}
-	n := New(3, func() Program { return &OpenTriangle{} },
+	n := New(3, func() Program { return OpenTriangle() },
 		WithSeed(4), WithPolicy(pol), Oblivious())
 	if err := n.LoadPolicy(g, pol); err != nil {
 		t.Fatal(err)
@@ -617,7 +617,7 @@ func TestLoadPartsRejectsPolicyViolation(t *testing.T) {
 	}
 	parts[wrong].Add(stolen)
 
-	n := New(3, func() Program { return &OpenTriangle{} }, WithPolicy(pol))
+	n := New(3, func() Program { return OpenTriangle() }, WithPolicy(pol))
 	err := n.LoadParts(parts)
 	if err == nil {
 		t.Fatal("nonconforming distribution accepted on a policy-aware network")
@@ -636,7 +636,7 @@ func TestLoadPartsRejectsPolicyViolation(t *testing.T) {
 	if err := n.LoadParts(clean); err != nil {
 		t.Fatalf("conforming distribution rejected: %v", err)
 	}
-	n2 := New(3, func() Program { return &OpenTriangle{} })
+	n2 := New(3, func() Program { return OpenTriangle() })
 	if err := n2.LoadParts(parts); err != nil {
 		t.Fatalf("policy-unaware network rejected parts: %v", err)
 	}
