@@ -49,9 +49,10 @@ SWEEPPROCS ?= 0
 # `make cover` fails when a guarded package drops more than the slack
 # below its recorded floor; `make cover-baseline` locks in the current
 # measurement. The recovery stack is guarded, and so is the algorithm
-# layer (gym, hypercube, datalog, mapreduce, cq, pc): a PR that deletes
-# a duplicate there must not take the only covered path with it.
-COVER_PKGS ?= ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen ./internal/policy ./internal/mpcnet ./internal/gym ./internal/hypercube ./internal/datalog ./internal/mapreduce ./internal/cq ./internal/pc
+# layer (core's menu, gym, hypercube, datalog, mapreduce, cq, pc): a PR
+# that deletes a duplicate there must not take the only covered path
+# with it.
+COVER_PKGS ?= ./internal/core ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen ./internal/policy ./internal/mpcnet ./internal/gym ./internal/hypercube ./internal/datalog ./internal/mapreduce ./internal/cq ./internal/pc
 COVER_BASELINE ?= COVERAGE.json
 
 .PHONY: all build vet test race lint faultmatrix byzantine transport netsweep verify fmt fuzz serve serve-soak bench-build bench bench-json verify-perf nightly soak experiments cover cover-baseline

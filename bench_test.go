@@ -42,9 +42,8 @@ func joinQ(d *rel.Dict) *cq.CQ {
 func runLoadOnly(b *testing.B, p int, inst *rel.Instance, r mpc.Round, opts ...mpc.Option) *mpc.Cluster {
 	b.Helper()
 	r.Compute = nil
-	c := mpc.NewCluster(p, opts...)
-	c.LoadRoundRobin(inst)
-	if err := c.Run(r); err != nil {
+	c, err := mpc.Simulate([]mpc.Round{r}, p, inst, opts...)
+	if err != nil {
 		b.Fatal(err)
 	}
 	return c
@@ -162,7 +161,7 @@ func BenchmarkCascadeTriangle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, _, err := gym.CascadeTriangle(64, inst, 3)
+		c, err := mpc.Simulate(gym.CascadeTriangleProgram(64, 3), 64, inst)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -192,7 +191,7 @@ func BenchmarkRoundOptions(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, _, err := gym.CascadeTriangle(8, inst, 3, bc.opts...)
+				c, err := mpc.Simulate(gym.CascadeTriangleProgram(8, 3), 8, inst, bc.opts...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -291,7 +290,7 @@ func BenchmarkSkewTriangle(b *testing.B) {
 		var last *mpc.Cluster
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c, _, err := gym.SkewTriangleTwoRound(p, inst, heavy, 5, g)
+			c, err := mpc.Simulate(gym.SkewTriangleProgram(p, heavy, 5, g), p, inst)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -391,7 +390,11 @@ func BenchmarkGYMTriangle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, _, _, err := gym.GYM(q, 16, inst, 5)
+		prog, err := gym.GYMProgram(q, 16, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := mpc.Simulate(prog, 16, inst)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -777,8 +780,8 @@ func BenchmarkTCMaintain(b *testing.B) {
 	for _, size := range []int{1, 100, 10000} {
 		size := size
 		b.Run(fmt.Sprintf("incr/batch=%d", size), func(b *testing.B) {
-			c, err := gym.DeltaTC(p, base, seed)
-			if err != nil {
+			c := mpc.NewCluster(p)
+			if err := c.RunDelta(gym.DeltaTCProgram(p, seed), base); err != nil {
 				b.Fatal(err)
 			}
 			comm0, rounds0 := c.DeltaCommTotal(), c.Rounds()
@@ -801,8 +804,8 @@ func BenchmarkTCMaintain(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := gym.DeltaTC(p, full, seed)
-				if err != nil {
+				c := mpc.NewCluster(p)
+				if err := c.RunDelta(gym.DeltaTCProgram(p, seed), full); err != nil {
 					b.Fatal(err)
 				}
 				last = c
@@ -840,8 +843,8 @@ func BenchmarkTriangleMaintain(b *testing.B) {
 		triples := triples
 		facts := 3 * triples
 		b.Run(fmt.Sprintf("incr/facts=%d", facts), func(b *testing.B) {
-			c, err := gym.DeltaCascadeTriangle(p, base, seed)
-			if err != nil {
+			c := mpc.NewCluster(p)
+			if err := c.RunDelta(gym.DeltaCascadeTriangleProgram(p, seed), base); err != nil {
 				b.Fatal(err)
 			}
 			comm0, rounds0 := c.DeltaCommTotal(), c.Rounds()
@@ -864,8 +867,8 @@ func BenchmarkTriangleMaintain(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := gym.DeltaCascadeTriangle(p, full, seed)
-				if err != nil {
+				c := mpc.NewCluster(p)
+				if err := c.RunDelta(gym.DeltaCascadeTriangleProgram(p, seed), full); err != nil {
 					b.Fatal(err)
 				}
 				last = c

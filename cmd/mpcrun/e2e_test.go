@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpclogic/internal/core"
 	"mpclogic/internal/policy"
 )
 
@@ -115,7 +116,8 @@ func TestE2EReportNamesTheClusterThatRan(t *testing.T) {
 
 // TestE2ERejectsBeforeAnythingRuns: a flag combination the plan cannot
 // elaborate exits 2 with one line on stderr and nothing on stdout — no
-// header for a run that never starts — under either transport.
+// header for a run that never starts — under either transport; an
+// unknown algorithm is answered with the whole menu.
 func TestE2ERejectsBeforeAnythingRuns(t *testing.T) {
 	cases := []string{"-algo tc -transport udp"}
 	for _, flags := range []string{
@@ -124,7 +126,11 @@ func TestE2ERejectsBeforeAnythingRuns(t *testing.T) {
 		"-algo gym -wcoj",
 		"-algo yannakakis -workload triangle",
 		"-algo tc -workload join",
+		"-algo tc -wcoj",
+		"-algo cascade -workload join",
+		"-algo cascade -wcoj",
 		"-workload nope",
+		"-workload graph",
 	} {
 		cases = append(cases, flags+" -transport local", flags+" -transport tcp")
 	}
@@ -140,6 +146,9 @@ func TestE2ERejectsBeforeAnythingRuns(t *testing.T) {
 		}
 		if stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1 {
 			t.Errorf("mpcrun %v: stdout %q, stderr %q; want no stdout and one line of stderr", args, stdout.String(), stderr.String())
+		}
+		if strings.Contains(flags, "bogus") && !strings.Contains(stderr.String(), core.Names()) {
+			t.Errorf("mpcrun %v: stderr %q does not list the menu, %s", args, stderr.String(), core.Names())
 		}
 	}
 }

@@ -10,15 +10,15 @@
 //	mpcrun -algo yannakakis -p 8
 //	mpcrun -algo tc -p 4 -m 32 -seed 7 -transport tcp
 //
-// The flags make one mpcnet.ProgramSpec — -algo is its program (the
-// planner, core.ChoosePlan, picks one when it is empty), -workload its
-// input (default: the algorithm's home workload) — and -transport
-// picks the executor: local (the default) is the in-process simulator,
-// tcp forks one worker process per server (this same binary in -worker
-// mode) exchanging fragments over loopback TCP. Both print the
-// identical byte-for-byte report — that equality is the point, and the
-// e2e tests diff it verbatim. Worker processes checkpoint each round
-// under -ckpt, so a killed worker is respawned and recovers.
+// The flags make one mpcnet.ProgramSpec — -algo is its program, a row
+// of core.Menu (the planner, core.ChoosePlan, picks one when it is
+// empty), -workload its input (default: the algorithm's home workload)
+// — and -transport picks the executor: local (the default) is the
+// in-process simulator, tcp forks one worker process per server (this
+// same binary in -worker mode) exchanging fragments over loopback TCP.
+// Both print the identical byte-for-byte report — that equality is the
+// point, and the e2e tests diff it verbatim. Worker processes checkpoint
+// each round under -ckpt, so a killed worker is respawned and recovers.
 package main
 
 import (
@@ -38,7 +38,7 @@ func main() {
 	m := flag.Int("m", 10000, "tuples per relation")
 	p := flag.Int("p", 64, "number of servers")
 	skew := flag.Float64("skew", 0, "fraction of tuples sharing one heavy join value (triangle, join)")
-	algo := flag.String("algo", "", "algorithm: hypercube | repartition | grouping | yannakakis | gym | cascade | tc (default: planner decides)")
+	algo := flag.String("algo", "", "algorithm: "+core.Names()+" (default: planner decides)")
 	oneRound := flag.Bool("one-round", true, "restrict the planner to one round")
 	wcoj := flag.Bool("wcoj", false, "use the worst-case-optimal generic join as the local engine (hypercube only)")
 	seed := flag.Uint64("seed", 7, "workload and routing seed")
@@ -73,6 +73,9 @@ func main() {
 	rationale := "algorithm forced on the command line"
 	if spec.Program == "" {
 		q, err := w.CQ()
+		if err == nil && q == nil {
+			err = fmt.Errorf("workload %s has no query for the planner to read: name an -algo", w.Name)
+		}
 		if err != nil {
 			fail(2, err)
 		}

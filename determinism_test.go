@@ -15,6 +15,7 @@ import (
 	"mpclogic/internal/core"
 	"mpclogic/internal/cq"
 	"mpclogic/internal/gym"
+	"mpclogic/internal/mpc"
 	"mpclogic/internal/rel"
 	"mpclogic/internal/workload"
 )
@@ -63,10 +64,15 @@ func TestDeterminismRepeatedMPCWorkload(t *testing.T) {
 
 	var snaps []evalSnapshot
 	for run := 0; run < 3; run++ {
-		c, out, err := gym.DistributedYannakakis(q, 8, inst, 5)
+		rounds, err := gym.YannakakisProgram(q, 8, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c, err := mpc.Simulate(rounds, 8, inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := c.Output()
 		if !out.Equal(want) {
 			t.Fatalf("run %d: distributed output disagrees with centralized evaluation", run)
 		}

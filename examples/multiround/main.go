@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"mpclogic/internal/core"
 	"mpclogic/internal/cq"
 	"mpclogic/internal/gym"
 	"mpclogic/internal/rel"
@@ -43,17 +44,21 @@ func main() {
 	fmt.Printf("  cascade:    max intermediate %-6d (the hub fan product)\n", stC.MaxIntermediate)
 
 	// Distributed Yannakakis: rounds vs communication.
-	c, got, err := gym.DistributedYannakakis(q, 8, inst, 3)
+	dy, err := core.Execute(&core.Plan{Algorithm: core.AlgoYannakakis, Query: q, Servers: 8, Seed: 3}, inst)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  distributed (p=8): rounds=%d totalComm=%d correct=%v\n",
-		c.Rounds(), c.TotalComm(), got.Equal(cq.Output(q, inst)))
+		dy.Rounds, dy.TotalComm, dy.Output.Equal(cq.Output(q, inst)))
 
 	// GYM on the cyclic triangle query.
 	tri := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
 	triInst := workload.TriangleSkewFree(2000)
-	cg, gotTri, dec, err := gym.GYM(tri, 16, triInst, 5)
+	dec, err := gym.Decompose(tri)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cg, err := core.Execute(&core.Plan{Algorithm: core.AlgoGYM, Query: tri, Servers: 16, Seed: 5}, triInst)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,5 +66,5 @@ func main() {
 	fmt.Printf("  decomposition: %d bags, width %d, bag tree depth %d\n",
 		len(dec.Bags), dec.Width(), dec.Tree.Depth())
 	fmt.Printf("  rounds=%d maxLoad=%d totalComm=%d correct=%v\n",
-		cg.Rounds(), cg.MaxLoad(), cg.TotalComm(), gotTri.Equal(cq.Output(tri, triInst)))
+		cg.Rounds, cg.MaxLoad, cg.TotalComm, cg.Output.Equal(cq.Output(tri, triInst)))
 }

@@ -18,11 +18,10 @@ import (
 	"mpclogic/internal/workload"
 )
 
-func loadOf(p int, inst *rel.Instance, r mpc.Round) int {
-	r.Compute = nil // loads depend on routing only
-	c := mpc.NewCluster(p)
-	c.LoadRoundRobin(inst)
-	if err := c.Run(r); err != nil {
+// maxLoad runs the rounds on the one executor and reads the load.
+func maxLoad(p int, inst *rel.Instance, rounds ...mpc.Round) int {
+	c, err := mpc.Simulate(rounds, p, inst)
+	if err != nil {
 		log.Fatal(err)
 	}
 	return c.MaxLoad()
@@ -50,9 +49,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-12s %-12d %-12d\n", "repartition", loadOf(p, free, rep), loadOf(p, skewed, rep))
-	fmt.Printf("%-12s %-12d %-12d\n", "grouping", loadOf(p, free, grp), loadOf(p, skewed, grp))
-	fmt.Printf("%-12s %-12d %-12d\n", "skew-aware", loadOf(p, free, ska), loadOf(p, skewed, ska))
+	// A one-round load depends on routing only: skip the quadratic joins.
+	rep.Compute, grp.Compute, ska.Compute = nil, nil, nil
+	fmt.Printf("%-12s %-12d %-12d\n", "repartition", maxLoad(p, free, rep), maxLoad(p, skewed, rep))
+	fmt.Printf("%-12s %-12d %-12d\n", "grouping", maxLoad(p, free, grp), maxLoad(p, skewed, grp))
+	fmt.Printf("%-12s %-12d %-12d\n", "skew-aware", maxLoad(p, free, ska), maxLoad(p, skewed, ska))
 	fmt.Printf("references: 2m/p=%d  2m/√p=%d\n\n", 2*m/p, 2*m/int(math.Sqrt(p)))
 
 	// Skewed triangle: one round vs two.
@@ -63,14 +64,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	one := loadOf(grid.P(), triSkew, hypercube.HyperCubeRound(grid))
-	c2, _, err := gym.SkewTriangleTwoRound(p, triSkew, triHeavy, 5, grid)
-	if err != nil {
-		log.Fatal(err)
-	}
+	hc := hypercube.HyperCubeRound(grid)
+	hc.Compute = nil
+	one := maxLoad(grid.P(), triSkew, hc)
+	two := maxLoad(p, triSkew, gym.SkewTriangleProgram(p, triHeavy, 5, grid)...)
 	fmt.Printf("skewed triangle (m=%d, p=%d):\n", m, p)
 	fmt.Printf("  one-round hypercube load: %d (lower bound under skew: m/√p = %.0f)\n",
 		one, float64(m)/math.Sqrt(p))
 	fmt.Printf("  two-round skew-aware:     %d (skew-free shape: 3m/p^(2/3) = %.0f)\n",
-		c2.MaxLoad(), 3*float64(m)/math.Pow(p, 2.0/3.0))
+		two, 3*float64(m)/math.Pow(p, 2.0/3.0))
 }

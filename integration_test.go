@@ -18,6 +18,7 @@ import (
 	"mpclogic/internal/hypercube"
 	"mpclogic/internal/mapreduce"
 	"mpclogic/internal/mono"
+	"mpclogic/internal/mpc"
 	"mpclogic/internal/pc"
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
@@ -305,11 +306,16 @@ func TestIntegrationGYMCycles(t *testing.T) {
 		}
 		inst.Add(rel.NewFact("E0", 1, 2))
 		want := cq.Output(q, inst)
-		_, got, dec, err := gym.GYM(q, 8, inst, uint64(k))
+		prog, err := gym.GYMProgram(q, 8, uint64(k))
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if !got.Equal(want) {
+		dec, _ := gym.Decompose(q) // GYMProgram decomposed q, so this cannot fail
+		c, err := mpc.Simulate(prog, 8, inst)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if got := c.Output(); !got.Equal(want) {
 			t.Fatalf("k=%d: GYM wrong (%d vs %d facts, %d bags)", k, got.Len(), want.Len(), len(dec.Bags))
 		}
 	}
@@ -334,20 +340,20 @@ func TestIntegrationGYMRandomized(t *testing.T) {
 		inst := randomInstance(r, 5, 5+r.Intn(25))
 		p := 2 + r.Intn(8)
 		for _, q := range acyclic {
-			_, got, err := gym.DistributedYannakakis(q, p, inst, uint64(trial))
+			got, err := core.Execute(&core.Plan{Algorithm: core.AlgoYannakakis, Query: q, Servers: p, Seed: uint64(trial)}, inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.Equal(cq.Output(q, inst)) {
+			if !got.Output.Equal(cq.Output(q, inst)) {
 				t.Fatalf("trial %d: distributed yannakakis wrong for %v on %v", trial, q, inst)
 			}
 		}
 		for _, q := range cyclic {
-			_, got, _, err := gym.GYM(q, p, inst, uint64(trial))
+			got, err := core.Execute(&core.Plan{Algorithm: core.AlgoGYM, Query: q, Servers: p, Seed: uint64(trial)}, inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.Equal(cq.Output(q, inst)) {
+			if !got.Output.Equal(cq.Output(q, inst)) {
 				t.Fatalf("trial %d: GYM wrong for %v on %v", trial, q, inst)
 			}
 		}

@@ -7,9 +7,11 @@
 //   - Analyzer: static reasoning about one-round parallel evaluation —
 //     parallel-correctness, transfer, containment, structural facts
 //     (τ*, acyclicity), per Sections 3–4.
-//   - Planner: choosing and executing an MPC evaluation plan for a
-//     conjunctive query (HyperCube, repartition/grouping join,
-//     Yannakakis, GYM), per Section 3.
+//   - Planner: the Section 3 menu (Menu: one row per MPC algorithm
+//     runnable from a name — its home workload, the queries it fits,
+//     its program as a function of plan and input), ChoosePlan to pick
+//     a row, Plan.Program to turn it into rounds or refuse it, Execute
+//     to run them on mpc.Simulate, the one in-process executor.
 //   - CALM: classifying queries/programs in the monotonicity hierarchy
 //     of Figure 2 (a mono.Class) and running the matching
 //     coordination-free strategy on an asynchronous transducer network,

@@ -115,44 +115,6 @@ func TestChoosePlanMatrix(t *testing.T) {
 	}
 }
 
-func TestExecuteAllAlgorithms(t *testing.T) {
-	a := NewAnalyzer()
-	tri, _ := a.ParseQuery("H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
-	chain, _ := a.ParseQuery("H(a, c) :- R0(a, b), R1(b, c)")
-	join, _ := a.ParseQuery("H(x, y, z) :- R(x, y), S(y, z)")
-
-	triInst := workload.TriangleSkewFree(40)
-	chainInst, _ := workload.AcyclicChain(2, 60, 0.2, 7)
-	joinInst := workload.JoinSkewed(80, 0.3)
-
-	cases := []struct {
-		algo Algorithm
-		q    *cq.CQ
-		inst *rel.Instance
-	}{
-		{AlgoHyperCube, tri, triInst},
-		{AlgoGYM, tri, triInst},
-		{AlgoYannakakis, chain, chainInst},
-		{AlgoRepartition, join, joinInst},
-		{AlgoGrouping, join, joinInst},
-	}
-	for _, c := range cases {
-		plan := &Plan{Algorithm: c.algo, Query: c.q, Servers: 9, Seed: 3}
-		res, err := Execute(plan, c.inst)
-		if err != nil {
-			t.Fatalf("%s: %v", c.algo, err)
-		}
-		want := cq.Output(c.q, c.inst)
-		got := res.Output.Filter(func(f rel.Fact) bool { return f.Rel == c.q.Head.Rel })
-		if !got.Equal(want) {
-			t.Errorf("%s: output %d facts, want %d", c.algo, got.Len(), want.Len())
-		}
-		if res.Rounds < 1 || res.MaxLoad < 0 {
-			t.Errorf("%s: degenerate stats %+v", c.algo, res)
-		}
-	}
-}
-
 func TestClassifyQueryHierarchy(t *testing.T) {
 	d := rel.NewDict()
 	schema := rel.Schema{"E": 2}

@@ -1,0 +1,125 @@
+package core_test
+
+import (
+	"errors"
+	"strings"
+	"testing"
+
+	"mpclogic/internal/core"
+	"mpclogic/internal/cq"
+	"mpclogic/internal/mapreduce"
+	"mpclogic/internal/mpc"
+	"mpclogic/internal/mpcnet"
+	"mpclogic/internal/rel"
+)
+
+// TestExecuteAllAlgorithms holds every row of the menu, on its home
+// workload, to the answer no cluster computed — the query's central
+// evaluation, or the transitive closure for the row that fits no query.
+// It iterates the table, so a new row is under the oracle on arrival.
+func TestExecuteAllAlgorithms(t *testing.T) {
+	for _, row := range core.Menu {
+		w, err := mpcnet.WorkloadFor(row.Home, "")
+		if err != nil {
+			t.Fatalf("%s: home workload: %v", row.Name, err)
+		}
+		q, err := w.CQ()
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := mpcnet.Build(mpcnet.ProgramSpec{Program: string(row.Name), P: 9, M: 40, Seed: 3, Skew: 0.3})
+		if err != nil {
+			t.Fatalf("%s: %v", row.Name, err)
+		}
+		plan := &core.Plan{Algorithm: row.Name, Query: q, Servers: 9, Seed: 3}
+		res, err := core.Execute(plan, built.Input)
+		if err != nil {
+			t.Fatalf("%s: %v", row.Name, err)
+		}
+		c, err := mpc.Simulate(built.Rounds, built.P, built.Input)
+		if err != nil {
+			t.Fatalf("%s: %v", row.Name, err)
+		}
+		want := mapreduce.SemiNaiveClosure(built.Input, "E")
+		if q != nil {
+			want = cq.Output(q, built.Input)
+		}
+		got := res.Output.Filter(func(f rel.Fact) bool { return want.Relation(f.Rel) != nil })
+		if !got.Equal(want) || want.Len() == 0 {
+			t.Errorf("%s: output %d facts, the central answer has %d", row.Name, got.Len(), want.Len())
+		}
+		if res.Rounds < 1 || res.Rounds != c.Rounds() || res.MaxLoad != c.MaxLoad() || res.TotalComm != c.TotalComm() {
+			t.Errorf("%s: the profile %+v is not that of the program run on mpc.Simulate", row.Name, res)
+		}
+	}
+}
+
+// TestPlanRefusals: everything the menu cannot run is refused with the
+// one typed error before a round exists — an unknown name (naming every
+// row), a query the row does not fit, the generic join where it is not
+// an engine.
+func TestPlanRefusals(t *testing.T) {
+	a := core.NewAnalyzer()
+	tri, _ := a.ParseQuery("H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
+	join, _ := a.ParseQuery("H(x, y, z) :- R(x, y), S(y, z)")
+	neg, _ := a.ParseQuery("H(x) :- R(x), not S(x)")
+	for _, plan := range []*core.Plan{
+		{Algorithm: "bogus", Query: tri},
+		{Algorithm: core.AlgoRepartition, Query: tri},
+		{Algorithm: core.AlgoYannakakis, Query: tri},
+		{Algorithm: core.AlgoCascade, Query: join},
+		{Algorithm: core.AlgoTC, Query: tri},
+		{Algorithm: core.AlgoHyperCube},
+		{Algorithm: core.AlgoHyperCube, Query: neg},
+		{Algorithm: core.AlgoHyperCube, Query: neg, WCOJ: true},
+		{Algorithm: core.AlgoGYM, Query: tri, WCOJ: true},
+		{Algorithm: core.AlgoTC, WCOJ: true},
+	} {
+		plan.Servers = 4
+		_, err := core.Execute(plan, rel.NewInstance())
+		var pe *core.PlanError
+		if !errors.As(err, &pe) || pe.Algorithm != plan.Algorithm {
+			t.Errorf("%+v: refused with %v, want a core.PlanError", plan, err)
+		}
+		if plan.Algorithm == "bogus" && !strings.Contains(err.Error(), core.Names()) {
+			t.Errorf("the unknown-algorithm refusal %q does not list the menu", err)
+		}
+	}
+
+	// A renamed triangle is still the triangle.
+	renamed, _ := a.ParseQuery("H(a, b, c) :- T(c, a), R(a, b), S(b, c)")
+	if _, err := (&core.Plan{Algorithm: core.AlgoCascade, Query: renamed, Servers: 4}).Row(); err != nil {
+		t.Errorf("cascade refused an equivalent of the triangle query: %v", err)
+	}
+}
+
+// TestGenericJoinFailsLikeTheEvaluator: over data that holds a relation
+// at another arity than the query's atom — wider or narrower — the
+// HyperCube round answers the same with either local engine: the atom
+// matches nothing, and nothing indexes past a tuple.
+func TestGenericJoinFailsLikeTheEvaluator(t *testing.T) {
+	a := core.NewAnalyzer()
+	inst := rel.MustInstance(a.Dict, "R(a,b)", "R(b,c)", "S(b,c)", "S(c,a)", "T(b)")
+	for _, src := range []string{
+		"H(x, y, z) :- R(x, y, z), S(y, z)",
+		"H(x, y) :- R(x), S(x, y)",
+		"H(x, y, z) :- R(x, y), S(y, z), T(z, x)",
+		"H(x, y, z) :- R(x, y), S(y, z)",
+	} {
+		q, err := a.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [2]*rel.Instance
+		for k, wcoj := range []bool{false, true} {
+			res, err := core.Execute(&core.Plan{Algorithm: core.AlgoHyperCube, Query: q, Servers: 4, Seed: 5, WCOJ: wcoj}, inst)
+			if err != nil {
+				t.Fatalf("%s wcoj=%v: %v", src, wcoj, err)
+			}
+			out[k] = res.Output
+		}
+		if want := cq.Output(q, inst); !out[0].Equal(want) || !out[1].Equal(want) {
+			t.Errorf("%s: evaluator %v, generic join %v, central %v", src, out[0], out[1], want)
+		}
+	}
+}

@@ -243,6 +243,18 @@ func checkAgainstReference(t *testing.T, q *CQ, i *rel.Instance) {
 		}
 	}
 
+	// The generic join is one more evaluator of every query it accepts:
+	// the same answer as a set.
+	if !q.HasNegation() {
+		gj, err := GenericJoin(q, i)
+		if err != nil {
+			t.Fatalf("%v: the generic join refused a positive query: %v", q, err)
+		}
+		if !gj.Equal(evaluateReference(q, i)) {
+			t.Fatalf("%v on %v: the generic join has %v, the reference %v", q, describe(i), gj.Tuples(), want)
+		}
+	}
+
 	wantVars, wantRows := evalBindingsReference(q, i)
 	vars, b := evalBindings(q, i)
 	if wantRows == nil {

@@ -107,7 +107,7 @@ func TestEvaluateEmptyRelation(t *testing.T) {
 // An atom over a relation the instance holds at another arity matches
 // nothing — wider or narrower than the data, first in the body or joined
 // on a bound variable, positive or negated — and does not index past a
-// tuple's end.
+// tuple's end; the generic join, where it applies, says the same.
 func TestEvaluateAtomAtAnotherArity(t *testing.T) {
 	d := rel.NewDict()
 	i := rel.MustInstance(d, "R(a,b)", "R(b,c)", "S(b)")
@@ -122,8 +122,15 @@ func TestEvaluateAtomAtAnotherArity(t *testing.T) {
 		{"H(x) :- S(x), not R(x)", 1},
 		{"H(x) :- S(x), not R(x, x, x)", 1},
 	} {
-		if got := Evaluate(MustParse(d, c.query), i).Len(); got != c.want {
+		q := MustParse(d, c.query)
+		if got := Evaluate(q, i).Len(); got != c.want {
 			t.Errorf("%s: %d answers, want %d", c.query, got, c.want)
+		}
+		if q.HasNegation() {
+			continue
+		}
+		if got, err := GenericJoin(q, i); err != nil || got.Len() != c.want {
+			t.Errorf("%s: the generic join has %v (%v), want %d answers", c.query, got, err, c.want)
 		}
 	}
 }

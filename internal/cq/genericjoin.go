@@ -173,8 +173,8 @@ func buildGJIndex(a Atom, inst *rel.Instance, globalPos map[string]int) (*gjInde
 		idx.level[k] = map[string][]rel.Value{}
 	}
 	src := inst.Relation(a.Rel)
-	if src == nil {
-		return nil, nil
+	if src == nil || src.Arity != len(a.Args) {
+		return nil, nil // as in evalBindings: a relation held at another arity matches nothing
 	}
 	seen := map[string]bool{}
 	any := false

@@ -41,15 +41,12 @@ func cellByzMatrix(name string) func() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, baseOut, err := a.run()
-		if err != nil {
-			return nil, err
-		}
+		base, baseOut := a.base, a.base.Output().String()
 		matrix := mpc.ByzantineFaultMatrix(2026, base.Rounds(), a.p)
 		quarantined, accusations := 0, 0
 		holds := true
 		for _, np := range matrix {
-			c, out, err := a.run(mpc.WithByzantinePlan(np.Plan))
+			c, err := a.run(mpc.WithByzantinePlan(np.Plan))
 			if err != nil {
 				var rie *mpc.RoutingIntegrityError
 				// An untyped failure, or an escalation on a plan the audit
@@ -60,7 +57,7 @@ func cellByzMatrix(name string) func() (*Result, error) {
 				accusations++
 				continue
 			}
-			if out.String() != baseOut.String() || c.LogicalTrace() != base.LogicalTrace() {
+			if c.Output().String() != baseOut || c.LogicalTrace() != base.LogicalTrace() {
 				holds = false
 			}
 			quarantined += c.RecoveryTotals().Quarantined

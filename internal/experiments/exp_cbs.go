@@ -1,10 +1,9 @@
 package experiments
 
 import (
+	"mpclogic/internal/core"
 	"mpclogic/internal/cq"
 	"mpclogic/internal/gym"
-	"mpclogic/internal/hypercube"
-	"mpclogic/internal/mpc"
 	"mpclogic/internal/rel"
 	"mpclogic/internal/workload"
 )
@@ -35,8 +34,7 @@ func init() {
 // work near the output.
 func cellCBSFanTriangle() (*Result, error) {
 	res := newResult()
-	d := rel.NewDict()
-	tri := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
+	tri := gym.TriangleCQ()
 	fan := rel.NewInstance()
 	hub := rel.Value(1 << 28)
 	n := 400
@@ -50,35 +48,19 @@ func cellCBSFanTriangle() (*Result, error) {
 	want := cq.Output(tri, fan)
 
 	p := 64
-	g, err := hypercube.NewOptimalGrid(tri, p, 9)
-	if err != nil {
-		return nil, err
-	}
-	hc := mpc.NewCluster(g.P())
-	hc.LoadRoundRobin(fan)
-	round := hypercube.HyperCubeRound(g)
 	// Pair the shuffle with the worst-case-optimal local engine.
-	round.Compute = hypercube.GenericJoinCompute(tri)
-	if err := hc.Run(round); err != nil {
-		return nil, err
-	}
-	if !hc.Output().Equal(want) {
-		res.Pass = false
-		res.rowf("hypercube+generic-join WRONG on fan triangle")
-	}
-
-	cas, casOut, err := gym.CascadeTriangle(p, fan, 9)
+	hc, err := res.execute(&core.Plan{Algorithm: core.AlgoHyperCube, Query: tri, Servers: p, Seed: 9, WCOJ: true}, fan, want)
 	if err != nil {
 		return nil, err
 	}
-	if !casOut.Filter(func(f rel.Fact) bool { return f.Rel == "H" }).Equal(want) {
-		res.Pass = false
-		res.rowf("cascade WRONG on fan triangle")
+	cas, err := res.execute(&core.Plan{Algorithm: core.AlgoCascade, Query: tri, Servers: p, Seed: 9}, fan, want)
+	if err != nil {
+		return nil, err
 	}
 	res.rowf("fan triangle (|R⋈S| = %d, output = %d):", n*n, want.Len())
-	res.rowf("  hypercube+WCOJ: rounds=%d totalComm=%d", hc.Rounds(), hc.TotalComm())
-	res.rowf("  cascade:        rounds=%d totalComm=%d (ships the fan product)", cas.Rounds(), cas.TotalComm())
-	if hc.TotalComm() >= cas.TotalComm() {
+	res.rowf("  hypercube+WCOJ: rounds=%d totalComm=%d", hc.Rounds, hc.TotalComm)
+	res.rowf("  cascade:        rounds=%d totalComm=%d (ships the fan product)", cas.Rounds, cas.TotalComm)
+	if hc.TotalComm >= cas.TotalComm {
 		res.Pass = false
 	}
 	return res, nil
@@ -95,32 +77,18 @@ func cellCBSDanglingChain() (*Result, error) {
 	inst, _ := workload.AcyclicChain(3, 2000, 0.9, 3)
 	wantChain := cq.Output(chain, inst)
 
-	g2, err := hypercube.NewOptimalGrid(chain, p, 9)
+	hc2, err := res.execute(&core.Plan{Algorithm: core.AlgoHyperCube, Query: chain, Servers: p, Seed: 9}, inst, wantChain)
 	if err != nil {
 		return nil, err
 	}
-	hc2 := mpc.NewCluster(g2.P())
-	hc2.LoadRoundRobin(inst)
-	round2 := hypercube.HyperCubeRound(g2)
-	if err := hc2.Run(round2); err != nil {
-		return nil, err
-	}
-	if !hc2.Output().Equal(wantChain) {
-		res.Pass = false
-		res.rowf("hypercube WRONG on chain")
-	}
-	yc, yOut, err := gym.DistributedYannakakis(chain, p, inst, 9)
+	yc, err := res.execute(&core.Plan{Algorithm: core.AlgoYannakakis, Query: chain, Servers: p, Seed: 9}, inst, wantChain)
 	if err != nil {
 		return nil, err
-	}
-	if !yOut.Equal(wantChain) {
-		res.Pass = false
-		res.rowf("distributed yannakakis WRONG on chain")
 	}
 	res.rowf("dangling chain (input = %d, output = %d):", inst.Len(), wantChain.Len())
-	res.rowf("  hypercube:  rounds=%d totalComm=%d (replicates everything)", hc2.Rounds(), hc2.TotalComm())
-	res.rowf("  yannakakis: rounds=%d totalComm=%d (semijoins first)", yc.Rounds(), yc.TotalComm())
-	if yc.TotalComm() >= hc2.TotalComm() {
+	res.rowf("  hypercube:  rounds=%d totalComm=%d (replicates everything)", hc2.Rounds, hc2.TotalComm)
+	res.rowf("  yannakakis: rounds=%d totalComm=%d (semijoins first)", yc.Rounds, yc.TotalComm)
+	if yc.TotalComm >= hc2.TotalComm {
 		res.Pass = false
 	}
 	return res, nil

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"mpclogic/internal/cq"
+	"mpclogic/internal/core"
 	"mpclogic/internal/gym"
 	"mpclogic/internal/hypercube"
 	"mpclogic/internal/mpc"
@@ -35,50 +35,45 @@ func init() {
 	})
 }
 
-// faultAlgo builds one of the multi-round algorithms under test,
-// rebuilt per cell from the deterministic workload generators.
+// faultAlgo is one of the multi-round algorithms under test as values
+// — a program and its input, rebuilt per cell from the deterministic
+// workload generators, and the fault-free run every plan is held to.
 type faultAlgo struct {
-	name string
-	p    int
-	run  func(opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, error)
+	name   string
+	p      int
+	rounds []mpc.Round
+	input  *rel.Instance
+	base   *mpc.Cluster
+}
+
+func (a *faultAlgo) run(opts ...mpc.Option) (*mpc.Cluster, error) {
+	return mpc.Simulate(a.rounds, a.p, a.input, opts...)
 }
 
 func newFaultAlgo(name string) (*faultAlgo, error) {
-	d := rel.NewDict()
-	triQ := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
+	triQ := gym.TriangleCQ()
 	m := 1500
-	triInst := workload.TriangleSkewFree(m)
+	a := &faultAlgo{name: name, input: workload.TriangleSkewFree(m)}
+	var err error
 	switch name {
 	case "hypercube-triangle":
-		hcGrid, err := hypercube.NewOptimalGrid(triQ, 27, 11)
-		if err != nil {
-			return nil, err
-		}
-		return &faultAlgo{name: name, p: hcGrid.P(), run: func(opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, error) {
-			c := mpc.NewCluster(hcGrid.P(), opts...)
-			c.LoadRoundRobin(triInst)
-			if err := c.Run(hypercube.HyperCubeRound(hcGrid)); err != nil {
-				return c, nil, err
-			}
-			return c, c.Output(), nil
-		}}, nil
+		a.rounds, a.p, err = (&core.Plan{Algorithm: core.AlgoHyperCube, Query: triQ, Servers: 27, Seed: 11}).Program(a.input)
 	case "gym-triangle":
-		return &faultAlgo{name: name, p: 16, run: func(opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, error) {
-			c, out, _, err := gym.GYM(triQ, 16, triInst, 5, opts...)
-			return c, out, err
-		}}, nil
+		a.rounds, a.p, err = (&core.Plan{Algorithm: core.AlgoGYM, Query: triQ, Servers: 16, Seed: 5}).Program(a.input)
 	case "skew-two-round":
-		skewInst := workload.TriangleSkewed(m, 0.3)
-		heavy := rel.NewValueSet(workload.HeavyHitters(skewInst, "R", 1, m/10)...)
-		skewGrid, err := hypercube.NewOptimalGrid(triQ, 27, 17)
-		if err != nil {
-			return nil, err
+		a.input, a.p = workload.TriangleSkewed(m, 0.3), 27
+		heavy := rel.NewValueSet(workload.HeavyHitters(a.input, "R", 1, m/10)...)
+		var skewGrid *hypercube.Grid
+		if skewGrid, err = hypercube.NewOptimalGrid(triQ, 27, 17); err == nil {
+			a.rounds = gym.SkewTriangleProgram(27, heavy, 17, skewGrid)
 		}
-		return &faultAlgo{name: name, p: 27, run: func(opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, error) {
-			return gym.SkewTriangleTwoRound(27, skewInst, heavy, 17, skewGrid, opts...)
-		}}, nil
+	default:
+		err = fmt.Errorf("unknown fault algorithm %q", name)
 	}
-	return nil, fmt.Errorf("unknown fault algorithm %q", name)
+	if err == nil {
+		a.base, err = a.run()
+	}
+	return a, err
 }
 
 // cellFaultMatrix runs one algorithm under every plan of the seeded
@@ -90,19 +85,16 @@ func cellFaultMatrix(name string) func() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, baseOut, err := a.run()
-		if err != nil {
-			return nil, err
-		}
+		base, baseOut := a.base, a.base.Output().String()
 		matrix := mpc.StandardFaultMatrix(2026, 12, a.p)
 		var agg mpc.RecoveryStats
 		transparent := true
 		for _, np := range matrix {
-			c, out, err := a.run(mpc.WithFaultPlan(np.Plan))
+			c, err := a.run(mpc.WithFaultPlan(np.Plan))
 			if err != nil {
 				return nil, fmt.Errorf("%s under %s: %w", a.name, np.Name, err)
 			}
-			if out.String() != baseOut.String() || c.LogicalTrace() != base.LogicalTrace() {
+			if c.Output().String() != baseOut || c.LogicalTrace() != base.LogicalTrace() {
 				transparent = false
 			}
 			r := c.RecoveryTotals()
@@ -128,19 +120,13 @@ func cellFaultMatrix(name string) func() (*Result, error) {
 // completed prefix.
 func cellFaultResume() (*Result, error) {
 	res := newResult()
-	d := rel.NewDict()
-	triQ := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
-	triInst := workload.TriangleSkewFree(1500)
-	prog, _, err := gym.GYMProgram(triQ, 16, 5)
+	a, err := newFaultAlgo("gym-triangle")
 	if err != nil {
 		return nil, err
 	}
-	free, want, _, err := gym.GYM(triQ, 16, triInst, 5)
-	if err != nil {
-		return nil, err
-	}
+	free := a.base
 	kill := mpc.NewFaultPlan().AddCrash(4, 0, mpc.DefaultRetryBudget+1)
-	crashed, _, _, err := gym.GYM(triQ, 16, triInst, 5, mpc.WithFaultPlan(kill))
+	crashed, err := a.run(mpc.WithFaultPlan(kill))
 	if err == nil {
 		res.Pass = false
 		res.rowf("resume: budget-exceeding crash did NOT fail the run")
@@ -148,13 +134,13 @@ func cellFaultResume() (*Result, error) {
 	}
 	ck := crashed.Checkpoint()
 	restored := mpc.Restore(ck)
-	if err := restored.RunResumable(prog...); err != nil {
+	if err := restored.RunResumable(a.rounds...); err != nil {
 		return nil, err
 	}
-	resumeOK := restored.Output().String() == want.String() &&
+	resumeOK := restored.Output().String() == free.Output().String() &&
 		restored.LogicalTrace() == free.LogicalTrace()
 	res.rowf("resume: GYM killed at round %d/%d (retry budget exhausted), restored from checkpoint, re-ran %d rounds → output+trace identical=%v",
-		ck.Rounds(), len(prog), len(prog)-ck.Rounds(), resumeOK)
+		ck.Rounds(), len(a.rounds), len(a.rounds)-ck.Rounds(), resumeOK)
 	res.Pass = res.Pass && resumeOK
 	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mpclogic/internal/core"
 	"mpclogic/internal/cq"
 	"mpclogic/internal/gym"
 	"mpclogic/internal/hypercube"
@@ -127,18 +128,39 @@ func init() {
 	})
 }
 
-func loadOnly(r mpc.Round) mpc.Round {
-	r.Compute = nil
-	return r
+// execute runs the plan on inst and fails the report, naming the
+// algorithm, when the facts it computes for want's relations are not
+// want.
+func (r *Result) execute(plan *core.Plan, inst, want *rel.Instance) (core.Result, error) {
+	got, err := core.Execute(plan, inst)
+	if err == nil && !got.Output.Filter(func(f rel.Fact) bool { return want.Relation(f.Rel) != nil }).Equal(want) {
+		r.Pass = false
+		r.rowf("%s: output WRONG", plan.Algorithm)
+	}
+	return got, err
 }
 
-func runLoad(p int, inst *rel.Instance, r mpc.Round) (int, error) {
-	c := mpc.NewCluster(p)
-	c.LoadRoundRobin(inst)
-	if err := c.Run(loadOnly(r)); err != nil {
-		return 0, err
+// loadOnly is r's reshuffle alone, as a program: loads depend on
+// routing only, and the skewed joins' outputs are quadratic.
+func loadOnly(r mpc.Round) []mpc.Round {
+	r.Compute = nil
+	return []mpc.Round{r}
+}
+
+// joinLoads is the max load of a one-round binary join of m tuples a
+// side on p servers, without skew and with a heavy hitter holding half
+// of each relation.
+func joinLoads(build func(*cq.CQ, int, uint64) (mpc.Round, error), m, p int) (free, skewed int, err error) {
+	r, err := build(cq.MustParse(rel.NewDict(), "H(x, y, z) :- R(x, y), S(y, z)"), p, 7)
+	if err != nil {
+		return 0, 0, err
 	}
-	return c.MaxLoad(), nil
+	cf, err := mpc.Simulate(loadOnly(r), p, workload.JoinSkewFree(m))
+	if err != nil {
+		return 0, 0, err
+	}
+	cs, err := mpc.Simulate(loadOnly(r), p, workload.JoinSkewed(m, 0.5))
+	return cf.MaxLoad(), cs.MaxLoad(), err
 }
 
 // Example 3.1(1a): repartition join load — m/p without skew, Θ(m)
@@ -146,18 +168,8 @@ func runLoad(p int, inst *rel.Instance, r mpc.Round) (int, error) {
 func cellRepartition(m int) Cell {
 	return Cell{Params: fmt.Sprintf("m=%d", m), Run: func() (*Result, error) {
 		res := newResult()
-		d := rel.NewDict()
-		q := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z)")
 		p := 16
-		r, err := hypercube.RepartitionJoin(q, p, 7)
-		if err != nil {
-			return nil, err
-		}
-		free, err := runLoad(p, workload.JoinSkewFree(m), r)
-		if err != nil {
-			return nil, err
-		}
-		skewed, err := runLoad(p, workload.JoinSkewed(m, 0.5), r)
+		free, skewed, err := joinLoads(hypercube.RepartitionJoin, m, p)
 		if err != nil {
 			return nil, err
 		}
@@ -174,19 +186,9 @@ func cellRepartition(m int) Cell {
 func cellGrouping(m int) Cell {
 	return Cell{Params: fmt.Sprintf("m=%d", m), Run: func() (*Result, error) {
 		res := newResult()
-		d := rel.NewDict()
-		q := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z)")
 		p := 16
 		ref := 2 * m / int(math.Sqrt(float64(p)))
-		r, err := hypercube.GroupingJoin(q, p, 7)
-		if err != nil {
-			return nil, err
-		}
-		free, err := runLoad(p, workload.JoinSkewFree(m), r)
-		if err != nil {
-			return nil, err
-		}
-		skewed, err := runLoad(p, workload.JoinSkewed(m, 0.5), r)
+		free, skewed, err := joinLoads(hypercube.GroupingJoin, m, p)
 		if err != nil {
 			return nil, err
 		}
@@ -203,36 +205,22 @@ func cellGrouping(m int) Cell {
 // intermediate join result, unlike the one-round HyperCube.
 func cellCascade() (*Result, error) {
 	res := newResult()
-	d := rel.NewDict()
-	q := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
+	q := gym.TriangleCQ()
 	m, p := 5000, 64
 	inst := workload.TriangleSkewFree(m)
 	want := cq.Output(q, inst)
 
-	cc, out, err := gym.CascadeTriangle(p, inst, 3)
+	cc, err := res.execute(&core.Plan{Algorithm: core.AlgoCascade, Query: q, Servers: p, Seed: 3}, inst, want)
 	if err != nil {
 		return nil, err
 	}
-	if !out.Filter(func(f rel.Fact) bool { return f.Rel == "H" }).Equal(want) {
-		res.Pass = false
-		res.rowf("cascade output WRONG")
-	}
-	g, err := hypercube.NewOptimalGrid(q, p, 3)
+	hc, err := res.execute(&core.Plan{Algorithm: core.AlgoHyperCube, Query: q, Servers: p, Seed: 3}, inst, want)
 	if err != nil {
 		return nil, err
 	}
-	hc := mpc.NewCluster(g.P())
-	hc.LoadRoundRobin(inst)
-	if err := hc.Run(hypercube.HyperCubeRound(g)); err != nil {
-		return nil, err
-	}
-	if !hc.Output().Equal(want) {
-		res.Pass = false
-		res.rowf("hypercube output WRONG")
-	}
-	res.rowf("cascade:   rounds=%d totalComm=%d maxLoad=%d", cc.Rounds(), cc.TotalComm(), cc.MaxLoad())
-	res.rowf("hypercube: rounds=%d totalComm=%d maxLoad=%d", hc.Rounds(), hc.TotalComm(), hc.MaxLoad())
-	if cc.Rounds() != 2 || hc.Rounds() != 1 {
+	res.rowf("cascade:   rounds=%d totalComm=%d maxLoad=%d", cc.Rounds, cc.TotalComm, cc.MaxLoad)
+	res.rowf("hypercube: rounds=%d totalComm=%d maxLoad=%d", hc.Rounds, hc.TotalComm, hc.MaxLoad)
+	if cc.Rounds != 2 || hc.Rounds != 1 {
 		res.Pass = false
 	}
 	return res, nil
@@ -243,18 +231,18 @@ func cellCascade() (*Result, error) {
 func cellHyperCube(p int) Cell {
 	return Cell{Params: fmt.Sprintf("p=%d", p), Run: func() (*Result, error) {
 		res := newResult()
-		d := rel.NewDict()
-		q := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
+		q := gym.TriangleCQ()
 		m := 8000
 		inst := workload.TriangleSkewFree(m)
 		g, err := hypercube.NewOptimalGrid(q, p, 11)
 		if err != nil {
 			return nil, err
 		}
-		load, err := runLoad(g.P(), inst, hypercube.HyperCubeRound(g))
+		c, err := mpc.Simulate(loadOnly(hypercube.HyperCubeRound(g)), g.P(), inst)
 		if err != nil {
 			return nil, err
 		}
+		load := c.MaxLoad()
 		ref := 3 * float64(m) / math.Pow(float64(p), 2.0/3.0)
 		ratio := float64(load) / ref
 		res.rowf("%-6d %-10d %-14.0f %-8.2f", p, load, ref, ratio)
@@ -309,8 +297,7 @@ func cellIntegerShares() (*Result, error) {
 func cellSkewRounds(p int) Cell {
 	return Cell{Params: fmt.Sprintf("p=%d", p), Run: func() (*Result, error) {
 		res := newResult()
-		d := rel.NewDict()
-		q := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
+		q := gym.TriangleCQ()
 		m := 20000
 		inst := workload.TriangleSkewed(m, 0.5)
 		heavy := rel.NewValueSet(workload.HeavyHitters(inst, "R", 1, m/16)...)
@@ -318,15 +305,15 @@ func cellSkewRounds(p int) Cell {
 		if err != nil {
 			return nil, err
 		}
-		one, err := runLoad(g.P(), inst, hypercube.HyperCubeRound(g))
+		c1, err := mpc.Simulate(loadOnly(hypercube.HyperCubeRound(g)), g.P(), inst)
 		if err != nil {
 			return nil, err
 		}
-		c2, _, err := gym.SkewTriangleTwoRound(p, inst, heavy, 5, g)
+		c2, err := mpc.Simulate(gym.SkewTriangleProgram(p, heavy, 5, g), p, inst)
 		if err != nil {
 			return nil, err
 		}
-		two := c2.MaxLoad()
+		one, two := c1.MaxLoad(), c2.MaxLoad()
 		sq := float64(m) / math.Sqrt(float64(p))
 		cube := 3 * float64(m) / math.Pow(float64(p), 2.0/3.0)
 		res.rowf("%-6d %-14d %-14d %-12.0f %-12.0f", p, one, two, sq, cube)
@@ -367,28 +354,23 @@ func cellGYM() (*Result, error) {
 	if stY.MaxIntermediate > 2*outY.Len() || stC.MaxIntermediate < 10*stY.MaxIntermediate {
 		res.Pass = false
 	}
-	c, got, err := gym.DistributedYannakakis(q, 8, inst, 3)
+	dy, err := res.execute(&core.Plan{Algorithm: core.AlgoYannakakis, Query: q, Servers: 8, Seed: 3}, inst, cq.Output(q, inst))
 	if err != nil {
 		return nil, err
 	}
-	want := cq.Output(q, inst)
-	if !got.Equal(want) {
-		res.Pass = false
-		res.rowf("distributed yannakakis WRONG")
-	}
-	res.rowf("distributed yannakakis: rounds=%d totalComm=%d", c.Rounds(), c.TotalComm())
+	res.rowf("distributed yannakakis: rounds=%d totalComm=%d", dy.Rounds, dy.TotalComm)
 	tri := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
 	triInst := workload.TriangleSkewFree(500)
-	cg, gotTri, dec, err := gym.GYM(tri, 16, triInst, 5)
+	dec, err := gym.Decompose(tri)
 	if err != nil {
 		return nil, err
 	}
-	if !gotTri.Equal(cq.Output(tri, triInst)) {
-		res.Pass = false
-		res.rowf("GYM triangle WRONG")
+	cg, err := res.execute(&core.Plan{Algorithm: core.AlgoGYM, Query: tri, Servers: 16, Seed: 5}, triInst, cq.Output(tri, triInst))
+	if err != nil {
+		return nil, err
 	}
 	res.rowf("GYM triangle: bags=%d width=%d rounds=%d totalComm=%d",
-		len(dec.Bags), dec.Width(), cg.Rounds(), cg.TotalComm())
+		len(dec.Bags), dec.Width(), cg.Rounds, cg.TotalComm)
 	return res, nil
 }
 
@@ -424,8 +406,7 @@ func cellMapReduceTC() (*Result, error) {
 // p^{1/3}, the replication rate is p^{1/3}.
 func cellReplicationTradeoff() (*Result, error) {
 	res := newResult()
-	d := rel.NewDict()
-	q := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
+	q := gym.TriangleCQ()
 	m := 8000
 	inst := workload.TriangleSkewFree(m)
 	input := inst.Len()
@@ -436,11 +417,8 @@ func cellReplicationTradeoff() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := mpc.NewCluster(g.P())
-		c.LoadRoundRobin(inst)
-		round := hypercube.HyperCubeRound(g)
-		round.Compute = nil
-		if err := c.Run(round); err != nil {
+		c, err := mpc.Simulate(loadOnly(hypercube.HyperCubeRound(g)), g.P(), inst)
+		if err != nil {
 			return nil, err
 		}
 		rate := float64(c.TotalComm()) / float64(input)
@@ -468,18 +446,18 @@ func cellMatching(p int) Cell {
 		q := cq.MustParse(d, "H(a, dd) :- R0(a, b), R1(b, c), R2(c, dd)")
 		m := 12000
 		inst, _ := workload.AcyclicChain(3, m, 0, 1) // matching database: 1:1 everywhere
-		c, out, err := gym.DistributedYannakakis(q, p, inst, 5)
+		c, err := core.Execute(&core.Plan{Algorithm: core.AlgoYannakakis, Query: q, Servers: p, Seed: 5}, inst)
 		if err != nil {
 			return nil, err
 		}
-		if out.Len() != m {
+		if c.Output.Len() != m {
 			res.Pass = false
-			res.rowf("WRONG output size %d at p=%d", out.Len(), p)
+			res.rowf("WRONG output size %d at p=%d", c.Output.Len(), p)
 		}
 		ref := 3 * m / p
-		res.rowf("%-6d %-12d %-12d", p, c.MaxLoad(), ref)
+		res.rowf("%-6d %-12d %-12d", p, c.MaxLoad, ref)
 		// Within a small constant of m/p per relation shipped per round.
-		if float64(c.MaxLoad()) > 2.0*float64(ref) {
+		if float64(c.MaxLoad) > 2.0*float64(ref) {
 			res.Pass = false
 		}
 		return res, nil

@@ -4,11 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"mpclogic/internal/cq"
-	"mpclogic/internal/hypercube"
 	"mpclogic/internal/mpc"
-	"mpclogic/internal/rel"
-	"mpclogic/internal/workload"
 )
 
 // TestByzantineMatrixAcrossPrograms machine-checks the routing-
@@ -22,51 +18,7 @@ import (
 // the one-round HyperCube triangle, the cascade triangle, GYM, and
 // the incremental ΔTC program.
 func TestByzantineMatrixAcrossPrograms(t *testing.T) {
-	d := rel.NewDict()
-	triQ := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
-	triInst := workload.TriangleSkewFree(40)
-	graph := workload.RandomGraph(20, 32, 9)
-	grid, err := hypercube.NewOptimalGrid(triQ, 6, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	runDelta := func(p int, opts ...mpc.Option) (*mpc.Cluster, error) {
-		c := mpc.NewCluster(p, opts...)
-		batches := chunkFacts(graph.Facts(), 3)
-		if err := c.RunDelta(DeltaTCProgram(p, 11), batches[0]); err != nil {
-			return c, err
-		}
-		for _, b := range batches[1:] {
-			if err := c.ApplyUpdate(b); err != nil {
-				return c, err
-			}
-		}
-		return c, nil
-	}
-
-	programs := []struct {
-		name string
-		p    int
-		run  func(opts ...mpc.Option) (*mpc.Cluster, error)
-	}{
-		{"hypercube-triangle", grid.P(), func(opts ...mpc.Option) (*mpc.Cluster, error) {
-			c := mpc.NewCluster(grid.P(), opts...)
-			c.LoadRoundRobin(triInst)
-			return c, c.Run(hypercube.HyperCubeRound(grid))
-		}},
-		{"cascade-triangle", 6, func(opts ...mpc.Option) (*mpc.Cluster, error) {
-			c, _, err := CascadeTriangle(6, triInst, 11, opts...)
-			return c, err
-		}},
-		{"gym-triangle", 6, func(opts ...mpc.Option) (*mpc.Cluster, error) {
-			c, _, _, err := GYM(triQ, 6, triInst, 3, opts...)
-			return c, err
-		}},
-		{"delta-tc", 6, func(opts ...mpc.Option) (*mpc.Cluster, error) {
-			return runDelta(6, opts...)
-		}},
-	}
+	programs := pick(programSuite(t, 6, 40, 100), "hypercube-triangle", "cascade-triangle", "gym-triangle", "delta-tc")
 
 	for _, prog := range programs {
 		prog := prog

@@ -116,13 +116,6 @@ func DeltaTCProgram(p int, seed uint64) mpc.DeltaProgram {
 	}
 }
 
-// DeltaTC runs DeltaTCProgram from scratch on base; maintain the
-// closure afterwards with c.ApplyUpdate.
-func DeltaTC(p int, base *rel.Instance, seed uint64, opts ...mpc.Option) (*mpc.Cluster, error) {
-	c := mpc.NewCluster(p, opts...)
-	return c, c.RunDelta(DeltaTCProgram(p, seed), base)
-}
-
 // DeltaJoinProgram maintains H(x,y,z) = R(x,y) ⋈ S(y,z) under
 // insertions into R and S: both sides are resident at the same hash of
 // the join value y, so one inject round per batch ships only the Δ
@@ -237,13 +230,6 @@ func DeltaCascadeTriangleProgram(p int, seed uint64) mpc.DeltaProgram {
 	}
 }
 
-// DeltaCascadeTriangle runs DeltaCascadeTriangleProgram from scratch
-// on base; maintain the view afterwards with c.ApplyUpdate.
-func DeltaCascadeTriangle(p int, base *rel.Instance, seed uint64, opts ...mpc.Option) (*mpc.Cluster, error) {
-	c := mpc.NewCluster(p, opts...)
-	return c, c.RunDelta(DeltaCascadeTriangleProgram(p, seed), base)
-}
-
 // DeltaSkewTriangleProgram maintains the triangle view under
 // insertions with the heavy-hitter discipline of SkewTriangleProgram:
 // light y-values live in HyperCube grid cells and are finished by
@@ -265,7 +251,7 @@ func DeltaCascadeTriangle(p int, base *rel.Instance, seed uint64, opts ...mpc.Op
 // program is the one with per-update cost proportional to the deltas;
 // this program exists to keep skew handling under maintenance too.
 func DeltaSkewTriangleProgram(p int, heavy rel.ValueSet, seed uint64, grid mpc.Router) mpc.DeltaProgram {
-	q := triangleCQ()
+	q := TriangleCQ()
 	dR, dS, dT := mpc.DeltaName("R"), mpc.DeltaName("S"), mpc.DeltaName("T")
 
 	hashA := mpc.HashOn(p, []int{1}, seed^0x1234)  // T(c,a) by a

@@ -64,14 +64,9 @@ func schedulesOf(inst *rel.Instance) []schedule {
 // runSchedule feeds the batches of s through prog on a fresh cluster.
 func runSchedule(t *testing.T, prog mpc.DeltaProgram, p int, s schedule, opts ...mpc.Option) *mpc.Cluster {
 	t.Helper()
-	c := mpc.NewCluster(p, opts...)
-	if err := c.RunDelta(prog, s.batches[0]); err != nil {
-		t.Fatalf("%s base batch: %v", s.name, err)
-	}
-	for i, b := range s.batches[1:] {
-		if err := c.ApplyUpdate(b); err != nil {
-			t.Fatalf("%s update batch %d: %v", s.name, i+1, err)
-		}
+	c, err := program{name: s.name, p: p, delta: &prog, batches: s.batches}.run(opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", s.name, err)
 	}
 	return c
 }
@@ -124,7 +119,7 @@ func TestDeltaProgramsScheduleInvariant(t *testing.T) {
 	triInst := workload.TriangleSkewFree(30)
 	skewInst := workload.TriangleSkewed(60, 0.3)
 	heavy := rel.NewValueSet(workload.HeavyHitters(skewInst, "R", 1, 8)...)
-	grid, err := hypercube.NewOptimalGrid(triangleCQ(), 6, 17)
+	grid, err := hypercube.NewOptimalGrid(TriangleCQ(), 6, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +134,8 @@ func TestDeltaProgramsScheduleInvariant(t *testing.T) {
 	}{
 		{"ΔTC", 5, DeltaTCProgram(5, 11), graph, "TC", refClosure(graph)},
 		{"Δjoin", 4, DeltaJoinProgram(4, 3), joinInst, "H", cq.Output(joinQ, joinInst)},
-		{"Δcascade", 6, DeltaCascadeTriangleProgram(6, 11), triInst, "H", cq.Output(triangleCQ(), triInst)},
-		{"Δskew", 6, DeltaSkewTriangleProgram(6, heavy, 17, grid), skewInst, "H", cq.Output(triangleCQ(), skewInst)},
+		{"Δcascade", 6, DeltaCascadeTriangleProgram(6, 11), triInst, "H", cq.Output(TriangleCQ(), triInst)},
+		{"Δskew", 6, DeltaSkewTriangleProgram(6, heavy, 17, grid), skewInst, "H", cq.Output(TriangleCQ(), skewInst)},
 	}
 
 	for _, tc := range cases {
@@ -192,8 +187,8 @@ func TestDeltaProgramsScheduleInvariant(t *testing.T) {
 // acceptance shape behind the sustained-update benchmarks.
 func TestDeltaTCUpdateCostIsDeltaSized(t *testing.T) {
 	base := workload.PathGraph(60)
-	c, err := DeltaTC(4, base, 11)
-	if err != nil {
+	c := mpc.NewCluster(4)
+	if err := c.RunDelta(DeltaTCProgram(4, 11), base); err != nil {
 		t.Fatal(err)
 	}
 	baseComm := c.TotalComm()

@@ -20,10 +20,11 @@ import (
 // GYM studies (deep trees: fewer tuples shipped per round, more
 // rounds; shallow trees: the opposite).
 //
-// Every algorithm is exposed in two layers: a *Program builder that
-// returns the complete round list as pure data (a function of the
-// query, p, and the seed only — never of execution results), and a
-// driver that executes it. For Yannakakis the builder is the MPC
+// Every algorithm is a *Program builder that returns the complete
+// round list as pure data (a function of the query, p, and the seed
+// only — never of execution results); the package builds programs and
+// never a cluster — mpc.Simulate runs them, core's menu names them.
+// For Yannakakis the builder is the MPC
 // interpreter of planYannakakis' schedule (plan.go), the twin of the
 // in-memory interpreter YannakakisWith: one stepRound per step, named
 // by the step, computing the step's own apply. Because the program is
@@ -133,35 +134,18 @@ func stripRelations(local *rel.Instance, names ...string) *rel.Instance {
 	return local.Filter(func(f rel.Fact) bool { return !drop[f.Rel] })
 }
 
-// DistributedYannakakis evaluates an acyclic pure CQ on p servers and
-// returns the cluster (for stats) and the result. Options (e.g.
-// mpc.WithFaultPlan, mpc.WithCheckpoints) configure the cluster; on
-// error the partially-executed cluster is still returned so callers
-// can checkpoint and resume it.
-func DistributedYannakakis(q *cq.CQ, p int, inst *rel.Instance, seed uint64, opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, error) {
-	prog, err := YannakakisProgram(q, p, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	c := mpc.NewCluster(p, opts...)
-	c.LoadRoundRobin(inst)
-	if err := c.RunResumable(prog...); err != nil {
-		return c, nil, err
-	}
-	return c, c.Output(), nil
-}
-
-// GYMProgram builds the complete GYM round list for a (possibly
-// cyclic) pure CQ on p servers: one HyperCube round per bag of the
-// decomposition, a cleanup round dropping raw facts, then the full
-// distributed Yannakakis program over the bag tree. Like
+// GYMProgram builds the complete round list of GYM (Afrati et al.'s
+// Generalized Yannakakis in MapReduce, Section 3.2) for a possibly
+// cyclic pure CQ on p servers: one HyperCube round per bag of the
+// decomposition (Decompose), a cleanup round dropping raw facts, then
+// the distributed Yannakakis program over the bag tree. Like
 // YannakakisProgram, the result is pure data and rebuilding it yields
 // an identical program, so GYM executions are resumable end to end —
 // including across the bag/Yannakakis phase boundary.
-func GYMProgram(q *cq.CQ, p int, seed uint64) ([]mpc.Round, *Decomposition, error) {
+func GYMProgram(q *cq.CQ, p int, seed uint64) ([]mpc.Round, error) {
 	dec, err := Decompose(q)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var prog []mpc.Round
 
@@ -170,7 +154,7 @@ func GYMProgram(q *cq.CQ, p int, seed uint64) ([]mpc.Round, *Decomposition, erro
 	for i, bq := range dec.BagQueries {
 		grid, err := hypercube.NewOptimalGrid(bq, p, seed+uint64(i)*7919)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		memberRels := map[string]bool{}
 		for _, a := range bq.Body {
@@ -211,28 +195,7 @@ func GYMProgram(q *cq.CQ, p int, seed uint64) ([]mpc.Round, *Decomposition, erro
 	synth.Head = q.Head
 	yprog, err := YannakakisProgram(synth, p, seed^0xabcdef)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return append(prog, yprog...), dec, nil
-}
-
-// GYM evaluates a (possibly cyclic) pure CQ on p servers: it
-// decomposes the query into bags, evaluates each bag with a
-// HyperCube round, and runs distributed Yannakakis over the bag tree
-// (Afrati et al.'s Generalized Yannakakis in MapReduce, Section 3.2).
-// Options configure the cluster; on a mid-program error the
-// partially-executed cluster is still returned so callers can
-// checkpoint it and resume via GYMProgram + mpc.Restore +
-// RunResumable.
-func GYM(q *cq.CQ, p int, inst *rel.Instance, seed uint64, opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, *Decomposition, error) {
-	prog, dec, err := GYMProgram(q, p, seed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	c := mpc.NewCluster(p, opts...)
-	c.LoadRoundRobin(inst)
-	if err := c.RunResumable(prog...); err != nil {
-		return c, nil, dec, err
-	}
-	return c, c.Output(), dec, nil
+	return append(prog, yprog...), nil
 }

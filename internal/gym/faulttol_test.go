@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mpclogic/internal/cq"
-	"mpclogic/internal/hypercube"
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/rel"
 	"mpclogic/internal/workload"
@@ -21,46 +20,17 @@ import (
 // all four multi-round algorithms: cascade triangle, distributed
 // Yannakakis, GYM, and the skew-aware two-round triangle.
 func TestFaultTransparencyMatrix(t *testing.T) {
-	d := rel.NewDict()
-	chainQ := cq.MustParse(d, "H(a, dd) :- R0(a, b), R1(b, c), R2(c, dd)")
-	chainInst, _ := workload.AcyclicChain(3, 100, 0.4, 2)
-	triQ := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
-	triInst := workload.TriangleSkewFree(40)
-	skewInst := workload.TriangleSkewed(150, 0.3)
-	heavy := rel.NewValueSet(workload.HeavyHitters(skewInst, "R", 1, 15)...)
-	grid, err := hypercube.NewOptimalGrid(triQ, 8, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	algos := []struct {
-		name string
-		p    int
-		run  func(opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, error)
-	}{
-		{"cascade-triangle", 6, func(opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, error) {
-			return CascadeTriangle(6, triInst, 11, opts...)
-		}},
-		{"yannakakis-chain", 6, func(opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, error) {
-			return DistributedYannakakis(chainQ, 6, chainInst, 42, opts...)
-		}},
-		{"gym-triangle", 6, func(opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, error) {
-			c, out, _, err := GYM(triQ, 6, triInst, 3, opts...)
-			return c, out, err
-		}},
-		{"skew-two-round", 8, func(opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, error) {
-			return SkewTriangleTwoRound(8, skewInst, heavy, 17, grid, opts...)
-		}},
-	}
+	algos := append(pick(programSuite(t, 6, 40, 100), "cascade-triangle", "yannakakis-chain", "gym-triangle"),
+		pick(programSuite(t, 8, 40, 100), "skew-two-round")...)
 
 	for _, a := range algos {
 		a := a
 		t.Run(a.name, func(t *testing.T) {
-			base, baseOut, err := a.run()
+			base, err := a.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantOut := baseOut.String()
+			wantOut := base.Output().String()
 			wantTrace := base.LogicalTrace()
 
 			matrix := mpc.StandardFaultMatrix(2026, 12, a.p)
@@ -69,11 +39,11 @@ func TestFaultTransparencyMatrix(t *testing.T) {
 			}
 			var tot mpc.RecoveryStats
 			for _, np := range matrix {
-				c, out, err := a.run(mpc.WithFaultPlan(np.Plan))
+				c, err := a.run(mpc.WithFaultPlan(np.Plan))
 				if err != nil {
 					t.Fatalf("%s under %s: %v", a.name, np.Name, err)
 				}
-				if got := out.String(); got != wantOut {
+				if got := c.Output().String(); got != wantOut {
 					t.Errorf("%s under %s: output diverged", a.name, np.Name)
 				}
 				if got := c.LogicalTrace(); got != wantTrace {
@@ -140,18 +110,17 @@ func TestRunYannakakisRoundsResumesAfterFailure(t *testing.T) {
 // and resumed via the rebuilt program, reproducing the fault-free
 // output and logical trace.
 func TestGYMRestoreFromCheckpoint(t *testing.T) {
-	d := rel.NewDict()
-	q := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
-	inst := workload.TriangleSkewFree(40)
+	gym := pick(programSuite(t, 6, 40, 100), "gym-triangle")[0]
 
-	free, want, _, err := GYM(q, 6, inst, 3)
+	free, err := gym.run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := free.Output()
 
 	// Kill round 4 — inside the Yannakakis phase, past the bag rounds.
 	plan := mpc.NewFaultPlan().AddCrash(4, 0, mpc.DefaultRetryBudget+1)
-	c, _, _, err := GYM(q, 6, inst, 3, mpc.WithFaultPlan(plan))
+	c, err := gym.run(mpc.WithFaultPlan(plan))
 	if err == nil {
 		t.Fatal("budget-exceeding crash did not fail the run")
 	}
@@ -163,7 +132,7 @@ func TestGYMRestoreFromCheckpoint(t *testing.T) {
 		t.Fatalf("checkpoint covers %d rounds, want 4", ck.Rounds())
 	}
 
-	prog, _, err := GYMProgram(q, 6, 3)
+	prog, err := GYMProgram(TriangleCQ(), 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +300,11 @@ func TestProgramsAreReproducible(t *testing.T) {
 		t.Errorf("YannakakisProgram not reproducible: %v vs %v", names(y1), names(y2))
 	}
 
-	g1, _, err := GYMProgram(tri, 8, 3)
+	g1, err := GYMProgram(tri, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _, _ := GYMProgram(tri, 8, 3)
+	g2, _ := GYMProgram(tri, 8, 3)
 	if !eq(names(g1), names(g2)) {
 		t.Errorf("GYMProgram not reproducible: %v vs %v", names(g1), names(g2))
 	}

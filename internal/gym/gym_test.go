@@ -115,11 +115,9 @@ func TestDistributedYannakakis(t *testing.T) {
 	q := cq.MustParse(d, "H(a, dd) :- R0(a, b), R1(b, c), R2(c, dd)")
 	inst, _ := workload.AcyclicChain(3, 150, 0.4, 2)
 	want := cq.Output(q, inst)
-	c, got, err := DistributedYannakakis(q, 8, inst, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
+	prog, err := YannakakisProgram(q, 8, 42)
+	c := simulate(t, prog, err, 8, inst)
+	if got := c.Output(); !got.Equal(want) {
 		t.Errorf("distributed yannakakis wrong: %d vs %d facts", got.Len(), want.Len())
 	}
 	// 1 materialize + 2 semijoin↑ + 2 semijoin↓ + 2 join + 1 project.
@@ -133,11 +131,8 @@ func TestDistributedYannakakisDisconnected(t *testing.T) {
 	q := cq.MustParse(d, "H(x, y) :- A(x), B(y)")
 	inst := rel.MustInstance(d, "A(p)", "A(q)", "B(r)")
 	want := cq.Output(q, inst)
-	_, got, err := DistributedYannakakis(q, 4, inst, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
+	prog, err := YannakakisProgram(q, 4, 1)
+	if got := simulate(t, prog, err, 4, inst).Output(); !got.Equal(want) {
 		t.Errorf("cross product wrong: got %v want %v", got.StringWith(d), want.StringWith(d))
 	}
 }
@@ -145,11 +140,8 @@ func TestDistributedYannakakisDisconnected(t *testing.T) {
 func TestDistributedYannakakisEmptyInput(t *testing.T) {
 	d := rel.NewDict()
 	q := cq.MustParse(d, "H(a, c) :- R0(a, b), R1(b, c)")
-	_, got, err := DistributedYannakakis(q, 4, rel.NewInstance(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
+	prog, err := YannakakisProgram(q, 4, 1)
+	if got := simulate(t, prog, err, 4, rel.NewInstance()).Output(); got.Len() != 0 {
 		t.Errorf("empty input gave %d facts", got.Len())
 	}
 }
@@ -160,11 +152,13 @@ func TestGYMTriangle(t *testing.T) {
 	inst := workload.TriangleSkewFree(80)
 	inst.Add(rel.NewFact("R", 1, 2)) // noise
 	want := cq.Output(q, inst)
-	c, got, dec, err := GYM(q, 16, inst, 3)
+	dec, err := Decompose(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want) {
+	prog, err := GYMProgram(q, 16, 3)
+	c := simulate(t, prog, err, 16, inst)
+	if got := c.Output(); !got.Equal(want) {
 		t.Errorf("GYM triangle wrong: %d vs %d facts", got.Len(), want.Len())
 	}
 	if len(dec.Bags) != 2 {
@@ -180,11 +174,8 @@ func TestGYMAcyclicEqualsYannakakis(t *testing.T) {
 	q := cq.MustParse(d, "H(a, c) :- R0(a, b), R1(b, c)")
 	inst, _ := workload.AcyclicChain(2, 100, 0.2, 4)
 	want := cq.Output(q, inst)
-	_, got, _, err := GYM(q, 8, inst, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
+	prog, err := GYMProgram(q, 8, 5)
+	if got := simulate(t, prog, err, 8, inst).Output(); !got.Equal(want) {
 		t.Errorf("GYM on acyclic query wrong")
 	}
 }
@@ -196,11 +187,8 @@ func TestCascadeTriangle(t *testing.T) {
 	d := rel.NewDict()
 	q := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
 	want := cq.Output(q, inst)
-	c, got, err := CascadeTriangle(8, inst, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Filter(func(f rel.Fact) bool { return f.Rel == "H" }).Equal(want) {
+	c := simulate(t, CascadeTriangleProgram(8, 11), nil, 8, inst)
+	if !c.Output().Filter(func(f rel.Fact) bool { return f.Rel == "H" }).Equal(want) {
 		t.Errorf("cascade triangle wrong")
 	}
 	if c.Rounds() != 2 {
@@ -222,11 +210,8 @@ func TestSkewTriangleTwoRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, got, err := SkewTriangleTwoRound(27, inst, heavy, 17, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
+	c := simulate(t, SkewTriangleProgram(27, heavy, 17, grid), nil, 27, inst)
+	if got := c.Output(); !got.Equal(want) {
 		t.Errorf("skew 2-round triangle wrong: got %d want %d facts", got.Len(), want.Len())
 	}
 	if c.Rounds() != 2 {
@@ -247,36 +232,29 @@ func TestSkewTriangleLoadBeatsOneRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, _, err := SkewTriangleTwoRound(p, inst, heavy, 3, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := simulate(t, SkewTriangleProgram(p, heavy, 3, grid), nil, p, inst)
 
 	// One-round HyperCube on the skewed instance: the heavy value
 	// pins an entire grid hyperplane.
-	c1, _, err := oneRoundLoadOnly(p, inst, grid)
+	shuffle := hypercube.HyperCubeRound(grid)
+	shuffle.Compute = nil
+	c1 := simulate(t, []mpc.Round{shuffle}, nil, p, inst)
+	if c2.MaxLoad() >= c1.MaxLoad() {
+		t.Errorf("2-round load %d not below 1-round hypercube load %d under skew", c2.MaxLoad(), c1.MaxLoad())
+	}
+}
+
+// simulate runs a built program on the one executor, fatal on the
+// builder's error or the run's.
+func simulate(t *testing.T, rounds []mpc.Round, buildErr error, p int, inst *rel.Instance) *mpc.Cluster {
+	t.Helper()
+	if buildErr != nil {
+		t.Fatal(buildErr)
+	}
+	c, err := mpc.Simulate(rounds, p, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.MaxLoad() >= c1 {
-		t.Errorf("2-round load %d not below 1-round hypercube load %d under skew", c2.MaxLoad(), c1)
-	}
-	_ = c2
-}
-
-func oneRoundLoadOnly(p int, inst *rel.Instance, grid *hypercube.Grid) (int, *rel.Instance, error) {
-	r := hypercube.HyperCubeRound(grid)
-	r.Compute = nil
-	c := mpcCluster(p, inst)
-	if err := c.Run(r); err != nil {
-		return 0, nil, err
-	}
-	return c.MaxLoad(), nil, nil
-}
-
-func mpcCluster(p int, inst *rel.Instance) *mpc.Cluster {
-	c := mpc.NewCluster(p)
-	c.LoadRoundRobin(inst)
 	return c
 }
 
@@ -301,11 +279,8 @@ func TestGYMKeepsFactsUnroutedByBagGrid(t *testing.T) {
 	if want.Len() != 1 {
 		t.Fatalf("test setup: want = %v", want.StringWith(d))
 	}
-	_, got, _, err := GYM(q, 4, inst, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
+	prog, err := GYMProgram(q, 4, 3)
+	if got := simulate(t, prog, err, 4, inst).Output(); !got.Equal(want) {
 		t.Fatalf("GYM lost constant-filtered facts: got %v want %v",
 			got.StringWith(d), want.StringWith(d))
 	}

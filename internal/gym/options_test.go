@@ -43,9 +43,9 @@ func TestOptionsDoNotChangeAFaultFreeRound(t *testing.T) {
 		{"verify-every-delivery", fixed(mpc.WithRoutingVerification(1))},
 	}
 	for _, p := range []int{3, 4, 8} {
-		for _, prog := range programMatrix(p) {
+		for _, prog := range programMatrix(t, p) {
 			t.Run(fmt.Sprintf("%s/p=%d", prog.name, p), func(t *testing.T) {
-				ref := prog.run(t, localOpts)
+				ref := prog.mustRun(t, localOpts)
 				refImage := storeImage(t, ref)
 				for _, s := range ref.Stats() {
 					if s.VirtualMakespan != 2 {
@@ -53,7 +53,7 @@ func TestOptionsDoNotChangeAFaultFreeRound(t *testing.T) {
 					}
 				}
 				for _, set := range optionSets {
-					got := prog.run(t, set.mk)
+					got := prog.mustRun(t, set.mk)
 					if !reflect.DeepEqual(got.Stats(), ref.Stats()) {
 						t.Errorf("%s: round stats diverged from the no-Option run:\n got %#v\nwant %#v", set.name, got.Stats(), ref.Stats())
 					}

@@ -133,11 +133,9 @@ func TestYannakakisPlanHasTwoInterpreters(t *testing.T) {
 				t.Errorf("%s: %d rounds planned, want 2 + %d semijoins + %d joins", src, len(names), st.Semijoins, st.Joins)
 			}
 			for _, p := range []int{1, 3, 4} {
-				c, out, err := DistributedYannakakis(q, p, inst, uint64(17+p))
-				if err != nil {
-					t.Fatalf("%s p=%d: %v", src, p, err)
-				}
-				if !out.Equal(wantOut) {
+				prog, err := YannakakisProgram(q, p, uint64(17+p))
+				c := simulate(t, prog, err, p, inst)
+				if out := c.Output(); !out.Equal(wantOut) {
 					t.Errorf("%s p=%d: distributed output %d facts, direct %d", src, p, out.Len(), wantOut.Len())
 				}
 				if c.Rounds() != len(names) {

@@ -33,63 +33,99 @@ func tcpOpts(t *testing.T, p int) []mpc.Option {
 	return []mpc.Option{mpc.WithTransport(tr)}
 }
 
-// program is one row of the matrix the equivalence gates run: a named
-// algorithm that builds its own cluster with the options mk selects and
-// runs to completion.
+// program is one row of the suite the fault, Byzantine, transport and
+// option gates run: a named program as values — rounds and their input,
+// or, for the one delta row, a delta program and its batch schedule.
 type program struct {
-	name string
-	run  func(t *testing.T, mk optsFor) *mpc.Cluster
+	name    string
+	p       int
+	rounds  []mpc.Round
+	input   *rel.Instance
+	delta   *mpc.DeltaProgram
+	batches []*rel.Instance
 }
 
-// programMatrix is the matrix at p servers: one-round HyperCube
-// triangle, cascade triangle, distributed Yannakakis, GYM, and the
-// incremental ΔTC program.
-func programMatrix(p int) []program {
-	d := rel.NewDict()
-	triQ := cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
-	chainQ := cq.MustParse(d, "H(a, dd) :- R0(a, b), R1(b, c), R2(c, dd)")
-	triInst := workload.TriangleSkewFree(30)
-	chainInst, _ := workload.AcyclicChain(3, 80, 0.4, 2)
-	graph := workload.RandomGraph(20, 32, 9)
-	return []program{
-		{"hypercube-triangle", func(t *testing.T, mk optsFor) *mpc.Cluster {
-			g, err := hypercube.NewOptimalGrid(triQ, p, 17)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := mpc.NewCluster(g.P(), mk(t, g.P())...)
-			c.LoadRoundRobin(triInst)
-			if err := c.Run(hypercube.HyperCubeRound(g)); err != nil {
-				t.Fatal(err)
-			}
-			return c
-		}},
-		{"cascade-triangle", func(t *testing.T, mk optsFor) *mpc.Cluster {
-			c, _, err := CascadeTriangle(p, triInst, 11, mk(t, p)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		}},
-		{"yannakakis-chain", func(t *testing.T, mk optsFor) *mpc.Cluster {
-			c, _, err := DistributedYannakakis(chainQ, p, chainInst, 42, mk(t, p)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		}},
-		{"gym-triangle", func(t *testing.T, mk optsFor) *mpc.Cluster {
-			c, _, _, err := GYM(triQ, p, triInst, 3, mk(t, p)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		}},
-		{"delta-tc", func(t *testing.T, mk optsFor) *mpc.Cluster {
-			return runSchedule(t, DeltaTCProgram(p, 11), p,
-				schedule{"three-chunks", chunkFacts(graph.Facts(), 3)}, mk(t, p)...)
-		}},
+// run executes the row on a fresh cluster built under opts; on error
+// the partially executed cluster is returned with it.
+func (pr program) run(opts ...mpc.Option) (*mpc.Cluster, error) {
+	if pr.delta == nil {
+		return mpc.Simulate(pr.rounds, pr.p, pr.input, opts...)
 	}
+	c := mpc.NewCluster(pr.p, opts...)
+	err := c.RunDelta(*pr.delta, pr.batches[0])
+	for _, b := range pr.batches[1:] {
+		if err == nil {
+			err = c.ApplyUpdate(b)
+		}
+	}
+	return c, err
+}
+
+// mustRun is run on the transport mk selects, fatal on error.
+func (pr program) mustRun(t *testing.T, mk optsFor) *mpc.Cluster {
+	t.Helper()
+	c, err := pr.run(mk(t, pr.p)...)
+	if err != nil {
+		t.Fatalf("%s: %v", pr.name, err)
+	}
+	return c
+}
+
+// programSuite is the suite at p servers: one-round HyperCube triangle,
+// cascade triangle, distributed Yannakakis, GYM, the skew-aware
+// two-round triangle, and the incremental ΔTC program fed in three
+// chunks. Each gate picks its rows by name; tri and chain size the
+// triangle and chain inputs (the fault gates run 40 and 100, the
+// transport and option gates 30 and 80).
+func programSuite(t *testing.T, p, tri, chain int) []program {
+	t.Helper()
+	triQ := TriangleCQ()
+	chainQ := cq.MustParse(rel.NewDict(), "H(a, dd) :- R0(a, b), R1(b, c), R2(c, dd)")
+	triInst := workload.TriangleSkewFree(tri)
+	chainInst, _ := workload.AcyclicChain(3, chain, 0.4, 2)
+	skewInst := workload.TriangleSkewed(150, 0.3)
+	heavy := rel.NewValueSet(workload.HeavyHitters(skewInst, "R", 1, 15)...)
+	graph := workload.RandomGraph(20, 32, 9)
+	grid, err := hypercube.NewOptimalGrid(triQ, p, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yannakakis, err := YannakakisProgram(chainQ, p, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gym, err := GYMProgram(triQ, p, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltaTC := DeltaTCProgram(p, 11)
+	return []program{
+		{name: "hypercube-triangle", p: grid.P(), rounds: []mpc.Round{hypercube.HyperCubeRound(grid)}, input: triInst},
+		{name: "cascade-triangle", p: p, rounds: CascadeTriangleProgram(p, 11), input: triInst},
+		{name: "yannakakis-chain", p: p, rounds: yannakakis, input: chainInst},
+		{name: "gym-triangle", p: p, rounds: gym, input: triInst},
+		{name: "skew-two-round", p: p, rounds: SkewTriangleProgram(p, heavy, 17, grid), input: skewInst},
+		{name: "delta-tc", p: p, delta: &deltaTC, batches: chunkFacts(graph.Facts(), 3)},
+	}
+}
+
+// pick returns the named rows of the suite, in the order named.
+func pick(suite []program, names ...string) []program {
+	var out []program
+	for _, name := range names {
+		for _, pr := range suite {
+			if pr.name == name {
+				out = append(out, pr)
+			}
+		}
+	}
+	return out
+}
+
+// programMatrix is the part of the suite the transport and option
+// gates run: everything but the skew-aware triangle.
+func programMatrix(t *testing.T, p int) []program {
+	return pick(programSuite(t, p, 30, 80), "hypercube-triangle", "cascade-triangle", "yannakakis-chain", "gym-triangle", "delta-tc")
 }
 
 // TestTransportEquivalence is the tentpole acceptance gate: every
@@ -103,11 +139,11 @@ func programMatrix(p int) []program {
 func TestTransportEquivalence(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		p := p
-		for _, prog := range programMatrix(p) {
+		for _, prog := range programMatrix(t, p) {
 			prog := prog
 			t.Run(fmt.Sprintf("%s/p=%d", prog.name, p), func(t *testing.T) {
-				ref := prog.run(t, localOpts)
-				got := prog.run(t, tcpOpts)
+				ref := prog.mustRun(t, localOpts)
+				got := prog.mustRun(t, tcpOpts)
 
 				if ref.P() != got.P() {
 					t.Fatalf("cluster sizes diverged: local %d, tcp %d", ref.P(), got.P())
@@ -145,14 +181,11 @@ func TestTransportEquivalence(t *testing.T) {
 // logical trace byte-identical to the fault-free local reference for
 // all thirteen plans, the rack-scoped and corrupt-only ones included.
 func TestChaosOverTCP(t *testing.T) {
-	triInst := workload.TriangleSkewFree(40)
 	const p = 6
+	cascade := pick(programSuite(t, p, 40, 100), "cascade-triangle")[0]
 
-	base, baseOut, err := CascadeTriangle(p, triInst, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOut := baseOut.String()
+	base := cascade.mustRun(t, localOpts)
+	wantOut := base.Output().String()
 	wantTrace := base.LogicalTrace()
 
 	matrix := mpc.StandardFaultMatrix(2026, 12, p)
@@ -164,11 +197,11 @@ func TestChaosOverTCP(t *testing.T) {
 		np := np
 		t.Run(np.Name, func(t *testing.T) {
 			opts := append(tcpOpts(t, p), mpc.WithFaultPlan(np.Plan))
-			c, out, err := CascadeTriangle(p, triInst, 11, opts...)
+			c, err := cascade.run(opts...)
 			if err != nil {
 				t.Fatalf("cascade under %s over tcp: %v", np.Name, err)
 			}
-			if got := out.String(); got != wantOut {
+			if got := c.Output().String(); got != wantOut {
 				t.Errorf("output diverged under %s over tcp", np.Name)
 			}
 			if got := c.LogicalTrace(); got != wantTrace {

@@ -14,8 +14,13 @@ import (
 // skew-free exponent by treating each heavy hitter's residual query —
 // which is acyclic — with semijoins instead of a cartesian join.
 
-// CascadeTriangleProgram builds the two cascade rounds as pure data
-// (a function of p and seed only), so executions are resumable.
+// CascadeTriangleProgram computes H(x,y,z) :- R(x,y), S(y,z), T(z,x) in
+// two rounds on p servers: round 1 repartition-joins R and S on y into
+// an intermediate K; round 2 repartition-joins K with T on (x,z). The
+// intermediate K can be much larger than the output — the trade-off
+// versus the one-round HyperCube that the paper discusses. The rounds
+// are pure data (a function of p and seed only), so executions are
+// resumable.
 func CascadeTriangleProgram(p int, seed uint64) []mpc.Round {
 	round1 := mpc.Round{
 		Name: "cascade-1 R⋈S",
@@ -67,26 +72,12 @@ func CascadeTriangleProgram(p int, seed uint64) []mpc.Round {
 	return []mpc.Round{round1, round2}
 }
 
-// CascadeTriangle computes H(x,y,z) :- R(x,y), S(y,z), T(z,x) in two
-// rounds on p servers: round 1 repartition-joins R and S on y into an
-// intermediate K; round 2 repartition-joins K with T on (x,z). The
-// intermediate K can be much larger than the output — the trade-off
-// versus the one-round HyperCube that the paper discusses. Options
-// configure the cluster; on error the partially-executed cluster is
-// still returned so callers can checkpoint and resume it.
-func CascadeTriangle(p int, inst *rel.Instance, seed uint64, opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, error) {
-	c := mpc.NewCluster(p, opts...)
-	c.LoadRoundRobin(inst)
-	if err := c.RunResumable(CascadeTriangleProgram(p, seed)...); err != nil {
-		return c, nil, err
-	}
-	return c, c.Output(), nil
-}
-
-// The skew-aware two-round algorithm (SkewTriangleProgram /
-// SkewTriangleTwoRound) computes the triangle query in two rounds with
-// heavy-hitter handling. Light y-values travel through a HyperCube
-// grid and are finished in round 1. For heavy y-values b the residual
+// The skew-aware two-round algorithm (SkewTriangleProgram) computes
+// the triangle query in two rounds with heavy-hitter handling; heavy is
+// the set of y-values to treat as heavy hitters (e.g. from
+// workload.HeavyHitters with threshold m/p^{1/3}). Light y-values
+// travel through a HyperCube grid and are finished in round 1. For
+// heavy y-values b the residual
 // query R(a,b), S(b,c), T(c,a) is acyclic in (a,c), so instead of a
 // cartesian join the algorithm semijoins T against the heavy R-side
 // in round 1 (hashing on a) and against the heavy S-side in round 2
@@ -97,7 +88,7 @@ func CascadeTriangle(p int, inst *rel.Instance, seed uint64, opts ...mpc.Option)
 // (a function of p, the heavy-hitter set, seed, and the grid router
 // only), so executions are resumable.
 func SkewTriangleProgram(p int, heavy rel.ValueSet, seed uint64, grid mpc.Router) []mpc.Round {
-	q := triangleCQ()
+	q := TriangleCQ()
 
 	isHeavyR := func(f rel.Fact) bool { return f.Rel == "R" && heavy.Contains(f.Tuple[1]) }
 	isHeavyS := func(f rel.Fact) bool { return f.Rel == "S" && heavy.Contains(f.Tuple[0]) }
@@ -187,27 +178,8 @@ func SkewTriangleProgram(p int, heavy rel.ValueSet, seed uint64, grid mpc.Router
 	return []mpc.Round{round1, round2}
 }
 
-// SkewTriangleTwoRound runs SkewTriangleProgram on a fresh cluster.
-// heavy is the set of y-values to treat as heavy hitters (e.g. from
-// workload.HeavyHitters with threshold m/p^{1/3}). Options configure
-// the cluster; on error the partially-executed cluster is still
-// returned so callers can checkpoint and resume it.
-func SkewTriangleTwoRound(p int, inst *rel.Instance, heavy rel.ValueSet, seed uint64, grid mpc.Router, opts ...mpc.Option) (*mpc.Cluster, *rel.Instance, error) {
-	c := mpc.NewCluster(p, opts...)
-	c.LoadRoundRobin(inst)
-	if err := c.RunResumable(SkewTriangleProgram(p, heavy, seed, grid)...); err != nil {
-		return c, nil, err
-	}
-	return c, c.Output(), nil
-}
-
-func triangleCQ() *cq.CQ {
-	return &cq.CQ{
-		Head: cq.NewAtom("H", cq.V("x"), cq.V("y"), cq.V("z")),
-		Body: []cq.Atom{
-			cq.NewAtom("R", cq.V("x"), cq.V("y")),
-			cq.NewAtom("S", cq.V("y"), cq.V("z")),
-			cq.NewAtom("T", cq.V("z"), cq.V("x")),
-		},
-	}
+// TriangleCQ is the query the triangle programs of this file are
+// written for, relation and head names included.
+func TriangleCQ() *cq.CQ {
+	return cq.MustParse(rel.NewDict(), "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
 }

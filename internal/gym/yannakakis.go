@@ -12,6 +12,10 @@
 // columns each join keeps) and interpreted twice: YannakakisWith folds
 // the steps over in-memory relations, YannakakisProgram (and through it
 // GYMProgram, over the bag tree) emits one MPC round per step.
+//
+// The package builds programs — round lists that are pure data — and
+// never a cluster: mpc.Simulate runs them (Cluster.RunDelta the delta
+// programs), and core.Menu names those that can be run from a name.
 package gym
 
 import (

@@ -43,14 +43,18 @@ func evalCompute(q *cq.CQ) mpc.Compute {
 
 // GenericJoinCompute evaluates q at each server with the worst-case-
 // optimal generic join instead of the binary-join plan — the local
-// engine Chu-Balazinska-Suciu pair with the HyperCube shuffle.
+// engine Chu-Balazinska-Suciu pair with the HyperCube shuffle. The
+// generic join refuses negation; keeping such a q away is the caller's
+// job (core's hypercube row fits positive queries only), and a round
+// handed one fails loudly rather than computing nothing.
 func GenericJoinCompute(q *cq.CQ) mpc.Compute {
 	return func(_ int, local *rel.Instance) *rel.Instance {
-		out := rel.NewInstance()
-		out.EnsureRelation(q.Head.Rel, len(q.Head.Args))
-		if res, err := cq.GenericJoin(q, local); err == nil {
-			out.SetRelation(res)
+		res, err := cq.GenericJoin(q, local)
+		if err != nil {
+			panic(err)
 		}
+		out := rel.NewInstance()
+		out.SetRelation(res)
 		return out
 	}
 }

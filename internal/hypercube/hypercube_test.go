@@ -25,9 +25,8 @@ func joinQuery(d *rel.Dict) *cq.CQ {
 // the cluster.
 func runRound(t *testing.T, p int, i *rel.Instance, r mpc.Round) *mpc.Cluster {
 	t.Helper()
-	c := mpc.NewCluster(p)
-	c.LoadRoundRobin(i)
-	if err := c.Run(r); err != nil {
+	c, err := mpc.Simulate([]mpc.Round{r}, p, i)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -200,6 +199,24 @@ func TestHyperCubeCorrectness(t *testing.T) {
 		if !c.Output().Equal(want) {
 			t.Errorf("m=%d: hypercube output differs from centralized", m)
 		}
+	}
+}
+
+// The generic join is the round's other local engine: the same answer
+// on the same shuffle.
+func TestGenericJoinCompute(t *testing.T) {
+	d := rel.NewDict()
+	q := triangleQuery(d)
+	inst := workload.TriangleSkewFree(50)
+	inst.Add(rel.NewFact("R", 1, 2))
+	g, err := NewOptimalGrid(q, 27, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := HyperCubeRound(g)
+	round.Compute = GenericJoinCompute(q)
+	if c := runRound(t, g.P(), inst, round); !c.Output().Equal(cq.Output(q, inst)) {
+		t.Errorf("hypercube + generic join differs from centralized")
 	}
 }
 

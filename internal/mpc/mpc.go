@@ -856,6 +856,17 @@ func (c *Cluster) RunResumable(rounds ...Round) error {
 	return c.Run(rounds[done:]...)
 }
 
+// Simulate is the in-process executor, the one place a cluster is
+// built, loaded and run: a fresh p-server cluster under opts receives
+// input round-robin and executes rounds. On error the partially
+// executed cluster is still returned, so a caller can checkpoint it
+// and resume the same program (Restore, RunResumable).
+func Simulate(rounds []Round, p int, input *rel.Instance, opts ...Option) (*Cluster, error) {
+	c := NewCluster(p, opts...)
+	c.LoadRoundRobin(input)
+	return c, c.Run(rounds...)
+}
+
 // Output returns the union of all servers' local data — the model's
 // convention that the output must be present in the union of the
 // servers.

@@ -31,21 +31,21 @@ func clusterImage(t *testing.T, c *Cluster) string {
 	return b.String()
 }
 
-// TestRunRoundIsRouteThenDeliver: under every option set a program
-// run round by round through RunRound and the same program run through
-// RouteRound + Deliver agree on each round's full RoundStats, the
-// logical trace, the servers' state and the checkpoint image, and the
-// routed loads equal the recorded ones.
-func TestRunRoundIsRouteThenDeliver(t *testing.T) {
-	const p = 5
+// optionSet is one way of building a cluster: the laws below hold
+// under every one of them.
+type optionSet struct {
+	name string
+	opts []Option
+}
+
+// optionSets is the matrix at p servers: no Option, verification,
+// checkpoints, both, a Byzantine plan that fires, and every plan of a
+// two-round standard fault matrix under replication.
+func optionSets(p int) []optionSet {
 	byz := NewByzantinePlan().
 		Add(ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 2, Seed: 3}).
 		Add(ByzantineEvent{Round: 1, Src: 3, Kind: Omit, Count: 1, Seed: 4})
-	type config struct {
-		name string
-		opts []Option
-	}
-	configs := []config{
+	sets := []optionSet{
 		{"fault-free", nil},
 		{"fault-free verified", []Option{WithRoutingVerification(2)}},
 		{"checkpoints", []Option{WithCheckpoints()}},
@@ -53,8 +53,44 @@ func TestRunRoundIsRouteThenDeliver(t *testing.T) {
 		{"byzantine", []Option{WithByzantinePlan(byz)}},
 	}
 	for _, np := range StandardFaultMatrix(7, 2, p) {
-		configs = append(configs, config{"plan " + np.Name, []Option{WithFaultPlan(np.Plan), WithReplication(1)}})
+		sets = append(sets, optionSet{"plan " + np.Name, []Option{WithFaultPlan(np.Plan), WithReplication(1)}})
 	}
+	return sets
+}
+
+// TestSimulateIsLoadThenRun is the law of the one executor: under every
+// option set, Simulate leaves exactly the cluster that NewCluster,
+// LoadRoundRobin and Run leave — servers, full stats, logical trace and
+// checkpoint image byte for byte, and the same error — so none of the
+// call sites it replaced needs a test of its own.
+func TestSimulateIsLoadThenRun(t *testing.T) {
+	const p = 5
+	load, rounds := byzProgram(p)
+	for _, set := range optionSets(p) {
+		want := NewCluster(p, set.opts...)
+		want.LoadRoundRobin(load)
+		werr := want.Run(rounds...)
+		got, gerr := Simulate(rounds, p, load, set.opts...)
+		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("%s: Run error %v, Simulate error %v", set.name, werr, gerr)
+		}
+		if got.LogicalTrace() != want.LogicalTrace() {
+			t.Errorf("%s: logical traces differ", set.name)
+		}
+		if a, b := clusterImage(t, want), clusterImage(t, got); a != b {
+			t.Errorf("%s: cluster images differ:\n%s\nvs\n%s", set.name, a, b)
+		}
+	}
+}
+
+// TestRunRoundIsRouteThenDeliver: under every option set a program
+// run round by round through RunRound and the same program run through
+// RouteRound + Deliver agree on each round's full RoundStats, the
+// logical trace, the servers' state and the checkpoint image, and the
+// routed loads equal the recorded ones.
+func TestRunRoundIsRouteThenDeliver(t *testing.T) {
+	const p = 5
+	configs := optionSets(p)
 	recovered := 0
 	for _, cfg := range configs {
 		name, opts := cfg.name, cfg.opts

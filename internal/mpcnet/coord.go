@@ -41,16 +41,11 @@ type RunConfig struct {
 
 // RunResult is the coordinator's view of a completed run, carrying
 // exactly the observables the equivalence tests compare against the
-// simulator: the output union, per-server fragments, the logical
-// trace, and the cost metrics.
+// simulator: core's cost profile — the output union, the logical trace
+// and the cost metrics — plus the per-server fragments.
 type RunResult struct {
-	Output    *rel.Instance
+	core.Result
 	Fragments []*rel.Instance
-	Trace     string
-	MaxLoad   int
-	TotalComm int
-	DeltaComm int
-	Rounds    int
 	// Respawns counts worker incarnations beyond the first p — nonzero
 	// exactly when recovery actually happened.
 	Respawns int
@@ -334,7 +329,7 @@ func assemble(built *Built, results map[int]workerResult) (*RunResult, error) {
 		}
 	}
 
-	res := &RunResult{Output: rel.NewInstance(), Fragments: make([]*rel.Instance, p), Rounds: nRounds}
+	res := &RunResult{Result: core.Result{Output: rel.NewInstance(), Rounds: nRounds}, Fragments: make([]*rel.Instance, p)}
 	for i := 0; i < p; i++ {
 		res.Fragments[i] = results[i].fragment
 		res.Output.AddAll(results[i].fragment)
@@ -363,7 +358,7 @@ func assemble(built *Built, results map[int]workerResult) (*RunResult, error) {
 	return res, nil
 }
 
-// RunLocal executes the spec on the in-process simulator (core.Simulate,
+// RunLocal executes the spec on the in-process simulator (mpc.Simulate,
 // what core.Execute runs a plan on) — the reference the distributed run
 // must match byte for byte.
 func RunLocal(spec ProgramSpec) (*RunResult, error) {
@@ -371,20 +366,12 @@ func RunLocal(spec ProgramSpec) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := core.Simulate(built.Rounds, built.P, built.Input)
+	c, err := mpc.Simulate(built.Rounds, built.P, built.Input)
 	if err != nil {
 		return nil, err
 	}
-	res := &RunResult{
-		Output:    c.Output(),
-		Fragments: make([]*rel.Instance, built.P),
-		Trace:     c.LogicalTrace(),
-		MaxLoad:   c.MaxLoad(),
-		TotalComm: c.TotalComm(),
-		DeltaComm: c.DeltaCommTotal(),
-		Rounds:    c.Rounds(),
-	}
-	for i := 0; i < built.P; i++ {
+	res := &RunResult{Result: core.Profile(c), Fragments: make([]*rel.Instance, built.P)}
+	for i := range res.Fragments {
 		res.Fragments[i] = c.Server(i)
 	}
 	return res, nil

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,8 @@ import (
 
 	"mpclogic/internal/core"
 	"mpclogic/internal/cq"
+	"mpclogic/internal/gym"
+	"mpclogic/internal/mapreduce"
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
@@ -125,16 +128,30 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
+// central is the answer no cluster computed: the query's, or — on the
+// graph, the input of no query — the transitive closure.
+func central(q *cq.CQ, input *rel.Instance) *rel.Instance {
+	if q == nil {
+		return mapreduce.SemiNaiveClosure(input, "E")
+	}
+	return cq.Output(q, input)
+}
+
 // TestPlanMatrixAcrossExecutors is the one matrix behind "one plan,
-// three executors": every (workload, algorithm, wcoj) triple, at three
+// three executors": every (workload, algorithm, wcoj) triple — the
+// workload table × core's menu and a name it does not have — at three
 // widths, either runs identically — output, logical trace and cost — on
 // core.Execute, RunLocal and Run over goroutine workers, with the
 // answer the central evaluation gives, or is rejected by all three with
-// core's one typed error.
+// core's one typed error; and which of the two is what the plan's row
+// said before anything ran.
 func TestPlanMatrixAcrossExecutors(t *testing.T) {
-	algos := []core.Algorithm{core.AlgoHyperCube, core.AlgoRepartition, core.AlgoGrouping, core.AlgoYannakakis, core.AlgoGYM, "bogus"}
+	algos := []core.Algorithm{"bogus"}
+	for _, row := range core.Menu {
+		algos = append(algos, row.Name)
+	}
 	accepted := 0
-	for _, wl := range []string{"triangle", "chain", "join"} {
+	for _, wl := range []string{"triangle", "chain", "join", "graph"} {
 		w, err := WorkloadFor(wl, "")
 		if err != nil {
 			t.Fatal(err)
@@ -151,6 +168,9 @@ func TestPlanMatrixAcrossExecutors(t *testing.T) {
 					input := w.gen(spec)
 					plan := &core.Plan{Algorithm: algo, Query: q, Servers: p, Seed: spec.Seed, WCOJ: wcoj}
 					sim, simErr := core.Execute(plan, input)
+					if _, rowErr := plan.Row(); (rowErr == nil) != (simErr == nil) {
+						t.Errorf("%s: the menu says %v, core.Execute %v", name, rowErr, simErr)
+					}
 					if simErr != nil {
 						_, localErr := RunLocal(spec)
 						_, netErr := Run(RunConfig{Spec: spec, FailWorker: -1, FailRound: -1, Spawn: goSpawner})
@@ -178,8 +198,9 @@ func TestPlanMatrixAcrossExecutors(t *testing.T) {
 							sim.MaxLoad != local.MaxLoad || sim.TotalComm != local.TotalComm {
 							t.Errorf("core.Execute diverged from RunLocal:\n got %s\n%s\nwant %s\n%s", sim.Output, sim.Trace, local.Output, local.Trace)
 						}
-						answers := local.Output.Filter(func(f rel.Fact) bool { return f.Rel == q.Head.Rel })
-						if want := cq.Output(q, input); !answers.Equal(want) {
+						want := central(q, input)
+						answers := local.Output.Filter(func(f rel.Fact) bool { return want.Relation(f.Rel) != nil })
+						if !answers.Equal(want) {
 							t.Errorf("distributed answer has %d facts, central evaluation %d", answers.Len(), want.Len())
 						}
 					})
@@ -187,10 +208,11 @@ func TestPlanMatrixAcrossExecutors(t *testing.T) {
 			}
 		}
 	}
-	// 13 triples: hypercube everywhere with either engine, gym
-	// everywhere, yannakakis on the two acyclic queries, repartition
-	// and grouping on the binary join.
-	if want := 13 * 3; accepted != want {
+	// 15 triples: hypercube on every query with either engine, gym on
+	// every query, yannakakis on the two acyclic ones, repartition and
+	// grouping on the binary join, cascade on the triangle, tc on the
+	// graph.
+	if want := 15 * 3; accepted != want {
 		t.Errorf("the plan accepted %d (triple, p) cells, want %d", accepted, want)
 	}
 }
@@ -226,11 +248,11 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ra, err := core.Simulate(a.Rounds, a.P, a.Input)
+		ra, err := mpc.Simulate(a.Rounds, a.P, a.Input)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := core.Simulate(b.Rounds, b.P, b.Input)
+		rb, err := mpc.Simulate(b.Rounds, b.P, b.Input)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,6 +311,17 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 func TestBuildRejects(t *testing.T) {
+	// An unknown name is refused naming every row of the menu.
+	_, err := Build(ProgramSpec{Program: "bogus", P: 2, M: 10, Seed: 1})
+	var pe *core.PlanError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Build of an unknown program: %v, want a core.PlanError", err)
+	}
+	for _, row := range core.Menu {
+		if !strings.Contains(err.Error(), string(row.Name)) {
+			t.Errorf("the refusal %q does not name %s", err, row.Name)
+		}
+	}
 	cases := []ProgramSpec{
 		{Program: "nope", P: 2, M: 10, Seed: 1},
 		{Program: "tc", P: 0, M: 10, Seed: 1},
@@ -502,13 +535,20 @@ func TestCheckpointBitFlipLaw(t *testing.T) {
 	}
 }
 
-// tcStepsNaive is the oracle tcSteps is held to: run the round's own
-// step function globally until an application changes nothing.
+// tcStep is the tc program's step function, global when applied to a
+// whole instance: every round of gym.TCProgram computes the same one.
+func tcStep(state *rel.Instance) *rel.Instance {
+	return gym.TCProgram(1, 0, state)[0].Compute(0, state)
+}
+
+// tcStepsNaive is the oracle the program's length is held to: run the
+// round's own step function globally until an application changes
+// nothing.
 func tcStepsNaive(graph *rel.Instance) int {
 	state := rel.NewInstance()
 	state.AddAll(graph)
 	for steps := 1; ; steps++ {
-		next := tcCompute(0, state)
+		next := tcStep(state)
 		if next.Len() == state.Len() {
 			return steps
 		}
@@ -532,7 +572,7 @@ func TestTCStepsUnrollsToFixpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One more global step must be a no-op.
-	again := tcCompute(0, res.Output)
+	again := tcStep(res.Output)
 	if again.Len() != res.Output.Len() {
 		t.Errorf("program of %d rounds stopped short of the fixpoint", len(built.Rounds))
 	}
@@ -568,8 +608,8 @@ func TestTCStepsUnrollsToFixpoint(t *testing.T) {
 		graphs[fmt.Sprintf("random-n%d-m%d-seed%d", n, m, seed)] = workload.RandomGraph(n, m, seed)
 	}
 	for name, g := range graphs {
-		if got, want := tcSteps(g), tcStepsNaive(g); got != want {
-			t.Errorf("%s: tcSteps = %d, the naive iteration takes %d", name, got, want)
+		if got, want := len(gym.TCProgram(3, 7, g)), tcStepsNaive(g); got != want {
+			t.Errorf("%s: the program unrolls to %d rounds, the naive iteration takes %d", name, got, want)
 		}
 	}
 }

@@ -9,9 +9,12 @@
 //
 // Everything a worker needs is a pure function of the ProgramSpec,
 // core.Plan's wire form: the workload is regenerated from its table
-// row and seed, core.Plan.Program rebuilds the rounds, and the worker's
-// slice of the initial placement is the same k%p round-robin the
-// simulator's LoadRoundRobin performs.
+// row and seed, core.Plan.Program rebuilds the rounds from the plan and
+// that input, and the worker's slice of the initial placement is the
+// same k%p round-robin the simulator's LoadRoundRobin performs. The
+// package is a runtime: it knows workloads and processes, and no
+// algorithm — which ones exist, what each fits and where each is at
+// home is core's menu.
 // That purity is what makes recovery trivial to reason about: a killed
 // worker reloads the older of its two checkpoint slots — each a policy
 // store image (policy.SaveStore/LoadStore, the module's one durable
@@ -25,7 +28,6 @@ import (
 
 	"mpclogic/internal/core"
 	"mpclogic/internal/cq"
-	"mpclogic/internal/gym"
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/rel"
 	"mpclogic/internal/workload"
@@ -36,10 +38,7 @@ import (
 // coordinator rebuild the same workload and program from it
 // independently. It travels as JSON on the worker command line.
 type ProgramSpec struct {
-	// Program names the algorithm: one of core's (hypercube |
-	// repartition | grouping | yannakakis | gym) over the workload's
-	// query, or a fixed-shape program (tc over graph, cascade over
-	// triangle).
+	// Program names the algorithm, a row of core.Menu.
 	Program string `json:"program"`
 	// P is the requested server count; the effective count may be
 	// smaller for share-constrained programs (see Built.P).
@@ -87,19 +86,13 @@ var workloads = []Workload{
 	}},
 }
 
-// home is the workload a program runs on when the spec names none.
-var home = map[string]string{
-	"hypercube": "triangle", "gym": "triangle", "cascade": "triangle",
-	"yannakakis": "chain", "repartition": "join", "grouping": "join", "tc": "graph",
-}
-
 // WorkloadFor returns the named row of the table; an empty name means
-// program's home, and the first row for a program without one (where
-// the planner starts before a program is chosen, and where an unknown
-// program is left for Build to reject).
+// program's home on core's menu, and the first row for a program
+// without one (where the planner starts before a program is chosen,
+// and where an unknown program is left for Build to reject).
 func WorkloadFor(name, program string) (*Workload, error) {
-	if name == "" {
-		name = home[program]
+	if row := core.RowOf(core.Algorithm(program)); name == "" && row != nil {
+		name = row.Home
 	}
 	for i := range workloads {
 		if name == "" || workloads[i].Name == name {
@@ -109,10 +102,10 @@ func WorkloadFor(name, program string) (*Workload, error) {
 	return nil, fmt.Errorf("mpcnet: unknown workload %q (want triangle | chain | join | graph)", name)
 }
 
-// CQ parses the row's query.
+// CQ parses the row's query; graph, the input of no query, has none.
 func (w *Workload) CQ() (*cq.CQ, error) {
 	if w.Query == "" {
-		return nil, fmt.Errorf("mpcnet: workload %s is no conjunctive query's input", w.Name)
+		return nil, nil
 	}
 	return cq.Parse(rel.NewDict(), w.Query)
 }
@@ -128,12 +121,10 @@ type Built struct {
 }
 
 // Build elaborates spec: the workload table resolves the input and its
-// query, and core.Plan.Program turns the algorithm name into rounds —
-// all of it checked before anything is generated. Only the two
-// fixed-shape programs are elaborated here, each bound to its home row:
-// tc is not a CQ and its depth is a function of the input, cascade is
-// written for the triangle alone. Build must be called with identical
-// specs on every process of a run.
+// query, and the core.Plan the spec is the wire form of — checked
+// against the menu first, so a spec it refuses is refused before
+// anything is generated — turns the algorithm name into rounds. Build
+// must be called with identical specs on every process of a run.
 func Build(spec ProgramSpec) (*Built, error) {
 	if spec.P <= 0 {
 		return nil, fmt.Errorf("mpcnet: spec needs at least one server (got p=%d)", spec.P)
@@ -145,30 +136,21 @@ func Build(spec ProgramSpec) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch spec.Program {
-	case "tc", "cascade":
-		if w.Name != home[spec.Program] || spec.WCOJ {
-			return nil, &core.PlanError{Algorithm: core.Algorithm(spec.Program),
-				Err: fmt.Errorf("runs on the %s workload only, and not with the generic join", home[spec.Program])}
-		}
-		b := &Built{Input: w.gen(spec), P: spec.P}
-		if spec.Program == "tc" {
-			b.Rounds = tcProgram(spec.P, spec.Seed, b.Input)
-		} else {
-			b.Rounds = gym.CascadeTriangleProgram(spec.P, spec.Seed)
-		}
-		return b, nil
-	}
 	q, err := w.CQ()
 	if err != nil {
 		return nil, err
 	}
 	plan := core.Plan{Algorithm: core.Algorithm(spec.Program), Query: q, Servers: spec.P, Seed: spec.Seed, WCOJ: spec.WCOJ}
-	rounds, p, err := plan.Program()
+	row, err := plan.Row()
 	if err != nil {
 		return nil, err
 	}
-	return &Built{Rounds: rounds, Input: w.gen(spec), P: p}, nil
+	input := w.gen(spec)
+	rounds, p, err := row.Program(&plan, input)
+	if err != nil {
+		return nil, err
+	}
+	return &Built{Rounds: rounds, Input: input, P: p}, nil
 }
 
 // WorkerSlice is worker i's share of the initial placement: fact k of
@@ -186,85 +168,4 @@ func WorkerSlice(input *rel.Instance, p, i int) *rel.Instance {
 		return true
 	})
 	return out
-}
-
-// tcCompute is one semi-naive-free TC step: the new state keeps
-// everything received, seeds TC from E, and extends it by one E-edge.
-// Routing colocates TC(a,b) and E(b,c) at h(b), so the join is local.
-func tcCompute(_ int, local *rel.Instance) *rel.Instance {
-	out := rel.NewInstance()
-	out.AddAll(local)
-	e := local.Relation("E")
-	if e == nil {
-		return out
-	}
-	e.Each(func(t rel.Tuple) bool {
-		out.Add(rel.NewFact("TC", t[0], t[1]))
-		return true
-	})
-	if tc := local.Relation("TC"); tc != nil {
-		rel.HashJoin("⋈", tc, e, []int{1}, []int{0}).Each(func(t rel.Tuple) bool {
-			out.Add(rel.NewFact("TC", t[0], t[3]))
-			return true
-		})
-	}
-	return out
-}
-
-// tcProgram unrolls naive transitive closure to its fixpoint depth on
-// the given graph: each round routes E by source and TC by target to
-// colocate one join step. The depth is a pure function of the graph
-// (tcSteps), so the static program is a pure function of (p, seed,
-// graph) and every process derives the identical round list.
-func tcProgram(p int, seed uint64, graph *rel.Instance) []mpc.Round {
-	steps := tcSteps(graph)
-	rounds := make([]mpc.Round, steps)
-	for i := range rounds {
-		rounds[i] = mpc.Round{
-			Name: fmt.Sprintf("tc-step-%d", i),
-			Route: mpc.ByRelation(map[string]mpc.Router{
-				"E":  mpc.HashOn(p, []int{0}, seed),
-				"TC": mpc.HashOn(p, []int{1}, seed),
-			}),
-			Compute: tcCompute,
-		}
-	}
-	return rounds
-}
-
-// tcSteps counts the rounds the unrolled program needs on a graph of E
-// edges: global applications of tcCompute until one adds nothing (that
-// final confirming step included, mirroring a fixpoint engine's last
-// pass). Build runs on the coordinator and on every worker, so the
-// count is taken semi-naively rather than by running tcCompute: step 1
-// adds Δ₁ = E, step s > 1 adds Δₛ = (Δₛ₋₁ ⋈ E) ∖ TC — everything else
-// tcCompute would derive at step s it derived before — and the answer
-// is the first s with Δₛ = ∅.
-func tcSteps(graph *rel.Instance) int {
-	type pair [2]rel.Value
-	succ := make(map[rel.Value][]rel.Value)
-	tc := make(map[pair]struct{})
-	var delta []pair
-	if e := graph.Relation("E"); e != nil {
-		e.Each(func(t rel.Tuple) bool {
-			succ[t[0]] = append(succ[t[0]], t[1])
-			tc[pair{t[0], t[1]}] = struct{}{}
-			delta = append(delta, pair{t[0], t[1]})
-			return true
-		})
-	}
-	steps := 1
-	for ; len(delta) > 0; steps++ {
-		var next []pair
-		for _, d := range delta {
-			for _, c := range succ[d[1]] {
-				if _, old := tc[pair{d[0], c}]; !old {
-					tc[pair{d[0], c}] = struct{}{}
-					next = append(next, pair{d[0], c})
-				}
-			}
-		}
-		delta = next
-	}
-	return steps
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mpclogic/internal/gym"
+	"mpclogic/internal/mpc"
 	"mpclogic/internal/rel"
 	"mpclogic/internal/workload"
 )
@@ -51,8 +52,8 @@ func TestSustainedUpdateSoak(t *testing.T) {
 	deadline := time.Now().Add(budget)
 	epochs, totalBatches, totalFacts := 0, 0, 0
 	for {
-		c, err := gym.DeltaTC(p, base, seed)
-		if err != nil {
+		c := mpc.NewCluster(p)
+		if err := c.RunDelta(gym.DeltaTCProgram(p, seed), base); err != nil {
 			t.Fatal(err)
 		}
 		cum := base.Clone()
@@ -69,8 +70,8 @@ func TestSustainedUpdateSoak(t *testing.T) {
 			facts += size
 			batches++
 		}
-		ref, err := gym.DeltaTC(p, cum, seed)
-		if err != nil {
+		ref := mpc.NewCluster(p)
+		if err := ref.RunDelta(gym.DeltaTCProgram(p, seed), cum); err != nil {
 			t.Fatal(err)
 		}
 		if c.Output().String() != ref.Output().String() {
