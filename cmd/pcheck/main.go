@@ -109,7 +109,7 @@ func loadPolicy(d *rel.Dict, path, extra string) (*policy.Finite, error) {
 		fact rel.Fact
 	}
 	var assigns []assignment
-	maxNode := policy.Node(0)
+	maxNode := 0
 	sc := bufio.NewScanner(f)
 	line := 0
 	for sc.Scan() {
@@ -126,14 +126,15 @@ func loadPolicy(d *rel.Dict, path, extra string) (*policy.Finite, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: bad node id: %v", path, line, err)
 		}
+		if n < 0 {
+			return nil, fmt.Errorf("%s:%d: node id must be ≥ 0", path, line)
+		}
 		fact, err := rel.ParseFact(d, strings.TrimSpace(parts[1]))
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: %v", path, line, err)
 		}
-		assigns = append(assigns, assignment{policy.Node(n), fact})
-		if policy.Node(n) > maxNode {
-			maxNode = policy.Node(n)
-		}
+		assigns = append(assigns, assignment{n, fact})
+		maxNode = max(maxNode, n)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -147,7 +148,7 @@ func loadPolicy(d *rel.Dict, path, extra string) (*policy.Finite, error) {
 			universe.Add(d.Value(name))
 		}
 	}
-	pol := policy.NewFinite(int(maxNode)+1, universe.Sorted())
+	pol := policy.NewFinite(maxNode+1, universe.Sorted())
 	for _, as := range assigns {
 		pol.Assign(as.node, as.fact)
 	}

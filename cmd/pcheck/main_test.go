@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 )
 
@@ -31,7 +32,7 @@ func TestLoadPolicy(t *testing.T) {
 		t.Errorf("nodes = %d", pol.NumNodes())
 	}
 	ab := rel.MustFact(d, "R(a,b)")
-	if pol.Responsible(0, ab) || !pol.Responsible(1, ab) {
+	if policy.Responsible(pol, 0, ab) || !policy.Responsible(pol, 1, ab) {
 		t.Errorf("R(a,b) placement wrong")
 	}
 	// Universe: a, b from the file plus c from -universe.
@@ -51,6 +52,7 @@ func TestLoadPolicyErrors(t *testing.T) {
 		"zero R(a)",   // bad node id
 		"0 R(a",       // bad fact
 		"justoneword", // shape
+		"-1 R(a,b)",   // negative node id
 	} {
 		if err := os.WriteFile(bad, []byte(content), 0o644); err != nil {
 			t.Fatal(err)

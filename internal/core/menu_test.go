@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -10,6 +11,8 @@ import (
 	"mpclogic/internal/mapreduce"
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/mpcnet"
+	"mpclogic/internal/pc"
+	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 )
 
@@ -121,5 +124,61 @@ func TestGenericJoinFailsLikeTheEvaluator(t *testing.T) {
 		if want := cq.Output(q, inst); !out[0].Equal(want) || !out[1].Equal(want) {
 			t.Errorf("%s: evaluator %v, generic join %v, central %v", src, out[0], out[1], want)
 		}
+	}
+}
+
+// sized is a router with the width its builder was given: what makes a
+// closure (the grouping round's) a policy pc can be asked about.
+type sized struct {
+	mpc.Router
+	p int
+}
+
+func (s sized) NumNodes() int { return s.p }
+
+// TestOneRoundRowsAreParallelCorrect: Section 3's one-round rows are
+// Section 4-correct. The reshuffle of a one-round algorithm is a
+// distribution policy, and the algorithm computes its query on every
+// instance iff the query is parallel-correct under it — so pc, asked
+// about the very Route a row's round carries, must say yes for every
+// random query the row fits; and must say no, with a valuation whose
+// facts meet nowhere, once a hash join is keyed on the wrong column.
+func TestOneRoundRowsAreParallelCorrect(t *testing.T) {
+	universe := []rel.Value{0, 1, 7}
+	r := rand.New(rand.NewSource(24))
+	fitted := map[core.Algorithm]int{}
+	for trial := 0; trial < 150; trial++ {
+		q := cq.Random(r, cq.SmallJoins)
+		for _, algo := range []core.Algorithm{core.AlgoHyperCube, core.AlgoRepartition, core.AlgoGrouping} {
+			p := []int{2, 4, 9}[trial%3] // grouping grids of side 1, 2 and 3
+			plan := &core.Plan{Algorithm: algo, Query: q, Servers: p, Seed: r.Uint64()}
+			rounds, width, err := plan.Program(nil)
+			if err != nil {
+				continue // the row does not fit q
+			}
+			fitted[algo]++
+			pol, ok := rounds[0].Route.(policy.Policy)
+			if !ok {
+				pol = sized{rounds[0].Route, width}
+			}
+			if ok, w, err := pc.ParallelCorrect(q, pol, universe); err != nil || !ok {
+				t.Fatalf("%s, p=%d: %v is not parallel-correct under its own reshuffle: %v %v", algo, p, q, w, err)
+			}
+		}
+	}
+	for _, algo := range []core.Algorithm{core.AlgoHyperCube, core.AlgoRepartition, core.AlgoGrouping} {
+		if fitted[algo] < 10 {
+			t.Errorf("%s fitted %d random queries; the law needs more", algo, fitted[algo])
+		}
+	}
+
+	q := cq.MustParse(rel.NewDict(), "H(x, y, z) :- R(x, y), S(y, z)")
+	misKeyed := mpc.ByRelation(map[string]mpc.Router{"R": mpc.HashOn(4, []int{0}, 1), "S": mpc.HashOn(4, []int{0}, 1)}).(policy.Policy)
+	ok, w, err := pc.ParallelCorrect(q, misKeyed, universe)
+	if err != nil || ok {
+		t.Fatalf("R hashed on x, not on the join column: ParallelCorrect = %v, %v", ok, err)
+	}
+	if policy.MeetsAtSomeNode(misKeyed, w.Facts) {
+		t.Errorf("the witness %v meets at a node", w)
 	}
 }

@@ -359,11 +359,11 @@ func TestEvaluateMatchesReferenceOnWorkloads(t *testing.T) {
 	checkAgainstReference(t, triangle, workload.TriangleSkewed(500, 0.2))
 }
 
-// randomEvalCQ widens randomCQ for the evaluator: sometimes a constant
-// in the head, sometimes a negated atom over bound variables and the
-// constant.
+// randomEvalCQ widens Random's SmallJoins for the evaluator, the one
+// consumer of either: sometimes a constant in the head, sometimes a
+// negated atom over bound variables and the constant.
 func randomEvalCQ(r *rand.Rand) *CQ {
-	q := randomCQ(r)
+	q := Random(r, SmallJoins)
 	var bound []Term
 	for _, v := range []string{"x", "y", "z"} {
 		if q.BodyVars()[v] {

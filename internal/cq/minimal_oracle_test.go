@@ -41,47 +41,6 @@ func isMinimalReference(q *CQ, v Valuation) (bool, error) {
 	return !found, nil
 }
 
-// randomCQ draws a small safe CQ≠ over {R/2, S/2, T/1}: arguments
-// with replacement from three variables and one constant (so repeated
-// variables and self-joins occur), a Boolean, projected or full head,
-// and sometimes an inequality.
-func randomCQ(r *rand.Rand) *CQ {
-	pool := []Term{V("x"), V("y"), V("z"), C(7)}
-	arity := map[string]int{"R": 2, "S": 2, "T": 1}
-	rels := []string{"R", "S", "T"}
-	q := &CQ{Head: NewAtom("H")}
-	for n := 1 + r.Intn(3); n > 0; n-- {
-		name := rels[r.Intn(len(rels))]
-		args := make([]Term, arity[name])
-		for k := range args {
-			args[k] = pool[r.Intn(len(pool))]
-		}
-		q.Body = append(q.Body, NewAtom(name, args...))
-	}
-	var vars []Term
-	for _, v := range pool[:3] {
-		if q.BodyVars()[v.Var] {
-			vars = append(vars, v)
-		}
-	}
-	if len(vars) == 0 {
-		return q
-	}
-	switch r.Intn(3) {
-	case 1:
-		q.Head.Args = []Term{vars[r.Intn(len(vars))]}
-	case 2:
-		q.Head.Args = vars
-	}
-	if r.Intn(3) == 0 {
-		a := vars[r.Intn(len(vars))]
-		if b := pool[r.Intn(len(pool))]; a != b && (!b.IsVar() || q.BodyVars()[b.Var]) {
-			q.Diseq = append(q.Diseq, [2]Term{a, b})
-		}
-	}
-	return q
-}
-
 // IsMinimal — now the one-disjunct case of (*UCQ).IsMinimal — against
 // its former body, on every inequality-satisfying valuation over
 // {7, 0, 1, 2} of the Figure 1 queries, the serving set A–F, and 240
@@ -106,7 +65,7 @@ func TestIsMinimalMatchesReference(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(23))
 	for n := 0; n < 240; n++ {
-		q := randomCQ(r)
+		q := Random(r, SmallJoins)
 		if err := q.Validate(); err != nil {
 			t.Fatalf("generator produced %v: %v", q, err)
 		}

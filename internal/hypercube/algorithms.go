@@ -6,6 +6,7 @@ import (
 
 	"mpclogic/internal/cq"
 	"mpclogic/internal/mpc"
+	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 )
 
@@ -142,6 +143,7 @@ func SkewAwareJoin(q *cq.CQ, p int, heavy rel.ValueSet, seed uint64) (mpc.Round,
 	g := groupSide(p)
 	lRel, rRel := b.left.Rel, b.right.Rel
 	lCols, rCols := b.lCols, b.rCols
+	light := &policy.Hash{Nodes: p, Seed: seed}
 	route := mpc.RouterFunc(func(f rel.Fact) []int {
 		var key rel.Tuple
 		switch f.Rel {
@@ -157,7 +159,7 @@ func SkewAwareJoin(q *cq.CQ, p int, heavy rel.ValueSet, seed uint64) (mpc.Round,
 				return groupCells(g, f.Rel == lRel, f.Tuple.Hash()^seed)
 			}
 		}
-		return []int{int((key.Hash() ^ seed) % uint64(p))}
+		return []int{light.Bucket(key)}
 	})
 	return mpc.Round{Name: "skew-aware-join", Route: route, Compute: evalCompute(q)}, nil
 }

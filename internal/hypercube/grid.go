@@ -11,7 +11,6 @@ import (
 	"slices"
 
 	"mpclogic/internal/cq"
-	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 )
 
@@ -276,31 +275,12 @@ func (g *Grid) First(f rel.Fact) (server int, ok bool) {
 	return server, ok
 }
 
-// Route implements mpc.Router.
+// Route implements mpc.Router and, with NumNodes, policy.Policy: the
+// grid is the distribution policy of its one-round algorithm.
 func (g *Grid) Route(f rel.Fact) []int { return g.Targets(f) }
 
 // NumNodes implements policy.Policy.
 func (g *Grid) NumNodes() int { return g.p }
-
-// NodesFor implements policy.Policy.
-func (g *Grid) NodesFor(f rel.Fact) []policy.Node {
-	ts := g.Targets(f)
-	out := make([]policy.Node, len(ts))
-	for i, t := range ts {
-		out[i] = policy.Node(t)
-	}
-	return out
-}
-
-// Responsible implements policy.Policy.
-func (g *Grid) Responsible(κ policy.Node, f rel.Fact) bool {
-	for _, t := range g.Targets(f) {
-		if policy.Node(t) == κ {
-			return true
-		}
-	}
-	return false
-}
 
 // ReplicationOf returns how many servers a fact of the given atom is
 // replicated to: the product of shares of the dimensions the atom does

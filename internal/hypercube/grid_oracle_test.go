@@ -124,41 +124,25 @@ func (g *Grid) enumerate(fixed []int, fn func(int)) {
 	rec(0)
 }
 
-// randomRoutingCQ draws a CQ over relations R, S, T (arities 2, 2, 3)
-// whose atoms mix variables from a small pool — so variables repeat
-// inside an atom and relations repeat across atoms (self-joins that
-// reach the multi-atom sort and dedup) — with constants from the same
-// small domain the facts come from.
-func randomRoutingCQ(r *rand.Rand) *cq.CQ {
-	rels := []struct {
-		name  string
-		arity int
-	}{{"R", 2}, {"S", 2}, {"T", 3}}
-	vars := []string{"u", "v", "w", "x", "y"}[:2+r.Intn(4)]
-	q := &cq.CQ{Head: cq.NewAtom("H")}
-	for n := 1 + r.Intn(4); n > 0; n-- {
-		rl := rels[r.Intn(len(rels))]
-		args := make([]cq.Term, rl.arity)
-		for i := range args {
-			if r.Intn(5) == 0 {
-				args[i] = cq.C(rel.Value(r.Intn(4)))
-			} else {
-				args[i] = cq.V(vars[r.Intn(len(vars))])
-			}
-		}
-		q.Body = append(q.Body, cq.NewAtom(rl.name, args...))
-	}
-	return q
+// routingShape draws CQs over relations R, S, T (arities 2, 2, 3) whose
+// atoms mix variables from a small pool — so variables repeat inside an
+// atom and relations repeat across atoms (self-joins that reach the
+// multi-atom sort and dedup) — with constants from the same small
+// domain the facts come from.
+var routingShape = cq.RandomShape{
+	Rels: []string{"R", "S", "T"}, Arity: []int{2, 2, 3},
+	Vars: []string{"u", "v", "w", "x", "y"}, Prefix: true,
+	MaxAtoms: 4, Consts: []rel.Value{0, 1, 2, 3}, ConstOneIn: 5,
 }
 
-// eachRoutingTrial draws 300 random CQs (randomRoutingCQ) under random
+// eachRoutingTrial draws 300 random CQs (routingShape) under random
 // shares that include share-1 dimensions and, for each, 60 facts over
 // the same small domain — matching facts, and facts of the wrong arity
 // or an unknown relation — calling fn with every (grid, fact) pair.
 func eachRoutingTrial(t *testing.T, fn func(g *Grid, f rel.Fact)) {
 	r := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 300; trial++ {
-		q := randomRoutingCQ(r)
+		q := cq.Random(r, routingShape)
 		shares := map[string]int{}
 		for _, v := range varsOfBody(q) {
 			shares[v] = 1 + r.Intn(4)

@@ -467,7 +467,7 @@ func TestPropGridTargetsWellFormed(t *testing.T) {
 				if i > 0 && ts[i-1] >= s {
 					t.Fatalf("targets not strictly sorted: %v", ts)
 				}
-				if !g.Responsible(policy.Node(s), f) {
+				if !policy.Responsible(g, policy.Node(s), f) {
 					t.Fatalf("Responsible disagrees with Targets")
 				}
 			}

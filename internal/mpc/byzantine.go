@@ -3,6 +3,7 @@ package mpc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mpclogic/internal/rel"
@@ -198,14 +199,16 @@ func WithRoutingVerification(sampleEvery int) Option {
 // legalShardDst reports whether the round's routing contract allows a
 // fact delivered by a shard covering sources [lo, hi) to land on dst.
 // It recomputes the same Keep/Route decision the communication phase
-// made — the Router is the placement policy, so receivers can re-ask
-// it. Keep facts are legal only at their own source, which for a
-// multi-source shard means any source in range. Round.Owner is not
-// consulted: it says which holder ships a fact, not where the fact may
-// land, so an owned delivery is a legal one (a holder shipping a copy it
-// does not own is the audit's to catch). A Router or Keep that
-// panics on f (forged facts need not even satisfy the relation's
-// arity) makes every destination illegal.
+// made — the Router is the placement policy (literally: policy.Policy's
+// Route is Router's, and this package's own routers are policy values),
+// so receivers can re-ask it; the answer is policy.Responsible's view,
+// of a router of no declared width. Keep facts are legal only at their
+// own source, which for a multi-source shard means any source in range.
+// Round.Owner is not consulted: it says which holder ships a fact, not
+// where the fact may land, so an owned delivery is a legal one (a holder
+// shipping a copy it does not own is the audit's to catch). A Router or
+// Keep that panics on f (forged facts need not even satisfy the
+// relation's arity) makes every destination illegal.
 func legalShardDst(r Round, p, lo, hi, dst int, f rel.Fact) (legal bool) {
 	defer func() {
 		if recover() != nil {
@@ -221,12 +224,7 @@ func legalShardDst(r Round, p, lo, hi, dst int, f rel.Fact) (legal bool) {
 	if r.Route == nil {
 		return false
 	}
-	for _, d := range r.Route.Route(f) {
-		if d == dst {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(r.Route.Route(f), dst)
 }
 
 // legalDst is legalShardDst for one-source shards (see

@@ -54,15 +54,21 @@ import (
 	"strings"
 	"sync"
 
+	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 )
 
 // Router decides the destination servers of a fact during a
-// communication phase. Destinations out of range are an error.
+// communication phase: the round's reshuffle, which is a distribution
+// policy (Section 4.1). Every policy.Policy is a Router as it stands,
+// and the routers of this package and hypercube's grids are policies —
+// routers that know their width, which package pc can be asked about.
+// Destinations out of range are an error.
 //
 // The communication phase fans out over source servers, so Route is
 // called concurrently from multiple goroutines and implementations
-// must be safe for concurrent use. Every router in this package (and
+// must be safe for concurrent use; its result is read-only (a router
+// may hand every fact the same list). Every router in this package (and
 // package hypercube) is stateless and therefore trivially safe.
 type Router interface {
 	Route(f rel.Fact) []int
@@ -345,24 +351,32 @@ func (c *Cluster) LogicalTrace() string {
 // server receives ~1/p of the data, mirroring the model's assumption
 // that the input starts out evenly spread with no particular scheme.
 // Initial placement is not counted as communication.
-func (c *Cluster) LoadRoundRobin(i *rel.Instance) {
-	k := 0
-	dst := make([]*rel.Relation, c.p)
+func (c *Cluster) LoadRoundRobin(i *rel.Instance) { DealRoundRobin(i, c.servers, 0) }
+
+// DealRoundRobin is the round-robin rule, stated once: fact k of i in
+// (relation, tuple) order is added to dst[(offset+k) mod len(dst)]; a
+// nil entry of dst is a share the caller does not want (a worker deals
+// itself one slice). Each server's copy of a relation is resolved on
+// the first tuple it gets, sized for its ⌈n/p⌉ share, so a server the
+// relation never reaches gets no empty relation either.
+func DealRoundRobin(i *rel.Instance, dst []*rel.Instance, offset int) {
+	p := len(dst)
+	k := offset
+	rels := make([]*rel.Relation, p)
 	for _, name := range i.RelationNames() {
 		r := i.Relation(name)
-		// The k-th fact in (relation, tuple) order goes to server k mod p.
-		// Each server's copy of the relation is resolved on the first
-		// tuple it gets, sized for its ⌈n/p⌉ share, so a server the
-		// relation never reaches gets no empty relation either.
-		clear(dst)
-		share := (r.Len() + c.p - 1) / c.p
+		clear(rels)
+		share := (r.Len() + p - 1) / p
 		for _, t := range r.Tuples() {
-			s := k % c.p
-			if dst[s] == nil {
-				dst[s] = c.servers[s].EnsureRelationSize(name, r.Arity, share)
-			}
-			dst[s].Add(t)
+			s := k % p
 			k++
+			if dst[s] == nil {
+				continue
+			}
+			if rels[s] == nil {
+				rels[s] = dst[s].EnsureRelationSize(name, r.Arity, share)
+			}
+			rels[s].Add(t)
 		}
 	}
 }
@@ -878,33 +892,38 @@ func (c *Cluster) Output() *rel.Instance {
 	return out
 }
 
-// Broadcast routes every fact to all p servers. p must be positive;
-// using a router built for a larger cluster than the one executing the
-// round surfaces as RunRound's deterministic out-of-range error.
+// Broadcast routes every fact to all p servers: the policy
+// policy.Replicate. p must be positive; using a router built for a
+// larger cluster than the one executing the round surfaces as
+// RunRound's deterministic out-of-range error.
 func Broadcast(p int) Router {
 	if p <= 0 {
 		panic(fmt.Sprintf("mpc: Broadcast needs at least one server (got p=%d)", p))
 	}
-	all := make([]int, p)
-	for i := range all {
-		all[i] = i
-	}
-	return RouterFunc(func(rel.Fact) []int { return all })
+	return &policy.Replicate{Nodes: p}
 }
 
-// ByRelation dispatches routing on the fact's relation name; facts of
-// unlisted relations are dropped (routed nowhere).
+// ByRelation dispatches routing on the fact's relation name: the policy
+// policy.PerRelation, as wide as its widest route. Facts of unlisted
+// relations are dropped (routed nowhere). Every route must be a policy
+// (what this package's constructors and hypercube's grids are); a bare
+// RouterFunc routes a whole round, not one relation in it.
 func ByRelation(routes map[string]Router) Router {
-	return RouterFunc(func(f rel.Fact) []int {
-		if r, ok := routes[f.Rel]; ok {
-			return r.Route(f)
+	pol := &policy.PerRelation{Policies: make(map[string]policy.Policy, len(routes))}
+	for name, r := range routes {
+		sub, ok := r.(policy.Policy)
+		if !ok {
+			panic(fmt.Sprintf("mpc: ByRelation route for %s is a %T, which has no NumNodes", name, r))
 		}
-		return nil
-	})
+		pol.Policies[name] = sub
+		pol.Nodes = max(pol.Nodes, sub.NumNodes())
+	}
+	return pol
 }
 
 // HashOn routes a fact to the single server determined by hashing the
-// given attribute positions (Example 3.1(1a)'s h(·)). Seed decouples
+// given attribute positions (Example 3.1(1a)'s h(·)): the policy
+// policy.Hash on those positions for every relation. Seed decouples
 // hash functions across rounds. p must be positive; a p larger than
 // the executing cluster's surfaces as RunRound's deterministic
 // out-of-range error.
@@ -912,8 +931,8 @@ func HashOn(p int, cols []int, seed uint64) Router {
 	if p <= 0 {
 		panic(fmt.Sprintf("mpc: HashOn needs at least one server (got p=%d)", p))
 	}
-	return RouterFunc(func(f rel.Fact) []int {
-		t := f.Tuple.Project(cols)
-		return []int{int((t.Hash() ^ seed) % uint64(p))}
-	})
+	if cols == nil {
+		cols = []int{} // no positions: one bucket, not Hash's whole-tuple default
+	}
+	return &policy.Hash{Nodes: p, Cols: cols, Seed: seed}
 }

@@ -59,6 +59,15 @@ func TestHashOnInvalidP(t *testing.T) {
 	wantPanic(t, "HashOn needs at least one server", func() { HashOn(-1, []int{0}, 0) })
 }
 
+// A relation's route inside ByRelation must know its width — be a
+// policy, as every constructor here returns; a bare closure routes a
+// whole round, not one relation of it.
+func TestByRelationRefusesWidthlessRoute(t *testing.T) {
+	wantPanic(t, "ByRelation route for R is a mpc.RouterFunc", func() {
+		ByRelation(map[string]Router{"R": RouterFunc(func(rel.Fact) []int { return nil })})
+	})
+}
+
 // A router built for a LARGER cluster than the one executing the
 // round must surface as RunRound's deterministic out-of-range routing
 // error, not write past the server slice.

@@ -1,0 +1,89 @@
+package mpcd
+
+import (
+	"math/rand"
+	"testing"
+
+	"mpclogic/internal/cq"
+	"mpclogic/internal/mpc"
+	"mpclogic/internal/pc"
+	"mpclogic/internal/policy"
+	"mpclogic/internal/rel"
+)
+
+var _ policy.Policy = (*placement)(nil)
+
+// TestServingPlacementIsSound states, about the placement the daemon
+// runs, what reuse relies on. Along TestTransferLawAtServingSeam's
+// script, after every repartition: the fragments are the placement's
+// image (pc.VerifyPlacement finds nothing, and server κ holds exactly
+// loc-inst(κ)); the anchor is parallel-correct under its placement,
+// parking included (pc.ParallelCorrect over a small universe that holds
+// the anchor's constants), so its answer on the fragments is [Q,P](I);
+// and one engine round routed by the placement — Section 4's [Q,P](I)
+// run as an MPC round — hands out those same fragments and outputs
+// pc.DistributedEval.
+func TestServingPlacementIsSound(t *testing.T) {
+	s := New(Config{})
+	resp, aerr := s.createSession(&lawCreate)
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	sess := s.sessions[resp.Session]
+	input := sess.cluster.Output()
+	r := rand.New(rand.NewSource(41))
+	anchors := map[string]bool{}
+	for n := 0; n < 72; n++ {
+		got, aerr := sess.run(&queryRequest{Session: sess.ID, Query: lawQueries[r.Intn(len(lawQueries))]})
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		if got.Path != PathRepartitioned {
+			continue
+		}
+		q := sess.anchor.cq
+		grid, aerr := sess.anchor.plan.gridFor(q, sess.p, sess.seed)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		pl := sess.gridRouter(grid)
+		fragments := make([]*rel.Instance, sess.p)
+		for κ := range fragments {
+			fragments[κ] = sess.cluster.Server(κ)
+		}
+		if vs := pc.VerifyPlacement(pl, fragments); len(vs) > 0 {
+			t.Fatalf("step %d, anchor %s: %v", n, sess.anchor.text, vs[0])
+		}
+		if anchors[sess.anchor.text] {
+			continue
+		}
+		anchors[sess.anchor.text] = true
+
+		universe := make(rel.ValueSet)
+		universe.AddAll(q.Constants())
+		for v := rel.Value(1); len(universe) < 3; v++ {
+			universe.Add(v)
+		}
+		if ok, w, err := pc.ParallelCorrect(q, pl, universe.Sorted()); err != nil || !ok {
+			t.Fatalf("anchor %s is not parallel-correct under its placement: %v %v", sess.anchor.text, w, err)
+		}
+		round := mpc.Round{Name: "[Q,P]", Route: pl, Compute: func(κ int, local *rel.Instance) *rel.Instance {
+			if want := policy.LocalInstance(pl, input, κ); !local.Equal(want) || !fragments[κ].Equal(want) {
+				t.Errorf("anchor %s: server %d is routed %d facts and serves from %d, loc-inst has %d",
+					sess.anchor.text, κ, local.Len(), fragments[κ].Len(), want.Len())
+			}
+			return cq.Output(q, local)
+		}}
+		c, err := mpc.Simulate([]mpc.Round{round}, pl.NumNodes(), input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := pc.DistributedEval(q, pl, input); !c.Output().Equal(want) || !want.Equal(cq.Output(q, input)) {
+			t.Fatalf("anchor %s: the round outputs %d facts, [Q,P](I) has %d, Q(I) %d",
+				sess.anchor.text, c.Output().Len(), want.Len(), cq.Output(q, input).Len())
+		}
+	}
+	if len(anchors) < 5 {
+		t.Fatalf("the script met %d anchors", len(anchors))
+	}
+}

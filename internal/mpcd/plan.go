@@ -179,6 +179,10 @@ func newPlacement(grid *hypercube.Grid, p int, seed uint64) *placement {
 	return pl
 }
 
+// NumNodes makes the placement a policy.Policy: the thing reuse is sound
+// because of is a thing package pc can be asked about.
+func (pl *placement) NumNodes() int { return int(pl.p) }
+
 // Route implements mpc.Router.
 func (pl *placement) Route(f rel.Fact) []int {
 	if ts := pl.grid.Targets(f); len(ts) > 0 {

@@ -153,19 +153,13 @@ func Build(spec ProgramSpec) (*Built, error) {
 	return &Built{Rounds: rounds, Input: input, P: p}, nil
 }
 
-// WorkerSlice is worker i's share of the initial placement: fact k of
-// the input's enumeration goes to server k%p — exactly the simulator's
-// LoadRoundRobin, so the distributed initial state matches the
-// in-process reference fact for fact.
+// WorkerSlice is worker i's share of the initial placement: the one
+// slice of the simulator's LoadRoundRobin deal it keeps, so the
+// distributed initial state matches the in-process reference fact for
+// fact.
 func WorkerSlice(input *rel.Instance, p, i int) *rel.Instance {
-	out := rel.NewInstance()
-	k := 0
-	input.Each(func(f rel.Fact) bool {
-		if k%p == i {
-			out.Add(f)
-		}
-		k++
-		return true
-	})
-	return out
+	dst := make([]*rel.Instance, p)
+	dst[i] = rel.NewInstance()
+	mpc.DealRoundRobin(input, dst, 0)
+	return dst[i]
 }

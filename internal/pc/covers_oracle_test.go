@@ -118,53 +118,12 @@ func TestCoversMatchesReferenceOnServingSet(t *testing.T) {
 	}
 }
 
-// randomCQ draws a small safe CQ≠ over {R/2, S/2, T/1}. Arguments are
-// drawn with replacement from three variables and one constant, so
-// repeated variables inside an atom and self-joins come for free; the
-// head is Boolean, one projected variable, or full.
-func randomCQ(r *rand.Rand) *cq.CQ {
-	pool := []cq.Term{cq.V("x"), cq.V("y"), cq.V("z"), cq.C(7)}
-	arity := map[string]int{"R": 2, "S": 2, "T": 1}
-	rels := []string{"R", "S", "T"}
-	q := &cq.CQ{Head: cq.NewAtom("H")}
-	for n := 1 + r.Intn(3); n > 0; n-- {
-		name := rels[r.Intn(len(rels))]
-		args := make([]cq.Term, arity[name])
-		for k := range args {
-			args[k] = pool[r.Intn(len(pool))]
-		}
-		q.Body = append(q.Body, cq.NewAtom(name, args...))
-	}
-	var vars []cq.Term
-	for _, v := range pool[:3] {
-		if q.BodyVars()[v.Var] {
-			vars = append(vars, v)
-		}
-	}
-	if len(vars) == 0 {
-		return q
-	}
-	switch r.Intn(3) {
-	case 1:
-		q.Head.Args = []cq.Term{vars[r.Intn(len(vars))]}
-	case 2:
-		q.Head.Args = vars
-	}
-	if r.Intn(3) == 0 {
-		a := vars[r.Intn(len(vars))]
-		if b := pool[r.Intn(len(pool))]; a != b && (!b.IsVar() || q.BodyVars()[b.Var]) {
-			q.Diseq = append(q.Diseq, [2]cq.Term{a, b})
-		}
-	}
-	return q
-}
-
 func TestCoversMatchesReferenceOnRandomPairs(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	var constants, repeated, selfJoin, diseq, boolean, projected, full, covered int
 	const pairs = 240
 	for n := 0; n < pairs; n++ {
-		q, qp := randomCQ(r), randomCQ(r)
+		q, qp := cq.Random(r, cq.SmallJoins), cq.Random(r, cq.SmallJoins)
 		for _, c := range []*cq.CQ{q, qp} {
 			if err := c.Validate(); err != nil {
 				t.Fatalf("generator produced %v: %v", c, err)

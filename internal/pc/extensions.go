@@ -74,12 +74,12 @@ func GeneralizedEval(queries []*cq.CQ, agg Aggregator, p policy.Policy, i *rel.I
 		return nil, fmt.Errorf("pc: want 1 or %d queries, got %d", n, len(queries))
 	}
 	results := make([]*rel.Instance, n)
-	for κ := 0; κ < n; κ++ {
+	for κ, local := range policy.Distribute(p, i) {
 		q := queries[0]
 		if len(queries) == n {
 			q = queries[κ]
 		}
-		results[κ] = cq.Output(q, policy.LocalInstance(p, i, policy.Node(κ)))
+		results[κ] = cq.Output(q, local)
 	}
 	return agg(results), nil
 }

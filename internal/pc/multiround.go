@@ -55,15 +55,15 @@ func MultiRoundCorrectBounded(ref *cq.CQ, algo MultiRoundAlgorithm, p int, unive
 	})
 }
 
-// loadRotated is Cluster.LoadRoundRobin — the k-th fact in (relation,
-// tuple) order goes to server k mod p — with a starting offset,
-// exercising different initial placements.
+// loadRotated is Cluster.LoadRoundRobin with the deal starting at
+// server rot, exercising different initial placements.
 func loadRotated(c *mpc.Cluster, i *rel.Instance, rot int) {
-	k := rot
-	p := c.P()
-	i.Each(func(f rel.Fact) bool {
-		c.LoadAt(k%p, rel.FromFacts(f))
-		k++
-		return true
-	})
+	parts := make([]*rel.Instance, c.P())
+	for s := range parts {
+		parts[s] = rel.NewInstance()
+	}
+	mpc.DealRoundRobin(i, parts, rot)
+	for s, part := range parts {
+		c.LoadAt(s, part)
+	}
 }

@@ -51,8 +51,8 @@ func DistributedEvalUCQ(u *cq.UCQ, p policy.Policy, i *rel.Instance) *rel.Instan
 	out := rel.NewInstance()
 	h := u.Disjuncts[0].Head
 	out.EnsureRelation(h.Rel, len(h.Args))
-	for κ := policy.Node(0); int(κ) < p.NumNodes(); κ++ {
-		out.AddAll(cq.OutputUCQ(u, policy.LocalInstance(p, i, κ)))
+	for _, local := range policy.Distribute(p, i) {
+		out.AddAll(cq.OutputUCQ(u, local))
 	}
 	return out
 }

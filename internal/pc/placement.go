@@ -45,7 +45,7 @@ func VerifyPlacement(pol policy.Policy, parts []*rel.Instance) []*PlacementViola
 		}
 		var worst *rel.Fact
 		parts[κ].Each(func(f rel.Fact) bool {
-			if pol.Responsible(policy.Node(κ), f) {
+			if policy.Responsible(pol, κ, f) {
 				return true
 			}
 			if worst == nil || f.Less(*worst) {
@@ -55,7 +55,7 @@ func VerifyPlacement(pol policy.Policy, parts []*rel.Instance) []*PlacementViola
 			return true
 		})
 		if worst != nil {
-			out = append(out, &PlacementViolation{Node: policy.Node(κ), Fact: *worst})
+			out = append(out, &PlacementViolation{Node: κ, Fact: *worst})
 		}
 	}
 	return out

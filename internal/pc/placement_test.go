@@ -26,7 +26,7 @@ func TestVerifyPlacement(t *testing.T) {
 	var stolen rel.Fact
 	parts[0].Each(func(f rel.Fact) bool { stolen = f.Clone(); return false })
 	wrong := policy.Node(1)
-	if pol.Responsible(wrong, stolen) {
+	if policy.Responsible(pol, wrong, stolen) {
 		wrong = 2
 	}
 	parts[wrong].Add(stolen)
@@ -37,7 +37,7 @@ func TestVerifyPlacement(t *testing.T) {
 	pick := func(name string) rel.Fact {
 		for i := 0; i < 64; i++ {
 			f := rel.NewFact(name, rel.Value(90+i), rel.Value(90+i))
-			if !pol.Responsible(planted, f) {
+			if !policy.Responsible(pol, planted, f) {
 				return f
 			}
 		}

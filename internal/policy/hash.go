@@ -1,18 +1,23 @@
 package policy
 
 import (
+	"slices"
 	"sort"
 
 	"mpclogic/internal/rel"
 )
 
 // Hash routes each fact to a single node by hashing selected attribute
-// positions per relation — the repartition strategy of Example 3.1(1a).
-// Relations without a configured key are hashed on the whole tuple.
+// positions — the repartition strategy of Example 3.1(1a), h(·). It is
+// the module's one hash partition: mpc.HashOn builds it, and the light
+// path of hypercube.SkewAwareJoin asks it through Bucket.
 type Hash struct {
 	Nodes int
 	// Keys maps a relation name to the attribute positions to hash on.
 	Keys map[string][]int
+	// Cols is the positions for relations Keys does not list; nil
+	// hashes their whole tuple.
+	Cols []int
 	// Seed perturbs the hash so independent rounds use independent
 	// hash functions (h and h′ of Example 3.1(2)).
 	Seed uint64
@@ -21,23 +26,22 @@ type Hash struct {
 // NumNodes implements Policy.
 func (p *Hash) NumNodes() int { return p.Nodes }
 
-// target computes the single node for f.
-func (p *Hash) target(f rel.Fact) Node {
-	cols, ok := p.Keys[f.Rel]
-	var t rel.Tuple
-	if ok {
-		t = f.Tuple.Project(cols)
-	} else {
-		t = f.Tuple
-	}
-	return Node((t.Hash() ^ p.Seed) % uint64(p.Nodes))
+// Bucket returns the node a key — a tuple already projected to the
+// hashed positions — falls to.
+func (p *Hash) Bucket(key rel.Tuple) Node {
+	return Node((key.Hash() ^ p.Seed) % uint64(p.Nodes))
 }
 
-// NodesFor implements Policy.
-func (p *Hash) NodesFor(f rel.Fact) []Node { return []Node{p.target(f)} }
-
-// Responsible implements Policy.
-func (p *Hash) Responsible(κ Node, f rel.Fact) bool { return p.target(f) == κ }
+// Route implements Policy.
+func (p *Hash) Route(f rel.Fact) []Node {
+	key := f.Tuple
+	if cols, ok := p.Keys[f.Rel]; ok {
+		key = key.Project(cols)
+	} else if p.Cols != nil {
+		key = key.Project(p.Cols)
+	}
+	return []Node{p.Bucket(key)}
+}
 
 // Range implements a primary horizontal fragmentation: tuples of one
 // relation are routed by comparing an attribute against thresholds
@@ -57,33 +61,13 @@ type Range struct {
 // NumNodes implements Policy.
 func (p *Range) NumNodes() int { return p.Nodes }
 
-func (p *Range) target(f rel.Fact) (Node, bool) {
+// Route implements Policy.
+func (p *Range) Route(f rel.Fact) []Node {
 	if f.Rel != p.Rel || p.Col >= len(f.Tuple) {
-		return 0, false
+		return AllNodes(p.Nodes)
 	}
 	v := f.Tuple[p.Col]
-	i := sort.Search(len(p.Cuts), func(i int) bool { return v < p.Cuts[i] })
-	return Node(i), true
-}
-
-// NodesFor implements Policy.
-func (p *Range) NodesFor(f rel.Fact) []Node {
-	if κ, ok := p.target(f); ok {
-		return []Node{κ}
-	}
-	out := make([]Node, p.Nodes)
-	for i := range out {
-		out[i] = Node(i)
-	}
-	return out
-}
-
-// Responsible implements Policy.
-func (p *Range) Responsible(κ Node, f rel.Fact) bool {
-	if t, ok := p.target(f); ok {
-		return t == κ
-	}
-	return int(κ) >= 0 && int(κ) < p.Nodes
+	return []Node{sort.Search(len(p.Cuts), func(i int) bool { return v < p.Cuts[i] })}
 }
 
 // DomainGuided is the policy P_α induced by a domain assignment
@@ -122,52 +106,28 @@ func (p *DomainGuided) ValueNodes(v rel.Value) []Node {
 	for i := 0; i < w; i++ {
 		out[i] = Node((start + uint64(i)) % uint64(p.Nodes))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// NodesFor implements Policy.
-func (p *DomainGuided) NodesFor(f rel.Fact) []Node {
+// Route implements Policy.
+func (p *DomainGuided) Route(f rel.Fact) []Node {
 	if len(f.Tuple) == 0 {
-		out := make([]Node, p.Nodes)
-		for i := range out {
-			out[i] = Node(i)
-		}
-		return out
+		return AllNodes(p.Nodes)
 	}
-	set := map[Node]bool{}
+	var out []Node
 	for _, v := range f.Tuple {
-		for _, κ := range p.ValueNodes(v) {
-			set[κ] = true
-		}
+		out = append(out, p.ValueNodes(v)...)
 	}
-	out := make([]Node, 0, len(set))
-	for κ := range set {
-		out = append(out, κ)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Responsible implements Policy.
-func (p *DomainGuided) Responsible(κ Node, f rel.Fact) bool {
-	if len(f.Tuple) == 0 {
-		return int(κ) >= 0 && int(κ) < p.Nodes
-	}
-	for _, v := range f.Tuple {
-		for _, n := range p.ValueNodes(v) {
-			if n == κ {
-				return true
-			}
-		}
-	}
-	return false
+	return ascendingUnion(out)
 }
 
 // PerRelation dispatches to a different sub-policy per relation name —
 // the common production pattern of partitioning fact tables while
-// replicating dimension tables. Facts of unlisted relations use
-// Default (or go nowhere if Default is nil).
+// replicating dimension tables, and the router of every MPC round that
+// reshuffles each relation its own way (mpc.ByRelation builds one).
+// Facts of unlisted relations use Default (or go nowhere if Default is
+// nil).
 type PerRelation struct {
 	Nodes    int
 	Policies map[string]Policy
@@ -177,27 +137,16 @@ type PerRelation struct {
 // NumNodes implements Policy.
 func (p *PerRelation) NumNodes() int { return p.Nodes }
 
-func (p *PerRelation) sub(f rel.Fact) Policy {
-	if s, ok := p.Policies[f.Rel]; ok {
-		return s
+// Route implements Policy.
+func (p *PerRelation) Route(f rel.Fact) []Node {
+	s, ok := p.Policies[f.Rel]
+	if !ok {
+		s = p.Default
 	}
-	return p.Default
-}
-
-// NodesFor implements Policy.
-func (p *PerRelation) NodesFor(f rel.Fact) []Node {
-	if s := p.sub(f); s != nil {
-		return s.NodesFor(f)
+	if s == nil {
+		return nil
 	}
-	return nil
-}
-
-// Responsible implements Policy.
-func (p *PerRelation) Responsible(κ Node, f rel.Fact) bool {
-	if s := p.sub(f); s != nil {
-		return s.Responsible(κ, f)
-	}
-	return false
+	return s.Route(f)
 }
 
 // Union composes policies by union of responsibility: a node is
@@ -209,37 +158,25 @@ type Union struct {
 
 // NumNodes implements Policy.
 func (p *Union) NumNodes() int {
-	max := 0
+	widest := 0
 	for _, m := range p.Members {
-		if m.NumNodes() > max {
-			max = m.NumNodes()
-		}
+		widest = max(widest, m.NumNodes())
 	}
-	return max
+	return widest
 }
 
-// NodesFor implements Policy.
-func (p *Union) NodesFor(f rel.Fact) []Node {
-	set := map[Node]bool{}
+// Route implements Policy.
+func (p *Union) Route(f rel.Fact) []Node {
+	var out []Node
 	for _, m := range p.Members {
-		for _, κ := range m.NodesFor(f) {
-			set[κ] = true
-		}
+		out = append(out, m.Route(f)...)
 	}
-	out := make([]Node, 0, len(set))
-	for κ := range set {
-		out = append(out, κ)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return ascendingUnion(out)
 }
 
-// Responsible implements Policy.
-func (p *Union) Responsible(κ Node, f rel.Fact) bool {
-	for _, m := range p.Members {
-		if m.Responsible(κ, f) {
-			return true
-		}
-	}
-	return false
+// ascendingUnion sorts the concatenation of several Route lists and
+// drops the repeats.
+func ascendingUnion(ns []Node) []Node {
+	slices.Sort(ns)
+	return slices.Compact(ns)
 }

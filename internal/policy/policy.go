@@ -2,7 +2,10 @@
 // Neven, PODS 2016): a policy P = (U, rfacts_P) over a network N maps
 // every fact over the universe U to the set of nodes responsible for
 // it. The paper's footnote 2 notes the two equivalent views — facts to
-// nodes and nodes to fact sets; this package exposes both.
+// nodes and nodes to fact sets. Route, facts to nodes, is the primitive
+// every policy implements — and exactly mpc.Router's method, so a
+// policy is the reshuffle of an MPC round as it stands — while
+// Responsible, LocalInstance and Distribute derive the other view.
 //
 // Implementations cover the classes the paper discusses: explicitly
 // enumerated finite policies (P_fin), hash-based repartitioning,
@@ -14,23 +17,32 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mpclogic/internal/rel"
 )
 
 // Node identifies a computing node; nodes of a p-node network are
-// 0 … p−1.
-type Node int
+// 0 … p−1 — the server indices of package mpc, hence an alias.
+type Node = int
 
-// Policy is a distribution policy. NodesFor must be deterministic.
+// Policy is a distribution policy. Route must be deterministic and safe
+// for concurrent use (an MPC communication phase calls it from several
+// goroutines).
 type Policy interface {
 	// NumNodes returns the size of the network.
 	NumNodes() int
-	// NodesFor returns the nodes responsible for f, in ascending order.
-	NodesFor(f rel.Fact) []Node
-	// Responsible reports whether node κ is responsible for f.
-	Responsible(κ Node, f rel.Fact) bool
+	// Route returns the nodes responsible for f, in ascending order.
+	// The result is read-only: policies that answer "every node" share
+	// one list (see AllNodes).
+	Route(f rel.Fact) []Node
+}
+
+// Responsible reports whether node κ is responsible for f under p —
+// footnote 2's other view, κ ∈ Route(f).
+func Responsible(p Policy, κ Node, f rel.Fact) bool {
+	return slices.Contains(p.Route(f), κ)
 }
 
 // Universed is implemented by policies that carry an explicit finite
@@ -42,7 +54,7 @@ type Universed interface {
 // LocalInstance returns loc-inst_{P,I}(κ): the facts of I for which κ
 // is responsible.
 func LocalInstance(p Policy, i *rel.Instance, κ Node) *rel.Instance {
-	return i.Filter(func(f rel.Fact) bool { return p.Responsible(κ, f) })
+	return i.Filter(func(f rel.Fact) bool { return Responsible(p, κ, f) })
 }
 
 // Distribute materializes the local instance of every node.
@@ -52,7 +64,7 @@ func Distribute(p Policy, i *rel.Instance) []*rel.Instance {
 		out[k] = rel.NewInstance()
 	}
 	i.Each(func(f rel.Fact) bool {
-		for _, κ := range p.NodesFor(f) {
+		for _, κ := range p.Route(f) {
 			out[κ].Add(f)
 		}
 		return true
@@ -62,37 +74,52 @@ func Distribute(p Policy, i *rel.Instance) []*rel.Instance {
 
 // MeetsAtSomeNode reports whether some node is responsible for every
 // fact in facts — the "required facts meet" condition at the heart of
-// (PC0) and (PC1).
+// (PC0) and (PC1): the ascending Route lists are intersected, in a copy
+// of the first.
 func MeetsAtSomeNode(p Policy, facts []rel.Fact) bool {
 	if len(facts) == 0 {
 		return p.NumNodes() > 0
 	}
-	// Intersect candidate node sets, starting from the first fact.
-	candidates := p.NodesFor(facts[0])
+	meet := p.Route(facts[0])
+	if len(facts) > 1 {
+		meet = slices.Clone(meet) // a Route result is read-only
+	}
 	for _, f := range facts[1:] {
-		if len(candidates) == 0 {
+		if len(meet) == 0 {
 			return false
 		}
-		next := candidates[:0:0]
-		for _, κ := range candidates {
-			if p.Responsible(κ, f) {
-				next = append(next, κ)
-			}
-		}
-		candidates = next
+		ns := p.Route(f)
+		meet = slices.DeleteFunc(meet, func(κ Node) bool {
+			_, in := slices.BinarySearch(ns, κ)
+			return !in
+		})
 	}
-	return len(candidates) > 0
+	return len(meet) > 0
 }
 
-// nodesFromResponsible derives NodesFor from a Responsible predicate.
-func nodesFromResponsible(numNodes int, f rel.Fact, resp func(Node, rel.Fact) bool) []Node {
-	var out []Node
-	for κ := Node(0); int(κ) < numNodes; κ++ {
-		if resp(κ, f) {
-			out = append(out, κ)
-		}
+// nodes is 0 … 1023, built once: what AllNodes hands out prefixes of.
+var nodes = ascending(1024)
+
+// ascending builds the list 0 … n−1.
+func ascending(n int) []Node {
+	out := make([]Node, n)
+	for i := range out {
+		out[i] = i
 	}
 	return out
+}
+
+// AllNodes returns 0 … n−1 — the answer of every policy that replicates
+// a fact everywhere, the All relation of a policy-aware transducer — as
+// a prefix of the shared list, capped at its length so an append cannot
+// reach the rest (a wider network gets a list of its own), and read-only
+// like any Route result.
+func AllNodes(n int) []Node {
+	if n > len(nodes) {
+		return ascending(n)
+	}
+	n = max(n, 0)
+	return nodes[:n:n]
 }
 
 // Finite is an explicitly enumerated policy — the class P_fin of
@@ -133,22 +160,15 @@ func (p *Finite) Assign(κ Node, f rel.Fact) *Finite {
 // NumNodes implements Policy.
 func (p *Finite) NumNodes() int { return p.nodes }
 
-// NodesFor implements Policy.
-func (p *Finite) NodesFor(f rel.Fact) []Node { return p.resp[f.Key()] }
-
-// Responsible implements Policy.
-func (p *Finite) Responsible(κ Node, f rel.Fact) bool {
-	ns := p.resp[f.Key()]
-	pos := sort.Search(len(ns), func(i int) bool { return ns[i] >= κ })
-	return pos < len(ns) && ns[pos] == κ
-}
+// Route implements Policy.
+func (p *Finite) Route(f rel.Fact) []Node { return p.resp[f.Key()] }
 
 // Universe implements Universed.
 func (p *Finite) Universe() []rel.Value { return p.universe }
 
 // Func adapts an arbitrary responsibility predicate into a Policy —
 // the fully general "any mapping from facts to subsets of servers" of
-// Section 4.1.
+// Section 4.1. It is the one policy defined by the nodes-to-facts view.
 type Func struct {
 	Nodes int
 	Resp  func(Node, rel.Fact) bool
@@ -158,13 +178,16 @@ type Func struct {
 // NumNodes implements Policy.
 func (p *Func) NumNodes() int { return p.Nodes }
 
-// NodesFor implements Policy.
-func (p *Func) NodesFor(f rel.Fact) []Node {
-	return nodesFromResponsible(p.Nodes, f, p.Resp)
+// Route implements Policy: the nodes Resp accepts, asked in order.
+func (p *Func) Route(f rel.Fact) []Node {
+	var out []Node
+	for κ := 0; κ < p.Nodes; κ++ {
+		if p.Resp(κ, f) {
+			out = append(out, κ)
+		}
+	}
+	return out
 }
-
-// Responsible implements Policy.
-func (p *Func) Responsible(κ Node, f rel.Fact) bool { return p.Resp(κ, f) }
 
 // Universe implements Universed.
 func (p *Func) Universe() []rel.Value { return p.Univ }
@@ -178,16 +201,5 @@ type Replicate struct {
 // NumNodes implements Policy.
 func (p *Replicate) NumNodes() int { return p.Nodes }
 
-// NodesFor implements Policy.
-func (p *Replicate) NodesFor(rel.Fact) []Node {
-	out := make([]Node, p.Nodes)
-	for i := range out {
-		out[i] = Node(i)
-	}
-	return out
-}
-
-// Responsible implements Policy.
-func (p *Replicate) Responsible(κ Node, _ rel.Fact) bool {
-	return int(κ) >= 0 && int(κ) < p.Nodes
-}
+// Route implements Policy.
+func (p *Replicate) Route(rel.Fact) []Node { return AllNodes(p.Nodes) }

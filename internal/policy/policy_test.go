@@ -14,13 +14,13 @@ func TestFinitePolicy(t *testing.T) {
 	p := NewFinite(3, d.Values("a", "b"))
 	p.Assign(2, f1).Assign(0, f1).Assign(1, f2).Assign(0, f1) // dup no-op
 
-	if got := p.NodesFor(f1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("NodesFor(f1) = %v", got)
+	if got := p.Route(f1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("Route(f1) = %v", got)
 	}
-	if !p.Responsible(0, f1) || p.Responsible(1, f1) || !p.Responsible(1, f2) {
+	if !Responsible(p, 0, f1) || Responsible(p, 1, f1) || !Responsible(p, 1, f2) {
 		t.Errorf("Responsible wrong")
 	}
-	if len(p.NodesFor(rel.MustFact(d, "T(a)"))) != 0 {
+	if len(p.Route(rel.MustFact(d, "T(a)"))) != 0 {
 		t.Errorf("unassigned fact has nodes")
 	}
 	if got := p.Universe(); len(got) != 2 {
@@ -85,15 +85,15 @@ func TestReplicate(t *testing.T) {
 	d := rel.NewDict()
 	p := &Replicate{Nodes: 4}
 	f := rel.MustFact(d, "R(a)")
-	if got := p.NodesFor(f); len(got) != 4 {
-		t.Errorf("NodesFor = %v", got)
+	if got := p.Route(f); len(got) != 4 {
+		t.Errorf("Route = %v", got)
 	}
 	for κ := Node(0); κ < 4; κ++ {
-		if !p.Responsible(κ, f) {
+		if !Responsible(p, κ, f) {
 			t.Errorf("node %d not responsible", κ)
 		}
 	}
-	if p.Responsible(4, f) || p.Responsible(-1, f) {
+	if Responsible(p, 4, f) || Responsible(p, -1, f) {
 		t.Errorf("out-of-range node responsible")
 	}
 }
@@ -103,32 +103,32 @@ func TestHashPolicySingleTargetConsistent(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		f := rel.NewFact("R", rel.Value(r.Intn(100)), rel.Value(r.Intn(100)))
-		ns := p.NodesFor(f)
+		ns := p.Route(f)
 		if len(ns) != 1 {
 			t.Fatalf("hash policy fanout %d", len(ns))
 		}
-		if !p.Responsible(ns[0], f) {
-			t.Fatalf("Responsible disagrees with NodesFor")
+		if !Responsible(p, ns[0], f) {
+			t.Fatalf("Responsible disagrees with Route")
 		}
 	}
 	// Join-key collocation: R(·, v) and S(v, ·) land together.
 	for v := rel.Value(0); v < 50; v++ {
 		rf := rel.NewFact("R", 999, v)
 		sf := rel.NewFact("S", v, 888)
-		if p.NodesFor(rf)[0] != p.NodesFor(sf)[0] {
+		if p.Route(rf)[0] != p.Route(sf)[0] {
 			t.Fatalf("join keys not collocated for v=%d", v)
 		}
 	}
 	// Unkeyed relation hashes whole tuple, deterministically.
 	f := rel.NewFact("T", 1, 2)
-	if p.NodesFor(f)[0] != p.NodesFor(f)[0] {
+	if p.Route(f)[0] != p.Route(f)[0] {
 		t.Errorf("nondeterministic hash")
 	}
 	// Different seeds give (usually) different placements.
 	p2 := &Hash{Nodes: 5, Keys: p.Keys, Seed: 0xdeadbeef}
 	diff := 0
 	for v := rel.Value(0); v < 100; v++ {
-		if p.NodesFor(rel.NewFact("R", 0, v))[0] != p2.NodesFor(rel.NewFact("R", 0, v))[0] {
+		if p.Route(rel.NewFact("R", 0, v))[0] != p2.Route(rel.NewFact("R", 0, v))[0] {
 			diff++
 		}
 	}
@@ -145,14 +145,14 @@ func TestRangePolicy(t *testing.T) {
 	}{{0, 0}, {99, 0}, {100, 1}, {199, 1}, {200, 2}, {5000, 2}}
 	for _, c := range cases {
 		f := rel.NewFact("Customer", 7, c.v)
-		ns := p.NodesFor(f)
+		ns := p.Route(f)
 		if len(ns) != 1 || ns[0] != c.want {
 			t.Errorf("value %d → %v, want node %d", c.v, ns, c.want)
 		}
 	}
 	// Other relations are replicated.
 	other := rel.NewFact("Nation", 1)
-	if got := p.NodesFor(other); len(got) != 3 {
+	if got := p.Route(other); len(got) != 3 {
 		t.Errorf("dimension fact fanout = %d", len(got))
 	}
 }
@@ -167,32 +167,32 @@ func TestDomainGuided(t *testing.T) {
 		DefaultWidth: 1,
 	}
 	f := rel.NewFact("E", 1, 2)
-	ns := p.NodesFor(f)
+	ns := p.Route(f)
 	// α(1) ∪ α(2) = {0, 1, 2}.
 	if len(ns) != 3 || ns[0] != 0 || ns[1] != 1 || ns[2] != 2 {
-		t.Errorf("NodesFor = %v", ns)
+		t.Errorf("Route = %v", ns)
 	}
 	for _, κ := range ns {
-		if !p.Responsible(κ, f) {
+		if !Responsible(p, κ, f) {
 			t.Errorf("node %d not responsible", κ)
 		}
 	}
-	if p.Responsible(3, f) {
+	if Responsible(p, 3, f) {
 		t.Errorf("node 3 responsible but not in α-union")
 	}
 	// Unassigned values get a deterministic default.
 	g := rel.NewFact("E", 77, 77)
-	if len(p.NodesFor(g)) != 1 {
-		t.Errorf("default width violated: %v", p.NodesFor(g))
+	if len(p.Route(g)) != 1 {
+		t.Errorf("default width violated: %v", p.Route(g))
 	}
 	// Key property of domain-guided policies: some node holds ALL facts
 	// containing a given value a — here α is single-valued per value,
 	// so every fact containing 1 includes node 0.
-	if !p.Responsible(0, rel.NewFact("E", 1, 99)) {
+	if !Responsible(p, 0, rel.NewFact("E", 1, 99)) {
 		t.Errorf("node 0 lost a fact containing value 1")
 	}
 	// Nullary facts are replicated.
-	if got := p.NodesFor(rel.NewFact("B")); len(got) != 4 {
+	if got := p.Route(rel.NewFact("B")); len(got) != 4 {
 		t.Errorf("nullary fanout = %d", len(got))
 	}
 }
@@ -216,10 +216,10 @@ func TestFuncPolicy(t *testing.T) {
 		},
 		Univ: d.Values("a", "b"),
 	}
-	if p.Responsible(0, ab) || !p.Responsible(1, ab) {
+	if Responsible(p, 0, ab) || !Responsible(p, 1, ab) {
 		t.Errorf("R(a,b) placement wrong")
 	}
-	if got := p.NodesFor(rel.MustFact(d, "R(a,a)")); len(got) != 2 {
+	if got := p.Route(rel.MustFact(d, "R(a,a)")); len(got) != 2 {
 		t.Errorf("R(a,a) fanout = %v", got)
 	}
 	if got := p.Universe(); len(got) != 2 {
@@ -238,17 +238,17 @@ func TestPerRelationPolicy(t *testing.T) {
 	}
 	ff := rel.MustFact(d, "Fact(a,b)")
 	df := rel.MustFact(d, "Dim(x)")
-	if got := len(p.NodesFor(ff)); got != 1 {
+	if got := len(p.Route(ff)); got != 1 {
 		t.Errorf("fact-table fanout = %d", got)
 	}
-	if got := len(p.NodesFor(df)); got != 4 {
+	if got := len(p.Route(df)); got != 4 {
 		t.Errorf("dimension fanout = %d", got)
 	}
-	if got := p.NodesFor(rel.MustFact(d, "Other(z)")); got != nil {
+	if got := p.Route(rel.MustFact(d, "Other(z)")); got != nil {
 		t.Errorf("unlisted relation routed: %v", got)
 	}
 	p.Default = &Replicate{Nodes: 4}
-	if got := len(p.NodesFor(rel.MustFact(d, "Other(z)"))); got != 4 {
+	if got := len(p.Route(rel.MustFact(d, "Other(z)"))); got != 4 {
 		t.Errorf("default not applied: %d", got)
 	}
 }
@@ -265,16 +265,16 @@ func TestUnionPolicy(t *testing.T) {
 	if u.NumNodes() != 4 {
 		t.Errorf("NumNodes = %d", u.NumNodes())
 	}
-	if got := len(u.NodesFor(hot)); got != 4 {
+	if got := len(u.Route(hot)); got != 4 {
 		t.Errorf("hot fact fanout = %d, want 4 (replicated overlay)", got)
 	}
 	cold := rel.MustFact(d, "R(c,e)")
-	if got := len(u.NodesFor(cold)); got != 1 {
+	if got := len(u.Route(cold)); got != 1 {
 		t.Errorf("cold fact fanout = %d, want 1 (base hash)", got)
 	}
-	for _, κ := range u.NodesFor(cold) {
-		if !u.Responsible(κ, cold) {
-			t.Errorf("Responsible disagrees with NodesFor")
+	for _, κ := range u.Route(cold) {
+		if !Responsible(u, κ, cold) {
+			t.Errorf("Responsible disagrees with Route")
 		}
 	}
 }

@@ -92,7 +92,7 @@ func (c *Context) ResponsibleFor(f rel.Fact) bool {
 			panic(fmt.Sprintf("transducer: policy queried outside local active domain (value %d)", v))
 		}
 	}
-	return c.net.pol.Responsible(c.Self, f)
+	return policy.Responsible(c.net.pol, c.Self, f)
 }
 
 // DomainNodes returns the nodes assigned to value v under a
@@ -208,10 +208,7 @@ func New(p int, mk func() Program, opts ...Option) *Network {
 		o(n)
 	}
 	if n.aware {
-		all := make([]policy.Node, p)
-		for i := range all {
-			all[i] = policy.Node(i)
-		}
+		all := policy.AllNodes(p)
 		for _, c := range n.ctxs {
 			c.All = all
 		}

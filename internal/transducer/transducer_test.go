@@ -612,7 +612,7 @@ func TestLoadPartsRejectsPolicyViolation(t *testing.T) {
 	var stolen rel.Fact
 	parts[0].Each(func(f rel.Fact) bool { stolen = f.Clone(); return false })
 	wrong := policy.Node(1)
-	if pol.Responsible(wrong, stolen) {
+	if policy.Responsible(pol, wrong, stolen) {
 		wrong = 2
 	}
 	parts[wrong].Add(stolen)
