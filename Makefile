@@ -102,21 +102,24 @@ byzantine:
 # answers, a respawned source) and of its persistent streams (one
 # connection for N pulls, one redial per broken answer, a trailing
 # duplicate refused, post-then-pull, a failed post, idle past the I/O
-# bound, Close with idle streams), the conformance suite on both the
+# bound, Close with idle streams), the TCP inbox as the in-process
+# merge, the conformance suite on both the
 # Local and TCP transports, the program matrix over real sockets
 # (byte-identical output, state, and logical trace), the chaos-over-TCP
 # fault matrix, the multi-process runtime against the simulator (the
 # plan matrix on all three executors, the spec's wire form, one dial per
 # peer per run, a result barrier that outlasts the I/O bound, two
 # checkpoint slots per worker whatever the round, a torn first checkpoint
-# that costs nothing, every flipped bit of a slot refused),
+# that costs nothing, every flipped bit of a slot refused, a worker that
+# starts from the share the coordinator dealt it and generates nothing,
+# a bounded control plane that refuses bad fragment frames),
 # and the e2e suite on the real binary: local against tcp on tc and on
 # the merged menu, rejected flags, kill-at-every-round recovery.
 transport:
-	$(GO) test -run 'TestArmedHavocIsOnTheWire|TestPull|TestRetireBelow|TestMergeInboxRejectsUndecodableFragment|TestStream|TestPostThenPull|TestFailedPostRecoversInPull|TestIdleStreamOutlivesIOBound|TestCloseEndsIdleStreams' ./internal/mpc
+	$(GO) test -run 'TestArmedHavocIsOnTheWire|TestPull|TestRetireBelow|TestMergeInboxRejectsUndecodableFragment|TestMergeInboxIsMergeShards|TestStream|TestPostThenPull|TestFailedPostRecoversInPull|TestIdleStreamOutlivesIOBound|TestCloseEndsIdleStreams' ./internal/mpc
 	$(GO) test -run 'TestLocalConformance|TestTCPConformance' ./internal/mpc/transportconf
 	$(GO) test -run 'TestTransportEquivalence|TestChaosOverTCP' ./internal/gym
-	$(GO) test -run 'TestPlanMatrixAcrossExecutors|TestSpecJSONRoundTrip|TestDistributedMatchesLocal|TestRunDialsEachPeerOnce|TestResultBarrierOutlastsIOBound|TestCheckpointSlots|TestDistributedRunKeepsTwoSlots|TestTornFirstCheckpointRecovers|TestCheckpointBitFlipLaw' ./internal/mpcnet
+	$(GO) test -run 'TestPlanMatrixAcrossExecutors|TestSpecJSONRoundTrip|TestDistributedMatchesLocal|TestRunDialsEachPeerOnce|TestResultBarrierOutlastsIOBound|TestCheckpointSlots|TestDistributedRunKeepsTwoSlots|TestTornFirstCheckpointRecovers|TestCheckpointBitFlipLaw|TestWorkerSliceMatchesRoundRobin|TestWorkerHoldsOnlyItsShare|TestControlPlaneRefusesOverlongLinesAndBadFrames|FuzzControlPlane' ./internal/mpcnet
 	$(GO) test -run 'TestE2E' ./cmd/mpcrun
 
 # netsweep drives the installed binary end to end, wider than the
@@ -161,6 +164,7 @@ fuzz:
 	$(GO) test ./internal/sweep -run='^$$' -fuzz='^FuzzSweepMerge$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzQueryRequest$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzReplyEncoding$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mpcnet -run='^$$' -fuzz='^FuzzControlPlane$$' -fuzztime=$(FUZZTIME)
 
 # serve is the query-daemon gate: the serving-layer unit/property
 # suites plus the e2e suite that forks the real mpcd binary (start,
@@ -242,13 +246,14 @@ bench:
 # HyperCube router, mpcd's single-pass repartition, its whole
 # repartitioning op and its warm reused query, one exchange over the TCP
 # transport, the 12-round distributed run, the covers decision of a
-# cold serving query) are appended to the
+# cold serving query, the one-round bulk distributed run) are appended
+# to the
 # root package's (the incremental-maintenance series, facts/sec and
 # per-batch deltacomm/rounds, and what a fault-tolerance Option costs a
 # fault-free run among them).
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
-	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc >> .bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkRunBulk)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE) .bench_raw.txt
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"

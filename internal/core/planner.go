@@ -39,8 +39,11 @@ type Row struct {
 }
 
 // A program elaborates a fitting plan into its round list and the
-// number of servers those rounds address.
-type program func(plan *Plan, input *rel.Instance) ([]mpc.Round, int, error)
+// number of servers those rounds address. It receives its input
+// lazily: a program that never calls input is a function of the plan
+// alone, so an executor can build its rounds without generating the
+// whole input.
+type program func(plan *Plan, input func() *rel.Instance) ([]mpc.Round, int, error)
 
 // class is a set of queries: its name in a refusal, and its test (a
 // nil query is "no query at all").
@@ -69,7 +72,7 @@ var (
 // across lifts a builder whose rounds address all of plan.Servers and
 // read no input into a row's build.
 func across(build func(q *cq.CQ, p int, seed uint64) ([]mpc.Round, error)) program {
-	return func(plan *Plan, _ *rel.Instance) ([]mpc.Round, int, error) {
+	return func(plan *Plan, _ func() *rel.Instance) ([]mpc.Round, int, error) {
 		rounds, err := build(plan.Query, plan.Servers, plan.Seed)
 		return rounds, plan.Servers, err
 	}
@@ -85,7 +88,7 @@ func one(build func(q *cq.CQ, p int, seed uint64) (mpc.Round, error)) program {
 
 // hyperCube is one round on the Shares grid; it addresses the product
 // of its integer shares, which may be fewer servers than the plan has.
-func hyperCube(plan *Plan, _ *rel.Instance) ([]mpc.Round, int, error) {
+func hyperCube(plan *Plan, _ func() *rel.Instance) ([]mpc.Round, int, error) {
 	g, err := hypercube.NewOptimalGrid(plan.Query, plan.Servers, plan.Seed)
 	if err != nil {
 		return nil, 0, err
@@ -102,8 +105,8 @@ func hyperCube(plan *Plan, _ *rel.Instance) ([]mpc.Round, int, error) {
 // join of Example 3.1(1a)/(1b); semijoin reduction and its lift to
 // tree decompositions (Section 3.2); the two-round cascade through R⋈S
 // of Example 3.1(2); transitive closure unrolled to its input's depth —
-// the one row that reads the input: a []mpc.Round has no loop, so a
-// recursive program's length is its input's depth.
+// the one row whose program calls its input: a []mpc.Round has no
+// loop, so a recursive program's length is its input's depth.
 var Menu = []*Row{
 	{AlgoHyperCube, "triangle", positive, true, hyperCube},
 	{AlgoRepartition, "join", binaryJoin, false, one(hypercube.RepartitionJoin)},
@@ -113,8 +116,8 @@ var Menu = []*Row{
 	{AlgoCascade, "triangle", triangle, false, across(func(_ *cq.CQ, p int, seed uint64) ([]mpc.Round, error) {
 		return gym.CascadeTriangleProgram(p, seed), nil
 	})},
-	{AlgoTC, "graph", noQuery, false, func(plan *Plan, input *rel.Instance) ([]mpc.Round, int, error) {
-		return gym.TCProgram(plan.Servers, plan.Seed, input), plan.Servers, nil
+	{AlgoTC, "graph", noQuery, false, func(plan *Plan, input func() *rel.Instance) ([]mpc.Round, int, error) {
+		return gym.TCProgram(plan.Servers, plan.Seed, input()), plan.Servers, nil
 	}},
 }
 
@@ -220,7 +223,8 @@ func (plan *Plan) Row() (*Row, error) {
 // use fewer than plan.Servers). It is the one place an algorithm name
 // becomes rounds, and a pure function of the plan and the input, so
 // every process of a distributed run derives the identical program.
-func (row *Row) Program(plan *Plan, input *rel.Instance) ([]mpc.Round, int, error) {
+// input is called only by a row whose program reads its input (tc).
+func (row *Row) Program(plan *Plan, input func() *rel.Instance) ([]mpc.Round, int, error) {
 	rounds, p, err := row.build(plan, input)
 	if err != nil {
 		return nil, 0, &PlanError{Algorithm: plan.Algorithm, Err: err}
@@ -234,7 +238,7 @@ func (plan *Plan) Program(input *rel.Instance) ([]mpc.Round, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return row.Program(plan, input)
+	return row.Program(plan, func() *rel.Instance { return input })
 }
 
 // Result is the MPC cost profile of an executed program, whichever

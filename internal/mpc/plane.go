@@ -134,31 +134,27 @@ func ShardFrames(seq uint64, shard int, sh Shard) []Frame {
 
 // MergeInbox assembles destination dst's inbox from one frame per
 // shard: fetch is asked for the shards in ascending order and their
-// fragments are merged in that order — position, never arrival — which
-// is what makes the plane bit-compatible with mergeShards no matter how
-// the network interleaves. The received count sums the frames' Sent
-// fields, so the accounting really crossed the wire. A well-formed
-// frame with an undecodable payload is a hard error: the peer speaks
-// the frame format but not the fragment format.
+// decoded fragments go to mergeShards' own body, mergeOutboxes, in that
+// order — position, never arrival — which is what makes the plane
+// bit-compatible with mergeShards no matter how the network
+// interleaves. The received count sums the frames' Sent fields, so the
+// accounting really crossed the wire. A well-formed frame with an
+// undecodable payload is a hard error: the peer speaks the frame format
+// but not the fragment format.
 func MergeInbox(dst, nshards int, fetch func(shard int) (Frame, error)) (*rel.Instance, int, error) {
-	inbox := rel.NewInstance()
+	frags := make([]*rel.Instance, nshards)
 	n := 0
-	for w := 0; w < nshards; w++ {
+	for w := range frags {
 		f, err := fetch(w)
 		if err != nil {
 			return nil, 0, err
 		}
-		frag, err := rel.DecodeInstance(f.Payload)
-		if err != nil {
+		if frags[w], err = rel.DecodeInstance(f.Payload); err != nil {
 			return nil, 0, fmt.Errorf("mpc: server %d decoding shard %d fragment of exchange %d: %w", dst, w, f.Seq, err)
 		}
 		n += int(f.Sent)
-		for _, name := range frag.RelationNames() {
-			o := frag.Relation(name)
-			inbox.EnsureRelationSize(name, o.Arity, o.Len()).UnionWith(o)
-		}
 	}
-	return inbox, n, nil
+	return mergeOutboxes(nshards, func(w int) *rel.Instance { return frags[w] }), n, nil
 }
 
 // fragKey names one published frame.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 
 	"mpclogic/internal/rel"
@@ -111,8 +112,8 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if payloadLen > maxFramePayload {
 		return Frame{}, fmt.Errorf("mpc: frame declares %d payload bytes (cap %d)", payloadLen, maxFramePayload)
 	}
-	f.Payload = make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, f.Payload); err != nil {
+	var err error
+	if f.Payload, err = readPayload(r, int(payloadLen)); err != nil {
 		return Frame{}, fmt.Errorf("mpc: reading frame payload: %w", err)
 	}
 	want := binary.LittleEndian.Uint32(hdr[frameHeaderLen-4:])
@@ -122,6 +123,29 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("mpc: frame checksum mismatch (header says %#x, body hashes to %#x)", want, got)
 	}
 	return f, nil
+}
+
+// payloadChunk is what a frame's declared length alone can make
+// readPayload allocate.
+const payloadChunk = 1 << 20
+
+// readPayload reads an n-byte payload, allocating as the bytes arrive
+// rather than all n up front: a frame that declares more than it
+// carries costs at most payloadChunk beyond what it carried, so a peer
+// cannot make the reader hold memory by lying about a length.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, payloadChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), len(buf)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // TCPTransport runs the communication phase over loopback TCP as a

@@ -124,7 +124,7 @@ func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, e
 			for w := range shards {
 				received[dst] += shards[w].Sent[dst]
 			}
-			inboxes[dst] = mergeOutboxes(shards, dst)
+			inboxes[dst] = mergeOutboxes(len(shards), func(w int) *rel.Instance { return shards[w].Outs[dst] })
 		}(dst)
 	}
 	mergeWG.Wait()
@@ -136,18 +136,20 @@ func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, e
 	return inboxes, received, nil
 }
 
-// mergeOutboxes unions the shards' outboxes for dst, in shard order.
-// Shards are round-private, so what only one of them ships — the whole
-// outbox, or one relation of it — is adopted instead of copied. A
+// mergeOutboxes is the one inbox merge (mergeShards, MergeInbox): it
+// unions frag(w), source w's fragment for one destination (nil: none),
+// for w = 0..n−1 in that order. Fragments are round-private (outboxes,
+// or decoded frames), so what only one source ships — the whole
+// fragment, or one relation of it — is adopted instead of copied. A
 // relation several ship is built once, at the size of their copies
 // together: an inbox becomes the server's fragment, which may live as
-// long as its owner does, so it must not carry the slack that growing
-// the first outbox to fit the others leaves (at least a doubling).
-func mergeOutboxes(shards []Shard, dst int) *rel.Instance {
+// long as its owner does, so it must not carry the slack of growing the
+// first fragment to fit the others (at least a doubling).
+func mergeOutboxes(n int, frag func(w int) *rel.Instance) *rel.Instance {
 	var only *rel.Instance
 	shipping := 0
-	for w := range shards {
-		if out := shards[w].Outs[dst]; out != nil {
+	for w := 0; w < n; w++ {
+		if out := frag(w); out != nil {
 			only = out
 			shipping++
 		}
@@ -159,16 +161,16 @@ func mergeOutboxes(shards []Shard, dst int) *rel.Instance {
 		return only
 	}
 	sizes := make(map[string]int)
-	for w := range shards {
-		if out := shards[w].Outs[dst]; out != nil {
+	for w := 0; w < n; w++ {
+		if out := frag(w); out != nil {
 			for _, name := range out.RelationNames() {
 				sizes[name] += out.Relation(name).Len()
 			}
 		}
 	}
 	inbox := rel.NewInstanceSize(len(sizes))
-	for w := range shards {
-		out := shards[w].Outs[dst]
+	for w := 0; w < n; w++ {
+		out := frag(w)
 		if out == nil {
 			continue
 		}

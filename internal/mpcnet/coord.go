@@ -2,8 +2,8 @@ package mpcnet
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -58,14 +58,16 @@ type workerResult struct {
 	fragment  *rel.Instance
 }
 
-// coordinator is the run's control-plane state: the address book the
-// workers publish into and the result set they deliver into. The
-// result barrier lives here — result responses are held until every
-// worker has reported, so no fragment server disappears while a
-// recovering peer might still re-pull.
+// coordinator is the run's control-plane state: the shares it deals,
+// the address book the workers publish into and the result set they
+// deliver into. The result barrier lives here — result responses are
+// held until every worker has reported, so no fragment server
+// disappears while a recovering peer might still re-pull.
 type coordinator struct {
-	p  int
-	ln *net.TCPListener
+	p       int
+	lineCap int      // ctrlLineCap of the run's program
+	shares  [][]byte // worker i's share of the input, encoded: every hello of i is answered with it
+	ln      *net.TCPListener
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -74,17 +76,26 @@ type coordinator struct {
 	failed  error
 }
 
-func newCoordinator(p int) (*coordinator, error) {
+// newCoordinator is the control-plane state of a run of a rounds-round
+// program whose worker i starts from shares[i]; listen opens it to the
+// workers.
+func newCoordinator(shares [][]byte, rounds int) *coordinator {
+	p := len(shares)
+	c := &coordinator{p: p, lineCap: ctrlLineCap(rounds), shares: shares, addrs: make([]string, p), results: make(map[int]workerResult)}
+	c.cond = sync.NewCond(&c.mu)
+	return c
+}
+
+func (c *coordinator) listen() error {
 	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
-		return nil, fmt.Errorf("mpcnet: opening coordinator: %w", err)
+		return fmt.Errorf("mpcnet: opening coordinator: %w", err)
 	}
-	c := &coordinator{p: p, ln: ln, addrs: make([]string, p), results: make(map[int]workerResult)}
-	c.cond = sync.NewCond(&c.mu)
+	c.ln = ln
 	// The accept loop lives as long as the run, not one round; its join
 	// is the listener close in coordinator.close.
 	go c.acceptLoop() //lint:allow goroutine-hygiene run-scoped accept loop, joined by closing the listener
-	return c, nil
+	return nil
 }
 
 func (c *coordinator) addr() string { return c.ln.Addr().String() }
@@ -122,52 +133,54 @@ func (c *coordinator) acceptLoop() {
 	}
 }
 
-func (c *coordinator) serve(conn *net.TCPConn) {
+func (c *coordinator) serve(conn net.Conn) {
 	defer conn.Close() // one request per connection; close is best-effort
 	if err := conn.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
 		return
 	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		return // malformed request: drop, the worker retries
-	}
+	rd := bufio.NewReaderSize(conn, c.lineCap)
 	var req ctrlRequest
-	if err := json.Unmarshal(line, &req); err != nil {
+	if err := readLine(rd, &req); err != nil {
+		return // over-long or malformed request: drop, the worker retries
+	}
+	resp, share := c.handle(req, rd)
+	// The result barrier may have held this connection past the read
+	// deadline; re-arm before responding.
+	if err := conn.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
 		return
 	}
-	resp := c.handle(req)
-	if enc, err := json.Marshal(resp); err == nil {
-		// The result barrier may have held this connection past the read
-		// deadline; re-arm before responding.
-		if err := conn.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
-			return
-		}
-		_, _ = conn.Write(append(enc, '\n')) //lint:allow error-discard failed response: the worker's read errors and it retries
-	}
+	_ = writeMessage(conn, resp, req.Index, share) //lint:allow error-discard failed response: the worker's read errors and it retries
 }
 
-func (c *coordinator) handle(req ctrlRequest) ctrlResponse {
+// handle answers req, whose line has been read from body; a result's
+// fragment frame is read from body next. A hello's answer returns the
+// worker's share, to follow the response line.
+func (c *coordinator) handle(req ctrlRequest, body io.Reader) (ctrlResponse, []byte) {
 	if req.Index < 0 || req.Index >= c.p {
-		return ctrlResponse{Err: fmt.Sprintf("worker index %d outside 0..%d", req.Index, c.p-1)}
+		return ctrlResponse{Err: fmt.Sprintf("worker index %d outside 0..%d", req.Index, c.p-1)}, nil
 	}
 	switch req.Op {
 	case "hello":
 		c.mu.Lock()
 		c.addrs[req.Index] = req.Addr
 		c.mu.Unlock()
-		return ctrlResponse{OK: true}
+		return ctrlResponse{OK: true}, c.shares[req.Index]
 	case "lookup":
 		if req.Peer < 0 || req.Peer >= c.p {
-			return ctrlResponse{Err: fmt.Sprintf("peer index %d outside 0..%d", req.Peer, c.p-1)}
+			return ctrlResponse{Err: fmt.Sprintf("peer index %d outside 0..%d", req.Peer, c.p-1)}, nil
 		}
 		c.mu.Lock()
 		addr := c.addrs[req.Peer]
 		c.mu.Unlock()
-		return ctrlResponse{OK: true, Addr: addr}
+		return ctrlResponse{OK: true, Addr: addr}, nil
 	case "result":
-		frag, err := rel.DecodeInstance(req.Fragment)
+		payload, err := readFragment(body, req.Index)
 		if err != nil {
-			return ctrlResponse{Err: fmt.Sprintf("undecodable fragment: %v", err)}
+			return ctrlResponse{Err: fmt.Sprintf("unreadable fragment frame: %v", err)}, nil
+		}
+		frag, err := rel.DecodeInstance(payload)
+		if err != nil {
+			return ctrlResponse{Err: fmt.Sprintf("undecodable fragment: %v", err)}, nil
 		}
 		c.mu.Lock()
 		// A respawned worker may re-report; determinism makes the copies
@@ -182,11 +195,11 @@ func (c *coordinator) handle(req ctrlRequest) ctrlResponse {
 		failed := c.failed
 		c.mu.Unlock()
 		if failed != nil {
-			return ctrlResponse{Err: failed.Error()}
+			return ctrlResponse{Err: failed.Error()}, nil
 		}
-		return ctrlResponse{OK: true}
+		return ctrlResponse{OK: true}, nil
 	default:
-		return ctrlResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}
+		return ctrlResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}, nil
 	}
 }
 
@@ -224,8 +237,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	p := built.P
 
-	coord, err := newCoordinator(p)
-	if err != nil {
+	coord := newCoordinator(deal(built.Input, p), len(built.Rounds))
+	if err := coord.listen(); err != nil {
 		return nil, err
 	}
 	defer coord.close()
@@ -310,6 +323,25 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	res.Respawns = respawns
 	respawnMu.Unlock()
 	return res, nil
+}
+
+// deal is the run's initial placement, made once: the simulator's
+// round-robin rule (mpc.DealRoundRobin, what LoadRoundRobin performs)
+// over the whole input, server i's share encoded for the hello that
+// hands it to every incarnation of worker i. Placement is not
+// communication — the model's input starts out spread — so no count of
+// it enters the accounting.
+func deal(input *rel.Instance, p int) [][]byte {
+	parts := make([]*rel.Instance, p)
+	for i := range parts {
+		parts[i] = rel.NewInstance()
+	}
+	mpc.DealRoundRobin(input, parts, 0)
+	shares := make([][]byte, p)
+	for i, part := range parts {
+		shares[i] = rel.EncodeInstance(part)
+	}
+	return shares
 }
 
 // assemble reconstructs the simulator's observables from the workers'

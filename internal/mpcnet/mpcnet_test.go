@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -264,22 +266,110 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 }
 
 // TestWorkerSliceMatchesRoundRobin pins the initial-placement
-// agreement: worker i's slice must be exactly what LoadRoundRobin
-// puts on server i, or the distributed run starts from a different
-// instance than the simulator.
+// agreement: the share the coordinator's hello hands worker i must be
+// exactly what LoadRoundRobin puts on server i, or the distributed run
+// starts from a different instance than the simulator.
 func TestWorkerSliceMatchesRoundRobin(t *testing.T) {
 	for _, spec := range specMatrix() {
 		built, err := Build(spec)
 		if err != nil {
 			t.Fatalf("build %s: %v", spec.Program, err)
 		}
+		coord := newCoordinator(deal(built.Input, built.P), len(built.Rounds))
+		if err := coord.listen(); err != nil {
+			t.Fatal(err)
+		}
 		c := mpc.NewCluster(built.P)
 		c.LoadRoundRobin(built.Input)
 		for i := 0; i < built.P; i++ {
-			if got := WorkerSlice(built.Input, built.P, i); !got.Equal(c.Server(i)) {
-				t.Errorf("%s: WorkerSlice(%d) differs from LoadRoundRobin server %d", spec.Program, i, i)
+			_, share, err := roundtrip(coord.addr(), ctrlRequest{Op: "hello", Index: i, Addr: "127.0.0.1:1"}, nil)
+			if err != nil {
+				t.Fatalf("%s: hello of worker %d: %v", spec.Program, i, err)
+			}
+			if got, err := rel.DecodeInstance(share); err != nil || !got.Equal(c.Server(i)) {
+				t.Errorf("%s: hello hands worker %d a share (err %v) that differs from LoadRoundRobin server %d", spec.Program, i, err, i)
 			}
 		}
+		coord.close()
+	}
+}
+
+// errKilled is what a crashSpawner incarnation's Wait reports when
+// crash ended it.
+var errKilled = errors.New("worker killed at its failpoint")
+
+// crashSpawner is goSpawner with the failpoint armed as asked: with
+// crash set to runtime.Goexit, an armed worker's goroutine ends right
+// after its checkpoint, as its process would, and Wait reports it
+// killed.
+func crashSpawner(cfg WorkerConfig) (Process, error) {
+	p := &goProc{done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		p.err = errKilled // stands unless RunWorker returns
+		p.err = RunWorker(cfg)
+	}()
+	return p, nil
+}
+
+// countGenerations wraps the generator of spec's workload row with a
+// counter until the test ends.
+func countGenerations(t *testing.T, spec ProgramSpec) *atomic.Int64 {
+	t.Helper()
+	w, err := WorkloadFor(spec.Workload, spec.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, n := w.gen, new(atomic.Int64)
+	w.gen = func(s ProgramSpec) *rel.Instance {
+		n.Add(1)
+		return gen(s)
+	}
+	t.Cleanup(func() { w.gen = gen })
+	return n
+}
+
+// TestWorkerHoldsOnlyItsShare: the coordinator generates the workload,
+// once, and deals it; a worker starts from its share. A fault-free
+// hypercube run at p = 4 generates once (the coordinator), a worker
+// killed after its round-0 checkpoint and respawned adds nothing, and
+// tc — the one row of core's menu whose program reads its input —
+// generates once more per worker incarnation. Each run still equals the
+// simulator's.
+func TestWorkerHoldsOnlyItsShare(t *testing.T) {
+	defer func(c func()) { crash = c }(crash)
+	crash = runtime.Goexit
+	hypercube := ProgramSpec{Program: "hypercube", P: 4, M: 24, Seed: 17}
+	tc := ProgramSpec{Program: "tc", P: 3, M: 10, Seed: 7}
+	for _, c := range []struct {
+		name       string
+		spec       ProgramSpec
+		failWorker int
+		want       int64
+	}{
+		{"hypercube", hypercube, -1, 1},
+		{"hypercube/kill", hypercube, 1, 1},
+		{"tc", tc, -1, 1 + 3},
+		{"tc/kill", tc, 1, 1 + 3 + 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := RunLocal(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			generated := countGenerations(t, c.spec)
+			got, err := Run(RunConfig{Spec: c.spec, CkptDir: t.TempDir(), FailWorker: c.failWorker, FailRound: 0, Spawn: crashSpawner})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMatchesLocal(t, got, want)
+			if killed := c.failWorker >= 0; (got.Respawns == 1) != killed {
+				t.Errorf("%d respawns, want one exactly when a worker is killed", got.Respawns)
+			}
+			if n := generated.Load(); n != c.want {
+				t.Errorf("the workload was generated %d times, want %d", n, c.want)
+			}
+		})
 	}
 }
 
@@ -682,10 +772,13 @@ func countLookups(tb testing.TB, spawn Spawner) (counted Spawner, lc *lookupCoun
 }
 
 // relay forwards one request line to the coordinator and its response
-// line back, counting an answered lookup on the way.
+// line back, counting an answered lookup on the way, and the fragment
+// frame that follows either line (a result's, a hello's answer's) as it
+// arrives.
 func (lc *lookupCounter) relay(conn net.Conn) {
 	defer conn.Close()
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
+	rd := bufio.NewReader(conn)
+	line, err := rd.ReadBytes('\n')
 	if err != nil {
 		return
 	}
@@ -697,7 +790,17 @@ func (lc *lookupCounter) relay(conn net.Conn) {
 	if _, err := up.Write(line); err != nil {
 		return
 	}
-	answer, err := bufio.NewReader(up).ReadBytes('\n')
+	forwarded := make(chan struct{})
+	go func() {
+		defer close(forwarded)
+		io.Copy(up, rd) // until the worker hangs up, or the close below
+	}()
+	defer func() {
+		conn.Close()
+		<-forwarded
+	}()
+	upRd := bufio.NewReader(up)
+	answer, err := upRd.ReadBytes('\n')
 	if err != nil {
 		return
 	}
@@ -707,6 +810,7 @@ func (lc *lookupCounter) relay(conn net.Conn) {
 		lc.answered.Add(1)
 	}
 	conn.Write(answer)
+	io.Copy(conn, upRd) // until the coordinator hangs up
 }
 
 // TestRunDialsEachPeerOnce: a fault-free 12-round run at p = 4 costs
@@ -740,13 +844,13 @@ func TestResultBarrierOutlastsIOBound(t *testing.T) {
 	defer func(d time.Duration) { ioTimeout = d }(ioTimeout)
 	ioTimeout = bound
 
-	coord, err := newCoordinator(2)
-	if err != nil {
+	coord := newCoordinator(make([][]byte, 2), 0)
+	if err := coord.listen(); err != nil {
 		t.Fatal(err)
 	}
 	defer coord.close()
 	report := func(index int) error {
-		_, err := roundtrip(coord.addr(), ctrlRequest{Op: "result", Index: index, Fragment: rel.EncodeInstance(rel.NewInstance())})
+		_, _, err := roundtrip(coord.addr(), ctrlRequest{Op: "result", Index: index}, rel.EncodeInstance(rel.NewInstance()))
 		return err
 	}
 	early := make(chan error, 1)
@@ -799,5 +903,22 @@ func BenchmarkRunRounds(b *testing.B) {
 			}
 			b.ReportMetric(float64(lookups.answered.Load()), "dials/op")
 		})
+	}
+}
+
+// BenchmarkRunBulk is one HyperCube round of 100 000 triangle facts over
+// goroutine workers with checkpoints: the run where bytes, not rounds,
+// decide the time — the deal, the wire codec, frames, the merge.
+func BenchmarkRunBulk(b *testing.B) {
+	spec := ProgramSpec{Program: "hypercube", P: 4, M: 20000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(RunConfig{Spec: spec, CkptDir: b.TempDir(), FailWorker: -1, FailRound: -1, Spawn: goSpawner})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Rounds != 1 {
+			b.Fatalf("%d rounds, want 1", res.Rounds)
+		}
 	}
 }

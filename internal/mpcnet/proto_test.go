@@ -1,0 +1,199 @@
+package mpcnet
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"io"
+	"net"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"mpclogic/internal/mpc"
+	"mpclogic/internal/rel"
+)
+
+// memConn is a connection over bytes: reads drain in and then see EOF,
+// writes land in out, deadlines are no-ops.
+type memConn struct {
+	in  *bytes.Reader
+	out bytes.Buffer
+}
+
+func (c *memConn) Read(b []byte) (int, error)       { return c.in.Read(b) }
+func (c *memConn) Write(b []byte) (int, error)      { return c.out.Write(b) }
+func (c *memConn) Close() error                     { return nil }
+func (c *memConn) LocalAddr() net.Addr              { return &net.TCPAddr{} }
+func (c *memConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
+func (c *memConn) SetDeadline(time.Time) error      { return nil }
+func (c *memConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *memConn) SetWriteDeadline(time.Time) error { return nil }
+
+// controlFixture is a one-worker program's share and a fragment a
+// result can carry.
+func controlFixture() (share, fragment []byte) {
+	s := rel.NewInstance()
+	s.Add(rel.NewFact("R", 1, 2))
+	s.Add(rel.NewFact("S", 2, 3))
+	f := rel.NewInstance()
+	f.Add(rel.NewFact("H", 1, 2, 3))
+	return rel.EncodeInstance(s), rel.EncodeInstance(f)
+}
+
+// controlInput is the bytes a fuzz case sends: junk, then req as one
+// JSON line, then — withFrame — payload as worker index's fragment
+// frame, with bit flip−1 of the frame flipped when flip > 0.
+func controlInput(junk []byte, req ctrlRequest, withFrame bool, payload []byte, flip uint32) []byte {
+	var in bytes.Buffer
+	in.Write(junk)
+	var frag []byte
+	if withFrame {
+		frag = append([]byte{}, payload...) // non-nil: the frame is written
+	}
+	line, _ := json.Marshal(req)
+	frameAt := in.Len() + len(line) + 1
+	if err := writeMessage(&in, req, req.Index, frag); err != nil {
+		panic(err) // a bytes.Buffer does not fail
+	}
+	img := in.Bytes()
+	if nbits := 8 * (len(img) - frameAt); withFrame && flip > 0 && nbits > 0 {
+		bit := int(flip-1) % nbits
+		img[frameAt+bit/8] ^= 1 << (bit % 8)
+	}
+	return img
+}
+
+// FuzzControlPlane feeds arbitrary bytes, a JSON request line and
+// optionally a fragment frame to the coordinator of a one-worker,
+// one-round program and holds its answer to what the bytes say. A
+// first line longer than the line cap, or not a request, is dropped
+// unanswered; a request for another worker, an unknown op, or a result
+// whose frame fails mpc.ReadFrame or whose fragment does not decode, is
+// refused; anything else is answered as its op — a hello with the share
+// frame. Only an answered result reaches the barrier. Nothing panics,
+// and the coordinator allocates in proportion to the bytes it was sent,
+// never to a length they declare.
+func FuzzControlPlane(f *testing.F) {
+	share, fragment := controlFixture()
+	lineCap := ctrlLineCap(1)
+	f.Add([]byte(nil), "hello", 0, 0, false, []byte(nil), uint32(0))
+	f.Add([]byte(nil), "lookup", 0, 0, false, []byte(nil), uint32(0))
+	f.Add([]byte(nil), "lookup", 0, 3, false, []byte(nil), uint32(0))
+	f.Add([]byte(nil), "result", 0, 0, true, fragment, uint32(0))
+	f.Add([]byte(nil), "result", 0, 0, true, fragment, uint32(1))                 // bad magic
+	f.Add([]byte(nil), "result", 0, 0, true, fragment, uint32(26*8+29+1))         // a payload length 2²⁹ longer
+	f.Add([]byte(nil), "result", 0, 0, true, fragment, uint32(34*8+9+1))          // a payload bit
+	f.Add([]byte(nil), "result", 0, 0, true, []byte("not a fragment"), uint32(0)) // a valid frame, no fragment
+	f.Add([]byte(nil), "result", 0, 0, false, []byte(nil), uint32(0))             // no frame at all
+	f.Add([]byte(nil), "result", 1, 0, true, fragment, uint32(0))                 // another worker's
+	f.Add([]byte(nil), "bogus", 0, 0, false, []byte(nil), uint32(0))              // an unknown op
+	f.Add(bytes.Repeat([]byte("x"), lineCap), "hello", 0, 0, false, []byte(nil), uint32(0))
+	f.Add([]byte(`{"op":"hello","index":0}`+"\n"), "lookup", 0, 0, false, []byte(nil), uint32(0))
+	f.Fuzz(func(t *testing.T, junk []byte, op string, index, peer int, withFrame bool, payload []byte, flip uint32) {
+		req := ctrlRequest{Op: op, Index: index, Peer: peer, Addr: "127.0.0.1:1", Received: []int{len(payload)}, DeltaSent: []int{0}}
+		input := controlInput(junk, req, withFrame, payload, flip)
+		c := newCoordinator([][]byte{share}, 1)
+		conn := &memConn{in: bytes.NewReader(input)}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.serve(conn)
+		runtime.ReadMemStats(&after)
+		// What ReadFrame may allocate on a declared length alone (mpc's
+		// payloadChunk), the line buffer, and a generous multiple of the
+		// bytes actually sent.
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+lineCap+16*len(input)+64<<10); alloc > bound {
+			t.Fatalf("serving %d bytes allocated %d, bound %d", len(input), alloc, bound)
+		}
+
+		// The oracle reads the input as the protocol says.
+		var got ctrlRequest
+		end := bytes.IndexByte(input, '\n')
+		if end < 0 || end+1 > lineCap || json.Unmarshal(input[:end+1], &got) != nil {
+			if conn.out.Len() != 0 || len(c.results) != 0 {
+				t.Fatalf("a first line that is over-long or no request was answered %q", conn.out.Bytes())
+			}
+			return
+		}
+		out := bufio.NewReader(&conn.out)
+		var resp ctrlResponse
+		if err := readLine(out, &resp); err != nil {
+			t.Fatalf("request %+v unanswered: %v", got, err)
+		}
+		want := got.Index == 0
+		switch got.Op {
+		case "hello":
+		case "lookup":
+			want = want && got.Peer == 0
+		case "result":
+			frame, err := mpc.ReadFrame(bytes.NewReader(input[end+1:]))
+			if want = want && err == nil && frame.Dst == 0; want {
+				_, err = rel.DecodeInstance(frame.Payload)
+				want = err == nil
+			}
+		default:
+			want = false
+		}
+		if resp.OK != want || resp.OK == (resp.Err != "") {
+			t.Fatalf("request %+v answered %+v, want ok=%v", got, resp, want)
+		}
+		if counted := len(c.results) == 1; counted != (resp.OK && got.Op == "result") {
+			t.Fatalf("request %+v answered %+v, and the barrier counted %d results", got, resp, len(c.results))
+		}
+		if withFrame && flip > 0 && got.Op == "result" && len(junk) == 0 && len(c.results) != 0 {
+			t.Fatal("a result with a flipped frame bit reached the barrier")
+		}
+		if resp.OK && got.Op == "hello" {
+			if frame, err := readFragment(out, 0); err != nil || !bytes.Equal(frame, share) {
+				t.Fatalf("hello answered without the share frame (err %v)", err)
+			}
+		}
+	})
+}
+
+// TestControlPlaneRefusesOverlongLinesAndBadFrames drives the
+// coordinator of a real listener: a line one byte over the cap, sent in
+// full, is dropped without an answer; a result whose frame carries one
+// flipped bit is refused and never counted; the same result intact is
+// counted.
+func TestControlPlaneRefusesOverlongLinesAndBadFrames(t *testing.T) {
+	share, fragment := controlFixture()
+	c := newCoordinator([][]byte{share}, 1)
+	if err := c.listen(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	send := func(input []byte) string {
+		conn, err := net.Dial("tcp", c.addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		written := make(chan struct{})
+		go func() {
+			defer close(written)
+			conn.Write(input) // the coordinator may hang up before reading it all
+		}()
+		answer, _ := io.ReadAll(conn)
+		conn.Close()
+		<-written
+		return string(answer)
+	}
+	long := append(bytes.Repeat([]byte(" "), ctrlLineCap(1)), `{"op":"hello","index":0}`+"\n"...)
+	if answer := send(long); answer != "" {
+		t.Errorf("an over-long line was answered %q", answer)
+	}
+	result := ctrlRequest{Op: "result", Index: 0, Received: []int{1}, DeltaSent: []int{0}}
+	if answer := send(controlInput(nil, result, true, fragment, 34*8+1+1)); !strings.Contains(answer, "unreadable fragment frame") {
+		t.Errorf("a result with a flipped bit was answered %q", answer)
+	}
+	c.mu.Lock()
+	counted := len(c.results)
+	c.mu.Unlock()
+	if counted != 0 {
+		t.Fatal("a refused result reached the barrier")
+	}
+	if answer := send(controlInput(nil, result, true, fragment, 0)); !strings.HasPrefix(answer, `{"ok":true}`) {
+		t.Errorf("an intact result was answered %q", answer)
+	}
+}

@@ -8,23 +8,29 @@
 // for byte, as the simulator.
 //
 // Everything a worker needs is a pure function of the ProgramSpec,
-// core.Plan's wire form: the workload is regenerated from its table
-// row and seed, core.Plan.Program rebuilds the rounds from the plan and
-// that input, and the worker's slice of the initial placement is the
-// same k%p round-robin the simulator's LoadRoundRobin performs. The
-// package is a runtime: it knows workloads and processes, and no
-// algorithm — which ones exist, what each fits and where each is at
-// home is core's menu.
-// That purity is what makes recovery trivial to reason about: a killed
-// worker reloads the older of its two checkpoint slots — each a policy
-// store image (policy.SaveStore/LoadStore, the module's one durable
-// format) whose meta section is the round cursor — and re-executes;
-// determinism guarantees the re-run publishes byte-identical fragments,
-// so the rest of the cluster cannot tell a recovery from a slow network.
+// core.Plan's wire form, but its share of the input, which the
+// coordinator deals once: the coordinator generates the workload from
+// its table row and seed and deals it with the simulator's round-robin
+// rule (mpc.DealRoundRobin, what LoadRoundRobin performs), and a
+// worker's hello is answered with its share as one mpc frame. The
+// worker rebuilds the rounds from the plan alone — it generates the
+// workload only for a row of core's menu whose program reads its
+// input. The package is a runtime: it knows workloads and processes,
+// and no algorithm — which ones exist, what each fits and where each is
+// at home is core's menu.
+// That purity is what keeps recovery trivial to reason about: the share
+// is fixed before any worker starts, so a respawn's hello is re-sent the
+// same bytes; the respawn reloads the older of its two checkpoint slots
+// — each a policy store image (policy.SaveStore/LoadStore, the module's
+// one durable format) whose meta section is the round cursor — and
+// re-executes; determinism guarantees the re-run publishes
+// byte-identical fragments, so the rest of the cluster cannot tell a
+// recovery from a slow network.
 package mpcnet
 
 import (
 	"fmt"
+	"sync"
 
 	"mpclogic/internal/core"
 	"mpclogic/internal/cq"
@@ -35,8 +41,9 @@ import (
 
 // ProgramSpec is the complete, self-contained description of a run —
 // core.Plan's wire form plus the generated input: every worker and the
-// coordinator rebuild the same workload and program from it
-// independently. It travels as JSON on the worker command line.
+// coordinator rebuild the same program from it independently, and the
+// coordinator the workload. It travels as JSON on the worker command
+// line.
 type ProgramSpec struct {
 	// Program names the algorithm, a row of core.Menu.
 	Program string `json:"program"`
@@ -111,9 +118,9 @@ func (w *Workload) CQ() (*cq.CQ, error) {
 }
 
 // Built is a spec elaborated into an executable program: the rounds,
-// the full input instance, and the effective server count. Build is
-// deterministic, so coordinator and workers agree on every field
-// without communicating.
+// the full input instance, and the effective server count. Elaboration
+// is deterministic, so coordinator and workers agree on the rounds and
+// the count without communicating.
 type Built struct {
 	Rounds []mpc.Round
 	Input  *rel.Instance
@@ -124,42 +131,45 @@ type Built struct {
 // query, and the core.Plan the spec is the wire form of — checked
 // against the menu first, so a spec it refuses is refused before
 // anything is generated — turns the algorithm name into rounds. Build
-// must be called with identical specs on every process of a run.
+// is deterministic: every call with one spec builds the same program.
 func Build(spec ProgramSpec) (*Built, error) {
+	built, input, err := elaborate(spec)
+	if err != nil {
+		return nil, err
+	}
+	built.Input = input()
+	return built, nil
+}
+
+// elaborate is Build without the input: Built.Input is left nil, and
+// input generates the workload — once, however often it is called —
+// for the caller that wants it. The row's program calls it only if the
+// menu's row reads its input, so a worker, which starts from the share
+// the coordinator dealt it, generates nothing for any other row.
+func elaborate(spec ProgramSpec) (*Built, func() *rel.Instance, error) {
 	if spec.P <= 0 {
-		return nil, fmt.Errorf("mpcnet: spec needs at least one server (got p=%d)", spec.P)
+		return nil, nil, fmt.Errorf("mpcnet: spec needs at least one server (got p=%d)", spec.P)
 	}
 	if spec.M <= 0 {
-		return nil, fmt.Errorf("mpcnet: spec needs a positive workload size (got m=%d)", spec.M)
+		return nil, nil, fmt.Errorf("mpcnet: spec needs a positive workload size (got m=%d)", spec.M)
 	}
 	w, err := WorkloadFor(spec.Workload, spec.Program)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	q, err := w.CQ()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	plan := core.Plan{Algorithm: core.Algorithm(spec.Program), Query: q, Servers: spec.P, Seed: spec.Seed, WCOJ: spec.WCOJ}
 	row, err := plan.Row()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	input := w.gen(spec)
+	input := sync.OnceValue(func() *rel.Instance { return w.gen(spec) })
 	rounds, p, err := row.Program(&plan, input)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Built{Rounds: rounds, Input: input, P: p}, nil
-}
-
-// WorkerSlice is worker i's share of the initial placement: the one
-// slice of the simulator's LoadRoundRobin deal it keeps, so the
-// distributed initial state matches the in-process reference fact for
-// fact.
-func WorkerSlice(input *rel.Instance, p, i int) *rel.Instance {
-	dst := make([]*rel.Instance, p)
-	dst[i] = rel.NewInstance()
-	mpc.DealRoundRobin(input, dst, 0)
-	return dst[i]
+	return &Built{Rounds: rounds, P: p}, input, nil
 }

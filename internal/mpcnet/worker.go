@@ -104,9 +104,18 @@ func resumeCheckpoint(dir string, index int) (cur *cursor, state *rel.Instance, 
 	return cur, state, nil
 }
 
-// RunWorker executes one worker's share of the program, every step of
-// a round being mpc's own, for one server: route this server's facts
-// (mpc.RouteSource), publish the shard's frames, pull every peer's and
+// crash is the failpoint's death: die hard, no deferred cleanup,
+// exactly like a lost machine. A variable only so tests can end a
+// goroutine worker instead of the test process.
+var crash = func() {
+	_ = syscall.Kill(os.Getpid(), syscall.SIGKILL) //lint:allow error-discard the process is gone either way
+}
+
+// RunWorker executes one worker's part of the program — from the share
+// of the input its hello is answered with, on rounds built from the
+// plan (the workload is generated only for a row that reads it) — every
+// step of a round being mpc's own, for one server: route this server's
+// facts (mpc.RouteSource), publish the shard's frames, pull every peer's and
 // merge in shard order (mpc.MergeInbox over one mpc.Stream per peer),
 // adopt residents, compute; then deliver the final fragment and
 // per-round accounting to the coordinator. The p−1 streams are opened
@@ -122,7 +131,7 @@ func resumeCheckpoint(dir string, index int) (cur *cursor, state *rel.Instance, 
 // by determinism) everything any peer could still ask for, and the
 // re-pulls succeed because peers retain the same two rounds.
 func RunWorker(cfg WorkerConfig) error {
-	built, err := Build(cfg.Spec)
+	built, _, err := elaborate(cfg.Spec)
 	if err != nil {
 		return err
 	}
@@ -143,7 +152,8 @@ func RunWorker(cfg WorkerConfig) error {
 	}()
 	defer serving.Wait()
 	defer srv.Close() // the run is over either way; close is best-effort
-	if _, err := roundtrip(cfg.CoordAddr, ctrlRequest{Op: "hello", Index: cfg.Index, Addr: srv.Addr()}); err != nil {
+	_, share, err := roundtrip(cfg.CoordAddr, ctrlRequest{Op: "hello", Index: cfg.Index, Addr: srv.Addr()}, nil)
+	if err != nil {
 		return err
 	}
 
@@ -157,7 +167,7 @@ func RunWorker(cfg WorkerConfig) error {
 		}
 	}
 
-	local := WorkerSlice(built.Input, p, cfg.Index)
+	var local *rel.Instance
 	var received, deltaSent []int
 	start := 0
 	if cfg.CkptDir != "" {
@@ -169,6 +179,13 @@ func RunWorker(cfg WorkerConfig) error {
 			local, received, deltaSent, start = state, cur.Received, cur.DeltaSent, cur.Round
 		}
 	}
+	if local == nil {
+		// A fresh start: the share the hello was answered with. A resume
+		// leaves it undecoded — the checkpoint holds what it became.
+		if local, err = rel.DecodeInstance(share); err != nil {
+			return fmt.Errorf("mpcnet: worker %d decoding its share: %w", cfg.Index, err)
+		}
+	}
 
 	for r := start; r < len(built.Rounds); r++ {
 		round := built.Rounds[r]
@@ -178,10 +195,9 @@ func RunWorker(cfg WorkerConfig) error {
 			}
 		}
 		if cfg.FailRound == r {
-			// The crash under test: die hard, no deferred cleanup, exactly
-			// like a lost machine. The coordinator's respawn (without the
+			// The crash under test. The coordinator's respawn (without the
 			// failpoint) recovers from the checkpoint just written.
-			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL) //lint:allow error-discard the process is gone either way
+			crash()
 		}
 
 		shard, err := mpc.RouteSource(round, p, cfg.Index, local)
@@ -226,12 +242,11 @@ func RunWorker(cfg WorkerConfig) error {
 	// every worker has reported — however long that takes (roundtrip
 	// waits for it without a deadline) — so no worker tears down its
 	// fragment server while a recovering peer might still need to re-pull.
-	_, err = roundtrip(cfg.CoordAddr, ctrlRequest{
+	_, _, err = roundtrip(cfg.CoordAddr, ctrlRequest{
 		Op:        "result",
 		Index:     cfg.Index,
 		Received:  received,
 		DeltaSent: deltaSent,
-		Fragment:  rel.EncodeInstance(local),
-	})
+	}, rel.EncodeInstance(local))
 	return err
 }
