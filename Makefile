@@ -51,8 +51,9 @@ SWEEPPROCS ?= 0
 # measurement. The recovery stack is guarded, and so is the algorithm
 # layer (core's menu, gym, hypercube, datalog, mapreduce, cq, pc): a PR
 # that deletes a duplicate there must not take the only covered path
-# with it.
-COVER_PKGS ?= ./internal/core ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen ./internal/policy ./internal/mpcnet ./internal/gym ./internal/hypercube ./internal/datalog ./internal/mapreduce ./internal/cq ./internal/pc
+# with it. So is the tuple-set substrate (rel) every byte-identity gate
+# rests on.
+COVER_PKGS ?= ./internal/core ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen ./internal/policy ./internal/mpcnet ./internal/gym ./internal/hypercube ./internal/datalog ./internal/mapreduce ./internal/cq ./internal/pc ./internal/rel
 COVER_BASELINE ?= COVERAGE.json
 
 .PHONY: all build vet test race lint faultmatrix byzantine transport netsweep verify fmt fuzz serve serve-soak bench-build bench bench-json verify-perf nightly soak experiments cover cover-baseline
@@ -246,14 +247,14 @@ bench:
 # HyperCube router, mpcd's single-pass repartition, its whole
 # repartitioning op and its warm reused query, one exchange over the TCP
 # transport, the 12-round distributed run, the covers decision of a
-# cold serving query, the one-round bulk distributed run) are appended
-# to the
+# cold serving query, the one-round bulk distributed run, a relation's
+# sorted enumeration and a fragment decode) are appended to the
 # root package's (the incremental-maintenance series, facts/sec and
 # per-batch deltacomm/rounds, and what a fault-tolerance Option costs a
 # fault-free run among them).
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
-	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkRunBulk)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc >> .bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkRunBulk|BenchmarkTuples|BenchmarkDecodeInstance)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE) .bench_raw.txt
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"

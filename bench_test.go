@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	mathrand "math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"mpclogic/internal/cq"
@@ -30,6 +32,31 @@ import (
 
 // newDetRand returns a deterministic rand for bench data generation.
 func newDetRand(seed int64) *mathrand.Rand { return mathrand.New(mathrand.NewSource(seed)) }
+
+// reportOwnAllocs sets allocs/op to the allocations op makes itself:
+// the least runtime.MemStats.Mallocs delta over a few calls run with
+// the timer stopped and the collector off. Mallocs counts the whole
+// process, and in a binary that links net/netip (this one does, through
+// the TCP transport) the runtime's cleanup of the unique package's maps
+// allocates a few 24- and 32-byte objects on a goroutine of its own
+// after every GC cycle. How many cycles land in the timed loop depends
+// on b.N and the heap's history, so an op that allocates megabytes in a
+// few dozen objects read 23 or 24 allocs/op at an unchanged tree. With
+// the collector off no cycle starts, and a cleanup already pending can
+// only add to one call, so the least delta is op's own count.
+func reportOwnAllocs(b *testing.B, op func()) {
+	b.StopTimer()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 4; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	b.ReportMetric(float64(least), "allocs/op")
+}
 
 func triangleQ(d *rel.Dict) *cq.CQ {
 	return cq.MustParse(d, "H(x, y, z) :- R(x, y), S(y, z), T(z, x)")
@@ -537,6 +564,7 @@ func BenchmarkCQEvaluateTriangle(b *testing.B) {
 			b.Fatal("wrong result")
 		}
 	}
+	reportOwnAllocs(b, func() { cq.Evaluate(q, inst) })
 }
 
 func BenchmarkDatalogTransitiveClosure(b *testing.B) {
@@ -745,6 +773,7 @@ func BenchmarkGenericJoin(b *testing.B) {
 				b.Fatal("wrong result")
 			}
 		}
+		reportOwnAllocs(b, func() { cq.Evaluate(q, fan) })
 	})
 }
 
@@ -943,5 +972,6 @@ func BenchmarkScaleIndependence(b *testing.B) {
 			cq.Evaluate(q, inst)
 		}
 		b.ReportMetric(float64(inst.Len()), "fetched")
+		reportOwnAllocs(b, func() { cq.Evaluate(q, inst) })
 	})
 }

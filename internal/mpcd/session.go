@@ -63,6 +63,23 @@ const maxGenSize = 1 << 22
 // "evenly spread, no particular scheme" starting state. The response
 // is built before the session is published so its fields never race
 // with a concurrent query.
+//
+// Everything that can refuse the request without its data is checked
+// before the data is generated, so a refused create costs no
+// generation. A request wrong in two ways gets the first error of this
+// order:
+//
+//  1. 400 bad_request: the generator's n or m out of bounds, p over
+//     the cluster cap, an unknown generator;
+//  2. 429 session_limit: MaxSessions sessions are live;
+//  3. 400 bad_request: an id that does not match sessionIDPat;
+//  4. 409 conflict: an id that is already live;
+//  5. 400 parse_error or bad_request: a fact that does not parse, or
+//     one at another arity than the data holds its relation.
+//
+// The limit and the conflict are checked again, under the same lock,
+// when the session is published: a concurrent create may have taken
+// the last slot or the id while this one generated.
 func (s *Server) createSession(req *createRequest) (createResponse, *apiError) {
 	if req.Generator != "" && (req.N <= 0 || req.N > maxGenSize || req.M > maxGenSize) {
 		return createResponse{}, errBadRequest("generator %q needs 0 < n ≤ %d (and m ≤ %d)", req.Generator, maxGenSize, maxGenSize)
@@ -74,13 +91,22 @@ func (s *Server) createSession(req *createRequest) (createResponse, *apiError) {
 	if p > 1<<12 {
 		return createResponse{}, errBadRequest("p = %d exceeds the per-session cluster cap %d", p, 1<<12)
 	}
+	generate, ok := generators[req.Generator]
+	if !ok {
+		return createResponse{}, errBadRequest("unknown generator %q", req.Generator)
+	}
 	budget := req.Budget
 	if budget <= 0 {
 		budget = s.cfg.SessionBudget
 	}
-	dict := rel.NewDict()
-	inst, aerr := buildData(req, dict)
+	s.sessMu.Lock()
+	aerr := s.admitLocked(req.ID)
+	s.sessMu.Unlock()
 	if aerr != nil {
+		return createResponse{}, aerr
+	}
+	dict, inst := rel.NewDict(), generate(req)
+	if aerr := addFacts(inst, req.Facts, dict); aerr != nil {
 		return createResponse{}, aerr
 	}
 	sess := &Session{
@@ -97,20 +123,12 @@ func (s *Server) createSession(req *createRequest) (createResponse, *apiError) {
 
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		return createResponse{}, errSessionLimit(s.cfg.MaxSessions)
+	if aerr := s.admitLocked(req.ID); aerr != nil {
+		return createResponse{}, aerr
 	}
 	id := req.ID
-	switch {
-	case id == "":
+	for id == "" || s.sessions[id] != nil {
 		id = s.freshID()
-		for s.sessions[id] != nil {
-			id = s.freshID()
-		}
-	case !sessionIDPat.MatchString(id):
-		return createResponse{}, errBadRequest("session id must match %s", sessionIDPat)
-	case s.sessions[id] != nil:
-		return createResponse{}, errConflict("session %q already exists", id)
 	}
 	sess.ID = id
 	s.sessions[id] = sess
@@ -118,45 +136,56 @@ func (s *Server) createSession(req *createRequest) (createResponse, *apiError) {
 	return createResponse{Session: id, P: p, Facts: sess.facts, Budget: budget}, nil
 }
 
-// buildData materializes a create request's data: a seeded workload
-// generator, explicit symbolic facts, or both.
-func buildData(req *createRequest, dict *rel.Dict) (*rel.Instance, *apiError) {
-	var inst *rel.Instance
-	switch req.Generator {
-	case "":
-		inst = rel.NewInstance()
-	case "join":
-		inst = workload.JoinSkewFree(req.N)
-	case "join-skewed":
-		inst = workload.JoinSkewed(req.N, skewOr(req.Skew, 0.1))
-	case "triangle":
-		inst = workload.TriangleSkewFree(req.N)
-	case "triangle-skewed":
-		inst = workload.TriangleSkewed(req.N, skewOr(req.Skew, 0.1))
-	case "cycle":
-		inst = workload.CycleGraph(req.N)
-	case "path":
-		inst = workload.PathGraph(req.N)
-	case "random-graph":
+// admitLocked checks the session table for a create of id (empty: a
+// fresh id is drawn at publish): the limit, the id's pattern, and a
+// conflict, in that order. The caller holds sessMu.
+func (s *Server) admitLocked(id string) *apiError {
+	switch {
+	case len(s.sessions) >= s.cfg.MaxSessions:
+		return errSessionLimit(s.cfg.MaxSessions)
+	case id == "":
+		return nil
+	case !sessionIDPat.MatchString(id):
+		return errBadRequest("session id must match %s", sessionIDPat)
+	case s.sessions[id] != nil:
+		return errConflict("session %q already exists", id)
+	}
+	return nil
+}
+
+// generators builds a create request's seeded workload by generator
+// name; "" is no generator, an empty instance.
+var generators = map[string]func(req *createRequest) *rel.Instance{
+	"":                func(*createRequest) *rel.Instance { return rel.NewInstance() },
+	"join":            func(req *createRequest) *rel.Instance { return workload.JoinSkewFree(req.N) },
+	"join-skewed":     func(req *createRequest) *rel.Instance { return workload.JoinSkewed(req.N, skewOr(req.Skew, 0.1)) },
+	"triangle":        func(req *createRequest) *rel.Instance { return workload.TriangleSkewFree(req.N) },
+	"triangle-skewed": func(req *createRequest) *rel.Instance { return workload.TriangleSkewed(req.N, skewOr(req.Skew, 0.1)) },
+	"cycle":           func(req *createRequest) *rel.Instance { return workload.CycleGraph(req.N) },
+	"path":            func(req *createRequest) *rel.Instance { return workload.PathGraph(req.N) },
+	"random-graph": func(req *createRequest) *rel.Instance {
 		m := req.M
 		if m <= 0 {
 			m = 4 * req.N
 		}
-		inst = workload.RandomGraph(req.N, m, req.Seed)
-	default:
-		return nil, errBadRequest("unknown generator %q", req.Generator)
-	}
-	for _, fs := range req.Facts {
+		return workload.RandomGraph(req.N, m, req.Seed)
+	},
+}
+
+// addFacts adds a create request's explicit symbolic facts to the
+// generated instance.
+func addFacts(inst *rel.Instance, facts []string, dict *rel.Dict) *apiError {
+	for _, fs := range facts {
 		f, err := rel.ParseFact(dict, fs)
 		if err != nil {
-			return nil, errParse(err)
+			return errParse(err)
 		}
 		if r := inst.Relation(f.Rel); r != nil && r.Arity != len(f.Tuple) {
-			return nil, errBadRequest("fact %s: the data holds %s at arity %d", fs, f.Rel, r.Arity)
+			return errBadRequest("fact %s: the data holds %s at arity %d", fs, f.Rel, r.Arity)
 		}
 		inst.Add(f)
 	}
-	return inst, nil
+	return nil
 }
 
 func skewOr(v, def float64) float64 {

@@ -228,15 +228,15 @@ func TestForcedFullHashCollisions(t *testing.T) {
 	}
 }
 
-// TestRealLowBitCollisions brute-forces tuples whose genuine hashes
-// agree on the low bits used by a minimum-size table, so the public API
-// itself walks probe chains full of partial collisions.
+// TestRealLowBitCollisions brute-forces tuples whose genuine table
+// hashes agree on the low bits used by a minimum-size table, so the
+// public API itself walks probe chains full of partial collisions.
 func TestRealLowBitCollisions(t *testing.T) {
 	const wantBits = 7 // minimum table size 8 → 3-bit slot index
 	var colliding []Tuple
 	for v := Value(0); len(colliding) < 12; v++ {
 		tu := Tuple{v}
-		if tu.Hash()&wantBits == 0 {
+		if tableHash(tu)&wantBits == 0 {
 			colliding = append(colliding, tu)
 		}
 	}

@@ -1,0 +1,65 @@
+package rel
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// spanRelation returns a relation of n distinct tuples of the given
+// arity whose values are drawn uniformly from [0, 2^bits) (bits = 64:
+// the whole int64 range, negatives included).
+func spanRelation(seed int64, arity, n, bits int) *Relation {
+	rng := rand.New(rand.NewSource(seed))
+	r := NewRelationSize("R", arity, n)
+	for t := make(Tuple, arity); r.Len() < n; {
+		for j := range t {
+			if bits == 64 {
+				t[j] = Value(rng.Uint64())
+			} else {
+				t[j] = Value(rng.Int63n(1 << bits))
+			}
+		}
+		r.Add(t)
+	}
+	return r
+}
+
+// BenchmarkTuples prices one sorted enumeration of a relation (the
+// cache dropped before every call): binary answers of serving size on
+// both sides of the comparison base case, and arity 4 at full 64-bit
+// width, where the radix passes would outnumber a comparison sort's
+// comparisons and the comparison base case runs.
+func BenchmarkTuples(b *testing.B) {
+	for _, c := range []struct{ arity, n, bits int }{
+		{2, 16, 20}, {2, 256, 20}, {2, 20000, 20}, {4, 20000, 64},
+	} {
+		r := spanRelation(1, c.arity, c.n, c.bits)
+		b.Run(fmt.Sprintf("arity=%d/n=%d/bits=%d", c.arity, c.n, c.bits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.sorted = nil
+				if len(r.Tuples()) != c.n {
+					b.Fatal("short enumeration")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeInstance prices decoding a 40 000-fact fragment: the
+// byte reading and the hash-table rebuild every received fragment pays.
+func BenchmarkDecodeInstance(b *testing.B) {
+	inst := NewInstance()
+	inst.SetRelationAs("R", spanRelation(2, 2, 20000, 20))
+	inst.SetRelationAs("S", spanRelation(3, 3, 20000, 20))
+	data := EncodeInstance(inst)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeInstance(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

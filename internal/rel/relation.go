@@ -1,18 +1,17 @@
 package rel
 
-import "slices"
-
 // Relation is a named, fixed-arity set of tuples.
 //
 // The implementation is an open-addressing hash set over a flat value
 // arena: tuple i occupies arena[i*Arity : (i+1)*Arity], hashes[i]
-// caches its Tuple.Hash, and slots is a power-of-two linear-probing
-// table mapping hash positions to tuple indices. Membership is decided
-// by the cached 64-bit hash first and verified with Tuple.Equal, so no
-// per-tuple string key or per-tuple map entry is ever allocated.
-// Removed tuples are tombstoned (dead[i]) and compacted on the next
-// rehash; compaction copies live values into a fresh arena, so Tuple
-// views handed out earlier stay valid.
+// caches its table hash (tableHash — the table's own, not the
+// placement hash Tuple.Hash), and slots is a power-of-two
+// linear-probing table mapping hash positions to tuple indices.
+// Membership is decided by the cached 64-bit hash first and verified
+// with Tuple.Equal, so no per-tuple string key or per-tuple map entry
+// is ever allocated. Removed tuples are tombstoned (dead[i]) and
+// compacted on the next rehash; compaction copies live values into a
+// fresh arena, so Tuple views handed out earlier stay valid.
 //
 // Enumeration contract: Each visits tuples in unspecified (insertion)
 // order; Tuples returns the lexicographically sorted enumeration and
@@ -23,7 +22,7 @@ type Relation struct {
 	Arity int
 
 	arena  []Value  // flat tuple storage
-	hashes []uint64 // cached Tuple.Hash, parallel to stored tuples
+	hashes []uint64 // cached tableHash, parallel to stored tuples
 	dead   []bool   // tombstoned tuples awaiting compaction
 	slots  []int32  // open-addressing table: index, slotEmpty, or slotTomb
 	live   int      // live (non-dead) tuples
@@ -46,6 +45,23 @@ func tableSizeFor(n int) int {
 		size *= 2
 	}
 	return size
+}
+
+// tableHash is the hash the table keys on: one multiply–xorshift per
+// value, then Mix64. It only decides slot positions — never an order,
+// a route or a placement (Each walks the arena) — so it is private and
+// free to change, unlike Tuple.Hash, whose exact values every route,
+// owner election and report is a function of. The xorshift folds each
+// product's high half into the low bits the slot mask reads, and Mix64
+// avalanches the result; both steps and the multiply are bijections,
+// so distinct unary tuples never share a hash.
+func tableHash(t Tuple) uint64 {
+	h := uint64(0x243f6a8885a308d3)
+	for _, v := range t {
+		h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return Mix64(h)
 }
 
 func newSlots(size int) []int32 {
@@ -276,17 +292,17 @@ func (r *Relation) Add(t Tuple) bool {
 	if len(t) != r.Arity {
 		panic("rel: arity mismatch in " + r.Name)
 	}
-	return r.insert(t.Hash(), t)
+	return r.insert(tableHash(t), t)
 }
 
 // Contains reports whether t is in the relation.
 func (r *Relation) Contains(t Tuple) bool {
-	return r.find(t.Hash(), t) >= 0
+	return r.find(tableHash(t), t) >= 0
 }
 
 // Remove deletes t, reporting whether it was present.
 func (r *Relation) Remove(t Tuple) bool {
-	return r.remove(t.Hash(), t)
+	return r.remove(tableHash(t), t)
 }
 
 // Len returns the number of tuples.
@@ -313,13 +329,7 @@ func (r *Relation) Each(fn func(Tuple) bool) {
 // elements (appending is safe: the slice is capacity-clipped).
 func (r *Relation) Tuples() []Tuple {
 	if r.sorted == nil {
-		out := make([]Tuple, 0, r.live)
-		r.Each(func(t Tuple) bool {
-			out = append(out, t)
-			return true
-		})
-		slices.SortFunc(out, Tuple.Compare)
-		r.sorted = out
+		r.sorted = r.sortedTuples()
 	}
 	return r.sorted[:len(r.sorted):len(r.sorted)]
 }

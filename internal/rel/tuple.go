@@ -25,11 +25,14 @@ func (t Tuple) Key() string {
 	return string(b)
 }
 
-// Hash returns a partition-quality hash of the tuple: FNV-1a over the
-// value bytes followed by an avalanche finalizer. The finalizer
-// matters: without it, tuples differing in a single high byte have
-// hashes with a constant 64-bit difference, so their low bits — the
-// ones a mod-p partitioner uses — correlate perfectly and loads skew.
+// Hash returns the placement hash of the tuple: FNV-1a over the value
+// bytes followed by an avalanche finalizer. The finalizer matters:
+// without it, tuples differing in a single high byte have hashes with a
+// constant 64-bit difference, so their low bits — the ones a mod-p
+// partitioner uses — correlate perfectly and loads skew. Its exact
+// values are frozen: every route, owner election, grid cell and
+// reported load is a function of them. Relation's own hash table does
+// not use it; it keys on the cheaper private tableHash.
 func (t Tuple) Hash() uint64 {
 	const (
 		offset = 14695981039346656037

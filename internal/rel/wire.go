@@ -271,7 +271,7 @@ func decodeRelation(w *wireReader) (string, *Relation, error) {
 			}
 			scratch[j] = Value(v)
 		}
-		if !r.insert(scratch.Hash(), scratch) {
+		if !r.insert(tableHash(scratch), scratch) {
 			return "", nil, fmt.Errorf("rel: relation %q carries duplicate tuple %v (canonical encoding is duplicate-free)", name, scratch)
 		}
 	}
