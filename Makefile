@@ -1,7 +1,9 @@
 # mpclogic build / verification entry points. `make verify` is the
 # gate every change must pass: it compiles the module, runs go vet,
-# the full test suite (including the determinism regression tests),
-# the race detector, and the repo-specific mpclint analyzers.
+# the full test suite (including the determinism regression tests,
+# the fault, Byzantine and transport matrices, and every experiment)
+# once, the race detector, and the repo-specific mpclint analyzers.
+# No target re-runs by name a test `make test` already ran.
 # `make verify-perf` additionally guards against benchmark regressions
 # relative to the checked-in baseline report.
 
@@ -56,7 +58,7 @@ SWEEPPROCS ?= 0
 COVER_PKGS ?= ./internal/core ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen ./internal/policy ./internal/mpcnet ./internal/gym ./internal/hypercube ./internal/datalog ./internal/mapreduce ./internal/cq ./internal/pc ./internal/rel
 COVER_BASELINE ?= COVERAGE.json
 
-.PHONY: all build vet test race lint faultmatrix byzantine transport netsweep verify fmt fuzz serve serve-soak bench-build bench bench-json verify-perf nightly soak experiments cover cover-baseline
+.PHONY: all build vet test race lint netsweep verify fmt fuzz serve serve-soak bench-build bench bench-json verify-perf nightly soak experiments cover cover-baseline
 
 all: verify
 
@@ -79,54 +81,11 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# faultmatrix pins the PR-4 fault-transparency gate by name: every plan
-# in the seeded matrix must leave outputs and logical load metrics
-# byte-identical to the fault-free run, across the multi-round
-# algorithms and the FAULTMPC experiment's checkpoint-resume row.
-faultmatrix:
-	$(GO) test -run 'TestFaultTransparency|TestCheckpoint|TestRunYannakakisRoundsResumesAfterFailure|TestGYMRestoreFromCheckpoint' ./internal/mpc ./internal/gym
-	$(GO) run ./cmd/experiments -parallel $(SWEEPPROCS) -run FAULTMPC-matrix
-
-# byzantine pins the PR-9 routing-integrity gate by name: the engine's
-# Byzantine detection tests (quarantine, typed escalation, minimal
-# witness), the correlated-failure plans, the frame-checksum codec, the
-# Byzantine matrix invariant across the program suite, and the BYZ
-# experiment sweep.
-byzantine:
-	$(GO) test -run 'TestByzantine|TestRoutingVerification|TestFrame|TestTCPExchangeAbsorbsCorruptFrames|TestGroupCrash|TestGroupPartition|TestCorrelated|TestCorrupt|TestStandardFaultMatrixIncludesCorrelatedPlans' ./internal/mpc
-	$(GO) test -run 'TestByzantineMatrixAcrossPrograms|TestChaosOverTCP' ./internal/gym
-	$(GO) run ./cmd/experiments -parallel $(SWEEPPROCS) -run BYZ-matrix
-
-# transport pins the PR-8 transport-equivalence gate by name: the
-# direct tests of the publish-and-pull data plane (what armed havoc
-# puts on the wire, pulls through it, blocking, retirement, wrong
-# answers, a respawned source) and of its persistent streams (one
-# connection for N pulls, one redial per broken answer, a trailing
-# duplicate refused, post-then-pull, a failed post, idle past the I/O
-# bound, Close with idle streams), the TCP inbox as the in-process
-# merge, the conformance suite on both the
-# Local and TCP transports, the program matrix over real sockets
-# (byte-identical output, state, and logical trace), the chaos-over-TCP
-# fault matrix, the multi-process runtime against the simulator (the
-# plan matrix on all three executors, the spec's wire form, one dial per
-# peer per run, a result barrier that outlasts the I/O bound, two
-# checkpoint slots per worker whatever the round, a torn first checkpoint
-# that costs nothing, every flipped bit of a slot refused, a worker that
-# starts from the share the coordinator dealt it and generates nothing,
-# a bounded control plane that refuses bad fragment frames),
-# and the e2e suite on the real binary: local against tcp on tc and on
-# the merged menu, rejected flags, kill-at-every-round recovery.
-transport:
-	$(GO) test -run 'TestArmedHavocIsOnTheWire|TestPull|TestRetireBelow|TestMergeInboxRejectsUndecodableFragment|TestMergeInboxIsMergeShards|TestStream|TestPostThenPull|TestFailedPostRecoversInPull|TestIdleStreamOutlivesIOBound|TestCloseEndsIdleStreams' ./internal/mpc
-	$(GO) test -run 'TestLocalConformance|TestTCPConformance' ./internal/mpc/transportconf
-	$(GO) test -run 'TestTransportEquivalence|TestChaosOverTCP' ./internal/gym
-	$(GO) test -run 'TestPlanMatrixAcrossExecutors|TestSpecJSONRoundTrip|TestDistributedMatchesLocal|TestRunDialsEachPeerOnce|TestResultBarrierOutlastsIOBound|TestCheckpointSlots|TestDistributedRunKeepsTwoSlots|TestTornFirstCheckpointRecovers|TestCheckpointBitFlipLaw|TestWorkerSliceMatchesRoundRobin|TestWorkerHoldsOnlyItsShare|TestControlPlaneRefusesOverlongLinesAndBadFrames|FuzzControlPlane' ./internal/mpcnet
-	$(GO) test -run 'TestE2E' ./cmd/mpcrun
-
 # netsweep drives the installed binary end to end, wider than the
-# transport gate: the five programs on their home workloads, the
-# (workload, algorithm) pairs only the simulator could run before the
-# menus merged, and a planner-chosen plan, each at p ∈ {2,4,8}, must
+# transport tests `make test` runs: the five programs on their home
+# workloads, the (workload, algorithm) pairs only the simulator could
+# run before the menus merged, and a planner-chosen plan, each at
+# p ∈ {2,4,8}, must
 # print the same report bytes over local and tcp; and a SIGKILL-recovery
 # run at each of the tc program's four rounds must be indistinguishable
 # from the undisturbed reference.
@@ -181,7 +140,7 @@ serve:
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
-verify: build vet bench-build test race faultmatrix byzantine transport lint serve fuzz
+verify: build vet bench-build test race lint serve fuzz
 	@echo "verify: OK"
 
 # experiments regenerates every report on the sweep scheduler.
@@ -248,13 +207,14 @@ bench:
 # repartitioning op and its warm reused query, one exchange over the TCP
 # transport, the 12-round distributed run, the covers decision of a
 # cold serving query, the one-round bulk distributed run, a relation's
-# sorted enumeration and a fragment decode) are appended to the
+# sorted enumeration, a fragment decode and the join index, built fresh
+# and maintained under a delta) are appended to the
 # root package's (the incremental-maintenance series, facts/sec and
 # per-batch deltacomm/rounds, and what a fault-tolerance Option costs a
 # fault-free run among them).
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
-	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkRunBulk|BenchmarkTuples|BenchmarkDecodeInstance)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel >> .bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkRunBulk|BenchmarkTuples|BenchmarkDecodeInstance|BenchmarkHashJoin)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE) .bench_raw.txt
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"

@@ -165,8 +165,3 @@ func ClassifyProgram(p *datalog.Program) mono.Class {
 func StrategyFor(c mono.Class) *transducer.Strategy {
 	return transducer.StrategyFor(c)
 }
-
-// EvalDatalog runs a stratified Datalog program centrally.
-func EvalDatalog(p *datalog.Program, edb *rel.Instance, outRel string) (*rel.Instance, error) {
-	return datalog.EvalQuery(p, edb, outRel)
-}

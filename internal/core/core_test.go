@@ -160,9 +160,9 @@ OUT(x, y) :- ADom(x), ADom(y), not TC(x, y)`)
 	if ClassifyProgram(sc) != mono.Mdisjoint {
 		t.Errorf("semi-connected program not in Mdisjoint")
 	}
-	out, err := EvalDatalog(sc, workload.PathGraph(2), "OUT")
+	out, err := datalog.EvalQuery(sc, workload.PathGraph(2), "OUT")
 	if err != nil || out.Len() != 6 {
-		t.Errorf("EvalDatalog: %d facts, err %v", out.Len(), err)
+		t.Errorf("EvalQuery: %d facts, err %v", out.Len(), err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"mpclogic/internal/core"
 	"mpclogic/internal/cq"
+	"mpclogic/internal/gym"
 	"mpclogic/internal/mapreduce"
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/mpcnet"
@@ -123,6 +124,48 @@ func TestGenericJoinFailsLikeTheEvaluator(t *testing.T) {
 		}
 		if want := cq.Output(q, inst); !out[0].Equal(want) || !out[1].Equal(want) {
 			t.Errorf("%s: evaluator %v, generic join %v, central %v", src, out[0], out[1], want)
+		}
+	}
+}
+
+// TestAtomAtAnotherArityMatchesNothing: an atom wider or narrower than
+// the relation the instance holds under its name matches nothing on
+// every evaluator that reads atoms — the in-memory Yannakakis and
+// cascade, the generic join, and the yannakakis and gym rows, whose
+// materialize rounds read atoms at every server. Each answers what the
+// central evaluation answers, the empty set, and none panics.
+func TestAtomAtAnotherArityMatchesNothing(t *testing.T) {
+	a := core.NewAnalyzer()
+	inst := rel.MustInstance(a.Dict, "R(a,b)", "R(b,c)", "S(a,d)", "S(c,a)")
+	for _, src := range []string{
+		"H(x) :- R(x, y, z), S(z, w)",
+		"H(x) :- R(x), S(x, w)",
+	} {
+		q, err := a.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cq.Evaluate(q, inst); want.Len() != 0 {
+			t.Fatalf("%s: the central evaluation answers %v, want ∅", src, want.Tuples())
+		}
+		check := func(engine string, got *rel.Relation, err error) {
+			t.Helper()
+			if err != nil || got.Len() != 0 {
+				t.Errorf("%s by %s: %v (err %v), want ∅", src, engine, got.Tuples(), err)
+			}
+		}
+		y, _, err := gym.Yannakakis(q, inst)
+		check("gym.Yannakakis", y, err)
+		c, _, err := gym.CascadeJoin(q, inst)
+		check("gym.CascadeJoin", c, err)
+		g, err := cq.GenericJoin(q, inst)
+		check("cq.GenericJoin", g, err)
+		for _, algo := range []core.Algorithm{core.AlgoYannakakis, core.AlgoGYM} {
+			res, err := core.Execute(&core.Plan{Algorithm: algo, Query: q, Servers: 4, Seed: 5}, inst)
+			if err != nil {
+				t.Fatalf("%s on the %s row: %v", src, algo, err)
+			}
+			check(string(algo)+" row", res.Output.EnsureRelation("H", 1), nil)
 		}
 	}
 }

@@ -218,51 +218,25 @@ func evalBindings(q *CQ, inst *rel.Instance) ([]string, bindings) {
 		a := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
 
-		// An atom over a relation the instance lacks, or holds at another
-		// arity, matches nothing.
-		src := inst.Relation(a.Rel)
-		if src == nil || src.Len() == 0 || src.Arity != len(a.Args) {
+		m := NewMatcher(a)
+		src := m.Relation(inst)
+		if src == nil || src.Len() == 0 {
 			return nil, bindings{}
 		}
 
-		// One pass over the atom's positions: the first occurrence of a
-		// variable either joins a bound column (shared) or opens a new
-		// one (fresh); a repeat or a constant is a per-tuple admission
-		// check, and an atom of distinct variables has none.
-		type check struct {
-			pos, first int       // t[pos] must equal t[first] …
-			c          rel.Value // … or, with first < 0, this constant
-		}
-		var checks []check
-		var fresh []string
+		// The atom's variables split into shared ones, which join a bound
+		// column, and fresh ones, which open a new one.
 		var sharedAtomCols, sharedCurCols, freshCols []int
-		for p, t := range a.Args {
-			if !t.IsVar() {
-				checks = append(checks, check{pos: p, first: -1, c: t.Const})
-			} else if f := slices.IndexFunc(a.Args[:p], func(u Term) bool { return u.Var == t.Var }); f >= 0 {
-				checks = append(checks, check{pos: p, first: f})
-			} else if c, ok := bound[t.Var]; ok {
-				sharedAtomCols = append(sharedAtomCols, p)
+		for k, v := range m.Vars {
+			if c, ok := bound[v]; ok {
+				sharedAtomCols = append(sharedAtomCols, m.Cols[k])
 				sharedCurCols = append(sharedCurCols, c)
 			} else {
-				fresh = append(fresh, t.Var)
-				freshCols = append(freshCols, p)
+				freshCols = append(freshCols, m.Cols[k])
 			}
-		}
-		admits := func(t rel.Tuple) bool {
-			for _, k := range checks {
-				if k.first < 0 {
-					if t[k.pos] != k.c {
-						return false
-					}
-				} else if t[k.pos] != t[k.first] {
-					return false
-				}
-			}
-			return true
 		}
 
-		next := bindings{width: current.width + len(fresh)}
+		next := bindings{width: current.width + len(freshCols)}
 		if len(sharedCurCols) == 0 {
 			// Nothing to join on — the first atom, or a Cartesian
 			// factor: every row meets every admitted tuple, so there is
@@ -274,7 +248,7 @@ func evalBindings(q *CQ, inst *rel.Instance) ([]string, bindings) {
 			}
 			current.each(func(t rel.Tuple) bool {
 				src.Each(func(s rel.Tuple) bool {
-					if admits(s) {
+					if m.Admits(s) {
 						next.add(t, s, freshCols)
 					}
 					return true
@@ -282,52 +256,26 @@ func evalBindings(q *CQ, inst *rel.Instance) ([]string, bindings) {
 				return true
 			})
 		} else {
-			// Index the admitted tuples by shared-variable hash in a
-			// chained table that lives for this step only: heads[h&mask]
-			// is the first tuple of a bucket, chain[i] the one after
-			// tuple i, -1 ends a chain. Tuples enter last to first, each
-			// at the head of its bucket, so a bucket lists them in the
-			// relation's enumeration order. A bucket mixes keys; probes
-			// verify column by column. The admitted tuples are copied
-			// into rows of their own so that chain can name them by
-			// number (a Relation has no positional access to offer).
-			admitted := bindings{width: src.Arity, vals: make([]rel.Value, 0, src.Len()*src.Arity)}
-			src.Each(func(s rel.Tuple) bool {
-				if admits(s) {
-					admitted.add(s, nil, nil)
-				}
-				return true
-			})
-			size := 8
-			for size < 2*admitted.n {
-				size *= 2
-			}
-			mask := uint64(size - 1)
-			heads := make([]int32, size)
-			for i := range heads {
-				heads[i] = -1
-			}
-			chain := make([]int32, admitted.n)
-			for i := admitted.n - 1; i >= 0; i-- {
-				h := rel.HashCols(admitted.row(i), sharedAtomCols) & mask
-				chain[i] = heads[h]
-				heads[h] = int32(i)
-			}
+			// rel's join index over the admitted tuples on the shared
+			// variables, built for this step: it lists a key's tuples in
+			// the relation's enumeration order, and nothing is copied or
+			// cached on the instance.
+			idx := rel.NewIndex(src, sharedAtomCols, m.Admits)
 			next.vals = make([]rel.Value, 0, current.n*next.width)
 			current.each(func(t rel.Tuple) bool {
-				h := rel.HashCols(t, sharedCurCols) & mask
-				for i := heads[h]; i >= 0; i = chain[i] {
-					if s := admitted.row(int(i)); rel.EqualOn(t, sharedCurCols, s, sharedAtomCols) {
-						next.add(t, s, freshCols)
-					}
-				}
+				idx.Probe(t, sharedCurCols, func(s rel.Tuple) bool {
+					next.add(t, s, freshCols)
+					return true
+				})
 				return true
 			})
 		}
 		current = next
-		for _, v := range fresh {
-			bound[v] = len(vars)
-			vars = append(vars, v)
+		for _, v := range m.Vars {
+			if _, ok := bound[v]; !ok {
+				bound[v] = len(vars)
+				vars = append(vars, v)
+			}
 		}
 		applyDiseqs()
 		if current.n == 0 {

@@ -145,7 +145,7 @@ func evalBindingsReference(q *CQ, inst *rel.Instance) ([]string, *rel.Relation) 
 			if !admits(t) {
 				return true
 			}
-			h := rel.HashCols(t, sharedAtomCols)
+			h := t.Project(sharedAtomCols).Hash()
 			idx[h] = append(idx[h], t)
 			return true
 		})
@@ -154,9 +154,9 @@ func evalBindingsReference(q *CQ, inst *rel.Instance) ([]string, *rel.Relation) 
 		scratch := make(rel.Tuple, current.Arity+len(fresh))
 		curArity := current.Arity
 		current.Each(func(t rel.Tuple) bool {
-			h := rel.HashCols(t, sharedCurCols)
+			h := t.Project(sharedCurCols).Hash()
 			for _, s := range idx[h] {
-				if !rel.EqualOn(t, sharedCurCols, s, sharedAtomCols) {
+				if !t.Project(sharedCurCols).Equal(s.Project(sharedAtomCols)) {
 					continue
 				}
 				copy(scratch, t)

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mpclogic/internal/rel"
@@ -65,10 +66,7 @@ func GenericJoin(q *CQ, inst *rel.Instance) (*rel.Relation, error) {
 	// Build one prefix-trie index per atom.
 	idxs := make([]*gjIndex, len(q.Body))
 	for ai, a := range q.Body {
-		idx, err := buildGJIndex(a, inst, pos)
-		if err != nil {
-			return nil, err
-		}
+		idx := buildGJIndex(a, inst, pos)
 		if idx == nil {
 			return out, nil // an atom has no admissible tuples
 		}
@@ -155,45 +153,36 @@ func GenericJoin(q *CQ, inst *rel.Instance) (*rel.Relation, error) {
 	return out, nil
 }
 
-// buildGJIndex indexes an atom's admissible tuples (constants and
-// repeated variables respected). A nil index means no tuples qualify.
-func buildGJIndex(a Atom, inst *rel.Instance, globalPos map[string]int) (*gjIndex, error) {
-	vars := a.Vars()
+// buildGJIndex indexes an atom's admissible tuples. A nil index means
+// no tuples qualify.
+func buildGJIndex(a Atom, inst *rel.Instance, globalPos map[string]int) *gjIndex {
+	m := NewMatcher(a)
+	src := m.Relation(inst)
+	if src == nil {
+		return nil
+	}
+	vars := slices.Clone(m.Vars)
 	sort.Slice(vars, func(i, j int) bool { return globalPos[vars[i]] < globalPos[vars[j]] })
-	firstPos := map[string]int{}
-	for p, t := range a.Args {
-		if t.IsVar() {
-			if _, ok := firstPos[t.Var]; !ok {
-				firstPos[t.Var] = p
-			}
-		}
+	cols := make([]int, len(vars)) // the position vars[k] is read from
+	for k, v := range vars {
+		cols[k] = m.Cols[slices.Index(m.Vars, v)]
 	}
 	idx := &gjIndex{vars: vars, level: make([]map[string][]rel.Value, len(vars))}
 	for k := range idx.level {
 		idx.level[k] = map[string][]rel.Value{}
 	}
-	src := inst.Relation(a.Rel)
-	if src == nil || src.Arity != len(a.Args) {
-		return nil, nil // as in evalBindings: a relation held at another arity matches nothing
-	}
 	seen := map[string]bool{}
 	any := false
 	src.Each(func(t rel.Tuple) bool {
-		for p, arg := range a.Args {
-			if arg.IsVar() {
-				if t[firstPos[arg.Var]] != t[p] {
-					return true
-				}
-			} else if t[p] != arg.Const {
-				return true
-			}
+		if !m.Admits(t) {
+			return true
 		}
 		any = true
 		// Insert into every prefix level, deduplicated.
 		prefix := make(rel.Tuple, 0, len(vars))
-		for k, v := range vars {
+		for k, c := range cols {
 			key := prefix.Key()
-			val := t[firstPos[v]]
+			val := t[c]
 			dedup := fmt.Sprintf("%d|%s|%d", k, key, int64(val))
 			if !seen[dedup] {
 				seen[dedup] = true
@@ -204,9 +193,9 @@ func buildGJIndex(a Atom, inst *rel.Instance, globalPos map[string]int) (*gjInde
 		return true
 	})
 	if !any {
-		return nil, nil
+		return nil
 	}
-	return idx, nil
+	return idx
 }
 
 // candidates returns the values this atom admits for its first

@@ -7,6 +7,7 @@
 package cq
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -68,23 +69,11 @@ func (a Atom) Vars() []string {
 // l-tuple on lCols and an r-tuple on rCols sends joining tuples to the
 // same place; both lists are empty for a cross product.
 func JoinColumns(l, r Atom) (lCols, rCols []int) {
-	lPos := map[string]int{}
-	for i, t := range l.Args {
-		if t.IsVar() {
-			if _, ok := lPos[t.Var]; !ok {
-				lPos[t.Var] = i
-			}
-		}
-	}
-	seen := map[string]bool{}
-	for i, t := range r.Args {
-		if !t.IsVar() || seen[t.Var] {
-			continue
-		}
-		if li, ok := lPos[t.Var]; ok {
-			seen[t.Var] = true
-			lCols = append(lCols, li)
-			rCols = append(rCols, i)
+	lm, rm := NewMatcher(l), NewMatcher(r)
+	for k, v := range rm.Vars {
+		if j := slices.Index(lm.Vars, v); j >= 0 {
+			lCols = append(lCols, lm.Cols[j])
+			rCols = append(rCols, rm.Cols[k])
 		}
 	}
 	return lCols, rCols

@@ -38,38 +38,17 @@ type Stats struct {
 // a relation over the atom's distinct variables (applying constant and
 // repeated-variable selections).
 func nodeRelation(a cq.Atom, i *rel.Instance, name string) (*rel.Relation, []string) {
-	vars := a.Vars()
-	firstPos := map[string]int{}
-	for p, t := range a.Args {
-		if t.IsVar() {
-			if _, ok := firstPos[t.Var]; !ok {
-				firstPos[t.Var] = p
+	m := cq.NewMatcher(a)
+	out := rel.NewRelation(name, len(m.Vars))
+	if src := m.Relation(i); src != nil {
+		src.Each(func(t rel.Tuple) bool {
+			if m.Admits(t) {
+				out.Add(t.Project(m.Cols))
 			}
-		}
+			return true
+		})
 	}
-	cols := make([]int, len(vars))
-	for k, v := range vars {
-		cols[k] = firstPos[v]
-	}
-	out := rel.NewRelation(name, len(vars))
-	src := i.Relation(a.Rel)
-	if src == nil {
-		return out, vars
-	}
-	src.Each(func(t rel.Tuple) bool {
-		for p, arg := range a.Args {
-			if arg.IsVar() {
-				if t[firstPos[arg.Var]] != t[p] {
-					return true
-				}
-			} else if t[p] != arg.Const {
-				return true
-			}
-		}
-		out.Add(t.Project(cols))
-		return true
-	})
-	return out, vars
+	return out, m.Vars
 }
 
 // Yannakakis evaluates an acyclic pure CQ: full reduction by

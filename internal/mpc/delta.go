@@ -121,17 +121,19 @@ func (c *Cluster) DeltaBatches() int {
 	return c.delta.batches
 }
 
-// loadDelta spreads adds round-robin across servers under Δ names.
+// loadDelta deals adds round-robin across servers under Δ names: a
+// view binds each relation under its Δ name without copying it, and Δ
+// names sort like their bases, so DealRoundRobin deals the view in the
+// order it would deal adds.
 func (c *Cluster) loadDelta(adds *rel.Instance) {
 	if adds == nil {
 		return
 	}
-	k := 0
-	adds.Each(func(f rel.Fact) bool {
-		c.servers[k%c.p].Add(rel.Fact{Rel: DeltaName(f.Rel), Tuple: f.Tuple})
-		k++
-		return true
-	})
+	view := rel.NewInstance()
+	for _, name := range adds.RelationNames() {
+		view.SetRelationAs(DeltaName(name), adds.Relation(name))
+	}
+	DealRoundRobin(view, c.servers, 0)
 }
 
 // frontierEmpty reports whether every frontier relation is empty on

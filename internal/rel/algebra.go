@@ -77,12 +77,14 @@ func Intersect(name string, l, r *Relation) *Relation {
 // the l-tuple and the r-tuple (all columns of both, join columns
 // duplicated), with arity l.Arity + r.Arity.
 //
-// The build side's hash index is cached on the relation (see
+// The build side's join index is cached on the relation (see
 // Relation.index), so repeated joins against an unchanged relation —
 // the shape of semi-naive Datalog iteration — skip the build phase
 // entirely. Probing hashes the probe columns in place and result tuples
 // are assembled in a reused scratch buffer; Add copies into the result
-// arena, so the loop allocates nothing per probe.
+// arena, so the loop allocates nothing per probe. The result lists the
+// probe side's tuples in its Each order, each with its matches in the
+// build side's.
 func HashJoin(name string, l, r *Relation, lCols, rCols []int) *Relation {
 	if len(lCols) != len(rCols) {
 		panic("rel: join column count mismatch")
@@ -96,7 +98,7 @@ func HashJoin(name string, l, r *Relation, lCols, rCols []int) *Relation {
 	build, probe := l, r
 	bCols, pCols := lCols, rCols
 	swapped := false
-	lIdx, rIdx := l.hasIndex(lCols), r.hasIndex(rCols)
+	lIdx, rIdx := l.cached(lCols) != nil, r.cached(rCols) != nil
 	if (rIdx && !lIdx) || (lIdx == rIdx && r.Len() < l.Len()) {
 		build, probe = r, l
 		bCols, pCols = rCols, lCols
@@ -105,12 +107,7 @@ func HashJoin(name string, l, r *Relation, lCols, rCols []int) *Relation {
 	idx := build.index(bCols)
 	scratch := make(Tuple, l.Arity+r.Arity)
 	probe.Each(func(t Tuple) bool {
-		h := HashCols(t, pCols)
-		for _, bi := range idx.buckets[h] {
-			bt := build.tupleAt(bi)
-			if !EqualOn(bt, bCols, t, pCols) {
-				continue
-			}
+		idx.Probe(t, pCols, func(bt Tuple) bool {
 			if swapped {
 				copy(scratch, t)
 				copy(scratch[len(t):], bt)
@@ -119,7 +116,8 @@ func HashJoin(name string, l, r *Relation, lCols, rCols []int) *Relation {
 				copy(scratch[len(bt):], t)
 			}
 			out.Add(scratch)
-		}
+			return true
+		})
 		return true
 	})
 	return out
@@ -128,40 +126,32 @@ func HashJoin(name string, l, r *Relation, lCols, rCols []int) *Relation {
 // SemiJoin returns the tuples of l that join with at least one tuple of
 // r on the given columns (l ⋉ r). The index over r is cached on r.
 func SemiJoin(l, r *Relation, lCols, rCols []int) *Relation {
+	return semiJoin(l, r, lCols, rCols, true)
+}
+
+// AntiJoin returns the tuples of l that join with no tuple of r on the
+// given columns (l ▷ r). The index over r is cached on r.
+func AntiJoin(l, r *Relation, lCols, rCols []int) *Relation {
+	return semiJoin(l, r, lCols, rCols, false)
+}
+
+// semiJoin keeps the tuples of l, in Each order, whose having a partner
+// in r is match.
+func semiJoin(l, r *Relation, lCols, rCols []int, match bool) *Relation {
 	if len(lCols) != len(rCols) {
 		panic("rel: semijoin column count mismatch")
 	}
 	idx := r.index(rCols)
 	out := NewRelation(l.Name, l.Arity)
 	l.Each(func(t Tuple) bool {
-		h := HashCols(t, lCols)
-		for _, ri := range idx.buckets[h] {
-			if EqualOn(r.tupleAt(ri), rCols, t, lCols) {
-				out.Add(t)
-				break
-			}
+		found := false
+		idx.Probe(t, lCols, func(Tuple) bool {
+			found = true
+			return false
+		})
+		if found == match {
+			out.Add(t)
 		}
-		return true
-	})
-	return out
-}
-
-// AntiJoin returns the tuples of l that join with no tuple of r on the
-// given columns (l ▷ r). The index over r is cached on r.
-func AntiJoin(l, r *Relation, lCols, rCols []int) *Relation {
-	if len(lCols) != len(rCols) {
-		panic("rel: antijoin column count mismatch")
-	}
-	idx := r.index(rCols)
-	out := NewRelation(l.Name, l.Arity)
-	l.Each(func(t Tuple) bool {
-		h := HashCols(t, lCols)
-		for _, ri := range idx.buckets[h] {
-			if EqualOn(r.tupleAt(ri), rCols, t, lCols) {
-				return true
-			}
-		}
-		out.Add(t)
 		return true
 	})
 	return out

@@ -80,13 +80,4 @@ func TestTuplesDeterministic(t *testing.T) {
 			t.Errorf("Tuples not strictly ordered at %d: %v !< %v", k, ts[k-1], ts[k])
 		}
 	}
-	st := r.SortedTuples()
-	if len(st) != len(ts) {
-		t.Fatalf("SortedTuples length %d, Tuples length %d", len(st), len(ts))
-	}
-	for k := range ts {
-		if !st[k].Equal(ts[k]) {
-			t.Errorf("SortedTuples[%d] = %v, Tuples[%d] = %v", k, st[k], k, ts[k])
-		}
-	}
 }

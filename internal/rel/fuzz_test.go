@@ -55,11 +55,11 @@ func FuzzRelation(f *testing.F) {
 		}
 		sort.Strings(keys)
 		var gotKeys []string
-		for _, tup := range r.SortedTuples() {
+		for _, tup := range r.Tuples() {
 			gotKeys = append(gotKeys, tup.Key())
 		}
 		if len(gotKeys) != len(keys) {
-			t.Fatalf("SortedTuples has %d tuples, reference %d", len(gotKeys), len(keys))
+			t.Fatalf("Tuples has %d tuples, reference %d", len(gotKeys), len(keys))
 		}
 		for i := range keys {
 			if gotKeys[i] != keys[i] {

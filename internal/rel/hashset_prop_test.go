@@ -298,7 +298,7 @@ func refSemiJoin(l, r *Relation, lCols, rCols []int) *Relation {
 	out := NewRelation(l.Name, l.Arity)
 	for _, lt := range l.Tuples() {
 		for _, rt := range r.Tuples() {
-			if EqualOn(lt, lCols, rt, rCols) {
+			if equalOn(lt, lCols, rt, rCols) {
 				out.Add(lt)
 				break
 			}

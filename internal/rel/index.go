@@ -1,70 +1,120 @@
 package rel
 
-// Join indexing: a reusable hash index over a column projection of a
-// relation, built once per (relation, columns) and cached on the
-// relation until its next mutation. Buckets key on the 64-bit
-// projection hash; probes verify candidates column-by-column, so the
-// index never allocates per-probe string keys or projected tuples.
+import "slices"
 
-// joinIndex maps the hash of a column projection to the stored-tuple
-// indices sharing that projection hash.
-type joinIndex struct {
-	cols    []int
-	buckets map[uint64][]int32
+// Join indexing: one hash index on a column list of a relation, used
+// two ways. Cached — HashJoin, SemiJoin, AntiJoin and IndexOn build it
+// once per (relation, columns), keep it on the relation and maintain it
+// on insert until a removal or a compaction drops it. Transient —
+// NewIndex builds it over the tuples a filter admits, for the caller to
+// probe and drop; nothing is cached on, or written to, the relation.
+//
+// The index is flat: a power-of-two table of int32 bucket heads and one
+// int32 link per stored tuple, so neither a build nor an insert
+// allocates per key. Buckets key on colsHash, the table's own hash
+// restricted to the index columns; a bucket mixes keys, so a probe
+// verifies candidates column by column. Each bucket is a ring: its head
+// names its last tuple and that tuple's link its first, so an insert
+// appends in O(1) and a probe walks the bucket from first to last —
+// stored order, which is the relation's Each order.
+
+// Index is a hash index on a column list of a relation.
+type Index struct {
+	r     *Relation
+	cols  []int
+	heads []int32 // per bucket: its last stored index, or slotEmpty
+	next  []int32 // per stored index: the next in its bucket's ring
 }
 
-// colsKey folds a column list into a cache key. Distinct column lists
-// can in principle collide, so index lookups re-verify cols.
-func colsKey(cols []int) uint64 {
-	k := uint64(len(cols))
-	for _, c := range cols {
-		k = k*131 + uint64(c) + 1
-	}
-	return k
+// NewIndex indexes the tuples of r that admit accepts (every tuple when
+// admit is nil) on the columns cols. The index reads r and writes
+// nothing to it; neither r nor cols may change while the index is in
+// use.
+func NewIndex(r *Relation, cols []int, admit func(Tuple) bool) *Index {
+	ix := &Index{r: r, cols: cols}
+	ix.build(r.live, admit)
+	return ix
 }
 
-func equalCols(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// build links every live stored tuple admit accepts into a fresh table
+// sized for n tuples at a load of at most one half.
+func (ix *Index) build(n int, admit func(Tuple) bool) {
+	size := 8
+	for size < 2*n {
+		size *= 2
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// index returns the relation's join index on cols, building and caching
-// it on first use. The cache is invalidated on mutation. Like the rest
-// of Relation, index is not safe for concurrent use.
-func (r *Relation) index(cols []int) *joinIndex {
-	k := colsKey(cols)
-	if ji, ok := r.idx[k]; ok && equalCols(ji.cols, cols) {
-		return ji
-	}
-	ji := &joinIndex{
-		cols:    append([]int(nil), cols...),
-		buckets: make(map[uint64][]int32, r.live),
-	}
-	for i := range r.hashes {
-		if r.dead[i] {
+	ix.heads = newSlots(size)
+	ix.next = make([]int32, len(ix.r.hashes))
+	for i := range ix.r.hashes {
+		if ix.r.dead[i] || (admit != nil && !admit(ix.r.tupleAt(int32(i)))) {
 			continue
 		}
-		h := HashCols(r.tupleAt(int32(i)), cols)
-		ji.buckets[h] = append(ji.buckets[h], int32(i))
+		ix.link(int32(i))
 	}
-	if r.idx == nil {
-		r.idx = make(map[uint64]*joinIndex)
-	}
-	r.idx[k] = ji
-	return ji
 }
 
-// hasIndex reports whether a join index on cols is already cached.
-func (r *Relation) hasIndex(cols []int) bool {
-	ji, ok := r.idx[colsKey(cols)]
-	return ok && equalCols(ji.cols, cols)
+// link appends stored tuple i to its bucket's ring.
+func (ix *Index) link(i int32) {
+	b := colsHash(ix.r.tupleAt(i), ix.cols) & uint64(len(ix.heads)-1)
+	if last := ix.heads[b]; last == slotEmpty {
+		ix.next[i] = i
+	} else {
+		ix.next[i], ix.next[last] = ix.next[last], i
+	}
+	ix.heads[b] = i
+}
+
+// inserted maintains a cached index, which holds every live tuple,
+// across the insert of stored tuple i, the relation's newest: it joins
+// the end of its bucket, or — past the load ceiling — the table doubles
+// and is relinked.
+func (ix *Index) inserted(i int32) {
+	if 2*ix.r.live > len(ix.heads) {
+		ix.build(ix.r.live, nil)
+		return
+	}
+	ix.next = append(ix.next, 0)
+	ix.link(i)
+}
+
+// Probe calls fn with every indexed tuple whose values at the index
+// columns equal t's at cols (a list as long as the index's), in the
+// relation's enumeration order, stopping early if fn returns false.
+func (ix *Index) Probe(t Tuple, cols []int, fn func(Tuple) bool) {
+	last := ix.heads[colsHash(t, cols)&uint64(len(ix.heads)-1)]
+	if last == slotEmpty {
+		return
+	}
+	for i := ix.next[last]; ; i = ix.next[i] {
+		if s := ix.r.tupleAt(i); equalOn(s, ix.cols, t, cols) && !fn(s) {
+			return
+		}
+		if i == last {
+			return
+		}
+	}
+}
+
+// cached returns the relation's cached index on cols, or nil.
+func (r *Relation) cached(cols []int) *Index {
+	for _, ix := range r.idx {
+		if slices.Equal(ix.cols, cols) {
+			return ix
+		}
+	}
+	return nil
+}
+
+// index returns the relation's cached index on cols, building it on
+// first use. Like the rest of Relation, it is not safe for concurrent
+// use.
+func (r *Relation) index(cols []int) *Index {
+	if ix := r.cached(cols); ix != nil {
+		return ix
+	}
+	ix := NewIndex(r, slices.Clone(cols), nil)
+	r.idx = append(r.idx, ix)
+	return ix
 }
 
 // IndexOn builds and caches the relation's join index on cols if it is
@@ -77,29 +127,9 @@ func (r *Relation) IndexOn(cols ...int) {
 	r.index(cols)
 }
 
-// HashCols returns the partition-quality hash of t's projection onto
-// cols, equal to t.Project(cols).Hash() without allocating the
-// projected tuple.
-func HashCols(t Tuple, cols []int) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range cols {
-		u := uint64(t[c])
-		for i := 0; i < 8; i++ {
-			h ^= u & 0xff
-			h *= prime
-			u >>= 8
-		}
-	}
-	return Mix64(h)
-}
-
-// EqualOn reports whether a's projection onto aCols equals b's
+// equalOn reports whether a's projection onto aCols equals b's
 // projection onto bCols (the lists must have the same length).
-func EqualOn(a Tuple, aCols []int, b Tuple, bCols []int) bool {
+func equalOn(a Tuple, aCols []int, b Tuple, bCols []int) bool {
 	for k := range aCols {
 		if a[aCols[k]] != b[bCols[k]] {
 			return false

@@ -213,8 +213,8 @@ func TestTableHashSpreadsStructuredKeys(t *testing.T) {
 	}
 }
 
-// TestPlacementHashesAreFrozen pins Tuple.Hash, Fact.Hash and HashCols
-// on a handful of inputs. Every route, owner election, grid cell,
+// TestPlacementHashesAreFrozen pins Tuple.Hash and Fact.Hash on a
+// handful of inputs. Every route, owner election, grid cell,
 // MaxLoad and golden report is a function of these values; the table's
 // own hash may change, these may not.
 func TestPlacementHashesAreFrozen(t *testing.T) {
@@ -242,20 +242,6 @@ func TestPlacementHashesAreFrozen(t *testing.T) {
 	} {
 		if got := c.f.Hash(); got != c.want {
 			t.Errorf("%v.Hash() = %#x, want %#x", c.f, got, c.want)
-		}
-	}
-	tu := Tuple{5, -6, 1 << 33}
-	for _, c := range []struct {
-		cols []int
-		want uint64
-	}{
-		{nil, 0xefd01f60ba992926},
-		{[]int{0}, 0x139201caa069d09b},
-		{[]int{2, 0}, 0x73a94aa514125031},
-		{[]int{1, 1, 2}, 0x620991a3b6b3e523},
-	} {
-		if got := HashCols(tu, c.cols); got != c.want {
-			t.Errorf("HashCols(%v, %v) = %#x, want %#x", tu, c.cols, got, c.want)
 		}
 	}
 }

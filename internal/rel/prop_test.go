@@ -104,7 +104,7 @@ func TestPropJoinProjectsToSemijoin(t *testing.T) {
 		proj := Project(j, "P", []int{0, 1})
 		semi := SemiJoin(l, rr, []int{1}, []int{0})
 		if !proj.Equal(semi) {
-			t.Fatalf("π_L(L⋈R) != L⋉R:\n%v\nvs\n%v", proj.SortedTuples(), semi.SortedTuples())
+			t.Fatalf("π_L(L⋈R) != L⋉R:\n%v\nvs\n%v", proj.Tuples(), semi.Tuples())
 		}
 	}
 }

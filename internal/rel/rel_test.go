@@ -323,7 +323,7 @@ func TestAlgebraSelectProject(t *testing.T) {
 	}
 	pr := Project(r, "P", []int{0})
 	if pr.Len() != 2 || !pr.Contains(Tuple{1}) || !pr.Contains(Tuple{2}) {
-		t.Errorf("Project wrong: %v", pr.SortedTuples())
+		t.Errorf("Project wrong: %v", pr.Tuples())
 	}
 }
 
@@ -340,7 +340,7 @@ func TestAlgebraJoin(t *testing.T) {
 		t.Fatalf("join arity/len = %d/%d", j.Arity, j.Len())
 	}
 	if !j.Contains(Tuple{1, 10, 10, 100}) || !j.Contains(Tuple{1, 10, 10, 101}) {
-		t.Errorf("join results wrong: %v", j.SortedTuples())
+		t.Errorf("join results wrong: %v", j.Tuples())
 	}
 	// Force the swapped build side and check column order is preserved.
 	big := NewRelation("B", 1)
@@ -351,7 +351,7 @@ func TestAlgebraJoin(t *testing.T) {
 	small.Add(Tuple{3, 33})
 	j2 := HashJoin("J2", big, small, []int{0}, []int{0})
 	if j2.Len() != 1 || !j2.Contains(Tuple{3, 3, 33}) {
-		t.Errorf("swapped join wrong: %v", j2.SortedTuples())
+		t.Errorf("swapped join wrong: %v", j2.Tuples())
 	}
 }
 
@@ -363,11 +363,11 @@ func TestAlgebraSemiAntiJoin(t *testing.T) {
 	s.Add(Tuple{10})
 	semi := SemiJoin(r, s, []int{1}, []int{0})
 	if semi.Len() != 1 || !semi.Contains(Tuple{1, 10}) {
-		t.Errorf("semijoin wrong: %v", semi.SortedTuples())
+		t.Errorf("semijoin wrong: %v", semi.Tuples())
 	}
 	anti := AntiJoin(r, s, []int{1}, []int{0})
 	if anti.Len() != 1 || !anti.Contains(Tuple{2, 20}) {
-		t.Errorf("antijoin wrong: %v", anti.SortedTuples())
+		t.Errorf("antijoin wrong: %v", anti.Tuples())
 	}
 }
 
@@ -382,10 +382,10 @@ func TestAlgebraUnionDiffIntersect(t *testing.T) {
 		t.Errorf("union len = %d", got.Len())
 	}
 	if got := Diff("D", a, b); got.Len() != 1 || !got.Contains(Tuple{1}) {
-		t.Errorf("diff wrong: %v", got.SortedTuples())
+		t.Errorf("diff wrong: %v", got.Tuples())
 	}
 	if got := Intersect("I", a, b); got.Len() != 1 || !got.Contains(Tuple{2}) {
-		t.Errorf("intersect wrong: %v", got.SortedTuples())
+		t.Errorf("intersect wrong: %v", got.Tuples())
 	}
 }
 
@@ -397,7 +397,7 @@ func TestAlgebraProduct(t *testing.T) {
 	b.Add(Tuple{7})
 	p := Product("P", a, b)
 	if p.Len() != 2 || p.Arity != 2 || !p.Contains(Tuple{1, 7}) {
-		t.Errorf("product wrong: %v", p.SortedTuples())
+		t.Errorf("product wrong: %v", p.Tuples())
 	}
 }
 

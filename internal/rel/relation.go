@@ -28,8 +28,8 @@ type Relation struct {
 	live   int      // live (non-dead) tuples
 	tombs  int      // tombstoned table slots
 
-	sorted []Tuple               // cached sorted enumeration; nil = invalid
-	idx    map[uint64]*joinIndex // cached join indexes; nil = none
+	sorted []Tuple  // cached sorted enumeration; nil = invalid
+	idx    []*Index // cached join indexes, maintained on insert
 }
 
 const (
@@ -56,12 +56,29 @@ func tableSizeFor(n int) int {
 // avalanches the result; both steps and the multiply are bijections,
 // so distinct unary tuples never share a hash.
 func tableHash(t Tuple) uint64 {
-	h := uint64(0x243f6a8885a308d3)
+	h := uint64(tableSeed)
 	for _, v := range t {
-		h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
-		h ^= h >> 32
+		h = tableStep(h, v)
 	}
 	return Mix64(h)
+}
+
+// colsHash is tableHash of t's projection onto cols, computed in
+// place: the hash a join index keys on.
+func colsHash(t Tuple, cols []int) uint64 {
+	h := uint64(tableSeed)
+	for _, c := range cols {
+		h = tableStep(h, t[c])
+	}
+	return Mix64(h)
+}
+
+const tableSeed = 0x243f6a8885a308d3
+
+// tableStep folds one value into a table hash.
+func tableStep(h uint64, v Value) uint64 {
+	h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 func newSlots(size int) []int32 {
@@ -102,23 +119,6 @@ func (r *Relation) tupleAt(i int32) Tuple {
 func (r *Relation) mutated() {
 	r.sorted = nil
 	r.idx = nil
-}
-
-// inserted records a successful insert of stored tuple i: the sorted
-// enumeration is invalid, but cached join indexes stay live — the new
-// tuple is appended to their buckets instead of rebuilding. This is
-// what keeps repeated delta joins against a growing resident relation
-// at O(|Δ|) per round: removal and compaction still drop the caches
-// (mutated / rehash), so buckets never hold dead entries.
-func (r *Relation) inserted(i int32) {
-	r.sorted = nil
-	if len(r.idx) == 0 {
-		return // ranging a nil map still costs an iterator set-up per insert
-	}
-	for _, ji := range r.idx {
-		h := HashCols(r.tupleAt(i), ji.cols)
-		ji.buckets[h] = append(ji.buckets[h], i)
-	}
 }
 
 // find returns the stored index of the tuple with hash h equal to t,
@@ -173,7 +173,15 @@ func (r *Relation) insert(h uint64, t Tuple) bool {
 		r.slots[s] = i
 	}
 	r.live++
-	r.inserted(i)
+	// The sorted enumeration is invalid, but cached join indexes stay
+	// live — the new tuple joins their buckets instead of a rebuild. This
+	// keeps repeated delta joins against a growing resident relation at
+	// O(|Δ|) per round; removal and compaction still drop the caches
+	// (mutated / rehash), so buckets never hold dead entries.
+	r.sorted = nil
+	for _, ix := range r.idx {
+		ix.inserted(i)
+	}
 	return true
 }
 
@@ -332,13 +340,6 @@ func (r *Relation) Tuples() []Tuple {
 		r.sorted = r.sortedTuples()
 	}
 	return r.sorted[:len(r.sorted):len(r.sorted)]
-}
-
-// SortedTuples returns all tuples in lexicographic order. Tuples
-// already enumerates in that order; this name is kept for callers that
-// want to state the ordering explicitly.
-func (r *Relation) SortedTuples() []Tuple {
-	return r.Tuples()
 }
 
 // Clone returns a deep copy of the relation.
