@@ -63,31 +63,40 @@ func TCProgram(p int, seed uint64, graph *rel.Instance) []mpc.Round {
 // by running tcCompute: step 1 adds Δ₁ = E, step s > 1 adds
 // Δₛ = (Δₛ₋₁ ⋈ E) ∖ TC — everything else tcCompute would derive at
 // step s it derived before — and the answer is the first s with Δₛ = ∅.
+//
+// E's successors come from a transient join index on its source column,
+// which writes nothing to the graph, and the closure so far is a
+// relation whose Add reports newness; the frontier is flat (a, b) value
+// pairs, two buffers swapped between steps.
 func tcSteps(graph *rel.Instance) int {
-	type pair [2]rel.Value
-	succ := make(map[rel.Value][]rel.Value)
-	tc := make(map[pair]struct{})
-	var delta []pair
-	if e := graph.Relation("E"); e != nil {
-		e.Each(func(t rel.Tuple) bool {
-			succ[t[0]] = append(succ[t[0]], t[1])
-			tc[pair{t[0], t[1]}] = struct{}{}
-			delta = append(delta, pair{t[0], t[1]})
-			return true
-		})
+	e := graph.Relation("E")
+	if e == nil {
+		return 1
 	}
+	succ := rel.NewIndex(e, []int{0}, nil)
+	tc := rel.NewRelationSize("TC", 2, e.Len())
+	delta := make([]rel.Value, 0, 2*e.Len())
+	var next []rel.Value
+	e.Each(func(t rel.Tuple) bool {
+		tc.Add(t)
+		delta = append(delta, t[0], t[1])
+		return true
+	})
+	pair := make(rel.Tuple, 2)
 	steps := 1
 	for ; len(delta) > 0; steps++ {
-		var next []pair
-		for _, d := range delta {
-			for _, c := range succ[d[1]] {
-				if _, old := tc[pair{d[0], c}]; !old {
-					tc[pair{d[0], c}] = struct{}{}
-					next = append(next, pair{d[0], c})
+		next = next[:0]
+		for i := 0; i < len(delta); i += 2 {
+			pair[0] = delta[i]
+			succ.Probe(rel.Tuple(delta[i+1:i+2]), []int{0}, func(c rel.Tuple) bool {
+				pair[1] = c[1]
+				if tc.Add(pair) {
+					next = append(next, pair[0], pair[1])
 				}
-			}
+				return true
+			})
 		}
-		delta = next
+		delta, next = next, delta
 	}
 	return steps
 }

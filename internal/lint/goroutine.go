@@ -5,25 +5,24 @@ import (
 	"go/types"
 )
 
-// GoroutineAnalyzer enforces three rules on every `go` statement:
+// GoroutineAnalyzer enforces two rules on every `go` statement:
 //
 //  1. join: the launching function must contain a join point — a
 //     sync.WaitGroup.Wait call, a channel receive, a range over a
 //     channel, or a select statement. A fork with no join means the
 //     simulated round can "finish" while servers still compute, which
 //     breaks the MPC model's synchronous-round semantics.
-//  2. no loop-variable capture: a goroutine closure must receive loop
-//     variables as arguments rather than capturing them, keeping the
-//     fan-out safe under any Go version's loop-variable semantics and
-//     making the per-worker binding explicit.
-//  3. disjoint writes: inside a goroutine closure, writes to a map are
+//  2. disjoint writes: inside a goroutine closure, writes to a map are
 //     flagged (maps are never safe for concurrent mutation), and
 //     writes to a slice element are allowed only when the index is
 //     derived from the closure's own parameters (index-disjoint
 //     partitioning, the pattern of mpc.RunRound) or a mutex is held.
+//
+// Loop-variable capture needs no rule: the module is Go 1.22 or later,
+// where every iteration binds its own loop variables.
 var GoroutineAnalyzer = &Analyzer{
 	Name: "goroutine-hygiene",
-	Doc:  "every go statement needs a join, explicit loop-variable passing, and disjoint or locked shared writes",
+	Doc:  "every go statement needs a join and disjoint or locked shared writes",
 	Run:  runGoroutine,
 }
 
@@ -41,14 +40,8 @@ func checkGoroutines(pass *Pass, body *ast.BlockStmt) {
 	var gos []*ast.GoStmt
 	hasJoin := false
 
-	// Collect go statements, join points, and the loop variables in
-	// scope at each go statement — all within this function scope only.
-	type frame struct {
-		vars []types.Object
-	}
-	var stack []frame
-	goLoopVars := make(map[*ast.GoStmt][]types.Object)
-
+	// Collect go statements and join points, within this function scope
+	// only.
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
 		switch s := n.(type) {
@@ -58,44 +51,10 @@ func checkGoroutines(pass *Pass, body *ast.BlockStmt) {
 			return // separate scope; funcBodies visits it on its own
 		case *ast.GoStmt:
 			gos = append(gos, s)
-			var vars []types.Object
-			for _, fr := range stack {
-				vars = append(vars, fr.vars...)
-			}
-			goLoopVars[s] = vars
-			walkChildren(walk, s)
-			return
 		case *ast.RangeStmt:
-			fr := frame{}
-			for _, e := range []ast.Expr{s.Key, s.Value} {
-				if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-					if obj := info.Defs[id]; obj != nil {
-						fr.vars = append(fr.vars, obj)
-					}
-				}
-			}
 			if _, isChan := typeUnderlying(info, s.X).(*types.Chan); isChan {
 				hasJoin = true
 			}
-			stack = append(stack, fr)
-			walkChildren(walk, s)
-			stack = stack[:len(stack)-1]
-			return
-		case *ast.ForStmt:
-			fr := frame{}
-			if init, ok := s.Init.(*ast.AssignStmt); ok {
-				for _, lhs := range init.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok {
-						if obj := info.Defs[id]; obj != nil {
-							fr.vars = append(fr.vars, obj)
-						}
-					}
-				}
-			}
-			stack = append(stack, fr)
-			walkChildren(walk, s)
-			stack = stack[:len(stack)-1]
-			return
 		case *ast.UnaryExpr:
 			if s.Op.String() == "<-" {
 				hasJoin = true
@@ -122,9 +81,7 @@ func checkGoroutines(pass *Pass, body *ast.BlockStmt) {
 		if !ok {
 			continue
 		}
-		params := funcLitParams(info, lit)
-		checkLoopCapture(pass, g, lit, goLoopVars[g], info)
-		checkGoroutineWrites(pass, lit, params, info)
+		checkGoroutineWrites(pass, lit, funcLitParams(info, lit), info)
 	}
 }
 
@@ -164,36 +121,6 @@ func funcLitParams(info *types.Info, lit *ast.FuncLit) map[types.Object]bool {
 		}
 	}
 	return params
-}
-
-// checkLoopCapture flags uses of enclosing loop variables inside the
-// goroutine's closure body.
-func checkLoopCapture(pass *Pass, g *ast.GoStmt, lit *ast.FuncLit, loopVars []types.Object, info *types.Info) {
-	if len(loopVars) == 0 {
-		return
-	}
-	inLoopVars := func(o types.Object) bool {
-		for _, lv := range loopVars {
-			if lv == o {
-				return true
-			}
-		}
-		return false
-	}
-	reported := make(map[types.Object]bool)
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.Uses[id]
-		if obj == nil || reported[obj] || !inLoopVars(obj) {
-			return true
-		}
-		reported[obj] = true
-		pass.Reportf(id.Pos(), "goroutine closure captures loop variable %q; pass it as an argument (go func(%s ...) {...}(%s)) so each worker gets an explicit binding", id.Name, id.Name, id.Name)
-		return true
-	})
 }
 
 // checkGoroutineWrites flags shared-state mutation inside a goroutine

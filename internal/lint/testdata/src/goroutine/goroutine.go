@@ -28,20 +28,6 @@ func Joined(n int) []int {
 	return out
 }
 
-// CaptureLoop captures the loop variable instead of passing it:
-// flagged.
-func CaptureLoop(n int) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			use(i)
-		}()
-	}
-	wg.Wait()
-}
-
 // SharedMap writes a map from concurrent workers: flagged.
 func SharedMap(keys []string) map[string]bool {
 	m := make(map[string]bool)

@@ -3,9 +3,9 @@ package mpc
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 
+	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 )
 
@@ -27,10 +27,11 @@ import (
 // can check:
 //
 //   - Receiver-side legality: every delivery (src, dst, f) is checked
-//     against the round's own Keep/Route decision (legalShardDst). This
-//     is cheap, needs no extra state, and catches any fact placed where
-//     the policy forbids it — misroutes and forged facts at illegal
-//     destinations.
+//     against the round's own Keep/Route decision, stated once as a
+//     policy (roundPlacement) and asked by policy.Verify, the same check
+//     a network runs on loaded fragments. This is cheap, needs no extra
+//     state, and catches any fact placed where the policy forbids it —
+//     misroutes and forged facts at illegal destinations.
 //   - Audit by deterministic re-execution: routing is a pure function
 //     of the server's committed pre-round state (RouteSource, the same
 //     entry point remote workers use), so an auditor re-derives the
@@ -196,63 +197,80 @@ func WithRoutingVerification(sampleEvery int) Option {
 	return func(c *Cluster) { c.verifyEvery = sampleEvery }
 }
 
-// legalShardDst reports whether the round's routing contract allows a
-// fact delivered by a shard covering sources [lo, hi) to land on dst.
-// It recomputes the same Keep/Route decision the communication phase
-// made — the Router is the placement policy (literally: policy.Policy's
-// Route is Router's, and this package's own routers are policy values),
-// so receivers can re-ask it; the answer is policy.Responsible's view,
-// of a router of no declared width. Keep facts are legal only at their
-// own source, which for a multi-source shard means any source in range.
-// Round.Owner is not consulted: it says which holder ships a fact, not
-// where the fact may land, so an owned delivery is a legal one (a holder
-// shipping a copy it does not own is the audit's to catch). A Router or
-// Keep that panics on f (forged facts need not even satisfy the
-// relation's arity) makes every destination illegal.
-func legalShardDst(r Round, p, lo, hi, dst int, f rel.Fact) (legal bool) {
+// roundPlacement is a round's placement as the receivers of a shard
+// covering sources [lo, hi) see it: the policy a delivery is checked
+// against. It recomputes the communication phase's Keep/Route decision —
+// the Router is the placement policy (policy.Policy's Route is Router's),
+// so receivers can re-ask it. A fact Keep accepts belongs at the shard's
+// own sources, every other fact where Route sends it, and a fact Keep or
+// Route panics on (forged facts need not even have the relation's arity)
+// nowhere. Round.Owner is not consulted: it says which holder ships a
+// fact, not where the fact may land, so an owned delivery is a legal one
+// (a holder shipping a copy it does not own is the audit's to catch).
+type roundPlacement struct {
+	r         Round
+	p, lo, hi int
+}
+
+// shardPlacement is round r's placement for the receivers of shard w of
+// a communication phase cut into shards of chunk sources.
+func shardPlacement(r Round, p, chunk, w int) roundPlacement {
+	lo := w * chunk
+	return roundPlacement{r: r, p: p, lo: lo, hi: min(lo+chunk, p)}
+}
+
+// NumNodes implements policy.Policy.
+func (pl roundPlacement) NumNodes() int { return pl.p }
+
+// Route implements policy.Policy.
+func (pl roundPlacement) Route(f rel.Fact) (dsts []int) {
 	defer func() {
 		if recover() != nil {
-			legal = false
+			dsts = nil
 		}
 	}()
-	if hi > p {
-		hi = p
+	if pl.r.Keep != nil && pl.r.Keep(f) {
+		return policy.AllNodes(pl.hi)[pl.lo:]
 	}
-	if r.Keep != nil && r.Keep(f) {
-		return dst >= lo && dst < hi
+	if pl.r.Route == nil {
+		return nil
 	}
-	if r.Route == nil {
-		return false
-	}
-	return slices.Contains(r.Route.Route(f), dst)
+	return pl.r.Route.Route(f)
 }
 
-// legalDst is legalShardDst for one-source shards (see
-// WithCheckpoints), where the source of every delivery is known exactly.
-func legalDst(r Round, p, src, dst int, f rel.Fact) bool {
-	return legalShardDst(r, p, src, src+1, dst, f)
-}
-
-// scanShard finds the Fact.Less-minimal illegally placed delivery in a
-// single-source shard. Destinations are visited ascending, so among
-// equal-minimal facts the lowest destination is reported.
-func scanShard(r Round, p, src int, sh *Shard) (witness rel.Fact, dst int, found bool) {
-	for d := 0; d < p; d++ {
-		out := sh.Outs[d]
-		if out == nil {
-			continue
+// misplaced is routing verification's exhaustive pass over shards
+// [from, to) of a phase cut into shards of chunk sources: policy.Verify
+// asks each shard's deliveries of the placement its receivers see, and
+// the Fact.Less-minimal misplaced fact — the lowest shard, then the
+// lowest destination, among equals — is the witness. The first source
+// in the shard's range that holds the witness misrouted it; with no
+// holder it was forged, by the range's first source. It returns nil
+// when every delivery conforms.
+func (c *Cluster) misplaced(round int, r Round, shards []Shard, chunk, from, to int) *RoutingIntegrityError {
+	var wit *policy.Violation
+	wShard := 0
+	for w := from; w < to; w++ {
+		for _, v := range policy.Verify(shardPlacement(r, c.p, chunk, w), shards[w].Outs) {
+			if wit == nil || v.Fact.Less(wit.Fact) {
+				wit, wShard = v, w
+			}
 		}
-		out.Each(func(f rel.Fact) bool {
-			if found && !f.Less(witness) {
-				return true
-			}
-			if !legalDst(r, p, src, d, f) {
-				witness, dst, found = f, d, true
-			}
-			return true
-		})
 	}
-	return witness, dst, found
+	if wit == nil {
+		return nil
+	}
+	pl := shardPlacement(r, c.p, chunk, wShard)
+	accused, kind := pl.lo, Forge
+	for s := pl.lo; s < pl.hi; s++ {
+		if c.servers[s].Contains(wit.Fact) {
+			accused, kind = s, Misroute
+			break
+		}
+	}
+	return &RoutingIntegrityError{
+		Round: round, RoundName: r.Name,
+		Accused: accused, Dst: wit.Node, Kind: kind, Witness: wit.Fact,
+	}
 }
 
 // shardEqual reports whether two shards of the same source ship the
@@ -318,16 +336,17 @@ func routedDeliveries(src int, sh *Shard) []delivery {
 	return out
 }
 
-// illegalDstFor picks a destination the policy forbids for (src, f),
+// forbiddenDst picks a destination the policy forbids for (src, f),
 // probing from a seeded starting point so different events corrupt
 // different links. ok is false when every destination is legal (e.g. a
 // broadcast round), in which case the fact cannot be detectably
 // misplaced and the applier skips it.
-func illegalDstFor(r Round, p, src int, f rel.Fact, rng *rand.Rand) (int, bool) {
+func forbiddenDst(r Round, p, src int, f rel.Fact, rng *rand.Rand) (int, bool) {
+	var pl policy.Policy = shardPlacement(r, p, 1, src)
 	start := rng.Intn(p)
 	for i := 0; i < p; i++ {
 		d := (start + i) % p
-		if !legalDst(r, p, src, d, f) {
+		if !policy.Responsible(pl, d, f) {
 			return d, true
 		}
 	}
@@ -348,7 +367,7 @@ func applyByzEvent(r Round, p, src int, sh *Shard, ev ByzantineEvent, local *rel
 			if moved >= ev.Count {
 				break
 			}
-			bad, ok := illegalDstFor(r, p, src, dl.f, rng)
+			bad, ok := forbiddenDst(r, p, src, dl.f, rng)
 			if !ok {
 				continue
 			}
@@ -377,7 +396,7 @@ func applyByzEvent(r Round, p, src int, sh *Shard, ev ByzantineEvent, local *rel
 				t[i] = rel.Value(int64(1)<<40 + int64(k*arity+i))
 			}
 			f := rel.Fact{Rel: name, Tuple: t}
-			d, ok := illegalDstFor(r, p, src, f, rng)
+			d, ok := forbiddenDst(r, p, src, f, rng)
 			if !ok {
 				continue
 			}
@@ -460,15 +479,8 @@ func (c *Cluster) applyByzantine(round int, r Round, shards []Shard, stats *Roun
 		// Receiver-side legality check of what the source finally
 		// ships. Corruption that survived the audit (a persistent liar)
 		// is detectable iff some delivery violates the policy.
-		if w, d, found := scanShard(r, c.p, src, &shards[src]); found {
-			kind := Forge
-			if c.servers[src].Contains(w) {
-				kind = Misroute
-			}
-			return 0, &RoutingIntegrityError{
-				Round: round, RoundName: r.Name,
-				Accused: src, Dst: d, Kind: kind, Witness: w,
-			}
+		if e := c.misplaced(round, r, shards, 1, src, src+1); e != nil {
+			return 0, e
 		}
 		i = j
 	}
@@ -478,9 +490,9 @@ func (c *Cluster) applyByzantine(round int, r Round, shards []Shard, stats *Roun
 // verifyShards is the sampled receiver-side verification RunRound runs
 // when WithRoutingVerification is installed: every sampleEvery-th
 // delivered fact is checked against the round's placement policy. On a
-// violation an exhaustive rescan finds the Fact.Less-minimal witness,
-// so the reported error is independent of the sampling stride that
-// happened to trip first. Enumeration is deliberately the unordered
+// violation the exhaustive rescan (misplaced) finds the Fact.Less-minimal
+// witness, so the reported error is independent of the sampling stride
+// that happened to trip first. Enumeration is deliberately the unordered
 // arena walk (Relation.Each), not the sorted Instance.Each: sorting
 // every outbox would cost more than the checks themselves, and the
 // detection decision is order-independent — only the witness must be
@@ -488,91 +500,31 @@ func (c *Cluster) applyByzantine(round int, r Round, shards []Shard, stats *Roun
 func (c *Cluster) verifyShards(r Round, shards []Shard, chunk int) error {
 	counter := 0
 	for w := range shards {
-		lo := w * chunk
-		sh := &shards[w]
-		for d := 0; d < c.p; d++ {
-			out := sh.Outs[d]
+		var pl policy.Policy = shardPlacement(r, c.p, chunk, w)
+		for d, out := range shards[w].Outs {
 			if out == nil {
 				continue
 			}
 			bad := false
 			for _, name := range out.RelationNames() {
-				name := name
 				out.Relation(name).Each(func(t rel.Tuple) bool {
 					counter++
-					if counter%c.verifyEvery != 0 {
-						return true
-					}
-					if !legalShardDst(r, c.p, lo, lo+chunk, d, rel.Fact{Rel: name, Tuple: t}) {
-						bad = true
-						return false
-					}
-					return true
+					bad = counter%c.verifyEvery == 0 && !policy.Responsible(pl, d, rel.Fact{Rel: name, Tuple: t})
+					return !bad
 				})
-				if bad {
-					break
+				if !bad {
+					continue
 				}
-			}
-			if bad {
-				return c.integrityError(r, shards, chunk)
+				if e := c.misplaced(len(c.stats), r, shards, chunk, 0, len(shards)); e != nil {
+					return e
+				}
+				// The sampled pass saw a violation, so the exhaustive pass
+				// must find one; reaching here is an engine bug, not a fault.
+				return fmt.Errorf("mpc: routing verification lost its witness in round %q", r.Name)
 			}
 		}
 	}
 	return nil
-}
-
-// integrityError rescans every delivery of the round exhaustively for
-// the Fact.Less-minimal policy violation and attributes it to a source
-// in the owning shard's range (the source that holds the witness is a
-// misrouter; no holder means the fact was forged).
-func (c *Cluster) integrityError(r Round, shards []Shard, chunk int) error {
-	var wit rel.Fact
-	wDst, wShard := -1, -1
-	found := false
-	for w := range shards {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > c.p {
-			hi = c.p
-		}
-		sh := &shards[w]
-		for d := 0; d < c.p; d++ {
-			out := sh.Outs[d]
-			if out == nil {
-				continue
-			}
-			out.Each(func(f rel.Fact) bool {
-				if found && !f.Less(wit) {
-					return true
-				}
-				if !legalShardDst(r, c.p, lo, hi, d, f) {
-					wit, wDst, wShard, found = f, d, w, true
-				}
-				return true
-			})
-		}
-	}
-	if !found {
-		// The sampled pass saw a violation, so the exhaustive pass must
-		// find one; reaching here is an engine bug, not a fault.
-		return fmt.Errorf("mpc: routing verification lost its witness in round %q", r.Name)
-	}
-	lo := wShard * chunk
-	hi := lo + chunk
-	if hi > c.p {
-		hi = c.p
-	}
-	accused, kind := lo, Forge
-	for s := lo; s < hi; s++ {
-		if c.servers[s].Contains(wit) {
-			accused, kind = s, Misroute
-			break
-		}
-	}
-	return &RoutingIntegrityError{
-		Round: len(c.stats), RoundName: r.Name,
-		Accused: accused, Dst: wDst, Kind: kind, Witness: wit,
-	}
 }
 
 // NamedByzantinePlan labels a plan for the matrix invariant: a

@@ -129,22 +129,24 @@ func TestByzantineWitnessIsMinimal(t *testing.T) {
 	if !errors.As(err, &rie) {
 		t.Fatalf("want RoutingIntegrityError, got %v", err)
 	}
-	// Re-derive the corrupted shard and check no illegal delivery is
-	// smaller than the reported witness.
+	// Re-derive the corrupted shard and find its minimal illegal
+	// delivery by brute force.
 	load, rounds := byzProgram(4)
 	c := NewCluster(4)
 	c.LoadRoundRobin(load)
-	sh, rerr := RouteSource(rounds[0], 4, 1, c.Server(1))
+	shards := make([]Shard, 4)
+	var rerr error
+	shards[1], rerr = RouteSource(rounds[0], 4, 1, c.Server(1))
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	applyByzEvent(rounds[0], 4, 1, &sh, ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 3, Seed: 77, Persistent: true}, c.Server(1))
-	w, _, found := scanShard(rounds[0], 4, 1, &sh)
+	applyByzEvent(rounds[0], 4, 1, &shards[1], ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 3, Seed: 77, Persistent: true}, c.Server(1))
+	w, _, dst, found := bruteWitness(rounds[0], 4, 1, shards, 1, 2)
 	if !found {
 		t.Fatal("no witness in re-derived corrupted shard")
 	}
-	if !w.Equal(rie.Witness) {
-		t.Errorf("reported witness %v, minimal witness %v", rie.Witness, w)
+	if !w.Equal(rie.Witness) || dst != rie.Dst {
+		t.Errorf("reported witness %v bound for %d, minimal witness %v bound for %d", rie.Witness, rie.Dst, w, dst)
 	}
 }
 

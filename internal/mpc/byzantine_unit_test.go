@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 )
 
@@ -56,26 +57,26 @@ func TestWithRoutingVerificationRejectsNegative(t *testing.T) {
 	WithRoutingVerification(-1)
 }
 
-// legalShardDst's edge cases: a multi-source shard clamps hi to p, a
-// round with no Route makes every cross-network destination illegal,
-// and a panicking Route condemns the fact rather than the process.
+// The round placement's edge cases: a multi-source shard clamps its
+// range to p, a round with no Route places a routed fact nowhere, and a
+// panicking Route condemns the fact rather than the process.
 func TestLegalShardDstEdges(t *testing.T) {
 	f := rel.NewFact("E", 1, 2)
 	keepAll := Round{Keep: func(rel.Fact) bool { return true }}
-	// Keep facts are legal anywhere in the shard's source range, with
-	// hi clamped to p.
-	if !legalShardDst(keepAll, 4, 2, 99, 3, f) {
+	// Keep facts belong anywhere in the shard's source range: shard 1 of
+	// chunk 3 covers sources [3, 6), clamped to [3, 4).
+	if !policy.Responsible(shardPlacement(keepAll, 4, 3, 1), 3, f) {
 		t.Error("Keep fact at an in-range destination flagged illegal")
 	}
-	if legalShardDst(keepAll, 4, 2, 99, 1, f) {
+	if policy.Responsible(shardPlacement(keepAll, 4, 3, 1), 1, f) {
 		t.Error("Keep fact below the source range accepted")
 	}
 	noRoute := Round{}
-	if legalShardDst(noRoute, 4, 0, 1, 2, f) {
+	if policy.Responsible(shardPlacement(noRoute, 4, 1, 0), 2, f) {
 		t.Error("round without Route accepted a cross-network delivery")
 	}
 	panicky := Round{Route: routeFunc(func(rel.Fact) []int { panic("bad fact") })}
-	if legalShardDst(panicky, 4, 0, 1, 2, f) {
+	if policy.Responsible(shardPlacement(panicky, 4, 1, 0), 2, f) {
 		t.Error("panicking Route accepted the fact")
 	}
 }

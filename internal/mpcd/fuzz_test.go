@@ -3,7 +3,6 @@ package mpcd
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -36,9 +35,16 @@ func FuzzQueryRequest(f *testing.F) {
 	f.Add(`{"session": "fz", "query": "A(x, z) :- R(x, y), S(y, z)", "budget": -7}`)
 	f.Add(`{"session": "fz", "query": "E(x) :- R(x, y)", "lang": "datalog", "out": "E"}`) // a head at another arity than the data's E
 
-	srv := New(Config{MaxBodyBytes: 1 << 14})
-	ts := httptest.NewServer(srv.Handler())
-	f.Cleanup(ts.Close)
+	// The handler runs in memory, with no socket between it and the
+	// fuzzer: a handler panic fails the run where it happens.
+	h := New(Config{MaxBodyBytes: 1 << 14}).Handler()
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
 	// One live session with a warm anchor so fuzzed queries can reach
 	// all three serving paths.
 	for _, body := range []string{
@@ -49,34 +55,19 @@ func FuzzQueryRequest(f *testing.F) {
 		if strings.Contains(body, `"query"`) {
 			path = "/v1/query"
 		}
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			f.Fatalf("priming: %v", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			f.Fatalf("priming %s: %d", path, resp.StatusCode)
+		if rec := serve(http.MethodPost, path, body); rec.Code != http.StatusOK {
+			f.Fatalf("priming %s: %d", path, rec.Code)
 		}
 	}
 
 	f.Fuzz(func(t *testing.T, body string) {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
-		if err != nil {
-			// A connection the server dropped is a panic net/http
-			// recovered: a server property, and a failure.
-			t.Fatalf("no response to input %q: %v", body, err)
-		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("reading response for input %q: %v", body, err)
-		}
-
-		if resp.StatusCode >= 500 {
+		rec := serve(http.MethodPost, "/v1/query", body)
+		raw := rec.Body.Bytes()
+		if rec.Code >= 500 {
 			t.Fatalf("server 5xx for client input %q: %s", body, raw)
 		}
 		dec := json.NewDecoder(bytes.NewReader(raw))
-		if resp.StatusCode == http.StatusOK {
+		if rec.Code == http.StatusOK {
 			var qr QueryResponse
 			if err := dec.Decode(&qr); err != nil {
 				t.Fatalf("200 with undecodable body %q: %v", raw, err)
@@ -87,21 +78,16 @@ func FuzzQueryRequest(f *testing.F) {
 		} else {
 			var e apiError
 			if err := dec.Decode(&e); err != nil {
-				t.Fatalf("%d with undecodable body %q: %v", resp.StatusCode, raw, err)
+				t.Fatalf("%d with undecodable body %q: %v", rec.Code, raw, err)
 			}
 			if e.Code == "" || e.Message == "" {
-				t.Fatalf("%d with untyped error %q", resp.StatusCode, raw)
+				t.Fatalf("%d with untyped error %q", rec.Code, raw)
 			}
 		}
 
 		// The session must survive every input intact.
-		hr, err := http.Get(ts.URL + "/v1/healthz")
-		if err != nil {
-			t.Fatalf("server died after input %q: %v", body, err)
-		}
-		hr.Body.Close()
-		if hr.StatusCode != http.StatusOK {
-			t.Fatalf("unhealthy after input %q: %d", body, hr.StatusCode)
+		if hr := serve(http.MethodGet, "/v1/healthz", ""); hr.Code != http.StatusOK {
+			t.Fatalf("unhealthy after input %q: %d", body, hr.Code)
 		}
 	})
 }

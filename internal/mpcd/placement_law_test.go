@@ -16,7 +16,7 @@ var _ policy.Policy = (*placement)(nil)
 // TestServingPlacementIsSound states, about the placement the daemon
 // runs, what reuse relies on. Along TestTransferLawAtServingSeam's
 // script, after every repartition: the fragments are the placement's
-// image (pc.VerifyPlacement finds nothing, and server κ holds exactly
+// image (policy.Verify finds nothing, and server κ holds exactly
 // loc-inst(κ)); the anchor is parallel-correct under its placement,
 // parking included (pc.ParallelCorrect over a small universe that holds
 // the anchor's constants), so its answer on the fragments is [Q,P](I);
@@ -51,7 +51,7 @@ func TestServingPlacementIsSound(t *testing.T) {
 		for κ := range fragments {
 			fragments[κ] = sess.cluster.Server(κ)
 		}
-		if vs := pc.VerifyPlacement(pl, fragments); len(vs) > 0 {
+		if vs := policy.Verify(pl, fragments); len(vs) > 0 {
 			t.Fatalf("step %d, anchor %s: %v", n, sess.anchor.text, vs[0])
 		}
 		if anchors[sess.anchor.text] {

@@ -72,6 +72,45 @@ func Distribute(p Policy, i *rel.Instance) []*rel.Instance {
 	return out
 }
 
+// Violation is one node holding a fact its policy does not place there:
+// the integrity violation that load-time checks and Byzantine detection
+// look for. Fact is the node's Fact.Less-minimal offender, so repeated
+// checks of the same distribution accuse deterministically.
+type Violation struct {
+	Node Node
+	Fact rel.Fact
+}
+
+func (v *Violation) Error() string {
+	return fmt.Sprintf("policy: node %d holds %v, which its distribution policy does not place there", v.Node, v.Fact)
+}
+
+// Verify checks a horizontal distribution against p: every fact of
+// parts[κ] must have κ in its responsibility set, so a part past
+// NumNodes conforms only when it is empty. It returns one violation per
+// offending node, nodes ascending, or nil when the distribution
+// conforms. Completeness (every fact placed somewhere) is Distribute's
+// job, not the receiver's: a node can only vouch for what it holds.
+func Verify(p Policy, parts []*rel.Instance) []*Violation {
+	var out []*Violation
+	n := p.NumNodes()
+	for κ, part := range parts {
+		if part == nil {
+			continue
+		}
+		// Each enumerates in Fact.Less order: the first misplaced fact is
+		// the node's witness.
+		part.Each(func(f rel.Fact) bool {
+			if κ < n && Responsible(p, κ, f) {
+				return true
+			}
+			out = append(out, &Violation{Node: κ, Fact: f.Clone()})
+			return false
+		})
+	}
+	return out
+}
+
 // MeetsAtSomeNode reports whether some node is responsible for every
 // fact in facts — the "required facts meet" condition at the heart of
 // (PC0) and (PC1): the ascending Route lists are intersected, in a copy

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"mpclogic/internal/pc"
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 )
@@ -229,7 +228,7 @@ func (n *Network) LoadParts(parts []*rel.Instance) error {
 		return fmt.Errorf("transducer: %d parts for %d nodes", len(parts), n.p)
 	}
 	if n.pol != nil {
-		if vs := pc.VerifyPlacement(n.pol, parts); len(vs) > 0 {
+		if vs := policy.Verify(n.pol, parts); len(vs) > 0 {
 			return fmt.Errorf("transducer: loaded distribution violates the declared policy: %w", vs[0])
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mpclogic/internal/cq"
-	"mpclogic/internal/pc"
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 	"mpclogic/internal/workload"
@@ -622,9 +621,9 @@ func TestLoadPartsRejectsPolicyViolation(t *testing.T) {
 	if err == nil {
 		t.Fatal("nonconforming distribution accepted on a policy-aware network")
 	}
-	var v *pc.PlacementViolation
+	var v *policy.Violation
 	if !errors.As(err, &v) {
-		t.Fatalf("error %v is not a *pc.PlacementViolation", err)
+		t.Fatalf("error %v is not a *policy.Violation", err)
 	}
 	if v.Node != wrong {
 		t.Errorf("accused node %d, want %d", v.Node, wrong)
@@ -639,5 +638,23 @@ func TestLoadPartsRejectsPolicyViolation(t *testing.T) {
 	n2 := New(3, func() Program { return OpenTriangle() })
 	if err := n2.LoadParts(parts); err != nil {
 		t.Fatalf("policy-unaware network rejected parts: %v", err)
+	}
+}
+
+// A node beyond the declared policy's width is responsible for nothing,
+// so a fact loaded there is a violation like any other.
+func TestLoadPartsRejectsFactBeyondPolicyWidth(t *testing.T) {
+	n := New(3, func() Program { return OpenTriangle() }, WithPolicy(&policy.Hash{Nodes: 2}))
+	e := rel.NewFact("E", 1, 2)
+	err := n.LoadParts([]*rel.Instance{rel.NewInstance(), rel.NewInstance(), rel.FromFacts(e)})
+	var v *policy.Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("LoadParts = %v, want a *policy.Violation", err)
+	}
+	if v.Node != 2 || !v.Fact.Equal(e) {
+		t.Errorf("accused node %d of %v, want node 2 of %v", v.Node, v.Fact, e)
+	}
+	if err := n.LoadParts([]*rel.Instance{rel.NewInstance(), rel.NewInstance(), rel.NewInstance()}); err != nil {
+		t.Errorf("an empty part beyond the width rejected: %v", err)
 	}
 }
