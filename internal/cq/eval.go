@@ -14,42 +14,66 @@ import (
 // intermediate result as rows in a flat arena (type bindings), and one
 // head projection, EvaluateInto; every other entry point calls those.
 
-// EvaluateInto adds Q(I) to out, which must have the head's arity.
-// Rows already in out stay, so one relation can collect the answers of
-// several instances (the fragments of a distributed evaluation) or of
-// several queries with one head (the disjuncts of a union), and
-// duplicates — from projection or from across calls — are removed once,
-// by out itself.
-func EvaluateInto(out *rel.Relation, q *CQ, i *rel.Instance) {
-	vars, b := evalBindings(q, i)
-	if b.n == 0 {
+// EvaluateInto adds Q(P₁) ∪ … ∪ Q(Pₖ) to out, which must have the
+// head's arity. Rows already in out stay, so one relation can collect
+// the answers of several instances (the fragments of a distributed
+// evaluation) or of several queries with one head (the disjuncts of a
+// union), and duplicates — from projection or from across parts and
+// calls — are removed once, by out itself.
+//
+// The parts go in as k sequential one-part calls would put them, so
+// out's Each order is the same; but every part is evaluated first, each
+// over its own variable order (the greedy atom order follows the part's
+// relation sizes, and a part that comes up empty may stop with only some
+// variables bound), and out is reserved once, for the sum of the binding
+// rows, instead of growing and rehashing once a part. A part's bindings
+// are dropped once its rows are in out.
+func EvaluateInto(out *rel.Relation, q *CQ, parts ...*rel.Instance) {
+	type evaluated struct {
+		vars []string
+		b    bindings
+	}
+	done := make([]evaluated, 0, 1) // one part, the common call: no allocation
+	rows := 0
+	for _, part := range parts {
+		vars, b := evalBindings(q, part)
+		if b.n == 0 {
+			continue
+		}
+		if len(q.Head.Args) == 0 {
+			// A Boolean head holds one row whatever the binding count:
+			// nothing to reserve, nothing to project, no part left to ask.
+			out.Add(rel.Tuple{})
+			return
+		}
+		done = append(done, evaluated{vars, b})
+		rows += b.n
+	}
+	if rows == 0 {
 		return
 	}
 	args := q.Head.Args
-	if len(args) == 0 {
-		// A Boolean head holds one row whatever the binding count:
-		// nothing to reserve, nothing to project.
-		out.Add(rel.Tuple{})
-		return
-	}
 	cols := make([]int, len(args)) // binding column of a variable; -1 for a constant
 	h := make(rel.Tuple, len(args))
-	for k, arg := range args {
-		cols[k], h[k] = -1, arg.Const
-		if arg.IsVar() {
-			cols[k] = slices.Index(vars, arg.Var)
-		}
-	}
-	out.Reserve(b.n)
-	b.each(func(t rel.Tuple) bool {
-		for k, c := range cols {
-			if c >= 0 {
-				h[k] = t[c]
+	out.Reserve(rows)
+	for k := range done {
+		for j, arg := range args {
+			cols[j], h[j] = -1, arg.Const
+			if arg.IsVar() {
+				cols[j] = slices.Index(done[k].vars, arg.Var)
 			}
 		}
-		out.Add(h) // Add copies h into out
-		return true
-	})
+		done[k].b.each(func(t rel.Tuple) bool {
+			for j, c := range cols {
+				if c >= 0 {
+					h[j] = t[c]
+				}
+			}
+			out.Add(h) // Add copies h into out
+			return true
+		})
+		done[k] = evaluated{}
+	}
 }
 
 // Evaluate computes Q(I) as a relation named after the head.

@@ -3,6 +3,7 @@ package cq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpclogic/internal/rel"
@@ -539,5 +540,125 @@ func TestEvaluateBooleanHeadAddsOneRow(t *testing.T) {
 	}
 	if got := Output(q, empty).Relation("E"); got == nil || got.Len() != 0 {
 		t.Errorf("Output of an empty Boolean answer: %v, want the head relation, empty", got)
+	}
+}
+
+// checkParts holds one EvaluateInto over several parts to the
+// sequential one-part calls it replaces, into relations that start with
+// the rows held: the same rows, as a set and in Each order.
+func checkParts(t *testing.T, q *CQ, held []rel.Tuple, parts ...*rel.Instance) {
+	t.Helper()
+	want := rel.NewRelation(q.Head.Rel, len(q.Head.Args))
+	got := rel.NewRelation(q.Head.Rel, len(q.Head.Args))
+	for _, h := range held {
+		want.Add(h)
+		got.Add(h)
+	}
+	for _, part := range parts {
+		EvaluateInto(want, q, part)
+	}
+	EvaluateInto(got, q, parts...)
+	w, g := eachOrder(want), eachOrder(got)
+	if len(g) != len(w) {
+		t.Fatalf("%v over %d parts holding %v: %d rows, sequential calls leave %d", q, len(parts), held, len(g), len(w))
+	}
+	for k := range w {
+		if !g[k].Equal(w[k]) {
+			t.Fatalf("%v over %d parts holding %v: row %d in Each order is %v, sequential calls have %v", q, len(parts), held, k, g[k], w[k])
+		}
+	}
+}
+
+// 300 seeded random CQs, each over a random instance dealt into one to
+// five random parts (some of them empty), into a relation that sometimes
+// already holds rows — one the answer derives and one it does not.
+func TestEvaluateIntoPartsMatchesSequentialCalls(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	census := map[string]int{}
+	for n := 0; n < 300; n++ {
+		q := randomEvalCQ(r)
+		i := randomEvalInstance(r)
+		parts := make([]*rel.Instance, 1+r.Intn(5))
+		for k := range parts {
+			parts[k] = rel.NewInstance()
+		}
+		for _, f := range i.Facts() {
+			parts[r.Intn(len(parts))].Add(f)
+		}
+		var held []rel.Tuple
+		if r.Intn(3) == 0 {
+			if ans := eachOrder(Evaluate(q, i)); len(ans) > 0 {
+				held = append(held, ans[r.Intn(len(ans))])
+			}
+			off := make(rel.Tuple, len(q.Head.Args))
+			for k := range off {
+				off[k] = -99
+			}
+			held = append(held, off)
+			census["rows held"]++
+		}
+		for _, part := range parts {
+			if part.IsEmpty() {
+				census["empty part"]++
+			}
+		}
+		switch {
+		case len(q.Head.Args) == 0:
+			census["boolean head"]++
+		case len(q.Head.Vars()) < len(q.Head.Args):
+			census["head constant"]++
+		}
+		if len(parts) > 1 {
+			census["several parts"]++
+		}
+		checkParts(t, q, held, parts...)
+	}
+	for _, feature := range []string{"rows held", "empty part", "boolean head", "head constant", "several parts"} {
+		if census[feature] == 0 {
+			t.Errorf("no random trial exercised: %s", feature)
+		}
+	}
+}
+
+// Parts whose greedy atom orders differ — the smaller relation goes
+// first, so the variable order follows each part's sizes — between parts
+// that come up empty: one with nothing in it, one missing a relation,
+// and one whose join empties after the first atom has bound some
+// variables. Under a projected head, a head constant and a Boolean head.
+func TestEvaluateIntoPartsKeepTheirOwnVariableOrder(t *testing.T) {
+	d := rel.NewDict()
+	rFirst := rel.MustInstance(d, "R(a,b)", "S(b,c)", "S(b,d)", "S(e,f)")
+	sFirst := rel.MustInstance(d, "R(g,h)", "R(i,h)", "R(k,l)", "S(h,j)")
+	partial := rel.MustInstance(d, "R(a,b)", "S(c,d)", "S(e,f)")
+	missing := rel.MustInstance(d, "R(a,b)", "R(b,c)")
+	empty := rel.NewInstance()
+
+	join := MustParse(d, "H(x, z) :- R(x, y), S(y, z)")
+	v1, b1 := evalBindings(join, rFirst)
+	v2, b2 := evalBindings(join, sFirst)
+	if b1.n == 0 || b2.n == 0 || slices.Equal(v1, v2) {
+		t.Fatalf("the parts should join over different variable orders, have %v and %v", v1, v2)
+	}
+	if v, b := evalBindings(join, partial); b.n != 0 || v != nil {
+		t.Fatalf("the partial part should come up empty, has %d rows over %v", b.n, v)
+	}
+	for _, src := range []string{
+		"H(x, z) :- R(x, y), S(y, z)",
+		"H(z, 'k', x) :- R(x, y), S(y, z)",
+		"H(y) :- R(x, y), S(y, z)",
+		"H() :- R(x, y), S(y, z)",
+	} {
+		q := MustParse(d, src)
+		for _, parts := range [][]*rel.Instance{
+			{rFirst, sFirst},
+			{sFirst, partial, rFirst},
+			{empty, partial, missing, sFirst, empty, rFirst},
+			{partial, missing, empty},
+			{empty},
+			{},
+		} {
+			checkParts(t, q, nil, parts...)
+			checkParts(t, q, []rel.Tuple{make(rel.Tuple, len(q.Head.Args))}, parts...)
+		}
 	}
 }

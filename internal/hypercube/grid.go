@@ -48,9 +48,16 @@ type atomPlan struct {
 	// enumerates the atom's destinations in ascending order, and
 	// offsets[0] is 0: the corner is the least of them.
 	offsets []int
+	// dests is the atom's destination table: for the corner of rank r —
+	// its coordinates in the hashed dimensions read as one mixed-radix
+	// number, in op order, which corner returns — the block
+	// dests[r*k : r*k+k], k = len(offsets), is corner+offsets. There is
+	// one corner per combination of hashed coordinates and k servers per
+	// corner, so the table has one entry per server: p in all.
+	dests []int
 	// room bounds the destinations of a fact matching this atom and any
-	// later atom of the same relation and arity, so Targets sizes its
-	// one output slice at the first matching atom.
+	// later atom of the same relation and arity, so Targets sizes the
+	// union it builds for a fact several atoms match at the first of them.
 	room int
 }
 
@@ -165,17 +172,39 @@ func (g *Grid) compile(a cq.Atom) atomPlan {
 		}
 		pl.offsets = next
 	}
+	// The table, rank by rank: the last hashed op is the least
+	// significant digit of a rank, as corner accumulates it.
+	corners := 1
+	for _, op := range pl.ops {
+		if op.kind == argHash {
+			corners *= int(op.share)
+		}
+	}
+	pl.dests = make([]int, 0, corners*len(pl.offsets))
+	for r := 0; r < corners; r++ {
+		id, rest := 0, r
+		for i := len(pl.ops) - 1; i >= 0; i-- {
+			if op := &pl.ops[i]; op.kind == argHash {
+				id += rest % int(op.share) * op.stride
+				rest /= int(op.share)
+			}
+		}
+		for _, off := range pl.offsets {
+			pl.dests = append(pl.dests, id+off)
+		}
+	}
 	return pl
 }
 
 // corner matches f against the plan, returning the server id of the
-// sub-grid corner its bound variables hash to, or ok=false when the
-// fact cannot instantiate the atom (wrong relation or arity, constant
-// or repeated-variable mismatch). It is the one matcher: Targets and
-// First differ only in what they do with the corners.
-func (pl *atomPlan) corner(f rel.Fact) (id int, ok bool) {
+// sub-grid corner its bound variables hash to and that corner's rank in
+// dests, or ok=false when the fact cannot instantiate the atom (wrong
+// relation or arity, constant or repeated-variable mismatch). It is the
+// one matcher: Targets and First differ only in what they do with the
+// corners.
+func (pl *atomPlan) corner(f rel.Fact) (id, rank int, ok bool) {
 	if pl.rel != f.Rel || pl.arity != len(f.Tuple) {
-		return 0, false
+		return 0, 0, false
 	}
 	t := f.Tuple
 	for i := range pl.ops {
@@ -184,18 +213,26 @@ func (pl *atomPlan) corner(f rel.Fact) (id int, ok bool) {
 		switch op.kind {
 		case argConst:
 			if v != op.val {
-				return 0, false
+				return 0, 0, false
 			}
 		case argRepeat:
 			if v != t[op.first] {
-				return 0, false
+				return 0, 0, false
 			}
 		case argHash:
-			h := rel.Mix64((rel.Tuple{v}).Hash() ^ op.salt)
-			id += int(h%op.share) * op.stride
+			c := int(rel.Mix64((rel.Tuple{v}).Hash()^op.salt) % op.share)
+			id += c * op.stride
+			rank = rank*int(op.share) + c
 		}
 	}
-	return id, true
+	return id, rank, true
+}
+
+// block returns the destinations of the corner of rank r, ascending,
+// capped at their length so that a caller's append copies.
+func (pl *atomPlan) block(r int) []int {
+	k := len(pl.offsets)
+	return pl.dests[r*k : r*k+k : r*k+k]
 }
 
 // varsOfBody returns the distinct variables of the positive body.
@@ -231,32 +268,34 @@ func (g *Grid) Coord(server int) []int {
 // consistent with the hashed bindings. Facts that match no atom (wrong
 // relation or arity, constant mismatch, repeated-variable mismatch) go
 // nowhere. Targets is called concurrently by the MPC communication
-// phase, so it keeps no scratch state on the grid; the returned slice
-// is its only allocation. One atom's destinations are already ascending
-// and distinct, so a sort and dedup pass is needed only when several
-// atoms match the fact.
+// phase, so it keeps no scratch state on the grid. One atom's
+// destinations are already ascending and distinct: a fact one atom
+// matches gets that corner's block of the atom's destination table,
+// without an allocation — read-only, like every Route result, and
+// capped at its length so that a caller's append copies. Only a fact
+// several atoms match (a self-join) gets a list of its own, sorted and
+// compacted.
 func (g *Grid) Targets(f rel.Fact) []int {
-	var out []int
-	atoms := 0
+	var first *atomPlan
+	var one, out []int
 	for i := range g.plans {
 		pl := &g.plans[i]
-		corner, ok := pl.corner(f)
-		if !ok {
-			continue
-		}
-		atoms++
-		if out == nil {
-			out = make([]int, 0, pl.room)
-		}
-		for _, off := range pl.offsets {
-			out = append(out, corner+off)
+		_, rank, ok := pl.corner(f)
+		switch {
+		case !ok:
+		case first == nil:
+			first, one = pl, pl.block(rank)
+		case out == nil:
+			out = append(append(make([]int, 0, first.room), one...), pl.block(rank)...)
+		default:
+			out = append(out, pl.block(rank)...)
 		}
 	}
-	if atoms > 1 {
-		slices.Sort(out)
-		out = slices.Compact(out)
+	if out == nil {
+		return one
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // First returns Targets(f)[0], the least destination of f, and
@@ -268,7 +307,7 @@ func (g *Grid) Targets(f rel.Fact) []int {
 // (mpc.Round.Owner).
 func (g *Grid) First(f rel.Fact) (server int, ok bool) {
 	for i := range g.plans {
-		if corner, matched := g.plans[i].corner(f); matched && (!ok || corner < server) {
+		if corner, _, matched := g.plans[i].corner(f); matched && (!ok || corner < server) {
 			server, ok = corner, true
 		}
 	}

@@ -158,3 +158,34 @@ func TestBooleanAnswerOverHTTP(t *testing.T) {
 		}
 	}
 }
+
+// lateName is a name only an escape can spell, and lateQuery a query
+// the anchor covers whose head interns its constant on first parse.
+const lateName = `<a&"b>`
+
+func lateQuery(c string) string { return "N(x, '" + c + "') :- R(x, y), S(y, z)" }
+
+// A session whose names are all plain answers a plain query, so its
+// facts go out unscanned; then a query interns a name that needs
+// escaping. The check of the names interned since the last reply must
+// find it: both replies are json.Marshal's bytes, and the session now
+// scans every fact.
+func TestReplyEscapesNameInternedLater(t *testing.T) {
+	d := rel.NewDict()
+	inst := rel.NewInstance()
+	names := d.Values("a", "b", "c", "d")
+	for k, v := range names {
+		inst.Add(rel.NewFact("R", v, names[(k+1)%len(names)]))
+		inst.Add(rel.NewFact("S", names[(k+1)%len(names)], v))
+	}
+	sess := sessionOf(t, New(Config{}), "late", d, inst)
+	checkReply(t, sess, &queryRequest{Session: sess.ID, Query: anchorQ}, PathRepartitioned)
+	if sess.names.escapes || sess.names.checked != d.Len() {
+		t.Fatalf("after a plain reply the check is %+v over %d names", sess.names, d.Len())
+	}
+	checkReply(t, sess, &queryRequest{Session: sess.ID, Query: lateQuery(lateName)}, PathReused)
+	if !sess.names.escapes {
+		t.Fatalf("the check missed %q interned after the first reply: %+v", lateName, sess.names)
+	}
+	checkReply(t, sess, &queryRequest{Session: sess.ID, Query: anchorQ}, PathReused)
+}

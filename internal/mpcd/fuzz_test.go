@@ -95,17 +95,21 @@ func FuzzQueryRequest(f *testing.F) {
 // FuzzReplyEncoding holds the reply encoder to encoding/json on names
 // the fuzzer draws: a session whose relation and value names are the
 // fuzzed strings is asked one query per serving path, and each reply
-// must be json.Marshal's bytes (checkReply). The seeds are the awkward
-// names of TestReplyIsEncodingJSONByteForByte.
+// must be json.Marshal's bytes (checkReply). Between the reused reply
+// and the gathered one, a covered query whose head carries the fuzzed
+// constant c interns it after the session has already replied. The
+// seeds are the awkward names of TestReplyIsEncodingJSONByteForByte, and
+// TestReplyEscapesNameInternedLater's plain session and late constant.
 func FuzzReplyEncoding(f *testing.F) {
 	for k, name := range awkwardNames {
-		f.Add(name, awkwardNames[(k+1)%len(awkwardNames)], awkwardNames[(k+2)%len(awkwardNames)])
+		f.Add(name, awkwardNames[(k+1)%len(awkwardNames)], awkwardNames[(k+2)%len(awkwardNames)], "")
 	}
-	f.Add("X", "", "")
-	f.Add("R", "S", "A")
-	f.Add("Idb", "a", "b")
+	f.Add("X", "", "", "")
+	f.Add("R", "S", "A", "")
+	f.Add("Idb", "a", "b", "")
+	f.Add("R", "a", "b", lateName)
 	srv := New(Config{})
-	f.Fuzz(func(t *testing.T, relName, a, b string) {
+	f.Fuzz(func(t *testing.T, relName, a, b, c string) {
 		if relName == "" {
 			// A Datalog query needs an output relation with a name.
 			t.Skip()
@@ -127,6 +131,9 @@ func FuzzReplyEncoding(f *testing.F) {
 		}()
 		checkReply(t, sess, &queryRequest{Session: sess.ID, Query: anchorQ}, PathRepartitioned)
 		checkReply(t, sess, &queryRequest{Session: sess.ID, Query: anchorQ}, PathReused)
+		if !strings.Contains(c, "'") { // a quoted constant ends at the first quote
+			checkReply(t, sess, &queryRequest{Session: sess.ID, Query: lateQuery(c)}, PathReused)
+		}
 		gathered := &queryRequest{Session: sess.ID, Lang: LangDatalog, Out: relName, Query: "Idb(x) :- R(x, y)"}
 		if relName == "Idb" {
 			// The session holds a binary Idb, which the program derives
@@ -137,5 +144,86 @@ func FuzzReplyEncoding(f *testing.F) {
 			return
 		}
 		checkReply(t, sess, gathered, PathGathered)
+	})
+}
+
+// FuzzCreateSession drives session creation through the full HTTP
+// surface with arbitrary bodies. A body that decodes as one request has
+// its generator sizes clamped (a size the server refuses is left as it
+// is) so a run stays fast. The properties: the server never panics and
+// never answers a 5xx; a refused create leaves the session table and
+// SessionsCreated as they were; an admitted create reports the facts,
+// width and budget GET /v1/sessions/{id} then shows.
+func FuzzCreateSession(f *testing.F) {
+	for _, gen := range []string{"join", "join-skewed", "triangle", "triangle-skewed", "cycle", "path", "random-graph"} {
+		f.Add(`{"generator": "` + gen + `", "n": 40, "p": 3, "seed": 5}`)
+	}
+	f.Add(`{"id": "s1", "facts": ["R(a, b)", "S(b, c)"], "budget": 9}`)
+	f.Add(`{"generator": "random-graph", "n": 30, "m": 70, "skew": 0.3}`)
+	f.Add(`{"id": "../x", "generator": "join", "n": 4194304}`) // a bad id
+	f.Add(`{"id": "dup", "facts": ["R(a, b)"]}`)               // a duplicate id
+	f.Add(`{"generator": "join", "n": 10, "p": 4097}`)         // p over the cap
+	f.Add(`{"facts": ["R(a, b)", "R(a, b, c)"]}`)              // a fact at the wrong arity
+	f.Add(`{"generator": "join", "n": 4194305}`)               // n over the cap
+	f.Add(`{"generator": "bogus", "n": 3}`)                    // an unknown generator
+	f.Add(`{"facts": ["R(a"]}`)                                // a fact that does not parse
+	f.Add(`{"generator": "join", "n": 4194304}]`)              // what Decode stops before
+	f.Add(`{"id": "t", "facts": ["R(a, b)"]} {"id": "u"}`)     // trailing data
+	f.Add(`not json`)
+
+	srv := New(Config{MaxBodyBytes: 1 << 14})
+	h := srv.Handler()
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := serve(http.MethodPost, "/v1/sessions", `{"id": "dup", "facts": ["R(a, b)"]}`); rec.Code != http.StatusOK {
+		f.Fatalf("priming the duplicate id: %d %s", rec.Code, rec.Body)
+	}
+
+	f.Fuzz(func(t *testing.T, body string) {
+		var req createRequest
+		dec := json.NewDecoder(strings.NewReader(body))
+		if dec.Decode(&req) == nil && !dec.More() {
+			if req.N > 0 && req.N <= maxGenSize {
+				req.N = 1 + (req.N-1)%256
+			}
+			if req.M > 0 && req.M <= maxGenSize {
+				req.M = 1 + (req.M-1)%1024
+			}
+			raw, err := json.Marshal(&req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body = string(raw)
+		}
+		sessions, created := srv.Sessions(), srv.Statz().SessionsCreated
+		rec := serve(http.MethodPost, "/v1/sessions", body)
+		if rec.Code >= 500 {
+			t.Fatalf("server %d for client input %q: %s", rec.Code, body, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			if n, c := srv.Sessions(), srv.Statz().SessionsCreated; n != sessions || c != created {
+				t.Fatalf("refused create %q (%d) moved the table from %d sessions, %d created to %d, %d", body, rec.Code, sessions, created, n, c)
+			}
+			return
+		}
+		var resp createResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 with undecodable body %q: %v", rec.Body, err)
+		}
+		got := serve(http.MethodGet, "/v1/sessions/"+resp.Session, "")
+		var st SessionStatus
+		if err := json.Unmarshal(got.Body.Bytes(), &st); got.Code != http.StatusOK || err != nil {
+			t.Fatalf("GET of created session %q: %d %s (%v)", resp.Session, got.Code, got.Body, err)
+		}
+		if st.Facts != resp.Facts || st.P != resp.P || st.BudgetTotal != resp.Budget {
+			t.Fatalf("%q: created %+v, GET shows %+v", body, resp, st)
+		}
+		if del := serve(http.MethodDelete, "/v1/sessions/"+resp.Session, ""); del.Code != http.StatusOK {
+			t.Fatalf("delete %q: %d %s", resp.Session, del.Code, del.Body)
+		}
 	})
 }

@@ -2,6 +2,7 @@ package mpcd
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpclogic/internal/cq"
@@ -42,11 +43,10 @@ func TestServingPlacementIsSound(t *testing.T) {
 			continue
 		}
 		q := sess.anchor.cq
-		grid, aerr := sess.anchor.plan.gridFor(q, sess.p, sess.seed)
+		pl, aerr := sess.anchor.plan.placementFor(q, sess.p, sess.seed)
 		if aerr != nil {
 			t.Fatal(aerr)
 		}
-		pl := sess.gridRouter(grid)
 		fragments := make([]*rel.Instance, sess.p)
 		for κ := range fragments {
 			fragments[κ] = sess.cluster.Server(κ)
@@ -87,3 +87,35 @@ func TestServingPlacementIsSound(t *testing.T) {
 		t.Fatalf("the script met %d anchors", len(anchors))
 	}
 }
+
+// TestTargetsDoesNotAllocate: the placement routes a fact one atom of
+// the grid matches, and a fact it parks, without an allocation — both
+// are windows of tables the placement holds — and the same servers as
+// the grid and the parking hash name.
+func TestTargetsDoesNotAllocate(t *testing.T) {
+	sess := joinSession(t, 50, 0)
+	sq, aerr := sess.parseQuery(LangCQ, anchorQ, "")
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	pl, aerr := sq.plan.placementFor(sq.cq, sess.p, sess.seed)
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	parked := rel.NewFact("Z", 3, 4)
+	for _, f := range []rel.Fact{rel.NewFact("R", 1, 2), rel.NewFact("S", 2, 9), parked} {
+		want := pl.grid.Targets(f)
+		if f.Rel == parked.Rel {
+			want = []int{int(rel.Mix64(f.Hash()^sess.seed^parkSalt) % uint64(sess.p))}
+		}
+		got := pl.Route(f)
+		if !slices.Equal(got, want) || cap(got) != len(got) {
+			t.Fatalf("Route(%v) = %v (cap %d), want %v", f, got, cap(got), want)
+		}
+		if n := testing.AllocsPerRun(100, func() { routeSink = pl.Route(f) }); n != 0 {
+			t.Errorf("Route(%v) allocates %v times, want 0", f, n)
+		}
+	}
+}
+
+var routeSink []int

@@ -8,6 +8,7 @@ import (
 	"mpclogic/internal/datalog"
 	"mpclogic/internal/hypercube"
 	"mpclogic/internal/pc"
+	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 )
 
@@ -19,12 +20,12 @@ const (
 
 // queryPlan is the server-wide, dict-independent part of a parsed
 // query: its canonical key, the dimensions the cover gate inspects,
-// and the compiled HyperCube grid per cluster width. Sessions keep
-// their own ASTs (interning is session-scoped, see Server.sessions),
-// but the share-exponent LP, the routing plans compiled from it and the
-// Πᵖ₃ cover search depend only on the canonical text — which spells
-// constants as their interned values — so their results are computed
-// once here and serve every session.
+// and the placement of the compiled HyperCube grid per cluster width.
+// Sessions keep their own ASTs (interning is session-scoped, see
+// Server.sessions), but the share-exponent LP, the routing plans
+// compiled from it and the Πᵖ₃ cover search depend only on the
+// canonical text — which spells constants as their interned values — so
+// their results are computed once here and serve every session.
 type queryPlan struct {
 	key      string // lang + output relation + canonical text
 	lang     string
@@ -44,8 +45,8 @@ type gridKey struct {
 }
 
 type gridResult struct {
-	grid *hypercube.Grid
-	err  error // no share assignment exists for this width
+	place *placement
+	err   error // no share assignment exists for this width
 }
 
 // sessionQuery is one session's parsed view of a plan: ASTs whose
@@ -121,27 +122,31 @@ func (s *Server) planFor(lang, canon, out string, q *cq.CQ) *queryPlan {
 	return pl
 }
 
-// gridFor returns the plan's HyperCube grid on p servers under seed:
-// the share-exponent LP is solved and the atoms are compiled into
-// routing plans once per width, so anchors that alternate — in one
-// session or across sessions — do not recompile per request. q is the
-// caller's AST for the same canonical text; the LP and the compiler see
-// only variables, atom structure and constant values, so any session's
-// parse yields the same grid. A grid is immutable once built and safe
-// to route through from every session at once.
-func (pl *queryPlan) gridFor(q *cq.CQ, p int, seed uint64) (*hypercube.Grid, *apiError) {
+// placementFor returns the placement of the plan's HyperCube grid on p
+// servers under seed: the share-exponent LP is solved, the atoms are
+// compiled into routing plans and the placement is built once per
+// width, so anchors that alternate — in one session or across sessions
+// — do not recompile per request. q is the caller's AST for the same
+// canonical text; the LP and the compiler see only variables, atom
+// structure and constant values, so any session's parse yields the same
+// grid. A placement is immutable once built and safe to route through
+// from every session at once.
+func (pl *queryPlan) placementFor(q *cq.CQ, p int, seed uint64) (*placement, *apiError) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	key := gridKey{p: p, seed: seed}
 	r, ok := pl.grids[key]
 	if !ok {
-		r.grid, r.err = hypercube.NewOptimalGrid(q, p, seed)
+		var grid *hypercube.Grid
+		if grid, r.err = hypercube.NewOptimalGrid(q, p, seed); r.err == nil {
+			r.place = newPlacement(grid, p, seed)
+		}
 		pl.grids[key] = r
 	}
 	if r.err != nil {
 		return nil, errBadRequest("no share assignment for %s on p=%d: %v", q, p, r.err)
 	}
-	return r.grid, nil
+	return r.place, nil
 }
 
 // parkSalt decorrelates the parking hash (facts outside the anchor's
@@ -163,13 +168,14 @@ type placement struct {
 	grid       *hypercube.Grid
 	p, seed    uint64
 	replicated []string // relations the grid may put on several servers per fact
+	servers    []int    // 0 … p−1: a parked fact's one-server Route is a window of it
 }
 
 // newPlacement returns grid's placement on a p-server session. A
 // relation is placed once per fact unless an atom over it leaves a
 // dimension with a share free, or two atoms are over it.
 func newPlacement(grid *hypercube.Grid, p int, seed uint64) *placement {
-	pl := &placement{grid: grid, p: uint64(p), seed: seed}
+	pl := &placement{grid: grid, p: uint64(p), seed: seed, servers: policy.AllNodes(p)}
 	for i, a := range grid.Query.Body {
 		again := slices.ContainsFunc(grid.Query.Body[:i], func(b cq.Atom) bool { return b.Rel == a.Rel })
 		if (again || grid.ReplicationOf(a) > 1) && !slices.Contains(pl.replicated, a.Rel) {
@@ -183,12 +189,15 @@ func newPlacement(grid *hypercube.Grid, p int, seed uint64) *placement {
 // because of is a thing package pc can be asked about.
 func (pl *placement) NumNodes() int { return int(pl.p) }
 
-// Route implements mpc.Router.
+// Route implements mpc.Router. Neither a fact one atom matches nor a
+// parked one costs an allocation: both get a read-only window of a table
+// the placement holds, capped at its length.
 func (pl *placement) Route(f rel.Fact) []int {
 	if ts := pl.grid.Targets(f); len(ts) > 0 {
 		return ts
 	}
-	return []int{int(rel.Mix64(f.Hash()^pl.seed^parkSalt) % pl.p)}
+	s := int(rel.Mix64(f.Hash()^pl.seed^parkSalt) % pl.p)
+	return pl.servers[s : s+1 : s+1]
 }
 
 // owner is the placement as the mpc.Round.Owner of the repartition that

@@ -74,12 +74,12 @@ func TestRepartitionRoutesEachFactOnce(t *testing.T) {
 		if aerr != nil {
 			t.Fatal(aerr)
 		}
-		grid, aerr := sq.plan.gridFor(sq.cq, sess.p, sess.seed)
+		place, aerr := sq.plan.placementFor(sq.cq, sess.p, sess.seed)
 		if aerr != nil {
 			t.Fatal(aerr)
 		}
 		var counter atomic.Int64
-		maxLoad, total, aerr = sess.reship(sq, countingRouter(sess.gridRouter(grid), &counter), qBudget)
+		maxLoad, total, aerr = sess.reship(sq, countingRouter(place, &counter), qBudget)
 		return counter.Load(), maxLoad, total, aerr
 	}
 
@@ -131,11 +131,11 @@ func TestRepartitionRoutesEachFactOnce(t *testing.T) {
 // the session and changes nothing of it.
 func reshipReference(t testing.TB, sess *Session, sq *sessionQuery) (*mpc.Cluster, mpc.RoundStats) {
 	t.Helper()
-	grid, aerr := sq.plan.gridFor(sq.cq, sess.p, sess.seed)
+	place, aerr := sq.plan.placementFor(sq.cq, sess.p, sess.seed)
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
-	p, seed := uint64(sess.p), sess.seed
+	grid, p, seed := place.grid, uint64(sess.p), sess.seed
 	fresh := mpc.NewCluster(sess.p)
 	fresh.LoadRoundRobin(sess.cluster.Output())
 	stats, err := fresh.RunRound(mpc.Round{Name: "repartition " + sq.text, Route: mpc.RouterFunc(func(f rel.Fact) []int {
@@ -412,10 +412,10 @@ func TestRepartitionCompilesGridOncePerWidth(t *testing.T) {
 		if n := len(sq.plan.grids); n != 2 {
 			t.Errorf("%s: %d grids compiled for widths 8 and 4, want 2", q, n)
 		}
-		g8, _ := sq.plan.gridFor(sq.cq, 8, s.cfg.Seed)
-		g4, _ := sq.plan.gridFor(sq.cq, 4, s.cfg.Seed)
-		if g8 == nil || g4 == nil || g8.P() > 8 || g4.P() > 4 || g8 == g4 {
-			t.Errorf("%s: grids per width: %v, %v", q, g8, g4)
+		p8, _ := sq.plan.placementFor(sq.cq, 8, s.cfg.Seed)
+		p4, _ := sq.plan.placementFor(sq.cq, 4, s.cfg.Seed)
+		if p8 == nil || p4 == nil || p8.grid.P() > 8 || p4.grid.P() > 4 || p8.grid == p4.grid {
+			t.Errorf("%s: grids per width: %v, %v", q, p8, p4)
 		}
 	}
 }

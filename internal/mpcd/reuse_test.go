@@ -263,11 +263,14 @@ func TestTransferLawAtServingSeam(t *testing.T) {
 // anchor covers, through Handler() with no socket — decode, the cached
 // parse and cover verdict, evaluation on the 8 warm fragments of a
 // 40 000-fact session, the encoded reply. A is the anchor's own
-// 20 000-tuple answer (419 KB of reply); E is Boolean, so evaluation is
-// all of it.
+// 20 000-tuple answer (419 KB of reply); B projects it, so the parts'
+// binding rows hold duplicates out removes; D scans one atom; E is
+// Boolean, so evaluation is all of it.
 func BenchmarkReuse(b *testing.B) {
 	for _, c := range []struct{ name, query string }{
 		{"A", anchorQ},
+		{"B", coveredQ1},
+		{"D", coveredQ3},
 		{"E", "E() :- R(x, y), S(y, z)"},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -9,7 +9,6 @@ import (
 
 	"mpclogic/internal/cq"
 	"mpclogic/internal/datalog"
-	"mpclogic/internal/hypercube"
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/rel"
 	"mpclogic/internal/workload"
@@ -29,6 +28,7 @@ type Session struct {
 	p       int
 	seed    uint64
 	dict    *rel.Dict
+	names   nameCheck // how much of dict the replies have checked
 	cluster *mpc.Cluster
 	anchor  *sessionQuery // query whose grid distributed the data; nil before the first repartition
 	parsed  map[string]*sessionQuery
@@ -265,7 +265,7 @@ func (sess *Session) run(req *queryRequest) (*reply, *apiError) {
 	resp.BudgetSpent = sess.budgetSpent
 	resp.BudgetRemaining = sess.budgetTotal - sess.budgetSpent
 	resp.Count = out.Len()
-	if aerr := resp.encode(out, sess.dict); aerr != nil {
+	if aerr := resp.encode(out, sess.dict, &sess.names); aerr != nil {
 		return nil, aerr
 	}
 	sess.srv.bump(func(st *StatzResponse) { st.Admitted++; st.CommTotal += resp.Comm })
@@ -278,21 +278,17 @@ func (sess *Session) run(req *queryRequest) (*reply, *apiError) {
 // grid is parallel-correct for the anchor by construction, and the
 // reuse path only runs when transfer says the anchor covers q.
 //
-// Every fragment projects into the one answer relation, which is where
-// a tuple two servers both derive is found to be one tuple.
+// Every fragment projects into the one answer relation, reserved once
+// for all of them, which is where a tuple two servers both derive is
+// found to be one tuple.
 func (sess *Session) evalLocal(q *cq.CQ) *rel.Instance {
 	out := rel.NewInstance()
-	answer := out.EnsureRelation(q.Head.Rel, len(q.Head.Args))
-	for i := 0; i < sess.cluster.P(); i++ {
-		cq.EvaluateInto(answer, q, sess.cluster.Server(i))
+	fragments := make([]*rel.Instance, sess.cluster.P())
+	for i := range fragments {
+		fragments[i] = sess.cluster.Server(i)
 	}
+	cq.EvaluateInto(out.EnsureRelation(q.Head.Rel, len(q.Head.Args)), q, fragments...)
 	return out
-}
-
-// gridRouter returns grid's placement on this session's cluster: the
-// router of one repartition, the owner rule of the one that replaces it.
-func (sess *Session) gridRouter(grid *hypercube.Grid) *placement {
-	return newPlacement(grid, sess.p, sess.seed)
 }
 
 // repartition is the admission-controlled redistribution, in a single
@@ -312,11 +308,11 @@ func (sess *Session) gridRouter(grid *hypercube.Grid) *placement {
 // rejection drops it, the session — cluster, anchor, ledger — untouched,
 // and an admission swaps it in, so a session holds one round of history.
 func (sess *Session) repartition(sq *sessionQuery, qBudget int) (maxLoad, total int, aerr *apiError) {
-	grid, aerr := sq.plan.gridFor(sq.cq, sess.p, sess.seed)
+	place, aerr := sq.plan.placementFor(sq.cq, sess.p, sess.seed)
 	if aerr != nil {
 		return 0, 0, aerr
 	}
-	return sess.reship(sq, sess.gridRouter(grid), qBudget)
+	return sess.reship(sq, place, qBudget)
 }
 
 // reship is repartition below the choice of router: route once, admit
@@ -324,11 +320,11 @@ func (sess *Session) repartition(sq *sessionQuery, qBudget int) (maxLoad, total 
 func (sess *Session) reship(sq *sessionQuery, router mpc.Router, qBudget int) (maxLoad, total int, aerr *apiError) {
 	round := mpc.Round{Name: "repartition " + sq.text, Route: router}
 	if prev := sess.anchor; prev != nil {
-		grid, aerr := prev.plan.gridFor(prev.cq, sess.p, sess.seed)
+		place, aerr := prev.plan.placementFor(prev.cq, sess.p, sess.seed)
 		if aerr != nil {
 			return 0, 0, errInternal(fmt.Errorf("mpcd: the grid of anchor %s is gone: %s", prev.text, aerr.Message))
 		}
-		round.Owner = sess.gridRouter(grid).owner
+		round.Owner = place.owner
 	}
 	next := sess.cluster.Successor()
 	routed, err := next.RouteRound(round)
@@ -405,11 +401,15 @@ type reply struct {
 // Output: the sorted facts of out spelled through d}) plus "\n", byte
 // for byte, without building the []string or walking the answer a
 // second time. The header goes through json.Marshal itself; each fact
-// is rendered straight into the buffer and kept if every byte of it is
-// one encoding/json copies through verbatim, and handed to
-// encoding/json otherwise. The caller holds the session lock: d is the
-// session's dict.
-func (r *reply) encode(out *rel.Instance, d *rel.Dict) *apiError {
+// is rendered straight into the buffer. A fact's bytes are its relation
+// name, d's names, "#" and the digits of an un-interned value, and the
+// punctuation "(,)" — so when names finds every name of d plain and
+// every relation of out has a plain name, each fact is kept as
+// rendered, unscanned. Otherwise each fact is kept if every byte of it
+// is one encoding/json copies through verbatim, and handed to
+// encoding/json if not. The caller holds the session lock: d is the
+// session's dict and names its check.
+func (r *reply) encode(out *rel.Instance, d *rel.Dict, names *nameCheck) *apiError {
 	// Output is the last field and the only one that can be null, so
 	// the header ends `"output":null}`; the array goes where null is.
 	hdr, err := json.Marshal(&r.QueryResponse)
@@ -421,6 +421,10 @@ func (r *reply) encode(out *rel.Instance, d *rel.Dict) *apiError {
 	// comma included — is a starting size, not a bound: append grows it.
 	buf := make([]byte, 0, len(hdr)+24*r.Count+2)
 	buf = append(append(buf, hdr...), '[')
+	plain := names.plain(d)
+	for _, name := range out.RelationNames() {
+		plain = plain && jsonVerbatim(name)
+	}
 	facts := 0
 	out.Each(func(f rel.Fact) bool {
 		if facts++; facts > 1 {
@@ -428,7 +432,7 @@ func (r *reply) encode(out *rel.Instance, d *rel.Dict) *apiError {
 		}
 		start := len(buf)
 		buf = f.AppendWith(append(buf, '"'), d)
-		if jsonVerbatim(buf[start+1:]) {
+		if plain || jsonVerbatim(buf[start+1:]) {
 			buf = append(buf, '"')
 			return true
 		}
@@ -449,13 +453,36 @@ func (r *reply) encode(out *rel.Instance, d *rel.Dict) *apiError {
 // quote, the backslash and the three characters it escapes for HTML.
 // Anything else — control bytes, and every byte of a multi-byte or
 // invalid UTF-8 sequence — is encoding/json's to spell.
-func jsonVerbatim(s []byte) bool {
-	for _, c := range s {
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+func jsonVerbatim[S ~string | ~[]byte](s S) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			return false
 		}
 	}
 	return true
+}
+
+// nameCheck is how far reply.encode has checked a session's dict: its
+// first checked names are plain — jsonVerbatim — unless escapes is set,
+// which then stays set. A dict only grows, and it grows under the
+// session lock (parseQuery) or before the session is published
+// (createSession's facts, a snapshot's dict) — never while encode,
+// which holds that lock, reads it. So a reply checks only the names
+// interned since the one before, and a session checks each name once.
+type nameCheck struct {
+	checked int
+	escapes bool
+}
+
+// plain reports whether every name of d is plain, checking the names
+// interned since the last call.
+func (c *nameCheck) plain(d *rel.Dict) bool {
+	var name []byte
+	for ; !c.escapes && c.checked < d.Len(); c.checked++ {
+		name = d.AppendName(name[:0], rel.Value(c.checked))
+		c.escapes = !jsonVerbatim(name)
+	}
+	return !c.escapes
 }
 
 // status snapshots the session for GET /v1/sessions/{id}.
