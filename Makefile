@@ -121,6 +121,7 @@ fuzz:
 	$(GO) test ./internal/rel -run='^$$' -fuzz='^FuzzRelation$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/rel -run='^$$' -fuzz='^FuzzFragmentWire$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/policy -run='^$$' -fuzz='^FuzzStoreImage$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/policy -run='^$$' -fuzz='^FuzzCheckpointLog$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sweep -run='^$$' -fuzz='^FuzzSweepMerge$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzQueryRequest$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzReplyEncoding$$' -fuzztime=$(FUZZTIME)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mpclogic/internal/mpc"
@@ -25,6 +26,12 @@ import (
 // the path counters. LoadSnapshot is the inverse: a restarted server
 // answers the next query of every restored session byte-identically to
 // a server that never went down, which the e2e kill-and-resume test pins.
+//
+// The manifest's rename is a snapshot's one commit point. Session
+// images are written first, under a generation no landed manifest can
+// name, so a snapshot cut short anywhere before that rename leaves the
+// previous one exactly as it was; only after it are the superseded
+// images swept.
 
 // snapshotVersion guards the manifest layout; bump on incompatible
 // change. Version 2 moved the manifest into a store image.
@@ -35,8 +42,26 @@ const snapshotVersion = 2
 // instead of looking empty.
 const manifestName = "manifest.json"
 
-// A session's fragment image is session-<id>.store in the snapshot dir.
+// A session's fragment image is session-<id>.<gen>.store in the
+// snapshot dir, gen being the snapshot's generation: one above every
+// generation the directory's images carry.
 const sessionFilePrefix, sessionFileSuffix = "session-", ".store"
+
+// imageGen reports whether name is a session image's and, if so, the
+// generation it carries — 0 for a name without one.
+func imageGen(name string) (uint64, bool) {
+	stem, pre := strings.CutPrefix(name, sessionFilePrefix)
+	stem, suf := strings.CutSuffix(stem, sessionFileSuffix)
+	if !pre || !suf {
+		return 0, false
+	}
+	if dot := strings.LastIndexByte(stem, '.'); dot >= 0 {
+		if gen, err := strconv.ParseUint(stem[dot+1:], 10, 64); err == nil {
+			return gen, true
+		}
+	}
+	return 0, true
+}
 
 // ErrNoSnapshot is what LoadSnapshot's error matches when the directory
 // holds no manifest: nothing to restore, not a snapshot that fails to.
@@ -61,17 +86,29 @@ type sessionManifest struct {
 
 // SaveSnapshot drains the server (idempotent; every in-flight query
 // finishes first, so the snapshot is quiescent) and writes it to dir.
-// Sessions are written in sorted-id order and every file lands
-// atomically, so a crash mid-snapshot never leaves a plausible but
-// half-written manifest: the manifest lands last, and only after every
-// fragment image it names. Once it has, the session images it does not
-// name — sessions deleted since the directory's previous snapshot — and
-// any temporary a crashed writer left are removed.
+// Sessions are written in sorted-id order, each image under this
+// snapshot's generation — a name no file in dir has, so no landed
+// manifest names it — and the manifest lands last, atomically: a crash
+// anywhere before its rename leaves the previous snapshot whole. Once
+// it has landed, every session image and writer temporary dir held
+// before this snapshot began — the previous snapshot's images,
+// sessions deleted since, what a crashed writer left — is removed.
 func (s *Server) SaveSnapshot(dir string) error {
 	s.Drain()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("mpcd: snapshot dir: %w", err)
 	}
+	before, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("mpcd: reading snapshot dir: %w", err)
+	}
+	var gen uint64
+	for _, e := range before {
+		if g, ok := imageGen(e.Name()); ok && g > gen {
+			gen = g
+		}
+	}
+	gen++
 	s.sessMu.Lock()
 	sessions := make([]*Session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
@@ -82,14 +119,12 @@ func (s *Server) SaveSnapshot(dir string) error {
 	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
 
 	m := manifest{Version: snapshotVersion, Seed: s.cfg.Seed, NextID: nextID}
-	keep := make(map[string]bool, len(sessions))
 	for _, sess := range sessions {
-		sm, err := sess.snapshot(dir)
+		sm, err := sess.snapshot(dir, gen)
 		if err != nil {
 			return err
 		}
 		m.Sessions = append(m.Sessions, sm)
-		keep[sm.Store] = true
 	}
 	raw, err := json.Marshal(&m)
 	if err != nil {
@@ -98,19 +133,19 @@ func (s *Server) SaveSnapshot(dir string) error {
 	if err := policy.SaveStore(filepath.Join(dir, manifestName), policy.NewStableStore(nil).WithMeta(raw)); err != nil {
 		return fmt.Errorf("mpcd: writing manifest: %w", err)
 	}
-	if err := sweepSnapshot(dir, keep); err != nil {
+	if err := sweepSnapshot(dir, before); err != nil {
 		return err
 	}
 	s.bump(func(st *StatzResponse) { st.CheckpointedSessions += len(sessions) })
 	return nil
 }
 
-// snapshot writes one session's fragment image and returns its
-// manifest entry.
-func (sess *Session) snapshot(dir string) (sessionManifest, error) {
+// snapshot writes one session's fragment image under generation gen
+// and returns its manifest entry.
+func (sess *Session) snapshot(dir string, gen uint64) (sessionManifest, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	name := sessionFilePrefix + sess.ID + sessionFileSuffix
+	name := sessionFilePrefix + sess.ID + "." + strconv.FormatUint(gen, 10) + sessionFileSuffix
 	if err := policy.SaveStore(filepath.Join(dir, name), sess.cluster.Checkpoint().Store()); err != nil {
 		return sessionManifest{}, fmt.Errorf("mpcd: writing session %s: %w", sess.ID, err)
 	}
@@ -122,22 +157,19 @@ func (sess *Session) snapshot(dir string) (sessionManifest, error) {
 }
 
 // sweepSnapshot removes from dir the files of the snapshot writer's own
-// two patterns — session images and writer temporaries — that keep, the
-// images the manifest just landed names, does not hold. Anything else
+// two patterns — session images and writer temporaries — among before,
+// the entries dir held before the manifest that just landed was
+// written: none of them is an image it names. (A temporary of the
+// name this snapshot's own writes used is gone already.) Anything else
 // in the directory is not ours to touch.
-func sweepSnapshot(dir string, keep map[string]bool) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("mpcd: sweeping snapshot dir: %w", err)
-	}
-	for _, e := range entries {
+func sweepSnapshot(dir string, before []os.DirEntry) error {
+	for _, e := range before {
 		name := e.Name()
-		stale := strings.HasSuffix(name, policy.TempSuffix) ||
-			strings.HasPrefix(name, sessionFilePrefix) && strings.HasSuffix(name, sessionFileSuffix) && !keep[name]
-		if !stale {
+		_, image := imageGen(name)
+		if !image && !strings.HasSuffix(name, policy.TempSuffix) {
 			continue
 		}
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("mpcd: sweeping snapshot dir: %w", err)
 		}
 	}

@@ -160,7 +160,7 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	}
 
 	// Flip one byte in a fragment image: the CRC must catch it.
-	storePath := filepath.Join(dir, "session-ck1.store")
+	storePath := filepath.Join(dir, "session-ck1.1.store")
 	raw, err := os.ReadFile(storePath)
 	if err != nil {
 		t.Fatalf("read store: %v", err)
@@ -236,10 +236,11 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 }
 
 // TestSnapshotDirForgetsDeletedSessions: a snapshot directory holds the
-// last snapshot and nothing of the ones before it — the image of a
-// session deleted since, and a temporary a crashed writer left, are
-// gone once the new manifest has landed; a file that is not the
-// writer's stays; and what is left restores byte-identically.
+// last snapshot and nothing of the ones before it — the previous
+// generation's images, the image of a session deleted since, and a
+// temporary a crashed writer left, are gone once the new manifest has
+// landed; a file that is not the writer's stays; and what is left
+// restores byte-identically.
 func TestSnapshotDirForgetsDeletedSessions(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newTestServer(t, Config{})
@@ -277,7 +278,7 @@ func TestSnapshotDirForgetsDeletedSessions(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if got, want := fmt.Sprint(names), fmt.Sprint([]string{manifestName, "notes.txt", "session-b.store"}); got != want {
+	if got, want := fmt.Sprint(names), fmt.Sprint([]string{manifestName, "notes.txt", "session-b.2.store"}); got != want {
 		t.Fatalf("snapshot directory holds %s, want %s", got, want)
 	}
 
@@ -302,6 +303,61 @@ func TestSnapshotDirForgetsDeletedSessions(t *testing.T) {
 	_, wantNext := do(t, "POST", tsRef.URL+"/v1/query", queryRequest{Session: "b", Query: coveredQ3})
 	if string(got) != string(wantNext) {
 		t.Fatalf("b's reply after the second restart diverged:\n  got  %s\n  want %s", got, wantNext)
+	}
+}
+
+// TestTornSnapshotRestoresThePreviousOne: a snapshot cut short after
+// its session images, before its manifest, leaves the previous snapshot
+// whole — its images are not the ones the cut snapshot wrote — so the
+// restart answers the covered query from the distribution the landed
+// manifest's anchor describes, and the next repartition routes exactly
+// the session's facts. (Writing images over the names the landed
+// manifest held once restored the new fragments under the old anchor:
+// the covered query answered count 0, the repartition a 500.)
+func TestTornSnapshotRestoresThePreviousOne(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{})
+	seedSessions(t, ts1.URL)
+	want := query(t, ts1.URL, "ck1", coveredQ1)
+	if want.Path != PathReused || want.Count != 3 {
+		t.Fatalf("the reference answer is %+v, want 3 facts reused", want)
+	}
+	if err := s1.SaveSnapshot(dir); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+
+	s2, err := LoadSnapshot(dir, Config{})
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	query(t, ts2.URL, "ck1", uncoveredQ) // ck1's fragments move to another grid
+	// The second snapshot dies between its images and its manifest: a
+	// directory where the manifest's temporary goes fails that write.
+	blocker := filepath.Join(dir, manifestName+policy.TempSuffix)
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.SaveSnapshot(dir); err == nil {
+		t.Fatal("a snapshot landed its manifest over a directory")
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+
+	s3, err := LoadSnapshot(dir, Config{})
+	if err != nil {
+		t.Fatalf("load after the torn snapshot: %v", err)
+	}
+	ts3 := httptest.NewServer(s3.Handler())
+	defer ts3.Close()
+	got := query(t, ts3.URL, "ck1", coveredQ1)
+	if got.Path != PathReused || got.Count != want.Count || fmt.Sprint(got.Output) != fmt.Sprint(want.Output) {
+		t.Fatalf("after the torn snapshot the covered query answers %+v, want the previous snapshot's %+v", got, want)
+	}
+	if status, raw := do(t, "POST", ts3.URL+"/v1/query", queryRequest{Session: "ck1", Query: uncoveredQ}); status != http.StatusOK {
+		t.Fatalf("the repartition after the torn snapshot: %d %s", status, raw)
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 func sessionImage(t testing.TB, sess *Session) string {
 	t.Helper()
 	dir := t.TempDir()
-	sm, err := sess.snapshot(dir)
+	sm, err := sess.snapshot(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
@@ -429,32 +430,86 @@ func TestBuildRejects(t *testing.T) {
 	}
 }
 
-// slotRounds lists the rounds worker index's checkpoint files in dir
-// hold, ascending, read from each image's cursor; more than the two
-// slots' files is a failure.
-func slotRounds(t *testing.T, dir string, index int) []int {
+// resumeCheckpoint is the checkpoint a fresh incarnation of worker
+// index would resume from, read without opening the log for appends.
+func resumeCheckpoint(dir string, index int) (*checkpoint, error) {
+	files, cur, err := readCheckpoints(dir, index)
+	if err != nil {
+		return nil, err
+	}
+	return resumePoint(index, files, cur)
+}
+
+// logRounds lists the two newest rounds worker index's checkpoint log
+// in dir holds (fewer when it holds fewer), ascending, read from each
+// record's cursor; more than the log's two files is a failure.
+func logRounds(t *testing.T, dir string, index int) []int {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("worker-%d.*", index)))
+	names, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("worker-%d.*", index)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) > 2 {
-		t.Errorf("worker %d has %d checkpoint files %v, want at most its two slots", index, len(files), files)
+	if len(names) > 2 {
+		t.Errorf("worker %d has %d checkpoint files %v, want at most two", index, len(names), names)
 	}
-	var rounds []int
+	files, _, err := readCheckpoints(dir, index)
+	if err != nil {
+		t.Fatalf("checkpoint log does not load: %v", err)
+	}
+	held := make(map[int]bool)
 	for _, f := range files {
-		cur, _, err := readCheckpoint(f)
-		if err != nil {
-			t.Fatalf("checkpoint file does not load: %v", err)
+		for _, c := range f.ckpts {
+			held[c.Round] = true
 		}
-		rounds = append(rounds, cur.Round)
+	}
+	rounds := make([]int, 0, len(held))
+	for r := range held {
+		rounds = append(rounds, r)
 	}
 	sort.Ints(rounds)
+	if len(rounds) > 2 {
+		rounds = rounds[len(rounds)-2:]
+	}
 	return rounds
 }
 
+// logBytes is the size of worker index's checkpoint files in dir.
+func logBytes(t *testing.T, dir string, index int) int {
+	t.Helper()
+	total := 0
+	for f := 0; f < 2; f++ {
+		info, err := os.Stat(logPath(dir, index, f))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += int(info.Size())
+	}
+	return total
+}
+
+// writeRounds appends worker index's checkpoints of rounds from..to,
+// each holding state, to its log in dir, as one incarnation would.
+func writeRounds(t *testing.T, dir string, index, from, to int, state *rel.Instance) {
+	t.Helper()
+	l, _, err := openCheckpoints(dir, index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := from; r <= to; r++ {
+		if err := l.write(cursor{Round: r}, state); err != nil {
+			t.Fatalf("write round %d: %v", r, err)
+		}
+	}
+	if err := l.close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCheckpointRoundtrip pins the durable state: write, read back, and
-// recover the exact state and accounting from the slot resume rewinds
+// recover the exact state and accounting from the record resume rewinds
 // to (latest−1); another worker's files are not this worker's, and a
 // worker with no files starts fresh.
 func TestCheckpointRoundtrip(t *testing.T) {
@@ -464,73 +519,96 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	state.Add(rel.NewFact("TC", 2, 3))
 	received := []int{4, 0, 7}
 	deltaSent := []int{1, 0, 2}
+	l, from, err := openCheckpoints(dir, 2)
+	if err != nil || from != nil {
+		t.Fatalf("a worker without checkpoints opens its log at %+v (err %v), want a fresh start", from, err)
+	}
 	for r := 0; r <= 3; r++ {
-		if err := writeCheckpoint(dir, 2, cursor{Round: r, Received: received[:r], DeltaSent: deltaSent[:r]}, state); err != nil {
+		if err := l.write(cursor{Round: r, Received: received[:r], DeltaSent: deltaSent[:r]}, state); err != nil {
 			t.Fatalf("write round %d: %v", r, err)
 		}
 	}
-	if err := writeCheckpoint(dir, 1, cursor{Round: 9}, rel.NewInstance()); err != nil {
+	if err := l.close(); err != nil {
 		t.Fatal(err)
 	}
+	writeRounds(t, dir, 1, 9, 9, rel.NewInstance())
 
-	cur, recovered, err := resumeCheckpoint(dir, 2)
+	cur, err := resumeCheckpoint(dir, 2)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	if cur.Round != 2 {
 		t.Errorf("resuming at round %d, want 2 (latest−1)", cur.Round)
 	}
-	if !recovered.Equal(state) {
-		t.Errorf("recovered state %v, want %v", recovered, state)
+	if !cur.state.Equal(state) {
+		t.Errorf("recovered state %v, want %v", cur.state, state)
 	}
 	if fmt.Sprint(cur.Received, cur.DeltaSent) != fmt.Sprint(received[:2], deltaSent[:2]) {
 		t.Errorf("recovered accounting %v/%v, want %v/%v", cur.Received, cur.DeltaSent, received[:2], deltaSent[:2])
 	}
-	if cur, _, err := resumeCheckpoint(dir, 0); cur != nil || err != nil {
+	if cur, err := resumeCheckpoint(dir, 0); cur != nil || err != nil {
 		t.Errorf("a worker without checkpoints resumes at %+v (err %v), want a fresh start", cur, err)
 	}
 }
 
-// TestCheckpointSlots is retention by construction: after the write of
-// every round r the worker holds exactly rounds {r−1, r} in at most two
-// files — nothing collects the older ones, the rename replaced them —
-// resume rewinds to r−1, and another worker's slots are untouched.
+// TestCheckpointSlots is the log's bound: after the write of every
+// round r of twenty, the two files taking turns as the current one, the
+// worker's newest rounds are {r−1, r} in at most two files whose bytes
+// stay within five times its two newest records, resume rewinds to r−1,
+// and another worker's files are untouched. The records here never
+// shrink, so a file is retired after at most five.
 func TestCheckpointSlots(t *testing.T) {
 	dir := t.TempDir()
 	state := rel.NewInstance()
 	state.Add(rel.NewFact("E", 1, 2))
-	if err := writeCheckpoint(dir, 1, cursor{Round: 0}, rel.NewInstance()); err != nil {
+	writeRounds(t, dir, 1, 0, 0, rel.NewInstance())
+	l, _, err := openCheckpoints(dir, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r <= 5; r++ {
-		if err := writeCheckpoint(dir, 0, cursor{Round: r, Received: make([]int, r), DeltaSent: make([]int, r)}, state); err != nil {
+	defer l.close()
+	retired, newest := 0, [2]int{}
+	for r := 0; r < 20; r++ {
+		before := l.cur
+		if err := l.write(cursor{Round: r}, state); err != nil {
 			t.Fatal(err)
 		}
+		if l.cur != before {
+			retired++
+		}
+		newest = [2]int{newest[1], l.newest[1]}
 		want := []int{r - 1, r}
 		if r == 0 {
 			want = []int{0}
 		}
-		if got := slotRounds(t, dir, 0); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("after round %d's write the slots hold rounds %v, want %v", r, got, want)
+		if got := logRounds(t, dir, 0); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("after round %d's write the log's newest rounds are %v, want %v", r, got, want)
 		}
-		cur, recovered, err := resumeCheckpoint(dir, 0)
+		if got, bound := logBytes(t, dir, 0), 5*(newest[0]+newest[1]); got > bound {
+			t.Errorf("after round %d's write the log holds %d bytes, above 5× its two newest records (%d)", r, got, bound)
+		}
+		cur, err := resumeCheckpoint(dir, 0)
 		if err != nil {
 			t.Fatalf("resume after round %d's write: %v", r, err)
 		}
-		if cur.Round != want[0] || !recovered.Equal(state) {
-			t.Errorf("resume after round %d's write: round %d, state %v", r, cur.Round, recovered)
+		if cur.Round != want[0] || !cur.state.Equal(state) {
+			t.Errorf("resume after round %d's write: round %d, state %v", r, cur.Round, cur.state)
 		}
 	}
-	if got := slotRounds(t, dir, 1); fmt.Sprint(got) != "[0]" {
-		t.Errorf("another worker's slots now hold rounds %v, want [0]", got)
+	if retired < 3 {
+		t.Errorf("the log rotated %d times in 20 rounds, want its files to take turns", retired)
+	}
+	if got := logRounds(t, dir, 1); fmt.Sprint(got) != "[0]" {
+		t.Errorf("another worker's log now holds rounds %v, want [0]", got)
 	}
 }
 
 // TestDistributedRunKeepsTwoSlots: a completed run of R rounds leaves
-// each worker with exactly its two slots on disk, holding rounds
-// {R−2, R−1} — the bounded footprint the slots promise — while the
-// run's output still matches the simulator (checked by
-// TestDistributedMatchesLocal; here we only pin the disk state).
+// each worker at most its two log files, whose newest rounds are
+// {R−2, R−1} — all a resume can ask for — and nothing else in the
+// directory, while the run's output still matches the simulator
+// (checked by TestDistributedMatchesLocal; here we only pin the disk
+// state).
 func TestDistributedRunKeepsTwoSlots(t *testing.T) {
 	spec := ProgramSpec{Program: "cascade", P: 4, M: 24, Seed: 11}
 	dir := t.TempDir()
@@ -543,27 +621,36 @@ func TestDistributedRunKeepsTwoSlots(t *testing.T) {
 	}
 	last := len(built.Rounds) - 1
 	for idx := 0; idx < built.P; idx++ {
-		if got, want := slotRounds(t, dir, idx), []int{last - 1, last}; fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("worker %d retains rounds %v, want %v", idx, got, want)
+		if got, want := logRounds(t, dir, idx), []int{last - 1, last}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("worker %d's newest rounds are %v, want %v", idx, got, want)
 		}
 	}
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2*built.P {
-		t.Errorf("checkpoint directory holds %d entries (err %v), want %d", len(entries), err, 2*built.P)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if matched, _ := filepath.Match("worker-[0-9].log[01]", e.Name()); !matched {
+			t.Errorf("checkpoint directory holds %s, not a worker's log file", e.Name())
+		}
 	}
 }
 
-// TestTornFirstCheckpointRecovers: a crash between a checkpoint's write
-// and its rename leaves the writer's temporary behind, under the name
-// the parent format gave it or this one's. Neither is a checkpoint: the
-// worker starts fresh and the run equals the simulator's. (Start-up
-// used to count the first as round 0 and die on every respawn.)
+// TestTornFirstCheckpointRecovers: a crash in the middle of a worker's
+// first append leaves half a record and nothing before it. That is no
+// checkpoint: the worker starts fresh, cuts the torn bytes before its
+// own first append, and the run equals the simulator's. (Start-up once
+// counted a torn first checkpoint as round 0 and died on every respawn.)
 func TestTornFirstCheckpointRecovers(t *testing.T) {
 	spec := ProgramSpec{Program: "tc", P: 3, M: 10, Seed: 7}
-	dir := t.TempDir()
-	for _, torn := range []string{"worker-1-round-0.ckpt.tmp", filepath.Base(ckptPath(dir, 1, 0)) + policy.TempSuffix} {
-		if err := os.WriteFile(filepath.Join(dir, torn), []byte(`{"round":0,"sta`), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	dir, scratch := t.TempDir(), t.TempDir()
+	writeRounds(t, scratch, 1, 0, 0, rel.NewInstance())
+	rec, err := os.ReadFile(logPath(scratch, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(logPath(dir, 1, 0), rec[:len(rec)/2], 0o644); err != nil {
+		t.Fatal(err)
 	}
 	want, err := RunLocal(spec)
 	if err != nil {
@@ -571,19 +658,23 @@ func TestTornFirstCheckpointRecovers(t *testing.T) {
 	}
 	got, err := Run(RunConfig{Spec: spec, CkptDir: dir, FailWorker: -1, FailRound: -1, Spawn: goSpawner})
 	if err != nil {
-		t.Fatalf("distributed run over a torn temporary: %v", err)
+		t.Fatalf("distributed run over a torn first record: %v", err)
 	}
 	assertMatchesLocal(t, got, want)
 	if got.Respawns != 0 {
-		t.Errorf("%d respawns: the torn temporary cost an incarnation", got.Respawns)
+		t.Errorf("%d respawns: the torn record cost an incarnation", got.Respawns)
+	}
+	if rounds := logRounds(t, dir, 1); fmt.Sprint(rounds) != fmt.Sprint([]int{got.Rounds - 2, got.Rounds - 1}) {
+		t.Errorf("worker 1's log ends at rounds %v after the run, want its last two", rounds)
 	}
 }
 
 // TestCheckpointBitFlipLaw: after a multi-round run, every single-bit
 // mutation (fixed stride on large files, as FuzzStoreImage samples) of
-// either slot of any worker makes that worker's resume an error — never
-// a state — because cursor and fragment alike sit under the image's
-// checksum. Undamaged, every worker resumes at the round before last.
+// either of any worker's log files makes that worker's resume a typed
+// error, *policy.LogError — never a state — because a record's length
+// sits under its header's checksum and cursor and fragment under the
+// image's. Undamaged, every worker resumes at the round before last.
 func TestCheckpointBitFlipLaw(t *testing.T) {
 	spec := ProgramSpec{Program: "tc", P: 3, M: 10, Seed: 7}
 	dir := t.TempDir()
@@ -595,12 +686,15 @@ func TestCheckpointBitFlipLaw(t *testing.T) {
 		t.Fatalf("%d rounds, want a multi-round run", res.Rounds)
 	}
 	for idx := 0; idx < spec.P; idx++ {
-		if cur, _, err := resumeCheckpoint(dir, idx); err != nil || cur == nil || cur.Round != res.Rounds-2 {
+		if cur, err := resumeCheckpoint(dir, idx); err != nil || cur == nil || cur.Round != res.Rounds-2 {
 			t.Fatalf("worker %d resumes at %+v (err %v), want round %d", idx, cur, err, res.Rounds-2)
 		}
-		for slot := 0; slot < 2; slot++ {
-			path := ckptPath(dir, idx, slot)
+		for f := 0; f < 2; f++ {
+			path := logPath(dir, idx, f)
 			img, err := os.ReadFile(path)
+			if errors.Is(err, fs.ErrNotExist) {
+				continue
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -614,14 +708,124 @@ func TestCheckpointBitFlipLaw(t *testing.T) {
 				if err := os.WriteFile(path, mut, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				if cur, _, err := resumeCheckpoint(dir, idx); err == nil {
-					t.Fatalf("worker %d resumed at %+v from a slot %d with bit %d flipped", idx, cur, slot, bitpos)
+				var le *policy.LogError
+				if cur, err := resumeCheckpoint(dir, idx); !errors.As(err, &le) {
+					t.Fatalf("worker %d resumed at %+v (err %v) from file %d with bit %d flipped, want a *policy.LogError", idx, cur, err, f, bitpos)
 				}
 			}
 			if err := os.WriteFile(path, img, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestCheckpointLogTornTail: process death in the middle of an append
+// leaves the current file cut somewhere inside its last record. Cut at
+// every byte of it, resume gives the round pair before the cut one —
+// never an error — and a respawn that resumes there cuts the torn
+// bytes, appends the rounds it re-executes, and leaves a log a second
+// resume reads to the right round.
+func TestCheckpointLogTornTail(t *testing.T) {
+	spec := ProgramSpec{Program: "tc", P: 3, M: 10, Seed: 7}
+	dir := t.TempDir()
+	res, err := Run(RunConfig{Spec: spec, CkptDir: dir, FailWorker: -1, FailRound: -1, Spawn: goSpawner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := max(res.Rounds-3, 0) // resume after the last record is lost
+	for idx := 0; idx < spec.P; idx++ {
+		files, cur, err := readCheckpoints(dir, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := logPath(dir, idx, cur)
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpts := files[cur].ckpts
+		last := ckpts[len(ckpts)-1]
+		if last.Round != res.Rounds-1 {
+			t.Fatalf("worker %d's current file ends at round %d, want %d", idx, last.Round, res.Rounds-1)
+		}
+		for cut := len(img) - last.size; cut < len(img); cut++ {
+			if err := os.WriteFile(path, img[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if from, err := resumeCheckpoint(dir, idx); err != nil || from == nil || from.Round != before {
+				t.Fatalf("worker %d's log cut at byte %d of %d resumes at %+v (err %v), want round %d", idx, cut, len(img), from, err, before)
+			}
+		}
+
+		// The respawn: resume from the torn log and re-execute two rounds.
+		l, from, err := openCheckpoints(dir, idx)
+		if err != nil || from == nil || from.Round != before {
+			t.Fatalf("worker %d opens its torn log at %+v (err %v), want round %d", idx, from, err, before)
+		}
+		for r := before; r <= before+1; r++ {
+			if err := l.write(cursor{Round: r, Received: from.Received, DeltaSent: from.DeltaSent}, from.state); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.close(); err != nil {
+			t.Fatal(err)
+		}
+		if from, err := resumeCheckpoint(dir, idx); err != nil || from == nil || from.Round != before {
+			t.Errorf("worker %d's second resume lands at %+v (err %v), want round %d", idx, from, err, before)
+		}
+		for f := 0; f < 2; f++ {
+			data, err := os.ReadFile(logPath(dir, idx, f))
+			if errors.Is(err, fs.ErrNotExist) {
+				continue
+			}
+			if _, valid, err := policy.ReadLog(data); err != nil || valid != len(data) {
+				t.Errorf("worker %d's file %d after the respawn: %d valid of %d bytes (err %v), want no torn tail", idx, f, valid, len(data), err)
+			}
+		}
+	}
+}
+
+// TestKillAtEveryRound: the 12-round tc at p = 4 with each worker
+// killed right after its checkpoint of each round in turn — 48 runs,
+// whose kills land before, on and after the log's rotations. Each run
+// equals the simulator's with exactly one respawn, and leaves the killed
+// worker at most two files whose newest rounds are {10, 11}. Under
+// -short only worker 1 is killed.
+func TestKillAtEveryRound(t *testing.T) {
+	defer func(c func()) { crash = c }(crash)
+	crash = runtime.Goexit
+	spec := twelveRoundTC(t)
+	want, err := RunLocal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := []int{0, 1, 2, 3}
+	if testing.Short() {
+		workers = []int{1}
+	}
+	rotated := false
+	for _, w := range workers {
+		for r := 0; r < 12; r++ {
+			dir := t.TempDir()
+			got, err := Run(RunConfig{Spec: spec, CkptDir: dir, FailWorker: w, FailRound: r, Spawn: crashSpawner})
+			if err != nil {
+				t.Fatalf("worker %d killed at round %d: %v", w, r, err)
+			}
+			assertMatchesLocal(t, got, want)
+			if got.Respawns != 1 {
+				t.Errorf("worker %d killed at round %d: %d respawns, want 1", w, r, got.Respawns)
+			}
+			if rounds := logRounds(t, dir, w); fmt.Sprint(rounds) != "[10 11]" {
+				t.Errorf("worker %d killed at round %d ends with newest rounds %v, want [10 11]", w, r, rounds)
+			}
+			if _, err := os.Stat(logPath(dir, w, 1)); err == nil {
+				rotated = true
+			}
+		}
+	}
+	if !rotated {
+		t.Error("no killed worker's log ever rotated: the kills never crossed a rotation")
 	}
 }
 

@@ -20,10 +20,11 @@
 // at home is core's menu.
 // That purity is what keeps recovery trivial to reason about: the share
 // is fixed before any worker starts, so a respawn's hello is re-sent the
-// same bytes; the respawn reloads the older of its two checkpoint slots
-// — each a policy store image (policy.SaveStore/LoadStore, the module's
-// one durable format) whose meta section is the round cursor — and
-// re-executes; determinism guarantees the re-run publishes
+// same bytes; the respawn reads its checkpoint log — a policy log of
+// store images (policy.Log/ReadLog over the module's one durable
+// format), each image's meta section the round cursor — resumes from
+// the round before its newest and re-executes; determinism guarantees
+// the re-run publishes
 // byte-identical fragments, so the rest of the cluster cannot tell a
 // recovery from a slow network.
 package mpcnet

@@ -24,9 +24,9 @@ type WorkerConfig struct {
 	Spec ProgramSpec
 	// CoordAddr is the coordinator's control-plane address.
 	CoordAddr string
-	// CkptDir is where the worker's two checkpoint slots live. Shared
-	// by all incarnations of this worker; distinct workers may share it
-	// because file names embed the index.
+	// CkptDir is where the worker's checkpoint log lives (two files, see
+	// checkpointLog). Shared by all incarnations of this worker; distinct
+	// workers may share it because file names embed the index.
 	CkptDir string
 	// FailRound, when ≥ 0, kills the process with SIGKILL right after
 	// the checkpoint for that round is written — the crash the recovery
@@ -46,63 +46,199 @@ type cursor struct {
 	DeltaSent []int `json:"deltaSent"`
 }
 
-// ckptPath is the slot worker index's round-r checkpoint lives in:
-// r mod 2. Landing round r therefore replaces round r−2, and a worker
-// holds exactly its two newest checkpoints with nothing to collect.
+// logPath names file f ∈ {0, 1} of worker index's checkpoint log.
 // Distinct workers may share dir because the name embeds the index.
-func ckptPath(dir string, index, round int) string {
-	return filepath.Join(dir, fmt.Sprintf("worker-%d.ckpt%d", index, round%2))
+func logPath(dir string, index, f int) string {
+	return filepath.Join(dir, fmt.Sprintf("worker-%d.log%d", index, f))
 }
 
-// writeCheckpoint lands the round's image in its slot atomically
-// (policy.SaveStore), so a crash mid-write leaves both slots intact.
-func writeCheckpoint(dir string, index int, cur cursor, local *rel.Instance) error {
+// checkpoint is one record of a worker's log, decoded.
+type checkpoint struct {
+	cursor
+	state *rel.Instance
+	size  int // the record's length in its file
+}
+
+// logFile is one of a worker's two checkpoint files: its complete
+// records in order, and the length of the prefix they make up.
+type logFile struct {
+	ckpts []checkpoint
+	valid int
+}
+
+// last is the round of the file's newest record, −1 when it has none.
+func (f logFile) last() int {
+	if len(f.ckpts) == 0 {
+		return -1
+	}
+	return f.ckpts[len(f.ckpts)-1].Round
+}
+
+// readLogFile decodes the checkpoint file at path; a missing file holds
+// no record. A damaged record is policy's *LogError.
+func readLogFile(path string) (logFile, error) {
+	recs, valid, err := policy.LoadLog(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return logFile{}, nil
+	}
+	if err != nil {
+		return logFile{}, err
+	}
+	f := logFile{ckpts: make([]checkpoint, len(recs)), valid: valid}
+	for i, rec := range recs {
+		if n := rec.Store.NumNodes(); n != 1 {
+			return logFile{}, fmt.Errorf("mpcnet: %s: record %d holds %d fragments, want 1", path, i, n)
+		}
+		c := &f.ckpts[i]
+		if err := json.Unmarshal(rec.Store.Meta(), &c.cursor); err != nil {
+			return logFile{}, fmt.Errorf("mpcnet: %s: decoding record %d's cursor: %w", path, i, err)
+		}
+		c.state, c.size = rec.Store.Reload(0), rec.Size
+	}
+	return f, nil
+}
+
+// readCheckpoints reads both of worker index's checkpoint files and
+// names the current one, which appends go to: the file whose newest
+// record has the higher round (file 0 when neither has a record).
+func readCheckpoints(dir string, index int) (files [2]logFile, cur int, err error) {
+	for f := range files {
+		if files[f], err = readLogFile(logPath(dir, index, f)); err != nil {
+			return files, 0, err
+		}
+	}
+	if files[1].last() > files[0].last() {
+		cur = 1
+	}
+	return files, cur, nil
+}
+
+// CheckpointGapError reports a worker whose checkpoint log holds round
+// Newest but not round Want = max(0, Newest−1), the round a respawn
+// rewinds to: a log the rotation bound should never have produced.
+type CheckpointGapError struct {
+	Index, Newest, Want int
+}
+
+func (e *CheckpointGapError) Error() string {
+	return fmt.Sprintf("mpcnet: worker %d's checkpoints reach round %d but hold no round %d to resume from", e.Index, e.Newest, e.Want)
+}
+
+// resumePoint is the checkpoint a fresh incarnation of worker index
+// re-executes from: round max(0, newest−1), newest being the highest
+// round either file holds — the one-round rewind of the retention
+// invariant — or nil when neither holds a record (a fresh start). Of
+// several records of one round the newest is taken: the other file's
+// are read first, the current file's after them, each in order.
+func resumePoint(index int, files [2]logFile, cur int) (*checkpoint, error) {
+	byRound := make(map[int]*checkpoint)
+	newest := -1
+	for _, f := range [2]int{1 - cur, cur} {
+		for i := range files[f].ckpts {
+			c := &files[f].ckpts[i]
+			byRound[c.Round] = c
+			newest = max(newest, c.Round)
+		}
+	}
+	if newest < 0 {
+		return nil, nil
+	}
+	want := max(newest-1, 0)
+	if c := byRound[want]; c != nil {
+		return c, nil
+	}
+	return nil, &CheckpointGapError{Index: index, Newest: newest, Want: want}
+}
+
+// checkpointLog is worker index's checkpoint log as one incarnation
+// appends to it: a policy.Log spread over two files, worker-<i>.log0
+// and .log1, appends going to the current one. Before an append — but
+// the incarnation's first — a current file holding more than twice the
+// bytes of its two newest records is retired: the other file is removed
+// and started afresh as the current one. A worker so never has more
+// than two files, their size stays a constant multiple of its newest
+// checkpoints', and no file is created per round.
+//
+// Retiring loses nothing a resume needs. A resume after the append of
+// round r rewinds to r−1; an append that is not the incarnation's first
+// follows the incarnation's own append of r−1 to the current file,
+// which retiring keeps. The first append follows no append of this
+// incarnation — the round before it may sit only in the other file —
+// so it never retires.
+type checkpointLog struct {
+	dir      string
+	index    int
+	cur      int         // the file appends go to
+	log      *policy.Log // file cur, open for appends
+	newest   [2]int      // sizes of file cur's two newest records, the newest last
+	appended bool        // whether this incarnation has appended
+}
+
+// openCheckpoints reads worker index's checkpoint log in dir and opens
+// it for this incarnation's appends, cutting the current file's torn
+// tail, if any, before the first. It returns the checkpoint to resume
+// from, nil for a fresh start.
+func openCheckpoints(dir string, index int) (*checkpointLog, *checkpoint, error) {
+	files, cur, err := readCheckpoints(dir, index)
+	if err != nil {
+		return nil, nil, err
+	}
+	from, err := resumePoint(index, files, cur)
+	if err != nil {
+		return nil, nil, err
+	}
+	log, err := policy.OpenLog(logPath(dir, index, cur), files[cur].valid)
+	if err != nil {
+		return nil, nil, err
+	}
+	l := &checkpointLog{dir: dir, index: index, cur: cur, log: log}
+	for _, c := range files[cur].ckpts {
+		l.newest = [2]int{l.newest[1], c.size}
+	}
+	return l, from, nil
+}
+
+// write appends the checkpoint of round cur.Round: local, under the
+// cursor.
+func (l *checkpointLog) write(cur cursor, local *rel.Instance) error {
+	if l.appended && l.log.Size() > 2*(l.newest[0]+l.newest[1]) {
+		if err := l.retire(); err != nil {
+			return fmt.Errorf("mpcnet: rotating the checkpoint log: %w", err)
+		}
+	}
 	meta, err := json.Marshal(cur)
 	if err != nil {
 		return err
 	}
-	store := policy.NewStableStore([]*rel.Instance{local}).WithMeta(meta)
-	if err := policy.SaveStore(ckptPath(dir, index, cur.Round), store); err != nil {
+	n, err := l.log.Append(policy.NewStableStore([]*rel.Instance{local}).WithMeta(meta))
+	if err != nil {
 		return fmt.Errorf("mpcnet: writing checkpoint %d: %w", cur.Round, err)
 	}
+	l.newest = [2]int{l.newest[1], n}
+	l.appended = true
 	return nil
 }
 
-func readCheckpoint(path string) (*cursor, *rel.Instance, error) {
-	store, err := policy.LoadStore(path)
+// retire removes the other file and makes it, started afresh, the
+// current one.
+func (l *checkpointLog) retire() error {
+	if err := l.log.Close(); err != nil {
+		return err
+	}
+	other := 1 - l.cur
+	path := logPath(l.dir, l.index, other)
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	log, err := policy.OpenLog(path, 0)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	if store.NumNodes() != 1 {
-		return nil, nil, fmt.Errorf("mpcnet: checkpoint %s holds %d fragments, want 1", path, store.NumNodes())
-	}
-	var cur cursor
-	if err := json.Unmarshal(store.Meta(), &cur); err != nil {
-		return nil, nil, fmt.Errorf("mpcnet: decoding checkpoint %s cursor: %w", path, err)
-	}
-	return &cur, store.Reload(0), nil
+	l.cur, l.log, l.newest = other, log, [2]int{}
+	return nil
 }
 
-// resumeCheckpoint returns the checkpoint a fresh incarnation of worker
-// index re-executes from: the older of its slots, which hold rounds
-// latest−1 and latest (round 0 alone before round 1 has landed) — or a
-// nil cursor when neither slot exists (fresh start). A slot that exists
-// and does not load is an error, never a reason to start elsewhere.
-func resumeCheckpoint(dir string, index int) (cur *cursor, state *rel.Instance, _ error) {
-	for slot := 0; slot < 2; slot++ {
-		c, st, err := readCheckpoint(ckptPath(dir, index, slot))
-		if errors.Is(err, fs.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if cur == nil || c.Round < cur.Round {
-			cur, state = c, st
-		}
-	}
-	return cur, state, nil
-}
+func (l *checkpointLog) close() error { return l.log.Close() }
 
 // crash is the failpoint's death: die hard, no deferred cleanup,
 // exactly like a lost machine. A variable only so tests can end a
@@ -124,12 +260,13 @@ var crash = func() {
 // is read, so peers' answers are in flight while earlier ones decode.
 //
 // Recovery: a fresh incarnation resumes from max(0, latest-1) where
-// latest is the highest checkpoint on disk — the one-round rewind of
+// latest is the highest checkpoint in its log — the one-round rewind of
 // the data plane's retention invariant (internal/mpc/plane.go), which
-// is also why two checkpoint slots and two published rounds are all a
-// worker keeps. Re-executing from latest-1 re-publishes (byte-identical,
-// by determinism) everything any peer could still ask for, and the
-// re-pulls succeed because peers retain the same two rounds.
+// is also why the log need keep only two rounds' checkpoints and the
+// fragment server two published rounds. Re-executing from latest-1
+// re-publishes (byte-identical, by determinism) everything any peer
+// could still ask for, and the re-pulls succeed because peers retain
+// the same two rounds.
 func RunWorker(cfg WorkerConfig) error {
 	built, _, err := elaborate(cfg.Spec)
 	if err != nil {
@@ -167,16 +304,18 @@ func RunWorker(cfg WorkerConfig) error {
 		}
 	}
 
+	var ckpt *checkpointLog
 	var local *rel.Instance
 	var received, deltaSent []int
 	start := 0
 	if cfg.CkptDir != "" {
-		cur, state, err := resumeCheckpoint(cfg.CkptDir, cfg.Index)
-		if err != nil {
+		var from *checkpoint
+		if ckpt, from, err = openCheckpoints(cfg.CkptDir, cfg.Index); err != nil {
 			return fmt.Errorf("mpcnet: worker %d resuming: %w", cfg.Index, err)
 		}
-		if cur != nil {
-			local, received, deltaSent, start = state, cur.Received, cur.DeltaSent, cur.Round
+		defer ckpt.close() // every append is one whole write; close is best-effort
+		if from != nil {
+			local, received, deltaSent, start = from.state, from.Received, from.DeltaSent, from.Round
 		}
 	}
 	if local == nil {
@@ -189,8 +328,8 @@ func RunWorker(cfg WorkerConfig) error {
 
 	for r := start; r < len(built.Rounds); r++ {
 		round := built.Rounds[r]
-		if cfg.CkptDir != "" {
-			if err := writeCheckpoint(cfg.CkptDir, cfg.Index, cursor{Round: r, Received: received, DeltaSent: deltaSent}, local); err != nil {
+		if ckpt != nil {
+			if err := ckpt.write(cursor{Round: r, Received: received, DeltaSent: deltaSent}, local); err != nil {
 				return err
 			}
 		}
@@ -228,11 +367,10 @@ func RunWorker(cfg WorkerConfig) error {
 		}
 		received = append(received, myRecv)
 		deltaSent = append(deltaSent, shard.DeltaSent)
-		if cfg.CkptDir != "" && r > 0 {
+		if ckpt != nil && r > 0 {
 			// Round r's pulls are complete, so by the retention invariant
 			// nothing below r−1 is reachable: reclaim those published
-			// rounds (their checkpoints' slots are already overwritten).
-			// Without checkpoints a respawn rewinds to round 0, so
+			// rounds. Without checkpoints a respawn rewinds to round 0, so
 			// everything stays.
 			srv.RetireBelow(uint64(r - 1))
 		}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"mpclogic/internal/rel"
 )
@@ -15,8 +16,9 @@ import (
 // the MPC transports ship (rel.EncodeInstance), framed per node with a
 // length prefix, behind an opaque meta section for what the owner must
 // restore beside the fragments. This is the module's only durable
-// format: every checkpoint and snapshot file is one such image, landed
-// by SaveStore and parsed by LoadStore, and by nothing else.
+// format: every snapshot file is one such image, landed by SaveStore
+// and parsed by LoadStore, and a checkpoint log (log.go) is a sequence
+// of them, appended by Log and parsed by ReadLog.
 //
 // Format (integers little-endian):
 //
@@ -25,9 +27,9 @@ import (
 //	       | crc u32
 //
 // where each fragment is a canonical rel instance encoding and the
-// trailing crc is CRC-32C over every preceding byte, meta included,
-// computed incrementally as the store streams — neither encoder nor
-// decoder buffers the image. Decoding is strict — bad magic/version,
+// trailing crc is CRC-32C over every preceding byte, meta included.
+// The encoder builds the image in one buffer sized up front; the
+// decoder streams it, checksumming as it reads. Decoding is strict — bad magic/version,
 // truncation, oversized prefixes, trailing bytes, and checksum
 // mismatches are errors, never panics — because checkpoint files
 // outlive the process that wrote them and may arrive damaged.
@@ -47,34 +49,33 @@ const (
 // and decoder.
 var storeCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
+// AppendStore appends s's image — the bytes EncodeStore writes — to buf
+// and returns the extended slice, growing it at most once.
+func AppendStore(buf []byte, s *StableStore) []byte {
+	size := 4 + 2 + 4 + len(s.meta) + 4 + 4
+	for _, part := range s.parts {
+		size += 4 + rel.EncodedSize(part)
+	}
+	buf = slices.Grow(buf, size)
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, storeMagic)
+	buf = binary.LittleEndian.AppendUint16(buf, StoreVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.meta)))
+	buf = append(buf, s.meta...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.parts)))
+	for _, part := range s.parts {
+		at := len(buf)
+		buf = rel.AppendInstance(append(buf, 0, 0, 0, 0), part)
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], storeCRCTable))
+}
+
 // EncodeStore writes the store's meta and durable fragments to w,
-// followed by a CRC-32C of everything written.
+// followed by a CRC-32C of everything written, in one write.
 func EncodeStore(w io.Writer, s *StableStore) error {
-	digest := crc32.New(storeCRCTable)
-	mw := io.MultiWriter(w, digest)
-	hdr := binary.LittleEndian.AppendUint32(nil, storeMagic)
-	hdr = binary.LittleEndian.AppendUint16(hdr, StoreVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(s.meta)))
-	hdr = append(hdr, s.meta...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(s.parts)))
-	if _, err := mw.Write(hdr); err != nil {
-		return fmt.Errorf("policy: encoding store header: %w", err)
-	}
-	for κ, part := range s.parts {
-		frag := rel.EncodeInstance(part)
-		var pre [4]byte
-		binary.LittleEndian.PutUint32(pre[:], uint32(len(frag)))
-		if _, err := mw.Write(pre[:]); err != nil {
-			return fmt.Errorf("policy: encoding node %d length: %w", κ, err)
-		}
-		if _, err := mw.Write(frag); err != nil {
-			return fmt.Errorf("policy: encoding node %d fragment: %w", κ, err)
-		}
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], digest.Sum32())
-	if _, err := w.Write(tail[:]); err != nil {
-		return fmt.Errorf("policy: encoding store checksum: %w", err)
+	if _, err := w.Write(AppendStore(nil, s)); err != nil {
+		return fmt.Errorf("policy: encoding store: %w", err)
 	}
 	return nil
 }

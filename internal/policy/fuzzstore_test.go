@@ -2,6 +2,9 @@ package policy
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"testing"
 
 	"mpclogic/internal/rel"
@@ -84,6 +87,75 @@ func FuzzStoreImage(f *testing.F) {
 			mut[bitpos/8] ^= 1 << (bitpos % 8)
 			if _, err := DecodeStore(bytes.NewReader(mut)); err == nil {
 				t.Fatalf("decoder accepted a corrupted image (bit %d)", bitpos)
+			}
+		}
+	})
+}
+
+// FuzzCheckpointLog drives the log reader from both directions. The
+// input read as a log must never panic; every record returned must be
+// the bytes it was read from (its store re-framed reproduces them); and
+// what is left unread is torn only at EOF — shorter than a header, or a
+// header whose checksum holds and whose record runs past the end — or
+// else the read is a *LogError. A log built from the input's stores
+// reads back whole, and each of its cuts reads as the records before
+// the cut.
+func FuzzCheckpointLog(f *testing.F) {
+	var seed []byte
+	for _, s := range []*StableStore{storeSample(), NewStableStore(nil)} {
+		seed = appendLogRecord(seed, s)
+	}
+	f.Add([]byte{})
+	f.Add(seed)
+	f.Add(seed[:len(seed)-3])
+	f.Add(seed[:5])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Direction 1: arbitrary bytes as a log.
+		recs, valid, err := ReadLog(data)
+		if err != nil {
+			var le *LogError
+			if !errors.As(err, &le) {
+				t.Fatalf("a damaged log is not a *LogError: %v", err)
+			}
+		} else {
+			off := 0
+			for i, rec := range recs {
+				if got := appendLogRecord(nil, rec.Store); rec.Size != len(got) || !bytes.Equal(got, data[off:off+rec.Size]) {
+					t.Fatalf("record %d is not the bytes it was read from", i)
+				}
+				off += rec.Size
+			}
+			if off != valid {
+				t.Fatalf("records end at %d, valid says %d", off, valid)
+			}
+			if tail := data[valid:]; len(tail) >= logHeaderLen {
+				n := binary.LittleEndian.Uint32(tail)
+				if crc32.Checksum(tail[:4], storeCRCTable) != binary.LittleEndian.Uint32(tail[4:]) || uint64(n) <= uint64(len(tail)-logHeaderLen) {
+					t.Fatalf("a tail of %d bytes left unread is not torn at EOF", len(tail))
+				}
+			}
+		}
+
+		// Direction 2: stores built from the input, as one log.
+		var log []byte
+		var ends []int
+		for i := 0; i < len(data); i += 9 {
+			log = appendLogRecord(log, buildFuzzStore(data[i:min(i+9, len(data))]))
+			ends = append(ends, len(log))
+		}
+		if recs, valid, err := ReadLog(log); err != nil || len(recs) != len(ends) || valid != len(log) {
+			t.Fatalf("a built log of %d records reads as %d, valid %d of %d (err %v)", len(ends), len(recs), valid, len(log), err)
+		}
+		stride := 1
+		if len(log) > 512 {
+			stride = len(log) / 512
+		}
+		for cut, n := 0, 0; cut <= len(log); cut += stride {
+			for n < len(ends) && ends[n] <= cut {
+				n++
+			}
+			if recs, _, err := ReadLog(log[:cut]); err != nil || len(recs) != n {
+				t.Fatalf("the built log cut at %d reads as %d records (err %v), want %d", cut, len(recs), err, n)
 			}
 		}
 	})
