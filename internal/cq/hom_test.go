@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"strings"
 	"testing"
 
 	"mpclogic/internal/rel"
@@ -173,6 +174,30 @@ func TestContainedNegBounded(t *testing.T) {
 	qpi := Output(q, witness)
 	if qi.SubsetOf(qpi) {
 		t.Errorf("witness is not a counterexample: %v", witness)
+	}
+}
+
+// TestUnionSchemaConflictIsDeterministic: R and S both conflict across
+// the two queries; the error must name the first conflicting atom, R,
+// on every call rather than whichever relation map order visits first.
+func TestUnionSchemaConflictIsDeterministic(t *testing.T) {
+	d := rel.NewDict()
+	q := MustParse(d, "Q() :- R(x,y), S(y,x)")
+	qp := MustParse(d, "Q() :- R(x,y,z), S(y,x,z)")
+	var first string
+	for i := 0; i < 200; i++ {
+		_, _, err := ContainedNegBounded(q, qp, 1)
+		if err == nil {
+			t.Fatal("conflicting arities accepted")
+		}
+		if i == 0 {
+			first = err.Error()
+			if !strings.Contains(first, "relation R ") {
+				t.Fatalf("error %q does not name R, the first conflicting atom", first)
+			}
+		} else if err.Error() != first {
+			t.Fatalf("call %d: error %q, first call said %q", i, err, first)
+		}
 	}
 }
 

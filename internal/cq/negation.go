@@ -81,18 +81,14 @@ func ContainedNegBounded(q, qp *CQ, universeSize int) (bool, *rel.Instance, erro
 	return witness == nil, witness, nil
 }
 
-// unionSchema merges the input schemas of the queries.
+// unionSchema merges the input schemas of the queries. Atoms are
+// declared in query and atom order, never through a per-query map, so
+// an arity conflict always names the same relation.
 func unionSchema(qs []*CQ) (rel.Schema, error) {
 	s := rel.Schema{}
 	for _, q := range qs {
-		sub, err := q.Schema()
-		if err != nil {
+		if err := q.declareInto(s); err != nil {
 			return nil, err
-		}
-		for r, a := range sub {
-			if err := s.Declare(r, a); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return s, nil

@@ -171,17 +171,23 @@ func (q *CQ) SelfJoinFree() bool {
 // negated atoms with their arities); it errs on inconsistent arities.
 func (q *CQ) Schema() (rel.Schema, error) {
 	s := rel.Schema{}
-	for _, a := range q.Body {
-		if err := s.Declare(a.Rel, len(a.Args)); err != nil {
-			return nil, err
-		}
-	}
-	for _, a := range q.Neg {
-		if err := s.Declare(a.Rel, len(a.Args)); err != nil {
-			return nil, err
-		}
+	if err := q.declareInto(s); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// declareInto declares the body's then the negated atoms' relations in
+// s, in atom order, so the first arity conflict is the one reported.
+func (q *CQ) declareInto(s rel.Schema) error {
+	for _, atoms := range [2][]Atom{q.Body, q.Neg} {
+		for _, a := range atoms {
+			if err := s.Declare(a.Rel, len(a.Args)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Clone returns a deep copy of the query.

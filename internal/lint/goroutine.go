@@ -5,13 +5,21 @@ import (
 	"go/types"
 )
 
-// GoroutineAnalyzer enforces two rules on every `go` statement:
+// GoroutineAnalyzer enforces two rules on every `go` statement, in
+// every package:
 //
-//  1. join: the launching function must contain a join point — a
-//     sync.WaitGroup.Wait call, a channel receive, a range over a
-//     channel, or a select statement. A fork with no join means the
-//     simulated round can "finish" while servers still compute, which
-//     breaks the MPC model's synchronous-round semantics.
+//  1. join: the goroutine must carry a *provable* join or cancellation
+//     path tied to that specific goroutine — not merely some join point
+//     somewhere in the spawning function. A closure body qualifies when
+//     it calls wg.Done() (directly or deferred) on a WaitGroup the
+//     spawner Wait()s on, sends on a channel the spawner drains (a
+//     receive, a range, or a select case receiving from it), or ranges
+//     over a channel the spawner closes (the worker-pool shutdown). A
+//     `go f(...)` spawn of a named function offers no visible evidence
+//     and is always flagged: wrap it in a closure that reports
+//     completion. Without a join, a "finished" round can leave workers
+//     running, which breaks the MPC model's synchronous-round semantics
+//     and makes a networked transport's shutdown unverifiable.
 //  2. disjoint writes: inside a goroutine closure, writes to a map are
 //     flagged (maps are never safe for concurrent mutation), and
 //     writes to a slice element are allowed only when the index is
@@ -22,7 +30,7 @@ import (
 // where every iteration binds its own loop variables.
 var GoroutineAnalyzer = &Analyzer{
 	Name: "goroutine-hygiene",
-	Doc:  "every go statement needs a join and disjoint or locked shared writes",
+	Doc:  "every go statement needs a provable join and disjoint or locked shared writes",
 	Run:  runGoroutine,
 }
 
@@ -34,69 +42,32 @@ func runGoroutine(pass *Pass) {
 	}
 }
 
+// checkGoroutines checks the go statements of one function scope;
+// nested literals are their own scopes, visited by funcBodies.
 func checkGoroutines(pass *Pass, body *ast.BlockStmt) {
 	info := pass.Pkg.Info
-
 	var gos []*ast.GoStmt
-	hasJoin := false
-
-	// Collect go statements and join points, within this function scope
-	// only.
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		switch s := n.(type) {
-		case nil:
-			return
-		case *ast.FuncLit:
-			return // separate scope; funcBodies visits it on its own
-		case *ast.GoStmt:
-			gos = append(gos, s)
-		case *ast.RangeStmt:
-			if _, isChan := typeUnderlying(info, s.X).(*types.Chan); isChan {
-				hasJoin = true
-			}
-		case *ast.UnaryExpr:
-			if s.Op.String() == "<-" {
-				hasJoin = true
-			}
-		case *ast.SelectStmt:
-			hasJoin = true
-		case *ast.CallExpr:
-			if fn := methodCallee(info, s); fn != nil && fn.Name() == "Wait" {
-				recv := fn.Type().(*types.Signature).Recv().Type()
-				if namedSyncType(recv, "WaitGroup") {
-					hasJoin = true
-				}
-			}
+	walkScope(body, func(n ast.Node) bool {
+		if g, ok := n.(*ast.GoStmt); ok {
+			gos = append(gos, g)
 		}
-		walkChildren(walk, n)
+		return true
+	})
+	if len(gos) == 0 {
+		return
 	}
-	walk(body)
-
+	ev := gatherJoinEvidence(info, body)
 	for _, g := range gos {
-		if !hasJoin {
-			pass.Reportf(g.Pos(), "goroutine launched without a join in the enclosing function (no WaitGroup.Wait, channel receive, or select); forked work can outlive the round")
-		}
 		lit, ok := g.Call.Fun.(*ast.FuncLit)
 		if !ok {
+			pass.Reportf(g.Pos(), "go statement spawns a named function, leaving no visible join evidence; wrap it in a closure that calls wg.Done or sends on a drained channel")
 			continue
+		}
+		if !provenJoined(info, lit, ev) {
+			pass.Reportf(g.Pos(), "goroutine has no provable join or cancellation path: pair wg.Add / defer wg.Done / wg.Wait, or send on a channel the spawner drains, or range over a channel the spawner closes")
 		}
 		checkGoroutineWrites(pass, lit, funcLitParams(info, lit), info)
 	}
-}
-
-func walkChildren(walk func(ast.Node), n ast.Node) {
-	first := true
-	ast.Inspect(n, func(c ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if c != nil {
-			walk(c)
-		}
-		return false
-	})
 }
 
 func typeUnderlying(info *types.Info, e ast.Expr) types.Type {
@@ -209,4 +180,97 @@ func holdsLock(body *ast.BlockStmt, info *types.Info) bool {
 		return true
 	})
 	return held
+}
+
+// joinEvidence is what the spawning function's body offers: the
+// WaitGroups it waits on, the channels it drains, and the channels it
+// closes. Objects are collected over the whole body including nested
+// literals — a Wait inside a helper closure still proves the join.
+type joinEvidence struct {
+	waited  map[types.Object]bool // wg objects with a Wait() call
+	drained map[types.Object]bool // channels received from or ranged over
+	closed  map[types.Object]bool // channels passed to close()
+}
+
+func gatherJoinEvidence(info *types.Info, body *ast.BlockStmt) *joinEvidence {
+	ev := &joinEvidence{
+		waited:  make(map[types.Object]bool),
+		drained: make(map[types.Object]bool),
+		closed:  make(map[types.Object]bool),
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.CallExpr:
+			if fn := methodCallee(info, s); fn != nil && fn.Name() == "Wait" {
+				recv := fn.Type().(*types.Signature).Recv().Type()
+				if namedSyncType(recv, "WaitGroup") {
+					if sel, ok := ast.Unparen(s.Fun).(*ast.SelectorExpr); ok {
+						addChanObj(info, ev.waited, sel.X)
+					}
+				}
+			}
+			if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok {
+				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "close" && len(s.Args) == 1 {
+					addChanObj(info, ev.closed, s.Args[0])
+				}
+			}
+		case *ast.UnaryExpr:
+			if s.Op.String() == "<-" {
+				addChanObj(info, ev.drained, s.X)
+			}
+		case *ast.RangeStmt:
+			if _, isChan := typeUnderlying(info, s.X).(*types.Chan); isChan {
+				addChanObj(info, ev.drained, s.X)
+			}
+		}
+		return true
+	})
+	return ev
+}
+
+func addChanObj(info *types.Info, set map[types.Object]bool, e ast.Expr) {
+	if obj := baseObj(info, e); obj != nil {
+		set[obj] = true
+	}
+}
+
+// baseObj returns the object of e's base identifier, or nil; a nil
+// object is never in an evidence set.
+func baseObj(info *types.Info, e ast.Expr) types.Object {
+	if base := baseIdent(e); base != nil {
+		return objectOf(info, base)
+	}
+	return nil
+}
+
+// provenJoined checks the closure body for evidence tying this
+// goroutine to one of the function's join points.
+func provenJoined(info *types.Info, lit *ast.FuncLit, ev *joinEvidence) bool {
+	joined := false
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if joined {
+			return false
+		}
+		switch s := n.(type) {
+		case *ast.CallExpr:
+			if fn := methodCallee(info, s); fn != nil && fn.Name() == "Done" {
+				recv := fn.Type().(*types.Signature).Recv().Type()
+				if namedSyncType(recv, "WaitGroup") {
+					if sel, ok := ast.Unparen(s.Fun).(*ast.SelectorExpr); ok && ev.waited[baseObj(info, sel.X)] {
+						joined = true
+					}
+				}
+			}
+		case *ast.SendStmt:
+			if ev.drained[baseObj(info, s.Chan)] {
+				joined = true
+			}
+		case *ast.RangeStmt:
+			if _, isChan := typeUnderlying(info, s.X).(*types.Chan); isChan && ev.closed[baseObj(info, s.X)] {
+				joined = true
+			}
+		}
+		return true
+	})
+	return joined
 }

@@ -8,9 +8,12 @@
 // network converges to the same output) — are *determinism* theorems.
 // An implementation can silently forfeit them through a handful of
 // classic Go hazards: unsorted map iteration feeding output, unseeded
-// global randomness, unsynchronized goroutine fan-out, and wall-clock
-// reads or sleeps standing in for the virtual clock. The analyzers in
-// this package mechanically forbid those hazards.
+// global randomness, unjoined or racing goroutine fan-out, and
+// wall-clock reads or sleeps standing in for the virtual clock. The
+// analyzers in this package mechanically forbid those hazards, each
+// with one rule under one name: wallclock-free owns the clock and the
+// global random source, goroutine-hygiene owns every go statement, and
+// nondet-taint reports where such a value flows, not where it is read.
 //
 // The package is written against the standard library only (go/ast,
 // go/parser, go/token, go/types); it adds no module dependencies and
@@ -58,28 +61,24 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// Config tunes where the stricter analyzers apply.
+// Config tunes where nondet-taint checks sinks; every other analyzer
+// applies to all packages (wallclock-free and error-discard exempt
+// binaries).
 type Config struct {
 	// EnginePackages are package names whose evaluation results must be
-	// pure functions of their inputs: seeded-rand forbids global
-	// randomness and wall-clock reads inside them, and nondet-taint
-	// treats their exported entry points' results as sinks.
+	// pure functions of their inputs: nondet-taint treats their
+	// exported entry points' results as sinks.
 	EnginePackages []string
 
 	// SinkPackages are additional package names (beyond the engine)
 	// where nondet-taint checks sinks: the measurement and persistence
 	// layers whose emitted bytes must be run-to-run identical.
 	SinkPackages []string
-
-	// FanoutPackages are package names where fanout-join requires every
-	// goroutine to carry provable join or cancellation evidence.
-	FanoutPackages []string
 }
 
 // DefaultConfig returns the repo's configuration: the engine packages
 // are those on the evaluation path whose outputs the paper's theorems
-// constrain; sinks extend to the measurement/persistence layers; the
-// fanout discipline covers everything that spawns workers.
+// constrain; sinks extend to the measurement/persistence layers.
 func DefaultConfig() Config {
 	return Config{
 		EnginePackages: []string{
@@ -87,9 +86,6 @@ func DefaultConfig() Config {
 		},
 		SinkPackages: []string{
 			"experiments", "sweep", "policy", "lint", "main",
-		},
-		FanoutPackages: []string{
-			"sweep", "experiments", "lint", "main",
 		},
 	}
 }
@@ -110,20 +106,6 @@ func (c Config) isSinkScope(pkgName string) bool {
 		return true
 	}
 	for _, n := range c.SinkPackages {
-		if n == pkgName {
-			return true
-		}
-	}
-	return false
-}
-
-// isFanoutScope reports whether fanout-join applies in pkgName:
-// engine packages plus the configured fanout packages.
-func (c Config) isFanoutScope(pkgName string) bool {
-	if c.isEngine(pkgName) {
-		return true
-	}
-	for _, n := range c.FanoutPackages {
 		if n == pkgName {
 			return true
 		}
@@ -163,13 +145,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		MapIterAnalyzer,
-		SeededRandAnalyzer,
 		GoroutineAnalyzer,
 		LockAnalyzer,
 		ErrDiscardAnalyzer,
 		WallclockAnalyzer,
 		NondetTaintAnalyzer,
-		FanoutJoinAnalyzer,
 		SuppressAuditAnalyzer,
 	}
 }

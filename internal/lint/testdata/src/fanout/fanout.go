@@ -1,13 +1,13 @@
-// Package sweep (fixture) exercises the fanout-join analyzer: the
-// package name is on the fanout list, so every goroutine needs join or
-// cancellation evidence tied to that specific goroutine.
+// Package sweep (fixture) exercises goroutine-hygiene's join rule:
+// every goroutine needs join or cancellation evidence tied to that
+// specific goroutine.
 package sweep
 
 import "sync"
 
-// Leak spawns a worker and waits on an unrelated WaitGroup. The
-// function-level join satisfies goroutine-hygiene; fanout-join demands
-// evidence tied to the goroutine itself: flagged.
+// Leak spawns a worker and waits on an unrelated WaitGroup. A join
+// somewhere in the function is not enough; the evidence must be tied
+// to the goroutine itself: flagged.
 func Leak(work []int, other *sync.WaitGroup) {
 	go func() {
 		for range work {

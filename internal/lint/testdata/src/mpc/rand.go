@@ -1,6 +1,6 @@
-// Package mpc exercises the seeded-rand analyzer: the package name is
-// on the engine list, so global randomness and wall-clock reads are
-// forbidden here.
+// Package mpc exercises wallclock-free's global-random-source and clock
+// rules (library code may not use either); the engine package name also
+// makes the returned values nondet-taint sinks.
 package mpc
 
 import (
@@ -40,8 +40,8 @@ type sock struct{}
 func (sock) SetDeadline(t time.Time) error { return nil }
 
 // ArmDeadline reads the clock only to arm a socket deadline: clean
-// under seeded-rand and wallclock-free alike — the deadline bounds
-// when a broken exchange fails, never what the engine computes.
+// under wallclock-free — the deadline bounds when a broken exchange
+// fails, never what the engine computes.
 func ArmDeadline(c sock, d time.Duration) error {
 	return c.SetDeadline(time.Now().Add(d))
 }

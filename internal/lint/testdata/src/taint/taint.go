@@ -41,7 +41,7 @@ func CleanKeys(m map[string]int) []string {
 }
 
 // Perturb returns unseeded randomness obtained through another
-// package — seeded-rand cannot fire inside util: flagged.
+// package — only taint sees it, util suppresses the read: flagged.
 func Perturb(n int) int {
 	return util.Jitter(n)
 }

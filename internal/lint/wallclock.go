@@ -4,10 +4,11 @@ import (
 	"go/ast"
 )
 
-// WallclockAnalyzer forbids wall-clock access in library code: no
-// time.Now / time.Since / time.Until reads, and no time.Sleep /
+// WallclockAnalyzer forbids ambient nondeterminism in library code:
+// no time.Now / time.Since / time.Until reads, no time.Sleep /
 // time.After / time.Tick / time.NewTimer / time.NewTicker /
-// time.AfterFunc delays or timeouts.
+// time.AfterFunc delays or timeouts, and no top-level math/rand
+// function (which draws from the global, process-wide source).
 //
 // Determinism is a repo invariant, and wall time is its quietest
 // enemy: a sleep-based timeout turns scheduling jitter into behavior,
@@ -16,7 +17,10 @@ import (
 // clock instead — the transducer runtime's step counter and the MPC
 // fault-tolerance layer's virtual ticks (mpc.RoundStats.
 // VirtualMakespan, retry backoff) are the sanctioned patterns: both
-// make time an explicit, replayable part of the execution.
+// make time an explicit, replayable part of the execution. The global
+// random source is the same hazard in another guise; the sanctioned
+// pattern is an explicit *rand.Rand built from rand.NewSource(seed),
+// as internal/workload and the transducer network scheduler do.
 //
 // Binaries (package main, anything under a cmd/ segment) and tests
 // are exempt: process-level timing at the top of a program is policy,
@@ -34,8 +38,18 @@ import (
 // argument (stored, returned, compared) are still flagged.
 var WallclockAnalyzer = &Analyzer{
 	Name: "wallclock-free",
-	Doc:  "library code must not read the wall clock or sleep; use the virtual clock",
+	Doc:  "library code must not read the wall clock, sleep, or draw from the global random source",
 	Run:  runWallclock,
+}
+
+// randConstructors are the math/rand functions that merely build
+// explicitly seeded generators; they are the fix, not the hazard.
+var randConstructors = map[string]bool{
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
+	"NewChaCha8": true,
 }
 
 // wallclockFuncs are the package-level time functions that read or
@@ -66,9 +80,7 @@ var deadlineSetters = map[string]bool{
 // inside the argument list of a deadline-setter method call — the one
 // context where a clock read is a socket liveness bound, not logical
 // time. Only method calls qualify (a package-level function that
-// happens to be named SetDeadline still gets no allowance). Shared by
-// the wallclock-free and seeded-rand analyzers so the allowance is
-// identical in both.
+// happens to be named SetDeadline still gets no allowance).
 func deadlineArgSpans(pass *Pass, f *ast.File) func(ast.Node) bool {
 	type span struct{ lo, hi int }
 	var deadlineArgs []span
@@ -113,11 +125,18 @@ func runWallclock(pass *Pass) {
 				return true
 			}
 			path, name, ok := pkgFunc(pass.Pkg.Info, call)
-			if !ok || path != "time" {
+			if !ok {
 				return true
 			}
-			if why, bad := wallclockFuncs[name]; bad && !inDeadlineArg(call) {
-				pass.Reportf(call.Pos(), "time.%s %s in library code; delays and timeouts must go through the injectable virtual clock (or annotate a measurement-layer stopwatch with //lint:allow wallclock-free)", name, why)
+			switch path {
+			case "math/rand", "math/rand/v2":
+				if !randConstructors[name] {
+					pass.Reportf(call.Pos(), "call to rand.%s uses the global random source in library code; thread a *rand.Rand built from an explicit seed", name)
+				}
+			case "time":
+				if why, bad := wallclockFuncs[name]; bad && !inDeadlineArg(call) {
+					pass.Reportf(call.Pos(), "time.%s %s in library code; delays and timeouts must go through the injectable virtual clock (or annotate a measurement-layer stopwatch with //lint:allow wallclock-free)", name, why)
+				}
 			}
 			return true
 		})
