@@ -206,7 +206,8 @@ bench:
 # fastest run, the noise-robust estimate on shared hardware. The
 # benchmarks that live next to the code they measure (the compiled
 # HyperCube router, mpcd's single-pass repartition, its whole
-# repartitioning op and its warm reused query, one exchange over the TCP
+# repartitioning op, its warm reused query and its whole restart — save,
+# load, first reply — one exchange over the TCP
 # transport, the 12-round distributed run, the covers decision of a
 # cold serving query, the one-round bulk distributed run, a relation's
 # sorted enumeration, a fragment decode and the join index, built fresh
@@ -216,7 +217,7 @@ bench:
 # fault-free run among them).
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
-	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkRunBulk|BenchmarkTuples|BenchmarkDecodeInstance|BenchmarkHashJoin)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel >> .bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkRestart|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkRunBulk|BenchmarkTuples|BenchmarkDecodeInstance|BenchmarkHashJoin)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE) .bench_raw.txt
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"

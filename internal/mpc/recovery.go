@@ -69,11 +69,13 @@ func (c *Cluster) ensureFT() *ftState {
 	return &c.ft
 }
 
-// snapshot cuts a checkpoint of the cluster's committed state. commit
-// refreshes the rolling checkpoint (see WithCheckpoints) with it, so
-// that one always equals the state after the last completed round.
+// snapshot cuts a checkpoint of the cluster's committed state: a copy,
+// since the servers go on mutating and a checkpoint may be restored any
+// number of times. commit refreshes the rolling checkpoint (see
+// WithCheckpoints) with it, so that one always equals the state after
+// the last completed round.
 func (c *Cluster) snapshot() *Checkpoint {
-	return &Checkpoint{store: policy.NewStableStore(c.servers), stats: cloneStats(c.stats)}
+	return &Checkpoint{store: policy.NewStableStore(c.servers).Clone(), stats: cloneStats(c.stats)}
 }
 
 func cloneStats(stats []RoundStats) []RoundStats {
@@ -375,31 +377,44 @@ func (c *Cluster) Checkpoint() *Checkpoint {
 // (it must keep checkpointing to stay restorable), with a fresh default
 // configuration unless options say otherwise — in particular the old
 // fault plan is NOT carried over.
+//
+// The cluster's servers are a copy of ck's fragments, so ck restores
+// the same state however often it is used; its rolling checkpoint is
+// ck's store itself, which nothing mutates.
 func Restore(ck *Checkpoint, opts ...Option) *Cluster {
-	c := RestoreStore(ck.store, append(opts[:len(opts):len(opts)], WithCheckpoints())...)
+	c := adopt(ck.store.Clone(), append(opts[:len(opts):len(opts)], WithCheckpoints()))
 	c.stats = cloneStats(ck.stats)
-	c.ft.ckpt.stats = cloneStats(ck.stats)
+	c.ft.ckpt = &Checkpoint{store: ck.store, stats: cloneStats(ck.stats)}
 	return c
 }
 
-// Store exposes the checkpoint's durable fragment store — the image a
-// serving layer spills to disk with policy.EncodeStore so a session
-// survives its process. The store is already isolated from later
-// cluster mutation (see Checkpoint), so handing it out is safe.
+// Store exposes the checkpoint's durable fragment store, to spill to
+// disk with policy.EncodeStore. The store is already isolated from
+// later cluster mutation (see snapshot), so handing it out is safe; it
+// is read again by every Restore, so it must not be mutated.
 func (ck *Checkpoint) Store() *policy.StableStore { return ck.store }
 
 // RestoreStore builds a fresh cluster from a bare fragment store — the
 // re-entry point for checkpoint images reloaded from disk
 // (policy.DecodeStore), where the round-stats history lives with the
-// caller rather than inside the image. Options apply as in NewCluster;
-// the restored cluster starts with an empty stats history.
+// caller rather than inside the image. The cluster adopts the store's
+// fragments as its servers' instances, copying nothing, so the store
+// is the caller's to hand over once: it must not be read or restored
+// again. Options apply as in NewCluster; the restored cluster starts
+// with an empty stats history.
 func RestoreStore(store *policy.StableStore, opts ...Option) *Cluster {
-	c := NewCluster(store.NumNodes(), opts...)
-	for i := range c.servers {
-		c.servers[i] = store.Reload(policy.Node(i))
-	}
+	c := adopt(store, opts)
 	if c.ft.on {
 		c.ft.ckpt = c.snapshot()
+	}
+	return c
+}
+
+// adopt builds a cluster whose servers are store's fragments themselves.
+func adopt(store *policy.StableStore, opts []Option) *Cluster {
+	c := NewCluster(store.NumNodes(), opts...)
+	for i := range c.servers {
+		c.servers[i] = store.Fragment(policy.Node(i))
 	}
 	return c
 }

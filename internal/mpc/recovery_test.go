@@ -193,3 +193,43 @@ func TestRepairTakesAPrivateCopy(t *testing.T) {
 		t.Errorf("logical stats diverged:\n got %s\nwant %s", g, w)
 	}
 }
+
+// TestRestoreTwiceFromOneCheckpoint pins the copies a checkpoint makes:
+// the checkpoint is cut from servers that go on mutating, and it may be
+// restored any number of times, so neither the source cluster nor a
+// cluster restored from it can reach what another restore sees.
+// Dropping either copy (the snapshot's or Restore's) fails it.
+func TestRestoreTwiceFromOneCheckpoint(t *testing.T) {
+	const p = 4
+	inst := rel.NewInstance()
+	for i := 0; i < 32; i++ {
+		inst.Add(rel.NewFact("R", rel.Value(i), rel.Value(i+1)))
+	}
+	c := NewCluster(p)
+	c.LoadRoundRobin(inst)
+	want := make([]*rel.Instance, p)
+	for i := range want {
+		want[i] = c.Server(i).Clone()
+	}
+	mutate := func(c *Cluster) {
+		for i := 0; i < p; i++ {
+			c.Server(i).Add(rel.NewFact("R", 99, rel.Value(i)))
+		}
+	}
+	same := func(what string, c *Cluster) {
+		t.Helper()
+		for i := 0; i < p; i++ {
+			if !c.Server(i).Equal(want[i]) {
+				t.Fatalf("%s: server %d holds %d facts, want the checkpoint's %d", what, i, c.Server(i).Len(), want[i].Len())
+			}
+		}
+	}
+
+	ck := c.Checkpoint()
+	mutate(c)
+	first, second := Restore(ck), Restore(ck)
+	same("a restore after the source cluster moved on", first)
+	mutate(first)
+	same("the second restore after the first was mutated", second)
+	same("a third restore", Restore(ck))
+}

@@ -7,9 +7,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/policy"
@@ -32,6 +34,14 @@ import (
 // name, so a snapshot cut short anywhere before that rename leaves the
 // previous one exactly as it was; only after it are the superseded
 // images swept.
+//
+// Sessions are independent, so both directions fan out over them, at
+// most GOMAXPROCS at once (fanOut): a session image is encoded straight
+// from the session's live fragments, and a restored session adopts the
+// fragments its image decodes to, so neither direction copies one.
+// Each session's work lands in its own slot, and the slots are read
+// back in manifest order, so the files, the manifest and the first
+// error reported are those of a sequential pass.
 
 // snapshotVersion guards the manifest layout; bump on incompatible
 // change. Version 2 moved the manifest into a store image.
@@ -86,13 +96,14 @@ type sessionManifest struct {
 
 // SaveSnapshot drains the server (idempotent; every in-flight query
 // finishes first, so the snapshot is quiescent) and writes it to dir.
-// Sessions are written in sorted-id order, each image under this
-// snapshot's generation — a name no file in dir has, so no landed
-// manifest names it — and the manifest lands last, atomically: a crash
-// anywhere before its rename leaves the previous snapshot whole. Once
-// it has landed, every session image and writer temporary dir held
-// before this snapshot began — the previous snapshot's images,
-// sessions deleted since, what a crashed writer left — is removed.
+// Sessions are listed in sorted-id order and their images written
+// concurrently, each under this snapshot's generation — a name no file
+// in dir has, so no landed manifest names it — and the manifest lands
+// last, once every image has, atomically: a crash anywhere before its
+// rename leaves the previous snapshot whole. Once it has landed, every
+// session image and writer temporary dir held before this snapshot
+// began — the previous snapshot's images, sessions deleted since, what
+// a crashed writer left — is removed.
 func (s *Server) SaveSnapshot(dir string) error {
 	s.Drain()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -118,14 +129,19 @@ func (s *Server) SaveSnapshot(dir string) error {
 	s.sessMu.Unlock()
 	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
 
-	m := manifest{Version: snapshotVersion, Seed: s.cfg.Seed, NextID: nextID}
-	for _, sess := range sessions {
-		sm, err := sess.snapshot(dir, gen)
+	entries := make([]sessionManifest, len(sessions))
+	for _, err := range fanOut(len(sessions), func(i int) (err error) {
+		entries[i], err = sessions[i].snapshot(dir, gen)
+		return err
+	}) {
 		if err != nil {
 			return err
 		}
-		m.Sessions = append(m.Sessions, sm)
 	}
+	// Appending keeps a server with no sessions at a null list, the
+	// manifest bytes it has always written.
+	m := manifest{Version: snapshotVersion, Seed: s.cfg.Seed, NextID: nextID}
+	m.Sessions = append(m.Sessions, entries...)
 	raw, err := json.Marshal(&m)
 	if err != nil {
 		return fmt.Errorf("mpcd: encoding manifest: %w", err)
@@ -141,12 +157,13 @@ func (s *Server) SaveSnapshot(dir string) error {
 }
 
 // snapshot writes one session's fragment image under generation gen
-// and returns its manifest entry.
+// and returns its manifest entry. The image is encoded from the live
+// fragments, which sess.mu keeps still until it has landed.
 func (sess *Session) snapshot(dir string, gen uint64) (sessionManifest, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	name := sessionFilePrefix + sess.ID + "." + strconv.FormatUint(gen, 10) + sessionFileSuffix
-	if err := policy.SaveStore(filepath.Join(dir, name), sess.cluster.Checkpoint().Store()); err != nil {
+	if err := policy.SaveStore(filepath.Join(dir, name), policy.NewStableStore(sess.fragments())); err != nil {
 		return sessionManifest{}, fmt.Errorf("mpcd: writing session %s: %w", sess.ID, err)
 	}
 	dictNames := make([]string, sess.dict.Len())
@@ -154,6 +171,26 @@ func (sess *Session) snapshot(dir string, gen uint64) (sessionManifest, error) {
 		dictNames[i] = sess.dict.Name(rel.Value(i))
 	}
 	return sessionManifest{SessionStatus: sess.statusLocked(), Seed: sess.seed, Dict: dictNames, Store: name}, nil
+}
+
+// fanOut runs f(0), …, f(n−1), at most GOMAXPROCS at once, and returns
+// their errors by index once every call has returned. f must write
+// only state of its own index.
+func fanOut(n int, f func(i int) error) []error {
+	errs := make([]error, n)
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = f(i)
+			<-slots
+		}(i)
+	}
+	wg.Wait()
+	return errs
 }
 
 // sweepSnapshot removes from dir the files of the snapshot writer's own
@@ -177,13 +214,15 @@ func sweepSnapshot(dir string, before []os.DirEntry) error {
 }
 
 // LoadSnapshot builds a server from a snapshot directory written by
-// SaveSnapshot, with every session warm: fragments restored into
-// clusters via mpc.RestoreStore, dicts re-interned in
-// recorded order, anchors re-parsed so the next covered query reuses
-// the restored distribution immediately. The manifest's seed overrides
-// cfg's — routing hashes must match the process that wrote the
-// snapshot, or the restored layout would not be the one the anchor's
-// grid describes.
+// SaveSnapshot, with every session warm: each image's decoded fragments
+// adopted as a cluster's servers via mpc.RestoreStore, dicts
+// re-interned in recorded order, anchors re-parsed so the next covered
+// query reuses the restored distribution immediately. Sessions are
+// restored concurrently and published in manifest order; the error
+// returned is that of the first failing session in that order. The
+// manifest's seed overrides cfg's — routing hashes must match the
+// process that wrote the snapshot, or the restored layout would not be
+// the one the anchor's grid describes.
 func LoadSnapshot(dir string, cfg Config) (*Server, error) {
 	img, err := policy.LoadStore(filepath.Join(dir, manifestName))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -202,10 +241,14 @@ func LoadSnapshot(dir string, cfg Config) (*Server, error) {
 	cfg.Seed = m.Seed
 	s := New(cfg)
 	s.nextID = m.NextID
-	for _, sm := range m.Sessions {
-		sess, err := s.restoreSession(dir, sm)
-		if err != nil {
-			return nil, err
+	restored := make([]*Session, len(m.Sessions))
+	errs := fanOut(len(m.Sessions), func(i int) (err error) {
+		restored[i], err = s.restoreSession(dir, m.Sessions[i])
+		return err
+	})
+	for i, sess := range restored {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
 		if s.sessions[sess.ID] != nil {
 			return nil, fmt.Errorf("mpcd: snapshot names session %q twice", sess.ID)
@@ -217,10 +260,15 @@ func LoadSnapshot(dir string, cfg Config) (*Server, error) {
 }
 
 // restoreSession rebuilds one session from its manifest entry. The
-// session is not yet published, so no locking is needed.
+// session is not yet published, so no locking is needed; what it
+// shares with the other sessions restoring beside it — the server's
+// plan cache and counters — is locked where it lives.
 func (s *Server) restoreSession(dir string, sm sessionManifest) (*Session, error) {
 	if !sessionIDPat.MatchString(sm.Session) {
 		return nil, fmt.Errorf("mpcd: snapshot session id %q is invalid", sm.Session)
+	}
+	if sm.P < 1 || sm.P > maxSessionP {
+		return nil, fmt.Errorf("mpcd: session %s has p = %d, outside 1..%d", sm.Session, sm.P, maxSessionP)
 	}
 	// filepath.Base forecloses traversal via a hand-edited manifest.
 	store, err := policy.LoadStore(filepath.Join(dir, filepath.Base(sm.Store)))

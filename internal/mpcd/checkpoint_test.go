@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mpclogic/internal/mpc"
@@ -232,6 +233,20 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	writeManifest(t, dir4, manifest{Version: snapshotVersion, Seed: 1, Sessions: []sessionManifest{twice, twice}})
 	if _, err := LoadSnapshot(dir4, Config{}); err == nil {
 		t.Fatal("LoadSnapshot accepted a manifest naming a session twice")
+	}
+
+	// A session on no servers, or on more than a create may ask for, is
+	// refused with an error: a CRC-valid image of zero nodes under p = 0
+	// once panicked building the session's cluster.
+	dir5 := t.TempDir()
+	if err := policy.SaveStore(filepath.Join(dir5, "session-z.store"), policy.NewStableStore(nil)); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{0, -1, maxSessionP + 1} {
+		writeManifest(t, dir5, manifest{Version: snapshotVersion, Seed: 1, Sessions: []sessionManifest{{SessionStatus: SessionStatus{Session: "z", P: p}, Store: "session-z.store"}}})
+		if _, err := LoadSnapshot(dir5, Config{}); err == nil || !strings.Contains(err.Error(), "outside 1..") {
+			t.Fatalf("LoadSnapshot of a session with p = %d: %v, want the p bound's error", p, err)
+		}
 	}
 }
 

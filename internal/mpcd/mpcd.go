@@ -35,11 +35,10 @@
 //     holds one round of history however long it lives.
 //
 // Sessions are checkpointable: a session's cluster is built with no
-// mpc.Option, so it keeps no rolling checkpoint and is snapshotted only
-// on demand (Cluster.Checkpoint), and that image, landed by
-// policy.SaveStore beside a manifest that is itself a policy store
-// image, makes a drained server restartable with every session warm
-// (see checkpoint.go).
+// mpc.Option, so it keeps no rolling checkpoint; a snapshot encodes its
+// live fragments, and that image, landed by policy.SaveStore beside a
+// manifest that is itself a policy store image, makes a drained server
+// restartable with every session warm (see checkpoint.go).
 //
 // A query's reply is written once: local evaluation projects every
 // fragment into one answer relation (cq.EvaluateInto), and the reply is

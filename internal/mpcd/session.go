@@ -58,6 +58,11 @@ var sessionIDPat = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
 // generated instance is the one thing a tiny request can make huge.
 const maxGenSize = 1 << 22
 
+// maxSessionP is the per-session cluster cap: a create may ask for up
+// to this many servers, and a snapshot naming more, or none, is
+// refused.
+const maxSessionP = 1 << 12
+
 // createSession validates the request, materializes the data, and
 // installs the session round-robin across p servers — the model's
 // "evenly spread, no particular scheme" starting state. The response
@@ -88,8 +93,8 @@ func (s *Server) createSession(req *createRequest) (createResponse, *apiError) {
 	if p <= 0 {
 		p = s.cfg.P
 	}
-	if p > 1<<12 {
-		return createResponse{}, errBadRequest("p = %d exceeds the per-session cluster cap %d", p, 1<<12)
+	if p > maxSessionP {
+		return createResponse{}, errBadRequest("p = %d exceeds the per-session cluster cap %d", p, maxSessionP)
 	}
 	generate, ok := generators[req.Generator]
 	if !ok {
@@ -283,12 +288,18 @@ func (sess *Session) run(req *queryRequest) (*reply, *apiError) {
 // found to be one tuple.
 func (sess *Session) evalLocal(q *cq.CQ) *rel.Instance {
 	out := rel.NewInstance()
+	cq.EvaluateInto(out.EnsureRelation(q.Head.Rel, len(q.Head.Args)), q, sess.fragments()...)
+	return out
+}
+
+// fragments returns the session's live fragments, server by server.
+// Callers hold sess.mu, which keeps them still.
+func (sess *Session) fragments() []*rel.Instance {
 	fragments := make([]*rel.Instance, sess.cluster.P())
 	for i := range fragments {
 		fragments[i] = sess.cluster.Server(i)
 	}
-	cq.EvaluateInto(out.EnsureRelation(q.Head.Rel, len(q.Head.Args)), q, fragments...)
-	return out
+	return fragments
 }
 
 // repartition is the admission-controlled redistribution, in a single

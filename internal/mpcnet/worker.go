@@ -93,7 +93,7 @@ func readLogFile(path string) (logFile, error) {
 		if err := json.Unmarshal(rec.Store.Meta(), &c.cursor); err != nil {
 			return logFile{}, fmt.Errorf("mpcnet: %s: decoding record %d's cursor: %w", path, i, err)
 		}
-		c.state, c.size = rec.Store.Reload(0), rec.Size
+		c.state, c.size = rec.Store.Fragment(0), rec.Size
 	}
 	return f, nil
 }

@@ -41,7 +41,7 @@ func TestStoreEncodeRoundTrip(t *testing.T) {
 			got.NumNodes(), got.TotalFacts(), s.NumNodes(), s.TotalFacts())
 	}
 	for κ := 0; κ < s.NumNodes(); κ++ {
-		if !got.Reload(Node(κ)).Equal(s.Reload(Node(κ))) {
+		if !got.Fragment(Node(κ)).Equal(s.Fragment(Node(κ))) {
 			t.Errorf("node %d fragment changed across the round-trip", κ)
 		}
 	}
@@ -57,21 +57,34 @@ func TestStoreEncodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreDecodeSnapshotIsolation: mutating a reloaded fragment must
-// not leak into the decoded store (Reload clones, like the in-memory
-// store).
+// TestStoreDecodeSnapshotIsolation: a decoded store's fragments are
+// its own — two decodes of one image share nothing, so a restart that
+// adopts one decode's fragments and mutates them leaves the other, and
+// the image, as they were.
 func TestStoreDecodeSnapshotIsolation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodeStore(&buf, storeSample()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeStore(&buf)
+	img := buf.Bytes()
+	a, err := DecodeStore(bytes.NewReader(img))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.Reload(0).Add(rel.NewFact("R", 99, 99))
-	if got.Reload(0).Contains(rel.NewFact("R", 99, 99)) {
-		t.Fatal("mutating a reloaded fragment leaked into the store")
+	b, err := DecodeStore(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Fragment(0).Add(rel.NewFact("R", 99, 99))
+	if b.Fragment(0).Contains(rel.NewFact("R", 99, 99)) {
+		t.Fatal("mutating one decode's fragment leaked into another decode of the same image")
+	}
+	var again bytes.Buffer
+	if err := EncodeStore(&again, b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), img) {
+		t.Fatal("the untouched decode no longer encodes to the image it came from")
 	}
 }
 
@@ -127,7 +140,7 @@ func TestStoreMetaIsolation(t *testing.T) {
 	if got := string(base.Meta()); got != "cursor" {
 		t.Errorf("WithMeta changed its receiver's meta to %q", got)
 	}
-	if s.NumNodes() != base.NumNodes() || !s.Reload(0).Equal(base.Reload(0)) {
+	if s.NumNodes() != base.NumNodes() || !s.Fragment(0).Equal(base.Fragment(0)) {
 		t.Error("WithMeta changed the fragments")
 	}
 	if NewStableStore(nil).Meta() != nil {

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 
 	"mpclogic/internal/rel"
 )
@@ -13,10 +14,13 @@ import (
 // node accumulated — received facts, protocol maps, auxiliary
 // relations — is volatile and lost.
 //
-// The store snapshots the parts at construction time, so later
-// mutation of a node's working state never leaks into what a restart
-// recovers: reloads always reproduce the original distribution
-// loc-inst(κ).
+// A store is a view of the fragments it describes, not a copy: encoding
+// one reads the fragments in place, and a decoded store's fragments are
+// fresh instances nobody else holds, which a restart adopts as they
+// are. A store that must outlive later mutation of its fragments — the
+// transducer's, reloaded at every crash; an mpc.Checkpoint, which may
+// be restored twice; the rolling checkpoint of a fault-tolerant
+// cluster — is taken with Clone, and only those pay for a copy.
 //
 // Beside the fragments a store carries an opaque meta section for its
 // owner, which EncodeStore/DecodeStore keep under the image's checksum.
@@ -25,13 +29,21 @@ type StableStore struct {
 	parts []*rel.Instance
 }
 
-// NewStableStore snapshots one durable fragment per node.
+// NewStableStore returns a store over parts themselves, one durable
+// fragment per node. The fragments are shared, not copied: they must
+// not change while the store is read.
 func NewStableStore(parts []*rel.Instance) *StableStore {
-	s := &StableStore{parts: make([]*rel.Instance, len(parts))}
-	for i, p := range parts {
-		s.parts[i] = p.Clone()
+	return &StableStore{parts: slices.Clone(parts)}
+}
+
+// Clone returns a deep copy of s: its fragments are copies that no
+// later mutation of s's reaches, and none of theirs reaches s.
+func (s *StableStore) Clone() *StableStore {
+	c := &StableStore{meta: s.meta, parts: make([]*rel.Instance, len(s.parts))}
+	for i, p := range s.parts {
+		c.parts[i] = p.Clone()
 	}
-	return s
+	return c
 }
 
 // StoreFromPolicy builds the stable store holding loc-inst_{P,I}(κ)
@@ -45,7 +57,7 @@ func StoreFromPolicy(p Policy, i *rel.Instance) *StableStore {
 func (s *StableStore) Meta() []byte { return append([]byte(nil), s.meta...) }
 
 // WithMeta returns a store with a copy of meta as its meta section over
-// the same fragments, which are immutable and so safely shared.
+// the same fragments, shared as NewStableStore shares them.
 func (s *StableStore) WithMeta(meta []byte) *StableStore {
 	return &StableStore{meta: append([]byte(nil), meta...), parts: s.parts}
 }
@@ -64,11 +76,12 @@ func (s *StableStore) TotalFacts() int {
 	return n
 }
 
-// Reload returns a fresh copy of node κ's durable fragment; mutating
-// the returned instance never affects the store.
-func (s *StableStore) Reload(κ Node) *rel.Instance {
+// Fragment returns node κ's durable fragment itself, not a copy. A
+// caller that will change it clones it first, unless the store is one
+// it is done with — a freshly decoded image, adopted as it stands.
+func (s *StableStore) Fragment(κ Node) *rel.Instance {
 	if int(κ) < 0 || int(κ) >= len(s.parts) {
-		panic(fmt.Sprintf("policy: reload of node %d from a %d-node store", κ, len(s.parts)))
+		panic(fmt.Sprintf("policy: fragment of node %d from a %d-node store", κ, len(s.parts)))
 	}
-	return s.parts[κ].Clone()
+	return s.parts[κ]
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // TotalFacts is the wire size checkpoint replication charges per
-// replica; it must count every fragment, tolerate empty stores, and —
-// because StableStore snapshots at construction — stay frozen while
-// the source instances keep changing.
+// replica; it must count every fragment and tolerate empty stores. A
+// store is a view of its fragments, so it tracks them as they change;
+// a Clone is frozen.
 func TestStableStoreTotalFacts(t *testing.T) {
 	if got := NewStableStore(nil).TotalFacts(); got != 0 {
 		t.Errorf("empty store TotalFacts = %d, want 0", got)
@@ -28,44 +28,50 @@ func TestStableStoreTotalFacts(t *testing.T) {
 	if got := s.TotalFacts(); got != 5 {
 		t.Errorf("TotalFacts = %d, want 5", got)
 	}
+	frozen := s.Clone()
 
-	// Mutating a source fragment after construction must not move the
-	// stored size or contents: the store is a snapshot, not a view.
+	// Mutating a source fragment moves the view, never the clone.
 	parts[0].Add(rel.NewFact("R", 9, 9))
-	if got := s.TotalFacts(); got != 5 {
-		t.Errorf("TotalFacts tracked source mutation: %d, want 5", got)
+	if got := s.TotalFacts(); got != 6 {
+		t.Errorf("the view's TotalFacts = %d after a source mutation, want 6", got)
 	}
-	if s.Reload(0).Len() != 2 {
-		t.Errorf("reload leaked a post-snapshot fact")
+	if got := frozen.TotalFacts(); got != 5 {
+		t.Errorf("the clone's TotalFacts tracked source mutation: %d, want 5", got)
+	}
+	if frozen.Fragment(0).Len() != 2 {
+		t.Errorf("the clone leaked a post-clone fact")
 	}
 }
 
-func TestStableStoreReloadIsolation(t *testing.T) {
+// TestStableStoreCloneIsolation: a clone and its source share no
+// fragment in either direction, and the clone keeps the meta section.
+func TestStableStoreCloneIsolation(t *testing.T) {
 	d := rel.NewDict()
-	s := NewStableStore([]*rel.Instance{rel.MustInstance(d, "R(1, 2)")})
-
-	// Mutating a reloaded copy must not affect later reloads.
-	first := s.Reload(0)
-	first.Add(rel.NewFact("R", 7, 7))
-	if got := s.Reload(0).Len(); got != 1 {
-		t.Errorf("reload observed mutation of an earlier reload: len=%d, want 1", got)
+	s := NewStableStore([]*rel.Instance{rel.MustInstance(d, "R(1, 2)")}).WithMeta([]byte("m"))
+	c := s.Clone()
+	c.Fragment(0).Add(rel.NewFact("R", 7, 7))
+	if got := s.Fragment(0).Len(); got != 1 {
+		t.Errorf("the source observed mutation of its clone: len=%d, want 1", got)
 	}
-	if s.TotalFacts() != 1 {
-		t.Errorf("TotalFacts moved after reload mutation")
+	s.Fragment(0).Add(rel.NewFact("R", 8, 8))
+	if c.Fragment(0).Contains(rel.NewFact("R", 8, 8)) {
+		t.Errorf("the clone observed mutation of its source")
+	}
+	if string(c.Meta()) != "m" {
+		t.Errorf("clone meta %q, want %q", c.Meta(), "m")
 	}
 }
 
-func TestStableStoreReloadBounds(t *testing.T) {
+func TestStableStoreFragmentBounds(t *testing.T) {
 	s := NewStableStore([]*rel.Instance{rel.NewInstance()})
 	for _, κ := range []Node{-1, 1} {
-		κ := κ
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Reload(%d) on a 1-node store did not panic", κ)
+					t.Errorf("Fragment(%d) on a 1-node store did not panic", κ)
 				}
 			}()
-			s.Reload(κ)
+			s.Fragment(κ)
 		}()
 	}
 }
@@ -82,7 +88,7 @@ func TestStoreFromPolicyMatchesDistribute(t *testing.T) {
 	want := Distribute(pol, inst)
 	total := 0
 	for κ, frag := range want {
-		if !s.Reload(Node(κ)).Equal(frag) {
+		if !s.Fragment(Node(κ)).Equal(frag) {
 			t.Errorf("node %d fragment diverges from loc-inst", κ)
 		}
 		total += frag.Len()

@@ -187,12 +187,14 @@ func (n *Network) crashRestart(group []policy.Node) {
 	}
 }
 
-// reload returns node κ's durable local database.
+// reload returns a fresh copy of node κ's durable local database: the
+// node mutates it, and the store must hand out the pristine fragment
+// again at its next crash.
 func (n *Network) reload(κ policy.Node) *rel.Instance {
 	if n.store == nil {
 		return rel.NewInstance()
 	}
-	return n.store.Reload(κ)
+	return n.store.Fragment(κ).Clone()
 }
 
 // deliveryView returns the buffers the scheduler may pick from,

@@ -285,6 +285,41 @@ func TestCrashRestartReloadsDurableState(t *testing.T) {
 	}
 }
 
+// TestCrashRestartReloadsThePristineFragment pins the two copies the
+// stable store keeps: a node mutates the state it reloads, and the
+// caller may go on mutating the parts it loaded, yet every crash —
+// here two of node 0, the second after its reloaded state had grown by
+// what its peers sent — hands out the fragment as loaded. Dropping
+// either copy (at load or at reload) fails it.
+func TestCrashRestartReloadsThePristineFragment(t *testing.T) {
+	d := rel.NewDict()
+	tri := triangles(d)
+	g := rel.MustInstance(d, "E(0,1)", "E(1,2)", "E(2,0)", "E(2,3)", "E(3,4)", "E(4,2)")
+	parts := hashParts(g, 2)
+	want := parts[0].Clone()
+	n := New(2, func() Program { return MonotoneBroadcast(tri) }, WithSeed(3), WithCrashRestart(0, 2), WithCrashRestart(0, 1<<20))
+	if err := n.LoadParts(parts); err != nil {
+		t.Fatal(err)
+	}
+	parts[0].Add(rel.NewFact("E", 7, 8)) // the caller's copy moves on
+	st, err := n.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Crashes != 2 {
+		t.Fatalf("%d crashes fired, want 2", st.Crashes)
+	}
+	if dataFacts(n.ctxs[0].state).Len() <= want.Len() {
+		t.Fatalf("node 0 ends holding %d data facts, no more than its fragment's %d: the run never mutated a reloaded state", dataFacts(n.ctxs[0].state).Len(), want.Len())
+	}
+	if got := n.reload(0); !got.Equal(want) {
+		t.Fatalf("node 0 reloads %d facts after two crashes, want its fragment as loaded (%d)", got.Len(), want.Len())
+	}
+	if !n.Output().Equal(tri(g)) {
+		t.Errorf("output wrong after two crash-restarts")
+	}
+}
+
 // Delay bursts freeze one node's inbound delivery without violating
 // fairness: the run still quiesces and the output is unchanged.
 func TestDelayBurstsPreserveOutputAndLiveness(t *testing.T) {

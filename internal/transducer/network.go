@@ -235,7 +235,7 @@ func (n *Network) LoadParts(parts []*rel.Instance) error {
 	for i, part := range parts {
 		n.ctxs[i].state = part.Clone()
 	}
-	n.store = policy.NewStableStore(parts)
+	n.store = policy.NewStableStore(parts).Clone()
 	return nil
 }
 
@@ -282,7 +282,7 @@ func (n *Network) LoadReplicated(i *rel.Instance) {
 		c.state = i.Clone()
 		parts[j] = i
 	}
-	n.store = policy.NewStableStore(parts)
+	n.store = policy.NewStableStore(parts).Clone()
 }
 
 func (n *Network) enqueue(from, to policy.Node, f rel.Fact) {
