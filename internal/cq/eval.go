@@ -10,9 +10,11 @@ import (
 // greedy atom ordering. It is the local computation engine used at each
 // simulated MPC server — and, on mpcd's reuse path, the whole cost of a
 // query — so it must handle instances with hundreds of thousands of
-// facts. There is one evaluator body, evalBindings, which keeps its
-// intermediate result as rows in a flat arena (type bindings), and one
-// head projection, EvaluateInto; every other entry point calls those.
+// facts. Its body, evalBindings, keeps its intermediate result as rows
+// in a flat arena (type bindings). The generic join (genericjoin.go) is
+// the second producer of bindings, and both hand their rows to the one
+// head projection, project, which EvaluateInto and GenericJoin call;
+// every other entry point calls those.
 
 // EvaluateInto adds Q(P₁) ∪ … ∪ Q(Pₖ) to out, which must have the
 // head's arity. Rows already in out stay, so one relation can collect
@@ -29,6 +31,13 @@ import (
 // rows, instead of growing and rehashing once a part. A part's bindings
 // are dropped once its rows are in out.
 func EvaluateInto(out *rel.Relation, q *CQ, parts ...*rel.Instance) {
+	project(out, q, evalBindings, parts...)
+}
+
+// project is EvaluateInto over the bindings eval produces for each part:
+// the one head projection, shared by the binary plan and the generic
+// join.
+func project(out *rel.Relation, q *CQ, eval func(*CQ, *rel.Instance) ([]string, bindings), parts ...*rel.Instance) {
 	type evaluated struct {
 		vars []string
 		b    bindings
@@ -36,7 +45,7 @@ func EvaluateInto(out *rel.Relation, q *CQ, parts ...*rel.Instance) {
 	done := make([]evaluated, 0, 1) // one part, the common call: no allocation
 	rows := 0
 	for _, part := range parts {
-		vars, b := evalBindings(q, part)
+		vars, b := eval(q, part)
 		if b.n == 0 {
 			continue
 		}
@@ -136,7 +145,8 @@ func SatisfyingValuations(q *CQ, i *rel.Instance) []Valuation {
 // constant or a repeat of an earlier position is fixed by admission, a
 // shared variable by t, a fresh one by the equation. The relation is a
 // set, so s and s' are one tuple, which each row meets once. Filters
-// (inequalities, negated atoms) only remove rows.
+// (inequalities, negated atoms) only remove rows. The generic join's
+// rows are distinct because each of its levels binds distinct values.
 type bindings struct {
 	width int
 	n     int
@@ -197,23 +207,6 @@ func evalBindings(q *CQ, inst *rel.Instance) ([]string, bindings) {
 	current := bindings{n: 1} // the one empty row
 
 	diseqApplied := make([]bool, len(q.Diseq))
-
-	applyDiseqs := func() {
-		for di, d := range q.Diseq {
-			if diseqApplied[di] {
-				continue
-			}
-			c0, ok0 := termCol(d[0], bound)
-			c1, ok1 := termCol(d[1], bound)
-			if !ok0 || !ok1 {
-				continue
-			}
-			diseqApplied[di] = true
-			current.filter(func(t rel.Tuple) bool {
-				return termVal(d[0], t, c0) != termVal(d[1], t, c1)
-			})
-		}
-	}
 
 	for len(remaining) > 0 {
 		// Greedy: most bound variables, then smallest relation.
@@ -301,7 +294,7 @@ func evalBindings(q *CQ, inst *rel.Instance) ([]string, bindings) {
 				vars = append(vars, v)
 			}
 		}
-		applyDiseqs()
+		filterDiseqs(q, bound, diseqApplied, &current)
 		if current.n == 0 {
 			return nil, bindings{}
 		}
@@ -310,7 +303,7 @@ func evalBindings(q *CQ, inst *rel.Instance) ([]string, bindings) {
 	// Constant-only inequalities (both sides constants) and any diseq
 	// not yet applied (possible when body is a single atom and diseqs
 	// refer to constants only).
-	applyDiseqs()
+	filterDiseqs(q, bound, diseqApplied, &current)
 
 	// Negated atoms: drop bindings whose instantiation is present.
 	for _, a := range q.Neg {
@@ -336,6 +329,26 @@ func evalBindings(q *CQ, inst *rel.Instance) ([]string, bindings) {
 		return nil, bindings{}
 	}
 	return vars, current
+}
+
+// filterDiseqs drops from b the rows that violate an inequality not
+// yet applied whose two sides are bound (bound maps a variable to its
+// column in b), and marks it applied.
+func filterDiseqs(q *CQ, bound map[string]int, applied []bool, b *bindings) {
+	for di, d := range q.Diseq {
+		if applied[di] {
+			continue
+		}
+		c0, ok0 := termCol(d[0], bound)
+		c1, ok1 := termCol(d[1], bound)
+		if !ok0 || !ok1 {
+			continue
+		}
+		applied[di] = true
+		b.filter(func(t rel.Tuple) bool {
+			return termVal(d[0], t, c0) != termVal(d[1], t, c1)
+		})
+	}
 }
 
 func termCol(t Term, bound map[string]int) (int, bool) {

@@ -245,7 +245,8 @@ func checkAgainstReference(t *testing.T, q *CQ, i *rel.Instance) {
 	}
 
 	// The generic join is one more evaluator of every query it accepts:
-	// the same answer as a set.
+	// the same answer as a set, from rows that are bindings — no two
+	// equal.
 	if !q.HasNegation() {
 		gj, err := GenericJoin(q, i)
 		if err != nil {
@@ -254,6 +255,14 @@ func checkAgainstReference(t *testing.T, q *CQ, i *rel.Instance) {
 		if !gj.Equal(evaluateReference(q, i)) {
 			t.Fatalf("%v on %v: the generic join has %v, the reference %v", q, describe(i), gj.Tuples(), want)
 		}
+		_, gb := joinBindings(q, i)
+		gjRows := rel.NewRelation("rows", gb.width)
+		gb.each(func(r rel.Tuple) bool {
+			if !gjRows.Add(r) {
+				t.Fatalf("%v on %v: the generic join's binding row %v occurs twice", q, describe(i), r)
+			}
+			return true
+		})
 	}
 
 	wantVars, wantRows := evalBindingsReference(q, i)

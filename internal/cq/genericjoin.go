@@ -1,35 +1,35 @@
 package cq
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mpclogic/internal/rel"
 )
 
-// This file implements a worst-case-optimal "generic join" evaluator:
-// variable-at-a-time evaluation where each variable's candidates are
-// obtained by intersecting, per covering atom, the values consistent
-// with the bindings so far — always iterating the smallest candidate
-// set. Its running time is bounded by the AGM bound m^{ρ*} (ρ* = the
-// fractional edge cover number this library computes by LP), unlike
-// pairwise join plans which can exceed it by materializing large
-// intermediates.
+// This file implements a worst-case-optimal "generic join": variable-
+// at-a-time evaluation where each variable's values are the
+// intersection, over the atoms that hold it, of the values consistent
+// with the bindings so far. Its running time is bounded by the AGM
+// bound m^{ρ*} (ρ* = the fractional edge cover number this library
+// computes by LP), unlike pairwise join plans which can exceed it by
+// materializing large intermediates.
+//
+// Each atom's trie is its admitted tuples (read through its Matcher),
+// permuted into the join's variable order, collected in a rel.Relation
+// and enumerated in rel's sorted order: the tuples extending a bound
+// prefix form one run, sorted on the next variable. A variable is
+// bound by letting the smallest run among its atoms drive, value by
+// value, while the others' cursors gallop forward to each value. Every
+// level binds distinct values, so the result rows are pairwise
+// distinct, and they are the evaluator's own bindings, projected by its
+// own head projection.
 //
 // The paper cites Chu, Balazinska and Suciu's empirical study pairing
 // exactly this kind of sequential algorithm with the HyperCube
 // shuffle (Section 3.1): HyperCube + worst-case-optimal local joins
 // perform well on queries with large intermediate results.
-
-// gjIndex indexes one atom's admissible tuples by successive prefixes
-// of the atom's variables in the global elimination order.
-type gjIndex struct {
-	vars []string // the atom's distinct variables, in global order
-	// level[k] maps the key of the first k variable values to the set
-	// of values the (k+1)-th variable takes.
-	level []map[string][]rel.Value
-}
 
 // GenericJoin evaluates a positive CQ (inequalities allowed, negation
 // not) with the worst-case-optimal strategy. It returns the head
@@ -39,191 +39,173 @@ func GenericJoin(q *CQ, inst *rel.Instance) (*rel.Relation, error) {
 		return nil, fmt.Errorf("cq: generic join handles positive queries")
 	}
 	out := rel.NewRelation(q.Head.Rel, len(q.Head.Args))
-
-	// Global variable order: by total frequency across atoms
-	// (descending), then name — a standard static heuristic.
-	freq := map[string]int{}
-	for _, a := range q.Body {
-		for _, v := range a.Vars() {
-			freq[v]++
-		}
-	}
-	order := make([]string, 0, len(freq))
-	for v := range freq {
-		order = append(order, v)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if freq[order[i]] != freq[order[j]] {
-			return freq[order[i]] > freq[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	pos := map[string]int{}
-	for i, v := range order {
-		pos[v] = i
-	}
-
-	// Build one prefix-trie index per atom.
-	idxs := make([]*gjIndex, len(q.Body))
-	for ai, a := range q.Body {
-		idx := buildGJIndex(a, inst, pos)
-		if idx == nil {
-			return out, nil // an atom has no admissible tuples
-		}
-		idxs[ai] = idx
-	}
-
-	// atomsOf[v] lists the atoms containing variable v.
-	atomsOf := map[string][]int{}
-	for ai, a := range q.Body {
-		for _, v := range a.Vars() {
-			atomsOf[v] = append(atomsOf[v], ai)
-		}
-	}
-
-	binding := make(Valuation, len(order))
-	var recurse func(level int) error
-	recurse = func(level int) error {
-		if level == len(order) {
-			if !binding.SatisfiesDiseq(q) {
-				return nil
-			}
-			h := make(rel.Tuple, len(q.Head.Args))
-			for i, t := range q.Head.Args {
-				if t.IsVar() {
-					h[i] = binding[t.Var]
-				} else {
-					h[i] = t.Const
-				}
-			}
-			out.Add(h)
-			return nil
-		}
-		v := order[level]
-		// Candidate sets from every covering atom; iterate the
-		// smallest, probe the rest.
-		type cand struct {
-			values []rel.Value
-			ai     int
-		}
-		var cands []cand
-		for _, ai := range atomsOf[v] {
-			vals := idxs[ai].candidates(binding)
-			cands = append(cands, cand{vals, ai})
-		}
-		sort.Slice(cands, func(i, j int) bool { return len(cands[i].values) < len(cands[j].values) })
-		if len(cands) == 0 {
-			return fmt.Errorf("cq: variable %s occurs in no atom", v)
-		}
-		// Probe sets for the larger candidate lists — only worthwhile
-		// when the iterated list is itself large, since the map is
-		// rebuilt on every recursive call.
-		probes := make([]map[rel.Value]bool, len(cands)-1)
-		for i, c := range cands[1:] {
-			if len(cands[0].values) > 32 && len(c.values) > 64 {
-				m := make(map[rel.Value]bool, len(c.values))
-				for _, x := range c.values {
-					m[x] = true
-				}
-				probes[i] = m
-			}
-		}
-	next:
-		for _, val := range cands[0].values {
-			for i, c := range cands[1:] {
-				if probes[i] != nil {
-					if !probes[i][val] {
-						continue next
-					}
-				} else if !containsValue(c.values, val) {
-					continue next
-				}
-			}
-			binding[v] = val
-			if err := recurse(level + 1); err != nil {
-				return err
-			}
-			delete(binding, v)
-		}
-		return nil
-	}
-	if err := recurse(0); err != nil {
-		return nil, err
-	}
+	project(out, q, joinBindings, inst)
 	return out, nil
 }
 
-// buildGJIndex indexes an atom's admissible tuples. A nil index means
-// no tuples qualify.
-func buildGJIndex(a Atom, inst *rel.Instance, globalPos map[string]int) *gjIndex {
-	m := NewMatcher(a)
-	src := m.Relation(inst)
-	if src == nil {
-		return nil
-	}
-	vars := slices.Clone(m.Vars)
-	sort.Slice(vars, func(i, j int) bool { return globalPos[vars[i]] < globalPos[vars[j]] })
-	cols := make([]int, len(vars)) // the position vars[k] is read from
-	for k, v := range vars {
-		cols[k] = m.Cols[slices.Index(m.Vars, v)]
-	}
-	idx := &gjIndex{vars: vars, level: make([]map[string][]rel.Value, len(vars))}
-	for k := range idx.level {
-		idx.level[k] = map[string][]rel.Value{}
-	}
-	seen := map[string]bool{}
-	any := false
-	src.Each(func(t rel.Tuple) bool {
-		if !m.Admits(t) {
-			return true
-		}
-		any = true
-		// Insert into every prefix level, deduplicated.
-		prefix := make(rel.Tuple, 0, len(vars))
-		for k, c := range cols {
-			key := prefix.Key()
-			val := t[c]
-			dedup := fmt.Sprintf("%d|%s|%d", k, key, int64(val))
-			if !seen[dedup] {
-				seen[dedup] = true
-				idx.level[k][key] = append(idx.level[k][key], val)
+// joinBindings is evalBindings for the generic join: the variable order
+// and the rows over it that satisfy the body and the inequalities; no
+// rows means the result is empty.
+func joinBindings(q *CQ, inst *rel.Instance) ([]string, bindings) {
+	// Variable order: by the number of atoms holding the variable
+	// (descending), then name — a standard static heuristic.
+	freq := map[string]int{}
+	var vars []string
+	for _, a := range q.Body {
+		for _, v := range a.Vars() {
+			if freq[v]++; freq[v] == 1 {
+				vars = append(vars, v)
 			}
-			prefix = append(prefix, val)
 		}
-		return true
+	}
+	slices.SortFunc(vars, func(x, y string) int {
+		return cmp.Or(freq[y]-freq[x], cmp.Compare(x, y))
 	})
-	if !any {
-		return nil
-	}
-	return idx
-}
 
-// candidates returns the values this atom admits for its first
-// variable not bound by the binding (which, by construction of the
-// global order, is exactly the variable being extended).
-func (idx *gjIndex) candidates(binding Valuation) []rel.Value {
-	prefix := make(rel.Tuple, 0, len(idx.vars))
-	for _, v := range idx.vars {
-		val, ok := binding[v]
-		if !ok {
-			break
+	j := join{
+		tries:  make([]trie, len(q.Body)),
+		levels: make([][]cover, len(vars)),
+		row:    make(rel.Tuple, len(vars)),
+		out:    bindings{width: len(vars)},
+	}
+	for ai, a := range q.Body {
+		m := NewMatcher(a)
+		src := m.Relation(inst)
+		if src == nil {
+			return nil, bindings{}
 		}
-		prefix = append(prefix, val)
-	}
-	if len(prefix) == len(idx.vars) {
-		// All variables bound: the "candidate" question is membership;
-		// callers never reach here because the extended variable is
-		// unbound in some covering atom.
-		return nil
-	}
-	return idx.level[len(prefix)][prefix.Key()]
-}
-
-func containsValue(vals []rel.Value, v rel.Value) bool {
-	for _, x := range vals {
-		if x == v {
+		var cols []int // the atom's column of each of its variables, in join order
+		for l, v := range vars {
+			if k := slices.Index(m.Vars, v); k >= 0 {
+				j.levels[l] = append(j.levels[l], cover{ai, len(cols)})
+				cols = append(cols, m.Cols[k])
+			}
+		}
+		r := rel.NewRelationSize(a.Rel, len(cols), src.Len())
+		t := make(rel.Tuple, len(cols))
+		src.Each(func(s rel.Tuple) bool {
+			if m.Admits(s) {
+				for k, c := range cols {
+					t[k] = s[c]
+				}
+				r.Add(t)
+			}
 			return true
+		})
+		if r.Len() == 0 {
+			return nil, bindings{}
+		}
+		j.tries[ai] = trie{ts: r.Tuples(), lo: make([]int, len(cols)+1), hi: make([]int, len(cols)+1)}
+		j.tries[ai].hi[0] = r.Len()
+	}
+	j.bind(0)
+	pos := make(map[string]int, len(vars))
+	for c, v := range vars {
+		pos[v] = c
+	}
+	filterDiseqs(q, pos, make([]bool, len(q.Diseq)), &j.out)
+	if j.out.n == 0 {
+		return nil, bindings{}
+	}
+	return vars, j.out
+}
+
+// trie is one atom's admitted tuples, permuted into the join's variable
+// order and sorted. The tuples extending the atom's first k bound
+// values form the run [lo[k], hi[k]).
+type trie struct {
+	ts     []rel.Tuple
+	lo, hi []int
+}
+
+// cover places a variable in an atom that holds it: the atom's trie,
+// and the variable's column (its depth) there.
+type cover struct{ atom, col int }
+
+// join is the generic join's state: levels[l] covers the l-th variable
+// of the order, row holds the values bound so far, and out collects the
+// full rows.
+type join struct {
+	tries  []trie
+	levels [][]cover
+	row    rel.Tuple
+	out    bindings
+}
+
+// bind binds the l-th variable to each value every covering atom's run
+// holds, and the later variables under it. The atom with the smallest
+// run leads: its run narrows to each value's subrun by a seek. Every
+// other atom's cursor (lo at the next depth) only moves forward, and an
+// atom whose run is exhausted ends the level.
+func (j *join) bind(l int) {
+	if l == len(j.levels) {
+		j.out.add(j.row, nil, nil)
+		return
+	}
+	cov := j.levels[l]
+	d := 0
+	for k, c := range cov {
+		if j.tries[c.atom].size(c.col) < j.tries[cov[d].atom].size(cov[d].col) {
+			d = k
 		}
 	}
-	return false
+	for _, c := range cov {
+		t := &j.tries[c.atom]
+		t.lo[c.col+1] = t.lo[c.col]
+	}
+	dt, dc := &j.tries[cov[d].atom], cov[d].col
+next:
+	for ; dt.lo[dc+1] < dt.hi[dc]; dt.lo[dc+1] = dt.hi[dc+1] {
+		v := dt.ts[dt.lo[dc+1]][dc]
+		dt.hi[dc+1] = dt.seek(dc, dt.lo[dc+1], v, true)
+		for k, c := range cov {
+			if k == d {
+				continue
+			}
+			t := &j.tries[c.atom]
+			i := t.seek(c.col, t.lo[c.col+1], v, false)
+			if i == t.hi[c.col] {
+				return
+			}
+			t.lo[c.col+1] = i
+			if t.ts[i][c.col] != v {
+				continue next
+			}
+			t.hi[c.col+1] = t.seek(c.col, i, v, true)
+		}
+		j.row[l] = v
+		j.bind(l + 1)
+	}
+}
+
+// size is the length of the run at depth col.
+func (t *trie) size(col int) int { return t.hi[col] - t.lo[col] }
+
+// seek returns the first index from i on, within the run at depth col,
+// whose value at col is at least v — past v, if past is set — or the
+// run's end. It gallops, then bisects, so moving a cursor a distance δ
+// costs O(log δ).
+func (t *trie) seek(col, i int, v rel.Value, past bool) int {
+	hi := t.hi[col]
+	before := func(i int) bool {
+		x := t.ts[i][col]
+		return x < v || past && x == v
+	}
+	if i == hi || !before(i) {
+		return i
+	}
+	step := 1
+	for i+step < hi && before(i+step) {
+		i += step
+		step *= 2
+	}
+	lo, end := i+1, min(i+step, hi) // before(i), and the answer is in [lo, end]
+	for lo < end {
+		if mid := int(uint(lo+end) >> 1); before(mid) {
+			lo = mid + 1
+		} else {
+			end = mid
+		}
+	}
+	return lo
 }

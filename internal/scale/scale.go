@@ -11,11 +11,13 @@
 // ordered so that each is fetched through a constraint whose input
 // columns are already bound — by constants or by earlier atoms. The
 // number of facts touched is then at most the product of the fan-outs,
-// independent of |D|.
+// independent of |D|. Execute runs such a plan over rows of the bound
+// variables, reading each atom through its cq.Matcher.
 package scale
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -85,35 +87,26 @@ func Analyze(q *cq.CQ, cons Constraints) (*Plan, error) {
 
 	usable := func(ai int) (Access, bool) {
 		a := q.Body[ai]
+	next:
 		for _, acc := range byRel[a.Rel] {
-			ok := true
 			for _, col := range acc.On {
-				if col >= len(a.Args) {
-					ok = false
-					break
-				}
-				t := a.Args[col]
-				if t.IsVar() && !bound[t.Var] {
-					ok = false
-					break
+				if col >= len(a.Args) || a.Args[col].IsVar() && !bound[a.Args[col].Var] {
+					continue next
 				}
 			}
-			if ok {
-				return acc, true
-			}
+			return acc, true
 		}
 		return Access{}, false
 	}
 
 	for steps := 0; steps < len(q.Body); steps++ {
-		best, bestFan := -1, 0
-		var bestAcc Access
+		best, bestAcc := -1, Access{}
 		for ai := range q.Body {
 			if fetched[ai] {
 				continue
 			}
-			if acc, ok := usable(ai); ok && (best < 0 || acc.Fanout < bestFan) {
-				best, bestFan, bestAcc = ai, acc.Fanout, acc
+			if acc, ok := usable(ai); ok && (best < 0 || acc.Fanout < bestAcc.Fanout) {
+				best, bestAcc = ai, acc
 			}
 		}
 		if best < 0 {
@@ -140,100 +133,108 @@ func Analyze(q *cq.CQ, cons Constraints) (*Plan, error) {
 // the plan fetches, and reports the result together with the number of
 // facts actually fetched (which must stay within Plan.Bound as long as
 // the instance honours the declared constraints).
+//
+// Partial answers are rows over the variables bound so far. A step
+// fetches, per row, the tuples agreeing with the row and the atom's
+// constants on the constraint's input columns — the fetched facts —
+// and extends the row by each one the atom's cq.Matcher admits that
+// agrees with it on the shared variables.
 func Execute(p *Plan, inst *rel.Instance) (*rel.Relation, int, error) {
 	q := p.Query
-	type partial struct {
-		v cq.Valuation
-	}
-	cur := []partial{{v: cq.Valuation{}}}
+	var vars []string      // the bound variables, in binding order
+	cur := []rel.Tuple{{}} // the rows over vars: first the empty row
 	fetched := 0
 	for _, step := range p.Steps {
 		atom := q.Body[step.AtomIndex]
-		src := inst.Relation(atom.Rel)
-		var next []partial
-		for _, pa := range cur {
-			matches := fetchMatching(src, atom, step.Via, pa.v)
+		m := cq.NewMatcher(atom)
+		src := m.Relation(inst) // nil: the atom matches nothing here
+		var shared [][2]int     // (atom column, row column) of a bound variable
+		var fresh []int         // atom column of a variable the step binds
+		for k, v := range m.Vars {
+			if c := slices.Index(vars, v); c >= 0 {
+				shared = append(shared, [2]int{m.Cols[k], c})
+			} else {
+				fresh = append(fresh, m.Cols[k])
+			}
+		}
+		want := make([]key, len(step.Via.On))
+		var next []rel.Tuple
+		for _, row := range cur {
+			for i, col := range step.Via.On {
+				want[i] = key{col, value(atom.Args[col], vars, row)}
+			}
+			matches := fetchMatching(src, want)
 			fetched += len(matches)
+		match:
 			for _, t := range matches {
-				nv, ok := extend(pa.v, atom, t)
-				if ok {
-					next = append(next, partial{v: nv})
+				for _, sc := range shared {
+					if t[sc[0]] != row[sc[1]] {
+						continue match
+					}
+				}
+				if m.Admits(t) {
+					ext := slices.Grow(slices.Clip(row), len(fresh))
+					for _, c := range fresh {
+						ext = append(ext, t[c])
+					}
+					next = append(next, ext)
 				}
 			}
 		}
-		cur = next
-		if len(cur) == 0 {
+		for _, c := range fresh {
+			vars = append(vars, atom.Args[c].Var)
+		}
+		if cur = next; len(cur) == 0 {
 			break
 		}
 	}
 	out := rel.NewRelation(q.Head.Rel, len(q.Head.Args))
-	for _, pa := range cur {
-		if !pa.v.SatisfiesDiseq(q) {
-			continue
-		}
-		h := make(rel.Tuple, len(q.Head.Args))
-		for i, t := range q.Head.Args {
-			if t.IsVar() {
-				h[i] = pa.v[t.Var]
-			} else {
-				h[i] = t.Const
+	h := make(rel.Tuple, len(q.Head.Args))
+rows:
+	for _, row := range cur {
+		for _, d := range q.Diseq {
+			if value(d[0], vars, row) == value(d[1], vars, row) {
+				continue rows
 			}
+		}
+		for i, t := range q.Head.Args {
+			h[i] = value(t, vars, row)
 		}
 		out.Add(h)
 	}
 	return out, fetched, nil
 }
 
-// fetchMatching returns the tuples of src matching the atom's
-// constants and the valuation's bindings on the constraint's input
-// columns (an index lookup in a real system; a filtered scan counted
-// as |result| fetches here).
-func fetchMatching(src *rel.Relation, atom cq.Atom, via Access, v cq.Valuation) []rel.Tuple {
-	if src == nil {
-		return nil
+// value is a term's value in a row over vars.
+func value(t cq.Term, vars []string, row rel.Tuple) rel.Value {
+	if t.IsVar() {
+		return row[slices.Index(vars, t.Var)]
 	}
-	want := make(map[int]rel.Value)
-	for _, col := range via.On {
-		t := atom.Args[col]
-		if t.IsVar() {
-			want[col] = v[t.Var]
-		} else {
-			want[col] = t.Const
-		}
-	}
-	var out []rel.Tuple
-	src.Each(func(t rel.Tuple) bool {
-		for col, val := range want {
-			if t[col] != val {
-				return true
-			}
-		}
-		out = append(out, t)
-		return true
-	})
-	return out
+	return t.Const
 }
 
-// extend unifies a fetched tuple with the atom under the current
-// valuation, returning the extended valuation.
-func extend(v cq.Valuation, atom cq.Atom, t rel.Tuple) (cq.Valuation, bool) {
-	nv := v.Clone()
-	for i, arg := range atom.Args {
-		if !arg.IsVar() {
-			if t[i] != arg.Const {
-				return nil, false
+// key asks a fetched tuple for the value val at column col.
+type key struct {
+	col int
+	val rel.Value
+}
+
+// fetchMatching returns the tuples of src that hold every key (an index
+// lookup in a real system; a filtered scan counted as |result| fetches
+// here). A nil src holds nothing.
+func fetchMatching(src *rel.Relation, want []key) (out []rel.Tuple) {
+	if src != nil {
+		src.Each(func(t rel.Tuple) bool {
+			for _, k := range want {
+				if t[k.col] != k.val {
+					return true
+				}
 			}
-			continue
-		}
-		if val, ok := nv[arg.Var]; ok {
-			if val != t[i] {
-				return nil, false
-			}
-			continue
-		}
-		nv[arg.Var] = t[i]
+			out = append(out, t)
+			return true
+		})
 	}
-	return nv, true
+	return out
 }
 
 // Verify checks that an instance honours the declared constraints
@@ -247,13 +248,10 @@ func Verify(cons Constraints, inst *rel.Instance) error {
 		counts := map[string]int{}
 		bad := false
 		r.Each(func(t rel.Tuple) bool {
-			key := t.Project(acc.On).Key()
-			counts[key]++
-			if counts[key] > acc.Fanout {
-				bad = true
-				return false
-			}
-			return true
+			k := t.Project(acc.On).Key()
+			counts[k]++
+			bad = counts[k] > acc.Fanout
+			return !bad
 		})
 		if bad {
 			return fmt.Errorf("scale: instance violates %s", acc)

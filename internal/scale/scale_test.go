@@ -137,3 +137,36 @@ func TestSmallRelationConstraint(t *testing.T) {
 		t.Errorf("fetched %d > bound %d", fetched, plan.Bound)
 	}
 }
+
+// TestExecuteAtomAtAnotherArity: the bounded plan reads atoms through
+// cq.Matcher, so an atom wider or narrower than the relation the
+// instance holds under its name matches nothing, and a repeated
+// variable or a constant filters as the central evaluation does. Each
+// answer equals cq.Evaluate's, and none panics.
+func TestExecuteAtomAtAnotherArity(t *testing.T) {
+	d := rel.NewDict()
+	cons := Constraints{{Rel: "R", On: nil, Fanout: 4}}
+	for _, c := range []struct {
+		query string
+		facts []string
+	}{
+		{"H(x) :- R(x, y)", []string{"R(a)", "R(b)"}},
+		{"H(x) :- R(x)", []string{"R(a,b)", "R(b,c)"}},
+		{"H(x) :- R(x, x)", []string{"R(a,a)", "R(a,b)", "R(c,c)"}},
+		{"H(x) :- R(x, 'a')", []string{"R(a,a)", "R(b,a)", "R(c,b)"}},
+	} {
+		q := cq.MustParse(d, c.query)
+		inst := rel.MustInstance(d, c.facts...)
+		plan, err := Analyze(q, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := Execute(plan, inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cq.Evaluate(q, inst); !got.Equal(want) {
+			t.Errorf("%s over %v: %v, cq.Evaluate answers %v", c.query, c.facts, got.Tuples(), want.Tuples())
+		}
+	}
+}
