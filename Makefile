@@ -126,6 +126,7 @@ fuzz:
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzQueryRequest$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzReplyEncoding$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzCreateSession$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzLoadSnapshot$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcnet -run='^$$' -fuzz='^FuzzControlPlane$$' -fuzztime=$(FUZZTIME)
 
 # serve is the query-daemon gate: the serving-layer unit/property

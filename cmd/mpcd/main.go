@@ -14,12 +14,13 @@
 // which is how the e2e harness (and scripts) learn the bound address
 // when -addr ends in :0.
 //
-// With -checkpoint-dir, a snapshot already in the directory is restored
-// at startup — every session warm, byte-identical resume; no snapshot
-// there (mpcd.ErrNoSnapshot) is a fresh start, one that does not load
-// is fatal — and SIGINT/SIGTERM drains the server (in-flight queries
-// finish, new ones get typed 503s), writes a fresh snapshot, and exits
-// 0. Without it, signals just drain and exit.
+// With -checkpoint-dir, a snapshot already in the directory — the one
+// file manifest.json — is restored at startup: every session warm,
+// byte-identical resume; no snapshot there (mpcd.ErrNoSnapshot) is a
+// fresh start, one that does not load is fatal. SIGINT/SIGTERM drains
+// the server (in-flight queries finish, new ones get typed 503s),
+// writes a fresh snapshot over the old one by a rename, and exits 0.
+// Without it, signals just drain and exit.
 package main
 
 import (
@@ -44,7 +45,7 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 16, "queries executing at once")
 	maxQueued := flag.Int("max-queued", 1024, "queries waiting for a slot before typed overload rejections")
 	maxSessions := flag.Int("max-sessions", 65536, "live session cap")
-	ckptDir := flag.String("checkpoint-dir", "", "snapshot directory: restored at startup if it has a manifest, written on shutdown")
+	ckptDir := flag.String("checkpoint-dir", "", "snapshot directory: its one file, manifest.json, is restored at startup if present and replaced on shutdown")
 	noReuse := flag.Bool("no-reuse", false, "disable distribution reuse (always-repartition baseline)")
 	flag.Parse()
 

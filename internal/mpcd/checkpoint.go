@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"mpclogic/internal/mpc"
@@ -18,159 +16,125 @@ import (
 	"mpclogic/internal/rel"
 )
 
-// A snapshot is a drained server spilled to disk, every file of it a
-// CRC-checked policy store image (policy.SaveStore/LoadStore): one
-// fragment image per session plus the manifest, an image of no
-// fragments whose meta section is JSON carrying everything the session
-// images do not — the session's dict in intern order (value interning
-// is order-dependent, and byte-identical resumption needs identical
-// values), the anchor query's canonical text, the budget ledger, and
-// the path counters. LoadSnapshot is the inverse: a restarted server
-// answers the next query of every restored session byte-identically to
-// a server that never went down, which the e2e kill-and-resume test pins.
+// A snapshot is a drained server spilled to one file, a policy log
+// landed by policy.WriteLog. Record 0 is the header: an image of no
+// fragments whose meta is snapshotHeader's JSON. One record per session
+// follows, in strictly increasing ID order: the session's fragments,
+// with as meta the JSON of everything they do not hold — the session's
+// dict in intern order (value interning is order-dependent, and
+// byte-identical resumption needs identical values), the anchor query's
+// canonical text, the budget ledger, and the path counters.
+// LoadSnapshot is the inverse: a restarted server answers the next
+// query of every restored session byte-identically to a server that
+// never went down, which the e2e kill-and-resume test pins.
 //
-// The manifest's rename is a snapshot's one commit point. Session
-// images are written first, under a generation no landed manifest can
-// name, so a snapshot cut short anywhere before that rename leaves the
-// previous one exactly as it was; only after it are the superseded
-// images swept.
+// The file's rename is a snapshot's one commit point: a snapshot cut
+// short anywhere before it leaves the previous one exactly as it was.
 //
 // Sessions are independent, so both directions fan out over them, at
-// most GOMAXPROCS at once (fanOut): a session image is encoded straight
-// from the session's live fragments, and a restored session adopts the
-// fragments its image decodes to, so neither direction copies one.
-// Each session's work lands in its own slot, and the slots are read
-// back in manifest order, so the files, the manifest and the first
-// error reported are those of a sequential pass.
+// most GOMAXPROCS at once (fanOut): a session's record is encoded
+// straight from its live fragments, and a restored session adopts the
+// fragments its record decodes to, decoded in place from the bytes the
+// file was read into, so neither direction copies one. Each session's
+// work lands in its own slot, and the slots are read back in ID order,
+// so the file and the first error reported are those of a sequential
+// pass.
 
-// snapshotVersion guards the manifest layout; bump on incompatible
-// change. Version 2 moved the manifest into a store image.
-const snapshotVersion = 2
+// snapshotVersion guards the snapshot layout; bump on incompatible
+// change. Version 2 moved the manifest into a store image, 3 made the
+// whole snapshot one log.
+const snapshotVersion = 3
 
-// manifestName is the snapshot's index file. It kept the name it had as
-// plain JSON so that a version-1 directory fails loudly (bad magic)
-// instead of looking empty.
+// manifestName is the snapshot file. It kept the name it had as plain
+// JSON so that a version-1 or version-2 directory fails loudly (a
+// record header that does not check) instead of looking empty.
 const manifestName = "manifest.json"
 
-// A session's fragment image is session-<id>.<gen>.store in the
-// snapshot dir, gen being the snapshot's generation: one above every
-// generation the directory's images carry.
-const sessionFilePrefix, sessionFileSuffix = "session-", ".store"
-
-// imageGen reports whether name is a session image's and, if so, the
-// generation it carries — 0 for a name without one.
-func imageGen(name string) (uint64, bool) {
-	stem, pre := strings.CutPrefix(name, sessionFilePrefix)
-	stem, suf := strings.CutSuffix(stem, sessionFileSuffix)
-	if !pre || !suf {
-		return 0, false
-	}
-	if dot := strings.LastIndexByte(stem, '.'); dot >= 0 {
-		if gen, err := strconv.ParseUint(stem[dot+1:], 10, 64); err == nil {
-			return gen, true
-		}
-	}
-	return 0, true
-}
-
 // ErrNoSnapshot is what LoadSnapshot's error matches when the directory
-// holds no manifest: nothing to restore, not a snapshot that fails to.
+// holds no snapshot file: nothing to restore, not a snapshot that fails
+// to.
 var ErrNoSnapshot = errors.New("mpcd: no snapshot")
 
-type manifest struct {
-	Version  int               `json:"version"`
-	Seed     uint64            `json:"seed"`
-	NextID   int               `json:"next_id"`
-	Sessions []sessionManifest `json:"sessions"`
+// snapshotHeader is record 0's meta: what is the server's rather than a
+// session's, and how many session records follow.
+type snapshotHeader struct {
+	Version  int    `json:"version"`
+	Seed     uint64 `json:"seed"`
+	NextID   int    `json:"next_id"`
+	Sessions int    `json:"sessions"`
 }
 
-// sessionManifest is a session's status — what GET /v1/sessions/{id}
-// must answer byte-identically after a restart — plus what the status
-// does not show and the fragment image does not hold.
+// sessionManifest is a session record's meta: the session's status —
+// what GET /v1/sessions/{id} must answer byte-identically after a
+// restart — plus what the status does not show and the fragments do not
+// hold.
 type sessionManifest struct {
 	SessionStatus
-	Seed  uint64   `json:"seed"`
-	Dict  []string `json:"dict"`  // names in intern order
-	Store string   `json:"store"` // fragment image, relative to the snapshot dir
+	Seed uint64   `json:"seed"`
+	Dict []string `json:"dict"` // names in intern order
 }
 
 // SaveSnapshot drains the server (idempotent; every in-flight query
-// finishes first, so the snapshot is quiescent) and writes it to dir.
-// Sessions are listed in sorted-id order and their images written
-// concurrently, each under this snapshot's generation — a name no file
-// in dir has, so no landed manifest names it — and the manifest lands
-// last, once every image has, atomically: a crash anywhere before its
-// rename leaves the previous snapshot whole. Once it has landed, every
-// session image and writer temporary dir held before this snapshot
-// began — the previous snapshot's images, sessions deleted since, what
-// a crashed writer left — is removed.
+// finishes first, so the snapshot is quiescent) and writes it to
+// dir/manifest.json. The sessions' records are encoded concurrently and
+// land, after the header, in sorted-id order, all in one file renamed
+// over the previous snapshot: a crash anywhere before that rename
+// leaves the previous snapshot whole.
 func (s *Server) SaveSnapshot(dir string) error {
 	s.Drain()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("mpcd: snapshot dir: %w", err)
 	}
-	before, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("mpcd: reading snapshot dir: %w", err)
-	}
-	var gen uint64
-	for _, e := range before {
-		if g, ok := imageGen(e.Name()); ok && g > gen {
-			gen = g
-		}
-	}
-	gen++
 	s.sessMu.Lock()
 	sessions := make([]*Session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
 		sessions = append(sessions, sess)
 	}
-	nextID := s.nextID
+	hdr := snapshotHeader{Version: snapshotVersion, Seed: s.cfg.Seed, NextID: s.nextID, Sessions: len(sessions)}
 	s.sessMu.Unlock()
 	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
 
-	entries := make([]sessionManifest, len(sessions))
+	records := make([][]byte, 1+len(sessions))
+	var err error
+	if records[0], err = snapshotRecord(&hdr, policy.NewStableStore(nil)); err != nil {
+		return err
+	}
 	for _, err := range fanOut(len(sessions), func(i int) (err error) {
-		entries[i], err = sessions[i].snapshot(dir, gen)
+		records[1+i], err = sessions[i].record()
 		return err
 	}) {
 		if err != nil {
 			return err
 		}
 	}
-	// Appending keeps a server with no sessions at a null list, the
-	// manifest bytes it has always written.
-	m := manifest{Version: snapshotVersion, Seed: s.cfg.Seed, NextID: nextID}
-	m.Sessions = append(m.Sessions, entries...)
-	raw, err := json.Marshal(&m)
-	if err != nil {
-		return fmt.Errorf("mpcd: encoding manifest: %w", err)
-	}
-	if err := policy.SaveStore(filepath.Join(dir, manifestName), policy.NewStableStore(nil).WithMeta(raw)); err != nil {
-		return fmt.Errorf("mpcd: writing manifest: %w", err)
-	}
-	if err := sweepSnapshot(dir, before); err != nil {
-		return err
+	if err := policy.WriteLog(filepath.Join(dir, manifestName), records...); err != nil {
+		return fmt.Errorf("mpcd: writing snapshot: %w", err)
 	}
 	s.bump(func(st *StatzResponse) { st.CheckpointedSessions += len(sessions) })
 	return nil
 }
 
-// snapshot writes one session's fragment image under generation gen
-// and returns its manifest entry. The image is encoded from the live
-// fragments, which sess.mu keeps still until it has landed.
-func (sess *Session) snapshot(dir string, gen uint64) (sessionManifest, error) {
+// record encodes the session as one snapshot record, straight from its
+// live fragments, which sess.mu keeps still until they are encoded.
+func (sess *Session) record() ([]byte, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	name := sessionFilePrefix + sess.ID + "." + strconv.FormatUint(gen, 10) + sessionFileSuffix
-	if err := policy.SaveStore(filepath.Join(dir, name), policy.NewStableStore(sess.fragments())); err != nil {
-		return sessionManifest{}, fmt.Errorf("mpcd: writing session %s: %w", sess.ID, err)
-	}
 	dictNames := make([]string, sess.dict.Len())
 	for i := range dictNames {
 		dictNames[i] = sess.dict.Name(rel.Value(i))
 	}
-	return sessionManifest{SessionStatus: sess.statusLocked(), Seed: sess.seed, Dict: dictNames, Store: name}, nil
+	sm := sessionManifest{SessionStatus: sess.statusLocked(), Seed: sess.seed, Dict: dictNames}
+	return snapshotRecord(&sm, policy.NewStableStore(sess.fragments()))
+}
+
+// snapshotRecord frames store, with meta's JSON as its meta section, as
+// one record of a snapshot log.
+func snapshotRecord(meta any, store *policy.StableStore) ([]byte, error) {
+	raw, err := json.Marshal(meta)
+	if err != nil {
+		return nil, fmt.Errorf("mpcd: encoding snapshot record: %w", err)
+	}
+	return policy.EncodeLogRecord(store.WithMeta(raw)), nil
 }
 
 // fanOut runs f(0), …, f(n−1), at most GOMAXPROCS at once, and returns
@@ -193,94 +157,104 @@ func fanOut(n int, f func(i int) error) []error {
 	return errs
 }
 
-// sweepSnapshot removes from dir the files of the snapshot writer's own
-// two patterns — session images and writer temporaries — among before,
-// the entries dir held before the manifest that just landed was
-// written: none of them is an image it names. (A temporary of the
-// name this snapshot's own writes used is gone already.) Anything else
-// in the directory is not ours to touch.
-func sweepSnapshot(dir string, before []os.DirEntry) error {
-	for _, e := range before {
-		name := e.Name()
-		_, image := imageGen(name)
-		if !image && !strings.HasSuffix(name, policy.TempSuffix) {
-			continue
-		}
-		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("mpcd: sweeping snapshot dir: %w", err)
-		}
-	}
-	return nil
-}
-
-// LoadSnapshot builds a server from a snapshot directory written by
-// SaveSnapshot, with every session warm: each image's decoded fragments
-// adopted as a cluster's servers via mpc.RestoreStore, dicts
-// re-interned in recorded order, anchors re-parsed so the next covered
-// query reuses the restored distribution immediately. Sessions are
-// restored concurrently and published in manifest order; the error
-// returned is that of the first failing session in that order. The
-// manifest's seed overrides cfg's — routing hashes must match the
-// process that wrote the snapshot, or the restored layout would not be
-// the one the anchor's grid describes.
+// LoadSnapshot builds a server from the snapshot SaveSnapshot wrote to
+// dir, with every session warm: each record's decoded fragments adopted
+// as a cluster's servers via mpc.RestoreStore, dicts re-interned in
+// recorded order, anchors re-parsed so the next covered query reuses
+// the restored distribution immediately. The file is read once and
+// split into records; the sessions' records are decoded and restored
+// concurrently and published in file order, and the error returned is
+// that of the first failing record in that order. A file that is not
+// whole records, holds another number of sessions than its header
+// says, or lists session IDs out of order or twice is an error; only a
+// missing file is ErrNoSnapshot. The header's seed overrides cfg's —
+// routing hashes must match the process that wrote the snapshot, or the
+// restored layout would not be the one the anchor's grid describes.
 func LoadSnapshot(dir string, cfg Config) (*Server, error) {
-	img, err := policy.LoadStore(filepath.Join(dir, manifestName))
+	path := filepath.Join(dir, manifestName)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("%w in %s", ErrNoSnapshot, dir)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("mpcd: reading manifest: %w", err)
+		return nil, fmt.Errorf("mpcd: reading snapshot: %w", err)
 	}
-	var m manifest
-	if err := json.Unmarshal(img.Meta(), &m); err != nil {
-		return nil, fmt.Errorf("mpcd: decoding manifest: %w", err)
+	imgs, valid, err := policy.FrameLog(data)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("mpcd: reading snapshot %s: %w", path, err)
+	case valid != len(data):
+		return nil, fmt.Errorf("mpcd: snapshot %s is cut short: its records end at byte %d of %d", path, valid, len(data))
+	case len(imgs) == 0:
+		return nil, fmt.Errorf("mpcd: snapshot %s holds no header", path)
 	}
-	if m.Version != snapshotVersion {
-		return nil, fmt.Errorf("mpcd: snapshot version %d (this server speaks %d)", m.Version, snapshotVersion)
+	head, err := policy.DecodeImage(imgs[0])
+	if err != nil {
+		return nil, fmt.Errorf("mpcd: snapshot record 0: %w", err)
 	}
-	cfg.Seed = m.Seed
+	var hdr snapshotHeader
+	if err := json.Unmarshal(head.Meta(), &hdr); err != nil {
+		return nil, fmt.Errorf("mpcd: decoding snapshot header: %w", err)
+	}
+	switch {
+	case hdr.Version != snapshotVersion:
+		return nil, fmt.Errorf("mpcd: snapshot version %d (this server speaks %d)", hdr.Version, snapshotVersion)
+	case head.NumNodes() != 0:
+		return nil, fmt.Errorf("mpcd: snapshot header holds %d fragments, want none", head.NumNodes())
+	case hdr.Sessions != len(imgs)-1:
+		return nil, fmt.Errorf("mpcd: snapshot header says %d sessions, the file holds %d", hdr.Sessions, len(imgs)-1)
+	}
+	cfg.Seed = hdr.Seed
 	s := New(cfg)
-	s.nextID = m.NextID
-	restored := make([]*Session, len(m.Sessions))
-	errs := fanOut(len(m.Sessions), func(i int) (err error) {
-		restored[i], err = s.restoreSession(dir, m.Sessions[i])
+	s.nextID = hdr.NextID
+	restored := make([]*Session, hdr.Sessions)
+	errs := fanOut(len(restored), func(i int) error {
+		store, err := policy.DecodeImage(imgs[1+i])
+		if err != nil {
+			return fmt.Errorf("mpcd: snapshot record %d: %w", 1+i, err)
+		}
+		restored[i], err = s.restoreSession(store)
 		return err
 	})
 	for i, sess := range restored {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
-		if s.sessions[sess.ID] != nil {
-			return nil, fmt.Errorf("mpcd: snapshot names session %q twice", sess.ID)
+		if i > 0 && sess.ID <= restored[i-1].ID {
+			return nil, fmt.Errorf("mpcd: snapshot lists session %q after %q, not in strictly increasing order", sess.ID, restored[i-1].ID)
 		}
 		s.sessions[sess.ID] = sess
 	}
-	s.bump(func(st *StatzResponse) { st.RestoredSessions += len(m.Sessions) })
+	s.bump(func(st *StatzResponse) { st.RestoredSessions += len(restored) })
 	return s, nil
 }
 
-// restoreSession rebuilds one session from its manifest entry. The
-// session is not yet published, so no locking is needed; what it
-// shares with the other sessions restoring beside it — the server's
-// plan cache and counters — is locked where it lives.
-func (s *Server) restoreSession(dir string, sm sessionManifest) (*Session, error) {
+// restoreSession rebuilds one session from its decoded record, whose
+// fragments it adopts. The session is not yet published, so no locking
+// is needed; what it shares with the other sessions restoring beside it
+// — the server's plan cache and counters — is locked where it lives.
+func (s *Server) restoreSession(store *policy.StableStore) (*Session, error) {
+	var sm sessionManifest
+	if err := json.Unmarshal(store.Meta(), &sm); err != nil {
+		return nil, fmt.Errorf("mpcd: decoding snapshot session: %w", err)
+	}
 	if !sessionIDPat.MatchString(sm.Session) {
 		return nil, fmt.Errorf("mpcd: snapshot session id %q is invalid", sm.Session)
 	}
 	if sm.P < 1 || sm.P > maxSessionP {
 		return nil, fmt.Errorf("mpcd: session %s has p = %d, outside 1..%d", sm.Session, sm.P, maxSessionP)
 	}
-	// filepath.Base forecloses traversal via a hand-edited manifest.
-	store, err := policy.LoadStore(filepath.Join(dir, filepath.Base(sm.Store)))
-	if err != nil {
-		return nil, fmt.Errorf("mpcd: reading session %s store: %w", sm.Session, err)
-	}
 	if store.NumNodes() != sm.P {
-		return nil, fmt.Errorf("mpcd: session %s store has %d nodes, manifest says %d", sm.Session, store.NumNodes(), sm.P)
+		return nil, fmt.Errorf("mpcd: session %s store has %d nodes, its record says %d", sm.Session, store.NumNodes(), sm.P)
 	}
 	dict := rel.NewDict()
 	for _, n := range sm.Dict {
 		dict.Value(n)
+	}
+	// A dict naming a value twice would intern every later name one
+	// value early, and the session would answer in other bytes.
+	if dict.Len() != len(sm.Dict) {
+		return nil, fmt.Errorf("mpcd: session %s dict names %d values, %d distinct", sm.Session, len(sm.Dict), dict.Len())
 	}
 	sess := &Session{
 		ID:            sm.Session,

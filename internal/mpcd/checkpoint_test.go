@@ -1,6 +1,7 @@
 package mpcd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -139,17 +140,53 @@ func TestCheckpointEndpoint(t *testing.T) {
 	}
 }
 
-// writeManifest lands m in dir through the snapshot writer's own path,
-// so a hand-built manifest differs from a real one only in what it says.
-func writeManifest(t *testing.T, dir string, m manifest) {
+// writeSnapshot lands a snapshot of the given version in dir, one
+// session record per entry of sessions, each over p = 8 empty
+// fragments, through the snapshot writer's own record path, so a
+// hand-built snapshot differs from a real one only in what it says.
+func writeSnapshot(t *testing.T, dir string, version int, sessions ...sessionManifest) {
 	t.Helper()
-	raw, err := json.Marshal(&m)
+	hdr := snapshotHeader{Version: version, Seed: 1, Sessions: len(sessions)}
+	rec, err := snapshotRecord(&hdr, policy.NewStableStore(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := policy.SaveStore(filepath.Join(dir, manifestName), policy.NewStableStore(nil).WithMeta(raw)); err != nil {
+	records := [][]byte{rec}
+	for i := range sessions {
+		rec, err := snapshotRecord(&sessions[i], mpc.NewCluster(8).Checkpoint().Store())
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, rec)
+	}
+	if err := policy.WriteLog(filepath.Join(dir, manifestName), records...); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// snapshotRecords reads dir's snapshot file and returns its bytes and
+// each record's span in them, header included.
+func snapshotRecords(t *testing.T, dir string) (data []byte, spans [][2]int) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs, valid, err := policy.FrameLog(data)
+	if err != nil || valid != len(data) {
+		t.Fatalf("the snapshot file is not whole records: %d of %d bytes (err %v)", valid, len(data), err)
+	}
+	off := 0
+	for _, img := range imgs {
+		spans = append(spans, [2]int{off, off + 8 + len(img)})
+		off = spans[len(spans)-1][1]
+	}
+	return data, spans
+}
+
+// session is a session record's meta for a hand-built snapshot.
+func session(id string, p int, dict ...string) sessionManifest {
+	return sessionManifest{SessionStatus: SessionStatus{Session: id, P: p}, Dict: dict}
 }
 
 func TestLoadSnapshotRejectsCorruption(t *testing.T) {
@@ -159,103 +196,100 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	if err := s.SaveSnapshot(dir); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-
-	// Flip one byte in a fragment image: the CRC must catch it.
-	storePath := filepath.Join(dir, "session-ck1.1.store")
-	raw, err := os.ReadFile(storePath)
-	if err != nil {
-		t.Fatalf("read store: %v", err)
+	data, spans := snapshotRecords(t, dir)
+	if len(spans) != 3 {
+		t.Fatalf("the snapshot holds %d records, want a header and two sessions", len(spans))
 	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(storePath, raw, 0o644); err != nil {
-		t.Fatalf("corrupt store: %v", err)
-	}
-	if _, err := LoadSnapshot(dir, Config{}); err == nil {
-		t.Fatal("LoadSnapshot accepted a corrupted fragment image")
-	}
-
-	// A session image the manifest names is missing: the snapshot is
-	// there and broken, which is not "no snapshot".
-	if err := os.Remove(storePath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSnapshot(dir, Config{}); err == nil || errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("LoadSnapshot with a session image missing: %v, want a hard error", err)
+	path := filepath.Join(dir, manifestName)
+	hard := func(what string, file []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSnapshot(dir, Config{}); err == nil || errors.Is(err, ErrNoSnapshot) {
+			t.Fatalf("LoadSnapshot of %s: %v, want a hard error", what, err)
+		}
 	}
 
-	// Missing manifest: the one case that is ErrNoSnapshot.
+	// Flip one byte in a session record: the CRC must catch it.
+	flipped := append([]byte(nil), data...)
+	flipped[(spans[1][0]+spans[1][1])/2] ^= 0xff
+	hard("a flipped record byte", flipped)
+	// A file cut short, mid-record or at a record's end, or running on
+	// past its last record, is there and broken, which is not "no
+	// snapshot".
+	hard("a truncated file", data[:len(data)-1])
+	hard("a file without its last record", data[:spans[2][0]])
+	hard("a file with a record dropped", append(append([]byte(nil), data[:spans[1][0]]...), data[spans[1][1]:]...))
+	hard("an empty file", nil)
+	hard("a file with bytes past its last record", append(append([]byte(nil), data...), 0, 0, 0))
+
+	// Missing snapshot file: the one case that is ErrNoSnapshot.
 	if _, err := LoadSnapshot(t.TempDir(), Config{}); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("LoadSnapshot of an empty directory: %v, want ErrNoSnapshot", err)
 	}
 
-	// A manifest from before the manifest was an image (plain JSON under
-	// the same name) fails loudly; it does not look like an empty dir.
-	dir1 := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir1, manifestName), []byte(`{"version": 1, "seed": 1}`), 0o644); err != nil {
-		t.Fatalf("write manifest: %v", err)
+	// A manifest from before the snapshot was an image (plain JSON under
+	// the same name), and one from before it was a log (a single store
+	// image whose meta listed the sessions), fail loudly; neither looks
+	// like an empty dir.
+	hard("a version-1 JSON manifest", []byte(`{"version": 1, "seed": 1}`))
+	var v2 bytes.Buffer
+	if err := policy.EncodeStore(&v2, policy.NewStableStore(nil).WithMeta([]byte(`{"version":2,"seed":1,"next_id":0,"sessions":null}`))); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(dir1, Config{}); err == nil || errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("LoadSnapshot of a version-1 JSON manifest: %v, want a hard error", err)
-	}
+	hard("a version-2 single-image manifest", v2.Bytes())
 
-	// Future manifest version.
+	// Future snapshot version.
 	dir2 := t.TempDir()
-	writeManifest(t, dir2, manifest{Version: 99})
-	if _, err := LoadSnapshot(dir2, Config{}); err == nil {
-		t.Fatal("LoadSnapshot accepted a future manifest version")
+	writeSnapshot(t, dir2, 99)
+	if _, err := LoadSnapshot(dir2, Config{}); err == nil || !strings.Contains(err.Error(), "version 99") {
+		t.Fatalf("LoadSnapshot of a future version: %v, want the version's error", err)
 	}
 
-	// Traversal in the manifest's store path stays inside the dir: a
-	// perfectly good image one level up is not what the entry names.
-	outer := t.TempDir()
-	dir3 := filepath.Join(outer, "snap")
-	if err := os.Mkdir(dir3, 0o755); err != nil {
-		t.Fatal(err)
+	// The same session listed twice, and two sessions out of order.
+	dir3 := t.TempDir()
+	writeSnapshot(t, dir3, snapshotVersion, session("x", 8), session("y", 8))
+	if _, err := LoadSnapshot(dir3, Config{}); err != nil {
+		t.Fatalf("a hand-built snapshot of two good sessions does not load: %v", err)
 	}
-	if err := policy.SaveStore(filepath.Join(outer, "outside.store"), mpc.NewCluster(8).Checkpoint().Store()); err != nil {
-		t.Fatal(err)
-	}
-	writeManifest(t, dir3, manifest{Version: snapshotVersion, Seed: 1, Sessions: []sessionManifest{{SessionStatus: SessionStatus{Session: "x", P: 8}, Store: "../outside.store"}}})
-	if _, err := LoadSnapshot(dir3, Config{}); err == nil {
-		t.Fatal("LoadSnapshot followed a traversal store path")
-	}
-
-	// The same session named twice.
-	dir4 := t.TempDir()
-	if err := policy.SaveStore(filepath.Join(dir4, "session-x.store"), mpc.NewCluster(8).Checkpoint().Store()); err != nil {
-		t.Fatal(err)
-	}
-	twice := sessionManifest{SessionStatus: SessionStatus{Session: "x", P: 8}, Store: "session-x.store"}
-	writeManifest(t, dir4, manifest{Version: snapshotVersion, Seed: 1, Sessions: []sessionManifest{twice}})
-	if _, err := LoadSnapshot(dir4, Config{}); err != nil {
-		t.Fatalf("a hand-built manifest naming one good image does not load: %v", err)
-	}
-	writeManifest(t, dir4, manifest{Version: snapshotVersion, Seed: 1, Sessions: []sessionManifest{twice, twice}})
-	if _, err := LoadSnapshot(dir4, Config{}); err == nil {
-		t.Fatal("LoadSnapshot accepted a manifest naming a session twice")
+	for _, ids := range [][2]string{{"x", "x"}, {"y", "x"}} {
+		writeSnapshot(t, dir3, snapshotVersion, session(ids[0], 8), session(ids[1], 8))
+		if _, err := LoadSnapshot(dir3, Config{}); err == nil || !strings.Contains(err.Error(), "strictly increasing") {
+			t.Fatalf("LoadSnapshot of sessions %v: %v, want the order's error", ids, err)
+		}
 	}
 
 	// A session on no servers, or on more than a create may ask for, is
 	// refused with an error: a CRC-valid image of zero nodes under p = 0
 	// once panicked building the session's cluster.
-	dir5 := t.TempDir()
-	if err := policy.SaveStore(filepath.Join(dir5, "session-z.store"), policy.NewStableStore(nil)); err != nil {
-		t.Fatal(err)
-	}
+	dir4 := t.TempDir()
 	for _, p := range []int{0, -1, maxSessionP + 1} {
-		writeManifest(t, dir5, manifest{Version: snapshotVersion, Seed: 1, Sessions: []sessionManifest{{SessionStatus: SessionStatus{Session: "z", P: p}, Store: "session-z.store"}}})
-		if _, err := LoadSnapshot(dir5, Config{}); err == nil || !strings.Contains(err.Error(), "outside 1..") {
+		writeSnapshot(t, dir4, snapshotVersion, session("z", p))
+		if _, err := LoadSnapshot(dir4, Config{}); err == nil || !strings.Contains(err.Error(), "outside 1..") {
 			t.Fatalf("LoadSnapshot of a session with p = %d: %v, want the p bound's error", p, err)
 		}
+	}
+
+	// A dict naming one value twice would restore b as value 1 where the
+	// saved server interned it as 2, and the restored server would answer
+	// in other bytes: refused.
+	dir5 := t.TempDir()
+	writeSnapshot(t, dir5, snapshotVersion, session("d", 8, "a", "b"))
+	if _, err := LoadSnapshot(dir5, Config{}); err != nil {
+		t.Fatalf("a hand-built snapshot with a dict does not load: %v", err)
+	}
+	writeSnapshot(t, dir5, snapshotVersion, session("d", 8, "a", "a", "b"))
+	if _, err := LoadSnapshot(dir5, Config{}); err == nil || !strings.Contains(err.Error(), "distinct") {
+		t.Fatalf("LoadSnapshot of a dict naming a value twice: %v, want the dict's error", err)
 	}
 }
 
 // TestSnapshotDirForgetsDeletedSessions: a snapshot directory holds the
-// last snapshot and nothing of the ones before it — the previous
-// generation's images, the image of a session deleted since, and a
-// temporary a crashed writer left, are gone once the new manifest has
-// landed; a file that is not the writer's stays; and what is left
-// restores byte-identically.
+// last snapshot and nothing of the ones before it — the session deleted
+// since is gone, and a temporary a crashed writer left is truncated and
+// renamed by the next save; a file that is not the writer's stays; and
+// what is left restores byte-identically.
 func TestSnapshotDirForgetsDeletedSessions(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newTestServer(t, Config{})
@@ -276,7 +310,7 @@ func TestSnapshotDirForgetsDeletedSessions(t *testing.T) {
 		t.Fatalf("delete: %d %s", status, raw)
 	}
 	_, want := do(t, "POST", ts2.URL+"/v1/query", queryRequest{Session: "b", Query: coveredQ3})
-	for _, stray := range []string{"session-b.store" + policy.TempSuffix, manifestName + policy.TempSuffix, "notes.txt"} {
+	for _, stray := range []string{manifestName + policy.TempSuffix, "notes.txt"} {
 		if err := os.WriteFile(filepath.Join(dir, stray), []byte("torn"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +327,7 @@ func TestSnapshotDirForgetsDeletedSessions(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if got, want := fmt.Sprint(names), fmt.Sprint([]string{manifestName, "notes.txt", "session-b.2.store"}); got != want {
+	if got, want := fmt.Sprint(names), fmt.Sprint([]string{manifestName, "notes.txt"}); got != want {
 		t.Fatalf("snapshot directory holds %s, want %s", got, want)
 	}
 
@@ -307,7 +341,7 @@ func TestSnapshotDirForgetsDeletedSessions(t *testing.T) {
 	}
 	s3, err := LoadSnapshot(dir, Config{})
 	if err != nil {
-		t.Fatalf("load after the sweep: %v", err)
+		t.Fatalf("load after the second save: %v", err)
 	}
 	ts3 := httptest.NewServer(s3.Handler())
 	defer ts3.Close()
@@ -377,9 +411,9 @@ func TestTornSnapshotRestoresThePreviousOne(t *testing.T) {
 }
 
 // TestSnapshotBitFlipLaw: every single-bit mutation (fixed stride on
-// large files, as policy's FuzzStoreImage samples) of every file of a
-// saved snapshot — the manifest with a non-empty dict, an anchor and a
-// partly spent budget, and both session images — makes LoadSnapshot
+// large records, as policy's FuzzStoreImage samples) of each record of a
+// saved snapshot file — the header, a session record with a non-empty dict, an anchor
+// and a partly spent budget, and another session's — makes LoadSnapshot
 // return an error, never a server: no byte a restart trusts is outside
 // a checksum.
 func TestSnapshotBitFlipLaw(t *testing.T) {
@@ -397,32 +431,28 @@ func TestSnapshotBitFlipLaw(t *testing.T) {
 	if aerr != nil || ck1.dict.Len() == 0 || ck1.anchor == nil || ck1.budgetSpent == 0 || ck1.budgetSpent >= ck1.budgetTotal {
 		t.Fatalf("the snapshot under test lacks a dict, an anchor or a partly spent budget: %+v (err %v)", ck1, aerr)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 3 {
-		t.Fatalf("snapshot directory has %d entries (err %v), want a manifest and two session images", len(entries), err)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("snapshot directory has %d entries (err %v), want the snapshot file alone", len(entries), err)
 	}
-	for _, e := range entries {
-		path := filepath.Join(dir, e.Name())
-		img, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	img, spans := snapshotRecords(t, dir)
+	if len(spans) != 3 {
+		t.Fatalf("the snapshot holds %d records, want a header and two sessions", len(spans))
+	}
+	path := filepath.Join(dir, manifestName)
+	for i, span := range spans {
 		stride := 1
-		if nbits := len(img) * 8; nbits > 2048 {
+		if nbits := (span[1] - span[0]) * 8; nbits > 2048 {
 			stride = nbits / 2048
 		}
-		for bitpos := 0; bitpos < len(img)*8; bitpos += stride {
+		for bitpos := span[0] * 8; bitpos < span[1]*8; bitpos += stride {
 			mut := append([]byte(nil), img...)
 			mut[bitpos/8] ^= 1 << (bitpos % 8)
 			if err := os.WriteFile(path, mut, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := LoadSnapshot(dir, Config{}); err == nil {
-				t.Fatalf("LoadSnapshot built a server from %s with bit %d flipped", e.Name(), bitpos)
+				t.Fatalf("LoadSnapshot built a server with bit %d (in record %d) flipped", bitpos, i)
 			}
-		}
-		if err := os.WriteFile(path, img, 0o644); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

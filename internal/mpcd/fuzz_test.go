@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -224,6 +226,64 @@ func FuzzCreateSession(f *testing.F) {
 		}
 		if del := serve(http.MethodDelete, "/v1/sessions/"+resp.Session, ""); del.Code != http.StatusOK {
 			t.Fatalf("delete %q: %d %s", resp.Session, del.Code, del.Body)
+		}
+	})
+}
+
+// FuzzLoadSnapshot drives the restart path with arbitrary snapshot
+// files: a restart's whole input is that one file. The properties:
+// LoadSnapshot never panics, and any server it returns saves to a file
+// that, loaded and saved again, gives the same bytes — save∘load is
+// idempotent, so what a restore accepts it also keeps.
+func FuzzLoadSnapshot(f *testing.F) {
+	saved := func(tb testing.TB, s *Server) []byte {
+		tb.Helper()
+		dir := tb.TempDir()
+		if err := s.SaveSnapshot(dir); err != nil {
+			tb.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return raw
+	}
+	s := New(Config{})
+	if _, aerr := s.createSession(&createRequest{ID: "ck1", Facts: transferFacts(), Budget: 1 << 10}); aerr != nil {
+		f.Fatal(aerr)
+	}
+	body, err := json.Marshal(queryRequest{Session: "ck1", Query: anchorQ})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if status, raw := ask(s, body); status != http.StatusOK {
+		f.Fatalf("anchoring the seed session: %d %s", status, raw)
+	}
+	if ck1 := s.sessions["ck1"]; ck1.dict.Len() == 0 || ck1.anchor == nil || ck1.budgetSpent == 0 || ck1.budgetSpent >= ck1.budgetTotal {
+		f.Fatal("the seed session lacks a dict, an anchor or a partly spent budget")
+	}
+	f.Add(saved(f, s))
+	f.Add(saved(f, New(Config{})))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := LoadSnapshot(dir, Config{})
+		if err != nil {
+			return
+		}
+		first := saved(t, s)
+		if err := os.WriteFile(filepath.Join(dir, manifestName), first, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadSnapshot(dir, Config{})
+		if err != nil {
+			t.Fatalf("a restored server's own snapshot does not load: %v", err)
+		}
+		if second := saved(t, again); !bytes.Equal(first, second) {
+			t.Fatal("save∘load is not idempotent: a restored server's snapshot, loaded and saved again, changed")
 		}
 	})
 }

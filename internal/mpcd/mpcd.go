@@ -36,9 +36,10 @@
 //
 // Sessions are checkpointable: a session's cluster is built with no
 // mpc.Option, so it keeps no rolling checkpoint; a snapshot encodes its
-// live fragments, and that image, landed by policy.SaveStore beside a
-// manifest that is itself a policy store image, makes a drained server
-// restartable with every session warm (see checkpoint.go).
+// live fragments as one record of a policy log, the whole server's
+// snapshot being one such log landed by policy.WriteLog, which makes a
+// drained server restartable with every session warm (see
+// checkpoint.go).
 //
 // A query's reply is written once: local evaluation projects every
 // fragment into one answer relation (cq.EvaluateInto), and the reply is
@@ -70,7 +71,7 @@ type Config struct {
 	// Seed decouples the server's routing hash functions (share grids,
 	// the parking hash for facts outside the anchor's atoms) from the
 	// data. A restarted server must be given the same seed to resume
-	// byte-identically; the checkpoint manifest records it. Default 1.
+	// byte-identically; the snapshot header records it. Default 1.
 	Seed uint64
 
 	// QueryBudget is the default per-query load budget: the maximum

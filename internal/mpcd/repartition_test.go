@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -18,24 +16,16 @@ import (
 	"mpclogic/internal/rel"
 )
 
-// sessionImage is the session byte for byte: its snapshot manifest
-// entry (ledger, anchor, counters, dict) and its fragment store image.
+// sessionImage is the session byte for byte: its snapshot record,
+// whose meta holds the ledger, anchor, counters and dict beside the
+// fragments.
 func sessionImage(t testing.TB, sess *Session) string {
 	t.Helper()
-	dir := t.TempDir()
-	sm, err := sess.snapshot(dir, 1)
+	rec, err := sess.record()
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := json.Marshal(sm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := os.ReadFile(filepath.Join(dir, sm.Store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%s\n%x", meta, store)
+	return fmt.Sprintf("%x", rec)
 }
 
 // joinSession creates a session of the skew-free join generator and

@@ -13,6 +13,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"mpclogic/internal/policy"
 )
 
 // anchoredServer builds a server holding one join session per entry of
@@ -53,71 +55,84 @@ func ask(s *Server, body []byte) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
-// snapshotFiles reads every file of a snapshot directory by name.
-func snapshotFiles(t *testing.T, dir string) map[string][]byte {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := make(map[string][]byte, len(entries))
-	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[e.Name()] = raw
-	}
-	return files
-}
-
 // TestParallelSnapshotIsDeterministic: saving and restoring fan out
 // over sessions, and neither the bytes written nor the error reported
 // may depend on how the goroutines are scheduled. One server saved
-// under GOMAXPROCS 1 and under 4 writes byte-identical images and
-// manifest; a snapshot with two damaged images fails on the earlier of
-// them in manifest order every time, though the later one, a far
-// smaller image, is usually found damaged first.
+// under GOMAXPROCS 1 and under 4 writes a byte-identical file; a
+// snapshot with two damaged session records fails on the earlier of
+// them in file order every time, though the later one, a far smaller
+// record, is usually found damaged first. Each damage is found only
+// once the whole record is decoded: a flipped trailing CRC, and a p the
+// fragments do not match.
 func TestParallelSnapshotIsDeterministic(t *testing.T) {
 	s, _ := anchoredServer(t, 8, 3000, 40, 900, 10, 2000, 300)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var saved [2]map[string][]byte
+	var saved [2][]byte
 	for i, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		dir := t.TempDir()
 		if err := s.SaveSnapshot(dir); err != nil {
 			t.Fatalf("save under GOMAXPROCS %d: %v", procs, err)
 		}
-		saved[i] = snapshotFiles(t, dir)
-	}
-	if len(saved[0]) != 7 || len(saved[0]) != len(saved[1]) {
-		t.Fatalf("the two saves wrote %d and %d files, want a manifest and 6 images each", len(saved[0]), len(saved[1]))
-	}
-	for name, raw := range saved[0] {
-		if !bytes.Equal(raw, saved[1][name]) {
-			t.Fatalf("%s differs between saves under GOMAXPROCS 1 and 4", name)
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+			t.Fatalf("save under GOMAXPROCS %d left %d files (err %v), want one", procs, len(entries), err)
 		}
+		saved[i], _ = snapshotRecords(t, dir)
+	}
+	if !bytes.Equal(saved[0], saved[1]) {
+		t.Fatal("the snapshot file differs between saves under GOMAXPROCS 1 and 4")
 	}
 
 	dir := t.TempDir()
 	if err := s.SaveSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"r0", "r3"} {
-		path := filepath.Join(dir, "session-"+id+".1.store")
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[len(raw)-1] ^= 0xff // the trailing CRC: found only once the whole image is read
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	data, spans := snapshotRecords(t, dir)
+	if len(spans) != 7 {
+		t.Fatalf("the snapshot holds %d records, want a header and 6 sessions", len(spans))
 	}
-	for try := 0; try < 20; try++ {
-		_, err := LoadSnapshot(dir, Config{})
-		if err == nil || !strings.Contains(err.Error(), "session r0 ") {
-			t.Fatalf("try %d: LoadSnapshot says %v, want session r0's error, the first damaged image in manifest order", try, err)
+	damages := []struct {
+		name, want string
+		damage     func(rec []byte) []byte
+	}{
+		{"trailing CRC", "record 1:", func(rec []byte) []byte {
+			rec[len(rec)-1] ^= 0xff
+			return rec
+		}},
+		{"p", "session r0 ", func(rec []byte) []byte {
+			store, err := policy.DecodeImage(rec[8:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sm sessionManifest
+			if err := json.Unmarshal(store.Meta(), &sm); err != nil {
+				t.Fatal(err)
+			}
+			sm.P--
+			rec, err = snapshotRecord(&sm, store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rec
+		}},
+	}
+	for _, d := range damages {
+		var records [][]byte
+		for i, span := range spans {
+			rec := append([]byte(nil), data[span[0]:span[1]]...)
+			if i == 1 || i == 4 { // r0 and r3
+				rec = d.damage(rec)
+			}
+			records = append(records, rec)
+		}
+		if err := policy.WriteLog(filepath.Join(dir, manifestName), records...); err != nil {
+			t.Fatal(err)
+		}
+		for try := 0; try < 20; try++ {
+			_, err := LoadSnapshot(dir, Config{})
+			if err == nil || !strings.Contains(err.Error(), d.want) {
+				t.Fatalf("%s damaged, try %d: LoadSnapshot says %v, want %q, r0's error, the first damaged record in file order", d.name, try, err, d.want)
+			}
 		}
 	}
 }

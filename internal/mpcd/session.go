@@ -50,8 +50,9 @@ const (
 	PathGathered      = "gathered"
 )
 
-// sessionIDPat bounds client-chosen session ids: they become snapshot
-// filenames, so path metacharacters are out.
+// sessionIDPat bounds client-chosen session ids. They no longer become
+// file names (a snapshot is one file), but the pattern stays as input
+// validation, at create and at restore.
 var sessionIDPat = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
 
 // Generator size cap: a create request is a few hundred bytes, so the

@@ -1,12 +1,11 @@
 package policy
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"slices"
 
 	"mpclogic/internal/rel"
@@ -16,9 +15,9 @@ import (
 // the MPC transports ship (rel.EncodeInstance), framed per node with a
 // length prefix, behind an opaque meta section for what the owner must
 // restore beside the fragments. This is the module's only durable
-// format: every snapshot file is one such image, landed by SaveStore
-// and parsed by LoadStore, and a checkpoint log (log.go) is a sequence
-// of them, appended by Log and parsed by ReadLog.
+// format, and a log (log.go) its only container: every durable file is
+// a sequence of such images, appended by Log or landed whole by
+// WriteLog, and parsed by ReadLog.
 //
 // Format (integers little-endian):
 //
@@ -29,10 +28,12 @@ import (
 // where each fragment is a canonical rel instance encoding and the
 // trailing crc is CRC-32C over every preceding byte, meta included.
 // The encoder builds the image in one buffer sized up front; the
-// decoder streams it, checksumming as it reads. Decoding is strict — bad magic/version,
-// truncation, oversized prefixes, trailing bytes, and checksum
-// mismatches are errors, never panics — because checkpoint files
-// outlive the process that wrote them and may arrive damaged.
+// decoder reads it in place, from the bytes the caller holds, and
+// copies into the store it returns only what it keeps. Decoding is
+// strict — bad magic/version, truncation, oversized prefixes, trailing
+// bytes, and checksum mismatches are errors, never panics — because
+// checkpoint files outlive the process that wrote them and may arrive
+// damaged.
 
 const (
 	storeMagic uint32 = 0x53504d43 // "CMPS" little-endian
@@ -40,8 +41,8 @@ const (
 	// changes so stale files fail loudly instead of misparsing.
 	// Version 2 added the trailing CRC-32C checksum, 3 the meta section.
 	StoreVersion uint16 = 3
-	// TempSuffix is what SaveStore appends to the target's name while
-	// the image streams; no durable file's own name ends in it.
+	// TempSuffix is what WriteLog appends to the target's name while
+	// the records are written; no durable file's own name ends in it.
 	TempSuffix = ".tmp"
 )
 
@@ -49,9 +50,9 @@ const (
 // and decoder.
 var storeCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// AppendStore appends s's image — the bytes EncodeStore writes — to buf
+// appendStore appends s's image — the bytes EncodeStore writes — to buf
 // and returns the extended slice, growing it at most once.
-func AppendStore(buf []byte, s *StableStore) []byte {
+func appendStore(buf []byte, s *StableStore) []byte {
 	size := 4 + 2 + 4 + len(s.meta) + 4 + 4
 	for _, part := range s.parts {
 		size += 4 + rel.EncodedSize(part)
@@ -74,34 +75,41 @@ func AppendStore(buf []byte, s *StableStore) []byte {
 // EncodeStore writes the store's meta and durable fragments to w,
 // followed by a CRC-32C of everything written, in one write.
 func EncodeStore(w io.Writer, s *StableStore) error {
-	if _, err := w.Write(AppendStore(nil, s)); err != nil {
+	if _, err := w.Write(appendStore(nil, s)); err != nil {
 		return fmt.Errorf("policy: encoding store: %w", err)
 	}
 	return nil
 }
 
-// readCapped reads a meta or fragment section of declared length n,
-// refusing a length above the cap before allocating for it.
-func readCapped(r io.Reader, n uint32) ([]byte, error) {
-	const maxSection = 1 << 30
-	if n > maxSection {
-		return nil, fmt.Errorf("%d bytes declared (cap %d)", n, maxSection)
+// DecodeStore reads r to EOF and decodes what it held with DecodeImage,
+// so a truncated, corrupted, or padded checkpoint file is an error.
+func DecodeStore(r io.Reader) (*StableStore, error) {
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return nil, fmt.Errorf("policy: reading store: %w", err)
 	}
-	b := make([]byte, n)
-	_, err := io.ReadFull(r, b)
-	return b, err
+	return DecodeImage(buf.Bytes())
 }
 
-// DecodeStore reads a store written by EncodeStore. It consumes
-// exactly the encoded bytes, verifies the trailing checksum over
-// everything before it, and verifies r is exhausted, so a truncated,
-// corrupted, or padded checkpoint file is an error.
-func DecodeStore(r io.Reader) (*StableStore, error) {
-	digest := crc32.New(storeCRCTable)
-	tr := io.TeeReader(r, digest)
-	var hdr [10]byte
-	if _, err := io.ReadFull(tr, hdr[:]); err != nil {
-		return nil, fmt.Errorf("policy: reading store header: %w", err)
+// DecodeImage decodes img, which must be exactly one store image: it
+// verifies the trailing checksum over everything before it and refuses
+// bytes past it. It reads img in place and keeps none of it — the meta
+// section is copied and each fragment decoded into a fresh instance —
+// so the caller may reuse or drop img as soon as it returns.
+func DecodeImage(img []byte) (*StableStore, error) {
+	off := 0
+	// take returns the next n bytes and steps past them, or reports
+	// false when fewer remain.
+	take := func(n uint32) ([]byte, bool) {
+		if uint64(n) > uint64(len(img)-off) {
+			return nil, false
+		}
+		off += int(n)
+		return img[off-int(n) : off], true
+	}
+	hdr, ok := take(10)
+	if !ok {
+		return nil, fmt.Errorf("policy: reading store header: %w", io.ErrUnexpectedEOF)
 	}
 	if magic := binary.LittleEndian.Uint32(hdr[0:]); magic != storeMagic {
 		return nil, fmt.Errorf("policy: bad store magic %#x (want %#x)", magic, storeMagic)
@@ -109,27 +117,29 @@ func DecodeStore(r io.Reader) (*StableStore, error) {
 	if v := binary.LittleEndian.Uint16(hdr[4:]); v != StoreVersion {
 		return nil, fmt.Errorf("policy: unsupported store version %d (this decoder speaks %d)", v, StoreVersion)
 	}
-	meta, err := readCapped(tr, binary.LittleEndian.Uint32(hdr[6:]))
-	if err != nil {
-		return nil, fmt.Errorf("policy: reading store meta: %w", err)
+	metaLen := binary.LittleEndian.Uint32(hdr[6:])
+	meta, ok := take(metaLen)
+	if !ok {
+		return nil, fmt.Errorf("policy: reading store meta: %d bytes declared, %d remain", metaLen, len(img)-off)
 	}
-	var pre [4]byte
-	if _, err := io.ReadFull(tr, pre[:]); err != nil {
-		return nil, fmt.Errorf("policy: reading store node count: %w", err)
+	pre, ok := take(4)
+	if !ok {
+		return nil, fmt.Errorf("policy: reading store node count: %w", io.ErrUnexpectedEOF)
 	}
-	nodes := binary.LittleEndian.Uint32(pre[:])
+	nodes := binary.LittleEndian.Uint32(pre)
 	const maxNodes = 1 << 20 // sanity cap far above any real cluster
 	if nodes > maxNodes {
 		return nil, fmt.Errorf("policy: store declares %d nodes (cap %d)", nodes, maxNodes)
 	}
-	s := &StableStore{meta: meta, parts: make([]*rel.Instance, 0, nodes)}
+	s := &StableStore{meta: append([]byte(nil), meta...), parts: make([]*rel.Instance, 0, nodes)}
 	for κ := uint32(0); κ < nodes; κ++ {
-		if _, err := io.ReadFull(tr, pre[:]); err != nil {
-			return nil, fmt.Errorf("policy: reading node %d length: %w", κ, err)
+		if pre, ok = take(4); !ok {
+			return nil, fmt.Errorf("policy: reading node %d length: %w", κ, io.ErrUnexpectedEOF)
 		}
-		frag, err := readCapped(tr, binary.LittleEndian.Uint32(pre[:]))
-		if err != nil {
-			return nil, fmt.Errorf("policy: reading node %d fragment: %w", κ, err)
+		fragLen := binary.LittleEndian.Uint32(pre)
+		frag, ok := take(fragLen)
+		if !ok {
+			return nil, fmt.Errorf("policy: reading node %d fragment: %d bytes declared, %d remain", κ, fragLen, len(img)-off)
 		}
 		inst, err := rel.DecodeInstance(frag)
 		if err != nil {
@@ -137,56 +147,16 @@ func DecodeStore(r io.Reader) (*StableStore, error) {
 		}
 		s.parts = append(s.parts, inst)
 	}
-	// The trailer is read from r directly: it is not part of the
-	// digested image.
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return nil, fmt.Errorf("policy: reading store checksum: %w", err)
+	body := off
+	tail, ok := take(4)
+	if !ok {
+		return nil, fmt.Errorf("policy: reading store checksum: %w", io.ErrUnexpectedEOF)
 	}
-	if want, got := binary.LittleEndian.Uint32(tail[:]), digest.Sum32(); want != got {
+	if want, got := binary.LittleEndian.Uint32(tail), crc32.Checksum(img[:body], storeCRCTable); want != got {
 		return nil, fmt.Errorf("policy: store checksum mismatch (trailer says %#x, body hashes to %#x)", want, got)
 	}
-	var extra [1]byte
-	switch n, err := r.Read(extra[:]); {
-	case n != 0:
+	if off != len(img) {
 		return nil, fmt.Errorf("policy: trailing bytes after a complete store")
-	case err != io.EOF:
-		return nil, fmt.Errorf("policy: checking for trailing bytes: %w", err)
-	}
-	return s, nil
-}
-
-// SaveStore lands s's image at path atomically: it streams into
-// path+TempSuffix beside the target and is renamed over it, so a reader
-// finds the previous image or this one, never part of either. Nothing
-// is fsynced: the fault model is process death (SIGKILL), which the
-// page cache survives.
-func SaveStore(path string, s *StableStore) error {
-	f, err := os.Create(path + TempSuffix)
-	if err != nil {
-		return err
-	}
-	err = EncodeStore(f, s)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	return os.Rename(path+TempSuffix, path)
-}
-
-// LoadStore reads the image at path, every DecodeStore check applied. A
-// missing file is reported as fs.ErrNotExist (errors.Is).
-func LoadStore(path string) (*StableStore, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() // read-only; close is best-effort
-	s, err := DecodeStore(bufio.NewReader(f))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
 }

@@ -148,52 +148,53 @@ func TestStoreMetaIsolation(t *testing.T) {
 	}
 }
 
-// TestSaveLoadStore: the file writer lands exactly EncodeStore's bytes
-// under the target name and leaves no temporary behind; a torn
+// TestSaveLoadStore: the atomic log writer lands exactly the records'
+// bytes under the target name and leaves no temporary behind; a torn
 // temporary from a crashed writer is neither read nor in the way; the
-// reader applies every decoder check and reports absence as
-// fs.ErrNotExist.
+// reader applies every decoder check, reports absence as
+// fs.ErrNotExist and a cut file as a torn tail; a missing directory is
+// an error.
 func TestSaveLoadStore(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "image")
-	if _, err := LoadStore(path); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("loading a missing image: %v, want fs.ErrNotExist", err)
+	path := filepath.Join(dir, "log")
+	if _, _, err := LoadLog(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("loading a missing log: %v, want fs.ErrNotExist", err)
 	}
 	if err := os.WriteFile(path+TempSuffix, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadStore(path); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("a torn temporary was taken for the image: %v", err)
+	if _, _, err := LoadLog(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a torn temporary was taken for the log: %v", err)
 	}
 
-	for _, s := range []*StableStore{NewStableStore(nil), storeSample()} { // the second save replaces the first
-		if err := SaveStore(path, s); err != nil {
-			t.Fatalf("save: %v", err)
+	for _, stores := range [][]*StableStore{{NewStableStore(nil)}, logStores()} { // the second write replaces the first
+		var records [][]byte
+		var want []byte
+		for _, s := range stores {
+			records = append(records, EncodeLogRecord(s))
+			want = append(want, recordOf(t, s)...)
 		}
-		var want bytes.Buffer
-		if err := EncodeStore(&want, s); err != nil {
-			t.Fatal(err)
+		if err := WriteLog(path, records...); err != nil {
+			t.Fatalf("write: %v", err)
 		}
 		onDisk, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(onDisk, want.Bytes()) {
-			t.Fatal("the file is not the store's image")
+		if !bytes.Equal(onDisk, want) {
+			t.Fatal("the file is not the records' bytes")
 		}
-		got, err := LoadStore(path)
-		if err != nil {
-			t.Fatalf("load: %v", err)
+		recs, valid, err := LoadLog(path)
+		if err != nil || len(recs) != len(stores) || valid != len(want) {
+			t.Fatalf("load: %d records, %d valid bytes (err %v), want %d and %d", len(recs), valid, err, len(stores), len(want))
 		}
-		var again bytes.Buffer
-		if err := EncodeStore(&again, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.Bytes(), want.Bytes()) {
-			t.Fatal("save→load→encode is not the image saved")
+		for i, s := range stores {
+			if !bytes.Equal(recordOf(t, recs[i].Store), recordOf(t, s)) {
+				t.Fatalf("record %d does not read back as the store written", i)
+			}
 		}
 		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
-			t.Fatalf("directory holds %d entries (err %v), want the image alone", len(entries), err)
+			t.Fatalf("directory holds %d entries (err %v), want the log alone", len(entries), err)
 		}
 	}
 
@@ -204,10 +205,47 @@ func TestSaveLoadStore(t *testing.T) {
 	if err := os.WriteFile(path, onDisk[:len(onDisk)-1], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadStore(path); err == nil || errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("loading a truncated image: %v, want a decoding error", err)
+	if recs, valid, err := LoadLog(path); err != nil || len(recs) != len(logStores())-1 || valid >= len(onDisk)-1 {
+		t.Fatalf("loading a cut log: %d records, %d valid bytes (err %v), want its whole records and a torn tail", len(recs), valid, err)
 	}
-	if err := SaveStore(filepath.Join(dir, "no-such-dir", "image"), storeSample()); err == nil {
-		t.Fatal("saving into a missing directory succeeded")
+	if err := WriteLog(filepath.Join(dir, "no-such-dir", "log"), EncodeLogRecord(storeSample())); err == nil {
+		t.Fatal("writing into a missing directory succeeded")
+	}
+}
+
+// TestDecodeKeepsNothingOfItsInput: the in-place decoder reads the
+// caller's bytes and keeps none of them. An image, and a two-record log,
+// are decoded and every input byte then overwritten; the decoded meta
+// and fragments are what they were. (A store that aliased its input
+// would keep a whole file alive behind one record's meta, and let bytes
+// leak between the caller's buffer and the store it handed over.)
+func TestDecodeKeepsNothingOfItsInput(t *testing.T) {
+	wipe := func(b []byte) {
+		for i := range b {
+			b[i] = 0xa5
+		}
+	}
+	img := appendStore(nil, storeSample())
+	want := append([]byte(nil), img...)
+	s, err := DecodeImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wipe(img)
+	if !bytes.Equal(appendStore(nil, s), want) {
+		t.Fatal("overwriting the image changed the store decoded from it")
+	}
+
+	stores := []*StableStore{storeSample(), storeSample().WithMeta([]byte("round 2"))}
+	log := append(EncodeLogRecord(stores[0]), EncodeLogRecord(stores[1])...)
+	recs, valid, err := ReadLog(log)
+	if err != nil || len(recs) != 2 || valid != len(log) {
+		t.Fatalf("read: %d records, %d valid (err %v)", len(recs), valid, err)
+	}
+	wipe(log)
+	for i, s := range stores {
+		if !bytes.Equal(appendStore(nil, recs[i].Store), appendStore(nil, s)) {
+			t.Fatalf("overwriting the log changed record %d's store", i)
+		}
 	}
 }
