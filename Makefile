@@ -123,6 +123,7 @@ fuzz:
 	$(GO) test ./internal/policy -run='^$$' -fuzz='^FuzzStoreImage$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/policy -run='^$$' -fuzz='^FuzzCheckpointLog$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sweep -run='^$$' -fuzz='^FuzzSweepMerge$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/pc -run='^$$' -fuzz='^FuzzCoversMatchesReference$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzQueryRequest$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzReplyEncoding$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzCreateSession$$' -fuzztime=$(FUZZTIME)
@@ -218,7 +219,7 @@ bench:
 # fault-free run among them).
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
-	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkRestart|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkRunBulk|BenchmarkTuples|BenchmarkDecodeInstance|BenchmarkHashJoin)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel >> .bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkRestart|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkCoversAtGate|BenchmarkRunBulk|BenchmarkTuples|BenchmarkDecodeInstance|BenchmarkHashJoin)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE) .bench_raw.txt
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"

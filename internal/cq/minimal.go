@@ -15,7 +15,8 @@ import (
 // calls. Minimal valuations are the key to the semantic
 // characterization of parallel-correctness (Proposition 4.6) and of
 // parallel-correctness transfer via "covers" (Definition 4.12,
-// Proposition 4.13); package pc runs both on the one enumerator here.
+// Proposition 4.13); package pc runs both on the one search here
+// (search.go).
 //
 // For queries with inequalities, valuations must satisfy the
 // inequalities to count (the "suitable definition" of [Geck et al.] the
@@ -27,47 +28,36 @@ import (
 
 // IsMinimal reports whether v, a valuation for disjunct q of u that
 // satisfies q's inequalities, is union-minimal. A dominating valuation
-// W only needs values from adom(V(body_q)): every variable of a safe
-// disjunct occurs in a positive atom, and W's facts lie in V(body_q).
-// (The disjuncts' constants need not join the universe — valuations map
-// variables only.) The check is therefore instance- and
-// universe-independent.
+// W maps every body atom of its disjunct onto a fact of V(body_q), so
+// the check matches atoms against those facts (search.go) and is
+// instance- and universe-independent.
 func (u *UCQ) IsMinimal(q *CQ, v Valuation) bool {
-	required := v.RequiredInstance(q)
-	head := v.Derives(q)
-	universe := required.ADom().Sorted()
-	for _, qj := range u.Disjuncts {
-		if !u.EachValuation(qj, universe, false, func(w Valuation) bool {
-			if !w.Derives(qj).Equal(head) {
-				return true
-			}
-			wReq := w.RequiredInstance(qj)
-			return !(wReq.SubsetOf(required) && wReq.Len() < required.Len())
-		}) {
-			return false
-		}
+	s := NewSearch(u)
+	d := s.disjunct(q)
+	vals := make([]rel.Value, len(d.vars))
+	for i, name := range d.vars {
+		vals[i] = v.ApplyTerm(V(name))
 	}
-	return true
+	facts := d.image(vals, make([]rel.Fact, 0, len(d.body)), make([]rel.Value, 0, d.arity))
+	return s.minimal(facts, d.headOf(vals, nil))
 }
 
-// EachValuation is the valuation search: it streams the valuations of
-// disjunct q over universe that satisfy q's inequalities — only the
-// union-minimal ones when minimalOnly — in q.Vars() order over the
-// universe as given, and stops early when fn returns false. It reports
-// whether the enumeration ran to the end. The valuation passed to fn is
-// reused across calls; clone it to keep. The cost is
-// |universe|^|vars(q)| valuation checks; this exponential behaviour is
-// inherent (Theorem 4.8: the related decision problems are
-// Πᵖ₂-complete).
+// EachValuation is the valuation search with a Valuation per visit: it
+// streams the valuations of disjunct q over universe that satisfy q's
+// inequalities — only the union-minimal ones when minimalOnly — in
+// q.Vars() order over the universe as given, and stops early when fn
+// returns false. It reports whether the enumeration ran to the end. The
+// valuation passed to fn is reused across calls; clone it to keep.
 func (u *UCQ) EachValuation(q *CQ, universe []rel.Value, minimalOnly bool, fn func(Valuation) bool) bool {
-	done := true
-	AllValuations(q.Vars(), universe, func(v Valuation) bool {
-		if v.SatisfiesDiseq(q) && (!minimalOnly || u.IsMinimal(q, v)) {
-			done = fn(v)
+	s := NewSearch(u)
+	d := s.disjunct(q)
+	v := make(Valuation, len(d.vars))
+	return s.each(d, universe, nil, minimalOnly, func(p *Point) bool {
+		for i, name := range d.vars {
+			v[name] = p.vals[i]
 		}
-		return done
+		return fn(v)
 	})
-	return done
 }
 
 // IsMinimal reports whether the valuation v (total on vars(Q), and

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,18 +46,12 @@ func (v Valuation) Apply(a Atom) rel.Fact {
 
 // RequiredFacts returns V(body_Q), the facts required by V (Section 2).
 func (v Valuation) RequiredFacts(q *CQ) []rel.Fact {
-	seen := map[string]bool{}
-	out := make([]rel.Fact, 0, len(q.Body))
-	for _, a := range q.Body {
-		f := v.Apply(a)
-		k := f.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, f)
-		}
+	out := make([]rel.Fact, len(q.Body))
+	for i, a := range q.Body {
+		out[i] = v.Apply(a)
 	}
 	rel.SortFacts(out)
-	return out
+	return slices.CompactFunc(out, rel.Fact.Equal)
 }
 
 // RequiredInstance returns V(body_Q) as an instance.

@@ -105,7 +105,8 @@ type Config struct {
 	// transfer is Πᵖ₃-complete, so reuse detection only runs when both
 	// the anchor and the candidate are small (which serving queries
 	// are); larger queries skip straight to repartitioning. Defaults
-	// 6 and 4.
+	// 6 and 4, at which a pair of the gate's own size decides in
+	// ≈ 1 ms on a 2-core VM (BenchmarkCoversAtGate in internal/pc).
 	MaxCoverVars  int
 	MaxCoverAtoms int
 

@@ -59,6 +59,29 @@ type sessionQuery struct {
 	text   string           // canonical query text
 }
 
+// Query-cache caps. A client that keeps sending never-seen texts —
+// alpha-variants are the cheap case — would otherwise grow a session's
+// parse cache and the server's plan and cover caches without limit.
+// Every cached value is recomputable and dict-independent, so a full
+// cache is emptied before the next insert: only the statz hit/miss
+// counters can tell. The caps sit far above what any measured workload
+// holds (serve_reuse adds one entry of each per cold op, one op in
+// eight; loadgen sends nine fixed texts); DESIGN.md prices them.
+const (
+	maxParsed = 1024 // per session
+	maxPlans  = 4096
+	maxCovers = 4096
+)
+
+// putCapped stores v under k in m, emptying m first when it already
+// holds limit entries.
+func putCapped[V any](m map[string]V, limit int, k string, v V) {
+	if len(m) >= limit {
+		clear(m)
+	}
+	m[k] = v
+}
+
 // parseQuery parses src against the session's dict and resolves the
 // shared plan, consulting the session's raw-text cache first so a
 // repeated query costs one map lookup. Callers hold sess.mu.
@@ -97,7 +120,7 @@ func (sess *Session) parseQuery(lang, src, out string) (*sessionQuery, *apiError
 		return nil, errBadRequest("unknown query language %q (want %q or %q)", lang, LangCQ, LangDatalog)
 	}
 	sq.plan = sess.srv.planFor(lang, sq.text, sq.outRel, sq.cq)
-	sess.parsed[rawKey] = sq
+	putCapped(sess.parsed, maxParsed, rawKey, sq)
 	return sq, nil
 }
 
@@ -117,7 +140,7 @@ func (s *Server) planFor(lang, canon, out string, q *cq.CQ) *queryPlan {
 		pl.vars = len(q.Vars())
 		pl.atoms = len(q.Body)
 	}
-	s.plans[key] = pl
+	putCapped(s.plans, maxPlans, key, pl)
 	s.bump(func(st *StatzResponse) { st.PlanMisses++ })
 	return pl
 }
@@ -216,10 +239,13 @@ func (pl *placement) owner(f rel.Fact) int {
 // covers decides whether the anchor's distribution can be reused for
 // cand — parallel-correctness transfer, with caching and a size gate.
 // Deciding Covers is Πᵖ₃-complete, so the exponential search only runs
-// when both queries are small enough (MaxCoverVars/MaxCoverAtoms) that
-// it is effectively instant; bigger queries skip straight to
-// repartitioning rather than stall the serving path. Identical
-// canonical text short-circuits: transfer is reflexive. Decisions
+// when both queries are small enough (MaxCoverVars/MaxCoverAtoms); at
+// the default gate a pair of the gate's own size, 6 variables and 4
+// atoms a side, decides in ≈ 1 ms and serve_reuse's cold pair in
+// ≈ 20 µs (BenchmarkCoversAtGate, BenchmarkCoversServing; 2-core VM).
+// Bigger queries skip straight to repartitioning rather than stall the
+// serving path. Identical canonical text short-circuits: transfer is
+// reflexive. Decisions
 // depend only on the canonical text pair — injectively renaming the
 // interned constants changes nothing the search compares — so the
 // cache is server-wide even though ASTs are per-session.
@@ -253,7 +279,7 @@ func (s *Server) coversFor(anchor, cand *sessionQuery) bool {
 		v = false
 	}
 	s.planMu.Lock()
-	s.covers[key] = v
+	putCapped(s.covers, maxCovers, key, v)
 	s.planMu.Unlock()
 	s.bump(func(st *StatzResponse) { st.CoverMisses++ })
 	return v

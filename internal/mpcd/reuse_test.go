@@ -300,3 +300,81 @@ func BenchmarkReuse(b *testing.B) {
 		})
 	}
 }
+
+// TestQueryCachesAreBounded: a client that sends never-seen texts —
+// here alpha-variants of E, three times the largest cap of them — to
+// one anchored session keeps the session's parse cache and the server's
+// plan and cover caches within their caps. A reset changes no reply:
+// each is byte-identical to a fresh server's reply to the same text,
+// and the anchor is still served reused afterwards.
+func TestQueryCachesAreBounded(t *testing.T) {
+	anchored := func() (*Server, func([]byte) []byte) {
+		s := New(Config{})
+		if _, aerr := s.createSession(&createRequest{ID: "b", Facts: transferFacts()}); aerr != nil {
+			t.Fatal(aerr)
+		}
+		h := http.HandlerFunc(s.handleQuery) // Handler()'s route, without a mux per server
+		ask := func(body []byte) []byte {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/query", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s", body, rec.Code, rec.Body)
+			}
+			return rec.Body.Bytes()
+		}
+		if raw := ask(queryBody(t, anchorQ)); !bytes.Contains(raw, []byte(`"path":"repartitioned"`)) {
+			t.Fatalf("anchor: %s", raw)
+		}
+		return s, ask
+	}
+	s, ask := anchored()
+	sess := s.sessions["b"]
+	n := 3 * max(maxParsed, maxPlans, maxCovers)
+	var resets [3]int
+	for i := 0; i < n; i++ {
+		body := queryBody(t, fmt.Sprintf("E() :- R(x%d, y%d), S(y%d, z%d)", i, i, i, i))
+		parsed, plans, covers := len(sess.parsed), len(s.plans), len(s.covers)
+		got := ask(body)
+		if !bytes.Contains(got, []byte(`"path":"reused"`)) {
+			t.Fatalf("variant %d: %s, want it reused", i, got)
+		}
+		reset := false
+		for k, c := range []struct{ before, after, limit int }{
+			{parsed, len(sess.parsed), maxParsed},
+			{plans, len(s.plans), maxPlans},
+			{covers, len(s.covers), maxCovers},
+		} {
+			if c.after > c.limit {
+				t.Fatalf("variant %d: cache %d holds %d entries, cap %d", i, k, c.after, c.limit)
+			}
+			if c.after < c.before {
+				resets[k]++
+				reset = true
+			}
+		}
+		// -short (the race run) compares every 16th reply and every
+		// reply whose insert emptied a cache.
+		if testing.Short() && !reset && i%16 != 0 {
+			continue
+		}
+		if _, fresh := anchored(); !bytes.Equal(got, fresh(body)) {
+			t.Fatalf("variant %d: reply %s, a fresh server's %s", i, got, fresh(body))
+		}
+	}
+	if resets[0] == 0 || resets[1] == 0 || resets[2] == 0 {
+		t.Fatalf("resets per cache %v: a cap was never reached", resets)
+	}
+	if raw := ask(queryBody(t, anchorQ)); !bytes.Contains(raw, []byte(`"path":"reused"`)) {
+		t.Fatalf("anchor after the resets: %s, want it reused", raw)
+	}
+}
+
+// queryBody is the request body asking session b for q.
+func queryBody(t *testing.T, q string) []byte {
+	t.Helper()
+	body, err := json.Marshal(queryRequest{Session: "b", Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}

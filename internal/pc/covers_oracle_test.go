@@ -166,6 +166,217 @@ func TestCoversMatchesReferenceOnRandomPairs(t *testing.T) {
 	}
 }
 
+// FuzzCoversMatchesReference holds Covers to coversReference, verdict
+// and witness, on pairs of query texts parsed against one dict. Inputs
+// that do not parse, have negated atoms, read a relation at two arities
+// (the reference's instances cannot hold that), or have more than 3
+// variables or 3 atoms on either side are skipped: the reference
+// enumerates.
+func FuzzCoversMatchesReference(f *testing.F) {
+	seeds := []string{
+		"A(x, z) :- R(x, y), S(y, z)",
+		"B(x) :- R(x, y), S(y, z)",
+		"C(z, x) :- S(y, z), R(x, y)",
+		"D(x, y) :- R(x, y)",
+		"E() :- R(x, y), S(y, z)",
+		"F(x, z) :- R(x, y), R(y, z)",
+		"E() :- R(x1, y1), S(y1, z1)",
+		"H() :- S(x), R(x, x), T(x)",
+		"H() :- R(x, x), T(x)",
+		"H() :- S(x), R(x, y), T(y)",
+		"H() :- R(x, y), T(y)",
+	}
+	for i, src := range seeds {
+		next := seeds[(i+1)%len(seeds)]
+		f.Add(src, next)
+		f.Add(next, src)
+	}
+	f.Fuzz(func(t *testing.T, src, dst string) {
+		d := rel.NewDict()
+		q, err := cq.Parse(d, src)
+		if err != nil {
+			return
+		}
+		qp, err := cq.Parse(d, dst)
+		if err != nil {
+			return
+		}
+		schema := rel.Schema{}
+		for _, c := range []*cq.CQ{q, qp} {
+			if c.HasNegation() || len(c.Vars()) > 3 || len(c.Body) > 3 {
+				return
+			}
+			for _, a := range c.Body {
+				if n, ok := schema[a.Rel]; ok && n != len(a.Args) {
+					return
+				}
+				schema[a.Rel] = len(a.Args)
+			}
+		}
+		holdCoversToReference(t, q, qp)
+	})
+}
+
+// unionMinimalReference is the brute-force union-minimality test the
+// valuation search had before it matched atoms: every valuation W of
+// every disjunct over adom(V(body_q)), inequality-filtered, dominates V
+// when it derives V's head fact from a strict subset of V's facts.
+func unionMinimalReference(u *cq.UCQ, q *cq.CQ, v cq.Valuation) bool {
+	required := v.RequiredInstance(q)
+	head := v.Derives(q)
+	universe := required.ADom().Sorted()
+	for _, qj := range u.Disjuncts {
+		dominated := false
+		cq.AllValuations(qj.Vars(), universe, func(w cq.Valuation) bool {
+			if w.SatisfiesDiseq(qj) && w.Derives(qj).Equal(head) {
+				wReq := w.RequiredInstance(qj)
+				dominated = wReq.SubsetOf(required) && wReq.Len() < required.Len()
+			}
+			return !dominated
+		})
+		if dominated {
+			return false
+		}
+	}
+	return true
+}
+
+// coversUCQReference is covers in its enumerating form: every
+// inequality-satisfying, union-minimal V′ of each target disjunct over
+// the whole fresh universe, in enumeration order, and for each every V
+// of each source disjunct over its universe, minimality by
+// unionMinimalReference. It returns the first uncovered V′, or nil.
+func coversUCQReference(u, up *cq.UCQ) *CoverWitness {
+	consts := make(rel.ValueSet)
+	for _, side := range []*cq.UCQ{u, up} {
+		for _, q := range side.Disjuncts {
+			consts.AddAll(q.Constants())
+		}
+	}
+	var w *CoverWitness
+	for _, qp := range up.Disjuncts {
+		cq.AllValuations(qp.Vars(), freshUniverse(consts, len(qp.Vars())), func(vp cq.Valuation) bool {
+			if !vp.SatisfiesDiseq(qp) || !unionMinimalReference(up, qp, vp) {
+				return true
+			}
+			target := vp.RequiredInstance(qp)
+			base := target.ADom().Union(consts)
+			for _, q := range u.Disjuncts {
+				covered := false
+				cq.AllValuations(q.Vars(), freshUniverse(base, len(q.Vars())), func(v cq.Valuation) bool {
+					covered = v.SatisfiesDiseq(q) && target.SubsetOf(v.RequiredInstance(q)) && unionMinimalReference(u, q, v)
+					return !covered
+				})
+				if covered {
+					return true
+				}
+			}
+			w = &CoverWitness{Valuation: vp.Clone(), Facts: vp.RequiredFacts(qp)}
+			return false
+		})
+		if w != nil {
+			break
+		}
+	}
+	return w
+}
+
+// Seeded random two-disjunct unions: (*UCQ).IsMinimal on every
+// inequality-satisfying valuation over {0, 1, 2, 7} of each disjunct,
+// the minimal-only EachValuation stream, and CoversUCQ's verdict and
+// witness on consecutive unions, all against the enumerating forms. A
+// matching dominance search must find a W of the other disjunct, with
+// that disjunct's own head and inequalities, so the sample must contain
+// valuations only the other disjunct dominates.
+func TestUnionSearchMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	const unions = 128
+	var us []*cq.UCQ
+	var selfJoin, constants, diseq, cross, minimal, covered int
+	for len(us) < unions {
+		q1, q2 := cq.Random(r, cq.SmallJoins), cq.Random(r, cq.SmallJoins)
+		if len(q1.Head.Args) != len(q2.Head.Args) {
+			continue
+		}
+		u := &cq.UCQ{Disjuncts: []*cq.CQ{q1, q2}}
+		if err := u.Validate(); err != nil {
+			t.Fatalf("generator produced %v ∪ %v: %v", q1, q2, err)
+		}
+		us = append(us, u)
+		for _, q := range u.Disjuncts {
+			if !q.SelfJoinFree() {
+				selfJoin++
+			}
+			if len(q.Constants()) > 0 {
+				constants++
+			}
+			if q.HasDiseq() {
+				diseq++
+			}
+		}
+	}
+	universe := []rel.Value{0, 1, 2, 7}
+	for _, u := range us {
+		for _, q := range u.Disjuncts {
+			alone := &cq.UCQ{Disjuncts: []*cq.CQ{q}}
+			var want []cq.Valuation
+			cq.AllValuations(q.Vars(), universe, func(v cq.Valuation) bool {
+				if !v.SatisfiesDiseq(q) {
+					return true
+				}
+				ref := unionMinimalReference(u, q, v)
+				if got := u.IsMinimal(q, v); got != ref {
+					t.Fatalf("(%v ∪ %v).IsMinimal(%v, %v) = %v, reference says %v", u.Disjuncts[0], u.Disjuncts[1], q, v, got, ref)
+				}
+				if ref {
+					want = append(want, v.Clone())
+					minimal++
+				} else if unionMinimalReference(alone, q, v) {
+					cross++
+				}
+				return true
+			})
+			k := 0
+			u.EachValuation(q, universe, true, func(v cq.Valuation) bool {
+				if k >= len(want) || !v.Equal(want[k]) {
+					t.Fatalf("EachValuation(%v) streamed %v at position %d; the reference's union-minimal valuations are %v", q, v, k, want)
+				}
+				k++
+				return true
+			})
+			if k != len(want) {
+				t.Fatalf("EachValuation(%v) streamed %d valuations, want %d", q, k, len(want))
+			}
+		}
+	}
+	for k, u := range us {
+		up := us[(k+1)%len(us)]
+		ok, w, err := CoversUCQ(u, up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr := coversUCQReference(u, up)
+		if ok != (wr == nil) || (w == nil) != (wr == nil) {
+			t.Fatalf("CoversUCQ(%v, %v) = %v (%v), reference witness %v", u.Disjuncts, up.Disjuncts, ok, w, wr)
+		}
+		if w != nil && (!w.Valuation.Equal(wr.Valuation) || fmt.Sprint(w.Facts) != fmt.Sprint(wr.Facts)) {
+			t.Fatalf("CoversUCQ(%v, %v): witness %v, reference witness %v", u.Disjuncts, up.Disjuncts, w, wr)
+		}
+		if ok {
+			covered++
+		}
+	}
+	for name, n := range map[string]int{
+		"self-join": selfJoin, "constants": constants, "inequality": diseq,
+		"cross-disjunct domination": cross, "union-minimal valuation": minimal,
+		"covered pair": covered, "uncovered pair": unions - covered,
+	} {
+		if n == 0 {
+			t.Errorf("random unions exercised no %s", name)
+		}
+	}
+}
+
 // What a union decides that its disjuncts do not: in
 // H(x) :- R(x, y), S(y) ∪ H(x) :- R(x, y) every valuation of the first
 // disjunct is minimal for that disjunct alone, yet the second derives
@@ -214,6 +425,21 @@ func BenchmarkCoversServing(b *testing.B) {
 	d := rel.NewDict()
 	anchor := cq.MustParse(d, "A(x, z) :- R(x, y), S(y, z)")
 	cold := cq.MustParse(d, "E() :- R(x1, y1), S(y1, z1)")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if ok, _, err := Covers(anchor, cold); err != nil || !ok {
+			b.Fatal(ok, err)
+		}
+	}
+}
+
+// BenchmarkCoversAtGate prices one covered pair at exactly the serving
+// gate's default size on each side, 6 variables and 4 atoms: a
+// projected chain and a Boolean alpha-variant of its body.
+func BenchmarkCoversAtGate(b *testing.B) {
+	d := rel.NewDict()
+	anchor := cq.MustParse(d, "A(x, v) :- R(x, y), S(y, z), T(z, w, u), U(u, v)")
+	cold := cq.MustParse(d, "A() :- R(x1, y1), S(y1, z1), T(z1, w1, u1), U(u1, v1)")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if ok, _, err := Covers(anchor, cold); err != nil || !ok {

@@ -19,8 +19,9 @@
 // Each notion has one body, in its union form — the extension to unions
 // changes one word, "minimal" to "union-minimal" — and a conjunctive
 // query is a union of one. Two searches from package cq lie underneath:
-// the valuation search ((*cq.UCQ).EachValuation) under saturates (PC0,
-// PC1) and covers (transfer), and the instance search
+// the valuation search (cq.Search; (*cq.UCQ).EachValuation is its form
+// with a Valuation per visit) under saturates (PC0, PC1) and covers
+// (transfer), and the instance search
 // (cq.EachBoundedInstance) under every bounded checker. The CQ entry
 // points (DistributedEval, Saturates, StronglySaturates, Covers,
 // CoversFull, ParallelCorrectNegBounded) keep their own refusals and

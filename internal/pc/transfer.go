@@ -37,6 +37,16 @@ func (w *CoverWitness) String() string {
 // the first one in disjunct then enumeration order, or nil when u
 // covers up. Neither union may have negated atoms; the entry points
 // refuse them.
+//
+// Both loops run on cq's positional search. The outer one visits V′ up
+// to renaming of its fresh values: coverage and minimality do not
+// change when fresh values are permuted with the constants fixed, and
+// the first valuation of each renaming class in enumeration order is
+// the one the search visits, so the first uncovered valuation — the
+// witness — is the same as over the whole universe. The inner one only
+// has to show that some covering V exists, so its order is free:
+// (*cq.Search).Covers maps V′'s facts onto Q's atoms first and tests
+// minimality last.
 func covers(u, up *cq.UCQ, minimalOnly bool) *CoverWitness {
 	consts := make(rel.ValueSet)
 	for _, side := range []*cq.UCQ{u, up} {
@@ -44,26 +54,28 @@ func covers(u, up *cq.UCQ, minimalOnly bool) *CoverWitness {
 			consts.AddAll(q.Constants())
 		}
 	}
+	src, dst := cq.NewSearch(u), cq.NewSearch(up)
+	width := 0 // the most variables of a disjunct of u
+	for _, q := range u.Disjuncts {
+		width = max(width, len(q.Vars()))
+	}
 	var w *CoverWitness
-	for _, qp := range up.Disjuncts {
+	for i, qp := range up.Disjuncts {
 		// Universe for the valuations of Q′: one fresh value per
 		// variable plus all constants.
-		uPrime := freshUniverse(consts, len(qp.Vars()))
-		if !up.EachValuation(qp, uPrime, minimalOnly, func(vp cq.Valuation) bool {
-			target := vp.RequiredInstance(qp)
+		uPrime := cq.Universe{Values: freshUniverse(consts, len(qp.Vars())), Fixed: consts}
+		if !dst.Each(i, uPrime, minimalOnly, func(vp *cq.Point) bool {
 			// Universe for the covering valuation: values of the target
-			// facts, all constants, and enough fresh values for Q's
-			// variables.
-			base := target.ADom().Union(consts)
-			for _, q := range u.Disjuncts {
-				uQ := freshUniverse(base, len(q.Vars()))
-				if !u.EachValuation(q, uQ, minimalOnly, func(v cq.Valuation) bool {
-					return !target.SubsetOf(v.RequiredInstance(q))
-				}) {
-					return true // covered
+			// facts, all constants, and enough fresh values for any
+			// disjunct's variables.
+			base := vp.ADom().Union(consts)
+			uQ := cq.Universe{Values: freshUniverse(base, width), Fixed: base}
+			for j := range u.Disjuncts {
+				if src.Covers(j, vp, uQ, minimalOnly) {
+					return true
 				}
 			}
-			w = &CoverWitness{Valuation: vp.Clone(), Facts: vp.RequiredFacts(qp)}
+			w = &CoverWitness{Valuation: vp.Valuation(), Facts: vp.Facts()}
 			return false
 		}) {
 			break

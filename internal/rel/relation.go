@@ -177,8 +177,12 @@ func (r *Relation) insert(h uint64, t Tuple) bool {
 	// live — the new tuple joins their buckets instead of a rebuild. This
 	// keeps repeated delta joins against a growing resident relation at
 	// O(|Δ|) per round; removal and compaction still drop the caches
-	// (mutated / rehash), so buckets never hold dead entries.
-	r.sorted = nil
+	// (mutated / rehash), so buckets never hold dead entries. The guard
+	// spares a pointer write — a write barrier while the collector
+	// marks — per tuple of a bulk insert.
+	if r.sorted != nil {
+		r.sorted = nil
+	}
 	for _, ix := range r.idx {
 		ix.inserted(i)
 	}
