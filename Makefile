@@ -209,7 +209,8 @@ bench:
 # benchmarks that live next to the code they measure (the compiled
 # HyperCube router, mpcd's single-pass repartition, its whole
 # repartitioning op, its warm reused query and its whole restart — save,
-# load, first reply — one exchange over the TCP
+# load, first reply — one repartition of a replicated layout in mpc
+# alone, one exchange over the TCP
 # transport, the 12-round distributed run, the covers decision of a
 # cold serving query, the one-round bulk distributed run, a relation's
 # sorted enumeration, a fragment decode and the join index, built fresh
@@ -219,7 +220,7 @@ bench:
 # fault-free run among them).
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
-	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkRestart|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkCoversAtGate|BenchmarkRunBulk|BenchmarkTuples|BenchmarkDecodeInstance|BenchmarkHashJoin)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel >> .bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkRestart|BenchmarkRouteRound|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkCoversAtGate|BenchmarkRunBulk|BenchmarkTuples|BenchmarkDecodeInstance|BenchmarkHashJoin)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE) .bench_raw.txt
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"

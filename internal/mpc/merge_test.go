@@ -110,7 +110,7 @@ func TestMergeInboxIsMergeShards(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				merged := mergeOutboxes(p, func(w int) *rel.Instance { return frags[w] })
+				merged := mergeOutboxes(p, false, func(w int) *rel.Instance { return frags[w] })
 				for w, frag := range frags {
 					for _, rn := range frag.RelationNames() {
 						if shippers[d][rn] == 1 && merged.Relation(rn) != frag.Relation(rn) {

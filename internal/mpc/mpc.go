@@ -51,6 +51,7 @@ package mpc
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -134,6 +135,15 @@ type Compute func(server int, local *rel.Instance) *rel.Instance
 // does not hold the fact loses it — nobody routes it — which a caller
 // that knows its fact count sees in RoutedRound.Routed. Like Route,
 // Owner is called concurrently and must be safe for concurrent use.
+//
+// The law is also what keeps inboxes sets under an Owner and no Keep:
+// outboxes and inboxes then append the facts routed to them without a
+// membership check (see routeServer), since one source ships each. So
+// "negative means a single holder" must be true: a fact two holders
+// both claim is routed twice and lands twice, where the first lookup in
+// that inbox panics on it. Routed counts it twice too, which is the
+// check a caller that knows its fact count makes before delivering, as
+// the serving daemon does (Routed against the session's facts).
 type Round struct {
 	Name      string
 	Route     Router
@@ -358,11 +368,15 @@ func (c *Cluster) LoadRoundRobin(i *rel.Instance) { DealRoundRobin(i, c.servers,
 // nil entry of dst is a share the caller does not want (a worker deals
 // itself one slice). Each server's copy of a relation is resolved on
 // the first tuple it gets, sized for its ⌈n/p⌉ share, so a server the
-// relation never reaches gets no empty relation either.
+// relation never reaches gets no empty relation either. A copy the
+// deal creates takes its tuples as distinct — they are a set's, each
+// dealt once — and builds no table; one that existed before the deal
+// may hold them already, so it is added to.
 func DealRoundRobin(i *rel.Instance, dst []*rel.Instance, offset int) {
 	p := len(dst)
 	k := offset
 	rels := make([]*rel.Relation, p)
+	created := make([]bool, p)
 	for _, name := range i.RelationNames() {
 		r := i.Relation(name)
 		clear(rels)
@@ -374,9 +388,14 @@ func DealRoundRobin(i *rel.Instance, dst []*rel.Instance, offset int) {
 				continue
 			}
 			if rels[s] == nil {
+				created[s] = dst[s].Relation(name) == nil
 				rels[s] = dst[s].EnsureRelationSize(name, r.Arity, share)
 			}
-			rels[s].Add(t)
+			if created[s] {
+				rels[s].AddDistinct(t)
+			} else {
+				rels[s].Add(t)
+			}
 		}
 	}
 }
@@ -411,6 +430,7 @@ type Shard struct {
 	Sent      []int           // routed deliveries per destination (Keep facts uncounted)
 	DeltaSent int             // routed deliveries of DeltaRels relations
 	Routed    int             // facts Route was asked about: not kept, and owned (see Round.Owner)
+	owned     bool            // routed under an Owner and no Keep: no fact in two shards' Outs[dst]
 	err       error
 }
 
@@ -469,6 +489,14 @@ func (c *Cluster) routeRange(lo, hi int, r Round, sets roundSets) (sh Shard) {
 // them: a new outbox for that share from every one of the sources
 // sharing sh, an existing one for this source's share more — a guess
 // that costs transient capacity when wrong, never a fact.
+//
+// An outbox is a set, and routing proves most of its facts distinct
+// without asking its table: a source's relation is a set, and a fact
+// goes to each destination its route list names once (a repeat is
+// counted but not delivered again). So a shard of one source appends,
+// and so does a shard of several under an Owner and no Keep, since the
+// Owner has each fact routed by one source (Round.Owner's law) and kept
+// facts cannot meet a routed copy. Any other shard adds, which dedupes.
 func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Shard, sources int) error {
 	// targets is the round's decision on one fact at this source: kept
 	// here, or shipped to the servers Route names — which only the copy
@@ -487,6 +515,8 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 		}
 		return r.Route.Route(f), false, true
 	}
+	sh.owned = r.Owner != nil && r.Keep == nil
+	distinct := sources == 1 || sh.owned
 	var badFact rel.Fact
 	badDst := -1
 	var outs []*rel.Relation
@@ -516,7 +546,11 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 				}
 				outs[dst] = sh.Outs[dst].EnsureRelationSize(name, rl.Arity, hint)
 			}
-			outs[dst].Add(t)
+			if distinct {
+				outs[dst].AddDistinct(t)
+			} else {
+				outs[dst].Add(t)
+			}
 		}
 		rl.Each(func(t rel.Tuple) bool {
 			f := rel.Fact{Rel: name, Tuple: t}
@@ -540,7 +574,8 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 				return true
 			}
 			sh.Routed++
-			for _, dst := range dsts {
+			last := -1 // the largest destination delivered to so far
+			for k, dst := range dsts {
 				if dst < 0 || dst >= p {
 					badFact, badDst = f, dst
 					return true
@@ -548,6 +583,11 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 				sh.Sent[dst]++
 				if isDelta {
 					sh.DeltaSent++
+				}
+				if dst > last {
+					last = dst
+				} else if slices.Contains(dsts[:k], dst) {
+					continue
 				}
 				deliver(dst, t)
 			}

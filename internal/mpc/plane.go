@@ -154,7 +154,7 @@ func MergeInbox(dst, nshards int, fetch func(shard int) (Frame, error)) (*rel.In
 		}
 		n += int(f.Sent)
 	}
-	return mergeOutboxes(nshards, func(w int) *rel.Instance { return frags[w] }), n, nil
+	return mergeOutboxes(nshards, false, func(w int) *rel.Instance { return frags[w] }), n, nil
 }
 
 // fragKey names one published frame.

@@ -111,6 +111,10 @@ func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, e
 	inboxes := make([]*rel.Instance, p)
 	received := make([]int, p)
 	mergeErrs := make([]error, p)
+	owned := true
+	for w := range shards {
+		owned = owned && shards[w].owned
+	}
 	var mergeWG sync.WaitGroup
 	for dst := 0; dst < p; dst++ {
 		mergeWG.Add(1)
@@ -124,7 +128,7 @@ func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, e
 			for w := range shards {
 				received[dst] += shards[w].Sent[dst]
 			}
-			inboxes[dst] = mergeOutboxes(len(shards), func(w int) *rel.Instance { return shards[w].Outs[dst] })
+			inboxes[dst] = mergeOutboxes(len(shards), owned, func(w int) *rel.Instance { return shards[w].Outs[dst] })
 		}(dst)
 	}
 	mergeWG.Wait()
@@ -144,8 +148,11 @@ func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, e
 // relation several ship is built once, at the size of their copies
 // together: an inbox becomes the server's fragment, which may live as
 // long as its owner does, so it must not carry the slack of growing the
-// first fragment to fit the others (at least a doubling).
-func mergeOutboxes(n int, frag func(w int) *rel.Instance) *rel.Instance {
+// first fragment to fit the others (at least a doubling). Each copy is
+// a set; owned says no tuple is in two of them (every shard was routed
+// under an Owner and no Keep), so they are appended and the inbox
+// builds no table. Otherwise a fact two sources ship lands once.
+func mergeOutboxes(n int, owned bool, frag func(w int) *rel.Instance) *rel.Instance {
 	var only *rel.Instance
 	shipping := 0
 	for w := 0; w < n; w++ {
@@ -185,7 +192,11 @@ func mergeOutboxes(n int, frag func(w int) *rel.Instance) *rel.Instance {
 				in = rel.NewRelationSize(name, o.Arity, sizes[name])
 				inbox.SetRelationAs(name, in)
 			}
-			in.UnionWith(o)
+			if owned {
+				in.UnionDistinct(o)
+			} else {
+				in.UnionWith(o)
+			}
 		}
 	}
 	return inbox

@@ -1,49 +1,136 @@
 package rel
 
 import (
+	"bytes"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
 // FuzzRelation drives the open-addressed tuple table through an
-// arbitrary Add/Remove/Contains sequence decoded from the fuzz input
-// and checks it against a plain map-based set after every operation.
-// The value domain is kept tiny (7 values, arity 2 → 49 tuples) so
-// the fuzzer constantly revisits slots and exercises the tombstone
-// and rehash paths that a sparse domain would never hit.
+// arbitrary operation sequence decoded from the fuzz input and checks
+// it against a plain map-based set after every operation. The value
+// domain is kept tiny (7 values, arity 2 → 49 tuples) so the fuzzer
+// constantly revisits slots and exercises the tombstone and rehash
+// paths that a sparse domain would never hit.
+//
+// Two relations take the sequence side by side. The first input byte
+// picks how many of the next bytes seed them: the eager one by Add, the
+// appended one by AddDistinct of each distinct seed tuple, which leaves
+// its table unbuilt. The eager relation is then the oracle for every
+// operation on the appended one — the same answers, the same Each order
+// and the same encoding — and an operation that asks no membership
+// question must leave an unbuilt table unbuilt.
 func FuzzRelation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{0, 0, 1, 0, 2, 0, 1, 1}) // add/remove churn on one tuple
 	f.Add([]byte{0, 9, 0, 18, 0, 27, 0, 36, 1, 9, 1, 18, 0, 9})
 	f.Add([]byte{255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245, 244})
+	f.Add([]byte{6, 3, 10, 17, 3, 24, 31, 4, 0, 8, 10, 7, 38, 2, 17, 5, 40, 1, 10, 3, 0})
+	f.Add([]byte{5, 1, 2, 3, 4, 5, 7, 9, 8, 2, 6, 11, 2, 3, 1, 2, 7, 30})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		r := NewRelation("F", 2)
+		tuple := func(v byte) Tuple { return Tuple{Value(v % 7), Value((v / 7) % 7)} }
+		eager := NewRelation("F", 2)
+		appended := NewRelation("F", 2)
 		ref := map[string]Tuple{}
+		if len(ops) > 0 {
+			n := int(ops[0]) % len(ops)
+			for _, v := range ops[1 : 1+n] {
+				tup := tuple(v)
+				eager.Add(tup)
+				if _, ok := ref[tup.Key()]; !ok {
+					appended.AddDistinct(tup)
+					ref[tup.Key()] = tup
+				}
+			}
+			ops = ops[1+n:]
+			if appended.slots != nil {
+				t.Fatal("AddDistinct built a table")
+			}
+		}
+		encoding := func(r *Relation) []byte {
+			inst := NewInstance()
+			inst.SetRelation(r)
+			return EncodeInstance(inst)
+		}
 		for i := 0; i+1 < len(ops); i += 2 {
-			op := ops[i] % 3
+			op := ops[i] % 9
 			v := ops[i+1]
-			tup := Tuple{Value(v % 7), Value((v / 7) % 7)}
+			tup := tuple(v)
 			key := tup.Key()
 			_, inRef := ref[key]
+			unbuilt := appended.slots == nil
+			asks := true
 			switch op {
 			case 0:
-				if got := r.Add(tup); got != !inRef {
-					t.Fatalf("op %d: Add(%v) = %v, reference says %v", i, tup, got, !inRef)
+				got, want := appended.Add(tup), eager.Add(tup)
+				if got != want || got != !inRef {
+					t.Fatalf("op %d: Add(%v) = %v, eager %v, reference says %v", i, tup, got, want, !inRef)
 				}
 				ref[key] = tup
 			case 1:
-				if got := r.Remove(tup); got != inRef {
-					t.Fatalf("op %d: Remove(%v) = %v, reference says %v", i, tup, got, inRef)
+				got, want := appended.Remove(tup), eager.Remove(tup)
+				if got != want || got != inRef {
+					t.Fatalf("op %d: Remove(%v) = %v, eager %v, reference says %v", i, tup, got, want, inRef)
 				}
 				delete(ref, key)
 			case 2:
-				if got := r.Contains(tup); got != inRef {
-					t.Fatalf("op %d: Contains(%v) = %v, reference says %v", i, tup, got, inRef)
+				if got, want := appended.Contains(tup), eager.Contains(tup); got != want || got != inRef {
+					t.Fatalf("op %d: Contains(%v) = %v, eager %v, reference says %v", i, tup, got, want, inRef)
 				}
+			case 3:
+				if !appended.Equal(eager) || !eager.Equal(appended) {
+					t.Fatalf("op %d: the relations are not Equal", i)
+				}
+			case 4:
+				appended, eager = appended.Clone(), eager.Clone()
+				asks = false
+			case 5, 6:
+				o := NewRelation("O", 2)
+				o.Add(tup)
+				o.Add(tuple(v + 1))
+				o.Each(func(u Tuple) bool { ref[u.Key()] = u; return true })
+				if op == 5 {
+					if got, want := appended.UnionWith(o), eager.UnionWith(o); got != want {
+						t.Fatalf("op %d: UnionWith added %d, eager %d", i, got, want)
+					}
+					break
+				}
+				got, want := appended.AbsorbNew(o, "N"), eager.AbsorbNew(o, "N")
+				if !equalLists(eachTuples(got), eachTuples(want)) || !got.Equal(want) {
+					t.Fatalf("op %d: AbsorbNew gave %v, eager %v", i, eachTuples(got), eachTuples(want))
+				}
+			case 7:
+				if !inRef {
+					appended.AddDistinct(tup)
+					eager.Add(tup)
+					ref[key] = tup
+				}
+				asks = false
+			case 8:
+				got := probeTuples(NewIndex(appended, []int{1}, nil), tup, []int{0})
+				want := probeTuples(NewIndex(eager, []int{1}, nil), tup, []int{0})
+				if !equalLists(got, want) {
+					t.Fatalf("op %d: probe of %v found %v, eager %v", i, tup, got, want)
+				}
+				if !equalLists(appended.Tuples(), eager.Tuples()) {
+					t.Fatalf("op %d: Tuples differ", i)
+				}
+				if !bytes.Equal(encoding(appended), encoding(eager)) {
+					t.Fatalf("op %d: encodings differ", i)
+				}
+				asks = false
 			}
-			if r.Len() != len(ref) {
-				t.Fatalf("op %d: Len() = %d, reference has %d", i, r.Len(), len(ref))
+			if !asks && unbuilt && appended.slots != nil {
+				t.Fatalf("op %d (%d) built the table", i, op)
+			}
+			if appended.Len() != len(ref) || eager.Len() != len(ref) {
+				t.Fatalf("op %d: Len() = %d, eager %d, reference has %d", i, appended.Len(), eager.Len(), len(ref))
+			}
+			if !equalLists(eachTuples(appended), eachTuples(eager)) {
+				t.Fatalf("op %d: Each order %v, eager %v", i, eachTuples(appended), eachTuples(eager))
 			}
 		}
 
@@ -54,27 +141,76 @@ func FuzzRelation(f *testing.F) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		var gotKeys []string
-		for _, tup := range r.Tuples() {
-			gotKeys = append(gotKeys, tup.Key())
-		}
-		if len(gotKeys) != len(keys) {
-			t.Fatalf("Tuples has %d tuples, reference %d", len(gotKeys), len(keys))
-		}
-		for i := range keys {
-			if gotKeys[i] != keys[i] {
-				t.Fatalf("tuple %d: %q vs reference %q", i, gotKeys[i], keys[i])
+		for _, r := range []*Relation{appended, eager} {
+			var gotKeys []string
+			for _, tup := range r.Tuples() {
+				gotKeys = append(gotKeys, tup.Key())
+			}
+			if !slices.Equal(gotKeys, keys) {
+				t.Fatalf("Tuples %q, reference %q", gotKeys, keys)
+			}
+			if cl := r.Clone(); !cl.Equal(r) {
+				t.Fatal("Clone not Equal to original")
+			}
+			rebuilt := NewRelation("F", 2)
+			for _, tup := range ref {
+				rebuilt.Add(tup)
+			}
+			if !rebuilt.Equal(r) {
+				t.Fatal("relation differs from rebuild of reference set")
 			}
 		}
-		if cl := r.Clone(); !cl.Equal(r) {
-			t.Fatal("Clone not Equal to original")
-		}
-		rebuilt := NewRelation("F", 2)
-		for _, tup := range ref {
-			rebuilt.Add(tup)
-		}
-		if !rebuilt.Equal(r) {
-			t.Fatal("relation differs from rebuild of reference set")
-		}
 	})
+}
+
+// TestAddDistinctDuplicatePanics: a tuple vouched distinct that is not
+// panics, naming the relation, when the table is built over it — by
+// the first membership question — or at once when the table is built
+// already.
+func TestAddDistinctDuplicatePanics(t *testing.T) {
+	wantPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "duplicate") || !strings.Contains(msg, "Dup") {
+				t.Fatalf("%s: recovered %q, want a duplicate panic naming Dup", what, msg)
+			}
+		}()
+		fn()
+	}
+	for name, ask := range map[string]func(*Relation){
+		"Add":      func(r *Relation) { r.Add(Tuple{9}) },
+		"Contains": func(r *Relation) { r.Contains(Tuple{1}) },
+		"Remove":   func(r *Relation) { r.Remove(Tuple{1}) },
+		"UnionWith": func(r *Relation) {
+			r.UnionWith(FromFacts(NewFact("O", 9)).Relation("O"))
+		},
+		"AbsorbNew": func(r *Relation) {
+			r.AbsorbNew(FromFacts(NewFact("O", 9)).Relation("O"), "N")
+		},
+		"Equal": func(r *Relation) {
+			o := NewRelation("O", 1)
+			for v := range 3 {
+				o.Add(Tuple{Value(v)})
+			}
+			o.Equal(r)
+		},
+	} {
+		r := NewRelationSize("Dup", 1, 4)
+		r.AddDistinct(Tuple{1})
+		r.AddDistinct(Tuple{2})
+		r.AddDistinct(Tuple{1})
+		if r.slots != nil || r.Len() != 3 {
+			t.Fatalf("%s: AddDistinct checked its vouch before a question was asked", name)
+		}
+		r.Each(func(Tuple) bool { return true })
+		r.Tuples()
+		if r.slots != nil {
+			t.Fatalf("%s: a scan built the table", name)
+		}
+		wantPanic(name, func() { ask(r) })
+	}
+	r := NewRelation("Dup", 1)
+	r.Add(Tuple{1})
+	wantPanic("AddDistinct on a built table", func() { r.AddDistinct(Tuple{1}) })
 }

@@ -13,6 +13,17 @@ package rel
 // compacted on the next rehash; compaction copies live values into a
 // fresh arena, so Tuple views handed out earlier stay valid.
 //
+// The table is a cache like the sorted enumeration and the join
+// indexes: AddDistinct and UnionDistinct, whose caller vouches that
+// the tuples are not in the relation yet, only append to the arena, and
+// the table is built over the stored tuples by the first membership
+// question — Add, Contains, Remove, Equal, UnionWith or AbsorbNew into
+// the relation. That build checks what was vouched: a duplicate panics.
+// Each, Tuples, Len, the join indexes and the encoders read the arena
+// alone, so a relation that is only split, shipped and scanned never
+// builds a table. Building it is a write, so, like the rest of
+// Relation, a lookup is not safe for concurrent use.
+//
 // Enumeration contract: Each visits tuples in unspecified (insertion)
 // order; Tuples returns the lexicographically sorted enumeration and
 // caches it until the next mutation, so repeated serialization of an
@@ -24,7 +35,7 @@ type Relation struct {
 	arena  []Value  // flat tuple storage
 	hashes []uint64 // cached tableHash, parallel to stored tuples
 	dead   []bool   // tombstoned tuples awaiting compaction
-	slots  []int32  // open-addressing table: index, slotEmpty, or slotTomb
+	slots  []int32  // open-addressing table: index, slotEmpty, or slotTomb; nil = not built
 	live   int      // live (non-dead) tuples
 	tombs  int      // tombstoned table slots
 
@@ -94,15 +105,15 @@ func NewRelation(name string, arity int) *Relation {
 	return &Relation{Name: name, Arity: arity}
 }
 
-// NewRelationSize returns an empty relation pre-sized to hold size
-// tuples without growing.
+// NewRelationSize returns an empty relation whose storage is pre-sized
+// to hold size tuples without growing. The table is not built until it
+// is asked for; it is then sized for the storage's capacity.
 func NewRelationSize(name string, arity, size int) *Relation {
 	r := &Relation{Name: name, Arity: arity}
 	if size > 0 {
 		r.arena = make([]Value, 0, size*arity)
 		r.hashes = make([]uint64, 0, size)
 		r.dead = make([]bool, 0, size)
-		r.slots = newSlots(tableSizeFor(size))
 	}
 	return r
 }
@@ -121,9 +132,18 @@ func (r *Relation) mutated() {
 	r.idx = nil
 }
 
+// table builds the slot table if stored tuples have none: the first
+// membership question after appends.
+func (r *Relation) table() {
+	if r.slots == nil && r.live > 0 {
+		r.rehash(r.live)
+	}
+}
+
 // find returns the stored index of the tuple with hash h equal to t,
 // or -1 if absent.
 func (r *Relation) find(h uint64, t Tuple) int32 {
+	r.table()
 	if len(r.slots) == 0 {
 		return -1
 	}
@@ -142,7 +162,11 @@ func (r *Relation) find(h uint64, t Tuple) int32 {
 // insert adds t (copying its values into the arena) under hash h,
 // reporting whether it was new.
 func (r *Relation) insert(h uint64, t Tuple) bool {
-	if len(r.slots) == 0 || (r.live+r.tombs+1)*4 > len(r.slots)*3 {
+	if r.slots == nil {
+		// The first table: sized for the storage, so a pre-sized
+		// relation fills without a rehash.
+		r.rehash(max(r.live+1, cap(r.hashes)))
+	} else if (r.live+r.tombs+1)*4 > len(r.slots)*3 {
 		r.rehash(r.live + 1)
 	}
 	mask := uint64(len(r.slots) - 1)
@@ -162,16 +186,24 @@ func (r *Relation) insert(h uint64, t Tuple) bool {
 		}
 		s = (s + 1) & mask
 	}
+	if reuse >= 0 {
+		r.slots[reuse] = int32(len(r.hashes))
+		r.tombs--
+	} else {
+		r.slots[s] = int32(len(r.hashes))
+	}
+	r.push(h, t)
+	return true
+}
+
+// push stores t under hash h as the newest tuple, leaving the table to
+// the caller: insert has placed it, and a relation with no table yet
+// gets it on the next rehash.
+func (r *Relation) push(h uint64, t Tuple) {
 	i := int32(len(r.hashes))
 	r.arena = append(r.arena, t...)
 	r.hashes = append(r.hashes, h)
 	r.dead = append(r.dead, false)
-	if reuse >= 0 {
-		r.slots[reuse] = i
-		r.tombs--
-	} else {
-		r.slots[s] = i
-	}
 	r.live++
 	// The sorted enumeration is invalid, but cached join indexes stay
 	// live — the new tuple joins their buckets instead of a rebuild. This
@@ -186,12 +218,23 @@ func (r *Relation) insert(h uint64, t Tuple) bool {
 	for _, ix := range r.idx {
 		ix.inserted(i)
 	}
-	return true
+}
+
+// pushDistinct stores t, which the caller vouches is not in r, under
+// hash h: an append while there is no table, and otherwise an insert,
+// which costs a probe and holds the caller to its word.
+func (r *Relation) pushDistinct(h uint64, t Tuple) {
+	if r.slots == nil {
+		r.push(h, t)
+	} else if !r.insert(h, t) {
+		panic("rel: duplicate tuple added as distinct to " + r.Name)
+	}
 }
 
 // remove deletes the tuple with hash h equal to t, reporting whether it
 // was present.
 func (r *Relation) remove(h uint64, t Tuple) bool {
+	r.table()
 	if len(r.slots) == 0 {
 		return false
 	}
@@ -216,7 +259,9 @@ func (r *Relation) remove(h uint64, t Tuple) bool {
 }
 
 // rehash rebuilds the table to hold at least n tuples, compacting
-// tombstoned tuples out of the arena.
+// tombstoned tuples out of the arena. Over tuples that were appended
+// with no table, it is the check that they are distinct: a duplicate
+// panics, naming the relation.
 func (r *Relation) rehash(n int) {
 	if n < r.live {
 		n = r.live
@@ -248,7 +293,10 @@ func (r *Relation) rehash(n int) {
 	mask := uint64(size - 1)
 	for i, h := range r.hashes {
 		s := h & mask
-		for slots[s] != slotEmpty {
+		for v := slots[s]; v != slotEmpty; v = slots[s] {
+			if r.hashes[v] == h && r.tupleAt(v).Equal(r.tupleAt(int32(i))) {
+				panic("rel: duplicate tuple in " + r.Name)
+			}
 			s = (s + 1) & mask
 		}
 		slots[s] = int32(i)
@@ -257,9 +305,10 @@ func (r *Relation) rehash(n int) {
 	r.tombs = 0
 }
 
-// grow pre-sizes the table and tuple storage for n total live tuples.
+// grow pre-sizes the tuple storage, and the table if it is built, for
+// n total live tuples.
 func (r *Relation) grow(n int) {
-	if tableSizeFor(n) > len(r.slots) {
+	if r.slots != nil && tableSizeFor(n) > len(r.slots) {
 		r.rehash(n)
 	}
 	// The storage hints apply even when the table is already large
@@ -305,6 +354,18 @@ func (r *Relation) Add(t Tuple) bool {
 		panic("rel: arity mismatch in " + r.Name)
 	}
 	return r.insert(tableHash(t), t)
+}
+
+// AddDistinct adds t, which the caller vouches is not in r — a tuple of
+// a set being dealt or routed, each to a destination once — without
+// asking the table: with none built it only appends, and the build that
+// the next membership question triggers checks the vouch, panicking on
+// a duplicate. Like Add, it panics if the arity is wrong.
+func (r *Relation) AddDistinct(t Tuple) {
+	if len(t) != r.Arity {
+		panic("rel: arity mismatch in " + r.Name)
+	}
+	r.pushDistinct(tableHash(t), t)
 }
 
 // Contains reports whether t is in the relation.
@@ -383,6 +444,22 @@ func (r *Relation) UnionWith(o *Relation) int {
 	return added
 }
 
+// UnionDistinct adds every tuple of o into r, like UnionWith, for a
+// caller that vouches that no tuple of o is in r: each is added as by
+// AddDistinct, its cached hash reused, and r's storage is pre-grown to
+// the combined size.
+func (r *Relation) UnionDistinct(o *Relation) {
+	if r.Arity != o.Arity && o.Len() > 0 {
+		panic("rel: arity mismatch in union of " + r.Name)
+	}
+	r.grow(r.live + o.live)
+	for i := range o.hashes {
+		if !o.dead[i] {
+			r.pushDistinct(o.hashes[i], o.tupleAt(int32(i)))
+		}
+	}
+}
+
 // AbsorbNew adds every tuple of o into r (like UnionWith) and returns
 // the genuinely new ones as a fresh relation named name. Cached hashes
 // of o are reused and both r and the result are pre-sized, so folding
@@ -404,7 +481,7 @@ func (r *Relation) AbsorbNew(o *Relation, name string) *Relation {
 		}
 		t := o.tupleAt(int32(i))
 		if r.insert(o.hashes[i], t) {
-			out.insert(o.hashes[i], t)
+			out.push(o.hashes[i], t) // new to r, so new to out
 		}
 	}
 	return out
