@@ -128,7 +128,7 @@ func TestIntegrationTransitiveClosureAgree(t *testing.T) {
 func TestIntegrationCALMPipeline(t *testing.T) {
 	d := rel.NewDict()
 	prog := datalog.MustParse(d, "TC(x, y) :- E(x, y)\nTC(x, y) :- TC(x, z), E(z, y)")
-	if core.ClassifyProgram(prog) != mono.M {
+	if datalog.Classify(prog).MonotonicityClass() != mono.M {
 		t.Fatalf("TC program not in M")
 	}
 	q := func(i *rel.Instance) *rel.Instance {
@@ -164,7 +164,7 @@ func TestIntegrationSemiConnectedPipeline(t *testing.T) {
 TC(x, y) :- E(x, y)
 TC(x, y) :- TC(x, z), TC(z, y)
 OUT(x, y) :- ADom(x), ADom(y), not TC(x, y)`)
-	if core.ClassifyProgram(prog) != mono.Mdisjoint {
+	if datalog.Classify(prog).MonotonicityClass() != mono.Mdisjoint {
 		t.Fatalf("¬TC program not classified Mdisjoint")
 	}
 	q := func(i *rel.Instance) *rel.Instance {

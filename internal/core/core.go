@@ -12,16 +12,16 @@
 //     its program as a function of plan and input), ChoosePlan to pick
 //     a row, Plan.Program to turn it into rounds or refuse it, Execute
 //     to run them on mpc.Simulate, the one in-process executor.
-//   - CALM: classifying queries/programs in the monotonicity hierarchy
-//     of Figure 2 (a mono.Class) and running the matching
-//     coordination-free strategy on an asynchronous transducer network,
-//     per Section 5: StrategyFor returns the class's row of the CALM
-//     table, whose program and policy go to transducer.Load.
+//   - CALM: running the coordination-free strategy that a class of the
+//     monotonicity hierarchy of Figure 2 (a mono.Class, from
+//     datalog.Classify for a program) prescribes on an asynchronous
+//     transducer network, per Section 5: StrategyFor returns the
+//     class's row of the CALM table, whose program and policy go to
+//     transducer.Load.
 package core
 
 import (
 	"mpclogic/internal/cq"
-	"mpclogic/internal/datalog"
 	"mpclogic/internal/mono"
 	"mpclogic/internal/pc"
 	"mpclogic/internal/policy"
@@ -85,9 +85,6 @@ func (a *Analyzer) Transfers(q, qp *cq.CQ) (bool, string, error) {
 // Contained decides classic containment for pure CQs.
 func (a *Analyzer) Contained(q, qp *cq.CQ) (bool, error) { return cq.Contained(q, qp) }
 
-// Minimize returns the core of a pure CQ (fewest-atom equivalent).
-func (a *Analyzer) Minimize(q *cq.CQ) (*cq.CQ, error) { return cq.Minimize(q) }
-
 // Structure summarizes the structural properties driving algorithm
 // choice and load bounds.
 type Structure struct {
@@ -126,35 +123,6 @@ func (a *Analyzer) Structure(q *cq.CQ) (Structure, error) {
 	}
 	s.Rho = cover.Value
 	return s, nil
-}
-
-// ClassifyQuery places a black-box query in the hierarchy by bounded
-// model checking over the given schema and universe (exact relative to
-// the bound). It returns the strongest class that holds.
-func ClassifyQuery(q mono.Query, schema rel.Schema, universe []rel.Value) (mono.Class, error) {
-	if rep, err := mono.IsMonotone(q, schema, universe); err != nil {
-		return mono.None, err
-	} else if rep.Holds {
-		return mono.M, nil
-	}
-	if rep, err := mono.IsDomainDistinctMonotone(q, schema, universe); err != nil {
-		return mono.None, err
-	} else if rep.Holds {
-		return mono.Mdistinct, nil
-	}
-	if rep, err := mono.IsDomainDisjointMonotone(q, schema, universe); err != nil {
-		return mono.None, err
-	} else if rep.Holds {
-		return mono.Mdisjoint, nil
-	}
-	return mono.None, nil
-}
-
-// ClassifyProgram places a Datalog program syntactically (effective
-// syntax, Section 5.3): positive → M, semi-positive → Mdistinct,
-// semi-connected stratified → Mdisjoint.
-func ClassifyProgram(p *datalog.Program) mono.Class {
-	return datalog.Classify(p).MonotonicityClass()
 }
 
 // StrategyFor returns the row of the CALM table (transducer.Strategies)

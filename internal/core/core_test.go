@@ -146,18 +146,18 @@ func TestClassifyQueryHierarchy(t *testing.T) {
 func TestClassifyProgram(t *testing.T) {
 	d := rel.NewDict()
 	pos := datalog.MustParse(d, "TC(x, y) :- E(x, y)\nTC(x, y) :- TC(x, z), E(z, y)")
-	if ClassifyProgram(pos) != mono.M {
+	if datalog.Classify(pos).MonotonicityClass() != mono.M {
 		t.Errorf("positive program not in M")
 	}
 	sp := datalog.MustParse(d, "Open(x, y, z) :- E(x, y), E(y, z), not E(z, x)")
-	if ClassifyProgram(sp) != mono.Mdistinct {
+	if datalog.Classify(sp).MonotonicityClass() != mono.Mdistinct {
 		t.Errorf("semi-positive program not in Mdistinct")
 	}
 	sc := datalog.MustParse(d, `
 TC(x, y) :- E(x, y)
 TC(x, y) :- TC(x, z), TC(z, y)
 OUT(x, y) :- ADom(x), ADom(y), not TC(x, y)`)
-	if ClassifyProgram(sc) != mono.Mdisjoint {
+	if datalog.Classify(sc).MonotonicityClass() != mono.Mdisjoint {
 		t.Errorf("semi-connected program not in Mdisjoint")
 	}
 	out, err := datalog.EvalQuery(sc, workload.PathGraph(2), "OUT")
@@ -181,11 +181,33 @@ func TestDetectSkew(t *testing.T) {
 func TestAnalyzerMinimize(t *testing.T) {
 	a := NewAnalyzer()
 	q, _ := a.ParseQuery("H(x) :- R(x, y), R(x, z)")
-	core, err := a.Minimize(q)
+	core, err := cq.Minimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(core.Body) != 1 {
 		t.Errorf("core = %v", core)
 	}
+}
+
+// ClassifyQuery places a black-box query in the hierarchy by bounded
+// model checking over the given schema and universe (exact relative to
+// the bound). It returns the strongest class that holds.
+func ClassifyQuery(q mono.Query, schema rel.Schema, universe []rel.Value) (mono.Class, error) {
+	if rep, err := mono.IsMonotone(q, schema, universe); err != nil {
+		return mono.None, err
+	} else if rep.Holds {
+		return mono.M, nil
+	}
+	if rep, err := mono.IsDomainDistinctMonotone(q, schema, universe); err != nil {
+		return mono.None, err
+	} else if rep.Holds {
+		return mono.Mdistinct, nil
+	}
+	if rep, err := mono.IsDomainDisjointMonotone(q, schema, universe); err != nil {
+		return mono.None, err
+	} else if rep.Holds {
+		return mono.Mdisjoint, nil
+	}
+	return mono.None, nil
 }

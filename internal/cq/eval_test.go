@@ -232,3 +232,22 @@ func TestPropEvaluateMonotoneForPureCQ(t *testing.T) {
 		})
 	}
 }
+
+// Satisfies reports whether V satisfies Q on I: all required facts are
+// in I, no negated fact is in I, and all inequalities hold.
+func (v Valuation) Satisfies(q *CQ, i *rel.Instance) bool {
+	if !v.SatisfiesDiseq(q) {
+		return false
+	}
+	for _, a := range q.Body {
+		if !i.Contains(v.Apply(a)) {
+			return false
+		}
+	}
+	for _, a := range q.Neg {
+		if i.Contains(v.Apply(a)) {
+			return false
+		}
+	}
+	return true
+}

@@ -57,14 +57,6 @@ func Equivalent(q, qp *CQ) (bool, error) {
 	return Contained(qp, q)
 }
 
-// HomomorphismTo reports whether there is a homomorphism from q to qp:
-// a mapping h of vars(q) to terms of qp with h(body_q) ⊆ body_qp and
-// h(head_q) = head_qp. This is containment in the other direction of
-// the arrow: hom q→qp exists iff qp ⊆ q.
-func HomomorphismTo(q, qp *CQ) (bool, error) {
-	return Contained(qp, q)
-}
-
 // UCQContained decides U ⊆ U′ for unions of pure CQs: every disjunct of
 // U must be contained in the union U′, which by the classical argument
 // reduces to: the canonical instance of each disjunct makes some

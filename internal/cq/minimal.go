@@ -60,18 +60,6 @@ func (u *UCQ) EachValuation(q *CQ, universe []rel.Value, minimalOnly bool, fn fu
 	})
 }
 
-// IsMinimal reports whether the valuation v (total on vars(Q), and
-// satisfying the inequalities of Q) is minimal for Q.
-func IsMinimal(q *CQ, v Valuation) (bool, error) {
-	if q.HasNegation() {
-		return false, fmt.Errorf("cq: minimal valuations undefined for CQ¬")
-	}
-	if !v.SatisfiesDiseq(q) {
-		return false, fmt.Errorf("cq: valuation violates inequalities of the query")
-	}
-	return single(q).IsMinimal(q, v), nil
-}
-
 // MinimalValuations collects all minimal valuations for Q over the
 // given universe.
 func MinimalValuations(q *CQ, universe []rel.Value) ([]Valuation, error) {

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -231,4 +232,16 @@ func TestMinimizePreservesSemantics(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// IsMinimal reports whether the valuation v (total on vars(Q), and
+// satisfying the inequalities of Q) is minimal for Q.
+func IsMinimal(q *CQ, v Valuation) (bool, error) {
+	if q.HasNegation() {
+		return false, fmt.Errorf("cq: minimal valuations undefined for CQ¬")
+	}
+	if !v.SatisfiesDiseq(q) {
+		return false, fmt.Errorf("cq: valuation violates inequalities of the query")
+	}
+	return single(q).IsMinimal(q, v), nil
 }

@@ -91,17 +91,6 @@ type JoinTree struct {
 	Order  []int
 }
 
-// Children returns, for each atom index, its child indices.
-func (jt *JoinTree) Children() [][]int {
-	out := make([][]int, len(jt.Atoms))
-	for i, p := range jt.Parent {
-		if p >= 0 {
-			out[p] = append(out[p], i)
-		}
-	}
-	return out
-}
-
 // Depth returns the height of the deepest node (roots have depth 0).
 func (jt *JoinTree) Depth() int {
 	depth := make([]int, len(jt.Atoms))
@@ -209,8 +198,7 @@ func IsAcyclic(q *CQ) bool {
 	return ok
 }
 
-// Validate checks internal consistency of a join tree (used by tests
-// and by GYM before executing a plan).
+// Validate checks internal consistency of a join tree.
 func (jt *JoinTree) Validate() error {
 	n := len(jt.Atoms)
 	if len(jt.Parent) != n || len(jt.Order) != n {

@@ -150,3 +150,14 @@ func TestJoinColumns(t *testing.T) {
 		}
 	}
 }
+
+// Children returns, for each atom index, its child indices.
+func (jt *JoinTree) Children() [][]int {
+	out := make([][]int, len(jt.Atoms))
+	for i, p := range jt.Parent {
+		if p >= 0 {
+			out[p] = append(out[p], i)
+		}
+	}
+	return out
+}

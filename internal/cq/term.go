@@ -79,19 +79,6 @@ func JoinColumns(l, r Atom) (lCols, rCols []int) {
 	return lCols, rCols
 }
 
-// Equal reports structural equality of atoms.
-func (a Atom) Equal(b Atom) bool {
-	if a.Rel != b.Rel || len(a.Args) != len(b.Args) {
-		return false
-	}
-	for i := range a.Args {
-		if a.Args[i] != b.Args[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the atom in the usual syntax.
 func (a Atom) String() string {
 	var b strings.Builder

@@ -72,25 +72,6 @@ func (v Valuation) SatisfiesDiseq(q *CQ) bool {
 	return true
 }
 
-// Satisfies reports whether V satisfies Q on I: all required facts are
-// in I, no negated fact is in I, and all inequalities hold.
-func (v Valuation) Satisfies(q *CQ, i *rel.Instance) bool {
-	if !v.SatisfiesDiseq(q) {
-		return false
-	}
-	for _, a := range q.Body {
-		if !i.Contains(v.Apply(a)) {
-			return false
-		}
-	}
-	for _, a := range q.Neg {
-		if i.Contains(v.Apply(a)) {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether v and w bind the same variables to the same
 // values.
 func (v Valuation) Equal(w Valuation) bool {

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"sort"
 	"testing"
 
 	"mpclogic/internal/cq"
@@ -623,4 +624,41 @@ B(x) :- A(x), not G(x)
 	if _, err := AnalyzeCoordination(MustParse(d, "Win(x) :- Move(x, y), not Win(y)")); err == nil {
 		t.Errorf("win-move accepted by coordination analysis")
 	}
+}
+
+// StrataOrder returns the IDB predicates sorted by (stratum, name) —
+// useful for deterministic reporting.
+func (s *Stratification) StrataOrder() []string {
+	out := make([]string, 0, len(s.Stratum))
+	for q := range s.Stratum {
+		out = append(out, q)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		si, sj := s.Stratum[out[i]], s.Stratum[out[j]]
+		if si != sj {
+			return si < sj
+		}
+		return out[i] < out[j]
+	})
+	return out
+}
+
+// Relations returns every relation mentioned by the program, sorted.
+func (p *Program) Relations() []string {
+	seen := map[string]bool{}
+	for _, r := range p.Rules {
+		seen[r.Head.Rel] = true
+		for _, a := range r.Body {
+			seen[a.Rel] = true
+		}
+		for _, a := range r.Neg {
+			seen[a.Rel] = true
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for k := range seen {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

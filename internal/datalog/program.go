@@ -1,14 +1,14 @@
 // Package datalog implements the Datalog dialects of Section 5.3 of
 // Neven (PODS 2016): Datalog with inequalities, semi-positive Datalog
 // (negation on EDB relations only), stratified Datalog with negation,
-// the connectedness notions behind semi-connected Datalog, well-founded
-// semantics (for win-move), and a bounded form of value invention
-// (wILOG). Evaluation is semi-naive with strata.
+// the connectedness notions behind semi-connected Datalog, and
+// well-founded semantics (for win-move). Evaluation is semi-naive with
+// strata. A bounded form of value invention (wILOG) is kept beside its
+// tests (invention_test.go): no program runs it.
 package datalog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mpclogic/internal/cq"
@@ -84,26 +84,6 @@ func (p *Program) IDB() map[string]bool {
 	for _, r := range p.Rules {
 		out[r.Head.Rel] = true
 	}
-	return out
-}
-
-// Relations returns every relation mentioned by the program, sorted.
-func (p *Program) Relations() []string {
-	seen := map[string]bool{}
-	for _, r := range p.Rules {
-		seen[r.Head.Rel] = true
-		for _, a := range r.Body {
-			seen[a.Rel] = true
-		}
-		for _, a := range r.Neg {
-			seen[a.Rel] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

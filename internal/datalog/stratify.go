@@ -1,9 +1,6 @@
 package datalog
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Stratification assigns every IDB predicate a stratum such that
 // positive dependencies stay within or below a stratum and negative
@@ -69,21 +66,4 @@ func Stratify(p *Program) (*Stratification, error) {
 		st.RulesByStratum[s] = append(st.RulesByStratum[s], i)
 	}
 	return st, nil
-}
-
-// StrataOrder returns the IDB predicates sorted by (stratum, name) —
-// useful for deterministic reporting.
-func (s *Stratification) StrataOrder() []string {
-	out := make([]string, 0, len(s.Stratum))
-	for q := range s.Stratum {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := s.Stratum[out[i]], s.Stratum[out[j]]
-		if si != sj {
-			return si < sj
-		}
-		return out[i] < out[j]
-	})
-	return out
 }

@@ -103,16 +103,6 @@ func All() []Def {
 	return out
 }
 
-// ByID returns one experiment.
-func ByID(id string) (Def, bool) {
-	for _, d := range registry {
-		if d.ID == id {
-			return d, true
-		}
-	}
-	return Def{}, false
-}
-
 // SweepStats summarizes one sweep's execution. Everything except Wall
 // is deterministic.
 type SweepStats struct {

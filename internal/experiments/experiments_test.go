@@ -211,3 +211,13 @@ func TestRegistryWellFormed(t *testing.T) {
 		}
 	}
 }
+
+// ByID returns one experiment.
+func ByID(id string) (Def, bool) {
+	for _, d := range registry {
+		if d.ID == id {
+			return d, true
+		}
+	}
+	return Def{}, false
+}

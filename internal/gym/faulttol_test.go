@@ -93,7 +93,7 @@ func TestRunYannakakisRoundsResumesAfterFailure(t *testing.T) {
 		t.Fatalf("failed run completed %d rounds, want 5 (atomic failure)", c.Rounds())
 	}
 
-	c.SetFaultPlan(nil)
+	mpc.WithFaultPlan(nil)(c)
 	if err := c.RunResumable(prog...); err != nil {
 		t.Fatal(err)
 	}

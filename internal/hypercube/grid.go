@@ -254,15 +254,6 @@ func varsOfBody(q *cq.CQ) []string {
 // shares).
 func (g *Grid) P() int { return g.p }
 
-// Coord converts a server id back to its grid coordinates.
-func (g *Grid) Coord(server int) []int {
-	out := make([]int, len(g.Shares))
-	for i := range g.Shares {
-		out[i] = server / g.stride[i] % g.Shares[i]
-	}
-	return out
-}
-
 // Targets returns the destination servers for a fact, ascending: the
 // union over all body atoms of the fact's relation of the grid points
 // consistent with the hashed bindings. Facts that match no atom (wrong

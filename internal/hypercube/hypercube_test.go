@@ -478,3 +478,12 @@ func TestPropGridTargetsWellFormed(t *testing.T) {
 		}
 	}
 }
+
+// Coord converts a server id back to its grid coordinates.
+func (g *Grid) Coord(server int) []int {
+	out := make([]int, len(g.Shares))
+	for i := range g.Shares {
+		out[i] = server / g.stride[i] % g.Shares[i]
+	}
+	return out
+}

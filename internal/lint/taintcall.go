@@ -370,11 +370,11 @@ func (w *taintWalker) checkWriterSink(call *ast.CallExpr, argTvs []tval) {
 
 // checkStableStoreSink flags tainted values handed to the durable
 // store: what a crash recovers must be a deterministic function of the
-// input distribution. Matching is by name (NewStableStore,
-// StoreFromPolicy, or any method on a type named StableStore), so the
-// fixture module can exercise it without importing the real package.
+// input distribution. Matching is by name (NewStableStore, or any
+// method on a type named StableStore), so the fixture module can
+// exercise it without importing the real package.
 func (w *taintWalker) checkStableStoreSink(call *ast.CallExpr, callee *types.Func, argExprs []ast.Expr, argTvs []tval) {
-	isStore := callee.Name() == "NewStableStore" || callee.Name() == "StoreFromPolicy"
+	isStore := callee.Name() == "NewStableStore"
 	if !isStore {
 		if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
 			if n, ok := deref(sig.Recv().Type()).(*types.Named); ok && n.Obj().Name() == "StableStore" {

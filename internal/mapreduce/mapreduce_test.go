@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -253,4 +254,78 @@ func TestTransitiveClosureLinearShipsOnlyFrontier(t *testing.T) {
 	if tot != 100 {
 		t.Errorf("semi-naive linear TC shipped %d facts, want 100", tot)
 	}
+}
+
+// SemiJoinJob reduces relation left by relation right on the given
+// column lists (left ⋉ right): µ keys both sides on the join values,
+// ρ emits the left tuples of groups that also contain a right tuple.
+// Together with JoinJob this gives the semi-join algebra fragment that
+// Neven et al.'s distributed-streaming formalization of MapReduce
+// expresses (Section 3.2's discussion of [47]).
+func SemiJoinJob(left, right string, lCols, rCols []int) (Job, error) {
+	if left == right {
+		return Job{}, fmt.Errorf("mapreduce: semijoin needs distinct relation names")
+	}
+	if len(lCols) != len(rCols) {
+		return Job{}, fmt.Errorf("mapreduce: column lists differ in length")
+	}
+	return Job{
+		Name: "semijoin " + left + "⋉" + right,
+		Map: func(f rel.Fact) []Pair {
+			switch f.Rel {
+			case left:
+				return []Pair{{Key: f.Tuple.Project(lCols), Value: f}}
+			case right:
+				return []Pair{{Key: f.Tuple.Project(rCols), Value: f}}
+			}
+			return nil
+		},
+		Reduce: func(_ rel.Tuple, values *rel.Instance) []rel.Fact {
+			r := values.Relation(right)
+			if r == nil || r.Len() == 0 {
+				return nil
+			}
+			var out []rel.Fact
+			if l := values.Relation(left); l != nil {
+				l.Each(func(t rel.Tuple) bool {
+					out = append(out, rel.Fact{Rel: left, Tuple: t})
+					return true
+				})
+			}
+			return out
+		},
+	}, nil
+}
+
+// JoinJob builds the classic repartition-join job for a two-atom
+// query: µ keys each fact by its join-attribute values, ρ evaluates
+// the query within each group. This is Example 3.1(1a) phrased as
+// MapReduce.
+func JoinJob(q *cq.CQ) (Job, error) {
+	if len(q.Body) != 2 || q.HasNegation() {
+		return Job{}, fmt.Errorf("mapreduce: JoinJob wants a two-atom positive query")
+	}
+	l, r := q.Body[0], q.Body[1]
+	if l.Rel == r.Rel {
+		return Job{}, fmt.Errorf("mapreduce: self-join %s not supported by JoinJob", l.Rel)
+	}
+	lCols, rCols := cq.JoinColumns(l, r)
+	if len(lCols) == 0 {
+		return Job{}, fmt.Errorf("mapreduce: atoms share no variables")
+	}
+	return Job{
+		Name: "join " + l.Rel + "⋈" + r.Rel,
+		Map: func(f rel.Fact) []Pair {
+			switch f.Rel {
+			case l.Rel:
+				return []Pair{{Key: f.Tuple.Project(lCols), Value: f}}
+			case r.Rel:
+				return []Pair{{Key: f.Tuple.Project(rCols), Value: f}}
+			}
+			return nil
+		},
+		Reduce: func(_ rel.Tuple, values *rel.Instance) []rel.Fact {
+			return cq.Output(q, values).Facts()
+		},
+	}, nil
 }

@@ -4,51 +4,11 @@ import (
 	"mpclogic/internal/rel"
 )
 
-// This file implements the structural lemmas of Section 5.2 that power
-// the coordination-free evaluation strategies: Lemma 5.7 (queries in
-// Mdistinct are monotone with respect to induced subinstances) and
-// Lemma 5.11 (queries in Mdisjoint are monotone with respect to
-// components), plus bounded checkers used by the tests.
-
-// CheckLemma57 verifies Q(I|C) ⊆ Q(I) for every instance I over the
-// universe and every C ⊆ adom(I). Queries in Mdistinct must pass.
-func CheckLemma57(q Query, schema rel.Schema, universe []rel.Value) (bool, *rel.Instance) {
-	var bad *rel.Instance
-	forEachInstance(schema, universe, func(i *rel.Instance) bool {
-		adom := i.ADom().Sorted()
-		n := uint(len(adom))
-		for mask := uint64(0); mask < 1<<n; mask++ {
-			c := make(rel.ValueSet)
-			for b := uint(0); b < n; b++ {
-				if mask&(1<<b) != 0 {
-					c.Add(adom[b])
-				}
-			}
-			if !q(i.Induced(c)).SubsetOf(q(i)) {
-				bad = i.Clone()
-				return false
-			}
-		}
-		return true
-	})
-	return bad == nil, bad
-}
-
-// CheckLemma511 verifies Q(J) ⊆ Q(I) for every instance I over the
-// universe and every component J of I. Queries in Mdisjoint must pass.
-func CheckLemma511(q Query, schema rel.Schema, universe []rel.Value) (bool, *rel.Instance) {
-	var bad *rel.Instance
-	forEachInstance(schema, universe, func(i *rel.Instance) bool {
-		for _, j := range rel.Components(i) {
-			if !q(j).SubsetOf(q(i)) {
-				bad = i.Clone()
-				return false
-			}
-		}
-		return true
-	})
-	return bad == nil, bad
-}
+// This file holds the bounded check of the component property behind
+// the coordination-free strategies of Section 5.2. The checkers of
+// Lemma 5.7 (queries in Mdistinct are monotone with respect to induced
+// subinstances) and Lemma 5.11 (queries in Mdisjoint are monotone with
+// respect to components) live with the tests that call them.
 
 // DistributesOverComponents checks Q(I) = ∪_J Q(J) over the components
 // J of I, the property characterizing connected Datalog programs

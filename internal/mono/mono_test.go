@@ -263,3 +263,43 @@ func TestSpaceGuard(t *testing.T) {
 		t.Errorf("oversized space accepted")
 	}
 }
+
+// CheckLemma57 verifies Q(I|C) ⊆ Q(I) for every instance I over the
+// universe and every C ⊆ adom(I). Queries in Mdistinct must pass.
+func CheckLemma57(q Query, schema rel.Schema, universe []rel.Value) (bool, *rel.Instance) {
+	var bad *rel.Instance
+	forEachInstance(schema, universe, func(i *rel.Instance) bool {
+		adom := i.ADom().Sorted()
+		n := uint(len(adom))
+		for mask := uint64(0); mask < 1<<n; mask++ {
+			c := make(rel.ValueSet)
+			for b := uint(0); b < n; b++ {
+				if mask&(1<<b) != 0 {
+					c.Add(adom[b])
+				}
+			}
+			if !q(i.Induced(c)).SubsetOf(q(i)) {
+				bad = i.Clone()
+				return false
+			}
+		}
+		return true
+	})
+	return bad == nil, bad
+}
+
+// CheckLemma511 verifies Q(J) ⊆ Q(I) for every instance I over the
+// universe and every component J of I. Queries in Mdisjoint must pass.
+func CheckLemma511(q Query, schema rel.Schema, universe []rel.Value) (bool, *rel.Instance) {
+	var bad *rel.Instance
+	forEachInstance(schema, universe, func(i *rel.Instance) bool {
+		for _, j := range rel.Components(i) {
+			if !q(j).SubsetOf(q(i)) {
+				bad = i.Clone()
+				return false
+			}
+		}
+		return true
+	})
+	return bad == nil, bad
+}

@@ -112,15 +112,6 @@ func (c *Cluster) ApplyUpdate(adds *rel.Instance) error {
 	return c.fixpoint()
 }
 
-// DeltaBatches returns how many update batches (including the base
-// load) have been fully injected; 0 when no delta program is installed.
-func (c *Cluster) DeltaBatches() int {
-	if c.delta == nil {
-		return 0
-	}
-	return c.delta.batches
-}
-
 // loadDelta deals adds round-robin across servers under Δ names: a
 // view binds each relation under its Δ name without copying it, and Δ
 // names sort like their bases, so DealRoundRobin deals the view in the

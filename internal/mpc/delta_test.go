@@ -310,3 +310,12 @@ func TestRunDeltaRequiresFreshCluster(t *testing.T) {
 		t.Fatal("second RunDelta accepted")
 	}
 }
+
+// DeltaBatches returns how many update batches (including the base
+// load) have been fully injected; 0 when no delta program is installed.
+func (c *Cluster) DeltaBatches() int {
+	if c.delta == nil {
+		return 0
+	}
+	return c.delta.batches
+}

@@ -44,8 +44,7 @@
 // are cut, never which steps it takes. A cluster built with no Option
 // runs the same steps under a configuration that schedules nothing, so
 // a fault-free round records the same RoundStats, field for field,
-// under every option set (WithReplication's checkpoint traffic, which
-// is charged per round by definition, aside).
+// under every option set.
 package mpc
 
 import (
@@ -185,8 +184,7 @@ func (r Round) sets() roundSets {
 // constrain. The recovery metrics (Retries, RecoveredServers,
 // ReplicaComm, SpeculativeWins, Quarantined) describe what fault
 // tolerance cost on top; they are zero in a round no fault fired in,
-// whatever Options the cluster was built with (ReplicaComm also carries
-// WithReplication's checkpoint traffic, if that was asked for).
+// whatever Options the cluster was built with.
 // VirtualMakespan is when the round ended on the virtual clock: 2 in a
 // fault-free round (one communication tick, one computation tick),
 // later when repairs ran.
@@ -759,7 +757,7 @@ const (
 	// twice even if its first delivery failed.
 	RoutedDelivered
 	// RoutedBehind: after the plan was routed the cluster committed a
-	// round, or turned fault-tolerant (SetFaultPlan) and now needs
+	// round, or turned fault-tolerant (WithFaultPlan(p)(c)) and now needs
 	// per-source shards. The plan's outboxes describe server data that
 	// no longer exists, and fault plans are indexed by absolute round,
 	// so it must not fire against the new index.

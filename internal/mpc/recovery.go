@@ -96,16 +96,16 @@ func WithFaultPlan(p *FaultPlan) Option {
 
 // WithCheckpoints makes the cluster recoverable without injecting any
 // faults, and every other fault-tolerance Option (WithFaultPlan,
-// WithByzantinePlan, WithRetryBudget, WithSpeculation, WithReplication,
-// SetFaultPlan) implies it. It does not select a different round: every
-// cluster runs the one body, deliver, and a fault-free round records
-// the same RoundStats with or without it. Exactly two things are keyed
-// on "a fault-tolerance Option was given":
+// WithByzantinePlan) implies it. It does not select a different round:
+// every cluster runs the one body, deliver, and a fault-free round
+// records the same RoundStats with or without it. Exactly two things
+// are keyed on "a fault-tolerance Option was given":
 //
 //   - RouteRound cuts one shard per source instead of one per worker,
 //     because fault and Byzantine plans address individual src→dst
 //     links; Deliver refuses, as RoutedBehind, a plan that was routed
-//     coarser before the cluster turned recoverable (SetFaultPlan).
+//     coarser before the cluster turned recoverable (such an Option
+//     applied to the live cluster, as WithFaultPlan(p)(c)).
 //   - commit keeps a rolling post-round checkpoint, which Checkpoint()
 //     hands out and RestoreStore primes. It is a value kept to recover
 //     from a fault: after a Compute panicked behind another server's
@@ -114,38 +114,6 @@ func WithFaultPlan(p *FaultPlan) Option {
 func WithCheckpoints() Option {
 	return func(c *Cluster) { c.ensureFT() }
 }
-
-// WithRetryBudget bounds per-site failures before a round errors out.
-func WithRetryBudget(n int) Option {
-	if n < 0 {
-		panic(fmt.Sprintf("mpc: negative retry budget %d", n))
-	}
-	return func(c *Cluster) { c.ensureFT().retryBudget = n }
-}
-
-// WithSpeculation sets the straggler threshold in virtual ticks; a
-// computation still running after that many ticks gets a speculative
-// backup copy. 0 disables speculation.
-func WithSpeculation(afterTicks int) Option {
-	if afterTicks < 0 {
-		panic(fmt.Sprintf("mpc: negative speculation threshold %d", afterTicks))
-	}
-	return func(c *Cluster) { c.ensureFT().speculateAfter = afterTicks }
-}
-
-// WithReplication replicates each round's inputs to k peer servers
-// (accounted in ReplicaComm, k times the inputs' size, every round).
-func WithReplication(k int) Option {
-	if k < 0 {
-		panic(fmt.Sprintf("mpc: negative replication factor %d", k))
-	}
-	return func(c *Cluster) { c.ensureFT().replicas = k }
-}
-
-// SetFaultPlan installs (or replaces, or with nil removes) the fault
-// plan on an already-constructed cluster, which from then on behaves as
-// if built WithCheckpoints.
-func (c *Cluster) SetFaultPlan(p *FaultPlan) { c.ensureFT().plan = p }
 
 // RecoveryStats aggregates the recovery metrics over rounds.
 type RecoveryStats struct {

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"fmt"
 	"testing"
 
 	"mpclogic/internal/rel"
@@ -232,4 +233,31 @@ func TestRestoreTwiceFromOneCheckpoint(t *testing.T) {
 	mutate(first)
 	same("the second restore after the first was mutated", second)
 	same("a third restore", Restore(ck))
+}
+
+// WithRetryBudget bounds per-site failures before a round errors out.
+func WithRetryBudget(n int) Option {
+	if n < 0 {
+		panic(fmt.Sprintf("mpc: negative retry budget %d", n))
+	}
+	return func(c *Cluster) { c.ensureFT().retryBudget = n }
+}
+
+// WithSpeculation sets the straggler threshold in virtual ticks; a
+// computation still running after that many ticks gets a speculative
+// backup copy. 0 disables speculation.
+func WithSpeculation(afterTicks int) Option {
+	if afterTicks < 0 {
+		panic(fmt.Sprintf("mpc: negative speculation threshold %d", afterTicks))
+	}
+	return func(c *Cluster) { c.ensureFT().speculateAfter = afterTicks }
+}
+
+// WithReplication replicates each round's inputs to k peer servers
+// (accounted in ReplicaComm, k times the inputs' size, every round).
+func WithReplication(k int) Option {
+	if k < 0 {
+		panic(fmt.Sprintf("mpc: negative replication factor %d", k))
+	}
+	return func(c *Cluster) { c.ensureFT().replicas = k }
 }

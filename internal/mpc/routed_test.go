@@ -254,7 +254,7 @@ func TestDeliverRefusesStalePlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetFaultPlan(NewFaultPlan())
+		WithFaultPlan(NewFaultPlan())(c)
 		refused(t, c, rr, RoutedBehind)
 	})
 }

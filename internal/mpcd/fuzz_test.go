@@ -168,6 +168,9 @@ func FuzzCreateSession(f *testing.F) {
 	f.Add(`{"facts": ["R(a, b)", "R(a, b, c)"]}`)              // a fact at the wrong arity
 	f.Add(`{"generator": "join", "n": 4194305}`)               // n over the cap
 	f.Add(`{"generator": "bogus", "n": 3}`)                    // an unknown generator
+	f.Add(`{"generator": "random-graph", "n": 1}`)             // more edges than n(n−1)
+	f.Add(`{"generator": "random-graph", "n": 3}`)             // the default 4n over n(n−1)
+	f.Add(`{"generator": "random-graph", "n": 2, "m": 3}`)     // an explicit m over n(n−1)
 	f.Add(`{"facts": ["R(a"]}`)                                // a fact that does not parse
 	f.Add(`{"generator": "join", "n": 4194304}]`)              // what Decode stops before
 	f.Add(`{"id": "t", "facts": ["R(a, b)"]} {"id": "u"}`)     // trailing data

@@ -75,8 +75,10 @@ const maxSessionP = 1 << 12
 // generation. A request wrong in two ways gets the first error of this
 // order:
 //
-//  1. 400 bad_request: the generator's n or m out of bounds, p over
-//     the cluster cap, an unknown generator;
+//  1. 400 bad_request: the generator's n or m out of bounds (for
+//     random-graph also an edge count, m or 4n by default, over
+//     n(n−1) or maxGenSize), p over the cluster cap, an unknown
+//     generator;
 //  2. 429 session_limit: MaxSessions sessions are live;
 //  3. 400 bad_request: an id that does not match sessionIDPat;
 //  4. 409 conflict: an id that is already live;
@@ -89,6 +91,11 @@ const maxSessionP = 1 << 12
 func (s *Server) createSession(req *createRequest) (createResponse, *apiError) {
 	if req.Generator != "" && (req.N <= 0 || req.N > maxGenSize || req.M > maxGenSize) {
 		return createResponse{}, errBadRequest("generator %q needs 0 < n ≤ %d (and m ≤ %d)", req.Generator, maxGenSize, maxGenSize)
+	}
+	if req.Generator == "random-graph" {
+		if m, edges := randomGraphM(req), req.N*(req.N-1); m > edges || m > maxGenSize {
+			return createResponse{}, errBadRequest("generator %q needs m ≤ n(n−1) = %d (and m ≤ %d), got m = %d", req.Generator, edges, maxGenSize, m)
+		}
 	}
 	p := req.P
 	if p <= 0 {
@@ -170,12 +177,17 @@ var generators = map[string]func(req *createRequest) *rel.Instance{
 	"cycle":           func(req *createRequest) *rel.Instance { return workload.CycleGraph(req.N) },
 	"path":            func(req *createRequest) *rel.Instance { return workload.PathGraph(req.N) },
 	"random-graph": func(req *createRequest) *rel.Instance {
-		m := req.M
-		if m <= 0 {
-			m = 4 * req.N
-		}
-		return workload.RandomGraph(req.N, m, req.Seed)
+		return workload.RandomGraph(req.N, randomGraphM(req), req.Seed)
 	},
+}
+
+// randomGraphM is a random-graph create's edge count: m, or 4n when m
+// is not given.
+func randomGraphM(req *createRequest) int {
+	if req.M > 0 {
+		return req.M
+	}
+	return 4 * req.N
 }
 
 // addFacts adds a create request's explicit symbolic facts to the

@@ -212,7 +212,7 @@ func TestMultiRoundCorrectOn(t *testing.T) {
 			},
 		}}
 	}
-	ok, err := MultiRoundCorrectOn(ref, algo, 3, i)
+	ok, err := multiRoundCorrectFrom(ref, algo, 3, i, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

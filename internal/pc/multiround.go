@@ -21,15 +21,10 @@ import (
 // per-run salt.
 type MultiRoundAlgorithm func(p int) []mpc.Round
 
-// MultiRoundCorrectOn runs the algorithm on one instance over p
-// servers (loaded round-robin) and compares the facts of the reference
-// query's head relation against the centralized result.
-func MultiRoundCorrectOn(ref *cq.CQ, algo MultiRoundAlgorithm, p int, i *rel.Instance) (bool, error) {
-	return multiRoundCorrectFrom(ref, algo, p, i, 0)
-}
-
-// multiRoundCorrectFrom is MultiRoundCorrectOn with the round-robin
-// placement starting at server rot.
+// multiRoundCorrectFrom runs the algorithm on one instance over p
+// servers, loaded round-robin starting at server rot, and compares the
+// facts of the reference query's head relation against the centralized
+// result.
 func multiRoundCorrectFrom(ref *cq.CQ, algo MultiRoundAlgorithm, p int, i *rel.Instance, rot int) (bool, error) {
 	c := mpc.NewCluster(p)
 	loadRotated(c, i, rot)

@@ -141,15 +141,3 @@ func Saturates(q *cq.CQ, p policy.Policy, universe []rel.Value) (bool, *Witness,
 func ParallelCorrect(q *cq.CQ, p policy.Policy, universe []rel.Value) (bool, *Witness, error) {
 	return Saturates(q, p, universe)
 }
-
-// SaturatesUCQ decides parallel-correctness for a union of CQs. The
-// suitable notion of minimal valuation for unions ([Geck et al.]):
-// a valuation V for disjunct Qi is union-minimal if no valuation W for
-// any disjunct Qj derives the same head fact from a strict subset of
-// V's required facts (cq's (*UCQ).IsMinimal).
-func SaturatesUCQ(u *cq.UCQ, p policy.Policy, universe []rel.Value) (bool, *Witness, error) {
-	if u.HasNegation() {
-		return false, nil, fmt.Errorf("pc: use bounded procedures for UCQ¬")
-	}
-	return saturates(u, p, universe, true)
-}

@@ -1,6 +1,7 @@
 package pc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -333,4 +334,16 @@ func TestHypercubeStronglySaturates(t *testing.T) {
 	if !sat {
 		t.Errorf("hypercube distribution fails PC1")
 	}
+}
+
+// SaturatesUCQ decides parallel-correctness for a union of CQs. The
+// suitable notion of minimal valuation for unions ([Geck et al.]):
+// a valuation V for disjunct Qi is union-minimal if no valuation W for
+// any disjunct Qj derives the same head fact from a strict subset of
+// V's required facts (cq's (*UCQ).IsMinimal).
+func SaturatesUCQ(u *cq.UCQ, p policy.Policy, universe []rel.Value) (bool, *Witness, error) {
+	if u.HasNegation() {
+		return false, nil, fmt.Errorf("pc: use bounded procedures for UCQ¬")
+	}
+	return saturates(u, p, universe, true)
 }

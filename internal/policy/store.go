@@ -46,13 +46,6 @@ func (s *StableStore) Clone() *StableStore {
 	return c
 }
 
-// StoreFromPolicy builds the stable store holding loc-inst_{P,I}(κ)
-// for every node κ — the distribution a policy-loaded network can
-// recover after a crash.
-func StoreFromPolicy(p Policy, i *rel.Instance) *StableStore {
-	return NewStableStore(Distribute(p, i))
-}
-
 // Meta returns a copy of the store's meta section (nil when empty).
 func (s *StableStore) Meta() []byte { return append([]byte(nil), s.meta...) }
 

@@ -76,12 +76,13 @@ func TestStableStoreFragmentBounds(t *testing.T) {
 	}
 }
 
-// StoreFromPolicy must capture exactly loc-inst(κ) for every node.
+// A store built from a policy's distribution must capture exactly
+// loc-inst(κ) for every node.
 func TestStoreFromPolicyMatchesDistribute(t *testing.T) {
 	d := rel.NewDict()
 	inst := rel.MustInstance(d, "R(1, 2)", "R(2, 3)", "R(3, 4)", "S(1)", "S(4)")
 	pol := &Hash{Nodes: 3}
-	s := StoreFromPolicy(pol, inst)
+	s := NewStableStore(Distribute(pol, inst))
 	if s.NumNodes() != 3 {
 		t.Fatalf("NumNodes = %d, want 3", s.NumNodes())
 	}

@@ -27,51 +27,6 @@ func Project(r *Relation, name string, cols []int) *Relation {
 	return out
 }
 
-// Union returns l ∪ r; arities must match.
-func Union(name string, l, r *Relation) *Relation {
-	if l.Arity != r.Arity {
-		panic("rel: union arity mismatch")
-	}
-	out := NewRelation(name, l.Arity)
-	out.UnionWith(l)
-	out.UnionWith(r)
-	return out
-}
-
-// Diff returns l ∖ r; arities must match.
-func Diff(name string, l, r *Relation) *Relation {
-	if l.Arity != r.Arity {
-		panic("rel: diff arity mismatch")
-	}
-	out := NewRelation(name, l.Arity)
-	l.Each(func(t Tuple) bool {
-		if !r.Contains(t) {
-			out.Add(t)
-		}
-		return true
-	})
-	return out
-}
-
-// Intersect returns l ∩ r; arities must match.
-func Intersect(name string, l, r *Relation) *Relation {
-	if l.Arity != r.Arity {
-		panic("rel: intersect arity mismatch")
-	}
-	small, big := l, r
-	if big.Len() < small.Len() {
-		small, big = big, small
-	}
-	out := NewRelation(name, l.Arity)
-	small.Each(func(t Tuple) bool {
-		if big.Contains(t) {
-			out.Add(t)
-		}
-		return true
-	})
-	return out
-}
-
 // HashJoin computes the equi-join of l and r on the column lists
 // lCols/rCols (same length). The result tuple is the concatenation of
 // the l-tuple and the r-tuple (all columns of both, join columns
@@ -155,9 +110,4 @@ func semiJoin(l, r *Relation, lCols, rCols []int, match bool) *Relation {
 		return true
 	})
 	return out
-}
-
-// Product returns the Cartesian product l × r.
-func Product(name string, l, r *Relation) *Relation {
-	return HashJoin(name, l, r, nil, nil)
 }

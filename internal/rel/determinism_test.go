@@ -76,7 +76,7 @@ func TestTuplesDeterministic(t *testing.T) {
 	}
 	ts := r.Tuples()
 	for k := 1; k < len(ts); k++ {
-		if !ts[k-1].Less(ts[k]) {
+		if ts[k-1].Compare(ts[k]) >= 0 {
 			t.Errorf("Tuples not strictly ordered at %d: %v !< %v", k, ts[k-1], ts[k])
 		}
 	}

@@ -57,7 +57,7 @@ func checkAgainstRef(t *testing.T, r *Relation, ref refSet) {
 		t.Fatalf("Tuples yielded %d tuples, reference has %d", len(sorted), len(ref))
 	}
 	for i := 1; i < len(sorted); i++ {
-		if !sorted[i-1].Less(sorted[i]) {
+		if sorted[i-1].Compare(sorted[i]) >= 0 {
 			t.Fatalf("Tuples not strictly sorted at %d: %v, %v", i, sorted[i-1], sorted[i])
 		}
 	}

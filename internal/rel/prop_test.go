@@ -217,7 +217,7 @@ func TestPropCompareIsTheLessOrder(t *testing.T) {
 		} else if lessRef(t2, t1) {
 			want = 1
 		}
-		if sign(t1.Compare(t2)) != want || sign(t2.Compare(t1)) != -want || t1.Less(t2) != (want < 0) {
+		if sign(t1.Compare(t2)) != want || sign(t2.Compare(t1)) != -want {
 			return false
 		}
 		name := map[bool]string{false: "R", true: "S"}
@@ -288,7 +288,7 @@ func TestPropAppendRenderersMatchFmt(t *testing.T) {
 			what      string
 			got, want string
 		}{
-			{"Tuple.StringWith", tup.StringWith(d), tuple(tup, name)},
+			{"Tuple.AppendWith(nil buffer)", string(tup.AppendWith(nil, d)), tuple(tup, name)},
 			{"Tuple.String", tup.String(), tuple(tup, raw)},
 			{"Tuple.AppendWith", string(tup.AppendWith([]byte(prefix), d)), prefix + tuple(tup, name)},
 			{"Tuple.AppendWith(nil dict)", string(tup.AppendWith([]byte(prefix), nil)), prefix + tuple(tup, raw)},

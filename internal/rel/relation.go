@@ -502,15 +502,3 @@ func (r *Relation) Equal(o *Relation) bool {
 	}
 	return true
 }
-
-// ADom returns the set of values occurring in the relation.
-func (r *Relation) ADom() ValueSet {
-	s := make(ValueSet)
-	r.Each(func(t Tuple) bool {
-		for _, v := range t {
-			s.Add(v)
-		}
-		return true
-	})
-	return s
-}

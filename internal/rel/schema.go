@@ -8,22 +8,6 @@ import (
 // Schema maps relation names to their arities.
 type Schema map[string]int
 
-// NewSchema builds a schema from alternating name/arity pairs given as a
-// map literal convenience.
-func NewSchema(arities map[string]int) Schema {
-	s := make(Schema, len(arities))
-	for k, v := range arities {
-		s[k] = v
-	}
-	return s
-}
-
-// Arity returns the declared arity of rel and whether rel is declared.
-func (s Schema) Arity(rel string) (int, bool) {
-	a, ok := s[rel]
-	return a, ok
-}
-
 // Declare adds (or confirms) a relation with the given arity. It returns
 // an error if rel is already declared with a different arity.
 func (s Schema) Declare(rel string, arity int) error {
@@ -31,18 +15,6 @@ func (s Schema) Declare(rel string, arity int) error {
 		return fmt.Errorf("rel: relation %s declared with arity %d, got %d", rel, a, arity)
 	}
 	s[rel] = arity
-	return nil
-}
-
-// Validate checks that f conforms to the schema.
-func (s Schema) Validate(f Fact) error {
-	a, ok := s[f.Rel]
-	if !ok {
-		return fmt.Errorf("rel: unknown relation %s", f.Rel)
-	}
-	if a != len(f.Tuple) {
-		return fmt.Errorf("rel: relation %s has arity %d, fact has %d values", f.Rel, a, len(f.Tuple))
-	}
 	return nil
 }
 
@@ -66,15 +38,6 @@ func (s Schema) MaxArity() int {
 	}
 	//lint:allow nondet-taint max over all map values is an order-insensitive fold
 	return max
-}
-
-// Clone returns a copy of the schema.
-func (s Schema) Clone() Schema {
-	out := make(Schema, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
 }
 
 // AllFacts enumerates facts(U): every fact over the schema whose values

@@ -91,14 +91,6 @@ func (t Tuple) Project(cols []int) Tuple {
 	return out
 }
 
-// Concat returns the concatenation of t and u as a fresh tuple.
-func (t Tuple) Concat(u Tuple) Tuple {
-	out := make(Tuple, 0, len(t)+len(u))
-	out = append(out, t...)
-	out = append(out, u...)
-	return out
-}
-
 // ADom returns the set of domain values occurring in t.
 func (t Tuple) ADom() ValueSet {
 	s := make(ValueSet, len(t))
@@ -128,10 +120,6 @@ func (t Tuple) Compare(u Tuple) int {
 	return len(t) - len(u)
 }
 
-// Less imposes a total lexicographic order on same-arity tuples;
-// shorter tuples sort first.
-func (t Tuple) Less(u Tuple) bool { return t.Compare(u) < 0 }
-
 // AppendWith appends the tuple's rendering to dst and returns the
 // extended buffer: each value by its symbolic name in d, or as a raw
 // number when d is nil. It is the one rendering body; String and
@@ -153,6 +141,3 @@ func (t Tuple) AppendWith(dst []byte, d *Dict) []byte {
 
 // String renders the tuple using raw numeric values.
 func (t Tuple) String() string { return string(t.AppendWith(make([]byte, 0, 64), nil)) }
-
-// StringWith renders the tuple using symbolic names from d.
-func (t Tuple) StringWith(d *Dict) string { return string(t.AppendWith(make([]byte, 0, 64), d)) }

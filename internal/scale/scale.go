@@ -236,26 +236,3 @@ func fetchMatching(src *rel.Relation, want []key) (out []rel.Tuple) {
 	}
 	return out
 }
-
-// Verify checks that an instance honours the declared constraints
-// (useful for generators and tests).
-func Verify(cons Constraints, inst *rel.Instance) error {
-	for _, acc := range cons {
-		r := inst.Relation(acc.Rel)
-		if r == nil {
-			continue
-		}
-		counts := map[string]int{}
-		bad := false
-		r.Each(func(t rel.Tuple) bool {
-			k := t.Project(acc.On).Key()
-			counts[k]++
-			bad = counts[k] > acc.Fanout
-			return !bad
-		})
-		if bad {
-			return fmt.Errorf("scale: instance violates %s", acc)
-		}
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package scale
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -169,4 +170,26 @@ func TestExecuteAtomAtAnotherArity(t *testing.T) {
 			t.Errorf("%s over %v: %v, cq.Evaluate answers %v", c.query, c.facts, got.Tuples(), want.Tuples())
 		}
 	}
+}
+
+// Verify checks that an instance honours the declared constraints.
+func Verify(cons Constraints, inst *rel.Instance) error {
+	for _, acc := range cons {
+		r := inst.Relation(acc.Rel)
+		if r == nil {
+			continue
+		}
+		counts := map[string]int{}
+		bad := false
+		r.Each(func(t rel.Tuple) bool {
+			k := t.Project(acc.On).Key()
+			counts[k]++
+			bad = counts[k] > acc.Fanout
+			return !bad
+		})
+		if bad {
+			return fmt.Errorf("scale: instance violates %s", acc)
+		}
+	}
+	return nil
 }

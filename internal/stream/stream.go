@@ -167,38 +167,3 @@ func SemiJoin(left, right string) Automaton {
 		},
 	}
 }
-
-// AntiJoin is the complementary automaton (left ▷ right).
-func AntiJoin(left, right string) Automaton {
-	a := SemiJoin(left, right)
-	a.Name = fmt.Sprintf("%s▷%s", left, right)
-	a.Step = func(pass int, st *State, f rel.Fact) []rel.Fact {
-		switch pass {
-		case 0:
-			if f.Rel == right {
-				st.Flags[0] = true
-			}
-		case 1:
-			if f.Rel == left && !st.Flags[0] {
-				return []rel.Fact{f}
-			}
-		}
-		return nil
-	}
-	return a
-}
-
-// Select is the one-pass stateless automaton emitting the facts of rel
-// r that satisfy pred — selections (and projections, via the emit
-// shape) need neither registers nor flags.
-func Select(r string, pred func(rel.Tuple) bool, emit func(rel.Tuple) rel.Fact) Automaton {
-	return Automaton{
-		Name: "σ" + r, Passes: 1,
-		Step: func(_ int, _ *State, f rel.Fact) []rel.Fact {
-			if f.Rel == r && pred(f.Tuple) {
-				return []rel.Fact{emit(f.Tuple)}
-			}
-			return nil
-		},
-	}
-}

@@ -106,25 +106,6 @@ func WithCrashRestart(κ policy.Node, afterDeliveries int) Option {
 	}
 }
 
-// WithGroupCrashRestart schedules a correlated crash-restart of a
-// whole node group — a rack losing power — at the same trigger as
-// WithCrashRestart. The group fails as a unit: every member loses its
-// volatile state before any member restarts, so no member's recovery
-// assist can come from inside the group; only surviving peers outside
-// it take recovery-assist transitions. This is strictly harsher than
-// the same crashes scheduled independently, where an earlier victim is
-// already back up (volatile state rebuilt by Start) when it assists a
-// later one.
-func WithGroupCrashRestart(group []policy.Node, afterDeliveries int) Option {
-	return func(n *Network) {
-		f := n.faultsLazy()
-		f.crashes = append(f.crashes, crashEvent{
-			nodes: append([]policy.Node(nil), group...),
-			after: afterDeliveries,
-		})
-	}
-}
-
 // Recoverer is implemented by programs that assist a crashed peer
 // after its restart: OnPeerRestart runs as one transition on a live
 // node and should re-send (targeted, via ctx.Send) whatever the

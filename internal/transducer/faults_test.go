@@ -426,3 +426,22 @@ func TestFaultAccounting(t *testing.T) {
 		t.Errorf("Delivered %d > Sent %d", st.Delivered, st.Sent)
 	}
 }
+
+// WithGroupCrashRestart schedules a correlated crash-restart of a
+// whole node group — a rack losing power — at the same trigger as
+// WithCrashRestart. The group fails as a unit: every member loses its
+// volatile state before any member restarts, so no member's recovery
+// assist can come from inside the group; only surviving peers outside
+// it take recovery-assist transitions. This is strictly harsher than
+// the same crashes scheduled independently, where an earlier victim is
+// already back up (volatile state rebuilt by Start) when it assists a
+// later one.
+func WithGroupCrashRestart(group []policy.Node, afterDeliveries int) Option {
+	return func(n *Network) {
+		f := n.faultsLazy()
+		f.crashes = append(f.crashes, crashEvent{
+			nodes: append([]policy.Node(nil), group...),
+			after: afterDeliveries,
+		})
+	}
+}

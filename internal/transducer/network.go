@@ -135,15 +135,6 @@ type Stats struct {
 	Assists     int // peer recovery-assist transitions
 }
 
-// CoordinationRatio is the fraction of sent messages that were
-// control-plane traffic (0 for pure data-shipping strategies).
-func (s Stats) CoordinationRatio() float64 {
-	if s.Sent == 0 {
-		return 0
-	}
-	return float64(s.ControlSent) / float64(s.Sent)
-}
-
 // Network is a relational transducer network instance.
 type Network struct {
 	p        int
@@ -167,11 +158,6 @@ type Option func(*Network)
 // WithPolicy makes nodes policy-aware (classes F1/F2).
 func WithPolicy(p policy.Policy) Option {
 	return func(n *Network) { n.pol = p }
-}
-
-// Oblivious removes the All relation (classes A0/A1/A2).
-func Oblivious() Option {
-	return func(n *Network) { n.aware = false }
 }
 
 // WithSeed seeds the default delay-simulating random scheduler.
@@ -274,17 +260,6 @@ func Load(mk func() Program, pol policy.Policy, g *rel.Instance, opts ...Option)
 	return n, n.LoadPolicy(g, pol)
 }
 
-// LoadReplicated gives every node the full instance — the ideal
-// distribution of the coordination-freeness definition.
-func (n *Network) LoadReplicated(i *rel.Instance) {
-	parts := make([]*rel.Instance, n.p)
-	for j, c := range n.ctxs {
-		c.state = i.Clone()
-		parts[j] = i
-	}
-	n.store = policy.NewStableStore(parts).Clone()
-}
-
 func (n *Network) enqueue(from, to policy.Node, f rel.Fact) {
 	copies := 1
 	if fs := n.faults; fs != nil && fs.dupBound > 0 {
@@ -380,12 +355,6 @@ func (n *Network) Output() *rel.Instance {
 	}
 	return out
 }
-
-// NodeOutput returns one node's output.
-func (n *Network) NodeOutput(i policy.Node) *rel.Instance { return n.outputs[i] }
-
-// Stats returns the statistics so far.
-func (n *Network) Stats() Stats { return n.stats }
 
 // reservedPrefix marks control-plane relations; workloads must not use
 // it.

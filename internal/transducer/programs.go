@@ -107,8 +107,8 @@ func EconomicalBroadcast(q Query, matches func(rel.Fact) bool) *Broadcast {
 // broadcasts its data plus a count of how many facts it contributed;
 // a node outputs Q(state) only once it has received every node's
 // complete contribution. It requires knowledge of All — it is not
-// coordination-free, and CoordinationMessages counts the control
-// traffic it needed.
+// coordination-free, and Stats.ControlSent counts the control traffic
+// it needed.
 type Coordinated struct {
 	Q Query
 
@@ -202,10 +202,4 @@ func (c *Coordinated) maybeOutput(ctx *Context) {
 	}
 	c.done = true
 	outputAll(ctx, c.Q(dataFacts(ctx.State())))
-}
-
-// CoordinationMessages counts the control-plane messages a run sent
-// (exact, from the network's accounting).
-func CoordinationMessages(n *Network) int {
-	return n.stats.ControlSent
 }

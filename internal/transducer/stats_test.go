@@ -155,3 +155,12 @@ func TestControlSentAccounting(t *testing.T) {
 		t.Errorf("monotone broadcast paid coordination: %+v", st2)
 	}
 }
+
+// CoordinationRatio is the fraction of sent messages that were
+// control-plane traffic (0 for pure data-shipping strategies).
+func (s Stats) CoordinationRatio() float64 {
+	if s.Sent == 0 {
+		return 0
+	}
+	return float64(s.ControlSent) / float64(s.Sent)
+}

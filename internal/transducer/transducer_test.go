@@ -446,8 +446,8 @@ func TestCoordinationRatio(t *testing.T) {
 	if st2.ControlSent == 0 || st2.CoordinationRatio() <= 0 {
 		t.Errorf("coordinated protocol shows no coordination: %+v", st2)
 	}
-	if CoordinationMessages(n2) != st2.ControlSent {
-		t.Errorf("CoordinationMessages disagrees with stats")
+	if n2.Stats().ControlSent != st2.ControlSent {
+		t.Errorf("the network's control count disagrees with the run's stats")
 	}
 	// The domain-guided strategy coordinates pairwise, not globally:
 	// its control traffic exists but is data-proportional.
@@ -658,3 +658,25 @@ func TestLoadPartsRejectsFactBeyondPolicyWidth(t *testing.T) {
 		t.Errorf("an empty part beyond the width rejected: %v", err)
 	}
 }
+
+// Oblivious removes the All relation (classes A0/A1/A2).
+func Oblivious() Option {
+	return func(n *Network) { n.aware = false }
+}
+
+// LoadReplicated gives every node the full instance — the ideal
+// distribution of the coordination-freeness definition.
+func (n *Network) LoadReplicated(i *rel.Instance) {
+	parts := make([]*rel.Instance, n.p)
+	for j, c := range n.ctxs {
+		c.state = i.Clone()
+		parts[j] = i
+	}
+	n.store = policy.NewStableStore(parts).Clone()
+}
+
+// NodeOutput returns one node's output.
+func (n *Network) NodeOutput(i policy.Node) *rel.Instance { return n.outputs[i] }
+
+// Stats returns the statistics so far.
+func (n *Network) Stats() Stats { return n.stats }

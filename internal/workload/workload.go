@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 
@@ -100,8 +101,12 @@ func TriangleSkewed(m int, heavyFrac float64) *rel.Instance {
 }
 
 // RandomGraph returns a directed graph E(x,y) with n vertices and m
-// distinct edges, drawn uniformly with the given seed.
+// distinct edges, drawn uniformly with the given seed. It panics when
+// m exceeds the n(n−1) non-loop edges there are.
 func RandomGraph(n, m int, seed int64) *rel.Instance {
+	if m > n*(n-1) {
+		panic(fmt.Sprintf("workload: RandomGraph(n = %d, m = %d): only n(n−1) distinct non-loop edges exist", n, m))
+	}
 	r := rand.New(rand.NewSource(seed))
 	i := rel.NewInstance()
 	for i.Len() < m {

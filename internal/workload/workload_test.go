@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"mpclogic/internal/cq"
@@ -98,6 +99,27 @@ func TestRandomGraphDeterministic(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestRandomGraphRefusesImpossibleM: there are n(n−1) distinct non-loop
+// edges on n vertices. Asking for all of them terminates with the
+// complete graph; asking for more panics, naming n and m, where the
+// draw used to loop forever.
+func TestRandomGraphRefusesImpossibleM(t *testing.T) {
+	if got := RandomGraph(3, 6, 1).Len(); got != 6 {
+		t.Errorf("RandomGraph(3, 6) has %d edges, want the complete 6", got)
+	}
+	for _, c := range []struct{ n, m int }{{1, 1}, {3, 7}, {2, 3}} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("workload: RandomGraph(n = %d, m = %d): only n(n−1) distinct non-loop edges exist", c.n, c.m)
+				if r := recover(); r != want {
+					t.Errorf("RandomGraph(%d, %d) panicked with %v, want %q", c.n, c.m, r, want)
+				}
+			}()
+			RandomGraph(c.n, c.m, 1)
+		}()
+	}
 }
 
 func TestCyclePathComponents(t *testing.T) {
