@@ -213,14 +213,16 @@ bench:
 # alone, one exchange over the TCP
 # transport, the 12-round distributed run, the covers decision of a
 # cold serving query, the one-round bulk distributed run, a relation's
-# sorted enumeration, a fragment decode and the join index, built fresh
-# and maintained under a delta) are appended to the
+# sorted enumeration, a fragment decode — its tuples in no order, and
+# ascending as a dealt share arrives — the join index, built fresh
+# and maintained under a delta, and generating the triangle and join
+# inputs) are appended to the
 # root package's (the incremental-maintenance series, facts/sec and
 # per-batch deltacomm/rounds, and what a fault-tolerance Option costs a
 # fault-free run among them).
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
-	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkRestart|BenchmarkRouteRound|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkCoversAtGate|BenchmarkRunBulk|BenchmarkTuples|BenchmarkDecodeInstance|BenchmarkHashJoin)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel >> .bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkRestart|BenchmarkRouteRound|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkCoversAtGate|BenchmarkRunBulk|BenchmarkTuples|BenchmarkDecodeInstance|BenchmarkDecodeAscending|BenchmarkHashJoin|BenchmarkGenerate)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel ./internal/workload >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE) .bench_raw.txt
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"

@@ -21,7 +21,10 @@ import (
 // its table unbuilt. The eager relation is then the oracle for every
 // operation on the appended one — the same answers, the same Each order
 // and the same encoding — and an operation that asks no membership
-// question must leave an unbuilt table unbuilt.
+// question must leave an unbuilt table unbuilt. After every operation
+// both relations' Tuples must be the oracle's Each sorted by
+// Tuple.Compare, whichever way it was computed: read off an arena
+// still marked ascending, or sorted.
 func FuzzRelation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
@@ -30,6 +33,11 @@ func FuzzRelation(f *testing.F) {
 	f.Add([]byte{255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245, 244})
 	f.Add([]byte{6, 3, 10, 17, 3, 24, 31, 4, 0, 8, 10, 7, 38, 2, 17, 5, 40, 1, 10, 3, 0})
 	f.Add([]byte{5, 1, 2, 3, 4, 5, 7, 9, 8, 2, 6, 11, 2, 3, 1, 2, 7, 30})
+	// Ascending seeds, then: remove the last and append it again; append
+	// below the run; remove the last, compact by churn, append above.
+	f.Add([]byte{4, 0, 8, 16, 24, 1, 24, 7, 24, 8, 0})
+	f.Add([]byte{3, 1, 9, 17, 7, 2, 8, 0, 0, 40, 8, 0})
+	f.Add([]byte{4, 0, 8, 16, 24, 1, 24, 1, 16, 1, 8, 7, 32, 8, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tuple := func(v byte) Tuple { return Tuple{Value(v % 7), Value((v / 7) % 7)} }
 		eager := NewRelation("F", 2)
@@ -131,6 +139,10 @@ func FuzzRelation(f *testing.F) {
 			}
 			if !equalLists(eachTuples(appended), eachTuples(eager)) {
 				t.Fatalf("op %d: Each order %v, eager %v", i, eachTuples(appended), eachTuples(eager))
+			}
+			sorted := referenceOrder(eager)
+			if !equalLists(appended.Tuples(), sorted) || !equalLists(eager.Tuples(), sorted) {
+				t.Fatalf("op %d: Tuples %v and eager %v, sorted oracle %v", i, appended.Tuples(), eager.Tuples(), sorted)
 			}
 		}
 

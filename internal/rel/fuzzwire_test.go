@@ -52,6 +52,12 @@ func FuzzFragmentWire(f *testing.F) {
 	flipped := EncodeInstance(wireSample())
 	flipped[len(flipped)/2] ^= 0x10 // mid-frame bit flip the checksum must catch
 	f.Add(flipped)
+	// Both sides of the decoder's switch from strict ascent to the
+	// table: a duplicate right after an ascending run, and a descent
+	// followed by an ascent, which is canonical.
+	f.Add(wireSeal(append(wireHeader(1), wireRelation("R", 2, 1, 2, 3, 4, 3, 4)...)))
+	f.Add(wireSeal(append(wireHeader(1), wireRelation("R", 2, 1, 2, 3, 4, 5, 6, 0, 9, 3, 4)...)))
+	f.Add(wireSeal(append(wireHeader(1), wireRelation("R", 2, 3, 4, 5, 6, 1, 2, 7, 8, 9, 0)...)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Direction 1: random fragment → canonical bytes and back.
 		inst := buildFuzzFragment(data)

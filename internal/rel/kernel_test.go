@@ -161,6 +161,101 @@ func TestSortedCacheIsReusedAboveTheCutoff(t *testing.T) {
 	}
 }
 
+// TestAscendingRecord pins the record that a relation's arena is
+// strictly ascending: appends above the last stored tuple keep it, an
+// equal or smaller one clears it, even when the last stored tuple is
+// dead; compaction and Clone keep it; and the sorted enumeration it
+// allows is the one the radix passes compute over the same set
+// inserted shuffled.
+func TestAscendingRecord(t *testing.T) {
+	ascendingRun := func(n int) *Relation {
+		r := NewRelation("A", 2)
+		for v := range n {
+			r.Add(Tuple{Value(v / 4), Value(v % 4)})
+		}
+		return r
+	}
+	r := ascendingRun(6)
+	if !r.ascending {
+		t.Fatal("an ascending run of Adds is not marked ascending")
+	}
+	if cl := r.Clone(); !cl.ascending {
+		t.Error("Clone dropped the record")
+	}
+	r.Add(Tuple{1, 1}) // already present: no append
+	if !r.ascending {
+		t.Error("a duplicate Add, which appends nothing, cleared the record")
+	}
+	smaller := r.Clone()
+	smaller.AddDistinct(Tuple{-1, 7})
+	if smaller.ascending {
+		t.Error("an append below the last tuple kept the record")
+	}
+	if smaller.Clone().ascending {
+		t.Error("Clone set a cleared record")
+	}
+
+	// The last stored tuple is dead: an equal append clears the record,
+	// because the arena still holds the dead tuple before it.
+	equal := r.Clone()
+	last := Tuple{1, 1}
+	equal.Remove(last)
+	if equal.live == len(equal.hashes) {
+		t.Fatal("Remove compacted at once; the case needs a tombstone")
+	}
+	equal.Add(last)
+	if equal.ascending {
+		t.Error("an append equal to the dead last tuple kept the record")
+	}
+
+	// Compaction drops the dead tuple and keeps the record; what the
+	// compacted arena ends with is what the next append is compared to.
+	compacted := r.Clone()
+	compacted.Remove(last)
+	compacted.rehash(compacted.live)
+	if compacted.live != len(compacted.hashes) || !compacted.ascending {
+		t.Fatalf("compaction: %d live of %d stored, ascending %v", compacted.live, len(compacted.hashes), compacted.ascending)
+	}
+	compacted.Add(last) // the removed tuple again: above (1, 0), the new last
+	compacted.Reserve(100)
+	if !compacted.ascending {
+		t.Error("compaction or growth cleared the record")
+	}
+	checkSortedEnumeration(t, "compacted", compacted)
+
+	// A relation emptied by compaction starts a fresh run.
+	emptied := ascendingRun(2)
+	emptied.AddDistinct(Tuple{-1, -1})
+	for _, tu := range emptied.Tuples() {
+		emptied.Remove(tu)
+	}
+	emptied.rehash(0)
+	emptied.Add(Tuple{9, 9})
+	if !emptied.ascending {
+		t.Error("the first tuple of an emptied arena did not start a run")
+	}
+
+	// The enumeration an ascending relation reads off its arena is the
+	// one the radix passes compute over the same set inserted shuffled.
+	const n = 4 * radixMinTuples
+	asc := ascendingRun(n)
+	asc.Remove(Tuple{0, 0})
+	asc.Remove(Tuple{7, 2})
+	shuffled := NewRelation("A", 2)
+	for _, i := range rand.New(rand.NewSource(38)).Perm(n) {
+		shuffled.Add(Tuple{Value(i / 4), Value(i % 4)})
+	}
+	shuffled.Remove(Tuple{0, 0})
+	shuffled.Remove(Tuple{7, 2})
+	if !asc.ascending || shuffled.ascending || shuffled.radixDigit() == 0 {
+		t.Fatalf("ascending %v, shuffled ascending %v with radix digit %d", asc.ascending, shuffled.ascending, shuffled.radixDigit())
+	}
+	if got, want := asc.Tuples(), shuffled.Tuples(); !equalLists(got, want) {
+		t.Fatal("the ascending relation's enumeration differs from the radix sort's")
+	}
+	checkSortedEnumeration(t, "ascending", asc)
+}
+
 // longestProbe returns the largest distance between a stored tuple's
 // home slot and the slot it occupies — the longest probe any lookup of
 // a present tuple walks.

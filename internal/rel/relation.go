@@ -28,6 +28,14 @@ package rel
 // order; Tuples returns the lexicographically sorted enumeration and
 // caches it until the next mutation, so repeated serialization of an
 // unchanged relation does not re-sort.
+//
+// A relation also records whether its arena is strictly ascending in
+// Tuple.Compare order. Every append compares the new tuple with the
+// last stored one, dead or alive, and the first that is not above it
+// clears the record; compaction, growth and Clone keep it. Tuples of an
+// ascending relation is its arena minus the dead, with no sort, and the
+// wire decoder appends an ascending run without a table, since strict
+// ascent already proves the run distinct.
 type Relation struct {
 	Name  string
 	Arity int
@@ -38,6 +46,8 @@ type Relation struct {
 	slots  []int32  // open-addressing table: index, slotEmpty, or slotTomb; nil = not built
 	live   int      // live (non-dead) tuples
 	tombs  int      // tombstoned table slots
+
+	ascending bool // the arena is strictly ascending in Tuple.Compare order
 
 	sorted []Tuple  // cached sorted enumeration; nil = invalid
 	idx    []*Index // cached join indexes, maintained on insert
@@ -201,6 +211,11 @@ func (r *Relation) insert(h uint64, t Tuple) bool {
 // gets it on the next rehash.
 func (r *Relation) push(h uint64, t Tuple) {
 	i := int32(len(r.hashes))
+	if i == 0 {
+		r.ascending = true
+	} else if r.ascending && !r.above(t) {
+		r.ascending = false
+	}
 	r.arena = append(r.arena, t...)
 	r.hashes = append(r.hashes, h)
 	r.dead = append(r.dead, false)
@@ -218,6 +233,12 @@ func (r *Relation) push(h uint64, t Tuple) {
 	for _, ix := range r.idx {
 		ix.inserted(i)
 	}
+}
+
+// above reports whether t is above the last stored tuple, dead or
+// alive; r must hold one.
+func (r *Relation) above(t Tuple) bool {
+	return t.Compare(r.tupleAt(int32(len(r.hashes)-1))) > 0
 }
 
 // pushDistinct stores t, which the caller vouches is not in r, under
@@ -418,6 +439,8 @@ func (r *Relation) Clone() *Relation {
 		slots:  append([]int32(nil), r.slots...),
 		live:   r.live,
 		tombs:  r.tombs,
+
+		ascending: r.ascending,
 	}
 }
 

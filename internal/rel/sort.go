@@ -6,15 +6,16 @@ import (
 )
 
 // Sorted enumeration: the one computation of a relation's
-// Tuple.Compare order. It orders the stored indices of the live tuples
-// (4 bytes each, not 24-byte Tuple headers) with a stable LSD radix
-// sort — columns from last to first, each column offset by its minimum
-// so only the bits its range spans are sorted, and a pass whose digit
-// is constant across the relation skipped. Two base cases comparison-
-// sort the same indices instead, each beside its column-0 value: too
-// few tuples for the counting passes to pay, and columns so wide that
-// the passes would cost more than the ~log₂ n comparisons per tuple a
-// comparison sort spends.
+// Tuple.Compare order. A relation whose arena is ascending is in that
+// order already and is read off as it stands. Otherwise it orders the
+// stored indices of the live tuples (4 bytes each, not 24-byte Tuple
+// headers) with a stable LSD radix sort — columns from last to first,
+// each column offset by its minimum so only the bits its range spans
+// are sorted, and a pass whose digit is constant across the relation
+// skipped. Two base cases comparison-sort the same indices instead,
+// each beside its column-0 value: too few tuples for the counting
+// passes to pay, and columns so wide that the passes would cost more
+// than the ~log₂ n comparisons per tuple a comparison sort spends.
 
 const (
 	// radixMinTuples is the first base case: below it the comparison
@@ -59,10 +60,19 @@ type keyed struct {
 }
 
 // sortedTuples returns views of r's live tuples in Tuple.Compare order
-// (signed, lexicographic), the enumeration Tuples caches.
+// (signed, lexicographic), the enumeration Tuples caches. An ascending
+// relation's arena is already in that order.
 func (r *Relation) sortedTuples() []Tuple {
 	n, k, arena := r.live, r.Arity, r.arena
 	out := make([]Tuple, 0, n)
+	if r.ascending {
+		for i := range r.hashes {
+			if !r.dead[i] {
+				out = append(out, r.tupleAt(int32(i)))
+			}
+		}
+		return out
+	}
 	digit := r.radixDigit()
 	if digit == 0 {
 		var small [radixMinTuples]keyed

@@ -7,9 +7,18 @@ package rel
 // live tuples sit contiguously as arity-strided int64 runs, so encoding
 // walks the arena once and emits fixed-width little-endian values with
 // no per-tuple allocation, and decoding appends values straight into a
-// pre-sized arena and rebuilds the hash table in one pass. (The hash
-// table and cached hashes are derived state and intentionally NOT on
-// the wire: a peer cannot inject a mismatched hash.)
+// pre-sized arena. (The hash table and cached hashes are derived state
+// and intentionally NOT on the wire: a peer cannot inject a mismatched
+// hash.)
+//
+// The decoder's duplicate check is strict ascent, then the table. While
+// each tuple is above the one before, the run is distinct by ascent and
+// is appended with no table, and the relation stays marked ascending,
+// so its sorted enumeration is its arena. The first tuple that is not
+// above its predecessor builds the table once over the run, and from
+// then on every tuple is inserted and a duplicate is an error. A share
+// dealt from a sorted enumeration is encoded ascending, so it is
+// received without a table.
 //
 // Format (all integers little-endian):
 //
@@ -271,7 +280,12 @@ func decodeRelation(w *wireReader) (string, *Relation, error) {
 			}
 			scratch[j] = Value(v)
 		}
-		if !r.insert(tableHash(scratch), scratch) {
+		// A tuple above the last is new to an ascending run, which is
+		// appended without a table; the first one that is not builds the
+		// table over the run, and from then on the table checks.
+		if h := tableHash(scratch); r.slots == nil && (i == 0 || r.above(scratch)) {
+			r.push(h, scratch)
+		} else if !r.insert(h, scratch) {
 			return "", nil, fmt.Errorf("rel: relation %q carries duplicate tuple %v (canonical encoding is duplicate-free)", name, scratch)
 		}
 	}

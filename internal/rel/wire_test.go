@@ -3,9 +3,34 @@ package rel
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"testing"
 )
+
+// wireHeader, wireRelation and wireSeal write a frame by hand, so a
+// test can hold the decoder to inputs no encoder emits.
+func wireHeader(rels int) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, 0x5743504d)
+	b = binary.LittleEndian.AppendUint16(b, WireVersion)
+	return binary.LittleEndian.AppendUint32(b, uint32(rels))
+}
+
+func wireRelation(name string, arity int, tuples ...uint64) []byte {
+	b := binary.LittleEndian.AppendUint16(nil, uint16(len(name)))
+	b = append(b, name...)
+	b = binary.LittleEndian.AppendUint16(b, uint16(arity))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(tuples)/arity))
+	for _, v := range tuples {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+// wireSeal appends the CRC-32C trailer of frame.
+func wireSeal(frame []byte) []byte {
+	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, crc32.MakeTable(crc32.Castagnoli)))
+}
 
 func wireSample() *Instance {
 	inst := NewInstance()
@@ -142,23 +167,12 @@ func TestWireDecodeRejects(t *testing.T) {
 // TestWireRejectsNonCanonical: structurally well-formed but
 // non-canonical encodings (duplicate tuples, zero counts, unsorted
 // names) are rejected, which is what makes Encode∘Decode the identity
-// on all accepted inputs.
+// on all accepted inputs. Duplicates are caught on both sides of the
+// decoder's switch from strict ascent to the table: right after an
+// ascending run, and after a descent, of a tuple in the run. A descent
+// followed by an ascent is canonical and is accepted.
 func TestWireRejectsNonCanonical(t *testing.T) {
-	header := func(rels int) []byte {
-		b := binary.LittleEndian.AppendUint32(nil, 0x5743504d)
-		b = binary.LittleEndian.AppendUint16(b, WireVersion)
-		return binary.LittleEndian.AppendUint32(b, uint32(rels))
-	}
-	relation := func(name string, arity int, tuples ...uint64) []byte {
-		b := binary.LittleEndian.AppendUint16(nil, uint16(len(name)))
-		b = append(b, name...)
-		b = binary.LittleEndian.AppendUint16(b, uint16(arity))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(tuples)/arity))
-		for _, v := range tuples {
-			b = binary.LittleEndian.AppendUint64(b, v)
-		}
-		return b
-	}
+	header, relation := wireHeader, wireRelation
 	cases := []struct {
 		name    string
 		frame   []byte
@@ -170,6 +184,8 @@ func TestWireRejectsNonCanonical(t *testing.T) {
 		{"empty name", append(header(1), relation("", 1, 7)...), "empty relation name"},
 		{"names out of order", append(header(2), append(relation("S", 1, 1), relation("R", 1, 2)...)...), "out of order"},
 		{"duplicate name", append(header(2), append(relation("R", 1, 1), relation("R", 1, 2)...)...), "out of order"},
+		{"duplicate after an ascending run", wireSeal(append(header(1), relation("R", 2, 1, 2, 3, 4, 3, 4)...)), "duplicate tuple (3,4)"},
+		{"duplicate of the run after a descent", wireSeal(append(header(1), relation("R", 2, 1, 2, 3, 4, 5, 6, 0, 9, 3, 4)...)), "duplicate tuple (3,4)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -182,6 +198,30 @@ func TestWireRejectsNonCanonical(t *testing.T) {
 			}
 		})
 	}
+	t.Run("descent then ascent is accepted", func(t *testing.T) {
+		frame := wireSeal(append(header(1), relation("R", 2, 3, 4, 5, 6, 1, 2, 7, 8, 9, 0)...))
+		got, err := DecodeInstance(frame)
+		if err != nil {
+			t.Fatalf("decoder rejected a canonical frame: %v", err)
+		}
+		if re := EncodeInstance(got); !bytes.Equal(re, frame) {
+			t.Fatalf("re-encoding differs:\n  in %x\n out %x", frame, re)
+		}
+		r := got.Relation("R")
+		if r.ascending || r.slots == nil {
+			t.Errorf("a relation decoded past a descent is marked ascending %v, table built %v", r.ascending, r.slots != nil)
+		}
+		checkSortedEnumeration(t, "descent then ascent", r)
+	})
+	t.Run("an ascending frame builds no table", func(t *testing.T) {
+		got, err := DecodeInstance(wireSeal(append(header(1), relation("R", 2, 1, 2, 1, 3, 2, 0)...)))
+		if err != nil {
+			t.Fatalf("decoder rejected a canonical frame: %v", err)
+		}
+		if r := got.Relation("R"); !r.ascending || r.slots != nil {
+			t.Errorf("an ascending relation decoded marked ascending %v, table built %v", r.ascending, r.slots != nil)
+		}
+	})
 }
 
 // TestWireCollisionTuples: tuples engineered to share full 64-bit

@@ -3,6 +3,16 @@
 // skew-free data (every domain element occurs at most once per
 // relation; "matching databases") and skewed data with heavy hitters —
 // so the generators here produce both, deterministically from a seed.
+//
+// Every generator but RandomGraph builds tuples that are distinct by
+// construction — each carries a column that no other tuple of its
+// relation repeats — and emits them in ascending order. So it writes
+// each relation with AddDistinct into storage sized up front: no table
+// is built and no fact allocated, and the relation stays marked
+// ascending, which lets its sorted enumeration, a deal of it and the
+// decoding of the shares skip their sort and table too. A generator
+// asked for no tuples creates no relations. RandomGraph draws with
+// repetition, and its Add is its duplicate check.
 package workload
 
 import (
@@ -29,12 +39,16 @@ func base(block, col int) rel.Value {
 // O(m/p).
 func JoinSkewFree(m int) *rel.Instance {
 	i := rel.NewInstance()
+	if m <= 0 {
+		return i
+	}
+	r, s := i.EnsureRelationSize("R", 2, m), i.EnsureRelationSize("S", 2, m)
 	for k := 0; k < m; k++ {
 		a := base(0, 0) + rel.Value(k)
 		b := base(0, 1) + rel.Value(k)
 		c := base(0, 2) + rel.Value(k)
-		i.Add(rel.NewFact("R", a, b))
-		i.Add(rel.NewFact("S", b, c))
+		r.AddDistinct(rel.Tuple{a, b})
+		s.AddDistinct(rel.Tuple{b, c})
 	}
 	return i
 }
@@ -46,6 +60,10 @@ func JoinSkewFree(m int) *rel.Instance {
 // join of Example 3.1(1b) does not.
 func JoinSkewed(m int, heavyFrac float64) *rel.Instance {
 	i := rel.NewInstance()
+	if m <= 0 {
+		return i
+	}
+	r, s := i.EnsureRelationSize("R", 2, m), i.EnsureRelationSize("S", 2, m)
 	heavy := base(0, 1) // the heavy-hitter join value
 	nHeavy := int(float64(m) * heavyFrac)
 	for k := 0; k < m; k++ {
@@ -55,8 +73,8 @@ func JoinSkewed(m int, heavyFrac float64) *rel.Instance {
 		if k >= nHeavy {
 			b = base(0, 1) + rel.Value(k+1) // +1 keeps clear of `heavy`
 		}
-		i.Add(rel.NewFact("R", a, b))
-		i.Add(rel.NewFact("S", b, c))
+		r.AddDistinct(rel.Tuple{a, b})
+		s.AddDistinct(rel.Tuple{b, c})
 	}
 	return i
 }
@@ -67,13 +85,17 @@ func JoinSkewed(m int, heavyFrac float64) *rel.Instance {
 // achieves load O(m/p^{2/3}) (Example 3.2).
 func TriangleSkewFree(m int) *rel.Instance {
 	i := rel.NewInstance()
+	if m <= 0 {
+		return i
+	}
+	r, s, t := i.EnsureRelationSize("R", 2, m), i.EnsureRelationSize("S", 2, m), i.EnsureRelationSize("T", 2, m)
 	for k := 0; k < m; k++ {
 		a := base(1, 0) + rel.Value(k)
 		b := base(1, 1) + rel.Value(k)
 		c := base(1, 2) + rel.Value(k)
-		i.Add(rel.NewFact("R", a, b))
-		i.Add(rel.NewFact("S", b, c))
-		i.Add(rel.NewFact("T", c, a))
+		r.AddDistinct(rel.Tuple{a, b})
+		s.AddDistinct(rel.Tuple{b, c})
+		t.AddDistinct(rel.Tuple{c, a})
 	}
 	return i
 }
@@ -84,6 +106,10 @@ func TriangleSkewFree(m int) *rel.Instance {
 // m/p^{1/2} (Section 3.2).
 func TriangleSkewed(m int, heavyFrac float64) *rel.Instance {
 	i := rel.NewInstance()
+	if m <= 0 {
+		return i
+	}
+	r, s, t := i.EnsureRelationSize("R", 2, m), i.EnsureRelationSize("S", 2, m), i.EnsureRelationSize("T", 2, m)
 	heavy := base(1, 1)
 	nHeavy := int(float64(m) * heavyFrac)
 	for k := 0; k < m; k++ {
@@ -93,9 +119,9 @@ func TriangleSkewed(m int, heavyFrac float64) *rel.Instance {
 		if k >= nHeavy {
 			b = base(1, 1) + rel.Value(k+1)
 		}
-		i.Add(rel.NewFact("R", a, b))
-		i.Add(rel.NewFact("S", b, c))
-		i.Add(rel.NewFact("T", c, a))
+		r.AddDistinct(rel.Tuple{a, b})
+		s.AddDistinct(rel.Tuple{b, c})
+		t.AddDistinct(rel.Tuple{c, a})
 	}
 	return i
 }
@@ -123,8 +149,12 @@ func RandomGraph(n, m int, seed int64) *rel.Instance {
 // CycleGraph returns the directed n-cycle 0→1→…→n−1→0 over E.
 func CycleGraph(n int) *rel.Instance {
 	i := rel.NewInstance()
+	if n <= 0 {
+		return i
+	}
+	e := i.EnsureRelationSize("E", 2, n)
 	for k := 0; k < n; k++ {
-		i.Add(rel.NewFact("E", rel.Value(k), rel.Value((k+1)%n)))
+		e.AddDistinct(rel.Tuple{rel.Value(k), rel.Value((k + 1) % n)})
 	}
 	return i
 }
@@ -132,8 +162,12 @@ func CycleGraph(n int) *rel.Instance {
 // PathGraph returns the directed path 0→1→…→n over E (n edges).
 func PathGraph(n int) *rel.Instance {
 	i := rel.NewInstance()
+	if n <= 0 {
+		return i
+	}
+	e := i.EnsureRelationSize("E", 2, n)
 	for k := 0; k < n; k++ {
-		i.Add(rel.NewFact("E", rel.Value(k), rel.Value(k+1)))
+		e.AddDistinct(rel.Tuple{rel.Value(k), rel.Value(k + 1)})
 	}
 	return i
 }
@@ -143,10 +177,14 @@ func PathGraph(n int) *rel.Instance {
 // domain-disjoint-monotonicity experiments (Section 5.2.2).
 func ComponentsGraph(k, size int) *rel.Instance {
 	i := rel.NewInstance()
+	if k <= 0 || size <= 0 {
+		return i
+	}
+	e := i.EnsureRelationSize("E", 2, k*size)
 	for comp := 0; comp < k; comp++ {
 		off := rel.Value(comp * size)
 		for v := 0; v < size; v++ {
-			i.Add(rel.NewFact("E", off+rel.Value(v), off+rel.Value((v+1)%size)))
+			e.AddDistinct(rel.Tuple{off + rel.Value(v), off + rel.Value((v+1)%size)})
 		}
 	}
 	return i
@@ -155,13 +193,21 @@ func ComponentsGraph(k, size int) *rel.Instance {
 // Zipf returns a binary relation of m tuples whose join column (index
 // 1) follows a Zipf(s) distribution over n values — realistic skew for
 // the SharesSkew-style experiments. The first column is unique per
-// tuple.
+// tuple. It panics unless s > 1 and n ≥ 2, the distributions
+// rand.NewZipf can draw from.
 func Zipf(name string, m, n int, s float64, seed int64) *rel.Instance {
+	if !(s > 1) || n < 2 {
+		panic(fmt.Sprintf("workload: Zipf(s = %v, n = %d): needs s > 1 and n ≥ 2", s, n))
+	}
 	r := rand.New(rand.NewSource(seed))
 	z := rand.NewZipf(r, s, 1, uint64(n-1))
 	i := rel.NewInstance()
+	if m <= 0 {
+		return i
+	}
+	out := i.EnsureRelationSize(name, 2, m)
 	for k := 0; k < m; k++ {
-		i.Add(rel.NewFact(name, base(2, 0)+rel.Value(k), base(2, 1)+rel.Value(z.Uint64())))
+		out.AddDistinct(rel.Tuple{base(2, 0) + rel.Value(k), base(2, 1) + rel.Value(z.Uint64())})
 	}
 	return i
 }
@@ -178,6 +224,10 @@ func AcyclicChain(k, m int, dangling float64, seed int64) (*rel.Instance, []stri
 	nDangle := int(float64(m) * dangling)
 	for rIdx := 0; rIdx < k; rIdx++ {
 		names[rIdx] = "R" + strconv.Itoa(rIdx)
+		if m <= 0 {
+			continue
+		}
+		out := i.EnsureRelationSize(names[rIdx], 2, m)
 		for t := 0; t < m; t++ {
 			left := base(3+rIdx, 0) + rel.Value(t)
 			right := base(3+rIdx+1, 0) + rel.Value(t)
@@ -186,7 +236,7 @@ func AcyclicChain(k, m int, dangling float64, seed int64) (*rel.Instance, []stri
 				// left column so this tuple dangles.
 				right = base(3+rIdx+1, 0) + rel.Value(m+1+r.Intn(m))
 			}
-			i.Add(rel.NewFact(names[rIdx], left, right))
+			out.AddDistinct(rel.Tuple{left, right})
 		}
 	}
 	return i, names
