@@ -2,9 +2,11 @@
 // reproduction — both figures, the numbered examples, and the load
 // bound measurements — and prints paper-claim-vs-measured reports.
 //
-// Cells (experiment × parameter-point jobs) run on the internal/sweep
-// worker pool. The rendered reports are byte-identical for every
-// -parallel value: only the stderr timing annotation may differ.
+// Cells (experiment × parameter-point jobs) run as one parallel map on
+// the internal/sweep pool, on at most one goroutine per cell. The
+// rendered reports are byte-identical for every -parallel value: only
+// the stderr summary line (cells, workers, timing, errored cells) may
+// differ.
 //
 // Usage:
 //
@@ -86,9 +88,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Timing is measurement-only and goes to stderr so stdout stays
 	// byte-identical across worker counts.
 	//lint:allow nondet-taint wall-clock timing goes to the stderr diagnostics stream, never the byte-stable stdout report
-	fmt.Fprintf(stderr, "sweep: %d cells over %d workers in %s (Σ cell wall %s, retried %d, errored %d)\n",
+	fmt.Fprintf(stderr, "sweep: %d cells over %d workers in %s (Σ cell wall %s, errored %d)\n",
 		stats.Cells, workers, elapsed.Round(time.Millisecond), stats.Wall.Round(time.Millisecond),
-		stats.Retried, stats.ErroredCells)
+		stats.ErroredCells)
 	if failed > 0 {
 		return 1
 	}

@@ -23,22 +23,14 @@ import (
 	"mpclogic/internal/sweep"
 )
 
-// cellRetries is the fixed per-cell retry budget. Cells are
-// deterministic, so a retry only matters for panics with an external
-// cause; keeping the budget fixed keeps Attempts — and therefore the
-// sweep stats — identical run to run.
-const cellRetries = 1
-
-// Report is one experiment's merged outcome. Wall is measurement-only
-// and deliberately excluded from String(): rendered reports must be a
-// pure function of the experiment definitions.
+// Report is one experiment's merged outcome. It holds no timing:
+// rendered reports are a pure function of the experiment definitions.
 type Report struct {
 	ID    string
 	Title string
 	Claim string // what the paper asserts
 	Rows  []string
 	Pass  bool
-	Wall  time.Duration // total wall clock of this experiment's cells
 }
 
 func (r *Report) String() string {
@@ -109,7 +101,6 @@ type SweepStats struct {
 	Experiments  int
 	Cells        int
 	ErroredCells int           // cells whose closure returned an error or panicked
-	Retried      int           // extra attempts used across all cells
 	Wall         time.Duration // summed per-cell wall clock
 }
 
@@ -152,12 +143,7 @@ func RunSweep(workers int, defs []Def) ([]*Report, SweepStats) {
 			})
 		}
 	}
-	results, err := sweep.Run(workers, jobs, sweep.WithRetries(cellRetries))
-	if err != nil {
-		// The job list above has no dependencies, so a graph error is a
-		// harness bug, not an experiment outcome.
-		panic(fmt.Sprintf("experiments: malformed sweep: %v", err))
-	}
+	results := sweep.Run(workers, jobs)
 
 	stats := SweepStats{Experiments: len(defs), Cells: len(jobs)}
 	reports := make([]*Report, 0, len(defs))
@@ -173,7 +159,6 @@ func RunSweep(workers int, defs []Def) ([]*Report, SweepStats) {
 		for _, c := range d.Cells {
 			r := results[idx]
 			idx++
-			stats.Retried += maxInt(0, r.Attempts-1)
 			if r.Err != nil {
 				rep.Rows = append(rep.Rows, fmt.Sprintf("cell %s: error: %v", c.Params, r.Err))
 				rep.Pass = false
@@ -182,17 +167,9 @@ func RunSweep(workers int, defs []Def) ([]*Report, SweepStats) {
 			}
 			rep.Rows = append(rep.Rows, r.Value.rows...)
 			rep.Pass = rep.Pass && r.Value.pass
-			rep.Wall += r.Value.wall
 			stats.Wall += r.Value.wall
 		}
 		reports = append(reports, rep)
 	}
 	return reports, stats
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -176,9 +176,6 @@ func NewTCPTransport(p int) (*TCPTransport, error) {
 	return &TCPTransport{p: p}, nil
 }
 
-// Name implements Transport.
-func (t *TCPTransport) Name() string { return "tcp" }
-
 // Close retires the transport. Safe to call more than once.
 func (t *TCPTransport) Close() error {
 	t.closed = true

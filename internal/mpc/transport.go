@@ -35,8 +35,6 @@ import (
 // Exchange is called sequentially by a cluster (never concurrently on
 // one transport value), with p fixed across a cluster's lifetime.
 type Transport interface {
-	// Name labels the transport in errors, traces, and docs.
-	Name() string
 	// Exchange delivers one round's shards and returns the merged
 	// per-destination inboxes and logical received counts.
 	Exchange(round string, p int, shards []Shard) (inboxes []*rel.Instance, received []int, err error)
@@ -91,8 +89,6 @@ type localTransport struct{}
 
 // NewLocalTransport returns the in-process transport.
 func NewLocalTransport() Transport { return localTransport{} }
-
-func (localTransport) Name() string { return "local" }
 
 func (localTransport) Exchange(round string, p int, shards []Shard) ([]*rel.Instance, []int, error) {
 	return mergeShards(round, p, shards)

@@ -118,20 +118,20 @@ func testDelivery(t *testing.T, factory Factory) {
 	want, wantRecv := sampleWant()
 	inboxes, received, err := tr.Exchange("conf-delivery", 3, sampleShards())
 	if err != nil {
-		t.Fatalf("%s exchange: %v", tr.Name(), err)
+		t.Fatalf("%s exchange: %v", t.Name(), err)
 	}
 	if len(inboxes) != 3 || len(received) != 3 {
-		t.Fatalf("%s returned %d inboxes / %d counts, want 3/3", tr.Name(), len(inboxes), len(received))
+		t.Fatalf("%s returned %d inboxes / %d counts, want 3/3", t.Name(), len(inboxes), len(received))
 	}
 	for dst := range want {
 		if inboxes[dst] == nil {
-			t.Fatalf("%s left inbox %d nil", tr.Name(), dst)
+			t.Fatalf("%s left inbox %d nil", t.Name(), dst)
 		}
 		if !inboxes[dst].Equal(want[dst]) {
-			t.Errorf("%s inbox %d = %v, want %v", tr.Name(), dst, inboxes[dst], want[dst])
+			t.Errorf("%s inbox %d = %v, want %v", t.Name(), dst, inboxes[dst], want[dst])
 		}
 		if received[dst] != wantRecv[dst] {
-			t.Errorf("%s received[%d] = %d, want %d", tr.Name(), dst, received[dst], wantRecv[dst])
+			t.Errorf("%s received[%d] = %d, want %d", t.Name(), dst, received[dst], wantRecv[dst])
 		}
 	}
 }
@@ -150,11 +150,11 @@ func testDeterministicMerge(t *testing.T, factory Factory) {
 		for dst := range first {
 			if !again[dst].Equal(first[dst]) {
 				t.Fatalf("%s exchange %d inbox %d differs from the first run: %v vs %v",
-					tr.Name(), round, dst, again[dst], first[dst])
+					t.Name(), round, dst, again[dst], first[dst])
 			}
 			if againRecv[dst] != firstRecv[dst] {
 				t.Fatalf("%s exchange %d received[%d] = %d, first run said %d",
-					tr.Name(), round, dst, againRecv[dst], firstRecv[dst])
+					t.Name(), round, dst, againRecv[dst], firstRecv[dst])
 			}
 		}
 	}
@@ -172,10 +172,10 @@ func testEmptyExchange(t *testing.T, factory Factory) {
 	}
 	for dst := range inboxes {
 		if inboxes[dst] == nil || !inboxes[dst].IsEmpty() {
-			t.Errorf("%s empty exchange produced inbox %d = %v, want empty", tr.Name(), dst, inboxes[dst])
+			t.Errorf("%s empty exchange produced inbox %d = %v, want empty", t.Name(), dst, inboxes[dst])
 		}
 		if received[dst] != 0 {
-			t.Errorf("%s empty exchange counted received[%d] = %d", tr.Name(), dst, received[dst])
+			t.Errorf("%s empty exchange counted received[%d] = %d", t.Name(), dst, received[dst])
 		}
 	}
 }
@@ -197,10 +197,10 @@ func testLogicalCounts(t *testing.T, factory Factory) {
 		t.Fatalf("exchange: %v", err)
 	}
 	if got := inboxes[0].Len(); got != 2 {
-		t.Errorf("%s delivered %d facts to server 0, want 2", tr.Name(), got)
+		t.Errorf("%s delivered %d facts to server 0, want 2", t.Name(), got)
 	}
 	if received[0] != 1 {
-		t.Errorf("%s received[0] = %d, want the logical count 1", tr.Name(), received[0])
+		t.Errorf("%s received[0] = %d, want the logical count 1", t.Name(), received[0])
 	}
 }
 
@@ -245,10 +245,10 @@ func testRoutingErrorAtomic(t *testing.T, factory Factory) {
 		Route: mpc.RouterFunc(func(rel.Fact) []int { return []int{5} }),
 	})
 	if err == nil {
-		t.Fatalf("%s: out-of-range route did not error", tr.Name())
+		t.Fatalf("%s: out-of-range route did not error", t.Name())
 	}
 	if !strings.Contains(err.Error(), "outside") {
-		t.Errorf("%s: routing error %q does not name the range violation", tr.Name(), err)
+		t.Errorf("%s: routing error %q does not name the range violation", t.Name(), err)
 	}
 	assertUntouched(t, c, before)
 }
@@ -263,10 +263,10 @@ func testPanicRecoveryAtomic(t *testing.T, factory Factory) {
 		Route: mpc.RouterFunc(func(rel.Fact) []int { panic("router bug") }),
 	})
 	if err == nil {
-		t.Fatalf("%s: panicking router did not error", tr.Name())
+		t.Fatalf("%s: panicking router did not error", t.Name())
 	}
 	if !strings.Contains(err.Error(), "panicked") {
-		t.Errorf("%s: panic error %q does not say so", tr.Name(), err)
+		t.Errorf("%s: panic error %q does not say so", t.Name(), err)
 	}
 	assertUntouched(t, c, before)
 
@@ -276,7 +276,7 @@ func testPanicRecoveryAtomic(t *testing.T, factory Factory) {
 		Compute: func(int, *rel.Instance) *rel.Instance { panic("compute bug") },
 	})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("%s: panicking compute error = %v, want panic error", tr.Name(), err)
+		t.Fatalf("%s: panicking compute error = %v, want panic error", t.Name(), err)
 	}
 	assertUntouched(t, c, before)
 }
@@ -317,7 +317,7 @@ func testProgramEquivalence(t *testing.T, factory Factory) {
 			},
 		}
 		if err := c.Run(rounds...); err != nil {
-			t.Fatalf("%s program: %v", tr.Name(), err)
+			t.Fatalf("%s program: %v", t.Name(), err)
 		}
 		return c
 	}

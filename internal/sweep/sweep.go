@@ -1,30 +1,20 @@
-// Package sweep is a deterministic worker-pool scheduler for
-// experiment sweeps. It fans a declared list of jobs — optionally
-// ordered by a dependency DAG — out over a bounded number of workers
-// and merges the results in declared job order, so the output of a
-// parallel sweep is byte-identical to the sequential one (the
-// parallel-correctness property of Ameloot et al., applied to our own
-// harness: the distributed evaluation must equal the sequential
-// evaluation).
+// Package sweep is a parallel map: it runs independent jobs on a
+// bounded worker pool and returns their results in declared order, so
+// a parallel sweep is byte-identical to the sequential one, the
+// parallel-correctness property [Q,P](I) = Q(I) of Ameloot et al.
+// applied to this repository's own experiment harness. Two legs:
 //
-// The determinism argument has three legs:
+//  1. Placement, not arrival, orders results. Workers only send
+//     (index, result) pairs over a channel; the calling goroutine
+//     alone writes them into the results by index.
+//  2. Jobs are deterministic, failures included: a panic becomes an
+//     error carrying only the panic value (no stack, no goroutine
+//     IDs), so a failing job renders the same bytes at every worker
+//     count.
 //
-//  1. Job closures are pure with respect to the sweep: each returns a
-//     value derived only from its own inputs, so WHICH worker runs a
-//     job, and WHEN, cannot change the value.
-//  2. Results are placed by job index into a pre-sized slice by the
-//     single coordinating goroutine; workers only ever send
-//     (index, result) pairs over a channel. Completion order is
-//     scheduler-dependent, placement is not.
-//  3. Failure handling is value-deterministic: panics are converted to
-//     errors carrying only the panic value (no stacks, no goroutine
-//     IDs), retry counts are fixed per sweep, and the skip cascade for
-//     dependents of failed jobs depends only on dependency edges and
-//     job outcomes.
-//
-// The package is wall-clock free by construction (mpclint's
-// wallclock-free analyzer runs on it): timing annotations are the
-// caller's business and must stay out of the values jobs return.
+// The package is wall-clock free (mpclint's wallclock-free analyzer
+// runs on it): timing is the caller's business and stays out of the
+// values jobs return.
 package sweep
 
 import (
@@ -32,264 +22,79 @@ import (
 	"sync"
 )
 
-// Job is one schedulable unit: a named closure plus the indices of
-// jobs that must complete successfully before it may run.
+// Job is one unit of a sweep: a named closure.
 type Job[T any] struct {
-	// Name labels the job in results and error messages. Empty names
-	// are replaced by "job-<index>".
+	// Name labels the job's result; empty means "job-<index>".
 	Name string
-	// After lists indices (into the jobs slice given to Run) that must
-	// finish before this job starts. If any of them fails or is
-	// skipped, this job is skipped too. Duplicates are allowed;
-	// out-of-range or self indices reject the whole sweep.
-	After []int
-	// Run produces the job's value. It may panic: the panic is
-	// captured and reported as this job's error without taking down
-	// the sweep.
+	// Run produces the job's value. A panic becomes the job's error.
 	Run func() (T, error)
 }
 
-// Result is one job's outcome, returned in declared job order.
+// Result is one job's outcome. Value is the zero value whenever Err
+// is non-nil.
 type Result[T any] struct {
-	Name string
-	// Value is the zero value whenever Err is non-nil.
+	Name  string
 	Value T
 	Err   error
-	// Attempts counts executions of Run (1 + retries actually used).
-	// Skipped jobs have Attempts == 0.
-	Attempts int
-	// Skipped marks a job that never ran because a dependency failed.
-	Skipped bool
 }
 
-// Options configures a sweep.
-type Options struct {
-	retries int
-}
-
-// Option mutates sweep Options.
-type Option func(*Options)
-
-// WithRetries re-runs a failing (or panicking) job up to n extra
-// times, keeping the last outcome. Retries are part of the declared
-// schedule, not an adaptive mechanism: every run of the same sweep
-// retries identically.
-func WithRetries(n int) Option {
-	return func(o *Options) {
-		if n > 0 {
-			o.retries = n
-		}
+// Run executes jobs on min(max(workers, 1), len(jobs)) goroutines and
+// returns one Result per job, in declared order: for every workers
+// value the same results as the sequential Run(1, jobs). A job's
+// failure stays in its own Result and cannot abort the sweep.
+func Run[T any](workers int, jobs []Job[T]) []Result[T] {
+	if len(jobs) == 0 {
+		return nil
 	}
-}
-
-// Run executes jobs on at most workers concurrent goroutines and
-// returns one Result per job, in declared job order. The returned
-// error is non-nil only for a malformed job graph (out-of-range or
-// self dependency, or a dependency cycle); job failures are reported
-// per-Result so one bad cell cannot abort a sweep.
-//
-// Run(1, jobs) is the sequential reference execution; for every
-// workers >= 1 the returned results are identical to it.
-func Run[T any](workers int, jobs []Job[T], opts ...Option) ([]Result[T], error) {
-	var cfg Options
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	n := len(jobs)
-	if n == 0 {
-		return nil, nil
-	}
-
-	// Build the dependency graph and reject malformed inputs before
-	// starting any goroutine.
-	indeg := make([]int, n)
-	children := make([][]int, n)
-	for i := range jobs {
-		seen := make(map[int]bool, len(jobs[i].After))
-		for _, dep := range jobs[i].After {
-			if dep < 0 || dep >= n {
-				return nil, fmt.Errorf("sweep: job %d (%s) depends on out-of-range job %d", i, jobName(jobs, i), dep)
-			}
-			if dep == i {
-				return nil, fmt.Errorf("sweep: job %d (%s) depends on itself", i, jobName(jobs, i))
-			}
-			if seen[dep] {
-				continue
-			}
-			seen[dep] = true
-			indeg[i]++
-			children[dep] = append(children[dep], i)
-		}
-	}
-	if cyclic := findCycle(indeg, children); len(cyclic) > 0 {
-		return nil, fmt.Errorf("sweep: dependency cycle through jobs %v", cyclic)
-	}
-
-	results := make([]Result[T], n)
-
-	// Workers pull job indices from ready and push (index, result)
-	// pairs to completed; only the coordinating goroutine below ever
-	// touches results, indeg, or children, so placement is
-	// single-writer and deterministic. Both channels are sized n, so
-	// neither side can block indefinitely.
 	type placed struct {
 		idx int
 		res Result[T]
 	}
-	ready := make(chan int, n)
-	completed := make(chan placed, n)
+	// Both channels hold every job, so no send ever blocks.
+	next := make(chan int, len(jobs))
+	for i := range jobs {
+		next <- i
+	}
+	close(next)
+	done := make(chan placed, len(jobs))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := min(max(workers, 1), len(jobs)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range ready {
-				completed <- placed{idx: idx, res: runJob(jobs[idx], idx, cfg.retries)}
+			for i := range next {
+				done <- placed{idx: i, res: runJob(jobs[i], i)}
 			}
 		}()
 	}
-
-	// Coordinate: seed with indegree-zero jobs in declared order, then
-	// alternate between launching newly unblocked jobs and collecting
-	// one completion. Jobs whose dependencies failed are resolved
-	// inline as skipped, which may unblock (and skip) further
-	// dependents before any worker round-trip.
-	var queue []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
+	results := make([]Result[T], len(jobs))
+	for range jobs {
+		p := <-done
+		results[p.idx] = p.res
 	}
-	done := 0
-	inflight := 0
-	settle := func(i int, r Result[T]) {
-		results[i] = r
-		done++
-		for _, c := range children[i] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
-			}
-		}
-	}
-	for done < n {
-		for len(queue) > 0 {
-			i := queue[0]
-			queue = queue[1:]
-			if cause := failedDep(jobs[i].After, results); cause >= 0 {
-				settle(i, Result[T]{
-					Name:    jobName(jobs, i),
-					Skipped: true,
-					Err:     fmt.Errorf("sweep: skipped: dependency %s failed", jobName(jobs, cause)),
-				})
-				continue
-			}
-			ready <- i
-			inflight++
-		}
-		if done == n {
-			break
-		}
-		p := <-completed
-		inflight--
-		settle(p.idx, p.res)
-	}
-	close(ready)
 	wg.Wait()
-	return results, nil
+	return results
 }
 
-// jobName returns jobs[i].Name or a positional fallback.
-func jobName[T any](jobs []Job[T], i int) string {
-	if jobs[i].Name != "" {
-		return jobs[i].Name
+// runJob runs one job. A captured panic carries only the panic value,
+// never a stack trace, so failure bytes are identical run to run.
+func runJob[T any](j Job[T], idx int) (r Result[T]) {
+	r.Name = j.Name
+	if r.Name == "" {
+		r.Name = fmt.Sprintf("job-%d", idx)
 	}
-	return fmt.Sprintf("job-%d", i)
-}
-
-// failedDep returns the first dependency (in declared After order)
-// whose result carries an error, or -1. It is only called once every
-// dependency of the job has settled.
-func failedDep[T any](after []int, results []Result[T]) int {
-	for _, dep := range after {
-		if results[dep].Err != nil {
-			return dep
-		}
-	}
-	return -1
-}
-
-// runJob executes one job with bounded retries and panic capture. The
-// captured error carries only the panic value — never a stack trace —
-// so failure bytes are identical run to run.
-func runJob[T any](j Job[T], idx int, retries int) Result[T] {
-	name := j.Name
-	if name == "" {
-		name = fmt.Sprintf("job-%d", idx)
-	}
-	res := Result[T]{Name: name}
-	for attempt := 0; ; attempt++ {
-		v, err := protect(j.Run)
-		res.Attempts = attempt + 1
-		res.Value, res.Err = v, err
-		if err != nil {
-			var zero T
-			res.Value = zero
-		}
-		if err == nil || attempt >= retries {
-			return res
-		}
-	}
-}
-
-// protect runs fn, converting a panic into an ordinary error.
-func protect[T any](fn func() (T, error)) (v T, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			var zero T
-			v, err = zero, fmt.Errorf("sweep: job panicked: %v", rec)
+			r.Err = fmt.Errorf("sweep: job panicked: %v", rec)
+		}
+		if r.Err != nil {
+			r.Value = *new(T)
 		}
 	}()
-	if fn == nil {
-		return v, fmt.Errorf("sweep: job has no Run function")
+	if j.Run == nil {
+		r.Err = fmt.Errorf("sweep: job has no Run function")
+		return r
 	}
-	return fn()
-}
-
-// findCycle runs Kahn's algorithm on a copy of the graph and returns
-// the ascending indices of jobs stuck on a cycle (empty when acyclic).
-func findCycle(indeg []int, children [][]int) []int {
-	n := len(indeg)
-	deg := append([]int(nil), indeg...)
-	var queue []int
-	for i := 0; i < n; i++ {
-		if deg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	processed := 0
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		processed++
-		for _, c := range children[i] {
-			deg[c]--
-			if deg[c] == 0 {
-				queue = append(queue, c)
-			}
-		}
-	}
-	if processed == n {
-		return nil
-	}
-	var stuck []int
-	for i := 0; i < n; i++ {
-		if deg[i] > 0 {
-			stuck = append(stuck, i)
-		}
-	}
-	return stuck
+	r.Value, r.Err = j.Run()
+	return r
 }

@@ -1,8 +1,8 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +14,7 @@ import (
 func render[T any](rs []Result[T]) string {
 	var b strings.Builder
 	for i, r := range rs {
-		fmt.Fprintf(&b, "[%d] %s attempts=%d skipped=%v", i, r.Name, r.Attempts, r.Skipped)
+		fmt.Fprintf(&b, "[%d] %s", i, r.Name)
 		if r.Err != nil {
 			fmt.Fprintf(&b, " err=%v", r.Err)
 		} else {
@@ -26,9 +26,8 @@ func render[T any](rs []Result[T]) string {
 }
 
 func TestRunEmpty(t *testing.T) {
-	rs, err := Run[int](4, nil)
-	if err != nil || rs != nil {
-		t.Fatalf("empty sweep: got %v, %v", rs, err)
+	if rs := Run[int](4, nil); rs != nil {
+		t.Fatalf("empty sweep: got %v", rs)
 	}
 }
 
@@ -58,10 +57,7 @@ func TestResultsInDeclaredOrder(t *testing.T) {
 			},
 		}
 	}
-	rs, err := Run(n, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := Run(n, jobs)
 	for i, r := range rs {
 		if r.Name != fmt.Sprintf("j%d", i) || r.Value != i*i || r.Err != nil {
 			t.Fatalf("slot %d holds %+v", i, r)
@@ -89,17 +85,9 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return jobs
 	}
-	base, err := Run(1, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := render(base)
+	want := render(Run(1, mk()))
 	for _, workers := range []int{2, 3, 4, 8, 32} {
-		rs, err := Run(workers, mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := render(rs); got != want {
+		if got := render(Run(workers, mk())); got != want {
 			t.Fatalf("workers=%d diverged from sequential:\n--- sequential\n%s--- parallel\n%s", workers, want, got)
 		}
 	}
@@ -110,10 +98,7 @@ func TestPanicCapturedWithoutStack(t *testing.T) {
 		{Name: "boom", Run: func() (int, error) { panic("wired to fail") }},
 		{Name: "fine", Run: func() (int, error) { return 42, nil }},
 	}
-	rs, err := Run(2, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := Run(2, jobs)
 	if rs[0].Err == nil || !strings.Contains(rs[0].Err.Error(), "wired to fail") {
 		t.Fatalf("panic not captured: %+v", rs[0])
 	}
@@ -127,147 +112,17 @@ func TestPanicCapturedWithoutStack(t *testing.T) {
 }
 
 func TestNilRunIsAnError(t *testing.T) {
-	rs, err := Run(1, []Job[int]{{Name: "hollow"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := Run(1, []Job[int]{{Name: "hollow"}})
 	if rs[0].Err == nil || !strings.Contains(rs[0].Err.Error(), "no Run function") {
 		t.Fatalf("nil Run not reported: %+v", rs[0])
 	}
 }
 
-func TestRetrySucceedsAndStops(t *testing.T) {
-	var calls atomic.Int32
-	jobs := []Job[int]{{
-		Name: "flaky",
-		Run: func() (int, error) {
-			if calls.Add(1) < 3 {
-				return 0, errors.New("transient")
-			}
-			return 7, nil
-		},
-	}}
-	rs, err := Run(1, jobs, WithRetries(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs[0].Err != nil || rs[0].Value != 7 || rs[0].Attempts != 3 {
-		t.Fatalf("retry outcome wrong: %+v", rs[0])
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("kept retrying after success: %d calls", calls.Load())
-	}
-}
-
-func TestRetriesBoundedAndValueZeroed(t *testing.T) {
-	var calls atomic.Int32
-	jobs := []Job[int]{{
-		Name: "doomed",
-		Run: func() (int, error) {
-			calls.Add(1)
-			return 99, errors.New("always")
-		},
-	}}
-	rs, err := Run(1, jobs, WithRetries(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs[0].Attempts != 3 || calls.Load() != 3 {
-		t.Fatalf("want 3 attempts, got %d (%d calls)", rs[0].Attempts, calls.Load())
-	}
-	if rs[0].Value != 0 {
-		t.Fatalf("failed job leaked a partial value: %+v", rs[0])
-	}
-}
-
-func TestDependencyRunsAfterPrerequisite(t *testing.T) {
-	var order atomic.Int32
-	jobs := []Job[int]{
-		{Name: "first", Run: func() (int, error) { return int(order.Add(1)), nil }},
-		{Name: "second", After: []int{0}, Run: func() (int, error) { return int(order.Add(1)), nil }},
-		{Name: "third", After: []int{1, 0}, Run: func() (int, error) { return int(order.Add(1)), nil }},
-	}
-	rs, err := Run(4, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs[0].Value != 1 || rs[1].Value != 2 || rs[2].Value != 3 {
-		t.Fatalf("dependency order violated: %s", render(rs))
-	}
-}
-
-func TestFailedDependencySkipsTransitively(t *testing.T) {
-	ran := make([]atomic.Bool, 4)
-	jobs := []Job[int]{
-		{Name: "root", Run: func() (int, error) { ran[0].Store(true); return 0, errors.New("root failure") }},
-		{Name: "child", After: []int{0}, Run: func() (int, error) { ran[1].Store(true); return 1, nil }},
-		{Name: "grandchild", After: []int{1}, Run: func() (int, error) { ran[2].Store(true); return 2, nil }},
-		{Name: "unrelated", Run: func() (int, error) { ran[3].Store(true); return 3, nil }},
-	}
-	rs, err := Run(2, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{1, 2} {
-		if !rs[i].Skipped || rs[i].Err == nil || rs[i].Attempts != 0 {
-			t.Fatalf("job %d should be skipped: %+v", i, rs[i])
-		}
-		if ran[i].Load() {
-			t.Fatalf("skipped job %d actually ran", i)
-		}
-	}
-	if !strings.Contains(rs[1].Err.Error(), "root") {
-		t.Fatalf("skip error should name the failed dependency: %v", rs[1].Err)
-	}
-	if !strings.Contains(rs[2].Err.Error(), "child") {
-		t.Fatalf("transitive skip should name its direct dependency: %v", rs[2].Err)
-	}
-	if rs[3].Err != nil || rs[3].Value != 3 {
-		t.Fatalf("unrelated job affected: %+v", rs[3])
-	}
-}
-
-func TestGraphValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		jobs []Job[int]
-		want string
-	}{
-		{"out-of-range", []Job[int]{{Name: "a", After: []int{5}}}, "out-of-range"},
-		{"negative", []Job[int]{{Name: "a", After: []int{-1}}}, "out-of-range"},
-		{"self", []Job[int]{{Name: "a", After: []int{0}}}, "depends on itself"},
-		{"cycle", []Job[int]{
-			{Name: "a", After: []int{1}, Run: func() (int, error) { return 0, nil }},
-			{Name: "b", After: []int{0}, Run: func() (int, error) { return 0, nil }},
-		}, "cycle"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			rs, err := Run(2, c.jobs)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("want %q error, got results=%v err=%v", c.want, rs, err)
-			}
-		})
-	}
-}
-
-func TestCycleErrorListsMembers(t *testing.T) {
-	jobs := []Job[int]{
-		{Name: "free", Run: func() (int, error) { return 0, nil }},
-		{Name: "a", After: []int{2}},
-		{Name: "b", After: []int{1}},
-	}
-	_, err := Run(1, jobs)
-	if err == nil || !strings.Contains(err.Error(), "[1 2]") {
-		t.Fatalf("cycle members not reported: %v", err)
-	}
-}
-
 func TestWorkersClampedToOne(t *testing.T) {
 	for _, w := range []int{0, -3} {
-		rs, err := Run(w, []Job[int]{{Name: "a", Run: func() (int, error) { return 1, nil }}})
-		if err != nil || len(rs) != 1 || rs[0].Value != 1 {
-			t.Fatalf("workers=%d: %v %v", w, rs, err)
+		rs := Run(w, []Job[int]{{Name: "a", Run: func() (int, error) { return 1, nil }}})
+		if len(rs) != 1 || rs[0].Value != 1 {
+			t.Fatalf("workers=%d: %v", w, rs)
 		}
 	}
 }
@@ -296,24 +151,28 @@ func TestConcurrencyIsBounded(t *testing.T) {
 			},
 		}
 	}
-	if _, err := Run(workers, jobs); err != nil {
-		t.Fatal(err)
-	}
+	Run(workers, jobs)
 	if p := peak.Load(); p > workers {
 		t.Fatalf("observed %d concurrent jobs with %d workers", p, workers)
 	}
 }
 
-func TestDuplicateDependenciesTolerated(t *testing.T) {
-	jobs := []Job[int]{
-		{Name: "a", Run: func() (int, error) { return 1, nil }},
-		{Name: "b", After: []int{0, 0, 0}, Run: func() (int, error) { return 2, nil }},
+// A sweep never starts more goroutines than it has jobs, however many
+// workers it is offered.
+func TestGoroutinesBoundedByJobs(t *testing.T) {
+	var inside [2]atomic.Int64
+	jobs := make([]Job[int], len(inside))
+	for i := range jobs {
+		jobs[i].Run = func() (int, error) {
+			inside[i].Store(int64(runtime.NumGoroutine()))
+			return 0, nil
+		}
 	}
-	rs, err := Run(2, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs[1].Value != 2 || rs[1].Err != nil {
-		t.Fatalf("duplicate deps broke scheduling: %+v", rs[1])
+	before := int64(runtime.NumGoroutine())
+	Run(64, jobs)
+	for i := range inside {
+		if extra := inside[i].Load() - before; extra > int64(len(jobs)) {
+			t.Fatalf("job %d saw %d extra goroutines for %d jobs", i, extra, len(jobs))
+		}
 	}
 }
