@@ -44,9 +44,9 @@ func lawShards(rng *rand.Rand, p int) []Shard {
 }
 
 // capacity is how many tuples r holds before it must grow: a peek at
-// the length of storage rel does not export.
+// the capacity of the value arena rel does not export, in tuples.
 func capacity(r *rel.Relation) int {
-	return reflect.ValueOf(r).Elem().FieldByName("hashes").Cap()
+	return reflect.ValueOf(r).Elem().FieldByName("arena").Cap() / r.Arity
 }
 
 // TestMergeInboxIsMergeShards: the TCP inbox and the in-process inbox

@@ -21,10 +21,15 @@ import (
 // its table unbuilt. The eager relation is then the oracle for every
 // operation on the appended one — the same answers, the same Each order
 // and the same encoding — and an operation that asks no membership
-// question must leave an unbuilt table unbuilt. After every operation
-// both relations' Tuples must be the oracle's Each sorted by
-// Tuple.Compare, whichever way it was computed: read off an arena
-// still marked ascending, or sorted.
+// question must leave an unbuilt table unbuilt. The relation-valued
+// operations (Equal, UnionWith, AbsorbNew, UnionDistinct) take an
+// argument with no table on the appended side and its eager twin on
+// the other, and must not build the argument's table unless they ask
+// it. After every operation both relations' Tuples must be the
+// oracle's Each sorted by Tuple.Compare, whichever way it was
+// computed: read off an arena still marked ascending, or sorted; and a
+// relation caches a tuple's hash only in its table: none while the
+// table is unbuilt, and one per stored tuple once it is built.
 func FuzzRelation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
@@ -38,6 +43,9 @@ func FuzzRelation(f *testing.F) {
 	f.Add([]byte{4, 0, 8, 16, 24, 1, 24, 7, 24, 8, 0})
 	f.Add([]byte{3, 1, 9, 17, 7, 2, 8, 0, 0, 40, 8, 0})
 	f.Add([]byte{4, 0, 8, 16, 24, 1, 24, 1, 16, 1, 8, 7, 32, 8, 0})
+	// Table-less arguments: UnionDistinct, UnionWith and AbsorbNew into
+	// the unbuilt relation, then Equal.
+	f.Add([]byte{2, 3, 10, 9, 20, 9, 3, 5, 30, 6, 40, 3, 0, 3, 11})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tuple := func(v byte) Tuple { return Tuple{Value(v % 7), Value((v / 7) % 7)} }
 		eager := NewRelation("F", 2)
@@ -58,13 +66,23 @@ func FuzzRelation(f *testing.F) {
 				t.Fatal("AddDistinct built a table")
 			}
 		}
+		// twins returns two relations holding ts in order: one filled by
+		// Add, one by AddDistinct with no table.
+		twins := func(ts []Tuple) (eager, flat *Relation) {
+			eager, flat = NewRelation("O", 2), NewRelation("O", 2)
+			for _, u := range ts {
+				eager.Add(u)
+				flat.AddDistinct(u)
+			}
+			return eager, flat
+		}
 		encoding := func(r *Relation) []byte {
 			inst := NewInstance()
 			inst.SetRelation(r)
 			return EncodeInstance(inst)
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
-			op := ops[i] % 9
+			op := ops[i] % 10
 			v := ops[i+1]
 			tup := tuple(v)
 			key := tup.Key()
@@ -92,23 +110,48 @@ func FuzzRelation(f *testing.F) {
 				if !appended.Equal(eager) || !eager.Equal(appended) {
 					t.Fatalf("op %d: the relations are not Equal", i)
 				}
+				// The oracle's tuples, the last replaced by tup when tup is
+				// new: an equal or an unequal argument of the same length.
+				ts := eachTuples(eager)
+				if len(ts) > 0 && !inRef {
+					ts[len(ts)-1] = tup
+				}
+				twin, flat := twins(ts)
+				want := eager.Equal(twin)
+				if flat.Equal(eager) != want || eager.Equal(flat) != want {
+					t.Fatalf("op %d: Equal with a table-less side differs from %v", i, want)
+				}
 			case 4:
 				appended, eager = appended.Clone(), eager.Clone()
 				asks = false
-			case 5, 6:
-				o := NewRelation("O", 2)
-				o.Add(tup)
-				o.Add(tuple(v + 1))
-				o.Each(func(u Tuple) bool { ref[u.Key()] = u; return true })
-				if op == 5 {
-					if got, want := appended.UnionWith(o), eager.UnionWith(o); got != want {
+			case 5, 6, 9:
+				var ts []Tuple
+				for _, u := range []Tuple{tup, tuple(v + 1)} {
+					if _, in := ref[u.Key()]; op != 9 || !in {
+						ts = append(ts, u)
+					}
+				}
+				o, flat := twins(ts)
+				for _, u := range ts {
+					ref[u.Key()] = u
+				}
+				switch op {
+				case 5:
+					if got, want := appended.UnionWith(flat), eager.UnionWith(o); got != want {
 						t.Fatalf("op %d: UnionWith added %d, eager %d", i, got, want)
 					}
-					break
+				case 6:
+					got, want := appended.AbsorbNew(flat, "N"), eager.AbsorbNew(o, "N")
+					if !equalLists(eachTuples(got), eachTuples(want)) || !got.Equal(want) {
+						t.Fatalf("op %d: AbsorbNew gave %v, eager %v", i, eachTuples(got), eachTuples(want))
+					}
+				case 9:
+					appended.UnionDistinct(flat)
+					eager.UnionWith(o)
+					asks = false
 				}
-				got, want := appended.AbsorbNew(o, "N"), eager.AbsorbNew(o, "N")
-				if !equalLists(eachTuples(got), eachTuples(want)) || !got.Equal(want) {
-					t.Fatalf("op %d: AbsorbNew gave %v, eager %v", i, eachTuples(got), eachTuples(want))
+				if flat.slots != nil {
+					t.Fatalf("op %d (%d) built its argument's table", i, op)
 				}
 			case 7:
 				if !inRef {
@@ -133,6 +176,14 @@ func FuzzRelation(f *testing.F) {
 			}
 			if !asks && unbuilt && appended.slots != nil {
 				t.Fatalf("op %d (%d) built the table", i, op)
+			}
+			if appended.slots == nil && appended.hashes != nil {
+				t.Fatalf("op %d (%d): %d hashes cached with no table", i, op, len(appended.hashes))
+			}
+			for _, r := range []*Relation{appended, eager} {
+				if (r.slots != nil || r == eager) && len(r.hashes) != r.stored() {
+					t.Fatalf("op %d (%d): %d hashes cached for %d stored tuples", i, op, len(r.hashes), r.stored())
+				}
 			}
 			if appended.Len() != len(ref) || eager.Len() != len(ref) {
 				t.Fatalf("op %d: Len() = %d, eager %d, reference has %d", i, appended.Len(), eager.Len(), len(ref))
@@ -225,4 +276,36 @@ func TestAddDistinctDuplicatePanics(t *testing.T) {
 	r := NewRelation("Dup", 1)
 	r.Add(Tuple{1})
 	wantPanic("AddDistinct on a built table", func() { r.AddDistinct(Tuple{1}) })
+}
+
+// TestFirstTableSizesItsHashes: a relation caches no hash until its
+// table is built, and the first build sizes the hashes for the storage
+// in one allocation — for a pre-sized relation, one Reserved while
+// empty, and one filled by vouched appends first — so Adds up to the
+// reserved size never grow them.
+func TestFirstTableSizesItsHashes(t *testing.T) {
+	const n = 64
+	reserved := NewRelation("R", 2)
+	reserved.Reserve(n)
+	appended := NewRelationSize("R", 2, n)
+	for v := range 10 {
+		appended.AddDistinct(Tuple{Value(v), 0})
+	}
+	for name, r := range map[string]*Relation{
+		"NewRelationSize":     NewRelationSize("R", 2, n),
+		"Reserve while empty": reserved,
+		"after appends":       appended,
+	} {
+		if r.hashes != nil {
+			t.Fatalf("%s: %d hashes cached before the table is built", name, len(r.hashes))
+		}
+		r.Add(Tuple{-1, -1})
+		first := cap(r.hashes)
+		for v := 100; r.Len() < n; v++ {
+			r.Add(Tuple{Value(v), 1})
+		}
+		if first < n || cap(r.hashes) != first {
+			t.Errorf("%s: hashes sized for %d at the first build, %d after %d tuples", name, first, cap(r.hashes), n)
+		}
+	}
 }

@@ -44,9 +44,9 @@ func (ix *Index) build(n int, admit func(Tuple) bool) {
 		size *= 2
 	}
 	ix.heads = newSlots(size)
-	ix.next = make([]int32, len(ix.r.hashes))
-	for i := range ix.r.hashes {
-		if ix.r.dead[i] || (admit != nil && !admit(ix.r.tupleAt(int32(i)))) {
+	ix.next = make([]int32, ix.r.stored())
+	for i, d := range ix.r.dead {
+		if d || (admit != nil && !admit(ix.r.tupleAt(int32(i)))) {
 			continue
 		}
 		ix.link(int32(i))

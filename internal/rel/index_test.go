@@ -80,7 +80,7 @@ func TestIndexProbeIsAScan(t *testing.T) {
 			// Without tombstones an insert cannot compact, so the cached
 			// indexes must survive it.
 			before := slices.Clone(r.idx)
-			inserting, clean := false, r.live == len(r.hashes)
+			inserting, clean := false, r.live == r.stored()
 			switch rng.Intn(6) {
 			case 0, 1:
 				inserting = true

@@ -101,7 +101,7 @@ func TestTuplesIsSortedEach(t *testing.T) {
 						r.Remove(tu)
 					}
 				}
-				if r.live == len(r.hashes) {
+				if r.live == r.stored() {
 					t.Fatalf("%s: removals left no tombstone", name)
 				}
 				checkSortedEnumeration(t, name+" tombstoned", r)
@@ -200,7 +200,7 @@ func TestAscendingRecord(t *testing.T) {
 	equal := r.Clone()
 	last := Tuple{1, 1}
 	equal.Remove(last)
-	if equal.live == len(equal.hashes) {
+	if equal.live == equal.stored() {
 		t.Fatal("Remove compacted at once; the case needs a tombstone")
 	}
 	equal.Add(last)
@@ -213,8 +213,8 @@ func TestAscendingRecord(t *testing.T) {
 	compacted := r.Clone()
 	compacted.Remove(last)
 	compacted.rehash(compacted.live)
-	if compacted.live != len(compacted.hashes) || !compacted.ascending {
-		t.Fatalf("compaction: %d live of %d stored, ascending %v", compacted.live, len(compacted.hashes), compacted.ascending)
+	if compacted.live != compacted.stored() || !compacted.ascending {
+		t.Fatalf("compaction: %d live of %d stored, ascending %v", compacted.live, compacted.stored(), compacted.ascending)
 	}
 	compacted.Add(last) // the removed tuple again: above (1, 0), the new last
 	compacted.Reserve(100)

@@ -3,26 +3,30 @@ package rel
 // Relation is a named, fixed-arity set of tuples.
 //
 // The implementation is an open-addressing hash set over a flat value
-// arena: tuple i occupies arena[i*Arity : (i+1)*Arity], hashes[i]
-// caches its table hash (tableHash — the table's own, not the
-// placement hash Tuple.Hash), and slots is a power-of-two
-// linear-probing table mapping hash positions to tuple indices.
+// arena: tuple i occupies arena[i*Arity : (i+1)*Arity], and slots is a
+// power-of-two linear-probing table mapping hash positions to tuple
+// indices, with hashes[i] caching tuple i's table hash (tableHash — the
+// table's own, not the placement hash Tuple.Hash) beside it.
 // Membership is decided by the cached 64-bit hash first and verified
 // with Tuple.Equal, so no per-tuple string key or per-tuple map entry
 // is ever allocated. Removed tuples are tombstoned (dead[i]) and
 // compacted on the next rehash; compaction copies live values into a
 // fresh arena, so Tuple views handed out earlier stay valid.
 //
-// The table is a cache like the sorted enumeration and the join
-// indexes: AddDistinct and UnionDistinct, whose caller vouches that
-// the tuples are not in the relation yet, only append to the arena, and
-// the table is built over the stored tuples by the first membership
+// The table — slots and cached hashes together — is a cache like the
+// sorted enumeration and the join indexes: AddDistinct and
+// UnionDistinct, whose caller vouches that the tuples are not in the
+// relation yet, only append to the arena, hashing nothing, and the
+// table is built over the stored tuples by the first membership
 // question — Add, Contains, Remove, Equal, UnionWith or AbsorbNew into
-// the relation. That build checks what was vouched: a duplicate panics.
-// Each, Tuples, Len, the join indexes and the encoders read the arena
-// alone, so a relation that is only split, shipped and scanned never
-// builds a table. Building it is a write, so, like the rest of
-// Relation, a lookup is not safe for concurrent use.
+// the relation. That build hashes every stored tuple once and checks
+// what was vouched: a duplicate panics. From then on every insert
+// caches its tuple's hash. Each, Tuples, Len, the join indexes and the
+// encoders read the arena alone, so a relation that is only split,
+// shipped and scanned never builds a table, and stores 8·Arity + 1
+// bytes per tuple against 8·Arity + 9 and the slots with one. Building
+// it is a write, so, like the rest of Relation, a lookup is not safe
+// for concurrent use.
 //
 // Enumeration contract: Each visits tuples in unspecified (insertion)
 // order; Tuples returns the lexicographically sorted enumeration and
@@ -41,9 +45,9 @@ type Relation struct {
 	Arity int
 
 	arena  []Value  // flat tuple storage
-	hashes []uint64 // cached tableHash, parallel to stored tuples
-	dead   []bool   // tombstoned tuples awaiting compaction
+	dead   []bool   // per stored tuple: tombstoned, awaiting compaction
 	slots  []int32  // open-addressing table: index, slotEmpty, or slotTomb; nil = not built
+	hashes []uint64 // with the table: cached tableHash, parallel to stored tuples
 	live   int      // live (non-dead) tuples
 	tombs  int      // tombstoned table slots
 
@@ -122,10 +126,29 @@ func NewRelationSize(name string, arity, size int) *Relation {
 	r := &Relation{Name: name, Arity: arity}
 	if size > 0 {
 		r.arena = make([]Value, 0, size*arity)
-		r.hashes = make([]uint64, 0, size)
 		r.dead = make([]bool, 0, size)
 	}
 	return r
+}
+
+// stored returns the number of stored tuples, dead or alive.
+func (r *Relation) stored() int { return len(r.dead) }
+
+// room returns how many tuples the arena holds before it must grow.
+func (r *Relation) room() int {
+	if r.Arity == 0 {
+		return cap(r.dead)
+	}
+	return cap(r.arena) / r.Arity
+}
+
+// hashOf returns stored tuple i's table hash: the cached one when the
+// table is built, computed otherwise.
+func (r *Relation) hashOf(i int) uint64 {
+	if r.slots != nil {
+		return r.hashes[i]
+	}
+	return tableHash(r.tupleAt(int32(i)))
 }
 
 // tupleAt returns a view of stored tuple i. The view aliases the arena;
@@ -175,7 +198,7 @@ func (r *Relation) insert(h uint64, t Tuple) bool {
 	if r.slots == nil {
 		// The first table: sized for the storage, so a pre-sized
 		// relation fills without a rehash.
-		r.rehash(max(r.live+1, cap(r.hashes)))
+		r.rehash(max(r.live+1, r.room()))
 	} else if (r.live+r.tombs+1)*4 > len(r.slots)*3 {
 		r.rehash(r.live + 1)
 	}
@@ -197,27 +220,27 @@ func (r *Relation) insert(h uint64, t Tuple) bool {
 		s = (s + 1) & mask
 	}
 	if reuse >= 0 {
-		r.slots[reuse] = int32(len(r.hashes))
+		r.slots[reuse] = int32(r.stored())
 		r.tombs--
 	} else {
-		r.slots[s] = int32(len(r.hashes))
+		r.slots[s] = int32(r.stored())
 	}
-	r.push(h, t)
+	r.hashes = append(r.hashes, h)
+	r.push(t)
 	return true
 }
 
-// push stores t under hash h as the newest tuple, leaving the table to
-// the caller: insert has placed it, and a relation with no table yet
-// gets it on the next rehash.
-func (r *Relation) push(h uint64, t Tuple) {
-	i := int32(len(r.hashes))
+// push stores t as the newest tuple, leaving the table to the caller:
+// insert has placed it and cached its hash, and a relation with no
+// table yet hashes it when the table is built.
+func (r *Relation) push(t Tuple) {
+	i := int32(r.stored())
 	if i == 0 {
 		r.ascending = true
 	} else if r.ascending && !r.above(t) {
 		r.ascending = false
 	}
 	r.arena = append(r.arena, t...)
-	r.hashes = append(r.hashes, h)
 	r.dead = append(r.dead, false)
 	r.live++
 	// The sorted enumeration is invalid, but cached join indexes stay
@@ -238,16 +261,13 @@ func (r *Relation) push(h uint64, t Tuple) {
 // above reports whether t is above the last stored tuple, dead or
 // alive; r must hold one.
 func (r *Relation) above(t Tuple) bool {
-	return t.Compare(r.tupleAt(int32(len(r.hashes)-1))) > 0
+	return t.Compare(r.tupleAt(int32(r.stored()-1))) > 0
 }
 
-// pushDistinct stores t, which the caller vouches is not in r, under
-// hash h: an append while there is no table, and otherwise an insert,
-// which costs a probe and holds the caller to its word.
-func (r *Relation) pushDistinct(h uint64, t Tuple) {
-	if r.slots == nil {
-		r.push(h, t)
-	} else if !r.insert(h, t) {
+// insertDistinct inserts t, which the caller vouches is not in r, under
+// hash h into r's built table: the probe holds the caller to its word.
+func (r *Relation) insertDistinct(h uint64, t Tuple) {
+	if !r.insert(h, t) {
 		panic("rel: duplicate tuple added as distinct to " + r.Name)
 	}
 }
@@ -280,14 +300,19 @@ func (r *Relation) remove(h uint64, t Tuple) bool {
 }
 
 // rehash rebuilds the table to hold at least n tuples, compacting
-// tombstoned tuples out of the arena. Over tuples that were appended
-// with no table, it is the check that they are distinct: a duplicate
-// panics, naming the relation.
+// tombstoned tuples out of the arena. The first build hashes every
+// stored tuple, into storage sized like the arena's; over tuples that
+// were appended with no table, it is the check that they are distinct:
+// a duplicate panics, naming the relation.
 func (r *Relation) rehash(n int) {
-	if n < r.live {
-		n = r.live
-	}
-	if r.live != len(r.hashes) {
+	n = max(n, r.live)
+	if r.slots == nil {
+		// Only a built table tombstones, so there is nothing to compact.
+		r.hashes = make([]uint64, r.stored(), max(n, r.room()))
+		for i := range r.hashes {
+			r.hashes[i] = tableHash(r.tupleAt(int32(i)))
+		}
+	} else if r.live != r.stored() {
 		// Compaction renumbers the stored tuple indices, so cached join
 		// indexes (which hold those indices) must be dropped here — not
 		// every caller reaches mutated(): grow() never does, and a
@@ -298,8 +323,8 @@ func (r *Relation) rehash(n int) {
 		r.idx = nil
 		arena := make([]Value, 0, n*r.Arity)
 		hashes := make([]uint64, 0, n)
-		for i := range r.hashes {
-			if r.dead[i] {
+		for i, d := range r.dead {
+			if d {
 				continue
 			}
 			arena = append(arena, r.tupleAt(int32(i))...)
@@ -326,8 +351,8 @@ func (r *Relation) rehash(n int) {
 	r.tombs = 0
 }
 
-// grow pre-sizes the tuple storage, and the table if it is built, for
-// n total live tuples.
+// grow pre-sizes the tuple storage, and the table and its hashes if it
+// is built, for n total live tuples.
 func (r *Relation) grow(n int) {
 	if r.slots != nil && tableSizeFor(n) > len(r.slots) {
 		r.rehash(n)
@@ -339,29 +364,23 @@ func (r *Relation) grow(n int) {
 	// least geometric so a hint that creeps up call after call (the
 	// shape of per-round inbox sizing) keeps amortized-O(1) appends
 	// instead of copying on every call.
-	if cap(r.arena) < n*r.Arity {
-		arena := make([]Value, len(r.arena), geomCap(n*r.Arity, cap(r.arena)))
-		copy(arena, r.arena)
-		r.arena = arena
-	}
-	if cap(r.hashes) < n {
-		m := geomCap(n, cap(r.hashes))
-		hashes := make([]uint64, len(r.hashes), m)
-		copy(hashes, r.hashes)
-		r.hashes = hashes
-		dead := make([]bool, len(r.dead), m)
-		copy(dead, r.dead)
-		r.dead = dead
+	r.arena = withCap(r.arena, n*r.Arity)
+	r.dead = withCap(r.dead, n)
+	if r.slots != nil {
+		r.hashes = withCap(r.hashes, n)
 	}
 }
 
-// geomCap returns the capacity to grow to for a request of n: at least
-// n, and at least double the current capacity.
-func geomCap(n, cur int) int {
-	if d := 2 * cur; n < d {
-		return d
+// withCap returns s with room for n elements: s itself if it has it,
+// and otherwise a copy whose capacity is at least n and at least double
+// s's.
+func withCap[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s
 	}
-	return n
+	out := make([]T, len(s), max(n, 2*cap(s)))
+	copy(out, s)
+	return out
 }
 
 // Reserve pre-grows r to hold n more tuples without rehashing: what
@@ -386,7 +405,11 @@ func (r *Relation) AddDistinct(t Tuple) {
 	if len(t) != r.Arity {
 		panic("rel: arity mismatch in " + r.Name)
 	}
-	r.pushDistinct(tableHash(t), t)
+	if r.slots == nil {
+		r.push(t)
+	} else {
+		r.insertDistinct(tableHash(t), t)
+	}
 }
 
 // Contains reports whether t is in the relation.
@@ -405,8 +428,8 @@ func (r *Relation) Len() int { return r.live }
 // Each calls fn for every tuple in unspecified order; fn must not
 // mutate the relation. Iteration stops early if fn returns false.
 func (r *Relation) Each(fn func(Tuple) bool) {
-	for i := range r.hashes {
-		if r.dead[i] {
+	for i, d := range r.dead {
+		if d {
 			continue
 		}
 		if !fn(r.tupleAt(int32(i))) {
@@ -445,8 +468,8 @@ func (r *Relation) Clone() *Relation {
 }
 
 // UnionWith adds every tuple of o into r; o must have the same arity.
-// It returns the number of tuples that were new. Cached hashes of o are
-// reused, and r is pre-grown to the combined size.
+// It returns the number of tuples that were new. The hashes o's table
+// caches are reused, and r is pre-grown to the combined size.
 func (r *Relation) UnionWith(o *Relation) int {
 	if r.Arity != o.Arity && o.Len() > 0 {
 		panic("rel: arity mismatch in union of " + r.Name)
@@ -456,11 +479,8 @@ func (r *Relation) UnionWith(o *Relation) int {
 	}
 	r.grow(r.live + o.live)
 	added := 0
-	for i := range o.hashes {
-		if o.dead[i] {
-			continue
-		}
-		if r.insert(o.hashes[i], o.tupleAt(int32(i))) {
+	for i, d := range o.dead {
+		if !d && r.insert(o.hashOf(i), o.tupleAt(int32(i))) {
 			added++
 		}
 	}
@@ -469,26 +489,32 @@ func (r *Relation) UnionWith(o *Relation) int {
 
 // UnionDistinct adds every tuple of o into r, like UnionWith, for a
 // caller that vouches that no tuple of o is in r: each is added as by
-// AddDistinct, its cached hash reused, and r's storage is pre-grown to
-// the combined size.
+// AddDistinct, under the hash o's table caches if r has a table to
+// insert into, and r's storage is pre-grown to the combined size.
 func (r *Relation) UnionDistinct(o *Relation) {
 	if r.Arity != o.Arity && o.Len() > 0 {
 		panic("rel: arity mismatch in union of " + r.Name)
 	}
 	r.grow(r.live + o.live)
-	for i := range o.hashes {
-		if !o.dead[i] {
-			r.pushDistinct(o.hashes[i], o.tupleAt(int32(i)))
+	for i, d := range o.dead {
+		if d {
+			continue
+		}
+		if t := o.tupleAt(int32(i)); r.slots == nil {
+			r.push(t)
+		} else {
+			r.insertDistinct(o.hashOf(i), t)
 		}
 	}
 }
 
 // AbsorbNew adds every tuple of o into r (like UnionWith) and returns
-// the genuinely new ones as a fresh relation named name. Cached hashes
-// of o are reused and both r and the result are pre-sized, so folding
-// a small delta into a large resident relation costs O(|o|), not
-// O(|r|) — the operation behind delta rounds' receiver-side fold.
-// A nil or empty o returns an empty relation of r's arity.
+// the genuinely new ones as a fresh relation named name, which has no
+// table. The hashes o's table caches are reused and both r and the
+// result are pre-sized, so folding a small delta into a large resident
+// relation costs O(|o|), not O(|r|) — the operation behind delta
+// rounds' receiver-side fold. A nil or empty o returns an empty
+// relation of r's arity.
 func (r *Relation) AbsorbNew(o *Relation, name string) *Relation {
 	if o == nil || o.live == 0 {
 		return NewRelation(name, r.Arity)
@@ -498,28 +524,25 @@ func (r *Relation) AbsorbNew(o *Relation, name string) *Relation {
 	}
 	out := NewRelationSize(name, r.Arity, o.live)
 	r.grow(r.live + o.live)
-	for i := range o.hashes {
-		if o.dead[i] {
+	for i, d := range o.dead {
+		if d {
 			continue
 		}
-		t := o.tupleAt(int32(i))
-		if r.insert(o.hashes[i], t) {
-			out.push(o.hashes[i], t) // new to r, so new to out
+		if t := o.tupleAt(int32(i)); r.insert(o.hashOf(i), t) {
+			out.push(t) // new to r, so new to out
 		}
 	}
 	return out
 }
 
-// Equal reports whether r and o contain exactly the same tuples.
+// Equal reports whether r and o contain exactly the same tuples. It
+// asks o's table, and reuses the hashes r's caches if it has one.
 func (r *Relation) Equal(o *Relation) bool {
 	if r.Len() != o.Len() || r.Arity != o.Arity {
 		return false
 	}
-	for i := range r.hashes {
-		if r.dead[i] {
-			continue
-		}
-		if o.find(r.hashes[i], r.tupleAt(int32(i))) < 0 {
+	for i, d := range r.dead {
+		if !d && o.find(r.hashOf(i), r.tupleAt(int32(i))) < 0 {
 			return false
 		}
 	}

@@ -66,8 +66,8 @@ func (r *Relation) sortedTuples() []Tuple {
 	n, k, arena := r.live, r.Arity, r.arena
 	out := make([]Tuple, 0, n)
 	if r.ascending {
-		for i := range r.hashes {
-			if !r.dead[i] {
+		for i, d := range r.dead {
+			if !d {
 				out = append(out, r.tupleAt(int32(i)))
 			}
 		}
@@ -80,8 +80,8 @@ func (r *Relation) sortedTuples() []Tuple {
 		if n > len(small) {
 			order = make([]keyed, 0, n)
 		}
-		for i := range r.hashes {
-			if r.dead[i] {
+		for i, d := range r.dead {
+			if d {
 				continue
 			}
 			e := keyed{i: int32(i)}
@@ -116,8 +116,8 @@ func (r *Relation) sortedTuples() []Tuple {
 	// One allocation: the indices, the scatter target, the counters.
 	all := make([]int32, 2*n+1<<digit)
 	src, dst, counts := all[:0:n], all[n:2*n], all[2*n:]
-	for i := range r.hashes {
-		if !r.dead[i] {
+	for i, d := range r.dead {
+		if !d {
 			src = append(src, int32(i))
 		}
 	}
@@ -166,8 +166,8 @@ func (r *Relation) columnSpan(c int) (lo uint64, width int) {
 	k := r.Arity
 	first := true
 	var mn, mx Value
-	for i := range r.hashes {
-		if r.dead[i] {
+	for i, d := range r.dead {
+		if d {
 			continue
 		}
 		v := r.arena[i*k+c]

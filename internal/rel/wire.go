@@ -15,10 +15,11 @@ package rel
 // each tuple is above the one before, the run is distinct by ascent and
 // is appended with no table, and the relation stays marked ascending,
 // so its sorted enumeration is its arena. The first tuple that is not
-// above its predecessor builds the table once over the run, and from
-// then on every tuple is inserted and a duplicate is an error. A share
-// dealt from a sorted enumeration is encoded ascending, so it is
-// received without a table.
+// above its predecessor builds the table once over the run, hashing
+// each tuple of the run then, and from then on every tuple is hashed,
+// inserted, and a duplicate is an error. A share dealt from a sorted
+// enumeration is encoded ascending, so it is received as its arena
+// alone: no table and no tuple hashed.
 //
 // Format (all integers little-endian):
 //
@@ -118,8 +119,8 @@ func appendRelation(buf []byte, name string, r *Relation) []byte {
 	buf = append(buf, name...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(r.Arity))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Len()))
-	for i := range r.hashes {
-		if r.dead[i] {
+	for i, d := range r.dead {
+		if d {
 			continue
 		}
 		off := i * r.Arity
@@ -281,11 +282,12 @@ func decodeRelation(w *wireReader) (string, *Relation, error) {
 			scratch[j] = Value(v)
 		}
 		// A tuple above the last is new to an ascending run, which is
-		// appended without a table; the first one that is not builds the
-		// table over the run, and from then on the table checks.
-		if h := tableHash(scratch); r.slots == nil && (i == 0 || r.above(scratch)) {
-			r.push(h, scratch)
-		} else if !r.insert(h, scratch) {
+		// appended without a table or a hash; the first one that is not
+		// builds the table over the run, and from then on the table
+		// checks.
+		if r.slots == nil && (i == 0 || r.above(scratch)) {
+			r.push(scratch)
+		} else if !r.insert(tableHash(scratch), scratch) {
 			return "", nil, fmt.Errorf("rel: relation %q carries duplicate tuple %v (canonical encoding is duplicate-free)", name, scratch)
 		}
 	}

@@ -218,8 +218,9 @@ func TestWireRejectsNonCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decoder rejected a canonical frame: %v", err)
 		}
-		if r := got.Relation("R"); !r.ascending || r.slots != nil {
-			t.Errorf("an ascending relation decoded marked ascending %v, table built %v", r.ascending, r.slots != nil)
+		if r := got.Relation("R"); !r.ascending || r.slots != nil || r.hashes != nil {
+			t.Errorf("an ascending relation decoded marked ascending %v, table built %v, %d hashes cached",
+				r.ascending, r.slots != nil, len(r.hashes))
 		}
 	})
 }
