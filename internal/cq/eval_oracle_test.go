@@ -515,8 +515,8 @@ func TestEvaluateMatchesReferenceOnRandomQueries(t *testing.T) {
 // ends evaluation the way a missing one does.
 func TestEvaluateEmptyRelationMatchesReference(t *testing.T) {
 	d := rel.NewDict()
-	i := rel.MustInstance(d, "R(a,b)", "S(b,c)")
-	i.Remove(rel.MustFact(d, "S(b,c)"))
+	i := rel.MustInstance(d, "R(a,b)")
+	i.EnsureRelation("S", 2)
 	if s := i.Relation("S"); s == nil || s.Len() != 0 {
 		t.Fatalf("S should be present and empty, have %v", s)
 	}

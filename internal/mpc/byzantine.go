@@ -371,8 +371,7 @@ func applyByzEvent(r Round, p, src int, sh *Shard, ev ByzantineEvent, local *rel
 			if !ok {
 				continue
 			}
-			sh.Outs[dl.dst].Remove(dl.f)
-			sh.Sent[dl.dst]--
+			withhold(sh, []delivery{dl}, nil)
 			if sh.Outs[bad] == nil {
 				sh.Outs[bad] = rel.NewInstance()
 			}
@@ -407,15 +406,35 @@ func applyByzEvent(r Round, p, src int, sh *Shard, ev ByzantineEvent, local *rel
 			sh.Sent[d]++
 		}
 	case Omit:
-		sets := r.sets()
 		dels := routedDeliveries(src, sh)
-		for i := 0; i < len(dels) && i < ev.Count; i++ {
-			dl := dels[i]
-			sh.Outs[dl.dst].Remove(dl.f)
-			sh.Sent[dl.dst]--
-			if sets.delta[dl.f.Rel] {
-				sh.DeltaSent--
-			}
+		if len(dels) > ev.Count {
+			dels = dels[:max(ev.Count, 0)]
+		}
+		withhold(sh, dels, r.sets().delta)
+	}
+}
+
+// withhold takes deliveries of sh out of it: every outbox relation
+// holding one is rebuilt without them, in its own Each order, and Sent
+// — and DeltaSent, for a relation in delta — falls by one per delivery.
+// A relation only grows, so a fact leaves an outbox by a rebuild.
+func withhold(sh *Shard, dels []delivery, delta map[string]bool) {
+	gone := make(map[int]*rel.Instance)
+	for _, dl := range dels {
+		if gone[dl.dst] == nil {
+			gone[dl.dst] = rel.NewInstance()
+		}
+		gone[dl.dst].Add(dl.f)
+		sh.Sent[dl.dst]--
+		if delta[dl.f.Rel] {
+			sh.DeltaSent--
+		}
+	}
+	for dst, g := range gone {
+		out := sh.Outs[dst]
+		for _, name := range g.RelationNames() {
+			drop := g.Relation(name)
+			out.SetRelation(rel.Select(out.Relation(name), func(t rel.Tuple) bool { return !drop.Contains(t) }))
 		}
 	}
 }

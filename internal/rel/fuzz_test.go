@@ -12,8 +12,9 @@ import (
 // arbitrary operation sequence decoded from the fuzz input and checks
 // it against a plain map-based set after every operation. The value
 // domain is kept tiny (7 values, arity 2 → 49 tuples) so the fuzzer
-// constantly revisits slots and exercises the tombstone and rehash
-// paths that a sparse domain would never hit.
+// constantly revisits slots and exercises the duplicate-probe, growth
+// and rehash paths that a sparse domain would never hit. A relation
+// only grows, so there is no removal to drive.
 //
 // Two relations take the sequence side by side. The first input byte
 // picks how many of the next bytes seed them: the eager one by Add, the
@@ -27,19 +28,21 @@ import (
 // the other, and must not build the argument's table unless they ask
 // it. After every operation both relations' Tuples must be the
 // oracle's Each sorted by Tuple.Compare, whichever way it was
-// computed: read off an arena still marked ascending, or sorted; and a
+// computed: read off an arena still marked ascending, or sorted. Two
+// storage laws hold after every operation too: the arena holds exactly
+// Len()·Arity values (a rejected duplicate stores nothing), and a
 // relation caches a tuple's hash only in its table: none while the
 // table is unbuilt, and one per stored tuple once it is built.
 func FuzzRelation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
-	f.Add([]byte{0, 0, 1, 0, 2, 0, 1, 1}) // add/remove churn on one tuple
+	f.Add([]byte{0, 0, 1, 0, 2, 0, 1, 1}) // add/reserve churn on one tuple
 	f.Add([]byte{0, 9, 0, 18, 0, 27, 0, 36, 1, 9, 1, 18, 0, 9})
 	f.Add([]byte{255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245, 244})
 	f.Add([]byte{6, 3, 10, 17, 3, 24, 31, 4, 0, 8, 10, 7, 38, 2, 17, 5, 40, 1, 10, 3, 0})
 	f.Add([]byte{5, 1, 2, 3, 4, 5, 7, 9, 8, 2, 6, 11, 2, 3, 1, 2, 7, 30})
-	// Ascending seeds, then: remove the last and append it again; append
-	// below the run; remove the last, compact by churn, append above.
+	// Ascending seeds, then: reserve and append the last again; append
+	// below the run; reserve, churn, append above.
 	f.Add([]byte{4, 0, 8, 16, 24, 1, 24, 7, 24, 8, 0})
 	f.Add([]byte{3, 1, 9, 17, 7, 2, 8, 0, 0, 40, 8, 0})
 	f.Add([]byte{4, 0, 8, 16, 24, 1, 24, 1, 16, 1, 8, 7, 32, 8, 0})
@@ -97,11 +100,9 @@ func FuzzRelation(f *testing.F) {
 				}
 				ref[key] = tup
 			case 1:
-				got, want := appended.Remove(tup), eager.Remove(tup)
-				if got != want || got != inRef {
-					t.Fatalf("op %d: Remove(%v) = %v, eager %v, reference says %v", i, tup, got, want, inRef)
-				}
-				delete(ref, key)
+				appended.Reserve(int(v))
+				eager.Reserve(int(v))
+				asks = false
 			case 2:
 				if got, want := appended.Contains(tup), eager.Contains(tup); got != want || got != inRef {
 					t.Fatalf("op %d: Contains(%v) = %v, eager %v, reference says %v", i, tup, got, want, inRef)
@@ -177,12 +178,15 @@ func FuzzRelation(f *testing.F) {
 			if !asks && unbuilt && appended.slots != nil {
 				t.Fatalf("op %d (%d) built the table", i, op)
 			}
-			if appended.slots == nil && appended.hashes != nil {
-				t.Fatalf("op %d (%d): %d hashes cached with no table", i, op, len(appended.hashes))
-			}
 			for _, r := range []*Relation{appended, eager} {
-				if (r.slots != nil || r == eager) && len(r.hashes) != r.stored() {
-					t.Fatalf("op %d (%d): %d hashes cached for %d stored tuples", i, op, len(r.hashes), r.stored())
+				if len(r.arena) != r.Len()*r.Arity {
+					t.Fatalf("op %d (%d): the arena holds %d values for %d tuples", i, op, len(r.arena), r.Len())
+				}
+				if r.slots == nil && r.hashes != nil {
+					t.Fatalf("op %d (%d): %d hashes cached with no table", i, op, len(r.hashes))
+				}
+				if (r.slots != nil || r == eager) && len(r.hashes) != r.Len() {
+					t.Fatalf("op %d (%d): %d hashes cached for %d stored tuples", i, op, len(r.hashes), r.Len())
 				}
 			}
 			if appended.Len() != len(ref) || eager.Len() != len(ref) {
@@ -229,7 +233,8 @@ func FuzzRelation(f *testing.F) {
 // TestAddDistinctDuplicatePanics: a tuple vouched distinct that is not
 // panics, naming the relation, when the table is built over it — by
 // the first membership question — or at once when the table is built
-// already.
+// already. Every question that builds the table checks: Add, Contains,
+// UnionWith, AbsorbNew and Equal.
 func TestAddDistinctDuplicatePanics(t *testing.T) {
 	wantPanic := func(what string, fn func()) {
 		t.Helper()
@@ -244,7 +249,6 @@ func TestAddDistinctDuplicatePanics(t *testing.T) {
 	for name, ask := range map[string]func(*Relation){
 		"Add":      func(r *Relation) { r.Add(Tuple{9}) },
 		"Contains": func(r *Relation) { r.Contains(Tuple{1}) },
-		"Remove":   func(r *Relation) { r.Remove(Tuple{1}) },
 		"UnionWith": func(r *Relation) {
 			r.UnionWith(FromFacts(NewFact("O", 9)).Relation("O"))
 		},

@@ -6,10 +6,12 @@ import (
 )
 
 // buildFuzzFragment interprets script as a construction program over a
-// small instance: each 3-byte step adds or removes a fact. The value
+// small instance: each 3-byte step adds a fact or churns the insertion
+// order of a relation, re-appending its tuples in reverse (a step that
+// names an absent relation makes it present and empty). The value
 // domain mixes plain small values with shifted ones that collide in the
-// table's low bits, and removals leave tombstones behind, so encoding
-// regularly runs over arenas with dead runs and collision chains.
+// table's low bits, so encoding regularly runs over arenas out of
+// sorted order, relations present with no tuple, and collision chains.
 func buildFuzzFragment(script []byte) *Instance {
 	names := []string{"R", "S", "ΔE", "C"}
 	inst := NewInstance()
@@ -27,12 +29,23 @@ func buildFuzzFragment(script []byte) *Instance {
 			f = NewFact(name, va, vb)
 		}
 		if op%4 == 3 {
-			inst.Remove(f) // tombstone churn
+			inst.SetRelation(reversed(inst.EnsureRelation(name, len(f.Tuple))))
 		} else {
 			inst.Add(f)
 		}
 	}
 	return inst
+}
+
+// reversed returns r's tuples appended in reverse Each order, with no
+// table.
+func reversed(r *Relation) *Relation {
+	ts := eachTuples(r)
+	out := NewRelationSize(r.Name, r.Arity, len(ts))
+	for i := len(ts) - 1; i >= 0; i-- {
+		out.AddDistinct(ts[i])
+	}
+	return out
 }
 
 // FuzzFragmentWire drives the wire codec from both directions with one
@@ -43,7 +56,7 @@ func buildFuzzFragment(script []byte) *Instance {
 // and must re-encode anything it accepts to the identical bytes.
 func FuzzFragmentWire(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 1, 2, 4, 2, 1, 3, 1, 2}) // adds + a removal
+	f.Add([]byte{0, 1, 2, 4, 2, 1, 3, 1, 2}) // adds + a reversal
 	f.Add([]byte{0, 200, 5, 0, 201, 5, 0, 202, 5})
 	f.Add(EncodeInstance(wireSample()))
 	f.Add(EncodeInstance(buildFuzzFragment([]byte{8, 3, 9, 12, 130, 7, 7, 3, 9})))

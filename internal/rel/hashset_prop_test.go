@@ -22,15 +22,6 @@ func (s refSet) add(t Tuple) bool {
 	return true
 }
 
-func (s refSet) remove(t Tuple) bool {
-	k := t.Key()
-	if _, ok := s[k]; !ok {
-		return false
-	}
-	delete(s, k)
-	return true
-}
-
 func checkAgainstRef(t *testing.T, r *Relation, ref refSet) {
 	t.Helper()
 	if r.Len() != len(ref) {
@@ -63,9 +54,10 @@ func checkAgainstRef(t *testing.T, r *Relation, ref refSet) {
 	}
 }
 
-// TestPropHashSetVsReference drives random Add/Remove/Contains
-// sequences with a value domain small enough that duplicate inserts and
-// hits are frequent, comparing every answer with the reference map.
+// TestPropHashSetVsReference drives random Add/Contains sequences,
+// with vouched appends of absent tuples and Reserve calls mixed in,
+// over a value domain small enough that duplicate inserts and hits are
+// frequent, comparing every answer with the reference map.
 func TestPropHashSetVsReference(t *testing.T) {
 	for _, arity := range []int{0, 1, 3} {
 		rng := rand.New(rand.NewSource(int64(1000 + arity)))
@@ -86,8 +78,10 @@ func TestPropHashSetVsReference(t *testing.T) {
 					t.Fatalf("arity %d step %d: Add(%v) = %v, reference says %v", arity, step, tu, got, want)
 				}
 			case 1:
-				if got, want := r.Remove(tu), ref.remove(tu); got != want {
-					t.Fatalf("arity %d step %d: Remove(%v) = %v, reference says %v", arity, step, tu, got, want)
+				if ref.add(tu) {
+					r.AddDistinct(tu)
+				} else {
+					r.Reserve(rng.Intn(64))
 				}
 			default:
 				_, want := ref[tu.Key()]
@@ -121,18 +115,19 @@ func TestPropUnionWithVsReference(t *testing.T) {
 		if got := r.UnionWith(o); got != want {
 			t.Fatalf("trial %d: UnionWith added %d, reference says %d", trial, got, want)
 		}
-		// Interleave removals so unions also hit tombstoned tables.
+		// Interleave vouched appends so unions also meet tables that
+		// grew without a membership question.
 		for k := 0; k < 5; k++ {
-			tu := Tuple{Value(rng.Intn(6)), Value(rng.Intn(6))}
-			if got, want := r.Remove(tu), ref.remove(tu); got != want {
-				t.Fatalf("trial %d: Remove(%v) = %v, reference says %v", trial, tu, got, want)
+			tu := Tuple{Value(100 + rng.Intn(60)), Value(rng.Intn(6))}
+			if ref.add(tu) {
+				r.AddDistinct(tu)
 			}
 		}
 		checkAgainstRef(t, r, ref)
 	}
 }
 
-// TestPropCloneIndependence checks Clone is a deep copy: mutating
+// TestPropCloneIndependence checks Clone is a deep copy: growing
 // either side never shows through on the other.
 func TestPropCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -143,15 +138,17 @@ func TestPropCloneIndependence(t *testing.T) {
 	if !cl.Equal(orig) {
 		t.Fatalf("clone not equal to original")
 	}
-	for k := 0; k < 200; k++ {
-		tu := Tuple{Value(rng.Intn(8)), Value(rng.Intn(8))}
-		if rng.Intn(2) == 0 {
-			cl.Add(tu)
-		} else {
-			cl.Remove(tu)
+	grow := func(r *Relation) {
+		for k := 0; k < 200; k++ {
+			r.Add(Tuple{Value(rng.Intn(16)), Value(rng.Intn(16))})
 		}
 	}
+	grow(cl)
 	checkAgainstRef(t, orig, snapshot)
+	cloned := refSet{}
+	cl.Each(func(tu Tuple) bool { cloned.add(tu); return true })
+	grow(orig)
+	checkAgainstRef(t, cl, cloned)
 }
 
 // forceTuples are distinct tuples fed through the white-box insert path
@@ -165,9 +162,11 @@ func forceTuples(n int) []Tuple {
 	return out
 }
 
-// TestForcedFullHashCollisions exercises insert/find/remove with
-// identical 64-bit hashes: a full collision is vanishingly unlikely
-// with real data, so the verification path is driven directly.
+// TestForcedFullHashCollisions exercises insert/find with identical
+// 64-bit hashes: a full collision is vanishingly unlikely with real
+// data, so the verification path is driven directly. Growth past the
+// load ceiling rehashes the chain, and every tuple keeps its stored
+// index.
 func TestForcedFullHashCollisions(t *testing.T) {
 	const h = uint64(0xdeadbeefcafef00d)
 	r := NewRelation("C", 2)
@@ -183,44 +182,26 @@ func TestForcedFullHashCollisions(t *testing.T) {
 	if r.Len() != len(ts) {
 		t.Fatalf("Len = %d after %d colliding inserts", r.Len(), len(ts))
 	}
-	for _, tu := range ts {
-		if r.find(h, tu) < 0 {
-			t.Fatalf("find(%v) failed under shared hash", tu)
-		}
-	}
-	// Remove every other tuple; the survivors must remain findable
-	// through the tombstones left in the probe chain.
 	for i, tu := range ts {
-		if i%2 == 0 {
-			if !r.remove(h, tu) {
-				t.Fatalf("remove(%v) under shared hash failed", tu)
-			}
-			if r.remove(h, tu) {
-				t.Fatalf("double remove(%v) under shared hash succeeded", tu)
-			}
+		if got := r.find(h, tu); got != int32(i) {
+			t.Fatalf("find(%v) = %d under shared hash, want stored index %d", tu, got, i)
 		}
 	}
-	for i, tu := range ts {
-		want := i%2 != 0
-		if got := r.find(h, tu) >= 0; got != want {
-			t.Fatalf("after removals, find(%v) = %v, want %v", tu, got, want)
-		}
+	if r.find(h, Tuple{-1, -1}) >= 0 {
+		t.Fatal("find of an absent tuple under the shared hash succeeded")
 	}
-	// Re-insert through tombstoned slots, then force a compacting
-	// rehash by growing past the load ceiling.
-	for i, tu := range ts {
-		if i%2 == 0 && !r.insert(h, tu) {
-			t.Fatalf("re-insert(%v) into tombstoned table failed", tu)
-		}
-	}
+	slots := len(r.slots)
 	extra := make([]Tuple, 200)
 	for i := range extra {
 		extra[i] = Tuple{Value(1000 + i), Value(i)}
 		r.Add(extra[i])
 	}
-	for _, tu := range ts {
-		if r.find(h, tu) < 0 {
-			t.Fatalf("find(%v) failed after rehash", tu)
+	if len(r.slots) == slots {
+		t.Fatal("the table never grew; the rehash below is not exercised")
+	}
+	for i, tu := range ts {
+		if got := r.find(h, tu); got != int32(i) {
+			t.Fatalf("find(%v) = %d after rehash, want stored index %d", tu, got, i)
 		}
 	}
 	if r.Len() != len(ts)+len(extra) {
@@ -230,7 +211,8 @@ func TestForcedFullHashCollisions(t *testing.T) {
 
 // TestRealLowBitCollisions brute-forces tuples whose genuine table
 // hashes agree on the low bits used by a minimum-size table, so the
-// public API itself walks probe chains full of partial collisions.
+// public API itself walks probe chains full of partial collisions —
+// to find the members and to reject the absent ones.
 func TestRealLowBitCollisions(t *testing.T) {
 	const wantBits = 7 // minimum table size 8 → 3-bit slot index
 	var colliding []Tuple
@@ -241,19 +223,9 @@ func TestRealLowBitCollisions(t *testing.T) {
 		}
 	}
 	r := NewRelation("L", 1)
-	for _, tu := range colliding {
-		if !r.Add(tu) {
-			t.Fatalf("Add(%v) reported duplicate", tu)
-		}
-	}
-	for _, tu := range colliding {
-		if !r.Contains(tu) {
-			t.Fatalf("Contains(%v) failed on low-bit-colliding data", tu)
-		}
-	}
 	for i, tu := range colliding {
-		if i%3 == 0 && !r.Remove(tu) {
-			t.Fatalf("Remove(%v) failed", tu)
+		if i%3 != 0 && !r.Add(tu) {
+			t.Fatalf("Add(%v) reported duplicate", tu)
 		}
 	}
 	for i, tu := range colliding {
@@ -263,32 +235,39 @@ func TestRealLowBitCollisions(t *testing.T) {
 	}
 }
 
-// TestTupleViewsSurviveCompaction takes tuple views before heavy
-// removal traffic and checks they still read their original values
-// after compaction has rebuilt the arena.
+// TestTupleViewsSurviveCompaction takes tuple views of a relation
+// filled by vouched appends, then builds its table and grows it far
+// past its storage (a relation only grows, so growth is what moves the
+// arena), and checks every view still reads its original values and
+// each tuple still sits at its stored index.
 func TestTupleViewsSurviveCompaction(t *testing.T) {
 	r := NewRelation("V", 2)
 	const n = 300
 	for i := 0; i < n; i++ {
-		r.Add(Tuple{Value(i), Value(-i)})
+		r.AddDistinct(Tuple{Value(i), Value(-i)})
 	}
 	views := make([]Tuple, 0, n)
 	r.Each(func(tu Tuple) bool {
 		views = append(views, tu)
 		return true
 	})
-	for i := 0; i < n; i += 2 {
-		r.Remove(Tuple{Value(i), Value(-i)})
+	first := &r.arena[0]
+	for i := n; i < 8*n; i++ {
+		r.Add(Tuple{Value(i), Value(-i)})
 	}
-	// Plenty of removals have happened; every captured view must still
-	// hold the values it had when captured, present in the set or not.
-	for _, v := range views {
-		if v[1] != -v[0] {
-			t.Fatalf("tuple view corrupted: %v", v)
+	if &r.arena[0] == first {
+		t.Fatal("the arena never moved; growth is not exercised")
+	}
+	for i, v := range views {
+		if v[0] != Value(i) || v[1] != -v[0] {
+			t.Fatalf("tuple view %d corrupted: %v", i, v)
+		}
+		if got := r.tupleAt(int32(i)); !got.Equal(v) {
+			t.Fatalf("stored tuple %d is %v after growth, want %v", i, got, v)
 		}
 	}
-	if r.Len() != n/2 {
-		t.Fatalf("Len = %d, want %d", r.Len(), n/2)
+	if r.Len() != 8*n {
+		t.Fatalf("Len = %d, want %d", r.Len(), 8*n)
 	}
 }
 
@@ -308,19 +287,16 @@ func refSemiJoin(l, r *Relation, lCols, rCols []int) *Relation {
 }
 
 // TestJoinIndexSurvivesGrowCompaction: grow() (reached via
-// Instance.EnsureRelationSize and UnionWith) compacts tombstones out of
-// the arena, renumbering stored tuple indices, without going through
-// mutated(). A join index cached before that compaction must not be
-// consulted afterwards.
+// Instance.EnsureRelationSize and UnionWith) rehashes the table into a
+// larger one. Stored indices never change, so the join index cached
+// before the growth is kept — the same index, not a rebuild — and
+// still answers exactly.
 func TestJoinIndexSurvivesGrowCompaction(t *testing.T) {
 	inst := NewInstance()
 	for i := 0; i < 100; i++ {
 		inst.Add(NewFact("R", Value(i), Value(i%7)))
 	}
 	r := inst.Relation("R")
-	for i := 0; i < 40; i++ {
-		r.Remove(Tuple{Value(i), Value(i % 7)})
-	}
 	probe := NewRelation("P", 1)
 	for i := 0; i < 200; i++ {
 		probe.Add(Tuple{Value(i)})
@@ -329,49 +305,53 @@ func TestJoinIndexSurvivesGrowCompaction(t *testing.T) {
 	if got := SemiJoin(probe, r, []int{0}, []int{0}); !got.Equal(want) {
 		t.Fatalf("SemiJoin before grow: got %d tuples, want %d", got.Len(), want.Len())
 	}
-	// Pre-sizing compacts the tombstoned arena but adds nothing, so no
-	// mutation ever invalidates the index cached above.
+	ix, slots := r.cached([]int{0}), len(r.slots)
+	if ix == nil {
+		t.Fatal("SemiJoin cached no index")
+	}
+	// Pre-sizing rehashes into a larger table but adds nothing.
 	inst.EnsureRelationSize("R", 2, 4096)
+	if len(r.slots) == slots {
+		t.Fatal("pre-sizing did not rehash; the case is not exercised")
+	}
+	if r.cached([]int{0}) != ix {
+		t.Fatal("growth dropped the cached index")
+	}
 	if got := SemiJoin(probe, r, []int{0}, []int{0}); !got.Equal(want) {
-		t.Fatalf("SemiJoin after grow compaction: got %d tuples, want %d", got.Len(), want.Len())
+		t.Fatalf("SemiJoin after grow: got %d tuples, want %d", got.Len(), want.Len())
 	}
-	// Same shape through UnionWith when every incoming tuple is a
-	// duplicate: the pre-grow may compact, the inserts add nothing.
-	dup := NewRelation("D", 2)
-	r.Each(func(tu Tuple) bool { dup.Add(tu); return true })
-	r.Remove(Tuple{Value(41), Value(41 % 7)})
-	if got := SemiJoin(probe, r, []int{0}, []int{0}); got.Len() != want.Len()-1 {
-		t.Fatalf("SemiJoin after Remove: got %d tuples, want %d", got.Len(), want.Len()-1)
+	// Same shape through UnionWith: duplicates add nothing, new tuples
+	// join the cached index's buckets.
+	more := NewRelation("D", 2)
+	r.Each(func(tu Tuple) bool { more.Add(tu); return true })
+	for i := 100; i < 150; i++ {
+		more.Add(Tuple{Value(i), Value(i % 7)})
 	}
-	r.UnionWith(dup)
+	r.UnionWith(more)
+	if r.cached([]int{0}) != ix {
+		t.Fatal("UnionWith dropped the cached index")
+	}
 	want2 := refSemiJoin(probe, r, []int{0}, []int{0})
-	if got := SemiJoin(probe, r, []int{0}, []int{0}); !got.Equal(want2) {
-		t.Fatalf("SemiJoin after duplicate union: got %d tuples, want %d", got.Len(), want2.Len())
+	if got := SemiJoin(probe, r, []int{0}, []int{0}); !got.Equal(want2) || got.Len() != 150 {
+		t.Fatalf("SemiJoin after union: got %d tuples, want %d", got.Len(), want2.Len())
 	}
 }
 
 // TestJoinIndexSurvivesDuplicateAddRehash: a duplicate Add that crosses
-// the load-factor ceiling rehashes (compacting any tombstones) before
-// discovering it inserts nothing, so it too bypasses mutated(). The
-// setup walks the relation to the exact brink of the ceiling with
-// tombstones present, caches a join index, then re-adds an existing
-// tuple.
+// the load-factor ceiling rehashes before discovering it inserts
+// nothing. The setup walks the relation to the exact brink of the
+// ceiling, caches a join index, then re-adds an existing tuple: the
+// table grows, and the index is kept and still answers exactly.
 func TestJoinIndexSurvivesDuplicateAddRehash(t *testing.T) {
 	r := NewRelation("R", 1)
 	for i := 0; i < 50; i++ {
 		r.Add(Tuple{Value(i)})
 	}
-	for i := 0; i < 10; i++ {
-		r.Remove(Tuple{Value(i)})
-	}
 	// Fill with fresh tuples while the next insert stays under the
 	// ceiling; the guard mirrors insert's rehash condition, so no Add in
 	// this loop rehashes and the one after the loop must.
-	for v := 1000; (r.live+r.tombs+1)*4 <= len(r.slots)*3; v++ {
+	for v := 1000; (r.count+1)*4 <= len(r.slots)*3; v++ {
 		r.Add(Tuple{Value(v)})
-	}
-	if r.tombs == 0 {
-		t.Fatal("setup lost its tombstones; the rehash below would not compact")
 	}
 	probe := NewRelation("P", 1)
 	for i := 0; i < 60; i++ {
@@ -381,19 +361,27 @@ func TestJoinIndexSurvivesDuplicateAddRehash(t *testing.T) {
 	if got := SemiJoin(probe, r, []int{0}, []int{0}); !got.Equal(want) {
 		t.Fatalf("SemiJoin before rehash: got %d tuples, want %d", got.Len(), want.Len())
 	}
+	ix, slots := r.cached([]int{0}), len(r.slots)
 	if r.Add(Tuple{Value(49)}) {
 		t.Fatal("re-Add of a present tuple reported new")
+	}
+	if len(r.slots) == slots {
+		t.Fatal("the duplicate Add did not rehash; the case is not exercised")
+	}
+	if r.cached([]int{0}) != ix {
+		t.Fatal("the rehash dropped the cached index")
 	}
 	if got := SemiJoin(probe, r, []int{0}, []int{0}); !got.Equal(want) {
 		t.Fatalf("SemiJoin after duplicate-Add rehash: got %d tuples, want %d", got.Len(), want.Len())
 	}
 }
 
-// TestPropJoinIndexUnderCompactionTraffic interleaves Remove, SemiJoin
-// (which caches a join index), duplicate-Add storms, and UnionWith on
-// one relation, checking every SemiJoin answer against the reference
-// map: whatever compactions the traffic triggers, a cached index must
-// never serve stale tuple indices.
+// TestPropJoinIndexUnderCompactionTraffic interleaves Add, vouched
+// appends, Reserve, SemiJoin (which caches a join index), duplicate-Add
+// storms, and UnionWith on one relation, checking every SemiJoin answer
+// against the reference map: whatever growth and rehashes the traffic
+// triggers, the cached index must be kept and never serve a stale or
+// missing tuple index.
 func TestPropJoinIndexUnderCompactionTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	r := NewRelation("R", 2)
@@ -432,9 +420,10 @@ func TestPropJoinIndexUnderCompactionTraffic(t *testing.T) {
 				t.Fatalf("step %d: Add(%v) = %v, reference says %v", step, tu, got, want)
 			}
 		case 2:
-			tu := draw()
-			if got, want := r.Remove(tu), ref.remove(tu); got != want {
-				t.Fatalf("step %d: Remove(%v) = %v, reference says %v", step, tu, got, want)
+			if tu := draw(); ref.add(tu) {
+				r.AddDistinct(tu)
+			} else {
+				r.Reserve(rng.Intn(100))
 			}
 		case 3:
 			o := randomRelation(rng, "O", 2, rng.Intn(40))
@@ -442,8 +431,8 @@ func TestPropJoinIndexUnderCompactionTraffic(t *testing.T) {
 			r.UnionWith(o)
 		default:
 			checkSemi(step)
-			// Duplicate re-adds never report a mutation; one that
-			// crosses the load ceiling compacts with the index live.
+			// Duplicate re-adds never report a new tuple; one that
+			// crosses the load ceiling rehashes with the index live.
 			for _, tu := range r.Tuples() {
 				if r.Add(tu) {
 					t.Fatalf("step %d: re-Add(%v) reported new", step, tu)
@@ -455,8 +444,9 @@ func TestPropJoinIndexUnderCompactionTraffic(t *testing.T) {
 	checkAgainstRef(t, r, ref)
 }
 
-// TestSortedCacheInvalidation checks Tuples reflects every mutation and
-// that appending to a returned slice cannot corrupt the cache.
+// TestSortedCacheInvalidation checks Tuples reflects every insert, that
+// a growth that inserts nothing keeps the cache, and that appending to a
+// returned slice cannot corrupt the cache.
 func TestSortedCacheInvalidation(t *testing.T) {
 	r := NewRelation("S", 1)
 	r.Add(Tuple{2})
@@ -474,14 +464,19 @@ func TestSortedCacheInvalidation(t *testing.T) {
 	if got := r.Tuples(); len(got) != 3 || got[1][0] != 1 {
 		t.Fatalf("Tuples after Add = %v, want [[0] [1] [2]]", got)
 	}
-	r.Remove(Tuple{0})
-	if got := r.Tuples(); len(got) != 2 || got[0][0] != 1 {
-		t.Fatalf("Tuples after Remove = %v, want [[1] [2]]", got)
+	r.Reserve(1000)
+	if r.sorted == nil {
+		t.Fatal("Reserve, which inserts nothing, dropped the sorted cache")
+	}
+	r.AddDistinct(Tuple{-1})
+	if got := r.Tuples(); len(got) != 4 || got[0][0] != -1 {
+		t.Fatalf("Tuples after AddDistinct = %v, want [[-1] [0] [1] [2]]", got)
 	}
 	o := NewRelation("O", 1)
 	o.Add(Tuple{0})
+	o.Add(Tuple{3})
 	r.UnionWith(o)
-	if got := r.Tuples(); len(got) != 3 || got[0][0] != 0 {
-		t.Fatalf("Tuples after UnionWith = %v, want [[0] [1] [2]]", got)
+	if got := r.Tuples(); len(got) != 5 || got[4][0] != 3 {
+		t.Fatalf("Tuples after UnionWith = %v, want [[-1] [0] [1] [2] [3]]", got)
 	}
 }

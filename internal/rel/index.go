@@ -5,9 +5,10 @@ import "slices"
 // Join indexing: one hash index on a column list of a relation, used
 // two ways. Cached — HashJoin, SemiJoin, AntiJoin and IndexOn build it
 // once per (relation, columns), keep it on the relation and maintain it
-// on insert until a removal or a compaction drops it. Transient —
-// NewIndex builds it over the tuples a filter admits, for the caller to
-// probe and drop; nothing is cached on, or written to, the relation.
+// on every insert for the relation's life, since stored indices never
+// change. Transient — NewIndex builds it over the tuples a filter
+// admits, for the caller to probe and drop; nothing is cached on, or
+// written to, the relation.
 //
 // The index is flat: a power-of-two table of int32 bucket heads and one
 // int32 link per stored tuple, so neither a build nor an insert
@@ -32,11 +33,11 @@ type Index struct {
 // use.
 func NewIndex(r *Relation, cols []int, admit func(Tuple) bool) *Index {
 	ix := &Index{r: r, cols: cols}
-	ix.build(r.live, admit)
+	ix.build(r.count, admit)
 	return ix
 }
 
-// build links every live stored tuple admit accepts into a fresh table
+// build links every stored tuple admit accepts into a fresh table
 // sized for n tuples at a load of at most one half.
 func (ix *Index) build(n int, admit func(Tuple) bool) {
 	size := 8
@@ -44,12 +45,11 @@ func (ix *Index) build(n int, admit func(Tuple) bool) {
 		size *= 2
 	}
 	ix.heads = newSlots(size)
-	ix.next = make([]int32, ix.r.stored())
-	for i, d := range ix.r.dead {
-		if d || (admit != nil && !admit(ix.r.tupleAt(int32(i)))) {
-			continue
+	ix.next = make([]int32, ix.r.count)
+	for i := range int32(ix.r.count) {
+		if admit == nil || admit(ix.r.tupleAt(i)) {
+			ix.link(i)
 		}
-		ix.link(int32(i))
 	}
 }
 
@@ -64,13 +64,13 @@ func (ix *Index) link(i int32) {
 	ix.heads[b] = i
 }
 
-// inserted maintains a cached index, which holds every live tuple,
+// inserted maintains a cached index, which holds every stored tuple,
 // across the insert of stored tuple i, the relation's newest: it joins
 // the end of its bucket, or — past the load ceiling — the table doubles
 // and is relinked.
 func (ix *Index) inserted(i int32) {
-	if 2*ix.r.live > len(ix.heads) {
-		ix.build(ix.r.live, nil)
+	if 2*ix.r.count > len(ix.heads) {
+		ix.build(ix.r.count, nil)
 		return
 	}
 	ix.next = append(ix.next, 0)
@@ -118,11 +118,10 @@ func (r *Relation) index(cols []int) *Index {
 }
 
 // IndexOn builds and caches the relation's join index on cols if it is
-// not cached already. Inserts maintain cached indexes incrementally
-// (removal and compaction drop them), so pre-indexing a long-lived
-// resident relation lets every later HashJoin against a small delta
-// probe the resident at O(|Δ|) instead of scanning it — the join-side
-// half of the delta-round cost model.
+// not cached already. Inserts maintain cached indexes incrementally, so
+// pre-indexing a long-lived resident relation lets every later HashJoin
+// against a small delta probe the resident at O(|Δ|) instead of
+// scanning it — the join-side half of the delta-round cost model.
 func (r *Relation) IndexOn(cols ...int) {
 	r.index(cols)
 }

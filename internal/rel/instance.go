@@ -62,12 +62,6 @@ func (i *Instance) Contains(f Fact) bool {
 	return ok && r.Contains(f.Tuple)
 }
 
-// Remove deletes f, reporting whether it was present.
-func (i *Instance) Remove(f Fact) bool {
-	r, ok := i.rels[f.Rel]
-	return ok && r.Remove(f.Tuple)
-}
-
 // Relation returns the named relation, or nil if the instance holds no
 // tuples for it.
 func (i *Instance) Relation(name string) *Relation {

@@ -77,8 +77,9 @@ func drawRelation(rng *rand.Rand, draws []valueDraw, n int) *Relation {
 
 // TestTuplesIsSortedEach: for random relations of arity 1–4 over every
 // column shape, at sizes on both sides of the base-case cutoff, Tuples
-// is Each sorted by Tuple.Compare — fresh, with tombstones, and after
-// compaction.
+// is Each sorted by Tuple.Compare — fresh, grown by a second draw
+// (appended out of order into the built table, which grows), and
+// pre-sized past that.
 func TestTuplesIsSortedEach(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	sizes := []int{1, 7, radixMinTuples - 1, radixMinTuples, 3000}
@@ -94,19 +95,15 @@ func TestTuplesIsSortedEach(t *testing.T) {
 				name := fmt.Sprintf("arity %d n %d%s", arity, n, names)
 				r := drawRelation(rng, draws, n)
 				checkSortedEnumeration(t, name, r)
-				// Tombstones: removing a seventh stays under the quarter
-				// of the table that triggers compaction; then compact.
-				for i, tu := range referenceOrder(r) {
-					if i%7 == 0 {
-						r.Remove(tu)
+				drawRelation(rng, draws, n/2+1).Each(func(tu Tuple) bool {
+					if !r.Contains(tu) {
+						r.AddDistinct(tu)
 					}
-				}
-				if r.live == r.stored() {
-					t.Fatalf("%s: removals left no tombstone", name)
-				}
-				checkSortedEnumeration(t, name+" tombstoned", r)
-				r.rehash(r.live)
-				checkSortedEnumeration(t, name+" compacted", r)
+					return true
+				})
+				checkSortedEnumeration(t, name+" grown", r)
+				r.Reserve(4 * n)
+				checkSortedEnumeration(t, name+" reserved", r)
 			}
 		}
 	}
@@ -162,11 +159,10 @@ func TestSortedCacheIsReusedAboveTheCutoff(t *testing.T) {
 }
 
 // TestAscendingRecord pins the record that a relation's arena is
-// strictly ascending: appends above the last stored tuple keep it, an
-// equal or smaller one clears it, even when the last stored tuple is
-// dead; compaction and Clone keep it; and the sorted enumeration it
-// allows is the one the radix passes compute over the same set
-// inserted shuffled.
+// strictly ascending: appends above the last stored tuple keep it, a
+// smaller one clears it; growth, the first table build and Clone keep
+// it; and the sorted enumeration it allows is the one the radix passes
+// compute over the same set inserted shuffled.
 func TestAscendingRecord(t *testing.T) {
 	ascendingRun := func(n int) *Relation {
 		r := NewRelation("A", 2)
@@ -195,58 +191,46 @@ func TestAscendingRecord(t *testing.T) {
 		t.Error("Clone set a cleared record")
 	}
 
-	// The last stored tuple is dead: an equal append clears the record,
-	// because the arena still holds the dead tuple before it.
-	equal := r.Clone()
-	last := Tuple{1, 1}
-	equal.Remove(last)
-	if equal.live == equal.stored() {
-		t.Fatal("Remove compacted at once; the case needs a tombstone")
+	// Growth keeps the record; what the arena ends with is what the
+	// next append is compared to.
+	grown := r.Clone()
+	grown.Reserve(100)
+	grown.Add(Tuple{1, 2}) // above (1, 1), the last
+	grown.Reserve(1000)
+	if !grown.ascending {
+		t.Error("growth cleared the record")
 	}
-	equal.Add(last)
-	if equal.ascending {
-		t.Error("an append equal to the dead last tuple kept the record")
+	checkSortedEnumeration(t, "grown", grown)
+
+	// Vouched appends keep it with no table; the first table build,
+	// which hashes the run, keeps it too.
+	flat := NewRelation("A", 2)
+	for v := range 6 {
+		flat.AddDistinct(Tuple{Value(v), 0})
+	}
+	if flat.slots != nil || !flat.ascending {
+		t.Fatalf("vouched ascending appends: table built %v, ascending %v", flat.slots != nil, flat.ascending)
+	}
+	if flat.Contains(Tuple{9, 9}) || !flat.ascending {
+		t.Error("the first table build cleared the record")
 	}
 
-	// Compaction drops the dead tuple and keeps the record; what the
-	// compacted arena ends with is what the next append is compared to.
-	compacted := r.Clone()
-	compacted.Remove(last)
-	compacted.rehash(compacted.live)
-	if compacted.live != compacted.stored() || !compacted.ascending {
-		t.Fatalf("compaction: %d live of %d stored, ascending %v", compacted.live, compacted.stored(), compacted.ascending)
-	}
-	compacted.Add(last) // the removed tuple again: above (1, 0), the new last
-	compacted.Reserve(100)
-	if !compacted.ascending {
-		t.Error("compaction or growth cleared the record")
-	}
-	checkSortedEnumeration(t, "compacted", compacted)
-
-	// A relation emptied by compaction starts a fresh run.
-	emptied := ascendingRun(2)
-	emptied.AddDistinct(Tuple{-1, -1})
-	for _, tu := range emptied.Tuples() {
-		emptied.Remove(tu)
-	}
-	emptied.rehash(0)
-	emptied.Add(Tuple{9, 9})
-	if !emptied.ascending {
-		t.Error("the first tuple of an emptied arena did not start a run")
+	// An empty relation's first tuple starts a run, pre-sized or not.
+	empty := NewRelation("A", 2)
+	empty.Reserve(10)
+	empty.Add(Tuple{9, 9})
+	if !empty.ascending {
+		t.Error("the first tuple of an empty arena did not start a run")
 	}
 
 	// The enumeration an ascending relation reads off its arena is the
 	// one the radix passes compute over the same set inserted shuffled.
 	const n = 4 * radixMinTuples
 	asc := ascendingRun(n)
-	asc.Remove(Tuple{0, 0})
-	asc.Remove(Tuple{7, 2})
 	shuffled := NewRelation("A", 2)
 	for _, i := range rand.New(rand.NewSource(38)).Perm(n) {
 		shuffled.Add(Tuple{Value(i / 4), Value(i % 4)})
 	}
-	shuffled.Remove(Tuple{0, 0})
-	shuffled.Remove(Tuple{7, 2})
 	if !asc.ascending || shuffled.ascending || shuffled.radixDigit() == 0 {
 		t.Fatalf("ascending %v, shuffled ascending %v with radix digit %d", asc.ascending, shuffled.ascending, shuffled.radixDigit())
 	}

@@ -205,9 +205,6 @@ func TestRelationSetSemantics(t *testing.T) {
 	if r.Len() != 1 || !r.Contains(Tuple{1, 2}) {
 		t.Errorf("relation state wrong after adds")
 	}
-	if !r.Remove(Tuple{1, 2}) || r.Remove(Tuple{1, 2}) {
-		t.Errorf("Remove misbehaves")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Errorf("arity-mismatched Add did not panic")

@@ -9,8 +9,9 @@ package rel
 // table's own, not the placement hash Tuple.Hash) beside it.
 // Membership is decided by the cached 64-bit hash first and verified
 // with Tuple.Equal, so no per-tuple string key or per-tuple map entry
-// is ever allocated. Removed tuples are tombstoned (dead[i]) and
-// compacted on the next rehash; compaction copies live values into a
+// is ever allocated. A relation only grows: there is no removal, so
+// stored index i names tuple i for the relation's whole life, and a
+// rehash or a growth never renumbers. Growth copies values into a
 // fresh arena, so Tuple views handed out earlier stay valid.
 //
 // The table — slots and cached hashes together — is a cache like the
@@ -18,38 +19,36 @@ package rel
 // UnionDistinct, whose caller vouches that the tuples are not in the
 // relation yet, only append to the arena, hashing nothing, and the
 // table is built over the stored tuples by the first membership
-// question — Add, Contains, Remove, Equal, UnionWith or AbsorbNew into
-// the relation. That build hashes every stored tuple once and checks
+// question — Add, Contains, Equal, UnionWith or AbsorbNew into the
+// relation. That build hashes every stored tuple once and checks
 // what was vouched: a duplicate panics. From then on every insert
 // caches its tuple's hash. Each, Tuples, Len, the join indexes and the
 // encoders read the arena alone, so a relation that is only split,
-// shipped and scanned never builds a table, and stores 8·Arity + 1
-// bytes per tuple against 8·Arity + 9 and the slots with one. Building
+// shipped and scanned never builds a table, and stores 8·Arity bytes
+// per tuple against 8·Arity + 8 and the slots with one. Building
 // it is a write, so, like the rest of Relation, a lookup is not safe
 // for concurrent use.
 //
 // Enumeration contract: Each visits tuples in unspecified (insertion)
 // order; Tuples returns the lexicographically sorted enumeration and
-// caches it until the next mutation, so repeated serialization of an
+// caches it until the next insert, so repeated serialization of an
 // unchanged relation does not re-sort.
 //
 // A relation also records whether its arena is strictly ascending in
 // Tuple.Compare order. Every append compares the new tuple with the
-// last stored one, dead or alive, and the first that is not above it
-// clears the record; compaction, growth and Clone keep it. Tuples of an
-// ascending relation is its arena minus the dead, with no sort, and the
-// wire decoder appends an ascending run without a table, since strict
-// ascent already proves the run distinct.
+// last stored one, and the first that is not above it clears the
+// record; growth and Clone keep it. Tuples of an ascending relation is
+// its arena, with no sort, and the wire decoder appends an ascending
+// run without a table, since strict ascent already proves the run
+// distinct.
 type Relation struct {
 	Name  string
 	Arity int
 
 	arena  []Value  // flat tuple storage
-	dead   []bool   // per stored tuple: tombstoned, awaiting compaction
-	slots  []int32  // open-addressing table: index, slotEmpty, or slotTomb; nil = not built
+	count  int      // stored tuples: the arena holds count·Arity values
+	slots  []int32  // open-addressing table: index or slotEmpty; nil = not built
 	hashes []uint64 // with the table: cached tableHash, parallel to stored tuples
-	live   int      // live (non-dead) tuples
-	tombs  int      // tombstoned table slots
 
 	ascending bool // the arena is strictly ascending in Tuple.Compare order
 
@@ -57,10 +56,7 @@ type Relation struct {
 	idx    []*Index // cached join indexes, maintained on insert
 }
 
-const (
-	slotEmpty int32 = -1
-	slotTomb  int32 = -2
-)
+const slotEmpty int32 = -1
 
 // tableSizeFor returns the smallest power-of-two table that holds n
 // entries below the ~0.75 load-factor ceiling.
@@ -126,18 +122,14 @@ func NewRelationSize(name string, arity, size int) *Relation {
 	r := &Relation{Name: name, Arity: arity}
 	if size > 0 {
 		r.arena = make([]Value, 0, size*arity)
-		r.dead = make([]bool, 0, size)
 	}
 	return r
 }
 
-// stored returns the number of stored tuples, dead or alive.
-func (r *Relation) stored() int { return len(r.dead) }
-
 // room returns how many tuples the arena holds before it must grow.
 func (r *Relation) room() int {
 	if r.Arity == 0 {
-		return cap(r.dead)
+		return r.count
 	}
 	return cap(r.arena) / r.Arity
 }
@@ -153,23 +145,17 @@ func (r *Relation) hashOf(i int) uint64 {
 
 // tupleAt returns a view of stored tuple i. The view aliases the arena;
 // tuples are immutable once added, so the view stays valid across
-// growth and compaction (both copy into fresh storage).
+// growth (which copies into fresh storage).
 func (r *Relation) tupleAt(i int32) Tuple {
 	off := int(i) * r.Arity
 	return Tuple(r.arena[off : off+r.Arity : off+r.Arity])
 }
 
-// mutated invalidates enumeration and join-index caches.
-func (r *Relation) mutated() {
-	r.sorted = nil
-	r.idx = nil
-}
-
 // table builds the slot table if stored tuples have none: the first
 // membership question after appends.
 func (r *Relation) table() {
-	if r.slots == nil && r.live > 0 {
-		r.rehash(r.live)
+	if r.slots == nil && r.count > 0 {
+		r.rehash(r.count)
 	}
 }
 
@@ -186,7 +172,7 @@ func (r *Relation) find(h uint64, t Tuple) int32 {
 		if v == slotEmpty {
 			return -1
 		}
-		if v >= 0 && r.hashes[v] == h && r.tupleAt(v).Equal(t) {
+		if r.hashes[v] == h && r.tupleAt(v).Equal(t) {
 			return v
 		}
 	}
@@ -198,33 +184,19 @@ func (r *Relation) insert(h uint64, t Tuple) bool {
 	if r.slots == nil {
 		// The first table: sized for the storage, so a pre-sized
 		// relation fills without a rehash.
-		r.rehash(max(r.live+1, r.room()))
-	} else if (r.live+r.tombs+1)*4 > len(r.slots)*3 {
-		r.rehash(r.live + 1)
+		r.rehash(max(r.count+1, r.room()))
+	} else if (r.count+1)*4 > len(r.slots)*3 {
+		r.rehash(r.count + 1)
 	}
 	mask := uint64(len(r.slots) - 1)
-	reuse := -1
 	s := h & mask
-	for {
-		v := r.slots[s]
-		if v == slotEmpty {
-			break
-		}
-		if v == slotTomb {
-			if reuse < 0 {
-				reuse = int(s)
-			}
-		} else if r.hashes[v] == h && r.tupleAt(v).Equal(t) {
+	for v := r.slots[s]; v != slotEmpty; v = r.slots[s] {
+		if r.hashes[v] == h && r.tupleAt(v).Equal(t) {
 			return false
 		}
 		s = (s + 1) & mask
 	}
-	if reuse >= 0 {
-		r.slots[reuse] = int32(r.stored())
-		r.tombs--
-	} else {
-		r.slots[s] = int32(r.stored())
-	}
+	r.slots[s] = int32(r.count)
 	r.hashes = append(r.hashes, h)
 	r.push(t)
 	return true
@@ -234,21 +206,19 @@ func (r *Relation) insert(h uint64, t Tuple) bool {
 // insert has placed it and cached its hash, and a relation with no
 // table yet hashes it when the table is built.
 func (r *Relation) push(t Tuple) {
-	i := int32(r.stored())
+	i := int32(r.count)
 	if i == 0 {
 		r.ascending = true
 	} else if r.ascending && !r.above(t) {
 		r.ascending = false
 	}
 	r.arena = append(r.arena, t...)
-	r.dead = append(r.dead, false)
-	r.live++
+	r.count++
 	// The sorted enumeration is invalid, but cached join indexes stay
-	// live — the new tuple joins their buckets instead of a rebuild. This
-	// keeps repeated delta joins against a growing resident relation at
-	// O(|Δ|) per round; removal and compaction still drop the caches
-	// (mutated / rehash), so buckets never hold dead entries. The guard
-	// spares a pointer write — a write barrier while the collector
+	// live — the new tuple joins their buckets instead of a rebuild, and
+	// no other write renumbers what they hold. This keeps repeated delta
+	// joins against a growing resident relation at O(|Δ|) per round. The
+	// guard spares a pointer write — a write barrier while the collector
 	// marks — per tuple of a bulk insert.
 	if r.sorted != nil {
 		r.sorted = nil
@@ -258,10 +228,10 @@ func (r *Relation) push(t Tuple) {
 	}
 }
 
-// above reports whether t is above the last stored tuple, dead or
-// alive; r must hold one.
+// above reports whether t is above the last stored tuple; r must hold
+// one.
 func (r *Relation) above(t Tuple) bool {
-	return t.Compare(r.tupleAt(int32(r.stored()-1))) > 0
+	return t.Compare(r.tupleAt(int32(r.count-1))) > 0
 }
 
 // insertDistinct inserts t, which the caller vouches is not in r, under
@@ -272,67 +242,19 @@ func (r *Relation) insertDistinct(h uint64, t Tuple) {
 	}
 }
 
-// remove deletes the tuple with hash h equal to t, reporting whether it
-// was present.
-func (r *Relation) remove(h uint64, t Tuple) bool {
-	r.table()
-	if len(r.slots) == 0 {
-		return false
-	}
-	mask := uint64(len(r.slots) - 1)
-	for s := h & mask; ; s = (s + 1) & mask {
-		v := r.slots[s]
-		if v == slotEmpty {
-			return false
-		}
-		if v >= 0 && r.hashes[v] == h && r.tupleAt(v).Equal(t) {
-			r.slots[s] = slotTomb
-			r.tombs++
-			r.dead[v] = true
-			r.live--
-			r.mutated()
-			if r.tombs*4 > len(r.slots) {
-				r.rehash(r.live)
-			}
-			return true
-		}
-	}
-}
-
-// rehash rebuilds the table to hold at least n tuples, compacting
-// tombstoned tuples out of the arena. The first build hashes every
-// stored tuple, into storage sized like the arena's; over tuples that
-// were appended with no table, it is the check that they are distinct:
-// a duplicate panics, naming the relation.
+// rehash rebuilds the table to hold at least n tuples. It never
+// renumbers the stored tuples, so the cached join indexes and sorted
+// enumeration stay valid. The first build hashes every stored tuple,
+// into storage sized like the arena's; over tuples that were appended
+// with no table, it is the check that they are distinct: a duplicate
+// panics, naming the relation.
 func (r *Relation) rehash(n int) {
-	n = max(n, r.live)
+	n = max(n, r.count)
 	if r.slots == nil {
-		// Only a built table tombstones, so there is nothing to compact.
-		r.hashes = make([]uint64, r.stored(), max(n, r.room()))
+		r.hashes = make([]uint64, r.count, max(n, r.room()))
 		for i := range r.hashes {
 			r.hashes[i] = tableHash(r.tupleAt(int32(i)))
 		}
-	} else if r.live != r.stored() {
-		// Compaction renumbers the stored tuple indices, so cached join
-		// indexes (which hold those indices) must be dropped here — not
-		// every caller reaches mutated(): grow() never does, and a
-		// duplicate Add rehashes before discovering it inserts nothing.
-		// The sorted cache survives compaction: its tuple views alias
-		// the old arena, which stays valid, and the tuple set is
-		// unchanged.
-		r.idx = nil
-		arena := make([]Value, 0, n*r.Arity)
-		hashes := make([]uint64, 0, n)
-		for i, d := range r.dead {
-			if d {
-				continue
-			}
-			arena = append(arena, r.tupleAt(int32(i))...)
-			hashes = append(hashes, r.hashes[i])
-		}
-		r.arena = arena
-		r.hashes = hashes
-		r.dead = make([]bool, len(hashes), n)
 	}
 	size := tableSizeFor(n)
 	slots := newSlots(size)
@@ -348,24 +270,21 @@ func (r *Relation) rehash(n int) {
 		slots[s] = int32(i)
 	}
 	r.slots = slots
-	r.tombs = 0
 }
 
 // grow pre-sizes the tuple storage, and the table and its hashes if it
-// is built, for n total live tuples.
+// is built, for n total tuples.
 func (r *Relation) grow(n int) {
 	if r.slots != nil && tableSizeFor(n) > len(r.slots) {
 		r.rehash(n)
 	}
 	// The storage hints apply even when the table is already large
-	// enough (e.g. after removals), or EnsureRelationSize's pre-sizing
-	// contract would silently degrade to incremental appends. A
-	// compacting rehash above already sized them for n. Growth is at
-	// least geometric so a hint that creeps up call after call (the
-	// shape of per-round inbox sizing) keeps amortized-O(1) appends
-	// instead of copying on every call.
+	// enough, or EnsureRelationSize's pre-sizing contract would silently
+	// degrade to incremental appends. Growth is at least geometric so a
+	// hint that creeps up call after call (the shape of per-round inbox
+	// sizing) keeps amortized-O(1) appends instead of copying on every
+	// call.
 	r.arena = withCap(r.arena, n*r.Arity)
-	r.dead = withCap(r.dead, n)
 	if r.slots != nil {
 		r.hashes = withCap(r.hashes, n)
 	}
@@ -385,7 +304,7 @@ func withCap[T any](s []T, n int) []T {
 
 // Reserve pre-grows r to hold n more tuples without rehashing: what
 // NewRelationSize does for a new relation, for one that already exists.
-func (r *Relation) Reserve(n int) { r.grow(r.live + n) }
+func (r *Relation) Reserve(n int) { r.grow(r.count + n) }
 
 // Add inserts t, reporting whether it was new. Add panics if the arity
 // is wrong: arity errors are programming errors, not data errors.
@@ -417,21 +336,13 @@ func (r *Relation) Contains(t Tuple) bool {
 	return r.find(tableHash(t), t) >= 0
 }
 
-// Remove deletes t, reporting whether it was present.
-func (r *Relation) Remove(t Tuple) bool {
-	return r.remove(tableHash(t), t)
-}
-
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return r.live }
+func (r *Relation) Len() int { return r.count }
 
 // Each calls fn for every tuple in unspecified order; fn must not
 // mutate the relation. Iteration stops early if fn returns false.
 func (r *Relation) Each(fn func(Tuple) bool) {
-	for i, d := range r.dead {
-		if d {
-			continue
-		}
+	for i := range r.count {
 		if !fn(r.tupleAt(int32(i))) {
 			return
 		}
@@ -442,7 +353,7 @@ func (r *Relation) Each(fn func(Tuple) bool) {
 // Materialized enumeration feeds serialization and distribution, so it
 // must be byte-stable across runs; order-free single-pass access for
 // hot local computation is Each. The sorted enumeration is cached until
-// the next mutation; callers must not modify the returned slice's
+// the next insert; callers must not modify the returned slice's
 // elements (appending is safe: the slice is capacity-clipped).
 func (r *Relation) Tuples() []Tuple {
 	if r.sorted == nil {
@@ -457,11 +368,9 @@ func (r *Relation) Clone() *Relation {
 		Name:   r.Name,
 		Arity:  r.Arity,
 		arena:  append([]Value(nil), r.arena...),
-		hashes: append([]uint64(nil), r.hashes...),
-		dead:   append([]bool(nil), r.dead...),
+		count:  r.count,
 		slots:  append([]int32(nil), r.slots...),
-		live:   r.live,
-		tombs:  r.tombs,
+		hashes: append([]uint64(nil), r.hashes...),
 
 		ascending: r.ascending,
 	}
@@ -474,13 +383,13 @@ func (r *Relation) UnionWith(o *Relation) int {
 	if r.Arity != o.Arity && o.Len() > 0 {
 		panic("rel: arity mismatch in union of " + r.Name)
 	}
-	if o.live == 0 {
+	if o.count == 0 {
 		return 0
 	}
-	r.grow(r.live + o.live)
+	r.grow(r.count + o.count)
 	added := 0
-	for i, d := range o.dead {
-		if !d && r.insert(o.hashOf(i), o.tupleAt(int32(i))) {
+	for i := range o.count {
+		if r.insert(o.hashOf(i), o.tupleAt(int32(i))) {
 			added++
 		}
 	}
@@ -495,11 +404,8 @@ func (r *Relation) UnionDistinct(o *Relation) {
 	if r.Arity != o.Arity && o.Len() > 0 {
 		panic("rel: arity mismatch in union of " + r.Name)
 	}
-	r.grow(r.live + o.live)
-	for i, d := range o.dead {
-		if d {
-			continue
-		}
+	r.grow(r.count + o.count)
+	for i := range o.count {
 		if t := o.tupleAt(int32(i)); r.slots == nil {
 			r.push(t)
 		} else {
@@ -516,18 +422,15 @@ func (r *Relation) UnionDistinct(o *Relation) {
 // rounds' receiver-side fold. A nil or empty o returns an empty
 // relation of r's arity.
 func (r *Relation) AbsorbNew(o *Relation, name string) *Relation {
-	if o == nil || o.live == 0 {
+	if o == nil || o.count == 0 {
 		return NewRelation(name, r.Arity)
 	}
 	if r.Arity != o.Arity {
 		panic("rel: arity mismatch absorbing into " + r.Name)
 	}
-	out := NewRelationSize(name, r.Arity, o.live)
-	r.grow(r.live + o.live)
-	for i, d := range o.dead {
-		if d {
-			continue
-		}
+	out := NewRelationSize(name, r.Arity, o.count)
+	r.grow(r.count + o.count)
+	for i := range o.count {
 		if t := o.tupleAt(int32(i)); r.insert(o.hashOf(i), t) {
 			out.push(t) // new to r, so new to out
 		}
@@ -541,8 +444,8 @@ func (r *Relation) Equal(o *Relation) bool {
 	if r.Len() != o.Len() || r.Arity != o.Arity {
 		return false
 	}
-	for i, d := range r.dead {
-		if !d && o.find(r.hashOf(i), r.tupleAt(int32(i))) < 0 {
+	for i := range r.count {
+		if o.find(r.hashOf(i), r.tupleAt(int32(i))) < 0 {
 			return false
 		}
 	}

@@ -8,7 +8,7 @@ import (
 // Sorted enumeration: the one computation of a relation's
 // Tuple.Compare order. A relation whose arena is ascending is in that
 // order already and is read off as it stands. Otherwise it orders the
-// stored indices of the live tuples (4 bytes each, not 24-byte Tuple
+// stored indices of the tuples (4 bytes each, not 24-byte Tuple
 // headers) with a stable LSD radix sort — columns from last to first,
 // each column offset by its minimum so only the bits its range spans
 // are sorted, and a pass whose digit is constant across the relation
@@ -31,7 +31,7 @@ const (
 // radixDigit returns the digit width the radix passes use on r, or 0
 // when a base case applies and the comparison sort runs.
 func (r *Relation) radixDigit() int {
-	n := r.live
+	n := r.count
 	if n < radixMinTuples {
 		return 0
 	}
@@ -59,17 +59,15 @@ type keyed struct {
 	i     int32
 }
 
-// sortedTuples returns views of r's live tuples in Tuple.Compare order
+// sortedTuples returns views of r's tuples in Tuple.Compare order
 // (signed, lexicographic), the enumeration Tuples caches. An ascending
 // relation's arena is already in that order.
 func (r *Relation) sortedTuples() []Tuple {
-	n, k, arena := r.live, r.Arity, r.arena
+	n, k, arena := r.count, r.Arity, r.arena
 	out := make([]Tuple, 0, n)
 	if r.ascending {
-		for i, d := range r.dead {
-			if !d {
-				out = append(out, r.tupleAt(int32(i)))
-			}
+		for i := range n {
+			out = append(out, r.tupleAt(int32(i)))
 		}
 		return out
 	}
@@ -80,10 +78,7 @@ func (r *Relation) sortedTuples() []Tuple {
 		if n > len(small) {
 			order = make([]keyed, 0, n)
 		}
-		for i, d := range r.dead {
-			if d {
-				continue
-			}
+		for i := range n {
 			e := keyed{i: int32(i)}
 			if k > 0 {
 				e.first = arena[i*k]
@@ -116,10 +111,8 @@ func (r *Relation) sortedTuples() []Tuple {
 	// One allocation: the indices, the scatter target, the counters.
 	all := make([]int32, 2*n+1<<digit)
 	src, dst, counts := all[:0:n], all[n:2*n], all[2*n:]
-	for i, d := range r.dead {
-		if !d {
-			src = append(src, int32(i))
-		}
+	for i := range n {
+		src = append(src, int32(i))
 	}
 	for c := k - 1; c >= 0; c-- {
 		lo, width := r.columnSpan(c)
@@ -157,27 +150,17 @@ func (r *Relation) sortedTuples() []Tuple {
 	return out
 }
 
-// columnSpan returns column c's minimum over the live tuples, as the
+// columnSpan returns column c's minimum over the tuples, as the
 // offset every value of the column is taken relative to, and the bit
 // width of the column's range. Subtracting the minimum in uint64 maps
 // the signed order of the values onto the unsigned order of the
 // offsets.
 func (r *Relation) columnSpan(c int) (lo uint64, width int) {
 	k := r.Arity
-	first := true
-	var mn, mx Value
-	for i, d := range r.dead {
-		if d {
-			continue
-		}
-		v := r.arena[i*k+c]
-		if first || v < mn {
-			mn = v
-		}
-		if first || v > mx {
-			mx = v
-		}
-		first = false
+	mn, mx := r.arena[c], r.arena[c]
+	for i := k + c; i < len(r.arena); i += k {
+		v := r.arena[i]
+		mn, mx = min(mn, v), max(mx, v)
 	}
 	return uint64(mn), bits.Len64(uint64(mx) - uint64(mn))
 }

@@ -4,7 +4,7 @@ package rel
 // MPC transports ship between servers and checkpoints spill to disk.
 //
 // The flat value arena is already serialization-shaped: a relation's
-// live tuples sit contiguously as arity-strided int64 runs, so encoding
+// tuples sit contiguously as arity-strided int64 runs, so encoding
 // walks the arena once and emits fixed-width little-endian values with
 // no per-tuple allocation, and decoding appends values straight into a
 // pre-sized arena. (The hash table and cached hashes are derived state
@@ -38,8 +38,8 @@ package rel
 // The encoding is canonical and the codec enforces it both ways:
 //
 //   - EncodeInstance emits relations in ascending name order, skips
-//     empty relations, and emits each relation's tuples in arena
-//     (insertion) order with tombstones compacted away.
+//     empty relations (present but holding no tuple), and emits each
+//     relation's tuples in arena (insertion) order.
 //   - DecodeInstance rejects any non-canonical input: wrong magic or
 //     version, trailing bytes, empty or duplicate or out-of-order
 //     relation names, zero tuple counts, and duplicate tuples.
@@ -111,22 +111,16 @@ func EncodedSize(inst *Instance) int {
 }
 
 // appendRelation emits one relation under its instance key (which may
-// differ from r.Name after SetRelationAs). The arena is read directly:
-// live tuples are arity-strided runs, so the inner loop is a straight
-// value copy with no Tuple materialization.
+// differ from r.Name after SetRelationAs). The arena is the payload,
+// arity-strided runs in insertion order, so it is written in one pass
+// with no Tuple materialization.
 func appendRelation(buf []byte, name string, r *Relation) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
 	buf = append(buf, name...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(r.Arity))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Len()))
-	for i, d := range r.dead {
-		if d {
-			continue
-		}
-		off := i * r.Arity
-		for _, v := range r.arena[off : off+r.Arity] {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		}
+	for _, v := range r.arena {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	return buf
 }
