@@ -222,7 +222,7 @@ bench:
 # fault-free run among them).
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . > .bench_raw.txt
-	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkRestart|BenchmarkRouteRound|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkCoversAtGate|BenchmarkRunBulk|BenchmarkTuples|BenchmarkDecodeInstance|BenchmarkDecodeAscending|BenchmarkHashJoin|BenchmarkGenerate)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel ./internal/workload >> .bench_raw.txt
+	$(GO) test -run='^$$' -bench='^(BenchmarkGridTargets|BenchmarkRepartition|BenchmarkRepartitionOp|BenchmarkReuse|BenchmarkRestart|BenchmarkRouteRound|BenchmarkExchangeTCP|BenchmarkRunRounds|BenchmarkCoversServing|BenchmarkCoversAtGate|BenchmarkRunBulk|BenchmarkDeal|BenchmarkTuples|BenchmarkDecodeInstance|BenchmarkDecodeAscending|BenchmarkHashJoin|BenchmarkGenerate)$$' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) ./internal/hypercube ./internal/mpcd ./internal/mpc ./internal/mpcnet ./internal/pc ./internal/rel ./internal/workload >> .bench_raw.txt
 	$(GO) run ./cmd/benchjson -out $(BENCH_BASELINE) .bench_raw.txt
 	@rm -f .bench_raw.txt
 	@echo "bench-json: wrote $(BENCH_BASELINE)"

@@ -83,10 +83,11 @@ func (d *daemon) stop(t *testing.T) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("signaling mpcd: %v", err)
 	}
-	if err := <-d.done; err != nil {
+	err := <-d.done
+	d.done <- err // keep the cleanup's receive from blocking
+	if err != nil {
 		t.Fatalf("mpcd exit: %v", err)
 	}
-	d.done <- nil // keep the cleanup's receive from blocking
 }
 
 // call posts one JSON request to the daemon.
@@ -133,6 +134,22 @@ const (
 	e2eAnchor  = "A(x, z) :- R(x, y), S(y, z)"
 	e2eCovered = "D(x, y) :- R(x, y)"
 )
+
+// TestE2ESignalAtTheListenLine SIGTERMs the daemon the moment its
+// listen line is read, 20 times, with and without a snapshot directory:
+// the handler is installed before the line is printed, so every one of
+// them drains and exits cleanly instead of dying by the signal's
+// default action.
+func TestE2ESignalAtTheListenLine(t *testing.T) {
+	dir := t.TempDir()
+	for i := range 20 {
+		var extra []string
+		if i%2 == 1 {
+			extra = []string{"-checkpoint-dir", dir}
+		}
+		startDaemon(t, extra...).stop(t)
+	}
+}
 
 // TestE2EServeQueryDrain is the basic lifecycle: start, create, query
 // all three paths, drain, observe typed rejections, clean exit.

@@ -73,6 +73,10 @@ func main() {
 		}
 	}
 
+	// The handler is in place before the listen line is printed, so a
+	// signal sent the moment it is read drains like any other.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpcd: listen %s: %v\n", *addr, err)
@@ -84,8 +88,6 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Fprintf(os.Stderr, "mpcd: %v: draining\n", s)

@@ -369,7 +369,8 @@ func (c *Cluster) LoadRoundRobin(i *rel.Instance) { DealRoundRobin(i, c.servers,
 // relation never reaches gets no empty relation either. A copy the
 // deal creates takes its tuples as distinct — they are a set's, each
 // dealt once — and builds no table; one that existed before the deal
-// may hold them already, so it is added to.
+// may hold them already, so it is added to. rel.EncodeRoundRobin is
+// this rule's encoding at offset 0, for a deal that ships its shares.
 func DealRoundRobin(i *rel.Instance, dst []*rel.Instance, offset int) {
 	p := len(dst)
 	k := offset

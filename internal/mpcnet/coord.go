@@ -328,21 +328,13 @@ func Run(cfg RunConfig) (*RunResult, error) {
 // deal is the run's initial placement, made once: the simulator's
 // round-robin rule (mpc.DealRoundRobin, what LoadRoundRobin performs)
 // over the whole input, server i's share encoded for the hello that
-// hands it to every incarnation of worker i. Placement is not
-// communication — the model's input starts out spread — so no count of
-// it enters the accounting.
-func deal(input *rel.Instance, p int) [][]byte {
-	parts := make([]*rel.Instance, p)
-	for i := range parts {
-		parts[i] = rel.NewInstance()
-	}
-	mpc.DealRoundRobin(input, parts, 0)
-	shares := make([][]byte, p)
-	for i, part := range parts {
-		shares[i] = rel.EncodeInstance(part)
-	}
-	return shares
-}
+// hands it to every incarnation of worker i. rel.EncodeRoundRobin is
+// that rule's encoding: it writes each share straight from the input's
+// sorted enumeration, byte-equal to encoding the instances the rule
+// would fill, without building them. Placement is not communication —
+// the model's input starts out spread — so no count of it enters the
+// accounting.
+func deal(input *rel.Instance, p int) [][]byte { return rel.EncodeRoundRobin(input, p) }
 
 // assemble reconstructs the simulator's observables from the workers'
 // reports: per-round stats rows (and from them the logical trace and

@@ -205,6 +205,12 @@ func (r *Relation) insert(h uint64, t Tuple) bool {
 // push stores t as the newest tuple, leaving the table to the caller:
 // insert has placed it and cached its hash, and a relation with no
 // table yet hashes it when the table is built.
+//
+// When the arena has room, push reslices it in place and copies t in:
+// a self-assignment `r.arena = r.arena[:m]` stores only the length, so
+// no write barrier fires per tuple while the collector marks, where an
+// append would re-store the arena's pointer into the heap Relation on
+// every call. Only the growth branch appends.
 func (r *Relation) push(t Tuple) {
 	i := int32(r.count)
 	if i == 0 {
@@ -212,7 +218,12 @@ func (r *Relation) push(t Tuple) {
 	} else if r.ascending && !r.above(t) {
 		r.ascending = false
 	}
-	r.arena = append(r.arena, t...)
+	if n := len(r.arena); n+len(t) <= cap(r.arena) {
+		r.arena = r.arena[:n+len(t)]
+		copy(r.arena[n:], t)
+	} else {
+		r.arena = append(r.arena, t...)
+	}
 	r.count++
 	// The sorted enumeration is invalid, but cached join indexes stay
 	// live — the new tuple joins their buckets instead of a rebuild, and

@@ -6,17 +6,19 @@ package rel
 // The flat value arena is already serialization-shaped: a relation's
 // tuples sit contiguously as arity-strided int64 runs, so encoding
 // walks the arena once and emits fixed-width little-endian values with
-// no per-tuple allocation, and decoding appends values straight into a
-// pre-sized arena. (The hash table and cached hashes are derived state
-// and intentionally NOT on the wire: a peer cannot inject a mismatched
-// hash.)
+// no per-tuple allocation, and decoding reads a relation's values in
+// one pass into an exact-size arena. (The hash table and cached hashes
+// are derived state and intentionally NOT on the wire: a peer cannot
+// inject a mismatched hash.) EncodeRoundRobin writes the p round-robin
+// shares of an instance the same way, straight from its sorted
+// enumeration.
 //
-// The decoder's duplicate check is strict ascent, then the table. While
-// each tuple is above the one before, the run is distinct by ascent and
-// is appended with no table, and the relation stays marked ascending,
-// so its sorted enumeration is its arena. The first tuple that is not
-// above its predecessor builds the table once over the run, hashing
-// each tuple of the run then, and from then on every tuple is hashed,
+// The decoder's duplicate check is strict ascent, then the table. The
+// longest strictly ascending prefix of the decoded arena is distinct by
+// ascent and becomes the relation with no table, marked ascending, so
+// its sorted enumeration is its arena. The first tuple that is not
+// above its predecessor builds the table once over the prefix, hashing
+// each of its tuples then, and from then on every tuple is hashed,
 // inserted, and a duplicate is an error. A share dealt from a sorted
 // enumeration is encoded ascending, so it is received as its arena
 // alone: no table and no tuple hashed.
@@ -83,9 +85,7 @@ var wireCRCTable = crc32.MakeTable(crc32.Castagnoli)
 func AppendInstance(buf []byte, inst *Instance) []byte {
 	start := len(buf)
 	names := inst.RelationNames()
-	buf = binary.LittleEndian.AppendUint32(buf, wireMagic)
-	buf = binary.LittleEndian.AppendUint16(buf, WireVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(names)))
+	buf = appendInstanceHeader(buf, len(names))
 	for _, name := range names {
 		buf = appendRelation(buf, name, inst.rels[name])
 	}
@@ -100,14 +100,34 @@ func EncodeInstance(inst *Instance) []byte {
 
 // EncodedSize returns the exact byte length of EncodeInstance(inst).
 func EncodedSize(inst *Instance) int {
-	n := 4 + 2 + 4 + wireCRCLen
+	n := wireInstanceLen
 	for name, r := range inst.rels {
 		if r.Len() == 0 {
 			continue
 		}
-		n += 2 + len(name) + 2 + 4 + 8*r.Len()*r.Arity
+		n += wireRelationLen(name) + 8*r.Len()*r.Arity
 	}
 	return n
+}
+
+// wireInstanceLen is the byte length of an instance's fixed fields: its
+// header and its checksum.
+const wireInstanceLen = 4 + 2 + 4 + wireCRCLen
+
+// wireRelationLen is the byte length of a relation's header.
+func wireRelationLen(name string) int { return 2 + len(name) + 2 + 4 }
+
+func appendInstanceHeader(buf []byte, relCount int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, wireMagic)
+	buf = binary.LittleEndian.AppendUint16(buf, WireVersion)
+	return binary.LittleEndian.AppendUint32(buf, uint32(relCount))
+}
+
+func appendRelationHeader(buf []byte, name string, arity, count int) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
+	buf = append(buf, name...)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(arity))
+	return binary.LittleEndian.AppendUint32(buf, uint32(count))
 }
 
 // appendRelation emits one relation under its instance key (which may
@@ -115,14 +135,88 @@ func EncodedSize(inst *Instance) int {
 // arity-strided runs in insertion order, so it is written in one pass
 // with no Tuple materialization.
 func appendRelation(buf []byte, name string, r *Relation) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-	buf = append(buf, name...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(r.Arity))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Len()))
+	buf = appendRelationHeader(buf, name, r.Arity, r.Len())
 	for _, v := range r.arena {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	return buf
+}
+
+// EncodeRoundRobin returns the encodings of p shares of inst dealt
+// round-robin: fact k of inst, in (relation name, Tuples) order, goes
+// to share k mod p. It is the encoding of mpc.DealRoundRobin's rule at
+// offset 0 — shares[s] is byte for byte EncodeInstance of the instance
+// that deal fills for server s, an empty one included — written
+// straight from each relation's sorted enumeration (an ascending
+// relation's arena, read in place with no enumeration built), with no
+// intermediate instance. The first pass counts what each share gets of
+// each relation and sizes its buffer exactly; the second writes the
+// headers, deals the values and closes each share with its checksum.
+func EncodeRoundRobin(inst *Instance, p int) [][]byte {
+	names := inst.RelationNames()
+	// dealt[i*p+s] is how many tuples of relation names[i] share s gets:
+	// the relation's tuples are dealt from global position k0, so its
+	// j-th lands on (k0+j) mod p, and s gets the j ≡ s−k0 (mod p).
+	dealt := make([]int, len(names)*p)
+	size := make([]int, p)
+	relCount := make([]int, p)
+	for s := range p {
+		size[s] = wireInstanceLen
+	}
+	k0 := 0
+	for i, name := range names {
+		r := inst.rels[name]
+		for s := range p {
+			d := (s - k0%p + p) % p
+			if d >= r.count {
+				continue
+			}
+			c := (r.count-1-d)/p + 1
+			dealt[i*p+s] = c
+			size[s] += wireRelationLen(name) + 8*c*r.Arity
+			relCount[s]++
+		}
+		k0 += r.count
+	}
+	// Each share is written in place through off, its fill mark, so
+	// dealing a value stores no slice header.
+	shares := make([][]byte, p)
+	off := make([]int, p)
+	for s := range p {
+		shares[s] = make([]byte, size[s])
+		off[s] = len(appendInstanceHeader(shares[s][:0], relCount[s]))
+	}
+	s := 0
+	for i, name := range names {
+		r := inst.rels[name]
+		for h := range p {
+			if c := dealt[i*p+h]; c > 0 {
+				off[h] += len(appendRelationHeader(shares[h][off[h]:off[h]], name, r.Arity, c))
+			}
+		}
+		put := func(t Tuple) bool {
+			b := shares[s][off[s] : off[s]+8*len(t)]
+			for j, v := range t {
+				binary.LittleEndian.PutUint64(b[8*j:], uint64(v))
+			}
+			off[s] += len(b)
+			if s++; s == p {
+				s = 0
+			}
+			return true
+		}
+		if r.ascending {
+			r.Each(put) // the arena is the sorted enumeration: none is built
+		} else {
+			for _, t := range r.Tuples() {
+				put(t)
+			}
+		}
+	}
+	for h, b := range shares {
+		binary.LittleEndian.PutUint32(b[off[h]:], crc32.Checksum(b[:off[h]], wireCRCTable))
+	}
+	return shares
 }
 
 // wireReader is a bounds-checked cursor over an encoded frame. Every
@@ -150,15 +244,6 @@ func (w *wireReader) u32() (uint32, error) {
 	}
 	v := binary.LittleEndian.Uint32(w.data[w.off:])
 	w.off += 4
-	return v, nil
-}
-
-func (w *wireReader) u64() (uint64, error) {
-	if w.remaining() < 8 {
-		return 0, fmt.Errorf("rel: truncated frame at offset %d: need 8 bytes, have %d", w.off, w.remaining())
-	}
-	v := binary.LittleEndian.Uint64(w.data[w.off:])
-	w.off += 8
 	return v, nil
 }
 
@@ -265,24 +350,34 @@ func decodeRelation(w *wireReader) (string, *Relation, error) {
 		return "", nil, fmt.Errorf("rel: relation %q declares %d×%d values (%d bytes) but only %d remain",
 			name, count, arity, need, w.remaining())
 	}
-	r := NewRelationSize(name, arity, count)
-	scratch := make(Tuple, arity)
-	for i := 0; i < count; i++ {
-		for j := 0; j < arity; j++ {
-			v, err := w.u64()
-			if err != nil {
-				return "", nil, err
-			}
-			scratch[j] = Value(v)
+	// One pass fills the arena. The payload holds exactly 8 bytes a
+	// value; the length test stands in for the bounds checks, so the
+	// loop body has none.
+	vals := make([]Value, count*arity)
+	payload := w.data[w.off : w.off+need]
+	for j := range vals {
+		if len(payload) < 8 {
+			break
 		}
-		// A tuple above the last is new to an ascending run, which is
-		// appended without a table or a hash; the first one that is not
-		// builds the table over the run, and from then on the table
-		// checks.
-		if r.slots == nil && (i == 0 || r.above(scratch)) {
-			r.push(scratch)
-		} else if !r.insert(tableHash(scratch), scratch) {
-			return "", nil, fmt.Errorf("rel: relation %q carries duplicate tuple %v (canonical encoding is duplicate-free)", name, scratch)
+		vals[j] = Value(binary.LittleEndian.Uint64(payload))
+		payload = payload[8:]
+	}
+	w.off += need
+	// The longest strictly ascending prefix is distinct by ascent: it
+	// becomes the relation as it stands, with no table and no hash.
+	run := 1
+	for run < count && Tuple(vals[run*arity:(run+1)*arity]).Compare(vals[(run-1)*arity:run*arity]) > 0 {
+		run++
+	}
+	r := &Relation{Name: name, Arity: arity, arena: vals[:run*arity], count: run, ascending: true}
+	// The first tuple that is not above its predecessor builds the table
+	// over the run, and from then on the table checks. Each tuple is
+	// inserted from where it already lies, so its copy into the arena
+	// moves nothing.
+	for i := run; i < count; i++ {
+		t := Tuple(vals[i*arity : (i+1)*arity])
+		if !r.insert(tableHash(t), t) {
+			return "", nil, fmt.Errorf("rel: relation %q carries duplicate tuple %v (canonical encoding is duplicate-free)", name, t)
 		}
 	}
 	return name, r, nil

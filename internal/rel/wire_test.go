@@ -248,3 +248,67 @@ func TestWireCollisionTuples(t *testing.T) {
 		t.Fatalf("collision-heavy round-trip mismatch")
 	}
 }
+
+// TestDecodeVerdictsAcrossTheSwitch holds the one-pass decoder, which
+// reads a relation's values first and then takes its longest ascending
+// prefix as the relation, to the tuple-at-a-time verdicts: wherever the
+// first descent sits, the frame decodes to the same set, re-encodes to
+// its own bytes and builds its table at the descent; a frame that is
+// all prefix builds none; a duplicate on either side of the switch,
+// adjacent or not, fails with the same text; and a cut anywhere in a
+// relation's values is an error.
+func TestDecodeVerdictsAcrossTheSwitch(t *testing.T) {
+	const n = 12
+	asc := make([]uint64, 0, 2*n) // n ascending pairs: (i, 2i mod 5)
+	for i := range uint64(n) {
+		asc = append(asc, i, 2*i%5)
+	}
+	want := NewRelation("R", 2)
+	for i := 0; i < len(asc); i += 2 {
+		want.Add(Tuple{Value(asc[i]), Value(asc[i+1])})
+	}
+	for _, d := range []int{1, n / 2, n - 1} {
+		// Swapping tuples d−1 and d puts the first descent at tuple d.
+		vals := append([]uint64(nil), asc...)
+		vals[2*d-2], vals[2*d-1], vals[2*d], vals[2*d+1] = vals[2*d], vals[2*d+1], vals[2*d-2], vals[2*d-1]
+		frame := wireSeal(append(wireHeader(1), wireRelation("R", 2, vals...)...))
+		got, err := DecodeInstance(frame)
+		if err != nil {
+			t.Fatalf("descent at %d: %v", d, err)
+		}
+		r := got.Relation("R")
+		if !r.Equal(want) || r.ascending || r.slots == nil {
+			t.Errorf("descent at %d: decodes to the set %v, ascending %v, table built %v", d, r.Equal(want), r.ascending, r.slots != nil)
+		}
+		if re := EncodeInstance(got); !bytes.Equal(re, frame) {
+			t.Errorf("descent at %d: re-encoding differs", d)
+		}
+		checkSortedEnumeration(t, "descent", r)
+		prefix, err := DecodeInstance(wireSeal(append(wireHeader(1), wireRelation("R", 2, vals[:2*d]...)...)))
+		if err != nil {
+			t.Fatalf("prefix of %d: %v", d, err)
+		}
+		if p := prefix.Relation("R"); p.Len() != d || !p.ascending || p.slots != nil || p.hashes != nil {
+			t.Errorf("prefix of %d: %d tuples, ascending %v, table built %v, %d hashes", d, p.Len(), p.ascending, p.slots != nil, len(p.hashes))
+		}
+	}
+	const dup = `rel: relation "R" carries duplicate tuple (3) (canonical encoding is duplicate-free)`
+	for _, vals := range [][]uint64{
+		{1, 2, 3, 3, 4},    // adjacent, the switch itself
+		{1, 3, 5, 3, 6},    // not adjacent, the switch itself
+		{1, 5, 3, 3, 6},    // adjacent, after the switch
+		{1, 3, 5, 2, 3},    // a prefix tuple, after the switch
+		{5, 1, 3, 4, 3, 6}, // a tuple after the switch, later again
+	} {
+		_, err := DecodeInstance(wireSeal(append(wireHeader(1), wireRelation("R", 1, vals...)...)))
+		if err == nil || err.Error() != dup {
+			t.Errorf("%v: error %v, want %q", vals, err, dup)
+		}
+	}
+	frame := EncodeInstance(wireSample())
+	for cut := range len(frame) {
+		if _, err := DecodeInstance(frame[:cut]); err == nil {
+			t.Fatalf("a frame cut to %d of its %d bytes decoded", cut, len(frame))
+		}
+	}
+}
