@@ -31,16 +31,27 @@ type Grid struct {
 	dims   map[string]int // variable → dimension index
 	stride []int          // mixed-radix strides for server ids
 	p      int            // total servers = Π Shares
-	plans  []atomPlan     // one per body atom, in body order
+	rels   []RelationGrid // one per relation and arity of the body, in order of first atom
+}
+
+// RelationGrid is a grid restricted to the facts of one relation at one
+// arity: the routing plans of the body atoms over it, in body order. A
+// caller that routes a whole relation resolves it once (Grid.Relation)
+// and asks it of each tuple, so no fact is matched against the plans of
+// atoms over other relations, nor looked up by name. The zero value is
+// the restriction to a relation no atom is over: every tuple goes
+// nowhere.
+type RelationGrid struct {
+	rel   string
+	arity int
+	plans []atomPlan
 }
 
 // atomPlan is one body atom compiled for routing: the checks and hashes
 // a fact's tuple goes through to find the corner of the sub-grid the
 // atom replicates it to (ops), and that sub-grid's shape (offsets).
 type atomPlan struct {
-	rel   string
-	arity int
-	ops   []argOp
+	ops []argOp
 	// offsets lists, ascending, the server ids of the free sub-grid
 	// relative to its corner: every combination of coordinates in the
 	// dimensions the atom does not bind. Lexicographic coordinates are
@@ -56,8 +67,8 @@ type atomPlan struct {
 	// corner, so the table has one entry per server: p in all.
 	dests []int
 	// room bounds the destinations of a fact matching this atom and any
-	// later atom of the same relation and arity, so Targets sizes the
-	// union it builds for a fact several atoms match at the first of them.
+	// later atom of its relation grid, so Targets sizes the union it
+	// builds for a fact several atoms match at the first of them.
 	room int
 }
 
@@ -109,14 +120,18 @@ func NewGrid(q *cq.CQ, shares map[string]int, seed uint64) (*Grid, error) {
 		p *= g.Shares[i]
 	}
 	g.p = p
-	g.plans = make([]atomPlan, len(q.Body))
-	for i, a := range q.Body {
-		g.plans[i] = g.compile(a)
+	for _, a := range q.Body {
+		i := slices.IndexFunc(g.rels, func(r RelationGrid) bool { return r.rel == a.Rel && r.arity == len(a.Args) })
+		if i < 0 {
+			i = len(g.rels)
+			g.rels = append(g.rels, RelationGrid{rel: a.Rel, arity: len(a.Args)})
+		}
+		g.rels[i].plans = append(g.rels[i].plans, g.compile(a))
 	}
-	for i := range g.plans {
-		for j := i; j < len(g.plans); j++ {
-			if g.plans[j].rel == g.plans[i].rel && g.plans[j].arity == g.plans[i].arity {
-				g.plans[i].room += len(g.plans[j].offsets)
+	for _, r := range g.rels {
+		for i := range r.plans {
+			for _, later := range r.plans[i:] {
+				r.plans[i].room += len(later.offsets)
 			}
 		}
 	}
@@ -128,7 +143,7 @@ func NewGrid(q *cq.CQ, shares map[string]int, seed uint64) (*Grid, error) {
 // with the seed and the dimension index folded in before a final
 // avalanche, so they behave independently.
 func (g *Grid) compile(a cq.Atom) atomPlan {
-	pl := atomPlan{rel: a.Rel, arity: len(a.Args), offsets: []int{0}}
+	pl := atomPlan{offsets: []int{0}}
 	bound := make([]bool, len(g.Shares))
 	for i, t := range a.Args {
 		if !t.IsVar() {
@@ -196,17 +211,13 @@ func (g *Grid) compile(a cq.Atom) atomPlan {
 	return pl
 }
 
-// corner matches f against the plan, returning the server id of the
-// sub-grid corner its bound variables hash to and that corner's rank in
-// dests, or ok=false when the fact cannot instantiate the atom (wrong
-// relation or arity, constant or repeated-variable mismatch). It is the
-// one matcher: Targets and First differ only in what they do with the
-// corners.
-func (pl *atomPlan) corner(f rel.Fact) (id, rank int, ok bool) {
-	if pl.rel != f.Rel || pl.arity != len(f.Tuple) {
-		return 0, 0, false
-	}
-	t := f.Tuple
+// corner matches tuple t — of the plan's relation and arity — against
+// the plan, returning the server id of the sub-grid corner its bound
+// variables hash to and that corner's rank in dests, or ok=false when t
+// cannot instantiate the atom (constant or repeated-variable mismatch).
+// It is the one matcher: RelationGrid's Targets and First differ only in
+// what they do with the corners.
+func (pl *atomPlan) corner(t rel.Tuple) (id, rank int, ok bool) {
 	for i := range pl.ops {
 		op := &pl.ops[i]
 		v := t[op.pos]
@@ -254,24 +265,46 @@ func varsOfBody(q *cq.CQ) []string {
 // shares).
 func (g *Grid) P() int { return g.p }
 
+// Relation returns the grid restricted to the facts of relation name at
+// the given arity: the zero RelationGrid, which routes every tuple
+// nowhere, when no body atom is over it.
+func (g *Grid) Relation(name string, arity int) RelationGrid {
+	for _, r := range g.rels {
+		if r.rel == name && r.arity == arity {
+			return r
+		}
+	}
+	return RelationGrid{}
+}
+
+// Empty reports whether no body atom is over the relation, so that every
+// tuple of it goes nowhere.
+func (r RelationGrid) Empty() bool { return len(r.plans) == 0 }
+
 // Targets returns the destination servers for a fact, ascending: the
 // union over all body atoms of the fact's relation of the grid points
 // consistent with the hashed bindings. Facts that match no atom (wrong
 // relation or arity, constant mismatch, repeated-variable mismatch) go
 // nowhere. Targets is called concurrently by the MPC communication
-// phase, so it keeps no scratch state on the grid. One atom's
-// destinations are already ascending and distinct: a fact one atom
-// matches gets that corner's block of the atom's destination table,
-// without an allocation — read-only, like every Route result, and
-// capped at its length so that a caller's append copies. Only a fact
-// several atoms match (a self-join) gets a list of its own, sorted and
-// compacted.
+// phase, so it keeps no scratch state on the grid. It is
+// g.Relation(f.Rel, len(f.Tuple)).Targets(f.Tuple); see there.
 func (g *Grid) Targets(f rel.Fact) []int {
+	return g.Relation(f.Rel, len(f.Tuple)).Targets(f.Tuple)
+}
+
+// Targets returns the destination servers of the fact with tuple t, as
+// Grid.Targets. One atom's destinations are already ascending and
+// distinct: a tuple one atom matches gets that corner's block of the
+// atom's destination table, without an allocation — read-only, like
+// every Route result, and capped at its length so that a caller's
+// append copies. Only a tuple several atoms match (a self-join) gets a
+// list of its own, sorted and compacted.
+func (r RelationGrid) Targets(t rel.Tuple) []int {
 	var first *atomPlan
 	var one, out []int
-	for i := range g.plans {
-		pl := &g.plans[i]
-		_, rank, ok := pl.corner(f)
+	for i := range r.plans {
+		pl := &r.plans[i]
+		_, rank, ok := pl.corner(t)
 		switch {
 		case !ok:
 		case first == nil:
@@ -290,15 +323,21 @@ func (g *Grid) Targets(f rel.Fact) []int {
 }
 
 // First returns Targets(f)[0], the least destination of f, and
-// ok=false when f goes nowhere — without allocating: an atom's offsets
-// ascend from 0, so its least destination is its corner, and the least
-// over all matching atoms is the least corner. It is what makes "the
-// smallest server holding a copy" cheap to ask of every copy, which is
-// how a layout that is this grid's image elects one owner per fact
-// (mpc.Round.Owner).
+// ok=false when f goes nowhere — without allocating. It is
+// g.Relation(f.Rel, len(f.Tuple)).First(f.Tuple); see there.
 func (g *Grid) First(f rel.Fact) (server int, ok bool) {
-	for i := range g.plans {
-		if corner, _, matched := g.plans[i].corner(f); matched && (!ok || corner < server) {
+	return g.Relation(f.Rel, len(f.Tuple)).First(f.Tuple)
+}
+
+// First returns Targets(t)[0] and ok=false when t goes nowhere, without
+// allocating: an atom's offsets ascend from 0, so its least destination
+// is its corner, and the least over all matching atoms is the least
+// corner. It is what makes "the smallest server holding a copy" cheap
+// to ask of every copy, which is how a layout that is this grid's image
+// elects one owner per fact (mpc.Round.Owner).
+func (r RelationGrid) First(t rel.Tuple) (server int, ok bool) {
+	for i := range r.plans {
+		if corner, _, matched := r.plans[i].corner(t); matched && (!ok || corner < server) {
 			server, ok = corner, true
 		}
 	}
@@ -308,6 +347,12 @@ func (g *Grid) First(f rel.Fact) (server int, ok bool) {
 // Route implements mpc.Router and, with NumNodes, policy.Policy: the
 // grid is the distribution policy of its one-round algorithm.
 func (g *Grid) Route(f rel.Fact) []int { return g.Targets(f) }
+
+// RouteRelation implements mpc.RelationRouter: the route of every tuple
+// of relation name at the given arity, resolved once.
+func (g *Grid) RouteRelation(name string, arity int) func(rel.Tuple) []int {
+	return g.Relation(name, arity).Targets
+}
 
 // NumNodes implements policy.Policy.
 func (g *Grid) NumNodes() int { return g.p }

@@ -302,3 +302,95 @@ func BenchmarkGridTargets(b *testing.B) {
 		sink = g.Targets(facts[i%len(facts)])
 	}
 }
+
+// checkRelationRoute holds the route a grid resolves once per relation
+// to the fact route: route — g.RouteRelation(f.Rel, len(f.Tuple)),
+// resolved by the caller — must give f's tuple the reference router's
+// destinations and Route(f)'s, slice for slice, and the restriction's
+// First must be First(f).
+func checkRelationRoute(t *testing.T, g *Grid, route func(rel.Tuple) []int, f rel.Fact) {
+	t.Helper()
+	got, want := route(f.Tuple), g.targetsRef(f)
+	if !slices.Equal(got, want) || !slices.Equal(got, g.Route(f)) {
+		t.Fatalf("%v on %v seed %d: RouteRelation(%q, %d)(%v) = %v, reference %v, Route %v",
+			g.Query, g, g.Seed, f.Rel, len(f.Tuple), f.Tuple, got, want, g.Route(f))
+	}
+	first, ok := g.Relation(f.Rel, len(f.Tuple)).First(f.Tuple)
+	if wantFirst, wantOK := g.First(f); first != wantFirst || ok != wantOK || ok != (len(want) > 0) || ok && first != want[0] {
+		t.Fatalf("%v on %v seed %d: Relation(%q, %d).First(%v) = %d, %v; First = %d, %v; reference %v",
+			g.Query, g, g.Seed, f.Rel, len(f.Tuple), f.Tuple, first, ok, wantFirst, wantOK, want)
+	}
+}
+
+// TestRelationRouteMatchesFactRoute is the law on a grid's per-relation
+// route: resolved once per relation and arity and asked of each tuple,
+// it routes every fact as the per-fact Route does, and its First is
+// First — on random CQs with self-joins, constants and repeated
+// variables, and on facts that match no atom, of an unknown relation,
+// or of another arity than the atoms over their relation.
+func TestRelationRouteMatchesFactRoute(t *testing.T) {
+	type relKey struct {
+		name  string
+		arity int
+	}
+	var grid *Grid
+	var routes map[relKey]func(rel.Tuple) []int
+	nowhere, several := 0, 0
+	eachRoutingTrial(t, func(g *Grid, f rel.Fact) {
+		if g != grid {
+			grid, routes = g, map[relKey]func(rel.Tuple) []int{}
+		}
+		k := relKey{f.Rel, len(f.Tuple)}
+		if routes[k] == nil {
+			routes[k] = g.RouteRelation(k.name, k.arity)
+		}
+		checkRelationRoute(t, g, routes[k], f)
+		switch n := len(g.targetsRef(f)); {
+		case n == 0:
+			nowhere++
+		case n > 1:
+			several++
+		}
+	})
+	if nowhere == 0 || several == 0 {
+		t.Fatalf("%d facts went nowhere and %d to several servers", nowhere, several)
+	}
+}
+
+// FuzzRelationRoute is TestRelationRouteMatchesFactRoute's law over a
+// query, shares and seed drawn from seed (routingShape) and facts read
+// from the first 64 bytes: per fact, a relation byte, an arity byte and
+// that many values over the domain the query's constants come from. The
+// bound keeps an exec, and so the fuzzer's minimization of a long input,
+// from growing with the input's length.
+func FuzzRelationRoute(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3, 1, 1, 0, 0, 2, 2, 1, 2, 3})
+	f.Add(int64(7), []byte{0, 0, 3, 3, 2, 0, 1, 2, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, seed int64, facts []byte) {
+		r := rand.New(rand.NewSource(seed))
+		q := cq.Random(r, routingShape)
+		shares := map[string]int{}
+		for _, v := range varsOfBody(q) {
+			shares[v] = 1 + r.Intn(4)
+		}
+		g, err := NewGrid(q, shares, r.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		facts = facts[:min(len(facts), 64)]
+		for len(facts) >= 2 {
+			name := []string{"R", "S", "T", "U"}[facts[0]%4]
+			arity := 1 + int(facts[1]%3)
+			facts = facts[2:]
+			if len(facts) < arity {
+				return
+			}
+			tuple := make(rel.Tuple, arity)
+			for i := range tuple {
+				tuple[i] = rel.Value(facts[i] % 5)
+			}
+			facts = facts[arity:]
+			checkRelationRoute(t, g, g.RouteRelation(name, arity), rel.Fact{Rel: name, Tuple: tuple})
+		}
+	})
+}

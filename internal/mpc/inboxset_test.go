@@ -100,7 +100,7 @@ func TestRepeatedDestinationDeliversOnce(t *testing.T) {
 				want := wantInboxes(c, route)
 				round := Round{Name: "repeat", Route: route}
 				if owned {
-					round.Owner = func(rel.Fact) int { return -1 }
+					round.Owner = perFact(func(rel.Fact) int { return -1 })
 				}
 				stats, err := c.RunRound(round)
 				if err != nil {
@@ -149,7 +149,7 @@ func TestKeptAndOwnedCopyLandOnce(t *testing.T) {
 				Name:  "keep and own",
 				Route: RouterFunc(func(rel.Fact) []int { return []int{0} }),
 				Keep:  func(f rel.Fact) bool { return keptAt0[&f.Tuple[0]] },
-				Owner: func(rel.Fact) int { return 1 },
+				Owner: perFact(func(rel.Fact) int { return 1 }),
 			}
 			stats, err := c.RunRound(round)
 			if err != nil {

@@ -70,8 +70,34 @@ import (
 // must be safe for concurrent use; its result is read-only (a router
 // may hand every fact the same list). Every router in this package (and
 // package hypercube) is stateless and therefore trivially safe.
+//
+// The phase walks a source relation by relation. A router that is also
+// a RelationRouter is asked once per relation for that relation's
+// route and then only about tuples; any other is asked Route of each
+// fact, through one adapter closure, so there is one routing loop.
 type Router interface {
 	Route(f rel.Fact) []int
+}
+
+// RelationRouter is a Router that can resolve its decision for a whole
+// relation at once — what a router that matches a fact's relation name
+// against its rules (hypercube's grids) would otherwise redo for every
+// fact. RouteRelation(name, arity) must return a function whose result
+// on t equals Route(Fact{name, t}) slice for slice, for every tuple t of
+// that arity; like Route, it and the function it returns are called
+// concurrently, and the results are read-only.
+type RelationRouter interface {
+	Router
+	RouteRelation(name string, arity int) func(rel.Tuple) []int
+}
+
+// relationRoute returns r's route for the tuples of relation name at
+// the given arity: RouteRelation's when r has one, else Route's.
+func relationRoute(r Router, name string, arity int) func(rel.Tuple) []int {
+	if rr, ok := r.(RelationRouter); ok {
+		return rr.RouteRelation(name, arity)
+	}
+	return func(t rel.Tuple) []int { return r.Route(rel.Fact{Rel: name, Tuple: t}) }
 }
 
 // RouterFunc adapts a function to the Router interface.
@@ -118,22 +144,29 @@ type Compute func(server int, local *rel.Instance) *rel.Instance
 //
 // Owner is for rounds that start from a replicated layout — the
 // fragments a HyperCube round left behind — where a fact sits on
-// several servers and must still be shipped once. When non-nil, a source
-// asks Route only about the copies it owns: those with Owner(f) equal to
-// its own index, or negative, which says f has a single holder and that
-// holder owns it (so a layout's singly placed relations cost no hash).
-// Its other copies are not routed by that source at all; Keep is
-// consulted first and is unaffected. The law: on a layout that is the
-// image of a placement ρ (server s holds f iff s ∈ ρ(f)), a round whose
-// Owner picks one server of ρ(f) — min ρ(f), say — routes every
+// several servers and must still be shipped once. It is resolved once
+// per source relation, like a RelationRouter's route: when Owner is
+// non-nil, a source about to route relation name at arity a asks
+// Owner(name, a) for the relation's owner function. A nil function says
+// every copy of the relation has a single holder, which owns it, so a
+// layout's singly placed relations cost no call per fact. Otherwise the
+// source asks Route only about the copies f it owns: those whose owner
+// function returns its own index, or a negative number, which says f
+// has a single holder and that holder owns it. Its other copies are not
+// routed by that source at all; Keep is consulted first and is
+// unaffected. Write owner(f) for the owner function of f's relation
+// applied to f's tuple, and −1 when it is nil. The law: on a layout that
+// is the image of a placement ρ (server s holds f iff s ∈ ρ(f)), a round
+// whose owner(f) picks one server of ρ(f) — min ρ(f), say — routes every
 // distinct fact exactly once, so it records the same Received, MaxLoad
 // and TotalComm, and delivers the same inboxes as sets, as the same
 // round run from any duplicate-free layout of the same facts: loads are
 // sums over destinations, a function of the fact set and Route alone,
-// whatever server a fact is read from. An Owner naming a server that
+// whatever server a fact is read from. An owner naming a server that
 // does not hold the fact loses it — nobody routes it — which a caller
 // that knows its fact count sees in RoutedRound.Routed. Like Route,
-// Owner is called concurrently and must be safe for concurrent use.
+// Owner and the functions it returns are called concurrently and must
+// be safe for concurrent use.
 //
 // The law is also what keeps inboxes sets under an Owner and no Keep:
 // outboxes and inboxes then append the facts routed to them without a
@@ -148,7 +181,7 @@ type Round struct {
 	Route     Router
 	Compute   Compute
 	Keep      func(rel.Fact) bool
-	Owner     func(rel.Fact) int
+	Owner     func(name string, arity int) func(rel.Tuple) int
 	Resident  []string
 	DeltaRels []string
 }
@@ -481,13 +514,15 @@ func (c *Cluster) routeRange(lo, hi int, r Round, sets roundSets) (sh Shard) {
 // point of remote worker processes. Panics from Router/Keep/Owner
 // propagate to the caller, which owns the recover.
 //
-// A source relation's outbox at a destination is resolved on its first
-// delivery there and kept for the rest of the relation — no lookup by
-// name per delivery. It is sized the way LoadRoundRobin sizes its
-// destinations, from the ⌈n/p⌉ share a hash partition sends each of
-// them: a new outbox for that share from every one of the sources
-// sharing sh, an existing one for this source's share more — a guess
-// that costs transient capacity when wrong, never a fact.
+// The round's decision is resolved once per source relation (decide):
+// the relation's route and owner functions, so a fact costs only what
+// its tuple asks of them. A source relation's outbox at a destination is
+// resolved on its first delivery there and kept for the rest of the
+// relation — no lookup by name per delivery. It is sized the way
+// LoadRoundRobin sizes its destinations, from the ⌈n/p⌉ share a hash
+// partition sends each of them: a new outbox for that share from every
+// one of the sources sharing sh, an existing one for this source's share
+// more — a guess that costs transient capacity when wrong, never a fact.
 //
 // An outbox is a set, and routing proves most of its facts distinct
 // without asking its table: a source's relation is a set, and a fact
@@ -497,23 +532,6 @@ func (c *Cluster) routeRange(lo, hi int, r Round, sets roundSets) (sh Shard) {
 // Owner has each fact routed by one source (Round.Owner's law) and kept
 // facts cannot meet a routed copy. Any other shard adds, which dedupes.
 func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Shard, sources int) error {
-	// targets is the round's decision on one fact at this source: kept
-	// here, or shipped to the servers Route names — which only the copy
-	// the source owns is asked about.
-	targets := func(f rel.Fact) (dsts []int, kept, asked bool) {
-		switch {
-		case r.Keep != nil && r.Keep(f):
-			return nil, true, false
-		case r.Route == nil:
-			return nil, false, false
-		}
-		if r.Owner != nil {
-			if owner := r.Owner(f); owner >= 0 && owner != src {
-				return nil, false, false
-			}
-		}
-		return r.Route.Route(f), false, true
-	}
 	sh.owned = r.Owner != nil && r.Keep == nil
 	distinct := sources == 1 || sh.owned
 	var badFact rel.Fact
@@ -529,6 +547,7 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 		}
 		isDelta := sets.delta[name]
 		rl := srv.Relation(name)
+		d := r.decide(name, rl.Arity, src)
 		if outs == nil {
 			outs = make([]*rel.Relation, p)
 		}
@@ -552,19 +571,18 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 			}
 		}
 		rl.Each(func(t rel.Tuple) bool {
-			f := rel.Fact{Rel: name, Tuple: t}
 			if badDst >= 0 {
 				// The round is already doomed at this source: stop
 				// delivering, and re-route only facts that could
 				// replace the reported (Less-minimal) offender.
-				if f.Less(badFact) {
-					if dst, bad := probeBadRoute(targets, f, p); bad {
+				if f := (rel.Fact{Rel: name, Tuple: t}); f.Less(badFact) {
+					if dst, bad := probeBadRoute(&d, t, p); bad {
 						badFact, badDst = f, dst
 					}
 				}
 				return true
 			}
-			dsts, kept, asked := targets(f)
+			dsts, kept, asked := d.targets(t)
 			if kept {
 				deliver(src, t)
 				return true
@@ -576,7 +594,7 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 			last := -1 // the largest destination delivered to so far
 			for k, dst := range dsts {
 				if dst < 0 || dst >= p {
-					badFact, badDst = f, dst
+					badFact, badDst = rel.Fact{Rel: name, Tuple: t}, dst
 					return true
 				}
 				sh.Sent[dst]++
@@ -592,6 +610,11 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 			}
 			return true
 		})
+		if badDst >= 0 {
+			// Names ascend and facts order by relation first, so no
+			// fact of a later relation can replace the offender.
+			break
+		}
 	}
 	if badDst >= 0 {
 		return fmt.Errorf("mpc: route of %v targets server %d outside [0,%d)", badFact, badDst, p)
@@ -599,22 +622,64 @@ func routeServer(r Round, sets roundSets, p, src int, srv *rel.Instance, sh *Sha
 	return nil
 }
 
-// probeBadRoute reports whether a source's decision on f (routeServer's
-// targets) names a destination outside [0,p). It refines an
-// already-confirmed range error to the Less-minimal offending fact, so
-// it recovers from Router, Keep and Owner panics and treats the fact as
-// non-offending: a later panicking fact must not convert a clean range
-// error into a panic error.
-func probeBadRoute(targets func(rel.Fact) ([]int, bool, bool), f rel.Fact, p int) (dst int, bad bool) {
+// decision is the round's decision on the facts of one relation at one
+// source: kept there, or shipped to the servers the relation's route
+// names — which only the copies the source owns are asked about.
+type decision struct {
+	name  string
+	src   int
+	keep  func(rel.Fact) bool
+	route func(rel.Tuple) []int // nil: the round routes nothing
+	owner func(rel.Tuple) int   // nil: every copy is its only holder
+}
+
+// decide resolves r's decision on the facts of relation name at the
+// given arity at source src: the route and the owner function, once per
+// relation. Keep, which reads whole facts, is asked per fact.
+func (r Round) decide(name string, arity, src int) decision {
+	d := decision{name: name, src: src, keep: r.Keep}
+	if r.Route != nil {
+		d.route = relationRoute(r.Route, name, arity)
+		if r.Owner != nil {
+			d.owner = r.Owner(name, arity)
+		}
+	}
+	return d
+}
+
+// targets is the decision on tuple t: the servers Route names when the
+// source is asked about it, or kept here.
+func (d *decision) targets(t rel.Tuple) (dsts []int, kept, asked bool) {
+	switch {
+	case d.keep != nil && d.keep(rel.Fact{Rel: d.name, Tuple: t}):
+		return nil, true, false
+	case d.route == nil:
+		return nil, false, false
+	}
+	if d.owner != nil {
+		if o := d.owner(t); o >= 0 && o != d.src {
+			return nil, false, false
+		}
+	}
+	return d.route(t), false, true
+}
+
+// probeBadRoute reports whether a source's decision on tuple t names a
+// destination outside [0,p). It refines an already-confirmed range
+// error to the Less-minimal offending fact, so it recovers from Router,
+// Keep and Owner panics and treats the fact as non-offending: a later
+// panicking fact must not convert a clean range error into a panic
+// error.
+func probeBadRoute(d *decision, t rel.Tuple, p int) (dst int, bad bool) {
 	defer func() {
 		if recover() != nil {
 			dst, bad = 0, false
 		}
 	}()
-	dsts, _, _ := targets(f)
-	for _, d := range dsts {
-		if d < 0 || d >= p {
-			return d, true
+	dsts, _, _ := d.targets(t)
+	for _, to := range dsts {
+		if to < 0 || to >= p {
+			return to, true
 		}
 	}
 	return 0, false

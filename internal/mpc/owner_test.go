@@ -27,6 +27,14 @@ func randomPlacement(p int, seed uint64) Router {
 	})
 }
 
+// perFact writes a per-fact owner in Round.Owner's per-relation form:
+// each relation's owner function asks owner of the whole fact.
+func perFact(owner func(rel.Fact) int) func(string, int) func(rel.Tuple) int {
+	return func(name string, _ int) func(rel.Tuple) int {
+		return func(t rel.Tuple) int { return owner(rel.Fact{Rel: name, Tuple: t}) }
+	}
+}
+
 // least is Owner = min ρ(f), with the shortcut the field's contract
 // allows: a fact ρ places once is owned wherever it sits.
 func least(ρ Router) func(rel.Fact) int {
@@ -106,7 +114,7 @@ func TestOwnerRoutesEachDistinctFactOnce(t *testing.T) {
 					t.Fatal("the image lost a fact")
 				}
 				withOwner := round
-				withOwner.Owner = least(ρ)
+				withOwner.Owner = perFact(least(ρ))
 				rr, err := owned.RouteRound(withOwner)
 				if err != nil {
 					t.Fatal(err)
@@ -205,7 +213,7 @@ func TestOwnerThatHoldsNoCopyLosesTheFact(t *testing.T) {
 		t.Fatal("no fact to lose")
 	}
 	honest := least(ρ)
-	rr, err := c.RouteRound(Round{Name: "lossy", Route: HashOn(p, []int{0}, 1), Owner: func(f rel.Fact) int {
+	rr, err := c.RouteRound(Round{Name: "lossy", Route: HashOn(p, []int{0}, 1), Owner: perFact(func(f rel.Fact) int {
 		if elsewhere(f) {
 			for s := 0; ; s++ {
 				if !c.Server(s).Contains(f) {
@@ -214,7 +222,7 @@ func TestOwnerThatHoldsNoCopyLosesTheFact(t *testing.T) {
 			}
 		}
 		return honest(f)
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +246,7 @@ func TestBadRouteUnderOwnerNamesAnOwnedFact(t *testing.T) {
 	_, err := c.RouteRound(Round{
 		Name:  "bad",
 		Route: RouterFunc(func(rel.Fact) []int { return []int{9} }),
-		Owner: func(f rel.Fact) int { return int(f.Tuple[0]) % 2 },
+		Owner: perFact(func(f rel.Fact) int { return int(f.Tuple[0]) % 2 }),
 	})
 	if want := fmt.Sprintf("mpc: route of %v targets server 9 outside [0,2)", rel.NewFact("R", 2)); err == nil || err.Error() != want {
 		t.Fatalf("got %v, want %s", err, want)

@@ -6,13 +6,17 @@ import (
 	"testing"
 
 	"mpclogic/internal/cq"
+	"mpclogic/internal/hypercube"
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/pc"
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
 )
 
-var _ policy.Policy = (*placement)(nil)
+var (
+	_ policy.Policy      = (*placement)(nil)
+	_ mpc.RelationRouter = (*placement)(nil)
+)
 
 // TestServingPlacementIsSound states, about the placement the daemon
 // runs, what reuse relies on. Along TestTransferLawAtServingSeam's
@@ -119,3 +123,80 @@ func TestTargetsDoesNotAllocate(t *testing.T) {
 }
 
 var routeSink []int
+
+// ownerReference is the placement's owner as it was asked of each fact:
+// the least server Route puts f on for a relation the grid replicates,
+// and −1 for a fact placed once.
+func ownerReference(pl *placement, f rel.Fact) int {
+	if slices.Contains(pl.replicated, f.Rel) {
+		if least, ok := pl.grid.First(f); ok {
+			return least
+		}
+	}
+	return -1
+}
+
+// TestRelationRouteMatchesFactRoute is the law on the placement's
+// per-relation forms, on anchors drawn at random — self-joins,
+// constants, repeated variables — over p = 1 … 8 servers, and facts
+// that match an atom, match none and park, or belong to a relation the
+// anchor does not read: the route resolved once per relation gives
+// every fact Route's servers, slice for slice, and the owner resolved
+// once per relation is the per-fact reference owner (a nil owner
+// function counting as −1). The owner is also checked against Route
+// itself: −1 only for a fact placed on one server, else the least of
+// its servers.
+func TestRelationRouteMatchesFactRoute(t *testing.T) {
+	shape := cq.RandomShape{
+		Rels: []string{"R", "S", "T"}, Arity: []int{2, 2, 3},
+		Vars: []string{"u", "v", "w", "x", "y"}, Prefix: true,
+		MaxAtoms: 4, Consts: []rel.Value{0, 1, 2, 3}, ConstOneIn: 5,
+	}
+	r := rand.New(rand.NewSource(44))
+	anchors, parked, replicated := 0, 0, 0
+	for trial := 0; trial < 200; trial++ {
+		q := cq.Random(r, shape)
+		p, seed := 1+r.Intn(8), r.Uint64()
+		grid, err := hypercube.NewOptimalGrid(q, p, seed)
+		if err != nil {
+			continue // no share assignment: the daemon refuses the query
+		}
+		anchors++
+		pl := newPlacement(grid, p, seed)
+		for _, name := range []string{"R", "S", "T", "U"} {
+			for arity := 1; arity <= 3; arity++ {
+				route, owner := pl.RouteRelation(name, arity), pl.owner(name, arity)
+				for k := 0; k < 12; k++ {
+					tuple := make(rel.Tuple, arity)
+					for i := range tuple {
+						tuple[i] = rel.Value(r.Intn(4))
+					}
+					f := rel.Fact{Rel: name, Tuple: tuple}
+					got, want := route(tuple), pl.Route(f)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%v on p=%d: RouteRelation(%q, %d)(%v) = %v, Route = %v", q, p, name, arity, tuple, got, want)
+					}
+					if len(grid.Targets(f)) == 0 {
+						parked++
+					}
+					o := -1
+					if owner != nil {
+						o = owner(tuple)
+					}
+					if ref := ownerReference(pl, f); o != ref {
+						t.Fatalf("%v on p=%d: owner(%q, %d)(%v) = %d, reference %d", q, p, name, arity, tuple, o, ref)
+					}
+					if o < 0 && len(want) != 1 || o >= 0 && o != want[0] {
+						t.Fatalf("%v on p=%d: owner of %v is %d but Route places it on %v", q, p, f, o, want)
+					}
+					if o >= 0 {
+						replicated++
+					}
+				}
+			}
+		}
+	}
+	if anchors < 100 || parked == 0 || replicated == 0 {
+		t.Fatalf("%d anchors, %d facts parked and %d with an elected owner: the law was not exercised", anchors, parked, replicated)
+	}
+}

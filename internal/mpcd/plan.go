@@ -219,21 +219,44 @@ func (pl *placement) Route(f rel.Fact) []int {
 	if ts := pl.grid.Targets(f); len(ts) > 0 {
 		return ts
 	}
+	return pl.park(f)
+}
+
+// RouteRelation implements mpc.RelationRouter: Route for the tuples of
+// one relation, its grid restriction resolved once.
+func (pl *placement) RouteRelation(name string, arity int) func(rel.Tuple) []int {
+	g := pl.grid.Relation(name, arity)
+	return func(t rel.Tuple) []int {
+		if ts := g.Targets(t); len(ts) > 0 {
+			return ts
+		}
+		return pl.park(rel.Fact{Rel: name, Tuple: t})
+	}
+}
+
+// park is the one server a fact no atom matches is placed on.
+func (pl *placement) park(f rel.Fact) []int {
 	s := int(rel.Mix64(f.Hash()^pl.seed^parkSalt) % pl.p)
 	return pl.servers[s : s+1 : s+1]
 }
 
 // owner is the placement as the mpc.Round.Owner of the repartition that
-// replaces it: of the servers Route put f on, the least ships it. A fact
-// placed once — parked, or of a relation the grid does not replicate —
-// is owned wherever it sits (negative), at the cost of no hash.
-func (pl *placement) owner(f rel.Fact) int {
-	if slices.Contains(pl.replicated, f.Rel) {
-		if least, ok := pl.grid.First(f); ok {
+// replaces it: of the servers Route put a fact on, the least ships it.
+// A fact placed once — parked, or of a relation the grid does not
+// replicate — is owned wherever it sits (−1), and a relation all of
+// whose facts are has no owner function at all (nil), so its facts cost
+// no call and no hash.
+func (pl *placement) owner(name string, arity int) func(rel.Tuple) int {
+	g := pl.grid.Relation(name, arity)
+	if g.Empty() || !slices.Contains(pl.replicated, name) {
+		return nil
+	}
+	return func(t rel.Tuple) int {
+		if least, ok := g.First(t); ok {
 			return least
 		}
+		return -1
 	}
-	return -1
 }
 
 // covers decides whether the anchor's distribution can be reused for

@@ -95,7 +95,10 @@ func DecodeStore(r io.Reader) (*StableStore, error) {
 // verifies the trailing checksum over everything before it and refuses
 // bytes past it. It reads img in place and keeps none of it — the meta
 // section is copied and each fragment decoded into a fresh instance —
-// so the caller may reuse or drop img as soon as it returns.
+// so the caller may reuse or drop img as soon as it returns. The framing
+// and the checksum are checked before any fragment is decoded, so a
+// damaged image costs a walk of its length prefixes and one CRC, not a
+// decode of every fragment ahead of the damage.
 func DecodeImage(img []byte) (*StableStore, error) {
 	off := 0
 	// take returns the next n bytes and steps past them, or reports
@@ -131,21 +134,22 @@ func DecodeImage(img []byte) (*StableStore, error) {
 	if nodes > maxNodes {
 		return nil, fmt.Errorf("policy: store declares %d nodes (cap %d)", nodes, maxNodes)
 	}
-	s := &StableStore{meta: append([]byte(nil), meta...), parts: make([]*rel.Instance, 0, nodes)}
-	for κ := uint32(0); κ < nodes; κ++ {
+	// Each node costs at least its 4-byte length prefix, so a count
+	// beyond the remaining bytes is corrupt: reject it before it sizes
+	// the parts list, or one flipped bit of a small image allocates
+	// megabytes.
+	if uint64(nodes) > uint64(len(img)-off)/4 {
+		return nil, fmt.Errorf("policy: store declares %d nodes but only %d bytes remain", nodes, len(img)-off)
+	}
+	frags := make([][]byte, nodes)
+	for κ := range frags {
 		if pre, ok = take(4); !ok {
 			return nil, fmt.Errorf("policy: reading node %d length: %w", κ, io.ErrUnexpectedEOF)
 		}
 		fragLen := binary.LittleEndian.Uint32(pre)
-		frag, ok := take(fragLen)
-		if !ok {
+		if frags[κ], ok = take(fragLen); !ok {
 			return nil, fmt.Errorf("policy: reading node %d fragment: %d bytes declared, %d remain", κ, fragLen, len(img)-off)
 		}
-		inst, err := rel.DecodeInstance(frag)
-		if err != nil {
-			return nil, fmt.Errorf("policy: node %d fragment: %w", κ, err)
-		}
-		s.parts = append(s.parts, inst)
 	}
 	body := off
 	tail, ok := take(4)
@@ -157,6 +161,14 @@ func DecodeImage(img []byte) (*StableStore, error) {
 	}
 	if off != len(img) {
 		return nil, fmt.Errorf("policy: trailing bytes after a complete store")
+	}
+	s := &StableStore{meta: append([]byte(nil), meta...), parts: make([]*rel.Instance, nodes)}
+	for κ, frag := range frags {
+		inst, err := rel.DecodeInstance(frag)
+		if err != nil {
+			return nil, fmt.Errorf("policy: node %d fragment: %w", κ, err)
+		}
+		s.parts[κ] = inst
 	}
 	return s, nil
 }

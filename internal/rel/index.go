@@ -23,7 +23,7 @@ import "slices"
 type Index struct {
 	r     *Relation
 	cols  []int
-	heads []int32 // per bucket: its last stored index, or slotEmpty
+	heads []int32 // per bucket: its last stored index + 1, 0 = empty (see newSlots)
 	next  []int32 // per stored index: the next in its bucket's ring
 }
 
@@ -56,12 +56,12 @@ func (ix *Index) build(n int, admit func(Tuple) bool) {
 // link appends stored tuple i to its bucket's ring.
 func (ix *Index) link(i int32) {
 	b := colsHash(ix.r.tupleAt(i), ix.cols) & uint64(len(ix.heads)-1)
-	if last := ix.heads[b]; last == slotEmpty {
+	if last := ix.heads[b] - 1; last < 0 {
 		ix.next[i] = i
 	} else {
 		ix.next[i], ix.next[last] = ix.next[last], i
 	}
-	ix.heads[b] = i
+	ix.heads[b] = i + 1
 }
 
 // inserted maintains a cached index, which holds every stored tuple,
@@ -81,8 +81,8 @@ func (ix *Index) inserted(i int32) {
 // columns equal t's at cols (a list as long as the index's), in the
 // relation's enumeration order, stopping early if fn returns false.
 func (ix *Index) Probe(t Tuple, cols []int, fn func(Tuple) bool) {
-	last := ix.heads[colsHash(t, cols)&uint64(len(ix.heads)-1)]
-	if last == slotEmpty {
+	last := ix.heads[colsHash(t, cols)&uint64(len(ix.heads)-1)] - 1
+	if last < 0 {
 		return
 	}
 	for i := ix.next[last]; ; i = ix.next[i] {

@@ -247,10 +247,10 @@ func longestProbe(r *Relation) int {
 	mask := uint64(len(r.slots) - 1)
 	longest := 0
 	for s, v := range r.slots {
-		if v < 0 {
+		if v == 0 {
 			continue
 		}
-		if d := int((uint64(s) - r.hashes[v]) & mask); d > longest {
+		if d := int((uint64(s) - r.hashes[v-1]) & mask); d > longest {
 			longest = d
 		}
 	}

@@ -47,7 +47,7 @@ type Relation struct {
 
 	arena  []Value  // flat tuple storage
 	count  int      // stored tuples: the arena holds count·Arity values
-	slots  []int32  // open-addressing table: index or slotEmpty; nil = not built
+	slots  []int32  // open-addressing table: stored index + 1, 0 = empty; nil = not built
 	hashes []uint64 // with the table: cached tableHash, parallel to stored tuples
 
 	ascending bool // the arena is strictly ascending in Tuple.Compare order
@@ -55,8 +55,6 @@ type Relation struct {
 	sorted []Tuple  // cached sorted enumeration; nil = invalid
 	idx    []*Index // cached join indexes, maintained on insert
 }
-
-const slotEmpty int32 = -1
 
 // tableSizeFor returns the smallest power-of-two table that holds n
 // entries below the ~0.75 load-factor ceiling.
@@ -102,13 +100,10 @@ func tableStep(h uint64, v Value) uint64 {
 	return h ^ h>>32
 }
 
-func newSlots(size int) []int32 {
-	s := make([]int32, size)
-	for i := range s {
-		s[i] = slotEmpty
-	}
-	return s
-}
+// newSlots returns an empty table of size slots. A slot holds a stored
+// index plus one, so the zero make clears it to is the empty slot and a
+// build writes each slot at most once.
+func newSlots(size int) []int32 { return make([]int32, size) }
 
 // NewRelation returns an empty relation.
 func NewRelation(name string, arity int) *Relation {
@@ -168,8 +163,8 @@ func (r *Relation) find(h uint64, t Tuple) int32 {
 	}
 	mask := uint64(len(r.slots) - 1)
 	for s := h & mask; ; s = (s + 1) & mask {
-		v := r.slots[s]
-		if v == slotEmpty {
+		v := r.slots[s] - 1
+		if v < 0 {
 			return -1
 		}
 		if r.hashes[v] == h && r.tupleAt(v).Equal(t) {
@@ -190,13 +185,13 @@ func (r *Relation) insert(h uint64, t Tuple) bool {
 	}
 	mask := uint64(len(r.slots) - 1)
 	s := h & mask
-	for v := r.slots[s]; v != slotEmpty; v = r.slots[s] {
+	for v := r.slots[s] - 1; v >= 0; v = r.slots[s] - 1 {
 		if r.hashes[v] == h && r.tupleAt(v).Equal(t) {
 			return false
 		}
 		s = (s + 1) & mask
 	}
-	r.slots[s] = int32(r.count)
+	r.slots[s] = int32(r.count) + 1
 	r.hashes = append(r.hashes, h)
 	r.push(t)
 	return true
@@ -272,13 +267,13 @@ func (r *Relation) rehash(n int) {
 	mask := uint64(size - 1)
 	for i, h := range r.hashes {
 		s := h & mask
-		for v := slots[s]; v != slotEmpty; v = slots[s] {
+		for v := slots[s] - 1; v >= 0; v = slots[s] - 1 {
 			if r.hashes[v] == h && r.tupleAt(v).Equal(r.tupleAt(int32(i))) {
 				panic("rel: duplicate tuple in " + r.Name)
 			}
 			s = (s + 1) & mask
 		}
-		slots[s] = int32(i)
+		slots[s] = int32(i) + 1
 	}
 	r.slots = slots
 }
