@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"errors"
-	"fmt"
-
-	"mpclogic/internal/mpc"
-)
+import "mpclogic/internal/mpc"
 
 // BYZ extends the failure model beyond crash-stop (PR 9): servers that
 // mis-route, forge, or selectively drop facts while staying alive. The
@@ -41,32 +36,16 @@ func cellByzMatrix(name string) func() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, baseOut := a.base, a.base.Output().String()
-		matrix := mpc.ByzantineFaultMatrix(2026, base.Rounds(), a.p)
-		quarantined, accusations := 0, 0
-		holds := true
-		for _, np := range matrix {
-			c, err := a.run(mpc.WithByzantinePlan(np.Plan))
-			if err != nil {
-				var rie *mpc.RoutingIntegrityError
-				// An untyped failure, or an escalation on a plan the audit
-				// must heal, breaks the invariant.
-				if !errors.As(err, &rie) || np.Recoverable {
-					return nil, fmt.Errorf("%s under %s: %w", a.name, np.Name, err)
-				}
-				accusations++
-				continue
-			}
-			if c.Output().String() != baseOut || c.LogicalTrace() != base.LogicalTrace() {
-				holds = false
-			}
-			quarantined += c.RecoveryTotals().Quarantined
+		matrix := mpc.ByzantineFaultMatrix(2026, a.base.Rounds(), a.p)
+		m, err := a.runMatrix(matrix)
+		if err != nil {
+			return nil, err
 		}
 		res.rowf("%-18s p=%-3d rounds=%d plans=%d invariant=%v  Σ(quarantined=%d accusations=%d)",
-			a.name, a.p, base.Rounds(), len(matrix), holds, quarantined, accusations)
+			a.name, a.p, a.base.Rounds(), len(matrix), m.identical, m.rec.Quarantined, m.accusations)
 		// The invariant must hold AND must not be vacuous: the matrix has
 		// to have actually quarantined a liar and proved a compromise.
-		res.Pass = res.Pass && holds && quarantined > 0 && accusations > 0
+		res.Pass = res.Pass && m.identical && m.rec.Quarantined > 0 && m.accusations > 0
 		return res, nil
 	}
 }

@@ -36,14 +36,14 @@ func TestByzantineMatrixAcrossPrograms(t *testing.T) {
 			}
 			quarantined, accusations := 0, 0
 			for _, np := range matrix {
-				c, err := prog.run(mpc.WithByzantinePlan(np.Plan))
+				c, err := prog.run(mpc.WithFaultPlan(np.Plan))
 				if err != nil {
 					var rie *mpc.RoutingIntegrityError
 					if !errors.As(err, &rie) {
 						t.Errorf("%s failed with an untyped error: %v", np.Name, err)
 						continue
 					}
-					if np.Recoverable {
+					if !np.Plan.Persistent() {
 						t.Errorf("recoverable plan %s escalated to an accusation: %v", np.Name, err)
 					}
 					if rie.Accused < 0 || rie.Accused >= prog.p {

@@ -27,8 +27,8 @@ func storeImage(t *testing.T, c *mpc.Cluster) []byte {
 // in records the same RoundStats — every field, the virtual makespan
 // included — the same logical trace, the same per-server state and the
 // same checkpoint image whether the cluster was built with no Option,
-// recoverable, under an empty fault or Byzantine plan, or with every
-// delivery verified.
+// recoverable, under an empty fault plan, or with every delivery
+// verified.
 func TestOptionsDoNotChangeAFaultFreeRound(t *testing.T) {
 	fixed := func(opts ...mpc.Option) optsFor {
 		return func(*testing.T, int) []mpc.Option { return opts }
@@ -39,7 +39,6 @@ func TestOptionsDoNotChangeAFaultFreeRound(t *testing.T) {
 	}{
 		{"checkpoints", fixed(mpc.WithCheckpoints())},
 		{"empty-fault-plan", fixed(mpc.WithFaultPlan(mpc.NewFaultPlan()))},
-		{"empty-byzantine-plan", fixed(mpc.WithByzantinePlan(mpc.NewByzantinePlan()))},
 		{"verify-every-delivery", fixed(mpc.WithRoutingVerification(1))},
 	}
 	for _, p := range []int{3, 4, 8} {

@@ -1,6 +1,7 @@
 package gym
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -180,6 +181,9 @@ func TestTransportEquivalence(t *testing.T) {
 // fault-transparency invariant must survive the wire: output and
 // logical trace byte-identical to the fault-free local reference for
 // all thirteen plans, the rack-scoped and corrupt-only ones included.
+// The Byzantine matrix replays on the same sockets as subtests
+// byzantine/<plan>: each plan heals to the same bytes or fails with a
+// typed routing-integrity accusation.
 func TestChaosOverTCP(t *testing.T) {
 	const p = 6
 	cascade := pick(programSuite(t, p, 40, 100), "cascade-triangle")[0]
@@ -223,4 +227,46 @@ func TestChaosOverTCP(t *testing.T) {
 	if !testing.Short() && (tot.Retries == 0 || tot.ReplicaComm == 0) {
 		t.Errorf("matrix injected no wire faults (totals %+v)", tot)
 	}
+
+	// The Byzantine matrix over the same sockets: audit and quarantine
+	// rewrite the per-source shards before the Exchange publishes them,
+	// so a healed run must ship the fault-free frames and a persistent
+	// compromise must fail, typed, before any frame is published.
+	t.Run("byzantine", func(t *testing.T) {
+		byz := mpc.ByzantineFaultMatrix(2026, base.Rounds(), p)
+		if testing.Short() {
+			byz = byz[:2]
+		}
+		quarantined, accusations := 0, 0
+		for _, np := range byz {
+			t.Run(np.Name, func(t *testing.T) {
+				opts := append(tcpOpts(t, p), mpc.WithFaultPlan(np.Plan))
+				c, err := cascade.run(opts...)
+				if np.Plan.Persistent() {
+					var rie *mpc.RoutingIntegrityError
+					if !errors.As(err, &rie) {
+						t.Fatalf("persistent plan over tcp: want a *mpc.RoutingIntegrityError, got %v", err)
+					}
+					if rie.Accused < 0 || rie.Accused >= p {
+						t.Errorf("accused out-of-range server %d", rie.Accused)
+					}
+					accusations++
+					return
+				}
+				if err != nil {
+					t.Fatalf("cascade under %s over tcp: %v", np.Name, err)
+				}
+				if got := c.Output().String(); got != wantOut {
+					t.Errorf("output diverged under %s over tcp", np.Name)
+				}
+				if got := c.LogicalTrace(); got != wantTrace {
+					t.Errorf("logical trace diverged under %s over tcp:\n got %q\nwant %q", np.Name, got, wantTrace)
+				}
+				quarantined += c.RecoveryTotals().Quarantined
+			})
+		}
+		if !testing.Short() && (quarantined == 0 || accusations == 0) {
+			t.Errorf("byzantine matrix over tcp fired %d quarantines and %d accusations, want both > 0", quarantined, accusations)
+		}
+	})
 }

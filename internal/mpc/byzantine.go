@@ -108,41 +108,39 @@ type ByzantineEvent struct {
 	Persistent bool
 }
 
-// ByzantinePlan schedules Byzantine routing events, the adversarial
-// counterpart of FaultPlan's crash-stop schedule.
-type ByzantinePlan struct {
-	events []ByzantineEvent
-}
-
-// NewByzantinePlan returns an empty plan (corrupts nothing).
-func NewByzantinePlan() *ByzantinePlan { return &ByzantinePlan{} }
-
-// Add schedules one event.
-func (p *ByzantinePlan) Add(ev ByzantineEvent) *ByzantinePlan {
-	p.events = append(p.events, ev)
+// AddByzantine schedules one Byzantine routing event. Like the plan's
+// crash-stop and link faults it fires on the cluster's Round-th
+// executed round.
+func (p *FaultPlan) AddByzantine(ev ByzantineEvent) *FaultPlan {
+	p.byz = append(p.byz, ev)
 	return p
 }
 
-// Empty reports whether the plan schedules any event at all.
-func (p *ByzantinePlan) Empty() bool { return p == nil || len(p.events) == 0 }
-
-// String summarizes the plan.
-func (p *ByzantinePlan) String() string {
-	if p.Empty() {
-		return "byzantine plan: none"
+// Persistent reports whether the plan schedules a Persistent Byzantine
+// event: a compromise the audit reproduces instead of healing, so a run
+// under the plan must fail with a RoutingIntegrityError where a run
+// under any other plan must recover.
+func (p *FaultPlan) Persistent() bool {
+	if p == nil {
+		return false
 	}
-	return fmt.Sprintf("byzantine plan: %d event(s)", len(p.events))
+	for _, ev := range p.byz {
+		if ev.Persistent {
+			return true
+		}
+	}
+	return false
 }
 
-// eventsAt returns round's events in ascending source order (stable for
-// events of the same source, so multi-event corruption is applied in
-// schedule order).
-func (p *ByzantinePlan) eventsAt(round int) []ByzantineEvent {
+// byzantineAt returns round's Byzantine events in ascending source
+// order (stable for events of the same source, so multi-event
+// corruption is applied in schedule order).
+func (p *FaultPlan) byzantineAt(round int) []ByzantineEvent {
 	if p == nil {
 		return nil
 	}
 	var out []ByzantineEvent
-	for _, ev := range p.events {
+	for _, ev := range p.byz {
 		if ev.Round == round {
 			out = append(out, ev)
 		}
@@ -169,14 +167,6 @@ type RoutingIntegrityError struct {
 func (e *RoutingIntegrityError) Error() string {
 	return fmt.Sprintf("mpc: routing integrity violation in round %q (round %d): server %d %s %v bound for server %d",
 		e.RoundName, e.Round, e.Accused, e.Kind.verb(), e.Witness, e.Dst)
-}
-
-// WithByzantinePlan installs a Byzantine routing-fault plan; it implies
-// WithCheckpoints (the audit needs the per-source shards that Option
-// makes RouteRound cut). Plan round indices are absolute, as with
-// WithFaultPlan.
-func WithByzantinePlan(p *ByzantinePlan) Option {
-	return func(c *Cluster) { c.ensureFT().byz = p }
 }
 
 // WithRoutingVerification enables sampled receiver-side routing checks
@@ -439,18 +429,18 @@ func withhold(sh *Shard, dels []delivery, delta map[string]bool) {
 	}
 }
 
-// applyByzantine realizes the Byzantine plan's events for this round on
-// the per-source shards (a Byzantine plan implies one shard per
-// source, so shard index = source) and runs the detection pipeline per
-// accused source, ascending: corrupt, audit by re-execution, quarantine
-// on audit mismatch, receiver-side legality check of whatever finally
-// ships. It returns the virtual-clock completion tick of the
+// applyByzantine realizes the fault plan's Byzantine events for this
+// round on the per-source shards (a cluster that holds a plan routes
+// one shard per source, so shard index = source) and runs the
+// detection pipeline per accused source, ascending: corrupt, audit by
+// re-execution, quarantine on audit mismatch, receiver-side legality
+// check of whatever finally ships. It returns the virtual-clock completion tick of the
 // verification layer's repairs (0 when nothing fired). All of this
 // precedes the Exchange, so a quarantined round's logical metrics are
 // byte-identical to fault-free by construction, and an error return
 // precedes any state mutation (RunRound's atomicity).
 func (c *Cluster) applyByzantine(round int, r Round, shards []Shard, stats *RoundStats) (int, error) {
-	events := c.ft.byz.eventsAt(round)
+	events := c.ft.plan.byzantineAt(round)
 	if len(events) == 0 {
 		return 0, nil
 	}
@@ -546,47 +536,39 @@ func (c *Cluster) verifyShards(r Round, shards []Shard, chunk int) error {
 	return nil
 }
 
-// NamedByzantinePlan labels a plan for the matrix invariant: a
-// Recoverable plan must leave the output and logical trace
-// byte-identical to fault-free (the audit quarantines every lie); an
-// unrecoverable one must fail with a RoutingIntegrityError.
-type NamedByzantinePlan struct {
-	Name        string
-	Plan        *ByzantinePlan
-	Recoverable bool
-}
-
 // ByzantineFaultMatrix is the seeded Byzantine counterpart of
-// StandardFaultMatrix: six plans covering each corruption kind as a
-// transient glitch (healed by quarantine — byte-identical output
-// required), a multi-source multi-round mix, and the two persistent
-// compromises the receiver side can prove (misroute and forge — a
-// typed error required). Persistent omission is excluded by design: a
-// compromised server that withholds facts AND lies identically under
-// audit re-execution is indistinguishable from a world where those
-// facts never existed, so no verifier can flag it (see DESIGN.md's
-// failure-model taxonomy). Sub-seeds are fixed offsets of the caller's
-// seed so the matrix is reproducible as a unit.
-func ByzantineFaultMatrix(seed int64, rounds, p int) []NamedByzantinePlan {
+// StandardFaultMatrix: six plans of Byzantine events covering each
+// corruption kind as a transient glitch (healed by quarantine —
+// byte-identical output required), a multi-source multi-round mix, and
+// the two persistent compromises the receiver side can prove (misroute
+// and forge — a typed RoutingIntegrityError required). Which of the two
+// outcomes a plan owes is read off the plan itself: Persistent reports
+// it. Persistent omission is excluded by design: a compromised server
+// that withholds facts AND lies identically under audit re-execution is
+// indistinguishable from a world where those facts never existed, so no
+// verifier can flag it (see DESIGN.md's failure-model taxonomy).
+// Sub-seeds are fixed offsets of the caller's seed so the matrix is
+// reproducible as a unit.
+func ByzantineFaultMatrix(seed int64, rounds, p int) []NamedFaultPlan {
 	src := func(i int) int { return i % p }
 	later := 0
 	if rounds > 1 {
 		later = 1
 	}
-	return []NamedByzantinePlan{
-		{"misroute-transient", NewByzantinePlan().
-			Add(ByzantineEvent{Round: 0, Src: src(1), Kind: Misroute, Count: 2, Seed: seed + 1}), true},
-		{"forge-transient", NewByzantinePlan().
-			Add(ByzantineEvent{Round: 0, Src: src(2), Kind: Forge, Count: 3, Seed: seed + 2}), true},
-		{"omit-transient", NewByzantinePlan().
-			Add(ByzantineEvent{Round: 0, Src: 0, Kind: Omit, Count: 2, Seed: seed + 3}), true},
-		{"multi-transient", NewByzantinePlan().
-			Add(ByzantineEvent{Round: 0, Src: src(1), Kind: Misroute, Count: 1, Seed: seed + 4}).
-			Add(ByzantineEvent{Round: 0, Src: src(3), Kind: Forge, Count: 2, Seed: seed + 5}).
-			Add(ByzantineEvent{Round: later, Src: 0, Kind: Omit, Count: 1, Seed: seed + 6}), true},
-		{"misroute-persistent", NewByzantinePlan().
-			Add(ByzantineEvent{Round: 0, Src: src(1), Kind: Misroute, Count: 1, Seed: seed + 7, Persistent: true}), false},
-		{"forge-persistent", NewByzantinePlan().
-			Add(ByzantineEvent{Round: 0, Src: 0, Kind: Forge, Count: 2, Seed: seed + 8, Persistent: true}), false},
+	return []NamedFaultPlan{
+		{"misroute-transient", NewFaultPlan().
+			AddByzantine(ByzantineEvent{Round: 0, Src: src(1), Kind: Misroute, Count: 2, Seed: seed + 1})},
+		{"forge-transient", NewFaultPlan().
+			AddByzantine(ByzantineEvent{Round: 0, Src: src(2), Kind: Forge, Count: 3, Seed: seed + 2})},
+		{"omit-transient", NewFaultPlan().
+			AddByzantine(ByzantineEvent{Round: 0, Src: 0, Kind: Omit, Count: 2, Seed: seed + 3})},
+		{"multi-transient", NewFaultPlan().
+			AddByzantine(ByzantineEvent{Round: 0, Src: src(1), Kind: Misroute, Count: 1, Seed: seed + 4}).
+			AddByzantine(ByzantineEvent{Round: 0, Src: src(3), Kind: Forge, Count: 2, Seed: seed + 5}).
+			AddByzantine(ByzantineEvent{Round: later, Src: 0, Kind: Omit, Count: 1, Seed: seed + 6})},
+		{"misroute-persistent", NewFaultPlan().
+			AddByzantine(ByzantineEvent{Round: 0, Src: src(1), Kind: Misroute, Count: 1, Seed: seed + 7, Persistent: true})},
+		{"forge-persistent", NewFaultPlan().
+			AddByzantine(ByzantineEvent{Round: 0, Src: 0, Kind: Forge, Count: 2, Seed: seed + 8, Persistent: true})},
 	}
 }

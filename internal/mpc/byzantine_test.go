@@ -29,7 +29,7 @@ func byzProgram(p int) (load *rel.Instance, rounds []Round) {
 
 // runByz executes the program fault-free and under the given plan,
 // returning (baseline output, baseline trace, faulty cluster, error).
-func runByz(t *testing.T, p int, plan *ByzantinePlan) (string, string, *Cluster, error) {
+func runByz(t *testing.T, p int, plan *FaultPlan) (string, string, *Cluster, error) {
 	t.Helper()
 	load, rounds := byzProgram(p)
 
@@ -39,7 +39,7 @@ func runByz(t *testing.T, p int, plan *ByzantinePlan) (string, string, *Cluster,
 		t.Fatalf("fault-free run failed: %v", err)
 	}
 
-	faulty := NewCluster(p, WithByzantinePlan(plan))
+	faulty := NewCluster(p, WithFaultPlan(plan))
 	faulty.LoadRoundRobin(load)
 	err := faulty.Run(rounds...)
 	return base.Output().String(), base.LogicalTrace(), faulty, err
@@ -48,8 +48,8 @@ func runByz(t *testing.T, p int, plan *ByzantinePlan) (string, string, *Cluster,
 func TestByzantineTransientQuarantine(t *testing.T) {
 	for _, kind := range []ByzKind{Misroute, Forge, Omit} {
 		t.Run(kind.String(), func(t *testing.T) {
-			plan := NewByzantinePlan().
-				Add(ByzantineEvent{Round: 0, Src: 1, Kind: kind, Count: 2, Seed: 101})
+			plan := NewFaultPlan().
+				AddByzantine(ByzantineEvent{Round: 0, Src: 1, Kind: kind, Count: 2, Seed: 101})
 			out, trace, faulty, err := runByz(t, 4, plan)
 			if err != nil {
 				t.Fatalf("transient %s not recovered: %v", kind, err)
@@ -77,8 +77,8 @@ func TestByzantineTransientQuarantine(t *testing.T) {
 }
 
 func TestByzantinePersistentMisrouteFailsTyped(t *testing.T) {
-	plan := NewByzantinePlan().
-		Add(ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 1, Seed: 33, Persistent: true})
+	plan := NewFaultPlan().
+		AddByzantine(ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 1, Seed: 33, Persistent: true})
 	_, _, faulty, err := runByz(t, 4, plan)
 	var rie *RoutingIntegrityError
 	if !errors.As(err, &rie) {
@@ -103,8 +103,8 @@ func TestByzantinePersistentMisrouteFailsTyped(t *testing.T) {
 }
 
 func TestByzantinePersistentForgeFailsTyped(t *testing.T) {
-	plan := NewByzantinePlan().
-		Add(ByzantineEvent{Round: 0, Src: 0, Kind: Forge, Count: 2, Seed: 55, Persistent: true})
+	plan := NewFaultPlan().
+		AddByzantine(ByzantineEvent{Round: 0, Src: 0, Kind: Forge, Count: 2, Seed: 55, Persistent: true})
 	_, _, faulty, err := runByz(t, 4, plan)
 	var rie *RoutingIntegrityError
 	if !errors.As(err, &rie) {
@@ -122,8 +122,8 @@ func TestByzantinePersistentForgeFailsTyped(t *testing.T) {
 // Fact.Less-minimal illegally placed fact, independent of how many
 // facts were corrupted.
 func TestByzantineWitnessIsMinimal(t *testing.T) {
-	plan := NewByzantinePlan().
-		Add(ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 3, Seed: 77, Persistent: true})
+	plan := NewFaultPlan().
+		AddByzantine(ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 3, Seed: 77, Persistent: true})
 	_, _, _, err := runByz(t, 4, plan)
 	var rie *RoutingIntegrityError
 	if !errors.As(err, &rie) {
@@ -162,10 +162,10 @@ func TestByzantineMatrixInPackage(t *testing.T) {
 
 	for _, np := range ByzantineFaultMatrix(900, len(rounds), p) {
 		t.Run(np.Name, func(t *testing.T) {
-			c := NewCluster(p, WithByzantinePlan(np.Plan))
+			c := NewCluster(p, WithFaultPlan(np.Plan))
 			c.LoadRoundRobin(load)
 			err := c.Run(rounds...)
-			if np.Recoverable {
+			if !np.Plan.Persistent() {
 				if err != nil {
 					t.Fatalf("recoverable plan failed: %v", err)
 				}
@@ -182,6 +182,28 @@ func TestByzantineMatrixInPackage(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOnePlanCarriesBothFaultModels: crash-stop, link and Byzantine
+// faults scheduled in one plan, on the same round and the same source,
+// are each repaired — the liar quarantined, its partitioned links
+// retransmitted, its crash re-executed — and the run is byte-identical
+// to fault-free.
+func TestOnePlanCarriesBothFaultModels(t *testing.T) {
+	plan := NewFaultPlan().
+		AddByzantine(ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 2, Seed: 101}).
+		AddGroupPartition(0, []int{1}, 4, 1).
+		AddCrash(1, 1, 1)
+	out, trace, c, err := runByz(t, 4, plan)
+	if err != nil {
+		t.Fatalf("mixed plan not recovered: %v", err)
+	}
+	if c.Output().String() != out || c.LogicalTrace() != trace {
+		t.Errorf("mixed plan diverged from the fault-free run")
+	}
+	if r := c.RecoveryTotals(); r.Quarantined != 1 || r.RecoveredServers != 1 || r.Retries < 3 {
+		t.Errorf("mixed plan repaired %+v, want one quarantine, one recovered server and ≥ 3 retries", r)
 	}
 }
 
@@ -262,9 +284,9 @@ func TestByzantineWithKeepRound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan := NewByzantinePlan().
-		Add(ByzantineEvent{Round: 0, Src: 0, Kind: Misroute, Count: 1, Seed: 9})
-	faulty := NewCluster(3, WithByzantinePlan(plan))
+	plan := NewFaultPlan().
+		AddByzantine(ByzantineEvent{Round: 0, Src: 0, Kind: Misroute, Count: 1, Seed: 9})
+	faulty := NewCluster(3, WithFaultPlan(plan))
 	faulty.LoadRoundRobin(load)
 	if _, err := faulty.RunRound(r); err != nil {
 		t.Fatalf("keep-round quarantine failed: %v", err)

@@ -31,20 +31,46 @@ func TestByzKindStrings(t *testing.T) {
 	}
 }
 
+// TestByzantinePlanString: a fault plan renders its Byzantine events
+// after its other counts, only when it has any, and a plan holding
+// nothing else is not Empty.
 func TestByzantinePlanString(t *testing.T) {
-	if got := NewByzantinePlan().String(); got != "byzantine plan: none" {
-		t.Errorf("empty plan renders %q", got)
-	}
-	p := NewByzantinePlan().Add(ByzantineEvent{Round: 0, Src: 1, Kind: Forge, Count: 1})
-	if got := p.String(); !strings.Contains(got, "1 event") {
-		t.Errorf("one-event plan renders %q", got)
+	p := NewFaultPlan().AddByzantine(ByzantineEvent{Round: 0, Src: 1, Kind: Forge, Count: 1})
+	if got, want := p.String(), "fault plan: crashes=0 drops=0 dups=0 stragglers=0 byzantine=1"; got != want {
+		t.Errorf("one-event plan renders %q, want %q", got, want)
 	}
 	if p.Empty() {
-		t.Error("plan with an event reports Empty")
+		t.Error("plan with a Byzantine event reports Empty")
 	}
-	var nilPlan *ByzantinePlan
-	if !nilPlan.Empty() {
-		t.Error("nil plan is not Empty")
+	p.AddCrash(1, 0, 1).AddCorrupt(0, 0, 1, 1).AddByzantine(ByzantineEvent{Round: 1, Src: 0, Kind: Omit, Count: 1})
+	if got, want := p.String(), "fault plan: crashes=1 drops=0 dups=0 stragglers=0 corrupted=1 byzantine=2"; got != want {
+		t.Errorf("mixed plan renders %q, want %q", got, want)
+	}
+	if got := NewFaultPlan().AddCrash(0, 0, 1).String(); strings.Contains(got, "byzantine") {
+		t.Errorf("plan without Byzantine events renders %q", got)
+	}
+}
+
+// TestPersistentReadsThePlan: a plan owes a typed failure iff one of
+// its Byzantine events is Persistent.
+func TestPersistentReadsThePlan(t *testing.T) {
+	var nilPlan *FaultPlan
+	transient := ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 1}
+	persistent := transient
+	persistent.Persistent = true
+	for _, c := range []struct {
+		name string
+		plan *FaultPlan
+		want bool
+	}{
+		{"nil", nilPlan, false},
+		{"crash only", NewFaultPlan().AddCrash(0, 0, 1), false},
+		{"transient", NewFaultPlan().AddByzantine(transient), false},
+		{"persistent among transients", NewFaultPlan().AddByzantine(transient).AddByzantine(persistent), true},
+	} {
+		if got := c.plan.Persistent(); got != c.want {
+			t.Errorf("%s: Persistent() = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

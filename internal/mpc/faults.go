@@ -40,6 +40,12 @@ import (
 //     drop on the virtual clock: detected retransmissions, never
 //     wrong data.
 //
+// A plan also schedules Byzantine routing events (AddByzantine; see
+// byzantine.go): a server that stays alive but misroutes, forges or
+// withholds facts in one round's communication phase. They share the
+// plan's absolute round indexing, so one plan is the whole schedule of
+// what goes wrong in which round of a run.
+//
 // Faults can also be scheduled for server GROUPS at once — rack-scoped
 // power loss (AddGroupCrash) and rack-scoped network partitions
 // (AddGroupPartition) — modelling correlated failures, which expand
@@ -52,6 +58,7 @@ type FaultPlan struct {
 	dup      map[linkKey]int
 	straggle map[serverKey]int
 	corrupt  map[linkKey]int
+	byz      []ByzantineEvent
 }
 
 type serverKey struct{ round, server int }
@@ -156,11 +163,12 @@ func (p *FaultPlan) Empty() bool {
 		return true
 	}
 	return len(p.crash) == 0 && len(p.drop) == 0 && len(p.dup) == 0 &&
-		len(p.straggle) == 0 && len(p.corrupt) == 0
+		len(p.straggle) == 0 && len(p.corrupt) == 0 && len(p.byz) == 0
 }
 
-// String summarizes the plan's fault counts. Corruption sites appear
-// only when present, so pre-corruption plan renderings are unchanged.
+// String summarizes the plan's fault counts. Corruption sites and
+// Byzantine events appear only when present, so the renderings of
+// plans without them are unchanged.
 func (p *FaultPlan) String() string {
 	if p.Empty() {
 		return "fault plan: none"
@@ -169,6 +177,9 @@ func (p *FaultPlan) String() string {
 		len(p.crash), len(p.drop), len(p.dup), len(p.straggle))
 	if len(p.corrupt) > 0 {
 		s += fmt.Sprintf(" corrupted=%d", len(p.corrupt))
+	}
+	if len(p.byz) > 0 {
+		s += fmt.Sprintf(" byzantine=%d", len(p.byz))
 	}
 	return s
 }

@@ -34,9 +34,9 @@
 // round metrics (Received, MaxLoad, TotalComm) of a recovered run are
 // byte-identical to the fault-free run, while the recovery costs are
 // accounted separately (Retries, RecoveredServers, ReplicaComm,
-// SpeculativeWins, Quarantined). Beyond crash-stop, the engine detects
-// Byzantine routing — a server that mis-routes, forges, or withholds
-// facts — by receiver-side verification against the round's placement
+// SpeculativeWins, Quarantined). Beyond crash-stop, the same plan can
+// schedule Byzantine routing — a server that mis-routes, forges, or
+// withholds facts — which the engine detects by receiver-side verification against the round's placement
 // policy plus a deterministic re-execution audit, quarantining
 // transient liars and failing persistent ones with a typed
 // RoutingIntegrityError (see byzantine.go). All of it runs in the one

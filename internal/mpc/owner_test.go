@@ -81,7 +81,7 @@ func randomFacts(r *rand.Rand, n int) *rel.Instance {
 // cluster built WithCheckpoints, with receiver-side verification and a
 // Byzantine source's audited re-execution (RouteSource) on the way.
 func TestOwnerRoutesEachDistinctFactOnce(t *testing.T) {
-	byz := NewByzantinePlan().Add(ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 2, Seed: 3})
+	byz := NewFaultPlan().AddByzantine(ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 2, Seed: 3})
 	configs := []struct {
 		name  string
 		procs int
@@ -90,7 +90,7 @@ func TestOwnerRoutesEachDistinctFactOnce(t *testing.T) {
 		{"one worker", 1, nil},
 		{"four workers", 4, nil},
 		{"shard per source", 4, []Option{WithCheckpoints(), WithRoutingVerification(1)}},
-		{"audited", 1, []Option{WithByzantinePlan(byz)}},
+		{"audited", 1, []Option{WithFaultPlan(byz)}},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {

@@ -48,9 +48,8 @@ const (
 // a cluster built with no fault-tolerance Option: nothing is scheduled,
 // speculated or replicated, so no round ever consults the retry budget.
 type ftState struct {
-	on             bool           // a fault-tolerance Option was given (see WithCheckpoints)
-	plan           *FaultPlan     // nil: recover-capable but no injected faults
-	byz            *ByzantinePlan // nil: no Byzantine routing events scheduled
+	on             bool       // a fault-tolerance Option was given (see WithCheckpoints)
+	plan           *FaultPlan // nil: recover-capable but no injected faults
 	retryBudget    int
 	speculateAfter int // 0 disables speculation
 	replicas       int // peers each round checkpoint is replicated to
@@ -87,25 +86,27 @@ func cloneStats(stats []RoundStats) []RoundStats {
 	return out
 }
 
-// WithFaultPlan installs a fault plan; like every fault-tolerance
-// Option it implies WithCheckpoints. Plan round indices are absolute:
+// WithFaultPlan installs a fault plan, the run's whole fault schedule:
+// crash-stop and link faults repaired on the virtual clock, and
+// Byzantine routing events the audit quarantines or the receivers
+// prove. It implies WithCheckpoints. Plan round indices are absolute:
 // round r of the plan fires on the cluster's r-th executed round.
 func WithFaultPlan(p *FaultPlan) Option {
 	return func(c *Cluster) { c.ensureFT().plan = p }
 }
 
 // WithCheckpoints makes the cluster recoverable without injecting any
-// faults, and every other fault-tolerance Option (WithFaultPlan,
-// WithByzantinePlan) implies it. It does not select a different round:
-// every cluster runs the one body, deliver, and a fault-free round
-// records the same RoundStats with or without it. Exactly two things
-// are keyed on "a fault-tolerance Option was given":
+// faults, and the other fault-tolerance Option, WithFaultPlan, implies
+// it. It does not select a different round: every cluster runs the one
+// body, deliver, and a fault-free round records the same RoundStats
+// with or without it. Exactly two things are keyed on "a
+// fault-tolerance Option was given":
 //
 //   - RouteRound cuts one shard per source instead of one per worker,
-//     because fault and Byzantine plans address individual src→dst
-//     links; Deliver refuses, as RoutedBehind, a plan that was routed
-//     coarser before the cluster turned recoverable (such an Option
-//     applied to the live cluster, as WithFaultPlan(p)(c)).
+//     because a fault plan's link faults and Byzantine events address
+//     individual sources; Deliver refuses, as RoutedBehind, a plan that
+//     was routed coarser before the cluster turned recoverable (such an
+//     Option applied to the live cluster, as WithFaultPlan(p)(c)).
 //   - commit keeps a rolling post-round checkpoint, which Checkpoint()
 //     hands out and RestoreStore primes. It is a value kept to recover
 //     from a fault: after a Compute panicked behind another server's
@@ -138,13 +139,14 @@ func (c *Cluster) RecoveryTotals() RecoveryStats {
 }
 
 // deliver is the one body of Deliver, the rest of a routed round on
-// every cluster: Byzantine events and sampled verification on the
-// shards as routed, the fault plan's drops/dups/corruptions charged to
-// the recovery metrics on a virtual clock, the transport's Exchange,
-// the logical stats, residents, the plan's crashes and stragglers
-// repaired before any Compute runs, the computation phase, commit.
+// every cluster: the fault plan's Byzantine events and sampled
+// verification on the shards as routed, the plan's drops/dups/
+// corruptions charged to the recovery metrics on a virtual clock, the
+// transport's Exchange, the logical stats, residents, the plan's
+// crashes and stragglers repaired before any Compute runs, the
+// computation phase, commit.
 // A cluster built with no Option runs it under the zero ftState, whose
-// plans are nil and so have no fault sites and no events; chunk, the
+// plan is nil and so has no fault sites and no events; chunk, the
 // number of sources per shard, is 1 whenever a plan can be installed
 // (see WithCheckpoints), which is what lets plans address src→dst links
 // by shard index. Every error return precedes commit, which is
@@ -162,16 +164,11 @@ func (c *Cluster) deliver(r Round, shards []Shard, chunk int) (RoundStats, error
 	// sees exactly the fault-free shards — or, for a persistent
 	// compromise, fails the round with a typed RoutingIntegrityError
 	// before any state mutates. See byzantine.go.
-	commEnd := 1
-	if !ft.byz.Empty() {
-		byzEnd, err := c.applyByzantine(round, r, shards, &stats)
-		if err != nil {
-			return RoundStats{}, err
-		}
-		if byzEnd > commEnd {
-			commEnd = byzEnd
-		}
+	byzEnd, err := c.applyByzantine(round, r, shards, &stats)
+	if err != nil {
+		return RoundStats{}, err
 	}
+	commEnd := max(1, byzEnd)
 	if c.verifyEvery > 0 {
 		// Sampled receiver-side routing verification (see byzantine.go),
 		// at the granularity the shards were routed at.
@@ -222,7 +219,10 @@ func (c *Cluster) deliver(r Round, shards []Shard, chunk int) (RoundStats, error
 	// can realize the plan's drops/dups physically at the frame layer
 	// is armed first (a nil plan disarms it), so the wire absorbs the
 	// same havoc the virtual clock just charged.
-	tr := c.Transport()
+	tr := c.tr
+	if tr == nil {
+		tr = localTransport{}
+	}
 	if fi, ok := tr.(FrameFaultInjector); ok {
 		fi.InjectFrameFaults(round, ft.plan)
 	}

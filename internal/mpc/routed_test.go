@@ -39,18 +39,18 @@ type optionSet struct {
 }
 
 // optionSets is the matrix at p servers: no Option, verification,
-// checkpoints, both, a Byzantine plan that fires, and every plan of a
-// two-round standard fault matrix under replication.
+// checkpoints, both, a fault plan whose Byzantine events fire, and
+// every plan of a two-round standard fault matrix under replication.
 func optionSets(p int) []optionSet {
-	byz := NewByzantinePlan().
-		Add(ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 2, Seed: 3}).
-		Add(ByzantineEvent{Round: 1, Src: 3, Kind: Omit, Count: 1, Seed: 4})
+	byz := NewFaultPlan().
+		AddByzantine(ByzantineEvent{Round: 0, Src: 1, Kind: Misroute, Count: 2, Seed: 3}).
+		AddByzantine(ByzantineEvent{Round: 1, Src: 3, Kind: Omit, Count: 1, Seed: 4})
 	sets := []optionSet{
 		{"fault-free", nil},
 		{"fault-free verified", []Option{WithRoutingVerification(2)}},
 		{"checkpoints", []Option{WithCheckpoints()}},
 		{"ft verified", []Option{WithCheckpoints(), WithRoutingVerification(1)}},
-		{"byzantine", []Option{WithByzantinePlan(byz)}},
+		{"byzantine", []Option{WithFaultPlan(byz)}},
 	}
 	for _, np := range StandardFaultMatrix(7, 2, p) {
 		sets = append(sets, optionSet{"plan " + np.Name, []Option{WithFaultPlan(np.Plan), WithReplication(1)}})

@@ -72,15 +72,6 @@ func WithTransport(t Transport) Option {
 	return func(c *Cluster) { c.tr = t }
 }
 
-// Transport returns the cluster's transport (the Local transport when
-// none was installed).
-func (c *Cluster) Transport() Transport {
-	if c.tr == nil {
-		return NewLocalTransport()
-	}
-	return c.tr
-}
-
 // localTransport is the in-process transport: shards are merged by
 // direct slice adoption, no copies, no wire. It is the bit-compatible
 // extraction of the pre-transport merge phase — the golden determinism

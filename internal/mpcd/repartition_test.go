@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -331,13 +333,30 @@ func TestFragmentsNotTheAnchorsImageAreRefused(t *testing.T) {
 // 200 times, alternating two anchors, remembers one round, and its live
 // heap is what it was after the second repartition — no history kept,
 // and fragments that do not get looser from one generation to the next.
-// A first session is run and dropped so that what the runtime itself
-// keeps once it has run a round (goroutine descriptors, mostly) is in
-// both readings. A reading waits until the goroutines a round started
-// have exited, then takes the least of three heaps, each after a
-// collection, so that nothing the process is still letting go of —
-// here or in a test running beside it — lands in one reading only.
+// Both readings are taken in a child process that runs this test alone
+// (the test binary re-run with -test.run pinned to it, behind
+// heapChildEnv), so that no memory an earlier test is still freeing
+// lands in one reading only; the parent reports the child's readings.
+// In the child a first session is run and dropped so that what the
+// runtime itself keeps once it has run a round (goroutine descriptors,
+// mostly) is in both readings. A reading waits until the goroutines a
+// round started have exited, then takes the least of three heaps, each
+// after a collection.
 func TestSessionHoldsOneRoundAndNoSlack(t *testing.T) {
+	if os.Getenv(heapChildEnv) == "" {
+		args := []string{"-test.run=^TestSessionHoldsOneRoundAndNoSlack$", "-test.count=1"}
+		if testing.Short() {
+			args = append(args, "-test.short")
+		}
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), heapChildEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("the test alone in a child process: %v\n%s", err, out)
+		}
+		t.Logf("the test alone in a child process: %s", bytes.TrimSpace(out))
+		return
+	}
 	var goroutines int
 	live := func() float64 {
 		for wait := 0; runtime.NumGoroutine() > goroutines && wait < 1000; wait++ {
@@ -380,10 +399,16 @@ func TestSessionHoldsOneRoundAndNoSlack(t *testing.T) {
 			atEnd = live()
 		}
 	})
+	readings := fmt.Sprintf("live heap %.0f bytes after %d repartitions, %.0f after 2", atEnd, times, at2)
+	fmt.Println(readings)
 	if atEnd > at2*1.02 || atEnd < at2*0.98 {
-		t.Errorf("live heap %.0f bytes after %d repartitions, %.0f after 2", atEnd, times, at2)
+		t.Error(readings)
 	}
 }
+
+// heapChildEnv marks the child process TestSessionHoldsOneRoundAndNoSlack
+// takes its heap readings in.
+const heapChildEnv = "MPCD_HEAP_READING_CHILD"
 
 // TestRepartitionCompilesGridOncePerWidth: anchors that alternate, in
 // one session or across sessions, route through the grid compiled on
