@@ -2,7 +2,8 @@
 # gate every change must pass: it compiles the module, runs go vet,
 # the full test suite (including the determinism regression tests,
 # the fault, Byzantine and transport matrices, and every experiment)
-# once, the race detector, and the repo-specific mpclint analyzers.
+# once, the race detector, the suite again on the vouchcheck build,
+# and the repo-specific mpclint analyzers.
 # No target re-runs by name a test `make test` already ran.
 # `make verify-perf` additionally guards against benchmark regressions
 # relative to the checked-in baseline report.
@@ -58,7 +59,7 @@ SWEEPPROCS ?= 0
 COVER_PKGS ?= ./internal/core ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen ./internal/policy ./internal/mpcnet ./internal/gym ./internal/hypercube ./internal/datalog ./internal/mapreduce ./internal/cq ./internal/pc ./internal/rel
 COVER_BASELINE ?= COVERAGE.json
 
-.PHONY: all build vet test race lint netsweep verify fmt fuzz serve serve-soak bench-build bench bench-json verify-perf nightly soak experiments cover cover-baseline
+.PHONY: all build vet test race vouchcheck lint netsweep verify fmt fuzz serve serve-soak bench-build bench bench-json verify-perf nightly soak experiments cover cover-baseline
 
 all: verify
 
@@ -80,6 +81,15 @@ test:
 # above. The nightly job repeats race at full size.
 race:
 	$(GO) test -race -short ./...
+
+# vouchcheck runs the suite on the build that checks every vouched
+# append when it happens — AddDistinct, UnionDistinct, AbsorbNew's push
+# and the wire decoder's ascending run — panicking on a duplicate at its
+# call site instead of at the relation's next table build. Appends and
+# by-reference adoptions that trust a caller's word are held to it; the
+# default build compiles the check out.
+vouchcheck:
+	$(GO) test -tags vouchcheck ./...
 
 # netsweep drives the installed binary end to end, wider than the
 # transport tests `make test` runs: the five programs on their home
@@ -145,7 +155,7 @@ serve:
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
-verify: build vet bench-build test race lint serve fuzz
+verify: build vet bench-build test race vouchcheck lint serve fuzz
 	@echo "verify: OK"
 
 # experiments regenerates every report on the sweep scheduler.

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -130,6 +131,14 @@ func isSourceFile(name string) bool {
 	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
 }
 
+// inDefaultBuild reports whether the default build (no tags) compiles
+// file name of dir: the analyzers check the program `go build` makes,
+// not a file its build constraint keeps out (rel's vouchcheck.go).
+func inDefaultBuild(dir, name string) bool {
+	ok, err := build.Default.MatchFile(dir, name)
+	return ok || err != nil // an unreadable file fails loudly at parse
+}
+
 // loader type-checks module packages on demand, memoizing results; it
 // is the types.Importer used for intra-module imports.
 type loader struct {
@@ -186,7 +195,7 @@ func (l *loader) load(path, dir string) (*Package, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if isSourceFile(e.Name()) {
+		if isSourceFile(e.Name()) && inDefaultBuild(dir, e.Name()) {
 			names = append(names, e.Name())
 		}
 	}

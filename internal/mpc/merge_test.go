@@ -1,9 +1,11 @@
 package mpc
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mpclogic/internal/rel"
@@ -63,7 +65,7 @@ func TestMergeInboxIsMergeShards(t *testing.T) {
 			shards := lawShards(rand.New(rand.NewSource(seed)), p)
 			frames := make([][]Frame, p)
 			for w := range shards {
-				frames[w] = ShardFrames(7, w, shards[w])
+				frames[w] = ShardFrames(7, w, shards[w], -1)
 			}
 			// shipped[d][name] sums the lengths of the relation's copies
 			// bound for d; shippers[d][name] counts the sources shipping it.
@@ -85,7 +87,7 @@ func TestMergeInboxIsMergeShards(t *testing.T) {
 				t.Fatalf("%s: mergeShards: %v", name, err)
 			}
 			for d := 0; d < p; d++ {
-				inbox, n, err := MergeInbox(d, p, func(w int) (Frame, error) { return frames[w][d], nil })
+				inbox, n, err := MergeInbox(d, p, nil, func(w int) (Frame, error) { return frames[w][d], nil })
 				if err != nil {
 					t.Fatalf("%s: MergeInbox(%d): %v", name, d, err)
 				}
@@ -121,4 +123,74 @@ func TestMergeInboxIsMergeShards(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOwnOutboxMergesInPlace: MergeInbox — every frame decoded
+// straight into the inbox, and the own outbox, when handed over, merged
+// in process — gives the inbox of the decode-everything path: each
+// frame decoded on its own, then mergeOutboxes. For random shards at
+// p ∈ {1, 3, 8} (cross-source duplicates included), with and without
+// the own shard in place — fetch never asked for it, no frame built for
+// it — the received count, EncodeInstance bytes and per-relation Each
+// order are the reference's.
+func TestOwnOutboxMergesInPlace(t *testing.T) {
+	for _, p := range []int{1, 3, 8} {
+		for seed := int64(0); seed < 20; seed++ {
+			name := fmt.Sprintf("p=%d/seed=%d", p, seed)
+			shards := lawShards(rand.New(rand.NewSource(seed)), p)
+			frames := make([][]Frame, p)
+			for w := range shards {
+				frames[w] = ShardFrames(7, w, shards[w], -1)
+			}
+			for d := 0; d < p; d++ {
+				for _, f := range ShardFrames(7, d, shards[d], d) {
+					if int(f.Dst) == d {
+						t.Fatalf("%s: shard %d built a frame for its own destination", name, d)
+					}
+				}
+				frags := make([]*rel.Instance, p)
+				wantN := 0
+				for w := range frags {
+					var err error
+					if frags[w], err = rel.DecodeInstance(frames[w][d].Payload); err != nil {
+						t.Fatal(err)
+					}
+					wantN += int(frames[w][d].Sent)
+				}
+				want := mergeOutboxes(p, false, func(w int) *rel.Instance { return frags[w] })
+				for _, own := range []*Shard{nil, &shards[d]} {
+					got, gotN, err := MergeInbox(d, p, own, func(w int) (Frame, error) {
+						if own != nil && w == d {
+							t.Fatalf("%s: destination %d fetched its own fragment", name, d)
+						}
+						return frames[w][d], nil
+					})
+					if err != nil {
+						t.Fatalf("%s: MergeInbox(%d, own %v): %v", name, d, own != nil, err)
+					}
+					if gotN != wantN || !bytes.Equal(rel.EncodeInstance(got), rel.EncodeInstance(want)) {
+						t.Errorf("%s: destination %d, own %v: %d received, %d facts; decode-everything %d received, %d facts",
+							name, d, own != nil, gotN, got.Len(), wantN, want.Len())
+					}
+					for _, rn := range want.RelationNames() {
+						if g, w := eachOrder(got.Relation(rn)), eachOrder(want.Relation(rn)); g != w {
+							t.Errorf("%s: destination %d, own %v: %s enumerates %s, decode-everything %s", name, d, own != nil, rn, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// eachOrder renders r's tuples in Each order; nil renders empty.
+func eachOrder(r *rel.Relation) string {
+	var b strings.Builder
+	if r != nil {
+		r.Each(func(t rel.Tuple) bool {
+			fmt.Fprint(&b, t)
+			return true
+		})
+	}
+	return b.String()
 }

@@ -1,11 +1,13 @@
 package mpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -114,47 +116,121 @@ func Dial(addr string, salt int) (net.Conn, error) {
 // ShardFrames renders shard's outboxes as the frames a fragment server
 // publishes for exchange seq: one per destination, always — an empty
 // outbox is an empty-instance frame, so a destination learns the shard
-// has nothing for it instead of waiting forever.
-func ShardFrames(seq uint64, shard int, sh Shard) []Frame {
-	frames := make([]Frame, len(sh.Outs))
+// has nothing for it instead of waiting forever — but own, whose outbox
+// stays in process (an mpcnet worker's own server; −1 for none, as in
+// TCPTransport, whose own links are socket links like any other). Each
+// frame is imaged once, here: the header, then the outbox's canonical
+// encoding, in one buffer sized exactly, checksummed once. Its Payload
+// aliases that image, which the fragment server writes to every clean
+// pull.
+func ShardFrames(seq uint64, shard int, sh Shard, own int) []Frame {
+	frames := make([]Frame, 0, len(sh.Outs))
 	for dst, out := range sh.Outs {
+		if dst == own {
+			continue
+		}
 		if out == nil {
 			out = rel.NewInstance()
 		}
-		frames[dst] = Frame{
+		img := rel.AppendInstance(make([]byte, frameHeaderLen, frameHeaderLen+rel.EncodedSize(out)), out)
+		f := Frame{
 			Seq:     seq,
 			Shard:   uint32(shard),
 			Dst:     uint32(dst),
 			Sent:    uint32(sh.Sent[dst]),
-			Payload: rel.EncodeInstance(out),
+			Payload: img[frameHeaderLen:],
+			image:   img,
 		}
+		hdr := frameHeader(f)
+		copy(img, hdr[:])
+		frames = append(frames, f)
 	}
 	return frames
 }
 
-// MergeInbox assembles destination dst's inbox from one frame per
+// MergeInbox assembles destination dst's inbox from one fragment per
 // shard: fetch is asked for the shards in ascending order and their
-// decoded fragments go to mergeShards' own body, mergeOutboxes, in that
-// order — position, never arrival — which is what makes the plane
-// bit-compatible with mergeShards no matter how the network
-// interleaves. The received count sums the frames' Sent fields, so the
-// accounting really crossed the wire. A well-formed frame with an
-// undecodable payload is a hard error: the peer speaks the frame format
-// but not the fragment format.
-func MergeInbox(dst, nshards int, fetch func(shard int) (Frame, error)) (*rel.Instance, int, error) {
-	frags := make([]*rel.Instance, nshards)
+// fragments are merged in that order — position, never arrival — as
+// mergeShards' body, mergeOutboxes, merges outboxes, which is what
+// makes the plane bit-compatible with mergeShards no matter how the
+// network interleaves. A non-nil own is shard dst's own routing, whose
+// outbox for dst is handed over in process at its position, dst: fetch
+// is not asked for it, and it enters no codec. Every relation is sized
+// from the frames' headers (rel.ScanInstance) and decoded once, straight
+// into the inbox (rel.DecodeInstanceInto): what one fragment ships alone
+// is its decoded relation, or own's relation itself; what several ship
+// is one relation of their lengths together, each fact landing once.
+// The received count sums the frames' Sent fields (and own's count for
+// dst), so the accounting really crossed the wire. A well-formed frame
+// with an undecodable payload is a hard error: the peer speaks the
+// frame format but not the fragment format.
+func MergeInbox(dst, nshards int, own *Shard, fetch func(shard int) (Frame, error)) (*rel.Instance, int, error) {
+	// What each relation's shippers ship together, in first-shipped order.
+	type shipment struct{ arity, tuples, shippers int }
+	var names []string
+	shipped := make(map[string]*shipment)
+	ship := func(name string, arity, tuples int) {
+		s := shipped[name]
+		if s == nil {
+			s = &shipment{arity: arity}
+			shipped[name] = s
+			names = append(names, name)
+		}
+		s.tuples += tuples
+		s.shippers++
+	}
+	var mine *rel.Instance
+	frames := make([]Frame, nshards)
 	n := 0
-	for w := range frags {
+	for w := range frames {
+		if own != nil && w == dst {
+			if mine = own.Outs[dst]; mine != nil {
+				for _, name := range mine.RelationNames() {
+					if r := mine.Relation(name); r.Len() > 0 {
+						ship(name, r.Arity, r.Len())
+					}
+				}
+			}
+			n += own.Sent[dst]
+			continue
+		}
 		f, err := fetch(w)
 		if err != nil {
 			return nil, 0, err
 		}
-		if frags[w], err = rel.DecodeInstance(f.Payload); err != nil {
+		if err := rel.ScanInstance(f.Payload, ship); err != nil {
 			return nil, 0, fmt.Errorf("mpc: server %d decoding shard %d fragment of exchange %d: %w", dst, w, f.Seq, err)
 		}
+		frames[w] = f
 		n += int(f.Sent)
 	}
-	return mergeOutboxes(nshards, false, func(w int) *rel.Instance { return frags[w] }), n, nil
+	inbox := rel.NewInstanceSize(len(names))
+	for _, name := range names {
+		if s := shipped[name]; s.shippers > 1 {
+			inbox.EnsureRelationSize(name, s.arity, s.tuples)
+		}
+	}
+	for w, f := range frames {
+		if own == nil || w != dst {
+			if err := rel.DecodeInstanceInto(inbox, f.Payload); err != nil {
+				return nil, 0, fmt.Errorf("mpc: server %d decoding shard %d fragment of exchange %d: %w", dst, w, f.Seq, err)
+			}
+			continue
+		}
+		if mine == nil {
+			continue
+		}
+		for _, name := range mine.RelationNames() {
+			switch o := mine.Relation(name); {
+			case o.Len() == 0:
+			case shipped[name].shippers == 1:
+				inbox.SetRelationAs(name, o) // its only shipper
+			default:
+				inbox.Relation(name).UnionWith(o)
+			}
+		}
+	}
+	return inbox, n, nil
 }
 
 // fragKey names one published frame.
@@ -197,12 +273,16 @@ func NewFragServer() (*FragServer, error) {
 // Addr is the address destinations pull from.
 func (s *FragServer) Addr() string { return s.ln.Addr().String() }
 
-// Publish makes frames pullable. Re-publishing after a recovery
-// overwrites with byte-identical frames (deterministic re-execution),
-// so pulls before and after a crash see the same bytes.
+// Publish makes frames pullable. A frame published without its image
+// (not from ShardFrames) is imaged here, once. Re-publishing after a
+// recovery overwrites with byte-identical frames (deterministic
+// re-execution), so pulls before and after a crash see the same bytes.
 func (s *FragServer) Publish(frames []Frame) {
 	s.mu.Lock()
 	for _, f := range frames {
+		if f.image == nil {
+			f.image = encodeFrame(f)
+		}
 		s.frags[keyOf(f)] = f
 	}
 	s.mu.Unlock()
@@ -399,7 +479,9 @@ func (h *frameHavoc) next() pullFault {
 }
 
 // image is what the wire carries for f under the fault, and whether the
-// connection is then aborted with an RST instead of a FIN.
+// connection is then aborted with an RST instead of a FIN. A clean
+// answer is f's stored image itself; only a fault builds bytes of its
+// own, so the damage never reaches the image later pulls are served.
 //
 // A stump realizes one dropped transfer, alternating two shapes by
 // attempt: even attempts die mid-header (a FIN after half a header),
@@ -414,9 +496,10 @@ func (h *frameHavoc) next() pullFault {
 // next request finds them in front of its answer and refuses them (see
 // the stream contract above).
 func (pf pullFault) image(f Frame) (img []byte, reset bool) {
-	img = encodeFrame(f)
+	img = f.image
 	switch {
 	case pf.corrupt && len(f.Payload) > 0:
+		img = slices.Clone(img)
 		img[frameHeaderLen+(pf.attempt*131+7)%len(f.Payload)] ^= 1 << (pf.attempt % 8)
 	case pf.corrupt || pf.stump:
 		if pf.attempt%2 == 0 {
@@ -428,8 +511,8 @@ func (pf pullFault) image(f Frame) (img []byte, reset bool) {
 		}
 		return img[:cut], true
 	}
-	for n := len(img); pf.dups > 0; pf.dups-- {
-		img = append(img, img[:n]...)
+	if pf.dups > 0 {
+		img = bytes.Repeat(img, 1+pf.dups)
 	}
 	return img, false
 }

@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"io"
 	"math/bits"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"mpclogic/internal/rel"
 )
 
 func openFragServer(t *testing.T) *FragServer {
@@ -585,10 +588,74 @@ func TestCloseEndsIdleStreams(t *testing.T) {
 	}
 }
 
+// TestShardFramesAreImagedOnce: every frame ShardFrames publishes
+// carries its wire image, byte-equal to encodeFrame of the frame and to
+// what WriteFrame writes, sized exactly, its Payload the image's tail
+// (not a copy) and the outbox's canonical encoding; and armed havoc
+// damages copies only — after a
+// stump, a bit flip and a duplicated answer, a clean pull carries the
+// stored image and the image is as it was.
+func TestShardFramesAreImagedOnce(t *testing.T) {
+	for _, p := range []int{1, 3, 8} {
+		for seed := int64(0); seed < 10; seed++ {
+			for w, sh := range lawShards(rand.New(rand.NewSource(seed)), p) {
+				for _, f := range ShardFrames(5, w, sh, -1) {
+					out := sh.Outs[f.Dst]
+					if out == nil {
+						out = rel.NewInstance()
+					}
+					switch {
+					case !bytes.Equal(f.image, encodeFrame(f)):
+						t.Fatalf("p=%d seed=%d: frame %d→%d: image differs from encodeFrame", p, seed, w, f.Dst)
+					case !bytes.Equal(f.image, written(t, f)):
+						t.Fatalf("p=%d seed=%d: frame %d→%d: image differs from what WriteFrame writes", p, seed, w, f.Dst)
+					case cap(f.image) != len(f.image):
+						t.Errorf("p=%d seed=%d: frame %d→%d: image has room for %d bytes, holds %d", p, seed, w, f.Dst, cap(f.image), len(f.image))
+					case &f.image[frameHeaderLen] != &f.Payload[0]:
+						t.Errorf("p=%d seed=%d: frame %d→%d: Payload is a copy, not the image's tail", p, seed, w, f.Dst)
+					case !bytes.Equal(f.Payload, rel.EncodeInstance(out)):
+						t.Errorf("p=%d seed=%d: frame %d→%d: payload is not the outbox's encoding", p, seed, w, f.Dst)
+					}
+				}
+			}
+		}
+	}
+
+	s := openFragServer(t)
+	f := ShardFrames(7, 2, Shard{Outs: []*rel.Instance{nil, testInstance()}, Sent: []int{0, 3}}, 0)[0]
+	img := bytes.Clone(f.image)
+	s.arm(keyOf(f), 1, 1, 1)
+	s.Publish([]Frame{f})
+	for i := 0; i < 2; i++ {
+		if got := wireBytes(t, s.Addr(), keyOf(f)); bytes.Equal(got, img) {
+			t.Fatalf("armed pull %d carried the clean frame", i)
+		}
+	}
+	if got := wireBytes(t, s.Addr(), keyOf(f)); !bytes.Equal(got, append(bytes.Clone(img), img...)) {
+		t.Errorf("first clean answer carried %d bytes, want the frame and one duplicate (%d)", len(got), 2*len(img))
+	}
+	if got := wireBytes(t, s.Addr(), keyOf(f)); !bytes.Equal(got, img) {
+		t.Errorf("clean pull after havoc carried %d bytes, want the stored image (%d)", len(got), len(img))
+	}
+	if !bytes.Equal(f.image, img) {
+		t.Error("havoc damaged the stored image")
+	}
+}
+
+// written is what WriteFrame writes for f.
+func written(t *testing.T, f Frame) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestMergeInboxRejectsUndecodableFragment: a checksum-valid frame whose
 // payload is not a fragment is a hard error, not line noise.
 func TestMergeInboxRejectsUndecodableFragment(t *testing.T) {
-	_, _, err := MergeInbox(0, 1, func(int) (Frame, error) { return Frame{Payload: []byte("not a fragment")}, nil })
+	_, _, err := MergeInbox(0, 1, nil, func(int) (Frame, error) { return Frame{Payload: []byte("not a fragment")}, nil })
 	if err == nil || !strings.Contains(err.Error(), "decoding shard 0 fragment") {
 		t.Fatalf("undecodable fragment: err %v", err)
 	}

@@ -35,6 +35,11 @@ type Frame struct {
 	Dst     uint32 // destination server
 	Sent    uint32 // logical facts in this delivery (payload fact count)
 	Payload []byte // canonical rel instance encoding (may be empty-instance)
+
+	// image is the frame's whole wire image, Payload aliasing its tail,
+	// when one was built (ShardFrames, Publish); a fragment server
+	// writes it to every clean pull as it stands.
+	image []byte
 }
 
 const (
@@ -55,23 +60,30 @@ const (
 // corruption havoc injects.
 var frameCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeFrame serializes f to its full wire image, checksum included.
-// The CRC-32C covers every header field after magic+version plus the
-// payload, so corruption anywhere in the frame body is detected.
+// encodeFrame serializes f to its full wire image, checksum included:
+// its header, then a copy of its payload.
 func encodeFrame(f Frame) []byte {
-	buf := make([]byte, frameHeaderLen+len(f.Payload))
-	binary.LittleEndian.PutUint32(buf[0:], frameMagic)
-	binary.LittleEndian.PutUint16(buf[4:], FrameVersion)
-	binary.LittleEndian.PutUint64(buf[6:], f.Seq)
-	binary.LittleEndian.PutUint32(buf[14:], f.Shard)
-	binary.LittleEndian.PutUint32(buf[18:], f.Dst)
-	binary.LittleEndian.PutUint32(buf[22:], f.Sent)
-	binary.LittleEndian.PutUint32(buf[26:], uint32(len(f.Payload)))
-	copy(buf[frameHeaderLen:], f.Payload)
-	crc := crc32.Update(0, frameCRCTable, buf[6:frameHeaderLen-4])
+	hdr := frameHeader(f)
+	return append(hdr[:], f.Payload...)
+}
+
+// frameHeader is the one frame encoder: f's header, whose CRC-32C
+// covers every header field after magic+version plus the payload, so
+// corruption anywhere in the frame body is detected. The payload
+// follows it on the wire — copied behind it (encodeFrame), encoded
+// behind it in place (ShardFrames), or written after it (WriteFrame).
+func frameHeader(f Frame) (hdr [frameHeaderLen]byte) {
+	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
+	binary.LittleEndian.PutUint16(hdr[4:], FrameVersion)
+	binary.LittleEndian.PutUint64(hdr[6:], f.Seq)
+	binary.LittleEndian.PutUint32(hdr[14:], f.Shard)
+	binary.LittleEndian.PutUint32(hdr[18:], f.Dst)
+	binary.LittleEndian.PutUint32(hdr[22:], f.Sent)
+	binary.LittleEndian.PutUint32(hdr[26:], uint32(len(f.Payload)))
+	crc := crc32.Update(0, frameCRCTable, hdr[6:frameHeaderLen-4])
 	crc = crc32.Update(crc, frameCRCTable, f.Payload)
-	binary.LittleEndian.PutUint32(buf[frameHeaderLen-4:], crc)
-	return buf
+	binary.LittleEndian.PutUint32(hdr[frameHeaderLen-4:], crc)
+	return hdr
 }
 
 // WriteFrame writes f to w in wire format (integers little-endian):
@@ -79,9 +91,14 @@ func encodeFrame(f Frame) []byte {
 //	frame := magic u32 | version u16 | seq u64 | shard u32 | dst u32
 //	       | sent u32 | payloadLen u32 | crc u32 | payload
 //
-// where crc is CRC-32C over seq..payloadLen plus the payload.
+// where crc is CRC-32C over seq..payloadLen plus the payload. The
+// payload is written as it lies, after the header, never copied.
 func WriteFrame(w io.Writer, f Frame) error {
-	if _, err := w.Write(encodeFrame(f)); err != nil {
+	hdr := frameHeader(f)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return fmt.Errorf("mpc: writing frame: %w", err)
+	}
+	if _, err := w.Write(f.Payload); err != nil {
 		return fmt.Errorf("mpc: writing frame: %w", err)
 	}
 	return nil
@@ -221,7 +238,7 @@ func (t *TCPTransport) Exchange(round string, p int, shards []Shard) ([]*rel.Ins
 	defer serving.Wait()
 	defer srv.Close() // the exchange is over either way; close is best-effort
 	for w, sh := range shards {
-		frames := ShardFrames(seq, w, sh)
+		frames := ShardFrames(seq, w, sh, -1)
 		if havocPlan != nil {
 			for dst, f := range frames {
 				// Physical faults hit only real network links that carry
@@ -248,7 +265,7 @@ func (t *TCPTransport) Exchange(round string, p int, shards []Shard) ([]*rel.Ins
 			defer pulling.Done()
 			st := OpenStream(resolve, dst)
 			defer st.Close() // the pulls are over either way; close is best-effort
-			inboxes[dst], received[dst], errs[dst] = MergeInbox(dst, len(shards), func(w int) (Frame, error) {
+			inboxes[dst], received[dst], errs[dst] = MergeInbox(dst, len(shards), nil, func(w int) (Frame, error) {
 				return st.Pull(seq, w)
 			})
 		}(dst)

@@ -9,15 +9,18 @@ import (
 )
 
 func testFrame() Frame {
-	d := rel.NewDict()
-	out := rel.MustInstance(d, "R(a,b)", "R(c,d)", "S(x,y,z)")
 	return Frame{
 		Seq:     7,
 		Shard:   2,
 		Dst:     1,
 		Sent:    3,
-		Payload: rel.EncodeInstance(out),
+		Payload: rel.EncodeInstance(testInstance()),
 	}
+}
+
+// testInstance is testFrame's fragment.
+func testInstance() *rel.Instance {
+	return rel.MustInstance(rel.NewDict(), "R(a,b)", "R(c,d)", "S(x,y,z)")
 }
 
 func TestFrameRoundTrip(t *testing.T) {

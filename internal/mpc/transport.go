@@ -127,10 +127,10 @@ func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, e
 	return inboxes, received, nil
 }
 
-// mergeOutboxes is the one inbox merge (mergeShards, MergeInbox): it
-// unions frag(w), source w's fragment for one destination (nil: none),
-// for w = 0..n−1 in that order. Fragments are round-private (outboxes,
-// or decoded frames), so what only one source ships — the whole
+// mergeOutboxes is mergeShards' inbox merge, the one MergeInbox
+// reproduces on frames: it unions frag(w), source w's fragment for one
+// destination (nil: none), for w = 0..n−1 in that order. Fragments are
+// round-private outboxes, so what only one source ships — the whole
 // fragment, or one relation of it — is adopted instead of copied. A
 // relation several ship is built once, at the size of their copies
 // together: an inbox becomes the server's fragment, which may live as

@@ -333,7 +333,7 @@ func countGenerations(t *testing.T, spec ProgramSpec) *atomic.Int64 {
 // TestWorkerHoldsOnlyItsShare: the coordinator generates the workload,
 // once, and deals it; a worker starts from its share. A fault-free
 // hypercube run at p = 4 generates once (the coordinator), a worker
-// killed after its round-0 checkpoint and respawned adds nothing, and
+// killed at round 0 and respawned from its share adds nothing, and
 // tc — the one row of core's menu whose program reads its input —
 // generates once more per worker incarnation. Each run still equals the
 // simulator's.
@@ -603,36 +603,78 @@ func TestCheckpointSlots(t *testing.T) {
 	}
 }
 
-// TestDistributedRunKeepsTwoSlots: a completed run of R rounds leaves
-// each worker at most its two log files, whose newest rounds are
+// TestDistributedRunKeepsTwoSlots: a completed run of R ≥ 3 rounds
+// leaves each worker at most its two log files, whose newest rounds are
 // {R−2, R−1} — all a resume can ask for — and nothing else in the
 // directory, while the run's output still matches the simulator
 // (checked by TestDistributedMatchesLocal; here we only pin the disk
-// state).
+// state). A 2-round run keeps round 1 alone: round 0 is the hello's
+// share, never written.
 func TestDistributedRunKeepsTwoSlots(t *testing.T) {
-	spec := ProgramSpec{Program: "cascade", P: 4, M: 24, Seed: 11}
-	dir := t.TempDir()
-	if _, err := Run(RunConfig{Spec: spec, CkptDir: dir, FailWorker: -1, FailRound: -1, Spawn: goSpawner}); err != nil {
-		t.Fatal(err)
+	for _, spec := range []ProgramSpec{
+		{Program: "cascade", P: 4, M: 24, Seed: 11},
+		{Program: "tc", P: 3, M: 10, Seed: 7},
+	} {
+		dir := t.TempDir()
+		if _, err := Run(RunConfig{Spec: spec, CkptDir: dir, FailWorker: -1, FailRound: -1, Spawn: goSpawner}); err != nil {
+			t.Fatal(err)
+		}
+		built, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := len(built.Rounds) - 1
+		want := []int{last - 1, last}
+		switch {
+		case spec.Program == "cascade" && last != 1:
+			t.Fatalf("%s runs %d rounds, want 2", spec.Program, last+1)
+		case spec.Program == "tc" && last < 2:
+			t.Fatalf("%s runs %d rounds, want at least 3", spec.Program, last+1)
+		case last == 1:
+			want = []int{1}
+		}
+		for idx := 0; idx < built.P; idx++ {
+			if got := logRounds(t, dir, idx); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: worker %d's newest rounds are %v, want %v", spec.Program, idx, got, want)
+			}
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if matched, _ := filepath.Match("worker-[0-9].log[01]", e.Name()); !matched {
+				t.Errorf("%s: checkpoint directory holds %s, not a worker's log file", spec.Program, e.Name())
+			}
+		}
 	}
-	built, err := Build(spec)
+}
+
+// TestOneRoundRunWritesNoCheckpoint: the one round of a one-round run is
+// round 0, whose state is the hello's share, so a checkpointed run
+// leaves its checkpoint directory empty — no file, not even an empty
+// one — and still matches the simulator.
+func TestOneRoundRunWritesNoCheckpoint(t *testing.T) {
+	spec := ProgramSpec{Program: "hypercube", P: 4, M: 24, Seed: 17}
+	want, err := RunLocal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := len(built.Rounds) - 1
-	for idx := 0; idx < built.P; idx++ {
-		if got, want := logRounds(t, dir, idx), []int{last - 1, last}; fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("worker %d's newest rounds are %v, want %v", idx, got, want)
-		}
+	dir := t.TempDir()
+	got, err := Run(RunConfig{Spec: spec, CkptDir: dir, FailWorker: -1, FailRound: -1, Spawn: goSpawner})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got.Rounds != 1 {
+		t.Fatalf("%d rounds, want a one-round run", got.Rounds)
+	}
+	assertMatchesLocal(t, got, want)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if matched, _ := filepath.Match("worker-[0-9].log[01]", e.Name()); !matched {
-			t.Errorf("checkpoint directory holds %s, not a worker's log file", e.Name())
-		}
+		t.Errorf("a one-round run left %s in its checkpoint directory", e.Name())
 	}
 }
 
@@ -787,14 +829,16 @@ func TestCheckpointLogTornTail(t *testing.T) {
 }
 
 // TestKillAtEveryRound: the 12-round tc at p = 4 with each worker
-// killed right after its checkpoint of each round in turn — 48 runs,
-// whose kills land before, on and after the log's rotations. Each run
-// equals the simulator's with exactly one respawn, and leaves the killed
-// worker at most two files whose newest rounds are {10, 11}. Under
-// -short only worker 1 is killed.
+// killed at the start of each round in turn, right after its checkpoint
+// of that round — 48 runs, whose kills land before, on and after the
+// log's rotations. Each run equals the simulator's, output and trace,
+// with exactly one respawn, and leaves the killed worker at most two
+// files whose newest rounds are {10, 11}. The respawn resumes where the
+// rewind says: from the hello's share after a kill at round 0 or 1 (no
+// round 0 is ever written), from round r−1's checkpoint after a kill at
+// r ≥ 2. Under -short only worker 1 is killed.
 func TestKillAtEveryRound(t *testing.T) {
 	defer func(c func()) { crash = c }(crash)
-	crash = runtime.Goexit
 	spec := twelveRoundTC(t)
 	want, err := RunLocal(spec)
 	if err != nil {
@@ -808,11 +852,27 @@ func TestKillAtEveryRound(t *testing.T) {
 	for _, w := range workers {
 		for r := 0; r < 12; r++ {
 			dir := t.TempDir()
+			// What the respawn will resume from, read as the worker dies;
+			// Run joins the dead incarnation before it returns.
+			var from *checkpoint
+			var fromErr error
+			crash = func() {
+				from, fromErr = resumeCheckpoint(dir, w)
+				runtime.Goexit()
+			}
 			got, err := Run(RunConfig{Spec: spec, CkptDir: dir, FailWorker: w, FailRound: r, Spawn: crashSpawner})
 			if err != nil {
 				t.Fatalf("worker %d killed at round %d: %v", w, r, err)
 			}
 			assertMatchesLocal(t, got, want)
+			switch {
+			case fromErr != nil:
+				t.Errorf("worker %d killed at round %d leaves a log that does not resume: %v", w, r, fromErr)
+			case r <= 1 && from != nil:
+				t.Errorf("worker %d killed at round %d resumes from round %d's checkpoint, want the hello's share", w, r, from.Round)
+			case r >= 2 && (from == nil || from.Round != r-1):
+				t.Errorf("worker %d killed at round %d resumes from %+v, want round %d's checkpoint", w, r, from, r-1)
+			}
 			if got.Respawns != 1 {
 				t.Errorf("worker %d killed at round %d: %d respawns, want 1", w, r, got.Respawns)
 			}

@@ -28,10 +28,13 @@ type WorkerConfig struct {
 	// checkpointLog). Shared by all incarnations of this worker; distinct
 	// workers may share it because file names embed the index.
 	CkptDir string
-	// FailRound, when ≥ 0, kills the process with SIGKILL right after
-	// the checkpoint for that round is written — the crash the recovery
-	// path is tested against. The coordinator arms it only on a
-	// worker's first incarnation, so the respawn runs to completion.
+	// FailRound, when ≥ 0, kills the process with SIGKILL at the start
+	// of that round, right after its checkpoint is written — the crash
+	// the recovery path is tested against. Round 0 of a fresh start
+	// writes no checkpoint (its state is the share every hello is
+	// answered with), so a kill there leaves nothing behind it. The
+	// coordinator arms it only on a worker's first incarnation, so the
+	// respawn runs to completion.
 	FailRound int
 }
 
@@ -127,9 +130,12 @@ func (e *CheckpointGapError) Error() string {
 // resumePoint is the checkpoint a fresh incarnation of worker index
 // re-executes from: round max(0, newest−1), newest being the highest
 // round either file holds — the one-round rewind of the retention
-// invariant — or nil when neither holds a record (a fresh start). Of
-// several records of one round the newest is taken: the other file's
-// are read first, the current file's after them, each in order.
+// invariant — or nil for a fresh start: when neither file holds a
+// record, or when the round wanted is 0 and no record holds it. A
+// fresh start's round 0 needs none: its state is the share the hello
+// is answered with, which is why a worker never writes it. Of several
+// records of one round the newest is taken: the other file's are read
+// first, the current file's after them, each in order.
 func resumePoint(index int, files [2]logFile, cur int) (*checkpoint, error) {
 	byRound := make(map[int]*checkpoint)
 	newest := -1
@@ -144,7 +150,7 @@ func resumePoint(index int, files [2]logFile, cur int) (*checkpoint, error) {
 		return nil, nil
 	}
 	want := max(newest-1, 0)
-	if c := byRound[want]; c != nil {
+	if c := byRound[want]; c != nil || want == 0 {
 		return c, nil
 	}
 	return nil, &CheckpointGapError{Index: index, Newest: newest, Want: want}
@@ -152,32 +158,37 @@ func resumePoint(index int, files [2]logFile, cur int) (*checkpoint, error) {
 
 // checkpointLog is worker index's checkpoint log as one incarnation
 // appends to it: a policy.Log spread over two files, worker-<i>.log0
-// and .log1, appends going to the current one. Before an append — but
-// the incarnation's first — a current file holding more than twice the
-// bytes of its two newest records is retired: the other file is removed
-// and started afresh as the current one. A worker so never has more
-// than two files, their size stays a constant multiple of its newest
-// checkpoints', and no file is created per round.
+// and .log1, appends going to the current one, which is opened (and
+// created, if missing) at the incarnation's first append — a run whose
+// workers never append, such as a one-round run, leaves no file. Before
+// an append — but the incarnation's first — a current file holding more
+// than twice the bytes of its two newest records is retired: the other
+// file is removed and started afresh as the current one. A worker so
+// never has more than two files, their size stays a constant multiple
+// of its newest checkpoints', and no file is created per round.
 //
 // Retiring loses nothing a resume needs. A resume after the append of
 // round r rewinds to r−1; an append that is not the incarnation's first
 // follows the incarnation's own append of r−1 to the current file,
 // which retiring keeps. The first append follows no append of this
 // incarnation — the round before it may sit only in the other file —
-// so it never retires.
+// so it never retires. A fresh start's first append is round 1's: its
+// round 0 is the hello's share, never written, and a resume that wants
+// round 0 finds it there.
 type checkpointLog struct {
 	dir      string
 	index    int
 	cur      int         // the file appends go to
-	log      *policy.Log // file cur, open for appends
+	valid    int         // file cur's valid prefix, cut to at the first append
+	log      *policy.Log // file cur, open for appends; nil before the first
 	newest   [2]int      // sizes of file cur's two newest records, the newest last
 	appended bool        // whether this incarnation has appended
 }
 
-// openCheckpoints reads worker index's checkpoint log in dir and opens
-// it for this incarnation's appends, cutting the current file's torn
-// tail, if any, before the first. It returns the checkpoint to resume
-// from, nil for a fresh start.
+// openCheckpoints reads worker index's checkpoint log in dir for this
+// incarnation's appends; the current file's torn tail, if any, is cut
+// at the first. It returns the checkpoint to resume from, nil for a
+// fresh start.
 func openCheckpoints(dir string, index int) (*checkpointLog, *checkpoint, error) {
 	files, cur, err := readCheckpoints(dir, index)
 	if err != nil {
@@ -187,11 +198,7 @@ func openCheckpoints(dir string, index int) (*checkpointLog, *checkpoint, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	log, err := policy.OpenLog(logPath(dir, index, cur), files[cur].valid)
-	if err != nil {
-		return nil, nil, err
-	}
-	l := &checkpointLog{dir: dir, index: index, cur: cur, log: log}
+	l := &checkpointLog{dir: dir, index: index, cur: cur, valid: files[cur].valid}
 	for _, c := range files[cur].ckpts {
 		l.newest = [2]int{l.newest[1], c.size}
 	}
@@ -201,7 +208,13 @@ func openCheckpoints(dir string, index int) (*checkpointLog, *checkpoint, error)
 // write appends the checkpoint of round cur.Round: local, under the
 // cursor.
 func (l *checkpointLog) write(cur cursor, local *rel.Instance) error {
-	if l.appended && l.log.Size() > 2*(l.newest[0]+l.newest[1]) {
+	if !l.appended {
+		log, err := policy.OpenLog(logPath(l.dir, l.index, l.cur), l.valid)
+		if err != nil {
+			return fmt.Errorf("mpcnet: opening the checkpoint log: %w", err)
+		}
+		l.log = log
+	} else if l.log.Size() > 2*(l.newest[0]+l.newest[1]) {
 		if err := l.retire(); err != nil {
 			return fmt.Errorf("mpcnet: rotating the checkpoint log: %w", err)
 		}
@@ -238,7 +251,12 @@ func (l *checkpointLog) retire() error {
 	return nil
 }
 
-func (l *checkpointLog) close() error { return l.log.Close() }
+func (l *checkpointLog) close() error {
+	if l.log == nil {
+		return nil
+	}
+	return l.log.Close()
+}
 
 // crash is the failpoint's death: die hard, no deferred cleanup,
 // exactly like a lost machine. A variable only so tests can end a
@@ -251,16 +269,18 @@ var crash = func() {
 // of the input its hello is answered with, on rounds built from the
 // plan (the workload is generated only for a row that reads it) — every
 // step of a round being mpc's own, for one server: route this server's
-// facts (mpc.RouteSource), publish the shard's frames, pull every peer's and
-// merge in shard order (mpc.MergeInbox over one mpc.Stream per peer),
-// adopt residents, compute; then deliver the final fragment and
+// facts (mpc.RouteSource), publish the shard's frames for its peers, pull
+// every peer's and merge in shard order, its own outbox in process
+// (mpc.MergeInbox over one mpc.Stream per peer), adopt residents,
+// compute; then deliver the final fragment and
 // per-round accounting to the coordinator. The p−1 streams are opened
 // for the run, not the round: a fault-free run dials each peer once. Each
 // round's requests are posted on every stream before the first answer
-// is read, so peers' answers are in flight while earlier ones decode.
+// is read, so peers' answers are in flight while earlier ones are read.
 //
 // Recovery: a fresh incarnation resumes from max(0, latest-1) where
-// latest is the highest checkpoint in its log — the one-round rewind of
+// latest is the highest checkpoint in its log — round 0 being the
+// hello's share, which no checkpoint holds — the one-round rewind of
 // the data plane's retention invariant (internal/mpc/plane.go), which
 // is also why the log need keep only two rounds' checkpoints and the
 // fragment server two published rounds. Re-executing from latest-1
@@ -328,14 +348,17 @@ func RunWorker(cfg WorkerConfig) error {
 
 	for r := start; r < len(built.Rounds); r++ {
 		round := built.Rounds[r]
-		if ckpt != nil {
+		// Round 0's state is the hello's share, which a resume is answered
+		// with again: only a later round's is written.
+		if ckpt != nil && r > 0 {
 			if err := ckpt.write(cursor{Round: r, Received: received, DeltaSent: deltaSent}, local); err != nil {
 				return err
 			}
 		}
 		if cfg.FailRound == r {
 			// The crash under test. The coordinator's respawn (without the
-			// failpoint) recovers from the checkpoint just written.
+			// failpoint) recovers from the checkpoint just written, or from
+			// the hello's share.
 			crash()
 		}
 
@@ -343,17 +366,15 @@ func RunWorker(cfg WorkerConfig) error {
 		if err != nil {
 			return err
 		}
-		frames := mpc.ShardFrames(uint64(r), cfg.Index, shard)
-		srv.Publish(frames)
+		srv.Publish(mpc.ShardFrames(uint64(r), cfg.Index, shard, cfg.Index))
 		for w, st := range streams {
 			if st != nil {
 				st.Post(uint64(r), w)
 			}
 		}
-		inbox, myRecv, err := mpc.MergeInbox(cfg.Index, p, func(w int) (mpc.Frame, error) {
-			if w == cfg.Index {
-				return frames[w], nil // own fragment: no socket
-			}
+		// The own outbox is merged in process, at its position: no frame,
+		// no codec, no socket.
+		inbox, myRecv, err := mpc.MergeInbox(cfg.Index, p, &shard, func(w int) (mpc.Frame, error) {
 			return streams[w].Pull(uint64(r), w)
 		})
 		if err != nil {

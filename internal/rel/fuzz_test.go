@@ -234,7 +234,8 @@ func FuzzRelation(f *testing.F) {
 // panics, naming the relation, when the table is built over it — by
 // the first membership question — or at once when the table is built
 // already. Every question that builds the table checks: Add, Contains,
-// UnionWith, AbsorbNew and Equal.
+// UnionWith, AbsorbNew and Equal. A vouchcheck build panics at the
+// vouched append itself.
 func TestAddDistinctDuplicatePanics(t *testing.T) {
 	wantPanic := func(what string, fn func()) {
 		t.Helper()
@@ -266,6 +267,10 @@ func TestAddDistinctDuplicatePanics(t *testing.T) {
 		r := NewRelationSize("Dup", 1, 4)
 		r.AddDistinct(Tuple{1})
 		r.AddDistinct(Tuple{2})
+		if vouchCheck {
+			wantPanic(name+" under vouchcheck", func() { r.AddDistinct(Tuple{1}) })
+			continue
+		}
 		r.AddDistinct(Tuple{1})
 		if r.slots != nil || r.Len() != 3 {
 			t.Fatalf("%s: AddDistinct checked its vouch before a question was asked", name)

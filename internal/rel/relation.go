@@ -330,6 +330,9 @@ func (r *Relation) AddDistinct(t Tuple) {
 	if len(t) != r.Arity {
 		panic("rel: arity mismatch in " + r.Name)
 	}
+	if vouchCheck {
+		checkVouch(r, t, "AddDistinct")
+	}
 	if r.slots == nil {
 		r.push(t)
 	} else {
@@ -412,7 +415,11 @@ func (r *Relation) UnionDistinct(o *Relation) {
 	}
 	r.grow(r.count + o.count)
 	for i := range o.count {
-		if t := o.tupleAt(int32(i)); r.slots == nil {
+		t := o.tupleAt(int32(i))
+		if vouchCheck {
+			checkVouch(r, t, "UnionDistinct")
+		}
+		if r.slots == nil {
 			r.push(t)
 		} else {
 			r.insertDistinct(o.hashOf(i), t)
@@ -438,6 +445,9 @@ func (r *Relation) AbsorbNew(o *Relation, name string) *Relation {
 	r.grow(r.count + o.count)
 	for i := range o.count {
 		if t := o.tupleAt(int32(i)); r.insert(o.hashOf(i), t) {
+			if vouchCheck {
+				checkVouch(out, t, "AbsorbNew")
+			}
 			out.push(t) // new to r, so new to out
 		}
 	}

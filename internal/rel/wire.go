@@ -262,99 +262,162 @@ func (w *wireReader) bytes(n int) ([]byte, error) {
 // trailing bytes, and checksum mismatches. It never panics on
 // malformed input.
 func DecodeInstance(data []byte) (*Instance, error) {
-	w := &wireReader{data: data}
-	magic, err := w.u32()
-	if err != nil {
+	inst := NewInstance()
+	if err := DecodeInstanceInto(inst, data); err != nil {
 		return nil, err
-	}
-	if magic != wireMagic {
-		return nil, fmt.Errorf("rel: bad frame magic %#x (want %#x)", magic, wireMagic)
-	}
-	version, err := w.u16()
-	if err != nil {
-		return nil, err
-	}
-	if version != WireVersion {
-		return nil, fmt.Errorf("rel: unsupported wire version %d (this decoder speaks %d)", version, WireVersion)
-	}
-	relCount, err := w.u32()
-	if err != nil {
-		return nil, err
-	}
-	// Each relation costs at least its fixed header (2+2+4 bytes) plus
-	// one tuple, so a relCount beyond the remaining bytes is corrupt —
-	// reject before allocating the instance map from attacker input.
-	if int64(relCount) > int64(w.remaining()/8)+1 {
-		return nil, fmt.Errorf("rel: frame declares %d relations but only %d bytes remain", relCount, w.remaining())
-	}
-	inst := NewInstanceSize(int(relCount))
-	prevName := ""
-	for k := uint32(0); k < relCount; k++ {
-		name, r, err := decodeRelation(w)
-		if err != nil {
-			return nil, err
-		}
-		if k > 0 && name <= prevName {
-			return nil, fmt.Errorf("rel: relation %q out of order after %q (canonical encoding is name-ascending)", name, prevName)
-		}
-		prevName = name
-		inst.rels[name] = r
-	}
-	switch {
-	case w.remaining() < wireCRCLen:
-		return nil, fmt.Errorf("rel: truncated frame: %d bytes remain where the %d-byte checksum belongs", w.remaining(), wireCRCLen)
-	case w.remaining() > wireCRCLen:
-		return nil, fmt.Errorf("rel: %d trailing bytes after a complete instance", w.remaining()-wireCRCLen)
-	}
-	want := binary.LittleEndian.Uint32(w.data[w.off:])
-	if got := crc32.Checksum(w.data[:w.off], wireCRCTable); got != want {
-		return nil, fmt.Errorf("rel: frame checksum mismatch (trailer says %#x, body hashes to %#x)", want, got)
 	}
 	return inst, nil
 }
 
-func decodeRelation(w *wireReader) (string, *Relation, error) {
+// ScanInstance reads the relation headers of a canonical instance
+// encoding — name, arity and tuple count, in order, passed to fn —
+// without decoding a value or verifying the checksum: what a merge of
+// several encodings needs to size its relations before it decodes them
+// (DecodeInstanceInto). A structural error is DecodeInstance's.
+func ScanInstance(data []byte, fn func(name string, arity, count int)) error {
+	return walkInstance(data, false, func(name string, arity, count int, _ []byte) error {
+		fn(name, arity, count)
+		return nil
+	})
+}
+
+// DecodeInstanceInto decodes a canonical instance encoding into dst,
+// the merge of the fragments decoded before it, with DecodeInstance's
+// checks. A relation dst lacks is decoded as DecodeInstance decodes it;
+// one dst holds — pre-sized by the caller, or it grows — gets the
+// encoding's tuples written straight into its arena, each one dst lacks
+// landing once, in order, as UnionWith of the decoded relation would
+// land it: into an empty relation with no table the ascending run is
+// appended, proven distinct by ascent, and any other tuple asks the
+// table. A tuple the encoding carries twice is its canonical-form
+// error, whether or not an earlier fragment carried it too. On an error
+// dst holds part of the encoding.
+func DecodeInstanceInto(dst *Instance, data []byte) error {
+	return walkInstance(data, true, func(name string, arity, count int, vals []byte) error {
+		r := dst.rels[name]
+		switch {
+		case r == nil:
+			r, err := decodeRelation(name, arity, count, vals)
+			if err == nil {
+				dst.rels[name] = r
+			}
+			return err
+		case r.Arity != arity:
+			return fmt.Errorf("rel: relation %q has wire arity %d, merged into arity %d", name, arity, r.Arity)
+		}
+		return r.decodeAppend(vals, count)
+	})
+}
+
+// walkInstance reads an instance encoding: its header, then each
+// relation's header in order — the names must ascend — handing fn the
+// relation's name, arity, tuple count and values; and, when sealed, the
+// checksum trailer.
+func walkInstance(data []byte, sealed bool, fn func(name string, arity, count int, vals []byte) error) error {
+	w := &wireReader{data: data}
+	magic, err := w.u32()
+	if err != nil {
+		return err
+	}
+	if magic != wireMagic {
+		return fmt.Errorf("rel: bad frame magic %#x (want %#x)", magic, wireMagic)
+	}
+	version, err := w.u16()
+	if err != nil {
+		return err
+	}
+	if version != WireVersion {
+		return fmt.Errorf("rel: unsupported wire version %d (this decoder speaks %d)", version, WireVersion)
+	}
+	relCount, err := w.u32()
+	if err != nil {
+		return err
+	}
+	// Each relation costs at least its fixed header (2+2+4 bytes) plus
+	// one tuple, so a relCount beyond the remaining bytes is corrupt.
+	if int64(relCount) > int64(w.remaining()/8)+1 {
+		return fmt.Errorf("rel: frame declares %d relations but only %d bytes remain", relCount, w.remaining())
+	}
+	prevName := ""
+	for k := uint32(0); k < relCount; k++ {
+		name, arity, count, vals, err := w.relation()
+		if err != nil {
+			return err
+		}
+		if k > 0 && name <= prevName {
+			return fmt.Errorf("rel: relation %q out of order after %q (canonical encoding is name-ascending)", name, prevName)
+		}
+		prevName = name
+		if err := fn(name, arity, count, vals); err != nil {
+			return err
+		}
+	}
+	if !sealed {
+		return nil
+	}
+	switch {
+	case w.remaining() < wireCRCLen:
+		return fmt.Errorf("rel: truncated frame: %d bytes remain where the %d-byte checksum belongs", w.remaining(), wireCRCLen)
+	case w.remaining() > wireCRCLen:
+		return fmt.Errorf("rel: %d trailing bytes after a complete instance", w.remaining()-wireCRCLen)
+	}
+	want := binary.LittleEndian.Uint32(w.data[w.off:])
+	if got := crc32.Checksum(w.data[:w.off], wireCRCTable); got != want {
+		return fmt.Errorf("rel: frame checksum mismatch (trailer says %#x, body hashes to %#x)", want, got)
+	}
+	return nil
+}
+
+// relation reads a relation's header and its values.
+func (w *wireReader) relation() (name string, arity, count int, vals []byte, err error) {
 	nameLen, err := w.u16()
 	if err != nil {
-		return "", nil, err
+		return "", 0, 0, nil, err
 	}
 	if nameLen == 0 {
-		return "", nil, fmt.Errorf("rel: empty relation name at offset %d", w.off)
+		return "", 0, 0, nil, fmt.Errorf("rel: empty relation name at offset %d", w.off)
 	}
 	nameBytes, err := w.bytes(int(nameLen))
 	if err != nil {
-		return "", nil, err
+		return "", 0, 0, nil, err
 	}
-	name := string(nameBytes)
+	name = string(nameBytes)
 	arity16, err := w.u16()
 	if err != nil {
-		return "", nil, err
+		return "", 0, 0, nil, err
 	}
-	arity := int(arity16)
+	arity = int(arity16)
 	if arity == 0 || arity > maxWireArity {
-		return "", nil, fmt.Errorf("rel: relation %q has wire arity %d (want 1..%d)", name, arity, maxWireArity)
+		return "", 0, 0, nil, fmt.Errorf("rel: relation %q has wire arity %d (want 1..%d)", name, arity, maxWireArity)
 	}
 	count32, err := w.u32()
 	if err != nil {
-		return "", nil, err
+		return "", 0, 0, nil, err
 	}
-	count := int(count32)
+	count = int(count32)
 	if count == 0 {
-		return "", nil, fmt.Errorf("rel: relation %q encoded with zero tuples (canonical encoding skips empty relations)", name)
+		return "", 0, 0, nil, fmt.Errorf("rel: relation %q encoded with zero tuples (canonical encoding skips empty relations)", name)
 	}
-	// The payload length check caps the allocation below at the frame
-	// size: a frame cannot make the decoder allocate more value slots
-	// than it carries bytes.
+	// The payload length check caps what a decoder allocates for the
+	// values at the frame size: a frame cannot make it allocate more
+	// value slots than it carries bytes.
 	need := count * arity * 8
 	if w.remaining() < need {
-		return "", nil, fmt.Errorf("rel: relation %q declares %d×%d values (%d bytes) but only %d remain",
+		return "", 0, 0, nil, fmt.Errorf("rel: relation %q declares %d×%d values (%d bytes) but only %d remain",
 			name, count, arity, need, w.remaining())
 	}
+	vals = w.data[w.off : w.off+need]
+	w.off += need
+	return name, arity, count, vals, nil
+}
+
+// decodeRelation decodes a relation's count tuples of arity values,
+// payload holding exactly their bytes.
+func decodeRelation(name string, arity, count int, payload []byte) (*Relation, error) {
 	// One pass fills the arena. The payload holds exactly 8 bytes a
 	// value; the length test stands in for the bounds checks, so the
 	// loop body has none.
 	vals := make([]Value, count*arity)
-	payload := w.data[w.off : w.off+need]
 	for j := range vals {
 		if len(payload) < 8 {
 			break
@@ -362,7 +425,6 @@ func decodeRelation(w *wireReader) (string, *Relation, error) {
 		vals[j] = Value(binary.LittleEndian.Uint64(payload))
 		payload = payload[8:]
 	}
-	w.off += need
 	// The longest strictly ascending prefix is distinct by ascent: it
 	// becomes the relation as it stands, with no table and no hash.
 	run := 1
@@ -370,6 +432,9 @@ func decodeRelation(w *wireReader) (string, *Relation, error) {
 		run++
 	}
 	r := &Relation{Name: name, Arity: arity, arena: vals[:run*arity], count: run, ascending: true}
+	if vouchCheck {
+		checkStored(r, "DecodeInstance")
+	}
 	// The first tuple that is not above its predecessor builds the table
 	// over the run, and from then on the table checks. Each tuple is
 	// inserted from where it already lies, so its copy into the arena
@@ -377,8 +442,47 @@ func decodeRelation(w *wireReader) (string, *Relation, error) {
 	for i := run; i < count; i++ {
 		t := Tuple(vals[i*arity : (i+1)*arity])
 		if !r.insert(tableHash(t), t) {
-			return "", nil, fmt.Errorf("rel: relation %q carries duplicate tuple %v (canonical encoding is duplicate-free)", name, t)
+			return nil, fmt.Errorf("rel: relation %q carries duplicate tuple %v (canonical encoding is duplicate-free)", name, t)
 		}
 	}
-	return name, r, nil
+	return r, nil
+}
+
+// decodeAppend writes count tuples of encoded values into r, as
+// DecodeInstanceInto describes. Each is read into the arena's spare
+// room, where a push or an insert finds it already in place.
+func (r *Relation) decodeAppend(payload []byte, count int) error {
+	r.Reserve(count)
+	start := r.count
+	run := r.count == 0 && r.slots == nil // the ascending run goes in with no table
+	var met map[int32]bool                // tuples of earlier fragments this one carried
+	for range count {
+		off := r.count * r.Arity
+		t := Tuple(r.arena[off : off+r.Arity : off+r.Arity])
+		for j := range t {
+			t[j] = Value(binary.LittleEndian.Uint64(payload))
+			payload = payload[8:]
+		}
+		if run && (r.count == 0 || r.above(t)) {
+			if vouchCheck {
+				checkVouch(r, t, "DecodeInstanceInto")
+			}
+			r.push(t)
+			continue
+		}
+		run = false
+		h := tableHash(t)
+		if r.insert(h, t) {
+			continue
+		}
+		i := r.find(h, t)
+		if int(i) >= start || met[i] {
+			return fmt.Errorf("rel: relation %q carries duplicate tuple %v (canonical encoding is duplicate-free)", r.Name, t)
+		}
+		if met == nil {
+			met = make(map[int32]bool)
+		}
+		met[i] = true
+	}
+	return nil
 }
