@@ -3,7 +3,8 @@
 # the full test suite (including the determinism regression tests,
 # the fault, Byzantine and transport matrices, and every experiment)
 # once, the race detector, the suite again on the vouchcheck build,
-# and the repo-specific mpclint analyzers.
+# the repo-specific mpclint analyzers, and netsweep — the control
+# plane across real worker processes, SIGKILL recovery included.
 # No target re-runs by name a test `make test` already ran.
 # `make verify-perf` additionally guards against benchmark regressions
 # relative to the checked-in baseline report.
@@ -140,6 +141,7 @@ fuzz:
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzCreateSession$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzLoadSnapshot$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mpcnet -run='^$$' -fuzz='^FuzzControlPlane$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mpcnet -run='^$$' -fuzz='^FuzzHelloAnswer$$' -fuzztime=$(FUZZTIME)
 
 # serve is the query-daemon gate: the serving-layer unit/property
 # suites plus the e2e suite that forks the real mpcd binary (start,
@@ -155,7 +157,7 @@ serve:
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
-verify: build vet bench-build test race vouchcheck lint serve fuzz
+verify: build vet bench-build test race vouchcheck lint netsweep serve fuzz
 	@echo "verify: OK"
 
 # experiments regenerates every report on the sweep scheduler.
@@ -183,7 +185,6 @@ cover-baseline:
 # parallel scheduler.
 nightly: verify
 	$(GO) test -race ./...
-	$(MAKE) netsweep
 	$(MAKE) verify-perf
 	$(MAKE) soak
 	$(GO) run ./cmd/experiments -parallel $(SWEEPPROCS) -run SCHED-exhaustive

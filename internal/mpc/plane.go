@@ -634,8 +634,9 @@ func (st *Stream) try(seq uint64, shard int) (Frame, error) {
 // Post sends the request for frame (seq, shard, dst) without waiting for
 // the answer, so the source's answer is in flight while the caller does
 // something else; the matching Pull reads it. A post that fails (the
-// peer is gone, or not registered yet) is not an error: it leaves the
-// stream without a connection and Pull starts its retry loop from there.
+// peer is gone, or was respawned under an address the resolver has not
+// learned yet) is not an error: it leaves the stream without a
+// connection and Pull starts its retry loop from there.
 func (st *Stream) Post(seq uint64, shard int) {
 	if err := st.request(seq, shard); err != nil {
 		defer st.Close() // broken stream: close is best-effort

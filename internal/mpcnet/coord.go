@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,9 +61,11 @@ type workerResult struct {
 
 // coordinator is the run's control-plane state: the shares it deals,
 // the address book the workers publish into and the result set they
-// deliver into. The result barrier lives here — result responses are
-// held until every worker has reported, so no fragment server
-// disappears while a recovering peer might still re-pull.
+// deliver into. Both of the run's barriers live here. Hello answers are
+// held until every worker has said hello, so each carries every peer's
+// address and no worker pulls from a peer that has none yet. Result
+// answers are held until every worker has reported, so no fragment
+// server disappears while a recovering peer might still re-pull.
 type coordinator struct {
 	p       int
 	lineCap int      // ctrlLineCap of the run's program
@@ -71,7 +74,9 @@ type coordinator struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	addrs   []string
+	addrs   []string // worker i's data address, its last hello's
+	greeted []bool   // whether worker i has said hello
+	hellos  int      // workers that have said hello, each counted once
 	results map[int]workerResult
 	failed  error
 }
@@ -81,7 +86,7 @@ type coordinator struct {
 // workers.
 func newCoordinator(shares [][]byte, rounds int) *coordinator {
 	p := len(shares)
-	c := &coordinator{p: p, lineCap: ctrlLineCap(rounds), shares: shares, addrs: make([]string, p), results: make(map[int]workerResult)}
+	c := &coordinator{p: p, lineCap: ctrlLineCap(rounds), shares: shares, addrs: make([]string, p), greeted: make([]bool, p), results: make(map[int]workerResult)}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -110,7 +115,7 @@ func (c *coordinator) close() {
 	c.cond.Broadcast()
 }
 
-// fail aborts the run: pending result barriers release with an error
+// fail aborts the run: held hellos and results release with an error
 // so blocked workers exit instead of hanging.
 func (c *coordinator) fail(err error) {
 	c.mu.Lock()
@@ -144,8 +149,8 @@ func (c *coordinator) serve(conn net.Conn) {
 		return // over-long or malformed request: drop, the worker retries
 	}
 	resp, share := c.handle(req, rd)
-	// The result barrier may have held this connection past the read
-	// deadline; re-arm before responding.
+	// A barrier may have held this connection past the read deadline;
+	// re-arm before responding.
 	if err := conn.SetDeadline(time.Now().Add(ioTimeout)); err != nil {
 		return
 	}
@@ -154,7 +159,8 @@ func (c *coordinator) serve(conn net.Conn) {
 
 // handle answers req, whose line has been read from body; a result's
 // fragment frame is read from body next. A hello's answer returns the
-// worker's share, to follow the response line.
+// worker's share, to follow the response line. The first hello of every
+// worker, and every result, waits at its barrier.
 func (c *coordinator) handle(req ctrlRequest, body io.Reader) (ctrlResponse, []byte) {
 	if req.Index < 0 || req.Index >= c.p {
 		return ctrlResponse{Err: fmt.Sprintf("worker index %d outside 0..%d", req.Index, c.p-1)}, nil
@@ -163,8 +169,23 @@ func (c *coordinator) handle(req ctrlRequest, body io.Reader) (ctrlResponse, []b
 	case "hello":
 		c.mu.Lock()
 		c.addrs[req.Index] = req.Addr
+		if !c.greeted[req.Index] {
+			c.greeted[req.Index] = true
+			c.hellos++
+			c.cond.Broadcast()
+		}
+		// Barrier: hold the answer until the whole cluster said hello (or
+		// the run failed), so it carries every peer's address. A respawn's
+		// hello comes after it and is answered at once.
+		for c.hellos < c.p && c.failed == nil {
+			c.cond.Wait()
+		}
+		failed, addrs := c.failed, slices.Clone(c.addrs)
 		c.mu.Unlock()
-		return ctrlResponse{OK: true}, c.shares[req.Index]
+		if failed != nil {
+			return ctrlResponse{Err: failed.Error()}, nil
+		}
+		return ctrlResponse{OK: true, Addrs: addrs}, c.shares[req.Index]
 	case "lookup":
 		if req.Peer < 0 || req.Peer >= c.p {
 			return ctrlResponse{Err: fmt.Sprintf("peer index %d outside 0..%d", req.Peer, c.p-1)}, nil

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -269,7 +270,8 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 // TestWorkerSliceMatchesRoundRobin pins the initial-placement
 // agreement: the share the coordinator's hello hands worker i must be
 // exactly what LoadRoundRobin puts on server i, or the distributed run
-// starts from a different instance than the simulator.
+// starts from a different instance than the simulator. The p hellos are
+// sent together: the coordinator answers none before all have arrived.
 func TestWorkerSliceMatchesRoundRobin(t *testing.T) {
 	for _, spec := range specMatrix() {
 		built, err := Build(spec)
@@ -282,12 +284,22 @@ func TestWorkerSliceMatchesRoundRobin(t *testing.T) {
 		}
 		c := mpc.NewCluster(built.P)
 		c.LoadRoundRobin(built.Input)
+		shares := make([][]byte, built.P)
+		errs := make([]error, built.P)
+		var hellos sync.WaitGroup
 		for i := 0; i < built.P; i++ {
-			_, share, err := roundtrip(coord.addr(), ctrlRequest{Op: "hello", Index: i, Addr: "127.0.0.1:1"}, nil)
-			if err != nil {
-				t.Fatalf("%s: hello of worker %d: %v", spec.Program, i, err)
+			hellos.Add(1)
+			go func(i int) {
+				defer hellos.Done()
+				_, shares[i], errs[i] = hello(coord.addr(), i, built.P, "127.0.0.1:1")
+			}(i)
+		}
+		hellos.Wait()
+		for i := 0; i < built.P; i++ {
+			if errs[i] != nil {
+				t.Fatalf("%s: hello of worker %d: %v", spec.Program, i, errs[i])
 			}
-			if got, err := rel.DecodeInstance(share); err != nil || !got.Equal(c.Server(i)) {
+			if got, err := rel.DecodeInstance(shares[i]); err != nil || !got.Equal(c.Server(i)) {
 				t.Errorf("%s: hello hands worker %d a share (err %v) that differs from LoadRoundRobin server %d", spec.Program, i, err, i)
 			}
 		}
@@ -987,26 +999,36 @@ func twelveRoundTC(tb testing.TB) ProgramSpec {
 	return spec
 }
 
-// lookupCounter stands in front of a run's coordinator and counts the
-// lookups it answers with an address. A stream asks once per dial, and
-// dials on an answer, so the count is the run's data-plane dials. (A
-// lookup answered "not registered yet" — a worker racing ahead of a
-// peer's hello at start-up — is a poll, not a dial, and is not counted.)
-type lookupCounter struct {
-	coord    atomic.Value // string: the current run's real coordinator, learned at each spawn
-	answered atomic.Int64
+// dialCounter stands in front of a run's coordinator and of every
+// worker's fragment server. It counts the lookups the coordinator
+// answers with an address, and the data-plane connections the workers
+// make: each hello's data address is replaced, on its way in, with that
+// of a counting proxy to it, so every address a worker learns — from a
+// hello's answer or a lookup — is a proxy's. It also keeps, per worker,
+// the address of its last hello and the addresses lookups of it were
+// answered with.
+type dialCounter struct {
+	coord   atomic.Value // string: the current run's real coordinator, learned at each spawn
+	lookups atomic.Int64
+	dials   atomic.Int64
+
+	mu        sync.Mutex
+	helloAddr map[int]string
+	lookedUp  map[int][]string
+	proxies   []net.Listener
+	pipes     sync.WaitGroup // the proxies' accept loops and connections
 }
 
-// countLookups wraps spawn so every worker talks to its coordinator
-// through a counting relay; stop closes the relay and joins it. Runs
-// through one counter must not overlap.
-func countLookups(tb testing.TB, spawn Spawner) (counted Spawner, lc *lookupCounter, stop func()) {
+// countDials wraps spawn so every worker talks to its coordinator, and
+// to its peers, through counting relays; stop closes them and joins
+// them. Runs through one counter must not overlap.
+func countDials(tb testing.TB, spawn Spawner) (counted Spawner, dc *dialCounter, stop func()) {
 	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	lc = &lookupCounter{}
+	dc = &dialCounter{helloAddr: make(map[int]string), lookedUp: make(map[int][]string)}
 	accepting := make(chan struct{})
 	go func() {
 		defer close(accepting)
@@ -1020,33 +1042,101 @@ func countLookups(tb testing.TB, spawn Spawner) (counted Spawner, lc *lookupCoun
 			relays.Add(1)
 			go func() {
 				defer relays.Done()
-				lc.relay(conn)
+				dc.relay(conn)
 			}()
 		}
 	}()
 	counted = func(cfg WorkerConfig) (Process, error) {
-		lc.coord.Store(cfg.CoordAddr)
+		dc.coord.Store(cfg.CoordAddr)
 		cfg.CoordAddr = ln.Addr().String()
 		return spawn(cfg)
 	}
-	return counted, lc, func() {
+	return counted, dc, func() {
 		ln.Close()
 		<-accepting
+		dc.mu.Lock()
+		for _, p := range dc.proxies {
+			p.Close()
+		}
+		dc.mu.Unlock()
+		dc.pipes.Wait()
 	}
 }
 
-// relay forwards one request line to the coordinator and its response
-// line back, counting an answered lookup on the way, and the fragment
-// frame that follows either line (a result's, a hello's answer's) as it
-// arrives.
-func (lc *lookupCounter) relay(conn net.Conn) {
+// proxy opens a listener that counts each connection made to it and
+// pipes it to target, and returns the listener's address.
+func (dc *dialCounter) proxy(target string) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return target // uncounted, and the dial count shows it
+	}
+	dc.mu.Lock()
+	dc.proxies = append(dc.proxies, ln)
+	dc.mu.Unlock()
+	dc.pipes.Add(1)
+	go func() {
+		defer dc.pipes.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dc.dials.Add(1)
+			dc.pipes.Add(1)
+			go func() {
+				defer dc.pipes.Done()
+				pipe(conn, target)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// pipe copies between conn and a connection to target, both ways, until
+// either side hangs up.
+func pipe(conn net.Conn, target string) {
+	defer conn.Close()
+	up, err := net.Dial("tcp", target)
+	if err != nil {
+		return
+	}
+	defer up.Close()
+	upstream := make(chan struct{})
+	go func() {
+		defer close(upstream)
+		io.Copy(up, conn)
+		up.Close()
+	}()
+	io.Copy(conn, up)
+	conn.Close()
+	<-upstream
+}
+
+// relay forwards one request line to the coordinator — a hello's data
+// address replaced with its proxy's — and its response line back,
+// counting an answered lookup on the way, and the fragment frame that
+// follows either line (a result's, a hello's answer's) as it arrives.
+func (dc *dialCounter) relay(conn net.Conn) {
 	defer conn.Close()
 	rd := bufio.NewReader(conn)
 	line, err := rd.ReadBytes('\n')
 	if err != nil {
 		return
 	}
-	up, err := net.Dial("tcp", lc.coord.Load().(string))
+	var req ctrlRequest
+	parsed := json.Unmarshal(line, &req) == nil
+	if parsed && req.Op == "hello" {
+		req.Addr = dc.proxy(req.Addr)
+		dc.mu.Lock()
+		dc.helloAddr[req.Index] = req.Addr
+		dc.mu.Unlock()
+		enc, err := json.Marshal(req)
+		if err != nil {
+			return
+		}
+		line = append(enc, '\n')
+	}
+	up, err := net.Dial("tcp", dc.coord.Load().(string))
 	if err != nil {
 		return
 	}
@@ -1068,25 +1158,29 @@ func (lc *lookupCounter) relay(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	var req ctrlRequest
 	var resp ctrlResponse
-	if json.Unmarshal(line, &req) == nil && json.Unmarshal(answer, &resp) == nil && req.Op == "lookup" && resp.Addr != "" {
-		lc.answered.Add(1)
+	if parsed && json.Unmarshal(answer, &resp) == nil && req.Op == "lookup" && resp.Addr != "" {
+		dc.lookups.Add(1)
+		dc.mu.Lock()
+		dc.lookedUp[req.Peer] = append(dc.lookedUp[req.Peer], resp.Addr)
+		dc.mu.Unlock()
 	}
 	conn.Write(answer)
 	io.Copy(conn, upRd) // until the coordinator hangs up
 }
 
-// TestRunDialsEachPeerOnce: a fault-free 12-round run at p = 4 costs
-// p(p−1) = 12 answered lookups — one per stream, for the whole run, not
-// one per pull (which would be 144) — and still matches the simulator.
+// TestRunDialsEachPeerOnce: a fault-free 12-round run at p = 4 makes
+// p(p−1) = 12 data-plane dials — one per stream, for the whole run, not
+// one per pull (which would be 144) — each to the address its hello was
+// answered with, so the coordinator answers no lookup; and it still
+// matches the simulator.
 func TestRunDialsEachPeerOnce(t *testing.T) {
 	spec := twelveRoundTC(t)
 	want, err := RunLocal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spawn, lookups, stop := countLookups(t, goSpawner)
+	spawn, counter, stop := countDials(t, goSpawner)
 	got, err := Run(RunConfig{Spec: spec, CkptDir: t.TempDir(), FailWorker: -1, FailRound: -1, Spawn: spawn})
 	stop()
 	if err != nil {
@@ -1095,8 +1189,11 @@ func TestRunDialsEachPeerOnce(t *testing.T) {
 	if got.Rounds != 12 || got.Trace != want.Trace || got.Output.String() != want.Output.String() {
 		t.Errorf("run through the counting relay diverged from the simulator (%d rounds)", got.Rounds)
 	}
-	if n := lookups.answered.Load(); n != 12 {
-		t.Errorf("coordinator answered %d lookups over %d rounds, want 12: one dial per peer per run", n, got.Rounds)
+	if n := counter.dials.Load(); n != 12 {
+		t.Errorf("workers made %d data-plane dials over %d rounds, want 12: one dial per peer per run", n, got.Rounds)
+	}
+	if n := counter.lookups.Load(); n != 0 {
+		t.Errorf("coordinator answered %d lookups in a fault-free run, want 0: the hello carries every address", n)
 	}
 }
 
@@ -1113,19 +1210,18 @@ func TestResultBarrierOutlastsIOBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.close()
-	report := func(index int) error {
-		_, _, err := roundtrip(coord.addr(), ctrlRequest{Op: "result", Index: index}, rel.EncodeInstance(rel.NewInstance()))
-		return err
+	deliver := func(index int) error {
+		return report(coord.addr(), index, nil, nil, rel.EncodeInstance(rel.NewInstance()))
 	}
 	early := make(chan error, 1)
-	go func() { early <- report(0) }()
+	go func() { early <- deliver(0) }()
 	time.Sleep(3 * bound)
 	select {
 	case err := <-early:
 		t.Fatalf("first reporter left the barrier before the last one arrived (err %v)", err)
 	default:
 	}
-	if err := report(1); err != nil {
+	if err := deliver(1); err != nil {
 		t.Errorf("last reporter: %v", err)
 	}
 	if err := <-early; err != nil {
@@ -1133,10 +1229,169 @@ func TestResultBarrierOutlastsIOBound(t *testing.T) {
 	}
 }
 
+// emptyShares is p shares of an empty instance, for a coordinator whose
+// hellos are answered.
+func emptyShares(p int) [][]byte {
+	shares := make([][]byte, p)
+	for i := range shares {
+		shares[i] = rel.EncodeInstance(rel.NewInstance())
+	}
+	return shares
+}
+
+// within waits up to one generous bound for a call made in the
+// background, failing the test when it has not returned by then.
+func within[T any](t *testing.T, what string, ch <-chan T) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s has not returned after 30 s", what)
+		panic("unreachable")
+	}
+}
+
+// TestHelloBarrierReleasesOnFailAndClose: a hello is held while a peer
+// has not said hello — several I/O bounds, since waiting for the
+// slowest spawn is not failure — and released with a refusal naming the
+// cause when the run fails or the coordinator closes.
+func TestHelloBarrierReleasesOnFailAndClose(t *testing.T) {
+	const bound = 100 * time.Millisecond // short, yet above a loaded host's stalls
+	defer func(d time.Duration) { ioTimeout = d }(ioTimeout)
+	ioTimeout = bound
+
+	for _, end := range []string{"fail", "close"} {
+		coord := newCoordinator(emptyShares(2), 1)
+		if err := coord.listen(); err != nil {
+			t.Fatal(err)
+		}
+		held := make(chan error, 1)
+		go func() {
+			_, _, err := hello(coord.addr(), 0, 2, "127.0.0.1:1")
+			held <- err
+		}()
+		time.Sleep(3 * bound)
+		select {
+		case err := <-held:
+			t.Fatalf("%s: a hello was answered before its peer's (err %v)", end, err)
+		default:
+		}
+		want := "coordinator closed"
+		if end == "fail" {
+			want = "worker 1 never started"
+			coord.fail(errors.New(want))
+		} else {
+			coord.close()
+		}
+		if err := within(t, end+": the held hello", held); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: the held hello was released with %v, want a refusal naming %q", end, err, want)
+		}
+		coord.close()
+	}
+}
+
+// TestHelloAfterBarrierAnsweredAtOnce: once every worker has said
+// hello, a respawn's hello is answered at once, with every peer's
+// current address — its own new one among them — and a lookup of it
+// answers the new address too.
+func TestHelloAfterBarrierAnsweredAtOnce(t *testing.T) {
+	coord := newCoordinator(emptyShares(2), 1)
+	if err := coord.listen(); err != nil {
+		t.Fatal(err)
+	}
+	defer coord.close()
+	type answer struct {
+		addrs []string
+		err   error
+	}
+	greet := func(index int, addr string) <-chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			addrs, _, err := hello(coord.addr(), index, 2, addr)
+			ch <- answer{addrs, err}
+		}()
+		return ch
+	}
+	first := []<-chan answer{greet(0, "127.0.0.1:10"), greet(1, "127.0.0.1:11")}
+	for i, ch := range first {
+		if a := within(t, "a first hello", ch); a.err != nil || fmt.Sprint(a.addrs) != "[127.0.0.1:10 127.0.0.1:11]" {
+			t.Fatalf("worker %d's first hello answered %v (err %v)", i, a.addrs, a.err)
+		}
+	}
+	if a := within(t, "a respawn's hello", greet(0, "127.0.0.1:20")); a.err != nil || fmt.Sprint(a.addrs) != "[127.0.0.1:20 127.0.0.1:11]" {
+		t.Errorf("a respawn's hello answered %v (err %v)", a.addrs, a.err)
+	}
+	if addr, err := peerAddr(coord.addr(), 1, 0, "")(); err != nil || addr != "127.0.0.1:20" {
+		t.Errorf("a lookup of the respawned worker answered %q (err %v)", addr, err)
+	}
+}
+
+// TestRunFailsWhenAPeerNeverStarts: worker 2 of a p = 4 run never says
+// hello — its spawn fails, or every incarnation dies at once — and the
+// run fails with that cause instead of hanging: the workers held at the
+// hello barrier are released and exit.
+func TestRunFailsWhenAPeerNeverStarts(t *testing.T) {
+	spec := ProgramSpec{Program: "hypercube", P: 4, M: 24, Seed: 7}
+	for name, never := range map[string]Spawner{
+		"spawn fails": func(WorkerConfig) (Process, error) { return nil, errors.New("no such binary") },
+		"dies at once": func(WorkerConfig) (Process, error) {
+			p := &goProc{done: make(chan struct{}), err: errors.New("exit status 1")}
+			close(p.done)
+			return p, nil
+		},
+	} {
+		spawn := func(cfg WorkerConfig) (Process, error) {
+			if cfg.Index == 2 {
+				return never(cfg)
+			}
+			return goSpawner(cfg)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(RunConfig{Spec: spec, FailWorker: -1, FailRound: -1, Spawn: spawn})
+			done <- err
+		}()
+		if err := within(t, name+": the run", done); err == nil || !strings.Contains(err.Error(), "worker 2") {
+			t.Errorf("%s: the run ended with %v, want worker 2's failure", name, err)
+		}
+	}
+}
+
+// TestKilledRunLooksUpTheRespawn: lookup is the recovery path. When
+// worker 1 of the 12-round tc is killed, its peers' streams to it break,
+// and they redial through the coordinator's lookup, which answers the
+// respawn's address; the run still equals the simulator's.
+func TestKilledRunLooksUpTheRespawn(t *testing.T) {
+	defer func(c func()) { crash = c }(crash)
+	crash = runtime.Goexit
+	spec := twelveRoundTC(t)
+	want, err := RunLocal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{0, 1, 6, 11} {
+		spawn, counter, stop := countDials(t, crashSpawner)
+		got, err := Run(RunConfig{Spec: spec, CkptDir: t.TempDir(), FailWorker: 1, FailRound: r, Spawn: spawn})
+		stop()
+		if err != nil {
+			t.Fatalf("worker 1 killed at round %d: %v", r, err)
+		}
+		assertMatchesLocal(t, got, want)
+		if got.Respawns != 1 {
+			t.Errorf("worker 1 killed at round %d: %d respawns, want 1", r, got.Respawns)
+		}
+		respawn := counter.helloAddr[1]
+		if !slices.Contains(counter.lookedUp[1], respawn) {
+			t.Errorf("worker 1 killed at round %d: lookups of it answered %v, never its respawn's %s", r, counter.lookedUp[1], respawn)
+		}
+	}
+}
+
 // BenchmarkRunRounds is the 12-round tc run over goroutine workers, with
 // and without checkpoints: the multi-round shape whose cost is per-round
-// set-up. dials/op is the coordinator's answered lookups in one untimed
-// run through the counting relay (the timed runs skip the relay).
+// set-up. dials/op is the data-plane dials of one untimed run through
+// the counting relays (the timed runs skip them).
 func BenchmarkRunRounds(b *testing.B) {
 	spec := twelveRoundTC(b)
 	for _, ckpt := range []bool{true, false} {
@@ -1158,14 +1413,14 @@ func BenchmarkRunRounds(b *testing.B) {
 					b.Fatalf("%d rounds, want 12", res.Rounds)
 				}
 			}
-			spawn, lookups, stop := countLookups(b, goSpawner)
+			spawn, counter, stop := countDials(b, goSpawner)
 			run(spawn)
 			stop()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				run(goSpawner)
 			}
-			b.ReportMetric(float64(lookups.answered.Load()), "dials/op")
+			b.ReportMetric(float64(counter.dials.Load()), "dials/op")
 		})
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -196,4 +198,112 @@ func TestControlPlaneRefusesOverlongLinesAndBadFrames(t *testing.T) {
 	if answer := send(controlInput(nil, result, true, fragment, 0)); !strings.HasPrefix(answer, `{"ok":true}`) {
 		t.Errorf("an intact result was answered %q", answer)
 	}
+}
+
+// helloAnswerInput is the bytes a coordinator sends to answer a hello:
+// resp as one JSON line, padded with pad spaces before its newline,
+// then — withFrame — payload as worker dst's share frame.
+func helloAnswerInput(resp ctrlResponse, pad int, withFrame bool, dst int, payload []byte) []byte {
+	line, err := json.Marshal(resp)
+	if err != nil {
+		panic(err) // a ctrlResponse always marshals
+	}
+	in := bytes.NewBuffer(append(append(line, bytes.Repeat([]byte(" "), pad)...), '\n'))
+	if withFrame {
+		if err := mpc.WriteFrame(in, mpc.Frame{Dst: uint32(dst), Payload: payload}); err != nil {
+			panic(err) // a bytes.Buffer does not fail
+		}
+	}
+	return in.Bytes()
+}
+
+// TestHelloAnswerFitsAnyP: the answer to a hello at p = 1024 whose
+// addresses all have the longest length the cap allows for is read
+// whole, padded to exactly helloAnswerCap(p) bytes too; one byte more
+// is refused, as is a list one address short.
+func TestHelloAnswerFitsAnyP(t *testing.T) {
+	const p = 1024
+	share, _ := controlFixture()
+	addrs := make([]string, p)
+	for i := range addrs {
+		addrs[i] = strings.Repeat("h", maxAddrLen-len(":65535")) + ":65535"
+	}
+	resp := ctrlResponse{OK: true, Addrs: addrs}
+	line, _ := json.Marshal(resp)
+	room := helloAnswerCap(p) - len(line) - 1
+	if room < 0 {
+		t.Fatalf("a %d-byte answer line exceeds helloAnswerCap(%d) = %d", len(line)+1, p, helloAnswerCap(p))
+	}
+	for _, pad := range []int{0, room} {
+		got, gotShare, err := readHelloAnswer(bytes.NewReader(helloAnswerInput(resp, pad, true, 3, share)), 3, p)
+		if err != nil || len(got) != p || got[p-1] != addrs[p-1] || !bytes.Equal(gotShare, share) {
+			t.Fatalf("an answer line padded by %d bytes to %d: %d addresses, err %v", pad, len(line)+pad+1, len(got), err)
+		}
+	}
+	if _, _, err := readHelloAnswer(bytes.NewReader(helloAnswerInput(resp, room+1, true, 3, share)), 3, p); !errors.Is(err, bufio.ErrBufferFull) {
+		t.Errorf("an answer line one byte over the cap was read (err %v)", err)
+	}
+	short := ctrlResponse{OK: true, Addrs: addrs[1:]}
+	if _, _, err := readHelloAnswer(bytes.NewReader(helloAnswerInput(short, 0, true, 3, share)), 3, p); err == nil || !strings.Contains(err.Error(), "lists 1023 addresses, want 1024") {
+		t.Errorf("an answer listing p−1 addresses was read (err %v)", err)
+	}
+}
+
+// FuzzHelloAnswer feeds arbitrary bytes to a worker's read of its
+// hello's answer, worker index of a p-worker run. The read returns an
+// error or exactly what the bytes say: an ok line of at most
+// helloAnswerCap(p) bytes listing p addresses, then a frame for the
+// worker that mpc.ReadFrame accepts, whose payload is the share. A list
+// of any other length is an error. Nothing panics, and the read
+// allocates in proportion to the bytes it was sent, never to a length
+// they declare.
+func FuzzHelloAnswer(f *testing.F) {
+	share, _ := controlFixture()
+	four := []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4"}
+	ok := ctrlResponse{OK: true, Addrs: four}
+	f.Add(helloAnswerInput(ok, 0, true, 2, share), uint8(4), uint8(2))
+	f.Add(helloAnswerInput(ok, 0, true, 1, share), uint8(4), uint8(2))                                             // another worker's share
+	f.Add(helloAnswerInput(ok, 0, false, 2, nil), uint8(4), uint8(2))                                              // no frame
+	f.Add(helloAnswerInput(ok, 0, true, 2, share), uint8(3), uint8(2))                                             // four addresses at p = 3
+	f.Add(helloAnswerInput(ctrlResponse{OK: true, Addrs: four[:3]}, 0, true, 2, share), uint8(4), uint8(2))        // three at p = 4
+	f.Add(helloAnswerInput(ctrlResponse{Err: "mpcnet: coordinator closed"}, 0, false, 0, nil), uint8(4), uint8(2)) // a refusal
+	f.Add(helloAnswerInput(ctrlResponse{Addrs: four}, 0, true, 2, share), uint8(4), uint8(2))                      // not ok
+	f.Add(helloAnswerInput(ok, helloAnswerCap(4), true, 2, share), uint8(4), uint8(2))                             // over-long
+	f.Add([]byte("{\"ok\":true}\n"), uint8(1), uint8(0))
+	f.Add([]byte(nil), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, answer []byte, np, nindex uint8) {
+		p := 1 + int(np)%16
+		index := int(nindex) % p
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		addrs, got, err := readHelloAnswer(bytes.NewReader(answer), index, p)
+		runtime.ReadMemStats(&after)
+		// The line buffer, what ReadFrame may allocate on a declared
+		// length alone (mpc's payloadChunk), and a generous multiple of
+		// the bytes actually sent.
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(helloAnswerCap(p)+1<<20+16*len(answer)+64<<10); alloc > bound {
+			t.Fatalf("reading %d bytes allocated %d, bound %d", len(answer), alloc, bound)
+		}
+
+		// The oracle reads the answer as the protocol says.
+		var resp ctrlResponse
+		end := bytes.IndexByte(answer, '\n')
+		want := end >= 0 && end+1 <= helloAnswerCap(p) && json.Unmarshal(answer[:end+1], &resp) == nil &&
+			resp.OK && resp.Err == "" && len(resp.Addrs) == p
+		var frame mpc.Frame
+		if want {
+			var ferr error
+			frame, ferr = mpc.ReadFrame(bytes.NewReader(answer[end+1:]))
+			want = ferr == nil && int(frame.Dst) == index
+		}
+		if (err == nil) != want {
+			t.Fatalf("answer %q at p=%d, index %d: err %v, want success %v", answer, p, index, err, want)
+		}
+		if err != nil {
+			return
+		}
+		if len(addrs) != p || !slices.Equal(addrs, resp.Addrs) || !bytes.Equal(got, frame.Payload) {
+			t.Fatalf("answer %q read as %q and a %d-byte share", answer, addrs, len(got))
+		}
+	})
 }

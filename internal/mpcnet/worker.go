@@ -274,9 +274,11 @@ var crash = func() {
 // (mpc.MergeInbox over one mpc.Stream per peer), adopt residents,
 // compute; then deliver the final fragment and
 // per-round accounting to the coordinator. The p−1 streams are opened
-// for the run, not the round: a fault-free run dials each peer once. Each
-// round's requests are posted on every stream before the first answer
-// is read, so peers' answers are in flight while earlier ones are read.
+// for the run, not the round: a fault-free run dials each peer once, at
+// the address the hello was answered with, and asks the coordinator for
+// none. Each round's requests are posted on every stream before the
+// first answer is read, so peers' answers are in flight while earlier
+// ones are read.
 //
 // Recovery: a fresh incarnation resumes from max(0, latest-1) where
 // latest is the highest checkpoint in its log — round 0 being the
@@ -309,7 +311,9 @@ func RunWorker(cfg WorkerConfig) error {
 	}()
 	defer serving.Wait()
 	defer srv.Close() // the run is over either way; close is best-effort
-	_, share, err := roundtrip(cfg.CoordAddr, ctrlRequest{Op: "hello", Index: cfg.Index, Addr: srv.Addr()}, nil)
+	// The start barrier: the coordinator answers once every worker has
+	// said hello, with every peer's data address.
+	addrs, share, err := hello(cfg.CoordAddr, cfg.Index, p, srv.Addr())
 	if err != nil {
 		return err
 	}
@@ -319,7 +323,7 @@ func RunWorker(cfg WorkerConfig) error {
 	streams := make([]*mpc.Stream, p)
 	for w := range streams {
 		if w != cfg.Index {
-			streams[w] = mpc.OpenStream(peerAddr(cfg.CoordAddr, cfg.Index, w), cfg.Index)
+			streams[w] = mpc.OpenStream(peerAddr(cfg.CoordAddr, cfg.Index, w, addrs[w]), cfg.Index)
 			defer streams[w].Close() // the run is over either way; close is best-effort
 		}
 	}
@@ -401,11 +405,5 @@ func RunWorker(cfg WorkerConfig) error {
 	// every worker has reported — however long that takes (roundtrip
 	// waits for it without a deadline) — so no worker tears down its
 	// fragment server while a recovering peer might still need to re-pull.
-	_, _, err = roundtrip(cfg.CoordAddr, ctrlRequest{
-		Op:        "result",
-		Index:     cfg.Index,
-		Received:  received,
-		DeltaSent: deltaSent,
-	}, rel.EncodeInstance(local))
-	return err
+	return report(cfg.CoordAddr, cfg.Index, received, deltaSent, rel.EncodeInstance(local))
 }
