@@ -126,22 +126,26 @@ lint:
 fmt:
 	gofmt -l -w .
 
-# Each go fuzz engine invocation takes exactly one -fuzz target.
+# Each go fuzz engine invocation takes exactly one -fuzz target. Each
+# minimizes a new-coverage input for at most 1s: the engine's default,
+# 60s, is longer than FUZZTIME, and a target stops executing new inputs
+# while it minimizes.
 fuzz:
-	$(GO) test ./internal/cq -run='^$$' -fuzz='^FuzzParseCQ$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/rel -run='^$$' -fuzz='^FuzzRelation$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/rel -run='^$$' -fuzz='^FuzzFragmentWire$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/policy -run='^$$' -fuzz='^FuzzStoreImage$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/policy -run='^$$' -fuzz='^FuzzCheckpointLog$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/sweep -run='^$$' -fuzz='^FuzzSweepMerge$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/pc -run='^$$' -fuzz='^FuzzCoversMatchesReference$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/hypercube -run='^$$' -fuzz='^FuzzRelationRoute$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzQueryRequest$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzReplyEncoding$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzCreateSession$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzLoadSnapshot$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/mpcnet -run='^$$' -fuzz='^FuzzControlPlane$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/mpcnet -run='^$$' -fuzz='^FuzzHelloAnswer$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cq -run='^$$' -fuzz='^FuzzParseCQ$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/rel -run='^$$' -fuzz='^FuzzRelation$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/rel -run='^$$' -fuzz='^FuzzFragmentWire$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/policy -run='^$$' -fuzz='^FuzzStoreImage$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/policy -run='^$$' -fuzz='^FuzzCheckpointLog$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/sweep -run='^$$' -fuzz='^FuzzSweepMerge$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/pc -run='^$$' -fuzz='^FuzzCoversMatchesReference$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/hypercube -run='^$$' -fuzz='^FuzzRelationRoute$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzQueryRequest$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzReplyEncoding$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzCreateSession$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzLoadSnapshot$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/mpcnet -run='^$$' -fuzz='^FuzzControlPlane$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/mpcnet -run='^$$' -fuzz='^FuzzHelloAnswer$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/mpcnet -run='^$$' -fuzz='^FuzzCtrlAnswer$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 
 # serve is the query-daemon gate: the serving-layer unit/property
 # suites plus the e2e suite that forks the real mpcd binary (start,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -113,10 +114,14 @@ func TestSessionBudgetExhaustion(t *testing.T) {
 }
 
 // TestGatherChargedAgainstBudgets pins that the gather path prices |I|
-// against the per-query budget.
+// against the per-query budget and the session's, and that a refused
+// gather leaves the session as it was and is refused before the
+// fragments are unioned: a hundred refusals on a 20 000-fact session
+// allocate less than one union of it.
 func TestGatherChargedAgainstBudgets(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	do(t, "POST", ts.URL+"/v1/sessions", createRequest{ID: "gb", Generator: "cycle", N: 64})
+	s, ts := newTestServer(t, Config{})
+	do(t, "POST", ts.URL+"/v1/sessions", createRequest{ID: "gb", Generator: "cycle", N: 64, Budget: 100})
+	_, before := do(t, "GET", ts.URL+"/v1/sessions/gb", nil)
 	status, raw := do(t, "POST", ts.URL+"/v1/query", queryRequest{
 		Session: "gb", Lang: LangDatalog, Out: "T",
 		Query:  "T(x, y) :- E(x, y)",
@@ -124,6 +129,9 @@ func TestGatherChargedAgainstBudgets(t *testing.T) {
 	})
 	if status != http.StatusTooManyRequests || errCode(t, raw) != CodeBudgetExceeded {
 		t.Fatalf("gather over budget: %d %s", status, raw)
+	}
+	if _, after := do(t, "GET", ts.URL+"/v1/sessions/gb", nil); string(after) != string(before) {
+		t.Fatalf("a gather over its budget moved the session:\n  before %s\n  after  %s", before, after)
 	}
 	status, raw = do(t, "POST", ts.URL+"/v1/query", queryRequest{
 		Session: "gb", Lang: LangDatalog, Out: "T",
@@ -139,6 +147,41 @@ func TestGatherChargedAgainstBudgets(t *testing.T) {
 	}
 	if qr.MaxLoad != 64 || qr.Comm != 64 {
 		t.Fatalf("gather cost: %+v", qr)
+	}
+	_, before = do(t, "GET", ts.URL+"/v1/sessions/gb", nil)
+	status, raw = do(t, "POST", ts.URL+"/v1/query", queryRequest{
+		Session: "gb", Lang: LangDatalog, Out: "T",
+		Query: "T(x, y) :- E(x, y)", // 36 of the session's 100 remain
+	})
+	if status != http.StatusTooManyRequests || errCode(t, raw) != CodeSessionBudget {
+		t.Fatalf("gather over the session's budget: %d %s", status, raw)
+	}
+	if _, after := do(t, "GET", ts.URL+"/v1/sessions/gb", nil); string(after) != string(before) {
+		t.Fatalf("a gather over the session's budget moved the session:\n  before %s\n  after  %s", before, after)
+	}
+
+	const n = 20000
+	do(t, "POST", ts.URL+"/v1/sessions", createRequest{ID: "big", Generator: "cycle", N: n, Budget: 1})
+	big := s.sessions["big"]
+	var m0, m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if union := big.cluster.Output(); union.Len() != n {
+		t.Fatalf("the union holds %d facts, want %d", union.Len(), n)
+	}
+	runtime.ReadMemStats(&m1)
+	for i := 0; i < 100; i++ {
+		req := queryRequest{Session: "big", Lang: LangDatalog, Out: "T", Query: "T(x, y) :- E(x, y)", Budget: n - 1}
+		want := CodeBudgetExceeded
+		if i%2 == 1 {
+			req.Budget, want = n, CodeSessionBudget
+		}
+		if _, aerr := big.run(&req); aerr == nil || aerr.Code != want {
+			t.Fatalf("refused gather %d: %v, want %s", i, aerr, want)
+		}
+	}
+	runtime.ReadMemStats(&m2)
+	if union, refused := m1.TotalAlloc-m0.TotalAlloc, m2.TotalAlloc-m1.TotalAlloc; refused >= union {
+		t.Fatalf("100 refused gathers allocated %d bytes, one union of the session %d", refused, union)
 	}
 }
 

@@ -140,15 +140,33 @@ func (s *Server) Statz() StatzResponse {
 //	GET    /v1/statz         server-wide counters (non-deterministic surface)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sessions", s.handleCreate)
-	mux.HandleFunc("GET /v1/sessions/{id}", s.handleGet)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
-	mux.HandleFunc("POST /v1/query", s.handleQuery)
+	mux.HandleFunc("POST /v1/sessions", s.barrier(s.handleCreate))
+	mux.HandleFunc("GET /v1/sessions/{id}", s.barrier(s.handleGet))
+	mux.HandleFunc("DELETE /v1/sessions/{id}", s.barrier(s.handleDelete))
+	mux.HandleFunc("POST /v1/query", s.barrier(s.handleQuery))
 	mux.HandleFunc("POST /v1/drain", s.handleDrain)
 	mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/statz", s.handleStatz)
 	return mux
+}
+
+// barrier guards a session route with the drain barrier: once it has
+// flipped the operation is refused typed, else it runs in flight.
+func (s *Server) barrier(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.drainMu.Lock()
+		if s.draining {
+			s.drainMu.Unlock()
+			s.bump(func(st *StatzResponse) { st.RejectedDraining++ })
+			writeErr(w, errDraining())
+			return
+		}
+		s.inflight.Add(1)
+		s.drainMu.Unlock()
+		defer s.inflight.Done()
+		h(w, r)
+	}
 }
 
 // decode reads one JSON request body, bounded by MaxBodyBytes.
@@ -189,12 +207,6 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 func writeErr(w http.ResponseWriter, e *apiError) { writeJSON(w, e.status, e) }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	if aerr := s.beginOp(); aerr != nil {
-		s.bump(func(st *StatzResponse) { st.RejectedDraining++ })
-		writeErr(w, aerr)
-		return
-	}
-	defer s.endOp()
 	var req createRequest
 	if aerr := s.decode(w, r, &req); aerr != nil {
 		writeErr(w, aerr)
@@ -209,12 +221,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if aerr := s.beginOp(); aerr != nil {
-		s.bump(func(st *StatzResponse) { st.RejectedDraining++ })
-		writeErr(w, aerr)
-		return
-	}
-	defer s.endOp()
 	sess, aerr := s.session(r.PathValue("id"))
 	if aerr != nil {
 		writeErr(w, aerr)
@@ -224,12 +230,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if aerr := s.beginOp(); aerr != nil {
-		s.bump(func(st *StatzResponse) { st.RejectedDraining++ })
-		writeErr(w, aerr)
-		return
-	}
-	defer s.endOp()
 	id := r.PathValue("id")
 	if aerr := s.deleteSession(id); aerr != nil {
 		writeErr(w, aerr)
@@ -239,12 +239,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if aerr := s.beginOp(); aerr != nil {
-		s.bump(func(st *StatzResponse) { st.RejectedDraining++ })
-		writeErr(w, aerr)
-		return
-	}
-	defer s.endOp()
 	var req queryRequest
 	if aerr := s.decode(w, r, &req); aerr != nil {
 		writeErr(w, aerr)
@@ -275,16 +269,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, resp.body)
 }
 
-// handleDrain deliberately skips beginOp: the drain request itself
-// must pass the barrier it is about to raise, or it would deadlock
-// waiting for its own in-flight count.
+// handleDrain is registered bare: the drain request itself must pass
+// the barrier it is about to raise, or it would deadlock waiting for
+// its own in-flight count.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.Drain()
 	writeJSON(w, http.StatusOK, drainResponse{Draining: true, Sessions: s.Sessions()})
 }
 
 // handleCheckpoint drains (idempotent) and snapshots to the
-// server-configured directory. Like handleDrain it skips beginOp.
+// server-configured directory. Like handleDrain it is registered bare.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.SnapshotDir == "" {
 		writeErr(w, errConflict("server has no snapshot directory configured"))

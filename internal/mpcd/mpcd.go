@@ -16,13 +16,13 @@
 //     covers it, the query runs locally on the warm fragments with
 //     zero communication; otherwise the session repartitions and the
 //     cost is charged against its budget.
-//   - Admission control is MaxLoad accounting: a repartition is routed
-//     once into outboxes (mpc.RouteRound), which fixes its exact
-//     per-server load before anything ships; a query whose load would
-//     exceed its declared budget is rejected with a typed error and the
-//     routed plan dropped, and an admitted plan is delivered as routed
-//     (mpc.Deliver), so the load it was admitted on IS the load the
-//     round records.
+//   - Admission control is MaxLoad accounting, one ladder
+//     (Session.admit) priced before anything ships: a repartition is
+//     routed once into outboxes (mpc.RouteRound), which fixes its exact
+//     per-server load, a gather costs the session's fact count; a query
+//     over its budget or its session's is rejected typed, and an
+//     admitted plan is delivered as routed (mpc.Deliver), so the load
+//     it was admitted on IS the load the round records.
 //   - A repartition routes the session's own fragments. They are the
 //     image of the anchor's placement, so a fact may sit on several
 //     servers; the placement elects the least of them its owner
@@ -187,8 +187,8 @@ type Server struct {
 	waiting int
 	slots   chan struct{}
 
-	// Drain barrier: once draining, every new operation is rejected
-	// typed and Drain blocks until the in-flight ones finish.
+	// Drain barrier (Server.barrier): once draining, every session
+	// operation is rejected typed; Drain waits out the in-flight ones.
 	drainMu  sync.Mutex
 	draining bool
 	inflight sync.WaitGroup
@@ -218,21 +218,6 @@ func New(cfg Config) *Server {
 
 // Config returns the server's effective (default-filled) configuration.
 func (s *Server) Config() Config { return s.cfg }
-
-// beginOp admits one operation past the drain barrier, or reports the
-// typed draining rejection. Every successful beginOp must be paired
-// with endOp.
-func (s *Server) beginOp() *apiError {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	if s.draining {
-		return errDraining()
-	}
-	s.inflight.Add(1)
-	return nil
-}
-
-func (s *Server) endOp() { s.inflight.Done() }
 
 // acquireSlot takes one execution slot, waiting if the server is at
 // MaxConcurrent, and rejects typed once the backlog exceeds MaxQueued.

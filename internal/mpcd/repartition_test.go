@@ -329,6 +329,28 @@ func TestFragmentsNotTheAnchorsImageAreRefused(t *testing.T) {
 	}
 }
 
+// TestGatherChecksTheUnion: a gather is priced on the session's fact
+// count before the union is built, and the union is checked against
+// that count, so fragments that lost a fact are a typed internal error,
+// the session untouched.
+func TestGatherChecksTheUnion(t *testing.T) {
+	sess := joinSession(t, 50, 0)
+	srv, dropped := sess.cluster.Server(0), false
+	srv.SetRelationAs("R", rel.Select(srv.Relation("R"), func(rel.Tuple) bool {
+		keep := dropped
+		dropped = true
+		return keep
+	}))
+	before := sessionImage(t, sess)
+	_, aerr := sess.run(&queryRequest{Session: sess.ID, Query: "N(x, z) :- R(x, y), S(y, z), not R(z, x)"})
+	if aerr == nil || aerr.Code != CodeInternal {
+		t.Fatalf("a gather over fragments short of a fact: want an internal error, got %v", aerr)
+	}
+	if after := sessionImage(t, sess); after != before {
+		t.Error("the refused gather changed the session")
+	}
+}
+
 // TestSessionHoldsOneRoundAndNoSlack: a session that has repartitioned
 // 200 times, alternating two anchors, remembers one round, and its live
 // heap is what it was after the second repartition — no history kept,

@@ -301,6 +301,49 @@ func BenchmarkReuse(b *testing.B) {
 	}
 }
 
+// BenchmarkGather is the gather path in process, through Handler() with
+// no socket, on a 4 000-fact join session whose fragments the
+// self-join anchor has replicated: N is a CQ¬ query, T a Datalog
+// program, both admitted, so each unions the fragments, evaluates
+// centrally and encodes its reply; refused is N at query budget 1,
+// which is priced and refused before anything is copied.
+func BenchmarkGather(b *testing.B) {
+	const cqNeg = "N(x, z) :- R(x, y), S(y, z), not R(z, x)"
+	for _, c := range []struct {
+		name   string
+		req    queryRequest
+		status int
+		want   string
+	}{
+		{"cqneg", queryRequest{Query: cqNeg}, http.StatusOK, `"path":"gathered"`},
+		{"datalog", queryRequest{Lang: LangDatalog, Out: "T", Query: "T(x, y) :- R(x, y)\nT(x, z) :- T(x, y), S(y, z)"}, http.StatusOK, `"path":"gathered"`},
+		{"refused", queryRequest{Query: cqNeg, Budget: 1}, http.StatusTooManyRequests, `"code":"budget_exceeded"`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sess := joinSession(b, 2000, 1<<40)
+			h := sess.srv.Handler()
+			post := func(req queryRequest, status int, want string) {
+				req.Session = sess.ID
+				body, err := json.Marshal(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/query", bytes.NewReader(body)))
+				if rec.Code != status || !bytes.Contains(rec.Body.Bytes(), []byte(want)) {
+					b.Fatalf("%s: %d %.200s, want %d and %s", req.Query, rec.Code, rec.Body, status, want)
+				}
+			}
+			post(queryRequest{Query: uncoveredQ}, http.StatusOK, `"path":"repartitioned"`)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post(c.req, c.status, c.want)
+			}
+		})
+	}
+}
+
 // TestQueryCachesAreBounded: a client that sends never-seen texts —
 // here alpha-variants of E, three times the largest cap of them — to
 // one anchored session keeps the session's parse cache and the server's

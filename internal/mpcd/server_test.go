@@ -411,6 +411,12 @@ func TestDrainRejectsTyped(t *testing.T) {
 	if status != http.StatusServiceUnavailable || errCode(t, raw) != CodeDraining {
 		t.Fatalf("create during drain: %d %s", status, raw)
 	}
+	for _, method := range []string{"GET", "DELETE"} {
+		status, raw = do(t, method, ts.URL+"/v1/sessions/d1", nil)
+		if status != http.StatusServiceUnavailable || errCode(t, raw) != CodeDraining {
+			t.Fatalf("%s during drain: %d %s", method, status, raw)
+		}
+	}
 	// Drain is idempotent.
 	status, _ = do(t, "POST", ts.URL+"/v1/drain", nil)
 	if status != http.StatusOK {
@@ -421,6 +427,12 @@ func TestDrainRejectsTyped(t *testing.T) {
 	var h healthResponse
 	if err := json.Unmarshal(raw, &h); err != nil || status != http.StatusOK || !h.Draining {
 		t.Fatalf("healthz during drain: %d %s", status, raw)
+	}
+	// statz answers too, and counts exactly the four refused operations.
+	status, raw = do(t, "GET", ts.URL+"/v1/statz", nil)
+	var sz StatzResponse
+	if err := json.Unmarshal(raw, &sz); err != nil || status != http.StatusOK || !sz.Draining || sz.RejectedDraining != 4 {
+		t.Fatalf("statz during drain: %d %s, want rejected_draining 4", status, raw)
 	}
 }
 

@@ -238,7 +238,9 @@ func (s *Server) deleteSession(id string) *apiError {
 //     programs, CQ¬) evaluate centrally on the union of the fragments,
 //     charged |I| against both budgets; the distribution stays warm.
 //
-// A rejected query leaves the session byte-for-byte unchanged.
+// Both paths that ship climb one budget ladder (admit) on a price fixed
+// before anything is copied. A rejected query leaves the session
+// byte-for-byte unchanged.
 func (sess *Session) run(req *queryRequest) (*reply, *apiError) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -361,13 +363,8 @@ func (sess *Session) reship(sq *sessionQuery, router mpc.Router, qBudget int) (m
 		return 0, 0, errInternal(fmt.Errorf("mpcd: routed %d facts of a session holding %d", routed.Routed, sess.facts))
 	}
 	maxLoad, total = routed.MaxLoad, routed.TotalComm
-	if maxLoad > qBudget {
-		sess.srv.bump(func(st *StatzResponse) { st.RejectedBudget++ })
-		return 0, 0, errBudgetExceeded(maxLoad, qBudget)
-	}
-	if remaining := sess.budgetTotal - sess.budgetSpent; total > remaining {
-		sess.srv.bump(func(st *StatzResponse) { st.RejectedSessionBudget++ })
-		return 0, 0, errSessionBudget(total, remaining)
+	if aerr := sess.admit(maxLoad, total, qBudget); aerr != nil {
+		return 0, 0, aerr
 	}
 	stats, err := next.Deliver(routed)
 	if err != nil {
@@ -383,21 +380,36 @@ func (sess *Session) reship(sq *sessionQuery, router mpc.Router, qBudget int) (m
 	return maxLoad, total, nil
 }
 
+// admit is the budget ladder: max load against the query's budget,
+// then total communication against the session's remainder, the first
+// refusal counted in statz. The caller charges an admitted query.
+func (sess *Session) admit(maxLoad, total, qBudget int) *apiError {
+	if maxLoad > qBudget {
+		sess.srv.bump(func(st *StatzResponse) { st.RejectedBudget++ })
+		return errBudgetExceeded(maxLoad, qBudget)
+	}
+	if remaining := sess.budgetTotal - sess.budgetSpent; total > remaining {
+		sess.srv.bump(func(st *StatzResponse) { st.RejectedSessionBudget++ })
+		return errSessionBudget(total, remaining)
+	}
+	return nil
+}
+
 // gather unions the fragments and evaluates centrally — the fallback
 // for queries the single-round machinery does not cover. The model
 // prices it honestly: every fact converges on one logical site, so the
 // cost is |I| against both the per-query load budget and the session's
-// communication budget. The distribution is left untouched.
+// communication budget, priced on the session's fact count before the
+// union is built and checked against it. The distribution is left
+// untouched.
 func (sess *Session) gather(sq *sessionQuery, qBudget int) (*rel.Instance, int, *apiError) {
-	union := sess.cluster.Output()
-	cost := union.Len()
-	if cost > qBudget {
-		sess.srv.bump(func(st *StatzResponse) { st.RejectedBudget++ })
-		return nil, 0, errBudgetExceeded(cost, qBudget)
+	cost := sess.facts
+	if aerr := sess.admit(cost, cost, qBudget); aerr != nil {
+		return nil, 0, aerr
 	}
-	if remaining := sess.budgetTotal - sess.budgetSpent; cost > remaining {
-		sess.srv.bump(func(st *StatzResponse) { st.RejectedSessionBudget++ })
-		return nil, 0, errSessionBudget(cost, remaining)
+	union := sess.cluster.Output()
+	if union.Len() != cost {
+		return nil, 0, errInternal(fmt.Errorf("mpcd: gathered %d facts of a session holding %d", union.Len(), cost))
 	}
 	var out *rel.Instance
 	if sq.prog != nil {

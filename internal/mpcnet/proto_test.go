@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -304,6 +305,81 @@ func FuzzHelloAnswer(f *testing.F) {
 		}
 		if len(addrs) != p || !slices.Equal(addrs, resp.Addrs) || !bytes.Equal(got, frame.Payload) {
 			t.Fatalf("answer %q read as %q and a %d-byte share", answer, addrs, len(got))
+		}
+	})
+}
+
+// FuzzCtrlAnswer feeds arbitrary bytes to a worker's read of a lookup's
+// or a result's answer. The read returns what the bytes say: a first
+// line not ended within ctrlLineCap(0) bytes is an error, and one with
+// no newline in that room is refused unread (bufio.ErrBufferFull); a
+// line that carries an err is an error; any other line is decoded into
+// the ctrlResponse, exactly as encoding/json reads it. Nothing panics,
+// and the read allocates in proportion to at most ctrlLineCap(0) bytes,
+// however many it was sent.
+func FuzzCtrlAnswer(f *testing.F) {
+	share, fragment := controlFixture()
+	c := newCoordinator([][]byte{share}, 1)
+	answer := func(req ctrlRequest, frag []byte) []byte {
+		conn := &memConn{in: bytes.NewReader(controlInput(nil, req, frag != nil, frag, 0))}
+		c.serve(conn)
+		return conn.out.Bytes()
+	}
+	answer(ctrlRequest{Op: "hello", Index: 0, Addr: "127.0.0.1:4242"}, nil)
+	lookup := answer(ctrlRequest{Op: "lookup", Index: 0, Peer: 0}, nil)
+	if !bytes.Contains(lookup, []byte(`"addr":"127.0.0.1:4242"`)) {
+		f.Fatalf("the lookup answer %q does not name the registered address", lookup)
+	}
+	result := answer(ctrlRequest{Op: "result", Index: 0, Received: []int{2}, DeltaSent: []int{0}}, fragment)
+	refusal := answer(ctrlRequest{Op: "lookup", Index: 0, Peer: 3}, nil)
+	if !bytes.HasPrefix(result, []byte(`{"ok":true}`)) || !bytes.Contains(refusal, []byte(`"err":`)) {
+		f.Fatalf("the result answer %q is no admission, or the refusal %q none", result, refusal)
+	}
+	f.Add(lookup)
+	f.Add(result)
+	f.Add(refusal)
+	f.Add(helloAnswerInput(ctrlResponse{OK: true, Addr: "127.0.0.1:4242"}, ctrlLineCap(0), false, 0, nil))
+	f.Add(bytes.Repeat([]byte(" "), 64*ctrlLineCap(0))) // no line at all, far over the cap
+	f.Add([]byte("null\n"))
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, answer []byte) {
+		lineCap := ctrlLineCap(0)
+		var before, after runtime.MemStats
+		var got ctrlResponse
+		runtime.ReadMemStats(&before)
+		err := readAnswer(bytes.NewReader(answer), &got)
+		runtime.ReadMemStats(&after)
+		// The line buffer and a generous multiple of the bytes it can
+		// hold, never of the bytes sent beyond them.
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(lineCap+16*min(len(answer), lineCap)+64<<10); alloc > bound {
+			t.Fatalf("reading %d bytes allocated %d, bound %d", len(answer), alloc, bound)
+		}
+
+		// The oracle reads the answer as the protocol says.
+		end := bytes.IndexByte(answer, '\n')
+		if end < 0 || end+1 > lineCap {
+			if err == nil {
+				t.Fatalf("an answer with no line in %d bytes was read as %+v", lineCap, got)
+			}
+			if len(answer) >= lineCap && bytes.IndexByte(answer[:lineCap], '\n') < 0 && !errors.Is(err, bufio.ErrBufferFull) {
+				t.Fatalf("an over-long answer line failed with %v, want bufio.ErrBufferFull", err)
+			}
+			return
+		}
+		var want ctrlResponse
+		switch {
+		case json.Unmarshal(answer[:end+1], &want) != nil:
+			if err == nil {
+				t.Fatalf("an answer line that is no ctrlResponse was read as %+v", got)
+			}
+		case want.Err != "":
+			if err == nil || !strings.Contains(err.Error(), "coordinator refused") {
+				t.Fatalf("a refusal %q read with err %v", want.Err, err)
+			}
+		case err != nil:
+			t.Fatalf("answer %q: %v", answer[:end+1], err)
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("answer %q read as %+v, want %+v", answer[:end+1], got, want)
 		}
 	})
 }
