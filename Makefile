@@ -56,8 +56,8 @@ SWEEPPROCS ?= 0
 # layer (core's menu, gym, hypercube, datalog, mapreduce, cq, pc): a PR
 # that deletes a duplicate there must not take the only covered path
 # with it. So is the tuple-set substrate (rel) every byte-identity gate
-# rests on.
-COVER_PKGS ?= ./internal/core ./internal/mpc ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen ./internal/policy ./internal/mpcnet ./internal/gym ./internal/hypercube ./internal/datalog ./internal/mapreduce ./internal/cq ./internal/pc ./internal/rel
+# rests on, and the one fan-out (sweep) every simulated round runs on.
+COVER_PKGS ?= ./internal/core ./internal/mpc ./internal/sweep ./internal/transducer ./internal/mpcd ./internal/mpcd/loadgen ./internal/policy ./internal/mpcnet ./internal/gym ./internal/hypercube ./internal/datalog ./internal/mapreduce ./internal/cq ./internal/pc ./internal/rel
 COVER_BASELINE ?= COVERAGE.json
 
 .PHONY: all build vet test race vouchcheck lint netsweep verify fmt fuzz serve serve-soak bench-build bench bench-json verify-perf nightly soak experiments cover cover-baseline

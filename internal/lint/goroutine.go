@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"path"
 )
 
 // GoroutineAnalyzer enforces two rules on every `go` statement, in
@@ -25,6 +26,11 @@ import (
 //     writes to a slice element are allowed only when the index is
 //     derived from the closure's own parameters (index-disjoint
 //     partitioning, the pattern of mpc.RunRound) or a mutex is held.
+//     A func literal passed to sweep.Each — the repository's one
+//     fan-out, which runs it on goroutines of its own — is held to
+//     the same rule; the call is resolved through go/types, so an
+//     import alias does not hide it and another package's Each is not
+//     taken for it.
 //
 // Loop-variable capture needs no rule: the module is Go 1.22 or later,
 // where every iteration binds its own loop variables.
@@ -48,8 +54,13 @@ func checkGoroutines(pass *Pass, body *ast.BlockStmt) {
 	info := pass.Pkg.Info
 	var gos []*ast.GoStmt
 	walkScope(body, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			gos = append(gos, g)
+		switch s := n.(type) {
+		case *ast.GoStmt:
+			gos = append(gos, s)
+		case *ast.CallExpr:
+			if lit, ok := sweepEachBody(info, s); ok {
+				checkGoroutineWrites(pass, lit, funcLitParams(info, lit), info)
+			}
 		}
 		return true
 	})
@@ -68,6 +79,26 @@ func checkGoroutines(pass *Pass, body *ast.BlockStmt) {
 		}
 		checkGoroutineWrites(pass, lit, funcLitParams(info, lit), info)
 	}
+}
+
+// sweepEachBody returns the func literal call passes to sweep.Each —
+// the package-level Each of a package whose import path ends in
+// /sweep — as its loop body.
+func sweepEachBody(info *types.Info, call *ast.CallExpr) (*ast.FuncLit, bool) {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	case *ast.Ident:
+		id = fun
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Name() != "Each" || fn.Pkg() == nil || path.Base(fn.Pkg().Path()) != "sweep" ||
+		fn.Type().(*types.Signature).Recv() != nil || len(call.Args) != 3 {
+		return nil, false
+	}
+	lit, ok := ast.Unparen(call.Args[2]).(*ast.FuncLit)
+	return lit, ok
 }
 
 func typeUnderlying(info *types.Info, e ast.Expr) types.Type {

@@ -1,7 +1,11 @@
 // Package goroutine exercises the goroutine-hygiene analyzer.
 package goroutine
 
-import "sync"
+import (
+	"sync"
+
+	"fixture/sweep"
+)
 
 // NoJoin forks without any join: flagged.
 func NoJoin(n int) {
@@ -83,6 +87,31 @@ func ChanJoin() int {
 		ch <- 42
 	}()
 	return <-ch
+}
+
+// EachShared aims every sweep.Each call at index 0: flagged, as the
+// same write in a go closure is.
+func EachShared(n int) []int {
+	shared := make([]int, 1)
+	if err := sweep.Each(n, 0, func(i int) error {
+		shared[0] += i
+		return nil
+	}); err != nil {
+		return nil
+	}
+	return shared
+}
+
+// EachDisjoint writes the slot of the call's own index: clean.
+func EachDisjoint(n int) []int {
+	out := make([]int, n)
+	if err := sweep.Each(n, 2, func(i int) error {
+		out[i] = i * i
+		return nil
+	}); err != nil {
+		return nil
+	}
+	return out
 }
 
 func use(int) {}

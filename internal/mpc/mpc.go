@@ -52,10 +52,10 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
+	"mpclogic/internal/sweep"
 )
 
 // Router decides the destination servers of a fact during a
@@ -686,37 +686,21 @@ func probeBadRoute(d *decision, t rel.Tuple, p int) (dst int, bad bool) {
 }
 
 // routePhase fans the communication phase out over disjoint ascending
-// source ranges of the given chunk size, one goroutine per shard. Each
-// goroutine writes only shards[w] for its own w, so the fan-out is
-// race-free by index-disjointness, and each shard's content depends
-// only on its range's data — not on scheduling. Shard granularity is
-// invisible downstream: the merged inboxes and counts are unions and
+// source ranges of the given chunk size, one goroutine per shard
+// (sweep.Each; its package doc is the determinism argument). Each
+// shard's content depends only on its range's data. Shard granularity
+// is invisible downstream: the merged inboxes and counts are unions and
 // sums over all sources, so they are independent of the chunk size.
-// Worker order is source order, so the first erring shard carries the
-// lowest erring source and repeated failing runs surface the same
-// error.
+// Shard order is source order, so the lowest erring shard carries the
+// lowest erring source.
 func (c *Cluster) routePhase(r Round, chunk int) ([]Shard, error) {
-	workers := (c.p + chunk - 1) / chunk
-	shards := make([]Shard, workers)
+	shards := make([]Shard, (c.p+chunk-1)/chunk)
 	sets := r.sets()
-	var routeWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > c.p {
-			hi = c.p
-		}
-		routeWG.Add(1)
-		go func(w, lo, hi int) {
-			defer routeWG.Done()
-			shards[w] = c.routeRange(lo, hi, r, sets)
-		}(w, lo, hi)
-	}
-	routeWG.Wait()
-	for w := range shards {
-		if shards[w].err != nil {
-			return nil, shards[w].err
-		}
+	if err := sweep.Each(len(shards), 0, func(w int) error {
+		shards[w] = c.routeRange(w*chunk, min((w+1)*chunk, c.p), r, sets)
+		return shards[w].err
+	}); err != nil {
+		return nil, err
 	}
 	return shards, nil
 }
@@ -750,26 +734,15 @@ func (c *Cluster) adoptResidents(r Round, inboxes []*rel.Instance) error {
 }
 
 // computePhase runs the computation phase: local and embarrassingly
-// parallel. Each worker writes only its own index of next/workerErrs,
-// so the fan-out is race-free by index-disjointness. The error of the
-// lowest panicking server is reported, so repeated failing runs surface
-// the same error.
+// parallel, one goroutine per server (sweep.Each), the lowest
+// panicking server's error reported.
 func (c *Cluster) computePhase(r Round, inputs []*rel.Instance) ([]*rel.Instance, error) {
 	next := make([]*rel.Instance, c.p)
-	workerErrs := make([]error, c.p)
-	var wg sync.WaitGroup
-	for i := 0; i < c.p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			next[i], workerErrs[i] = ComputeServer(r, i, inputs[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range workerErrs {
-		if err != nil {
-			return nil, err
-		}
+	if err := sweep.Each(c.p, 0, func(i int) (err error) {
+		next[i], err = ComputeServer(r, i, inputs[i])
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return next, nil
 }

@@ -73,9 +73,11 @@ const (
 	IOTimeout = 10 * time.Second
 	// dialAttempts bounds one Dial's retries.
 	dialAttempts = 5
-	// pullAttempts bounds one Stream.Pull's retries: with pullBackoff that is
-	// ~30s in total, like the socket deadline, and covers the window
-	// where a crashed peer has not re-registered yet.
+	// pullAttempts bounds one Stream.Pull's attempts. An attempt dials
+	// at most once, so against a refused peer the pull gives up after
+	// the pullBackoff sleeps between attempts, ≈ 31 s in total
+	// (TestPullBudget), which covers the window where a crashed peer
+	// has not re-registered yet.
 	pullAttempts = 128
 	// pullRequestLen is seq+shard+dst.
 	pullRequestLen = 8 + 4 + 4
@@ -93,11 +95,12 @@ func dialJitter(salt, attempt int) time.Duration {
 	return time.Duration(h%5) * time.Millisecond
 }
 
-// Dial connects to a data- or control-plane address with a bounded
-// retry — a listener briefly swamped by concurrent connections (or
-// resetting as a crashed peer dies) refuses a dial that succeeds a
-// moment later. Backoff grows linearly with a deterministic
-// per-(salt, attempt) jitter; salt decorrelates concurrent dialers.
+// Dial connects to a control-plane address with a bounded retry — a
+// listener briefly swamped by concurrent connections (or resetting as a
+// crashed peer dies) refuses a dial that succeeds a moment later. Backoff
+// grows linearly with a deterministic per-(salt, attempt) jitter; salt
+// decorrelates concurrent dialers. The data plane does not use it: a
+// Stream dials once per attempt, and Pull's loop is its one retry.
 func Dial(addr string, salt int) (net.Conn, error) {
 	var lastErr error
 	for attempt := 0; attempt < dialAttempts; attempt++ {
@@ -537,7 +540,8 @@ func pullBackoff(shard, dst, attempt int) time.Duration {
 // Stream is a destination's side of the plane: its connection to one
 // fragment server, kept across pulls, and the only code that writes a
 // request to a socket or reads a frame off one. It dials lazily — at the
-// first request, and again after any error — asking resolve for the
+// first request, and again after any error, once per attempt with no
+// backoff of its own (Pull's loop is the retry) — asking resolve for the
 // server's address before every dial, because the address changes when
 // the source is respawned. One request may be in flight at a time. Not
 // safe for concurrent use.
@@ -576,7 +580,7 @@ func (st *Stream) request(seq uint64, shard int) error {
 		if err != nil {
 			return err
 		}
-		conn, err := Dial(addr, shard)
+		conn, err := net.DialTimeout("tcp", addr, st.ioTimeout)
 		if err != nil {
 			return err
 		}

@@ -660,3 +660,54 @@ func TestMergeInboxRejectsUndecodableFragment(t *testing.T) {
 		t.Fatalf("undecodable fragment: err %v", err)
 	}
 }
+
+// TestFailedAttemptDialsOnce: one pull attempt against a refused peer is
+// one dial with no backoff inside it — Pull's loop is the data plane's
+// only retry. The resolver is asked once per dial, and the attempt ends
+// well inside the ≥ 100 ms of redial sleeps a Dial would add (the least
+// of three trials is taken, so one slow schedule does not decide).
+func TestFailedAttemptDialsOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var dialBackoff time.Duration
+	for attempt := 1; attempt < dialAttempts; attempt++ {
+		dialBackoff += time.Duration(attempt) * 10 * time.Millisecond
+	}
+	fastest := time.Hour
+	for trial := 0; trial < 3; trial++ {
+		resolves := 0
+		st := OpenStream(func() (string, error) { resolves++; return addr, nil }, 1)
+		start := time.Now()
+		_, err := st.try(1, 0)
+		fastest = min(fastest, time.Since(start))
+		if err == nil {
+			t.Fatal("an attempt against a closed port succeeded")
+		}
+		if resolves != 1 {
+			t.Fatalf("one attempt asked the resolver %d times, want 1: one dial", resolves)
+		}
+	}
+	if fastest >= dialBackoff {
+		t.Fatalf("the fastest failed attempt took %v, at least Dial's %v of backoff", fastest, dialBackoff)
+	}
+}
+
+// TestPullBudget: the backoffs between a failing Pull's attempts add up
+// to the ≈ 31 s pullAttempts' comment promises, on every link.
+func TestPullBudget(t *testing.T) {
+	for _, link := range [][2]int{{0, 0}, {1, 2}, {7, 3}, {63, 31}} {
+		var total time.Duration
+		for attempt := 1; attempt < pullAttempts; attempt++ {
+			total += pullBackoff(link[0], link[1], attempt)
+		}
+		if total < 30500*time.Millisecond || total > 31500*time.Millisecond {
+			t.Errorf("link %d→%d: a failing pull sleeps %v in total, want ≈ 31 s", link[0], link[1], total)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"mpclogic/internal/rel"
+	"mpclogic/internal/sweep"
 )
 
 // The transport frame and the TCP transport. A frame is the unit the
@@ -256,25 +257,16 @@ func (t *TCPTransport) Exchange(round string, p int, shards []Shard) ([]*rel.Ins
 
 	inboxes := make([]*rel.Instance, p)
 	received := make([]int, p)
-	errs := make([]error, p)
 	resolve := func() (string, error) { return srv.Addr(), nil }
-	var pulling sync.WaitGroup
-	for dst := 0; dst < p; dst++ {
-		pulling.Add(1)
-		go func(dst int) {
-			defer pulling.Done()
-			st := OpenStream(resolve, dst)
-			defer st.Close() // the pulls are over either way; close is best-effort
-			inboxes[dst], received[dst], errs[dst] = MergeInbox(dst, len(shards), nil, func(w int) (Frame, error) {
-				return st.Pull(seq, w)
-			})
-		}(dst)
-	}
-	pulling.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("mpc: exchange %q: %w", round, err)
-		}
+	if err := sweep.Each(p, 0, func(dst int) (err error) {
+		st := OpenStream(resolve, dst)
+		defer st.Close() // the pulls are over either way; close is best-effort
+		inboxes[dst], received[dst], err = MergeInbox(dst, len(shards), nil, func(w int) (Frame, error) {
+			return st.Pull(seq, w)
+		})
+		return err
+	}); err != nil {
+		return nil, nil, fmt.Errorf("mpc: exchange %q: %w", round, err)
 	}
 	return inboxes, received, nil
 }

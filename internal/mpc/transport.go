@@ -2,9 +2,9 @@ package mpc
 
 import (
 	"fmt"
-	"sync"
 
 	"mpclogic/internal/rel"
+	"mpclogic/internal/sweep"
 )
 
 // Transport moves a round's routed communication shards to their
@@ -88,41 +88,31 @@ func (localTransport) Exchange(round string, p int, shards []Shard) ([]*rel.Inst
 func (localTransport) Close() error { return nil }
 
 // mergeShards merges shards into per-destination inboxes, one goroutine
-// per destination, each visiting shards in ascending order. Every
-// worker writes only its own index of inboxes/received/mergeErrs, and
-// the (dst, shard) merge order is fixed, so the resulting inboxes and
-// load accounting are byte-identical to a sequential merge. This is
-// both the Local transport's Exchange and the reference merge every
-// other transport must reproduce.
+// per destination (sweep.Each), each visiting shards in ascending order.
+// The (dst, shard) merge order is fixed, so the inboxes and load
+// accounting are byte-identical to a sequential merge. This is both the
+// Local transport's Exchange and the reference merge every other
+// transport must reproduce.
 func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, error) {
 	inboxes := make([]*rel.Instance, p)
 	received := make([]int, p)
-	mergeErrs := make([]error, p)
 	owned := true
 	for w := range shards {
 		owned = owned && shards[w].owned
 	}
-	var mergeWG sync.WaitGroup
-	for dst := 0; dst < p; dst++ {
-		mergeWG.Add(1)
-		go func(dst int) {
-			defer mergeWG.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					mergeErrs[dst] = fmt.Errorf("mpc: server %d inbox merge panicked in round %q: %v", dst, round, rec)
-				}
-			}()
-			for w := range shards {
-				received[dst] += shards[w].Sent[dst]
+	if err := sweep.Each(p, 0, func(dst int) (err error) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				err = fmt.Errorf("mpc: server %d inbox merge panicked in round %q: %v", dst, round, rec)
 			}
-			inboxes[dst] = mergeOutboxes(len(shards), owned, func(w int) *rel.Instance { return shards[w].Outs[dst] })
-		}(dst)
-	}
-	mergeWG.Wait()
-	for _, err := range mergeErrs {
-		if err != nil {
-			return nil, nil, err
+		}()
+		for w := range shards {
+			received[dst] += shards[w].Sent[dst]
 		}
+		inboxes[dst] = mergeOutboxes(len(shards), owned, func(w int) *rel.Instance { return shards[w].Outs[dst] })
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
 	return inboxes, received, nil
 }

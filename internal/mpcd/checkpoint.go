@@ -9,11 +9,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"sync"
 
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/policy"
 	"mpclogic/internal/rel"
+	"mpclogic/internal/sweep"
 )
 
 // A snapshot is a drained server spilled to one file, a policy log
@@ -32,13 +32,13 @@ import (
 // short anywhere before it leaves the previous one exactly as it was.
 //
 // Sessions are independent, so both directions fan out over them, at
-// most GOMAXPROCS at once (fanOut): a session's record is encoded
-// straight from its live fragments, and a restored session adopts the
-// fragments its record decodes to, decoded in place from the bytes the
-// file was read into, so neither direction copies one. Each session's
-// work lands in its own slot, and the slots are read back in ID order,
-// so the file and the first error reported are those of a sequential
-// pass.
+// most GOMAXPROCS at once (sweep.Each, whose package doc is the
+// determinism argument): a session's record is encoded straight from
+// its live fragments, and a restored session adopts the fragments its
+// record decodes to, decoded in place from the bytes the file was read
+// into, so neither direction copies one. The slots are read back in ID
+// order, so the file and the first error reported are those of a
+// sequential pass.
 
 // snapshotVersion guards the snapshot layout; bump on incompatible
 // change. Version 2 moved the manifest into a store image, 3 made the
@@ -99,13 +99,11 @@ func (s *Server) SaveSnapshot(dir string) error {
 	if records[0], err = snapshotRecord(&hdr, policy.NewStableStore(nil)); err != nil {
 		return err
 	}
-	for _, err := range fanOut(len(sessions), func(i int) (err error) {
+	if err := sweep.Each(len(sessions), runtime.GOMAXPROCS(0), func(i int) (err error) {
 		records[1+i], err = sessions[i].record()
 		return err
-	}) {
-		if err != nil {
-			return err
-		}
+	}); err != nil {
+		return err
 	}
 	if err := policy.WriteLog(filepath.Join(dir, manifestName), records...); err != nil {
 		return fmt.Errorf("mpcd: writing snapshot: %w", err)
@@ -135,26 +133,6 @@ func snapshotRecord(meta any, store *policy.StableStore) ([]byte, error) {
 		return nil, fmt.Errorf("mpcd: encoding snapshot record: %w", err)
 	}
 	return policy.EncodeLogRecord(store.WithMeta(raw)), nil
-}
-
-// fanOut runs f(0), …, f(n−1), at most GOMAXPROCS at once, and returns
-// their errors by index once every call has returned. f must write
-// only state of its own index.
-func fanOut(n int, f func(i int) error) []error {
-	errs := make([]error, n)
-	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		slots <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = f(i)
-			<-slots
-		}(i)
-	}
-	wg.Wait()
-	return errs
 }
 
 // LoadSnapshot builds a server from the snapshot SaveSnapshot wrote to
@@ -208,7 +186,7 @@ func LoadSnapshot(dir string, cfg Config) (*Server, error) {
 	s := New(cfg)
 	s.nextID = hdr.NextID
 	restored := make([]*Session, hdr.Sessions)
-	errs := fanOut(len(restored), func(i int) error {
+	err = sweep.Each(len(restored), runtime.GOMAXPROCS(0), func(i int) error {
 		store, err := policy.DecodeImage(imgs[1+i])
 		if err != nil {
 			return fmt.Errorf("mpcd: snapshot record %d: %w", 1+i, err)
@@ -217,8 +195,11 @@ func LoadSnapshot(dir string, cfg Config) (*Server, error) {
 		return err
 	})
 	for i, sess := range restored {
-		if errs[i] != nil {
-			return nil, errs[i]
+		// A failed record leaves its slot nil, and the first nil slot
+		// is the lowest failed record, whose error Each returned: the
+		// error of a sequential pass, order checks included.
+		if sess == nil {
+			return nil, err
 		}
 		if i > 0 && sess.ID <= restored[i-1].ID {
 			return nil, fmt.Errorf("mpcd: snapshot lists session %q after %q, not in strictly increasing order", sess.ID, restored[i-1].ID)
@@ -279,5 +260,46 @@ func (s *Server) restoreSession(store *policy.StableStore) (*Session, error) {
 		}
 		sess.anchor = sq
 	}
+	held, aerr := sess.heldFacts()
+	if aerr != nil {
+		return nil, fmt.Errorf("mpcd: session %s: %s", sm.Session, aerr.Message)
+	}
+	if held != sm.Facts {
+		return nil, fmt.Errorf("mpcd: session %s holds %d facts, its record says %d", sm.Session, held, sm.Facts)
+	}
 	return sess, nil
+}
+
+// heldFacts counts the session's distinct facts the way reship routes
+// them: every fact of an unanchored session, which the round-robin
+// layout holds once; under an anchor, a fact where its placement's
+// owner holds it, or anywhere when it has none (−1, or no owner
+// function: a relation the anchor does not replicate costs one Len).
+func (sess *Session) heldFacts() (int, *apiError) {
+	owner := func(string, int) func(rel.Tuple) int { return nil }
+	if a := sess.anchor; a != nil {
+		place, aerr := a.plan.placementFor(a.cq, sess.p, sess.seed)
+		if aerr != nil {
+			return 0, aerr
+		}
+		owner = place.owner
+	}
+	n := 0
+	for s, frag := range sess.fragments() {
+		for _, name := range frag.RelationNames() {
+			rl := frag.Relation(name)
+			own := owner(name, rl.Arity)
+			if own == nil {
+				n += rl.Len()
+				continue
+			}
+			rl.Each(func(t rel.Tuple) bool {
+				if o := own(t); o < 0 || o == s {
+					n++
+				}
+				return true
+			})
+		}
+	}
+	return n, nil
 }

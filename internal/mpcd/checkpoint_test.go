@@ -285,6 +285,63 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestRestoreChecksFactCount: a session record whose fact count is not
+// what its fragments hold is refused at load, naming the session, both
+// before an anchor (every fact of the round-robin layout) and under one
+// (each fact where its owner holds it). Loaded, it would turn every
+// repartition and gather of the session into a 500.
+func TestRestoreChecksFactCount(t *testing.T) {
+	for _, anchored := range []bool{false, true} {
+		s := New(Config{})
+		if _, aerr := s.createSession(&createRequest{ID: "fc", Facts: transferFacts(), Budget: 1 << 10}); aerr != nil {
+			t.Fatal(aerr)
+		}
+		if anchored {
+			body, err := json.Marshal(queryRequest{Session: "fc", Query: anchorQ})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status, raw := ask(s, body); status != http.StatusOK {
+				t.Fatalf("anchoring: %d %s", status, raw)
+			}
+		}
+		dir := t.TempDir()
+		if err := s.SaveSnapshot(dir); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		if _, err := LoadSnapshot(dir, Config{}); err != nil {
+			t.Fatalf("anchored=%v: the saved snapshot does not load: %v", anchored, err)
+		}
+		data, spans := snapshotRecords(t, dir)
+		imgs, _, err := policy.FrameLog(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := policy.DecodeImage(imgs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sm sessionManifest
+		if err := json.Unmarshal(store.Meta(), &sm); err != nil {
+			t.Fatal(err)
+		}
+		if sm.Facts != len(transferFacts()) {
+			t.Fatalf("anchored=%v: the record says %d facts, want %d", anchored, sm.Facts, len(transferFacts()))
+		}
+		sm.Facts++
+		rec, err := snapshotRecord(&sm, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), append(data[:spans[1][0]:spans[1][0]], rec...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSnapshot(dir, Config{}); err == nil || !strings.Contains(err.Error(), "session fc holds 6 facts, its record says 7") {
+			t.Fatalf("anchored=%v: LoadSnapshot of a record one fact over its fragments: %v, want the count's error", anchored, err)
+		}
+	}
+}
+
 // TestSnapshotDirForgetsDeletedSessions: a snapshot directory holds the
 // last snapshot and nothing of the ones before it — the session deleted
 // since is gone, and a temporary a crashed writer left is truncated and

@@ -11,7 +11,8 @@ import (
 // experiment harness rests on:
 //
 //  1. the merged results are byte-identical between the sequential
-//     run and a parallel run,
+//     run and runs at several bounds (the byte's, none, the job count
+//     and past it),
 //  2. every job gets exactly one result, in declared order,
 //  3. errors land exactly where the spec puts them, with the value
 //     zeroed, and a panic's error carries no stack trace.
@@ -33,8 +34,10 @@ func FuzzSweepMerge(f *testing.F) {
 		jobs := makeJobs(spec)
 
 		seq := Run(1, jobs)
-		if par := Run(workers, jobs); render(par) != render(seq) {
-			t.Fatalf("workers=%d diverged from sequential:\n%s\nvs\n%s", workers, render(par), render(seq))
+		for _, w := range []int{workers, 0, len(jobs), len(jobs) + 3} {
+			if par := Run(w, jobs); render(par) != render(seq) {
+				t.Fatalf("workers=%d diverged from sequential:\n%s\nvs\n%s", w, render(par), render(seq))
+			}
 		}
 		if len(seq) != len(spec) {
 			t.Fatalf("%d jobs produced %d results", len(spec), len(seq))

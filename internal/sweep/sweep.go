@@ -1,26 +1,59 @@
-// Package sweep is a parallel map: it runs independent jobs on a
-// bounded worker pool and returns their results in declared order, so
-// a parallel sweep is byte-identical to the sequential one, the
-// parallel-correctness property [Q,P](I) = Q(I) of Ameloot et al.
-// applied to this repository's own experiment harness. Two legs:
+// Package sweep is the repository's one fan-out. Each is its
+// index-parallel loop: the MPC engine's route, compute and merge
+// phases, the TCP transport's pullers and the daemon's snapshot save
+// and load run on it, and so does Run, the experiment harness's
+// parallel map. A loop on Each is byte-identical to the sequential one
+// — the parallel-correctness property [Q,P](I) = Q(I) of Ameloot et
+// al., applied to the repository's own code — on three legs:
 //
-//  1. Placement, not arrival, orders results. Workers only send
-//     (index, result) pairs over a channel; the calling goroutine
-//     alone writes them into the results by index.
-//  2. Jobs are deterministic, failures included: a panic becomes an
-//     error carrying only the panic value (no stack, no goroutine
-//     IDs), so a failing job renders the same bytes at every worker
-//     count.
+//  1. Index-disjoint writes. Call i writes only slot i of state sized
+//     beforehand, so the slots are a function of the indices, not of
+//     which call ran when. mpclint's goroutine-hygiene holds a func
+//     literal passed to Each to this: slice writes indexed by its own
+//     parameter, or locked.
+//  2. The lowest index's error. Each waits for every call and returns
+//     the least failing index's error, the one a sequential loop that
+//     stops at the first failure reports.
+//  3. Deterministic failures. A panic is the call's to recover, so
+//     every site keeps its own error text; Run's is an error carrying
+//     only the panic value, no stack and no goroutine IDs.
 //
 // The package is wall-clock free (mpclint's wallclock-free analyzer
-// runs on it): timing is the caller's business and stays out of the
-// values jobs return.
+// runs on it): timing is the caller's business.
 package sweep
 
 import (
 	"fmt"
 	"sync"
 )
+
+// Each runs f(0), …, f(n−1), started in index order and at most
+// workers at once (workers ≤ 0 or ≥ n: one goroutine per index), waits
+// for every call, and returns the lowest failing index's error.
+func Each(n, workers int, f func(i int) error) error {
+	if workers <= 0 || workers > n {
+		workers = n
+	}
+	errs := make([]error, n)
+	slots := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = f(i)
+			<-slots
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Job is one unit of a sweep: a named closure.
 type Job[T any] struct {
@@ -38,41 +71,19 @@ type Result[T any] struct {
 	Err   error
 }
 
-// Run executes jobs on min(max(workers, 1), len(jobs)) goroutines and
-// returns one Result per job, in declared order: for every workers
-// value the same results as the sequential Run(1, jobs). A job's
-// failure stays in its own Result and cannot abort the sweep.
+// Run executes jobs, at most max(workers, 1) at once, and returns one
+// Result per job, in declared order: for every workers value the same
+// results as the sequential Run(1, jobs). A job's failure stays in its
+// own Result and cannot abort the sweep.
 func Run[T any](workers int, jobs []Job[T]) []Result[T] {
 	if len(jobs) == 0 {
 		return nil
 	}
-	type placed struct {
-		idx int
-		res Result[T]
-	}
-	// Both channels hold every job, so no send ever blocks.
-	next := make(chan int, len(jobs))
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	done := make(chan placed, len(jobs))
-	var wg sync.WaitGroup
-	for w := min(max(workers, 1), len(jobs)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				done <- placed{idx: i, res: runJob(jobs[i], i)}
-			}
-		}()
-	}
 	results := make([]Result[T], len(jobs))
-	for range jobs {
-		p := <-done
-		results[p.idx] = p.res
-	}
-	wg.Wait()
+	Each(len(jobs), max(workers, 1), func(i int) error { //lint:allow error-discard every call returns nil: a job's failure is its Result's
+		results[i] = runJob(jobs[i], i)
+		return nil
+	})
 	return results
 }
 

@@ -176,3 +176,62 @@ func TestGoroutinesBoundedByJobs(t *testing.T) {
 		}
 	}
 }
+
+// TestEachContract: Each returns the lowest failing index's error, runs
+// every call exactly once and never more than the bound at once,
+// however the calls complete. Within each window of `workers`
+// consecutive indices (all of them when unbounded) a call first waits
+// for every later one to finish, so calls complete in reverse index
+// order as far as the bound lets them, and the first error to arrive is
+// never the lowest index's.
+func TestEachContract(t *testing.T) {
+	const n = 7
+	failing := map[int]bool{1: true, 4: true, 6: true}
+	for _, workers := range []int{0, 1, 2, n, n + 3} {
+		window := workers
+		if window <= 0 || window > n {
+			window = n
+		}
+		var ran [n]atomic.Int32
+		var done [n]chan struct{}
+		for i := range done {
+			done[i] = make(chan struct{})
+		}
+		var mu sync.Mutex
+		running, peak := 0, 0
+		err := Each(n, workers, func(i int) error {
+			ran[i].Add(1)
+			defer close(done[i])
+			mu.Lock()
+			running++
+			peak = max(peak, running)
+			mu.Unlock()
+			defer func() {
+				mu.Lock()
+				running--
+				mu.Unlock()
+			}()
+			for j := i + 1; j < n && j/window == i/window; j++ {
+				<-done[j]
+			}
+			if failing[i] {
+				return fmt.Errorf("fail-%d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "fail-1" {
+			t.Errorf("workers=%d: Each returned %v, want the lowest failing index's error fail-1", workers, err)
+		}
+		for i := range ran {
+			if c := ran[i].Load(); c != 1 {
+				t.Errorf("workers=%d: f(%d) ran %d times", workers, i, c)
+			}
+		}
+		if peak > window {
+			t.Errorf("workers=%d: %d calls ran at once", workers, peak)
+		}
+	}
+	if err := Each(0, 4, func(int) error { return fmt.Errorf("called") }); err != nil {
+		t.Errorf("an empty loop returned %v", err)
+	}
+}
