@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "mpclint: %v\n", err)
 		return 2
 	}
-	diags := lint.Run(mod, analyzers, lint.DefaultConfig())
+	diags := lint.Run(mod, analyzers)
 
 	switch {
 	case *jsonOut:

@@ -33,6 +33,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -61,56 +62,26 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// Config tunes where nondet-taint checks sinks; every other analyzer
-// applies to all packages (wallclock-free and error-discard exempt
-// binaries).
-type Config struct {
-	// EnginePackages are package names whose evaluation results must be
-	// pure functions of their inputs: nondet-taint treats their
-	// exported entry points' results as sinks.
-	EnginePackages []string
+// Where nondet-taint checks sinks; every other analyzer applies to all
+// packages (wallclock-free and error-discard exempt binaries).
+var (
+	// enginePackages are the package names whose evaluation results must
+	// be pure functions of their inputs — those on the evaluation path
+	// whose outputs the paper's theorems constrain: nondet-taint treats
+	// their exported entry points' results as sinks.
+	enginePackages = []string{"rel", "cq", "mpc", "hypercube", "datalog", "transducer", "gym"}
+	// sinkPackages are the package names beyond the engine where
+	// nondet-taint checks sinks: the measurement and persistence layers
+	// whose emitted bytes must be run-to-run identical.
+	sinkPackages = []string{"experiments", "sweep", "policy", "lint", "main"}
+)
 
-	// SinkPackages are additional package names (beyond the engine)
-	// where nondet-taint checks sinks: the measurement and persistence
-	// layers whose emitted bytes must be run-to-run identical.
-	SinkPackages []string
-}
-
-// DefaultConfig returns the repo's configuration: the engine packages
-// are those on the evaluation path whose outputs the paper's theorems
-// constrain; sinks extend to the measurement/persistence layers.
-func DefaultConfig() Config {
-	return Config{
-		EnginePackages: []string{
-			"rel", "cq", "mpc", "hypercube", "datalog", "transducer", "gym",
-		},
-		SinkPackages: []string{
-			"experiments", "sweep", "policy", "lint", "main",
-		},
-	}
-}
-
-func (c Config) isEngine(pkgName string) bool {
-	for _, n := range c.EnginePackages {
-		if n == pkgName {
-			return true
-		}
-	}
-	return false
-}
+func isEngine(pkgName string) bool { return slices.Contains(enginePackages, pkgName) }
 
 // isSinkScope reports whether nondet-taint should treat sinks in
-// pkgName as live: engine packages plus the configured sink packages.
-func (c Config) isSinkScope(pkgName string) bool {
-	if c.isEngine(pkgName) {
-		return true
-	}
-	for _, n := range c.SinkPackages {
-		if n == pkgName {
-			return true
-		}
-	}
-	return false
+// pkgName as live: engine packages plus the sink packages.
+func isSinkScope(pkgName string) bool {
+	return isEngine(pkgName) || slices.Contains(sinkPackages, pkgName)
 }
 
 // Pass carries one (package, analyzer) run.
@@ -118,7 +89,6 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	Config   Config
 
 	diags []Diagnostic
 	root  string     // module root, for relativizing file paths
@@ -173,13 +143,13 @@ func AnalyzerByName(name string) (*Analyzer, bool) {
 // selected, each package's directives are audited after its other
 // analyzers have had the chance to use them; audit diagnostics cannot
 // themselves be suppressed.
-func Run(mod *Module, analyzers []*Analyzer, cfg Config) []Diagnostic {
+func Run(mod *Module, analyzers []*Analyzer) []Diagnostic {
 	var td *taintData
 	auditing := false
 	for _, a := range analyzers {
 		switch a.Name {
 		case NondetTaintAnalyzer.Name:
-			td = computeTaint(mod, cfg)
+			td = computeTaint(mod)
 		case SuppressAuditAnalyzer.Name:
 			auditing = true
 		}
@@ -195,7 +165,6 @@ func Run(mod *Module, analyzers []*Analyzer, cfg Config) []Diagnostic {
 				Analyzer: a,
 				Fset:     mod.Fset,
 				Pkg:      pkg,
-				Config:   cfg,
 				root:     mod.Root,
 				taint:    td,
 			}
@@ -212,7 +181,6 @@ func Run(mod *Module, analyzers []*Analyzer, cfg Config) []Diagnostic {
 				Analyzer: SuppressAuditAnalyzer,
 				Fset:     mod.Fset,
 				Pkg:      pkg,
-				Config:   cfg,
 				root:     mod.Root,
 			}
 			auditSuppressions(pass, sup, analyzers)

@@ -26,7 +26,7 @@ func fixtureModule(t *testing.T) *Module {
 // and compares every diagnostic, in order, against the golden file.
 func TestFixtureDiagnostics(t *testing.T) {
 	mod := fixtureModule(t)
-	diags := Run(mod, Analyzers(), DefaultConfig())
+	diags := Run(mod, Analyzers())
 
 	var b strings.Builder
 	for _, d := range diags {
@@ -59,7 +59,7 @@ func TestFixtureDiagnostics(t *testing.T) {
 // stay clean.
 func TestFixtureCoverage(t *testing.T) {
 	mod := fixtureModule(t)
-	diags := Run(mod, Analyzers(), DefaultConfig())
+	diags := Run(mod, Analyzers())
 
 	fired := make(map[string]int)
 	for _, d := range diags {
@@ -141,7 +141,7 @@ func TestAnalyzerSelection(t *testing.T) {
 	if !ok {
 		t.Fatal("lock-discipline analyzer missing")
 	}
-	diags := Run(mod, []*Analyzer{a}, DefaultConfig())
+	diags := Run(mod, []*Analyzer{a})
 	if len(diags) == 0 {
 		t.Fatal("lock-discipline found nothing on the fixtures")
 	}
@@ -172,7 +172,7 @@ func TestRepoClean(t *testing.T) {
 	if mod.Path != "mpclogic" {
 		t.Fatalf("unexpected module path %q", mod.Path)
 	}
-	diags := Run(mod, Analyzers(), DefaultConfig())
+	diags := Run(mod, Analyzers())
 	for _, d := range diags {
 		t.Errorf("repo must lint clean: %s", d)
 	}
@@ -181,21 +181,20 @@ func TestRepoClean(t *testing.T) {
 // TestConfigEngineMatching pins the engine package list to the
 // packages whose outputs the paper's theorems constrain.
 func TestConfigEngineMatching(t *testing.T) {
-	cfg := DefaultConfig()
 	for _, name := range []string{"rel", "cq", "mpc", "hypercube", "datalog", "transducer", "gym"} {
-		if !cfg.isEngine(name) {
+		if !isEngine(name) {
 			t.Errorf("%s should be an engine package", name)
 		}
 	}
-	if cfg.isEngine("experiments") || cfg.isEngine("workload") {
+	if isEngine("experiments") || isEngine("workload") {
 		t.Error("measurement-layer packages must not be on the engine list")
 	}
 	for _, name := range []string{"mpc", "experiments", "sweep", "policy", "main"} {
-		if !cfg.isSinkScope(name) {
+		if !isSinkScope(name) {
 			t.Errorf("%s should be in nondet-taint sink scope", name)
 		}
 	}
-	if cfg.isSinkScope("workload") {
+	if isSinkScope("workload") {
 		t.Error("workload generation is not a sink scope")
 	}
 }

@@ -61,7 +61,7 @@ type taintData struct {
 // computeTaint builds the call graph and computes every function's
 // summary bottom-up, reporting sink violations as it goes. It runs
 // once per lint.Run invocation, independent of package count.
-func computeTaint(mod *Module, cfg Config) *taintData {
+func computeTaint(mod *Module) *taintData {
 	td := &taintData{
 		cg:    buildCallGraph(mod),
 		diags: make(map[string][]rawDiag),
@@ -71,12 +71,12 @@ func computeTaint(mod *Module, cfg Config) *taintData {
 		recursive := len(scc) > 1
 		for _, n := range scc {
 			if !recursive && !n.recursive() {
-				n.summary = td.analyze(mod, cfg, n, false)
+				n.summary = td.analyze(mod, n, false)
 			}
 		}
 		for _, n := range scc {
 			if n.summary == nil {
-				n.summary = td.analyze(mod, cfg, n, true)
+				n.summary = td.analyze(mod, n, true)
 			}
 		}
 	}
@@ -109,7 +109,6 @@ type orderFrame struct {
 type taintWalker struct {
 	td   *taintData
 	mod  *Module
-	cfg  Config
 	node *funcNode
 	pkg  *Package
 	info *types.Info
@@ -130,19 +129,18 @@ type taintWalker struct {
 
 // analyze computes n's summary. With havocRecursion set, calls into
 // n's own SCC yield no flows (the conservative havoc for recursion).
-func (td *taintData) analyze(mod *Module, cfg Config, n *funcNode, havocRecursion bool) *summary {
+func (td *taintData) analyze(mod *Module, n *funcNode, havocRecursion bool) *summary {
 	w := &taintWalker{
 		td:          td,
 		mod:         mod,
-		cfg:         cfg,
 		node:        n,
 		pkg:         n.pkg,
 		info:        n.pkg.Info,
 		state:       make(map[types.Object]tval),
 		results:     make([]tval, numResults(n.decl.Type)),
 		paramIdx:    make(map[types.Object]int),
-		sinkScope:   cfg.isSinkScope(n.pkg.Types.Name()),
-		engineScope: cfg.isEngine(n.pkg.Types.Name()),
+		sinkScope:   isSinkScope(n.pkg.Types.Name()),
+		engineScope: isEngine(n.pkg.Types.Name()),
 		retOwner:    true,
 	}
 	idx := 0

@@ -32,7 +32,7 @@ func writeModule(t *testing.T, files map[string]string) *Module {
 // function's summary.
 func summaryOf(t *testing.T, mod *Module, name string) *summary {
 	t.Helper()
-	td := computeTaint(mod, DefaultConfig())
+	td := computeTaint(mod)
 	for _, n := range td.cg.nodes {
 		if n.obj.Name() == name {
 			if n.summary == nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // Routing appends to an outbox, and the merge to an inbox, only what it
-// has proven distinct there (routeServer, mergeOutboxes). These are the
+// has proven distinct there (routeServer, MergeInbox). These are the
 // cases where a fact reaches one destination twice, each of which must
 // still deliver a set: the duplicate would otherwise inflate Len and
 // make the inbox's first table build panic.

@@ -71,21 +71,22 @@ const (
 	// mpcnet's control plane (dial, request, response). Generous: it
 	// only fires when the exchange is already broken.
 	IOTimeout = 10 * time.Second
-	// dialAttempts bounds one Dial's retries.
+	// dialAttempts bounds one Dial's attempts: its backoffs sleep
+	// ≈ 75 ms in total.
 	dialAttempts = 5
 	// pullAttempts bounds one Stream.Pull's attempts. An attempt dials
 	// at most once, so against a refused peer the pull gives up after
-	// the pullBackoff sleeps between attempts, ≈ 31 s in total
-	// (TestPullBudget), which covers the window where a crashed peer
-	// has not re-registered yet.
+	// the backoffs between attempts, ≈ 31 s in total (TestPullBudget),
+	// which covers the window where a crashed peer has not re-registered
+	// yet.
 	pullAttempts = 128
 	// pullRequestLen is seq+shard+dst.
 	pullRequestLen = 8 + 4 + 4
 )
 
 // dialJitter derives a deterministic 0–4ms jitter from (salt, attempt)
-// for the dial and re-pull backoffs — a hash, not a shared rand.Rand,
-// because pulls from different exchanges and goroutines back off
+// for the retry backoff — a hash, not a shared rand.Rand, because pulls
+// and dials from different exchanges and goroutines back off
 // concurrently and must not race on generator state. The spread keeps
 // pullers retrying against the same swamped or re-registering peer from
 // stampeding back in lockstep.
@@ -95,25 +96,47 @@ func dialJitter(salt, attempt int) time.Duration {
 	return time.Duration(h%5) * time.Millisecond
 }
 
-// Dial connects to a control-plane address with a bounded retry — a
-// listener briefly swamped by concurrent connections (or resetting as a
-// crashed peer dies) refuses a dial that succeeds a moment later. Backoff
-// grows linearly with a deterministic per-(salt, attempt) jitter; salt
-// decorrelates concurrent dialers. The data plane does not use it: a
-// Stream dials once per attempt, and Pull's loop is its one retry.
-func Dial(addr string, salt int) (net.Conn, error) {
-	var lastErr error
-	for attempt := 0; attempt < dialAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt)*10*time.Millisecond + dialJitter(salt, attempt)) //lint:allow wallclock-free bounded jittered dial backoff on connection I/O, never logical time
-		}
-		conn, err := net.DialTimeout("tcp", addr, IOTimeout)
-		if err == nil {
-			return conn, nil
-		}
-		lastErr = err
+// backoff is the pause before retry attempt (≥1) of the plane's one
+// retry loop: exponential from 5ms capped at 250ms, plus the
+// deterministic per-(salt, attempt) jitter. The first retries come fast
+// — most failures are line noise, a listener briefly swamped, or a peer
+// that published a beat later — while a genuinely crashed peer is
+// re-polled at the capped rate until it re-registers.
+func backoff(salt, attempt int) time.Duration {
+	d := 5 * time.Millisecond
+	for i := 1; i < attempt && d < 250*time.Millisecond; i++ {
+		d *= 2
 	}
-	return nil, lastErr
+	return min(d, 250*time.Millisecond) + dialJitter(salt, attempt)
+}
+
+// retry is the plane's one retry loop, the control plane's Dial and the
+// data plane's Pull alike: it runs try up to attempts times, sleeping
+// backoff(salt, k) before attempt k ≥ 1, and returns the first success
+// or the last error. salt decorrelates concurrent retriers.
+func retry[T any](attempts, salt int, try func() (T, error)) (T, error) {
+	var v T
+	var err error
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			time.Sleep(backoff(salt, attempt)) //lint:allow wallclock-free retry backoff through line noise, a swamped listener or a peer re-registering after a crash; connection liveness only, never logical time
+		}
+		if v, err = try(); err == nil {
+			return v, nil
+		}
+	}
+	return v, err
+}
+
+// Dial connects to a control-plane address through the plane's retry
+// loop — a listener briefly swamped by concurrent connections (or
+// resetting as a crashed peer dies) refuses a dial that succeeds a
+// moment later; salt decorrelates concurrent dialers. The data plane
+// does not use it: a Stream dials once per attempt of Pull's retry.
+func Dial(addr string, salt int) (net.Conn, error) {
+	return retry(dialAttempts, salt, func() (net.Conn, error) {
+		return net.DialTimeout("tcp", addr, IOTimeout)
+	})
 }
 
 // ShardFrames renders shard's outboxes as the frames a fragment server
@@ -151,53 +174,69 @@ func ShardFrames(seq uint64, shard int, sh Shard, own int) []Frame {
 	return frames
 }
 
-// MergeInbox assembles destination dst's inbox from one fragment per
-// shard: fetch is asked for the shards in ascending order and their
-// fragments are merged in that order — position, never arrival — as
-// mergeShards' body, mergeOutboxes, merges outboxes, which is what
-// makes the plane bit-compatible with mergeShards no matter how the
-// network interleaves. A non-nil own is shard dst's own routing, whose
-// outbox for dst is handed over in process at its position, dst: fetch
-// is not asked for it, and it enters no codec. Every relation is sized
-// from the frames' headers (rel.ScanInstance) and decoded once, straight
-// into the inbox (rel.DecodeInstanceInto): what one fragment ships alone
-// is its decoded relation, or own's relation itself; what several ship
-// is one relation of their lengths together, each fact landing once.
-// The received count sums the frames' Sent fields (and own's count for
-// dst), so the accounting really crossed the wire. A well-formed frame
-// with an undecodable payload is a hard error: the peer speaks the
-// frame format but not the fragment format.
-func MergeInbox(dst, nshards int, own *Shard, fetch func(shard int) (Frame, error)) (*rel.Instance, int, error) {
-	// What each relation's shippers ship together, in first-shipped order.
-	type shipment struct{ arity, tuples, shippers int }
-	var names []string
-	shipped := make(map[string]*shipment)
-	ship := func(name string, arity, tuples int) {
-		s := shipped[name]
-		if s == nil {
-			s = &shipment{arity: arity}
-			shipped[name] = s
-			names = append(names, name)
-		}
-		s.tuples += tuples
-		s.shippers++
+// MergeInbox is the one inbox merge: it assembles destination dst's
+// inbox from one fragment per shard, for every transport. Shard w's
+// fragment is held in process — held(w).Outs[dst], when held is non-nil
+// and returns a shard — or else pulled, the frame pull(w) returns.
+// Fragments are merged in ascending shard order — position, never
+// arrival — so two transports, or two runs of one, build the same
+// inbox no matter how the network interleaves. Every relation is sized
+// first, from the held outboxes and from the frames' headers
+// (rel.ScanInstance), and built once: what one fragment ships alone is
+// adopted, the held outbox's relation itself or the frame's decoded
+// one; what several ship is one relation presized to their lengths
+// together, into which each is unioned or decoded
+// (rel.DecodeInstanceInto) in shard order, each fact landing once. An
+// inbox becomes the server's fragment, which may live as long as its
+// owner does, so it must not carry the slack of growing the first copy
+// to fit the others. When every fragment is held (pull is nil) and
+// every shard was routed under an Owner and no Keep, no tuple is in two
+// copies, so they are appended and the inbox builds no table; a frame's
+// bytes are never vouched for, so a merge that pulls anything unions
+// even the held copies. The received count sums the held shards' Sent
+// and the frames' Sent fields. A well-formed frame with an undecodable
+// payload is a hard error: the peer speaks the frame format but not the
+// fragment format.
+func MergeInbox(dst, nshards int, held func(w int) *Shard, pull func(w int) (Frame, error)) (*rel.Instance, int, error) {
+	if held == nil {
+		held = func(int) *Shard { return nil }
 	}
-	var mine *rel.Instance
-	frames := make([]Frame, nshards)
+	// What each relation's shippers ship together, in first-shipped order.
+	type shipment struct {
+		name                    string
+		arity, tuples, shippers int
+	}
+	var shipped []shipment
+	at := make(map[string]int)
+	ship := func(name string, arity, tuples int) {
+		i, ok := at[name]
+		if !ok {
+			i = len(shipped)
+			at[name] = i
+			shipped = append(shipped, shipment{name: name, arity: arity})
+		}
+		shipped[i].tuples += tuples
+		shipped[i].shippers++
+	}
+	var frames []Frame // frames[w]: shard w's pulled fragment; a held-only merge pulls none
+	if pull != nil {
+		frames = make([]Frame, nshards)
+	}
+	owned := pull == nil
 	n := 0
-	for w := range frames {
-		if own != nil && w == dst {
-			if mine = own.Outs[dst]; mine != nil {
-				for _, name := range mine.RelationNames() {
-					if r := mine.Relation(name); r.Len() > 0 {
-						ship(name, r.Arity, r.Len())
-					}
+	for w := 0; w < nshards; w++ {
+		if sh := held(w); sh != nil {
+			owned = owned && sh.owned
+			n += sh.Sent[dst]
+			if out := sh.Outs[dst]; out != nil {
+				for _, name := range out.RelationNames() {
+					r := out.Relation(name)
+					ship(name, r.Arity, r.Len())
 				}
 			}
-			n += own.Sent[dst]
 			continue
 		}
-		f, err := fetch(w)
+		f, err := pull(w)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -207,27 +246,30 @@ func MergeInbox(dst, nshards int, own *Shard, fetch func(shard int) (Frame, erro
 		frames[w] = f
 		n += int(f.Sent)
 	}
-	inbox := rel.NewInstanceSize(len(names))
-	for _, name := range names {
-		if s := shipped[name]; s.shippers > 1 {
-			inbox.EnsureRelationSize(name, s.arity, s.tuples)
+	inbox := rel.NewInstanceSize(len(shipped))
+	for _, s := range shipped {
+		if s.shippers > 1 {
+			inbox.EnsureRelationSize(s.name, s.arity, s.tuples)
 		}
 	}
-	for w, f := range frames {
-		if own == nil || w != dst {
-			if err := rel.DecodeInstanceInto(inbox, f.Payload); err != nil {
-				return nil, 0, fmt.Errorf("mpc: server %d decoding shard %d fragment of exchange %d: %w", dst, w, f.Seq, err)
+	for w := 0; w < nshards; w++ {
+		sh := held(w)
+		if sh == nil {
+			if err := rel.DecodeInstanceInto(inbox, frames[w].Payload); err != nil {
+				return nil, 0, fmt.Errorf("mpc: server %d decoding shard %d fragment of exchange %d: %w", dst, w, frames[w].Seq, err)
 			}
 			continue
 		}
-		if mine == nil {
+		out := sh.Outs[dst]
+		if out == nil {
 			continue
 		}
-		for _, name := range mine.RelationNames() {
-			switch o := mine.Relation(name); {
-			case o.Len() == 0:
-			case shipped[name].shippers == 1:
+		for _, name := range out.RelationNames() {
+			switch o := out.Relation(name); {
+			case shipped[at[name]].shippers == 1:
 				inbox.SetRelationAs(name, o) // its only shipper
+			case owned:
+				inbox.Relation(name).UnionDistinct(o)
 			default:
 				inbox.Relation(name).UnionWith(o)
 			}
@@ -520,28 +562,11 @@ func (pf pullFault) image(f Frame) (img []byte, reset bool) {
 	return img, false
 }
 
-// pullBackoff is the pause before pull retry attempt (≥1): exponential
-// from 5ms capped at 250ms, plus the deterministic per-(link, attempt)
-// jitter. The first retries come fast — most pull failures
-// are line noise or a peer that published a beat later — while a
-// genuinely crashed peer is re-polled at the capped rate until it
-// re-registers.
-func pullBackoff(shard, dst, attempt int) time.Duration {
-	d := 5 * time.Millisecond
-	for i := 1; i < attempt && d < 250*time.Millisecond; i++ {
-		d *= 2
-	}
-	if d > 250*time.Millisecond {
-		d = 250 * time.Millisecond
-	}
-	return d + dialJitter(shard<<16^dst, attempt)
-}
-
 // Stream is a destination's side of the plane: its connection to one
 // fragment server, kept across pulls, and the only code that writes a
 // request to a socket or reads a frame off one. It dials lazily — at the
 // first request, and again after any error, once per attempt with no
-// backoff of its own (Pull's loop is the retry) — asking resolve for the
+// backoff of its own (Pull's retry is the one) — asking resolve for the
 // server's address before every dial, because the address changes when
 // the source is respawned. One request may be in flight at a time. Not
 // safe for concurrent use.
@@ -651,18 +676,11 @@ func (st *Stream) Post(seq uint64, shard int) {
 // posted answer, or requesting and reading — and re-pulls through line
 // noise (aborted connections, malformed or bit-flipped frames, wrong
 // answers) and a respawned source, each retry on a fresh connection
-// after a bounded jittered exponential backoff.
+// after the plane's backoff, salted by the link.
 func (st *Stream) Pull(seq uint64, shard int) (Frame, error) {
-	var lastErr error
-	for attempt := 0; attempt < pullAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(pullBackoff(shard, st.dst, attempt)) //lint:allow wallclock-free re-pull backoff through line noise or while a crashed peer re-registers; connection liveness only, never logical time
-		}
-		f, err := st.try(seq, shard)
-		if err == nil {
-			return f, nil
-		}
-		lastErr = err
+	f, err := retry(pullAttempts, shard<<16^st.dst, func() (Frame, error) { return st.try(seq, shard) })
+	if err != nil {
+		return Frame{}, fmt.Errorf("mpc: pulling exchange %d fragment %d→%d: %w", seq, shard, st.dst, err)
 	}
-	return Frame{}, fmt.Errorf("mpc: pulling exchange %d fragment %d→%d: %w", seq, shard, st.dst, lastErr)
+	return f, nil
 }

@@ -662,9 +662,9 @@ func TestMergeInboxRejectsUndecodableFragment(t *testing.T) {
 }
 
 // TestFailedAttemptDialsOnce: one pull attempt against a refused peer is
-// one dial with no backoff inside it — Pull's loop is the data plane's
-// only retry. The resolver is asked once per dial, and the attempt ends
-// well inside the ≥ 100 ms of redial sleeps a Dial would add (the least
+// one dial with no backoff inside it — Pull's retry is the data plane's
+// only one. The resolver is asked once per dial, and the attempt ends
+// well inside the ≥ 75 ms of redial sleeps a Dial would add (the least
 // of three trials is taken, so one slow schedule does not decide).
 func TestFailedAttemptDialsOnce(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -677,7 +677,7 @@ func TestFailedAttemptDialsOnce(t *testing.T) {
 	}
 	var dialBackoff time.Duration
 	for attempt := 1; attempt < dialAttempts; attempt++ {
-		dialBackoff += time.Duration(attempt) * 10 * time.Millisecond
+		dialBackoff += backoff(0, attempt)
 	}
 	fastest := time.Hour
 	for trial := 0; trial < 3; trial++ {
@@ -704,7 +704,7 @@ func TestPullBudget(t *testing.T) {
 	for _, link := range [][2]int{{0, 0}, {1, 2}, {7, 3}, {63, 31}} {
 		var total time.Duration
 		for attempt := 1; attempt < pullAttempts; attempt++ {
-			total += pullBackoff(link[0], link[1], attempt)
+			total += backoff(link[0]<<16^link[1], attempt)
 		}
 		if total < 30500*time.Millisecond || total > 31500*time.Millisecond {
 			t.Errorf("link %d→%d: a failing pull sleeps %v in total, want ≈ 31 s", link[0], link[1], total)

@@ -24,7 +24,9 @@ import (
 //   - Deterministic merge: shards are merged into an inbox in
 //     ascending shard order — position, never arrival order — so two
 //     runs of the same exchange are byte-identical downstream no
-//     matter how the wire reorders frames.
+//     matter how the wire reorders frames. Both transports here, and
+//     an mpcnet worker, merge through MergeInbox, so they merge
+//     identically by construction.
 //   - Error atomicity: on a non-nil error no partial results are
 //     visible to the caller; RunRound turns that into its
 //     atomic-on-failure guarantee.
@@ -72,112 +74,37 @@ func WithTransport(t Transport) Option {
 	return func(c *Cluster) { c.tr = t }
 }
 
-// localTransport is the in-process transport: shards are merged by
-// direct slice adoption, no copies, no wire. It is the bit-compatible
-// extraction of the pre-transport merge phase — the golden determinism
-// traces pin that.
+// localTransport is the in-process transport: every fragment is held,
+// so MergeInbox adopts or unions the outboxes themselves — no copy of a
+// relation one source ships, no codec, no wire. The golden determinism
+// traces pin its inboxes.
 type localTransport struct{}
 
 // NewLocalTransport returns the in-process transport.
 func NewLocalTransport() Transport { return localTransport{} }
 
+// Exchange implements Transport: one MergeInbox per destination
+// (sweep.Each), every shard held. A panicking merge is that server's
+// error, not the process's.
 func (localTransport) Exchange(round string, p int, shards []Shard) ([]*rel.Instance, []int, error) {
-	return mergeShards(round, p, shards)
-}
-
-func (localTransport) Close() error { return nil }
-
-// mergeShards merges shards into per-destination inboxes, one goroutine
-// per destination (sweep.Each), each visiting shards in ascending order.
-// The (dst, shard) merge order is fixed, so the inboxes and load
-// accounting are byte-identical to a sequential merge. This is both the
-// Local transport's Exchange and the reference merge every other
-// transport must reproduce.
-func mergeShards(round string, p int, shards []Shard) ([]*rel.Instance, []int, error) {
 	inboxes := make([]*rel.Instance, p)
 	received := make([]int, p)
-	owned := true
-	for w := range shards {
-		owned = owned && shards[w].owned
-	}
+	held := func(w int) *Shard { return &shards[w] }
 	if err := sweep.Each(p, 0, func(dst int) (err error) {
 		defer func() {
 			if rec := recover(); rec != nil {
 				err = fmt.Errorf("mpc: server %d inbox merge panicked in round %q: %v", dst, round, rec)
 			}
 		}()
-		for w := range shards {
-			received[dst] += shards[w].Sent[dst]
-		}
-		inboxes[dst] = mergeOutboxes(len(shards), owned, func(w int) *rel.Instance { return shards[w].Outs[dst] })
-		return nil
+		inboxes[dst], received[dst], err = MergeInbox(dst, len(shards), held, nil)
+		return err
 	}); err != nil {
 		return nil, nil, err
 	}
 	return inboxes, received, nil
 }
 
-// mergeOutboxes is mergeShards' inbox merge, the one MergeInbox
-// reproduces on frames: it unions frag(w), source w's fragment for one
-// destination (nil: none), for w = 0..n−1 in that order. Fragments are
-// round-private outboxes, so what only one source ships — the whole
-// fragment, or one relation of it — is adopted instead of copied. A
-// relation several ship is built once, at the size of their copies
-// together: an inbox becomes the server's fragment, which may live as
-// long as its owner does, so it must not carry the slack of growing the
-// first fragment to fit the others (at least a doubling). Each copy is
-// a set; owned says no tuple is in two of them (every shard was routed
-// under an Owner and no Keep), so they are appended and the inbox
-// builds no table. Otherwise a fact two sources ship lands once.
-func mergeOutboxes(n int, owned bool, frag func(w int) *rel.Instance) *rel.Instance {
-	var only *rel.Instance
-	shipping := 0
-	for w := 0; w < n; w++ {
-		if out := frag(w); out != nil {
-			only = out
-			shipping++
-		}
-	}
-	switch shipping {
-	case 0:
-		return rel.NewInstance()
-	case 1:
-		return only
-	}
-	sizes := make(map[string]int)
-	for w := 0; w < n; w++ {
-		if out := frag(w); out != nil {
-			for _, name := range out.RelationNames() {
-				sizes[name] += out.Relation(name).Len()
-			}
-		}
-	}
-	inbox := rel.NewInstanceSize(len(sizes))
-	for w := 0; w < n; w++ {
-		out := frag(w)
-		if out == nil {
-			continue
-		}
-		for _, name := range out.RelationNames() {
-			o := out.Relation(name)
-			if o.Len() == sizes[name] {
-				inbox.SetRelationAs(name, o) // its only shipper
-				continue
-			}
-			in := inbox.Relation(name)
-			if in == nil {
-				in = rel.NewRelationSize(name, o.Arity, sizes[name])
-				inbox.SetRelationAs(name, in)
-			}
-			if owned {
-				in.UnionDistinct(o)
-			} else {
-				in.UnionWith(o)
-			}
-		}
-	}
-	return inbox
-}
+func (localTransport) Close() error { return nil }
 
 // RouteSource runs one source server's communication phase standalone:
 // it routes local's facts for round r on a p-server deployment and

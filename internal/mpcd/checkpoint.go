@@ -276,19 +276,18 @@ func (s *Server) restoreSession(store *policy.StableStore) (*Session, error) {
 // owner holds it, or anywhere when it has none (−1, or no owner
 // function: a relation the anchor does not replicate costs one Len).
 func (sess *Session) heldFacts() (int, *apiError) {
-	owner := func(string, int) func(rel.Tuple) int { return nil }
-	if a := sess.anchor; a != nil {
-		place, aerr := a.plan.placementFor(a.cq, sess.p, sess.seed)
-		if aerr != nil {
-			return 0, aerr
-		}
-		owner = place.owner
+	owner, aerr := sess.anchorOwner()
+	if aerr != nil {
+		return 0, aerr
 	}
 	n := 0
 	for s, frag := range sess.fragments() {
 		for _, name := range frag.RelationNames() {
 			rl := frag.Relation(name)
-			own := owner(name, rl.Arity)
+			var own func(rel.Tuple) int
+			if owner != nil {
+				own = owner(name, rl.Arity)
+			}
 			if own == nil {
 				n += rl.Len()
 				continue

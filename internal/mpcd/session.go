@@ -341,17 +341,30 @@ func (sess *Session) repartition(sq *sessionQuery, qBudget int) (maxLoad, total 
 	return sess.reship(sq, place, qBudget)
 }
 
+// anchorOwner is the anchor's placement as the mpc.Round.Owner of the
+// repartition that replaces it (placement.owner) — what reship routes
+// each fact by and heldFacts counts it by — or nil before the first
+// anchor, whose round-robin layout holds every fact once.
+func (sess *Session) anchorOwner() (func(name string, arity int) func(rel.Tuple) int, *apiError) {
+	a := sess.anchor
+	if a == nil {
+		return nil, nil
+	}
+	place, aerr := a.plan.placementFor(a.cq, sess.p, sess.seed)
+	if aerr != nil {
+		return nil, aerr
+	}
+	return place.owner, nil
+}
+
 // reship is repartition below the choice of router: route once, admit
 // on the routed loads, deliver.
 func (sess *Session) reship(sq *sessionQuery, router mpc.Router, qBudget int) (maxLoad, total int, aerr *apiError) {
-	round := mpc.Round{Name: "repartition " + sq.text, Route: router}
-	if prev := sess.anchor; prev != nil {
-		place, aerr := prev.plan.placementFor(prev.cq, sess.p, sess.seed)
-		if aerr != nil {
-			return 0, 0, errInternal(fmt.Errorf("mpcd: the grid of anchor %s is gone: %s", prev.text, aerr.Message))
-		}
-		round.Owner = place.owner
+	owner, aerr := sess.anchorOwner()
+	if aerr != nil {
+		return 0, 0, errInternal(fmt.Errorf("mpcd: the grid of anchor %s is gone: %s", sess.anchor.text, aerr.Message))
 	}
+	round := mpc.Round{Name: "repartition " + sq.text, Route: router, Owner: owner}
 	next := sess.cluster.Successor()
 	routed, err := next.RouteRound(round)
 	if err != nil {

@@ -270,8 +270,9 @@ var crash = func() {
 // plan (the workload is generated only for a row that reads it) — every
 // step of a round being mpc's own, for one server: route this server's
 // facts (mpc.RouteSource), publish the shard's frames for its peers, pull
-// every peer's and merge in shard order, its own outbox in process
-// (mpc.MergeInbox over one mpc.Stream per peer), adopt residents,
+// every peer's and merge in shard order, its own outbox held in process
+// (mpc.MergeInbox, the inbox merge of every transport, pulling over one
+// mpc.Stream per peer), adopt residents,
 // compute; then deliver the final fragment and
 // per-round accounting to the coordinator. The p−1 streams are opened
 // for the run, not the round: a fault-free run dials each peer once, at
@@ -376,9 +377,15 @@ func RunWorker(cfg WorkerConfig) error {
 				st.Post(uint64(r), w)
 			}
 		}
-		// The own outbox is merged in process, at its position: no frame,
-		// no codec, no socket.
-		inbox, myRecv, err := mpc.MergeInbox(cfg.Index, p, &shard, func(w int) (mpc.Frame, error) {
+		// The own outbox is held, merged in process at its position: no
+		// frame, no codec, no socket.
+		held := func(w int) *mpc.Shard {
+			if w == cfg.Index {
+				return &shard
+			}
+			return nil
+		}
+		inbox, myRecv, err := mpc.MergeInbox(cfg.Index, p, held, func(w int) (mpc.Frame, error) {
 			return streams[w].Pull(uint64(r), w)
 		})
 		if err != nil {

@@ -475,3 +475,46 @@ func Union(name string, l, r *Relation) *Relation {
 	out.UnionWith(r)
 	return out
 }
+
+// TestSortFactsIsFactsOrder: SortFacts orders any permutation of an
+// instance's facts as Facts enumerates them, by (relation, tuple).
+func TestSortFactsIsFactsOrder(t *testing.T) {
+	inst := FromFacts(NewFact("S", 2), NewFact("R", 3, 1), NewFact("R", 1, 9), NewFact("S", 0), NewFact("R", 1, 2))
+	want := inst.Facts()
+	fs := []Fact{want[4], want[1], want[3], want[0], want[2]}
+	SortFacts(fs)
+	for i := range fs {
+		if !fs[i].Equal(want[i]) {
+			t.Fatalf("SortFacts gave %v, want %v", fs, want)
+		}
+	}
+}
+
+// TestInstanceFilter: Filter keeps exactly the facts keep admits and
+// leaves its receiver alone.
+func TestInstanceFilter(t *testing.T) {
+	inst := FromFacts(NewFact("R", 1, 2), NewFact("R", 3, 3), NewFact("S", 3))
+	got := inst.Filter(func(f Fact) bool { return f.Tuple[0] == 3 })
+	if want := FromFacts(NewFact("R", 3, 3), NewFact("S", 3)); !got.Equal(want) {
+		t.Errorf("Filter kept %v, want %v", got, want)
+	}
+	if inst.Len() != 3 {
+		t.Errorf("Filter changed its receiver: %v", inst)
+	}
+	if none := inst.Filter(func(Fact) bool { return false }); !none.IsEmpty() {
+		t.Errorf("a Filter that keeps nothing kept %v", none)
+	}
+}
+
+// TestFactClone: a clone is the same fact and shares no tuple storage.
+func TestFactClone(t *testing.T) {
+	f := NewFact("R", 1, 2)
+	g := f.Clone()
+	if !g.Equal(f) {
+		t.Fatalf("Clone gave %v, want %v", g, f)
+	}
+	g.Tuple[0] = 7
+	if f.Tuple[0] != 1 {
+		t.Errorf("writing the clone's tuple changed the original to %v", f)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -309,6 +310,41 @@ func TestDecodeVerdictsAcrossTheSwitch(t *testing.T) {
 	for cut := range len(frame) {
 		if _, err := DecodeInstance(frame[:cut]); err == nil {
 			t.Fatalf("a frame cut to %d of its %d bytes decoded", cut, len(frame))
+		}
+	}
+}
+
+// TestEncodeRoundRobinLaw: EncodeRoundRobin is a round-robin deal of
+// the sorted input. For p ∈ {1, 2, 3, 7} — 7 leaves some shares empty
+// on the small instances — share k is byte for byte EncodeInstance of
+// the instance holding facts k, k+p, k+2p, … of SortedFacts. The input
+// has a relation inserted in ascending order (its arena is read in
+// place) and one inserted shuffled (its sorted enumeration is built).
+func TestEncodeRoundRobinLaw(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 30; trial++ {
+		inst := NewInstance()
+		for k := 0; k < rng.Intn(12); k++ {
+			inst.Add(NewFact("A", Value(k), Value(2*k)))
+		}
+		for _, k := range rng.Perm(rng.Intn(15)) {
+			inst.Add(NewFact("B", Value(k%4), Value(k), Value(rng.Intn(3))))
+		}
+		sorted := inst.SortedFacts()
+		for _, p := range []int{1, 2, 3, 7} {
+			shares := EncodeRoundRobin(inst, p)
+			if len(shares) != p {
+				t.Fatalf("trial %d, p=%d: %d shares", trial, p, len(shares))
+			}
+			for k, share := range shares {
+				part := NewInstance()
+				for i := k; i < len(sorted); i += p {
+					part.Add(sorted[i])
+				}
+				if want := EncodeInstance(part); !bytes.Equal(share, want) {
+					t.Errorf("trial %d, p=%d: share %d is not the encoding of facts %d, %d+p, … (%d facts)", trial, p, k, k, k, part.Len())
+				}
+			}
 		}
 	}
 }
