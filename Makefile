@@ -139,6 +139,8 @@ fuzz:
 	$(GO) test ./internal/sweep -run='^$$' -fuzz='^FuzzSweepMerge$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/pc -run='^$$' -fuzz='^FuzzCoversMatchesReference$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/hypercube -run='^$$' -fuzz='^FuzzRelationRoute$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/mpc -run='^$$' -fuzz='^FuzzMergeInbox$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/mpc -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzQueryRequest$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzReplyEncoding$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/mpcd -run='^$$' -fuzz='^FuzzCreateSession$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -280,4 +281,150 @@ func eachOrder(r *rel.Relation) string {
 		})
 	}
 	return b.String()
+}
+
+// TestMergeInboxRefusesArityClash: a relation two shards ship at two
+// arities is an *arityError naming the later shard, the relation and
+// both arities — never a panic — whichever of the two is held in
+// process and whichever comes first in shard order.
+func TestMergeInboxRefusesArityClash(t *testing.T) {
+	d := rel.NewDict()
+	binary := rel.MustInstance(d, "R(a,b)", "R(b,c)")
+	ternary := rel.MustInstance(d, "R(a,b,c)")
+	for _, c := range []struct {
+		name        string
+		heldShard   int
+		held, other *rel.Instance
+	}{
+		{"pulled before held", 1, binary, ternary},
+		{"held before pulled", 0, binary, ternary},
+		{"pulled before held, wider held", 1, ternary, binary},
+		{"held before pulled, wider held", 0, ternary, binary},
+	} {
+		sh := Shard{Outs: []*rel.Instance{nil, c.held}, Sent: []int{0, c.held.Len()}}
+		frame := Frame{Shard: uint32(1 - c.heldShard), Dst: 1, Sent: uint32(c.other.Len()), Payload: rel.EncodeInstance(c.other)}
+		_, _, err := MergeInbox(1, 2, func(w int) *Shard {
+			if w == c.heldShard {
+				return &sh
+			}
+			return nil
+		}, func(int) (Frame, error) { return frame, nil })
+		first, later := c.held, c.other
+		if c.heldShard == 1 {
+			first, later = later, first
+		}
+		want := &arityError{dst: 1, shard: 1, rel: "R", arity: later.Relation("R").Arity, first: first.Relation("R").Arity}
+		var ae *arityError
+		if !errors.As(err, &ae) || *ae != *want {
+			t.Errorf("%s: MergeInbox returned %v, want %v", c.name, err, want)
+		}
+	}
+}
+
+// FuzzMergeInbox drives MergeInbox with fragments at random shard
+// positions, each held in process as an outbox or pulled as a frame
+// whose payload is either the encoding of a fragment or arbitrary
+// bytes. It never panics. When every fragment decodes and no relation
+// comes at two arities, the merge succeeds, its received count sums the
+// Sent fields, and the inbox is the shard-order UnionWith of the
+// fragments in EncodeInstance bytes and in every relation's Each order;
+// when they disagree on an arity it is an *arityError; when a payload
+// does not decode it is an error.
+func FuzzMergeInbox(f *testing.F) {
+	f.Add([]byte{2, 0, 1, 3, 0, 1, 2, 3, 1, 1, 4, 6, 1, 2, 3, 4}, []byte{})
+	f.Add([]byte{3, 1, 2, 2, 5, 0, 0, 1, 1, 2, 1, 7, 7, 0, 2, 2, 3, 2}, rel.EncodeInstance(testInstance()))
+	f.Add([]byte{1, 2}, encodeFrame(testFrame()))
+	f.Add([]byte{4, 0, 1, 1, 1, 0, 2, 0, 1, 1, 1, 0, 1, 9, 1, 1, 2, 1, 1, 9}, []byte("\x00\x01garbage"))
+	f.Fuzz(func(t *testing.T, script, raw []byte) {
+		next := func() int {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return int(b)
+		}
+		nshards := 1 + next()%4
+		dst := next() % nshards
+		frags := make([]*rel.Instance, nshards) // nil: a payload that does not decode
+		held := make([]*Shard, nshards)
+		payloads := make([][]byte, nshards)
+		sent := 0
+		for w := range frags {
+			mode := next() % 3
+			if mode == 2 {
+				payloads[w] = raw
+				if frag, err := rel.DecodeInstance(raw); err == nil {
+					frags[w] = frag
+				}
+				sent += w
+				continue
+			}
+			// Relations R and S, each at an arity of its own in this
+			// fragment, over a domain small enough that shards meet.
+			arity := map[string]int{"R": 1 + next()%3, "S": 1 + next()%3}
+			frag := rel.NewInstance()
+			for k := next() % 8; k > 0; k-- {
+				name := []string{"R", "S"}[next()%2]
+				t := make(rel.Tuple, arity[name])
+				for j := range t {
+					t[j] = rel.Value(next() % 4)
+				}
+				frag.Add(rel.Fact{Rel: name, Tuple: t})
+			}
+			frags[w] = frag
+			if mode == 0 {
+				held[w] = &Shard{Outs: make([]*rel.Instance, nshards), Sent: make([]int, nshards)}
+				held[w].Outs[dst], held[w].Sent[dst] = frag, frag.Len()
+				sent += frag.Len()
+			} else {
+				payloads[w] = rel.EncodeInstance(frag)
+				sent += w
+			}
+		}
+		decodes, clash := true, false
+		arities := map[string]int{}
+		for _, frag := range frags {
+			if frag == nil {
+				decodes = false
+				continue
+			}
+			for _, name := range frag.RelationNames() {
+				a := frag.Relation(name).Arity
+				if first, ok := arities[name]; ok && first != a {
+					clash = true
+				} else if !ok {
+					arities[name] = a
+				}
+			}
+		}
+		var want *rel.Instance
+		if decodes && !clash {
+			want = unionInOrder(frags)
+		}
+		inbox, n, err := MergeInbox(dst, nshards, func(w int) *Shard { return held[w] }, func(w int) (Frame, error) {
+			return Frame{Shard: uint32(w), Dst: uint32(dst), Sent: uint32(w), Payload: payloads[w]}, nil
+		})
+		var ae *arityError
+		switch {
+		case !decodes:
+			if err == nil {
+				t.Fatalf("a payload that does not decode merged into %v", inbox)
+			}
+		case clash:
+			if !errors.As(err, &ae) {
+				t.Fatalf("fragments shipping a relation at two arities: %v, want an *arityError", err)
+			}
+		case err != nil:
+			t.Fatalf("fragments that decode at one arity each: %v", err)
+		case n != sent || !bytes.Equal(rel.EncodeInstance(inbox), rel.EncodeInstance(want)):
+			t.Fatalf("merged %d facts, received %d; shard-order union %d facts, sent %d", inbox.Len(), n, want.Len(), sent)
+		default:
+			for _, name := range want.RelationNames() {
+				if g, w := eachOrder(inbox.Relation(name)), eachOrder(want.Relation(name)); g != w {
+					t.Fatalf("%s enumerates %s, the shard-order union %s", name, g, w)
+				}
+			}
+		}
+	})
 }

@@ -196,7 +196,8 @@ func ShardFrames(seq uint64, shard int, sh Shard, own int) []Frame {
 // even the held copies. The received count sums the held shards' Sent
 // and the frames' Sent fields. A well-formed frame with an undecodable
 // payload is a hard error: the peer speaks the frame format but not the
-// fragment format.
+// fragment format. So is a relation two shards ship at two arities, an
+// *arityError, whichever shard ships it first and however it arrives.
 func MergeInbox(dst, nshards int, held func(w int) *Shard, pull func(w int) (Frame, error)) (*rel.Instance, int, error) {
 	if held == nil {
 		held = func(int) *Shard { return nil }
@@ -208,12 +209,17 @@ func MergeInbox(dst, nshards int, held func(w int) *Shard, pull func(w int) (Fra
 	}
 	var shipped []shipment
 	at := make(map[string]int)
+	var clash *arityError // the first shipper at an arity the relation's first did not ship
+	var w int             // the shard ship is sizing
 	ship := func(name string, arity, tuples int) {
 		i, ok := at[name]
 		if !ok {
 			i = len(shipped)
 			at[name] = i
 			shipped = append(shipped, shipment{name: name, arity: arity})
+		}
+		if first := shipped[i].arity; first != arity && clash == nil {
+			clash = &arityError{dst: dst, shard: w, rel: name, arity: arity, first: first}
 		}
 		shipped[i].tuples += tuples
 		shipped[i].shippers++
@@ -224,7 +230,7 @@ func MergeInbox(dst, nshards int, held func(w int) *Shard, pull func(w int) (Fra
 	}
 	owned := pull == nil
 	n := 0
-	for w := 0; w < nshards; w++ {
+	for w = 0; w < nshards; w++ {
 		if sh := held(w); sh != nil {
 			owned = owned && sh.owned
 			n += sh.Sent[dst]
@@ -246,13 +252,16 @@ func MergeInbox(dst, nshards int, held func(w int) *Shard, pull func(w int) (Fra
 		frames[w] = f
 		n += int(f.Sent)
 	}
+	if clash != nil {
+		return nil, 0, clash
+	}
 	inbox := rel.NewInstanceSize(len(shipped))
 	for _, s := range shipped {
 		if s.shippers > 1 {
 			inbox.EnsureRelationSize(s.name, s.arity, s.tuples)
 		}
 	}
-	for w := 0; w < nshards; w++ {
+	for w = 0; w < nshards; w++ {
 		sh := held(w)
 		if sh == nil {
 			if err := rel.DecodeInstanceInto(inbox, frames[w].Payload); err != nil {
@@ -276,6 +285,19 @@ func MergeInbox(dst, nshards int, held func(w int) *Shard, pull func(w int) (Fra
 		}
 	}
 	return inbox, n, nil
+}
+
+// arityError is MergeInbox's refusal of a relation two shards ship at
+// two arities: no inbox can hold both, whatever order they come in.
+type arityError struct {
+	dst, shard   int
+	rel          string
+	arity, first int // the clashing shard's arity, and the first shipper's
+}
+
+func (e *arityError) Error() string {
+	return fmt.Sprintf("mpc: server %d: shard %d ships %s at arity %d, an earlier shard at arity %d",
+		e.dst, e.shard, e.rel, e.arity, e.first)
 }
 
 // fragKey names one published frame.

@@ -140,3 +140,39 @@ func BenchmarkExchangeTCP(b *testing.B) {
 		}
 	}
 }
+
+// FuzzReadFrame feeds arbitrary bytes to ReadFrame, which must refuse
+// what it cannot read with an error, never a panic. A frame it accepts
+// is the bytes it came from: WriteFrame writes them again, byte for
+// byte. And the checksum is load-bearing: that image with any one byte
+// of its checksum flipped is refused.
+func FuzzReadFrame(f *testing.F) {
+	img := encodeFrame(testFrame())
+	f.Add(img)
+	f.Add(img[:frameHeaderLen])
+	f.Add(img[:len(img)-1])
+	f.Add(encodeFrame(Frame{}))
+	f.Add(append(encodeFrame(Frame{Seq: 1}), 0xff))
+	f.Add([]byte("FPCM"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ReadFrame(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, got); err != nil {
+			t.Fatal(err)
+		}
+		again := buf.Bytes()
+		if !bytes.Equal(again, data[:len(again)]) {
+			t.Fatalf("ReadFrame accepted %x, WriteFrame writes it as %x", data[:len(again)], again)
+		}
+		for i := frameHeaderLen - 4; i < frameHeaderLen; i++ {
+			mut := append([]byte(nil), again...)
+			mut[i] ^= 0xff
+			if _, err := ReadFrame(bytes.NewReader(mut)); err == nil {
+				t.Fatalf("a frame whose checksum byte %d is flipped was accepted", i)
+			}
+		}
+	})
+}

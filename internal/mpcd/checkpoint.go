@@ -122,7 +122,7 @@ func (sess *Session) record() ([]byte, error) {
 		dictNames[i] = sess.dict.Name(rel.Value(i))
 	}
 	sm := sessionManifest{SessionStatus: sess.statusLocked(), Seed: sess.seed, Dict: dictNames}
-	return snapshotRecord(&sm, policy.NewStableStore(sess.fragments()))
+	return snapshotRecord(&sm, policy.NewStableStore(fragments(sess.cluster)))
 }
 
 // snapshotRecord frames store, with meta's JSON as its meta section, as
@@ -281,7 +281,7 @@ func (sess *Session) heldFacts() (int, *apiError) {
 		return 0, aerr
 	}
 	n := 0
-	for s, frag := range sess.fragments() {
+	for s, frag := range fragments(sess.cluster) {
 		for _, name := range frag.RelationNames() {
 			rl := frag.Relation(name)
 			var own func(rel.Tuple) int

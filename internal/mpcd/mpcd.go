@@ -17,11 +17,11 @@
 //     zero communication; otherwise the session repartitions and the
 //     cost is charged against its budget.
 //   - Admission control is MaxLoad accounting, one ladder
-//     (Session.admit) priced before anything ships: a repartition is
-//     routed once into outboxes (mpc.RouteRound), which fixes its exact
-//     per-server load, a gather costs the session's fact count; a query
-//     over its budget or its session's is rejected typed, and an
-//     admitted plan is delivered as routed (mpc.Deliver), so the load
+//     (Session.admit) priced before anything ships: a query that ships
+//     is one round routed into outboxes (mpc.RouteRound) — a repartition
+//     by its grid, a gather to server 0 — which fixes its exact loads; a
+//     query over its budget or its session's is rejected typed, and an
+//     admitted round is delivered as routed (mpc.Deliver), so the load
 //     it was admitted on IS the load the round records.
 //   - A repartition routes the session's own fragments. They are the
 //     image of the anchor's placement, so a fact may sit on several

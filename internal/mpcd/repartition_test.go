@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"mpclogic/internal/cq"
+	"mpclogic/internal/datalog"
 	"mpclogic/internal/mpc"
 	"mpclogic/internal/rel"
 )
@@ -348,6 +350,69 @@ func TestGatherChecksTheUnion(t *testing.T) {
 	}
 	if after := sessionImage(t, sess); after != before {
 		t.Error("the refused gather changed the session")
+	}
+}
+
+// TestGatherBehindReplicatingAnchor: on fragments the self-join anchor
+// has replicated — R facts on several servers — a gather round ships
+// each fact once, from its owner. A CQ¬ and a Datalog program answer
+// what central evaluation of the created instance answers; each reply
+// reports max load = comm = the session's fact count, the price it was
+// admitted on; and the session keeps its cluster and anchor.
+func TestGatherBehindReplicatingAnchor(t *testing.T) {
+	sess := joinSession(t, 200, 1<<40)
+	input := sess.cluster.Output()
+	if resp, aerr := sess.run(&queryRequest{Session: sess.ID, Query: uncoveredQ}); aerr != nil || resp.Path != PathRepartitioned {
+		t.Fatalf("anchoring the self-join: %+v %v", resp, aerr)
+	}
+	held := 0
+	for _, frag := range fragments(sess.cluster) {
+		held += frag.Len()
+	}
+	if held <= sess.facts {
+		t.Fatalf("the anchor's fragments hold %d copies of %d facts: nothing is replicated", held, sess.facts)
+	}
+	cluster, anchor := sess.cluster, sess.anchor
+	for _, req := range []queryRequest{
+		{Query: "N(x, z) :- R(x, y), S(y, z), not R(z, x)"},
+		{Lang: LangDatalog, Out: "T", Query: "T(x, y) :- R(x, y)\nT(x, z) :- T(x, y), S(y, z)"},
+	} {
+		req.Session = sess.ID
+		resp, aerr := sess.run(&req)
+		if aerr != nil || resp.Path != PathGathered {
+			t.Fatalf("%q: %+v %v", req.Query, resp, aerr)
+		}
+		if resp.MaxLoad != sess.facts || resp.Comm != sess.facts {
+			t.Errorf("%q: max load %d, comm %d; the session holds %d facts", req.Query, resp.MaxLoad, resp.Comm, sess.facts)
+		}
+		sq, aerr := sess.parseQuery(req.Lang, req.Query, req.Out)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		var want *rel.Instance
+		var err error
+		if sq.prog != nil {
+			want, err = datalog.EvalQuery(sq.prog, input, sq.outRel)
+		} else {
+			want = cq.Output(sq.cq, input)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got QueryResponse
+		if err := json.Unmarshal(resp.body, &got); err != nil {
+			t.Fatal(err)
+		}
+		wantOut := make([]string, 0, want.Len())
+		for _, f := range want.SortedFacts() {
+			wantOut = append(wantOut, f.StringWith(sess.dict))
+		}
+		if want.Len() == 0 || !reflect.DeepEqual(got.Output, wantOut) {
+			t.Errorf("%q: gathered %d facts, central evaluation %d", req.Query, len(got.Output), want.Len())
+		}
+		if sess.cluster != cluster || sess.anchor != anchor {
+			t.Errorf("%q: the gather replaced the session's cluster or anchor", req.Query)
+		}
 	}
 }
 

@@ -235,12 +235,12 @@ func (s *Server) deleteSession(id string) *apiError {
 //     ships, and the query is rejected typed instead of run if the
 //     load exceeds its budget or the shipment overdraws the session;
 //   - gather: queries outside the single-round fragment (Datalog
-//     programs, CQ¬) evaluate centrally on the union of the fragments,
+//     programs, CQ¬) ship every fact to server 0 and evaluate there,
 //     charged |I| against both budgets; the distribution stays warm.
 //
-// Both paths that ship climb one budget ladder (admit) on a price fixed
-// before anything is copied. A rejected query leaves the session
-// byte-for-byte unchanged.
+// Both paths that ship run one routed round (ship), admitted on one
+// budget ladder (admit) on a price fixed before anything is copied. A
+// rejected query leaves the session byte-for-byte unchanged.
 func (sess *Session) run(req *queryRequest) (*reply, *apiError) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -258,7 +258,7 @@ func (sess *Session) run(req *queryRequest) (*reply, *apiError) {
 	switch {
 	case sq.plan.gridable && sess.anchor != nil &&
 		!sess.srv.cfg.DisableReuse && sess.srv.coversFor(sess.anchor, sq):
-		out = sess.evalLocal(sq.cq)
+		out = evalLocal(sq.cq, sess.cluster)
 		resp.Path = PathReused
 		sess.reused++
 		sess.srv.bump(func(st *StatzResponse) { st.Reused++ })
@@ -267,17 +267,17 @@ func (sess *Session) run(req *queryRequest) (*reply, *apiError) {
 		if aerr != nil {
 			return nil, aerr
 		}
-		out = sess.evalLocal(sq.cq)
+		out = evalLocal(sq.cq, sess.cluster)
 		resp.Path, resp.MaxLoad, resp.Comm = PathRepartitioned, maxLoad, total
 		sess.repartitioned++
 		sess.srv.bump(func(st *StatzResponse) { st.Repartitioned++ })
 	default:
-		gathered, cost, aerr := sess.gather(sq, qBudget)
+		gathered, maxLoad, total, aerr := sess.gather(sq, qBudget)
 		if aerr != nil {
 			return nil, aerr
 		}
 		out = gathered
-		resp.Path, resp.MaxLoad, resp.Comm = PathGathered, cost, cost
+		resp.Path, resp.MaxLoad, resp.Comm = PathGathered, maxLoad, total
 		sess.gathered++
 		sess.srv.bump(func(st *StatzResponse) { st.Gathered++ })
 	}
@@ -292,47 +292,37 @@ func (sess *Session) run(req *queryRequest) (*reply, *apiError) {
 	return resp, nil
 }
 
-// evalLocal evaluates q on every server's fragment and unions the
-// results — sound and complete exactly when the current distribution
-// is parallel-correct for q, which both callers guarantee: the anchor
-// grid is parallel-correct for the anchor by construction, and the
-// reuse path only runs when transfer says the anchor covers q.
+// evalLocal evaluates q on every fragment of c and unions the results
+// — sound and complete exactly when c's distribution is
+// parallel-correct for q, which every caller guarantees: the anchor
+// grid is by construction, reuse runs only when transfer says the
+// anchor covers q, and a gather leaves every fact on server 0.
 //
 // Every fragment projects into the one answer relation, reserved once
 // for all of them, which is where a tuple two servers both derive is
 // found to be one tuple.
-func (sess *Session) evalLocal(q *cq.CQ) *rel.Instance {
+func evalLocal(q *cq.CQ, c *mpc.Cluster) *rel.Instance {
 	out := rel.NewInstance()
-	cq.EvaluateInto(out.EnsureRelation(q.Head.Rel, len(q.Head.Args)), q, sess.fragments()...)
+	cq.EvaluateInto(out.EnsureRelation(q.Head.Rel, len(q.Head.Args)), q, fragments(c)...)
 	return out
 }
 
-// fragments returns the session's live fragments, server by server.
-// Callers hold sess.mu, which keeps them still.
-func (sess *Session) fragments() []*rel.Instance {
-	fragments := make([]*rel.Instance, sess.cluster.P())
+// fragments returns c's live fragments, server by server. Callers hold
+// the session lock, which keeps a session's cluster still.
+func fragments(c *mpc.Cluster) []*rel.Instance {
+	fragments := make([]*rel.Instance, c.P())
 	for i := range fragments {
-		fragments[i] = sess.cluster.Server(i)
+		fragments[i] = c.Server(i)
 	}
 	return fragments
 }
 
-// repartition is the admission-controlled redistribution, in a single
-// routing pass over the session's own fragments. They are the image of
-// the previous anchor's placement, so a fact may sit on several servers:
-// the placement elects the one that routes it (mpc.Round.Owner; the
-// round-robin layout before the first anchor holds every fact once), so
-// each distinct fact goes through the query's grid once and the loads —
-// sums over destinations, a function of the fact set and the grid — are
-// what a duplicate-free layout would record, whatever that anchor left
-// behind. Routed (mpc.RouteRound), every fact sits in an outbox and the
-// loads are exact, but nothing has shipped: the query is admitted or
-// rejected on them against the query and session budgets, and only an
-// admitted plan is delivered (mpc.Deliver), recording the loads it was
-// admitted on — the check after Deliver asserts it. The round runs on a
-// successor of the session's cluster, which shares the fragments: a
-// rejection drops it, the session — cluster, anchor, ledger — untouched,
-// and an admission swaps it in, so a session holds one round of history.
+// repartition is the admission-controlled redistribution: one round
+// (ship) routed by the query's placement, whose successor the session
+// adopts with the query as its anchor — so a session holds one round
+// of history. Each distinct fact goes through the grid once, from the
+// owner the previous anchor's placement elects, so the loads are what a
+// duplicate-free layout would record, whatever that anchor left behind.
 func (sess *Session) repartition(sq *sessionQuery, qBudget int) (maxLoad, total int, aerr *apiError) {
 	place, aerr := sq.plan.placementFor(sq.cq, sess.p, sess.seed)
 	if aerr != nil {
@@ -341,10 +331,10 @@ func (sess *Session) repartition(sq *sessionQuery, qBudget int) (maxLoad, total 
 	return sess.reship(sq, place, qBudget)
 }
 
-// anchorOwner is the anchor's placement as the mpc.Round.Owner of the
-// repartition that replaces it (placement.owner) — what reship routes
-// each fact by and heldFacts counts it by — or nil before the first
-// anchor, whose round-robin layout holds every fact once.
+// anchorOwner is the anchor's placement as the mpc.Round.Owner of a
+// round that ships the session's facts (placement.owner) — what ship
+// routes each fact by and heldFacts counts it by — or nil before the
+// first anchor, whose round-robin layout holds every fact once.
 func (sess *Session) anchorOwner() (func(name string, arity int) func(rel.Tuple) int, *apiError) {
 	a := sess.anchor
 	if a == nil {
@@ -357,40 +347,80 @@ func (sess *Session) anchorOwner() (func(name string, arity int) func(rel.Tuple)
 	return place.owner, nil
 }
 
-// reship is repartition below the choice of router: route once, admit
-// on the routed loads, deliver.
+// reship is repartition below the choice of router: ship, then adopt
+// the successor and charge the shipment.
 func (sess *Session) reship(sq *sessionQuery, router mpc.Router, qBudget int) (maxLoad, total int, aerr *apiError) {
-	owner, aerr := sess.anchorOwner()
+	next, maxLoad, total, aerr := sess.ship("repartition "+sq.text, router, qBudget)
 	if aerr != nil {
-		return 0, 0, errInternal(fmt.Errorf("mpcd: the grid of anchor %s is gone: %s", sess.anchor.text, aerr.Message))
-	}
-	round := mpc.Round{Name: "repartition " + sq.text, Route: router, Owner: owner}
-	next := sess.cluster.Successor()
-	routed, err := next.RouteRound(round)
-	if err != nil {
-		return 0, 0, errInternal(err)
-	}
-	if routed.Routed != sess.facts {
-		// Some fact had no owner among its holders, or two: the
-		// fragments are not the image of the anchor's placement.
-		return 0, 0, errInternal(fmt.Errorf("mpcd: routed %d facts of a session holding %d", routed.Routed, sess.facts))
-	}
-	maxLoad, total = routed.MaxLoad, routed.TotalComm
-	if aerr := sess.admit(maxLoad, total, qBudget); aerr != nil {
 		return 0, 0, aerr
-	}
-	stats, err := next.Deliver(routed)
-	if err != nil {
-		return 0, 0, errInternal(err)
-	}
-	if stats.MaxLoad != maxLoad || stats.TotalComm != total {
-		return 0, 0, errInternal(fmt.Errorf(
-			"mpcd: admitted on max load %d / comm %d but the round recorded %d / %d",
-			maxLoad, total, stats.MaxLoad, stats.TotalComm))
 	}
 	sess.cluster, sess.anchor = next, sq
 	sess.budgetSpent += total
 	return maxLoad, total, nil
+}
+
+// gather is the fallback for queries the single-round machinery does
+// not cover: one round (ship) sends every fact to server 0 — everywhere
+// on a one-server cluster, mpc.Broadcast(1) — and the query evaluates
+// on the round's successor, a CQ¬ by evalLocal, a Datalog program on
+// server 0's round-private inbox; the successor is dropped, so the
+// distribution stays warm. The price, |I| on both budgets, is the
+// session's fact count, so a refused gather is refused before it routes
+// or copies anything. A program the evaluator refuses is charged nothing.
+func (sess *Session) gather(sq *sessionQuery, qBudget int) (out *rel.Instance, maxLoad, total int, aerr *apiError) {
+	if aerr := sess.admit(sess.facts, sess.facts, qBudget); aerr != nil {
+		return nil, 0, 0, aerr
+	}
+	next, maxLoad, total, aerr := sess.ship("gather "+sq.text, mpc.Broadcast(1), qBudget)
+	if aerr != nil {
+		return nil, 0, 0, aerr
+	}
+	if sq.prog == nil {
+		out = evalLocal(sq.cq, next)
+	} else if res, err := datalog.EvalQuery(sq.prog, next.Server(0), sq.outRel); err != nil {
+		return nil, 0, 0, errBadRequest("datalog evaluation: %v", err)
+	} else {
+		out = res
+	}
+	sess.budgetSpent += total
+	return out, maxLoad, total, nil
+}
+
+// ship is the one round a query that moves data runs, on a successor
+// of the session's cluster, which shares its fragments. It routes every
+// fact once, from the owner the anchor's placement elects
+// (mpc.RouteRound: exact loads, nothing moved); refuses as internal a
+// round that did not route the session's fact count (the fragments are
+// not the anchor placement's image); admits on the routed loads; and
+// delivers (mpc.Deliver), checking the round recorded the loads it was
+// admitted on. The session is untouched: the caller adopts or drops the
+// successor and charges the ledger.
+func (sess *Session) ship(name string, router mpc.Router, qBudget int) (next *mpc.Cluster, maxLoad, total int, aerr *apiError) {
+	owner, aerr := sess.anchorOwner()
+	if aerr != nil {
+		return nil, 0, 0, errInternal(fmt.Errorf("mpcd: the grid of anchor %s is gone: %s", sess.anchor.text, aerr.Message))
+	}
+	next = sess.cluster.Successor()
+	routed, err := next.RouteRound(mpc.Round{Name: name, Route: router, Owner: owner})
+	if err != nil {
+		return nil, 0, 0, errInternal(err)
+	}
+	if routed.Routed != sess.facts {
+		return nil, 0, 0, errInternal(fmt.Errorf("mpcd: routed %d facts of a session holding %d", routed.Routed, sess.facts))
+	}
+	maxLoad, total = routed.MaxLoad, routed.TotalComm
+	if aerr := sess.admit(maxLoad, total, qBudget); aerr != nil {
+		return nil, 0, 0, aerr
+	}
+	stats, err := next.Deliver(routed)
+	if err != nil {
+		return nil, 0, 0, errInternal(err)
+	}
+	if stats.MaxLoad != maxLoad || stats.TotalComm != total {
+		return nil, 0, 0, errInternal(fmt.Errorf("mpcd: admitted on max load %d / comm %d but the round recorded %d / %d",
+			maxLoad, total, stats.MaxLoad, stats.TotalComm))
+	}
+	return next, maxLoad, total, nil
 }
 
 // admit is the budget ladder: max load against the query's budget,
@@ -406,36 +436,6 @@ func (sess *Session) admit(maxLoad, total, qBudget int) *apiError {
 		return errSessionBudget(total, remaining)
 	}
 	return nil
-}
-
-// gather unions the fragments and evaluates centrally — the fallback
-// for queries the single-round machinery does not cover. The model
-// prices it honestly: every fact converges on one logical site, so the
-// cost is |I| against both the per-query load budget and the session's
-// communication budget, priced on the session's fact count before the
-// union is built and checked against it. The distribution is left
-// untouched.
-func (sess *Session) gather(sq *sessionQuery, qBudget int) (*rel.Instance, int, *apiError) {
-	cost := sess.facts
-	if aerr := sess.admit(cost, cost, qBudget); aerr != nil {
-		return nil, 0, aerr
-	}
-	union := sess.cluster.Output()
-	if union.Len() != cost {
-		return nil, 0, errInternal(fmt.Errorf("mpcd: gathered %d facts of a session holding %d", union.Len(), cost))
-	}
-	var out *rel.Instance
-	if sq.prog != nil {
-		res, err := datalog.EvalQuery(sq.prog, union, sq.outRel)
-		if err != nil {
-			return nil, 0, errBadRequest("datalog evaluation: %v", err)
-		}
-		out = res
-	} else {
-		out = cq.Output(sq.cq, union)
-	}
-	sess.budgetSpent += cost
-	return out, cost, nil
 }
 
 // reply is one query's response as run leaves it: the header fields,
