@@ -407,7 +407,9 @@ func applyByzEvent(r Round, p, src int, sh *Shard, ev ByzantineEvent, local *rel
 // withhold takes deliveries of sh out of it: every outbox relation
 // holding one is rebuilt without them, in its own Each order, and Sent
 // — and DeltaSent, for a relation in delta — falls by one per delivery.
-// A relation only grows, so a fact leaves an outbox by a rebuild.
+// A relation only grows, so a fact leaves an outbox by a rebuild; one
+// left empty leaves the outbox, which, like a routed one, holds no
+// empty relation (MergeInbox may adopt it whole).
 func withhold(sh *Shard, dels []delivery, delta map[string]bool) {
 	gone := make(map[int]*rel.Instance)
 	for _, dl := range dels {
@@ -424,7 +426,11 @@ func withhold(sh *Shard, dels []delivery, delta map[string]bool) {
 		out := sh.Outs[dst]
 		for _, name := range g.RelationNames() {
 			drop := g.Relation(name)
-			out.SetRelation(rel.Select(out.Relation(name), func(t rel.Tuple) bool { return !drop.Contains(t) }))
+			if kept := rel.Select(out.Relation(name), func(t rel.Tuple) bool { return !drop.Contains(t) }); kept.Len() > 0 {
+				out.SetRelation(kept)
+			} else {
+				out.RemoveRelation(name)
+			}
 		}
 	}
 }

@@ -685,24 +685,62 @@ func probeBadRoute(d *decision, t rel.Tuple, p int) (dst int, bad bool) {
 	return 0, false
 }
 
-// routePhase fans the communication phase out over disjoint ascending
-// source ranges of the given chunk size, one goroutine per shard
-// (sweep.Each; its package doc is the determinism argument). Each
-// shard's content depends only on its range's data. Shard granularity
-// is invisible downstream: the merged inboxes and counts are unions and
-// sums over all sources, so they are independent of the chunk size.
-// Shard order is source order, so the lowest erring shard carries the
-// lowest erring source.
+// routePhase runs the communication phase over disjoint ascending
+// source ranges of the given chunk size, one shard per range
+// (sweep.Each; its package doc is the determinism argument), on
+// phaseWorkers of the facts it routes: inline when they are few, one
+// goroutine per shard otherwise. Each shard's content depends only on
+// its range's data. Shard granularity is invisible downstream: the
+// merged inboxes and counts are unions and sums over all sources, so
+// they are independent of the chunk size. Shard order is source order,
+// so the lowest erring shard carries the lowest erring source.
 func (c *Cluster) routePhase(r Round, chunk int) ([]Shard, error) {
 	shards := make([]Shard, (c.p+chunk-1)/chunk)
 	sets := r.sets()
-	if err := sweep.Each(len(shards), 0, func(w int) error {
+	facts := 0
+	for _, srv := range c.servers {
+		facts += nonResident(srv, r.Resident)
+	}
+	if err := sweep.Each(len(shards), phaseWorkers(facts), func(w int) error {
 		shards[w] = c.routeRange(w*chunk, min((w+1)*chunk, c.p), r, sets)
 		return shards[w].err
 	}); err != nil {
 		return nil, err
 	}
 	return shards, nil
+}
+
+// inlineFacts is the most facts a phase of a round handles inline, on
+// the caller's goroutine. Below it the goroutines a fan-out starts —
+// and the stacks each grows again — cost more than the parallelism
+// wins back; a delta step, a gather of a small session and most
+// rounds of a tiny one stay under it.
+const inlineFacts = 2048
+
+// phaseWorkers is sweep.Each's worker count for a phase that handles
+// the given number of facts: one (a plain loop) up to inlineFacts, one
+// goroutine per index above. The choice cannot change a result: Each's
+// contract (every call once, index-disjoint writes, the lowest index's
+// error) makes a loop's output independent of its schedule.
+func phaseWorkers(facts int) int {
+	if facts <= inlineFacts {
+		return 1
+	}
+	return 0
+}
+
+// nonResident counts inst's facts outside the relations resident
+// names: the work a phase does on it. Resident relations ride a round
+// by reference, whatever their size, so they are no routing and no
+// computation work.
+func nonResident(inst *rel.Instance, resident []string) int {
+	n := inst.Len()
+	for k, name := range resident {
+		if rl := inst.Relation(name); rl != nil && !slices.Contains(resident[:k], name) {
+			n -= rl.Len()
+		}
+	}
+	return n
 }
 
 // defaultChunk sizes the source ranges of a cluster built with no
@@ -734,11 +772,20 @@ func (c *Cluster) adoptResidents(r Round, inboxes []*rel.Instance) error {
 }
 
 // computePhase runs the computation phase: local and embarrassingly
-// parallel, one goroutine per server (sweep.Each), the lowest
-// panicking server's error reported.
+// parallel, one call per server (sweep.Each), the lowest panicking
+// server's error reported. A nil Compute is the identity and runs
+// inline; any other runs on phaseWorkers of its non-resident input.
 func (c *Cluster) computePhase(r Round, inputs []*rel.Instance) ([]*rel.Instance, error) {
 	next := make([]*rel.Instance, c.p)
-	if err := sweep.Each(c.p, 0, func(i int) (err error) {
+	workers := 1
+	if r.Compute != nil {
+		facts := 0
+		for _, in := range inputs {
+			facts += nonResident(in, r.Resident)
+		}
+		workers = phaseWorkers(facts)
+	}
+	if err := sweep.Each(c.p, workers, func(i int) (err error) {
 		next[i], err = ComputeServer(r, i, inputs[i])
 		return err
 	}); err != nil {

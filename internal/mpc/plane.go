@@ -198,7 +198,16 @@ func ShardFrames(seq uint64, shard int, sh Shard, own int) []Frame {
 // payload is a hard error: the peer speaks the frame format but not the
 // fragment format. So is a relation two shards ship at two arities, an
 // *arityError, whichever shard ships it first and however it arrives.
+//
+// A held-only merge that at most one shard ships anything to builds
+// nothing: the inbox is that shard's outbox itself, or a fresh empty
+// instance — what a gather's p − 1 idle destinations receive.
 func MergeInbox(dst, nshards int, held func(w int) *Shard, pull func(w int) (Frame, error)) (*rel.Instance, int, error) {
+	if pull == nil {
+		if inbox, n, ok := mergeAlone(dst, nshards, held); ok {
+			return inbox, n, nil
+		}
+	}
 	if held == nil {
 		held = func(int) *Shard { return nil }
 	}
@@ -228,6 +237,7 @@ func MergeInbox(dst, nshards int, held func(w int) *Shard, pull func(w int) (Fra
 	if pull != nil {
 		frames = make([]Frame, nshards)
 	}
+	var names [][]string // names[w]: the relations held shard w ships
 	owned := pull == nil
 	n := 0
 	for w = 0; w < nshards; w++ {
@@ -235,7 +245,11 @@ func MergeInbox(dst, nshards int, held func(w int) *Shard, pull func(w int) (Fra
 			owned = owned && sh.owned
 			n += sh.Sent[dst]
 			if out := sh.Outs[dst]; out != nil {
-				for _, name := range out.RelationNames() {
+				if names == nil {
+					names = make([][]string, nshards)
+				}
+				names[w] = out.RelationNames()
+				for _, name := range names[w] {
 					r := out.Relation(name)
 					ship(name, r.Arity, r.Len())
 				}
@@ -273,7 +287,7 @@ func MergeInbox(dst, nshards int, held func(w int) *Shard, pull func(w int) (Fra
 		if out == nil {
 			continue
 		}
-		for _, name := range out.RelationNames() {
+		for _, name := range names[w] {
 			switch o := out.Relation(name); {
 			case shipped[at[name]].shippers == 1:
 				inbox.SetRelationAs(name, o) // its only shipper
@@ -285,6 +299,35 @@ func MergeInbox(dst, nshards int, held func(w int) *Shard, pull func(w int) (Fra
 		}
 	}
 	return inbox, n, nil
+}
+
+// mergeAlone is MergeInbox's held-only merge when at most one shard
+// ships to dst: that shard's outbox, adopted whole — routing leaves no
+// empty relation in an outbox, so it holds what the general merge would
+// adopt relation by relation — or an empty inbox, and the held shards'
+// Sent summed. ok is false when two shards ship to dst, or a shard is
+// not held.
+func mergeAlone(dst, nshards int, held func(w int) *Shard) (inbox *rel.Instance, n int, ok bool) {
+	if held == nil {
+		return nil, 0, false
+	}
+	for w := 0; w < nshards; w++ {
+		sh := held(w)
+		if sh == nil {
+			return nil, 0, false
+		}
+		if out := sh.Outs[dst]; out != nil {
+			if inbox != nil {
+				return nil, 0, false
+			}
+			inbox = out
+		}
+		n += sh.Sent[dst]
+	}
+	if inbox == nil {
+		inbox = rel.NewInstance()
+	}
+	return inbox, n, true
 }
 
 // arityError is MergeInbox's refusal of a relation two shards ship at

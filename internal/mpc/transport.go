@@ -84,13 +84,20 @@ type localTransport struct{}
 func NewLocalTransport() Transport { return localTransport{} }
 
 // Exchange implements Transport: one MergeInbox per destination
-// (sweep.Each), every shard held. A panicking merge is that server's
-// error, not the process's.
+// (sweep.Each), every shard held, on phaseWorkers of the facts the
+// shards send. A panicking merge is that server's error, not the
+// process's.
 func (localTransport) Exchange(round string, p int, shards []Shard) ([]*rel.Instance, []int, error) {
 	inboxes := make([]*rel.Instance, p)
 	received := make([]int, p)
 	held := func(w int) *Shard { return &shards[w] }
-	if err := sweep.Each(p, 0, func(dst int) (err error) {
+	sent := 0
+	for w := range shards {
+		for _, n := range shards[w].Sent {
+			sent += n
+		}
+	}
+	if err := sweep.Each(p, phaseWorkers(sent), func(dst int) (err error) {
 		defer func() {
 			if rec := recover(); rec != nil {
 				err = fmt.Errorf("mpc: server %d inbox merge panicked in round %q: %v", dst, round, rec)

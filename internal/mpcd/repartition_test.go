@@ -424,11 +424,14 @@ func TestGatherBehindReplicatingAnchor(t *testing.T) {
 // (the test binary re-run with -test.run pinned to it, behind
 // heapChildEnv), so that no memory an earlier test is still freeing
 // lands in one reading only; the parent reports the child's readings.
-// In the child a first session is run and dropped so that what the
-// runtime itself keeps once it has run a round (goroutine descriptors,
-// mostly) is in both readings. A reading waits until the goroutines a
-// round started have exited, then takes the least of three heaps, each
-// after a collection.
+// In the child a first session of the measured one's size is run and
+// dropped so that what the runtime itself keeps once it has run a round
+// is in both readings: goroutine descriptors, mostly, which the runtime
+// never frees and which count in HeapAlloc (≈ 460 bytes each). A
+// smaller session's phases run inline and start no goroutine, so it
+// would leave the fan-out's descriptors to grow between the readings.
+// A reading waits until the goroutines a round started have exited,
+// then takes the least of three heaps, each after a collection.
 func TestSessionHoldsOneRoundAndNoSlack(t *testing.T) {
 	if os.Getenv(heapChildEnv) == "" {
 		args := []string{"-test.run=^TestSessionHoldsOneRoundAndNoSlack$", "-test.count=1"}
@@ -470,13 +473,13 @@ func TestSessionHoldsOneRoundAndNoSlack(t *testing.T) {
 			at(n)
 		}
 	}
-	alternate(joinSession(t, 500, 1<<40), 200, func(int) {})
-	goroutines = runtime.NumGoroutine()
-	sess := joinSession(t, 20000, 1<<40)
 	times := 200
 	if testing.Short() {
 		times = 40 // the race pass
 	}
+	alternate(joinSession(t, 20000, 1<<40), times, func(int) {})
+	goroutines = runtime.NumGoroutine()
+	sess := joinSession(t, 20000, 1<<40)
 	var at2, atEnd float64
 	alternate(sess, times, func(n int) {
 		switch n {

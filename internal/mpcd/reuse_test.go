@@ -304,23 +304,29 @@ func BenchmarkReuse(b *testing.B) {
 // BenchmarkGather is the gather path in process, through Handler() with
 // no socket, on a 4 000-fact join session whose fragments the
 // self-join anchor has replicated: N is a CQ¬ query, T a Datalog
-// program, both admitted, so each unions the fragments, evaluates
-// centrally and encodes its reply; refused is N at query budget 1,
-// which is priced and refused before anything is copied.
+// program, both admitted, so each routes the fragments to one server,
+// evaluates there and encodes its reply; refused is N at query budget
+// 1, which is priced and refused before anything is delivered. tiny is
+// T on an 80-fact session at the default p = 8, the shape of a small
+// session's gather: its round is under the engine's inline size, so no
+// phase of it starts a goroutine.
 func BenchmarkGather(b *testing.B) {
 	const cqNeg = "N(x, z) :- R(x, y), S(y, z), not R(z, x)"
+	const tc = "T(x, y) :- R(x, y)\nT(x, z) :- T(x, y), S(y, z)"
 	for _, c := range []struct {
 		name   string
+		n      int // tuples per relation of the join session
 		req    queryRequest
 		status int
 		want   string
 	}{
-		{"cqneg", queryRequest{Query: cqNeg}, http.StatusOK, `"path":"gathered"`},
-		{"datalog", queryRequest{Lang: LangDatalog, Out: "T", Query: "T(x, y) :- R(x, y)\nT(x, z) :- T(x, y), S(y, z)"}, http.StatusOK, `"path":"gathered"`},
-		{"refused", queryRequest{Query: cqNeg, Budget: 1}, http.StatusTooManyRequests, `"code":"budget_exceeded"`},
+		{"cqneg", 2000, queryRequest{Query: cqNeg}, http.StatusOK, `"path":"gathered"`},
+		{"datalog", 2000, queryRequest{Lang: LangDatalog, Out: "T", Query: tc}, http.StatusOK, `"path":"gathered"`},
+		{"refused", 2000, queryRequest{Query: cqNeg, Budget: 1}, http.StatusTooManyRequests, `"code":"budget_exceeded"`},
+		{"tiny", 40, queryRequest{Lang: LangDatalog, Out: "T", Query: tc}, http.StatusOK, `"path":"gathered"`},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			sess := joinSession(b, 2000, 1<<40)
+			sess := joinSession(b, c.n, 1<<40)
 			h := sess.srv.Handler()
 			post := func(req queryRequest, status int, want string) {
 				req.Session = sess.ID

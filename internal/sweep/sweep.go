@@ -18,6 +18,11 @@
 //     every site keeps its own error text; Run's is an error carrying
 //     only the panic value, no stack and no goroutine IDs.
 //
+// How many calls run at once is the caller's: a loop that may run one
+// at a time runs inline, on the caller's goroutine, so a site that
+// picks its workers from the size of its work (the MPC engine's phases
+// do) pays for goroutines only where there is work to spread.
+//
 // The package is wall-clock free (mpclint's wallclock-free analyzer
 // runs on it): timing is the caller's business.
 package sweep
@@ -28,25 +33,52 @@ import (
 )
 
 // Each runs f(0), …, f(n−1), started in index order and at most
-// workers at once (workers ≤ 0 or ≥ n: one goroutine per index), waits
-// for every call, and returns the lowest failing index's error.
+// workers at once (workers ≤ 0 or ≥ n: all of them), waits for every
+// call, and returns the lowest failing index's error.
+//
+// A loop that may run only one call at a time — workers == 1, or
+// n ≤ 1 — is a plain loop on the caller's goroutine: f(0), …, f(n−1)
+// in index order, no goroutine, channel or error slice, and a panic
+// reaches the caller's own recover. A loop that runs all its calls at
+// once starts one goroutine per index but the last, which runs on the
+// caller, and needs no semaphore.
 func Each(n, workers int, f func(i int) error) error {
-	if workers <= 0 || workers > n {
-		workers = n
+	if workers == 1 || n <= 1 {
+		var first error
+		for i := 0; i < n; i++ {
+			if err := f(i); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
 	}
 	errs := make([]error, n)
-	slots := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		slots <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = f(i)
-			<-slots
-		}(i)
+	if workers <= 0 || workers >= n {
+		wg.Add(n - 1)
+		for i := 0; i < n-1; i++ {
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = f(i)
+			}(i)
+		}
+		func() {
+			defer wg.Wait() // a panic on the caller still waits for the others
+			errs[n-1] = f(n - 1)
+		}()
+	} else {
+		slots := make(chan struct{}, workers)
+		for i := 0; i < n; i++ {
+			slots <- struct{}{}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = f(i)
+				<-slots
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -234,4 +234,97 @@ func TestEachContract(t *testing.T) {
 	if err := Each(0, 4, func(int) error { return fmt.Errorf("called") }); err != nil {
 		t.Errorf("an empty loop returned %v", err)
 	}
+
+	// The inline path: a loop that may run one call at a time runs
+	// them on the caller's goroutine, in index order, every one of
+	// them, and returns the lowest failing index's error.
+	for _, c := range []struct{ n, workers int }{{n, 1}, {1, 0}, {1, n}, {2, 1}} {
+		var mu sync.Mutex
+		var order []int
+		err := Each(c.n, c.workers, func(i int) error {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			if failing[i] {
+				return fmt.Errorf("fail-%d", i)
+			}
+			return nil
+		})
+		want := fmt.Sprint(seq(c.n))
+		if got := fmt.Sprint(order); got != want {
+			t.Errorf("n=%d workers=%d: calls ran in order %s, want %s", c.n, c.workers, got, want)
+		}
+		var wantErr error
+		for i := 0; i < c.n; i++ {
+			if failing[i] {
+				wantErr = fmt.Errorf("fail-%d", i)
+				break
+			}
+		}
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("n=%d workers=%d: Each returned %v, want %v", c.n, c.workers, err, wantErr)
+		}
+	}
+	noop := func(int) error { return nil }
+	if allocs := testing.AllocsPerRun(100, func() { Each(n, 1, noop) }); allocs != 0 {
+		t.Errorf("the inline path allocated %v objects per loop", allocs)
+	}
+
+	// A panic on the inline path reaches the caller's own recover,
+	// after the calls before it and before the calls after it.
+	for _, c := range []struct{ n, workers, at int }{{n, 1, 2}, {1, 0, 0}} {
+		var ran [n]bool
+		func() {
+			defer func() {
+				if rec := recover(); rec != "boom" {
+					t.Errorf("n=%d workers=%d: the caller recovered %v", c.n, c.workers, rec)
+				}
+			}()
+			Each(c.n, c.workers, func(i int) error { //lint:allow error-discard the call panics
+				ran[i] = true
+				if i == c.at {
+					panic("boom")
+				}
+				return nil
+			})
+		}()
+		for i := 0; i < c.n; i++ {
+			if ran[i] != (i <= c.at) {
+				t.Errorf("n=%d workers=%d: f(%d) ran=%v around a panic at %d", c.n, c.workers, i, ran[i], c.at)
+			}
+		}
+	}
+
+	// The goroutine-per-index path runs its last index on the caller:
+	// a panic there reaches the caller's recover, once every other
+	// call has finished.
+	var finished [n]atomic.Bool
+	func() {
+		defer func() {
+			if rec := recover(); rec != "last" {
+				t.Errorf("unbounded: the caller recovered %v", rec)
+			}
+		}()
+		Each(n, 0, func(i int) error { //lint:allow error-discard the last call panics
+			if i == n-1 {
+				panic("last")
+			}
+			finished[i].Store(true)
+			return nil
+		})
+	}()
+	for i := 0; i < n-1; i++ {
+		if !finished[i].Load() {
+			t.Errorf("unbounded: f(%d) had not finished when the caller's panic left Each", i)
+		}
+	}
+}
+
+// seq returns 0, …, n−1.
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
 }
